@@ -12,7 +12,7 @@ vet:
 
 # Static analysis: go vet plus reboundlint, the repository's own
 # analyzer suite (determinism, trustedboundary, clockdomain,
-# snapshotstate, shardsafety, hotpath — see DESIGN.md "Static
+# snapshotstate, hotpath — see DESIGN.md "Static
 # analysis & determinism contracts"). Fails on any violation;
 # legitimate exceptions carry a justified //rebound: annotation, and
 # a hatch that no longer suppresses anything is itself a violation
@@ -66,9 +66,8 @@ bench-scale:
 
 # The protocol-plane swarm suite: the audit-serve pair (where the
 # >=5x contract lives), the loopback protocol pair, the chain
-# append/flush micro pair, and the end-to-end N=1000 sim trio
-# (reference / fast / fast-sharded), recorded to the committed
-# BENCH_swarm.json.
+# append/flush micro pair, and the end-to-end N=1000 sim pair
+# (reference / fast), recorded to the committed BENCH_swarm.json.
 bench-swarm:
 	@$(GO) test -run '^$$' -bench 'BenchmarkSwarm_' -benchmem -timeout 30m . \
 	  | $(GO) run ./cmd/benchjson -o BENCH_swarm.json
@@ -158,7 +157,7 @@ scale-smoke:
 	$(GO) run ./cmd/roborebound -quick -progress=false scale
 
 # The protocol-plane differential smoke: one 1000-robot chaos cell run
-# on the reference, fast, and fast-sharded planes, asserting
+# on the reference and fast planes, asserting
 # byte-identical chaos fingerprints and metrics snapshots (and no
 # invariant violations). Exits nonzero on any divergence.
 swarm-smoke:
@@ -177,7 +176,7 @@ snapshot-smoke:
 	$(GO) run ./cmd/roborebound -progress=false \
 	  -from snapshot-cell.rbsn -verify resume
 
-# The performance-plane smoke: one 300-robot sharded spatial chaos
+# The performance-plane smoke: one 300-robot spatially indexed chaos
 # cell run twice by the perf subcommand — untimed, then with the full
 # wall-clock plane attached (phase timer, runtime sampler) — printing
 # the phase-attributed timing table and runtime telemetry, and exiting
@@ -186,7 +185,7 @@ snapshot-smoke:
 # proof at production scale.
 perf-smoke:
 	$(GO) run ./cmd/roborebound -progress=false -spatial \
-	  -controller flocking -profile mixed -n 300 -duration 20 -shards 4 perf
+	  -controller flocking -profile mixed -n 300 -duration 20 perf
 
 # The serving-layer smoke: the HTTP≡facade selftest submits one job of
 # every kind over real HTTP to an ephemeral loopback server and

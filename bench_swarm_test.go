@@ -292,19 +292,14 @@ func benchSwarmSim(b *testing.B, plane SwarmPlane) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cfg := ChaosConfig{
-			Controller:   "flocking",
-			Profile:      faultinject.ProfileNone,
-			Seed:         1,
-			N:            1000,
-			DurationSec:  8,
-			SpacingM:     64,
-			SpatialIndex: true,
-		}
-		switch plane {
-		case PlaneReference:
-			cfg.ReferencePlane = true
-		case PlaneFastSharded:
-			cfg.TickShards = 4
+			Controller:     "flocking",
+			Profile:        faultinject.ProfileNone,
+			Seed:           1,
+			N:              1000,
+			DurationSec:    8,
+			SpacingM:       64,
+			SpatialIndex:   true,
+			ReferencePlane: plane == PlaneReference,
 		}
 		res := RunChaos(cfg)
 		if res.Violation != nil {
@@ -313,6 +308,5 @@ func benchSwarmSim(b *testing.B, plane SwarmPlane) {
 	}
 }
 
-func BenchmarkSwarm_Sim_Reference_N1000(b *testing.B)   { benchSwarmSim(b, PlaneReference) }
-func BenchmarkSwarm_Sim_Fast_N1000(b *testing.B)        { benchSwarmSim(b, PlaneFast) }
-func BenchmarkSwarm_Sim_FastSharded_N1000(b *testing.B) { benchSwarmSim(b, PlaneFastSharded) }
+func BenchmarkSwarm_Sim_Reference_N1000(b *testing.B) { benchSwarmSim(b, PlaneReference) }
+func BenchmarkSwarm_Sim_Fast_N1000(b *testing.B)      { benchSwarmSim(b, PlaneFast) }

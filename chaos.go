@@ -83,11 +83,6 @@ type ChaosConfig struct {
 	// frame, engaging the radio's fragmentation/reassembly path (loss
 	// is then drawn per fragment). 0 keeps the default link model.
 	MTUBytes int
-	// TickShards runs the cell with the tick phase sharded across this
-	// many goroutines (see SimConfig.TickShards). Byte-identical to
-	// serial; the swarm differential suite sweeps cells with this
-	// toggled to prove it.
-	TickShards int
 	// ReferencePlane runs the cell on the reference protocol plane
 	// (see SimConfig.ReferencePlane) — the differential oracle.
 	ReferencePlane bool
@@ -185,9 +180,6 @@ func (c ChaosConfig) Label() string {
 	}
 	if c.SpatialIndex {
 		s += " [indexed]"
-	}
-	if c.TickShards > 1 {
-		s += fmt.Sprintf(" [shards=%d]", c.TickShards)
 	}
 	if c.ReferencePlane {
 		s += " [reference]"
@@ -291,7 +283,7 @@ func buildChaosSim(cfg ChaosConfig, cc core.Config, sched *faultinject.Schedule)
 		factory := control.PatrolFactory{Params: params}
 		s := NewSim(SimConfig{Seed: cfg.Seed, Core: &cc, Radio: radioParams, Faults: sched,
 			Trace: cfg.Trace, Metrics: cfg.Metrics, SpatialIndex: cfg.SpatialIndex,
-			TickShards: cfg.TickShards, ReferencePlane: cfg.ReferencePlane, Perf: cfg.Perf})
+			ReferencePlane: cfg.ReferencePlane, Perf: cfg.Perf})
 		for i := 0; i < cfg.N; i++ {
 			id := wire.RobotID(i + 1)
 			pos := route[int(id)%len(route)]
@@ -316,7 +308,7 @@ func buildChaosSim(cfg ChaosConfig, cc core.Config, sched *faultinject.Schedule)
 		factory := control.WarehouseFactory{Params: params}
 		s := NewSim(SimConfig{Seed: cfg.Seed, Core: &cc, Radio: radioParams, Faults: sched,
 			Trace: cfg.Trace, Metrics: cfg.Metrics, SpatialIndex: cfg.SpatialIndex,
-			TickShards: cfg.TickShards, ReferencePlane: cfg.ReferencePlane, Perf: cfg.Perf})
+			ReferencePlane: cfg.ReferencePlane, Perf: cfg.Perf})
 		for i := 0; i < cfg.N; i++ {
 			id := wire.RobotID(i + 1)
 			pos := pickups[i].Add(geom.V(2, 0))
@@ -348,7 +340,6 @@ func buildChaosSim(cfg ChaosConfig, cc core.Config, sched *faultinject.Schedule)
 			Trace:          cfg.Trace,
 			Metrics:        cfg.Metrics,
 			SpatialIndex:   cfg.SpatialIndex,
-			TickShards:     cfg.TickShards,
 			ReferencePlane: cfg.ReferencePlane,
 			Perf:           cfg.Perf,
 		}

@@ -15,10 +15,6 @@
 //	                 serialized or justified //rebound:snapshot-skip,
 //	                 and decoder counts are bounded before allocation
 //	                 (the PR 7 resume-divergence bug class)
-//	shardsafety      the TickShards shard phase has no order-dependent
-//	                 effects: no shared-state writes, channels, or
-//	                 unvetted dynamic calls outside the staged/serial
-//	                 mechanisms
 //	hotpath          //rebound:hotpath call closures stay allocation-
 //	                 free: no composite literals, make, fresh-slice
 //	                 append, interface boxing, closures, or fmt
@@ -41,7 +37,7 @@
 // code annotations. Each analyzer documents an annotation escape
 // hatch (//rebound:wallclock, //rebound:nondet, //rebound:tcb-exempt,
 // //rebound:clockmix, //rebound:snapshot-skip, //rebound:bounded,
-// //rebound:shard-ok, //rebound:alloc) that requires a justification;
+// //rebound:alloc) that requires a justification;
 // see DESIGN.md "Static analysis & determinism contracts".
 package main
 
@@ -60,7 +56,6 @@ import (
 	"roborebound/internal/analysis/determinism"
 	"roborebound/internal/analysis/hotpath"
 	"roborebound/internal/analysis/load"
-	"roborebound/internal/analysis/shardsafety"
 	"roborebound/internal/analysis/snapshotstate"
 	"roborebound/internal/analysis/trustedboundary"
 )
@@ -70,7 +65,6 @@ var analyzers = []*analysis.Analyzer{
 	trustedboundary.Analyzer,
 	clockdomain.Analyzer,
 	snapshotstate.Analyzer,
-	shardsafety.Analyzer,
 	hotpath.Analyzer,
 }
 

@@ -97,10 +97,14 @@ func TestListFlag(t *testing.T) {
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-list exit = %d, want 0", code)
 	}
-	for _, name := range []string{"determinism", "trustedboundary", "clockdomain", "snapshotstate", "shardsafety", "hotpath"} {
+	names := []string{"determinism", "trustedboundary", "clockdomain", "snapshotstate", "hotpath"}
+	for _, name := range names {
 		if !strings.Contains(stdout.String(), name+":") {
 			t.Errorf("-list output missing %s:\n%s", name, stdout.String())
 		}
+	}
+	if got := strings.Count(stdout.String(), "\n"); got != len(names) {
+		t.Errorf("-list printed %d analyzers, want %d:\n%s", got, len(names), stdout.String())
 	}
 }
 

@@ -3,10 +3,10 @@
 //
 // Usage:
 //
-//	roborebound <subcommand> [-quick] [-seed N] [-parallel N]
+//	roborebound [-quick] [-seed N] [-parallel N] <subcommand>
 //
 // Subcommands: fig2 fig5 fig6 fig7 fig8 fig9 table1 table2 chaos trace
-// scale swarm snapshot resume all
+// scale swarm perf snapshot resume serve all
 package main
 
 import (
@@ -98,6 +98,11 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
+	if err := checkArgs(flag.Args()); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		usage()
+		os.Exit(2)
+	}
 	cmd := flag.Arg(0)
 	cmds := map[string]func(){
 		"fig2":   fig2,
@@ -144,8 +149,24 @@ func main() {
 	}
 }
 
+// checkArgs rejects arguments after the subcommand. The flag package
+// stops parsing at the first positional, so a trailing "-n 300" would
+// otherwise be ignored and the default cell run in its place. Only
+// trace takes a positional: its scenario.
+func checkArgs(args []string) error {
+	rest := args[1:]
+	if args[0] == "trace" && len(rest) > 0 && !strings.HasPrefix(rest[0], "-") {
+		rest = rest[1:]
+	}
+	if len(rest) == 0 {
+		return nil
+	}
+	return fmt.Errorf("unexpected argument %q after %q: flags go before the subcommand", rest[0], args[0])
+}
+
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: roborebound [flags] <subcommand>
+       (flags go before the subcommand; only trace takes an argument)
 
 subcommands:
   table1   worst-case a-node load model (§5.1 Table 1)
@@ -161,13 +182,14 @@ subcommands:
            and spatially indexed; verifies byte-identical fingerprints
            and reports the speedup (-quick: one 300-robot smoke cell)
   swarm    protocol-plane sweep (1000+ robots), each size run on the
-           reference plane, the fast plane, and the fast plane with
-           sharded ticks; verifies byte-identical fingerprints/metrics
-           and reports the speedup (-quick: one short 1000-robot cell)
-  trace    run one scenario fully instrumented and export its protocol
+           reference plane and the fast plane; verifies byte-identical
+           fingerprints/metrics and reports the speedup (-quick: one
+           short 1000-robot cell)
+  trace [scenario]
+           run one scenario fully instrumented and export its protocol
            event log / Perfetto trace / metrics (see -events, -perfetto,
            -metrics); scenarios: flocking (default), patrol, warehouse
-  perf     run one chaos cell (-controller/-profile/-n/-duration/-shards)
+  perf     run one chaos cell (-controller/-profile/-n/-duration)
            untimed and then with the wall-clock performance plane
            attached; prove the runs byte-identical, print the
            phase-attributed timing table and runtime telemetry, and

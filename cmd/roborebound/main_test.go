@@ -2,9 +2,25 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 )
+
+// mainEnv, when set, makes the test binary act as the roborebound CLI
+// itself, so TestCLIArguments can observe main's flag parsing and exit
+// codes in a subprocess.
+const mainEnv = "ROBOREBOUND_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(mainEnv) != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 // capture redirects report output to a buffer, runs the subcommand,
 // and restores stdout routing and the flags the subcommand reads.
@@ -89,5 +105,55 @@ func TestChaosQuickSmoke(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Errorf("chaos matrix missing %q rows:\n%s", want, got)
 		}
+	}
+}
+
+// TestCLIArguments pins main's argument handling: flags go before the
+// subcommand, nothing may follow it except trace's one scenario, and
+// every rejection exits 2 instead of running some other cell.
+func TestCLIArguments(t *testing.T) {
+	cases := []struct {
+		name     string
+		args     []string
+		wantExit int
+		wantErr  string // substring of stderr
+		wantOut  string // substring of stdout
+	}{
+		{"no subcommand", nil, 2, "usage:", ""},
+		{"unknown subcommand", []string{"bogus"}, 2, `unknown subcommand "bogus"`, ""},
+		{"flag after subcommand", []string{"perf", "-n", "300"}, 2, "flags go before the subcommand", ""},
+		{"unknown flag after subcommand", []string{"perf", "-bogus"}, 2, "flags go before the subcommand", ""},
+		{"positional after subcommand", []string{"table1", "extra"}, 2, `unexpected argument "extra"`, ""},
+		{"trace second positional", []string{"trace", "patrol", "extra"}, 2, `unexpected argument "extra"`, ""},
+		{"trace flag as scenario", []string{"trace", "-quick"}, 2, "flags go before the subcommand", ""},
+		{"removed -shards flag", []string{"-shards", "4", "perf"}, 2, "flag provided but not defined: -shards", ""},
+		{"plain subcommand", []string{"table1"}, 0, "", ""},
+		{"trace keeps its scenario", []string{"-quick", "trace", "patrol"}, 0, "", "trace patrol"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			cmd := exec.Command(os.Args[0], tc.args...)
+			cmd.Env = append(os.Environ(), mainEnv+"=1")
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			err := cmd.Run()
+			exit := 0
+			var ee *exec.ExitError
+			if errors.As(err, &ee) {
+				exit = ee.ExitCode()
+			} else if err != nil {
+				t.Fatalf("running CLI: %v", err)
+			}
+			if exit != tc.wantExit {
+				t.Errorf("exit = %d, want %d\nstdout:\n%s\nstderr:\n%s", exit, tc.wantExit, &stdout, &stderr)
+			}
+			if !strings.Contains(stderr.String(), tc.wantErr) {
+				t.Errorf("stderr missing %q:\n%s", tc.wantErr, &stderr)
+			}
+			if !strings.Contains(stdout.String(), tc.wantOut) {
+				t.Errorf("stdout missing %q:\n%s", tc.wantOut, &stdout)
+			}
+		})
 	}
 }

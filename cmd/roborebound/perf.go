@@ -20,19 +20,14 @@ import (
 // perf report double as an observation-only check: if instrumenting
 // the run changed any result byte, the command fails.
 
-var (
-	perfJSONOut = flag.String("json", "",
-		"write the perf phase report (and runtime telemetry) as JSON to this file (perf subcommand)")
-	perfShards = flag.Int("shards", 0,
-		"run the perf cell with this many tick shards (0/1 = serial; sharded runs surface the shard-merge and serial-post phases)")
-)
+var perfJSONOut = flag.String("json", "",
+	"write the perf phase report (and runtime telemetry) as JSON to this file (perf subcommand)")
 
 // perfFailed mirrors chaosFailed for the perf subcommand.
 var perfFailed bool
 
 func perfCmd() {
 	cfg := snapshotCellConfig() // shares -controller/-profile/-n/-duration/-seed/-spatial
-	cfg.TickShards = *perfShards
 	if *quick && cfg.DurationSec == 60 {
 		cfg.DurationSec = 20 // shrink only the default; explicit -duration wins
 	}

@@ -10,22 +10,22 @@ import (
 
 // capturePerf runs the perf subcommand with its flags pinned to a
 // short chaos cell, restoring everything after.
-func capturePerf(t *testing.T, shards int, perfetto, jsonOut string, f func()) string {
+func capturePerf(t *testing.T, perfetto, jsonOut string, f func()) string {
 	t.Helper()
 	oldCtrl, oldProf, oldDur := *snapController, *snapProfile, *snapDuration
-	oldShards, oldPerfetto, oldJSON := *perfShards, *perfettoOut, *perfJSONOut
+	oldPerfetto, oldJSON := *perfettoOut, *perfJSONOut
 	*snapController, *snapProfile, *snapDuration = "flocking", "mixed", 12
-	*perfShards, *perfettoOut, *perfJSONOut = shards, perfetto, jsonOut
+	*perfettoOut, *perfJSONOut = perfetto, jsonOut
 	defer func() {
 		*snapController, *snapProfile, *snapDuration = oldCtrl, oldProf, oldDur
-		*perfShards, *perfettoOut, *perfJSONOut = oldShards, oldPerfetto, oldJSON
+		*perfettoOut, *perfJSONOut = oldPerfetto, oldJSON
 		perfFailed = false
 	}()
 	return capture(t, false, f)
 }
 
 func TestPerfCLISmoke(t *testing.T) {
-	got := capturePerf(t, 0, "", "", perfCmd)
+	got := capturePerf(t, "", "", perfCmd)
 	if perfFailed {
 		t.Fatalf("perf subcommand failed:\n%s", got)
 	}
@@ -51,16 +51,12 @@ func TestPerfCLIExports(t *testing.T) {
 	dir := t.TempDir()
 	trace := filepath.Join(dir, "merged.json")
 	report := filepath.Join(dir, "perf.json")
-	got := capturePerf(t, 2, trace, report, perfCmd)
+	got := capturePerf(t, trace, report, perfCmd)
 	if perfFailed {
 		t.Fatalf("perf subcommand failed:\n%s", got)
 	}
 	if !strings.Contains(got, "differential: ok") {
 		t.Errorf("perf output missing differential verdict:\n%s", got)
-	}
-	// Sharded runs surface the shard-merge phase in the table.
-	if !strings.Contains(got, "shard-merge") {
-		t.Errorf("sharded perf run missing shard-merge phase:\n%s", got)
 	}
 	for _, file := range []string{trace, report} {
 		data, err := os.ReadFile(file)

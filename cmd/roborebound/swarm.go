@@ -8,13 +8,12 @@ import (
 
 // swarmCmd runs the protocol-plane swarm sweep: each size executes on
 // the reference plane (buffered chains, per-round re-encodes, no audit
-// cache), the fast plane, and the fast plane with sharded ticks. The
-// command is simultaneously the tentpole's performance headline
-// (protocol-plane speedup per size) and a production-scale
-// differential check: every plane of one size must produce
-// byte-identical chaos fingerprints and metrics snapshots. Any
-// mismatch or invariant violation makes the process exit nonzero, so
-// CI gates on it.
+// cache) and the fast plane. The command is simultaneously the
+// tentpole's performance headline (protocol-plane speedup per size)
+// and a production-scale differential check: both planes of one size
+// must produce byte-identical chaos fingerprints and metrics
+// snapshots. Any mismatch or invariant violation makes the process
+// exit nonzero, so CI gates on it.
 func swarmCmd() {
 	cfg := rr.SwarmConfig{
 		Seed:         *seed,
@@ -38,8 +37,8 @@ func swarmCmd() {
 	c0 := pts[0].Result.Config // defaults applied by the sweep
 	fmt.Fprintf(out, "Swarm protocol-plane sweep — %s/%s, spacing %.0fm, %.0fs per cell\n\n",
 		c0.Controller, c0.Profile, c0.SpacingM, c0.DurationSec)
-	fmt.Fprintf(out, "%6s | %8s %8s %8s | %8s %8s | %s\n",
-		"N", "ref s", "fast s", "shard s", "fast x", "shard x", "verdict")
+	fmt.Fprintf(out, "%6s | %8s %8s | %8s | %s\n",
+		"N", "ref s", "fast s", "fast x", "verdict")
 	for _, c := range cmps {
 		verdict := "identical"
 		switch {
@@ -49,16 +48,10 @@ func swarmCmd() {
 		case !c.FastMetricsMatch:
 			verdict = "FAIL: fast metrics diverge from reference"
 			chaosFailed = true
-		case !c.ShardedFingerprintMatch:
-			verdict = "FAIL: sharded fingerprint diverges from reference"
-			chaosFailed = true
-		case !c.ShardedMetricsMatch:
-			verdict = "FAIL: sharded metrics diverge from reference"
-			chaosFailed = true
 		}
-		fmt.Fprintf(out, "%6d | %8.2f %8.2f %8.2f | %7.1fx %7.1fx | %s\n",
+		fmt.Fprintf(out, "%6d | %8.2f %8.2f | %7.1fx | %s\n",
 			c.N, c.ReferenceElapsed.Seconds(), c.FastElapsed.Seconds(),
-			c.ShardedElapsed.Seconds(), c.SpeedupFast, c.SpeedupSharded, verdict)
+			c.SpeedupFast, verdict)
 	}
 	for _, p := range pts {
 		if v := p.Result.Violation; v != nil {
@@ -67,6 +60,6 @@ func swarmCmd() {
 		}
 	}
 	if !chaosFailed {
-		fmt.Fprintf(out, "\nswarm: all %d sizes byte-identical across reference, fast, and sharded planes\n", len(cmps))
+		fmt.Fprintf(out, "\nswarm: all %d sizes byte-identical across reference and fast planes\n", len(cmps))
 	}
 }

@@ -52,20 +52,6 @@ const (
 	// used as an allocation size without a visible bound against the
 	// remaining payload (for counts bounded by other means).
 	DirBounded = "bounded"
-	// DirShardSafe declares that a function runs (or may run) inside
-	// the TickShards shard phase; the shardsafety analyzer treats it as
-	// a root and analyzes its same-package call closure. It is also the
-	// cross-package contract: a shard body may call into another module
-	// package only if the callee is allowlisted or carries this mark.
-	DirShardSafe = "shard-safe"
-	// DirShardOK silences a shardsafety finding at a site inside the
-	// shard closure that is safe for reasons the analyzer cannot see
-	// (e.g. a dynamic call guarded by the SerialTicker mechanism).
-	DirShardOK = "shard-ok"
-	// DirShared declares that a struct field holds state shared across
-	// actors (a cross-actor pointer): the shardsafety analyzer flags
-	// any use of such a field inside the shard phase.
-	DirShared = "shared"
 	// DirHotpath declares a function part of the allocation-free hot
 	// path: the hotpath analyzer analyzes its same-package call closure
 	// for escaping composite literals, appends on non-reused slices,
@@ -88,7 +74,6 @@ var KnownDirectives = map[string]bool{
 	DirWallclock: true, DirNondet: true, DirTCBExempt: true,
 	DirClockMix: true, DirClock: true,
 	DirSnapshotSkip: true, DirBounded: true,
-	DirShardSafe: true, DirShardOK: true, DirShared: true,
 	DirHotpath: true, DirColdpath: true, DirAlloc: true,
 }
 
@@ -97,8 +82,7 @@ var KnownDirectives = map[string]bool{
 // suppressed zero findings as a finding of its own — but only when the
 // owning analyzer actually ran, so -run=determinism does not condemn
 // every tcb-exempt hatch in sight. Declaration directives (clock,
-// shard-safe, shared, hotpath, coldpath) are not hatches and are
-// absent here.
+// hotpath, coldpath) are not hatches and are absent here.
 var SuppressionOwner = map[string]string{
 	DirWallclock:    "determinism",
 	DirNondet:       "determinism",
@@ -106,7 +90,6 @@ var SuppressionOwner = map[string]string{
 	DirClockMix:     "clockdomain",
 	DirSnapshotSkip: "snapshotstate",
 	DirBounded:      "snapshotstate",
-	DirShardOK:      "shardsafety",
 	DirAlloc:        "hotpath",
 }
 
@@ -361,7 +344,7 @@ func ClockDomains(fset *token.FileSet, pkgPath string, files []*ast.File, report
 // one in its doc comment, or one in an end-of-line comment on the line
 // where the declaration (for functions: its signature) ends. This is
 // the lookup every declaration directive (clock, hotpath, coldpath,
-// shard-safe, shared, snapshot-skip on fields) shares.
+// snapshot-skip on fields) shares.
 func DeclDirective(fset *token.FileSet, f *ast.File, doc *ast.CommentGroup, end token.Pos, name string) (Directive, token.Pos, bool) {
 	if doc != nil {
 		for _, c := range doc.List {
@@ -384,33 +367,6 @@ func DeclDirective(fset *token.FileSet, f *ast.File, doc *ast.CommentGroup, end 
 		}
 	}
 	return Directive{}, token.NoPos, false
-}
-
-// FuncDirectives scans files for the named declaration directive on
-// function declarations and returns the marked functions keyed by
-// "<Recv.>Name" (the receiver's base type name, if any, then the
-// function name). Used for shard-safe and hotpath root discovery —
-// including cross-package lookups over Pass.ModuleFiles syntax.
-func FuncDirectives(fset *token.FileSet, files []*ast.File, name string) map[string]Directive {
-	out := make(map[string]Directive)
-	for _, f := range files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			d, _, ok := DeclDirective(fset, f, fd.Doc, fd.Type.End(), name)
-			if !ok {
-				continue
-			}
-			key := fd.Name.Name
-			if fd.Recv != nil && len(fd.Recv.List) == 1 {
-				key = recvBaseName(fd.Recv.List[0].Type) + "." + key
-			}
-			out[key] = d
-		}
-	}
-	return out
 }
 
 // Clock domain names.

@@ -148,7 +148,7 @@ func checkMapRange(pass *analysis.Pass, rs *ast.RangeStmt, stack []ast.Node, sor
 		return
 	}
 
-	if OrderInsensitive(pass, rs, enclosingFunc(stack), sortedCache) {
+	if orderInsensitive(pass, rs, enclosingFunc(stack), sortedCache) {
 		return
 	}
 	// The hatch is consulted only after the body check fails, so a
@@ -161,18 +161,13 @@ func checkMapRange(pass *analysis.Pass, rs *ast.RangeStmt, stack []ast.Node, sor
 		"map iteration order may escape (body is not provably order-insensitive): collect keys and sort before use, or annotate //rebound:nondet <why>")
 }
 
-// OrderInsensitive reports whether the body of a range over a map is
+// orderInsensitive reports whether the body of a range over a map is
 // provably order-insensitive (pure accumulation, delete of the ranged
 // key, map builds keyed by the range key, collect-then-sort appends,
 // loop-local writes). fn is the enclosing function node (for the
 // collected-then-sorted pattern); sortedCache memoizes its sorted-
-// slice scan and may be shared across calls within one file walk.
-// Exported for the shardsafety analyzer, which applies the same proof
-// to map ranges inside the TickShards shard phase.
-func OrderInsensitive(pass *analysis.Pass, rs *ast.RangeStmt, fn ast.Node, sortedCache map[ast.Node]map[types.Object]bool) bool {
-	if sortedCache == nil {
-		sortedCache = make(map[ast.Node]map[types.Object]bool)
-	}
+// slice scan and is shared across calls within one file walk.
+func orderInsensitive(pass *analysis.Pass, rs *ast.RangeStmt, fn ast.Node, sortedCache map[ast.Node]map[types.Object]bool) bool {
 	sorted := sortedCache[fn]
 	if sorted == nil {
 		sorted = sortedSlices(pass, fn)
@@ -187,10 +182,6 @@ func OrderInsensitive(pass *analysis.Pass, rs *ast.RangeStmt, fn ast.Node, sorte
 	}
 	return chk.stmtsOK(rs.Body.List)
 }
-
-// EnclosingFunc returns the innermost *ast.FuncDecl or *ast.FuncLit in
-// stack (a path of enclosing nodes, outermost first), or nil.
-func EnclosingFunc(stack []ast.Node) ast.Node { return enclosingFunc(stack) }
 
 // bodyChecker decides whether a map-range body is order-insensitive.
 type bodyChecker struct {

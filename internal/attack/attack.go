@@ -51,17 +51,6 @@ type Strategy interface {
 	Act(ctx *Ctx)
 }
 
-// SharedStateStrategy marks strategies whose Act touches state shared
-// with other actors (the Colluder ring's side channel). Compromised
-// robots running one must tick serially under the sharded tick loop —
-// see sim.SerialTicker.
-type SharedStateStrategy interface {
-	Strategy
-	// SharesTickState reports whether Act reads or writes cross-actor
-	// state.
-	SharesTickState() bool
-}
-
 // Compromised is a robot whose c-node turns malicious at CompromiseAt.
 type Compromised struct {
 	*robot.Robot
@@ -106,16 +95,6 @@ func NewCompromised(r *robot.Robot, at wire.Tick, strat Strategy, keepProtocol b
 // Active reports whether the compromise has taken effect.
 func (c *Compromised) Active() bool { return c.active }
 
-// NeedsSerialTick implements sim.SerialTicker: a compromised robot
-// whose strategy coordinates through shared state (colluder rings)
-// must tick in the sharded loop's serial post-pass. All other
-// strategies act only through the robot's own trusted nodes and the
-// staged radio, so they shard freely.
-func (c *Compromised) NeedsSerialTick() bool {
-	s, ok := c.Strat.(SharedStateStrategy)
-	return ok && s.SharesTickState()
-}
-
 // FirstMisbehaviorAt returns the tick of the attacker's first
 // malicious output (frame or actuator command actually emitted) — the
 // instant the BTI clock starts (§3.10). ok is false while the attacker
@@ -131,12 +110,7 @@ func (c *Compromised) noteMisbehavior(now wire.Tick) {
 	}
 }
 
-// Tick implements sim.Actor. Compromised robots tick in the sharded
-// actor phase too, except colluder rings, which NeedsSerialTick routes
-// to the serial post-pass (their shared-state exchange is exactly the
-// order-dependent effect the shard phase bans).
-//
-//rebound:shard-safe shared-state strategies are diverted by NeedsSerialTick
+// Tick implements sim.Actor.
 func (c *Compromised) Tick(now wire.Tick) {
 	if now < c.CompromiseAt {
 		c.Robot.Tick(now)
@@ -173,9 +147,5 @@ func (c *Compromised) Tick(now wire.Tick) {
 	if fc, ok := c.Controller().(*flocking.Controller); ok {
 		ctx.Neighbors = fc.Neighbors()
 	}
-	// Strategies act only through the Ctx hooks above (staged radio,
-	// own body); the one family that shares state across robots reports
-	// SharesTickState and is diverted to the serial post-pass by
-	// NeedsSerialTick before this dispatch can run in a shard.
-	c.Strat.Act(ctx) //rebound:shard-ok shared-state strategies run serial via NeedsSerialTick
+	c.Strat.Act(ctx)
 }

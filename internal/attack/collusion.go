@@ -100,10 +100,6 @@ func (x *CollusionExchange) step(self wire.RobotID, ring []wire.RobotID) {
 // Name implements Strategy.
 func (c *Colluder) Name() string { return "colluder" }
 
-// SharesTickState implements SharedStateStrategy: the ring's Exchange
-// is a blackboard every member reads and writes during Tick.
-func (c *Colluder) SharesTickState() bool { return true }
-
 // Act implements Strategy.
 func (c *Colluder) Act(ctx *Ctx) {
 	if c.Exchange != nil {

@@ -42,8 +42,6 @@ type Engine struct {
 	// acache is the swarm-shared replay-verdict cache; nil on the
 	// reference plane. Snapshotted once at the swarm level, not per
 	// engine.
-	//
-	//rebound:shared swarm-level cache, mutated only on the serial delivery path
 	acache *AuditCache //rebound:snapshot-skip swarm-level cache, snapshotted once by the runner
 
 	stats        statsCounters
@@ -54,9 +52,7 @@ type Engine struct {
 	// audit serves (split cache-hit/miss on the cached plane) and
 	// audit-log appends. Timed here, not in trusted or auditlog — the
 	// TCB's import surface stays stdlib-only, so the c-node engine times
-	// its calls into those layers from outside. Atomic internally:
-	// sharded ticks run OnSensorReadingEnc (and its appends) in shard
-	// goroutines.
+	// its calls into those layers from outside.
 	//
 	//rebound:snapshot-skip observation-only wall-clock plane, reattached at rebuild
 	perf *perf.PhaseTimer
@@ -190,8 +186,6 @@ func (e *Engine) SetAuditCache(c *AuditCache) { e.acache = c }
 
 // Controller exposes the live controller (the robot reads it for
 // metrics; the engine owns its lifecycle).
-//
-//rebound:shard-safe read-only accessor
 func (e *Engine) Controller() control.Controller { return e.ctrl }
 
 // Log exposes the audit log for storage accounting.
@@ -231,8 +225,6 @@ func (e *Engine) OnSensorReading(reading wire.SensorReading) {
 // OnSensorReadingEnc is OnSensorReading with the reading's encoding
 // already in hand — the s-node chained those exact bytes (see
 // SNode.PollSensorsEnc), so the log takes them as-is.
-//
-//rebound:shard-safe control step touches only this robot's own stack
 func (e *Engine) OnSensorReadingEnc(reading wire.SensorReading, enc []byte) {
 	e.logAppend(wire.LogEntry{Kind: wire.EntrySensor, Payload: enc})
 	out := e.ctrl.OnSensor(reading)
@@ -289,7 +281,6 @@ func (e *Engine) OnFrameEnc(f wire.Frame, enc []byte) {
 // class that reboundlint's clockdomain analyzer exists to catch.
 //
 //rebound:clock now=trusted
-//rebound:shard-safe audit traffic leaves only via the staged a-node send
 func (e *Engine) Tick(now wire.Tick) {
 	e.now = now
 	if e.cfg.TAudit > 0 && now%e.cfg.TAudit == wire.Tick(e.id)%e.cfg.TAudit {

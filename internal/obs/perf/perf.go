@@ -59,9 +59,7 @@ type Phase uint8
 const (
 	// Top-level stages of sim.Engine.StepOnce, in pipeline order.
 	PhaseRadioDeliver Phase = iota // Medium.Deliver + per-actor frame fan-out
-	PhaseActorTick                 // per-robot protocol tick (serial loop, or the sharded parallel span)
-	PhaseSerialPost                // sharded ticks only: ID-ordered post-pass for SerialTicker actors
-	PhaseShardMerge                // sharded ticks only: trace-capture flush + staged-send merge
+	PhaseActorTick                 // per-robot protocol tick, in ID order
 	PhasePhysics                   // World.Step: integration + crash detection
 	PhaseObservers                 // per-tick observer callbacks (checker, samplers)
 
@@ -78,8 +76,6 @@ const (
 var phaseNames = [NumPhases]string{
 	"radio-deliver",
 	"actor-tick",
-	"serial-post",
-	"shard-merge",
 	"physics",
 	"observers",
 	"spatial-build",
@@ -119,10 +115,9 @@ func LogNsBounds() []float64 {
 	return b
 }
 
-// phaseStat is one phase's tallies. Atomics, because core.Engine
-// phases (audit serve, chain append) execute inside sharded tick
-// goroutines while the engine-level phases run on the engine
-// goroutine — one timer serves both without locks.
+// phaseStat is one phase's tallies. Atomics, because one timer may be
+// shared by the concurrently running cells of a matrix — each cell's
+// engine records from its own worker goroutine, without locks.
 type phaseStat struct {
 	count   atomic.Uint64
 	totalNs atomic.Uint64
@@ -299,7 +294,7 @@ type Span struct {
 // SpanRecorder collects individual spans for the merged Perfetto
 // export, bounded so a long run cannot grow it without limit (spans
 // past the cap are counted, not stored). It is mutex-guarded because
-// nested core phases record from shard goroutines.
+// the timer it hangs off may be shared by concurrently running cells.
 type SpanRecorder struct {
 	mu      sync.Mutex
 	limit   int

@@ -157,13 +157,9 @@ type Medium struct {
 	seq      uint64
 	counters map[wire.RobotID]*ByteCounters
 
-	// Per-sender transmit state, behind a pointer so staged sends from
-	// different senders never write the shared map (see BeginStaged).
+	// Per-sender transmit state, behind a pointer so the steady-state
+	// Send path reads the map but never writes it.
 	senders map[wire.RobotID]*senderState
-	// staged diverts Send into per-sender outboxes; stagedIDs is the
-	// ascending roster FlushStaged merges in.
-	staged    bool
-	stagedIDs []wire.RobotID //rebound:snapshot-skip per-round roster, re-armed by BeginStaged
 
 	// Optional fault hooks (see SetLossModel / SetLinkFilter /
 	// SetTxDelay). loss defaults to UniformLoss when Params.LossRate
@@ -295,12 +291,9 @@ func (m *Medium) Counters(id wire.RobotID) *ByteCounters {
 }
 
 // senderState is one transmitter's radio-side state: its fragment
-// message-ID counter and, in staged mode, its private outbox. It sits
-// behind a pointer so a staged Send mutates only the sender's own
-// struct, never the shared map.
+// message-ID counter.
 type senderState struct {
 	nextMsgID uint16
-	outbox    []queuedFrame // staged frames, seq unassigned until FlushStaged
 }
 
 // sender returns the per-sender state, creating it on first use.
@@ -320,47 +313,27 @@ func (m *Medium) sender(id wire.RobotID) *senderState {
 // transmitter is recorded separately from the frame's claimed source:
 // radios can spoof header fields but not their own antenna position.
 //
-// In staged mode (between BeginStaged and FlushStaged) the frame parks
-// in the sender's private outbox instead of the shared queue; distinct
-// registered senders may then Send concurrently.
-//
 //rebound:hotpath per-frame transmit path; unfragmented steady state allocates nothing
 func (m *Medium) Send(from wire.RobotID, f wire.Frame) {
-	var c *ByteCounters
-	var s *senderState
-	if m.staged {
-		// No map inserts here: other senders may be inside Send right
-		// now. BeginStaged pre-registers every legal sender.
-		if c, s = m.counters[from], m.senders[from]; c == nil || s == nil {
-			//rebound:alloc formatting a panic on a dead robot is free
-			panic(fmt.Sprintf("radio: staged Send from unregistered sender %d", from))
-		}
-	} else {
-		c, s = m.Counters(from), m.sender(from)
-	}
+	c, s := m.Counters(from), m.sender(from)
 	if m.params.MTUBytes > 0 {
 		msgID := s.nextMsgID
 		s.nextMsgID++
 		for _, fr := range FragmentFrame(f, m.params.MTUBytes, msgID) {
-			m.enqueue(c, s, from, fr)
+			m.enqueue(c, from, fr)
 		}
 		return
 	}
-	m.enqueue(c, s, from, f)
+	m.enqueue(c, from, f)
 }
 
 // enqueue accounts for and queues one on-air frame. Sizes come from
 // Frame.EncodedSize — arithmetic, not a measurement Encode — so the
 // unfragmented Send path allocates nothing at steady state (pinned by
-// TestSendSteadyStateAllocations). Everything it touches is either
-// read-only during a staged round (params, delay hook, deliverTick) or
-// owned by the sender (counters, outbox) — except the shared queue and
-// seq counter, which staged sends defer to FlushStaged. The trace emit
-// is shard-safe because the event carries the sender's own ID and the
-// staged tracer partitions by it (obs.ShardCapture).
+// TestSendSteadyStateAllocations).
 //
 //rebound:hotpath inner loop of every transmit
-func (m *Medium) enqueue(c *ByteCounters, s *senderState, from wire.RobotID, fr wire.Frame) {
+func (m *Medium) enqueue(c *ByteCounters, from wire.RobotID, fr wire.Frame) {
 	size := fr.EncodedSize()
 	c.TxFrames++
 	if fr.IsAudit() {
@@ -376,60 +349,9 @@ func (m *Medium) enqueue(c *ByteCounters, s *senderState, from wire.RobotID, fr 
 	if m.delay != nil {
 		q.readyAt += m.delay(from, fr)
 	}
-	if m.staged {
-		s.outbox = append(s.outbox, q)
-		return
-	}
 	q.seq = m.seq
 	m.seq++
 	m.queue = append(m.queue, q)
-}
-
-// BeginStaged enters staged-send mode for one tick round. ids is the
-// set of senders allowed to transmit this round; their counters and
-// sender states (and metrics gauges) are created NOW, in ascending ID
-// order, so the concurrent phase performs no map writes. After this
-// call, Sends from distinct senders may run on different goroutines.
-//
-// Staging exists for the sharded tick phase: a serial tick loop that
-// visits actors in ascending ID order assigns transmit sequence
-// numbers in exactly the order FlushStaged does, so a staged round is
-// byte-identical to a serial one (the swarm differential tests pin
-// this, fingerprints, traces, and metrics included).
-func (m *Medium) BeginStaged(ids []wire.RobotID) {
-	if m.staged {
-		panic("radio: BeginStaged while already staged")
-	}
-	m.stagedIDs = append(m.stagedIDs[:0], ids...)
-	slices.Sort(m.stagedIDs)
-	m.stagedIDs = slices.Compact(m.stagedIDs)
-	for _, id := range m.stagedIDs {
-		m.Counters(id)
-		m.sender(id)
-	}
-	m.staged = true
-}
-
-// FlushStaged leaves staged mode, draining every outbox into the
-// shared queue in ascending sender ID and assigning transmit sequence
-// numbers in that order. Per sender, outbox order is that sender's
-// send order — together giving the exact seq assignment of an
-// ascending-ID serial tick loop.
-func (m *Medium) FlushStaged() {
-	if !m.staged {
-		panic("radio: FlushStaged without BeginStaged")
-	}
-	m.staged = false
-	for _, id := range m.stagedIDs {
-		s := m.senders[id]
-		for i := range s.outbox {
-			q := s.outbox[i]
-			q.seq = m.seq
-			m.seq++
-			m.queue = append(m.queue, q)
-		}
-		s.outbox = s.outbox[:0]
-	}
 }
 
 // rangeSlack pads the spatial query radius past Params.RangeM, in

@@ -2,7 +2,6 @@ package radio
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 
 	"roborebound/internal/wire"
@@ -13,9 +12,7 @@ import (
 // counters, per-sender fragment msgID counters, reassembly buffers,
 // the delivery-round clock, and the loss-model RNG stream. Parameters,
 // position callback, fault hooks, observability, and all per-round
-// scratch come from rebuilding the run. Snapshots are only legal at a
-// tick boundary: staged mode must be off and every outbox drained
-// (FlushStaged ran), which the codec enforces.
+// scratch come from rebuilding the run.
 //
 // deliverTick is serialized explicitly rather than derived from the
 // engine clock: Deliver early-returns without advancing it when the
@@ -25,9 +22,6 @@ import (
 
 // EncodeState serializes the medium as an opaque blob.
 func (m *Medium) EncodeState() ([]byte, error) {
-	if m.staged {
-		return nil, errors.New("radio: cannot snapshot a staged medium (FlushStaged first)")
-	}
 	w := wire.NewWriter(256)
 	w.U32(uint32(len(m.queue)))
 	for i := range m.queue {
@@ -64,12 +58,8 @@ func (m *Medium) EncodeState() ([]byte, error) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	w.U32(uint32(len(ids)))
 	for _, id := range ids {
-		s := m.senders[id]
-		if len(s.outbox) > 0 {
-			return nil, fmt.Errorf("radio: cannot snapshot sender %d with a non-empty staged outbox", id)
-		}
 		w.U16(uint16(id))
-		w.U16(s.nextMsgID)
+		w.U16(m.senders[id].nextMsgID)
 	}
 
 	ids = ids[:0]
@@ -95,9 +85,6 @@ func (m *Medium) EncodeState() ([]byte, error) {
 // Byte counters are created through Counters so their metrics gauges
 // register exactly as the live path registers them.
 func (m *Medium) RestoreState(b []byte) error {
-	if m.staged {
-		return errors.New("radio: cannot restore into a staged medium")
-	}
 	r := wire.NewReader(b)
 	nQueue := int(r.U32())
 	if r.Err() != nil {

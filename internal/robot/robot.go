@@ -146,13 +146,9 @@ func New(cfg Config, body *sim.Body, medium *radio.Medium, clock func() wire.Tic
 }
 
 // ActorID implements sim.Actor.
-//
-//rebound:shard-safe read-only identity
 func (r *Robot) ActorID() wire.RobotID { return r.id }
 
 // Body returns the physics body.
-//
-//rebound:shard-safe returns this robot's own body
 func (r *Robot) Body() *sim.Body { return r.body }
 
 // ANode returns the trusted a-node (nil when unprotected).
@@ -174,8 +170,6 @@ func (r *Robot) InSafeMode() bool { return r.inSafeMode }
 func (r *Robot) SafeModeAt() wire.Tick { return r.safeModeAt }
 
 // Controller returns the live controller (either path).
-//
-//rebound:shard-safe read-only accessor over this robot's own stack
 func (r *Robot) Controller() control.Controller {
 	if r.engine != nil {
 		return r.engine.Controller()
@@ -200,8 +194,6 @@ func (r *Robot) Deliver(f wire.Frame) {
 // chained unless audit-flagged); on an unprotected robot it goes
 // straight to the radio. The attack package uses this as the
 // compromised c-node's transmit path.
-//
-//rebound:shard-safe emits only through the staged radio
 func (r *Robot) RawSend(f wire.Frame) bool {
 	if r.cfg.Protected {
 		return r.anode.SendWireless(f)
@@ -212,8 +204,6 @@ func (r *Robot) RawSend(f wire.Frame) bool {
 
 // RawActuate commands an acceleration on behalf of this robot's
 // c-node, through the a-node when protected.
-//
-//rebound:shard-safe writes only this robot's own body
 func (r *Robot) RawActuate(cmd wire.ActuatorCmd) bool {
 	if r.cfg.Protected {
 		return r.anode.ActuatorCmd(cmd)
@@ -240,8 +230,6 @@ func (r *Robot) reading(now wire.Tick) wire.SensorReading {
 // regardless of what the (possibly compromised) c-node does; the
 // attack package calls it even when the attacker has abandoned the
 // protocol.
-//
-//rebound:shard-safe touches only this robot's trusted nodes and tracer
 func (r *Robot) HardwareTick() {
 	if r.anode == nil {
 		return
@@ -263,12 +251,9 @@ func (r *Robot) HardwareTick() {
 }
 
 // Tick implements sim.Actor: poll sensors, step the control loop, run
-// the audit protocol (protected only). It runs in the sharded actor
-// phase, so it must stay free of cross-robot effects outside the
-// staged radio.
+// the audit protocol (protected only).
 //
 //rebound:clock now=engine
-//rebound:shard-safe sharded actor phase entry point
 func (r *Robot) Tick(now wire.Tick) {
 	r.HardwareTick()
 	if r.body.Crashed {

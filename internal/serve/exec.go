@@ -140,7 +140,6 @@ func chaosCell(req *JobRequest) rr.ChaosConfig {
 		SpacingM:       req.SpacingM,
 		MTUBytes:       req.MTUBytes,
 		SpatialIndex:   req.SpatialIndex,
-		TickShards:     req.TickShards,
 		ReferencePlane: req.ReferencePlane,
 	}
 }
@@ -466,7 +465,6 @@ func runSwarmJob(req *JobRequest, hooks execHooks) (*JobOutput, error) {
 		Seed:         req.Seed,
 		Controller:   req.Controller,
 		Profile:      faultinject.Profile(req.Profile),
-		Shards:       req.TickShards,
 		Differential: true,
 		Workers:      jobWorkers(req),
 		Progress:     sweepProgress(hooks),
@@ -558,7 +556,6 @@ func runResumeJob(req *JobRequest, resolve resolveFunc, hooks execHooks, verify 
 	}
 	res, err := rr.ResumeChaosSnapshot(data, func(cfg *rr.ChaosConfig) {
 		cfg.SpatialIndex = req.SpatialIndex
-		cfg.TickShards = req.TickShards
 		cfg.Interrupt = hooks.interrupt
 	})
 	if err != nil {

@@ -252,7 +252,6 @@ func (j *Job) Status() Status {
 			Version:      RequestVersion,
 			Kind:         KindResume,
 			SpatialIndex: j.Req.SpatialIndex,
-			TickShards:   j.Req.TickShards,
 			Workers:      j.Req.Workers,
 			Resume:       &ResumeRef{Job: j.ID, Artifact: CheckpointArtifact},
 		}).Encode(); err == nil {

@@ -191,7 +191,7 @@ func TestServerNotFound(t *testing.T) {
 }
 
 func TestServerRejectsBadRequests(t *testing.T) {
-	_, ts, _ := newTestServer(t, ServerOptions{Workers: 1})
+	srv, ts, _ := newTestServer(t, ServerOptions{Workers: 1})
 	cases := []struct {
 		name string
 		body string
@@ -199,6 +199,7 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	}{
 		{"garbage", "{{{", http.StatusBadRequest},
 		{"unknown kind", `{"version":1,"kind":"nope"}`, http.StatusBadRequest},
+		{"removed tick_shards", `{"version":1,"kind":"chaos","tick_shards":4}`, http.StatusBadRequest},
 		{"oversized", `{"pad":"` + strings.Repeat("x", MaxRequestBytes) + `"}`, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
@@ -210,6 +211,10 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
 		}
+	}
+	// A rejected body never reaches the scheduler: no tenant, no job.
+	if stats := srv.sched.TenantStats(); len(stats) != 0 {
+		t.Errorf("rejected requests left scheduler state behind: %+v", stats)
 	}
 }
 

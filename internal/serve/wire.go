@@ -71,7 +71,6 @@ type JobRequest struct {
 	SpacingM       float64 `json:"spacing_m,omitempty"`
 	MTUBytes       int     `json:"mtu_bytes,omitempty"`
 	SpatialIndex   bool    `json:"spatial_index,omitempty"`
-	TickShards     int     `json:"tick_shards,omitempty"`
 	ReferencePlane bool    `json:"reference_plane,omitempty"`
 
 	// Artifact selection: Events adds an events.ndjson artifact to a
@@ -103,7 +102,6 @@ const (
 	maxFmax        = 16
 	maxSpacingM    = 10000
 	maxMTUBytes    = 1 << 16
-	maxTickShards  = 64
 	maxJobWorkers  = 8
 	maxSweepLen    = 16
 	maxSnapshotAt  = 1 << 30
@@ -213,9 +211,6 @@ func (r *JobRequest) Validate() error {
 		return err
 	}
 	if err := boundedInt("mtu_bytes", r.MTUBytes, 0, maxMTUBytes); err != nil {
-		return err
-	}
-	if err := boundedInt("tick_shards", r.TickShards, 0, maxTickShards); err != nil {
 		return err
 	}
 	if err := boundedInt("workers", r.Workers, 0, maxJobWorkers); err != nil {

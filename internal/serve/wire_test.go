@@ -40,6 +40,7 @@ func TestDecodeJobRequestRejects(t *testing.T) {
 		{"empty", ``, "decode"},
 		{"not json", `{{{{`, "decode"},
 		{"unknown field", `{"version":1,"kind":"chaos","bogus":true}`, "decode"},
+		{"removed tick_shards", `{"version":1,"kind":"chaos","tick_shards":4}`, `unknown field "tick_shards"`},
 		{"trailing data", `{"version":1,"kind":"chaos"} {"x":1}`, "trailing"},
 		{"wrong version", `{"version":2,"kind":"chaos"}`, "version"},
 		{"no kind", `{"version":1}`, "kind"},

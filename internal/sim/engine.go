@@ -3,10 +3,8 @@ package sim
 import (
 	"sort"
 
-	"roborebound/internal/obs"
 	"roborebound/internal/obs/perf"
 	"roborebound/internal/radio"
-	"roborebound/internal/runner"
 	"roborebound/internal/wire"
 )
 
@@ -22,19 +20,6 @@ type Actor interface {
 	Deliver(f wire.Frame)
 	// Tick advances the actor to local time now.
 	Tick(now wire.Tick)
-}
-
-// SerialTicker marks an actor whose Tick reads or writes state shared
-// with other actors (the attack package's colluders exchange
-// intelligence through a shared blackboard, for example). The sharded
-// tick phase skips such actors in its parallel span and ticks them in
-// a serial post-pass, in ID order. Actors without the marker must keep
-// Tick's cross-actor effects confined to Medium.Send and the tracer —
-// both of which the sharded loop stages and merges back into serial
-// order — and reads confined to their own state.
-type SerialTicker interface {
-	// NeedsSerialTick reports whether this actor must tick serially.
-	NeedsSerialTick() bool
 }
 
 // Engine owns the tick loop. Per tick, in fixed order:
@@ -58,10 +43,6 @@ type Engine struct {
 	now    wire.Tick //rebound:clock engine
 
 	observers []func(now wire.Tick)
-
-	// Sharded tick phase (SetTickShards): 0 or 1 keeps the serial loop.
-	tickShards int
-	capture    *obs.ShardCapture
 
 	// perf attributes wall-clock time to pipeline phases (nil =
 	// disabled). Observation-only: the perf differential tests pin that
@@ -107,27 +88,6 @@ func (e *Engine) Now() wire.Tick { return e.now }
 // IDs returns all actor IDs in ascending order (do not mutate).
 func (e *Engine) IDs() []wire.RobotID { return e.ids }
 
-// SetTickShards splits the tick phase across n goroutines (0 or 1
-// restores the serial loop). capture must be the ShardCapture fronting
-// every tracer the actors and the medium emit into during Tick — nil
-// only when tracing is disabled — so parked events can be merged back
-// into serial order.
-//
-// Only the actor-Tick phase is sharded. Delivery, physics, and
-// observers stay serial: delivery fans one shared queue into actors,
-// and physics integrates the shared world. Actor ticks are
-// shard-independent by construction — each actor mutates only its own
-// robot (trusted nodes, engine, log, body.Acc), and its only
-// cross-actor effects go through Medium.Send (staged, merged in ID
-// order) and the tracer (captured, merged in ID order). Actors that
-// break this contract declare themselves via SerialTicker and run in
-// an ID-ordered serial post-pass. The swarm differential tests pin
-// sharded ≡ serial byte-for-byte: fingerprints, traces, and metrics.
-func (e *Engine) SetTickShards(n int, capture *obs.ShardCapture) {
-	e.tickShards = n
-	e.capture = capture
-}
-
 // SetPerf attaches a wall-clock phase timer to the engine and, for
 // the phases they own, to the world (spatial-index builds inside
 // physics) and the medium (spatial-index builds inside Deliver). Nil
@@ -147,15 +107,11 @@ func (e *Engine) StepOnce() {
 		}
 	}
 	e.perf.End(perf.PhaseRadioDeliver, s)
-	if n := e.shardCount(); n > 1 {
-		e.tickSharded(n)
-	} else {
-		s = e.perf.Start()
-		for _, a := range e.actors {
-			a.Tick(e.now)
-		}
-		e.perf.End(perf.PhaseActorTick, s)
+	s = e.perf.Start()
+	for _, a := range e.actors {
+		a.Tick(e.now)
 	}
+	e.perf.End(perf.PhaseActorTick, s)
 	s = e.perf.Start()
 	e.World.Step(e.now)
 	e.perf.End(perf.PhasePhysics, s)
@@ -165,67 +121,6 @@ func (e *Engine) StepOnce() {
 	}
 	e.perf.End(perf.PhaseObservers, s)
 	e.now++
-}
-
-// shardCount clamps the configured shard count to the actor count.
-func (e *Engine) shardCount() int {
-	n := e.tickShards
-	if n > len(e.actors) {
-		n = len(e.actors)
-	}
-	return n
-}
-
-// tickSharded runs one tick phase across n goroutines; see
-// SetTickShards for the determinism argument. Phase attribution: the
-// staging setup plus the parallel span is PhaseActorTick, the
-// SerialTicker post-pass PhaseSerialPost, and the capture/staged-send
-// merge PhaseShardMerge — so a sharded run's report separates compute
-// from merge cost.
-func (e *Engine) tickSharded(n int) {
-	ps := e.perf.Start()
-	e.Medium.BeginStaged(e.ids)
-	if e.capture != nil {
-		e.capture.Begin(int(e.ids[len(e.ids)-1]))
-	}
-	now := e.now
-	actors := e.actors
-	serial := false
-	for _, a := range actors {
-		if st, ok := a.(SerialTicker); ok && st.NeedsSerialTick() {
-			serial = true
-			break
-		}
-	}
-	runner.All(n, n, func(s int) struct{} {
-		lo, hi := len(actors)*s/n, len(actors)*(s+1)/n
-		for _, a := range actors[lo:hi] {
-			if st, ok := a.(SerialTicker); ok && st.NeedsSerialTick() {
-				continue
-			}
-			a.Tick(now)
-		}
-		return struct{}{}
-	})
-	e.perf.End(perf.PhaseActorTick, ps)
-	if serial {
-		// ID-ordered post-pass for shared-state actors. Their sends and
-		// trace events still stage like everyone else's, so the final
-		// merge order is the same as a fully serial tick.
-		ps = e.perf.Start()
-		for _, a := range actors {
-			if st, ok := a.(SerialTicker); ok && st.NeedsSerialTick() {
-				a.Tick(now)
-			}
-		}
-		e.perf.End(perf.PhaseSerialPost, ps)
-	}
-	ps = e.perf.Start()
-	if e.capture != nil {
-		e.capture.Flush()
-	}
-	e.Medium.FlushStaged()
-	e.perf.End(perf.PhaseShardMerge, ps)
 }
 
 // Run advances the simulation for the given number of ticks.

@@ -83,7 +83,7 @@ var guardLeafTypes = map[string]bool{
 // and radio.Delivery is only reachable through a skipped scratch
 // buffer. Everything else is pinned by snapshotstate.Surfaces.
 var guardManualFields = map[string][]string{
-	"sim.Engine":     {"World", "Medium", "actors", "ids", "byID", "now", "observers", "tickShards", "capture", "perf"},
+	"sim.Engine":     {"World", "Medium", "actors", "ids", "byID", "now", "observers", "perf"},
 	"radio.Delivery": {"To", "Frame", "seq", "rank"},
 	"prng.Source":    {"s"},
 }

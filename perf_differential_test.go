@@ -86,10 +86,9 @@ func TestPerfPlaneObservationOnly(t *testing.T) {
 }
 
 // TestPerfPlaneObservationOnlyAccelerated repeats the differential on
-// the accelerated paths — spatial index plus sharded ticks — where the
-// timer's atomics are hit from shard goroutines and the sharded-only
-// phases (shard-merge, serial-post) light up. This is the
-// configuration the perf-smoke CI job runs at 300 robots.
+// the spatially indexed path, where the nested spatial-build phase
+// lights up. This is the configuration the perf-smoke CI job runs at
+// 300 robots.
 func TestPerfPlaneObservationOnlyAccelerated(t *testing.T) {
 	cfg := ChaosConfig{
 		Controller:   "flocking",
@@ -99,7 +98,6 @@ func TestPerfPlaneObservationOnlyAccelerated(t *testing.T) {
 		DurationSec:  12,
 		AttackAtSec:  5,
 		SpatialIndex: true,
-		TickShards:   3,
 	}
 	base, baseTrace := runTracedCell(t, cfg)
 	timed, timedTrace := runPerfCell(t, cfg)

@@ -78,13 +78,6 @@ type SimConfig struct {
 	// which the differential tests at the repository root enforce.
 	// Explicit World/Radio overrides may also set their own flags.
 	SpatialIndex bool
-	// TickShards splits each tick's actor phase across this many
-	// goroutines (0 or 1 = serial). Like SpatialIndex it is purely an
-	// accelerator: radio sends are staged and merged in sender-ID order
-	// and trace events are captured and merged likewise, so a sharded
-	// run is byte-identical to a serial one (fingerprints, traces, and
-	// metrics — the swarm differential tests enforce it).
-	TickShards int
 	// ReferencePlane runs the protocol on the straight-from-the-paper
 	// reference implementations: buffered hash chains, per-round
 	// segment re-encodes, per-auditor request encodes, and no audit
@@ -151,15 +144,6 @@ type Sim struct {
 // NewSim builds an empty simulation; add robots, then Run.
 func NewSim(cfg SimConfig) *Sim {
 	cfg = cfg.withDefaults()
-	// Sharded ticks emit trace events from multiple goroutines, so the
-	// sink is fronted by a ShardCapture that parks per-robot and merges
-	// in serial order. The wrapped tracer replaces cfg.Trace for every
-	// downstream emitter (medium, robots, engines).
-	var capture *obs.ShardCapture
-	if cfg.TickShards > 1 && cfg.Trace != nil {
-		capture = obs.NewShardCapture(cfg.Trace)
-		cfg.Trace = capture
-	}
 	world := sim.NewWorld(*cfg.World)
 	medium := radio.NewMedium(*cfg.Radio, world.Position, cfg.Seed^0x5eed)
 	var mission [trusted.MissionKeySize]byte
@@ -176,7 +160,6 @@ func NewSim(cfg SimConfig) *Sim {
 	if !cfg.ReferencePlane {
 		s.acache = core.NewAuditCache(0)
 	}
-	s.Engine.SetTickShards(cfg.TickShards, capture)
 	if cfg.Perf != nil {
 		s.Engine.SetPerf(cfg.Perf) // fans out to world + medium
 	}

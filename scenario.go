@@ -111,9 +111,6 @@ type FlockScenario struct {
 	// acceleration for radio delivery and collision detection, with
 	// byte-identical results either way.
 	SpatialIndex bool
-	// TickShards threads through to SimConfig.TickShards: intra-tick
-	// parallelism, byte-identical to serial.
-	TickShards int
 	// ReferencePlane threads through to SimConfig.ReferencePlane: run
 	// the protocol on the buffered/no-cache reference implementations.
 	ReferencePlane bool
@@ -159,7 +156,6 @@ func (fs FlockScenario) Build() *Sim {
 		Trace:          fs.Trace,
 		Metrics:        fs.Metrics,
 		SpatialIndex:   fs.SpatialIndex,
-		TickShards:     fs.TickShards,
 		ReferencePlane: fs.ReferencePlane,
 		Perf:           fs.Perf,
 	})

@@ -186,10 +186,9 @@ func TestSnapshotResumeDifferential(t *testing.T) {
 }
 
 // TestSnapshotResumeProtocolPlanes runs the resume-equivalence
-// protocol on the other two protocol planes: the reference oracle and
-// the fast plane with tick sharding. The config echo pins the plane
-// (reference and fast protocol state have different shapes), so each
-// plane resumes onto itself.
+// protocol on the reference oracle plane and on a fragmenting radio.
+// The config echo pins the plane (reference and fast protocol state
+// have different shapes), so each plane resumes onto itself.
 func TestSnapshotResumeProtocolPlanes(t *testing.T) {
 	t.Run("reference", func(t *testing.T) {
 		t.Parallel()
@@ -199,17 +198,6 @@ func TestSnapshotResumeProtocolPlanes(t *testing.T) {
 			Seed:           7,
 			DurationSec:    30,
 			ReferencePlane: true,
-		}
-		checkSnapshotCell(t, cfg, []wire.Tick{40, 80})
-	})
-	t.Run("fast-sharded", func(t *testing.T) {
-		t.Parallel()
-		cfg := ChaosConfig{
-			Controller:  "flocking",
-			Profile:     faultinject.ProfileMixed,
-			Seed:        7,
-			DurationSec: 30,
-			TickShards:  4,
 		}
 		checkSnapshotCell(t, cfg, []wire.Tick{40, 80})
 	})
@@ -229,8 +217,8 @@ func TestSnapshotResumeProtocolPlanes(t *testing.T) {
 }
 
 // TestSnapshotResumeAcrossAccelerators captures under one accelerator
-// configuration and resumes under another. SpatialIndex and TickShards
-// are excluded from the config echo precisely because they are proven
+// configuration and resumes under another. SpatialIndex is excluded
+// from the config echo precisely because it is proven
 // byte-invisible — a snapshot is a portable run state, not a record of
 // which pipeline computed it.
 func TestSnapshotResumeAcrossAccelerators(t *testing.T) {
@@ -244,24 +232,23 @@ func TestSnapshotResumeAcrossAccelerators(t *testing.T) {
 
 	capCfg := cfg
 	capCfg.SpatialIndex = true
-	capCfg.TickShards = 4
 	capCfg.SnapshotAtTicks = []wire.Tick{60}
 	capped := RunChaos(capCfg)
 	if capped.SnapshotError != nil {
-		t.Fatalf("capture under accelerators failed: %v", capped.SnapshotError)
+		t.Fatalf("capture under the spatial index failed: %v", capped.SnapshotError)
 	}
 	if capped.Metrics.Fingerprint != base.Metrics.Fingerprint {
 		t.Fatal("accelerated run is not byte-identical to the plain run (pre-existing differential bug)")
 	}
 
-	resCfg := cfg // plain: no spatial index, serial ticks
+	resCfg := cfg // plain: no spatial index
 	resCfg.ResumeFrom = capped.Snapshots[0].Data
 	resumed := RunChaos(resCfg)
 	if resumed.ResumeError != nil {
 		t.Fatalf("cross-accelerator resume rejected: %v", resumed.ResumeError)
 	}
 	if resumed.Metrics.Fingerprint != base.Metrics.Fingerprint {
-		t.Error("snapshot captured under spatial-index+shards diverged when resumed on the serial pipeline")
+		t.Error("snapshot captured under the spatial index diverged when resumed on the brute pipeline")
 	}
 	if !reflect.DeepEqual(resumed.MetricsSnapshot, base.MetricsSnapshot) {
 		t.Error("cross-accelerator resume: registry snapshot differs")

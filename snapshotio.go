@@ -34,11 +34,10 @@ const chaosEchoVersion = 1
 
 // encodeChaosEcho canonically encodes the protocol-relevant fields of
 // a (defaulted) ChaosConfig — everything that shapes the byte
-// evolution of the run. Accelerator toggles (SpatialIndex,
-// TickShards) and observability wiring are deliberately excluded:
-// they are proven byte-invisible by the differential suites, so a
-// snapshot taken under one accelerator setting legally resumes under
-// another.
+// evolution of the run. The SpatialIndex accelerator toggle and
+// observability wiring are deliberately excluded: they are proven
+// byte-invisible by the differential suites, so a snapshot taken
+// under one accelerator setting legally resumes under another.
 func encodeChaosEcho(cfg ChaosConfig) []byte {
 	w := wire.NewWriter(256)
 	w.U8(chaosEchoVersion)
@@ -306,10 +305,10 @@ func runChaosTicks(s *Sim, cfg ChaosConfig, checker *faultinject.Checker, total 
 }
 
 // ResumeChaosSnapshot rebuilds a chaos cell from a snapshot's embedded
-// config echo and resumes it to completion. Accelerator toggles
-// (SpatialIndex, TickShards) may be set on the returned result's
-// config via the opts callback before the run starts — they do not
-// affect the bytes. This is the CLI `resume` entry point.
+// config echo and resumes it to completion. The SpatialIndex
+// accelerator toggle may be set on the returned result's config via
+// the opts callback before the run starts — it does not affect the
+// bytes. This is the CLI `resume` entry point.
 func ResumeChaosSnapshot(data []byte, opts func(*ChaosConfig)) (ChaosResult, error) {
 	echo, err := snapshot.ConfigEcho(data)
 	if err != nil {

@@ -9,13 +9,12 @@ import (
 )
 
 // This file is the protocol-plane swarm sweep: chaos cells at
-// 1000–2000 robots, each size run on up to three planes — the
+// 1000–2000 robots, each size run on up to two planes — the
 // reference protocol plane (buffered chains, per-round re-encodes, no
-// audit cache), the fast plane (streaming chains, encode-once audit
-// path, audit verdict cache), and the fast plane with the tick phase
-// sharded across goroutines. The sweep doubles as the tentpole's
-// performance measurement (SwarmComparison.Speedup*) and as a
-// production-scale differential check: all planes of one size must
+// audit cache) and the fast plane (streaming chains, encode-once audit
+// path, audit verdict cache). The sweep doubles as the tentpole's
+// performance measurement (SwarmComparison.SpeedupFast) and as a
+// production-scale differential check: both planes of one size must
 // produce byte-identical fingerprints and metrics snapshots, or the
 // pipeline has a bug. As in scale.go, elapsed times come from the
 // runner's OnDone telemetry, never from a wall clock read here.
@@ -26,12 +25,10 @@ type SwarmPlane string
 const (
 	// PlaneReference is the straight-from-the-paper oracle:
 	// buffered chains, per-round segment re-encodes, per-auditor
-	// request encodes, no audit cache, serial ticks.
+	// request encodes, no audit cache.
 	PlaneReference SwarmPlane = "reference"
-	// PlaneFast is the streaming/cached protocol plane, serial ticks.
+	// PlaneFast is the streaming/cached protocol plane.
 	PlaneFast SwarmPlane = "fast"
-	// PlaneFastSharded is the fast plane with the tick phase sharded.
-	PlaneFastSharded SwarmPlane = "fast-sharded"
 )
 
 // SwarmConfig describes a swarm-scale protocol-plane sweep. Zero
@@ -53,11 +50,9 @@ type SwarmConfig struct {
 	// (defaults: flocking, ProfileNone).
 	Controller string
 	Profile    faultinject.Profile
-	// Shards is the tick-shard count for the sharded cell (default 4).
-	Shards int
-	// Differential runs every size on all three planes and
+	// Differential runs every size on both planes and
 	// CompareSwarmPoints checks them byte-for-byte. When false, only
-	// the fast-sharded cell runs.
+	// the fast cell runs.
 	Differential bool
 	// Workers / Progress as in SweepOptions. The default (sequential)
 	// is also what the speedup numbers want: cells timed one at a
@@ -82,9 +77,6 @@ func (c SwarmConfig) withDefaults() SwarmConfig {
 	if c.Profile == "" {
 		c.Profile = faultinject.ProfileNone
 	}
-	if c.Shards == 0 {
-		c.Shards = 4
-	}
 	return c
 }
 
@@ -93,22 +85,16 @@ func (c SwarmConfig) withDefaults() SwarmConfig {
 // pipeline differs — which is exactly what the differential check
 // needs.
 func (c SwarmConfig) cell(n int, plane SwarmPlane) ChaosConfig {
-	cc := ChaosConfig{
-		Controller:   c.Controller,
-		Profile:      c.Profile,
-		Seed:         c.Seed,
-		N:            n,
-		DurationSec:  c.DurationSec,
-		SpacingM:     c.SpacingM,
-		SpatialIndex: true, // swarm sizes are unusable without it
+	return ChaosConfig{
+		Controller:     c.Controller,
+		Profile:        c.Profile,
+		Seed:           c.Seed,
+		N:              n,
+		DurationSec:    c.DurationSec,
+		SpacingM:       c.SpacingM,
+		SpatialIndex:   true, // swarm sizes are unusable without it
+		ReferencePlane: plane == PlaneReference,
 	}
-	switch plane {
-	case PlaneReference:
-		cc.ReferencePlane = true
-	case PlaneFastSharded:
-		cc.TickShards = c.Shards
-	}
-	return cc
 }
 
 // SwarmPoint is one completed swarm cell.
@@ -122,29 +108,22 @@ type SwarmPoint struct {
 }
 
 // SwarmComparison lines up the planes of one size. The reference
-// plane is the oracle: both fast cells must match it byte-for-byte.
+// plane is the oracle: the fast cell must match it byte-for-byte.
 type SwarmComparison struct {
 	N int
 	// Elapsed per plane (zero when that plane didn't run).
-	ReferenceElapsed, FastElapsed, ShardedElapsed time.Duration
-	// SpeedupFast is ReferenceElapsed / FastElapsed; SpeedupSharded is
-	// ReferenceElapsed / ShardedElapsed. On a single-core box the
-	// sharded cell pays goroutine overhead for no parallelism, so
-	// SpeedupSharded may trail SpeedupFast — the differential match is
-	// the point there, not the ratio.
-	SpeedupFast, SpeedupSharded float64
-	// FastFingerprintMatch / FastMetricsMatch compare the fast-serial
-	// cell against the reference cell; the Sharded pair compares the
-	// fast-sharded cell against the reference cell. Anything but true
-	// across the board is a pipeline bug.
-	FastFingerprintMatch, FastMetricsMatch       bool
-	ShardedFingerprintMatch, ShardedMetricsMatch bool
-	Reference, Fast, Sharded                     *SwarmPoint
+	ReferenceElapsed, FastElapsed time.Duration
+	// SpeedupFast is ReferenceElapsed / FastElapsed.
+	SpeedupFast float64
+	// FastFingerprintMatch / FastMetricsMatch compare the fast cell
+	// against the reference cell. Anything but true is a pipeline bug.
+	FastFingerprintMatch, FastMetricsMatch bool
+	Reference, Fast                        *SwarmPoint
 }
 
 // RunSwarmSweep runs the sweep's cells on the worker pool and returns
-// points in input order: for each size, reference, fast, fast-sharded
-// (when Differential), or just fast-sharded.
+// points in input order: for each size, reference then fast (when
+// Differential), or just fast.
 func RunSwarmSweep(cfg SwarmConfig) []SwarmPoint {
 	cfg = cfg.withDefaults()
 	var cells []ChaosConfig
@@ -153,11 +132,9 @@ func RunSwarmSweep(cfg SwarmConfig) []SwarmPoint {
 		if cfg.Differential {
 			cells = append(cells, cfg.cell(n, PlaneReference))
 			pts = append(pts, SwarmPoint{N: n, Plane: PlaneReference})
-			cells = append(cells, cfg.cell(n, PlaneFast))
-			pts = append(pts, SwarmPoint{N: n, Plane: PlaneFast})
 		}
-		cells = append(cells, cfg.cell(n, PlaneFastSharded))
-		pts = append(pts, SwarmPoint{N: n, Plane: PlaneFastSharded})
+		cells = append(cells, cfg.cell(n, PlaneFast))
+		pts = append(pts, SwarmPoint{N: n, Plane: PlaneFast})
 	}
 
 	label := func(i int) string {
@@ -184,7 +161,7 @@ func RunSwarmSweep(cfg SwarmConfig) []SwarmPoint {
 }
 
 // CompareSwarmPoints groups each size's planes and byte-compares the
-// fast cells against the reference oracle. Sizes without a reference
+// fast cell against the reference oracle. Sizes without a reference
 // point (a non-differential sweep) produce no comparison.
 func CompareSwarmPoints(pts []SwarmPoint) []SwarmComparison {
 	var out []SwarmComparison
@@ -194,27 +171,15 @@ func CompareSwarmPoints(pts []SwarmPoint) []SwarmComparison {
 		}
 		ref := &pts[i]
 		cmp := SwarmComparison{N: ref.N, ReferenceElapsed: ref.Elapsed, Reference: ref}
-		for j := i + 1; j < len(pts) && pts[j].N == ref.N && pts[j].Plane != PlaneReference; j++ {
+		// RunSwarmSweep emits a size's fast cell right after its reference.
+		if j := i + 1; j < len(pts) && pts[j].N == ref.N && pts[j].Plane == PlaneFast {
 			p := &pts[j]
-			fpOK := p.Result.Metrics.Fingerprint == ref.Result.Metrics.Fingerprint
-			mOK := samplesEqual(p.Result.MetricsSnapshot, ref.Result.MetricsSnapshot)
-			switch p.Plane {
-			case PlaneFast:
-				cmp.Fast = p
-				cmp.FastElapsed = p.Elapsed
-				cmp.FastFingerprintMatch = fpOK
-				cmp.FastMetricsMatch = mOK
-				if p.Elapsed > 0 {
-					cmp.SpeedupFast = float64(ref.Elapsed) / float64(p.Elapsed)
-				}
-			case PlaneFastSharded:
-				cmp.Sharded = p
-				cmp.ShardedElapsed = p.Elapsed
-				cmp.ShardedFingerprintMatch = fpOK
-				cmp.ShardedMetricsMatch = mOK
-				if p.Elapsed > 0 {
-					cmp.SpeedupSharded = float64(ref.Elapsed) / float64(p.Elapsed)
-				}
+			cmp.Fast = p
+			cmp.FastElapsed = p.Elapsed
+			cmp.FastFingerprintMatch = p.Result.Metrics.Fingerprint == ref.Result.Metrics.Fingerprint
+			cmp.FastMetricsMatch = samplesEqual(p.Result.MetricsSnapshot, ref.Result.MetricsSnapshot)
+			if p.Elapsed > 0 {
+				cmp.SpeedupFast = float64(ref.Elapsed) / float64(p.Elapsed)
 			}
 		}
 		out = append(out, cmp)
@@ -222,14 +187,8 @@ func CompareSwarmPoints(pts []SwarmPoint) []SwarmComparison {
 	return out
 }
 
-// Matches reports whether every plane that ran matched the reference
-// oracle byte-for-byte.
+// Matches reports whether the fast cell, if it ran, matched the
+// reference oracle byte-for-byte.
 func (c SwarmComparison) Matches() bool {
-	if c.Fast != nil && !(c.FastFingerprintMatch && c.FastMetricsMatch) {
-		return false
-	}
-	if c.Sharded != nil && !(c.ShardedFingerprintMatch && c.ShardedMetricsMatch) {
-		return false
-	}
-	return true
+	return c.Fast == nil || (c.FastFingerprintMatch && c.FastMetricsMatch)
 }

@@ -2,29 +2,23 @@ package roborebound
 
 // swarm_differential_test.go extends the PR 5 differential layer to
 // the protocol planes: the reference plane (buffered chains, per-round
-// re-encodes, per-auditor request encodes, no audit cache, serial
-// ticks) is the oracle, and both the fast plane and the fast plane
-// with sharded ticks must reproduce it byte for byte on all three
-// observability surfaces — chaos fingerprint, NDJSON event trace, and
-// metrics snapshot. The streaming chains, the encode-once audit path,
-// the shared verdict cache, and the deterministic tick sharding are
-// each allowed to exist only because nothing can tell them apart from
-// the straight-from-the-paper pipeline.
+// re-encodes, per-auditor request encodes, no audit cache) is the
+// oracle, and the fast plane must reproduce it byte for byte on all
+// three observability surfaces — chaos fingerprint, NDJSON event
+// trace, and metrics snapshot. The streaming chains, the encode-once
+// audit path, and the shared verdict cache are each allowed to exist
+// only because nothing can tell them apart from the
+// straight-from-the-paper pipeline.
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
-	"roborebound/internal/attack"
 	"roborebound/internal/faultinject"
-	"roborebound/internal/geom"
-	"roborebound/internal/obs"
-	"roborebound/internal/wire"
 )
 
 // TestProtocolPlaneDifferentialMatrix runs (controller × profile ×
-// seed) cells on all three planes. The cells include the default
+// seed) cells on both planes. The cells include the default
 // Byzantine attacker and generated fault schedules, so the cached
 // audit path is exercised under refusals, packet loss, and Safe-Mode
 // kills — not just clean rounds.
@@ -48,16 +42,11 @@ func TestProtocolPlaneDifferentialMatrix(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/seed%d", controller, profile, seed), func(t *testing.T) {
 					t.Parallel()
 					cfg.ReferencePlane = true
-					cfg.TickShards = 0
 					ref, refTrace := runTracedCell(t, cfg)
 
 					cfg.ReferencePlane = false
 					fast, fastTrace := runTracedCell(t, cfg)
 					assertCellsIdentical(t, cfg.Label()+" [fast]", ref, fast, refTrace, fastTrace)
-
-					cfg.TickShards = 3
-					sharded, shardedTrace := runTracedCell(t, cfg)
-					assertCellsIdentical(t, cfg.Label()+" [sharded]", ref, sharded, refTrace, shardedTrace)
 				})
 			}
 		}
@@ -65,7 +54,7 @@ func TestProtocolPlaneDifferentialMatrix(t *testing.T) {
 }
 
 // TestProtocolPlaneDifferentialSwarmCell is one production-shaped cell:
-// larger flock, spatial index on, all three planes. This is the
+// larger flock, spatial index on, both planes. This is the
 // miniature of what `roborebound swarm` runs at N=1000+.
 func TestProtocolPlaneDifferentialSwarmCell(t *testing.T) {
 	if testing.Short() {
@@ -85,77 +74,4 @@ func TestProtocolPlaneDifferentialSwarmCell(t *testing.T) {
 	cfg.ReferencePlane = false
 	fast, fastTrace := runTracedCell(t, cfg)
 	assertCellsIdentical(t, cfg.Label()+" [fast]", ref, fast, refTrace, fastTrace)
-	cfg.TickShards = 4
-	sharded, shardedTrace := runTracedCell(t, cfg)
-	assertCellsIdentical(t, cfg.Label()+" [sharded]", ref, sharded, refTrace, shardedTrace)
-}
-
-// collusionSim builds the §3.10 colluder-ring flock with the given
-// tick sharding. Colluder strategies coordinate through shared state,
-// so sharded runs must route them through the engine's ID-ordered
-// serial post-pass (sim.SerialTicker) — this is the one actor class
-// the sharded tick cannot parallelize.
-func collusionSim(shards int, tr obs.Tracer) *Sim {
-	const fmax = 2
-	fs := FlockScenario{
-		N: 9, Spacing: 20, Goal: geom.V(220, 220),
-		Protected: true, Fmax: fmax, Seed: 21,
-		Trace: tr, TickShards: shards,
-	}
-	exchange := attack.NewCollusionExchange()
-	ring := []wire.RobotID{3, 7}
-	for _, idx := range []int{2, 6} {
-		fs.Compromised = append(fs.Compromised, CompromisedSpec{
-			Index:     idx,
-			AtSeconds: 15,
-			Strategy: func(ids []wire.RobotID, goal geom.Vec2) attack.Strategy {
-				return &attack.Colluder{
-					Ring:     ring,
-					Exchange: exchange,
-					Payload: &attack.Spoof{Goal: goal, Z: 150, Epsilon: 2, C: 1,
-						IDs: ids, Period: 1},
-				}
-			},
-			KeepProtocol: false,
-		})
-	}
-	s := fs.Build()
-	for _, id := range ring {
-		an := s.Robot(id).ANode()
-		exchange.Register(id, an.MakeTokenRequest, an.IssueToken, an.InstallToken)
-	}
-	return s
-}
-
-// TestShardedCollusionRingMatchesSerial pins the SerialTicker post-pass:
-// a sharded run containing shared-state colluders must replay the
-// serial run event for event, and reach the same verdict (the ring
-// dies, correct robots live).
-func TestShardedCollusionRingMatchesSerial(t *testing.T) {
-	traces := make([][]byte, 2)
-	for i, shards := range []int{0, 3} {
-		col := obs.NewCollector()
-		s := collusionSim(shards, col)
-		s.RunSeconds(45)
-		for _, id := range []wire.RobotID{3, 7} {
-			if !s.Compromised(id).InSafeMode() {
-				t.Errorf("shards=%d: colluder %d survived", shards, id)
-			}
-		}
-		if bad := s.CorrectInSafeMode(); len(bad) != 0 {
-			t.Errorf("shards=%d: correct robots disabled: %v", shards, bad)
-		}
-		var buf bytes.Buffer
-		if err := obs.WriteNDJSON(&buf, col.Events()); err != nil {
-			t.Fatalf("shards=%d: serializing trace: %v", shards, err)
-		}
-		traces[i] = buf.Bytes()
-	}
-	if len(traces[0]) == 0 {
-		t.Fatal("empty serial trace — differential is vacuous")
-	}
-	if !bytes.Equal(traces[0], traces[1]) {
-		t.Errorf("sharded colluder run diverges from serial: %s",
-			firstTraceDiff(traces[0], traces[1]))
-	}
 }
