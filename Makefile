@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race ci bench bench-all bench-scale bench-swarm bench-perf bench-serve bench-gate fmt-check cover chaos-smoke scale-smoke swarm-smoke snapshot-smoke perf-smoke serve-smoke fuzz-smoke
+.PHONY: all build vet lint test race ci bench bench-all bench-scale bench-perf bench-serve bench-gate fmt-check cover chaos-smoke scale-smoke snapshot-smoke perf-smoke serve-smoke fuzz-smoke
 
 all: ci
 
@@ -64,15 +64,6 @@ bench-scale:
 	  | $(GO) run ./cmd/benchjson -o BENCH_scale.json
 	@cat BENCH_scale.json
 
-# The protocol-plane swarm suite: the audit-serve pair (where the
-# >=5x contract lives), the loopback protocol pair, the chain
-# append/flush micro pair, and the end-to-end N=1000 sim pair
-# (reference / fast), recorded to the committed BENCH_swarm.json.
-bench-swarm:
-	@$(GO) test -run '^$$' -bench 'BenchmarkSwarm_' -benchmem -timeout 30m . \
-	  | $(GO) run ./cmd/benchjson -o BENCH_swarm.json
-	@cat BENCH_swarm.json
-
 # The wall-clock performance-plane suite: the perf package's Start/End
 # micro pair (disabled vs enabled instrumentation), the end-to-end
 # Sim_Off/Sim_On pair (the same chaos cell untimed vs fully
@@ -99,11 +90,9 @@ bench-serve:
 
 # Re-run the hot-path pairs and enforce the speedup contracts: the
 # spatially indexed Deliver and collision paths must stay >=5x faster
-# than brute force at N=500, the fast protocol plane must serve an
-# audit round >=5x faster than the reference plane, and the streaming
-# chain must beat the buffered reference. Ratios compare two numbers
-# from the same run on the same machine, so the gates hold on any
-# runner; the committed-baseline comparisons are a coarse backstop
+# than brute force at N=500. Ratios compare two numbers from the same
+# run on the same machine, so the gates hold on any runner; the
+# committed-baseline comparison is a coarse backstop
 # (generous tolerance) against order-of-magnitude regressions
 # slipping through. The perf stanza caps the wall-clock perf plane's
 # whole-sim overhead at 3%, measured by the paired interleaved
@@ -117,11 +106,6 @@ bench-gate:
 	      -baseline BENCH_scale.json -tolerance 3.0 \
 	      -minratio 'BenchmarkScale_Deliver_Brute_N500/BenchmarkScale_Deliver_Indexed_N500>=5' \
 	      -minratio 'BenchmarkScale_Collision_Brute_N500/BenchmarkScale_Collision_Indexed_N500>=5'
-	$(GO) test -run '^$$' -bench 'BenchmarkSwarm_(Audit|Chain)' -benchmem -timeout 30m . \
-	  | $(GO) run ./cmd/benchjson -o /dev/null \
-	      -baseline BENCH_swarm.json -tolerance 3.0 \
-	      -minratio 'BenchmarkSwarm_Audit_Reference/BenchmarkSwarm_Audit_Fast>=5' \
-	      -minratio 'BenchmarkSwarm_Chain_Buffered/BenchmarkSwarm_Chain_Streaming>=1.5'
 	$(GO) test -run '^$$' -bench 'BenchmarkPerf_Sim_Overhead' -benchtime 6x -timeout 30m . \
 	  | $(GO) run ./cmd/benchjson -o /dev/null \
 	      -maxmetric 'BenchmarkPerf_Sim_Overhead:overhead_pct<=3'
@@ -155,13 +139,6 @@ chaos-smoke:
 # Exits nonzero on any divergence.
 scale-smoke:
 	$(GO) run ./cmd/roborebound -quick -progress=false scale
-
-# The protocol-plane differential smoke: one 1000-robot chaos cell run
-# on the reference and fast planes, asserting
-# byte-identical chaos fingerprints and metrics snapshots (and no
-# invariant violations). Exits nonzero on any divergence.
-swarm-smoke:
-	$(GO) run ./cmd/roborebound -quick -progress=false swarm
 
 # The snapshot/resume differential smoke: capture a 300-robot chaos
 # cell at its midpoint under the spatial index, then resume it on the

@@ -83,9 +83,6 @@ type ChaosConfig struct {
 	// frame, engaging the radio's fragmentation/reassembly path (loss
 	// is then drawn per fragment). 0 keeps the default link model.
 	MTUBytes int
-	// ReferencePlane runs the cell on the reference protocol plane
-	// (see SimConfig.ReferencePlane) — the differential oracle.
-	ReferencePlane bool
 	// SnapshotAtTicks captures a full-state snapshot at each listed
 	// tick boundary (state as of BEFORE that tick runs; the run's
 	// final tick count is a legal boundary too). Results land in
@@ -128,6 +125,11 @@ type ChaosConfig struct {
 	// goroutines) every PerfRuntime.Every() ticks during the run.
 	// Observation-only, same caveats as Perf.
 	PerfRuntime *perf.RuntimeSampler
+	// detachAuditCache runs the cell with the swarm-shared verdict cache
+	// detached (see Sim.detachAuditCache). Unexported and absent from
+	// the snapshot echo: only the in-package protocol differential sets
+	// it, to get the uncached run it compares the cached one against.
+	detachAuditCache bool
 }
 
 func (c ChaosConfig) withDefaults() ChaosConfig {
@@ -180,9 +182,6 @@ func (c ChaosConfig) Label() string {
 	}
 	if c.SpatialIndex {
 		s += " [indexed]"
-	}
-	if c.ReferencePlane {
-		s += " [reference]"
 	}
 	return s
 }
@@ -282,8 +281,7 @@ func buildChaosSim(cfg ChaosConfig, cc core.Config, sched *faultinject.Schedule)
 		params.RingGapM = 3
 		factory := control.PatrolFactory{Params: params}
 		s := NewSim(SimConfig{Seed: cfg.Seed, Core: &cc, Radio: radioParams, Faults: sched,
-			Trace: cfg.Trace, Metrics: cfg.Metrics, SpatialIndex: cfg.SpatialIndex,
-			ReferencePlane: cfg.ReferencePlane, Perf: cfg.Perf})
+			Trace: cfg.Trace, Metrics: cfg.Metrics, SpatialIndex: cfg.SpatialIndex, Perf: cfg.Perf})
 		for i := 0; i < cfg.N; i++ {
 			id := wire.RobotID(i + 1)
 			pos := route[int(id)%len(route)]
@@ -307,8 +305,7 @@ func buildChaosSim(cfg ChaosConfig, cc core.Config, sched *faultinject.Schedule)
 		params := control.DefaultWarehouseParams(tps, pickups, dropoffs)
 		factory := control.WarehouseFactory{Params: params}
 		s := NewSim(SimConfig{Seed: cfg.Seed, Core: &cc, Radio: radioParams, Faults: sched,
-			Trace: cfg.Trace, Metrics: cfg.Metrics, SpatialIndex: cfg.SpatialIndex,
-			ReferencePlane: cfg.ReferencePlane, Perf: cfg.Perf})
+			Trace: cfg.Trace, Metrics: cfg.Metrics, SpatialIndex: cfg.SpatialIndex, Perf: cfg.Perf})
 		for i := 0; i < cfg.N; i++ {
 			id := wire.RobotID(i + 1)
 			pos := pickups[i].Add(geom.V(2, 0))
@@ -329,19 +326,18 @@ func buildChaosSim(cfg ChaosConfig, cc core.Config, sched *faultinject.Schedule)
 	default: // flocking
 		goal := geom.V(220, 220)
 		fs := FlockScenario{
-			N:              cfg.N,
-			Spacing:        cfg.SpacingM,
-			Goal:           goal,
-			Protected:      true,
-			Seed:           cfg.Seed,
-			Fmax:           cfg.Fmax,
-			Radio:          radioParams,
-			Faults:         sched,
-			Trace:          cfg.Trace,
-			Metrics:        cfg.Metrics,
-			SpatialIndex:   cfg.SpatialIndex,
-			ReferencePlane: cfg.ReferencePlane,
-			Perf:           cfg.Perf,
+			N:            cfg.N,
+			Spacing:      cfg.SpacingM,
+			Goal:         goal,
+			Protected:    true,
+			Seed:         cfg.Seed,
+			Fmax:         cfg.Fmax,
+			Radio:        radioParams,
+			Faults:       sched,
+			Trace:        cfg.Trace,
+			Metrics:      cfg.Metrics,
+			SpatialIndex: cfg.SpatialIndex,
+			Perf:         cfg.Perf,
 		}
 		for _, aid := range attackerIDs {
 			slot := int(aid) - 1
@@ -407,6 +403,9 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 	}
 
 	s, attackerIDs := buildChaosSim(runCfg, cc, &sched)
+	if cfg.detachAuditCache {
+		s.detachAuditCache()
+	}
 	crashes := sched.CrashTargets()
 
 	checker := faultinject.NewChecker(cc.TVal, cc.TAudit, &sched)

@@ -6,7 +6,7 @@
 //	roborebound [-quick] [-seed N] [-parallel N] <subcommand>
 //
 // Subcommands: fig2 fig5 fig6 fig7 fig8 fig9 table1 table2 chaos trace
-// scale swarm perf snapshot resume serve all
+// scale perf snapshot resume serve all
 package main
 
 import (
@@ -116,7 +116,6 @@ func main() {
 		"chaos":  chaos,
 		"trace":  traceCmd,
 		"scale":  scaleCmd,
-		"swarm":  swarmCmd,
 		"perf":   perfCmd,
 
 		"snapshot": snapshotCmd,
@@ -181,10 +180,6 @@ subcommands:
   scale    swarm-scale sweep (100-500 robots), each size run brute-force
            and spatially indexed; verifies byte-identical fingerprints
            and reports the speedup (-quick: one 300-robot smoke cell)
-  swarm    protocol-plane sweep (1000+ robots), each size run on the
-           reference plane and the fast plane; verifies byte-identical
-           fingerprints/metrics and reports the speedup (-quick: one
-           short 1000-robot cell)
   trace [scenario]
            run one scenario fully instrumented and export its protocol
            event log / Perfetto trace / metrics (see -events, -perfetto,

@@ -126,6 +126,7 @@ func TestCLIArguments(t *testing.T) {
 		{"positional after subcommand", []string{"table1", "extra"}, 2, `unexpected argument "extra"`, ""},
 		{"trace second positional", []string{"trace", "patrol", "extra"}, 2, `unexpected argument "extra"`, ""},
 		{"trace flag as scenario", []string{"trace", "-quick"}, 2, "flags go before the subcommand", ""},
+		{"removed swarm subcommand", []string{"swarm"}, 2, `unknown subcommand "swarm"`, ""},
 		{"removed -shards flag", []string{"-shards", "4", "perf"}, 2, "flag provided but not defined: -shards", ""},
 		{"plain subcommand", []string{"table1"}, 0, "", ""},
 		{"trace keeps its scenario", []string{"-quick", "trace", "patrol"}, 0, "", "trace patrol"},

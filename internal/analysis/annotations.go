@@ -62,7 +62,7 @@ const (
 	// justification.
 	DirColdpath = "coldpath"
 	// DirAlloc silences a hotpath finding at a single allocation site
-	// that is deliberate (e.g. the reference plane's buffered chain).
+	// that is deliberate (e.g. amortized growth of a reused buffer).
 	DirAlloc = "alloc"
 )
 

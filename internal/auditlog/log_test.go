@@ -294,6 +294,12 @@ func TestLogRandomizedInvariants(t *testing.T) {
 					if len(seg.Entries) != l.EntryCount()-appendedSince {
 						return false
 					}
+					// The incrementally maintained window is the entries'
+					// encoding, byte for byte (AccountingError checks only
+					// its sizes and offsets).
+					if !bytes.Equal(seg.Encoded, wire.EncodeLogEntries(seg.Entries)) {
+						return false
+					}
 				}
 			}
 		}

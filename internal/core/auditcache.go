@@ -25,7 +25,7 @@ import (
 //
 // The cache is NOT part of the TCB — a wrong verdict in it is exactly
 // as harmful as a wrong verdict from a buggy replay, and the
-// differential tests compare cached and uncached planes byte for byte.
+// differential tests compare cached and uncached runs byte for byte.
 //
 // Eviction is FIFO over a fixed ring: deterministic (no clocks, no
 // randomized map iteration) so that runs replay identically.
@@ -92,9 +92,9 @@ func (c *AuditCache) Store(key [32]byte, verdict AuditVerdict) {
 func (c *AuditCache) Len() int { return len(c.m) }
 
 // HitsMisses returns the lookup tallies (tests only — deliberately not
-// a registry metric: cache effectiveness differs between the reference
-// and streaming planes, and the differential layer requires their
-// metrics snapshots to be identical).
+// a registry metric: the protocol differential compares a cached run
+// with an uncached one and requires their metrics snapshots to be
+// identical).
 func (c *AuditCache) HitsMisses() (hits, misses uint64) { return c.hits, c.misses }
 
 // auditKey hashes the verdict-relevant content of an audit request:

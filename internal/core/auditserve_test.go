@@ -42,11 +42,10 @@ func TestSharedAuditCacheServesSwarm(t *testing.T) {
 }
 
 // TestCachedRefusalAccountingMatchesUncached pins the property the
-// differential layer depends on: the cached fast path and the uncached
-// reference path increment auditsRefused for exactly the same inputs,
-// including requests whose tail does not decode (silently dropped on
-// both planes — the reference plane never reaches its identity checks
-// for those).
+// differential layer depends on: the cached path and the uncached path
+// increment auditsRefused for exactly the same inputs, including
+// requests whose tail does not decode (silently dropped on both — the
+// uncached path never reaches its identity checks for those).
 func TestCachedRefusalAccountingMatchesUncached(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.Fmax = 1
@@ -60,7 +59,7 @@ func TestCachedRefusalAccountingMatchesUncached(t *testing.T) {
 	misaddressed := wire.AuditRequest{Auditee: 3, Auditor: 9,
 		Req: wire.TokenRequest{Auditee: 3, Auditor: 9, T: 7}}
 	// wellFormed decodes but fails the serve checks downstream
-	// (bogus MAC): refused on both planes.
+	// (bogus MAC): refused on both paths.
 	wellFormed := func(auditor wire.RobotID) []byte {
 		a := misaddressed
 		a.Auditor = auditor
@@ -68,7 +67,7 @@ func TestCachedRefusalAccountingMatchesUncached(t *testing.T) {
 		return a.Encode()
 	}
 	// truncate chops the last byte: the head still splits, the full
-	// decode fails. Dropped silently on both planes.
+	// decode fails. Dropped silently on both paths.
 	truncate := func(b []byte) []byte { return b[:len(b)-1] }
 
 	type tc struct {

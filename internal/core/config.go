@@ -54,16 +54,6 @@ type Config struct {
 	BucketCapacity float64
 	Rho            float64 // bucket units per tick
 	MinPerToken    float64
-	// Reference selects the straight-from-the-paper protocol plane:
-	// buffered hash chains (§3.8 as written), the log segment re-encoded
-	// from entries every round, a fresh request encode per auditor, and
-	// no audit verdict cache. The default (false) is the streaming plane
-	// — incremental chain hashing, the log's pre-encoded window, one
-	// shared request tail per round, and verdict caching. The two planes
-	// are byte-identical on the wire and in every chain top; the
-	// differential swarm tests pin that, and bench-gate pins the speed
-	// gap. Keep the reference plane intact: it is the oracle.
-	Reference bool
 }
 
 // AutoServeLimit derives a serve budget with ~2× headroom over the

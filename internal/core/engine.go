@@ -39,8 +39,8 @@ type Engine struct {
 	rounds int         // audit rounds started; drives auditor rotation (see solicit)
 	served []wire.Tick // timestamps of recently served audits (ServeLimit window)
 
-	// acache is the swarm-shared replay-verdict cache; nil on the
-	// reference plane. Snapshotted once at the swarm level, not per
+	// acache is the swarm-shared replay-verdict cache; nil replays
+	// every request. Snapshotted once at the swarm level, not per
 	// engine.
 	acache *AuditCache //rebound:snapshot-skip swarm-level cache, snapshotted once by the runner
 
@@ -105,7 +105,7 @@ type auditRound struct {
 	segment  []byte
 	// reqTail is the request's encoded tail (checkpoints, tokens,
 	// segment) — identical for every auditor this round, so it is built
-	// once on first ask and shared (streaming plane only).
+	// once on first ask and shared.
 	reqTail []byte
 
 	tokens  map[wire.RobotID]wire.Token
@@ -180,8 +180,7 @@ func (e *Engine) logAppend(entry wire.LogEntry) {
 
 // SetAuditCache attaches a shared replay-verdict cache (see
 // AuditCache). Pass the same cache to every engine of a swarm; nil
-// (the default) replays every request. The reference plane never sets
-// one.
+// (the default) replays every request.
 func (e *Engine) SetAuditCache(c *AuditCache) { e.acache = c }
 
 // Controller exposes the live controller (the robot reads it for
@@ -327,24 +326,17 @@ func (e *Engine) startRound(now wire.Tick) {
 	if err != nil {
 		return // unreachable: we just added the checkpoint
 	}
-	// The reference plane re-encodes the segment from its entries every
-	// round (the pre-optimization behavior); the streaming plane copies
-	// the log's incrementally maintained window (seg.Encoded aliases log
-	// storage, which mutates on the next Append, so the round owns a
-	// copy). Both yield identical bytes — pinned by auditlog's
-	// AccountingError and the swarm differential tests.
-	var segEnc []byte
-	if e.cfg.Reference {
-		segEnc = wire.EncodeLogEntries(seg.Entries)
-	} else {
-		segEnc = append([]byte(nil), seg.Encoded...)
-	}
+	// seg.Encoded is the log's incrementally maintained window; it
+	// aliases log storage, which mutates on the next Append, so the
+	// round owns a copy. It equals wire.EncodeLogEntries(seg.Entries):
+	// auditlog's AccountingError recounts its sizes and offsets every
+	// tick of every chaos cell, TestLogRandomizedInvariants its bytes.
 	round := &auditRound{
 		hash:     seg.EndHash,
 		startAt:  now,
 		fromBoot: seg.FromBoot,
 		encEnd:   cp.Encode(),
-		segment:  segEnc,
+		segment:  append([]byte(nil), seg.Encoded...),
 		tokens:   make(map[wire.RobotID]wire.Token),
 		asked:    make(map[wire.RobotID]bool),
 	}
@@ -463,20 +455,13 @@ func (e *Engine) askOne(target wire.RobotID) bool {
 	// The head of the request (kind, IDs, the per-auditor token
 	// request) is a few dozen bytes; the tail (checkpoints, covering
 	// tokens, segment) can be kilobytes and is identical for every
-	// auditor this round. The streaming plane encodes the tail once per
-	// round; the reference plane re-encodes the whole request per
-	// auditor. Byte-identical either way — wire's TestAuditRequestTailSplit
-	// pins the split.
-	var payload []byte
-	if e.cfg.Reference {
-		payload = msg.Encode()
-	} else {
-		if r.reqTail == nil {
-			r.reqTail = msg.EncodeTail()
-		}
-		payload = msg.EncodeWithTail(r.reqTail)
+	// auditor this round, so it is encoded once per round. The result
+	// equals msg.Encode() — wire's TestAuditRequestTailSplit pins the
+	// split.
+	if r.reqTail == nil {
+		r.reqTail = msg.EncodeTail()
 	}
-	f := wire.Frame{Src: e.id, Dst: target, Flags: wire.FlagAudit, Payload: payload}
+	f := wire.Frame{Src: e.id, Dst: target, Flags: wire.FlagAudit, Payload: msg.EncodeWithTail(r.reqTail)}
 	if _, ok := e.send(f); !ok {
 		return false
 	}
@@ -562,7 +547,7 @@ func (e *Engine) onAuditRequestEnc(payload []byte) perf.Phase {
 	return perf.PhaseAuditCacheHit
 }
 
-// onAuditRequest is the uncached (reference-plane or keyless) auditor
+// onAuditRequest is the uncached (no cache attached, or keyless) auditor
 // path: every request is fully decoded and replayed. Any failure is a
 // silent ignore, as in the paper: no correct auditor will accept a bad
 // request, so the requestor's tokens simply expire.
@@ -644,7 +629,6 @@ func (e *Engine) verifySegment(a *wire.AuditRequest) bool {
 		BatchSize:          e.cfg.BatchSize,
 		AuthSlack:          e.cfg.AuthSlack,
 		CheckAuthenticator: e.anode.CheckAuthenticator,
-		BufferedChains:     e.cfg.Reference,
 	}) == nil
 }
 

@@ -16,9 +16,8 @@ import (
 // at swarm scale the pure-Go compression function dominates the
 // profile. The from-scratch implementation remains the reference:
 // TestSHA1StreamMatchesReference pins the two bit-identical over
-// arbitrary write splits, and the buffered reference Chain (which the
-// swarm differential tests prove byte-identical to the streaming one)
-// still runs on SHA1Hasher.
+// arbitrary write splits, and ChainExtend — the §3.8 batch definition
+// the streaming chain is tested against — still runs on SHA1Hasher.
 //
 // The zero value is ready to use; Reset reuses the underlying digest,
 // so a long-lived stream allocates exactly once.

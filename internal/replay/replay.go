@@ -45,12 +45,6 @@ type Config struct {
 	// CheckAuthenticator verifies an authenticator MAC on the
 	// auditor's own trusted hardware.
 	CheckAuthenticator func(wire.Authenticator) bool
-	// BufferedChains runs the chain replicas on the buffered §3.8
-	// reference implementation instead of the streaming default. Set
-	// when the auditee's nodes run buffered (reference-plane runs), so
-	// the replica remains the same code as the node — though the two
-	// implementations are byte-identical anyway.
-	BufferedChains bool
 }
 
 // Failure describes why a replay was rejected. It implements error;
@@ -108,16 +102,12 @@ func Verify(req Request, cfg Config) error {
 	}
 
 	// --- controller replica and chain replicas -----------------------
-	newChain, newChainAt := trusted.NewChain, trusted.NewChainAt
-	if cfg.BufferedChains {
-		newChain, newChainAt = trusted.NewBufferedChain, trusted.NewBufferedChainAt
-	}
 	var ctrl control.Controller
 	var sChain, aChain *trusted.Chain
 	if req.FromBoot {
 		ctrl = cfg.Factory.New(req.Auditee)
-		sChain = newChain(cfg.BatchSize)
-		aChain = newChain(cfg.BatchSize)
+		sChain = trusted.NewChain(cfg.BatchSize)
+		aChain = trusted.NewChain(cfg.BatchSize)
 	} else {
 		if req.Start == nil {
 			return fail("checkpoint", -1, "no start checkpoint and not from boot")
@@ -127,8 +117,8 @@ func Verify(req Request, cfg Config) error {
 		if err != nil {
 			return fail("checkpoint", -1, "start state rejected: %v", err)
 		}
-		sChain = newChainAt(req.Start.AuthS.Top, cfg.BatchSize)
-		aChain = newChainAt(req.Start.AuthA.Top, cfg.BatchSize)
+		sChain = trusted.NewChainAt(req.Start.AuthS.Top, cfg.BatchSize)
+		aChain = trusted.NewChainAt(req.Start.AuthA.Top, cfg.BatchSize)
 	}
 
 	// --- replay -------------------------------------------------------

@@ -55,7 +55,7 @@ type Config struct {
 	Metrics *obs.Registry //rebound:snapshot-skip observer wiring, reattached at rebuild
 	// AuditCache, when non-nil, is the swarm-shared replay-verdict
 	// cache (see core.AuditCache). The facade passes one cache to every
-	// robot of a sim; the reference plane leaves it nil.
+	// robot of a sim.
 	AuditCache *core.AuditCache //rebound:snapshot-skip swarm-level cache, snapshotted once by the runner
 	// Perf, when non-nil, attributes the protocol engine's wall-clock
 	// cost (audit serves, chain appends) to the shared phase timer.
@@ -127,13 +127,6 @@ func New(cfg Config, body *sim.Body, medium *radio.Medium, clock func() wire.Tic
 			}
 		},
 	)
-	if cfg.Core.Reference {
-		// Reference plane: the trusted chains run the buffered §3.8
-		// implementation instead of the streaming default. Must happen
-		// before any entry is chained (i.e. before key load).
-		r.snode.UseBufferedChain()
-		r.anode.UseBufferedChain()
-	}
 	r.snode.LoadMasterKey(cfg.Master, cfg.ID)
 	r.anode.LoadMasterKey(cfg.Master, cfg.ID)
 	r.snode.LoadMissionKey(cfg.Sealed)

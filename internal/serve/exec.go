@@ -131,16 +131,15 @@ func sweepProgress(hooks execHooks) func(rr.SweepProgress) {
 // Zero-valued knobs keep the facade's defaults.
 func chaosCell(req *JobRequest) rr.ChaosConfig {
 	return rr.ChaosConfig{
-		Controller:     req.Controller,
-		Profile:        faultinject.Profile(req.Profile),
-		Seed:           req.Seed,
-		N:              req.N,
-		DurationSec:    req.DurationSec,
-		Fmax:           req.Fmax,
-		SpacingM:       req.SpacingM,
-		MTUBytes:       req.MTUBytes,
-		SpatialIndex:   req.SpatialIndex,
-		ReferencePlane: req.ReferencePlane,
+		Controller:   req.Controller,
+		Profile:      faultinject.Profile(req.Profile),
+		Seed:         req.Seed,
+		N:            req.N,
+		DurationSec:  req.DurationSec,
+		Fmax:         req.Fmax,
+		SpacingM:     req.SpacingM,
+		MTUBytes:     req.MTUBytes,
+		SpatialIndex: req.SpatialIndex,
 	}
 }
 
@@ -215,6 +214,15 @@ func eventsArtifact(events []obs.Event) (NamedBlob, error) {
 // chaosTPS mirrors the facade's fixed 4 Hz tick rate (see RunChaos).
 const chaosTPS = 4.0
 
+// chaosDurationSec is the run length a chaos-family request gets: its
+// own, or RunChaos's 60 s default.
+func (r *JobRequest) chaosDurationSec() float64 {
+	if r.DurationSec == 0 {
+		return 60
+	}
+	return r.DurationSec
+}
+
 func perfettoArtifact(events []obs.Event) (NamedBlob, error) {
 	var buf bytes.Buffer
 	if err := obs.WriteChromeTrace(&buf, events, obs.TickMapping{TicksPerSecond: chaosTPS}); err != nil {
@@ -245,8 +253,6 @@ func runJob(req *JobRequest, resolve resolveFunc, hooks execHooks) (*JobOutput, 
 		return runFig7Job(req, hooks)
 	case KindScale:
 		return runScaleJob(req, hooks)
-	case KindSwarm:
-		return runSwarmJob(req, hooks)
 	case KindSnapshot:
 		return runSnapshotJob(req, hooks)
 	case KindResume:
@@ -449,62 +455,11 @@ func runScaleJob(req *JobRequest, hooks execHooks) (*JobOutput, error) {
 	return &JobOutput{Result: result}, nil
 }
 
-// swarmView is one size's protocol-plane differential outcome, again
-// with wall-clock fields stripped.
-type swarmView struct {
-	N           int    `json:"n"`
-	Fingerprint string `json:"fingerprint"`
-	Matches     bool   `json:"matches"`
-}
-
-func runSwarmJob(req *JobRequest, hooks execHooks) (*JobOutput, error) {
-	cfg := rr.SwarmConfig{
-		Sizes:        req.Sizes,
-		DurationSec:  req.DurationSec,
-		SpacingM:     req.SpacingM,
-		Seed:         req.Seed,
-		Controller:   req.Controller,
-		Profile:      faultinject.Profile(req.Profile),
-		Differential: true,
-		Workers:      jobWorkers(req),
-		Progress:     sweepProgress(hooks),
-	}
-	if len(cfg.Sizes) == 0 {
-		cfg.Sizes = []int{200} // served default: swarm semantics at smoke scale
-	}
-	points := rr.RunSwarmSweep(cfg)
-	views := make([]swarmView, 0)
-	for _, c := range rr.CompareSwarmPoints(points) {
-		v := swarmView{N: c.N, Matches: c.Matches()}
-		if c.Reference != nil {
-			v.Fingerprint = c.Reference.Result.Metrics.Fingerprint
-		}
-		views = append(views, v)
-		if !v.Matches {
-			return nil, fmt.Errorf("serve: swarm differential mismatch at N=%d", c.N)
-		}
-	}
-	result, err := marshalResult(struct {
-		Kind   string      `json:"kind"`
-		Points []swarmView `json:"points"`
-	}{req.Kind, views})
-	if err != nil {
-		return nil, err
-	}
-	return &JobOutput{Result: result}, nil
-}
-
 func runSnapshotJob(req *JobRequest, hooks execHooks) (*JobOutput, error) {
 	cfg := chaosCell(req)
 	at := req.SnapshotAtTick
 	if at == 0 {
-		// Midpoint of the run; the 60 s fallback mirrors RunChaos's
-		// DurationSec default.
-		dur := req.DurationSec
-		if dur == 0 {
-			dur = 60
-		}
-		at = uint64(dur * chaosTPS / 2)
+		at = uint64(req.chaosDurationSec() * chaosTPS / 2) // midpoint
 	}
 	cfg.SnapshotAtTicks = []wire.Tick{wire.Tick(at)}
 	cfg.Interrupt = hooks.interrupt

@@ -44,10 +44,6 @@ func selftestRequests() map[string]*JobRequest {
 	scale.Sizes, scale.DurationSec, scale.Seed = []int{12}, 4, 7
 	reqs[KindScale] = scale
 
-	swarm := base(KindSwarm)
-	swarm.Sizes, swarm.DurationSec, swarm.Seed = []int{24}, 4, 7
-	reqs[KindSwarm] = swarm
-
 	snap := base(KindSnapshot)
 	snap.N, snap.DurationSec, snap.Seed, snap.SnapshotAtTick = 4, 4, 7, 8
 	reqs[KindSnapshot] = snap

@@ -200,6 +200,9 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		{"garbage", "{{{", http.StatusBadRequest},
 		{"unknown kind", `{"version":1,"kind":"nope"}`, http.StatusBadRequest},
 		{"removed tick_shards", `{"version":1,"kind":"chaos","tick_shards":4}`, http.StatusBadRequest},
+		{"removed reference_plane", `{"version":1,"kind":"chaos","reference_plane":true}`, http.StatusBadRequest},
+		{"removed swarm kind", `{"version":1,"kind":"swarm","sizes":[24]}`, http.StatusBadRequest},
+		{"snapshot tick beyond run", `{"version":1,"kind":"snapshot","duration_sec":4,"snapshot_at_tick":17}`, http.StatusBadRequest},
 		{"oversized", `{"pad":"` + strings.Repeat("x", MaxRequestBytes) + `"}`, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {

@@ -30,7 +30,6 @@ const (
 	KindFig7Density = "fig7-density"  // cost vs density (§5.2 Fig. 7a/b)
 	KindFig7Scale   = "fig7-scale"    // cost vs robots (§5.2 Fig. 7c/d)
 	KindScale       = "scale"         // brute-vs-indexed differential sweep
-	KindSwarm       = "swarm"         // protocol-plane differential sweep
 	KindSnapshot    = "snapshot"      // run a cell, capture a mid-run snapshot
 	KindResume      = "resume"        // resume a stored snapshot to completion
 	KindResumeVerif = "resume-verify" // resume + rerun uninterrupted + compare
@@ -41,7 +40,7 @@ const (
 func Kinds() []string {
 	return []string{
 		KindChaos, KindTrace, KindFig6, KindFig7Density, KindFig7Scale,
-		KindScale, KindSwarm, KindSnapshot, KindResume, KindResumeVerif,
+		KindScale, KindSnapshot, KindResume, KindResumeVerif,
 	}
 }
 
@@ -60,18 +59,17 @@ type JobRequest struct {
 	Version int    `json:"version"`
 	Kind    string `json:"kind"`
 
-	// Chaos-family cell parameters (chaos, trace, snapshot; scale and
-	// swarm reuse Controller/Profile/Seed/DurationSec).
-	Controller     string  `json:"controller,omitempty"`
-	Profile        string  `json:"profile,omitempty"`
-	Seed           uint64  `json:"seed,omitempty"`
-	N              int     `json:"n,omitempty"`
-	DurationSec    float64 `json:"duration_sec,omitempty"`
-	Fmax           int     `json:"fmax,omitempty"`
-	SpacingM       float64 `json:"spacing_m,omitempty"`
-	MTUBytes       int     `json:"mtu_bytes,omitempty"`
-	SpatialIndex   bool    `json:"spatial_index,omitempty"`
-	ReferencePlane bool    `json:"reference_plane,omitempty"`
+	// Chaos-family cell parameters (chaos, trace, snapshot; scale
+	// reuses Controller/Profile/Seed/DurationSec).
+	Controller   string  `json:"controller,omitempty"`
+	Profile      string  `json:"profile,omitempty"`
+	Seed         uint64  `json:"seed,omitempty"`
+	N            int     `json:"n,omitempty"`
+	DurationSec  float64 `json:"duration_sec,omitempty"`
+	Fmax         int     `json:"fmax,omitempty"`
+	SpacingM     float64 `json:"spacing_m,omitempty"`
+	MTUBytes     int     `json:"mtu_bytes,omitempty"`
+	SpatialIndex bool    `json:"spatial_index,omitempty"`
 
 	// Artifact selection: Events adds an events.ndjson artifact to a
 	// chaos cell (trace always produces one); Perfetto adds the
@@ -79,7 +77,7 @@ type JobRequest struct {
 	Events   bool `json:"events,omitempty"`
 	Perfetto bool `json:"perfetto,omitempty"`
 
-	// Sweep shapes (fig6, fig7-*, scale, swarm).
+	// Sweep shapes (fig6, fig7-*, scale).
 	Sizes      []int     `json:"sizes,omitempty"`
 	Spacings   []float64 `json:"spacings,omitempty"`
 	Fmaxes     []int     `json:"fmaxes,omitempty"`
@@ -104,7 +102,6 @@ const (
 	maxMTUBytes    = 1 << 16
 	maxJobWorkers  = 8
 	maxSweepLen    = 16
-	maxSnapshotAt  = 1 << 30
 )
 
 // DecodeJobRequest parses and validates one job request. The decoder
@@ -248,8 +245,14 @@ func (r *JobRequest) Validate() error {
 			return err
 		}
 	}
-	if r.SnapshotAtTick > maxSnapshotAt {
-		return fmt.Errorf("serve: snapshot_at_tick %d exceeds limit %d", r.SnapshotAtTick, maxSnapshotAt)
+	if r.Kind == KindSnapshot {
+		// Checked here so the job fails before admission, not after
+		// running the whole cell and capturing nothing.
+		if total := uint64(r.chaosDurationSec() * chaosTPS); r.SnapshotAtTick > total {
+			return fmt.Errorf("serve: snapshot_at_tick %d is beyond the %d-tick run", r.SnapshotAtTick, total)
+		}
+	} else if r.SnapshotAtTick != 0 {
+		return fmt.Errorf("serve: kind %q does not take snapshot_at_tick", r.Kind)
 	}
 
 	needsResume := r.Kind == KindResume || r.Kind == KindResumeVerif
@@ -269,49 +272,33 @@ func (r *JobRequest) Validate() error {
 	return nil
 }
 
-// validTenant restricts tenant names to a filesystem- and URL-safe
-// alphabet. The tenant name keys scheduler state and metric names, so
-// the alphabet is deliberately narrow.
-func validTenant(name string) bool {
-	if len(name) == 0 || len(name) > 32 {
+// safeName reports whether name is 1..maxLen bytes of [A-Za-z0-9_-],
+// plus '.' when dots is set.
+func safeName(name string, maxLen int, dots bool) bool {
+	if len(name) == 0 || len(name) > maxLen {
 		return false
 	}
 	for i := 0; i < len(name); i++ {
 		c := name[i]
-		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '-' || c == '_') {
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '-' || c == '_' || dots && c == '.') {
 			return false
 		}
 	}
 	return true
 }
 
+// validTenant restricts tenant names to a filesystem- and URL-safe
+// alphabet. The tenant name keys scheduler state and metric names, so
+// the alphabet is deliberately narrow.
+func validTenant(name string) bool { return safeName(name, 32, false) }
+
 // validJobID accepts the IDs the scheduler mints (tenant "-" seq) and
 // nothing that could escape a path or a metric name.
-func validJobID(id string) bool {
-	if len(id) == 0 || len(id) > 48 {
-		return false
-	}
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '-' || c == '_') {
-			return false
-		}
-	}
-	return true
-}
+func validJobID(id string) bool { return safeName(id, 48, false) }
 
 // ValidArtifactName bounds artifact names to one path segment of a
 // safe alphabet — no separators, no dot-prefixed names, so a name can
 // never traverse out of the spill directory.
 func ValidArtifactName(name string) bool {
-	if len(name) == 0 || len(name) > 64 || name[0] == '.' {
-		return false
-	}
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '-' || c == '_' || c == '.') {
-			return false
-		}
-	}
-	return true
+	return safeName(name, 64, true) && name[0] != '.'
 }

@@ -41,6 +41,8 @@ func TestDecodeJobRequestRejects(t *testing.T) {
 		{"not json", `{{{{`, "decode"},
 		{"unknown field", `{"version":1,"kind":"chaos","bogus":true}`, "decode"},
 		{"removed tick_shards", `{"version":1,"kind":"chaos","tick_shards":4}`, `unknown field "tick_shards"`},
+		{"removed reference_plane", `{"version":1,"kind":"chaos","reference_plane":true}`, `unknown field "reference_plane"`},
+		{"removed swarm kind", `{"version":1,"kind":"swarm","sizes":[24]}`, `unknown job kind "swarm"`},
 		{"trailing data", `{"version":1,"kind":"chaos"} {"x":1}`, "trailing"},
 		{"wrong version", `{"version":2,"kind":"chaos"}`, "version"},
 		{"no kind", `{"version":1}`, "kind"},
@@ -59,6 +61,9 @@ func TestDecodeJobRequestRejects(t *testing.T) {
 		{"resume without handle", `{"version":1,"kind":"resume"}`, "resume handle"},
 		{"resume bad job id", `{"version":1,"kind":"resume","resume":{"job":"../../etc","artifact":"a"}}`, "job id"},
 		{"resume bad artifact", `{"version":1,"kind":"resume","resume":{"job":"t-1","artifact":"../pw"}}`, "artifact"},
+		{"snapshot tick beyond run", `{"version":1,"kind":"snapshot","duration_sec":4,"snapshot_at_tick":17}`, "beyond the 16-tick run"},
+		{"snapshot tick beyond default run", `{"version":1,"kind":"snapshot","snapshot_at_tick":241}`, "beyond the 240-tick run"},
+		{"snapshot tick on plain kind", `{"version":1,"kind":"chaos","snapshot_at_tick":8}`, "does not take snapshot_at_tick"},
 		{"handle on plain kind", `{"version":1,"kind":"chaos","resume":{"job":"t-1","artifact":"a.rbsn"}}`, "does not take"},
 	}
 	for _, tc := range cases {

@@ -11,8 +11,8 @@
 // The correctness contract is byte-identity: resuming a run from a
 // snapshot taken at tick T must produce exactly the fingerprints,
 // traces, and metrics the uninterrupted run produces from T on. The
-// differential tests at the repository root hold every controller,
-// fault profile, and protocol plane to that.
+// differential tests at the repository root hold every controller
+// and fault profile to that.
 package snapshot
 
 import (
@@ -34,7 +34,7 @@ import (
 // this envelope or to any sub-codec's byte layout; old snapshots are
 // rejected rather than misread (there is no cross-version migration —
 // a snapshot is a checkpoint of one build, not an archive format).
-const Version = 1
+const Version = 2
 
 // magic brands the first four bytes of every snapshot file.
 var magic = [4]byte{'R', 'B', 'S', 'N'}
@@ -277,7 +277,7 @@ func ConfigEcho(b []byte) ([]byte, error) {
 // application is not rolled back.
 func Apply(run *Run, s *Snapshot) error {
 	if (s.Cache != nil) != (run.Cache != nil) {
-		return errors.New("snapshot: audit-cache presence does not match the rebuilt run (protocol plane mismatch?)")
+		return errors.New("snapshot: audit-cache presence does not match the rebuilt run")
 	}
 	if s.Checker != nil && run.Checker == nil {
 		return errors.New("snapshot: snapshot has checker state but the rebuilt run has no checker")

@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"crypto/sha256"
+	"strings"
 	"testing"
 
 	"roborebound/internal/attack"
@@ -169,6 +170,12 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 	if _, err := Decode(tamper(func(b []byte) { b[4], b[5] = 0xFF, 0xFF })); err == nil {
 		t.Fatal("unknown version accepted")
+	}
+	// Version 1 carried a chain-implementation byte and a reference-plane
+	// echo byte that no longer exist; it is refused, not migrated.
+	_, err = Decode(tamper(func(b []byte) { b[4], b[5] = 0, 1 }))
+	if err == nil || !strings.Contains(err.Error(), "snapshot: version 1 not supported") {
+		t.Fatalf("version-1 envelope: got %v, want version 1 not supported", err)
 	}
 }
 

@@ -18,28 +18,20 @@ const DefaultBatchSize = 10
 // a-node would have done so") — exporting the same code is how we
 // guarantee the replica never diverges from the node.
 //
-// Two implementations coexist behind one type:
-//
-//   - The streaming chain (default) feeds each entry straight into a
-//     running hasher at Append time — no per-entry copy, no batch
-//     buffer — and snapshots the digest at each flush boundary. Append
-//     is allocation-free (pinned by TestChainAppendDoesNotAllocate).
-//   - The buffered chain (§3.8 as literally written) copies entries
-//     into a [][]byte batch and hashes the whole batch at flush via
-//     cryptolite.ChainExtend on the from-scratch SHA1Hasher.
-//
-// Both produce the same hash input stream — top ‖ (len ‖ entry)… per
-// batch — so tops are byte-identical at every flush boundary; the
-// property test in chain_test.go and the swarm differential tests at
-// the repository root hold them together. The buffered form survives
-// as the reference implementation and as the pre-optimization side of
-// the protocol-plane benchmarks.
+// The chain streams: each entry is fed straight into a running hasher
+// at Append time — no per-entry copy, no batch buffer — and the digest
+// is taken at each flush boundary. Append is allocation-free (pinned by
+// TestChainAppendDoesNotAllocate). The hash input per batch is
+// top ‖ (len ‖ entry)…, exactly what cryptolite.ChainExtend — §3.8 as
+// literally written, and the definition — hashes for the same batch;
+// TestChainStreamingMatchesBuffered holds the two together at every
+// flush boundary.
 type Chain struct {
 	top       cryptolite.ChainHash
 	batchSize int
 
-	// Streaming state: the running hasher holds top ‖ entries-so-far
-	// whenever pending > 0.
+	// The running hasher holds top ‖ entries-so-far whenever
+	// pending > 0.
 	h       cryptolite.SHA1Stream
 	pending int
 	// scratch backs the per-entry length prefix and header writes.
@@ -47,13 +39,9 @@ type Chain struct {
 	// and heap-allocate on every append; a field on the (already
 	// heap-resident) chain does not.
 	scratch [6]byte //rebound:snapshot-skip write-only scratch, no retained state
-
-	// Buffered reference state.
-	buffered bool
-	buf      [][]byte
 }
 
-// NewChain returns a streaming chain starting at h₀ = 0 with the given
+// NewChain returns a chain starting at h₀ = 0 with the given
 // batch size. A batchSize of 1 disables batching (the ablation benches
 // sweep this).
 func NewChain(batchSize int) *Chain {
@@ -63,16 +51,7 @@ func NewChain(batchSize int) *Chain {
 	return &Chain{batchSize: batchSize}
 }
 
-// NewBufferedChain returns the §3.8 reference implementation: entries
-// are buffered and hashed batch-at-a-time with the from-scratch
-// hasher. Reference/benchmark runs only; byte-identical to NewChain.
-func NewBufferedChain(batchSize int) *Chain {
-	c := NewChain(batchSize)
-	c.buffered = true
-	return c
-}
-
-// NewChainAt returns a streaming chain replica positioned at an
+// NewChainAt returns a chain replica positioned at an
 // arbitrary top value with an empty buffer — the auditor's starting
 // point, since authenticators are only ever produced at flush
 // boundaries.
@@ -82,41 +61,17 @@ func NewChainAt(top cryptolite.ChainHash, batchSize int) *Chain {
 	return c
 }
 
-// NewBufferedChainAt is NewChainAt for the buffered reference
-// implementation.
-func NewBufferedChainAt(top cryptolite.ChainHash, batchSize int) *Chain {
-	c := NewChainAt(top, batchSize)
-	c.buffered = true
-	return c
-}
-
-// Fresh returns an empty chain at h₀ with the same batch size and
-// implementation, for power-cycle modeling (RAM state is lost, the
-// hardware is not swapped out).
-func (c *Chain) Fresh() *Chain {
-	if c.buffered {
-		return NewBufferedChain(c.batchSize)
-	}
-	return NewChain(c.batchSize)
-}
-
-// Buffered reports which implementation this chain runs.
-func (c *Chain) Buffered() bool { return c.buffered }
+// Fresh returns an empty chain at h₀ with the same batch size, for
+// power-cycle modeling (RAM state is lost, the hardware is not swapped
+// out).
+func (c *Chain) Fresh() *Chain { return NewChain(c.batchSize) }
 
 // Append adds one entry; when the pending count reaches the batch size
-// the chain advances. The streaming path hashes the entry immediately
-// and retains nothing, so callers may reuse their buffers either way.
+// the chain advances. The entry is hashed immediately and nothing is
+// retained, so callers may reuse their buffers.
 //
 //rebound:hotpath every chained frame and sensor reading lands here
 func (c *Chain) Append(entry []byte) {
-	if c.buffered {
-		//rebound:alloc buffered reference plane; production chains stream
-		c.buf = append(c.buf, append([]byte(nil), entry...))
-		if len(c.buf) >= c.batchSize {
-			c.flushBuffered()
-		}
-		return
-	}
 	c.beginEntry(len(entry))
 	c.h.Write(entry)
 	c.endEntry()
@@ -134,17 +89,6 @@ func (c *Chain) Append(entry []byte) {
 func (c *Chain) AppendEntry(kind uint8, payload []byte) {
 	if len(payload) > 255 {
 		panic("trusted: log entry payload exceeds 255 bytes")
-	}
-	if c.buffered {
-		enc := make([]byte, 2+len(payload)) //rebound:alloc buffered reference plane; production chains stream
-		enc[0] = kind
-		enc[1] = uint8(len(payload))
-		copy(enc[2:], payload)
-		c.buf = append(c.buf, enc)
-		if len(c.buf) >= c.batchSize {
-			c.flushBuffered()
-		}
-		return
 	}
 	c.beginEntry(2 + len(payload))
 	c.scratch[4], c.scratch[5] = kind, uint8(len(payload))
@@ -173,42 +117,24 @@ func (c *Chain) endEntry() {
 	}
 }
 
-// Flush forces any buffered entries into the chain and returns the
+// Flush forces any pending entries into the chain and returns the
 // top. Called by MAKEAUTHENTICATOR so the authenticator always covers
 // everything appended so far.
 func (c *Chain) Flush() cryptolite.ChainHash {
-	if c.buffered {
-		if len(c.buf) > 0 {
-			c.flushBuffered()
-		}
-	} else if c.pending > 0 {
+	if c.pending > 0 {
 		c.flushStream()
 	}
 	return c.top
 }
 
-// Top returns the current top hash without flushing. Buffered entries
+// Top returns the current top hash without flushing. Pending entries
 // are not yet covered.
 func (c *Chain) Top() cryptolite.ChainHash { return c.top }
 
-// Pending returns the number of buffered (unflushed) entries.
-func (c *Chain) Pending() int {
-	if c.buffered {
-		return len(c.buf)
-	}
-	return c.pending
-}
+// Pending returns the number of unflushed entries.
+func (c *Chain) Pending() int { return c.pending }
 
 func (c *Chain) flushStream() {
 	c.top = c.h.Sum()
 	c.pending = 0
-}
-
-// flushBuffered runs only on the buffered reference plane, never on a
-// production (streaming) chain's append path.
-//
-//rebound:coldpath buffered reference implementation only
-func (c *Chain) flushBuffered() {
-	c.top = cryptolite.ChainExtend(c.top, c.buf)
-	c.buf = c.buf[:0]
 }

@@ -73,24 +73,10 @@ func (n *nodeBase) HasKey() bool { return n.mac != nil }
 // key, chain buffer and top) is lost; flash state (master key, robot
 // ID, key sequence) persists — which is exactly what makes replaying a
 // previous mission's sealed key useless (§3.3). The chain restarts at
-// h₀ but keeps its implementation: cycling power does not swap the
-// hardware out.
+// h₀.
 func (n *nodeBase) powerCycle() {
 	n.mac = nil
 	n.chain = n.chain.Fresh()
-}
-
-// UseBufferedChain switches this node's chain to the buffered §3.8
-// reference implementation. It must be called before anything is
-// committed (the two implementations only agree from a common flush
-// boundary); reference/benchmark runs flip it right after
-// construction. Byte-identical to the default streaming chain — the
-// swarm differential tests at the repository root enforce that.
-func (n *nodeBase) UseBufferedChain() {
-	if n.chain.Pending() != 0 || n.chain.Top() != cryptolite.ZeroChain {
-		panic("trusted: UseBufferedChain after entries were committed")
-	}
-	n.chain = NewBufferedChain(n.chain.batchSize)
 }
 
 // ID returns the robot ID burned at provisioning time.

@@ -27,24 +27,10 @@ import (
 // prefixes, no map-order dependence) and all decoding is bounded by
 // wire.Reader, so a hostile snapshot can error but not panic or OOM.
 
-// encodeState appends the chain's dynamic state: the top hash plus
-// whatever the current batch holds. The streaming implementation
-// serializes its running SHA-1 digest mid-batch; the buffered
-// reference retains the raw entries, so its state is convertible (a
-// buffered snapshot could in principle be replayed into a streaming
-// chain) while a streaming snapshot restores only onto a streaming
-// rebuild.
+// encodeState appends the chain's dynamic state: the top hash, the
+// pending count and, mid-batch, the running SHA-1 digest.
 func (c *Chain) encodeState(w *wire.Writer) error {
 	w.Raw(c.top[:])
-	if c.buffered {
-		w.U8(1)
-		w.U32(uint32(len(c.buf)))
-		for _, e := range c.buf {
-			w.Blob(e)
-		}
-		return nil
-	}
-	w.U8(0)
 	w.U32(uint32(c.pending))
 	if c.pending > 0 {
 		st, err := c.h.MarshalState()
@@ -58,36 +44,11 @@ func (c *Chain) encodeState(w *wire.Writer) error {
 
 func (c *Chain) restoreState(r *wire.Reader) error {
 	top := r.Raw(cryptolite.SHA1Size)
-	buffered := r.U8() == 1
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if buffered != c.buffered {
-		return errors.New("trusted: snapshot chain implementation (buffered vs streaming) does not match the rebuilt chain")
-	}
-	copy(c.top[:], top)
-	if c.buffered {
-		n := int(r.U32())
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if n > r.Remaining() || n >= c.batchSize+1 {
-			return errors.New("trusted: snapshot chain buffer count out of range")
-		}
-		c.buf = c.buf[:0]
-		for i := 0; i < n; i++ {
-			e := r.Blob()
-			if r.Err() != nil {
-				return r.Err()
-			}
-			c.buf = append(c.buf, append([]byte(nil), e...))
-		}
-		return nil
-	}
 	pending := int(r.U32())
 	if r.Err() != nil {
 		return r.Err()
 	}
+	copy(c.top[:], top)
 	if pending < 0 || pending >= c.batchSize+1 {
 		return errors.New("trusted: snapshot chain pending count out of range")
 	}

@@ -78,14 +78,6 @@ type SimConfig struct {
 	// which the differential tests at the repository root enforce.
 	// Explicit World/Radio overrides may also set their own flags.
 	SpatialIndex bool
-	// ReferencePlane runs the protocol on the straight-from-the-paper
-	// reference implementations: buffered hash chains, per-round
-	// segment re-encodes, per-auditor request encodes, and no audit
-	// verdict cache (see core.Config.Reference). The default fast plane
-	// is byte-identical and much faster at swarm scale; the reference
-	// plane exists as the oracle the differential tests and bench gate
-	// compare against.
-	ReferencePlane bool
 	// Perf, when non-nil, attributes wall-clock time to every tick
 	// pipeline phase (see internal/obs/perf). Observation-only, like
 	// Trace: a timed run is byte-identical to an untimed one — the perf
@@ -116,14 +108,6 @@ func (c SimConfig) withDefaults() SimConfig {
 	if c.SpatialIndex {
 		c.World.SpatialIndex = true
 		c.Radio.SpatialIndex = true
-	}
-	if c.ReferencePlane && !c.Core.Reference {
-		// Copy before setting the flag: callers share *Core across the
-		// cells of a differential pair, and the fast cell must not
-		// inherit the reference plane.
-		cc := *c.Core
-		cc.Reference = true
-		c.Core = &cc
 	}
 	return c
 }
@@ -156,9 +140,7 @@ func NewSim(cfg SimConfig) *Sim {
 		robots:      make(map[wire.RobotID]*robot.Robot),
 		compromised: make(map[wire.RobotID]*attack.Compromised),
 		sealed:      trusted.SealMissionKey(cfg.Master, mission, cfg.Seed|1, 1),
-	}
-	if !cfg.ReferencePlane {
-		s.acache = core.NewAuditCache(0)
+		acache:      core.NewAuditCache(0),
 	}
 	if cfg.Perf != nil {
 		s.Engine.SetPerf(cfg.Perf) // fans out to world + medium
@@ -179,6 +161,18 @@ func NewSim(cfg SimConfig) *Sim {
 		}
 	}
 	return s
+}
+
+// detachAuditCache leaves every engine replaying each audit request it
+// serves: the oracle the protocol differential compares the shared
+// cache against. Nothing outside this package's tests reaches it.
+func (s *Sim) detachAuditCache() {
+	s.acache = nil
+	for _, id := range s.IDs() {
+		if eng := s.robots[id].Engine(); eng != nil {
+			eng.SetAuditCache(nil)
+		}
+	}
 }
 
 // Tick converts seconds to ticks.

@@ -111,9 +111,6 @@ type FlockScenario struct {
 	// acceleration for radio delivery and collision detection, with
 	// byte-identical results either way.
 	SpatialIndex bool
-	// ReferencePlane threads through to SimConfig.ReferencePlane: run
-	// the protocol on the buffered/no-cache reference implementations.
-	ReferencePlane bool
 	// Perf threads through to SimConfig.Perf: wall-clock phase
 	// attribution, observation-only.
 	Perf *perf.PhaseTimer
@@ -156,7 +153,6 @@ func (fs FlockScenario) Build() *Sim {
 		Trace:          fs.Trace,
 		Metrics:        fs.Metrics,
 		SpatialIndex:   fs.SpatialIndex,
-		ReferencePlane: fs.ReferencePlane,
 		Perf:           fs.Perf,
 	})
 

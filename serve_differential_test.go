@@ -160,14 +160,6 @@ func TestServeDifferentialMatrix(t *testing.T) {
 			h.runCell(t, req, nil)
 		})
 	}
-
-	t.Run("swarm", func(t *testing.T) {
-		req := &serve.JobRequest{
-			Version: serve.RequestVersion, Kind: serve.KindSwarm,
-			Seed: 1, DurationSec: 4, Sizes: []int{24},
-		}
-		h.runCell(t, req, nil)
-	})
 }
 
 // TestServeDifferentialResumeChain runs the snapshot → resume →

@@ -30,7 +30,7 @@ type ChaosSnapshot struct {
 
 // chaosEchoVersion versions the config-echo blob inside snapshot
 // envelopes. Bump together with any field change below.
-const chaosEchoVersion = 1
+const chaosEchoVersion = 2
 
 // encodeChaosEcho canonically encodes the protocol-relevant fields of
 // a (defaulted) ChaosConfig — everything that shapes the byte
@@ -54,11 +54,6 @@ func encodeChaosEcho(cfg ChaosConfig) []byte {
 	w.F64(cfg.AttackAtSec)
 	w.F64(cfg.SpacingM)
 	w.U32(uint32(cfg.MTUBytes))
-	if cfg.ReferencePlane {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
 	w.U32(uint32(len(cfg.ExtraFaults)))
 	for i := range cfg.ExtraFaults {
 		encodeFault(w, &cfg.ExtraFaults[i])
@@ -95,14 +90,6 @@ func decodeChaosEcho(b []byte) (ChaosConfig, error) {
 	cfg.AttackAtSec = r.F64()
 	cfg.SpacingM = r.F64()
 	cfg.MTUBytes = int(r.U32())
-	refPlane := r.U8()
-	if r.Err() != nil {
-		return cfg, r.Err()
-	}
-	if refPlane > 1 {
-		return cfg, errors.New("roborebound: snapshot echo reference-plane flag out of range")
-	}
-	cfg.ReferencePlane = refPlane == 1
 	nFaults := int(r.U32())
 	if r.Err() != nil {
 		return cfg, r.Err()

@@ -1,14 +1,14 @@
 package roborebound
 
 // swarm_differential_test.go extends the PR 5 differential layer to
-// the protocol planes: the reference plane (buffered chains, per-round
-// re-encodes, per-auditor request encodes, no audit cache) is the
-// oracle, and the fast plane must reproduce it byte for byte on all
-// three observability surfaces — chaos fingerprint, NDJSON event
-// trace, and metrics snapshot. The streaming chains, the encode-once
-// audit path, and the shared verdict cache are each allowed to exist
-// only because nothing can tell them apart from the
-// straight-from-the-paper pipeline.
+// the swarm-shared audit verdict cache, the one protocol optimisation
+// with cross-robot state: a cell with the cache detached (every audit
+// request replayed) is the oracle, and the cached cell must reproduce
+// it byte for byte on all three observability surfaces — chaos
+// fingerprint, NDJSON event trace, and metrics snapshot. The other
+// three protocol equivalences (streaming chains, the log's pre-encoded
+// window, the encode-once request tail) are pure functions, each owned
+// by a unit oracle — see DESIGN.md "Protocol-plane pipeline".
 
 import (
 	"fmt"
@@ -18,7 +18,7 @@ import (
 )
 
 // TestProtocolPlaneDifferentialMatrix runs (controller × profile ×
-// seed) cells on both planes. The cells include the default
+// seed) cells uncached and cached. The cells include the default
 // Byzantine attacker and generated fault schedules, so the cached
 // audit path is exercised under refusals, packet loss, and Safe-Mode
 // kills — not just clean rounds.
@@ -41,12 +41,12 @@ func TestProtocolPlaneDifferentialMatrix(t *testing.T) {
 				}
 				t.Run(fmt.Sprintf("%s/%s/seed%d", controller, profile, seed), func(t *testing.T) {
 					t.Parallel()
-					cfg.ReferencePlane = true
+					cfg.detachAuditCache = true
 					ref, refTrace := runTracedCell(t, cfg)
 
-					cfg.ReferencePlane = false
+					cfg.detachAuditCache = false
 					fast, fastTrace := runTracedCell(t, cfg)
-					assertCellsIdentical(t, cfg.Label()+" [fast]", ref, fast, refTrace, fastTrace)
+					assertCellsIdentical(t, cfg.Label()+" [cached]", ref, fast, refTrace, fastTrace)
 				})
 			}
 		}
@@ -54,24 +54,23 @@ func TestProtocolPlaneDifferentialMatrix(t *testing.T) {
 }
 
 // TestProtocolPlaneDifferentialSwarmCell is one production-shaped cell:
-// larger flock, spatial index on, both planes. This is the
-// miniature of what `roborebound swarm` runs at N=1000+.
+// larger flock, spatial index on, uncached and cached.
 func TestProtocolPlaneDifferentialSwarmCell(t *testing.T) {
 	if testing.Short() {
 		t.Skip("swarm cell is slow")
 	}
 	cfg := ChaosConfig{
-		Controller:     "flocking",
-		Profile:        faultinject.ProfileNone,
-		Seed:           7,
-		N:              60,
-		DurationSec:    12,
-		SpacingM:       40,
-		SpatialIndex:   true,
-		ReferencePlane: true,
+		Controller:       "flocking",
+		Profile:          faultinject.ProfileNone,
+		Seed:             7,
+		N:                60,
+		DurationSec:      12,
+		SpacingM:         40,
+		SpatialIndex:     true,
+		detachAuditCache: true,
 	}
 	ref, refTrace := runTracedCell(t, cfg)
-	cfg.ReferencePlane = false
+	cfg.detachAuditCache = false
 	fast, fastTrace := runTracedCell(t, cfg)
-	assertCellsIdentical(t, cfg.Label()+" [fast]", ref, fast, refTrace, fastTrace)
+	assertCellsIdentical(t, cfg.Label()+" [cached]", ref, fast, refTrace, fastTrace)
 }
