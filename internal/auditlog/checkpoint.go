@@ -61,7 +61,7 @@ func DecodeCheckpoint(b []byte) (Checkpoint, error) {
 
 // Hash returns h_ckpt, the value tokens bind to (§3.5).
 func (c *Checkpoint) Hash() cryptolite.ChainHash {
-	return cryptolite.SHA1(c.Encode())
+	return cryptolite.SHA1Sum(c.Encode())
 }
 
 // EncodedSize returns the checkpoint's storage footprint in bytes.

@@ -27,20 +27,19 @@ type pendingCheckpoint struct {
 // either at boot or at a token-covered checkpoint, and everything
 // before the most recent covered checkpoint has been discarded.
 //
-// Alongside the decoded entries the log keeps their concatenated wire
-// encoding, maintained incrementally: Append extends it, MarkCovered
-// truncates it. Audit requests ship the encoded segment every round,
-// so materializing it once at Append time replaces a per-round
-// re-encode of the whole window (the protocol engine reads it through
-// Segment.Encoded).
+// The window is held in one representation: the retained entries'
+// concatenated wire encoding, which is what audit requests ship every
+// round (Segment.Encoded) and what the snapshot codec serializes.
+// Append copies the entry's bytes onto its end, MarkCovered compacts it
+// in place, so a warmed log allocates nothing; nobody on the c-node
+// reads a logged payload back, so no decoded copy is kept.
 type Log struct {
 	fromBoot bool
 	start    *CoveredCheckpoint // nil ⇔ fromBoot
-	entries  []wire.LogEntry
 	pending  []pendingCheckpoint
 
 	// encoded is the concatenation of the retained entries' encodings;
-	// offsets[i] is the byte position of entries[i] within it, so any
+	// offsets[i] is the byte position of entry i within it, so any
 	// checkpoint-aligned prefix is a slice, not an encode.
 	encoded []byte
 	offsets []int
@@ -55,9 +54,11 @@ func New() *Log {
 	return &Log{fromBoot: true}
 }
 
-// Append records one input/output entry.
+// Append records one input/output entry. The payload is copied into
+// the window, so the caller's bytes may be borrowed scratch.
+//
+//rebound:hotpath every logged input and output of every robot lands here
 func (l *Log) Append(e wire.LogEntry) {
-	l.entries = append(l.entries, e)
 	l.offsets = append(l.offsets, len(l.encoded))
 	l.encoded = wire.AppendLogEntry(l.encoded, &e)
 	l.entryBytes += e.EncodedSize()
@@ -70,7 +71,7 @@ func (l *Log) AddCheckpoint(cp Checkpoint) {
 	l.pending = append(l.pending, pendingCheckpoint{
 		cp:    cp,
 		hash:  cp.Hash(),
-		index: len(l.entries),
+		index: len(l.offsets),
 	})
 }
 
@@ -79,7 +80,7 @@ func (l *Log) AddCheckpoint(cp Checkpoint) {
 var ErrUnknownCheckpoint = errors.New("auditlog: unknown checkpoint")
 
 // offsetAt returns the byte position of entry i within the encoded
-// window (i == len(entries) addresses its end).
+// window (i == EntryCount() addresses its end).
 func (l *Log) offsetAt(i int) int {
 	if i < len(l.offsets) {
 		return l.offsets[i]
@@ -90,26 +91,30 @@ func (l *Log) offsetAt(i int) int {
 // MarkCovered installs the tokens covering the checkpoint with the
 // given hash and truncates: entries before that checkpoint and all
 // earlier checkpoints are discarded. This is what keeps c-node storage
-// constant (§3.6, §5.2).
+// constant (§3.6, §5.2). The window is compacted in place — a log in
+// steady state reuses the same storage round after round — so segments
+// handed out earlier are invalidated (see SegmentTo).
 func (l *Log) MarkCovered(hash cryptolite.ChainHash, tokens []wire.Token) error {
 	for i, p := range l.pending {
 		if p.hash != hash {
 			continue
 		}
 		cut := l.offsetAt(p.index)
-		l.entries = append([]wire.LogEntry(nil), l.entries[p.index:]...)
-		l.encoded = append([]byte(nil), l.encoded[cut:]...)
-		tail := l.pending[i+1:]
-		offs := l.offsets[p.index:]
-		l.offsets = make([]int, len(offs))
-		for j, o := range offs {
+		l.encoded = l.encoded[:copy(l.encoded, l.encoded[cut:])]
+		kept := l.offsets[p.index:]
+		for j, o := range kept {
 			l.offsets[j] = o - cut
 		}
+		l.offsets = l.offsets[:len(kept)]
 		l.entryBytes = len(l.encoded)
+		tail := l.pending[i+1:]
 		for j := range tail {
 			tail[j].index -= p.index
 		}
-		l.pending = append([]pendingCheckpoint(nil), tail...)
+		// Clear the vacated records: they hold checkpoint state blobs.
+		n := copy(l.pending, tail)
+		clear(l.pending[n:])
+		l.pending = l.pending[:n]
 		l.start = &CoveredCheckpoint{CP: p.cp, Tokens: append([]wire.Token(nil), tokens...)}
 		l.fromBoot = false
 		l.truncations++
@@ -125,17 +130,14 @@ type Segment struct {
 	Start    *CoveredCheckpoint // nil ⇔ FromBoot
 	End      Checkpoint
 	EndHash  cryptolite.ChainHash
-	Entries  []wire.LogEntry
-	// Encoded is the entries' concatenated wire encoding, equal to
-	// wire.EncodeLogEntries(Entries) but maintained incrementally by
-	// the log (no per-round re-encode).
+	// Encoded is the segment's entries in their concatenated wire
+	// encoding (wire.DecodeLogEntries parses it).
 	Encoded []byte
 }
 
 // SegmentTo builds the segment ending at the pending checkpoint with
-// the given hash. The returned entries and encoding alias the log's
-// storage; the caller copies what it keeps before the log mutates
-// further.
+// the given hash. The returned encoding aliases the log's storage and
+// is valid until the next MarkCovered; the caller copies what it keeps.
 func (l *Log) SegmentTo(hash cryptolite.ChainHash) (Segment, error) {
 	for _, p := range l.pending {
 		if p.hash != hash {
@@ -146,7 +148,6 @@ func (l *Log) SegmentTo(hash cryptolite.ChainHash) (Segment, error) {
 			Start:    l.start,
 			End:      p.cp,
 			EndHash:  p.hash,
-			Entries:  l.entries[:p.index],
 			Encoded:  l.encoded[:l.offsetAt(p.index)],
 		}, nil
 	}
@@ -169,7 +170,7 @@ func (l *Log) FromBoot() bool { return l.fromBoot }
 func (l *Log) Start() *CoveredCheckpoint { return l.start }
 
 // EntryCount returns the number of retained entries.
-func (l *Log) EntryCount() int { return len(l.entries) }
+func (l *Log) EntryCount() int { return len(l.offsets) }
 
 // PendingCheckpoints returns the number of uncovered checkpoints.
 func (l *Log) PendingCheckpoints() int { return len(l.pending) }
@@ -178,30 +179,38 @@ func (l *Log) PendingCheckpoints() int { return len(l.pending) }
 func (l *Log) Truncations() int { return l.truncations }
 
 // AccountingError cross-checks the incrementally maintained byte
-// accounting against a full recount of the retained entries. A nil
-// return means log growth matches the sum of entry sizes; a non-nil
-// error describes the mismatch. The fault-injection invariant checker
-// calls this every tick — Append and MarkCovered mutate entryBytes,
-// the encoded window, and its offsets incrementally, and this is the
-// conservation check that keeps them honest.
+// accounting against a full recount: it re-parses the window's entry
+// headers (kind ‖ len) from the first byte and requires every entry to
+// start where offsets says, the last one to end where the window does,
+// and entryBytes to equal that end. A nil return means log growth
+// matches the sum of entry sizes; a non-nil error describes the
+// mismatch. The fault-injection invariant checker calls this every
+// tick — Append and MarkCovered mutate entryBytes, the window, and its
+// offsets incrementally, and this is the conservation check that keeps
+// them honest.
 func (l *Log) AccountingError() error {
-	n := 0
-	for i := range l.entries {
-		if o := l.offsetAt(i); o != n {
-			return fmt.Errorf("auditlog: entry %d recorded at offset %d, expected %d", i, o, n)
+	n, count := 0, 0
+	for n < len(l.encoded) {
+		if count < len(l.offsets) && l.offsets[count] != n {
+			return fmt.Errorf("auditlog: entry %d recorded at offset %d, expected %d", count, l.offsets[count], n)
 		}
-		n += l.entries[i].EncodedSize()
-	}
-	if n != l.entryBytes {
-		return fmt.Errorf("auditlog: entryBytes=%d but %d retained entries re-encode to %d bytes",
-			l.entryBytes, len(l.entries), n)
+		if len(l.encoded)-n < 2 {
+			return fmt.Errorf("auditlog: entry %d at offset %d has a truncated header (window holds %d bytes)",
+				count, n, len(l.encoded))
+		}
+		n += 2 + int(l.encoded[n+1])
+		count++
 	}
 	if n != len(l.encoded) {
-		return fmt.Errorf("auditlog: encoded window holds %d bytes, entries re-encode to %d",
-			len(l.encoded), n)
+		return fmt.Errorf("auditlog: encoded window holds %d bytes, its %d entries parse to %d",
+			len(l.encoded), count, n)
 	}
-	if len(l.offsets) != len(l.entries) {
-		return fmt.Errorf("auditlog: %d offsets for %d entries", len(l.offsets), len(l.entries))
+	if n != l.entryBytes {
+		return fmt.Errorf("auditlog: entryBytes=%d but %d retained entries parse to %d bytes",
+			l.entryBytes, count, n)
+	}
+	if len(l.offsets) != count {
+		return fmt.Errorf("auditlog: %d offsets for %d entries", len(l.offsets), count)
 	}
 	return nil
 }

@@ -13,6 +13,16 @@ func entry(i int) wire.LogEntry {
 	return wire.LogEntry{Kind: wire.EntryRecv, Payload: []byte{byte(i)}}
 }
 
+// segEntries decodes a segment's window, as an auditor would.
+func segEntries(t testing.TB, seg Segment) []wire.LogEntry {
+	t.Helper()
+	entries, err := wire.DecodeLogEntries(seg.Encoded)
+	if err != nil {
+		t.Fatalf("segment does not decode: %v", err)
+	}
+	return entries
+}
+
 func ckpt(t wire.Tick, state string) Checkpoint {
 	return Checkpoint{
 		Time:  t,
@@ -97,8 +107,8 @@ func TestSegmentFromBoot(t *testing.T) {
 	if !seg.FromBoot || seg.Start != nil {
 		t.Error("segment should start at boot")
 	}
-	if len(seg.Entries) != 2 {
-		t.Errorf("segment has %d entries, want 2", len(seg.Entries))
+	if n := len(segEntries(t, seg)); n != 2 {
+		t.Errorf("segment has %d entries, want 2", n)
 	}
 	if seg.EndHash != cp.Hash() {
 		t.Error("segment end hash mismatch")
@@ -138,9 +148,9 @@ func TestMarkCoveredTruncates(t *testing.T) {
 	if seg.FromBoot || seg.Start == nil {
 		t.Fatal("segment should start at covered checkpoint")
 	}
-	if len(seg.Entries) != 2 ||
-		seg.Entries[0].Payload[0] != 1 || seg.Entries[1].Payload[0] != 2 {
-		t.Errorf("segment entries wrong: %+v", seg.Entries)
+	if entries := segEntries(t, seg); len(entries) != 2 ||
+		entries[0].Payload[0] != 1 || entries[1].Payload[0] != 2 {
+		t.Errorf("segment entries wrong: %+v", entries)
 	}
 	if len(seg.Start.Tokens) != 1 {
 		t.Error("start tokens not carried")
@@ -247,7 +257,7 @@ func TestSegmentEntriesExcludePostCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seg.Entries) != 0 {
+	if len(seg.Encoded) != 0 {
 		t.Error("post-checkpoint entries leaked into segment")
 	}
 }
@@ -255,7 +265,9 @@ func TestSegmentEntriesExcludePostCheckpoint(t *testing.T) {
 // Property: under any interleaving of appends, checkpoints, and
 // coverage events, the log maintains its invariants — retained entries
 // start at the covered checkpoint, segment extraction matches what was
-// appended since, and storage is the sum of its parts.
+// appended since, and storage is the sum of its parts. The test keeps
+// its own model of the retained entries; the log holds only their
+// encoding, compacted in place on every cover.
 func TestLogRandomizedInvariants(t *testing.T) {
 	type op struct {
 		Kind byte // 0..3: append, checkpoint, cover-latest, segment-latest
@@ -263,26 +275,27 @@ func TestLogRandomizedInvariants(t *testing.T) {
 	f := func(ops []op, seedByte byte) bool {
 		l := New()
 		var hashes []cryptolite.ChainHash
-		appendedSince := 0 // entries since last pending checkpoint
+		var model []wire.LogEntry // entries the log should retain
+		latestAt := 0             // len(model) at the latest pending checkpoint
 		covered := 0
 		for i, o := range ops {
 			switch o.Kind % 4 {
 			case 0:
 				l.Append(entry(i))
-				appendedSince++
+				model = append(model, entry(i))
 			case 1:
 				cp := ckpt(wire.Tick(i), string(rune('a'+i%26)))
 				l.AddCheckpoint(cp)
 				hashes = append(hashes, cp.Hash())
-				appendedSince = 0
+				latestAt = len(model)
 			case 2:
 				if len(hashes) > 0 {
 					if err := l.MarkCovered(hashes[len(hashes)-1], nil); err != nil {
 						return false
 					}
 					covered++
-					hashes = hashes[:1:1]
 					hashes = hashes[:0]
+					model = model[latestAt:]
 				}
 			case 3:
 				if len(hashes) > 0 {
@@ -290,17 +303,17 @@ func TestLogRandomizedInvariants(t *testing.T) {
 					if err != nil {
 						return false
 					}
-					// Entries after the latest checkpoint are excluded.
-					if len(seg.Entries) != l.EntryCount()-appendedSince {
-						return false
-					}
-					// The incrementally maintained window is the entries'
-					// encoding, byte for byte (AccountingError checks only
-					// its sizes and offsets).
-					if !bytes.Equal(seg.Encoded, wire.EncodeLogEntries(seg.Entries)) {
+					// Entries after the latest checkpoint are excluded,
+					// and the window is the retained entries' encoding,
+					// byte for byte (AccountingError checks only its
+					// sizes and offsets).
+					if !bytes.Equal(seg.Encoded, wire.EncodeLogEntries(model[:latestAt])) {
 						return false
 					}
 				}
+			}
+			if l.EntryCount() != len(model) || l.AccountingError() != nil {
+				return false
 			}
 		}
 		if covered > 0 && l.FromBoot() {
@@ -313,5 +326,93 @@ func TestLogRandomizedInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAppendDoesNotAllocateOnWarmedWindow pins the steady state the
+// in-place compaction buys: once a round has grown the window, covering
+// it keeps the storage, and the next round's appends reuse it.
+func TestAppendDoesNotAllocateOnWarmedWindow(t *testing.T) {
+	l := New()
+	payload := make([]byte, 34)
+	e := wire.LogEntry{Kind: wire.EntryRecv, Payload: payload}
+	const round = 2000
+	for i := 0; i < round; i++ {
+		l.Append(e)
+	}
+	cp := ckpt(1, "warm")
+	l.AddCheckpoint(cp)
+	if err := l.MarkCovered(cp.Hash(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if l.EntryCount() != 0 {
+		t.Fatalf("cover retained %d entries, want 0", l.EntryCount())
+	}
+	// 11 batches of 100 (AllocsPerRun warms up once) stay inside the
+	// 2000-entry window the first round left behind.
+	if n := testing.AllocsPerRun(10, func() {
+		for i := 0; i < 100; i++ {
+			l.Append(e)
+		}
+	}); n != 0 {
+		t.Errorf("Append allocates %v per 100 entries on a warmed window, want 0", n)
+	}
+	if err := l.AccountingError(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestAccountingErrorLatches corrupts each piece of the incrementally
+// maintained accounting in turn. AccountingError re-parses the window
+// from its first byte, so every one of them must be reported — it is
+// the chaos checker's conservation-log invariant, and a recount that
+// trusted the fields it is checking would never fire.
+func TestAccountingErrorLatches(t *testing.T) {
+	build := func() *Log {
+		l := New()
+		for i := 0; i < 5; i++ {
+			l.Append(wire.LogEntry{Kind: wire.EntryRecv, Payload: make([]byte, 3+i)})
+		}
+		cp := ckpt(1, "s")
+		l.AddCheckpoint(cp)
+		l.Append(entry(9))
+		if err := l.MarkCovered(cp.Hash(), nil); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			l.Append(wire.LogEntry{Kind: wire.EntrySensor, Payload: make([]byte, 2*i)})
+		}
+		if err := l.AccountingError(); err != nil {
+			t.Fatalf("clean log reported: %v", err)
+		}
+		return l
+	}
+	for _, c := range []struct {
+		name    string
+		corrupt func(l *Log)
+	}{
+		{"shifted offset", func(l *Log) { l.offsets[2]++ }},
+		{"shifted first offset", func(l *Log) { l.offsets[0] = 1 }},
+		{"truncated final header", func(l *Log) {
+			// Cut the window one byte into the last entry's header.
+			l.encoded = l.encoded[:l.offsets[len(l.offsets)-1]+1]
+			l.entryBytes = len(l.encoded)
+		}},
+		{"truncated final payload", func(l *Log) {
+			l.Append(wire.LogEntry{Kind: wire.EntryRecv, Payload: make([]byte, 8)})
+			l.encoded = l.encoded[:len(l.encoded)-1]
+			l.entryBytes = len(l.encoded)
+		}},
+		{"extra offset", func(l *Log) { l.offsets = append(l.offsets, len(l.encoded)) }},
+		{"missing offset", func(l *Log) { l.offsets = l.offsets[:len(l.offsets)-1] }},
+		{"entryBytes one over", func(l *Log) { l.entryBytes++ }},
+		{"entryBytes one under", func(l *Log) { l.entryBytes-- }},
+		{"length byte rewritten", func(l *Log) { l.encoded[l.offsets[1]+1]++ }},
+	} {
+		l := build()
+		c.corrupt(l)
+		if err := l.AccountingError(); err == nil {
+			t.Errorf("%s: AccountingError did not report it", c.name)
+		}
 	}
 }

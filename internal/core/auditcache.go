@@ -36,6 +36,14 @@ type AuditCache struct {
 	next int
 
 	hits, misses uint64
+
+	// entries is the decode scratch a cache miss parses its segment
+	// into (see decodeSegment). It sits here because the cache is the one
+	// object every engine of a swarm already shares and only one of them
+	// runs at a time: one window-sized slice per swarm. Per engine, the
+	// same scratch is a window-sized slice per robot that each of them
+	// keeps at its high-water mark.
+	entries []wire.LogEntry //rebound:snapshot-skip write-only scratch, no retained state
 }
 
 // AuditVerdict is one memoized replay outcome. HCkpt is the SHA-1 of
@@ -86,6 +94,19 @@ func (c *AuditCache) Store(key [32]byte, verdict AuditVerdict) {
 		c.next = (c.next + 1) % c.cap
 	}
 	c.m[key] = verdict
+}
+
+// decodeSegment parses an audit request's encoded segment for replay.
+// With a cache attached the entries land in its swarm-shared scratch
+// and are valid until the next decodeSegment on this cache; a nil cache
+// (the uncached plane) decodes into a fresh slice.
+func (c *AuditCache) decodeSegment(seg []byte) ([]wire.LogEntry, error) {
+	if c == nil {
+		return wire.DecodeLogEntries(seg)
+	}
+	var err error
+	c.entries, err = wire.AppendDecodeLogEntries(c.entries[:0], seg)
+	return c.entries, err
 }
 
 // Len returns the number of memoized verdicts.

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"roborebound/internal/auditlog"
 	"roborebound/internal/control"
@@ -28,8 +28,9 @@ type Engine struct {
 	log   *auditlog.Log
 
 	// send is the a-node's SendWirelessEnc: it returns the frame
-	// encoding the a-node's chain witnessed (nil for audit frames) so
-	// the engine logs exactly those bytes without re-encoding.
+	// encoding the a-node's chain witnessed (nil for audit frames), lent
+	// from the node's send buffer; the engine logs exactly those bytes,
+	// and logAppend copies them before the node is called again.
 	send func(wire.Frame) ([]byte, bool) //rebound:snapshot-skip a-node wiring, reattached at rebuild
 
 	heard map[wire.RobotID]wire.Tick // last tick each peer was heard
@@ -116,7 +117,9 @@ type auditRound struct {
 // NewEngine constructs the protocol engine for one robot. The caller
 // provisions the trusted nodes (master + mission keys) separately.
 // send is the a-node's SendWirelessEnc (or an equivalent hook that
-// returns the chained frame encoding, nil for audit frames).
+// returns the chained frame encoding, nil for audit frames); the
+// engine treats the returned bytes as borrowed and copies them into its
+// log before calling send again.
 func NewEngine(id wire.RobotID, cfg Config, factory control.Factory,
 	snode *trusted.SNode, anode *trusted.ANode, send func(wire.Frame) ([]byte, bool)) *Engine {
 	return &Engine{
@@ -166,7 +169,9 @@ const appendSampleWeight = 8
 // logAppend appends one entry to the audit log, attributing the cost
 // (hash-chain + streaming-window maintenance) to the chain-append
 // perf phase, sampled 1-in-appendSampleWeight. All engine-side
-// appends route through here so the attribution is complete.
+// appends route through here so the attribution is complete. The log
+// copies the payload, which is what lets every caller pass bytes it
+// only borrows from a trusted node's buffer.
 func (e *Engine) logAppend(entry wire.LogEntry) {
 	e.appendSeq++
 	if e.appendSeq%appendSampleWeight != 0 {
@@ -223,7 +228,8 @@ func (e *Engine) OnSensorReading(reading wire.SensorReading) {
 
 // OnSensorReadingEnc is OnSensorReading with the reading's encoding
 // already in hand — the s-node chained those exact bytes (see
-// SNode.PollSensorsEnc), so the log takes them as-is.
+// SNode.PollSensorsEnc). enc is borrowed: it is copied into the log
+// here and never read after the call returns.
 func (e *Engine) OnSensorReadingEnc(reading wire.SensorReading, enc []byte) {
 	e.logAppend(wire.LogEntry{Kind: wire.EntrySensor, Payload: enc})
 	out := e.ctrl.OnSensor(reading)
@@ -247,7 +253,9 @@ func (e *Engine) OnFrame(f wire.Frame) { e.OnFrameEnc(f, nil) }
 
 // OnFrameEnc is OnFrame with the frame encoding the a-node's chain
 // witnessed (nil for audit frames, or when the caller has no encoding
-// — the engine then encodes once itself).
+// — the engine then encodes once itself). enc is borrowed from the
+// a-node's receive buffer for the duration of the call: it is copied
+// into the log here and never read after the call returns.
 func (e *Engine) OnFrameEnc(f wire.Frame, enc []byte) {
 	e.heard[f.Src] = e.now
 	if !f.IsAudit() {
@@ -326,11 +334,10 @@ func (e *Engine) startRound(now wire.Tick) {
 	if err != nil {
 		return // unreachable: we just added the checkpoint
 	}
-	// seg.Encoded is the log's incrementally maintained window; it
-	// aliases log storage, which mutates on the next Append, so the
-	// round owns a copy. It equals wire.EncodeLogEntries(seg.Entries):
-	// auditlog's AccountingError recounts its sizes and offsets every
-	// tick of every chaos cell, TestLogRandomizedInvariants its bytes.
+	// seg.Encoded aliases the log's window, which MarkCovered compacts
+	// in place, so the round owns a copy. auditlog's AccountingError
+	// re-parses the window against its offsets every tick of every
+	// chaos cell, TestLogRandomizedInvariants holds its bytes to a model.
 	round := &auditRound{
 		hash:     seg.EndHash,
 		startAt:  now,
@@ -368,7 +375,7 @@ func (e *Engine) auditorCandidates() []wire.RobotID {
 			ids = append(ids, id)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -537,7 +544,7 @@ func (e *Engine) onAuditRequestEnc(payload []byte) perf.Phase {
 		}
 		v.OK = e.verifySegment(&a)
 		if v.OK {
-			v.HCkpt = cryptolite.SHA1(a.EndCheckpoint)
+			v.HCkpt = cryptolite.SHA1Sum(a.EndCheckpoint)
 		}
 		e.acache.Store(key, v)
 		e.finishAudit(head.Auditee, head.Req, v)
@@ -563,7 +570,7 @@ func (e *Engine) onAuditRequest(a wire.AuditRequest) {
 	var v AuditVerdict
 	v.OK = e.verifySegment(&a)
 	if v.OK {
-		v.HCkpt = cryptolite.SHA1(a.EndCheckpoint)
+		v.HCkpt = cryptolite.SHA1Sum(a.EndCheckpoint)
 	}
 	e.finishAudit(a.Auditee, a.Req, v)
 }
@@ -595,6 +602,10 @@ func (e *Engine) finishAudit(auditee wire.RobotID, req wire.TokenRequest, v Audi
 // key only — never of which auditor runs it (the replica controller is
 // rebuilt from the request, and every MAC involved uses the
 // swarm-shared mission key) — which is what makes it cacheable.
+//
+// The checkpoint hashes here and at the call sites run on the stdlib
+// digest (SHA1Sum): this is the untrusted c-node hashing kilobytes, not
+// a trusted MCU.
 func (e *Engine) verifySegment(a *wire.AuditRequest) bool {
 	end, err := auditlog.DecodeCheckpoint(a.EndCheckpoint)
 	if err != nil {
@@ -611,19 +622,18 @@ func (e *Engine) verifySegment(a *wire.AuditRequest) bool {
 		if err != nil {
 			return false
 		}
-		startHash := cryptolite.SHA1(a.StartCheckpoint)
+		startHash := cryptolite.SHA1Sum(a.StartCheckpoint)
 		if err := replay.TokensCoverStart(a.Auditee, startHash, a.StartTokens,
 			e.cfg.Fmax, e.anode.VerifyToken); err != nil {
 			return false
 		}
 		req.Start = &start
 	}
-	entries, err := wire.DecodeLogEntries(a.Segment)
-	if err != nil {
+	// The entries land in the swarm-shared decode scratch when a cache
+	// is attached; replay.Verify reads them and retains nothing.
+	if req.Entries, err = e.acache.decodeSegment(a.Segment); err != nil {
 		return false
 	}
-	req.Entries = entries
-
 	return replay.Verify(req, replay.Config{
 		Factory:            e.factory,
 		BatchSize:          e.cfg.BatchSize,
@@ -672,6 +682,6 @@ func sortedTokenIDs(m map[wire.RobotID]wire.Token) []wire.RobotID {
 	for id := range m {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }

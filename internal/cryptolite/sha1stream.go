@@ -29,6 +29,14 @@ type SHA1Stream struct {
 	sum [SHA1Size]byte
 }
 
+// SHA1Sum is the one-shot SHA-1 on the same stdlib digest, for the
+// untrusted c-node's multi-kilobyte checkpoint hashes (h_ckpt, taken
+// per round by the auditee and twice per replayed segment by the
+// auditor). SHA1 stays the from-scratch reference that the trusted-node
+// cost model measures; TestSHA1SumMatchesReference pins the two
+// bit-identical.
+func SHA1Sum(data []byte) [SHA1Size]byte { return sha1.Sum(data) }
+
 // Reset restarts the stream at the SHA-1 initial state.
 func (s *SHA1Stream) Reset() {
 	if s.h == nil {

@@ -44,6 +44,21 @@ func TestSHA1StreamMatchesReference(t *testing.T) {
 	}
 }
 
+// TestSHA1SumMatchesReference pins the stdlib-backed one-shot to the
+// from-scratch SHA1 over the same block-boundary lengths.
+func TestSHA1SumMatchesReference(t *testing.T) {
+	rng := prng.New(0x5A1)
+	msg := make([]byte, 4096)
+	for i := range msg {
+		msg[i] = byte(rng.Intn(256))
+	}
+	for _, n := range []int{0, 1, 55, 56, 63, 64, 65, 119, 120, 128, 1000, 4096} {
+		if got, want := SHA1Sum(msg[:n]), SHA1(msg[:n]); got != want {
+			t.Fatalf("len %d: SHA1Sum %x != reference %x", n, got, want)
+		}
+	}
+}
+
 // TestSHA1StreamReuse checks Reset actually restarts the state: a
 // reused stream must hash exactly like a fresh one.
 func TestSHA1StreamReuse(t *testing.T) {

@@ -76,6 +76,11 @@ type Grid struct {
 	loose []Member // non-finite positions: candidates for every query
 	built bool
 
+	// byAdd is the finite-position members in Add order, which Build
+	// leaves alone. While idsOrdered holds that is ascending ID order,
+	// and a linear scan of it is born sorted (see scanAll).
+	byAdd []Member
+
 	// idsOrdered tracks whether Add calls arrived in nondecreasing ID
 	// order (both hot callers add robots/bodies that way). When true,
 	// Build may radix-sort by cell key alone: the stable scatter keeps
@@ -101,6 +106,7 @@ func (g *Grid) Reset(cellSize float64) {
 	g.keys = g.keys[:0]
 	g.spans = g.spans[:0]
 	g.loose = g.loose[:0]
+	g.byAdd = g.byAdd[:0]
 	g.built = false
 	g.idsOrdered = true
 	g.lastSlotID = math.MinInt32
@@ -161,6 +167,7 @@ func (g *Grid) Add(id int32, pos geom.Vec2) {
 	g.lastSlotID = id
 	key := pack(g.cellCoord(pos.X), g.cellCoord(pos.Y))
 	g.slots = append(g.slots, slot{key: key, m: Member{ID: id, Pos: pos}})
+	g.byAdd = append(g.byAdd, Member{ID: id, Pos: pos})
 }
 
 // Build finalizes the index: sorts members into (cell key, ID) order
@@ -421,8 +428,20 @@ func (g *Grid) NearPairs(maxDist float64, buf [][2]int32) [][2]int32 {
 }
 
 // scanAll is the linear fallback: the predicate applied to every
-// member, results sorted by ID.
+// member, results sorted by ID. On a dense population every query is
+// wider than the occupied cells and lands here, so when the members
+// were added in ID order and none is loose it walks them in that order
+// and skips the sort: the result is ascending by construction.
 func (g *Grid) scanAll(center geom.Vec2, rr float64, out []Member) []Member {
+	if g.idsOrdered && len(g.loose) == 0 {
+		for _, m := range g.byAdd {
+			if m.Pos.DistSq(center) > rr {
+				continue
+			}
+			out = append(out, m)
+		}
+		return out
+	}
 	for _, s := range g.slots {
 		if s.m.Pos.DistSq(center) > rr {
 			continue

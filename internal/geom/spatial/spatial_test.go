@@ -449,3 +449,44 @@ func TestBuildSortPathsAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestScanAllAddOrderMatchesSorted holds scanAll's sort-free walk
+// (members added in ID order, none loose) equal to the path that sorts:
+// the same members added in a shuffled order, which defeats idsOrdered.
+// Every query radius is wide enough that Within falls through to
+// scanAll; some member sets carry non-finite positions, which send both
+// grids down the sorting path and must still agree.
+func TestScanAllAddOrderMatchesSorted(t *testing.T) {
+	rng := prng.New(0x5CA7)
+	var bufA, bufB []Member
+	for iter := 0; iter < 200; iter++ {
+		n := 1 + rng.Intn(150)
+		members := make([]Member, n)
+		for i := range members {
+			// Gaps in the ID sequence: order, not density, is the contract.
+			members[i] = Member{ID: int32(3*i + rng.Intn(3)), Pos: geom.V(rng.Range(-60, 60), rng.Range(-60, 60))}
+		}
+		if iter%4 == 3 {
+			for k := 0; k < 1+rng.Intn(3); k++ {
+				members[rng.Intn(n)].Pos = []geom.Vec2{
+					geom.V(math.NaN(), 1), geom.V(math.Inf(1), 0), geom.V(2, math.Inf(-1)),
+				}[rng.Intn(3)]
+			}
+		}
+		ordered := buildGrid(t, 20, members)
+		shuffled := &Grid{}
+		shuffled.Reset(20)
+		for _, i := range rng.Perm(n) {
+			shuffled.Add(members[i].ID, members[i].Pos)
+		}
+		shuffled.Build()
+		for q := 0; q < 20; q++ {
+			center := geom.V(rng.Range(-80, 80), rng.Range(-80, 80))
+			r := rng.Range(0, 200)
+			bufA = ordered.scanAll(center, r*r, bufA[:0])
+			bufB = shuffled.scanAll(center, r*r, bufB[:0])
+			assertSameMembers(t, "add-order scan vs sorted scan", bufA, bufB)
+			assertSameMembers(t, "scan vs brute force", bufA, bruteWithin(members, center, r))
+		}
+	}
+}

@@ -122,13 +122,23 @@ func Verify(req Request, cfg Config) error {
 	}
 
 	// --- replay -------------------------------------------------------
-	// expected holds outputs the controller has produced that the log
-	// must record next, in order.
-	var expected []wire.LogEntry
+	// wantSend and wantCmd hold the encodings of outputs the controller
+	// has produced that the log must record next, send first (nil: none
+	// outstanding). There is at most one of each, because no input is
+	// accepted while any is outstanding, so they are encoded into these
+	// two fixed arrays and a replayed entry costs no allocation of its
+	// own (a broadcast too large to have been logged spills to the heap
+	// and then fails the comparison).
+	var (
+		wantSend, wantCmd []byte
+		sendEnc           [wire.FrameHeaderSize + wire.MaxLoggedPayload]byte
+		cmdEnc            [wire.ActuatorCmdSize]byte
+	)
 	for i, e := range req.Entries {
+		outstanding := wantSend != nil || wantCmd != nil
 		switch e.Kind {
 		case wire.EntrySensor:
-			if len(expected) > 0 {
+			if outstanding {
 				return fail("order", i, "input before prior outputs were logged")
 			}
 			sChain.AppendEntry(e.Kind, e.Payload)
@@ -139,14 +149,14 @@ func Verify(req Request, cfg Config) error {
 			out := ctrl.OnSensor(reading)
 			if out.Broadcast != nil {
 				frame := wire.Frame{Src: req.Auditee, Dst: wire.Broadcast, Payload: out.Broadcast}
-				expected = append(expected, wire.LogEntry{Kind: wire.EntrySend, Payload: frame.Encode()})
+				wantSend = frame.AppendEncode(sendEnc[:0])
 			}
 			if out.Cmd != nil {
-				expected = append(expected, wire.LogEntry{Kind: wire.EntryActuator, Payload: out.Cmd.Encode()})
+				wantCmd = out.Cmd.AppendEncode(cmdEnc[:0])
 			}
 
 		case wire.EntryRecv:
-			if len(expected) > 0 {
+			if outstanding {
 				return fail("order", i, "input before prior outputs were logged")
 			}
 			aChain.AppendEntry(e.Kind, e.Payload)
@@ -157,7 +167,7 @@ func Verify(req Request, cfg Config) error {
 			ctrl.OnMessage(frame.Payload)
 
 		case wire.EntryMark:
-			if len(expected) > 0 {
+			if outstanding {
 				return fail("order", i, "checkpoint marker before prior outputs were logged")
 			}
 			// A checkpoint was taken here: the trusted nodes flushed
@@ -167,13 +177,18 @@ func Verify(req Request, cfg Config) error {
 			aChain.Flush()
 
 		case wire.EntrySend, wire.EntryActuator:
-			if len(expected) == 0 {
+			var wantKind uint8
+			var want []byte
+			switch {
+			case wantSend != nil:
+				wantKind, want, wantSend = wire.EntrySend, wantSend, nil
+			case wantCmd != nil:
+				wantKind, want, wantCmd = wire.EntryActuator, wantCmd, nil
+			default:
 				return fail("output", i, "logged output the controller did not produce")
 			}
-			want := expected[0]
-			expected = expected[1:]
-			if e.Kind != want.Kind || !bytes.Equal(e.Payload, want.Payload) {
-				return fail("output", i, "output diverges from controller (kind %d vs %d)", e.Kind, want.Kind)
+			if e.Kind != wantKind || !bytes.Equal(e.Payload, want) {
+				return fail("output", i, "output diverges from controller (kind %d vs %d)", e.Kind, wantKind)
 			}
 			aChain.AppendEntry(e.Kind, e.Payload)
 
@@ -181,8 +196,8 @@ func Verify(req Request, cfg Config) error {
 			return fail("decode", i, "unknown entry kind 0x%02x", e.Kind)
 		}
 	}
-	if len(expected) > 0 {
-		return fail("output", len(req.Entries), "controller produced %d outputs missing from the log", len(expected))
+	if wantSend != nil || wantCmd != nil {
+		return fail("output", len(req.Entries), "controller produced outputs missing from the log")
 	}
 
 	// --- final state and chain tops -----------------------------------

@@ -61,14 +61,23 @@ type ANode struct {
 	toNIC      func(wire.Frame)         //rebound:snapshot-skip hardware wiring, reattached at rebuild
 	toCNode    func(wire.Frame, []byte) //rebound:snapshot-skip hardware wiring, reattached at rebuild
 	toActuator func(wire.ActuatorCmd)   //rebound:snapshot-skip hardware wiring, reattached at rebuild
+
+	// rxEnc and txEnc back the encodings the node lends to the c-node:
+	// received frames in one, sent frames and actuator commands in the
+	// other. They are separate because the c-node hook runs between a
+	// receive's encode and its chain append, and whatever the (possibly
+	// compromised) c-node sends from inside that hook must not rewrite
+	// the bytes the chain is about to commit.
+	rxEnc []byte //rebound:snapshot-skip write-only scratch, no retained state
+	txEnc []byte //rebound:snapshot-skip write-only scratch, no retained state
 }
 
 // NewANode constructs an a-node. The three forwarding hooks model the
 // wiring of Fig. 3 (c-node ↔ radio, c-node ↔ motors); nil hooks drop.
 // The c-node hook also receives the received frame's encoding as the
-// chain committed it (nil for unchained audit frames) — see
-// RecvWireless. onSafeMode is the kill-switch callback; it fires at
-// most once.
+// chain commits it (nil for unchained audit frames), on loan for the
+// duration of the call — see RecvWireless. onSafeMode is the
+// kill-switch callback; it fires at most once.
 func NewANode(cfg ANodeConfig, clock Clock,
 	toNIC func(wire.Frame), toCNode func(wire.Frame, []byte), toActuator func(wire.ActuatorCmd),
 	onSafeMode func()) *ANode {
@@ -158,8 +167,12 @@ func (a *ANode) CheckTokens() {
 // RecvWireless is triggered on packet reception (Algorithm 4): forward
 // to the c-node, and commit the frame to the chain unless it carries
 // the audit type bit. The c-node hook receives the exact frame
-// encoding the chain witnessed (nil for audit frames, which are never
-// chained) so it can log those bytes without re-encoding.
+// encoding the chain commits (nil for audit frames, which are never
+// chained). The bytes live in the node's receive buffer and are lent
+// for the duration of the hook only: the next reception overwrites
+// them, so a c-node that keeps them copies them.
+//
+//rebound:hotpath every delivered frame of every robot lands here
 func (a *ANode) RecvWireless(f wire.Frame) {
 	if !a.HasKey() {
 		return
@@ -169,7 +182,8 @@ func (a *ANode) RecvWireless(f wire.Frame) {
 	}
 	var enc []byte
 	if !f.IsAudit() {
-		enc = f.Encode()
+		a.rxEnc = f.AppendEncode(a.rxEnc[:0])
+		enc = a.rxEnc
 	}
 	if a.toCNode != nil {
 		a.toCNode(f, enc)
@@ -189,8 +203,12 @@ func (a *ANode) SendWireless(f wire.Frame) bool {
 
 // SendWirelessEnc is SendWireless returning, additionally, the frame
 // encoding the a-node committed to its chain (nil for audit frames,
-// which are never chained). The c-node must log exactly the bytes the
-// chain witnessed, so handing them out avoids a second encode there.
+// which are never chained) — the c-node must log exactly the bytes the
+// chain witnessed. The bytes live in the node's send buffer and are
+// lent until the next SendWirelessEnc or ActuatorCmdEnc on this node
+// overwrites them; a c-node that keeps them copies them.
+//
+//rebound:hotpath every frame a robot transmits goes through here
 func (a *ANode) SendWirelessEnc(f wire.Frame) ([]byte, bool) {
 	if !a.HasKey() {
 		return nil, false
@@ -204,9 +222,9 @@ func (a *ANode) SendWirelessEnc(f wire.Frame) ([]byte, bool) {
 	if f.IsAudit() {
 		return nil, true
 	}
-	enc := f.Encode()
-	a.appendToChain(wire.EntrySend, enc)
-	return enc, true
+	a.txEnc = f.AppendEncode(a.txEnc[:0])
+	a.appendToChain(wire.EntrySend, a.txEnc)
+	return a.txEnc, true
 }
 
 // ActuatorCmd forwards an actuator command and commits it to the
@@ -218,7 +236,11 @@ func (a *ANode) ActuatorCmd(cmd wire.ActuatorCmd) bool {
 }
 
 // ActuatorCmdEnc is ActuatorCmd returning the command encoding the
-// chain witnessed, for the c-node's log (see SendWirelessEnc).
+// chain witnessed, for the c-node's log. It shares SendWirelessEnc's
+// buffer and borrow rule: the bytes are lent until the next
+// SendWirelessEnc or ActuatorCmdEnc on this node.
+//
+//rebound:hotpath one actuator command per robot per control step
 func (a *ANode) ActuatorCmdEnc(cmd wire.ActuatorCmd) ([]byte, bool) {
 	if !a.HasKey() {
 		return nil, false
@@ -226,9 +248,9 @@ func (a *ANode) ActuatorCmdEnc(cmd wire.ActuatorCmd) ([]byte, bool) {
 	if a.toActuator != nil {
 		a.toActuator(cmd)
 	}
-	enc := cmd.Encode()
-	a.appendToChain(wire.EntryActuator, enc)
-	return enc, true
+	a.txEnc = cmd.AppendEncode(a.txEnc[:0])
+	a.appendToChain(wire.EntryActuator, a.txEnc)
+	return a.txEnc, true
 }
 
 func treqMACInput(t wire.Tick, auditee, auditor wire.RobotID) []byte {

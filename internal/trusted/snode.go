@@ -9,6 +9,8 @@ import "roborebound/internal/wire"
 // the right" evasion).
 type SNode struct {
 	nodeBase
+	// enc backs the reading encoding lent to the c-node (PollSensorsEnc).
+	enc []byte //rebound:snapshot-skip write-only scratch, no retained state
 }
 
 // NewSNode constructs an s-node with the given chain batch size. The
@@ -27,17 +29,19 @@ func (s *SNode) PollSensors(reading wire.SensorReading) (wire.SensorReading, boo
 }
 
 // PollSensorsEnc is PollSensors returning, additionally, the payload
-// encoding the s-node committed to its chain. The c-node must log the
-// exact bytes the chain witnessed or its audits fail; handing the
-// encoding out means it is produced once per reading instead of once
-// here and once in the engine.
+// encoding the s-node committed to its chain — the c-node must log the
+// exact bytes the chain witnessed or its audits fail. The bytes live in
+// the node's own buffer and are lent until the next PollSensorsEnc
+// overwrites them; a c-node that keeps them copies them.
+//
+//rebound:hotpath one sensor reading per robot per control step
 func (s *SNode) PollSensorsEnc(reading wire.SensorReading) (wire.SensorReading, []byte, bool) {
 	if !s.HasKey() {
 		return wire.SensorReading{}, nil, false
 	}
-	enc := reading.Encode()
-	s.appendToChain(wire.EntrySensor, enc)
-	return reading, enc, true
+	s.enc = reading.AppendEncode(s.enc[:0])
+	s.appendToChain(wire.EntrySensor, s.enc)
+	return reading, s.enc, true
 }
 
 // PowerCycle models a power cycle (see nodeBase.powerCycle).

@@ -1,6 +1,10 @@
 package wire
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+)
 
 // Log entries. The c-node logs every nondeterministic input and output
 // (§3.4): sensor readings, received and sent wireless messages, and
@@ -68,21 +72,29 @@ func validEntryKind(k uint8) bool {
 // DecodeLogEntries parses a concatenation of encoded entries, as
 // carried in an audit request's segment.
 func DecodeLogEntries(b []byte) ([]LogEntry, error) {
-	var out []LogEntry
-	r := NewReader(b)
+	return AppendDecodeLogEntries(nil, b)
+}
+
+// AppendDecodeLogEntries is DecodeLogEntries appending to dst, so a
+// caller that replays segment after segment reuses one entry slice.
+// The payloads alias b. On error dst comes back at its original length
+// (and, having possibly grown, is still the slice to keep).
+func AppendDecodeLogEntries(dst []LogEntry, b []byte) ([]LogEntry, error) {
+	base := len(dst)
+	r := Reader{buf: b}
 	for r.Remaining() > 0 {
 		kind := r.U8()
 		n := int(r.U8())
 		payload := r.Raw(n)
 		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("log entry %d: %w", len(out), err)
+			return dst[:base], fmt.Errorf("log entry %d: %w", len(dst)-base, err)
 		}
 		if !validEntryKind(kind) {
-			return nil, fmt.Errorf("log entry %d: unknown kind 0x%02x", len(out), kind)
+			return dst[:base], fmt.Errorf("log entry %d: unknown kind 0x%02x", len(dst)-base, kind)
 		}
-		out = append(out, LogEntry{Kind: kind, Payload: payload})
+		dst = append(dst, LogEntry{Kind: kind, Payload: payload})
 	}
-	return out, nil
+	return dst, nil
 }
 
 // EncodeLogEntries concatenates the encodings of entries.
@@ -125,13 +137,17 @@ const SensorReadingSize = 8 + 16 + 8
 
 // Encode serializes the reading (payload only).
 func (s *SensorReading) Encode() []byte {
-	w := NewWriter(SensorReadingSize)
-	w.U64(uint64(s.Time))
-	w.F64(s.PosX)
-	w.F64(s.PosY)
-	w.F32(s.VelX)
-	w.F32(s.VelY)
-	return w.Bytes()
+	return s.AppendEncode(make([]byte, 0, SensorReadingSize))
+}
+
+// AppendEncode appends the reading's encoding to dst and returns the
+// extended slice.
+func (s *SensorReading) AppendEncode(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, uint64(s.Time))
+	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(s.PosX))
+	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(s.PosY))
+	dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(s.VelX))
+	return binary.BigEndian.AppendUint32(dst, math.Float32bits(s.VelY))
 }
 
 // DecodeSensorReading parses a sensor reading payload.
@@ -161,11 +177,15 @@ const ActuatorCmdSize = 8 + 16
 
 // Encode serializes the command (payload only).
 func (a *ActuatorCmd) Encode() []byte {
-	w := NewWriter(ActuatorCmdSize)
-	w.U64(uint64(a.Time))
-	w.F64(a.AccX)
-	w.F64(a.AccY)
-	return w.Bytes()
+	return a.AppendEncode(make([]byte, 0, ActuatorCmdSize))
+}
+
+// AppendEncode appends the command's encoding to dst and returns the
+// extended slice.
+func (a *ActuatorCmd) AppendEncode(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, uint64(a.Time))
+	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(a.AccX))
+	return binary.BigEndian.AppendUint64(dst, math.Float64bits(a.AccY))
 }
 
 // DecodeActuatorCmd parses an actuator command payload.

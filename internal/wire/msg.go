@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"roborebound/internal/cryptolite"
@@ -66,13 +67,20 @@ func (f *Frame) EncodedSize() int { return FrameHeaderSize + len(f.Payload) }
 
 // Encode serializes the frame.
 func (f *Frame) Encode() []byte {
-	w := NewWriter(FrameHeaderSize + len(f.Payload))
-	w.U16(uint16(f.Src))
-	w.U16(uint16(f.Dst))
-	w.U8(f.Flags)
-	w.U16(uint16(len(f.Payload)))
-	w.Raw(f.Payload)
-	return w.Bytes()
+	return f.AppendEncode(make([]byte, 0, f.EncodedSize()))
+}
+
+// AppendEncode appends the frame's encoding to dst and returns the
+// extended slice, so a caller that owns a buffer (the a-node encodes
+// every received frame) pays no allocation per frame. It appends
+// directly instead of going through a Writer: a destination handed to
+// a *Writer escapes, and replay.Verify encodes into stack arrays.
+func (f *Frame) AppendEncode(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint16(dst, uint16(f.Src))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(f.Dst))
+	dst = append(dst, f.Flags)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(f.Payload)))
+	return append(dst, f.Payload...)
 }
 
 // DecodeFrame parses an encoded frame.

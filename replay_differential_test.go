@@ -57,7 +57,13 @@ func collectSegments(t *testing.T, s *Sim) map[wire.RobotID]replayCell {
 		if err != nil {
 			t.Fatalf("robot %d: %v", id, err)
 		}
-		if len(seg.Entries) == 0 {
+		// The segment aliases the log's window; the cell outlives it.
+		encoded := bytes.Clone(seg.Encoded)
+		entries, err := wire.DecodeLogEntries(encoded)
+		if err != nil {
+			t.Fatalf("robot %d: log segment does not decode: %v", id, err)
+		}
+		if len(entries) == 0 {
 			t.Fatalf("robot %d: empty log segment — the differential would be vacuous", id)
 		}
 
@@ -71,7 +77,7 @@ func collectSegments(t *testing.T, s *Sim) map[wire.RobotID]replayCell {
 				blob.Write(tok.Encode())
 			}
 		}
-		blob.Write(wire.EncodeLogEntries(seg.Entries))
+		blob.Write(encoded)
 		blob.Write(seg.End.Encode())
 
 		req := replay.Request{
@@ -79,7 +85,7 @@ func collectSegments(t *testing.T, s *Sim) map[wire.RobotID]replayCell {
 			ReqT:     authS.T, // a token request issued right now
 			FromBoot: seg.FromBoot,
 			End:      seg.End,
-			Entries:  seg.Entries,
+			Entries:  entries,
 		}
 		if !seg.FromBoot {
 			start := seg.Start.CP
