@@ -2,10 +2,10 @@ package roborebound
 
 // Performance-plane overhead benchmarks: the same chaos cell run with
 // the wall-clock perf plane detached (Off) and fully attached (On —
-// phase timer, runtime sampler). `make bench-perf` records the pair
-// (plus the perf package's Start/End micro benches) into the committed
-// BENCH_perf.json as the absolute numbers; the ≤3% overhead contract
-// itself is gated on BenchmarkPerf_Sim_Overhead, which interleaves
+// phase timer, runtime sampler). The Off/On pair gives the absolute
+// numbers (`make bench-all`; the benchmark's sim.trace_overhead_pct is
+// the ledger's reading); the ≤3% overhead contract itself is gated on
+// BenchmarkPerf_Sim_Overhead, which interleaves
 // off/on cells in an ABBA schedule and reports the paired percentage
 // directly (`make bench-gate` holds it to ≤3 via benchjson
 // -maxmetric). Two separately-timed benchmarks drift ±10% or more on

@@ -2,8 +2,7 @@ package roborebound
 
 // Swarm-scale hot-path benchmarks: radio delivery and collision
 // detection at 100–500 robots, brute-force vs spatially indexed.
-// `make bench-scale` records them into the committed BENCH_scale.json;
-// CI's bench gate (`make bench-gate`) re-runs the pairs and asserts
+// CI's bench gate (`make bench-gate`) runs the pairs and asserts
 // the indexed Deliver and collision paths stay ≥5× faster than brute
 // at N=500 — a machine-independent within-run ratio, so the gate
 // doesn't flake on slow runners the way absolute ns/op would.
@@ -84,10 +83,9 @@ func BenchmarkScale_Collision_Indexed_N100(b *testing.B) { benchScaleCollision(b
 func BenchmarkScale_Collision_Brute_N500(b *testing.B)   { benchScaleCollision(b, 500, false) }
 func BenchmarkScale_Collision_Indexed_N500(b *testing.B) { benchScaleCollision(b, 500, true) }
 
-// benchScaleSim runs a whole protected chaos cell at swarm scale, so
-// BENCH_scale.json also records what the index buys end to end (the
-// protocol engine dilutes the hot-path win; that context belongs next
-// to the headline numbers).
+// benchScaleSim runs a whole protected chaos cell at swarm scale: what
+// the index buys end to end (the protocol engine dilutes the hot-path
+// win; that context belongs next to the headline numbers).
 func benchScaleSim(b *testing.B, indexed bool) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -29,6 +29,11 @@ import (
 // runner pool; parallelism never changes a single byte of any cell's
 // result.
 
+// ChaosTicksPerSecond is the chaos harness's fixed tick rate. Every
+// tick↔second conversion outside RunChaos (snapshot tick bounds, the
+// Perfetto time mapping) reads it from here.
+const ChaosTicksPerSecond = 4.0
+
 // ChaosConfig describes one chaos cell. Zero values take defaults.
 type ChaosConfig struct {
 	// Controller selects the mission: "flocking" (default), "patrol",
@@ -250,7 +255,7 @@ type ChaosResult struct {
 // hooks installed and every attacker (deliberate and crash-faulted)
 // in place. It returns the sim and the deliberate attacker IDs.
 func buildChaosSim(cfg ChaosConfig, cc core.Config, sched *faultinject.Schedule) (*Sim, []wire.RobotID) {
-	tps := 4.0
+	const tps = ChaosTicksPerSecond
 	attackAt := wire.Tick(cfg.AttackAtSec * tps)
 	attackers := make(map[int]bool) // slot -> deliberate attacker
 	var attackerIDs []wire.RobotID
@@ -369,7 +374,7 @@ func buildChaosSim(cfg ChaosConfig, cc core.Config, sched *faultinject.Schedule)
 // byte-identical results.
 func RunChaos(cfg ChaosConfig) ChaosResult {
 	cfg = cfg.withDefaults()
-	tps := 4.0
+	const tps = ChaosTicksPerSecond
 	cc := core.DefaultConfig(tps)
 	cc.Fmax = cfg.Fmax
 	cc.AutoServeLimit()

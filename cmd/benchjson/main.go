@@ -3,16 +3,13 @@
 // GOMAXPROCS suffix stripped), each holding every reported metric
 // (ns/op, B/op, allocs/op, and any custom b.ReportMetric units).
 // Names and metric keys are emitted sorted, so reruns on the same
-// numbers produce byte-identical files — the committed BENCH_obs.json
-// is generated through it by `make bench`.
+// numbers produce byte-identical output.
 //
 // Usage:
 //
-//	go test -bench . -benchmem ./... | benchjson -o BENCH_obs.json
+//	go test -bench . -benchmem ./... | benchjson -o report.json
 //
-// It doubles as the CI bench gate. With -baseline it compares the
-// fresh numbers on stdin against a committed report and fails when a
-// shared benchmark's ns/op regressed past -tolerance. With -minratio
+// It doubles as the CI bench gate (`make bench-gate`). With -minratio
 // (repeatable) it asserts within-run speedup ratios — e.g.
 //
 //	-minratio 'BenchmarkScale_Deliver_Brute_N500/BenchmarkScale_Deliver_Indexed_N500>=5'
@@ -25,12 +22,10 @@
 //
 // caps a custom b.ReportMetric value, which is how the perf plane's
 // paired overhead measurement is gated. -minmetric is the mirror image
-// ('Bench:unit>=X'), used to enforce floors — e.g. the serving layer's
-// 1000-concurrent-session contract. Ratio and metric gates compare
-// numbers from the same run on the same machine, so they hold on any
-// runner; the baseline check is a coarse backstop against
-// order-of-magnitude regressions and should be given a generous
-// tolerance in CI.
+// ('Bench:unit>=X'). Ratio and metric gates compare numbers from the
+// same run on the same machine, so they hold on any runner; numbers
+// across commits are the benchmark's business (`go run ./benchmark
+// -compare`), not this tool's.
 package main
 
 import (
@@ -40,7 +35,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -48,10 +42,6 @@ import (
 var (
 	output = flag.String("o", "", "write the JSON report to this file instead of stdout")
 
-	baseline = flag.String("baseline", "",
-		"committed benchjson report to compare against; any benchmark present in both whose ns/op exceeds (1+tolerance)×baseline fails the gate")
-	tolerance = flag.Float64("tolerance", 0.25,
-		"allowed relative ns/op regression against -baseline (0.25 = 25% slower)")
 	minRatios  gateFlags
 	maxMetrics gateFlags
 	minMetrics gateFlags
@@ -72,40 +62,9 @@ type gateFlags []string
 func (g *gateFlags) String() string     { return strings.Join(*g, ", ") }
 func (g *gateFlags) Set(s string) error { *g = append(*g, s); return nil }
 
-// checkBaseline compares fresh ns/op numbers against a committed
-// report, returning one error per regression past tol. Benchmarks
-// present on only one side are skipped: the baseline is recorded by
-// `make bench-scale` on whatever machine last refreshed it, and CI
-// must not fail because a runner ran a different subset.
-func checkBaseline(cur, base map[string]map[string]float64, tol float64) []error {
-	var errs []error
-	names := make([]string, 0, len(cur))
-	for name := range cur {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		b, ok := base[name]
-		if !ok {
-			continue
-		}
-		curNs, haveCur := cur[name]["ns/op"]
-		baseNs, haveBase := b["ns/op"]
-		if !haveCur || !haveBase || baseNs <= 0 {
-			continue
-		}
-		if curNs > baseNs*(1+tol) {
-			errs = append(errs, fmt.Errorf(
-				"%s: %.0f ns/op vs baseline %.0f ns/op (%.2fx, tolerance %.2fx)",
-				name, curNs, baseNs, curNs/baseNs, 1+tol))
-		}
-	}
-	return errs
-}
-
 // checkRatios enforces 'A/B>=X' speedup gates against the fresh
-// numbers. Unlike the baseline check, a missing benchmark is an error:
-// a gate that silently stops measuring is worse than a failing one.
+// numbers. A missing benchmark is an error: a gate that silently stops
+// measuring is worse than a failing one.
 func checkRatios(cur map[string]map[string]float64, gates []string) []error {
 	var errs []error
 	for _, gate := range gates {
@@ -182,19 +141,6 @@ func checkMetrics(cur map[string]map[string]float64, gates []string, op string) 
 		}
 	}
 	return errs
-}
-
-// loadReport reads a committed benchjson JSON report.
-func loadReport(path string) (map[string]map[string]float64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var report map[string]map[string]float64
-	if err := json.Unmarshal(data, &report); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	return report, nil
 }
 
 // stripProcs removes the trailing -N GOMAXPROCS suffix go test adds
@@ -277,16 +223,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	var errs []error
-	if *baseline != "" {
-		base, err := loadReport(*baseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		errs = append(errs, checkBaseline(results, base, *tolerance)...)
-	}
-	errs = append(errs, checkRatios(results, minRatios)...)
+	errs := checkRatios(results, minRatios)
 	errs = append(errs, checkMetrics(results, maxMetrics, "<=")...)
 	errs = append(errs, checkMetrics(results, minMetrics, ">=")...)
 	for _, e := range errs {
@@ -295,7 +232,7 @@ func main() {
 	if len(errs) > 0 {
 		os.Exit(1)
 	}
-	if *baseline != "" || len(minRatios) > 0 || len(maxMetrics) > 0 || len(minMetrics) > 0 {
+	if len(minRatios) > 0 || len(maxMetrics) > 0 || len(minMetrics) > 0 {
 		fmt.Fprintln(os.Stderr, "bench gates passed")
 	}
 }

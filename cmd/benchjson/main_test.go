@@ -91,21 +91,6 @@ func report(pairs map[string]float64) map[string]map[string]float64 {
 	return out
 }
 
-func TestCheckBaseline(t *testing.T) {
-	base := report(map[string]float64{"BenchmarkA": 100, "BenchmarkB": 1000})
-	// Within tolerance, faster, and baseline-only benchmarks all pass.
-	cur := report(map[string]float64{"BenchmarkA": 120, "BenchmarkOnlyHere": 9e9})
-	if errs := checkBaseline(cur, base, 0.25); len(errs) != 0 {
-		t.Fatalf("unexpected failures: %v", errs)
-	}
-	// Past tolerance fails, and only the regressed benchmark is named.
-	cur = report(map[string]float64{"BenchmarkA": 126, "BenchmarkB": 900})
-	errs := checkBaseline(cur, base, 0.25)
-	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "BenchmarkA") {
-		t.Fatalf("want one BenchmarkA failure, got %v", errs)
-	}
-}
-
 func TestCheckRatios(t *testing.T) {
 	cur := report(map[string]float64{"BenchmarkBrute": 1000, "BenchmarkIndexed": 150})
 	if errs := checkRatios(cur, []string{"BenchmarkBrute/BenchmarkIndexed>=5"}); len(errs) != 0 {

@@ -199,12 +199,11 @@ subcommands:
   serve    simulation-as-a-service: listen on -addr and expose every
            facade as submitted jobs behind a multi-tenant fair-share
            scheduler (bounded queues, 429+Retry-After backpressure,
-           NDJSON progress streams, chunked/gzip artifacts); SIGTERM
+           NDJSON progress streams, raw/gzip artifacts); SIGTERM
            drains gracefully — running jobs finish or checkpoint,
            queued jobs are rejected with resubmission handles; with
            -selftest, run the HTTP≡facade differential selftest and
-           exit; with -load N, drive N concurrent sessions and print
-           the queue/service/end-to-end latency split
+           exit
   all      every figure and table above
 
 flags:`)

@@ -128,6 +128,7 @@ func TestCLIArguments(t *testing.T) {
 		{"trace flag as scenario", []string{"trace", "-quick"}, 2, "flags go before the subcommand", ""},
 		{"removed swarm subcommand", []string{"swarm"}, 2, `unknown subcommand "swarm"`, ""},
 		{"removed -shards flag", []string{"-shards", "4", "perf"}, 2, "flag provided but not defined: -shards", ""},
+		{"removed -load flag", []string{"-load", "8", "serve"}, 2, "flag provided but not defined: -load", ""},
 		{"plain subcommand", []string{"table1"}, 0, "", ""},
 		{"trace keeps its scenario", []string{"-quick", "trace", "patrol"}, 0, "", "trace patrol"},
 	}

@@ -71,7 +71,7 @@ func perfCmd() {
 		fmt.Fprintf(out, "  differential: FAIL — timed fingerprint differs from the untimed run\n    %s\n    %s\n",
 			timed.Metrics.Fingerprint, baseline.Metrics.Fingerprint)
 		perfFailed = true
-	case !sameSnapshots(baseline.MetricsSnapshot, timed.MetricsSnapshot):
+	case !obs.SamplesEqual(baseline.MetricsSnapshot, timed.MetricsSnapshot):
 		fmt.Fprintf(out, "  differential: FAIL — metrics snapshot differs with the perf plane attached\n")
 		perfFailed = true
 	case baseCol != nil && !sameNDJSON(baseCol, perfCol):
@@ -120,7 +120,7 @@ func perfCmd() {
 	if *perfettoOut != "" {
 		writeObsFile(*perfettoOut, "merged Perfetto trace", func(w io.Writer) error {
 			return perf.WriteMergedTrace(w, perfCol.Events(),
-				obs.TickMapping{TicksPerSecond: chaosTPS}, rec)
+				obs.TickMapping{TicksPerSecond: rr.ChaosTicksPerSecond}, rec)
 		})
 		if rec.Dropped() > 0 {
 			fmt.Fprintf(os.Stderr, "  perf: span recorder dropped %d spans (limit %d)\n",
@@ -132,19 +132,6 @@ func perfCmd() {
 			return perf.WritePhaseJSON(w, timer, rt)
 		})
 	}
-}
-
-// sameSnapshots compares two metrics snapshots sample-by-sample.
-func sameSnapshots(a, b []obs.Sample) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // sameNDJSON compares two collectors' serialized event streams byte

@@ -30,8 +30,6 @@ var (
 		"serve: directory for artifact spillover (empty = keep all artifacts in memory)")
 	serveSelftest = flag.Bool("selftest", false,
 		"serve: run the HTTP≡facade selftest against an ephemeral loopback server and exit (nonzero on any divergence)")
-	serveLoad = flag.Int("load", 0,
-		"serve: drive N concurrent load sessions against an ephemeral in-process server, print the latency report, and exit")
 	serveDrainSec = flag.Float64("drain-timeout", 30,
 		"serve: seconds to wait for running jobs to finish or checkpoint on SIGTERM/SIGINT")
 )
@@ -40,51 +38,12 @@ var (
 var serveFailed bool
 
 func serveCmd() {
-	switch {
-	case *serveSelftest:
-		if err := serve.RunSelftest(out); err != nil {
-			fmt.Fprintf(os.Stderr, "serve: selftest: %v\n", err)
-			serveFailed = true
-		}
-	case *serveLoad > 0:
-		serveLoadCmd()
-	default:
+	if !*serveSelftest {
 		serveListen()
-	}
-}
-
-// serveLoadCmd runs the load harness against an in-process server and
-// prints the per-tenant queue/service/end-to-end split.
-func serveLoadCmd() {
-	report, err := serve.RunLoad(serve.LoadOptions{
-		Sessions: *serveLoad,
-		Workers:  *serveWorkers,
-		Seed:     *seed,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "serve: load: %v\n", err)
-		serveFailed = true
 		return
 	}
-	fmt.Fprintf(out, "Serve load — %d sessions, %d errors, %.1f sessions/s (%.2fs wall)\n",
-		report.Sessions, report.Errors, report.ThroughputPerSec, float64(report.ElapsedNs)/1e9)
-	fmt.Fprintf(out, "%-10s %9s | %27s | %27s\n", "tenant", "sessions", "queue p50/p95/p99 (ms)", "service p50/p95/p99 (ms)")
-	for _, tl := range report.Tenants {
-		q, s := tl.Timing.Queue, tl.Timing.Service
-		fmt.Fprintf(out, "%-10s %9d | %8.2f %8.2f %8.2f | %8.2f %8.2f %8.2f\n",
-			tl.Tenant, tl.Timing.Sessions,
-			q.P50Ns/1e6, q.P95Ns/1e6, q.P99Ns/1e6,
-			s.P50Ns/1e6, s.P95Ns/1e6, s.P99Ns/1e6)
-	}
-	o := report.Overall
-	fmt.Fprintf(out, "%-10s %9d | %8.2f %8.2f %8.2f | %8.2f %8.2f %8.2f\n",
-		"all", o.Sessions,
-		o.Queue.P50Ns/1e6, o.Queue.P95Ns/1e6, o.Queue.P99Ns/1e6,
-		o.Service.P50Ns/1e6, o.Service.P95Ns/1e6, o.Service.P99Ns/1e6)
-	e := report.EndToEnd
-	fmt.Fprintf(out, "end-to-end p50/p95/p99: %.2f / %.2f / %.2f ms\n",
-		e.P50Ns/1e6, e.P95Ns/1e6, e.P99Ns/1e6)
-	if report.Errors > 0 {
+	if err := serve.RunSelftest(out); err != nil {
+		fmt.Fprintf(os.Stderr, "serve: selftest: %v\n", err)
 		serveFailed = true
 	}
 }

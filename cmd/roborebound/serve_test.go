@@ -7,21 +7,21 @@ import (
 	"roborebound/internal/serve"
 )
 
-// captureServe runs the serve subcommand with its mode flags pinned,
-// restoring everything after.
-func captureServe(t *testing.T, selftest bool, load int, f func()) string {
+// captureServe runs the serve subcommand in selftest mode, restoring
+// the flags after.
+func captureServe(t *testing.T, f func()) string {
 	t.Helper()
-	oldSelftest, oldLoad, oldWorkers := *serveSelftest, *serveLoad, *serveWorkers
-	*serveSelftest, *serveLoad, *serveWorkers = selftest, load, 2
+	oldSelftest, oldWorkers := *serveSelftest, *serveWorkers
+	*serveSelftest, *serveWorkers = true, 2
 	defer func() {
-		*serveSelftest, *serveLoad, *serveWorkers = oldSelftest, oldLoad, oldWorkers
+		*serveSelftest, *serveWorkers = oldSelftest, oldWorkers
 		serveFailed = false
 	}()
 	return capture(t, false, f)
 }
 
 func TestServeSelftestCLI(t *testing.T) {
-	got := captureServe(t, true, 0, serveCmd)
+	got := captureServe(t, serveCmd)
 	if serveFailed {
 		t.Fatalf("serve -selftest failed:\n%s", got)
 	}
@@ -32,17 +32,5 @@ func TestServeSelftestCLI(t *testing.T) {
 	}
 	if !strings.Contains(got, "byte-identical") {
 		t.Errorf("selftest output missing the byte-identical verdict:\n%s", got)
-	}
-}
-
-func TestServeLoadCLI(t *testing.T) {
-	got := captureServe(t, false, 8, serveCmd)
-	if serveFailed {
-		t.Fatalf("serve -load failed:\n%s", got)
-	}
-	for _, want := range []string{"8 sessions, 0 errors", "tenant", "queue p50/p95/p99", "service p50/p95/p99", "end-to-end p50/p95/p99"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("load output missing %q:\n%s", want, got)
-		}
 	}
 }

@@ -50,7 +50,7 @@ func snapshotCellConfig() rr.ChaosConfig {
 // tick boundary (default: midpoint) to -o.
 func snapshotCmd() {
 	cfg := snapshotCellConfig()
-	total := wire.Tick(cfg.DurationSec * 4)
+	total := wire.Tick(cfg.DurationSec * rr.ChaosTicksPerSecond)
 	at := wire.Tick(*snapAt)
 	if at == 0 {
 		at = total / 2
@@ -102,26 +102,15 @@ func resumeCmd() {
 	if !*snapVerify {
 		return
 	}
-	base := res.Config
-	base.ResumeFrom = nil
-	baseline := rr.RunChaos(base)
-	switch {
-	case baseline.Metrics.Fingerprint != res.Metrics.Fingerprint:
+	switch v := rr.VerifyChaosResume(res); {
+	case !v.FingerprintMatch:
 		fmt.Fprintf(out, "  verify: FAIL — resumed fingerprint differs from the uninterrupted run\n    %s\n    %s\n",
-			res.Metrics.Fingerprint, baseline.Metrics.Fingerprint)
+			res.Metrics.Fingerprint, v.OracleFingerprint)
 		snapshotFailed = true
-	case len(baseline.MetricsSnapshot) != len(res.MetricsSnapshot):
-		fmt.Fprintf(out, "  verify: FAIL — metrics snapshot shape differs\n")
+	case !v.MetricsMatch:
+		fmt.Fprintf(out, "  verify: FAIL — metrics snapshot differs after resume\n")
 		snapshotFailed = true
 	default:
-		for i := range baseline.MetricsSnapshot {
-			if baseline.MetricsSnapshot[i] != res.MetricsSnapshot[i] {
-				fmt.Fprintf(out, "  verify: FAIL — metric %q differs after resume\n",
-					baseline.MetricsSnapshot[i].Name)
-				snapshotFailed = true
-				return
-			}
-		}
 		fmt.Fprintf(out, "  verify: ok — resumed run is byte-identical to the uninterrupted run\n")
 	}
 }

@@ -24,10 +24,6 @@ var (
 		"write the final metrics snapshot as JSON to this file (trace: one run; chaos: summed across cells)")
 )
 
-// chaosTPS is the chaos harness's fixed tick rate; the Perfetto
-// exporter maps tick timestamps to microseconds with it.
-const chaosTPS = 4
-
 // writeObsFile writes one exporter output, reporting the path on the
 // main output stream so tests (and users) see what was produced.
 func writeObsFile(path, what string, write func(io.Writer) error) {
@@ -100,7 +96,7 @@ func traceCmd() {
 	}
 	if *perfettoOut != "" {
 		writeObsFile(*perfettoOut, "Perfetto trace", func(w io.Writer) error {
-			return obs.WriteChromeTrace(w, col.Events(), obs.TickMapping{TicksPerSecond: chaosTPS})
+			return obs.WriteChromeTrace(w, col.Events(), obs.TickMapping{TicksPerSecond: rr.ChaosTicksPerSecond})
 		})
 	}
 	if *metricsOut != "" {

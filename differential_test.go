@@ -55,7 +55,7 @@ func assertCellsIdentical(t *testing.T, label string, brute, indexed ChaosResult
 		t.Errorf("%s: NDJSON traces diverge (%d vs %d bytes): %s",
 			label, len(bruteTrace), len(indexedTrace), firstTraceDiff(bruteTrace, indexedTrace))
 	}
-	if !samplesEqual(brute.MetricsSnapshot, indexed.MetricsSnapshot) {
+	if !obs.SamplesEqual(brute.MetricsSnapshot, indexed.MetricsSnapshot) {
 		t.Errorf("%s: metrics snapshots diverge", label)
 	}
 	if (brute.Violation == nil) != (indexed.Violation == nil) {

@@ -7,9 +7,9 @@ import (
 	"roborebound/internal/prng"
 )
 
-// The micro pair behind BENCH_scale.json's grid-level numbers: one
-// query against N=500 points spread over a 64 m grid (the Fig. 7
-// swarm-scale density), grid vs linear scan.
+// The grid-level micro pair behind the scale benchmarks: one query
+// against N=500 points spread over a 64 m grid (the Fig. 7 swarm-scale
+// density), grid vs linear scan.
 
 func benchPoints(n int) []Member {
 	rng := prng.New(1)

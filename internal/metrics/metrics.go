@@ -5,7 +5,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -33,33 +32,6 @@ func (s *Series) Final() float64 {
 		return 0
 	}
 	return s.Values[len(s.Values)-1]
-}
-
-// Max returns the largest value (0 if empty).
-func (s *Series) Max() float64 {
-	m := math.Inf(-1)
-	for _, v := range s.Values {
-		if v > m {
-			m = v
-		}
-	}
-	if math.IsInf(m, -1) {
-		return 0
-	}
-	return m
-}
-
-// Mean returns the arithmetic mean (0 if empty).
-func (s *Series) Mean() float64 { return Mean(s.Values) }
-
-// At returns the value at the latest sample with time ≤ t (0, false if
-// none).
-func (s *Series) At(t wire.Tick) (float64, bool) {
-	i := sort.Search(len(s.Times), func(i int) bool { return s.Times[i] > t })
-	if i == 0 {
-		return 0, false
-	}
-	return s.Values[i-1], true
 }
 
 // Mean returns the arithmetic mean of vs (0 if empty).
@@ -90,36 +62,4 @@ func Percentile(vs []float64, p float64) float64 {
 		rank = len(sorted)
 	}
 	return sorted[rank-1]
-}
-
-// MinMax returns the extremes of vs (0,0 if empty).
-func MinMax(vs []float64) (lo, hi float64) {
-	if len(vs) == 0 {
-		return 0, 0
-	}
-	lo, hi = vs[0], vs[0]
-	for _, v := range vs[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return lo, hi
-}
-
-// FmtBytes renders a byte rate or size human-readably for the CLI
-// tables.
-func FmtBytes(b float64) string {
-	switch {
-	case b >= 1<<30:
-		return fmt.Sprintf("%.2f GB", b/(1<<30))
-	case b >= 1<<20:
-		return fmt.Sprintf("%.2f MB", b/(1<<20))
-	case b >= 1<<10:
-		return fmt.Sprintf("%.2f kB", b/(1<<10))
-	default:
-		return fmt.Sprintf("%.0f B", b)
-	}
 }

@@ -4,61 +4,19 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"roborebound/internal/wire"
 )
 
 func TestSeriesBasics(t *testing.T) {
 	var s Series
-	if s.Len() != 0 || s.Final() != 0 || s.Max() != 0 || s.Mean() != 0 {
+	if s.Len() != 0 || s.Final() != 0 {
 		t.Error("empty series should report zeros")
 	}
 	s.Add(0, 3)
 	s.Add(4, 1)
 	s.Add(8, 5)
-	if s.Len() != 3 || s.Final() != 5 || s.Max() != 5 {
+	if s.Len() != 3 || s.Final() != 5 {
 		t.Errorf("series stats wrong: %+v", s)
 	}
-	if s.Mean() != 3 {
-		t.Errorf("mean = %v", s.Mean())
-	}
-}
-
-func TestSeriesAtEdges(t *testing.T) {
-	var empty Series
-	if v, ok := empty.At(0); ok || v != 0 {
-		t.Errorf("empty At(0) = %v, %v", v, ok)
-	}
-	var one Series
-	one.Add(10, 7)
-	if _, ok := one.At(9); ok {
-		t.Error("single-sample At before the sample should fail")
-	}
-	if v, ok := one.At(10); !ok || v != 7 {
-		t.Errorf("single-sample At(10) = %v, %v", v, ok)
-	}
-	if v, ok := one.At(wire.Tick(math.MaxUint64)); !ok || v != 7 {
-		t.Errorf("single-sample At(max) = %v, %v", v, ok)
-	}
-}
-
-func TestSeriesAt(t *testing.T) {
-	var s Series
-	s.Add(10, 1)
-	s.Add(20, 2)
-	if _, ok := s.At(5); ok {
-		t.Error("At before first sample should fail")
-	}
-	if v, ok := s.At(10); !ok || v != 1 {
-		t.Errorf("At(10) = %v, %v", v, ok)
-	}
-	if v, ok := s.At(15); !ok || v != 1 {
-		t.Errorf("At(15) = %v, %v", v, ok)
-	}
-	if v, ok := s.At(25); !ok || v != 2 {
-		t.Errorf("At(25) = %v, %v", v, ok)
-	}
-	_ = wire.Tick(0)
 }
 
 func TestMean(t *testing.T) {
@@ -128,37 +86,5 @@ func TestPercentileMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	lo, hi := MinMax([]float64{3, -1, 4})
-	if lo != -1 || hi != 4 {
-		t.Errorf("MinMax = %v, %v", lo, hi)
-	}
-	lo, hi = MinMax(nil)
-	if lo != 0 || hi != 0 {
-		t.Error("empty MinMax != 0,0")
-	}
-	lo, hi = MinMax([]float64{-2})
-	if lo != -2 || hi != -2 {
-		t.Errorf("single-sample MinMax = %v, %v", lo, hi)
-	}
-}
-
-func TestFmtBytes(t *testing.T) {
-	cases := map[float64]string{
-		100:             "100 B",
-		2048:            "2.00 kB",
-		2 << 20:         "2.00 MB",
-		1<<30 - 1:       "1024.00 MB", // just under the GB tier stays MB
-		1 << 30:         "1.00 GB",
-		3 << 30:         "3.00 GB",
-		1.5 * (1 << 30): "1.50 GB",
-	}
-	for in, want := range cases {
-		if got := FmtBytes(in); got != want {
-			t.Errorf("FmtBytes(%v) = %q, want %q", in, got, want)
-		}
 	}
 }

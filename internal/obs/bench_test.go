@@ -6,7 +6,7 @@ import (
 	"roborebound/internal/wire"
 )
 
-// The tracer-overhead micro-benches feed BENCH_obs.json (make bench).
+// The tracer-overhead micro-benches (`make bench-all`).
 // BenchmarkEmitDisabled is the number that matters most: it is the
 // cost every frame/round pays on a production (untraced) run.
 

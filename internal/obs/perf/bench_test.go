@@ -4,10 +4,10 @@ import "testing"
 
 // Micro benches for the instrumentation hot path: one Start/End span
 // per iteration, on a nil (disabled) timer and an enabled one. The
-// alloc-pin tests assert 0 allocs/op; these record the ns cost in
-// BENCH_perf.json so a regression in the disabled fast path (two nil
-// checks) or the enabled path (clock read + three atomics + bucket
-// index) is visible in review.
+// alloc-pin tests assert 0 allocs/op; these show the ns cost, so a
+// regression in the disabled fast path (two nil checks) or the enabled
+// path (clock read + three atomics + bucket index) is visible in
+// review.
 
 func BenchmarkPerf_StartEnd_Disabled(b *testing.B) {
 	var t *PhaseTimer

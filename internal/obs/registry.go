@@ -2,6 +2,8 @@ package obs
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -280,6 +282,16 @@ func (r *Registry) RegisterGaugeFunc(name string, fn func() float64) {
 type Sample struct {
 	Name  string
 	Value float64
+}
+
+// SamplesEqual reports whether two snapshots hold the same names and
+// bit-identical values, in the same order. Bitwise, not ==, so a NaN
+// gauge equals itself and +0 differs from -0: the byte-identity
+// contracts are about bytes.
+func SamplesEqual(a, b []Sample) bool {
+	return slices.EqualFunc(a, b, func(x, y Sample) bool {
+		return x.Name == y.Name && math.Float64bits(x.Value) == math.Float64bits(y.Value)
+	})
 }
 
 // Snapshot returns every registered metric as Samples sorted by name.

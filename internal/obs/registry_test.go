@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"sort"
 	"testing"
 )
@@ -177,5 +178,26 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 	if q := NewHistogram([]float64{1}).Quantile(0.5); q != 0 {
 		t.Errorf("empty histogram quantile = %v, want 0", q)
+	}
+}
+
+func TestSamplesEqual(t *testing.T) {
+	a := []Sample{{Name: "x", Value: 1}}
+	if !SamplesEqual(a, []Sample{{Name: "x", Value: 1}}) {
+		t.Error("equal snapshots compared unequal")
+	}
+	if SamplesEqual(a, []Sample{{Name: "x", Value: 2}}) ||
+		SamplesEqual(a, []Sample{{Name: "y", Value: 1}}) ||
+		SamplesEqual(a, nil) {
+		t.Error("unequal snapshots compared equal")
+	}
+	// Bitwise, where == would say otherwise: NaN equals itself, and
+	// the two zeros differ.
+	nan := []Sample{{Name: "x", Value: math.NaN()}}
+	if !SamplesEqual(nan, []Sample{{Name: "x", Value: math.NaN()}}) {
+		t.Error("identical NaN snapshots compared unequal")
+	}
+	if SamplesEqual([]Sample{{Name: "x", Value: 0}}, []Sample{{Name: "x", Value: math.Copysign(0, -1)}}) {
+		t.Error("+0 and -0 compared equal")
 	}
 }

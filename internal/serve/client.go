@@ -12,7 +12,7 @@ import (
 )
 
 // Client is a minimal typed client for the serve API, used by the
-// differential tests, the selftest, and the load harness.
+// differential tests, the selftest, and the benchmark.
 type Client struct {
 	// Base is the server root, e.g. "http://127.0.0.1:8080".
 	Base string
@@ -177,22 +177,6 @@ func (c *Client) Artifact(ctx context.Context, id, name string) ([]byte, error) 
 	}
 	defer resp.Body.Close()
 	return io.ReadAll(resp.Body)
-}
-
-// ArtifactChunked fetches one artifact through the framed chunk
-// stream and reassembles it, verifying per-chunk CRCs and the trailer
-// hash.
-func (c *Client) ArtifactChunked(ctx context.Context, id, name string, maxBytes int64) ([]byte, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/artifacts/"+name+"?format=chunked", nil)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	stream, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	return Reassemble(stream, maxBytes)
 }
 
 // Artifacts lists a job's artifacts.

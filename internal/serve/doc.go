@@ -6,11 +6,15 @@
 //
 // The package is structured as independently testable layers:
 //
+//   - kinds.go: the job-kind table, the one definition of every kind
+//     — its name, the request fields it takes, its run function, its
+//     selftest request. Kinds(), validation, dispatch, the selftest
+//     and the fuzz corpus all read it.
 //   - wire.go: the versioned JSON job-request codec. Requests are
-//     size-bounded, reject unknown fields, and validate every numeric
-//     knob against hard caps before any work is admitted — the
-//     internal/wire discipline (bounded, canonical, no trailing
-//     garbage) applied to JSON.
+//     size-bounded, reject unknown fields and fields the kind does not
+//     take, and validate every numeric knob against hard caps before
+//     any work is admitted — the internal/wire discipline (bounded,
+//     canonical, no trailing garbage) applied to JSON.
 //   - job.go: the job model — states, the NDJSON progress-event
 //     stream, and the status document clients poll.
 //   - sched.go: the multi-tenant fair-share scheduler. Per-tenant
@@ -20,19 +24,19 @@
 //     graceful drain (in-flight jobs finish or checkpoint through
 //     internal/snapshot; queued jobs are rejected carrying a
 //     resubmission handle).
-//   - store.go + chunk.go: the artifact store (memory up to a
-//     threshold, disk-backed spillover above it) and the framed
-//     chunk encoding used for chunked artifact delivery.
-//   - exec.go: the executors mapping job kinds onto the facades.
+//   - store.go: the artifact store (memory up to a threshold,
+//     disk-backed spillover above it). Artifacts are delivered raw or
+//     gzip-compressed; every status and listing carries each one's
+//     SHA-256.
+//   - exec.go: the run functions the table's rows name — one cell
+//     runner for the kinds that run a chaos cell, one per sweep.
 //     Execution is observation-only by construction — the server
 //     adds no inputs to any simulation — and the HTTP≡facade
 //     differential matrix at the repository root proves it
 //     byte-for-byte.
 //   - server.go + client.go: the net/http surface and a minimal
-//     client used by tests and the load generator.
-//   - load.go: the load-generation harness — thousands of concurrent
-//     sessions against an in-process server, publishing per-tenant
-//     latency percentiles through the internal/obs metrics registry.
+//     client used by tests, the selftest and the benchmark (whose
+//     serve_tiny_jobs workload is the layer's load harness).
 //
 // Determinism contract: everything a job computes is a pure function
 // of its request (plus any referenced artifact bytes). Wall-clock

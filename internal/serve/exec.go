@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 
 	rr "roborebound"
 	"roborebound/internal/faultinject"
@@ -192,28 +191,6 @@ func viewOfChaos(kind string, res *rr.ChaosResult, traceEvents int) chaosView {
 	return v
 }
 
-// metricsArtifact renders a metrics snapshot through the obs exporter
-// — the same writer the CLI uses, so the differential matrix can
-// compare it against a direct export byte-for-byte.
-func metricsArtifact(snap []obs.Sample) (NamedBlob, error) {
-	var buf bytes.Buffer
-	if err := obs.WriteMetricsJSON(&buf, snap); err != nil {
-		return NamedBlob{}, err
-	}
-	return NamedBlob{Name: "metrics.json", Data: buf.Bytes()}, nil
-}
-
-func eventsArtifact(events []obs.Event) (NamedBlob, error) {
-	var buf bytes.Buffer
-	if err := obs.WriteNDJSON(&buf, events); err != nil {
-		return NamedBlob{}, err
-	}
-	return NamedBlob{Name: "events.ndjson", Data: buf.Bytes()}, nil
-}
-
-// chaosTPS mirrors the facade's fixed 4 Hz tick rate (see RunChaos).
-const chaosTPS = 4.0
-
 // chaosDurationSec is the run length a chaos-family request gets: its
 // own, or RunChaos's 60 s default.
 func (r *JobRequest) chaosDurationSec() float64 {
@@ -221,14 +198,6 @@ func (r *JobRequest) chaosDurationSec() float64 {
 		return 60
 	}
 	return r.DurationSec
-}
-
-func perfettoArtifact(events []obs.Event) (NamedBlob, error) {
-	var buf bytes.Buffer
-	if err := obs.WriteChromeTrace(&buf, events, obs.TickMapping{TicksPerSecond: chaosTPS}); err != nil {
-		return NamedBlob{}, err
-	}
-	return NamedBlob{Name: "perfetto.json", Data: buf.Bytes()}, nil
 }
 
 func marshalResult(v any) ([]byte, error) {
@@ -239,39 +208,74 @@ func marshalResult(v any) ([]byte, error) {
 	return data, nil
 }
 
-// runJob executes one validated request. Every branch returns either
-// an error or a fully deterministic JobOutput.
+// runJob executes one validated request through its kind's row. Every
+// run function returns either an error or a fully deterministic
+// JobOutput.
 func runJob(req *JobRequest, resolve resolveFunc, hooks execHooks) (*JobOutput, error) {
-	switch req.Kind {
-	case KindChaos:
-		return runChaosJob(req, hooks)
-	case KindTrace:
-		return runTraceJob(req, hooks)
-	case KindFig6:
-		return runFig6Job(req, hooks)
-	case KindFig7Density, KindFig7Scale:
-		return runFig7Job(req, hooks)
-	case KindScale:
-		return runScaleJob(req, hooks)
-	case KindSnapshot:
-		return runSnapshotJob(req, hooks)
-	case KindResume:
-		return runResumeJob(req, resolve, hooks, false)
-	case KindResumeVerif:
-		return runResumeJob(req, resolve, hooks, true)
+	k := kindByName(req.Kind)
+	if k == nil {
+		return nil, fmt.Errorf("serve: unknown job kind %q", req.Kind)
 	}
-	return nil, fmt.Errorf("serve: unknown job kind %q", req.Kind)
+	return k.run(k, req, resolve, hooks)
 }
 
-func runChaosJob(req *JobRequest, hooks execHooks) (*JobOutput, error) {
-	cfg := chaosCell(req)
+// resumeVerifyView reports a resume-verify comparison: the resumed
+// run against an uninterrupted oracle of the same cell.
+type resumeVerifyView struct {
+	Kind               string `json:"kind"`
+	Label              string `json:"label"`
+	ResumedFingerprint string `json:"resumed_fingerprint"`
+	OracleFingerprint  string `json:"oracle_fingerprint,omitempty"`
+	FingerprintMatch   bool   `json:"fingerprint_match"`
+	MetricsMatch       bool   `json:"metrics_match"`
+}
+
+// runCellJob runs the one chaos cell a cell kind describes — built
+// from the request's knobs, or rebuilt from the resume handle's
+// snapshot — and renders the kind's artifacts and result document.
+func runCellJob(k *jobKind, req *JobRequest, resolve resolveFunc, hooks execHooks) (*JobOutput, error) {
 	var col *obs.Collector
-	if req.Events {
+	if k.traced || req.Events {
 		col = obs.NewCollector()
-		cfg.Trace = col
 	}
-	cfg.Interrupt = hooks.interrupt
-	res := rr.RunChaos(cfg)
+	attach := func(cfg *rr.ChaosConfig) {
+		cfg.Interrupt = hooks.interrupt
+		if col != nil {
+			cfg.Trace = col
+		}
+	}
+
+	var res rr.ChaosResult
+	if k.resumes {
+		if resolve == nil {
+			return nil, fmt.Errorf("serve: kind %q needs an artifact resolver", req.Kind)
+		}
+		data, err := resolve(*req.Resume)
+		if err != nil {
+			return nil, fmt.Errorf("serve: resolve resume handle: %w", err)
+		}
+		res, err = rr.ResumeChaosSnapshot(data, func(cfg *rr.ChaosConfig) {
+			cfg.SpatialIndex = req.SpatialIndex
+			attach(cfg)
+		})
+		if err != nil {
+			return nil, err
+		}
+	} else {
+		cfg := chaosCell(req)
+		if cfg.Profile == "" {
+			cfg.Profile = k.profile
+		}
+		if k.capture {
+			at := req.SnapshotAtTick
+			if at == 0 {
+				at = uint64(req.chaosDurationSec() * rr.ChaosTicksPerSecond / 2) // midpoint
+			}
+			cfg.SnapshotAtTicks = []wire.Tick{wire.Tick(at)}
+		}
+		attach(&cfg)
+		res = rr.RunChaos(cfg)
+	}
 	if res.SnapshotError != nil {
 		return nil, res.SnapshotError
 	}
@@ -279,71 +283,78 @@ func runChaosJob(req *JobRequest, hooks execHooks) (*JobOutput, error) {
 	if res.Checkpoint != nil {
 		out.Checkpoint = res.Checkpoint.Data
 	}
-	nEvents := 0
-	if col != nil {
-		nEvents = col.Len()
-	}
-	var err error
-	if out.Result, err = marshalResult(viewOfChaos(req.Kind, &res, nEvents)); err != nil {
-		return nil, err
-	}
-	metrics, err := metricsArtifact(res.MetricsSnapshot)
-	if err != nil {
-		return nil, err
-	}
-	out.Artifacts = append(out.Artifacts, metrics)
-	if col != nil {
-		events, err := eventsArtifact(col.Events())
+
+	for _, name := range k.artifacts {
+		var buf bytes.Buffer
+		var err error
+		switch {
+		case name == metricsArtifact:
+			// The same writers the CLI uses, so the differential matrix
+			// can compare against a direct export byte-for-byte.
+			err = obs.WriteMetricsJSON(&buf, res.MetricsSnapshot)
+		case name == eventsArtifact && col != nil:
+			err = obs.WriteNDJSON(&buf, col.Events())
+		case name == perfettoArtifact && req.Perfetto:
+			err = obs.WriteChromeTrace(&buf, col.Events(), obs.TickMapping{TicksPerSecond: rr.ChaosTicksPerSecond})
+		case name == snapshotArtifact && !res.Interrupted:
+			if len(res.Snapshots) == 0 {
+				return nil, fmt.Errorf("serve: %s job captured no snapshot", req.Kind)
+			}
+			out.Artifacts = append(out.Artifacts, NamedBlob{Name: name, Data: res.Snapshots[0].Data})
+			continue
+		default:
+			continue
+		}
 		if err != nil {
 			return nil, err
 		}
-		out.Artifacts = append(out.Artifacts, events)
+		out.Artifacts = append(out.Artifacts, NamedBlob{Name: name, Data: buf.Bytes()})
+	}
+
+	traceEvents := 0
+	if col != nil {
+		traceEvents = col.Len()
+	}
+	var view any = viewOfChaos(req.Kind, &res, traceEvents)
+	if k.verify && !res.Interrupted {
+		// The resumed run must match the same cell run uninterrupted
+		// from tick zero — the serving layer's restatement of the
+		// repo's resume-equivalence contract.
+		v := rr.VerifyChaosResume(res)
+		if !v.FingerprintMatch || !v.MetricsMatch {
+			return nil, fmt.Errorf("serve: resume-verify mismatch for %s (fingerprint match %v, metrics match %v)",
+				res.Config.Label(), v.FingerprintMatch, v.MetricsMatch)
+		}
+		view = resumeVerifyView{
+			Kind:               req.Kind,
+			Label:              res.Config.Label(),
+			ResumedFingerprint: res.Metrics.Fingerprint,
+			OracleFingerprint:  v.OracleFingerprint,
+			FingerprintMatch:   v.FingerprintMatch,
+			MetricsMatch:       v.MetricsMatch,
+		}
+	}
+	var err error
+	if out.Result, err = marshalResult(view); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-func runTraceJob(req *JobRequest, hooks execHooks) (*JobOutput, error) {
-	cfg := chaosCell(req)
-	if cfg.Profile == "" {
-		// A trace job is a fully instrumented look at the healthy
-		// protocol; faults are opt-in via an explicit profile.
-		cfg.Profile = faultinject.ProfileNone
-	}
-	col := obs.NewCollector()
-	cfg.Trace = col
-	cfg.Interrupt = hooks.interrupt
-	res := rr.RunChaos(cfg)
-	if res.SnapshotError != nil {
-		return nil, res.SnapshotError
-	}
-	out := &JobOutput{Interrupted: res.Interrupted}
-	if res.Checkpoint != nil {
-		out.Checkpoint = res.Checkpoint.Data
-	}
-	var err error
-	if out.Result, err = marshalResult(viewOfChaos(req.Kind, &res, col.Len())); err != nil {
-		return nil, err
-	}
-	events, err := eventsArtifact(col.Events())
+// sweepOutput is a sweep kind's whole output: its points under its
+// kind, no artifacts.
+func sweepOutput(kind string, points any) (*JobOutput, error) {
+	result, err := marshalResult(struct {
+		Kind   string `json:"kind"`
+		Points any    `json:"points"`
+	}{kind, points})
 	if err != nil {
 		return nil, err
 	}
-	metrics, err := metricsArtifact(res.MetricsSnapshot)
-	if err != nil {
-		return nil, err
-	}
-	out.Artifacts = append(out.Artifacts, events, metrics)
-	if req.Perfetto {
-		pf, err := perfettoArtifact(col.Events())
-		if err != nil {
-			return nil, err
-		}
-		out.Artifacts = append(out.Artifacts, pf)
-	}
-	return out, nil
+	return &JobOutput{Result: result}, nil
 }
 
-func runFig6Job(req *JobRequest, hooks execHooks) (*JobOutput, error) {
+func runFig6Job(_ *jobKind, req *JobRequest, _ resolveFunc, hooks execHooks) (*JobOutput, error) {
 	cfg := rr.Fig6Config{
 		N:           req.N,
 		SpacingM:    req.SpacingM,
@@ -358,17 +369,10 @@ func runFig6Job(req *JobRequest, hooks execHooks) (*JobOutput, error) {
 	points := rr.RunFig6Sweep(cfg, rr.SweepOptions{
 		Workers: jobWorkers(req), Progress: sweepProgress(hooks),
 	})
-	result, err := marshalResult(struct {
-		Kind   string         `json:"kind"`
-		Points []rr.Fig6Point `json:"points"`
-	}{req.Kind, points})
-	if err != nil {
-		return nil, err
-	}
-	return &JobOutput{Result: result}, nil
+	return sweepOutput(req.Kind, points)
 }
 
-func runFig7Job(req *JobRequest, hooks execHooks) (*JobOutput, error) {
+func runFig7Job(_ *jobKind, req *JobRequest, _ resolveFunc, hooks execHooks) (*JobOutput, error) {
 	dur := req.DurationSec
 	if dur == 0 {
 		dur = 15 // served default: a smoke-sized sweep, not the paper's 50 s
@@ -392,14 +396,7 @@ func runFig7Job(req *JobRequest, hooks execHooks) (*JobOutput, error) {
 		}
 		points = rr.RunFig7ScaleSweep(sizes, dur, req.Seed, opts)
 	}
-	result, err := marshalResult(struct {
-		Kind   string         `json:"kind"`
-		Points []rr.Fig7Point `json:"points"`
-	}{req.Kind, points})
-	if err != nil {
-		return nil, err
-	}
-	return &JobOutput{Result: result}, nil
+	return sweepOutput(req.Kind, points)
 }
 
 // scaleView is one size's differential outcome without the wall-clock
@@ -411,7 +408,7 @@ type scaleView struct {
 	MetricsMatch     bool   `json:"metrics_match"`
 }
 
-func runScaleJob(req *JobRequest, hooks execHooks) (*JobOutput, error) {
+func runScaleJob(_ *jobKind, req *JobRequest, _ resolveFunc, hooks execHooks) (*JobOutput, error) {
 	cfg := rr.ScaleConfig{
 		Sizes:        req.Sizes,
 		DurationSec:  req.DurationSec,
@@ -445,135 +442,5 @@ func runScaleJob(req *JobRequest, hooks execHooks) (*JobOutput, error) {
 			return nil, fmt.Errorf("serve: scale differential mismatch at N=%d", c.N)
 		}
 	}
-	result, err := marshalResult(struct {
-		Kind   string      `json:"kind"`
-		Points []scaleView `json:"points"`
-	}{req.Kind, views})
-	if err != nil {
-		return nil, err
-	}
-	return &JobOutput{Result: result}, nil
-}
-
-func runSnapshotJob(req *JobRequest, hooks execHooks) (*JobOutput, error) {
-	cfg := chaosCell(req)
-	at := req.SnapshotAtTick
-	if at == 0 {
-		at = uint64(req.chaosDurationSec() * chaosTPS / 2) // midpoint
-	}
-	cfg.SnapshotAtTicks = []wire.Tick{wire.Tick(at)}
-	cfg.Interrupt = hooks.interrupt
-	res := rr.RunChaos(cfg)
-	if res.SnapshotError != nil {
-		return nil, res.SnapshotError
-	}
-	out := &JobOutput{Interrupted: res.Interrupted}
-	if res.Checkpoint != nil {
-		out.Checkpoint = res.Checkpoint.Data
-	}
-	var err error
-	if out.Result, err = marshalResult(viewOfChaos(req.Kind, &res, 0)); err != nil {
-		return nil, err
-	}
-	metrics, err := metricsArtifact(res.MetricsSnapshot)
-	if err != nil {
-		return nil, err
-	}
-	out.Artifacts = append(out.Artifacts, metrics)
-	if !res.Interrupted {
-		if len(res.Snapshots) == 0 {
-			return nil, fmt.Errorf("serve: snapshot job captured nothing (tick %d beyond the run?)", at)
-		}
-		out.Artifacts = append(out.Artifacts,
-			NamedBlob{Name: "snapshot.rbsn", Data: res.Snapshots[0].Data})
-	}
-	return out, nil
-}
-
-// resumeVerifyView reports a resume-verify comparison: the resumed
-// run against an uninterrupted oracle of the same cell.
-type resumeVerifyView struct {
-	Kind               string `json:"kind"`
-	Label              string `json:"label"`
-	ResumedFingerprint string `json:"resumed_fingerprint"`
-	OracleFingerprint  string `json:"oracle_fingerprint,omitempty"`
-	FingerprintMatch   bool   `json:"fingerprint_match"`
-	MetricsMatch       bool   `json:"metrics_match"`
-}
-
-func runResumeJob(req *JobRequest, resolve resolveFunc, hooks execHooks, verify bool) (*JobOutput, error) {
-	if resolve == nil {
-		return nil, fmt.Errorf("serve: kind %q needs an artifact resolver", req.Kind)
-	}
-	data, err := resolve(*req.Resume)
-	if err != nil {
-		return nil, fmt.Errorf("serve: resolve resume handle: %w", err)
-	}
-	res, err := rr.ResumeChaosSnapshot(data, func(cfg *rr.ChaosConfig) {
-		cfg.SpatialIndex = req.SpatialIndex
-		cfg.Interrupt = hooks.interrupt
-	})
-	if err != nil {
-		return nil, err
-	}
-	if res.SnapshotError != nil {
-		return nil, res.SnapshotError
-	}
-	out := &JobOutput{Interrupted: res.Interrupted}
-	if res.Checkpoint != nil {
-		out.Checkpoint = res.Checkpoint.Data
-	}
-	metrics, err := metricsArtifact(res.MetricsSnapshot)
-	if err != nil {
-		return nil, err
-	}
-	out.Artifacts = append(out.Artifacts, metrics)
-
-	if !verify || res.Interrupted {
-		if out.Result, err = marshalResult(viewOfChaos(req.Kind, &res, 0)); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-
-	// Oracle: the same cell run uninterrupted from tick zero. The
-	// resumed run must match it byte-for-byte — the serving layer's
-	// restatement of the repo's resume-equivalence contract.
-	oracle := res.Config
-	oracle.ResumeFrom = nil
-	oracle.Interrupt = nil
-	oracle.Trace = nil
-	oracle.Metrics = nil
-	ores := rr.RunChaos(oracle)
-	view := resumeVerifyView{
-		Kind:               req.Kind,
-		Label:              res.Config.Label(),
-		ResumedFingerprint: res.Metrics.Fingerprint,
-		OracleFingerprint:  ores.Metrics.Fingerprint,
-		FingerprintMatch:   res.Metrics.Fingerprint == ores.Metrics.Fingerprint,
-		MetricsMatch:       sampleSetsEqual(res.MetricsSnapshot, ores.MetricsSnapshot),
-	}
-	if !view.FingerprintMatch || !view.MetricsMatch {
-		return nil, fmt.Errorf("serve: resume-verify mismatch for %s (fingerprint match %v, metrics match %v)",
-			view.Label, view.FingerprintMatch, view.MetricsMatch)
-	}
-	if out.Result, err = marshalResult(view); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// sampleSetsEqual compares two metric snapshots exactly (bitwise on
-// values, like the scale differential does).
-func sampleSetsEqual(a, b []obs.Sample) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Name != b[i].Name ||
-			math.Float64bits(a[i].Value) != math.Float64bits(b[i].Value) {
-			return false
-		}
-	}
-	return true
+	return sweepOutput(req.Kind, views)
 }

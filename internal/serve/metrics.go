@@ -9,10 +9,9 @@ import (
 // Metrics wraps an obs.Registry with a mutex. The registry's
 // primitives are deliberately unsynchronized — inside a simulation
 // cell there is a single writer — but the serving layer mutates
-// tallies from many goroutines at once (workers, HTTP handlers, load
-// sessions), so every access goes through this guard. Snapshot holds
-// the same lock, so an exported snapshot is always internally
-// consistent.
+// tallies from many goroutines at once (workers, HTTP handlers), so
+// every access goes through this guard. Snapshot holds the same lock,
+// so an exported snapshot is always internally consistent.
 type Metrics struct {
 	mu  sync.Mutex
 	reg *obs.Registry
@@ -58,17 +57,6 @@ func (m *Metrics) Observe(name string, bounds []float64, v float64) {
 	m.mu.Lock()
 	m.reg.Histogram(name, bounds).Observe(v)
 	m.mu.Unlock()
-}
-
-// Quantile estimates a quantile of the named histogram (0 when the
-// histogram does not exist or is empty).
-func (m *Metrics) Quantile(name string, bounds []float64, q float64) float64 {
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.reg.Histogram(name, bounds).Quantile(q)
 }
 
 // Snapshot returns the registry's sorted sample set.

@@ -112,12 +112,6 @@ func (s *Server) Drain(ctx context.Context) error { return s.sched.Drain(ctx) }
 // Close stops the scheduler pool.
 func (s *Server) Close() { s.sched.Close() }
 
-// Scheduler exposes the scheduler (tests, the load harness).
-func (s *Server) Scheduler() *Scheduler { return s.sched }
-
-// Store exposes the artifact store (tests).
-func (s *Server) Store() *ArtifactStore { return s.store }
-
 // MetricsSnapshot snapshots the server's telemetry registry.
 func (s *Server) MetricsSnapshot() []obs.Sample { return s.metrics.Snapshot() }
 
@@ -259,9 +253,10 @@ func (s *Server) handleArtifactList(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleArtifact delivers one artifact: raw (gzip-compressed when the
-// client accepts it and the blob is big enough), or as a framed chunk
-// stream with ?format=chunked (see chunk.go).
+// handleArtifact delivers one artifact raw, gzip-compressed when the
+// client accepts it and the blob is big enough. A client that wants
+// an integrity check compares against the SHA-256 in the job status
+// or the artifact listing.
 func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.job(w, r)
 	if !ok {
@@ -275,12 +270,6 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	data, err := s.store.Get(j.ID, name)
 	if err != nil {
 		s.writeError(w, http.StatusNotFound, err.Error())
-		return
-	}
-	if r.URL.Query().Get("format") == "chunked" {
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.WriteHeader(http.StatusOK)
-		WriteChunks(w, data, 0, true)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")

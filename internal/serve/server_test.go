@@ -3,7 +3,10 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -65,12 +68,8 @@ func TestServerSubmitWaitArtifacts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("artifact %s: %v", a.Name, err)
 		}
-		chunked, err := client.ArtifactChunked(ctx, st.ID, a.Name, 0)
-		if err != nil {
-			t.Fatalf("chunked artifact %s: %v", a.Name, err)
-		}
-		if !bytes.Equal(raw, chunked) {
-			t.Errorf("artifact %s: raw and chunked delivery disagree", a.Name)
+		if sum := sha256.Sum256(raw); hex.EncodeToString(sum[:]) != a.SHA256 {
+			t.Errorf("artifact %s: fetched bytes do not hash to the listed SHA-256", a.Name)
 		}
 		if int64(len(raw)) != a.Size {
 			t.Errorf("artifact %s: size %d, listed %d", a.Name, len(raw), a.Size)
@@ -373,6 +372,55 @@ func TestServerTenantsAndMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics export missing %q", want)
+		}
+	}
+}
+
+// TestServerConcurrentTenantSessions runs concurrent Client.Run
+// sessions from four tenants over real HTTP: every session finishes
+// done, and the scheduler's per-tenant accounting adds up.
+func TestServerConcurrentTenantSessions(t *testing.T) {
+	const tenants, perTenant = 4, 8
+	srv, ts, _ := newTestServer(t, ServerOptions{Workers: 4, Quota: Quota{MaxQueued: perTenant}})
+	ctx := context.Background()
+
+	errs := make(chan error, tenants*perTenant)
+	for i := 0; i < tenants*perTenant; i++ {
+		go func() {
+			client := &Client{Base: ts.URL, Tenant: fmt.Sprintf("load-%d", i%tenants)}
+			req := validChaosRequest()
+			req.Seed = uint64(i)
+			st, err := client.Run(ctx, req)
+			if err == nil && st.State != StateDone {
+				err = fmt.Errorf("session %d ended %q (%s)", i, st.State, st.Error)
+			}
+			errs <- err
+		}()
+	}
+	for i := 0; i < tenants*perTenant; i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+
+	stats := srv.sched.TenantStats()
+	if len(stats) != tenants {
+		t.Fatalf("%d tenants in the scheduler, want %d: %+v", len(stats), tenants, stats)
+	}
+	for _, st := range stats {
+		if st.Queued != 0 || st.Running != 0 {
+			t.Errorf("tenant %s still holds work: %+v", st.Tenant, st)
+		}
+	}
+	counts := map[string]float64{}
+	for _, s := range srv.MetricsSnapshot() {
+		counts[s.Name] = s.Value
+	}
+	for i := 0; i < tenants; i++ {
+		prefix := fmt.Sprintf("serve.tenant.load-%d.", i)
+		if counts[prefix+"submitted"] != perTenant || counts[prefix+"completed"] != perTenant {
+			t.Errorf("tenant load-%d: submitted %v, completed %v, want %d each",
+				i, counts[prefix+"submitted"], counts[prefix+"completed"], perTenant)
 		}
 	}
 }

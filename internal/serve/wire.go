@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 
+	rr "roborebound"
 	"roborebound/internal/faultinject"
 )
 
@@ -22,28 +23,6 @@ const RequestVersion = 1
 // tests) get the same bound.
 const MaxRequestBytes = 1 << 20
 
-// Job kinds. Each maps onto one facade entry point; see exec.go.
-const (
-	KindChaos       = "chaos"         // one invariant-checked chaos cell
-	KindTrace       = "trace"         // fully-instrumented fault-free cell
-	KindFig6        = "fig6"          // bandwidth/storage sweep (§5.2 Fig. 6)
-	KindFig7Density = "fig7-density"  // cost vs density (§5.2 Fig. 7a/b)
-	KindFig7Scale   = "fig7-scale"    // cost vs robots (§5.2 Fig. 7c/d)
-	KindScale       = "scale"         // brute-vs-indexed differential sweep
-	KindSnapshot    = "snapshot"      // run a cell, capture a mid-run snapshot
-	KindResume      = "resume"        // resume a stored snapshot to completion
-	KindResumeVerif = "resume-verify" // resume + rerun uninterrupted + compare
-)
-
-// Kinds lists every job kind in a fixed order (the differential
-// matrix and the selftest iterate it).
-func Kinds() []string {
-	return []string{
-		KindChaos, KindTrace, KindFig6, KindFig7Density, KindFig7Scale,
-		KindScale, KindSnapshot, KindResume, KindResumeVerif,
-	}
-}
-
 // ResumeRef names a stored artifact of an earlier job — the handle a
 // resume job dereferences for its snapshot bytes.
 type ResumeRef struct {
@@ -52,9 +31,10 @@ type ResumeRef struct {
 }
 
 // JobRequest is the wire form of one submitted job. One flat struct
-// covers every kind; Validate enforces which fields each kind may
-// use. All fields are bounded — a request that passes Validate can
-// never make the executor allocate or compute unboundedly.
+// covers every kind; each kind's jobKinds row says which fields it
+// takes, and Validate rejects the rest. All fields are bounded — a
+// request that passes Validate can never make the executor allocate
+// or compute unboundedly.
 type JobRequest struct {
 	Version int    `json:"version"`
 	Kind    string `json:"kind"`
@@ -177,15 +157,12 @@ func (r *JobRequest) Validate() error {
 	if r.Version != RequestVersion {
 		return fmt.Errorf("serve: job request version %d not supported (want %d)", r.Version, RequestVersion)
 	}
-	known := false
-	for _, k := range Kinds() {
-		if r.Kind == k {
-			known = true
-			break
-		}
-	}
-	if !known {
+	k := kindByName(r.Kind)
+	if k == nil {
 		return fmt.Errorf("serve: unknown job kind %q", r.Kind)
+	}
+	if name := k.untakenField(r); name != "" {
+		return fmt.Errorf("serve: kind %q does not take %s", r.Kind, name)
 	}
 	switch r.Controller {
 	case "", "flocking", "patrol", "warehouse":
@@ -245,29 +222,23 @@ func (r *JobRequest) Validate() error {
 			return err
 		}
 	}
-	if r.Kind == KindSnapshot {
-		// Checked here so the job fails before admission, not after
-		// running the whole cell and capturing nothing.
-		if total := uint64(r.chaosDurationSec() * chaosTPS); r.SnapshotAtTick > total {
-			return fmt.Errorf("serve: snapshot_at_tick %d is beyond the %d-tick run", r.SnapshotAtTick, total)
-		}
-	} else if r.SnapshotAtTick != 0 {
-		return fmt.Errorf("serve: kind %q does not take snapshot_at_tick", r.Kind)
+	// Checked here so a snapshot job fails before admission, not after
+	// running the whole cell and capturing nothing. (Zero on every
+	// kind that does not take the field.)
+	if total := uint64(r.chaosDurationSec() * rr.ChaosTicksPerSecond); r.SnapshotAtTick > total {
+		return fmt.Errorf("serve: snapshot_at_tick %d is beyond the %d-tick run", r.SnapshotAtTick, total)
 	}
-
-	needsResume := r.Kind == KindResume || r.Kind == KindResumeVerif
-	if needsResume {
-		if r.Resume == nil {
+	if r.Resume == nil {
+		if k.takesField("resume") {
 			return fmt.Errorf("serve: kind %q requires a resume handle", r.Kind)
 		}
-		if !validJobID(r.Resume.Job) {
-			return fmt.Errorf("serve: resume handle job id %q is invalid", r.Resume.Job)
-		}
-		if !ValidArtifactName(r.Resume.Artifact) {
-			return fmt.Errorf("serve: resume handle artifact name %q is invalid", r.Resume.Artifact)
-		}
-	} else if r.Resume != nil {
-		return fmt.Errorf("serve: kind %q does not take a resume handle", r.Kind)
+		return nil
+	}
+	if !validJobID(r.Resume.Job) {
+		return fmt.Errorf("serve: resume handle job id %q is invalid", r.Resume.Job)
+	}
+	if !ValidArtifactName(r.Resume.Artifact) {
+		return fmt.Errorf("serve: resume handle artifact name %q is invalid", r.Resume.Artifact)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -13,7 +14,7 @@ func validChaosRequest() *JobRequest {
 func TestDecodeJobRequestRoundTrip(t *testing.T) {
 	req := validChaosRequest()
 	req.Events = true
-	req.Sizes = []int{4, 8}
+	req.Controller, req.Profile, req.SpatialIndex = "patrol", "mixed", true
 	data, err := req.Encode()
 	if err != nil {
 		t.Fatalf("encode: %v", err)
@@ -64,7 +65,10 @@ func TestDecodeJobRequestRejects(t *testing.T) {
 		{"snapshot tick beyond run", `{"version":1,"kind":"snapshot","duration_sec":4,"snapshot_at_tick":17}`, "beyond the 16-tick run"},
 		{"snapshot tick beyond default run", `{"version":1,"kind":"snapshot","snapshot_at_tick":241}`, "beyond the 240-tick run"},
 		{"snapshot tick on plain kind", `{"version":1,"kind":"chaos","snapshot_at_tick":8}`, "does not take snapshot_at_tick"},
-		{"handle on plain kind", `{"version":1,"kind":"chaos","resume":{"job":"t-1","artifact":"a.rbsn"}}`, "does not take"},
+		{"handle on plain kind", `{"version":1,"kind":"chaos","resume":{"job":"t-1","artifact":"a.rbsn"}}`, "does not take resume"},
+		{"sweep shape on a cell", `{"version":1,"kind":"chaos","sizes":[100,200]}`, `kind "chaos" does not take sizes`},
+		{"perfetto on a sweep", `{"version":1,"kind":"fig6","perfetto":true}`, `kind "fig6" does not take perfetto`},
+		{"cell knob on resume", `{"version":1,"kind":"resume","n":300,"resume":{"job":"t-1","artifact":"a.rbsn"}}`, `kind "resume" does not take n`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -88,13 +92,72 @@ func TestDecodeJobRequestSizeBound(t *testing.T) {
 	}
 }
 
+// TestDecodeKindFieldMatrix holds the decoder to the jobKinds table:
+// for every kind × every JobRequest field, a request that sets the
+// field decodes exactly when the kind's row takes it, and is otherwise
+// rejected with the field named.
+func TestDecodeKindFieldMatrix(t *testing.T) {
+	// One valid, non-zero JSON value per field.
+	samples := map[string]string{
+		"controller":       `"patrol"`,
+		"profile":          `"mixed"`,
+		"seed":             `3`,
+		"n":                `8`,
+		"duration_sec":     `5`,
+		"fmax":             `2`,
+		"spacing_m":        `8`,
+		"mtu_bytes":        `512`,
+		"spatial_index":    `true`,
+		"events":           `true`,
+		"perfetto":         `true`,
+		"sizes":            `[4]`,
+		"spacings":         `[8]`,
+		"fmaxes":           `[1]`,
+		"periods_sec":      `[2]`,
+		"workers":          `2`,
+		"snapshot_at_tick": `1`,
+		"resume":           `{"job":"t-1","artifact":"a.rbsn"}`,
+	}
+	if len(samples) != len(requestFields) {
+		t.Fatalf("%d sample values for %d JobRequest fields", len(samples), len(requestFields))
+	}
+	for i := range jobKinds {
+		k := &jobKinds[i]
+		for _, name := range k.takes {
+			if _, ok := samples[name]; !ok {
+				t.Errorf("kind %s takes %q, which is not a JobRequest field", k.name, name)
+			}
+		}
+		for _, f := range requestFields {
+			sample, ok := samples[f.name]
+			if !ok {
+				t.Fatalf("no sample value for JobRequest field %q", f.name)
+			}
+			body := fmt.Sprintf(`{"version":1,"kind":%q,%q:%s`, k.name, f.name, sample)
+			if k.takesField("resume") && f.name != "resume" {
+				body += `,"resume":` + samples["resume"]
+			}
+			body += "}"
+			_, err := DecodeJobRequest([]byte(body))
+			switch {
+			case k.takesField(f.name) && err != nil:
+				t.Errorf("%s rejected though the kind takes %s: %v", body, f.name, err)
+			case !k.takesField(f.name) && err == nil:
+				t.Errorf("%s accepted though the kind does not take %s", body, f.name)
+			case err != nil && !strings.Contains(err.Error(), fmt.Sprintf("kind %q does not take %s", k.name, f.name)):
+				t.Errorf("%s: error %q does not name the kind and field", body, err)
+			}
+		}
+	}
+}
+
 func TestValidateEveryKindZeroValue(t *testing.T) {
 	// Every kind except the resume pair must accept a bare request —
 	// zero-valued knobs mean facade defaults.
 	for _, kind := range Kinds() {
 		req := &JobRequest{Version: RequestVersion, Kind: kind}
 		err := req.Validate()
-		needsHandle := kind == KindResume || kind == KindResumeVerif
+		needsHandle := kindByName(kind).takesField("resume")
 		if needsHandle && err == nil {
 			t.Errorf("kind %s accepted without a resume handle", kind)
 		}

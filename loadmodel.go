@@ -257,72 +257,3 @@ func withTotal(rows []LoadRow) []LoadRow {
 	}
 	return append(rows, LoadRow{Primitive: "Total", LoadPct: total})
 }
-
-// SessionTiming summarizes a batch of service sessions with the
-// queue-wait and service phases reported separately — under load the
-// two diverge (service time stays flat while queue wait grows with
-// depth), and a single end-to-end number hides exactly that. Total is
-// the end-to-end (queue + service) distribution.
-type SessionTiming struct {
-	// Sessions counts measured sessions; Errors counts sessions the
-	// sampler reported as failed or cancelled mid-run (they contribute
-	// to no distribution).
-	Sessions int
-	Errors   int
-	Queue    LatencyDist
-	Service  LatencyDist
-	Total    LatencyDist
-}
-
-// MeasureSessions aggregates n sessions through sample, which returns
-// session i's queue-wait and service nanoseconds (ok=false marks the
-// session failed or cancelled). Like timeDist, percentiles come from
-// log2-ns streaming histograms, so the aggregation is O(1) space in
-// n. MeasureSessions takes measurements rather than making them — it
-// reads no clock itself — so callers may collect the samples
-// concurrently and aggregate afterwards.
-func MeasureSessions(n int, sample func(i int) (queueNs, serviceNs int64, ok bool)) SessionTiming {
-	var st SessionTiming
-	if n <= 0 {
-		return st
-	}
-	queueHist := obs.NewHistogram(perf.LogNsBounds())
-	serviceHist := obs.NewHistogram(perf.LogNsBounds())
-	totalHist := obs.NewHistogram(perf.LogNsBounds())
-	var queueSum, serviceSum, totalSum int64
-	for i := 0; i < n; i++ {
-		queueNs, serviceNs, ok := sample(i)
-		if !ok {
-			st.Errors++
-			continue
-		}
-		if queueNs < 0 {
-			queueNs = 0
-		}
-		if serviceNs < 0 {
-			serviceNs = 0
-		}
-		st.Sessions++
-		queueSum += queueNs
-		serviceSum += serviceNs
-		totalSum += queueNs + serviceNs
-		queueHist.Observe(float64(queueNs))
-		serviceHist.Observe(float64(serviceNs))
-		totalHist.Observe(float64(queueNs + serviceNs))
-	}
-	if st.Sessions == 0 {
-		return st
-	}
-	dist := func(hist *obs.Histogram, sum int64) LatencyDist {
-		return LatencyDist{
-			MeanNs: float64(sum) / float64(st.Sessions),
-			P50Ns:  hist.Quantile(0.50),
-			P95Ns:  hist.Quantile(0.95),
-			P99Ns:  hist.Quantile(0.99),
-		}
-	}
-	st.Queue = dist(queueHist, queueSum)
-	st.Service = dist(serviceHist, serviceSum)
-	st.Total = dist(totalHist, totalSum)
-	return st
-}

@@ -148,79 +148,3 @@ func TestLatencyDistShape(t *testing.T) {
 		}
 	}
 }
-
-func TestMeasureSessionsZero(t *testing.T) {
-	st := MeasureSessions(0, func(int) (int64, int64, bool) {
-		t.Fatal("sampler called for zero sessions")
-		return 0, 0, false
-	})
-	if st.Sessions != 0 || st.Errors != 0 {
-		t.Errorf("zero-session timing = %+v, want zero value", st)
-	}
-	if st.Queue.P50Ns != 0 || st.Service.MeanNs != 0 || st.Total.P99Ns != 0 {
-		t.Errorf("zero-session distributions populated: %+v", st)
-	}
-	// Negative n behaves like zero, not a panic.
-	if st := MeasureSessions(-3, nil); st.Sessions != 0 {
-		t.Errorf("negative-n timing = %+v", st)
-	}
-}
-
-func TestMeasureSessionsSingle(t *testing.T) {
-	st := MeasureSessions(1, func(int) (int64, int64, bool) {
-		return 1000, 3000, true
-	})
-	if st.Sessions != 1 || st.Errors != 0 {
-		t.Fatalf("sessions/errors = %d/%d", st.Sessions, st.Errors)
-	}
-	if st.Queue.MeanNs != 1000 || st.Service.MeanNs != 3000 || st.Total.MeanNs != 4000 {
-		t.Errorf("means = %v/%v/%v, want 1000/3000/4000",
-			st.Queue.MeanNs, st.Service.MeanNs, st.Total.MeanNs)
-	}
-	// Log-histogram percentiles are bucketed: same order of magnitude,
-	// not exact.
-	if st.Service.P50Ns < 1000 || st.Service.P50Ns > 10000 {
-		t.Errorf("single-session service p50 %v implausible", st.Service.P50Ns)
-	}
-}
-
-func TestMeasureSessionsCancelledMidRun(t *testing.T) {
-	// Sessions cancelled mid-run report ok=false: they count as errors
-	// and contribute to no distribution.
-	st := MeasureSessions(10, func(i int) (int64, int64, bool) {
-		if i%2 == 1 {
-			return 999_999, 999_999, false // cancelled; values must be ignored
-		}
-		return 100, 200, true
-	})
-	if st.Sessions != 5 || st.Errors != 5 {
-		t.Fatalf("sessions/errors = %d/%d, want 5/5", st.Sessions, st.Errors)
-	}
-	if st.Queue.MeanNs != 100 || st.Service.MeanNs != 200 {
-		t.Errorf("cancelled sessions leaked into the distributions: %+v", st)
-	}
-
-	// All-cancelled: zero sessions, all errors, zero distributions.
-	st = MeasureSessions(4, func(int) (int64, int64, bool) { return 0, 0, false })
-	if st.Sessions != 0 || st.Errors != 4 || st.Total.P99Ns != 0 {
-		t.Errorf("all-cancelled timing = %+v", st)
-	}
-}
-
-func TestMeasureSessionsClampsNegative(t *testing.T) {
-	// A clock skew producing negative durations clamps to zero rather
-	// than corrupting the sums.
-	st := MeasureSessions(2, func(i int) (int64, int64, bool) {
-		if i == 0 {
-			return -50, -70, true
-		}
-		return 100, 200, true
-	})
-	if st.Sessions != 2 {
-		t.Fatalf("sessions = %d", st.Sessions)
-	}
-	if st.Queue.MeanNs != 50 || st.Service.MeanNs != 100 {
-		t.Errorf("negative samples not clamped: queue mean %v, service mean %v",
-			st.Queue.MeanNs, st.Service.MeanNs)
-	}
-}

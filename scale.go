@@ -2,7 +2,6 @@ package roborebound
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"roborebound/internal/faultinject"
@@ -152,7 +151,7 @@ func CompareScalePoints(pts []ScalePoint) []ScaleComparison {
 			BruteElapsed:     b.Elapsed,
 			IndexedElapsed:   x.Elapsed,
 			FingerprintMatch: b.Result.Metrics.Fingerprint == x.Result.Metrics.Fingerprint,
-			MetricsMatch:     samplesEqual(b.Result.MetricsSnapshot, x.Result.MetricsSnapshot),
+			MetricsMatch:     obs.SamplesEqual(b.Result.MetricsSnapshot, x.Result.MetricsSnapshot),
 			Brute:            b,
 			Indexed:          x,
 		}
@@ -162,19 +161,4 @@ func CompareScalePoints(pts []ScalePoint) []ScaleComparison {
 		out = append(out, cmp)
 	}
 	return out
-}
-
-// samplesEqual byte-compares two metrics snapshots (bit-equality on
-// values, so NaN-valued gauges can never slip through as "equal").
-func samplesEqual(a, b []obs.Sample) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Name != b[i].Name ||
-			math.Float64bits(a[i].Value) != math.Float64bits(b[i].Value) {
-			return false
-		}
-	}
-	return true
 }

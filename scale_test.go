@@ -3,8 +3,6 @@ package roborebound
 import (
 	"testing"
 	"time"
-
-	"roborebound/internal/obs"
 )
 
 // TestScaleSweepDifferential runs a small differential scale sweep and
@@ -79,17 +77,5 @@ func TestCompareScalePointsSpeedup(t *testing.T) {
 	cmps := CompareScalePoints(pts)
 	if len(cmps) != 1 || cmps[0].Speedup != 5 {
 		t.Fatalf("comparisons: %+v", cmps)
-	}
-}
-
-func TestSamplesEqual(t *testing.T) {
-	a := []obs.Sample{{Name: "x", Value: 1}}
-	if !samplesEqual(a, []obs.Sample{{Name: "x", Value: 1}}) {
-		t.Error("equal snapshots compared unequal")
-	}
-	if samplesEqual(a, []obs.Sample{{Name: "x", Value: 2}}) ||
-		samplesEqual(a, []obs.Sample{{Name: "y", Value: 1}}) ||
-		samplesEqual(a, nil) {
-		t.Error("unequal snapshots compared equal")
 	}
 }

@@ -85,80 +85,93 @@ func (h *diffHarness) runCell(t *testing.T, req *serve.JobRequest, resolve func(
 	return st, direct
 }
 
-// TestServeDifferentialMatrix is the headline HTTP≡facade matrix:
-// chaos cells across every controller × fault profile × seed, plus
-// every sweep kind, byte-compared between the served and direct
-// paths.
-func TestServeDifferentialMatrix(t *testing.T) {
-	h := newDiffHarness(t)
+// diffCell is one named request of the matrix.
+type diffCell struct {
+	name string
+	req  *serve.JobRequest
+}
 
+// matrixCells lists the matrix: chaos cells across every controller ×
+// fault profile × seed, plus every sweep kind. Kinds that need a
+// stored snapshot are the resume chain's (chainKinds).
+func matrixCells() []diffCell {
 	controllers := []string{"flocking", "patrol", "warehouse"}
 	profiles := []string{"none", "loss", "mixed"}
 	seeds := []uint64{1, 2}
+	base := func(kind string) serve.JobRequest {
+		return serve.JobRequest{Version: serve.RequestVersion, Kind: kind}
+	}
+	var cells []diffCell
+	add := func(name string, req serve.JobRequest) {
+		cells = append(cells, diffCell{name, &req})
+	}
 
 	for _, ctl := range controllers {
 		for _, profile := range profiles {
 			for _, seed := range seeds {
-				name := fmt.Sprintf("chaos/%s/%s/seed%d", ctl, profile, seed)
-				t.Run(name, func(t *testing.T) {
-					req := &serve.JobRequest{
-						Version: serve.RequestVersion, Kind: serve.KindChaos,
-						Controller: ctl, Profile: profile, Seed: seed,
-						N: 4, DurationSec: 4,
-						// One events cell per (controller, profile) pins the
-						// NDJSON artifact byte-identity too.
-						Events: seed == 1,
-					}
-					h.runCell(t, req, nil)
-				})
+				req := base(serve.KindChaos)
+				req.Controller, req.Profile, req.Seed = ctl, profile, seed
+				req.N, req.DurationSec = 4, 4
+				// One events cell per (controller, profile) pins the
+				// NDJSON artifact byte-identity too.
+				req.Events = seed == 1
+				add(fmt.Sprintf("chaos/%s/%s/seed%d", ctl, profile, seed), req)
 			}
 		}
 	}
-
 	for _, ctl := range controllers {
-		t.Run("trace/"+ctl, func(t *testing.T) {
-			req := &serve.JobRequest{
-				Version: serve.RequestVersion, Kind: serve.KindTrace,
-				Controller: ctl, Seed: 3, N: 3, DurationSec: 3, Perfetto: true,
-			}
-			h.runCell(t, req, nil)
-		})
+		req := base(serve.KindTrace)
+		req.Controller, req.Seed, req.N, req.DurationSec, req.Perfetto = ctl, 3, 3, 3, true
+		add("trace/"+ctl, req)
 	}
-
 	for _, seed := range seeds {
-		t.Run(fmt.Sprintf("fig6/seed%d", seed), func(t *testing.T) {
-			req := &serve.JobRequest{
-				Version: serve.RequestVersion, Kind: serve.KindFig6,
-				Seed: seed, N: 6, DurationSec: 4,
-				Fmaxes: []int{1}, PeriodsSec: []float64{2},
-			}
-			h.runCell(t, req, nil)
-		})
+		req := base(serve.KindFig6)
+		req.Seed, req.N, req.DurationSec = seed, 6, 4
+		req.Fmaxes, req.PeriodsSec = []int{1}, []float64{2}
+		add(fmt.Sprintf("fig6/seed%d", seed), req)
 	}
-
-	t.Run("fig7-density", func(t *testing.T) {
-		req := &serve.JobRequest{
-			Version: serve.RequestVersion, Kind: serve.KindFig7Density,
-			Seed: 1, DurationSec: 4, Sizes: []int{4}, Spacings: []float64{8},
-		}
-		h.runCell(t, req, nil)
-	})
-	t.Run("fig7-scale", func(t *testing.T) {
-		req := &serve.JobRequest{
-			Version: serve.RequestVersion, Kind: serve.KindFig7Scale,
-			Seed: 1, DurationSec: 4, Sizes: []int{4},
-		}
-		h.runCell(t, req, nil)
-	})
-
+	density := base(serve.KindFig7Density)
+	density.Seed, density.DurationSec, density.Sizes, density.Spacings = 1, 4, []int{4}, []float64{8}
+	add("fig7-density", density)
+	scale7 := base(serve.KindFig7Scale)
+	scale7.Seed, scale7.DurationSec, scale7.Sizes = 1, 4, []int{4}
+	add("fig7-scale", scale7)
 	for _, ctl := range controllers[:2] {
-		t.Run("scale/"+ctl, func(t *testing.T) {
-			req := &serve.JobRequest{
-				Version: serve.RequestVersion, Kind: serve.KindScale,
-				Controller: ctl, Seed: 1, DurationSec: 4, Sizes: []int{12},
-			}
-			h.runCell(t, req, nil)
-		})
+		req := base(serve.KindScale)
+		req.Controller, req.Seed, req.DurationSec, req.Sizes = ctl, 1, 4, []int{12}
+		add("scale/"+ctl, req)
+	}
+	return cells
+}
+
+// chainKinds are the kinds TestServeDifferentialResumeChain runs, in
+// chain order.
+var chainKinds = []string{serve.KindSnapshot, serve.KindResume, serve.KindResumeVerif}
+
+// TestServeDifferentialMatrix is the headline HTTP≡facade matrix:
+// every cell of matrixCells byte-compared between the served and
+// direct paths.
+func TestServeDifferentialMatrix(t *testing.T) {
+	h := newDiffHarness(t)
+	for _, c := range matrixCells() {
+		t.Run(c.name, func(t *testing.T) { h.runCell(t, c.req, nil) })
+	}
+}
+
+// TestServeDifferentialCoversEveryKind fails when serve's kind table
+// gains a row that no differential cell runs.
+func TestServeDifferentialCoversEveryKind(t *testing.T) {
+	covered := map[string]bool{}
+	for _, c := range matrixCells() {
+		covered[c.req.Kind] = true
+	}
+	for _, kind := range chainKinds {
+		covered[kind] = true
+	}
+	for _, kind := range serve.Kinds() {
+		if !covered[kind] {
+			t.Errorf("job kind %q has no HTTP≡facade differential cell", kind)
+		}
 	}
 }
 
@@ -172,7 +185,7 @@ func TestServeDifferentialResumeChain(t *testing.T) {
 	for _, ctl := range []string{"flocking", "patrol", "warehouse"} {
 		t.Run(ctl, func(t *testing.T) {
 			snapReq := &serve.JobRequest{
-				Version: serve.RequestVersion, Kind: serve.KindSnapshot,
+				Version: serve.RequestVersion, Kind: chainKinds[0],
 				Controller: ctl, Profile: "mixed", Seed: 7,
 				N: 4, DurationSec: 4, SnapshotAtTick: 8,
 			}
@@ -197,7 +210,7 @@ func TestServeDifferentialResumeChain(t *testing.T) {
 				return snapshot, nil
 			}
 
-			for _, kind := range []string{serve.KindResume, serve.KindResumeVerif} {
+			for _, kind := range chainKinds[1:] {
 				req := &serve.JobRequest{
 					Version: serve.RequestVersion, Kind: kind,
 					Resume: &serve.ResumeRef{Job: snapSt.ID, Artifact: "snapshot.rbsn"},

@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"roborebound/internal/faultinject"
+	"roborebound/internal/obs"
 	"roborebound/internal/snapshot"
 	"roborebound/internal/wire"
 )
@@ -314,4 +315,31 @@ func ResumeChaosSnapshot(data []byte, opts func(*ChaosConfig)) (ChaosResult, err
 		return res, res.ResumeError
 	}
 	return res, nil
+}
+
+// ResumeVerdict is VerifyChaosResume's comparison of a resumed run
+// against its uninterrupted oracle.
+type ResumeVerdict struct {
+	OracleFingerprint string
+	FingerprintMatch  bool
+	MetricsMatch      bool
+}
+
+// VerifyChaosResume re-runs a resumed result's cell uninterrupted from
+// tick zero (the caller's interrupt hook, collector and registry
+// detached) and compares the two: the resume-equivalence contract says
+// fingerprint and metrics snapshot match bit for bit. `resume -verify`
+// and the resume-verify job kind both stand on it.
+func VerifyChaosResume(resumed ChaosResult) ResumeVerdict {
+	oracle := resumed.Config
+	oracle.ResumeFrom = nil
+	oracle.Interrupt = nil
+	oracle.Trace = nil
+	oracle.Metrics = nil
+	ores := RunChaos(oracle)
+	return ResumeVerdict{
+		OracleFingerprint: ores.Metrics.Fingerprint,
+		FingerprintMatch:  ores.Metrics.Fingerprint == resumed.Metrics.Fingerprint,
+		MetricsMatch:      obs.SamplesEqual(ores.MetricsSnapshot, resumed.MetricsSnapshot),
+	}
 }
