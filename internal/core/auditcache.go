@@ -29,6 +29,12 @@ import (
 //
 // Eviction is FIFO over a fixed ring: deterministic (no clocks, no
 // randomized map iteration) so that runs replay identically.
+//
+// cap is the cache's logical capacity: the verdict count at which the
+// ring starts evicting, and the value snapshots record and check. It
+// is not a storage provision. The map and the ring both start empty
+// and grow with the verdicts stored, so a 3-robot cell that stores one
+// verdict pays for one, not for the 4096 a large swarm may reach.
 type AuditCache struct {
 	cap  int
 	m    map[[32]byte]AuditVerdict
@@ -58,15 +64,18 @@ type AuditVerdict struct {
 
 // DefaultAuditCacheCap bounds the verdict cache; at ~1 verdict per
 // robot per round it covers multiple full rounds of a 2000-robot swarm.
+// It is an eviction threshold, never a size hint: a cache that stays
+// below it never allocates for it.
 const DefaultAuditCacheCap = 4096
 
 // NewAuditCache returns an empty cache holding at most capacity
-// verdicts (<= 0 selects DefaultAuditCacheCap).
+// verdicts (<= 0 selects DefaultAuditCacheCap). Construction costs the
+// same whatever the capacity; storage follows the verdicts stored.
 func NewAuditCache(capacity int) *AuditCache {
 	if capacity <= 0 {
 		capacity = DefaultAuditCacheCap
 	}
-	return &AuditCache{cap: capacity, m: make(map[[32]byte]AuditVerdict, capacity)}
+	return &AuditCache{cap: capacity, m: make(map[[32]byte]AuditVerdict)}
 }
 
 // Lookup returns the memoized verdict for key, if present.

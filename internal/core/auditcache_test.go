@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"roborebound/internal/cryptolite"
@@ -120,5 +123,113 @@ func TestAuditKeyDiscriminates(t *testing.T) {
 		if cacheKeyOf(t, &a) == baseKey {
 			t.Errorf("%s: mutation did not change the cache key", name)
 		}
+	}
+}
+
+// TestAuditCacheStorageFollowsStores owns the logical-capacity /
+// storage split: a default cache costs next to nothing until verdicts
+// are stored (it used to zero a 4096-slot map, ~450 KB, per sim), yet
+// it still evicts FIFO at DefaultAuditCacheCap and never holds more.
+func TestAuditCacheStorageFollowsStores(t *testing.T) {
+	const builds = 64
+	caches := make([]*AuditCache, builds)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range caches {
+		caches[i] = NewAuditCache(0)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / builds; per >= 1024 {
+		t.Errorf("NewAuditCache(0) allocates %d B before its first Store, want < 1 KB", per)
+	}
+
+	c := caches[0]
+	key := func(i int) [32]byte { return auditKey(wire.RobotID(i), wire.Tick(i), nil) }
+	for i := 0; i <= DefaultAuditCacheCap+1; i++ {
+		c.Store(key(i), AuditVerdict{OK: true})
+		if c.Len() > DefaultAuditCacheCap {
+			t.Fatalf("after %d stores the cache holds %d verdicts, over its capacity of %d", i+1, c.Len(), DefaultAuditCacheCap)
+		}
+	}
+	for _, evicted := range []int{0, 1} {
+		if _, ok := c.Lookup(key(evicted)); ok {
+			t.Errorf("verdict %d survived %d stores: not evicted FIFO at capacity", evicted, DefaultAuditCacheCap+2)
+		}
+	}
+	for _, kept := range []int{2, DefaultAuditCacheCap + 1} {
+		if _, ok := c.Lookup(key(kept)); !ok {
+			t.Errorf("verdict %d evicted out of FIFO order", kept)
+		}
+	}
+}
+
+// TestAuditCacheEncodeStateFormat builds the snapshot blob by hand —
+// capacity, cursor, count, (key, flag, checkpoint hash) in FIFO order,
+// hit and miss tallies — and requires EncodeState to match it byte for
+// byte, below capacity and after the ring has wrapped. The capacity
+// field is the logical capacity (4096 for a default cache), whatever
+// the map has grown to; RestoreState into a fresh cache round-trips.
+func TestAuditCacheEncodeStateFormat(t *testing.T) {
+	verdict := func(i int) AuditVerdict {
+		v := AuditVerdict{OK: i%3 != 0}
+		for j := range v.HCkpt {
+			v.HCkpt[j] = byte(i + j)
+		}
+		return v
+	}
+	key := func(i int) [32]byte { return auditKey(wire.RobotID(i), wire.Tick(7*i), []byte{byte(i)}) }
+	cases := []struct {
+		name     string
+		capacity int // as passed to NewAuditCache
+		wantCap  uint32
+		stores   int
+		ring     []int // store indices in ring order after the stores
+		next     uint32
+	}{
+		{"default-below-capacity", 0, DefaultAuditCacheCap, 5, []int{0, 1, 2, 3, 4}, 0},
+		{"wrapped", 4, 4, 6, []int{4, 5, 2, 3}, 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewAuditCache(tc.capacity)
+			for i := 0; i < tc.stores; i++ {
+				c.Store(key(i), verdict(i))
+			}
+			c.Lookup(key(tc.stores - 1)) // one hit
+			c.Lookup(key(1000))          // one miss
+
+			var want []byte
+			want = binary.BigEndian.AppendUint32(want, tc.wantCap)
+			want = binary.BigEndian.AppendUint32(want, tc.next)
+			want = binary.BigEndian.AppendUint32(want, uint32(len(tc.ring)))
+			for _, i := range tc.ring {
+				k, v := key(i), verdict(i)
+				want = append(want, k[:]...)
+				if v.OK {
+					want = append(want, 1)
+				} else {
+					want = append(want, 0)
+				}
+				want = append(want, v.HCkpt[:]...)
+			}
+			want = binary.BigEndian.AppendUint64(want, 1)
+			want = binary.BigEndian.AppendUint64(want, 1)
+
+			got, err := c.EncodeState()
+			if err != nil {
+				t.Fatalf("EncodeState: %v", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("EncodeState differs from the hand-built blob\n got %x\nwant %x", got, want)
+			}
+			restored := NewAuditCache(tc.capacity)
+			if err := restored.RestoreState(got); err != nil {
+				t.Fatalf("RestoreState: %v", err)
+			}
+			again, err := restored.EncodeState()
+			if err != nil || !bytes.Equal(again, got) {
+				t.Fatalf("restored cache re-encodes differently (err %v)", err)
+			}
+		})
 	}
 }

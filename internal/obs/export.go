@@ -37,10 +37,15 @@ func jsonString(s string) string { return strconv.Quote(s) }
 // jsonFloat renders v in the shortest round-trippable form, with a
 // fixed representation for integral values so output is stable.
 func jsonFloat(v float64) string {
+	var buf [32]byte
+	return string(appendJSONFloat(buf[:0], v))
+}
+
+func appendJSONFloat(dst []byte, v float64) []byte {
 	if v == float64(int64(v)) {
-		return strconv.FormatInt(int64(v), 10)
+		return strconv.AppendInt(dst, int64(v), 10)
 	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return strconv.AppendFloat(dst, v, 'g', -1, 64)
 }
 
 // WriteNDJSON writes one JSON object per event, newline-delimited, in
@@ -83,22 +88,26 @@ func WriteNDJSON(w io.Writer, events []Event) error {
 
 // WriteMetricsJSON writes a snapshot as one JSON object mapping
 // metric name to value, one metric per line, preserving the
-// snapshot's (sorted) order.
+// snapshot's (sorted) order. The document is rendered into one buffer
+// and handed to w in a single Write.
 func WriteMetricsJSON(w io.Writer, snap []Sample) error {
-	if _, err := io.WriteString(w, "{\n"); err != nil {
-		return err
+	size := len("{\n}\n")
+	for _, s := range snap {
+		size += len(s.Name) + 32 // indent, quotes, ": ", a typical value, ",\n"
 	}
+	b := append(make([]byte, 0, size), "{\n"...)
 	for i, s := range snap {
-		sep := ",\n"
-		if i == len(snap)-1 {
-			sep = "\n"
+		b = append(b, "  "...)
+		b = strconv.AppendQuote(b, s.Name)
+		b = append(b, ": "...)
+		b = appendJSONFloat(b, s.Value)
+		if i < len(snap)-1 {
+			b = append(b, ',')
 		}
-		line := "  " + jsonString(s.Name) + ": " + jsonFloat(s.Value) + sep
-		if _, err := io.WriteString(w, line); err != nil {
-			return err
-		}
+		b = append(b, '\n')
 	}
-	_, err := io.WriteString(w, "}\n")
+	b = append(b, "}\n"...)
+	_, err := w.Write(b)
 	return err
 }
 

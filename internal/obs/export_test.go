@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -209,6 +211,73 @@ func TestChromeTraceLines(t *testing.T) {
 		}
 		if !strings.Contains(buf.String(), line) {
 			t.Fatalf("document missing line: %s", line)
+		}
+	}
+}
+
+// countingWriter counts the Write calls it receives.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestWriteMetricsJSONMatchesLineRendering is the equivalence owner for
+// the one-buffer renderer: its output must equal the line-at-a-time
+// string rendering it replaced (kept here as the oracle: strconv.Quote
+// names, integral values through FormatInt, the rest through
+// FormatFloat 'g') on every value class the rule distinguishes, and
+// reach the writer in a single Write.
+func TestWriteMetricsJSONMatchesLineRendering(t *testing.T) {
+	lineRendering := func(snap []Sample) string {
+		var b strings.Builder
+		b.WriteString("{\n")
+		for i, s := range snap {
+			val := strconv.FormatFloat(s.Value, 'g', -1, 64)
+			if s.Value == float64(int64(s.Value)) {
+				val = strconv.FormatInt(int64(s.Value), 10)
+			}
+			sep := ",\n"
+			if i == len(snap)-1 {
+				sep = "\n"
+			}
+			b.WriteString("  " + strconv.Quote(s.Name) + ": " + val + sep)
+		}
+		b.WriteString("}\n")
+		return b.String()
+	}
+	snap := []Sample{
+		{"integral", 1664000},
+		{"integral.negative", -42},
+		{"zero", 0},
+		{"zero.negative", math.Copysign(0, -1)},
+		{"fractional", 0.675},
+		{"fractional.tiny", 1e-9},
+		{"int64.edge", 1 << 62},
+		{"int64.over", 1 << 63},
+		{"huge", 1e300},
+		{"nan", math.NaN()},
+		{"inf.pos", math.Inf(1)},
+		{"inf.neg", math.Inf(-1)},
+		{"quote\"and\\slash", 1},
+		{"control\n\ttab", 2},
+		{"non-ascii µs é", 3},
+		{"a name long enough to outgrow any per-line size guess: " + strings.Repeat("x", 200), 4},
+	}
+	for n := 0; n <= len(snap); n++ {
+		var w countingWriter
+		if err := WriteMetricsJSON(&w, snap[:n]); err != nil {
+			t.Fatalf("%d samples: %v", n, err)
+		}
+		if want := lineRendering(snap[:n]); w.String() != want {
+			t.Fatalf("%d samples: output differs from the line rendering\n got %q\nwant %q", n, w.String(), want)
+		}
+		if w.writes != 1 {
+			t.Errorf("%d samples: %d Writes, want 1", n, w.writes)
 		}
 	}
 }

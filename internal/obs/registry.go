@@ -322,7 +322,11 @@ func (r *Registry) Snapshot() []Sample {
 		kinds[name] = 'h'
 	}
 	sort.Strings(names)
-	var out []Sample
+	size := len(names)
+	for _, h := range r.histograms {
+		size += len(h.bounds) + 2 // one name became buckets, +inf, count, sum
+	}
+	out := make([]Sample, 0, size)
 	for _, name := range names {
 		switch kinds[name] {
 		case 'c':

@@ -610,9 +610,10 @@ func (m *Medium) sortByRank(out []Delivery, nRanks int) []Delivery {
 	for r := range counts {
 		counts[r], sum = sum, sum+counts[r]
 	}
-	if cap(m.resultBuf) < len(out) {
-		m.resultBuf = make([]Delivery, len(out)) //rebound:alloc amortized growth, zero at steady state
-	}
+	// Grow geometrically: a dense round's delivery count creeps up by a
+	// frame or two at a time, and growing to exactly len(out) would
+	// reallocate the whole ~1 MB slice on each new maximum.
+	m.resultBuf = slices.Grow(m.resultBuf[:0], len(out))
 	res := m.resultBuf[:len(out)]
 	for _, d := range out {
 		res[counts[d.rank]] = d

@@ -261,3 +261,36 @@ func BenchmarkSend(b *testing.B) {
 		}
 	}
 }
+
+// TestDeliverResultGrowsGeometrically pins the satellite fix: the
+// buffer backing Deliver's result grows geometrically, not to exactly
+// the round's delivery count. A dense flock's count creeps up a frame
+// at a time for most of a run, and exact growth reallocated the whole
+// ~1 MB slice on every new maximum (one reallocation per round here).
+func TestDeliverResultGrowsGeometrically(t *testing.T) {
+	m := newTestMedium(posMap{1: geom.V(0, 0), 2: geom.V(10, 0)})
+	ids := []wire.RobotID{1, 2}
+	f := wire.Frame{Src: 1, Dst: wire.Broadcast, Payload: []byte("x")}
+
+	const first, rounds = 256, 200
+	var backing *Delivery
+	moved := 0
+	for n := first; n < first+rounds; n++ {
+		for i := 0; i < n; i++ {
+			m.Send(1, f)
+		}
+		got := m.Deliver(ids)
+		if len(got) != n {
+			t.Fatalf("round of %d sends delivered %d frames", n, len(got))
+		}
+		if &got[0] != backing {
+			backing = &got[0]
+			moved++
+		}
+	}
+	// 256 → 455 deliveries is under one doubling: the first round's
+	// allocation plus at most a few 1.25x steps.
+	if moved > 4 {
+		t.Fatalf("result buffer reallocated in %d of %d rounds whose delivery count rose by one; want ≤ 4 (is sortByRank growing to exactly len(out) again?)", moved, rounds)
+	}
+}

@@ -1,0 +1,62 @@
+package serve
+
+import (
+	"runtime"
+	"testing"
+)
+
+// The most heap a tiny job may cost end to end through RunJobDirect:
+// 10 % above the values measured when the ceilings were last set
+// (81 824 B and 694 allocations at PR 18; 557 241 B and 953 on its
+// parent, when every sim zeroed a 4096-verdict map and metrics.json
+// was rendered a line at a time). A 3-robot, 1-second job simulates 12
+// robot-ticks, so nearly all of this is cost paid before the first
+// tick — the constant term every cell of every sweep pays. Allocation
+// counts and sizes are deterministic for a fixed request (to ~0.3 %:
+// a GC cycle empties encoding/json's and fmt's pools), so this is a
+// machine-independent gate like the root package's dense-cell ceiling.
+// Under -race sync.Pool drops a quarter of what it is given and the
+// job reads ~88 500 B / 720, still inside. A change that lowers the
+// measured values lowers the ceilings with them; nothing raises them.
+const (
+	tinyJobBytesCeiling  = 90_000
+	tinyJobAllocsCeiling = 763
+)
+
+// TestTinyJobFixedCostCeiling runs the benchmark's serve_tiny_jobs
+// request — seed-1 {chaos, none, N=3, 1 s} — without HTTP, scheduler
+// or store and holds the whole job under the ceilings.
+func TestTinyJobFixedCostCeiling(t *testing.T) {
+	req := &JobRequest{
+		Version:     RequestVersion,
+		Kind:        KindChaos,
+		Profile:     "none",
+		Seed:        1,
+		N:           3,
+		DurationSec: 1,
+	}
+	run := func() {
+		if _, err := RunJobDirect(req, nil); err != nil {
+			t.Fatalf("tiny job: %v", err)
+		}
+	}
+	run() // one-time costs (lazy tables, sync.Once) are not the job's
+
+	const jobs = 32
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < jobs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / jobs
+	allocs := (after.Mallocs - before.Mallocs) / jobs
+	t.Logf("tiny job: %d B and %d allocations per job, ceilings %d / %d",
+		bytes, allocs, tinyJobBytesCeiling, tinyJobAllocsCeiling)
+	if bytes > tinyJobBytesCeiling || allocs > tinyJobAllocsCeiling {
+		t.Errorf("tiny job costs %d B / %d allocations, over the ceilings of %d / %d: "+
+			"find what a job pays that does not depend on what it simulates "+
+			"(go test -run TestTinyJobFixedCostCeiling -memprofile) instead of raising a ceiling",
+			bytes, allocs, tinyJobBytesCeiling, tinyJobAllocsCeiling)
+	}
+}

@@ -126,7 +126,7 @@ func (c *Client) Events(ctx context.Context, id string, fn func(Event)) error {
 	}
 	defer resp.Body.Close()
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	sc.Buffer(nil, 1<<20) // starts at bufio's 4 KiB and grows to the line limit
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(bytes.TrimSpace(line)) == 0 {

@@ -1,16 +1,20 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
+	"compress/gzip"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -259,21 +263,10 @@ func TestServerGzipArtifact(t *testing.T) {
 		t.Fatalf("run: %v (state %v)", err, st.State)
 	}
 
-	// Manual request with transparent decompression disabled so the
-	// Content-Encoding header is observable.
-	tr := &http.Transport{DisableCompression: true}
-	defer tr.CloseIdleConnections()
-	httpReq, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/jobs/"+st.ID+"/artifacts/events.ndjson", nil)
-	httpReq.Header.Set("Accept-Encoding", "gzip")
-	resp, err := (&http.Client{Transport: tr}).Do(httpReq)
+	compressed, err := fetchGzipped(undecodingClient(t), ts.URL, st.ID, "events.ndjson")
 	if err != nil {
 		t.Fatalf("get: %v", err)
 	}
-	defer resp.Body.Close()
-	if got := resp.Header.Get("Content-Encoding"); got != "gzip" {
-		t.Fatalf("Content-Encoding = %q, want gzip", got)
-	}
-	compressed, _ := io.ReadAll(resp.Body)
 
 	raw, err := client.Artifact(ctx, st.ID, "events.ndjson")
 	if err != nil {
@@ -284,6 +277,181 @@ func TestServerGzipArtifact(t *testing.T) {
 	}
 	if len(raw) < gzipMinBytes {
 		t.Fatalf("test artifact only %d bytes; below the gzip threshold", len(raw))
+	}
+}
+
+// undecodingClient is an HTTP client with transparent decompression
+// off, so Content-Encoding and the compressed body are observable.
+func undecodingClient(t *testing.T) *http.Client {
+	tr := &http.Transport{DisableCompression: true}
+	t.Cleanup(tr.CloseIdleConnections)
+	return &http.Client{Transport: tr}
+}
+
+// fetchGzipped requests an artifact's gzip encoding and returns the
+// compressed body. Safe to call off the test goroutine: failures come
+// back as errors.
+func fetchGzipped(hc *http.Client, base, id, name string) ([]byte, error) {
+	req, err := http.NewRequest(http.MethodGet, base+"/v1/jobs/"+id+"/artifacts/"+name, nil)
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Accept-Encoding", "gzip")
+	resp, err := hc.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if got := resp.Header.Get("Content-Encoding"); got != "gzip" {
+		return nil, fmt.Errorf("%s/%s: Content-Encoding = %q, want gzip", id, name, got)
+	}
+	return io.ReadAll(resp.Body)
+}
+
+// freshGzip compresses data the way handleArtifact did before its
+// writers were pooled: a new gzip.Writer per call.
+func freshGzip(t *testing.T, data []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	gz := gzip.NewWriter(&buf)
+	if _, err := gz.Write(data); err != nil {
+		t.Fatalf("gzip write: %v", err)
+	}
+	if err := gz.Close(); err != nil {
+		t.Fatalf("gzip close: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// TestServerGzipArtifactsConcurrent is the equivalence owner for pooled
+// artifact compression (run it under -race): concurrent gzip fetches of
+// different artifacts through one server — so recycled writers cross
+// between requests — each carry exactly the bytes a fresh gzip.Writer
+// produces for that artifact, and gunzip to the stored bytes and the
+// listed SHA-256. A writer that kept anything of its last response
+// would fail the byte comparison.
+func TestServerGzipArtifactsConcurrent(t *testing.T) {
+	_, ts, client := newTestServer(t, ServerOptions{Workers: 2})
+	ctx := context.Background()
+
+	type artifact struct {
+		id   string
+		info ArtifactInfo
+		want []byte // the compressed body a fresh writer produces
+	}
+	var arts []artifact
+	for seed := uint64(1); seed <= 3; seed++ {
+		req := validChaosRequest()
+		req.Seed, req.Events = seed, true
+		st, err := client.Run(ctx, req)
+		if err != nil || st.State != StateDone {
+			t.Fatalf("seed %d: run: %v (state %v)", seed, err, st.State)
+		}
+		for _, info := range st.Artifacts {
+			raw, err := client.Artifact(ctx, st.ID, info.Name)
+			if err != nil {
+				t.Fatalf("raw artifact %s: %v", info.Name, err)
+			}
+			if len(raw) >= gzipMinBytes {
+				arts = append(arts, artifact{st.ID, info, freshGzip(t, raw)})
+			}
+		}
+	}
+	if len(arts) < 4 {
+		t.Fatalf("only %d artifacts over the gzip threshold; the test needs several distinct ones", len(arts))
+	}
+
+	hc := undecodingClient(t)
+	const fetchers, rounds = 8, 6
+	var wg sync.WaitGroup
+	for g := 0; g < fetchers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				a := arts[(g+i)%len(arts)]
+				got, err := fetchGzipped(hc, ts.URL, a.id, a.info.Name)
+				if err != nil {
+					t.Errorf("fetcher %d: %v", g, err)
+					return
+				}
+				if !bytes.Equal(got, a.want) {
+					t.Errorf("fetcher %d: %s/%s: pooled response differs from a fresh gzip.Writer's (%d vs %d bytes)",
+						g, a.id, a.info.Name, len(got), len(a.want))
+				}
+				zr, err := gzip.NewReader(bytes.NewReader(got))
+				if err != nil {
+					t.Errorf("fetcher %d: %s/%s: %v", g, a.id, a.info.Name, err)
+					return
+				}
+				plain, err := io.ReadAll(zr)
+				if err != nil {
+					t.Errorf("fetcher %d: %s/%s: gunzip: %v", g, a.id, a.info.Name, err)
+				}
+				if sum := sha256.Sum256(plain); hex.EncodeToString(sum[:]) != a.info.SHA256 {
+					t.Errorf("fetcher %d: %s/%s: gunzipped bytes do not hash to the listed SHA-256", g, a.id, a.info.Name)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// brokenPipe is a ResponseWriter whose body writes fail, as a client
+// hanging up mid-artifact makes them.
+type brokenPipe struct{ header http.Header }
+
+func (w *brokenPipe) Header() http.Header       { return w.header }
+func (w *brokenPipe) WriteHeader(int)           {}
+func (w *brokenPipe) Write([]byte) (int, error) { return 0, errors.New("broken pipe") }
+
+// TestServerGzipWriteFailure: a failed compressed write is counted on
+// the server's error tally, and the writer that failed is not recycled
+// — every later response is still exactly what a fresh writer produces.
+func TestServerGzipWriteFailure(t *testing.T) {
+	s, ts, client := newTestServer(t, ServerOptions{Workers: 1})
+	ctx := context.Background()
+	req := validChaosRequest()
+	req.Events = true
+	st, err := client.Run(ctx, req)
+	if err != nil || st.State != StateDone {
+		t.Fatalf("run: %v (state %v)", err, st.State)
+	}
+	raw, err := client.Artifact(ctx, st.ID, "events.ndjson")
+	if err != nil {
+		t.Fatalf("raw artifact: %v", err)
+	}
+	want := freshGzip(t, raw)
+
+	httpErrors := func() float64 {
+		for _, m := range s.MetricsSnapshot() {
+			if m.Name == "serve.http.errors" {
+				return m.Value
+			}
+		}
+		return 0
+	}
+	errorsBefore := httpErrors()
+	const failures = 4
+	for i := 0; i < failures; i++ {
+		httpReq := httptest.NewRequest(http.MethodGet, "/v1/jobs/"+st.ID+"/artifacts/events.ndjson", nil)
+		httpReq.Header.Set("Accept-Encoding", "gzip")
+		httpReq.Header.Set(TenantHeader, "test")
+		s.Handler().ServeHTTP(&brokenPipe{header: http.Header{}}, httpReq)
+	}
+	if got := httpErrors() - errorsBefore; got != failures {
+		t.Errorf("serve.http.errors rose by %v over %d failed artifact writes, want %d", got, failures, failures)
+	}
+
+	hc := undecodingClient(t)
+	for i := 0; i < 2*failures; i++ {
+		got, err := fetchGzipped(hc, ts.URL, st.ID, "events.ndjson")
+		if err != nil {
+			t.Fatalf("fetch after failed writes: %v", err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("fetch %d after failed writes differs from a fresh gzip.Writer's output", i)
+		}
 	}
 }
 
@@ -354,9 +522,16 @@ func TestServerTenantsAndMetrics(t *testing.T) {
 		t.Fatalf("tenant stats = %+v", stats)
 	}
 
-	data, err := client.MetricsJSON(ctx)
-	if err != nil {
-		t.Fatalf("metrics: %v", err)
+	// The worker records a job's telemetry just after the terminal
+	// transition that ends the client's wait, so give it a moment.
+	var data []byte
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if data, err = client.MetricsJSON(ctx); err != nil {
+			t.Fatalf("metrics: %v", err)
+		}
+		if strings.Contains(string(data), "serve.tenant.test.service_ns") || time.Now().After(deadline) {
+			break
+		}
 	}
 	var doc map[string]any
 	if err := json.Unmarshal(data, &doc); err != nil {
@@ -422,5 +597,36 @@ func TestServerConcurrentTenantSessions(t *testing.T) {
 			t.Errorf("tenant load-%d: submitted %v, completed %v, want %d each",
 				i, counts[prefix+"submitted"], counts[prefix+"completed"], perTenant)
 		}
+	}
+}
+
+// TestClientEventsLineLimit: the event scanner starts at bufio's
+// default buffer and grows on demand, so the line limit is still 1 MiB
+// — a line just under it parses, one over it is bufio.ErrTooLong.
+func TestClientEventsLineLimit(t *testing.T) {
+	const frame = `{"seq":1,"label":""}` + "\n"
+	line := func(size int) string { // one event line of exactly size bytes, newline included
+		return `{"seq":1,"label":"` + strings.Repeat("x", size-len(frame)) + `"}` + "\n"
+	}
+	const under, over = 1<<20 - 1, 1<<20 + 2
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		size := under
+		if strings.Contains(r.URL.Path, "/over/") {
+			size = over
+		}
+		io.WriteString(w, `{"seq":0,"state":"running"}`+"\n"+line(size))
+	}))
+	defer ts.Close()
+	client := &Client{Base: ts.URL}
+
+	var got []Event
+	if err := client.Events(context.Background(), "under", func(e Event) { got = append(got, e) }); err != nil {
+		t.Fatalf("a %d-byte event line: %v", under, err)
+	}
+	if len(got) != 2 || got[1].Seq != 1 || len(got[1].Label) != under-len(frame) {
+		t.Fatalf("got %d events, want the short one and the long one intact", len(got))
+	}
+	if err := client.Events(context.Background(), "over", nil); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("a %d-byte event line: err = %v, want bufio.ErrTooLong", over, err)
 	}
 }
