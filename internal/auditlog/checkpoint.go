@@ -7,6 +7,7 @@
 package auditlog
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"roborebound/internal/cryptolite"
@@ -32,12 +33,17 @@ type Checkpoint struct {
 // Encode serializes the checkpoint. The encoding is canonical: Hash is
 // defined over these bytes, and tokens bind to that hash.
 func (c *Checkpoint) Encode() []byte {
-	w := wire.NewWriter(8 + 2*wire.AuthenticatorSize + 4 + len(c.State))
-	w.U64(uint64(c.Time))
-	w.Raw(c.AuthS.Encode())
-	w.Raw(c.AuthA.Encode())
-	w.Blob(c.State)
-	return w.Bytes()
+	return c.AppendEncode(make([]byte, 0, c.EncodedSize()))
+}
+
+// AppendEncode appends the checkpoint's encoding to dst and returns
+// the extended slice.
+func (c *Checkpoint) AppendEncode(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, uint64(c.Time))
+	dst = c.AuthS.AppendEncode(dst)
+	dst = c.AuthA.AppendEncode(dst)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(c.State)))
+	return append(dst, c.State...)
 }
 
 // DecodeCheckpoint parses an encoded checkpoint.

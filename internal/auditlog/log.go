@@ -16,10 +16,21 @@ type CoveredCheckpoint struct {
 	Tokens []wire.Token
 }
 
+// pendingCheckpoint keeps the checkpoint's canonical encoding beside
+// the hash taken over it: the round that created it ships those bytes
+// as its end checkpoint, the next round as its start, and a snapshot
+// writes them, so a checkpoint is encoded once in its life. enc is
+// written once and then only read — holders share it without copying.
 type pendingCheckpoint struct {
 	cp    Checkpoint
+	enc   []byte
 	hash  cryptolite.ChainHash
 	index int // number of log entries recorded before this checkpoint
+}
+
+func newPending(cp Checkpoint, index int) pendingCheckpoint {
+	enc := cp.Encode()
+	return pendingCheckpoint{cp: cp, enc: enc, hash: cryptolite.SHA1Sum(enc), index: index}
 }
 
 // Log is the c-node's retained window of its tamper-evident log. It
@@ -36,6 +47,7 @@ type pendingCheckpoint struct {
 type Log struct {
 	fromBoot bool
 	start    *CoveredCheckpoint // nil ⇔ fromBoot
+	startEnc []byte             // start.CP's encoding, nil ⇔ fromBoot
 	pending  []pendingCheckpoint
 
 	// encoded is the concatenation of the retained entries' encodings;
@@ -64,15 +76,14 @@ func (l *Log) Append(e wire.LogEntry) {
 	l.entryBytes += e.EncodedSize()
 }
 
-// AddCheckpoint records a checkpoint at the current log position. The
+// AddCheckpoint records a checkpoint at the current log position and
+// returns its hash, the handle SegmentTo and MarkCovered take. The
 // caller (the protocol engine) creates one per audit round, right
 // before requesting audits.
-func (l *Log) AddCheckpoint(cp Checkpoint) {
-	l.pending = append(l.pending, pendingCheckpoint{
-		cp:    cp,
-		hash:  cp.Hash(),
-		index: len(l.offsets),
-	})
+func (l *Log) AddCheckpoint(cp Checkpoint) cryptolite.ChainHash {
+	p := newPending(cp, len(l.offsets))
+	l.pending = append(l.pending, p)
+	return p.hash
 }
 
 // ErrUnknownCheckpoint is returned when a hash matches no retained
@@ -116,6 +127,7 @@ func (l *Log) MarkCovered(hash cryptolite.ChainHash, tokens []wire.Token) error 
 		clear(l.pending[n:])
 		l.pending = l.pending[:n]
 		l.start = &CoveredCheckpoint{CP: p.cp, Tokens: append([]wire.Token(nil), tokens...)}
+		l.startEnc = p.enc
 		l.fromBoot = false
 		l.truncations++
 		return nil
@@ -130,6 +142,10 @@ type Segment struct {
 	Start    *CoveredCheckpoint // nil ⇔ FromBoot
 	End      Checkpoint
 	EndHash  cryptolite.ChainHash
+	// StartEnc and EndEnc are Start.CP's and End's canonical encodings
+	// (StartEnc nil ⇔ FromBoot), the ones their hashes were taken over.
+	// The log shares them, so they are read-only to the caller.
+	StartEnc, EndEnc []byte
 	// Encoded is the segment's entries in their concatenated wire
 	// encoding (wire.DecodeLogEntries parses it).
 	Encoded []byte
@@ -148,6 +164,8 @@ func (l *Log) SegmentTo(hash cryptolite.ChainHash) (Segment, error) {
 			Start:    l.start,
 			End:      p.cp,
 			EndHash:  p.hash,
+			StartEnc: l.startEnc,
+			EndEnc:   p.enc,
 			Encoded:  l.encoded[:l.offsetAt(p.index)],
 		}, nil
 	}

@@ -416,3 +416,140 @@ func TestAccountingErrorLatches(t *testing.T) {
 		}
 	}
 }
+
+// writerCheckpoint renders a checkpoint field by field through a
+// wire.Writer — the layout Encode had before it was append-style — so
+// the tests below hold the retained encodings to the format itself
+// rather than to the code that produces them.
+func writerCheckpoint(c Checkpoint) []byte {
+	w := wire.NewWriter(0)
+	w.U64(uint64(c.Time))
+	for _, a := range []wire.Authenticator{c.AuthS, c.AuthA} {
+		w.U8(a.NodeKind)
+		w.U64(uint64(a.T))
+		w.Raw(a.Top[:])
+		w.U16(uint16(a.ID))
+		w.Raw(a.Mac[:])
+	}
+	w.Blob(c.State)
+	return w.Bytes()
+}
+
+// TestCheckpointEncodedOnceAndRetained: the log keeps, beside each
+// checkpoint's hash, the bytes the hash was taken over, and hands the
+// same bytes out as a round's end checkpoint, as the next round's start
+// checkpoint, and to the snapshot — equal to cp.Encode() and to the
+// format, and the very same array, not a re-encoding.
+func TestCheckpointEncodedOnceAndRetained(t *testing.T) {
+	cp1, cp2 := ckpt(7, "first-state"), ckpt(11, "")
+	cp1.AuthS.Top[3], cp1.AuthA.Mac[7], cp2.AuthA.ID = 0xAB, 0xCD, wire.Broadcast
+	l := New()
+	l.Append(entry(1))
+	h1 := l.AddCheckpoint(cp1)
+	if h1 != cp1.Hash() {
+		t.Errorf("AddCheckpoint returned %x, want the checkpoint's hash %x", h1, cp1.Hash())
+	}
+	seg1, err := l.SegmentTo(h1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seg1.StartEnc != nil {
+		t.Error("from-boot segment carries a start encoding")
+	}
+	for _, want := range [][]byte{cp1.Encode(), writerCheckpoint(cp1)} {
+		if !bytes.Equal(seg1.EndEnc, want) {
+			t.Errorf("retained encoding %x, want %x", seg1.EndEnc, want)
+		}
+	}
+	if cryptolite.SHA1Sum(seg1.EndEnc) != seg1.EndHash {
+		t.Error("EndHash is not the hash of the retained encoding")
+	}
+
+	if err := l.MarkCovered(h1, []wire.Token{{Auditor: 2, Auditee: 1, HCkpt: h1}}); err != nil {
+		t.Fatal(err)
+	}
+	l.Append(entry(2))
+	seg2, err := l.SegmentTo(l.AddCheckpoint(cp2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &seg2.StartEnc[0] != &seg1.EndEnc[0] || len(seg2.StartEnc) != len(seg1.EndEnc) {
+		t.Error("the covered checkpoint was re-encoded for the next round's start")
+	}
+	if !bytes.Equal(seg2.EndEnc, writerCheckpoint(cp2)) {
+		t.Errorf("empty-state checkpoint retained as %x, want %x", seg2.EndEnc, writerCheckpoint(cp2))
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		if _, err := l.SegmentTo(seg2.EndHash); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("SegmentTo allocates %v times, want 0 (it shares the retained encodings)", n)
+	}
+}
+
+// TestSnapshotBytesWithPendingCheckpoints holds the snapshot of a log
+// with a covered start and two pending checkpoints to a hand-built
+// blob: the codec writes the retained encodings now, and the bytes —
+// and what a restore rebuilds from them — must not have moved.
+func TestSnapshotBytesWithPendingCheckpoints(t *testing.T) {
+	start, p1, p2 := ckpt(4, "covered"), ckpt(8, "pending-one"), ckpt(12, "pending-two")
+	tok := wire.Token{Auditor: 3, Auditee: 1, T: 4, HCkpt: start.Hash()}
+	l := New()
+	l.Append(entry(0))
+	l.AddCheckpoint(start)
+	l.Append(entry(1)) // logged after the checkpoint: survives the cover
+	if err := l.MarkCovered(start.Hash(), []wire.Token{tok}); err != nil {
+		t.Fatal(err)
+	}
+	l.Append(entry(2))
+	l.AddCheckpoint(p1)
+	l.Append(entry(3))
+	l.AddCheckpoint(p2)
+
+	w := wire.NewWriter(0)
+	w.U8(0) // not from boot
+	w.U8(1) // has a covered start
+	w.Blob(writerCheckpoint(start))
+	w.U32(1)
+	w.Raw(tok.Encode())
+	var window []byte
+	for _, i := range []int{1, 2, 3} {
+		e := entry(i)
+		window = wire.AppendLogEntry(window, &e)
+	}
+	w.Blob(window)
+	w.U32(2)
+	w.Blob(writerCheckpoint(p1))
+	w.U32(2) // entries before pending-one
+	w.Blob(writerCheckpoint(p2))
+	w.U32(3)
+	w.U32(1) // truncations
+	want := w.Bytes()
+
+	got, err := l.EncodeState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("snapshot bytes moved:\n got %x\nwant %x", got, want)
+	}
+	restored := New()
+	if err := restored.RestoreState(want); err != nil {
+		t.Fatal(err)
+	}
+	again, err := restored.EncodeState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, want) {
+		t.Errorf("restore → snapshot is not the identity:\n got %x\nwant %x", again, want)
+	}
+	seg, err := restored.SegmentTo(p2.Hash())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(seg.StartEnc, start.Encode()) || !bytes.Equal(seg.EndEnc, p2.Encode()) {
+		t.Error("restore did not rebuild the retained checkpoint encodings")
+	}
+}

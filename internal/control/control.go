@@ -17,8 +17,12 @@ type Outputs struct {
 	// Broadcast, if non-nil, is an application payload to broadcast
 	// over the radio (e.g. an encoded StateMsg).
 	Broadcast []byte
-	// Cmd, if non-nil, is the acceleration command for the actuators.
-	Cmd *wire.ActuatorCmd
+	// Cmd is the acceleration command for the actuators, meaningful
+	// only when HasCmd is set. It travels by value: a control step (and
+	// every replayed one) costs no heap object, and there is no
+	// controller-owned buffer whose lifetime a consumer could get wrong.
+	Cmd    wire.ActuatorCmd
+	HasCmd bool
 }
 
 // Controller is a deterministic robot control algorithm.

@@ -248,7 +248,7 @@ func (e *Explore) OnSensor(r wire.SensorReading) Outputs {
 		u = e.vel.Neg().Scale(e.params.KD).ClampAxes(e.params.AccelCap)
 	}
 
-	out := Outputs{Cmd: &wire.ActuatorCmd{Time: r.Time, AccX: u.X, AccY: u.Y}}
+	out := Outputs{Cmd: wire.ActuatorCmd{Time: r.Time, AccX: u.X, AccY: u.Y}, HasCmd: true}
 	if per := e.params.BroadcastPeriod; per > 0 && r.Time%per == wire.Tick(e.id)%per {
 		m := wire.StateMsg{Src: e.id, Time: r.Time,
 			PosX: float32(e.pos.X), PosY: float32(e.pos.Y),

@@ -57,7 +57,7 @@ func TestExploreWaypointsInsideStrip(t *testing.T) {
 func TestExploreSteersTowardWaypoint(t *testing.T) {
 	e := NewExplore(1, exploreParams())
 	out := e.OnSensor(exploreReading(0, geom.V(0, 0), geom.Zero2))
-	if out.Cmd == nil {
+	if !out.HasCmd {
 		t.Fatal("no actuator command")
 	}
 	wp := e.waypoint(0, 0)
@@ -171,7 +171,7 @@ func TestExploreStateRoundTrip(t *testing.T) {
 	}
 	in := exploreReading(6, geom.V(26, 4), geom.V(0.25, 0))
 	a, b := e.OnSensor(in), restored.OnSensor(in)
-	if *a.Cmd != *b.Cmd || !bytes.Equal(a.Broadcast, b.Broadcast) {
+	if a.Cmd != b.Cmd || !bytes.Equal(a.Broadcast, b.Broadcast) {
 		t.Error("restored controller diverges")
 	}
 }

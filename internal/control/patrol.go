@@ -102,7 +102,7 @@ func (p *Patrol) OnSensor(r wire.SensorReading) Outputs {
 			Add(p.vel.Neg().Scale(p.params.KD)).
 			ClampAxes(p.params.AccelCap)
 	}
-	out := Outputs{Cmd: &wire.ActuatorCmd{Time: r.Time, AccX: u.X, AccY: u.Y}}
+	out := Outputs{Cmd: wire.ActuatorCmd{Time: r.Time, AccX: u.X, AccY: u.Y}, HasCmd: true}
 	if per := p.params.BroadcastPeriod; per > 0 && r.Time%per == wire.Tick(p.id)%per {
 		m := wire.StateMsg{Src: p.id, Time: r.Time,
 			PosX: float32(p.pos.X), PosY: float32(p.pos.Y),

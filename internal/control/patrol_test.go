@@ -33,7 +33,7 @@ func TestPatrolSteersTowardWaypoint(t *testing.T) {
 	p := patrolParams()
 	c := NewPatrol(1, p) // waypoint 1 = (50, 0)
 	out := c.OnSensor(patrolReading(0, geom.V(0, 0), geom.Zero2))
-	if out.Cmd == nil || out.Cmd.AccX <= 0 {
+	if !out.HasCmd || out.Cmd.AccX <= 0 {
 		t.Errorf("expected +x steering toward (50,0): %+v", out.Cmd)
 	}
 }
@@ -67,7 +67,7 @@ func TestPatrolDamping(t *testing.T) {
 func TestPatrolEmptyRoute(t *testing.T) {
 	c := NewPatrol(1, PatrolParams{AccelCap: 5})
 	out := c.OnSensor(patrolReading(0, geom.V(3, 4), geom.V(1, 1)))
-	if out.Cmd == nil || out.Cmd.AccX != 0 || out.Cmd.AccY != 0 {
+	if !out.HasCmd || out.Cmd.AccX != 0 || out.Cmd.AccY != 0 {
 		t.Errorf("empty route should command zero accel: %+v", out.Cmd)
 	}
 }
@@ -103,7 +103,7 @@ func TestPatrolStateRoundTrip(t *testing.T) {
 	}
 	in := patrolReading(8, geom.V(13, -3), geom.V(0.5, 0))
 	a, b := c.OnSensor(in), restored.OnSensor(in)
-	if *a.Cmd != *b.Cmd {
+	if a.Cmd != b.Cmd {
 		t.Error("restored patrol diverges")
 	}
 }

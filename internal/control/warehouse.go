@@ -218,7 +218,7 @@ func (w *Warehouse) OnSensor(r wire.SensorReading) Outputs {
 			ClampAxes(w.params.AccelCap)
 	}
 
-	out := Outputs{Cmd: &wire.ActuatorCmd{Time: r.Time, AccX: u.X, AccY: u.Y}}
+	out := Outputs{Cmd: wire.ActuatorCmd{Time: r.Time, AccX: u.X, AccY: u.Y}, HasCmd: true}
 	if per := w.params.BroadcastPeriod; per > 0 && r.Time%per == wire.Tick(w.id)%per {
 		m := wire.StateMsg{Src: w.id, Time: r.Time,
 			PosX: float32(w.pos.X), PosY: float32(w.pos.Y),

@@ -185,7 +185,7 @@ func TestWarehouseStateRoundTrip(t *testing.T) {
 	}
 	in := whReading(1, geom.V(5, 0), geom.V(1, 0))
 	a, b := w.OnSensor(in), restored.OnSensor(in)
-	if *a.Cmd != *b.Cmd {
+	if a.Cmd != b.Cmd {
 		t.Error("restored controller diverges")
 	}
 }
@@ -204,7 +204,7 @@ func TestWarehouseRestoreRejectsBadState(t *testing.T) {
 func TestWarehouseEmptyStations(t *testing.T) {
 	w := NewWarehouse(1, WarehouseParams{ArriveRadius: 1, KP: 0.1, KD: 0.5, AccelCap: 5})
 	out := w.OnSensor(whReading(0, geom.V(3, 3), geom.Zero2))
-	if out.Cmd == nil {
+	if !out.HasCmd {
 		t.Fatal("no command")
 	}
 	// Target defaults to origin; must not panic.

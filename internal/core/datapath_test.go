@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"runtime"
+	"slices"
 	"testing"
 
 	"roborebound/internal/auditlog"
+	"roborebound/internal/control"
 	"roborebound/internal/trusted"
 	"roborebound/internal/wire"
 )
@@ -28,6 +31,11 @@ type dataPathRobot struct {
 
 func newDataPathRobot(t *testing.T, cfg Config, fresh bool) *dataPathRobot {
 	t.Helper()
+	return newDataPathRobotWith(t, cfg, fresh, factory())
+}
+
+func newDataPathRobotWith(t *testing.T, cfg Config, fresh bool, f control.Factory) *dataPathRobot {
+	t.Helper()
 	r := &dataPathRobot{fresh: fresh}
 	clock := func() wire.Tick { return r.now }
 	r.sn = trusted.NewSNode(cfg.BatchSize, clock)
@@ -40,7 +48,7 @@ func newDataPathRobot(t *testing.T, cfg Config, fresh bool) *dataPathRobot {
 	if !r.sn.LoadMissionKey(sealedKey()) || !r.an.LoadMissionKey(sealedKey()) {
 		t.Fatal("mission key rejected")
 	}
-	r.eng = NewEngine(1, cfg, factory(), r.sn, r.an, func(f wire.Frame) ([]byte, bool) {
+	r.eng = NewEngine(1, cfg, f, r.sn, r.an, func(f wire.Frame) ([]byte, bool) {
 		enc, ok := r.an.SendWirelessEnc(f)
 		return r.own(enc), ok
 	})
@@ -127,46 +135,57 @@ func TestBorrowedEncodingsLogLikeFreshOnes(t *testing.T) {
 	}
 }
 
-// auditRequestOf runs one robot from boot for a fixed number of control
-// steps with recvsPerStep receptions each, then starts an audit round
-// and returns its request and the number of entries in its segment.
-func auditRequestOf(t *testing.T, cfg Config, recvsPerStep int) (wire.AuditRequest, int) {
+// auditRequestOf runs one robot from boot for steps control steps with
+// recvsPerStep receptions each, then starts an audit round and returns
+// its request and how many entries, and how many broadcasts among
+// them, its segment holds.
+func auditRequestOf(t *testing.T, cfg Config, steps, recvsPerStep int) (a wire.AuditRequest, entries, broadcasts int) {
 	t.Helper()
 	r := newDataPathRobot(t, cfg, false)
-	for i := 0; i < 8; i++ {
+	for i := 0; i < steps; i++ {
 		r.step(recvsPerStep)
 	}
 	r.sent = nil
 	r.eng.startRound(r.now)
 	for _, f := range r.sent {
 		if a, err := wire.DecodeAuditRequest(f.Payload); err == nil {
-			entries, err := wire.DecodeLogEntries(a.Segment)
+			logged, err := wire.DecodeLogEntries(a.Segment)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return a, len(entries)
+			for _, e := range logged {
+				if e.Kind == wire.EntrySend {
+					broadcasts++
+				}
+			}
+			return a, len(logged), broadcasts
 		}
 	}
 	t.Fatal("round sent no audit request")
-	return wire.AuditRequest{}, 0
+	return wire.AuditRequest{}, 0, 0
 }
 
 // TestCacheMissReplayAllocsIndependentOfSegmentLength: a cache miss
 // decodes the segment into the swarm-shared scratch and replays it
-// without allocating per entry, so a segment ten times as long costs
-// the same number of allocations. Both segments hold the same eight
-// control steps (the replica controller allocates its outputs per step);
-// they differ in receptions only.
+// without allocating per entry or per control step, so a segment ten
+// times as long, holding half as many control steps again, costs the
+// same number of allocations. The replica allocates only what the
+// auditee's controller did — a broadcast's payload — so the segments
+// hold the same two broadcast ticks (robot 1 keys up at t=1 and t=7 of
+// every 6) and differ in receptions and in quiet control steps.
 func TestCacheMissReplayAllocsIndependentOfSegmentLength(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.TAudit = 0
-	short, nShort := auditRequestOf(t, cfg, 11)
-	long, nLong := auditRequestOf(t, cfg, 125)
+	short, nShort, bShort := auditRequestOf(t, cfg, 8, 11)
+	long, nLong, bLong := auditRequestOf(t, cfg, 12, 125)
 	if nShort < 100 || nLong < 1000 {
 		t.Fatalf("segments hold %d and %d entries, want at least 100 and 1000", nShort, nLong)
 	}
+	if bShort != bLong || bShort == 0 {
+		t.Fatalf("segments hold %d and %d broadcasts, want the same nonzero number", bShort, bLong)
+	}
 	auditor := newDataPathRobot(t, cfg, false)
-	auditor.now = 8
+	auditor.now = 12
 	auditor.eng.SetAuditCache(NewAuditCache(8))
 	measure := func(a *wire.AuditRequest) float64 {
 		if !auditor.eng.verifySegment(a) {
@@ -180,4 +199,102 @@ func TestCacheMissReplayAllocsIndependentOfSegmentLength(t *testing.T) {
 		t.Errorf("replaying %d entries allocates %v, %d entries %v: want the same count", nLong, aLong, nShort, aShort)
 	}
 	t.Logf("cache-miss verifySegment: %v allocations for %d entries, %v for %d", aShort, nShort, aLong, nLong)
+}
+
+// blobController is a controller whose whole state is one shared blob:
+// EncodeState hands it out without allocating, so every byte a round
+// allocates in proportion to the state's size is a copy the engine or
+// the log made.
+type blobController struct{ state []byte }
+
+func (blobController) OnSensor(wire.SensorReading) control.Outputs { return control.Outputs{} }
+func (blobController) OnMessage([]byte)                            {}
+func (c blobController) EncodeState() []byte                       { return c.state }
+
+func (c blobController) New(wire.RobotID) control.Controller { return c }
+func (c blobController) Restore(wire.RobotID, []byte) (control.Controller, error) {
+	return c, nil
+}
+
+// TestStartRoundEncodesTheCheckpointOnce counts checkpoint encodings by
+// what they cost: a round started with no auditor in earshot sends
+// nothing, so the only allocations that grow with the controller's
+// state are copies of the checkpoint. Between a 32 KiB and a 96 KiB
+// state (both whole pages, so size classes round nothing) a round must
+// allocate exactly one state's difference more — it was three when
+// AddCheckpoint, startRound's cp.Hash() and its cp.Encode() each
+// encoded, and a covered checkpoint was encoded a fourth time as the
+// next round's start.
+func TestStartRoundEncodesTheCheckpointOnce(t *testing.T) {
+	cfg := DefaultConfig(4)
+	cfg.TAudit = 0
+	const rounds = 8
+	bytesPerRound := func(stateSize int) float64 {
+		r := newDataPathRobotWith(t, cfg, false, blobController{state: make([]byte, stateSize)})
+		r.eng.startRound(r.now) // grows the log's and the nodes' buffers
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < rounds; i++ {
+			r.now++
+			r.eng.startRound(r.now)
+		}
+		runtime.ReadMemStats(&after)
+		if got := r.eng.Log().PendingCheckpoints(); got != rounds+1 {
+			t.Fatalf("%d pending checkpoints after %d rounds", got, rounds+1)
+		}
+		if len(r.sent) != 0 {
+			t.Fatalf("a round with no candidates sent %d frames", len(r.sent))
+		}
+		return float64(after.TotalAlloc-before.TotalAlloc) / rounds
+	}
+	const small, large = 32 << 10, 96 << 10
+	copies := (bytesPerRound(large) - bytesPerRound(small)) / (large - small)
+	t.Logf("a round copies the controller state %.3f times", copies)
+	if copies < 0.95 || copies > 1.05 {
+		t.Errorf("a round copies the controller state %.2f times, want exactly once (the checkpoint's one encoding)", copies)
+	}
+}
+
+// TestSolicitAsksInRotatedOrderFromScratch: the candidate list lives in
+// engine scratch and is rotated in place (the first off IDs repeated
+// after the last, a window taken). Rounds with growing and shrinking
+// peer sets, so the scratch holds stale IDs past its end, must still
+// ask exactly the first f_max+1 of: heard peers ascending, rotated left
+// by (rounds·(f_max+1) + 7·id) mod n.
+func TestSolicitAsksInRotatedOrderFromScratch(t *testing.T) {
+	cfg := DefaultConfig(4)
+	cfg.TAudit = 0
+	r := newDataPathRobot(t, cfg, false)
+	for round, peers := range [][]wire.RobotID{
+		{9, 4, 7, 2, 30, 12, 5},
+		{4, 2},
+		{40, 3, 8, 21, 6, 2, 11, 19, 5},
+		{17},
+		{2, 3, 4, 5, 6},
+	} {
+		r.now += 8 // refills the a-node's request bucket
+		clear(r.eng.heard)
+		for _, id := range peers {
+			r.eng.heard[id] = r.now
+		}
+		r.eng.now = r.now
+		r.sent = nil
+		r.eng.startRound(r.now)
+
+		sorted := slices.Clone(peers)
+		slices.Sort(sorted)
+		n := len(sorted)
+		off := ((round+1)*(1+cfg.Fmax) + 7) % n // robot 1; e.rounds counts this round
+		var want []wire.RobotID
+		for i := 0; i < min(n, cfg.Fmax+1); i++ {
+			want = append(want, sorted[(off+i)%n])
+		}
+		var got []wire.RobotID
+		for _, f := range r.sent {
+			got = append(got, f.Dst)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("round %d over peers %v asked %v, want %v", round+1, sorted, got, want)
+		}
+	}
 }

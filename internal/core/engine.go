@@ -64,6 +64,15 @@ type Engine struct {
 	//
 	//rebound:snapshot-skip perf sampling phase, observation-only
 	appendSeq uint64
+
+	// Round scratch: solicit's candidate list and this-pass list, and
+	// the token list onAuditResponse hands to MarkCovered (which copies
+	// it). Each is rebuilt from empty by the call that uses it and read
+	// by nothing after that call returns.
+	candidates []wire.RobotID //rebound:snapshot-skip write-only scratch, no retained state
+	askedNow   []wire.RobotID //rebound:snapshot-skip write-only scratch, no retained state
+	tokenIDs   []wire.RobotID //rebound:snapshot-skip write-only scratch, no retained state
+	tokens     []wire.Token   //rebound:snapshot-skip write-only scratch, no retained state
 }
 
 // statsCounters holds the live protocol tallies. They are obs
@@ -239,8 +248,8 @@ func (e *Engine) OnSensorReadingEnc(reading wire.SensorReading, enc []byte) {
 			e.logAppend(wire.LogEntry{Kind: wire.EntrySend, Payload: encF})
 		}
 	}
-	if out.Cmd != nil {
-		if encC, ok := e.anode.ActuatorCmdEnc(*out.Cmd); ok {
+	if out.HasCmd {
+		if encC, ok := e.anode.ActuatorCmdEnc(out.Cmd); ok {
 			e.logAppend(wire.LogEntry{Kind: wire.EntryActuator, Payload: encC})
 		}
 	}
@@ -329,8 +338,9 @@ func (e *Engine) startRound(now wire.Tick) {
 		AuthA: authA,
 		State: e.ctrl.EncodeState(),
 	}
-	e.log.AddCheckpoint(cp)
-	seg, err := e.log.SegmentTo(cp.Hash())
+	// The log encodes the checkpoint once, on entry; the round ships
+	// those bytes (and next round, as its start, the same ones again).
+	seg, err := e.log.SegmentTo(e.log.AddCheckpoint(cp))
 	if err != nil {
 		return // unreachable: we just added the checkpoint
 	}
@@ -342,13 +352,13 @@ func (e *Engine) startRound(now wire.Tick) {
 		hash:     seg.EndHash,
 		startAt:  now,
 		fromBoot: seg.FromBoot,
-		encEnd:   cp.Encode(),
+		encEnd:   seg.EndEnc,
 		segment:  append([]byte(nil), seg.Encoded...),
 		tokens:   make(map[wire.RobotID]wire.Token),
 		asked:    make(map[wire.RobotID]bool),
 	}
 	if seg.Start != nil {
-		round.encStart = seg.Start.CP.Encode()
+		round.encStart = seg.StartEnc
 		round.startTok = seg.Start.Tokens
 	}
 	e.round = round
@@ -364,9 +374,9 @@ func (e *Engine) startRound(now wire.Tick) {
 // auditorCandidates returns recently-heard peers in ascending ID
 // order. The list is built from claimed frame sources — unverified,
 // but a wrong candidate merely wastes one request and the retry loop
-// moves on.
+// moves on. It lives in engine scratch, valid until the next call.
 func (e *Engine) auditorCandidates() []wire.RobotID {
-	var ids []wire.RobotID
+	ids := e.candidates[:0]
 	for id, last := range e.heard {
 		if id == e.id || id == wire.Broadcast {
 			continue
@@ -376,6 +386,7 @@ func (e *Engine) auditorCandidates() []wire.RobotID {
 		}
 	}
 	slices.Sort(ids)
+	e.candidates = ids
 	return ids
 }
 
@@ -402,10 +413,15 @@ func (e *Engine) solicit(now wire.Tick) {
 	// re-converge the flock on the same auditors.
 	if n := len(candidates); n > 1 {
 		off := (e.rounds*(1+e.cfg.Fmax) + int(e.id)*7) % n
-		candidates = append(candidates[off:], candidates[:off]...)
+		// Rotated without a second list: repeat the first off IDs after
+		// the last and take the n-long window that starts at off.
+		e.candidates = append(candidates, candidates[:off]...)
+		candidates = e.candidates[off : off+n]
 	}
 	sent := 0
-	askedNow := make(map[wire.RobotID]bool)
+	// askedNow lists this pass's targets: a handful, and read only when
+	// the candidates run out, so a scanned slice beats a map per engine.
+	e.askedNow = e.askedNow[:0]
 	for _, target := range candidates {
 		if sent >= need {
 			break
@@ -417,7 +433,7 @@ func (e *Engine) solicit(now wire.Tick) {
 			sent++
 		}
 		r.asked[target] = true
-		askedNow[target] = true
+		e.askedNow = append(e.askedNow, target)
 	}
 	// Candidates exhausted: allow re-asking peers that have not
 	// produced a token yet (they may have been briefly out of range) —
@@ -429,7 +445,7 @@ func (e *Engine) solicit(now wire.Tick) {
 			if sent >= need {
 				break
 			}
-			if askedNow[target] {
+			if slices.Contains(e.askedNow, target) {
 				continue
 			}
 			if _, got := r.tokens[target]; got {
@@ -661,11 +677,12 @@ func (e *Engine) onAuditResponse(resp wire.AuditResponse) {
 			Peer: resp.Tok.Auditor, Value: int64(len(r.tokens))})
 	}
 	if !r.covered && len(r.tokens) >= e.cfg.Fmax+1 {
-		tokens := make([]wire.Token, 0, len(r.tokens))
-		for _, id := range sortedTokenIDs(r.tokens) {
-			tokens = append(tokens, r.tokens[id])
+		e.tokenIDs = sortedTokenIDs(e.tokenIDs[:0], r.tokens)
+		e.tokens = e.tokens[:0]
+		for _, id := range e.tokenIDs {
+			e.tokens = append(e.tokens, r.tokens[id])
 		}
-		if e.log.MarkCovered(r.hash, tokens) == nil {
+		if e.log.MarkCovered(r.hash, e.tokens) == nil {
 			r.covered = true
 			e.stats.roundsCovered.Inc()
 			e.roundLatency.Observe(float64(e.now - r.startAt))
@@ -677,11 +694,11 @@ func (e *Engine) onAuditResponse(resp wire.AuditResponse) {
 	}
 }
 
-func sortedTokenIDs(m map[wire.RobotID]wire.Token) []wire.RobotID {
-	ids := make([]wire.RobotID, 0, len(m))
+// sortedTokenIDs appends m's keys to dst in ascending order.
+func sortedTokenIDs(dst []wire.RobotID, m map[wire.RobotID]wire.Token) []wire.RobotID {
 	for id := range m {
-		ids = append(ids, id)
+		dst = append(dst, id)
 	}
-	slices.Sort(ids)
-	return ids
+	slices.Sort(dst)
+	return dst
 }

@@ -224,7 +224,7 @@ func encodeAuditRound(w *wire.Writer, r *auditRound) {
 	if r.reqTail != nil {
 		w.Blob(r.reqTail)
 	}
-	tokIDs := sortedTokenIDs(r.tokens)
+	tokIDs := sortedTokenIDs(nil, r.tokens)
 	w.U32(uint32(len(tokIDs)))
 	for _, id := range tokIDs {
 		tok := r.tokens[id]

@@ -26,15 +26,19 @@ const (
 	lmChunkBytes   = PresentBlockSize - lmCounterBytes // 6 bytes per cipher call
 )
 
-// LightMAC holds the two expanded cipher keys.
+// LightMAC holds the two expanded cipher keys, by value: a keyed node
+// is one object, and both schedules are expanded in place.
 type LightMAC struct {
-	k1, k2 *Present
+	k1, k2 Present
 }
 
 // NewLightMAC constructs a LightMAC instance from two independent
 // 80-bit PRESENT keys.
 func NewLightMAC(k1, k2 [PresentKeySize]byte) *LightMAC {
-	return &LightMAC{k1: NewPresent(k1), k2: NewPresent(k2)}
+	m := new(LightMAC)
+	m.k1.expand(k1)
+	m.k2.expand(k2)
+	return m
 }
 
 // NewLightMACFromSecret derives the two PRESENT keys from arbitrary
@@ -42,12 +46,18 @@ func NewLightMAC(k1, k2 [PresentKeySize]byte) *LightMAC {
 // key — delivered as a single secret by LOADMISSIONKEY — keys every
 // MAC on the trusted nodes.
 func NewLightMACFromSecret(secret []byte) *LightMAC {
+	// secret ‖ tag is built once; only the tag byte differs between the
+	// two derivations. Secrets here are a mission key or a prefixed
+	// master key; a longer one spills to the heap and still works.
+	var buf [96]byte
+	in := append(append(buf[:0], secret...), 0x01)
 	var k1, k2 [PresentKeySize]byte
-	h1 := SHA1(append(append([]byte{}, secret...), 0x01))
-	h2 := SHA1(append(append([]byte{}, secret...), 0x02))
-	copy(k1[:], h1[:PresentKeySize])
-	copy(k2[:], h2[:PresentKeySize])
-	return &LightMAC{k1: NewPresent(k1), k2: NewPresent(k2)}
+	h := SHA1(in)
+	copy(k1[:], h[:PresentKeySize])
+	in[len(secret)] = 0x02
+	h = SHA1(in)
+	copy(k2[:], h[:PresentKeySize])
+	return NewLightMAC(k1, k2)
 }
 
 // MAC computes the 64-bit tag over msg.

@@ -139,6 +139,39 @@ func TestNewLightMACFromSecretDomainSeparation(t *testing.T) {
 	_ = zero
 }
 
+// The derivation is K1 = SHA1(secret ‖ 0x01)[:10], K2 = SHA1(secret ‖
+// 0x02)[:10], whatever the secret's length — including the lengths at
+// which secret ‖ tag outgrows the stack buffer it is built in — and a
+// keyed instance is a single object with both schedules inside.
+func TestNewLightMACFromSecretDerivation(t *testing.T) {
+	msg := []byte("a message longer than one chunk")
+	for _, n := range []int{0, 1, SHA1Size, 94, 95, 96, 97, 300} {
+		secret := make([]byte, n)
+		for i := range secret {
+			secret[i] = byte(3*i + n)
+		}
+		var k1, k2 [PresentKeySize]byte
+		h1 := SHA1(append(append([]byte{}, secret...), 0x01))
+		h2 := SHA1(append(append([]byte{}, secret...), 0x02))
+		copy(k1[:], h1[:])
+		copy(k2[:], h2[:])
+		want := &LightMAC{k1: *NewPresent(k1), k2: *NewPresent(k2)}
+		got := NewLightMACFromSecret(secret)
+		if *got != *want {
+			t.Errorf("%d-byte secret: key schedules differ from the reference derivation", n)
+		}
+		if got.MAC(msg) != NewLightMAC(k1, k2).MAC(msg) {
+			t.Errorf("%d-byte secret: tag differs from NewLightMAC over the derived keys", n)
+		}
+	}
+	secret := make([]byte, SHA1Size)
+	if allocs := testing.AllocsPerRun(50, func() { sinkMAC = NewLightMACFromSecret(secret) }); allocs != 1 {
+		t.Errorf("keying from a mission-key-sized secret allocates %v objects, want 1 (the LightMAC)", allocs)
+	}
+}
+
+var sinkMAC *LightMAC
+
 func BenchmarkLightMAC_27B(b *testing.B) { benchMAC(b, 27) } // Olfati-Saber state msg
 func BenchmarkLightMAC_39B(b *testing.B) { benchMAC(b, 39) } // max token-ish message
 func BenchmarkLightMAC_2KB(b *testing.B) { benchMAC(b, 2048) }

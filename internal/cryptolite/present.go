@@ -27,17 +27,24 @@ type Present struct {
 }
 
 // NewPresent expands an 80-bit key into the 32 round keys.
+func NewPresent(key [PresentKeySize]byte) *Present {
+	p := new(Present)
+	p.expand(key)
+	return p
+}
+
+// expand writes key's schedule into p in place, for a holder that
+// embeds its Present by value (LightMAC).
 //
 // The 80-bit key register is held as v1 (bits 79..64, the top 16 bits)
 // and v0 (bits 63..0). Per the PRESENT spec, each round the register
 // is (1) rotated left by 61 bits, (2) has the S-box applied to its
 // leftmost nibble, and (3) has the round counter XORed into bits
 // 19..15; the round key is always the leftmost 64 bits (79..16).
-func NewPresent(key [PresentKeySize]byte) *Present {
+func (p *Present) expand(key [PresentKeySize]byte) {
 	v1 := uint64(binary.BigEndian.Uint16(key[:2]))
 	v0 := binary.BigEndian.Uint64(key[2:])
 
-	var p Present
 	for round := uint64(1); ; round++ {
 		p.rk[round-1] = v1<<48 | v0>>16 // leftmost 64 bits
 		if round > presentRounds {
@@ -52,7 +59,6 @@ func NewPresent(key [PresentKeySize]byte) *Present {
 		// 3. Round counter into bits 19..15 (entirely within v0).
 		v0 ^= round << 15
 	}
-	return &p
 }
 
 // spTable fuses the S-box and permutation layers: spTable[j][b] is the

@@ -75,7 +75,8 @@ func (c *Controller) OnSensor(r wire.SensorReading) control.Outputs {
 
 	u := c.controlVector()
 	out := control.Outputs{
-		Cmd: &wire.ActuatorCmd{Time: r.Time, AccX: u.X, AccY: u.Y},
+		Cmd:    wire.ActuatorCmd{Time: r.Time, AccX: u.X, AccY: u.Y},
+		HasCmd: true,
 	}
 	if c.isBroadcastTick(r.Time) {
 		msg := wire.StateMsg{

@@ -70,7 +70,7 @@ func TestGoalAttraction(t *testing.T) {
 	// At rest, far from the goal, alone: the control vector must point
 	// toward the goal.
 	out := c.OnSensor(reading(0, geom.V(0, 0), geom.Zero2))
-	if out.Cmd == nil {
+	if !out.HasCmd {
 		t.Fatal("no actuator command")
 	}
 	u := geom.V(out.Cmd.AccX, out.Cmd.AccY)
@@ -302,7 +302,7 @@ func TestStateRoundTripExact(t *testing.T) {
 	in1 := reading(5, geom.V(1.5, -9.5), geom.V(0.0625, -0.25))
 	a := c.OnSensor(in1)
 	b := restored.OnSensor(in1)
-	if a.Cmd == nil || b.Cmd == nil || *a.Cmd != *b.Cmd {
+	if !a.HasCmd || !b.HasCmd || a.Cmd != b.Cmd {
 		t.Errorf("restored controller diverges: %+v vs %+v", a.Cmd, b.Cmd)
 	}
 	if !bytes.Equal(a.Broadcast, b.Broadcast) {
@@ -415,5 +415,72 @@ func TestLatticeFormation(t *testing.T) {
 		if nearest < 2.0 || nearest > 7.0 {
 			t.Errorf("robot %d nearest neighbor at %.2f m, want ≈4 m", i+1, nearest)
 		}
+	}
+}
+
+// Every flocking step commanded the actuators when the command was a
+// pointer (never nil), so HasCmd is set on every step, alone or in a
+// flock, broadcasting or not; and a step that does not broadcast
+// allocates nothing, because the command travels by value.
+func TestEveryStepCarriesACommandAndQuietOnesDoNotAllocate(t *testing.T) {
+	p := testParams() // broadcast period 6 ticks
+	alone, flock := New(2, p), New(2, p)
+	var peers [][]byte
+	for id := wire.RobotID(3); id < 12; id++ {
+		peers = append(peers, stateMsg(id, 0, geom.V(float64(id)*3, 5), geom.V(0.5, 0)))
+	}
+	for name, c := range map[string]*Controller{"alone": alone, "in a flock": flock} {
+		hear := func() { // keeps the flock's neighbor table from expiring
+			for _, m := range peers {
+				if c == flock {
+					c.OnMessage(m)
+				}
+			}
+		}
+		for tk := wire.Tick(0); tk < 12; tk++ {
+			hear()
+			out := c.OnSensor(reading(tk, geom.V(1, 2), geom.V(0.1, 0)))
+			if !out.HasCmd || out.Cmd.Time != tk {
+				t.Errorf("%s: step at t=%d: HasCmd=%v, command stamped t=%d", name, tk, out.HasCmd, out.Cmd.Time)
+			}
+			if wantBroadcast := tk%6 == 2; (out.Broadcast != nil) != wantBroadcast {
+				t.Errorf("%s: broadcast=%v at t=%d", name, out.Broadcast != nil, tk)
+			}
+		}
+		tk := wire.Tick(12)
+		if n := testing.AllocsPerRun(100, func() {
+			tk++
+			if tk%6 == 2 {
+				tk++ // robot 2's broadcast phase
+			}
+			hear()
+			c.OnSensor(reading(tk, geom.V(1, 2), geom.V(0.1, 0)))
+		}); n != 0 {
+			t.Errorf("%s: a quiet control step allocates %v times, want 0", name, n)
+		}
+	}
+}
+
+// BenchmarkOnMessage is one received state message against a dense
+// cell's neighbour table (44 peers): decode, find the slot, overwrite.
+// The slot search is sort.Search with a closure, which the compiler
+// inlines, so a profile line that blames the closure is naming inlined
+// code, not a call: 31.6 ns/op as is, 30.3 with a hand-written loop
+// (1.3 ns on ~90 calls of a 74 µs dense robot-tick) and 45-57 with
+// slices.BinarySearchFunc, which copies the 32-byte Neighbor into its
+// comparator at every probe.
+func BenchmarkOnMessage(b *testing.B) {
+	c := New(1, testParams())
+	var msgs [][]byte
+	for id := wire.RobotID(2); id < 46; id++ {
+		msgs = append(msgs, stateMsg(3*id, 0, geom.V(float64(id), 5), geom.V(0.5, 0)))
+	}
+	for _, m := range msgs {
+		c.OnMessage(m)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.OnMessage(msgs[i%len(msgs)])
 	}
 }

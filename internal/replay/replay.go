@@ -151,7 +151,7 @@ func Verify(req Request, cfg Config) error {
 				frame := wire.Frame{Src: req.Auditee, Dst: wire.Broadcast, Payload: out.Broadcast}
 				wantSend = frame.AppendEncode(sendEnc[:0])
 			}
-			if out.Cmd != nil {
+			if out.HasCmd {
 				wantCmd = out.Cmd.AppendEncode(cmdEnc[:0])
 			}
 

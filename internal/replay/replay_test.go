@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"errors"
 	"testing"
 
 	"roborebound/internal/auditlog"
@@ -70,8 +71,8 @@ func (r *liveRobot) step(pos, vel geom.Vec2) {
 			r.entries = append(r.entries, wire.LogEntry{Kind: wire.EntrySend, Payload: f.Encode()})
 		}
 	}
-	if out.Cmd != nil {
-		if r.anode.ActuatorCmd(*out.Cmd) {
+	if out.HasCmd {
+		if r.anode.ActuatorCmd(out.Cmd) {
 			r.entries = append(r.entries, wire.LogEntry{Kind: wire.EntryActuator, Payload: out.Cmd.Encode()})
 		}
 	}
@@ -389,5 +390,58 @@ func TestStalePrefixAttackWithoutFreshness(t *testing.T) {
 	strict.AuthSlack = 16
 	if Verify(req, strict) == nil {
 		t.Fatal("bounded AuthSlack failed to stop the stale-prefix attack")
+	}
+}
+
+// TestVerifyPairsCommandsWithLoggedEntries pins the pairing of the
+// replica's actuator commands with the log's actuator entries, in both
+// directions and with the exact failure each produces: a logged entry
+// no command stands behind, and a command the log does not record.
+func TestVerifyPairsCommandsWithLoggedEntries(t *testing.T) {
+	honest, cfg, _ := buildSegment(t)
+	var actuators []int
+	for i, e := range honest.Entries {
+		if e.Kind == wire.EntryActuator {
+			actuators = append(actuators, i)
+		}
+	}
+	first, last := actuators[0], actuators[len(actuators)-1]
+	if last != len(honest.Entries)-1 {
+		t.Fatalf("fixture: the segment's last entry is not its last actuator command")
+	}
+	without := func(i int) []wire.LogEntry {
+		return append(append([]wire.LogEntry(nil), honest.Entries[:i]...), honest.Entries[i+1:]...)
+	}
+	twice := func(i int) []wire.LogEntry {
+		return append(append([]wire.LogEntry(nil), honest.Entries[:i+1]...), honest.Entries[i:]...)
+	}
+	for _, c := range []struct {
+		name    string
+		entries []wire.LogEntry
+		want    Failure
+	}{
+		{"entry before any control step",
+			append([]wire.LogEntry{honest.Entries[first]}, honest.Entries...),
+			Failure{"output", 0, "logged output the controller did not produce"}},
+		{"entry logged twice", twice(first),
+			Failure{"output", first + 1, "logged output the controller did not produce"}},
+		{"last entry logged twice", twice(last),
+			Failure{"output", last + 1, "logged output the controller did not produce"}},
+		{"command never logged, next input follows", without(first),
+			Failure{"order", first, "input before prior outputs were logged"}},
+		{"last command never logged", without(last),
+			Failure{"output", last, "controller produced outputs missing from the log"}},
+	} {
+		req := honest
+		req.Entries = c.entries
+		err := Verify(req, cfg)
+		var f *Failure
+		if !errors.As(err, &f) {
+			t.Errorf("%s: got %v, want a *Failure", c.name, err)
+			continue
+		}
+		if *f != c.want {
+			t.Errorf("%s: rejected with %+v, want %+v", c.name, *f, c.want)
+		}
 	}
 }

@@ -268,7 +268,7 @@ func (r *Robot) Tick(now wire.Tick) {
 	if out.Broadcast != nil {
 		r.medium.Send(r.id, wire.Frame{Src: r.id, Dst: wire.Broadcast, Payload: out.Broadcast})
 	}
-	if out.Cmd != nil {
+	if out.HasCmd {
 		r.body.Acc = geom.V(out.Cmd.AccX, out.Cmd.AccY)
 	}
 }

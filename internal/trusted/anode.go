@@ -1,6 +1,8 @@
 package trusted
 
 import (
+	"encoding/binary"
+
 	"roborebound/internal/cryptolite"
 	"roborebound/internal/wire"
 )
@@ -253,23 +255,29 @@ func (a *ANode) ActuatorCmdEnc(cmd wire.ActuatorCmd) ([]byte, bool) {
 	return a.txEnc, true
 }
 
-func treqMACInput(t wire.Tick, auditee, auditor wire.RobotID) []byte {
-	w := wire.NewWriter(13)
-	w.U8(tagTREQ)
-	w.U64(uint64(t))
-	w.U16(uint16(auditee))
-	w.U16(uint16(auditor))
-	return w.Bytes()
+const (
+	treqMACInputSize  = 1 + 8 + 2 + 2
+	tokenMACInputSize = 1 + 2 + 2 + 8 + cryptolite.SHA1Size
+)
+
+// treqMACInput lays out TREQ ‖ t ‖ auditee ‖ auditor (see
+// authMACInput for why these return arrays).
+func treqMACInput(t wire.Tick, auditee, auditor wire.RobotID) (in [treqMACInputSize]byte) {
+	in[0] = tagTREQ
+	binary.BigEndian.PutUint64(in[1:], uint64(t))
+	binary.BigEndian.PutUint16(in[9:], uint16(auditee))
+	binary.BigEndian.PutUint16(in[11:], uint16(auditor))
+	return in
 }
 
-func tokenMACInput(auditor, auditee wire.RobotID, t wire.Tick, h cryptolite.ChainHash) []byte {
-	w := wire.NewWriter(13 + cryptolite.SHA1Size)
-	w.U8(tagTOKEN)
-	w.U16(uint16(auditor))
-	w.U16(uint16(auditee))
-	w.U64(uint64(t))
-	w.Raw(h[:])
-	return w.Bytes()
+// tokenMACInput lays out TOKEN ‖ auditor ‖ auditee ‖ t ‖ h_ckpt.
+func tokenMACInput(auditor, auditee wire.RobotID, t wire.Tick, h cryptolite.ChainHash) (in [tokenMACInputSize]byte) {
+	in[0] = tagTOKEN
+	binary.BigEndian.PutUint16(in[1:], uint16(auditor))
+	binary.BigEndian.PutUint16(in[3:], uint16(auditee))
+	binary.BigEndian.PutUint64(in[5:], uint64(t))
+	copy(in[13:], h[:])
+	return in
 }
 
 // MakeTokenRequest issues an a-node-signed audit solicitation
@@ -293,11 +301,12 @@ func (a *ANode) MakeTokenRequest(dest wire.RobotID) (wire.TokenRequest, bool) {
 	}
 	a.bktLvl = lvl - a.cfg.MinPerToken
 	a.macOps++
+	in := treqMACInput(t, a.robID, dest)
 	return wire.TokenRequest{
 		Auditee: a.robID,
 		Auditor: dest,
 		T:       t,
-		Mac:     a.mac.MAC(treqMACInput(t, a.robID, dest)),
+		Mac:     a.mac.MAC(in[:]),
 	}, true
 }
 
@@ -314,16 +323,18 @@ func (a *ANode) IssueToken(req wire.TokenRequest, hCkpt cryptolite.ChainHash) (w
 		return wire.Token{}, false
 	}
 	a.macOps++
-	if !a.mac.Verify(treqMACInput(req.T, req.Auditee, a.robID), req.Mac) {
+	reqIn := treqMACInput(req.T, req.Auditee, a.robID)
+	if !a.mac.Verify(reqIn[:], req.Mac) {
 		return wire.Token{}, false
 	}
 	a.macOps++
+	tokIn := tokenMACInput(a.robID, req.Auditee, req.T, hCkpt)
 	return wire.Token{
 		Auditor: a.robID,
 		Auditee: req.Auditee,
 		T:       req.T,
 		HCkpt:   hCkpt,
-		Mac:     a.mac.MAC(tokenMACInput(a.robID, req.Auditee, req.T, hCkpt)),
+		Mac:     a.mac.MAC(tokIn[:]),
 	}, true
 }
 
@@ -334,7 +345,8 @@ func (a *ANode) IsTokenValid(tok wire.Token) bool {
 		return false
 	}
 	a.macOps++
-	return a.mac.Verify(tokenMACInput(tok.Auditor, tok.Auditee, tok.T, tok.HCkpt), tok.Mac)
+	in := tokenMACInput(tok.Auditor, tok.Auditee, tok.T, tok.HCkpt)
+	return a.mac.Verify(in[:], tok.Mac)
 }
 
 // VerifyToken checks a token issued to *any* robot of the MRS. The
@@ -348,7 +360,8 @@ func (a *ANode) VerifyToken(tok wire.Token) bool {
 		return false
 	}
 	a.macOps++
-	return a.mac.Verify(tokenMACInput(tok.Auditor, tok.Auditee, tok.T, tok.HCkpt), tok.Mac)
+	in := tokenMACInput(tok.Auditor, tok.Auditee, tok.T, tok.HCkpt)
+	return a.mac.Verify(in[:], tok.Mac)
 }
 
 // InstallToken validates and records a token (Algorithm 4):

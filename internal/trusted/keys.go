@@ -12,6 +12,8 @@
 package trusted
 
 import (
+	"encoding/binary"
+
 	"roborebound/internal/cryptolite"
 	"roborebound/internal/wire"
 )
@@ -29,9 +31,15 @@ const (
 // MissionKeySize is the size of the (blinded) mission key in bytes.
 const MissionKeySize = cryptolite.SHA1Size
 
+// masterKeyStack is how many master-key bytes the two derivations
+// below hold in a local array; a longer key still works, its input
+// just spills to the heap.
+const masterKeyStack = 64
+
 // masterMAC derives the LightMAC instance keyed by the master key.
 func masterMAC(master []byte) *cryptolite.LightMAC {
-	return cryptolite.NewLightMACFromSecret(append([]byte("master:"), master...))
+	var buf [len("master:") + masterKeyStack]byte
+	return cryptolite.NewLightMACFromSecret(append(append(buf[:0], "master:"...), master...))
 }
 
 // blindPad computes H(r ‖ masterKey), the pad that blinds the mission
@@ -39,19 +47,19 @@ func masterMAC(master []byte) *cryptolite.LightMAC {
 // the mission key is loaded, so the key must be unintelligible without
 // the master key.
 func blindPad(master []byte, r uint64) [MissionKeySize]byte {
-	w := wire.NewWriter(8 + len(master))
-	w.U64(r)
-	w.Raw(master)
-	return cryptolite.SHA1(w.Bytes())
+	var buf [8 + masterKeyStack]byte
+	return cryptolite.SHA1(append(binary.BigEndian.AppendUint64(buf[:0], r), master...))
 }
 
-func mkeyMACInput(blinded [MissionKeySize]byte, r, seq uint64) []byte {
-	w := wire.NewWriter(1 + MissionKeySize + 16)
-	w.U8(tagMKEY)
-	w.Raw(blinded[:])
-	w.U64(r)
-	w.U64(seq)
-	return w.Bytes()
+const mkeyMACInputSize = 1 + MissionKeySize + 8 + 8
+
+// mkeyMACInput lays out MKEY ‖ blinded ‖ r ‖ seq.
+func mkeyMACInput(blinded [MissionKeySize]byte, r, seq uint64) (in [mkeyMACInputSize]byte) {
+	in[0] = tagMKEY
+	copy(in[1:], blinded[:])
+	binary.BigEndian.PutUint64(in[1+MissionKeySize:], r)
+	binary.BigEndian.PutUint64(in[1+MissionKeySize+8:], seq)
+	return in
 }
 
 // SealedMissionKey is what the MRS owner distributes at the start of a
@@ -76,11 +84,12 @@ func SealMissionKey(master []byte, mission [MissionKeySize]byte, r, seq uint64) 
 	for i := range blinded {
 		blinded[i] = mission[i] ^ pad[i]
 	}
+	in := mkeyMACInput(blinded, r, seq)
 	return SealedMissionKey{
 		Blinded: blinded,
 		R:       r,
 		Seq:     seq,
-		Mac:     masterMAC(master).MAC(mkeyMACInput(blinded, r, seq)),
+		Mac:     masterMAC(master).MAC(in[:]),
 	}
 }
 

@@ -1,6 +1,8 @@
 package trusted
 
 import (
+	"encoding/binary"
+
 	"roborebound/internal/cryptolite"
 	"roborebound/internal/wire"
 )
@@ -53,16 +55,17 @@ func (n *nodeBase) LoadMissionKey(sealed SealedMissionKey) bool {
 	if sealed.Seq <= n.keySeq {
 		return false
 	}
-	if !masterMAC(n.master).Verify(mkeyMACInput(sealed.Blinded, sealed.R, sealed.Seq), sealed.Mac) {
+	in := mkeyMACInput(sealed.Blinded, sealed.R, sealed.Seq)
+	if !masterMAC(n.master).Verify(in[:], sealed.Mac) {
 		return false
 	}
 	pad := blindPad(n.master, sealed.R)
-	secret := make([]byte, MissionKeySize)
+	var secret [MissionKeySize]byte
 	for i := range secret {
 		secret[i] = sealed.Blinded[i] ^ pad[i]
 	}
 	n.keySeq = sealed.Seq
-	n.mac = cryptolite.NewLightMACFromSecret(secret)
+	n.mac = cryptolite.NewLightMACFromSecret(secret[:])
 	return true
 }
 
@@ -95,14 +98,21 @@ func (n *nodeBase) appendToChain(kind uint8, payload []byte) {
 	n.chain.AppendEntry(kind, payload)
 }
 
-func authMACInput(kind uint8, t wire.Tick, top cryptolite.ChainHash, id wire.RobotID) []byte {
-	w := wire.NewWriter(10 + cryptolite.SHA1Size + 2)
-	w.U8(tagAUTH)
-	w.U8(kind)
-	w.U64(uint64(t))
-	w.Raw(top[:])
-	w.U16(uint16(id))
-	return w.Bytes()
+// The MAC inputs are fixed-layout and a few dozen bytes, so each is
+// built in an array the caller keeps on its stack and hands to
+// LightMAC as in[:] (MAC and Verify do not retain their argument) —
+// the MCU's shape: no heap, one MAC over a fixed buffer (§4).
+
+const authMACInputSize = 2 + 8 + cryptolite.SHA1Size + 2
+
+// authMACInput lays out AUTH ‖ kind ‖ t ‖ top ‖ id.
+func authMACInput(kind uint8, t wire.Tick, top cryptolite.ChainHash, id wire.RobotID) (in [authMACInputSize]byte) {
+	in[0] = tagAUTH
+	in[1] = kind
+	binary.BigEndian.PutUint64(in[2:], uint64(t))
+	copy(in[10:], top[:])
+	binary.BigEndian.PutUint16(in[10+cryptolite.SHA1Size:], uint16(id))
+	return in
 }
 
 // MakeAuthenticator flushes the chain and returns an authenticator for
@@ -117,12 +127,13 @@ func (n *nodeBase) MakeAuthenticator() (wire.Authenticator, bool) {
 	top := n.chain.Flush()
 	t := n.clock()
 	n.macOps++
+	in := authMACInput(n.kind, t, top, n.robID)
 	return wire.Authenticator{
 		NodeKind: n.kind,
 		T:        t,
 		Top:      top,
 		ID:       n.robID,
-		Mac:      n.mac.MAC(authMACInput(n.kind, t, top, n.robID)),
+		Mac:      n.mac.MAC(in[:]),
 	}, true
 }
 
@@ -135,7 +146,8 @@ func (n *nodeBase) CheckAuthenticator(a wire.Authenticator) bool {
 		return false
 	}
 	n.macOps++
-	return n.mac.Verify(authMACInput(a.NodeKind, a.T, a.Top, a.ID), a.Mac)
+	in := authMACInput(a.NodeKind, a.T, a.Top, a.ID)
+	return n.mac.Verify(in[:], a.Mac)
 }
 
 // MACOps returns the number of MAC computations performed, for the

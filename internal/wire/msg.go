@@ -188,17 +188,18 @@ const AuthenticatorSize = 1 + 8 + cryptolite.SHA1Size + 2 + cryptolite.TagSize
 
 // Encode serializes the authenticator.
 func (a *Authenticator) Encode() []byte {
-	w := NewWriter(AuthenticatorSize)
-	a.encodeTo(w)
-	return w.Bytes()
+	return a.AppendEncode(make([]byte, 0, AuthenticatorSize))
 }
 
-func (a *Authenticator) encodeTo(w *Writer) {
-	w.U8(a.NodeKind)
-	w.U64(uint64(a.T))
-	w.Raw(a.Top[:])
-	w.U16(uint16(a.ID))
-	w.Raw(a.Mac[:])
+// AppendEncode appends the authenticator's encoding to dst and returns
+// the extended slice, so a checkpoint embeds its two authenticators
+// without an intermediate buffer each.
+func (a *Authenticator) AppendEncode(dst []byte) []byte {
+	dst = append(dst, a.NodeKind)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(a.T))
+	dst = append(dst, a.Top[:]...)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(a.ID))
+	return append(dst, a.Mac[:]...)
 }
 
 func decodeAuthenticator(r *Reader) Authenticator {
