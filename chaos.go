@@ -417,9 +417,10 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 	checker.Flight = flight
 	checker.Trace = runCfg.Trace
 	snaps := make([]faultinject.RobotSnapshot, 0, cfg.N)
+	roster := s.IDs() // fixed once the cell is built
 	s.Engine.Observe(func(now wire.Tick) {
 		snaps = snaps[:0]
-		for _, id := range s.IDs() {
+		for _, id := range roster {
 			r := s.Robot(id)
 			sn := faultinject.RobotSnapshot{
 				ID:          id,

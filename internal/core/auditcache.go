@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 
 	"roborebound/internal/cryptolite"
+	"roborebound/internal/trusted"
 	"roborebound/internal/wire"
 )
 
@@ -50,6 +51,11 @@ type AuditCache struct {
 	// same scratch is a window-sized slice per robot that each of them
 	// keeps at its high-water mark.
 	entries []wire.LogEntry //rebound:snapshot-skip write-only scratch, no retained state
+	// chains are the two chain replicas a cache miss replays on
+	// (replay.Config.Chains), here for the same reason: one pair of
+	// hashers per swarm, repositioned by every replay before it reads
+	// them.
+	chains [2]trusted.Chain //rebound:snapshot-skip write-only scratch, no retained state
 }
 
 // AuditVerdict is one memoized replay outcome. HCkpt is the SHA-1 of

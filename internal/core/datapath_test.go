@@ -273,11 +273,11 @@ func TestSolicitAsksInRotatedOrderFromScratch(t *testing.T) {
 		{2, 3, 4, 5, 6},
 	} {
 		r.now += 8 // refills the a-node's request bucket
-		clear(r.eng.heard)
-		for _, id := range peers {
-			r.eng.heard[id] = r.now
-		}
+		r.eng.heardIDs, r.eng.heardAt = nil, nil
 		r.eng.now = r.now
+		for _, id := range peers {
+			r.eng.hear(id)
+		}
 		r.sent = nil
 		r.eng.startRound(r.now)
 

@@ -33,8 +33,16 @@ type Engine struct {
 	// and logAppend copies them before the node is called again.
 	send func(wire.Frame) ([]byte, bool) //rebound:snapshot-skip a-node wiring, reattached at rebuild
 
-	heard map[wire.RobotID]wire.Tick // last tick each peer was heard
-	now   wire.Tick                  //rebound:clock trusted
+	// heardIDs lists every peer a frame has come from, ascending, and
+	// heardAt[i] the last tick heardIDs[i] was heard (see hear). Two
+	// slices rather than a map: one is written per received frame, and
+	// the medium delivers a tick's frames in ascending sender order, so
+	// the slot after the last one written (heardHint) is almost always
+	// the one wanted.
+	heardIDs  []wire.RobotID
+	heardAt   []wire.Tick
+	heardHint int       //rebound:snapshot-skip lookup accelerator, every value finds the same slot
+	now       wire.Tick //rebound:clock trusted
 
 	round  *auditRound
 	rounds int         // audit rounds started; drives auditor rotation (see solicit)
@@ -112,10 +120,16 @@ type auditRound struct {
 	encStart []byte
 	startTok []wire.Token
 	encEnd   []byte
-	segment  []byte
+	// segment is the round's encoded log segment. The round holds one
+	// copy of it: the log's own window while startRound runs, until the
+	// first request is built; from then on the end of reqTail; a private
+	// copy only when startRound returns with no request built (and after a
+	// restore).
+	segment []byte
 	// reqTail is the request's encoded tail (checkpoints, tokens,
-	// segment) — identical for every auditor this round, so it is built
-	// once on first ask and shared.
+	// segment) — identical for every auditor this round. It is the tail
+	// of the first request's payload, read-only since that payload was
+	// sent (see askOne); nil until an ask has been encoded.
 	reqTail []byte
 
 	tokens  map[wire.RobotID]wire.Token
@@ -140,7 +154,6 @@ func NewEngine(id wire.RobotID, cfg Config, factory control.Factory,
 		anode:   anode,
 		log:     auditlog.New(),
 		send:    send,
-		heard:   make(map[wire.RobotID]wire.Tick),
 		stats:   newStatsCounters(func(string) *obs.Counter { return new(obs.Counter) }),
 	}
 }
@@ -266,7 +279,7 @@ func (e *Engine) OnFrame(f wire.Frame) { e.OnFrameEnc(f, nil) }
 // a-node's receive buffer for the duration of the call: it is copied
 // into the log here and never read after the call returns.
 func (e *Engine) OnFrameEnc(f wire.Frame, enc []byte) {
-	e.heard[f.Src] = e.now
+	e.hear(f.Src)
 	if !f.IsAudit() {
 		if enc == nil {
 			enc = f.Encode()
@@ -284,6 +297,27 @@ func (e *Engine) OnFrameEnc(f wire.Frame, enc []byte) {
 			e.onAuditResponse(resp)
 		}
 	}
+}
+
+// hear records that src was heard at the current tick.
+//
+//rebound:hotpath once per frame delivered to every robot
+func (e *Engine) hear(src wire.RobotID) {
+	i := e.heardHint + 1
+	if i >= len(e.heardIDs) || e.heardIDs[i] != src {
+		var found bool
+		if i, found = slices.BinarySearch(e.heardIDs, src); !found {
+			if cap(e.heardIDs) == 0 {
+				// Room for a sparse cell's handful of neighbours in one
+				// allocation each; a dense cell's set grows from here.
+				e.heardIDs, e.heardAt = slices.Grow(e.heardIDs, 8), slices.Grow(e.heardAt, 8)
+			}
+			e.heardIDs = slices.Insert(e.heardIDs, i, src)
+			e.heardAt = slices.Insert(e.heardAt, i, 0)
+		}
+	}
+	e.heardAt[i] = e.now
+	e.heardHint = i
 }
 
 // Tick advances protocol time: starts audit rounds on this robot's
@@ -344,16 +378,19 @@ func (e *Engine) startRound(now wire.Tick) {
 	if err != nil {
 		return // unreachable: we just added the checkpoint
 	}
-	// seg.Encoded aliases the log's window, which MarkCovered compacts
-	// in place, so the round owns a copy. auditlog's AccountingError
-	// re-parses the window against its offsets every tick of every
-	// chaos cell, TestLogRandomizedInvariants holds its bytes to a model.
+	// The round starts on seg.Encoded itself, an alias of the log's
+	// window, and stops reading it at the first request askOne builds
+	// (see there). The alias is only safe while nothing rewrites the
+	// window: MarkCovered compacts it in place (Log.Append only extends
+	// it), and MarkCovered is reached only from onAuditResponse, i.e. from
+	// the c-node hook, i.e. from a send — and nothing between SegmentTo
+	// and askOne's first Encode sends.
 	round := &auditRound{
 		hash:     seg.EndHash,
 		startAt:  now,
 		fromBoot: seg.FromBoot,
 		encEnd:   seg.EndEnc,
-		segment:  append([]byte(nil), seg.Encoded...),
+		segment:  seg.Encoded,
 		tokens:   make(map[wire.RobotID]wire.Token),
 		asked:    make(map[wire.RobotID]bool),
 	}
@@ -369,6 +406,14 @@ func (e *Engine) startRound(now wire.Tick) {
 			Kind: obs.EvAuditRoundStart, Value: int64(len(round.segment))})
 	}
 	e.solicit(now)
+	// No request was built (no candidate in earshot, or every ask was
+	// rate-limited), so nothing was sent and the window is as SegmentTo
+	// left it: the round takes its own copy now, before anything can
+	// cover a checkpoint. reqTail != nil keeps meaning "an ask was
+	// encoded", in the engine and in the snapshot codec.
+	if round.reqTail == nil {
+		round.segment = append([]byte(nil), seg.Encoded...)
+	}
 }
 
 // auditorCandidates returns recently-heard peers in ascending ID
@@ -377,15 +422,14 @@ func (e *Engine) startRound(now wire.Tick) {
 // moves on. It lives in engine scratch, valid until the next call.
 func (e *Engine) auditorCandidates() []wire.RobotID {
 	ids := e.candidates[:0]
-	for id, last := range e.heard {
+	for i, id := range e.heardIDs {
 		if id == e.id || id == wire.Broadcast {
 			continue
 		}
-		if last+e.cfg.HeardWindow > e.now {
+		if e.heardAt[i]+e.cfg.HeardWindow > e.now {
 			ids = append(ids, id)
 		}
 	}
-	slices.Sort(ids)
 	e.candidates = ids
 	return ids
 }
@@ -478,13 +522,32 @@ func (e *Engine) askOne(target wire.RobotID) bool {
 	// The head of the request (kind, IDs, the per-auditor token
 	// request) is a few dozen bytes; the tail (checkpoints, covering
 	// tokens, segment) can be kilobytes and is identical for every
-	// auditor this round, so it is encoded once per round. The result
-	// equals msg.Encode() — wire's TestAuditRequestTailSplit pins the
-	// split.
+	// auditor this round. The round's first request is encoded whole,
+	// straight from wherever r.segment points (the log window, or the
+	// round's own copy after a fallback or a restore), and its tail then
+	// *is* the round's copy: reqTail and segment become views of that
+	// payload, taken before the send below can reach the c-node hook.
+	// Every later request copies the tail behind its own head, so each
+	// frame carries a whole contiguous payload of its own.
+	//
+	// The views are read-only. A payload handed to send is never written
+	// again by anyone — the medium hands the same slice to every receiver
+	// in range — so the sender may go on reading it, and must not write,
+	// reuse, pool or split it. wire's TestAuditRequestTailSplit pins
+	// Encode() == EncodeWithTail(tail of Encode()).
+	var payload []byte
 	if r.reqTail == nil {
-		r.reqTail = msg.EncodeTail()
+		payload = msg.Encode()
+		_, tail, err := wire.SplitAuditRequest(payload)
+		if err != nil {
+			return false // unreachable: payload is a request we just encoded
+		}
+		r.reqTail = tail
+		r.segment = tail[len(tail)-len(r.segment):]
+	} else {
+		payload = msg.EncodeWithTail(r.reqTail)
 	}
-	f := wire.Frame{Src: e.id, Dst: target, Flags: wire.FlagAudit, Payload: msg.EncodeWithTail(r.reqTail)}
+	f := wire.Frame{Src: e.id, Dst: target, Flags: wire.FlagAudit, Payload: payload}
 	if _, ok := e.send(f); !ok {
 		return false
 	}
@@ -646,16 +709,21 @@ func (e *Engine) verifySegment(a *wire.AuditRequest) bool {
 		req.Start = &start
 	}
 	// The entries land in the swarm-shared decode scratch when a cache
-	// is attached; replay.Verify reads them and retains nothing.
+	// is attached, and the replay runs on its chain replicas;
+	// replay.Verify reads the entries and retains nothing.
 	if req.Entries, err = e.acache.decodeSegment(a.Segment); err != nil {
 		return false
 	}
-	return replay.Verify(req, replay.Config{
+	cfg := replay.Config{
 		Factory:            e.factory,
 		BatchSize:          e.cfg.BatchSize,
 		AuthSlack:          e.cfg.AuthSlack,
 		CheckAuthenticator: e.anode.CheckAuthenticator,
-	}) == nil
+	}
+	if e.acache != nil {
+		cfg.Chains = &e.acache.chains
+	}
+	return replay.Verify(req, cfg) == nil
 }
 
 // onAuditResponse is the auditee receiving a token. A compromised

@@ -22,6 +22,9 @@ type harness struct {
 	drop func(from, to wire.RobotID) bool
 	// queue defers frames to the next tick, like the real medium.
 	queue []wire.Frame
+	// onSend, when set, sees every frame at its sender's NIC and
+	// returns whether it took it (true: the frame is not queued).
+	onSend func(wire.Frame) bool
 }
 
 var master = []byte("core-test-master")
@@ -49,7 +52,11 @@ func newHarness(t *testing.T, cfg Config, ids ...wire.RobotID) *harness {
 		sn := trusted.NewSNode(cfg.BatchSize, clock)
 		var eng *Engine
 		an := trusted.NewANode(cfg.ANodeConfig(), clock,
-			func(f wire.Frame) { h.queue = append(h.queue, f) },
+			func(f wire.Frame) {
+				if h.onSend == nil || !h.onSend(f) {
+					h.queue = append(h.queue, f)
+				}
+			},
 			func(f wire.Frame, enc []byte) { eng.OnFrameEnc(f, enc) },
 			nil, nil)
 		sn.LoadMasterKey(master, id)

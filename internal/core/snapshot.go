@@ -12,7 +12,7 @@ import (
 // cache. Rebuild-then-apply (see internal/snapshot): configuration,
 // factory, trusted-node pointers, and the send hook come from
 // rebuilding the run; this codec carries only the tick-mutable state —
-// heard map, protocol clock, round counter, serve window, the
+// heard set, protocol clock, round counter, serve window, the
 // in-flight audit round, protocol tallies, the round-latency
 // histogram, the controller state, and the audit log. The trusted
 // nodes the engine points at are snapshotted by the robot layer via
@@ -22,15 +22,10 @@ import (
 // EncodeState serializes the engine's dynamic state as an opaque blob.
 func (e *Engine) EncodeState() ([]byte, error) {
 	w := wire.NewWriter(256)
-	ids := make([]wire.RobotID, 0, len(e.heard))
-	for id := range e.heard {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	w.U32(uint32(len(ids)))
-	for _, id := range ids {
+	w.U32(uint32(len(e.heardIDs)))
+	for i, id := range e.heardIDs {
 		w.U16(uint16(id))
-		w.U64(uint64(e.heard[id]))
+		w.U64(uint64(e.heardAt[i]))
 	}
 	w.U64(uint64(e.now))
 	w.U32(uint32(e.rounds))
@@ -81,10 +76,13 @@ func (e *Engine) RestoreState(b []byte) error {
 	if nHeard > r.Remaining()/10 {
 		return errors.New("core: snapshot heard count exceeds payload")
 	}
-	heard := make(map[wire.RobotID]wire.Tick, nHeard)
+	heardIDs, heardAt := make([]wire.RobotID, 0, nHeard), make([]wire.Tick, 0, nHeard)
 	for i := 0; i < nHeard; i++ {
 		id := wire.RobotID(r.U16())
-		heard[id] = wire.Tick(r.U64())
+		if i > 0 && id <= heardIDs[i-1] {
+			return errors.New("core: snapshot heard set not in canonical order")
+		}
+		heardIDs, heardAt = append(heardIDs, id), append(heardAt, wire.Tick(r.U64()))
 	}
 	now := wire.Tick(r.U64())
 	rounds := int(r.U32())
@@ -160,7 +158,7 @@ func (e *Engine) RestoreState(b []byte) error {
 			return err
 		}
 	}
-	e.heard = heard
+	e.heardIDs, e.heardAt = heardIDs, heardAt
 	e.now = now
 	e.rounds = rounds
 	e.served = served

@@ -468,7 +468,11 @@ func TestEveryStepCarriesACommandAndQuietOnesDoNotAllocate(t *testing.T) {
 // code, not a call: 31.6 ns/op as is, 30.3 with a hand-written loop
 // (1.3 ns on ~90 calls of a 74 µs dense robot-tick) and 45-57 with
 // slices.BinarySearchFunc, which copies the 32-byte Neighbor into its
-// comparator at every probe.
+// comparator at every probe. The messages below arrive in ascending ID
+// order, as the medium delivers them, and a "slot after the last one"
+// probe ahead of the search does not show: ten alternating runs of the
+// two binaries read 32-65 ns without it and 32-58 ns with it (medians
+// 35.5 and 35.1), so the table keeps no hint.
 func BenchmarkOnMessage(b *testing.B) {
 	c := New(1, testParams())
 	var msgs [][]byte

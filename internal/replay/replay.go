@@ -10,6 +10,7 @@ package replay
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"roborebound/internal/auditlog"
 	"roborebound/internal/control"
@@ -45,6 +46,12 @@ type Config struct {
 	// CheckAuthenticator verifies an authenticator MAC on the
 	// auditor's own trusted hardware.
 	CheckAuthenticator func(wire.Authenticator) bool
+	// Chains, when set, are the two chain replicas (s-node, a-node)
+	// Verify replays on, repositioned at the segment's start whatever
+	// state the last replay left them in; an auditor that verifies
+	// segment after segment keeps one pair and its hashers. Nil
+	// allocates a pair per call.
+	Chains *[2]trusted.Chain
 }
 
 // Failure describes why a replay was rejected. It implements error;
@@ -103,11 +110,15 @@ func Verify(req Request, cfg Config) error {
 
 	// --- controller replica and chain replicas -----------------------
 	var ctrl control.Controller
-	var sChain, aChain *trusted.Chain
+	chains := cfg.Chains
+	if chains == nil {
+		chains = new([2]trusted.Chain)
+	}
+	sChain, aChain := &chains[0], &chains[1]
 	if req.FromBoot {
 		ctrl = cfg.Factory.New(req.Auditee)
-		sChain = trusted.NewChain(cfg.BatchSize)
-		aChain = trusted.NewChain(cfg.BatchSize)
+		sChain.ResetAt(cryptolite.ChainHash{}, cfg.BatchSize)
+		aChain.ResetAt(cryptolite.ChainHash{}, cfg.BatchSize)
 	} else {
 		if req.Start == nil {
 			return fail("checkpoint", -1, "no start checkpoint and not from boot")
@@ -117,8 +128,8 @@ func Verify(req Request, cfg Config) error {
 		if err != nil {
 			return fail("checkpoint", -1, "start state rejected: %v", err)
 		}
-		sChain = trusted.NewChainAt(req.Start.AuthS.Top, cfg.BatchSize)
-		aChain = trusted.NewChainAt(req.Start.AuthA.Top, cfg.BatchSize)
+		sChain.ResetAt(req.Start.AuthS.Top, cfg.BatchSize)
+		aChain.ResetAt(req.Start.AuthA.Top, cfg.BatchSize)
 	}
 
 	// --- replay -------------------------------------------------------
@@ -220,8 +231,8 @@ func Verify(req Request, cfg Config) error {
 // check on the auditor's own trusted hardware.
 func TokensCoverStart(auditee wire.RobotID, startHash cryptolite.ChainHash,
 	tokens []wire.Token, fmax int, verify func(wire.Token) bool) error {
-	seen := make(map[wire.RobotID]bool)
-	for _, tok := range tokens {
+	distinct := 0
+	for i, tok := range tokens {
 		if tok.Auditee != auditee {
 			return fail("tokens", -1, "token for robot %d presented by %d", tok.Auditee, auditee)
 		}
@@ -234,10 +245,14 @@ func TokensCoverStart(auditee wire.RobotID, startHash cryptolite.ChainHash,
 		if verify == nil || !verify(tok) {
 			return fail("tokens", -1, "token MAC invalid")
 		}
-		seen[tok.Auditor] = true
+		// A request carries a handful of tokens (the wire format caps them
+		// at 255), so "seen before" is a scan of the ones already checked.
+		if !slices.ContainsFunc(tokens[:i], func(t wire.Token) bool { return t.Auditor == tok.Auditor }) {
+			distinct++
+		}
 	}
-	if len(seen) < fmax+1 {
-		return fail("tokens", -1, "%d distinct auditors, need %d", len(seen), fmax+1)
+	if distinct < fmax+1 {
+		return fail("tokens", -1, "%d distinct auditors, need %d", distinct, fmax+1)
 	}
 	return nil
 }

@@ -129,9 +129,76 @@ func buildSegment(t *testing.T) (Request, Config, *liveRobot) {
 	return req, cfg, r
 }
 
+// sharedChains is the one pair of replica chains every test in this
+// package replays on, in whatever state the test before left it — a
+// rejected segment stops mid-batch — the way an auditor's engine reuses
+// AuditCache's pair across the requests it serves.
+var sharedChains [2]trusted.Chain
+
+// verifyBoth runs Verify twice, on chains it allocates itself
+// (Config.Chains nil) and on sharedChains, and requires the same
+// verdict, down to the failure's stage, entry and message.
+func verifyBoth(t *testing.T, req Request, cfg Config) error {
+	t.Helper()
+	cfg.Chains = nil
+	own := Verify(req, cfg)
+	cfg.Chains = &sharedChains
+	shared := Verify(req, cfg)
+	if (own == nil) != (shared == nil) || (own != nil && own.Error() != shared.Error()) {
+		t.Fatalf("Verify on its own chains returned %v, on reused chains %v", own, shared)
+	}
+	return own
+}
+
+// TestVerifyReusedChainsAfterMidBatchFailure: a replay that is rejected
+// part-way leaves its replicas with entries pending in the hasher and a
+// top that is not the next segment's. The next replay on the same pair
+// — from boot, then from a covered checkpoint — must reposition them
+// and reach the verdict it reaches on fresh chains.
+func TestVerifyReusedChainsAfterMidBatchFailure(t *testing.T) {
+	req, cfg, _ := buildSegment(t)
+	var chains [2]trusted.Chain
+	cfg.Chains = &chains
+
+	bad := req
+	bad.Entries = append([]wire.LogEntry(nil), req.Entries...)
+	// An unknown kind three entries from the end: everything before it
+	// has been appended, and 12 steps do not end on a batch boundary.
+	bad.Entries[len(bad.Entries)-3] = wire.LogEntry{Kind: 0x7F}
+	if Verify(bad, cfg) == nil {
+		t.Fatal("segment with an unknown entry kind accepted")
+	}
+	if chains[0].Pending() == 0 && chains[1].Pending() == 0 {
+		t.Fatal("the rejected replay left nothing pending: the test exercises no reset")
+	}
+	if err := Verify(req, cfg); err != nil {
+		t.Fatalf("honest from-boot segment rejected on chains a failed replay left mid-batch: %v", err)
+	}
+
+	// And across segments that start elsewhere: an incremental segment on
+	// the chains the from-boot replay just finished with, then from boot
+	// again.
+	r := newLiveRobot(t, 1)
+	for i := 0; i < 6; i++ {
+		r.step(geom.V(float64(i), 0), geom.Zero2)
+	}
+	start := r.checkpoint()
+	r.entries = nil
+	for i := 6; i < 13; i++ {
+		r.step(geom.V(float64(i), 0), geom.Zero2)
+	}
+	inc := Request{Auditee: 1, ReqT: r.now, Start: &start, End: r.checkpoint(), Entries: r.entries}
+	if err := Verify(inc, cfg); err != nil {
+		t.Fatalf("incremental segment rejected on reused chains: %v", err)
+	}
+	if err := Verify(req, cfg); err != nil {
+		t.Fatalf("from-boot segment rejected after an incremental one on the same chains: %v", err)
+	}
+}
+
 func TestVerifyHonestSegment(t *testing.T) {
 	req, cfg, _ := buildSegment(t)
-	if err := Verify(req, cfg); err != nil {
+	if err := verifyBoth(t, req, cfg); err != nil {
 		t.Fatalf("honest segment rejected: %v", err)
 	}
 }
@@ -158,7 +225,7 @@ func TestVerifyIncrementalSegment(t *testing.T) {
 	}
 	cfg := Config{Factory: r.factory, BatchSize: trusted.DefaultBatchSize,
 		AuthSlack: 16, CheckAuthenticator: verifier.anode.CheckAuthenticator}
-	if err := Verify(req, cfg); err != nil {
+	if err := verifyBoth(t, req, cfg); err != nil {
 		t.Fatalf("incremental segment rejected: %v", err)
 	}
 }
@@ -177,7 +244,7 @@ func TestVerifyDetectsSensorTampering(t *testing.T) {
 			break
 		}
 	}
-	if Verify(req, cfg) == nil {
+	if verifyBoth(t, req, cfg) == nil {
 		t.Fatal("tampered sensor reading accepted")
 	}
 }
@@ -191,7 +258,7 @@ func TestVerifyDetectsOmittedEntry(t *testing.T) {
 			break
 		}
 	}
-	if Verify(req, cfg) == nil {
+	if verifyBoth(t, req, cfg) == nil {
 		t.Fatal("omitted recv accepted")
 	}
 }
@@ -206,7 +273,7 @@ func TestVerifyDetectsForgedOutput(t *testing.T) {
 			break
 		}
 	}
-	if Verify(req, cfg) == nil {
+	if verifyBoth(t, req, cfg) == nil {
 		t.Fatal("forged actuator output accepted")
 	}
 }
@@ -216,7 +283,7 @@ func TestVerifyDetectsInjectedOutput(t *testing.T) {
 	// Insert an actuator command the controller never produced.
 	fake := wire.LogEntry{Kind: wire.EntryActuator, Payload: (&wire.ActuatorCmd{Time: 3, AccX: 9}).Encode()}
 	req.Entries = append(req.Entries[:4], append([]wire.LogEntry{fake}, req.Entries[4:]...)...)
-	if Verify(req, cfg) == nil {
+	if verifyBoth(t, req, cfg) == nil {
 		t.Fatal("injected output accepted")
 	}
 }
@@ -230,7 +297,7 @@ func TestVerifyDetectsReordering(t *testing.T) {
 			break
 		}
 	}
-	if Verify(req, cfg) == nil {
+	if verifyBoth(t, req, cfg) == nil {
 		t.Fatal("reordered log accepted")
 	}
 }
@@ -239,7 +306,7 @@ func TestVerifyDetectsTruncatedTail(t *testing.T) {
 	req, cfg, _ := buildSegment(t)
 	// Hide the most recent activity but keep the fresh authenticator.
 	req.Entries = req.Entries[:len(req.Entries)-3]
-	if Verify(req, cfg) == nil {
+	if verifyBoth(t, req, cfg) == nil {
 		t.Fatal("truncated log accepted")
 	}
 }
@@ -251,7 +318,7 @@ func TestVerifyDetectsStaleAuthenticator(t *testing.T) {
 	// freshness check must reject it.
 	_ = r
 	req.ReqT = req.End.AuthS.T + cfg.AuthSlack + 1
-	if err := Verify(req, cfg); err == nil {
+	if err := verifyBoth(t, req, cfg); err == nil {
 		t.Fatal("stale authenticator accepted")
 	}
 }
@@ -259,7 +326,7 @@ func TestVerifyDetectsStaleAuthenticator(t *testing.T) {
 func TestVerifyDetectsFutureAuthenticator(t *testing.T) {
 	req, cfg, _ := buildSegment(t)
 	req.ReqT = req.End.AuthS.T - 1
-	if Verify(req, cfg) == nil {
+	if verifyBoth(t, req, cfg) == nil {
 		t.Fatal("future authenticator accepted")
 	}
 }
@@ -267,7 +334,7 @@ func TestVerifyDetectsFutureAuthenticator(t *testing.T) {
 func TestVerifyDetectsWrongAuditee(t *testing.T) {
 	req, cfg, _ := buildSegment(t)
 	req.Auditee = 2 // present robot 1's artifacts as robot 2's
-	if Verify(req, cfg) == nil {
+	if verifyBoth(t, req, cfg) == nil {
 		t.Fatal("re-attributed segment accepted")
 	}
 }
@@ -275,7 +342,7 @@ func TestVerifyDetectsWrongAuditee(t *testing.T) {
 func TestVerifyDetectsForgedAuthMAC(t *testing.T) {
 	req, cfg, _ := buildSegment(t)
 	req.End.AuthA.Mac[0] ^= 1
-	if Verify(req, cfg) == nil {
+	if verifyBoth(t, req, cfg) == nil {
 		t.Fatal("forged a-node authenticator accepted")
 	}
 }
@@ -283,7 +350,7 @@ func TestVerifyDetectsForgedAuthMAC(t *testing.T) {
 func TestVerifyDetectsSwappedChainAuths(t *testing.T) {
 	req, cfg, _ := buildSegment(t)
 	req.End.AuthS, req.End.AuthA = req.End.AuthA, req.End.AuthS
-	if Verify(req, cfg) == nil {
+	if verifyBoth(t, req, cfg) == nil {
 		t.Fatal("swapped s/a authenticators accepted")
 	}
 }
@@ -293,7 +360,7 @@ func TestVerifyDetectsForgedEndState(t *testing.T) {
 	mut := append([]byte(nil), req.End.State...)
 	mut[10] ^= 1
 	req.End.State = mut
-	if Verify(req, cfg) == nil {
+	if verifyBoth(t, req, cfg) == nil {
 		t.Fatal("forged end state accepted")
 	}
 }
@@ -301,7 +368,7 @@ func TestVerifyDetectsForgedEndState(t *testing.T) {
 func TestVerifyRejectsMissingStart(t *testing.T) {
 	req, cfg, _ := buildSegment(t)
 	req.FromBoot = false // claims a start checkpoint but provides none
-	if Verify(req, cfg) == nil {
+	if verifyBoth(t, req, cfg) == nil {
 		t.Fatal("missing start checkpoint accepted")
 	}
 }
@@ -383,12 +450,12 @@ func TestStalePrefixAttackWithoutFreshness(t *testing.T) {
 	}
 	lax := Config{Factory: r.factory, BatchSize: trusted.DefaultBatchSize,
 		AuthSlack: 1 << 30, CheckAuthenticator: verifier.anode.CheckAuthenticator}
-	if err := Verify(req, lax); err != nil {
+	if err := verifyBoth(t, req, lax); err != nil {
 		t.Fatalf("stale-prefix attack should succeed without freshness checks, got: %v", err)
 	}
 	strict := lax
 	strict.AuthSlack = 16
-	if Verify(req, strict) == nil {
+	if verifyBoth(t, req, strict) == nil {
 		t.Fatal("bounded AuthSlack failed to stop the stale-prefix attack")
 	}
 }
@@ -434,7 +501,7 @@ func TestVerifyPairsCommandsWithLoggedEntries(t *testing.T) {
 	} {
 		req := honest
 		req.Entries = c.entries
-		err := Verify(req, cfg)
+		err := verifyBoth(t, req, cfg)
 		var f *Failure
 		if !errors.As(err, &f) {
 			t.Errorf("%s: got %v, want a *Failure", c.name, err)

@@ -51,7 +51,13 @@ type ANode struct {
 	nodeBase
 	cfg ANodeConfig //rebound:snapshot-skip immutable config, supplied at rebuild
 
-	tkMap map[wire.RobotID]wire.Tick
+	// The token map (Algorithm 4's tkMap): tkIDs holds the auditors a
+	// token is installed from, ascending, and tkAt[i] the newest
+	// timestamp installed from tkIDs[i]. Two slices rather than a map
+	// because CheckTokens reads every timestamp on every tick of every
+	// robot and a token lands a few times per round.
+	tkIDs []wire.RobotID
+	tkAt  []wire.Tick
 
 	bktLvl        float64
 	lastBktUpdate wire.Tick
@@ -89,7 +95,6 @@ func NewANode(cfg ANodeConfig, clock Clock,
 	return &ANode{
 		nodeBase:   newNodeBase(wire.NodeA, cfg.BatchSize, clock),
 		cfg:        cfg,
-		tkMap:      make(map[wire.RobotID]wire.Tick),
 		bktLvl:     cfg.BucketCapacity,
 		toNIC:      toNIC,
 		toCNode:    toCNode,
@@ -124,7 +129,7 @@ func (a *ANode) InSafeMode() bool { return a.safeMode }
 // covers it).
 func (a *ANode) PowerCycle() {
 	a.powerCycle()
-	a.tkMap = make(map[wire.RobotID]wire.Tick)
+	a.tkIDs, a.tkAt = a.tkIDs[:0], a.tkAt[:0]
 	a.bktLvl = a.cfg.BucketCapacity
 	a.lastBktUpdate = 0
 	a.safeMode = false
@@ -155,15 +160,20 @@ func (a *ANode) CheckTokens() {
 	if now < a.graceUntil {
 		return
 	}
-	nVal := 0
-	for _, t := range a.tkMap {
-		if t+a.cfg.TVal > now {
-			nVal++
-		}
-	}
-	if nVal < a.cfg.Fmax+1 {
+	if a.freshTokens(now) < a.cfg.Fmax+1 {
 		a.invokeSafeMode()
 	}
+}
+
+// freshTokens counts the installed tokens younger than TVal at now.
+func (a *ANode) freshTokens(now wire.Tick) int {
+	n := 0
+	for _, t := range a.tkAt {
+		if t+a.cfg.TVal > now {
+			n++
+		}
+	}
+	return n
 }
 
 // RecvWireless is triggered on packet reception (Algorithm 4): forward
@@ -382,21 +392,38 @@ func (a *ANode) InstallToken(tok wire.Token) bool {
 	if !a.IsTokenValid(tok) {
 		return false
 	}
-	if old, ok := a.tkMap[tok.Auditor]; !ok || tok.T > old {
-		a.tkMap[tok.Auditor] = tok.T
-	}
+	a.stampToken(tok.Auditor, tok.T)
 	return true
+}
+
+// stampToken is the token map's one write:
+// tkMap[auditor] ← max(tkMap[auditor], t). The slot is found by a
+// scan: the map holds one entry per auditor this robot has ever been
+// audited by, and a token lands a few times per round.
+func (a *ANode) stampToken(auditor wire.RobotID, t wire.Tick) {
+	i := 0
+	for i < len(a.tkIDs) && a.tkIDs[i] < auditor {
+		i++
+	}
+	if i < len(a.tkIDs) && a.tkIDs[i] == auditor {
+		if t > a.tkAt[i] {
+			a.tkAt[i] = t
+		}
+		return
+	}
+	if cap(a.tkIDs) == 0 {
+		// Room for a round's f_max+1 auditors and as many again in one
+		// allocation each.
+		a.tkIDs, a.tkAt = make([]wire.RobotID, 0, 8), make([]wire.Tick, 0, 8)
+	}
+	a.tkIDs, a.tkAt = append(a.tkIDs, 0), append(a.tkAt, 0)
+	copy(a.tkIDs[i+1:], a.tkIDs[i:])
+	copy(a.tkAt[i+1:], a.tkAt[i:])
+	a.tkIDs[i], a.tkAt[i] = auditor, t
 }
 
 // ValidTokenCount returns how many installed tokens are currently
 // fresh; exposed for metrics and tests only.
 func (a *ANode) ValidTokenCount() int {
-	now := a.clock()
-	n := 0
-	for _, t := range a.tkMap {
-		if t+a.cfg.TVal > now {
-			n++
-		}
-	}
-	return n
+	return a.freshTokens(a.clock())
 }

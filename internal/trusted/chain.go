@@ -45,10 +45,7 @@ type Chain struct {
 // batch size. A batchSize of 1 disables batching (the ablation benches
 // sweep this).
 func NewChain(batchSize int) *Chain {
-	if batchSize < 1 {
-		batchSize = 1
-	}
-	return &Chain{batchSize: batchSize}
+	return NewChainAt(cryptolite.ChainHash{}, batchSize)
 }
 
 // NewChainAt returns a chain replica positioned at an
@@ -56,9 +53,21 @@ func NewChain(batchSize int) *Chain {
 // point, since authenticators are only ever produced at flush
 // boundaries.
 func NewChainAt(top cryptolite.ChainHash, batchSize int) *Chain {
-	c := NewChain(batchSize)
-	c.top = top
+	c := new(Chain)
+	c.ResetAt(top, batchSize)
 	return c
+}
+
+// ResetAt repositions the chain at top with an empty buffer and the
+// given batch size, as NewChainAt would build it, keeping the hasher it
+// already owns: an auditor replays segment after segment on the same
+// two replicas. Whatever was pending is dropped — the next append
+// restarts the hasher at top (see beginEntry).
+func (c *Chain) ResetAt(top cryptolite.ChainHash, batchSize int) {
+	if batchSize < 1 {
+		batchSize = 1
+	}
+	c.top, c.batchSize, c.pending = top, batchSize, 0
 }
 
 // Fresh returns an empty chain at h₀ with the same batch size, for
@@ -72,15 +81,16 @@ func (c *Chain) Fresh() *Chain { return NewChain(c.batchSize) }
 //
 //rebound:hotpath every chained frame and sensor reading lands here
 func (c *Chain) Append(entry []byte) {
-	c.beginEntry(len(entry))
+	c.beginEntry(len(entry), 4)
 	c.h.Write(entry)
 	c.endEntry()
 }
 
 // AppendEntry appends the log entry (kind, payload) without
-// materializing its wire encoding: the 2-byte entry header and the
-// payload bytes are streamed into the hash separately. The hashed
-// bytes are exactly wire.LogEntry{kind, payload}.Encode() —
+// materializing its wire encoding: the 2-byte entry header goes into
+// the hash in one write with the length prefix it sits behind in
+// scratch, the payload bytes in a second. The hashed bytes are exactly
+// wire.LogEntry{kind, payload}.Encode() —
 // TestChainAppendEntryMatchesEncode pins this — so nodes can commit an
 // entry and hand the (separately produced) encoding to the c-node
 // without an extra encode on the trusted side.
@@ -90,9 +100,8 @@ func (c *Chain) AppendEntry(kind uint8, payload []byte) {
 	if len(payload) > 255 {
 		panic("trusted: log entry payload exceeds 255 bytes")
 	}
-	c.beginEntry(2 + len(payload))
 	c.scratch[4], c.scratch[5] = kind, uint8(len(payload))
-	c.h.Write(c.scratch[4:6])
+	c.beginEntry(2+len(payload), 6)
 	c.h.Write(payload)
 	c.endEntry()
 }
@@ -100,14 +109,16 @@ func (c *Chain) AppendEntry(kind uint8, payload []byte) {
 // beginEntry restarts the hasher at the current top when this is the
 // batch's first entry, then writes the entry's length prefix (entry
 // boundaries must be unambiguous inside the hash input — see
-// cryptolite.ChainExtend).
-func (c *Chain) beginEntry(size int) {
+// cryptolite.ChainExtend) and, with it, whatever the caller has laid
+// out behind it: the first n bytes of scratch, n = 4 for the prefix
+// alone.
+func (c *Chain) beginEntry(size, n int) {
 	if c.pending == 0 {
 		c.h.Reset()
 		c.h.Write(c.top[:])
 	}
 	binary.BigEndian.PutUint32(c.scratch[0:4], uint32(size))
-	c.h.Write(c.scratch[0:4])
+	c.h.Write(c.scratch[:n])
 }
 
 func (c *Chain) endEntry() {

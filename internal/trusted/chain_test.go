@@ -54,14 +54,24 @@ func (c *batchChain) Flush() cryptolite.ChainHash {
 }
 
 // TestChainStreamingMatchesBuffered is the chain differential: across
-// batch sizes, entry mixes, and interleaved flushes, the streaming
-// chain's top must equal the batch model's at every observation point.
+// batch sizes, entry mixes, interleaved flushes and mid-batch
+// repositioning, the streaming chain's top must equal the batch model's
+// at every observation point.
 func TestChainStreamingMatchesBuffered(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, batch := range []int{1, 2, 3, 7, 16} {
 		fast := NewChain(batch)
 		ref := &batchChain{batch: batch}
 		for step := 0; step < 300; step++ {
+			if rng.Intn(40) == 0 {
+				// A replica repositioned mid-batch (ResetAt) drops what
+				// was pending and continues as a chain built at that top.
+				var top cryptolite.ChainHash
+				rng.Read(top[:])
+				batch = 1 + rng.Intn(16)
+				fast.ResetAt(top, batch)
+				ref = &batchChain{top: top, batch: batch}
+			}
 			switch rng.Intn(4) {
 			case 0:
 				b := make([]byte, rng.Intn(80))

@@ -3,7 +3,6 @@ package trusted
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"roborebound/internal/cryptolite"
 	"roborebound/internal/wire"
@@ -123,21 +122,17 @@ func (s *SNode) RestoreState(b []byte) error {
 // EncodeState serializes the a-node's dynamic state as an opaque blob:
 // node base (key presence, counters, chain), token map, leaky-bucket
 // level, Safe-Mode latch, and the grace deadline. The token map is
-// written in ascending auditor-ID order so encoding is canonical.
+// held, and so written, in ascending auditor-ID order: the encoding is
+// canonical.
 func (a *ANode) EncodeState() ([]byte, error) {
 	w := wire.NewWriter(128)
 	if err := a.nodeBase.encodeState(w); err != nil {
 		return nil, err
 	}
-	ids := make([]wire.RobotID, 0, len(a.tkMap))
-	for id := range a.tkMap {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	w.U32(uint32(len(ids)))
-	for _, id := range ids {
+	w.U32(uint32(len(a.tkIDs)))
+	for i, id := range a.tkIDs {
 		w.U16(uint16(id))
-		w.U64(uint64(a.tkMap[id]))
+		w.U64(uint64(a.tkAt[i]))
 	}
 	w.F64(a.bktLvl)
 	w.U64(uint64(a.lastBktUpdate))
@@ -169,7 +164,7 @@ func (a *ANode) RestoreState(b []byte) error {
 	if n > r.Remaining()/10 {
 		return errors.New("trusted: snapshot token map count exceeds payload")
 	}
-	tkMap := make(map[wire.RobotID]wire.Tick, n)
+	tkIDs, tkAt := make([]wire.RobotID, 0, n), make([]wire.Tick, 0, n)
 	prev := -1
 	for i := 0; i < n; i++ {
 		id := wire.RobotID(r.U16())
@@ -178,7 +173,7 @@ func (a *ANode) RestoreState(b []byte) error {
 			return errors.New("trusted: snapshot token map not in canonical order")
 		}
 		prev = int(id)
-		tkMap[id] = t
+		tkIDs, tkAt = append(tkIDs, id), append(tkAt, t)
 	}
 	bktLvl := r.F64()
 	lastBkt := wire.Tick(r.U64())
@@ -193,7 +188,7 @@ func (a *ANode) RestoreState(b []byte) error {
 	if safeMode == 1 && a.mac != nil {
 		return errors.New("trusted: snapshot has Safe Mode latched but a mission key installed")
 	}
-	a.tkMap = tkMap
+	a.tkIDs, a.tkAt = tkIDs, tkAt
 	a.bktLvl = bktLvl
 	a.lastBktUpdate = lastBkt
 	a.safeMode = safeMode == 1

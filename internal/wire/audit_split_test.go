@@ -33,11 +33,34 @@ func sampleAuditRequest() AuditRequest {
 	return a
 }
 
+// encodeTail is the test's own encoding of the round-invariant tail —
+// everything from the FromBoot flag on — field by field, so the split
+// is held to the layout and not to itself.
+func encodeTail(a *AuditRequest) []byte {
+	w := NewWriter(0)
+	if a.FromBoot {
+		w.U8(1)
+	} else {
+		w.U8(0)
+	}
+	w.Blob(a.StartCheckpoint)
+	w.U8(uint8(len(a.StartTokens)))
+	for i := range a.StartTokens {
+		a.StartTokens[i].encodeTo(w)
+	}
+	w.Blob(a.EndCheckpoint)
+	w.Blob(a.Segment)
+	return w.Bytes()
+}
+
 // TestAuditRequestTailSplit pins the head/tail split three ways:
-// Encode == EncodeWithTail(EncodeTail()), SplitAuditRequest recovers
-// EncodeTail's bytes exactly, and the split head agrees with the full
-// decode. The audit cache keys on the raw tail, so any drift between
-// these encodings would silently change cache identity.
+// SplitAuditRequest returns exactly the tail fields' encoding, as a
+// view of the payload it was given; a request for another auditor
+// stitched from that tail (EncodeWithTail) equals its own Encode; and
+// the split head agrees with the full decode. The audit cache keys on
+// the raw tail and the sender builds f_max of a round's f_max+1
+// requests from it, so any drift between these encodings would
+// silently change cache identity or the bytes on the air.
 func TestAuditRequestTailSplit(t *testing.T) {
 	for _, fromBoot := range []bool{false, true} {
 		a := sampleAuditRequest()
@@ -47,15 +70,23 @@ func TestAuditRequestTailSplit(t *testing.T) {
 			a.StartTokens = nil
 		}
 		enc := a.Encode()
-		if got := a.EncodeWithTail(a.EncodeTail()); !bytes.Equal(enc, got) {
-			t.Fatalf("fromBoot=%v: EncodeWithTail(EncodeTail()) != Encode()", fromBoot)
-		}
 		head, tail, err := SplitAuditRequest(enc)
 		if err != nil {
 			t.Fatalf("fromBoot=%v: split: %v", fromBoot, err)
 		}
-		if !bytes.Equal(tail, a.EncodeTail()) {
-			t.Errorf("fromBoot=%v: split tail differs from EncodeTail()", fromBoot)
+		if !bytes.Equal(tail, encodeTail(&a)) {
+			t.Errorf("fromBoot=%v: split tail differs from the tail fields' encoding", fromBoot)
+		}
+		if len(tail) == 0 || &tail[len(tail)-1] != &enc[len(enc)-1] {
+			t.Errorf("fromBoot=%v: split tail is not the end of the payload it was split from", fromBoot)
+		}
+		if got := a.EncodeWithTail(tail); !bytes.Equal(enc, got) {
+			t.Fatalf("fromBoot=%v: EncodeWithTail(split tail) != Encode()", fromBoot)
+		}
+		other := a
+		other.Auditor, other.Req.Auditor, other.Req.Mac[0] = 5, 5, 0xEE
+		if got := other.EncodeWithTail(tail); !bytes.Equal(other.Encode(), got) {
+			t.Errorf("fromBoot=%v: a second auditor's request stitched from the first's tail != its Encode()", fromBoot)
 		}
 		if head.Auditee != a.Auditee || head.Auditor != a.Auditor || head.Req != a.Req {
 			t.Errorf("fromBoot=%v: split head %+v differs from source fields", fromBoot, head)

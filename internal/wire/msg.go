@@ -374,36 +374,17 @@ func (a *AuditRequest) Encode() []byte {
 // request: kind, auditee, auditor, and the token-request body.
 const auditRequestHeadSize = 1 + 2 + 2 + (TokenRequestMsgSize - 1)
 
-// EncodeTail serializes the round-invariant tail of the request —
-// everything from the FromBoot flag on. An auditee asks f_max+1
-// auditors about the same checkpoint each round; only the head (kind,
-// IDs, the per-auditor token request) differs between those requests,
-// while the tail — dominated by the log segment — is identical. The
-// engine encodes the tail once per round and stitches each request
-// with EncodeWithTail, instead of re-serializing the segment per
-// auditor. Encode() == EncodeWithTail(EncodeTail()) by construction;
-// TestAuditRequestTailSplit pins it.
-func (a *AuditRequest) EncodeTail() []byte {
-	w := NewWriter(16 + len(a.StartCheckpoint) + len(a.EndCheckpoint) +
-		len(a.Segment) + len(a.StartTokens)*TokenSize)
-	if a.FromBoot {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
-	w.Blob(a.StartCheckpoint)
-	w.U8(uint8(len(a.StartTokens)))
-	for i := range a.StartTokens {
-		a.StartTokens[i].encodeTo(w)
-	}
-	w.Blob(a.EndCheckpoint)
-	w.Blob(a.Segment)
-	return w.Bytes()
-}
-
-// EncodeWithTail serializes the request given its precomputed tail,
-// which must equal EncodeTail() for the same FromBoot/checkpoint/
-// token/segment fields.
+// EncodeWithTail serializes the request given its round-invariant
+// tail — everything from the FromBoot flag on, as SplitAuditRequest
+// returns it from a whole encoding of the same FromBoot/checkpoint/
+// token/segment fields. An auditee asks f_max+1 auditors about the same
+// checkpoint each round; only the head (kind, IDs, the per-auditor
+// token request) differs between those requests, while the tail —
+// dominated by the log segment — is identical. The engine encodes the
+// round's first request whole, keeps that payload's tail, and stitches
+// every later request from it instead of re-serializing the segment
+// per auditor. TestAuditRequestTailSplit pins
+// Encode() == EncodeWithTail(tail of Encode()).
 func (a *AuditRequest) EncodeWithTail(tail []byte) []byte {
 	w := NewWriter(auditRequestHeadSize + len(tail))
 	w.U8(KindAuditRequest)
@@ -424,12 +405,12 @@ type AuditRequestHead struct {
 }
 
 // SplitAuditRequest decodes only the head of an encoded audit request
-// and returns the round-invariant tail bytes unparsed — the exact
-// bytes EncodeTail produced on the sender. Callers that key on request
-// content (the audit cache) hash the raw tail instead of re-framing
-// decoded fields, and defer the full DecodeAuditRequest until they
-// actually need them. SplitAuditRequest(a.Encode()) returns
-// a.EncodeTail() byte-for-byte; TestAuditRequestTailSplit pins it.
+// and returns the round-invariant tail bytes unparsed, a view of b.
+// Callers that key on request content (the audit cache) hash the raw
+// tail instead of re-framing decoded fields, and defer the full
+// DecodeAuditRequest until they actually need them; the sender keeps
+// the tail of a round's first request to build the rest (see
+// EncodeWithTail).
 func SplitAuditRequest(b []byte) (AuditRequestHead, []byte, error) {
 	r := NewReader(b)
 	if k := r.U8(); r.Err() == nil && k != KindAuditRequest {
