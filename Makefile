@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race ci bench-all bench-gate fmt-check cover chaos-smoke scale-smoke snapshot-smoke perf-smoke serve-smoke fuzz-smoke
+.PHONY: all build vet lint test race ci bench-all bench-gate fmt-check cover chaos-smoke snapshot-smoke perf-smoke serve-smoke fuzz-smoke
 
 all: ci
 
@@ -47,21 +47,16 @@ ci: fmt-check lint build test race
 bench-all:
 	$(GO) test -bench=. -benchmem ./...
 
-# The two machine-independent bench contracts, each a comparison of
-# numbers from the same run on the same machine, so they hold on any
-# runner: the spatially indexed Deliver and collision paths stay >=5x
-# faster than brute force at N=500, and the wall-clock perf plane's
-# whole-sim overhead stays <=3%, measured by the paired interleaved
-# benchmark (see bench_perf_test.go) so runner noise cancels instead
-# of dominating the 3% effect.
+# The machine-independent bench contract, a comparison of numbers from
+# the same run on the same machine, so it holds on any runner: the
+# wall-clock perf plane's whole-sim overhead stays <=3%, measured by
+# the paired interleaved benchmark (see bench_perf_test.go) so runner
+# noise cancels instead of dominating the 3% effect. The awk line
+# echoes the benchmark's output and exits 1 unless it saw an
+# overhead_pct value and every one it saw is <= 3.
 bench-gate:
-	$(GO) test -run '^$$' -bench 'BenchmarkScale_(Deliver|Collision)' -benchmem -timeout 30m . \
-	  | $(GO) run ./cmd/benchjson -o /dev/null \
-	      -minratio 'BenchmarkScale_Deliver_Brute_N500/BenchmarkScale_Deliver_Indexed_N500>=5' \
-	      -minratio 'BenchmarkScale_Collision_Brute_N500/BenchmarkScale_Collision_Indexed_N500>=5'
-	$(GO) test -run '^$$' -bench 'BenchmarkPerf_Sim_Overhead' -benchtime 6x -timeout 30m . \
-	  | $(GO) run ./cmd/benchjson -o /dev/null \
-	      -maxmetric 'BenchmarkPerf_Sim_Overhead:overhead_pct<=3'
+	$(GO) test -run '^$$' -bench BenchmarkPerf_Sim_Overhead -benchtime 6x -timeout 30m . \
+	  | awk '{ print; for (i = 2; i <= NF; i++) if ($$i == "overhead_pct") { seen = 1; if ($$(i-1) > 3) bad = 1 } } END { exit !seen || bad }'
 
 # Coverage over every package, with a per-function summary and an HTML
 # report CI uploads as an artifact.
@@ -82,35 +77,27 @@ chaos-smoke:
 	$(GO) run ./cmd/roborebound -quick -progress=false \
 	  -events obs-events.ndjson -perfetto obs-trace.json -metrics obs-metrics.json trace flocking
 
-# The swarm-scale differential smoke: one 300-robot cell run twice,
-# brute-force and spatially indexed, asserting byte-identical chaos
-# fingerprints and metrics snapshots (and no invariant violations).
-# Exits nonzero on any divergence.
-scale-smoke:
-	$(GO) run ./cmd/roborebound -quick -progress=false scale
-
 # The snapshot/resume differential smoke: capture a 300-robot chaos
-# cell at its midpoint under the spatial index, then resume it on the
-# plain pipeline with -verify, which re-runs the cell uninterrupted
-# and exits nonzero unless fingerprints and metrics are
-# byte-identical. One command covers the envelope codecs, the config
-# echo, and cross-accelerator resume at production scale.
+# cell at its midpoint, then resume it with -verify, which re-runs the
+# cell uninterrupted and exits nonzero unless fingerprints and metrics
+# are byte-identical. One command covers the envelope codecs, the
+# config echo, and resume at production scale.
 snapshot-smoke:
-	$(GO) run ./cmd/roborebound -progress=false -spatial \
+	$(GO) run ./cmd/roborebound -progress=false \
 	  -controller flocking -profile mixed -n 300 -duration 20 \
 	  -o snapshot-cell.rbsn snapshot
 	$(GO) run ./cmd/roborebound -progress=false \
 	  -from snapshot-cell.rbsn -verify resume
 
-# The performance-plane smoke: one 300-robot spatially indexed chaos
-# cell run twice by the perf subcommand — untimed, then with the full
-# wall-clock plane attached (phase timer, runtime sampler) — printing
-# the phase-attributed timing table and runtime telemetry, and exiting
+# The performance-plane smoke: one 300-robot chaos cell run twice by
+# the perf subcommand — untimed, then with the full wall-clock plane
+# attached (phase timer, runtime sampler) — printing the
+# phase-attributed timing table and runtime telemetry, and exiting
 # nonzero unless the two runs are byte-identical (fingerprint and
 # metrics snapshot). Every perf report doubles as an observation-only
 # proof at production scale.
 perf-smoke:
-	$(GO) run ./cmd/roborebound -progress=false -spatial \
+	$(GO) run ./cmd/roborebound -progress=false \
 	  -controller flocking -profile mixed -n 300 -duration 20 perf
 
 # The serving-layer smoke: the HTTP≡facade selftest submits one job of

@@ -42,14 +42,13 @@ const (
 // holds the whole cell, construction included, under the ceiling.
 func TestDenseCellAllocationCeiling(t *testing.T) {
 	holdCellUnderCeiling(t, "dense", denseCellAllocCeiling, denseCellBytesCeiling, ChaosConfig{
-		Controller:   "flocking",
-		Profile:      faultinject.ProfileMixed,
-		Seed:         1,
-		N:            36,
-		SpacingM:     20,
-		DurationSec:  30,
-		SpatialIndex: true,
-		AttackAtSec:  20,
+		Controller:  "flocking",
+		Profile:     faultinject.ProfileMixed,
+		Seed:        1,
+		N:           36,
+		SpacingM:    20,
+		DurationSec: 30,
+		AttackAtSec: 20,
 	})
 }
 
@@ -60,13 +59,12 @@ func TestDenseCellAllocationCeiling(t *testing.T) {
 // work are what is counted, not the receive path.
 func TestSparseCellAllocationCeiling(t *testing.T) {
 	holdCellUnderCeiling(t, "sparse", sparseCellAllocCeiling, sparseCellBytesCeiling, ChaosConfig{
-		Controller:   "flocking",
-		Profile:      faultinject.ProfileNone,
-		Seed:         1,
-		N:            100,
-		SpacingM:     64,
-		DurationSec:  8,
-		SpatialIndex: true,
+		Controller:  "flocking",
+		Profile:     faultinject.ProfileNone,
+		Seed:        1,
+		N:           100,
+		SpacingM:    64,
+		DurationSec: 8,
 	})
 }
 

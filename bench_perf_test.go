@@ -7,8 +7,8 @@ package roborebound
 // the ledger's reading); the ≤3% overhead contract itself is gated on
 // BenchmarkPerf_Sim_Overhead, which interleaves
 // off/on cells in an ABBA schedule and reports the paired percentage
-// directly (`make bench-gate` holds it to ≤3 via benchjson
-// -maxmetric). Two separately-timed benchmarks drift ±10% or more on
+// directly (`make bench-gate` holds it to ≤3 with one awk line over
+// the benchmark's output). Two separately-timed benchmarks drift ±10% or more on
 // a shared runner — far above the effect being measured — while
 // paired interleaving cancels both linear drift and noise bursts, so
 // the gate holds on any machine.

@@ -1,11 +1,11 @@
 package roborebound
 
 // Swarm-scale hot-path benchmarks: radio delivery and collision
-// detection at 100–500 robots, brute-force vs spatially indexed.
-// CI's bench gate (`make bench-gate`) runs the pairs and asserts
-// the indexed Deliver and collision paths stay ≥5× faster than brute
-// at N=500 — a machine-independent within-run ratio, so the gate
-// doesn't flake on slow runners the way absolute ns/op would.
+// detection at 100–500 robots, and one whole 300-robot cell
+// (`make bench-all`). The brute-force loops these were once paired
+// against are test oracles now (internal/radio and internal/sim
+// spatial_test.go); the last paired reading is EXPERIMENTS.md
+// "Spatial index verdict".
 
 import (
 	"fmt"
@@ -22,10 +22,8 @@ import (
 // robot broadcasts a state-sized frame, then Deliver fans out. The
 // layout is the paper's 64 m grid, where a 500-robot swarm spans
 // ~1.4 km and each robot decodes only its ~8 nearest neighbors — the
-// regime the index exists for.
-func benchScaleDeliver(b *testing.B, n int, indexed bool) {
-	params := radio.DefaultParams()
-	params.SpatialIndex = indexed
+// regime the grid exists for.
+func benchScaleDeliver(b *testing.B, n int) {
 	positions := GridPositions(n, 64, geom.V(0, 0))
 	pos := func(id wire.RobotID) (geom.Vec2, bool) {
 		i := int(id) - 1
@@ -34,7 +32,7 @@ func benchScaleDeliver(b *testing.B, n int, indexed bool) {
 		}
 		return positions[i], true
 	}
-	m := radio.NewMedium(params, pos, 1)
+	m := radio.NewMedium(radio.DefaultParams(), pos, 1)
 	ids := make([]wire.RobotID, n)
 	for i := range ids {
 		ids[i] = wire.RobotID(i + 1)
@@ -52,19 +50,15 @@ func benchScaleDeliver(b *testing.B, n int, indexed bool) {
 	b.ReportMetric(float64(delivered)/float64(b.N), "deliveries/round")
 }
 
-func BenchmarkScale_Deliver_Brute_N100(b *testing.B)   { benchScaleDeliver(b, 100, false) }
-func BenchmarkScale_Deliver_Indexed_N100(b *testing.B) { benchScaleDeliver(b, 100, true) }
-func BenchmarkScale_Deliver_Brute_N500(b *testing.B)   { benchScaleDeliver(b, 500, false) }
-func BenchmarkScale_Deliver_Indexed_N500(b *testing.B) { benchScaleDeliver(b, 500, true) }
+func BenchmarkScale_Deliver_N100(b *testing.B) { benchScaleDeliver(b, 100) }
+func BenchmarkScale_Deliver_N500(b *testing.B) { benchScaleDeliver(b, 500) }
 
 // benchScaleCollision measures one physics tick at swarm scale. With
-// static, well-separated bodies the integration loop is O(n) and the
-// pair scan dominates: brute force visits n(n−1)/2 pairs, the grid a
-// handful of neighbors per body.
-func benchScaleCollision(b *testing.B, n int, indexed bool) {
-	cfg := sim.DefaultWorldConfig()
-	cfg.SpatialIndex = indexed
-	w := sim.NewWorld(cfg)
+// static, well-separated bodies the integration loop is O(n) and crash
+// detection dominates: a grid rebuild and a handful of neighbors per
+// body.
+func benchScaleCollision(b *testing.B, n int) {
+	w := sim.NewWorld(sim.DefaultWorldConfig())
 	for i, p := range GridPositions(n, 64, geom.V(0, 0)) {
 		w.AddBody(wire.RobotID(i+1), p)
 	}
@@ -78,34 +72,28 @@ func benchScaleCollision(b *testing.B, n int, indexed bool) {
 	}
 }
 
-func BenchmarkScale_Collision_Brute_N100(b *testing.B)   { benchScaleCollision(b, 100, false) }
-func BenchmarkScale_Collision_Indexed_N100(b *testing.B) { benchScaleCollision(b, 100, true) }
-func BenchmarkScale_Collision_Brute_N500(b *testing.B)   { benchScaleCollision(b, 500, false) }
-func BenchmarkScale_Collision_Indexed_N500(b *testing.B) { benchScaleCollision(b, 500, true) }
+func BenchmarkScale_Collision_N100(b *testing.B) { benchScaleCollision(b, 100) }
+func BenchmarkScale_Collision_N500(b *testing.B) { benchScaleCollision(b, 500) }
 
-// benchScaleSim runs a whole protected chaos cell at swarm scale: what
-// the index buys end to end (the protocol engine dilutes the hot-path
-// win; that context belongs next to the headline numbers).
-func benchScaleSim(b *testing.B, indexed bool) {
+// BenchmarkScale_Sim_N300 runs a whole protected chaos cell at swarm
+// scale: the protocol engine dilutes the two loops above, and that
+// context belongs next to their numbers.
+func BenchmarkScale_Sim_N300(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res := RunChaos(ChaosConfig{
-			Controller:   "flocking",
-			Profile:      faultinject.ProfileNone,
-			Seed:         1,
-			N:            300,
-			DurationSec:  8,
-			SpacingM:     64,
-			SpatialIndex: indexed,
+			Controller:  "flocking",
+			Profile:     faultinject.ProfileNone,
+			Seed:        1,
+			N:           300,
+			DurationSec: 8,
+			SpacingM:    64,
 		})
 		if res.Violation != nil {
 			b.Fatal(res.Violation)
 		}
 	}
 }
-
-func BenchmarkScale_Sim_Brute_N300(b *testing.B)   { benchScaleSim(b, false) }
-func BenchmarkScale_Sim_Indexed_N300(b *testing.B) { benchScaleSim(b, true) }
 
 // TestScaleBenchLayoutHasNeighbors guards the benchmark setup itself:
 // at 64 m spacing every robot must decode at least its grid neighbors,

@@ -75,13 +75,12 @@ type ChaosConfig struct {
 	// lands in ChaosResult.MetricsSnapshot. Same matrix caveat as
 	// Trace.
 	Metrics *obs.Registry
-	// SpatialIndex runs the cell with the uniform-grid spatial index
-	// (radio delivery + collision detection). The fingerprint, traces,
-	// and metrics must be byte-identical either way; the differential
-	// suite sweeps cells with this toggled to prove it.
+	// Deprecated: ignored; the grid is the only path. Kept only because
+	// benchmark/ still assigns it; removed with those assignments
+	// (ROADMAP item 2, PR A).
 	SpatialIndex bool
-	// SpacingM overrides the flocking grid pitch (default 20 m; the
-	// scale sweep widens it so 500-robot swarms aren't one collapsed
+	// SpacingM overrides the flocking grid pitch (default 20 m;
+	// swarm-scale cells widen it so 500 robots aren't one collapsed
 	// blob). Ignored by patrol/warehouse, whose layouts are fixed.
 	SpacingM float64
 	// MTUBytes, when positive, caps the encoded size of one on-air
@@ -99,7 +98,7 @@ type ChaosConfig struct {
 	SnapshotEvery wire.Tick
 	// ResumeFrom, when non-nil, resumes the run from these snapshot
 	// bytes instead of tick 0. The config must match the snapshot's
-	// origin cell (accelerator toggles and observability excepted);
+	// origin cell (observability wiring excepted);
 	// mismatches land in ChaosResult.ResumeError.
 	ResumeFrom []byte
 	// ViolationRewind keeps a small ring of periodic snapshots (every
@@ -184,9 +183,6 @@ func (c ChaosConfig) Label() string {
 	s := fmt.Sprintf("chaos %s/%s seed=%d", c.Controller, c.Profile, c.Seed)
 	if c.MTUBytes > 0 {
 		s += fmt.Sprintf(" mtu=%d", c.MTUBytes)
-	}
-	if c.SpatialIndex {
-		s += " [indexed]"
 	}
 	return s
 }
@@ -286,7 +282,7 @@ func buildChaosSim(cfg ChaosConfig, cc core.Config, sched *faultinject.Schedule)
 		params.RingGapM = 3
 		factory := control.PatrolFactory{Params: params}
 		s := NewSim(SimConfig{Seed: cfg.Seed, Core: &cc, Radio: radioParams, Faults: sched,
-			Trace: cfg.Trace, Metrics: cfg.Metrics, SpatialIndex: cfg.SpatialIndex, Perf: cfg.Perf})
+			Trace: cfg.Trace, Metrics: cfg.Metrics, Perf: cfg.Perf})
 		for i := 0; i < cfg.N; i++ {
 			id := wire.RobotID(i + 1)
 			pos := route[int(id)%len(route)]
@@ -310,7 +306,7 @@ func buildChaosSim(cfg ChaosConfig, cc core.Config, sched *faultinject.Schedule)
 		params := control.DefaultWarehouseParams(tps, pickups, dropoffs)
 		factory := control.WarehouseFactory{Params: params}
 		s := NewSim(SimConfig{Seed: cfg.Seed, Core: &cc, Radio: radioParams, Faults: sched,
-			Trace: cfg.Trace, Metrics: cfg.Metrics, SpatialIndex: cfg.SpatialIndex, Perf: cfg.Perf})
+			Trace: cfg.Trace, Metrics: cfg.Metrics, Perf: cfg.Perf})
 		for i := 0; i < cfg.N; i++ {
 			id := wire.RobotID(i + 1)
 			pos := pickups[i].Add(geom.V(2, 0))
@@ -331,18 +327,17 @@ func buildChaosSim(cfg ChaosConfig, cc core.Config, sched *faultinject.Schedule)
 	default: // flocking
 		goal := geom.V(220, 220)
 		fs := FlockScenario{
-			N:            cfg.N,
-			Spacing:      cfg.SpacingM,
-			Goal:         goal,
-			Protected:    true,
-			Seed:         cfg.Seed,
-			Fmax:         cfg.Fmax,
-			Radio:        radioParams,
-			Faults:       sched,
-			Trace:        cfg.Trace,
-			Metrics:      cfg.Metrics,
-			SpatialIndex: cfg.SpatialIndex,
-			Perf:         cfg.Perf,
+			N:         cfg.N,
+			Spacing:   cfg.SpacingM,
+			Goal:      goal,
+			Protected: true,
+			Seed:      cfg.Seed,
+			Fmax:      cfg.Fmax,
+			Radio:     radioParams,
+			Faults:    sched,
+			Trace:     cfg.Trace,
+			Metrics:   cfg.Metrics,
+			Perf:      cfg.Perf,
 		}
 		for _, aid := range attackerIDs {
 			slot := int(aid) - 1

@@ -216,3 +216,37 @@ func TestChaosCheckerDetectsSuppressedSafeMode(t *testing.T) {
 		t.Errorf("Error() does not render the flight dump:\n%s", msg)
 	}
 }
+
+// TestKnownFalsePositiveLatches keeps the cells in which a correct,
+// intact robot is Safe-Moded on the books (ROADMAP item 1: 17 of the
+// 5 376 cells of seeds 1..256 × 21 latch no-false-positive; cause not
+// yet triaged; the soak's 12 seeds never reach them). Each row asserts
+// today's latch exactly, so the PR that fixes or reclassifies one has
+// to edit its row — a latching seed is never silently lost.
+func TestKnownFalsePositiveLatches(t *testing.T) {
+	cases := []struct {
+		controller string
+		profile    faultinject.Profile
+		seed       uint64
+		tick       wire.Tick
+		robot      wire.RobotID
+	}{
+		{"flocking", faultinject.ProfileMixed, 15, 158, 6},
+		{"patrol", faultinject.ProfileLoss, 122, 125, 5},
+		{"warehouse", faultinject.ProfileSkew, 24, 206, 6},
+	}
+	for _, tc := range cases {
+		cfg := ChaosConfig{Controller: tc.controller, Profile: tc.profile, Seed: tc.seed}
+		t.Run(cfg.Label(), func(t *testing.T) {
+			t.Parallel()
+			v := RunChaos(cfg).Violation
+			if v == nil {
+				t.Fatalf("no violation: the cell no longer latches — drop the row and ROADMAP item 1's seed")
+			}
+			if v.Invariant != "no-false-positive" || v.Tick != tc.tick || v.Robot != tc.robot {
+				t.Fatalf("latched %s at tick %d robot %d, want no-false-positive at tick %d robot %d",
+					v.Invariant, v.Tick, v.Robot, tc.tick, tc.robot)
+			}
+		})
+	}
+}

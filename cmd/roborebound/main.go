@@ -6,7 +6,7 @@
 //	roborebound [-quick] [-seed N] [-parallel N] <subcommand>
 //
 // Subcommands: fig2 fig5 fig6 fig7 fig8 fig9 table1 table2 chaos trace
-// scale perf snapshot resume serve all
+// perf snapshot resume serve all
 package main
 
 import (
@@ -34,8 +34,6 @@ var (
 	parallel = flag.Int("parallel", 0,
 		"worker count for experiment sweeps: 0 = all cores, 1 = serial (results are identical either way)")
 	progress = flag.Bool("progress", true, "print per-cell sweep progress and timing to stderr")
-	spatial  = flag.Bool("spatial", false,
-		"run chaos/trace cells with the uniform-grid spatial index (results are byte-identical either way; scale always runs both)")
 )
 
 // curMeter is the sweep meter of the timed() call in flight. sweepOpts
@@ -115,7 +113,6 @@ func main() {
 		"table2": table2,
 		"chaos":  chaos,
 		"trace":  traceCmd,
-		"scale":  scaleCmd,
 		"perf":   perfCmd,
 
 		"snapshot": snapshotCmd,
@@ -177,9 +174,6 @@ subcommands:
   fig8     example attack, baseline + undefended (§5.3 Fig. 8)
   fig9     example attack with RoboRebound (§5.3 Fig. 9)
   chaos    cross-seed fault-injection soak with invariant checking
-  scale    swarm-scale sweep (100-500 robots), each size run brute-force
-           and spatially indexed; verifies byte-identical fingerprints
-           and reports the speedup (-quick: one 300-robot smoke cell)
   trace [scenario]
            run one scenario fully instrumented and export its protocol
            event log / Perfetto trace / metrics (see -events, -perfetto,
@@ -441,7 +435,7 @@ func chaos() {
 		seeds = append(seeds, *seed+s)
 	}
 	cfgs := rr.ChaosMatrix(controllers, profiles, seeds,
-		rr.ChaosConfig{DurationSec: 60, SpatialIndex: *spatial})
+		rr.ChaosConfig{DurationSec: 60})
 
 	var results []rr.ChaosResult
 	timed("chaos matrix", func() int {

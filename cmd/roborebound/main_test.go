@@ -69,24 +69,6 @@ func TestFig6QuickSmoke(t *testing.T) {
 	}
 }
 
-func TestScaleQuickSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("300-robot differential cell is too heavy for -short")
-	}
-	got := capture(t, true, scaleCmd)
-	if chaosFailed {
-		t.Fatalf("quick scale sweep failed:\n%s", got)
-	}
-	for _, want := range []string{"Swarm-scale sweep", "speedup", "verdict", "identical", "byte-identical"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("scale output missing %q:\n%s", want, got)
-		}
-	}
-	if strings.Contains(got, "FAIL") || strings.Contains(got, "VIOLATION") {
-		t.Errorf("scale output reports failures:\n%s", got)
-	}
-}
-
 func TestChaosQuickSmoke(t *testing.T) {
 	got := capture(t, true, chaos)
 	if chaosFailed {
@@ -129,6 +111,8 @@ func TestCLIArguments(t *testing.T) {
 		{"removed swarm subcommand", []string{"swarm"}, 2, `unknown subcommand "swarm"`, ""},
 		{"removed -shards flag", []string{"-shards", "4", "perf"}, 2, "flag provided but not defined: -shards", ""},
 		{"removed -load flag", []string{"-load", "8", "serve"}, 2, "flag provided but not defined: -load", ""},
+		{"removed scale subcommand", []string{"scale"}, 2, `unknown subcommand "scale"`, ""},
+		{"removed -spatial flag", []string{"-spatial", "chaos"}, 2, "flag provided but not defined: -spatial", ""},
 		{"plain subcommand", []string{"table1"}, 0, "", ""},
 		{"trace keeps its scenario", []string{"-quick", "trace", "patrol"}, 0, "", "trace patrol"},
 	}

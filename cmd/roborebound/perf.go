@@ -27,7 +27,7 @@ var perfJSONOut = flag.String("json", "",
 var perfFailed bool
 
 func perfCmd() {
-	cfg := snapshotCellConfig() // shares -controller/-profile/-n/-duration/-seed/-spatial
+	cfg := snapshotCellConfig() // shares -controller/-profile/-n/-duration/-seed
 	if *quick && cfg.DurationSec == 60 {
 		cfg.DurationSec = 20 // shrink only the default; explicit -duration wins
 	}

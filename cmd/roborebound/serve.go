@@ -15,10 +15,10 @@ import (
 )
 
 // The serve subcommand: simulation-as-a-service. A long-running HTTP
-// server exposes every facade (chaos, trace, the figure sweeps, the
-// scale differential, snapshot/resume) as submitted jobs behind
-// a multi-tenant fair-share scheduler with bounded queues, NDJSON
-// progress streams, and an artifact store. See DESIGN.md "Serving
+// server exposes every facade (chaos, trace, the figure sweeps,
+// snapshot/resume) as submitted jobs behind a multi-tenant fair-share
+// scheduler with bounded queues, NDJSON progress streams, and an
+// artifact store. See DESIGN.md "Serving
 // layer" for the endpoint and tenancy contract.
 
 var (

@@ -37,12 +37,11 @@ var snapshotFailed bool
 
 func snapshotCellConfig() rr.ChaosConfig {
 	return rr.ChaosConfig{
-		Controller:   *snapController,
-		Profile:      faultinject.Profile(*snapProfile),
-		Seed:         *seed,
-		N:            *snapN,
-		DurationSec:  *snapDuration,
-		SpatialIndex: *spatial,
+		Controller:  *snapController,
+		Profile:     faultinject.Profile(*snapProfile),
+		Seed:        *seed,
+		N:           *snapN,
+		DurationSec: *snapDuration,
 	}
 }
 
@@ -87,9 +86,7 @@ func resumeCmd() {
 		snapshotFailed = true
 		return
 	}
-	res, err := rr.ResumeChaosSnapshot(data, func(c *rr.ChaosConfig) {
-		c.SpatialIndex = *spatial
-	})
+	res, err := rr.ResumeChaosSnapshot(data, nil)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "resume: %v\n", err)
 		snapshotFailed = true

@@ -63,12 +63,11 @@ func traceCmd() {
 	}
 	col := obs.NewCollector()
 	res := rr.RunChaos(rr.ChaosConfig{
-		Controller:   scenario,
-		Profile:      faultinject.ProfileNone,
-		Seed:         *seed,
-		DurationSec:  durSec,
-		Trace:        col,
-		SpatialIndex: *spatial,
+		Controller:  scenario,
+		Profile:     faultinject.ProfileNone,
+		Seed:        *seed,
+		DurationSec: durSec,
+		Trace:       col,
 	})
 
 	byKind := make(map[obs.EventKind]int)

@@ -5,8 +5,8 @@
 //
 // Determinism is the design constraint, not a nicety: the simulation
 // promises byte-identical runs for identical (scenario, seed), and the
-// differential test layer at the repository root proves the indexed
-// paths byte-identical to the brute-force ones. The grid therefore
+// callers' tests hold the grid paths to brute-force oracles (and the
+// root suite to a record of the brute-force run). The grid therefore
 // avoids every source of iteration-order nondeterminism:
 //
 //   - No maps. Cells are flat slices sorted by (cell key, member ID),
@@ -60,6 +60,7 @@ const maxCoord = 1 << 30
 // Grid is a uniform-cell spatial index. Typical use:
 //
 //	g.Reset(cellSize)
+//	g.Grow(n) // optional: the member count, when known up front
 //	for each point: g.Add(id, pos)
 //	g.Build()
 //	for each query: buf = g.Within(center, r, buf[:0])
@@ -110,6 +111,17 @@ func (g *Grid) Reset(cellSize float64) {
 	g.built = false
 	g.idsOrdered = true
 	g.lastSlotID = math.MinInt32
+}
+
+// Grow makes room for n members, so the Adds and the Build that follow
+// allocate each backing array at most once instead of up a doubling
+// ladder that a short run never amortizes. Call between Reset and the
+// first Add.
+func (g *Grid) Grow(n int) {
+	g.slots = slices.Grow(g.slots, n)
+	g.byAdd = slices.Grow(g.byAdd, n)
+	g.keys = slices.Grow(g.keys, n)
+	g.spans = slices.Grow(g.spans, n)
 }
 
 // CellSize returns the current cell size.
@@ -369,15 +381,27 @@ func (g *Grid) Within(center geom.Vec2, r float64, buf []Member) []Member {
 // its own predicate, so the grid cannot disagree with brute force
 // about boundary floats.
 //
+// An unbounded reach (2·maxDist = +Inf) has no cell size that covers
+// it: like Within on a non-finite radius it falls back to the linear
+// form, every pair of finite-position members.
+//
 //rebound:hotpath per-tick collision candidate scan
 func (g *Grid) NearPairs(maxDist float64, buf [][2]int32) [][2]int32 {
 	if !g.built {
 		panic("spatial: NearPairs before Build")
 	}
+	out := buf[:0]
+	if math.IsInf(2*maxDist, 1) {
+		for i, a := range g.byAdd {
+			for _, b := range g.byAdd[i+1:] {
+				out = append(out, [2]int32{min(a.ID, b.ID), max(a.ID, b.ID)})
+			}
+		}
+		return out
+	}
 	if !(2*maxDist <= g.cell) {
 		panic("spatial: NearPairs requires 2*maxDist <= cell size")
 	}
-	out := buf[:0]
 	//rebound:alloc non-escaping closure, stack-allocated; called only below
 	cross := func(a, b int) {
 		sa, sb := g.spans[a], g.spans[b]

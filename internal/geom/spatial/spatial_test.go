@@ -1,7 +1,9 @@
 package spatial
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 
 	"roborebound/internal/geom"
@@ -389,10 +391,11 @@ func TestNearPairsCoversBruteForce(t *testing.T) {
 
 // TestNearPairsPreconditionPanics pins the 2·maxDist ≤ cell guard: a
 // radius the one-cell stencil cannot cover must refuse loudly rather
-// than silently miss pairs.
+// than silently miss pairs. (An unbounded reach is not such a radius:
+// see TestNearPairsUnboundedReach.)
 func TestNearPairsPreconditionPanics(t *testing.T) {
 	g := buildGrid(t, 2.0, []Member{{ID: 0, Pos: geom.V(0, 0)}})
-	for _, r := range []float64{1.001, 5, math.NaN(), math.Inf(1)} {
+	for _, r := range []float64{1.001, 5, math.NaN()} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -404,6 +407,58 @@ func TestNearPairsPreconditionPanics(t *testing.T) {
 	}
 	if got := g.NearPairs(1.0, nil); len(got) != 0 { // exactly cell/2 is allowed
 		t.Fatalf("single member produced pairs: %v", got)
+	}
+}
+
+// TestNearPairsUnboundedReach: a reach whose double overflows has no
+// cell size that covers it, so NearPairs answers with every pair of
+// finite-position members — (lo, hi)-ordered, duplicate-free, whatever
+// the Add order — and still leaves the non-finite ones out.
+func TestNearPairsUnboundedReach(t *testing.T) {
+	members := []Member{
+		{ID: 5, Pos: geom.V(0, 0)},
+		{ID: 2, Pos: geom.V(1e200, -1e200)},
+		{ID: 9, Pos: geom.V(math.NaN(), 0)},
+		{ID: 3, Pos: geom.V(-4, 4)},
+		{ID: 7, Pos: geom.V(math.Inf(1), 0)},
+	}
+	g := buildGrid(t, 1, members)
+	for _, reach := range []float64{math.Inf(1), math.MaxFloat64} {
+		got := g.NearPairs(reach, nil)
+		slices.SortFunc(got, func(a, b [2]int32) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
+		if want := [][2]int32{{2, 3}, {2, 5}, {3, 5}}; !slices.Equal(got, want) {
+			t.Fatalf("reach %v: pairs %v, want %v", reach, got, want)
+		}
+	}
+}
+
+// TestGrowAllocatesOnce pins what Grow is for: a build of n members
+// after Grow(n) allocates each backing array once, not up append's
+// doubling ladder (seven steps per array at n = 40), and a rebuild of
+// the same size allocates nothing.
+func TestGrowAllocatesOnce(t *testing.T) {
+	const n = 40 // below the radix threshold: no sort scratch
+	build := func(g *Grid, grow bool) {
+		g.Reset(10)
+		if grow {
+			g.Grow(n)
+		}
+		for i := 0; i < n; i++ {
+			g.Add(int32(i), geom.V(float64(i*7%100), float64(i*13%100)))
+		}
+		g.Build()
+	}
+	ladder := testing.AllocsPerRun(20, func() { build(&Grid{}, false) })
+	grown := testing.AllocsPerRun(20, func() { build(&Grid{}, true) })
+	// The race detector's build allocates twice per Grow, hence no
+	// exact count here; the serve and root allocation ceilings hold one.
+	if grown > ladder/3 {
+		t.Errorf("first build allocates %.0f times after Grow(%d), %.0f without: Grow should replace the ladder", grown, n, ladder)
+	}
+	g := &Grid{}
+	build(g, true)
+	if again := testing.AllocsPerRun(20, func() { build(g, true) }); again != 0 {
+		t.Errorf("rebuild allocates %.0f times, want 0", again)
 	}
 }
 

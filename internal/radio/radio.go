@@ -46,12 +46,9 @@ type Params struct {
 	// fragment, so large transfers suffer compounded loss — as they
 	// would in reality.
 	MTUBytes int
-	// SpatialIndex routes Deliver's receiver scan through a uniform
-	// grid over robot positions instead of testing every robot per
-	// frame. Purely an accelerator: delivery order, loss draws, byte
-	// accounting, and traces are byte-identical either way (the
-	// differential tests at the repository root prove it); false keeps
-	// the brute-force scan.
+	// Deprecated: ignored; the grid is the only path. Kept only because
+	// benchmark/ still assigns it; removed with those assignments
+	// (ROADMAP item 2, PR A).
 	SpatialIndex bool
 }
 
@@ -180,13 +177,13 @@ type Medium struct {
 	// perf times the per-round spatial-grid rebuild (nil = disabled).
 	perf *perf.PhaseTimer //rebound:snapshot-skip observation-only wall-clock plane, reattached at rebuild
 
-	// Spatial-index state (params.SpatialIndex): the grid is rebuilt
-	// once per Deliver round from the same positions the brute path
-	// reads; the buffers amortize to zero allocations per round.
+	// Spatial-index state: the grid is rebuilt once per Deliver round
+	// from this round's positions; the buffers amortize to zero
+	// allocations per round.
 	grid    spatial.Grid     //rebound:snapshot-skip rebuilt from positions every Deliver round
 	gridBuf []spatial.Member //rebound:snapshot-skip per-round scratch
 
-	// Deliver-round scratch, reused across rounds on both paths:
+	// Deliver-round scratch, reused across rounds:
 	// sortedBuf holds the deduped ascending roster; ctrBuf caches each
 	// receiver's counters by roster rank (one map lookup per robot per
 	// round instead of one per delivery); outBuf collects deliveries in
@@ -359,16 +356,15 @@ func (m *Medium) enqueue(c *ByteCounters, from wire.RobotID, fr wire.Frame) {
 // pipeline decides on the log-domain power check; near the range
 // boundary the two computations round differently by at most ~1e-12 m,
 // so a micrometer of slack guarantees the candidate set is a strict
-// superset of the decodable set. The pipeline's own power check —
-// identical code on both paths — then makes the final call, so the
-// slack can only add candidates that are rejected exactly as the brute
-// scan would reject them.
+// superset of the decodable set. The pipeline's own power check then
+// makes the final call, so the slack can only add candidates that are
+// rejected exactly as a scan of every robot would reject them.
 const rangeSlack = 1e-6
 
 // counterAt returns the receiver's byte counters via the per-round
 // rank cache, creating them through Counters on first touch — so
 // counter (and gauge) creation order stays exactly the order the
-// delivery pipeline first touches each robot, identical on both paths.
+// delivery pipeline first touches each robot.
 func (m *Medium) counterAt(rank int32, id wire.RobotID) *ByteCounters {
 	if c := m.ctrBuf[rank]; c != nil {
 		return c
@@ -381,10 +377,10 @@ func (m *Medium) counterAt(rank int32, id wire.RobotID) *ByteCounters {
 // deliverTo runs the per-candidate delivery pipeline for one queued
 // frame and one potential receiver at position dst: power check, link
 // filter, loss draw, byte accounting, reassembly. rank is the
-// receiver's index in the round's sorted roster. Both the brute scan
-// and the spatial-index path funnel through it, with identical check
-// order, so the two paths are distinguishable only by how many
-// out-of-range robots they never looked at.
+// receiver's index in the round's sorted roster. The grid only decides
+// which out-of-range robots never reach it: a candidate it is handed
+// goes through the same checks, in the same order, as under a scan of
+// every robot.
 //
 //rebound:hotpath runs once per (frame, candidate receiver) per round
 func (m *Medium) deliverTo(q queuedFrame, rank int32, id wire.RobotID, src, dst geom.Vec2, out []Delivery) []Delivery {
@@ -484,35 +480,35 @@ func (m *Medium) Deliver(ids []wire.RobotID) []Delivery {
 	m.ctrBuf = m.ctrBuf[:len(sorted)]
 	clear(m.ctrBuf)
 
-	// With the spatial index on, candidate receivers per frame come
-	// from a uniform grid over this round's positions instead of a
-	// scan of every robot. Members carry the receiver's roster rank;
-	// candidates arrive ascending by rank — which orders exactly as ID
-	// in the deduped ascending roster, i.e. the order the brute scan
-	// visits — and form a superset of the decodable set (see
-	// rangeSlack), so the pipeline below sees the identical check
-	// sequence, consumes identical loss draws, and emits identical
-	// traces on both paths.
-	indexed := m.params.SpatialIndex
-	var queryR float64
-	if indexed {
-		r := m.params.RangeM()
-		cell := r / 2
-		if !(cell > 0) || math.IsInf(cell, 0) {
-			indexed = false // degenerate link model: keep the brute scan
-		} else {
-			ps := m.perf.Start()
-			queryR = r + rangeSlack
-			m.grid.Reset(cell)
-			for rank, id := range sorted {
-				if p, ok := m.pos(id); ok {
-					m.grid.Add(int32(rank), p)
-				}
-			}
-			m.grid.Build()
-			m.perf.End(perf.PhaseSpatialBuild, ps)
+	// Candidate receivers per frame come from a uniform grid over this
+	// round's positions instead of a scan of every robot. Members carry
+	// the receiver's roster rank; candidates arrive ascending by rank —
+	// which orders exactly as ID in the deduped ascending roster, i.e.
+	// the order a scan of the roster visits — and form a superset of the
+	// decodable set (see rangeSlack), so the pipeline below sees the
+	// check sequence, consumes the loss draws, and emits the traces of
+	// that scan.
+	r := m.params.RangeM()
+	cell, queryR := r/2, r+rangeSlack
+	if !(cell > 0) || math.IsInf(cell, 0) {
+		// Degenerate link model (range zero, negative, NaN or +Inf): no
+		// radius bounds the decodable set, so every robot is a candidate
+		// — Within scans all members on an infinite radius — and
+		// deliverTo's link test alone decides. The cell size is then
+		// moot; Reset only needs it positive and finite.
+		cell, queryR = 1, math.Inf(1)
+	}
+	ps := m.perf.Start()
+	m.grid.Reset(cell)
+	m.grid.Grow(len(sorted))
+	for rank, id := range sorted {
+		if p, ok := m.pos(id); ok {
+			m.grid.Add(int32(rank), p)
 		}
 	}
+	m.grid.Build()
+	m.perf.End(perf.PhaseSpatialBuild, ps)
+	m.gridBuf = slices.Grow(m.gridBuf[:0], len(sorted))
 
 	out := m.outBuf[:0]
 	held := m.queue[:0]
@@ -525,32 +521,16 @@ func (m *Medium) Deliver(ids []wire.RobotID) []Delivery {
 		if !ok {
 			continue
 		}
-		if indexed {
-			m.gridBuf = m.grid.Within(src, queryR, m.gridBuf)
-			for _, cand := range m.gridBuf {
-				id := sorted[cand.ID]
-				if id == q.from {
-					continue
-				}
-				if q.frame.Dst != wire.Broadcast && q.frame.Dst != id {
-					continue
-				}
-				out = m.deliverTo(q, cand.ID, id, src, cand.Pos, out)
-			}
-			continue
-		}
-		for rank, id := range sorted {
+		m.gridBuf = m.grid.Within(src, queryR, m.gridBuf)
+		for _, cand := range m.gridBuf {
+			id := sorted[cand.ID]
 			if id == q.from {
 				continue
 			}
 			if q.frame.Dst != wire.Broadcast && q.frame.Dst != id {
 				continue
 			}
-			dst, ok := m.pos(id)
-			if !ok {
-				continue
-			}
-			out = m.deliverTo(q, int32(rank), id, src, dst, out)
+			out = m.deliverTo(q, cand.ID, id, src, cand.Pos, out)
 		}
 	}
 	m.outBuf = out

@@ -3,6 +3,7 @@ package radio
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"roborebound/internal/geom"
@@ -10,12 +11,65 @@ import (
 	"roborebound/internal/wire"
 )
 
-// Differential tests: a Medium with Params.SpatialIndex must be
-// observationally identical to the brute-force scan — same deliveries
-// in the same order, same byte counters, same loss-draw consumption —
-// under randomized traffic, randomized motion, fragmentation, link
-// filters, and adversarial positions (cell edges, exact decode range,
-// NaN/Inf coordinates).
+// Differential tests: Deliver, which finds a frame's candidate
+// receivers through the uniform grid, must be observationally identical
+// to the brute-force scan of every robot — same deliveries in the same
+// order, same byte counters, same loss-draw consumption — under
+// randomized traffic, randomized motion, fragmentation, link filters,
+// transmit delays, and adversarial positions (cell edges, exact decode
+// range, NaN/Inf coordinates). The brute-force scan is bruteDeliver
+// below: the loop production ran before the grid became its only path.
+
+// bruteDeliver is the reference Deliver: the round set-up and wrap-up
+// of Medium.Deliver around the receiver scan that tests every robot of
+// the roster per frame, verbatim as it stood in Deliver. It drives the
+// Medium it is given through the same per-candidate pipeline
+// (deliverTo) and the same sort, so it differs from Deliver only in
+// which robots it looks at.
+func bruteDeliver(m *Medium, ids []wire.RobotID) []Delivery {
+	if len(m.queue) == 0 {
+		return nil
+	}
+	sorted := append(m.sortedBuf[:0], ids...)
+	slices.Sort(sorted)
+	sorted = slices.Compact(sorted)
+	m.sortedBuf = sorted
+	m.ctrBuf = make([]*ByteCounters, len(sorted))
+
+	out := m.outBuf[:0]
+	held := m.queue[:0]
+	for _, q := range m.queue {
+		if q.readyAt > m.deliverTick {
+			held = append(held, q)
+			continue
+		}
+		src, ok := m.pos(q.from)
+		if !ok {
+			continue
+		}
+		for rank, id := range sorted {
+			if id == q.from {
+				continue
+			}
+			if q.frame.Dst != wire.Broadcast && q.frame.Dst != id {
+				continue
+			}
+			dst, ok := m.pos(id)
+			if !ok {
+				continue
+			}
+			out = m.deliverTo(q, int32(rank), id, src, dst, out)
+		}
+	}
+	m.outBuf = out
+	out = m.sortByRank(out, len(sorted))
+	m.queue = held
+	m.deliverTick++
+	if m.params.MTUBytes > 0 && m.deliverTick%32 == 0 {
+		m.expireReassemblers()
+	}
+	return out
+}
 
 type posTable map[wire.RobotID]geom.Vec2
 
@@ -50,14 +104,14 @@ func countersEqual(t *testing.T, ids []wire.RobotID, brute, indexed *Medium) {
 	}
 }
 
-// TestDeliverIndexedMatchesBruteRandom soaks both paths with random
-// broadcast/unicast/spoofed traffic over randomly moving robots —
-// including robots parked on cell boundaries, at exactly the decode
-// range, at NaN positions, and removed from the position table — with
-// a loss model consuming RNG draws and a link filter, with and without
-// fragmentation. Any divergence in candidate enumeration would desync
-// the loss-draw stream and cascade into every later round, so passing
-// rounds compound evidence.
+// TestDeliverIndexedMatchesBruteRandom soaks Deliver and the oracle
+// with random broadcast/unicast/spoofed traffic over randomly moving
+// robots — including robots parked on cell boundaries, at exactly the
+// decode range, at NaN positions, and removed from the position table
+// — with a loss model consuming RNG draws, a link filter and a
+// transmit delay, with and without fragmentation. Any divergence in
+// candidate enumeration would desync the loss-draw stream and cascade
+// into every later round, so passing rounds compound evidence.
 func TestDeliverIndexedMatchesBruteRandom(t *testing.T) {
 	for _, mtu := range []int{0, 66} {
 		t.Run(fmt.Sprintf("mtu=%d", mtu), func(t *testing.T) {
@@ -65,8 +119,6 @@ func TestDeliverIndexedMatchesBruteRandom(t *testing.T) {
 			params := DefaultParams()
 			params.LossRate = 0.25
 			params.MTUBytes = mtu
-			iparams := params
-			iparams.SpatialIndex = true
 
 			const n = 40
 			r := params.RangeM()
@@ -95,12 +147,17 @@ func TestDeliverIndexedMatchesBruteRandom(t *testing.T) {
 			pos[1] = geom.V(0, 0) // anchor for the "exactly r" cases
 
 			brute := NewMedium(params, pos.lookup, 77)
-			indexed := NewMedium(iparams, pos.lookup, 77)
+			indexed := NewMedium(params, pos.lookup, 77)
 			filter := func(from, to wire.RobotID, f wire.Frame) bool {
 				return (int(from)+int(to))%11 == 3
 			}
-			brute.SetLinkFilter(filter)
-			indexed.SetLinkFilter(filter)
+			delay := func(from wire.RobotID, f wire.Frame) wire.Tick {
+				return wire.Tick(int(from)+len(f.Payload)) % 3
+			}
+			for _, m := range []*Medium{brute, indexed} {
+				m.SetLinkFilter(filter)
+				m.SetTxDelay(delay)
+			}
 
 			rounds := 80
 			if testing.Short() {
@@ -126,7 +183,7 @@ func TestDeliverIndexedMatchesBruteRandom(t *testing.T) {
 					brute.Send(from, f)
 					indexed.Send(from, f)
 				}
-				deliveriesEqual(t, round, brute.Deliver(ids), indexed.Deliver(ids))
+				deliveriesEqual(t, round, bruteDeliver(brute, ids), indexed.Deliver(ids))
 				// Move a few robots; occasionally drop one from the
 				// position table entirely (its radio went dark).
 				for moves := rng.Intn(6); moves > 0; moves-- {
@@ -145,14 +202,13 @@ func TestDeliverIndexedMatchesBruteRandom(t *testing.T) {
 
 // TestDeliverIndexedRangeBoundary pins the decode-range boundary: a
 // receiver exactly RangeM away, one ulp inside, one ulp outside, on
-// cell corners, and at non-finite positions — both paths must agree
-// on every one, and the clear-cut cases must go the expected way.
+// cell corners, and at non-finite positions — Deliver must agree with
+// the oracle on every one, and the clear-cut cases must go the
+// expected way.
 func TestDeliverIndexedRangeBoundary(t *testing.T) {
 	params := DefaultParams()
 	r := params.RangeM()
 	cell := r / 2
-	iparams := params
-	iparams.SpatialIndex = true
 
 	cases := []struct {
 		name   string
@@ -176,11 +232,11 @@ func TestDeliverIndexedRangeBoundary(t *testing.T) {
 			pos := posTable{1: geom.V(0, 0), 2: tc.rxPos}
 			ids := []wire.RobotID{1, 2}
 			brute := NewMedium(params, pos.lookup, 1)
-			indexed := NewMedium(iparams, pos.lookup, 1)
+			indexed := NewMedium(params, pos.lookup, 1)
 			f := wire.Frame{Src: 1, Dst: wire.Broadcast, Payload: []byte("ping")}
 			brute.Send(1, f)
 			indexed.Send(1, f)
-			db := brute.Deliver(ids)
+			db := bruteDeliver(brute, ids)
 			di := indexed.Deliver(ids)
 			deliveriesEqual(t, 0, db, di)
 			switch tc.expect {
@@ -198,13 +254,11 @@ func TestDeliverIndexedRangeBoundary(t *testing.T) {
 }
 
 // TestDeliverIndexedNaNTransmitter: a transmitter at a NaN position is
-// heard by everyone on the brute path (NaN received power is not below
-// sensitivity); the indexed path must preserve that, not lose the
-// frame to a cell-coordinate conversion.
+// heard by everyone under the brute scan (NaN received power is not
+// below sensitivity); the grid must preserve that, not lose the frame
+// to a cell-coordinate conversion.
 func TestDeliverIndexedNaNTransmitter(t *testing.T) {
 	params := DefaultParams()
-	iparams := params
-	iparams.SpatialIndex = true
 	pos := posTable{
 		1: geom.V(math.NaN(), math.NaN()),
 		2: geom.V(0, 0),
@@ -212,15 +266,67 @@ func TestDeliverIndexedNaNTransmitter(t *testing.T) {
 	}
 	ids := []wire.RobotID{1, 2, 3}
 	brute := NewMedium(params, pos.lookup, 1)
-	indexed := NewMedium(iparams, pos.lookup, 1)
+	indexed := NewMedium(params, pos.lookup, 1)
 	f := wire.Frame{Src: 1, Dst: wire.Broadcast, Payload: []byte("x")}
 	brute.Send(1, f)
 	indexed.Send(1, f)
-	db := brute.Deliver(ids)
+	db := bruteDeliver(brute, ids)
 	di := indexed.Deliver(ids)
 	deliveriesEqual(t, 0, db, di)
 	if len(db) != 2 {
-		t.Fatalf("NaN transmitter should reach both receivers on the brute path, got %v", db)
+		t.Fatalf("NaN transmitter should reach both receivers under the brute scan, got %v", db)
+	}
+}
+
+// TestDeliverDegenerateRange pins the link models whose RangeM no cell
+// size fits — zero, negative, NaN, +Inf. Every robot is then a
+// candidate and the power check alone decides, which is what the brute
+// scan does; the table also parks a transmitter at a NaN position and
+// draws loss, so a candidate enumerated out of roster order would
+// desync the two media for good.
+func TestDeliverDegenerateRange(t *testing.T) {
+	cases := []struct {
+		name    string
+		tune    func(*Params)
+		isRange func(float64) bool
+	}{
+		{"zero", func(p *Params) { p.RefDistM = 0 }, func(r float64) bool { return r == 0 }},
+		{"zero by budget", func(p *Params) { p.TxPowerDBm = math.Inf(-1) }, func(r float64) bool { return r == 0 }},
+		{"negative", func(p *Params) { p.RefDistM = -1 }, func(r float64) bool { return r < 0 }},
+		{"NaN", func(p *Params) { p.TxPowerDBm = math.NaN() }, math.IsNaN},
+		{"+Inf", func(p *Params) { p.PathLossExp = 0 }, func(r float64) bool { return math.IsInf(r, 1) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			params := DefaultParams()
+			params.LossRate = 0.3
+			tc.tune(&params)
+			if r := params.RangeM(); !tc.isRange(r) {
+				t.Fatalf("RangeM = %v: the case does not build the range it names", r)
+			}
+			pos := posTable{
+				1: geom.V(0, 0), 2: geom.V(0, 0), 3: geom.V(0.5, 0), 4: geom.V(150, 0),
+				5: geom.V(1e6, 1e6), 6: geom.V(math.NaN(), 0), 7: geom.V(math.Inf(1), 0),
+			}
+			ids := []wire.RobotID{7, 3, 1, 6, 2, 5, 4, 8} // unsorted; 8 has no position
+			brute := NewMedium(params, pos.lookup, 5)
+			indexed := NewMedium(params, pos.lookup, 5)
+			delivered := 0
+			for round := 0; round < 6; round++ {
+				for _, from := range []wire.RobotID{1, 6, 4} { // finite, NaN, finite
+					f := wire.Frame{Src: from, Dst: wire.Broadcast, Payload: []byte("ping")}
+					brute.Send(from, f)
+					indexed.Send(from, f)
+				}
+				got := indexed.Deliver(ids)
+				deliveriesEqual(t, round, bruteDeliver(brute, ids), got)
+				delivered += len(got)
+			}
+			countersEqual(t, ids, brute, indexed)
+			if delivered == 0 {
+				t.Fatal("nothing was delivered — the case is vacuous")
+			}
+		})
 	}
 }
 

@@ -1,8 +1,7 @@
 // Package serve is the simulation-as-a-service front-end: a
 // long-running, stdlib-only HTTP server that exposes the repository's
 // deterministic facades (chaos cells, traces, the fig6/fig7 sweeps,
-// the scale differential, snapshot capture and resume) as
-// submitted jobs.
+// snapshot capture and resume) as submitted jobs.
 //
 // The package is structured as independently testable layers:
 //

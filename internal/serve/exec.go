@@ -130,15 +130,14 @@ func sweepProgress(hooks execHooks) func(rr.SweepProgress) {
 // Zero-valued knobs keep the facade's defaults.
 func chaosCell(req *JobRequest) rr.ChaosConfig {
 	return rr.ChaosConfig{
-		Controller:   req.Controller,
-		Profile:      faultinject.Profile(req.Profile),
-		Seed:         req.Seed,
-		N:            req.N,
-		DurationSec:  req.DurationSec,
-		Fmax:         req.Fmax,
-		SpacingM:     req.SpacingM,
-		MTUBytes:     req.MTUBytes,
-		SpatialIndex: req.SpatialIndex,
+		Controller:  req.Controller,
+		Profile:     faultinject.Profile(req.Profile),
+		Seed:        req.Seed,
+		N:           req.N,
+		DurationSec: req.DurationSec,
+		Fmax:        req.Fmax,
+		SpacingM:    req.SpacingM,
+		MTUBytes:    req.MTUBytes,
 	}
 }
 
@@ -254,10 +253,7 @@ func runCellJob(k *jobKind, req *JobRequest, resolve resolveFunc, hooks execHook
 		if err != nil {
 			return nil, fmt.Errorf("serve: resolve resume handle: %w", err)
 		}
-		res, err = rr.ResumeChaosSnapshot(data, func(cfg *rr.ChaosConfig) {
-			cfg.SpatialIndex = req.SpatialIndex
-			attach(cfg)
-		})
+		res, err = rr.ResumeChaosSnapshot(data, attach)
 		if err != nil {
 			return nil, err
 		}
@@ -397,50 +393,4 @@ func runFig7Job(_ *jobKind, req *JobRequest, _ resolveFunc, hooks execHooks) (*J
 		points = rr.RunFig7ScaleSweep(sizes, dur, req.Seed, opts)
 	}
 	return sweepOutput(req.Kind, points)
-}
-
-// scaleView is one size's differential outcome without the wall-clock
-// fields (Elapsed, Speedup) ScaleComparison carries.
-type scaleView struct {
-	N                int    `json:"n"`
-	Fingerprint      string `json:"fingerprint"`
-	FingerprintMatch bool   `json:"fingerprint_match"`
-	MetricsMatch     bool   `json:"metrics_match"`
-}
-
-func runScaleJob(_ *jobKind, req *JobRequest, _ resolveFunc, hooks execHooks) (*JobOutput, error) {
-	cfg := rr.ScaleConfig{
-		Sizes:        req.Sizes,
-		DurationSec:  req.DurationSec,
-		SpacingM:     req.SpacingM,
-		Seed:         req.Seed,
-		Controller:   req.Controller,
-		Profile:      faultinject.Profile(req.Profile),
-		Differential: true,
-		Workers:      jobWorkers(req),
-		Progress:     sweepProgress(hooks),
-	}
-	if len(cfg.Sizes) == 0 {
-		cfg.Sizes = []int{100}
-	}
-	if cfg.DurationSec == 0 {
-		cfg.DurationSec = 10
-	}
-	points := rr.RunScaleSweep(cfg)
-	views := make([]scaleView, 0)
-	for _, c := range rr.CompareScalePoints(points) {
-		v := scaleView{
-			N:                c.N,
-			FingerprintMatch: c.FingerprintMatch,
-			MetricsMatch:     c.MetricsMatch,
-		}
-		if c.Indexed != nil {
-			v.Fingerprint = c.Indexed.Result.Metrics.Fingerprint
-		}
-		views = append(views, v)
-		if !c.FingerprintMatch || !c.MetricsMatch {
-			return nil, fmt.Errorf("serve: scale differential mismatch at N=%d", c.N)
-		}
-	}
-	return sweepOutput(req.Kind, views)
 }

@@ -249,11 +249,10 @@ func (j *Job) Status() Status {
 		st.Resubmit = append(json.RawMessage(nil), j.reqBody...)
 	case StateCheckpointed:
 		if handle, err := (&JobRequest{
-			Version:      RequestVersion,
-			Kind:         KindResume,
-			SpatialIndex: j.Req.SpatialIndex,
-			Workers:      j.Req.Workers,
-			Resume:       &ResumeRef{Job: j.ID, Artifact: CheckpointArtifact},
+			Version: RequestVersion,
+			Kind:    KindResume,
+			Workers: j.Req.Workers,
+			Resume:  &ResumeRef{Job: j.ID, Artifact: CheckpointArtifact},
 		}).Encode(); err == nil {
 			st.Resubmit = handle
 		}

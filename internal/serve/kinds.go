@@ -15,7 +15,6 @@ const (
 	KindFig6        = "fig6"          // bandwidth/storage sweep (§5.2 Fig. 6)
 	KindFig7Density = "fig7-density"  // cost vs density (§5.2 Fig. 7a/b)
 	KindFig7Scale   = "fig7-scale"    // cost vs robots (§5.2 Fig. 7c/d)
-	KindScale       = "scale"         // brute-vs-indexed differential sweep
 	KindSnapshot    = "snapshot"      // run a cell, capture a mid-run snapshot
 	KindResume      = "resume"        // resume a stored snapshot to completion
 	KindResumeVerif = "resume-verify" // resume + rerun uninterrupted + compare
@@ -53,7 +52,7 @@ type jobKind struct {
 }
 
 // cellFields are the knobs of one chaos cell (see chaosCell).
-const cellFields = "controller profile seed n duration_sec fmax spacing_m mtu_bytes spatial_index"
+const cellFields = "controller profile seed n duration_sec fmax spacing_m mtu_bytes"
 
 // Artifact names the cell kinds produce.
 const (
@@ -93,10 +92,6 @@ var jobKinds = []jobKind{
 		selftest: JobRequest{Sizes: []int{4}, DurationSec: 4, Seed: 7},
 	},
 	{
-		name: KindScale, takes: strings.Fields("sizes duration_sec spacing_m seed controller profile workers"), run: runScaleJob,
-		selftest: JobRequest{Sizes: []int{12}, DurationSec: 4, Seed: 7},
-	},
-	{
 		name: KindSnapshot, takes: strings.Fields(cellFields + " snapshot_at_tick"), run: runCellJob,
 		selftest:  JobRequest{N: 4, DurationSec: 4, Seed: 7, SnapshotAtTick: 8},
 		artifacts: []string{metricsArtifact, snapshotArtifact}, capture: true,
@@ -104,11 +99,11 @@ var jobKinds = []jobKind{
 	{
 		// The selftest handle is filled in at run time, from the
 		// snapshot job that ran before.
-		name: KindResume, takes: strings.Fields("resume spatial_index"), run: runCellJob,
+		name: KindResume, takes: []string{"resume"}, run: runCellJob,
 		artifacts: []string{metricsArtifact}, resumes: true,
 	},
 	{
-		name: KindResumeVerif, takes: strings.Fields("resume spatial_index"), run: runCellJob,
+		name: KindResumeVerif, takes: []string{"resume"}, run: runCellJob,
 		artifacts: []string{metricsArtifact}, resumes: true, verify: true,
 	},
 }

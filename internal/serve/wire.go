@@ -39,17 +39,15 @@ type JobRequest struct {
 	Version int    `json:"version"`
 	Kind    string `json:"kind"`
 
-	// Chaos-family cell parameters (chaos, trace, snapshot; scale
-	// reuses Controller/Profile/Seed/DurationSec).
-	Controller   string  `json:"controller,omitempty"`
-	Profile      string  `json:"profile,omitempty"`
-	Seed         uint64  `json:"seed,omitempty"`
-	N            int     `json:"n,omitempty"`
-	DurationSec  float64 `json:"duration_sec,omitempty"`
-	Fmax         int     `json:"fmax,omitempty"`
-	SpacingM     float64 `json:"spacing_m,omitempty"`
-	MTUBytes     int     `json:"mtu_bytes,omitempty"`
-	SpatialIndex bool    `json:"spatial_index,omitempty"`
+	// Chaos-family cell parameters (chaos, trace, snapshot).
+	Controller  string  `json:"controller,omitempty"`
+	Profile     string  `json:"profile,omitempty"`
+	Seed        uint64  `json:"seed,omitempty"`
+	N           int     `json:"n,omitempty"`
+	DurationSec float64 `json:"duration_sec,omitempty"`
+	Fmax        int     `json:"fmax,omitempty"`
+	SpacingM    float64 `json:"spacing_m,omitempty"`
+	MTUBytes    int     `json:"mtu_bytes,omitempty"`
 
 	// Artifact selection: Events adds an events.ndjson artifact to a
 	// chaos cell (trace always produces one); Perfetto adds the
@@ -57,7 +55,7 @@ type JobRequest struct {
 	Events   bool `json:"events,omitempty"`
 	Perfetto bool `json:"perfetto,omitempty"`
 
-	// Sweep shapes (fig6, fig7-*, scale).
+	// Sweep shapes (fig6, fig7-*).
 	Sizes      []int     `json:"sizes,omitempty"`
 	Spacings   []float64 `json:"spacings,omitempty"`
 	Fmaxes     []int     `json:"fmaxes,omitempty"`

@@ -14,7 +14,7 @@ func validChaosRequest() *JobRequest {
 func TestDecodeJobRequestRoundTrip(t *testing.T) {
 	req := validChaosRequest()
 	req.Events = true
-	req.Controller, req.Profile, req.SpatialIndex = "patrol", "mixed", true
+	req.Controller, req.Profile = "patrol", "mixed"
 	data, err := req.Encode()
 	if err != nil {
 		t.Fatalf("encode: %v", err)
@@ -44,6 +44,8 @@ func TestDecodeJobRequestRejects(t *testing.T) {
 		{"removed tick_shards", `{"version":1,"kind":"chaos","tick_shards":4}`, `unknown field "tick_shards"`},
 		{"removed reference_plane", `{"version":1,"kind":"chaos","reference_plane":true}`, `unknown field "reference_plane"`},
 		{"removed swarm kind", `{"version":1,"kind":"swarm","sizes":[24]}`, `unknown job kind "swarm"`},
+		{"removed spatial_index", `{"version":1,"kind":"chaos","spatial_index":true}`, `unknown field "spatial_index"`},
+		{"removed scale kind", `{"version":1,"kind":"scale","sizes":[12]}`, `unknown job kind "scale"`},
 		{"trailing data", `{"version":1,"kind":"chaos"} {"x":1}`, "trailing"},
 		{"wrong version", `{"version":2,"kind":"chaos"}`, "version"},
 		{"no kind", `{"version":1}`, "kind"},
@@ -55,8 +57,8 @@ func TestDecodeJobRequestRejects(t *testing.T) {
 		{"duration too long", `{"version":1,"kind":"chaos","duration_sec":100000}`, "out of range"},
 		{"duration nan", `{"version":1,"kind":"chaos","duration_sec":1e999}`, "decode"},
 		{"workers over cap", `{"version":1,"kind":"fig6","workers":99}`, "out of range"},
-		{"too many sizes", `{"version":1,"kind":"scale","sizes":[1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1]}`, "sizes"},
-		{"size over cap", `{"version":1,"kind":"scale","sizes":[99999]}`, "out of range"},
+		{"too many sizes", `{"version":1,"kind":"fig7-scale","sizes":[1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1]}`, "sizes"},
+		{"size over cap", `{"version":1,"kind":"fig7-scale","sizes":[99999]}`, "out of range"},
 		{"spacing zero", `{"version":1,"kind":"fig7-density","spacings":[0]}`, "out of range"},
 		{"period too short", `{"version":1,"kind":"fig6","periods_sec":[0.01]}`, "out of range"},
 		{"resume without handle", `{"version":1,"kind":"resume"}`, "resume handle"},
@@ -107,7 +109,6 @@ func TestDecodeKindFieldMatrix(t *testing.T) {
 		"fmax":             `2`,
 		"spacing_m":        `8`,
 		"mtu_bytes":        `512`,
-		"spatial_index":    `true`,
 		"events":           `true`,
 		"perfetto":         `true`,
 		"sizes":            `[4]`,

@@ -9,14 +9,66 @@ import (
 	"roborebound/internal/wire"
 )
 
-// Differential tests for WorldConfig.SpatialIndex: the grid-indexed
-// crash detection must produce bit-identical crash events and body
-// state evolution to the brute-force all-pairs scan, including on the
-// adversarial geometry the index could plausibly get wrong — bodies at
-// identical positions, pairs at exactly the crash radius, and contact
-// exactly on grid cell boundaries.
+// Differential tests for the world's grid-indexed crash detection: it
+// must produce bit-identical crash events and body state evolution to
+// the brute-force all-pairs scan, including on the adversarial
+// geometry the index could plausibly get wrong — bodies at identical
+// positions, pairs at exactly the crash radius, and contact exactly on
+// grid cell boundaries. The brute-force scan is the oracle below: the
+// loops production ran before the grid became its only path.
 
-func assertWorldsEqual(t *testing.T, step int, brute, indexed *World) {
+// bruteWorld is the reference world. Its embedded World is built with
+// crash detection off (no crash radius, no obstacles), so World.Step
+// only integrates; detectCrashes then runs the all-pairs and
+// every-obstacle loops, verbatim as they stood in World, against the
+// real radius and obstacle set.
+type bruteWorld struct {
+	*World
+	crashRadius float64
+	obstacles   []geom.Obstacle
+}
+
+func newBruteWorld(cfg WorldConfig) *bruteWorld {
+	b := &bruteWorld{crashRadius: cfg.CrashRadius, obstacles: cfg.Obstacles}
+	cfg.CrashRadius, cfg.Obstacles = 0, nil
+	b.World = NewWorld(cfg)
+	return b
+}
+
+func (w *bruteWorld) Step(now wire.Tick) {
+	w.World.Step(now)
+	w.detectCrashes(now)
+}
+
+func (w *bruteWorld) detectCrashes(now wire.Tick) {
+	for _, b := range w.bodies {
+		if b.Crashed {
+			continue
+		}
+		for _, o := range w.obstacles {
+			if o.Contains(b.Pos) {
+				w.crash(now, b, b)
+				break
+			}
+		}
+	}
+	if w.crashRadius <= 0 {
+		return
+	}
+	r2 := w.crashRadius * w.crashRadius
+	for i, a := range w.bodies {
+		for _, b := range w.bodies[i+1:] {
+			if a.Crashed && b.Crashed {
+				continue
+			}
+			if a.Pos.DistSq(b.Pos) < r2 {
+				w.crash(now, a, b)
+			}
+		}
+	}
+}
+
+func assertWorldsEqual(t *testing.T, step int, brute *bruteWorld, indexed *World) {
 	t.Helper()
 	bc, ic := brute.Crashes(), indexed.Crashes()
 	if len(bc) != len(ic) {
@@ -44,18 +96,15 @@ func assertWorldsEqual(t *testing.T, step int, brute, indexed *World) {
 	}
 }
 
-// newWorldPair builds the same scenario with the index off and on.
-func newWorldPair(cfg WorldConfig, setup func(*World)) (brute, indexed *World) {
-	bcfg, icfg := cfg, cfg
-	bcfg.SpatialIndex = false
-	icfg.SpatialIndex = true
-	brute, indexed = NewWorld(bcfg), NewWorld(icfg)
-	setup(brute)
+// newWorldPair builds the same scenario as the oracle and as World.
+func newWorldPair(cfg WorldConfig, setup func(*World)) (brute *bruteWorld, indexed *World) {
+	brute, indexed = newBruteWorld(cfg), NewWorld(cfg)
+	setup(brute.World)
 	setup(indexed)
 	return brute, indexed
 }
 
-func stepPair(t *testing.T, brute, indexed *World, steps int) {
+func stepPair(t *testing.T, brute *bruteWorld, indexed *World, steps int) {
 	t.Helper()
 	for i := 0; i < steps; i++ {
 		brute.Step(wire.Tick(i))
@@ -103,7 +152,7 @@ func TestCrashDetectionIndexedMatchesBruteRandom(t *testing.T) {
 				b.Acc = geom.V(r.Range(-5, 5), r.Range(-5, 5))
 			}
 			// One robot with a garbage (NaN) position: it must be
-			// uncrashable on both paths (NaN distances fail `< r2`).
+			// uncrashable (NaN distances fail `< r2`).
 			w.AddBody(wire.RobotID(n+1), geom.V(math.NaN(), math.NaN()))
 		})
 		stepPair(t, brute, indexed, 40)
@@ -114,8 +163,7 @@ func TestCrashDetectionIndexedMatchesBruteRandom(t *testing.T) {
 }
 
 // TestIdenticalPositionsBothCrash: two bodies at exactly the same
-// point have distance 0 < r², so both must crash, on both paths, in
-// the same single event.
+// point have distance 0 < r², so both must crash, in one event.
 func TestIdenticalPositionsBothCrash(t *testing.T) {
 	brute, indexed := newWorldPair(DefaultWorldConfig(), func(w *World) {
 		w.AddBody(1, geom.V(3, -2))
@@ -134,8 +182,8 @@ func TestIdenticalPositionsBothCrash(t *testing.T) {
 
 // TestExactCrashRadiusIsNotACrash: the predicate is strictly `<`, so
 // bodies at exactly CrashRadius apart must NOT crash — and one ulp
-// closer must. Both paths, both outcomes. One body sits exactly on a
-// grid cell corner (the origin).
+// closer must. One body sits exactly on a grid cell corner (the
+// origin).
 func TestExactCrashRadiusIsNotACrash(t *testing.T) {
 	cfg := DefaultWorldConfig()
 	r := cfg.CrashRadius
@@ -161,7 +209,8 @@ func TestExactCrashRadiusIsNotACrash(t *testing.T) {
 
 // TestObstacleContactAtCellBoundaries: bodies exactly on the sphere
 // surface (strict Contains says outside), one ulp inside, and on the
-// obstacle grid's cell corners. Both paths must agree everywhere.
+// obstacle grid's cell corners. World must agree with the oracle
+// everywhere.
 func TestObstacleContactAtCellBoundaries(t *testing.T) {
 	sph := geom.SphereObstacle{C: geom.V(10, 10), R: 2}
 	cfg := DefaultWorldConfig()
@@ -197,7 +246,7 @@ func TestObstacleContactAtCellBoundaries(t *testing.T) {
 }
 
 // TestWallsStayLinear: non-sphere obstacles can't be grid-indexed;
-// the indexed world must still detect wall crashes identically.
+// the world must still detect wall crashes as the oracle does.
 func TestWallsStayLinear(t *testing.T) {
 	cfg := DefaultWorldConfig()
 	cfg.CrashRadius = 0
@@ -209,5 +258,44 @@ func TestWallsStayLinear(t *testing.T) {
 	stepPair(t, brute, indexed, 8)
 	if !brute.Body(1).Crashed {
 		t.Fatal("robot drove through the wall")
+	}
+}
+
+// TestDegenerateCrashRadius pins the radii no cell size fits: zero
+// (detection off), +Inf (every pair of bodies a finite distance apart
+// collides, in the all-pairs scan's order) and NaN (`< NaN` is never
+// true), each with a NaN-position body and a pair too far apart for a
+// finite squared distance in the mix.
+func TestDegenerateCrashRadius(t *testing.T) {
+	cases := []struct {
+		name    string
+		radius  float64
+		crashes int
+	}{
+		{"zero", 0, 0},
+		{"NaN", math.NaN(), 0},
+		// (1,2) (1,3) (1,5): body 4 is at NaN, body 6 at an overflowing
+		// distance from everyone, and once 1, 2, 3 and 5 have crashed
+		// every later pair is skipped or out of reach.
+		{"+Inf", math.Inf(1), 3},
+		{"overflowing 4r", math.MaxFloat64 / 3, 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultWorldConfig()
+			cfg.CrashRadius = tc.radius
+			brute, indexed := newWorldPair(cfg, func(w *World) {
+				w.AddBody(1, geom.V(0, 0)).Vel = geom.V(1, 0)
+				w.AddBody(2, geom.V(100, 0))
+				w.AddBody(3, geom.V(-7, 3e9))
+				w.AddBody(4, geom.V(math.NaN(), 1))
+				w.AddBody(5, geom.V(0.25, 0))
+				w.AddBody(6, geom.V(1e200, -1e200))
+			})
+			stepPair(t, brute, indexed, 3)
+			if got := len(indexed.Crashes()); got != tc.crashes {
+				t.Fatalf("%d crash events %+v, want %d", got, indexed.Crashes(), tc.crashes)
+			}
+		})
 	}
 }

@@ -36,12 +36,9 @@ type WorldConfig struct {
 	CrashRadius float64
 	// Obstacles are solid regions; entering one is a crash.
 	Obstacles []geom.Obstacle
-	// SpatialIndex accelerates crash detection with a uniform-grid
-	// index over body positions (and sphere obstacles) instead of the
-	// quadratic all-pairs scan. Purely an accelerator: the crash events,
-	// their order, and every body's state evolution are byte-identical
-	// either way — the differential tests at the repository root hold
-	// both paths to that. False keeps the brute-force scan.
+	// Deprecated: ignored; the grid is the only path. Kept only because
+	// benchmark/ still assigns it; removed with those assignments
+	// (ROADMAP item 2, PR A).
 	SpatialIndex bool
 }
 
@@ -84,19 +81,18 @@ type World struct {
 
 	crashes []CrashEvent
 
-	// Spatial-index state, used only when cfg.SpatialIndex. The body
-	// grid is rebuilt each detectCrashes (bodies move every tick); its
-	// backing arrays and queryBuf amortize to zero allocations. The
-	// sphere-obstacle grid is built once — obstacles are static.
+	// Spatial-index state. The body grid is rebuilt each detectCrashes
+	// (bodies move every tick); its backing arrays and queryBuf amortize
+	// to zero allocations. The sphere-obstacle grid is built once —
+	// obstacles are static.
 	grid     spatial.Grid     //rebound:snapshot-skip rebuilt from bodies every detectCrashes
 	queryBuf []spatial.Member //rebound:snapshot-skip per-tick scratch
 	pairBuf  [][2]int32       //rebound:snapshot-skip per-tick scratch
 
-	sphereObs     []geom.SphereObstacle //rebound:snapshot-skip derived from cfg.Obstacles at construction
-	otherObs      []geom.Obstacle       //rebound:snapshot-skip derived from cfg.Obstacles at construction
-	sphereGrid    spatial.Grid          //rebound:snapshot-skip derived from cfg.Obstacles at construction
-	sphereMaxR    float64               //rebound:snapshot-skip derived from cfg.Obstacles at construction
-	sphereIndexed bool                  //rebound:snapshot-skip derived from cfg.Obstacles at construction
+	sphereObs  []geom.SphereObstacle //rebound:snapshot-skip derived from cfg.Obstacles at construction
+	otherObs   []geom.Obstacle       //rebound:snapshot-skip derived from cfg.Obstacles at construction
+	sphereGrid spatial.Grid          //rebound:snapshot-skip derived from cfg.Obstacles at construction
+	sphereMaxR float64               //rebound:snapshot-skip derived from cfg.Obstacles at construction
 
 	perf *perf.PhaseTimer //rebound:snapshot-skip observation-only wall-clock plane, reattached at rebuild
 }
@@ -108,9 +104,7 @@ func (w *World) SetPerf(t *perf.PhaseTimer) { w.perf = t }
 // NewWorld creates an empty world.
 func NewWorld(cfg WorldConfig) *World {
 	w := &World{cfg: cfg, index: make(map[wire.RobotID]*Body)}
-	if cfg.SpatialIndex {
-		w.buildObstacleIndex()
-	}
+	w.buildObstacleIndex()
 	return w
 }
 
@@ -141,11 +135,12 @@ func (w *World) buildObstacleIndex() {
 	// superset; Contains then makes the exact call.
 	w.sphereMaxR = maxR
 	w.sphereGrid.Reset(2 * maxR)
+	w.sphereGrid.Grow(len(w.sphereObs))
 	for i, s := range w.sphereObs {
 		w.sphereGrid.Add(int32(i), s.C)
 	}
 	w.sphereGrid.Build()
-	w.sphereIndexed = true
+	w.queryBuf = make([]spatial.Member, 0, len(w.sphereObs))
 }
 
 // AddBody places a robot. Panics on duplicate IDs (a scenario bug).
@@ -228,48 +223,17 @@ func (w *World) crash(now wire.Tick, a, b *Body) {
 
 func (w *World) detectCrashes(now wire.Tick) {
 	w.detectObstacleCrashes(now)
-	if w.cfg.CrashRadius <= 0 {
+	// A zero, negative or NaN radius crashes no pair: DistSq < r² is
+	// false for every distance.
+	if !(w.cfg.CrashRadius > 0) {
 		return
 	}
-	r2 := w.cfg.CrashRadius * w.cfg.CrashRadius
-	if w.cfg.SpatialIndex {
-		// Cells a few crash radii wide keep the ±1-ring query box to a
-		// handful of cells while staying far smaller than the swarm
-		// footprint. Guard the degenerate radii the grid would reject.
-		if cell := 4 * w.cfg.CrashRadius; cell > 0 && !math.IsInf(cell, 0) {
-			w.detectPairCrashesIndexed(now, r2, cell)
-			return
-		}
-	}
-	for i, a := range w.bodies {
-		for _, b := range w.bodies[i+1:] {
-			if a.Crashed && b.Crashed {
-				continue
-			}
-			if a.Pos.DistSq(b.Pos) < r2 {
-				w.crash(now, a, b)
-			}
-		}
-	}
+	w.detectPairCrashes(now)
 }
 
-// detectObstacleCrashes marks bodies inside any obstacle. The indexed
-// branch reorders which obstacle is found first, never whether one is.
+// detectObstacleCrashes marks bodies inside any obstacle. The sphere
+// grid reorders which obstacle is found first, never whether one is.
 func (w *World) detectObstacleCrashes(now wire.Tick) {
-	if !w.sphereIndexed {
-		for _, b := range w.bodies {
-			if b.Crashed {
-				continue
-			}
-			for _, o := range w.cfg.Obstacles {
-				if o.Contains(b.Pos) {
-					w.crash(now, b, b)
-					break
-				}
-			}
-		}
-		return
-	}
 	for _, b := range w.bodies {
 		if b.Crashed {
 			continue
@@ -281,7 +245,7 @@ func (w *World) detectObstacleCrashes(now wire.Tick) {
 				break
 			}
 		}
-		if !hit {
+		if !hit && len(w.sphereObs) > 0 {
 			w.queryBuf = w.sphereGrid.Within(b.Pos, w.sphereMaxR, w.queryBuf)
 			for _, cand := range w.queryBuf {
 				if w.sphereObs[cand.ID].Contains(b.Pos) {
@@ -296,27 +260,38 @@ func (w *World) detectObstacleCrashes(now wire.Tick) {
 	}
 }
 
-// detectPairCrashesIndexed is the grid replacement for the all-pairs
-// scan. Bodies are indexed by slice position (= ID order); NearPairs
-// returns a superset of every pair with DistSq < r² (the cell size is
-// 4·CrashRadius, so its 2·maxDist ≤ cell precondition holds with
-// double margin, and bodies at non-finite positions — which brute
-// force also never crashes, their DistSq being NaN or +Inf — are
-// rightly absent). Sorting the candidates lexicographically and then
-// applying brute force's own tests in order reproduces its exact
-// crash() call sequence: positions don't change during detection, so
-// the `< r2` outcomes are order-free, and the state the `a.Crashed &&
-// b.Crashed` skip reads is mutated by the same prefix of crash calls
-// at every step.
-func (w *World) detectPairCrashesIndexed(now wire.Tick, r2, cell float64) {
+// detectPairCrashes finds robot-robot collisions the way an all-pairs
+// scan in (i, j>i) order would, from the grid's candidates. Bodies are
+// indexed by slice position (= ID order); NearPairs returns a superset
+// of every pair with DistSq < r² (the cell size is 4·CrashRadius, so
+// its 2·maxDist ≤ cell precondition holds with double margin, and
+// bodies at non-finite positions — which no scan crashes either, their
+// DistSq being NaN or +Inf — are rightly absent). Sorting the
+// candidates lexicographically and then applying the all-pairs scan's
+// own tests in order reproduces its exact crash() call sequence:
+// positions don't change during detection, so the `< r2` outcomes are
+// order-free, and the state the `a.Crashed && b.Crashed` skip reads is
+// mutated by the same prefix of crash calls at every step.
+func (w *World) detectPairCrashes(now wire.Tick) {
+	r2 := w.cfg.CrashRadius * w.cfg.CrashRadius
+	// Cells a few crash radii wide keep the ±1-ring query box to a
+	// handful of cells while staying far smaller than the swarm
+	// footprint. A radius too large to cell by makes every pair a
+	// candidate (NearPairs' linear form on an infinite reach) and the
+	// cell size moot; Reset only needs it finite.
+	cell, reach := 4*w.cfg.CrashRadius, w.cfg.CrashRadius
+	if math.IsInf(cell, 1) {
+		cell, reach = 1, math.Inf(1)
+	}
 	ps := w.perf.Start()
 	w.grid.Reset(cell)
+	w.grid.Grow(len(w.bodies))
 	for i, b := range w.bodies {
 		w.grid.Add(int32(i), b.Pos)
 	}
 	w.grid.Build()
 	w.perf.End(perf.PhaseSpatialBuild, ps)
-	w.pairBuf = w.grid.NearPairs(w.cfg.CrashRadius, w.pairBuf)
+	w.pairBuf = w.grid.NearPairs(reach, w.pairBuf)
 	slices.SortFunc(w.pairBuf, func(a, b [2]int32) int {
 		if a[0] != b[0] {
 			if a[0] < b[0] {

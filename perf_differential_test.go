@@ -86,18 +86,17 @@ func TestPerfPlaneObservationOnly(t *testing.T) {
 }
 
 // TestPerfPlaneObservationOnlyAccelerated repeats the differential on
-// the spatially indexed path, where the nested spatial-build phase
-// lights up. This is the configuration the perf-smoke CI job runs at
-// 300 robots.
+// a 25-robot flock, where the nested spatial-build phase has a real
+// grid to time. This is the configuration the perf-smoke CI job runs
+// at 300 robots.
 func TestPerfPlaneObservationOnlyAccelerated(t *testing.T) {
 	cfg := ChaosConfig{
-		Controller:   "flocking",
-		Profile:      faultinject.ProfileNone,
-		Seed:         3,
-		N:            25,
-		DurationSec:  12,
-		AttackAtSec:  5,
-		SpatialIndex: true,
+		Controller:  "flocking",
+		Profile:     faultinject.ProfileNone,
+		Seed:        3,
+		N:           25,
+		DurationSec: 12,
+		AttackAtSec: 5,
 	}
 	base, baseTrace := runTracedCell(t, cfg)
 	timed, timedTrace := runPerfCell(t, cfg)

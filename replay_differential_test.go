@@ -1,14 +1,14 @@
 package roborebound
 
-// replay_differential_test.go extends the spatial-index differential
-// to the audit subsystem (satellite of the spatial-indexing PR): the
-// tamper-evident logs every robot accumulates — entry streams, hash
-// chains, checkpoints — must come out bit-for-bit identical whether
-// radio delivery ran through the uniform grid or brute force, and the
-// auditor's deterministic replay (§3.7) must accept either run's
+// replay_differential_test.go extends the brute-force record to the
+// audit subsystem: the tamper-evident logs every robot accumulates —
+// entry streams, hash chains, checkpoints — must come out bit-for-bit
+// as they did when radio delivery scanned every robot (the per-robot
+// digests in testdata/brute_record.json, see differential_test.go),
+// and the auditor's deterministic replay (§3.7) must accept the run's
 // segments. A single reordered delivery would shift a chained recv
 // entry and break both properties, so this is an end-to-end proof
-// that the index preserves the protocol's audit semantics, not just
+// that the grid preserves the protocol's audit semantics, not just
 // its physics.
 
 import (
@@ -96,20 +96,21 @@ func collectSegments(t *testing.T, s *Sim) map[wire.RobotID]replayCell {
 	return cells
 }
 
-// TestReplayDifferentialIndexOnOff runs the same protected flock
-// twice, spatial index off and on, and asserts per robot that
+// TestReplayDifferentialIndexOnOff runs a protected flock and asserts
+// per robot that
 //
 //   - the full auditable state (covered start checkpoint + tokens,
 //     retained entry stream, end checkpoint with both chain
-//     authenticators and the controller state snapshot) is
-//     bit-for-bit identical across the two runs, and
+//     authenticators and the controller state snapshot) hashes to what
+//     the brute-force run's did, and
 //   - the auditor's deterministic replay accepts the segment, i.e.
-//     each run's logged outputs are byte-for-byte what a replica of
+//     the run's logged outputs are byte-for-byte what a replica of
 //     the controller produces from the logged inputs.
 //
 // Covered checkpoints only exist because real audit rounds succeeded
-// mid-mission, so the differential spans token grants and log
-// truncations, not just entry appends.
+// mid-mission, so the comparison spans token grants and log
+// truncations, not just entry appends. (The name predates the record;
+// it stays because the suite's floor lists these subtests by it.)
 func TestReplayDifferentialIndexOnOff(t *testing.T) {
 	seeds := []uint64{3, 7, 11}
 	if testing.Short() {
@@ -122,57 +123,45 @@ func TestReplayDifferentialIndexOnOff(t *testing.T) {
 	goal := geom.V(150, 150)
 
 	for _, seed := range seeds {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+		name := fmt.Sprintf("seed%d", seed)
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			var cells [2]map[wire.RobotID]replayCell
-			var verify [2]func(wire.Authenticator) bool
-			for i, indexed := range []bool{false, true} {
-				fs := FlockScenario{
-					N:            9,
-					Spacing:      spacing,
-					Goal:         goal,
-					Protected:    true,
-					Seed:         seed,
-					JitterM:      2,
-					SpatialIndex: indexed,
-				}
-				s := fs.Build()
-				s.RunSeconds(40)
-				cells[i] = collectSegments(t, s)
-				// The auditor verifies authenticator MACs on its own
-				// trusted hardware; any peer's a-node serves.
-				verify[i] = s.Robot(1).ANode().CheckAuthenticator
+			want, ok := bruteRecordFor(t).Logs[name]
+			if !ok {
+				t.Fatalf("no brute-force log digests for %s", name)
 			}
-
-			brute, indexed := cells[0], cells[1]
-			if len(brute) != len(indexed) {
-				t.Fatalf("robot counts differ: %d vs %d", len(brute), len(indexed))
+			s := FlockScenario{
+				N:         9,
+				Spacing:   spacing,
+				Goal:      goal,
+				Protected: true,
+				Seed:      seed,
+				JitterM:   2,
+			}.Build()
+			s.RunSeconds(40)
+			cells := collectSegments(t, s)
+			if len(cells) != len(want) {
+				t.Fatalf("robot counts differ: %d here, %d in the brute-force record", len(cells), len(want))
 			}
 
 			// The verifier config mirrors what FlockScenario.Build
-			// installs in every engine.
+			// installs in every engine. The auditor verifies
+			// authenticator MACs on its own trusted hardware; any peer's
+			// a-node serves.
 			cc := core.DefaultConfig(tps)
-			factory := flocking.Factory{Params: flocking.DefaultParams(tps, spacing, goal)}
-
-			for id, b := range brute {
-				ix, ok := indexed[id]
-				if !ok {
-					t.Fatalf("robot %d only in the brute run", id)
+			cfg := replay.Config{
+				Factory:            flocking.Factory{Params: flocking.DefaultParams(tps, spacing, goal)},
+				BatchSize:          cc.BatchSize,
+				AuthSlack:          cc.AuthSlack,
+				CheckAuthenticator: s.Robot(1).ANode().CheckAuthenticator,
+			}
+			for id, cell := range cells {
+				if got := sha256Hex(cell.blob); got != want[fmt.Sprint(id)] {
+					t.Errorf("robot %d: auditable state (%d bytes) hashes to %s, the brute-force run's to %s",
+						id, len(cell.blob), got, want[fmt.Sprint(id)])
 				}
-				if !bytes.Equal(b.blob, ix.blob) {
-					t.Errorf("robot %d: auditable state diverges between brute and indexed runs (%d vs %d bytes)",
-						id, len(b.blob), len(ix.blob))
-				}
-				for side, cell := range map[string]replayCell{"brute": b, "indexed": ix} {
-					cfg := replay.Config{
-						Factory:            factory,
-						BatchSize:          cc.BatchSize,
-						AuthSlack:          cc.AuthSlack,
-						CheckAuthenticator: verify[map[string]int{"brute": 0, "indexed": 1}[side]],
-					}
-					if err := replay.Verify(cell.req, cfg); err != nil {
-						t.Errorf("robot %d: %s run's log rejected by auditor replay: %v", id, side, err)
-					}
+				if err := replay.Verify(cell.req, cfg); err != nil {
+					t.Errorf("robot %d: log rejected by auditor replay: %v", id, err)
 				}
 			}
 		})

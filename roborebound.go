@@ -72,12 +72,6 @@ type SimConfig struct {
 	// and the radio's per-robot byte accounting into one registry with
 	// deterministic snapshots.
 	Metrics *obs.Registry
-	// SpatialIndex turns on the uniform-grid spatial index for both
-	// radio delivery and collision detection (see internal/geom/spatial).
-	// Purely an accelerator: runs are byte-identical with it on or off,
-	// which the differential tests at the repository root enforce.
-	// Explicit World/Radio overrides may also set their own flags.
-	SpatialIndex bool
 	// Perf, when non-nil, attributes wall-clock time to every tick
 	// pipeline phase (see internal/obs/perf). Observation-only, like
 	// Trace: a timed run is byte-identical to an untimed one — the perf
@@ -104,10 +98,6 @@ func (c SimConfig) withDefaults() SimConfig {
 	}
 	if c.Master == nil {
 		c.Master = []byte("roborebound-default-master-key")
-	}
-	if c.SpatialIndex {
-		c.World.SpatialIndex = true
-		c.Radio.SpatialIndex = true
 	}
 	return c
 }

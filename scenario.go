@@ -107,9 +107,9 @@ type FlockScenario struct {
 	// Trace / Metrics are threaded through to SimConfig (see there).
 	Trace   obs.Tracer
 	Metrics *obs.Registry
-	// SpatialIndex threads through to SimConfig.SpatialIndex: grid
-	// acceleration for radio delivery and collision detection, with
-	// byte-identical results either way.
+	// Deprecated: ignored; the grid is the only path. Kept only because
+	// benchmark/ still assigns it; removed with those assignments
+	// (ROADMAP item 2, PR A).
 	SpatialIndex bool
 	// Perf threads through to SimConfig.Perf: wall-clock phase
 	// attribution, observation-only.
@@ -152,7 +152,6 @@ func (fs FlockScenario) Build() *Sim {
 		Faults:         fs.Faults,
 		Trace:          fs.Trace,
 		Metrics:        fs.Metrics,
-		SpatialIndex:   fs.SpatialIndex,
 		Perf:           fs.Perf,
 	})
 

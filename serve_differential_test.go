@@ -136,11 +136,6 @@ func matrixCells() []diffCell {
 	scale7 := base(serve.KindFig7Scale)
 	scale7.Seed, scale7.DurationSec, scale7.Sizes = 1, 4, []int{4}
 	add("fig7-scale", scale7)
-	for _, ctl := range controllers[:2] {
-		req := base(serve.KindScale)
-		req.Controller, req.Seed, req.DurationSec, req.Sizes = ctl, 1, 4, []int{12}
-		add("scale/"+ctl, req)
-	}
 	return cells
 }
 

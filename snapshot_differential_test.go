@@ -2,6 +2,8 @@ package roborebound
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -203,42 +205,46 @@ func TestSnapshotResumeProtocolPlanes(t *testing.T) {
 	})
 }
 
-// TestSnapshotResumeAcrossAccelerators captures under one accelerator
-// configuration and resumes under another. SpatialIndex is excluded
-// from the config echo precisely because it is proven
-// byte-invisible — a snapshot is a portable run state, not a record of
-// which pipeline computed it.
+// TestSnapshotResumeAcrossAccelerators resumes the two snapshots the
+// parent binary (commit 6eb7a64, the last with a brute-force path)
+// captured of one cell — `-controller flocking -profile mixed -seed 11
+// -n 9 -duration 30 -at 60 snapshot`, once without and once with
+// `-spatial` — and holds each to the fingerprint that binary's
+// brute-force resume reached (testdata/brute_record.json) and to this
+// tree's uninterrupted run of the cell. The config echo never carried
+// the toggle: a snapshot is a portable run state, not a record of
+// which pipeline computed it. (The name predates the single path; it
+// stays because the suite's floor lists it.)
 func TestSnapshotResumeAcrossAccelerators(t *testing.T) {
-	cfg := ChaosConfig{
+	base := RunChaos(ChaosConfig{
 		Controller:  "flocking",
 		Profile:     faultinject.ProfileMixed,
 		Seed:        11,
+		N:           9,
 		DurationSec: 30,
-	}
-	base := RunChaos(cfg)
-
-	capCfg := cfg
-	capCfg.SpatialIndex = true
-	capCfg.SnapshotAtTicks = []wire.Tick{60}
-	capped := RunChaos(capCfg)
-	if capped.SnapshotError != nil {
-		t.Fatalf("capture under the spatial index failed: %v", capped.SnapshotError)
-	}
-	if capped.Metrics.Fingerprint != base.Metrics.Fingerprint {
-		t.Fatal("accelerated run is not byte-identical to the plain run (pre-existing differential bug)")
-	}
-
-	resCfg := cfg // plain: no spatial index
-	resCfg.ResumeFrom = capped.Snapshots[0].Data
-	resumed := RunChaos(resCfg)
-	if resumed.ResumeError != nil {
-		t.Fatalf("cross-accelerator resume rejected: %v", resumed.ResumeError)
-	}
-	if resumed.Metrics.Fingerprint != base.Metrics.Fingerprint {
-		t.Error("snapshot captured under the spatial index diverged when resumed on the brute pipeline")
-	}
-	if !reflect.DeepEqual(resumed.MetricsSnapshot, base.MetricsSnapshot) {
-		t.Error("cross-accelerator resume: registry snapshot differs")
+	})
+	for _, name := range []string{"parent_brute.rbsn", "parent_indexed.rbsn"} {
+		want, ok := bruteRecordFor(t).Snapshots[name]
+		if !ok {
+			t.Fatalf("no recorded fingerprint for %s", name)
+		}
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resumed, err := ResumeChaosSnapshot(data, nil)
+		if err != nil {
+			t.Fatalf("%s: resume rejected: %v", name, err)
+		}
+		if got := resumed.Metrics.Fingerprint; got != want {
+			t.Errorf("%s resumed to %s, the parent's brute-force resume to %s", name, got, want)
+		}
+		if resumed.Metrics.Fingerprint != base.Metrics.Fingerprint {
+			t.Errorf("%s: resumed run diverges from this tree's uninterrupted run", name)
+		}
+		if !reflect.DeepEqual(resumed.MetricsSnapshot, base.MetricsSnapshot) {
+			t.Errorf("%s: registry snapshot differs after resume", name)
+		}
 	}
 }
 
@@ -348,7 +354,7 @@ func TestSnapshotViolationRewind(t *testing.T) {
 
 // TestSnapshotResumeRejectsMismatchedConfig proves a snapshot cannot
 // be resumed under a different cell: the embedded config echo must
-// match byte-for-byte (accelerator toggles excepted — covered above).
+// match byte-for-byte.
 func TestSnapshotResumeRejectsMismatchedConfig(t *testing.T) {
 	cfg := ChaosConfig{
 		Controller:      "patrol",

@@ -35,10 +35,10 @@ const chaosEchoVersion = 2
 
 // encodeChaosEcho canonically encodes the protocol-relevant fields of
 // a (defaulted) ChaosConfig — everything that shapes the byte
-// evolution of the run. The SpatialIndex accelerator toggle and
-// observability wiring are deliberately excluded: they are proven
-// byte-invisible by the differential suites, so a snapshot taken
-// under one accelerator setting legally resumes under another.
+// evolution of the run. Observability wiring is deliberately excluded:
+// it is proven byte-invisible by the differential suites, so a
+// snapshot taken with one collector attached legally resumes under
+// another, or none.
 func encodeChaosEcho(cfg ChaosConfig) []byte {
 	w := wire.NewWriter(256)
 	w.U8(chaosEchoVersion)
@@ -63,8 +63,8 @@ func encodeChaosEcho(cfg ChaosConfig) []byte {
 }
 
 // decodeChaosEcho rebuilds the cell config from a snapshot's echo
-// blob. The returned config has zero-valued accelerator and
-// observability fields; callers may set those freely before resuming.
+// blob. The returned config has zero-valued observability fields;
+// callers may set those freely before resuming.
 func decodeChaosEcho(b []byte) (ChaosConfig, error) {
 	var cfg ChaosConfig
 	r := wire.NewReader(b)
@@ -200,7 +200,7 @@ func runChaosTicks(s *Sim, cfg ChaosConfig, checker *faultinject.Checker, total 
 			return
 		}
 		if !bytes.Equal(snap.ConfigEcho, echo) {
-			res.ResumeError = errors.New("roborebound: snapshot was taken under a different cell config (accelerator toggles excepted, the config must match)")
+			res.ResumeError = errors.New("roborebound: snapshot was taken under a different cell config (the config must match)")
 			return
 		}
 		if snap.Tick > total {
@@ -293,10 +293,10 @@ func runChaosTicks(s *Sim, cfg ChaosConfig, checker *faultinject.Checker, total 
 }
 
 // ResumeChaosSnapshot rebuilds a chaos cell from a snapshot's embedded
-// config echo and resumes it to completion. The SpatialIndex
-// accelerator toggle may be set on the returned result's config via
-// the opts callback before the run starts — it does not affect the
-// bytes. This is the CLI `resume` entry point.
+// config echo and resumes it to completion. The opts callback may
+// attach observability wiring and an interrupt hook to the rebuilt
+// config before the run starts — neither affects the bytes. This is
+// the CLI `resume` entry point.
 func ResumeChaosSnapshot(data []byte, opts func(*ChaosConfig)) (ChaosResult, error) {
 	echo, err := snapshot.ConfigEcho(data)
 	if err != nil {

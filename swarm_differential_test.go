@@ -54,7 +54,7 @@ func TestProtocolPlaneDifferentialMatrix(t *testing.T) {
 }
 
 // TestProtocolPlaneDifferentialSwarmCell is one production-shaped cell:
-// larger flock, spatial index on, uncached and cached.
+// larger flock, uncached and cached.
 func TestProtocolPlaneDifferentialSwarmCell(t *testing.T) {
 	if testing.Short() {
 		t.Skip("swarm cell is slow")
@@ -66,7 +66,6 @@ func TestProtocolPlaneDifferentialSwarmCell(t *testing.T) {
 		N:                60,
 		DurationSec:      12,
 		SpacingM:         40,
-		SpatialIndex:     true,
 		detachAuditCache: true,
 	}
 	ref, refTrace := runTracedCell(t, cfg)
