@@ -10,14 +10,12 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Static analysis: go vet plus reboundlint, the repository's own
-# analyzer suite (determinism, trustedboundary, clockdomain,
-# snapshotstate, hotpath — see DESIGN.md "Static
-# analysis & determinism contracts"). Fails on any violation;
-# legitimate exceptions carry a justified //rebound: annotation, and
-# a hatch that no longer suppresses anything is itself a violation
-# (the annotation audit keeps the exception list honest). Machine
-# consumers: `go run ./cmd/reboundlint -json ./...`.
+# Static analysis: go vet plus reboundlint, the repository's own four
+# analyzers (determinism, trustedboundary, clockdomain, snapshotstate
+# — see DESIGN.md "Static analysis & determinism contracts"). Fails on
+# any violation; legitimate exceptions carry a justified //rebound:
+# annotation, and a hatch that no longer suppresses anything is itself
+# a violation (the annotation audit keeps the exception list honest).
 lint: vet
 	$(GO) run ./cmd/reboundlint ./...
 

@@ -218,11 +218,13 @@ func TestChaosCheckerDetectsSuppressedSafeMode(t *testing.T) {
 }
 
 // TestKnownFalsePositiveLatches keeps the cells in which a correct,
-// intact robot is Safe-Moded on the books (ROADMAP item 1: 17 of the
-// 5 376 cells of seeds 1..256 × 21 latch no-false-positive; cause not
-// yet triaged; the soak's 12 seeds never reach them). Each row asserts
-// today's latch exactly, so the PR that fixes or reclassifies one has
-// to edit its row — a latching seed is never silently lost.
+// intact robot is Safe-Moded on the books (ROADMAP item 1: 24 of the
+// 5 376 cells (0.45 %) of seeds 1..256 × 21, at 17 seeds, latch
+// no-false-positive, and so does {flocking, mixed, seed 4, 30 s,
+// attack at 5 s}; cause not yet triaged; the soak's 12 seeds never
+// reach them). Each row asserts today's latch exactly, so the PR that
+// fixes or reclassifies one has to edit its row — a latching seed is
+// never silently lost.
 func TestKnownFalsePositiveLatches(t *testing.T) {
 	cases := []struct {
 		controller string

@@ -1,4 +1,4 @@
-// Command reboundlint is the multichecker for RoboRebound's custom
+// Command reboundlint is the multichecker for RoboRebound's four custom
 // static analyzers. It runs alongside `go vet` in `make lint` / CI and
 // fails the build on any violation of the repository's correctness
 // contracts:
@@ -15,9 +15,6 @@
 //	                 serialized or justified //rebound:snapshot-skip,
 //	                 and decoder counts are bounded before allocation
 //	                 (the PR 7 resume-divergence bug class)
-//	hotpath          //rebound:hotpath call closures stay allocation-
-//	                 free: no composite literals, make, fresh-slice
-//	                 append, interface boxing, closures, or fmt
 //
 // On top of the selected analyzers, every run audits the //rebound:
 // annotations themselves: a suppression hatch that suppresses nothing
@@ -27,22 +24,20 @@
 //
 // Usage:
 //
-//	reboundlint [-run=determinism,...] [-json] [packages]
+//	reboundlint [-run=determinism,...] [-list] [packages]
 //
 // Packages default to ./... . Exit status: 0 clean, 1 diagnostics
-// reported, 2 analysis failure. With -json, each finding is one JSON
-// object per line ({"analyzer","file","line","col","message"});
-// otherwise findings print as "file:line:col: message [analyzer]",
-// which .github/reboundlint-problem-matcher.json turns into GitHub
-// code annotations. Each analyzer documents an annotation escape
-// hatch (//rebound:wallclock, //rebound:nondet, //rebound:tcb-exempt,
-// //rebound:clockmix, //rebound:snapshot-skip, //rebound:bounded,
-// //rebound:alloc) that requires a justification;
-// see DESIGN.md "Static analysis & determinism contracts".
+// reported, 2 analysis failure. Findings print as
+// "file:line:col: message [analyzer]", which
+// .github/reboundlint-problem-matcher.json turns into GitHub code
+// annotations. Each analyzer documents an annotation escape hatch
+// (//rebound:wallclock, //rebound:nondet, //rebound:tcb-exempt,
+// //rebound:clockmix, //rebound:snapshot-skip, //rebound:bounded) that
+// requires a justification; see DESIGN.md "Static analysis &
+// determinism contracts".
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"go/token"
@@ -54,7 +49,6 @@ import (
 	"roborebound/internal/analysis"
 	"roborebound/internal/analysis/clockdomain"
 	"roborebound/internal/analysis/determinism"
-	"roborebound/internal/analysis/hotpath"
 	"roborebound/internal/analysis/load"
 	"roborebound/internal/analysis/snapshotstate"
 	"roborebound/internal/analysis/trustedboundary"
@@ -65,7 +59,6 @@ var analyzers = []*analysis.Analyzer{
 	trustedboundary.Analyzer,
 	clockdomain.Analyzer,
 	snapshotstate.Analyzer,
-	hotpath.Analyzer,
 }
 
 // annotationsName labels the driver's own findings about the
@@ -81,7 +74,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	runNames := fs.String("run", "", "comma-separated analyzer names to run (default: all)")
 	list := fs.Bool("list", false, "list available analyzers and exit")
-	jsonOut := fs.Bool("json", false, "emit findings as one JSON object per line")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: reboundlint [flags] [packages]\n\nAnalyzers:\n")
 		for _, a := range analyzers {
@@ -189,38 +181,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return findings[i].analyzer < findings[j].analyzer
 	})
-	if *jsonOut {
-		enc := json.NewEncoder(stdout)
-		for _, f := range findings {
-			if err := enc.Encode(jsonFinding{
-				Analyzer: f.analyzer,
-				File:     f.pos.Filename,
-				Line:     f.pos.Line,
-				Col:      f.pos.Column,
-				Message:  f.message,
-			}); err != nil {
-				fmt.Fprintf(stderr, "reboundlint: %v\n", err)
-				return 2
-			}
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Fprintf(stdout, "%s: %s [%s]\n", f.pos, f.message, f.analyzer)
-		}
+	for _, f := range findings {
+		fmt.Fprintf(stdout, "%s: %s [%s]\n", f.pos, f.message, f.analyzer)
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(stderr, "reboundlint: %d violation(s)\n", len(findings))
 		return 1
 	}
 	return 0
-}
-
-// jsonFinding is the -json line format, consumed by editor tooling and
-// kept intentionally flat.
-type jsonFinding struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
 }

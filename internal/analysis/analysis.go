@@ -2,16 +2,18 @@
 // the golang.org/x/tools/go/analysis surface that reboundlint's
 // analyzers are written against. The repository builds offline, so we
 // cannot vendor x/tools; the subset here — Analyzer, Pass, Diagnostic,
-// plus the //rebound: annotation layer — is all three analyzers need,
-// and keeps them source-compatible with a future migration to the real
+// plus the //rebound: annotation layer — is all four analyzers
+// (determinism, trustedboundary, clockdomain, snapshotstate) need, and
+// keeps them source-compatible with a future migration to the real
 // framework (the Run signature and Report semantics match).
 //
 // Analyzers in this suite enforce *correctness* contracts, not style:
 // RoboRebound's audit protocol is sound only if a robot's logged
 // outputs replay bit-for-bit (determinism), if key material never
 // leaks out of the trusted s-node/a-node packages (trustedboundary),
-// and if engine-clock and trusted-clock timestamps never mix
-// (clockdomain). See DESIGN.md "Static analysis & determinism
+// if engine-clock and trusted-clock timestamps never mix
+// (clockdomain), and if a snapshot carries every field a resume needs
+// (snapshotstate). See DESIGN.md "Static analysis & determinism
 // contracts".
 package analysis
 

@@ -52,18 +52,6 @@ const (
 	// used as an allocation size without a visible bound against the
 	// remaining payload (for counts bounded by other means).
 	DirBounded = "bounded"
-	// DirHotpath declares a function part of the allocation-free hot
-	// path: the hotpath analyzer analyzes its same-package call closure
-	// for escaping composite literals, appends on non-reused slices,
-	// interface conversions, closures, and fmt use.
-	DirHotpath = "hotpath"
-	// DirColdpath excludes a function from an enclosing hotpath
-	// closure (first-touch or amortized allocation paths), with a
-	// justification.
-	DirColdpath = "coldpath"
-	// DirAlloc silences a hotpath finding at a single allocation site
-	// that is deliberate (e.g. amortized growth of a reused buffer).
-	DirAlloc = "alloc"
 )
 
 // KnownDirectives is the set of every directive name the suite
@@ -74,15 +62,14 @@ var KnownDirectives = map[string]bool{
 	DirWallclock: true, DirNondet: true, DirTCBExempt: true,
 	DirClockMix: true, DirClock: true,
 	DirSnapshotSkip: true, DirBounded: true,
-	DirHotpath: true, DirColdpath: true, DirAlloc: true,
 }
 
 // SuppressionOwner maps each suppression (escape-hatch) directive to
 // the analyzer that consumes it. The driver reports a hatch that
 // suppressed zero findings as a finding of its own — but only when the
 // owning analyzer actually ran, so -run=determinism does not condemn
-// every tcb-exempt hatch in sight. Declaration directives (clock,
-// hotpath, coldpath) are not hatches and are absent here.
+// every tcb-exempt hatch in sight. The declaration directive (clock)
+// is not a hatch and is absent here.
 var SuppressionOwner = map[string]string{
 	DirWallclock:    "determinism",
 	DirNondet:       "determinism",
@@ -90,7 +77,6 @@ var SuppressionOwner = map[string]string{
 	DirClockMix:     "clockdomain",
 	DirSnapshotSkip: "snapshotstate",
 	DirBounded:      "snapshotstate",
-	DirAlloc:        "hotpath",
 }
 
 const directivePrefix = "//rebound:"
@@ -343,8 +329,8 @@ func ClockDomains(fset *token.FileSet, pkgPath string, files []*ast.File, report
 // DeclDirective returns the named directive attached to a declaration:
 // one in its doc comment, or one in an end-of-line comment on the line
 // where the declaration (for functions: its signature) ends. This is
-// the lookup every declaration directive (clock, hotpath, coldpath,
-// snapshot-skip on fields) shares.
+// the lookup every declaration directive (clock, snapshot-skip on
+// fields) shares.
 func DeclDirective(fset *token.FileSet, f *ast.File, doc *ast.CommentGroup, end token.Pos, name string) (Directive, token.Pos, bool) {
 	if doc != nil {
 		for _, c := range doc.List {

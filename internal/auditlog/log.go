@@ -68,8 +68,6 @@ func New() *Log {
 
 // Append records one input/output entry. The payload is copied into
 // the window, so the caller's bytes may be borrowed scratch.
-//
-//rebound:hotpath every logged input and output of every robot lands here
 func (l *Log) Append(e wire.LogEntry) {
 	l.offsets = append(l.offsets, len(l.encoded))
 	l.encoded = wire.AppendLogEntry(l.encoded, &e)

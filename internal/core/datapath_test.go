@@ -201,6 +201,31 @@ func TestCacheMissReplayAllocsIndependentOfSegmentLength(t *testing.T) {
 	t.Logf("cache-miss verifySegment: %v allocations for %d entries, %v for %d", aShort, nShort, aLong, nLong)
 }
 
+// TestHearAllocFree pins the per-frame heard-set update at zero
+// allocations once a stable set of peers has been heard: hearing them
+// again in ascending order rides the hint, and in descending order
+// takes the binary search, and neither may grow the set.
+func TestHearAllocFree(t *testing.T) {
+	cfg := DefaultConfig(4)
+	cfg.TAudit = 0
+	r := newDataPathRobot(t, cfg, false)
+	hearAll := func() {
+		for id := wire.RobotID(2); id < 22; id++ {
+			r.eng.hear(id)
+		}
+		for id := wire.RobotID(21); id >= 2; id-- {
+			r.eng.hear(id)
+		}
+	}
+	hearAll()
+	if n := testing.AllocsPerRun(100, hearAll); n != 0 {
+		t.Errorf("hearing a stable 20-peer set allocates %v per pass, want 0", n)
+	}
+	if len(r.eng.heardIDs) != 20 {
+		t.Fatalf("heard set holds %d peers, want 20", len(r.eng.heardIDs))
+	}
+}
+
 // blobController is a controller whose whole state is one shared blob:
 // EncodeState hands it out without allocating, so every byte a round
 // allocates in proportion to the state's size is a copy the engine or

@@ -300,8 +300,6 @@ func (e *Engine) OnFrameEnc(f wire.Frame, enc []byte) {
 }
 
 // hear records that src was heard at the current tick.
-//
-//rebound:hotpath once per frame delivered to every robot
 func (e *Engine) hear(src wire.RobotID) {
 	i := e.heardHint + 1
 	if i >= len(e.heardIDs) || e.heardIDs[i] != src {

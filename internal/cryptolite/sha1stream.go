@@ -47,8 +47,6 @@ func (s *SHA1Stream) Reset() {
 }
 
 // Write absorbs p into the running digest.
-//
-//rebound:hotpath every chained byte flows through here
 func (s *SHA1Stream) Write(p []byte) {
 	if s.h == nil {
 		s.h = sha1.New()
@@ -93,8 +91,6 @@ func (s *SHA1Stream) UnmarshalState(b []byte) error {
 // Sum returns the digest of everything written since the last Reset.
 // It does not disturb the stream (the standard digest finalizes a
 // copy), but chain code always Resets before reuse anyway.
-//
-//rebound:hotpath once per batch flush; the field-backed sum avoids an escape
 func (s *SHA1Stream) Sum() [SHA1Size]byte {
 	if s.h == nil {
 		s.h = sha1.New()

@@ -109,6 +109,24 @@ func TestSHA1StreamStateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSHA1StreamAllocFree pins Write and Sum at zero allocations on a
+// live stream: the digest is allocated once, and Sum finalizes into the
+// stream's own field rather than a buffer that escapes through the
+// hash.Hash interface.
+func TestSHA1StreamAllocFree(t *testing.T) {
+	msg := make([]byte, 200)
+	s := new(SHA1Stream)
+	s.Reset()
+	if n := testing.AllocsPerRun(100, func() {
+		s.Reset()
+		s.Write(msg[:7])
+		s.Write(msg[7:])
+		_ = s.Sum()
+	}); n != 0 {
+		t.Errorf("Reset+Write+Sum allocates %v per call, want 0", n)
+	}
+}
+
 // Malformed state bytes must error, never panic.
 func TestSHA1StreamUnmarshalStateRejectsGarbage(t *testing.T) {
 	for _, b := range [][]byte{nil, {}, {1, 2, 3}, make([]byte, 200)} {

@@ -313,8 +313,6 @@ func memberByID(a, b Member) int {
 // cell with the query edge. Non-finite centers, non-finite radii, and
 // query boxes wider than the population fall back to a linear scan,
 // which is the brute-force predicate by construction.
-//
-//rebound:hotpath per-frame candidate query in radio delivery
 func (g *Grid) Within(center geom.Vec2, r float64, buf []Member) []Member {
 	if !g.built {
 		panic("spatial: Within before Build")
@@ -384,8 +382,6 @@ func (g *Grid) Within(center geom.Vec2, r float64, buf []Member) []Member {
 // An unbounded reach (2·maxDist = +Inf) has no cell size that covers
 // it: like Within on a non-finite radius it falls back to the linear
 // form, every pair of finite-position members.
-//
-//rebound:hotpath per-tick collision candidate scan
 func (g *Grid) NearPairs(maxDist float64, buf [][2]int32) [][2]int32 {
 	if !g.built {
 		panic("spatial: NearPairs before Build")
@@ -402,7 +398,6 @@ func (g *Grid) NearPairs(maxDist float64, buf [][2]int32) [][2]int32 {
 	if !(2*maxDist <= g.cell) {
 		panic("spatial: NearPairs requires 2*maxDist <= cell size")
 	}
-	//rebound:alloc non-escaping closure, stack-allocated; called only below
 	cross := func(a, b int) {
 		sa, sb := g.spans[a], g.spans[b]
 		for i := sa[0]; i < sa[1]; i++ {

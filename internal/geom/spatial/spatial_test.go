@@ -274,7 +274,8 @@ func TestGridPanics(t *testing.T) {
 }
 
 // TestWithinQueryAllocFree pins that steady-state rebuild+query cycles
-// do not allocate once the backing arrays have grown.
+// — Within for radio delivery, NearPairs for collision detection — do
+// not allocate once the backing arrays have grown.
 func TestWithinQueryAllocFree(t *testing.T) {
 	rng := prng.New(7)
 	pts := make([]geom.Vec2, 200)
@@ -283,6 +284,7 @@ func TestWithinQueryAllocFree(t *testing.T) {
 	}
 	g := &Grid{}
 	buf := make([]Member, 0, len(pts))
+	var pairs [][2]int32
 	cycle := func() {
 		g.Reset(10)
 		for i, p := range pts {
@@ -292,9 +294,13 @@ func TestWithinQueryAllocFree(t *testing.T) {
 		for _, p := range pts[:20] {
 			buf = g.Within(p, 25, buf)
 		}
+		pairs = g.NearPairs(5, pairs)
 	}
 	cycle() // warm up the backing arrays
-	if allocs := testing.AllocsPerRun(20, cycle); allocs > 0 {
+	if len(pairs) == 0 {
+		t.Fatal("NearPairs found no candidate pairs — the pin is vacuous")
+	}
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
 		t.Fatalf("steady-state rebuild+query allocates %.1f times per cycle, want 0", allocs)
 	}
 }

@@ -18,9 +18,9 @@
 // A nil *PhaseTimer is valid and means "perf disabled": Start/End on
 // nil are allocation-free no-ops, so instrumented call sites never
 // guard. The enabled path is allocation-free too (atomic tallies into
-// fixed log2 buckets — both pinned by AllocsPerRun and enforced by
-// reboundlint's hotpath analyzer), which is what keeps whole-sim
-// instrumentation overhead within the ≤3% bench-gate ceiling.
+// fixed log2 buckets — both pinned at zero by TestPhaseTimerAllocFree),
+// which is what keeps whole-sim instrumentation overhead within the ≤3%
+// bench-gate ceiling.
 package perf
 
 import (
@@ -157,8 +157,6 @@ func (t *PhaseTimer) RecordSpans(r *SpanRecorder) {
 
 // Start begins a span: it returns the clock reading End expects. On a
 // nil (disabled) timer it returns 0 without touching the clock.
-//
-//rebound:hotpath called once per pipeline stage per tick and per audit serve at swarm scale; must stay allocation-free enabled and disabled
 func (t *PhaseTimer) Start() int64 {
 	if t == nil {
 		return 0
@@ -169,8 +167,6 @@ func (t *PhaseTimer) Start() int64 {
 // End closes a span opened by Start and attributes it to phase p.
 // No-op on a nil timer; negative spans (a clock fake running
 // backwards) clamp to 0.
-//
-//rebound:hotpath called once per pipeline stage per tick and per audit serve at swarm scale; must stay allocation-free enabled and disabled
 func (t *PhaseTimer) End(p Phase, start int64) {
 	if t == nil {
 		return
@@ -195,8 +191,6 @@ func (t *PhaseTimer) End(p Phase, start int64) {
 // reads at 1/weight the rate. Counts and totals stay estimates of the
 // full population; percentiles come from the timed sample. No-op on a
 // nil timer; weight 0 records nothing.
-//
-//rebound:hotpath called once per sampled chain append at swarm scale; must stay allocation-free enabled and disabled
 func (t *PhaseTimer) EndSampled(p Phase, start int64, weight uint64) {
 	if t == nil || weight == 0 {
 		return

@@ -139,9 +139,9 @@ func TestLogNsBoundsShape(t *testing.T) {
 	}
 }
 
-// TestPhaseTimerAllocFree pins the hot path at zero allocations, both
-// disabled (nil timer) and enabled — the property the hotpath analyzer
-// annotations promise and the bench gate's ≤3% ceiling depends on.
+// TestPhaseTimerAllocFree pins Start, End and EndSampled at zero
+// allocations, both disabled (nil timer) and enabled — the property the
+// bench gate's ≤3% ceiling depends on.
 func TestPhaseTimerAllocFree(t *testing.T) {
 	var nilTimer *PhaseTimer
 	if a := testing.AllocsPerRun(1000, func() {

@@ -21,8 +21,6 @@ const FragHeaderSize = 4
 // FragHeader ‖ chunk-of-original-encoding. Frames that already fit are
 // returned unchanged. msgID must be unique per (transmitter, frame)
 // within the reassembly horizon.
-//
-//rebound:coldpath fragmentation allocates by design; default planes run unfragmented
 func FragmentFrame(f wire.Frame, mtu int, msgID uint16) []wire.Frame {
 	enc := f.Encode()
 	if mtu <= 0 || len(enc) <= mtu {
@@ -79,8 +77,6 @@ type Reassembler struct {
 }
 
 // NewReassembler creates a reassembler; timeout 0 means never expire.
-//
-//rebound:coldpath constructor, once per receiver
 func NewReassembler(timeout wire.Tick) *Reassembler {
 	return &Reassembler{Timeout: timeout, bufs: make(map[fragKey]*fragBuf)}
 }
@@ -91,8 +87,6 @@ func (r *Reassembler) Pending() int { return len(r.bufs) }
 // Add ingests one fragment from the given physical transmitter. When
 // the fragment completes a frame, the reassembled original frame is
 // returned. Malformed or inconsistent fragments are dropped.
-//
-//rebound:coldpath reassembly buffers are inherent; fragmented planes only
 func (r *Reassembler) Add(from wire.RobotID, f wire.Frame, now wire.Tick) (wire.Frame, bool) {
 	if f.Flags&wire.FlagFragment == 0 {
 		return f, true // not fragmented

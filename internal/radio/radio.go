@@ -275,8 +275,6 @@ func (m *Medium) registerCounterGauges(id wire.RobotID, c *ByteCounters) {
 
 // Counters returns the byte counters for a robot, creating them on
 // first use.
-//
-//rebound:coldpath first-touch registration, once per robot per run
 func (m *Medium) Counters(id wire.RobotID) *ByteCounters {
 	c := m.counters[id]
 	if c == nil {
@@ -294,8 +292,6 @@ type senderState struct {
 }
 
 // sender returns the per-sender state, creating it on first use.
-//
-//rebound:coldpath first-touch registration, once per sender per run
 func (m *Medium) sender(id wire.RobotID) *senderState {
 	s := m.senders[id]
 	if s == nil {
@@ -309,8 +305,6 @@ func (m *Medium) sender(id wire.RobotID) *senderState {
 // fragmenting it first when it exceeds the radio MTU. The physical
 // transmitter is recorded separately from the frame's claimed source:
 // radios can spoof header fields but not their own antenna position.
-//
-//rebound:hotpath per-frame transmit path; unfragmented steady state allocates nothing
 func (m *Medium) Send(from wire.RobotID, f wire.Frame) {
 	c, s := m.Counters(from), m.sender(from)
 	if m.params.MTUBytes > 0 {
@@ -328,8 +322,6 @@ func (m *Medium) Send(from wire.RobotID, f wire.Frame) {
 // Frame.EncodedSize — arithmetic, not a measurement Encode — so the
 // unfragmented Send path allocates nothing at steady state (pinned by
 // TestSendSteadyStateAllocations).
-//
-//rebound:hotpath inner loop of every transmit
 func (m *Medium) enqueue(c *ByteCounters, from wire.RobotID, fr wire.Frame) {
 	size := fr.EncodedSize()
 	c.TxFrames++
@@ -381,8 +373,6 @@ func (m *Medium) counterAt(rank int32, id wire.RobotID) *ByteCounters {
 // which out-of-range robots never reach it: a candidate it is handed
 // goes through the same checks, in the same order, as under a scan of
 // every robot.
-//
-//rebound:hotpath runs once per (frame, candidate receiver) per round
 func (m *Medium) deliverTo(q queuedFrame, rank int32, id wire.RobotID, src, dst geom.Vec2, out []Delivery) []Delivery {
 	if m.params.RxPowerDBm(src.Dist(dst)) < m.params.RxSensitivityDBm {
 		return out
@@ -464,8 +454,6 @@ type Delivery struct {
 // callers that retain deliveries past the round must copy them.
 // Delivery values themselves are safe to keep — only the backing array
 // is reused.
-//
-//rebound:hotpath the swarm-round inner loop; scratch buffers amortize to zero
 func (m *Medium) Deliver(ids []wire.RobotID) []Delivery {
 	if len(m.queue) == 0 {
 		return nil
@@ -475,7 +463,7 @@ func (m *Medium) Deliver(ids []wire.RobotID) []Delivery {
 	sorted = slices.Compact(sorted)
 	m.sortedBuf = sorted
 	if cap(m.ctrBuf) < len(sorted) {
-		m.ctrBuf = make([]*ByteCounters, len(sorted)) //rebound:alloc amortized growth, zero at steady state
+		m.ctrBuf = make([]*ByteCounters, len(sorted))
 	}
 	m.ctrBuf = m.ctrBuf[:len(sorted)]
 	clear(m.ctrBuf)
@@ -555,8 +543,6 @@ func (m *Medium) Deliver(ids []wire.RobotID) []Delivery {
 // expireReassemblers sweeps stale fragment buffers, in ID order: each
 // reassembler is independent today, but replay determinism must not
 // hinge on that staying true.
-//
-//rebound:coldpath runs every 32 rounds, fragmented planes only
 func (m *Medium) expireReassemblers() {
 	ids := make([]wire.RobotID, 0, len(m.reassemblers))
 	for id := range m.reassemblers {
@@ -572,14 +558,12 @@ func (m *Medium) expireReassemblers() {
 // roster rank into m.resultBuf and returns it (nil when empty, like
 // the walk's nil result before this sort existed). nRanks is the
 // roster length; every Delivery.rank is in [0, nRanks).
-//
-//rebound:hotpath counting sort replaced the struct-compare sort that dominated swarm rounds
 func (m *Medium) sortByRank(out []Delivery, nRanks int) []Delivery {
 	if len(out) == 0 {
 		return nil
 	}
 	if cap(m.countBuf) < nRanks {
-		m.countBuf = make([]int32, nRanks) //rebound:alloc amortized growth, zero at steady state
+		m.countBuf = make([]int32, nRanks)
 	}
 	counts := m.countBuf[:nRanks]
 	clear(counts)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"roborebound/internal/geom"
+	"roborebound/internal/obs"
 	"roborebound/internal/prng"
 	"roborebound/internal/wire"
 )
@@ -330,12 +331,11 @@ func TestDeliverDegenerateRange(t *testing.T) {
 	}
 }
 
-// TestSendSteadyStateAllocations pins the satellite fix: Send measures
-// frame sizes arithmetically (Frame.EncodedSize) instead of encoding
-// every frame, so the unfragmented steady state allocates nothing per
-// Send. The bound is per 1000 sends plus one drain, so even the
-// drain's own bookkeeping stays visibly tiny; the old
-// Encode-to-measure path costs ≥1 allocation per Send (≥1000 here).
+// TestSendSteadyStateAllocations pins Send and enqueue at zero
+// allocations: Send measures frame sizes arithmetically
+// (Frame.EncodedSize) instead of encoding every frame, so 1000
+// unfragmented Sends plus the drain allocate nothing once the queue has
+// grown; the old Encode-to-measure path costs ≥1 allocation per Send.
 func TestSendSteadyStateAllocations(t *testing.T) {
 	pos := func(wire.RobotID) (geom.Vec2, bool) { return geom.V(0, 0), true }
 	m := NewMedium(DefaultParams(), pos, 1)
@@ -350,8 +350,63 @@ func TestSendSteadyStateAllocations(t *testing.T) {
 		}
 		m.Deliver(nil)
 	})
-	if allocs > 8 {
-		t.Fatalf("1000 Sends + drain allocate %.0f times, want ≤8 (is Send encoding frames again?)", allocs)
+	if allocs != 0 {
+		t.Fatalf("1000 Sends + drain allocate %.0f times, want 0 (is Send encoding frames again?)", allocs)
+	}
+}
+
+// TestDeliverSteadyStateAllocations pins the delivery round at zero
+// allocations once its scratch has grown: Deliver, and through it
+// deliverTo, counterAt and sortByRank, on a 40-robot lattice where
+// every frame has in-range receivers. The second run turns on every
+// hook the pipeline branches on — loss draws, a link filter, transmit
+// delays holding frames across rounds, a tracer, a metrics registry,
+// and unicast frames — so each branch's steady state is pinned too.
+func TestDeliverSteadyStateAllocations(t *testing.T) {
+	pos := posMap{}
+	ids := make([]wire.RobotID, 40)
+	for i := range ids {
+		ids[i] = wire.RobotID(i + 1)
+		pos[ids[i]] = geom.V(float64(i%8)*20, float64(i/8)*20)
+	}
+	payload := make([]byte, 48)
+	for _, hooked := range []bool{false, true} {
+		t.Run(fmt.Sprintf("hooks=%v", hooked), func(t *testing.T) {
+			params := DefaultParams()
+			if hooked {
+				params.LossRate = 0.2
+			}
+			m := NewMedium(params, pos.fn, 3)
+			if hooked {
+				m.SetLinkFilter(func(from, to wire.RobotID, _ wire.Frame) bool { return (from+to)%7 == 0 })
+				m.SetTxDelay(func(from wire.RobotID, _ wire.Frame) wire.Tick { return wire.Tick(from % 3) })
+				m.SetObs(obs.NewFlightRecorder(0), obs.NewRegistry())
+			}
+			delivered := 0
+			round := func() {
+				for i, id := range ids {
+					f := wire.Frame{Src: id, Dst: wire.Broadcast, Payload: payload}
+					if hooked && i%5 == 0 {
+						f.Dst = ids[(i+7)%len(ids)]
+					}
+					m.Send(id, f)
+				}
+				delivered += len(m.Deliver(ids))
+			}
+			for i := 0; i < 50; i++ { // grow every scratch buffer and ring
+				round()
+			}
+			if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+				t.Fatalf("a delivery round allocates %.0f times at steady state, want 0", allocs)
+			}
+			var dropped uint64
+			for _, id := range ids {
+				dropped += m.Counters(id).Dropped
+			}
+			if delivered == 0 || hooked != (dropped > 0) {
+				t.Fatalf("%d delivered, %d dropped — the pin does not exercise what it names", delivered, dropped)
+			}
+		})
 	}
 }
 

@@ -183,8 +183,6 @@ func (a *ANode) freshTokens(now wire.Tick) int {
 // chained). The bytes live in the node's receive buffer and are lent
 // for the duration of the hook only: the next reception overwrites
 // them, so a c-node that keeps them copies them.
-//
-//rebound:hotpath every delivered frame of every robot lands here
 func (a *ANode) RecvWireless(f wire.Frame) {
 	if !a.HasKey() {
 		return
@@ -219,8 +217,6 @@ func (a *ANode) SendWireless(f wire.Frame) bool {
 // chain witnessed. The bytes live in the node's send buffer and are
 // lent until the next SendWirelessEnc or ActuatorCmdEnc on this node
 // overwrites them; a c-node that keeps them copies them.
-//
-//rebound:hotpath every frame a robot transmits goes through here
 func (a *ANode) SendWirelessEnc(f wire.Frame) ([]byte, bool) {
 	if !a.HasKey() {
 		return nil, false
@@ -251,8 +247,6 @@ func (a *ANode) ActuatorCmd(cmd wire.ActuatorCmd) bool {
 // chain witnessed, for the c-node's log. It shares SendWirelessEnc's
 // buffer and borrow rule: the bytes are lent until the next
 // SendWirelessEnc or ActuatorCmdEnc on this node.
-//
-//rebound:hotpath one actuator command per robot per control step
 func (a *ANode) ActuatorCmdEnc(cmd wire.ActuatorCmd) ([]byte, bool) {
 	if !a.HasKey() {
 		return nil, false

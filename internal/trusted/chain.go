@@ -78,8 +78,6 @@ func (c *Chain) Fresh() *Chain { return NewChain(c.batchSize) }
 // Append adds one entry; when the pending count reaches the batch size
 // the chain advances. The entry is hashed immediately and nothing is
 // retained, so callers may reuse their buffers.
-//
-//rebound:hotpath every chained frame and sensor reading lands here
 func (c *Chain) Append(entry []byte) {
 	c.beginEntry(len(entry), 4)
 	c.h.Write(entry)
@@ -94,8 +92,6 @@ func (c *Chain) Append(entry []byte) {
 // TestChainAppendEntryMatchesEncode pins this — so nodes can commit an
 // entry and hand the (separately produced) encoding to the c-node
 // without an extra encode on the trusted side.
-//
-//rebound:hotpath every chained frame and sensor reading lands here
 func (c *Chain) AppendEntry(kind uint8, payload []byte) {
 	if len(payload) > 255 {
 		panic("trusted: log entry payload exceeds 255 bytes")

@@ -33,8 +33,6 @@ func (s *SNode) PollSensors(reading wire.SensorReading) (wire.SensorReading, boo
 // exact bytes the chain witnessed or its audits fail. The bytes live in
 // the node's own buffer and are lent until the next PollSensorsEnc
 // overwrites them; a c-node that keeps them copies them.
-//
-//rebound:hotpath one sensor reading per robot per control step
 func (s *SNode) PollSensorsEnc(reading wire.SensorReading) (wire.SensorReading, []byte, bool) {
 	if !s.HasKey() {
 		return wire.SensorReading{}, nil, false
