@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race ci bench-all bench-gate fmt-check cover chaos-smoke snapshot-smoke perf-smoke serve-smoke fuzz-smoke
+.PHONY: all build vet lint test race ci bench-all bench-gate fmt-check cover chaos-smoke snapshot-smoke perf-smoke fuzz-smoke
 
 all: ci
 
@@ -97,13 +97,6 @@ snapshot-smoke:
 perf-smoke:
 	$(GO) run ./cmd/roborebound -progress=false \
 	  -controller flocking -profile mixed -n 300 -duration 20 perf
-
-# The serving-layer smoke: the HTTP≡facade selftest submits one job of
-# every kind over real HTTP to an ephemeral loopback server and
-# byte-compares results and artifacts against the direct facade path,
-# exiting nonzero on any divergence.
-serve-smoke:
-	$(GO) run ./cmd/roborebound -progress=false -selftest serve
 
 # Short fuzz pass over each fuzz target (seed corpora always run as
 # part of `make test`; this explores beyond them).

@@ -224,29 +224,65 @@ func TestChaosCheckerDetectsSuppressedSafeMode(t *testing.T) {
 // attack at 5 s}; cause not yet triaged; the soak's 12 seeds never
 // reach them). Each row asserts today's latch exactly, so the PR that
 // fixes or reclassifies one has to edit its row — a latching seed is
-// never silently lost.
+// never silently lost. The rows are grouped by how many faults the
+// census saw active at the latch tick.
 func TestKnownFalsePositiveLatches(t *testing.T) {
+	const (
+		mixed = faultinject.ProfileMixed
+		skew  = faultinject.ProfileSkew
+		loss  = faultinject.ProfileLoss
+	)
 	cases := []struct {
 		controller string
 		profile    faultinject.Profile
 		seed       uint64
 		tick       wire.Tick
 		robot      wire.RobotID
+		// Zero keeps RunChaos's 60 s run and 20 s attack.
+		durationSec, attackAtSec float64
 	}{
-		{"flocking", faultinject.ProfileMixed, 15, 158, 6},
-		{"patrol", faultinject.ProfileLoss, 122, 125, 5},
-		{"warehouse", faultinject.ProfileSkew, 24, 206, 6},
+		// No fault active at the latch tick.
+		{controller: "flocking", profile: mixed, seed: 15, tick: 158, robot: 6},
+		{controller: "patrol", profile: skew, seed: 24, tick: 206, robot: 6},
+		{controller: "warehouse", profile: skew, seed: 24, tick: 206, robot: 6},
+		{controller: "patrol", profile: mixed, seed: 131, tick: 188, robot: 1},
+		{controller: "patrol", profile: mixed, seed: 137, tick: 206, robot: 6},
+		{controller: "warehouse", profile: mixed, seed: 137, tick: 206, robot: 6},
+		{controller: "warehouse", profile: mixed, seed: 255, tick: 126, robot: 3},
+		// One fault active.
+		{controller: "flocking", profile: skew, seed: 118, tick: 137, robot: 7},
+		{controller: "patrol", profile: loss, seed: 122, tick: 125, robot: 5},
+		{controller: "flocking", profile: loss, seed: 229, tick: 90, robot: 2},
+		{controller: "patrol", profile: mixed, seed: 29, tick: 142, robot: 5},
+		{controller: "warehouse", profile: mixed, seed: 29, tick: 142, robot: 5},
+		{controller: "patrol", profile: mixed, seed: 139, tick: 169, robot: 1},
+		{controller: "warehouse", profile: mixed, seed: 139, tick: 170, robot: 2},
+		{controller: "warehouse", profile: loss, seed: 203, tick: 187, robot: 3},
+		{controller: "patrol", profile: mixed, seed: 255, tick: 122, robot: 2},
+		// Two faults active.
+		{controller: "patrol", profile: skew, seed: 218, tick: 139, robot: 2},
+		{controller: "warehouse", profile: skew, seed: 218, tick: 140, robot: 3},
+		{controller: "flocking", profile: mixed, seed: 56, tick: 156, robot: 4},
+		{controller: "patrol", profile: mixed, seed: 80, tick: 93, robot: 6},
+		{controller: "patrol", profile: mixed, seed: 162, tick: 147, robot: 2},
+		{controller: "warehouse", profile: loss, seed: 198, tick: 106, robot: 2},
+		// Three faults active.
+		{controller: "patrol", profile: mixed, seed: 207, tick: 151, robot: 5},
+		{controller: "warehouse", profile: mixed, seed: 207, tick: 154, robot: 5},
+		// Outside the census: a short run with an early attacker.
+		{controller: "flocking", profile: mixed, seed: 4, tick: 76, robot: 8, durationSec: 30, attackAtSec: 5},
 	}
 	for _, tc := range cases {
-		cfg := ChaosConfig{Controller: tc.controller, Profile: tc.profile, Seed: tc.seed}
+		cfg := ChaosConfig{Controller: tc.controller, Profile: tc.profile, Seed: tc.seed,
+			DurationSec: tc.durationSec, AttackAtSec: tc.attackAtSec}
 		t.Run(cfg.Label(), func(t *testing.T) {
 			t.Parallel()
 			v := RunChaos(cfg).Violation
 			if v == nil {
-				t.Fatalf("no violation: the cell no longer latches — drop the row and ROADMAP item 1's seed")
+				t.Fatalf("no violation: the cell no longer latches — fix or reclassify the row, and ROADMAP item 1's census with it")
 			}
 			if v.Invariant != "no-false-positive" || v.Tick != tc.tick || v.Robot != tc.robot {
-				t.Fatalf("latched %s at tick %d robot %d, want no-false-positive at tick %d robot %d",
+				t.Fatalf("latched %s at tick %d robot %d, want no-false-positive at tick %d robot %d — fix or reclassify the row",
 					v.Invariant, v.Tick, v.Robot, tc.tick, tc.robot)
 			}
 		})

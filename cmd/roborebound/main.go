@@ -191,13 +191,11 @@ subcommands:
            -verify, also re-run it uninterrupted and exit nonzero unless
            fingerprints and metrics are byte-identical
   serve    simulation-as-a-service: listen on -addr and expose every
-           facade as submitted jobs behind a multi-tenant fair-share
+           facade as submitted jobs behind a round-robin multi-tenant
            scheduler (bounded queues, 429+Retry-After backpressure,
            NDJSON progress streams, raw/gzip artifacts); SIGTERM
            drains gracefully — running jobs finish or checkpoint,
-           queued jobs are rejected with resubmission handles; with
-           -selftest, run the HTTP≡facade differential selftest and
-           exit
+           queued jobs are rejected with resubmission handles
   all      every figure and table above
 
 flags:`)

@@ -16,10 +16,10 @@ import (
 
 // The serve subcommand: simulation-as-a-service. A long-running HTTP
 // server exposes every facade (chaos, trace, the figure sweeps,
-// snapshot/resume) as submitted jobs behind a multi-tenant fair-share
+// snapshot/resume) as submitted jobs behind a round-robin multi-tenant
 // scheduler with bounded queues, NDJSON progress streams, and an
-// artifact store. See DESIGN.md "Serving
-// layer" for the endpoint and tenancy contract.
+// artifact store. See DESIGN.md "Serving layer" for the endpoint and
+// tenancy contract.
 
 var (
 	serveAddr = flag.String("addr", "127.0.0.1:8080",
@@ -28,8 +28,6 @@ var (
 		"serve: scheduler worker pool size (0 = default 2)")
 	serveSpillDir = flag.String("spill-dir", "",
 		"serve: directory for artifact spillover (empty = keep all artifacts in memory)")
-	serveSelftest = flag.Bool("selftest", false,
-		"serve: run the HTTP≡facade selftest against an ephemeral loopback server and exit (nonzero on any divergence)")
 	serveDrainSec = flag.Float64("drain-timeout", 30,
 		"serve: seconds to wait for running jobs to finish or checkpoint on SIGTERM/SIGINT")
 )
@@ -37,21 +35,10 @@ var (
 // serveFailed mirrors chaosFailed for the serve subcommand.
 var serveFailed bool
 
-func serveCmd() {
-	if !*serveSelftest {
-		serveListen()
-		return
-	}
-	if err := serve.RunSelftest(out); err != nil {
-		fmt.Fprintf(os.Stderr, "serve: selftest: %v\n", err)
-		serveFailed = true
-	}
-}
-
-// serveListen runs the long-lived server until SIGTERM/SIGINT, then
+// serveCmd runs the long-lived server until SIGTERM/SIGINT, then
 // drains gracefully: queued jobs are rejected with resubmission
 // handles, running jobs finish or checkpoint at a tick boundary.
-func serveListen() {
+func serveCmd() {
 	srv, err := serve.NewServer(serve.ServerOptions{
 		Workers:  *serveWorkers,
 		SpillDir: *serveSpillDir,

@@ -436,6 +436,27 @@ type Limits struct {
 	Avoid []wire.RobotID
 }
 
+// withDefaults fills zero bounds with the 4 ticks/s protocol defaults.
+func (l Limits) withDefaults() Limits {
+	if l.TVal == 0 {
+		l.TVal = 40
+	}
+	if l.TAudit == 0 {
+		l.TAudit = 16
+	}
+	return l
+}
+
+// Schedulable reports whether Generate can place any fault in a run of
+// total ticks. Faults start after the a-node grace window (the first
+// TVal) plus one audit round and end TVal before the run does, so a run
+// no longer than 2·TVal + TAudit gets an empty schedule whatever its
+// profile.
+func Schedulable(total wire.Tick, lim Limits) bool {
+	lim = lim.withDefaults()
+	return total > 2*lim.TVal+lim.TAudit
+}
+
 func (l Limits) avoid(id wire.RobotID) bool {
 	for _, a := range l.Avoid {
 		if a == id {
@@ -471,21 +492,15 @@ func pickTargets(rng *prng.Source, ids []wire.RobotID, lim Limits, n int) []wire
 func Generate(profile Profile, seed uint64, ids []wire.RobotID, total wire.Tick, lim Limits) Schedule {
 	rng := prng.New(seed ^ 0xFA017)
 	var s Schedule
-	if lim.TVal == 0 {
-		lim.TVal = 40
-	}
-	if lim.TAudit == 0 {
-		lim.TAudit = 16
-	}
+	lim = lim.withDefaults()
 	// Faults start after the a-node grace window (first TVal) plus one
 	// audit round, and end before the run does, so every window is
 	// followed by quiet time in which the checker can observe recovery.
-	lo := lim.TVal + lim.TAudit
-	// Guard against unsigned underflow before subtracting: a run
-	// shorter than the grace windows generates no faults at all.
-	if total <= lo+lim.TVal {
+	// The guard also keeps the subtractions below from underflowing.
+	if !Schedulable(total, lim) {
 		return s
 	}
+	lo := lim.TVal + lim.TAudit
 	hi := total - lim.TVal
 	window := func(maxLen wire.Tick) (wire.Tick, wire.Tick) {
 		minLen := lim.TAudit / 2

@@ -77,6 +77,29 @@ func TestGenerateProfileShapes(t *testing.T) {
 	}
 }
 
+// TestSchedulableIsGeneratesBound holds Schedulable to Generate: around
+// the 2·TVal + TAudit edge, every faulting profile generates a fault
+// exactly when Schedulable says it can, for explicit and default limits.
+func TestSchedulableIsGeneratesBound(t *testing.T) {
+	for _, lim := range []Limits{{}, {TVal: 40, TAudit: 16}, {TVal: 20, TAudit: 8}} {
+		edge := 2*lim.withDefaults().TVal + lim.withDefaults().TAudit
+		for total := edge - 2; total <= edge+2; total++ {
+			want := total > edge
+			if got := Schedulable(total, lim); got != want {
+				t.Errorf("%+v: Schedulable(%d) = %v, want %v", lim, total, got, want)
+			}
+			for _, p := range Profiles() {
+				if p == ProfileNone {
+					continue
+				}
+				if got := len(Generate(p, 1, allIDs(9), total, lim).Faults) > 0; got != want {
+					t.Errorf("%+v: %s over %d ticks generated faults = %v, Schedulable = %v", lim, p, total, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestFaultActiveAtAndString(t *testing.T) {
 	f := Fault{Kind: Partition, Start: 100, Duration: 10, Targets: []wire.RobotID{2, 5}}
 	for _, tc := range []struct {

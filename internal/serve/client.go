@@ -12,7 +12,7 @@ import (
 )
 
 // Client is a minimal typed client for the serve API, used by the
-// differential tests, the selftest, and the benchmark.
+// differential tests and the benchmark.
 type Client struct {
 	// Base is the server root, e.g. "http://127.0.0.1:8080".
 	Base string
@@ -183,13 +183,6 @@ func (c *Client) Artifact(ctx context.Context, id, name string) ([]byte, error) 
 func (c *Client) Artifacts(ctx context.Context, id string) ([]ArtifactInfo, error) {
 	var out []ArtifactInfo
 	err := c.getJSON(ctx, "/v1/jobs/"+id+"/artifacts", &out)
-	return out, err
-}
-
-// Tenants fetches per-tenant scheduler occupancy.
-func (c *Client) Tenants(ctx context.Context) ([]Stats, error) {
-	var out []Stats
-	err := c.getJSON(ctx, "/v1/tenants", &out)
 	return out, err
 }
 

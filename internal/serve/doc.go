@@ -6,23 +6,22 @@
 // The package is structured as independently testable layers:
 //
 //   - kinds.go: the job-kind table, the one definition of every kind
-//     — its name, the request fields it takes, its run function, its
-//     selftest request. Kinds(), validation, dispatch, the selftest
-//     and the fuzz corpus all read it.
+//     — its name, the request fields it takes, its run function.
+//     Kinds(), validation and dispatch all read it.
 //   - wire.go: the versioned JSON job-request codec. Requests are
 //     size-bounded, reject unknown fields and fields the kind does not
-//     take, and validate every numeric knob against hard caps before
-//     any work is admitted — the internal/wire discipline (bounded,
-//     canonical, no trailing garbage) applied to JSON.
+//     take, validate every numeric knob against hard caps, and reject
+//     a faulted cell too short to schedule a fault, before any work is
+//     admitted — the internal/wire discipline (bounded, canonical, no
+//     trailing garbage) applied to JSON.
 //   - job.go: the job model — states, the NDJSON progress-event
 //     stream, and the status document clients poll.
-//   - sched.go: the multi-tenant fair-share scheduler. Per-tenant
-//     FIFO queues with hard depth bounds (overflow is backpressure:
-//     429 + Retry-After, never unbounded growth), smooth weighted
-//     round-robin across tenants, per-tenant running caps, and
-//     graceful drain (in-flight jobs finish or checkpoint through
-//     internal/snapshot; queued jobs are rejected carrying a
-//     resubmission handle).
+//   - sched.go: the multi-tenant scheduler. Per-tenant FIFO queues
+//     of at most 64 jobs (overflow is backpressure: 429 + Retry-After,
+//     never unbounded growth), plain round-robin across tenants with
+//     queued work, and graceful drain (in-flight jobs finish or
+//     checkpoint through internal/snapshot; queued jobs are rejected
+//     carrying a resubmission handle).
 //   - store.go: the artifact store (memory up to a threshold,
 //     disk-backed spillover above it). Artifacts are delivered raw or
 //     gzip-compressed; every status and listing carries each one's
@@ -34,8 +33,8 @@
 //     differential matrix at the repository root proves it
 //     byte-for-byte.
 //   - server.go + client.go: the net/http surface and a minimal
-//     client used by tests, the selftest and the benchmark (whose
-//     serve_tiny_jobs workload is the layer's load harness).
+//     client used by tests and the benchmark (whose serve_tiny_jobs
+//     workload is the layer's load harness).
 //
 // Determinism contract: everything a job computes is a pure function
 // of its request (plus any referenced artifact bytes). Wall-clock

@@ -59,12 +59,14 @@ func (e *Executor) Run(j *Job) (State, string) {
 		interrupt: j.InterruptRequested,
 	}
 	out, err := runJob(j.Req, e.resolve, hooks)
+	if j.Cancelled() {
+		// Client cancel: whatever the run produced — an interrupted
+		// cell, a sweep that could not stop early — is abandoned and
+		// nothing is stored.
+		return StateCancelled, ""
+	}
 	if err != nil {
 		return StateFailed, err.Error()
-	}
-	if out.Interrupted && j.Cancelled() {
-		// Client cancel: the work is abandoned, nothing is stored.
-		return StateCancelled, ""
 	}
 	var infos []ArtifactInfo
 	for _, blob := range out.Artifacts {

@@ -9,42 +9,45 @@ import (
 	"testing"
 )
 
-// requestCorpus builds the seed set for FuzzJobRequestDecode: every
-// kind's selftest request off the jobKinds table, plus structurally
-// hostile variants. The same set backs both f.Add seeding and the
-// checked-in corpus under testdata/fuzz (regenerated by
-// TestWriteFuzzCorpus).
+// requestCorpus is the seed set for FuzzJobRequestDecode: structurally
+// hostile inputs, then one small request per job kind in table order.
+// The same set backs f.Add seeding and, through TestWriteFuzzCorpus,
+// the checked-in corpus under testdata/fuzz.
 func requestCorpus() [][]byte {
-	inputs := [][]byte{
-		{},
-		[]byte("{"),
-		[]byte("null"),
-		[]byte(`{"version":1,"kind":"chaos","bogus":true}`),
-		[]byte(`{"version":1,"kind":"chaos"} trailing`),
-		[]byte(`{"version":99,"kind":"chaos"}`),
-		[]byte(`{"version":1,"kind":"chaos","n":-5}`),
-		[]byte(`{"version":1,"kind":"chaos","duration_sec":1e308}`),
+	inputs := []string{
+		``,
+		`{`,
+		`null`,
+		`{"version":1,"kind":"chaos","bogus":true}`,
+		`{"version":1,"kind":"chaos"} trailing`,
+		`{"version":99,"kind":"chaos"}`,
+		`{"version":1,"kind":"chaos","n":-5}`,
+		`{"version":1,"kind":"chaos","duration_sec":1e308}`,
 		// Over the sizes cap — and, since the scale kind went, an unknown kind.
-		[]byte(`{"version":1,"kind":"scale","sizes":[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16]}`),
-		[]byte(`{"version":1,"kind":"resume","resume":{"job":"../x","artifact":"y"}}`),
+		`{"version":1,"kind":"scale","sizes":[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16]}`,
+		`{"version":1,"kind":"resume","resume":{"job":"../x","artifact":"y"}}`,
 		// A kind and a field that used to exist, then a field its kind
 		// does not take.
-		[]byte(`{"version":1,"kind":"swarm","sizes":[24]}`),
-		[]byte(`{"version":1,"kind":"chaos","spatial_index":true}`),
-		[]byte(`{"version":1,"kind":"resume","n":300,"resume":{"job":"t-1","artifact":"a.rbsn"}}`),
+		`{"version":1,"kind":"swarm","sizes":[24]}`,
+		`{"version":1,"kind":"chaos","spatial_index":true}`,
+		`{"version":1,"kind":"resume","n":300,"resume":{"job":"t-1","artifact":"a.rbsn"}}`,
+		// One per kind. The chaos and snapshot rows take the default
+		// mixed profile and run too briefly to schedule a fault, so
+		// they seed the inert-cell rejection.
+		`{"version":1,"kind":"chaos","seed":7,"n":4,"duration_sec":4,"events":true}`,
+		`{"version":1,"kind":"trace","seed":7,"n":3,"duration_sec":3,"perfetto":true}`,
+		`{"version":1,"kind":"fig6","seed":7,"n":6,"duration_sec":4,"fmaxes":[1],"periods_sec":[2]}`,
+		`{"version":1,"kind":"fig7-density","seed":7,"duration_sec":4,"sizes":[4],"spacings":[8]}`,
+		`{"version":1,"kind":"fig7-scale","seed":7,"duration_sec":4,"sizes":[4]}`,
+		`{"version":1,"kind":"snapshot","seed":7,"n":4,"duration_sec":4,"snapshot_at_tick":8}`,
+		`{"version":1,"kind":"resume","resume":{"job":"t-1","artifact":"checkpoint.rbsn"}}`,
+		`{"version":1,"kind":"resume-verify","resume":{"job":"t-1","artifact":"checkpoint.rbsn"}}`,
 	}
-	for i := range jobKinds {
-		req := jobKinds[i].selftestRequest()
-		if jobKinds[i].takesField("resume") {
-			req.Resume = &ResumeRef{Job: "t-1", Artifact: CheckpointArtifact}
-		}
-		data, err := req.Encode()
-		if err != nil {
-			panic(err)
-		}
-		inputs = append(inputs, data)
+	out := make([][]byte, len(inputs))
+	for i, in := range inputs {
+		out[i] = []byte(in)
 	}
-	return inputs
+	return out
 }
 
 // FuzzJobRequestDecode hammers the request codec: any input must

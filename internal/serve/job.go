@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"sync"
 	"sync/atomic"
@@ -96,12 +95,10 @@ type Job struct {
 	// handle a drain rejection returns.
 	reqBody []byte
 
-	ctx    context.Context
-	cancel context.CancelFunc
-	// drainCheckpoint asks a running job to checkpoint at its next
-	// tick boundary (graceful drain). Distinct from ctx cancellation:
-	// cancel abandons the work, drain preserves it.
-	drainCheckpoint atomic.Bool
+	// cancelled is set by a client cancel; drainCheckpoint asks a
+	// running job to checkpoint at its next tick boundary (graceful
+	// drain). Cancel abandons the work, drain preserves it.
+	cancelled, drainCheckpoint atomic.Bool
 
 	mu        sync.Mutex
 	state     State
@@ -117,14 +114,11 @@ type Job struct {
 }
 
 func newJob(id, tenant string, req *JobRequest, body []byte, now int64) *Job {
-	ctx, cancel := context.WithCancel(context.Background())
 	j := &Job{
 		ID:          id,
 		Tenant:      tenant,
 		Req:         req,
 		reqBody:     body,
-		ctx:         ctx,
-		cancel:      cancel,
 		state:       StateQueued,
 		changed:     make(chan struct{}),
 		submittedNs: now,
@@ -199,16 +193,15 @@ func (j *Job) RequestDrainCheckpoint() { j.drainCheckpoint.Store(true) }
 // InterruptRequested is the ChaosConfig.Interrupt hook: true once the
 // job is cancelled or a drain wants a checkpoint.
 func (j *Job) InterruptRequested() bool {
-	return j.drainCheckpoint.Load() || j.ctx.Err() != nil
+	return j.drainCheckpoint.Load() || j.cancelled.Load()
 }
 
-// Cancelled reports whether the job's context was cancelled (client
-// DELETE), as opposed to a drain checkpoint request.
-func (j *Job) Cancelled() bool { return j.ctx.Err() != nil }
+// cancel marks the job cancelled; the executor polls it.
+func (j *Job) cancel() { j.cancelled.Store(true) }
 
-// Context is the job's cancellation context (sweep executors pass it
-// to the runner pool).
-func (j *Job) Context() context.Context { return j.ctx }
+// Cancelled reports whether the client cancelled the job (DELETE), as
+// opposed to a drain checkpoint request.
+func (j *Job) Cancelled() bool { return j.cancelled.Load() }
 
 // EventsSince returns the events with Seq > after, the current state,
 // and a channel that closes when the next event lands. The channel

@@ -21,9 +21,9 @@ const (
 )
 
 // jobKind is the single definition of one job kind. Kinds(), the kind
-// and field checks in Validate, the runJob dispatch, the selftest and
-// the fuzz corpus all read the jobKinds table; adding a kind is one
-// row here plus one cell in the root HTTP≡facade matrix.
+// and field checks in Validate and the runJob dispatch all read the
+// jobKinds table; adding a kind is one row here plus one cell in the
+// root HTTP≡facade matrix.
 type jobKind struct {
 	name string
 	// takes lists the JSON names of the JobRequest fields the kind
@@ -31,9 +31,6 @@ type jobKind struct {
 	// the executor would ignore is a misuse, not a default.
 	takes []string
 	run   func(k *jobKind, req *JobRequest, resolve resolveFunc, hooks execHooks) (*JobOutput, error)
-	// selftest is the kind's small request for RunSelftest and the
-	// fuzz corpus; selftestRequest stamps version and kind onto it.
-	selftest JobRequest
 
 	// The rest parameterises runCellJob, for the kinds that run one
 	// chaos cell.
@@ -42,8 +39,8 @@ type jobKind struct {
 	// one is skipped when the run has nothing for it (no collector, no
 	// perfetto flag, a drain interrupt before the capture tick).
 	artifacts []string
-	// profile replaces an unnamed fault profile ("" keeps RunChaos's
-	// default).
+	// profile replaces an unnamed fault profile, and is what Validate
+	// holds an unnamed profile to.
 	profile faultinject.Profile
 	traced  bool // collect protocol events whether or not the request asks
 	capture bool // capture a snapshot at snapshot_at_tick
@@ -62,43 +59,36 @@ const (
 	snapshotArtifact = "snapshot.rbsn"
 )
 
-// jobKinds is every job kind, in the order Kinds() reports. The
-// resume kinds' selftest requests reference the snapshot kind's
-// artifact, so snapshot comes before them.
+// jobKinds is every job kind, in the order Kinds() reports.
 var jobKinds = []jobKind{
 	{
+		// RunChaos's own default profile, named so Validate can see it.
 		name: KindChaos, takes: strings.Fields(cellFields + " events"), run: runCellJob,
-		selftest:  JobRequest{N: 4, DurationSec: 4, Seed: 7, Events: true},
 		artifacts: []string{metricsArtifact, eventsArtifact},
+		profile:   faultinject.ProfileMixed,
 	},
 	{
 		// A trace job is a fully instrumented look at the healthy
 		// protocol; faults are opt-in via an explicit profile.
 		name: KindTrace, takes: strings.Fields(cellFields + " perfetto"), run: runCellJob,
-		selftest:  JobRequest{N: 3, DurationSec: 3, Seed: 7, Perfetto: true},
 		artifacts: []string{eventsArtifact, metricsArtifact, perfettoArtifact},
 		profile:   faultinject.ProfileNone, traced: true,
 	},
 	{
 		name: KindFig6, takes: strings.Fields("n spacing_m duration_sec seed fmaxes periods_sec workers"), run: runFig6Job,
-		selftest: JobRequest{N: 6, DurationSec: 4, Seed: 7, Fmaxes: []int{1}, PeriodsSec: []float64{2}},
 	},
 	{
 		name: KindFig7Density, takes: strings.Fields("sizes spacings duration_sec seed workers"), run: runFig7Job,
-		selftest: JobRequest{Sizes: []int{4}, Spacings: []float64{8}, DurationSec: 4, Seed: 7},
 	},
 	{
 		name: KindFig7Scale, takes: strings.Fields("sizes duration_sec seed workers"), run: runFig7Job,
-		selftest: JobRequest{Sizes: []int{4}, DurationSec: 4, Seed: 7},
 	},
 	{
 		name: KindSnapshot, takes: strings.Fields(cellFields + " snapshot_at_tick"), run: runCellJob,
-		selftest:  JobRequest{N: 4, DurationSec: 4, Seed: 7, SnapshotAtTick: 8},
-		artifacts: []string{metricsArtifact, snapshotArtifact}, capture: true,
+		artifacts: []string{metricsArtifact, snapshotArtifact},
+		profile:   faultinject.ProfileMixed, capture: true,
 	},
 	{
-		// The selftest handle is filled in at run time, from the
-		// snapshot job that ran before.
 		name: KindResume, takes: []string{"resume"}, run: runCellJob,
 		artifacts: []string{metricsArtifact}, resumes: true,
 	},
@@ -128,13 +118,6 @@ func kindByName(name string) *jobKind {
 }
 
 func (k *jobKind) takesField(name string) bool { return slices.Contains(k.takes, name) }
-
-// selftestRequest returns a fresh copy of the kind's selftest request.
-func (k *jobKind) selftestRequest() *JobRequest {
-	req := k.selftest
-	req.Version, req.Kind = RequestVersion, k.name
-	return &req
-}
 
 // requestField is one JobRequest field a kind may or may not take.
 type requestField struct {

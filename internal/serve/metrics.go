@@ -17,13 +17,8 @@ type Metrics struct {
 	reg *obs.Registry
 }
 
-// NewMetrics wraps reg (a fresh registry when nil).
-func NewMetrics(reg *obs.Registry) *Metrics {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	return &Metrics{reg: reg}
-}
+// NewMetrics wraps a fresh registry.
+func NewMetrics() *Metrics { return &Metrics{reg: obs.NewRegistry()} }
 
 // Inc increments the named counter.
 func (m *Metrics) Inc(name string) { m.Add(name, 1) }

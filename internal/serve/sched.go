@@ -10,54 +10,24 @@ import (
 	"roborebound/internal/obs/perf"
 )
 
-// Quota bounds one tenant's footprint on the scheduler.
-type Quota struct {
-	// Weight is the tenant's fair-share weight (default 1). A tenant
-	// with weight 2 gets twice the dispatch slots of a weight-1 tenant
-	// when both have work queued.
-	Weight int
-	// MaxQueued bounds the tenant's FIFO queue (default 64). A submit
-	// beyond the bound is an OverloadError — backpressure, never
-	// unbounded growth.
-	MaxQueued int
-	// MaxRunning caps the tenant's concurrently running jobs (default:
-	// the pool size), so one tenant cannot hold every worker.
-	MaxRunning int
-}
-
-func (q Quota) withDefaults(workers int) Quota {
-	if q.Weight <= 0 {
-		q.Weight = 1
-	}
-	if q.MaxQueued <= 0 {
-		q.MaxQueued = 64
-	}
-	if q.MaxRunning <= 0 {
-		q.MaxRunning = workers
-	}
-	return q
-}
+const (
+	// maxQueued bounds each tenant's FIFO queue. A submit beyond it is
+	// an OverloadError — backpressure, never unbounded growth.
+	maxQueued = 64
+	// maxRetained bounds how many terminal jobs stay queryable. The
+	// oldest terminal job is evicted first.
+	maxRetained = 4096
+)
 
 // SchedOptions configures a Scheduler.
 type SchedOptions struct {
 	// Workers is the dispatch pool size (default 2).
 	Workers int
-	// Quota is the default quota for tenants not listed in Tenants.
-	Quota Quota
-	// Tenants overrides quotas per tenant name.
-	Tenants map[string]Quota
 	// Metrics receives scheduler telemetry; nil disables it.
 	Metrics *Metrics
-	// Clock supplies wall-clock readings for queue-wait/service
-	// telemetry (default perf.Now). Telemetry only — results never see
-	// it.
-	Clock perf.Clock
-	// MaxRetained bounds how many terminal jobs stay queryable
-	// (default 4096). The oldest terminal job is evicted first;
-	// OnEvict, when set, is told so the artifact store can drop its
-	// blobs.
-	MaxRetained int
-	OnEvict     func(jobID string)
+	// OnEvict, when set, is told each evicted job's ID so the artifact
+	// store can drop its blobs.
+	OnEvict func(jobID string)
 	// Run executes one job and returns its terminal state plus an
 	// error message for StateFailed. Required.
 	Run func(*Job) (State, string)
@@ -83,18 +53,13 @@ func (e *OverloadError) Error() string {
 // guarded by Scheduler.mu.
 type tenantState struct {
 	name    string
-	quota   Quota
 	queue   []*Job // FIFO
 	running int
-	// credit implements smooth weighted round-robin: each pick round
-	// adds Weight, the winner pays the total eligible weight.
-	credit int
 }
 
-// Scheduler is the multi-tenant fair-share job scheduler. Admission
-// (Submit) enforces per-tenant queue bounds; a fixed worker pool
-// dispatches by smooth weighted round-robin across tenants with
-// queued work, FIFO within a tenant.
+// Scheduler is the multi-tenant job scheduler. Admission (Submit)
+// enforces the per-tenant queue bound; a fixed worker pool dispatches
+// round-robin across tenants with queued work, FIFO within a tenant.
 type Scheduler struct {
 	opts SchedOptions
 
@@ -103,7 +68,10 @@ type Scheduler struct {
 	tenants map[string]*tenantState
 	// order keeps tenant names sorted so every map-derived iteration
 	// below is deterministic given the same state.
-	order        []string
+	order []string
+	// cursor names the tenant that dispatched last; the next pick
+	// starts after it in name order.
+	cursor       string
 	jobs         map[string]*Job
 	terminalFIFO []string // terminal job IDs, oldest first, for eviction
 	seq          uint64
@@ -122,13 +90,6 @@ func NewScheduler(opts SchedOptions) *Scheduler {
 	if opts.Workers <= 0 {
 		opts.Workers = 2
 	}
-	if opts.Clock == nil {
-		opts.Clock = perf.Now
-	}
-	if opts.MaxRetained <= 0 {
-		opts.MaxRetained = 4096
-	}
-	opts.Quota = opts.Quota.withDefaults(opts.Workers)
 	s := &Scheduler{
 		opts:    opts,
 		tenants: make(map[string]*tenantState),
@@ -146,11 +107,7 @@ func (s *Scheduler) tenantLocked(name string) *tenantState {
 	if t, ok := s.tenants[name]; ok {
 		return t
 	}
-	q := s.opts.Quota
-	if override, ok := s.opts.Tenants[name]; ok {
-		q = override.withDefaults(s.opts.Workers)
-	}
-	t := &tenantState{name: name, quota: q}
+	t := &tenantState{name: name}
 	s.tenants[name] = t
 	i := sort.SearchStrings(s.order, name)
 	s.order = append(s.order, "")
@@ -170,7 +127,7 @@ func (s *Scheduler) Submit(tenant string, req *JobRequest, body []byte) (*Job, e
 	if !validTenant(tenant) {
 		return nil, fmt.Errorf("serve: invalid tenant name %q", tenant)
 	}
-	now := s.opts.Clock()
+	now := perf.Now()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -178,7 +135,7 @@ func (s *Scheduler) Submit(tenant string, req *JobRequest, body []byte) (*Job, e
 		return nil, ErrDraining
 	}
 	t := s.tenantLocked(tenant)
-	if len(t.queue) >= t.quota.MaxQueued {
+	if len(t.queue) >= maxQueued {
 		s.opts.Metrics.Inc(s.metric(tenant, "rejected_overload"))
 		return nil, &OverloadError{
 			Tenant:        tenant,
@@ -225,9 +182,9 @@ func (s *Scheduler) Job(id string) (*Job, bool) {
 }
 
 // Cancel cancels a job: a queued job is removed from its tenant's
-// queue and marked cancelled; a running job has its context cancelled
-// and transitions when the executor notices. Returns false for an
-// unknown ID.
+// queue and marked cancelled; a running job is flagged and ends
+// cancelled when its executor returns. Returns false for an unknown
+// ID.
 func (s *Scheduler) Cancel(id string) bool {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -240,7 +197,7 @@ func (s *Scheduler) Cancel(id string) bool {
 			if q == j {
 				t.queue = append(t.queue[:i], t.queue[i+1:]...)
 				s.opts.Metrics.Set(s.metric(t.name, "queue_depth"), float64(len(t.queue)))
-				j.setState(StateCancelled, "", s.opts.Clock())
+				j.setState(StateCancelled, "", perf.Now())
 				s.opts.Metrics.Inc(s.metric(t.name, "cancelled"))
 				s.retainLocked(j)
 				break
@@ -248,18 +205,17 @@ func (s *Scheduler) Cancel(id string) bool {
 		}
 	}
 	s.mu.Unlock()
-	// Cancel the context outside the lock in all cases: for a running
-	// job this is the signal the executor polls; for an already-removed
-	// one it is a no-op.
+	// Flag the job in all cases: for a running job this is the signal
+	// the executor polls; for an already-removed one it is a no-op.
 	j.cancel()
 	return true
 }
 
 // retainLocked enrols a now-terminal job in the retention FIFO and
-// evicts the oldest entries beyond MaxRetained.
+// evicts the oldest entries beyond maxRetained.
 func (s *Scheduler) retainLocked(j *Job) {
 	s.terminalFIFO = append(s.terminalFIFO, j.ID)
-	for len(s.terminalFIFO) > s.opts.MaxRetained {
+	for len(s.terminalFIFO) > maxRetained {
 		old := s.terminalFIFO[0]
 		s.terminalFIFO = s.terminalFIFO[1:]
 		delete(s.jobs, old)
@@ -311,7 +267,7 @@ func (s *Scheduler) next() *Job {
 			t := s.tenants[j.Tenant]
 			t.running++
 			s.runningTotal++
-			now := s.opts.Clock()
+			now := perf.Now()
 			j.setState(StateRunning, "", now)
 			s.opts.Metrics.Set(s.metric(t.name, "queue_depth"), float64(len(t.queue)))
 			s.opts.Metrics.Set(s.metric(t.name, "running"), float64(t.running))
@@ -323,39 +279,29 @@ func (s *Scheduler) next() *Job {
 	}
 }
 
-// pickLocked chooses the next job by smooth weighted round-robin over
-// tenants that have queued work and headroom under MaxRunning. Each
-// round every eligible tenant earns its weight in credit; the tenant
-// with the most credit (ties broken by sorted name order) dispatches
-// its FIFO head and pays back the round's total weight. The ROADMAP's
-// fairness invariants — no starvation, weight-proportional dispatch,
-// FIFO within tenant — are pinned by TestSchedulerFairShare.
+// pickLocked dispatches round-robin: the first tenant after the cursor
+// in name order that has queued work gives up its FIFO head and
+// becomes the cursor. Two backlogged tenants therefore alternate
+// strictly, and a tenant with work waits at most one pick per other
+// tenant (pinned by TestSchedulerRoundRobin and
+// TestSchedulerNoStarvation).
 func (s *Scheduler) pickLocked() *Job {
-	totalWeight := 0
-	var best *tenantState
-	for _, name := range s.order {
-		t := s.tenants[name]
-		if len(t.queue) == 0 || t.running >= t.quota.MaxRunning {
-			continue
-		}
-		totalWeight += t.quota.Weight
-		t.credit += t.quota.Weight
-		if best == nil || t.credit > best.credit {
-			best = t
+	start := sort.Search(len(s.order), func(i int) bool { return s.order[i] > s.cursor })
+	for i := range s.order {
+		t := s.tenants[s.order[(start+i)%len(s.order)]]
+		if len(t.queue) > 0 {
+			s.cursor = t.name
+			j := t.queue[0]
+			t.queue = t.queue[1:]
+			return j
 		}
 	}
-	if best == nil {
-		return nil
-	}
-	best.credit -= totalWeight
-	j := best.queue[0]
-	best.queue = best.queue[1:]
-	return j
+	return nil
 }
 
 // finish records a worker's terminal transition and telemetry.
 func (s *Scheduler) finish(j *Job, state State, errMsg string) {
-	now := s.opts.Clock()
+	now := perf.Now()
 	j.setState(state, errMsg, now)
 	// The job may have gone terminal earlier (queued-cancel race); read
 	// back what actually stuck.
@@ -406,7 +352,7 @@ func (s *Scheduler) Draining() bool {
 // each is done, failed, cancelled, checkpointed, or rejected with its
 // original request.
 func (s *Scheduler) Drain(ctx context.Context) error {
-	now := s.opts.Clock()
+	now := perf.Now()
 	s.mu.Lock()
 	s.draining = true
 	for _, name := range s.order {
@@ -476,33 +422,4 @@ func (s *Scheduler) Close() {
 		j.cancel()
 	}
 	s.wg.Wait()
-}
-
-// Stats is a point-in-time scheduler summary for /v1/tenants.
-type Stats struct {
-	Tenant  string `json:"tenant"`
-	Weight  int    `json:"weight"`
-	Queued  int    `json:"queued"`
-	Running int    `json:"running"`
-	MaxQ    int    `json:"max_queued"`
-	MaxRun  int    `json:"max_running"`
-}
-
-// TenantStats lists per-tenant occupancy, sorted by tenant name.
-func (s *Scheduler) TenantStats() []Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Stats, 0, len(s.order))
-	for _, name := range s.order {
-		t := s.tenants[name]
-		out = append(out, Stats{
-			Tenant:  name,
-			Weight:  t.quota.Weight,
-			Queued:  len(t.queue),
-			Running: t.running,
-			MaxQ:    t.quota.MaxQueued,
-			MaxRun:  t.quota.MaxRunning,
-		})
-	}
-	return out
 }

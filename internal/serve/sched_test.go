@@ -19,8 +19,6 @@ type stubExec struct {
 	mu       sync.Mutex
 	order    []string       // job IDs in dispatch order
 	runs     map[string]int // dispatch count per job ID (double-run detector)
-	running  map[string]int // currently running per tenant
-	maxRun   map[string]int // high-water mark per tenant
 	release  chan struct{}  // closed to let blocked jobs finish
 	blocking bool
 }
@@ -28,8 +26,6 @@ type stubExec struct {
 func newStubExec(blocking bool) *stubExec {
 	return &stubExec{
 		runs:     make(map[string]int),
-		running:  make(map[string]int),
-		maxRun:   make(map[string]int),
 		release:  make(chan struct{}),
 		blocking: blocking,
 	}
@@ -39,16 +35,7 @@ func (e *stubExec) Run(j *Job) (State, string) {
 	e.mu.Lock()
 	e.order = append(e.order, j.ID)
 	e.runs[j.ID]++
-	e.running[j.Tenant]++
-	if e.running[j.Tenant] > e.maxRun[j.Tenant] {
-		e.maxRun[j.Tenant] = e.running[j.Tenant]
-	}
 	e.mu.Unlock()
-	defer func() {
-		e.mu.Lock()
-		e.running[j.Tenant]--
-		e.mu.Unlock()
-	}()
 	if !e.blocking {
 		return StateDone, ""
 	}
@@ -56,13 +43,11 @@ func (e *stubExec) Run(j *Job) (State, string) {
 		select {
 		case <-e.release:
 			return StateDone, ""
-		case <-j.Context().Done():
-			return StateCancelled, ""
 		case <-time.After(100 * time.Microsecond):
+			if j.Cancelled() {
+				return StateCancelled, ""
+			}
 			if j.InterruptRequested() {
-				if j.Cancelled() {
-					return StateCancelled, ""
-				}
 				return StateCheckpointed, ""
 			}
 		}
@@ -73,12 +58,6 @@ func (e *stubExec) dispatched() []string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return append([]string(nil), e.order...)
-}
-
-func (e *stubExec) tenantMaxRunning(tenant string) int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.maxRun[tenant]
 }
 
 func submitN(t *testing.T, s *Scheduler, tenant string, n int) []*Job {
@@ -144,23 +123,16 @@ func jobSeq(t *testing.T, id string) (tenant string, seq int) {
 	return id[:i], n
 }
 
-// TestSchedulerFairShare pins the weighted round-robin contract: with
-// one worker and both queues saturated, a weight-2 tenant dispatches
-// twice per weight-1 dispatch, and each tenant's jobs go FIFO.
-func TestSchedulerFairShare(t *testing.T) {
+// TestSchedulerRoundRobin pins the dispatch contract: with one worker
+// and both queues backlogged, the two tenants alternate strictly, and
+// each tenant's jobs go FIFO.
+func TestSchedulerRoundRobin(t *testing.T) {
 	exec := newStubExec(true)
-	s := NewScheduler(SchedOptions{
-		Workers: 1,
-		Tenants: map[string]Quota{
-			"heavy": {Weight: 2, MaxQueued: 64, MaxRunning: 1},
-			"light": {Weight: 1, MaxQueued: 64, MaxRunning: 1},
-		},
-		Run: exec.Run,
-	})
+	s := NewScheduler(SchedOptions{Workers: 1, Run: exec.Run})
 	defer s.Close()
 
 	// Stall the single worker with a sacrificial job so both queues
-	// fill before any fair-share picking happens.
+	// fill before any picking happens.
 	stall := submitN(t, s, "light", 1)
 	waitRunning(t, stall, 1)
 	heavy := submitN(t, s, "heavy", 12)
@@ -179,103 +151,135 @@ func TestSchedulerFairShare(t *testing.T) {
 		}
 		last[tenant] = seq
 	}
-	// Weighted interleave: over the first 9 dispatches (both tenants
-	// still saturated) heavy gets 6 slots and light gets 3.
-	h, l := 0, 0
-	for _, id := range order[:9] {
-		if strings.HasPrefix(id, "heavy-") {
-			h++
-		} else {
-			l++
+	// Strict alternation while both are backlogged: the first 12
+	// dispatches are heavy, light, heavy, … (the stall job left the
+	// cursor on light), then heavy drains its remaining 6 alone.
+	for i, id := range order {
+		tenant, _ := jobSeq(t, id)
+		want := "heavy"
+		if i < 12 && i%2 == 1 {
+			want = "light"
 		}
-	}
-	if h != 6 || l != 3 {
-		t.Fatalf("first 9 dispatches: heavy=%d light=%d, want 6/3 (order %v)", h, l, order)
+		if tenant != want {
+			t.Fatalf("dispatch %d is %s, want %s (order %v)", i, tenant, want, order)
+		}
 	}
 }
 
-// TestSchedulerNoStarvation: a tenant flooding its queue cannot
-// starve another tenant's single job.
+// stepExec runs one job at a time in lockstep with the test: it
+// reports each dispatch on started and returns when told on finish.
+type stepExec struct {
+	started chan *Job
+	finish  chan struct{}
+}
+
+func (e *stepExec) Run(j *Job) (State, string) {
+	e.started <- j
+	<-e.finish
+	return StateDone, ""
+}
+
+// TestSchedulerNoStarvation drives one worker in lockstep through
+// randomized submit/cancel churn across three tenants and checks every
+// pick: it is the FIFO head of its tenant, and no tenant with queued
+// work waits through more than one pick per other tenant.
 func TestSchedulerNoStarvation(t *testing.T) {
-	exec := newStubExec(false)
-	s := NewScheduler(SchedOptions{
-		Workers: 1,
-		Quota:   Quota{MaxQueued: 256},
-		Run:     exec.Run,
-	})
+	rng := prng.New(0x5EED)
+	exec := &stepExec{started: make(chan *Job), finish: make(chan struct{})}
+	s := NewScheduler(SchedOptions{Workers: 1, Run: exec.Run})
 	defer s.Close()
-	flood := submitN(t, s, "flood", 100)
-	one := submitN(t, s, "patient", 1)
-	waitTerminal(t, append(flood, one...))
-
-	pos := -1
-	for i, id := range exec.dispatched() {
-		if id == one[0].ID {
-			pos = i
-			break
-		}
-	}
-	if pos < 0 {
-		t.Fatal("patient tenant's job never dispatched")
-	}
-	// With equal weights the patient job shares dispatch slots from
-	// the moment it queues; it must not wait for the flood to drain.
-	// The flood may have raced up to all 100 dispatches before the
-	// patient job was even submitted, but once queued it wins within
-	// two picks.
-	if pos > 102 {
-		t.Fatalf("patient job starved until position %d of %d", pos, len(exec.dispatched()))
-	}
-}
-
-// TestSchedulerQuotaBounds pins the hard bounds: queue depth rejects
-// with OverloadError carrying a sane Retry-After, and MaxRunning is
-// never exceeded even with idle workers available.
-func TestSchedulerQuotaBounds(t *testing.T) {
-	exec := newStubExec(true)
-	s := NewScheduler(SchedOptions{
-		Workers: 4,
-		Quota:   Quota{MaxQueued: 4, MaxRunning: 2},
-		Run:     exec.Run,
-	})
-	defer s.Close()
-
-	// Fill the running slots first so the remaining submissions queue
-	// deterministically.
-	running := submitN(t, s, "tenant", 2)
-	waitRunning(t, running, 2)
 
 	req := validChaosRequest()
 	body, _ := req.Encode()
-	queued := make([]*Job, 0, 4)
-	overloads := 0
-	for i := 0; i < 10; i++ {
-		j, err := s.Submit("tenant", req, body)
+	tenants := []string{"a", "b", "c"}
+	queued := map[string][]*Job{} // the test's model of each tenant's queue
+	submit := func(tenant string) {
+		j, err := s.Submit(tenant, req, body)
 		if err != nil {
-			o, ok := err.(*OverloadError)
-			if !ok {
-				t.Fatalf("submit %d: %v", i, err)
-			}
-			if o.RetryAfterSec < 1 || o.RetryAfterSec > 60 {
-				t.Fatalf("Retry-After %d out of [1, 60]", o.RetryAfterSec)
-			}
-			if o.Queued != 4 {
-				t.Fatalf("OverloadError.Queued = %d, want 4", o.Queued)
-			}
-			overloads++
-			continue
+			t.Fatalf("submit %s: %v", tenant, err)
 		}
-		queued = append(queued, j)
+		queued[tenant] = append(queued[tenant], j)
 	}
-	// 2 running + 4 queued admitted; the other 6 rejected.
-	if len(queued) != 4 || overloads != 6 {
-		t.Fatalf("admitted %d queued / %d overloads, want 4/6", len(queued), overloads)
+	waits := map[string]int{}
+
+	submit("a")
+	for step := 0; step < 400; step++ {
+		j := <-exec.started
+		// The model is exact: nothing changed between the last finish
+		// and this pick.
+		if q := queued[j.Tenant]; len(q) == 0 || q[0] != j {
+			t.Fatalf("step %d: picked %s, not the FIFO head of tenant %s", step, j.ID, j.Tenant)
+		}
+		queued[j.Tenant] = queued[j.Tenant][1:]
+		for _, tn := range tenants {
+			switch {
+			case tn == j.Tenant:
+				waits[tn] = 0
+			case len(queued[tn]) > 0:
+				if waits[tn]++; waits[tn] > len(tenants)-1 {
+					t.Fatalf("step %d: tenant %s waited %d picks with work queued", step, tn, waits[tn])
+				}
+			default:
+				waits[tn] = 0
+			}
+		}
+
+		// Churn while the worker is busy: a few submissions, sometimes
+		// a cancel of a queued job.
+		for n := rng.Intn(3); n > 0; n-- {
+			if tn := tenants[rng.Intn(len(tenants))]; len(queued[tn]) < maxQueued {
+				submit(tn)
+			}
+		}
+		if tn := tenants[rng.Intn(len(tenants))]; rng.Intn(4) == 0 && len(queued[tn]) > 0 {
+			i := rng.Intn(len(queued[tn]))
+			s.Cancel(queued[tn][i].ID)
+			queued[tn] = append(queued[tn][:i], queued[tn][i+1:]...)
+		}
+		if len(queued["a"])+len(queued["b"])+len(queued["c"]) == 0 {
+			submit(tenants[rng.Intn(len(tenants))])
+		}
+		if step == 399 {
+			// Leave nothing to dispatch after the last step.
+			for _, tn := range tenants {
+				for _, q := range queued[tn] {
+					s.Cancel(q.ID)
+				}
+			}
+		}
+		exec.finish <- struct{}{}
 	}
+}
+
+// TestSchedulerQuotaBounds pins the per-tenant queue bound: the 65th
+// queued job is refused with an OverloadError carrying a sane
+// Retry-After, and the other tenants are unaffected.
+func TestSchedulerQuotaBounds(t *testing.T) {
+	exec := newStubExec(true)
+	s := NewScheduler(SchedOptions{Workers: 1, Run: exec.Run})
+	defer s.Close()
+
+	// Hold the only worker so the rest of the submissions queue.
+	running := submitN(t, s, "tenant", 1)
+	waitRunning(t, running, 1)
+	queued := submitN(t, s, "tenant", maxQueued)
+
+	req := validChaosRequest()
+	body, _ := req.Encode()
+	_, err := s.Submit("tenant", req, body)
+	o, ok := err.(*OverloadError)
+	if !ok {
+		t.Fatalf("submit %d beyond the bound: err = %v, want *OverloadError", maxQueued+1, err)
+	}
+	if o.RetryAfterSec < 1 || o.RetryAfterSec > 60 {
+		t.Fatalf("Retry-After %d out of [1, 60]", o.RetryAfterSec)
+	}
+	if o.Queued != maxQueued {
+		t.Fatalf("OverloadError.Queued = %d, want %d", o.Queued, maxQueued)
+	}
+	other := submitN(t, s, "other", 1)
 	close(exec.release)
-	waitTerminal(t, append(running, queued...))
-	if got := exec.tenantMaxRunning("tenant"); got > 2 {
-		t.Fatalf("MaxRunning exceeded: %d concurrent", got)
-	}
+	waitTerminal(t, append(append(running, queued...), other...))
 }
 
 // TestSchedulerDrainUnderLoad: with 100 jobs in flight (8 running,
@@ -285,11 +289,7 @@ func TestSchedulerQuotaBounds(t *testing.T) {
 // twice.
 func TestSchedulerDrainUnderLoad(t *testing.T) {
 	exec := newStubExec(true)
-	s := NewScheduler(SchedOptions{
-		Workers: 8,
-		Quota:   Quota{MaxQueued: 64},
-		Run:     exec.Run,
-	})
+	s := NewScheduler(SchedOptions{Workers: 8, Run: exec.Run})
 	defer s.Close()
 
 	var jobs []*Job
@@ -341,12 +341,7 @@ func TestSchedulerDrainUnderLoad(t *testing.T) {
 func TestSchedulerChurnProperty(t *testing.T) {
 	rng := prng.New(0xC0FFEE)
 	exec := newStubExec(false)
-	const maxQueued = 16
-	s := NewScheduler(SchedOptions{
-		Workers: 4,
-		Quota:   Quota{MaxQueued: maxQueued},
-		Run:     exec.Run,
-	})
+	s := NewScheduler(SchedOptions{Workers: 4, Run: exec.Run})
 	defer s.Close()
 
 	req := validChaosRequest()
@@ -401,15 +396,14 @@ func TestSchedulerChurnProperty(t *testing.T) {
 		len(accepted), done, cancelled, overloads)
 }
 
-// TestSchedulerRetention: terminal jobs beyond MaxRetained are
-// evicted oldest-first, with the eviction hook told each ID.
+// TestSchedulerRetention: terminal jobs beyond maxRetained are evicted
+// oldest-first, with the eviction hook told each ID.
 func TestSchedulerRetention(t *testing.T) {
 	exec := newStubExec(false)
 	var evictMu sync.Mutex
 	var evicted []string
 	s := NewScheduler(SchedOptions{
-		Workers:     1,
-		MaxRetained: 5,
+		Workers: 1,
 		OnEvict: func(id string) {
 			evictMu.Lock()
 			evicted = append(evicted, id)
@@ -418,8 +412,14 @@ func TestSchedulerRetention(t *testing.T) {
 		Run: exec.Run,
 	})
 	defer s.Close()
-	jobs := submitN(t, s, "t", 12)
-	waitTerminal(t, jobs)
+	// Submit in waves no deeper than the queue bound.
+	const extra = 7
+	var jobs []*Job
+	for len(jobs) < maxRetained+extra {
+		wave := submitN(t, s, "t", min(maxQueued, maxRetained+extra-len(jobs)))
+		waitTerminal(t, wave)
+		jobs = append(jobs, wave...)
+	}
 
 	// Retention runs inside finish() just after the terminal
 	// transition; poll briefly for the final evictions to land.
@@ -428,18 +428,25 @@ func TestSchedulerRetention(t *testing.T) {
 		evictMu.Lock()
 		n := len(evicted)
 		evictMu.Unlock()
-		if n >= 7 || time.Now().After(deadline) {
-			if n != 7 {
-				t.Fatalf("evicted %d jobs, want 7", n)
+		if n >= extra || time.Now().After(deadline) {
+			if n != extra {
+				t.Fatalf("evicted %d jobs, want %d", n, extra)
 			}
 			break
 		}
 		time.Sleep(time.Millisecond)
 	}
+	evictMu.Lock()
+	defer evictMu.Unlock()
+	for i, id := range evicted {
+		if id != jobs[i].ID {
+			t.Fatalf("eviction %d was %s, want the oldest remaining, %s", i, id, jobs[i].ID)
+		}
+	}
 	if _, ok := s.Job(jobs[0].ID); ok {
 		t.Error("oldest job still queryable after eviction")
 	}
-	if _, ok := s.Job(jobs[11].ID); !ok {
+	if _, ok := s.Job(jobs[len(jobs)-1].ID); !ok {
 		t.Error("newest job evicted")
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"sync"
 
 	"roborebound/internal/obs"
-	"roborebound/internal/obs/perf"
 )
 
 // TenantHeader names the request header carrying the tenant identity.
@@ -42,25 +41,15 @@ var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) 
 
 // ServerOptions configures a Server.
 type ServerOptions struct {
-	// Workers / Quota / Tenants / Clock / MaxRetained feed the
-	// scheduler (see SchedOptions).
-	Workers     int
-	Quota       Quota
-	Tenants     map[string]Quota
-	Clock       perf.Clock
-	MaxRetained int
+	// Workers is the scheduler's pool size (default 2).
+	Workers int
 	// SpillDir is the artifact spillover directory ("" keeps every
-	// artifact in memory); MemLimit / TotalLimit as in StoreOptions.
-	SpillDir   string
-	MemLimit   int64
-	TotalLimit int64
-	// Metrics receives scheduler and HTTP telemetry (nil: a private
-	// registry is created; read it back via MetricsSnapshot).
-	Metrics *Metrics
+	// artifact in memory).
+	SpillDir string
 }
 
 // Server is the simulation-as-a-service front-end: an http.Handler
-// wiring the request codec, the fair-share scheduler, the executors,
+// wiring the request codec, the round-robin scheduler, the executors,
 // and the artifact store together.
 type Server struct {
 	sched   *Scheduler
@@ -73,27 +62,18 @@ type Server struct {
 // own the listener: mount Handler() on any http.Server (or
 // httptest).
 func NewServer(opts ServerOptions) (*Server, error) {
-	store, err := NewArtifactStore(StoreOptions{
-		Dir: opts.SpillDir, MemLimit: opts.MemLimit, TotalLimit: opts.TotalLimit,
-	})
+	store, err := NewArtifactStore(StoreOptions{Dir: opts.SpillDir})
 	if err != nil {
 		return nil, err
 	}
-	metrics := opts.Metrics
-	if metrics == nil {
-		metrics = NewMetrics(nil)
-	}
+	metrics := NewMetrics()
 	exec := &Executor{Store: store}
 	s := &Server{store: store, metrics: metrics}
 	s.sched = NewScheduler(SchedOptions{
-		Workers:     opts.Workers,
-		Quota:       opts.Quota,
-		Tenants:     opts.Tenants,
-		Metrics:     metrics,
-		Clock:       opts.Clock,
-		MaxRetained: opts.MaxRetained,
-		OnEvict:     store.DeleteJob,
-		Run:         exec.Run,
+		Workers: opts.Workers,
+		Metrics: metrics,
+		OnEvict: store.DeleteJob,
+		Run:     exec.Run,
 	})
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -103,7 +83,6 @@ func NewServer(opts ServerOptions) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/jobs/{id}/artifacts", s.handleArtifactList)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/artifacts/{name}", s.handleArtifact)
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /v1/tenants", s.handleTenants)
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	return s, nil
 }
@@ -339,10 +318,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write(buf.Bytes())
-}
-
-func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, s.sched.TenantStats())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

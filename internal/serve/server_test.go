@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -82,25 +83,38 @@ func TestServerSubmitWaitArtifacts(t *testing.T) {
 }
 
 // TestServerOverload pins the backpressure contract over real HTTP:
-// a full tenant queue answers 429 with a Retry-After header.
+// with the only worker busy, the 65th queued job of a tenant answers
+// 429 with a Retry-After header.
 func TestServerOverload(t *testing.T) {
-	_, ts, client := newTestServer(t, ServerOptions{
-		Workers: 1,
-		Quota:   Quota{MaxQueued: 2, MaxRunning: 1},
-	})
+	_, ts, client := newTestServer(t, ServerOptions{Workers: 1})
 	ctx := context.Background()
 
-	// Jobs costing ~100ms each: the submission loop below takes a few
-	// milliseconds, so the queue fills long before the worker drains
-	// it.
-	req := validChaosRequest()
-	req.N = 32
-	req.DurationSec = 30
-	body, _ := req.Encode()
+	// A job costing most of a second holds the worker while the queue
+	// fills, which takes milliseconds.
+	long := validChaosRequest()
+	long.N, long.DurationSec = 64, 60
+	blocker, err := client.Submit(ctx, long)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		st, err := client.Status(ctx, blocker.ID)
+		if err != nil {
+			t.Fatalf("status: %v", err)
+		}
+		if st.State == StateRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("blocking job never started: %q", st.State)
+		}
+	}
 
+	req := validChaosRequest()
+	body, _ := req.Encode()
 	overloads := 0
-	var ids []string
-	for i := 0; i < 10; i++ {
+	ids := []string{blocker.ID}
+	for i := 0; i < maxQueued+1; i++ {
 		httpReq, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", bytes.NewReader(body))
 		httpReq.Header.Set(TenantHeader, "test")
 		resp, err := http.DefaultClient.Do(httpReq)
@@ -113,8 +127,8 @@ func TestServerOverload(t *testing.T) {
 			json.NewDecoder(resp.Body).Decode(&st)
 			ids = append(ids, st.ID)
 		case http.StatusTooManyRequests:
-			if ra := resp.Header.Get("Retry-After"); ra == "" {
-				t.Error("429 without Retry-After header")
+			if ra, _ := strconv.Atoi(resp.Header.Get("Retry-After")); ra < 1 {
+				t.Errorf("429 with Retry-After %q, want >= 1", resp.Header.Get("Retry-After"))
 			}
 			overloads++
 		default:
@@ -122,15 +136,13 @@ func TestServerOverload(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	if overloads == 0 {
-		t.Fatal("queue never overflowed")
+	if overloads != 1 || len(ids) != maxQueued+1 {
+		t.Fatalf("%d queued and %d refused, want %d and 1", len(ids)-1, overloads, maxQueued)
 	}
 	// Typed client surfaces the same as a StatusError.
-	if _, err := client.Submit(ctx, req); err != nil {
-		se, ok := err.(*StatusError)
-		if !ok || se.Code != http.StatusTooManyRequests || se.RetryAfterSec < 1 {
-			t.Errorf("typed overload error = %#v", err)
-		}
+	_, err = client.Submit(ctx, req)
+	if se, ok := err.(*StatusError); !ok || se.Code != http.StatusTooManyRequests || se.RetryAfterSec < 1 {
+		t.Errorf("typed overload error = %#v", err)
 	}
 	for _, id := range ids {
 		client.Cancel(ctx, id)
@@ -206,6 +218,8 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		{"removed reference_plane", `{"version":1,"kind":"chaos","reference_plane":true}`, http.StatusBadRequest},
 		{"removed swarm kind", `{"version":1,"kind":"swarm","sizes":[24]}`, http.StatusBadRequest},
 		{"snapshot tick beyond run", `{"version":1,"kind":"snapshot","duration_sec":4,"snapshot_at_tick":17}`, http.StatusBadRequest},
+		{"inert mixed chaos", `{"version":1,"kind":"chaos","profile":"mixed","duration_sec":10}`, http.StatusBadRequest},
+		{"inert loss trace", `{"version":1,"kind":"trace","profile":"loss","duration_sec":24}`, http.StatusBadRequest},
 		{"oversized", `{"pad":"` + strings.Repeat("x", MaxRequestBytes) + `"}`, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
@@ -213,14 +227,78 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
+		msg, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
 		}
+		if strings.HasPrefix(tc.name, "inert") && !strings.Contains(string(msg), "duration_sec") {
+			t.Errorf("%s: error %s does not name duration_sec", tc.name, msg)
+		}
 	}
 	// A rejected body never reaches the scheduler: no tenant, no job.
-	if stats := srv.sched.TenantStats(); len(stats) != 0 {
-		t.Errorf("rejected requests left scheduler state behind: %+v", stats)
+	srv.sched.mu.Lock()
+	defer srv.sched.mu.Unlock()
+	if len(srv.sched.tenants) != 0 || len(srv.sched.jobs) != 0 {
+		t.Errorf("rejected requests left scheduler state behind: %d tenants, %d jobs",
+			len(srv.sched.tenants), len(srv.sched.jobs))
+	}
+}
+
+// cancelRequests holds one small request per job kind for
+// TestExecutorCancelStoresNothing; the resume pair's handle is filled
+// in from the snapshot job.
+var cancelRequests = map[string]*JobRequest{
+	KindChaos:       {Profile: "none", N: 3, DurationSec: 2, Events: true},
+	KindTrace:       {N: 3, DurationSec: 2, Perfetto: true},
+	KindFig6:        {N: 6, DurationSec: 2, Fmaxes: []int{1}, PeriodsSec: []float64{2}},
+	KindFig7Density: {Sizes: []int{4}, Spacings: []float64{8}, DurationSec: 2},
+	KindFig7Scale:   {Sizes: []int{4}, DurationSec: 2},
+	KindSnapshot:    {Profile: "none", N: 3, DurationSec: 2, SnapshotAtTick: 4},
+	KindResume:      {},
+	KindResumeVerif: {},
+}
+
+// TestExecutorCancelStoresNothing: a job of any kind whose cancel
+// landed before its run finished ends cancelled, with no result and
+// no artifact stored — sweeps, which cannot stop early, included.
+func TestExecutorCancelStoresNothing(t *testing.T) {
+	store, err := NewArtifactStore(StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := &Executor{Store: store}
+	job := func(id, kind string) *Job {
+		req := *cancelRequests[kind]
+		req.Version, req.Kind = RequestVersion, kind
+		if kindByName(kind).takesField("resume") {
+			req.Resume = &ResumeRef{Job: "snap-1", Artifact: snapshotArtifact}
+		}
+		if err := req.Validate(); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		return newJob(id, "t", &req, nil, 0)
+	}
+	// The resume pair needs a stored snapshot to resume.
+	if state, msg := exec.Run(job("snap-1", KindSnapshot)); state != StateDone {
+		t.Fatalf("snapshot job ended %q (%s)", state, msg)
+	}
+	for _, kind := range Kinds() {
+		if cancelRequests[kind] == nil {
+			t.Errorf("no cancel request for kind %s", kind)
+			continue
+		}
+		j := job("cancel-"+kind, kind)
+		j.cancel()
+		if state, msg := exec.Run(j); state != StateCancelled {
+			t.Errorf("%s: cancelled job ended %q (%s), want cancelled", kind, state, msg)
+		}
+		if st := j.Status(); len(st.Result) != 0 || len(st.Artifacts) != 0 {
+			t.Errorf("%s: cancelled job kept a %d-byte result and %d artifacts", kind, len(st.Result), len(st.Artifacts))
+		}
+		if arts := store.List(j.ID); len(arts) != 0 {
+			t.Errorf("%s: cancelled job stored %v", kind, arts)
+		}
 	}
 }
 
@@ -507,6 +585,8 @@ func TestServerEventStreamDisconnect(t *testing.T) {
 	}
 }
 
+// TestServerTenantsAndMetrics: a tenant's occupancy and tallies are
+// served as serve.tenant.<t>.* samples on /v1/metrics.
 func TestServerTenantsAndMetrics(t *testing.T) {
 	_, _, client := newTestServer(t, ServerOptions{Workers: 1})
 	ctx := context.Background()
@@ -514,17 +594,11 @@ func TestServerTenantsAndMetrics(t *testing.T) {
 	if _, err := client.Run(ctx, validChaosRequest()); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	stats, err := client.Tenants(ctx)
-	if err != nil {
-		t.Fatalf("tenants: %v", err)
-	}
-	if len(stats) != 1 || stats[0].Tenant != "test" || stats[0].Weight != 1 {
-		t.Fatalf("tenant stats = %+v", stats)
-	}
 
 	// The worker records a job's telemetry just after the terminal
 	// transition that ends the client's wait, so give it a moment.
 	var data []byte
+	var err error
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		if data, err = client.MetricsJSON(ctx); err != nil {
 			t.Fatalf("metrics: %v", err)
@@ -541,6 +615,8 @@ func TestServerTenantsAndMetrics(t *testing.T) {
 	for _, want := range []string{
 		"serve.tenant.test.submitted",
 		"serve.tenant.test.completed",
+		"serve.tenant.test.queue_depth",
+		"serve.tenant.test.running",
 		"serve.tenant.test.queue_wait_ns",
 		"serve.tenant.test.service_ns",
 		"serve.http.requests",
@@ -556,7 +632,7 @@ func TestServerTenantsAndMetrics(t *testing.T) {
 // done, and the scheduler's per-tenant accounting adds up.
 func TestServerConcurrentTenantSessions(t *testing.T) {
 	const tenants, perTenant = 4, 8
-	srv, ts, _ := newTestServer(t, ServerOptions{Workers: 4, Quota: Quota{MaxQueued: perTenant}})
+	srv, ts, _ := newTestServer(t, ServerOptions{Workers: 4})
 	ctx := context.Background()
 
 	errs := make(chan error, tenants*perTenant)
@@ -578,25 +654,32 @@ func TestServerConcurrentTenantSessions(t *testing.T) {
 		}
 	}
 
-	stats := srv.sched.TenantStats()
-	if len(stats) != tenants {
-		t.Fatalf("%d tenants in the scheduler, want %d: %+v", len(stats), tenants, stats)
-	}
-	for _, st := range stats {
-		if st.Queued != 0 || st.Running != 0 {
-			t.Errorf("tenant %s still holds work: %+v", st.Tenant, st)
+	// The last job's finish lands just after its client's wait ends, so
+	// poll until every tenant's gauges read idle and its tallies add up.
+	var problems []string
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		counts := map[string]float64{}
+		for _, s := range srv.MetricsSnapshot() {
+			counts[s.Name] = s.Value
+		}
+		problems = problems[:0]
+		for i := 0; i < tenants; i++ {
+			prefix := fmt.Sprintf("serve.tenant.load-%d.", i)
+			if counts[prefix+"queue_depth"] != 0 || counts[prefix+"running"] != 0 {
+				problems = append(problems, fmt.Sprintf("tenant load-%d still holds work: queue_depth %v, running %v",
+					i, counts[prefix+"queue_depth"], counts[prefix+"running"]))
+			}
+			if counts[prefix+"submitted"] != perTenant || counts[prefix+"completed"] != perTenant {
+				problems = append(problems, fmt.Sprintf("tenant load-%d: submitted %v, completed %v, want %d each",
+					i, counts[prefix+"submitted"], counts[prefix+"completed"], perTenant))
+			}
+		}
+		if len(problems) == 0 || time.Now().After(deadline) {
+			break
 		}
 	}
-	counts := map[string]float64{}
-	for _, s := range srv.MetricsSnapshot() {
-		counts[s.Name] = s.Value
-	}
-	for i := 0; i < tenants; i++ {
-		prefix := fmt.Sprintf("serve.tenant.load-%d.", i)
-		if counts[prefix+"submitted"] != perTenant || counts[prefix+"completed"] != perTenant {
-			t.Errorf("tenant load-%d: submitted %v, completed %v, want %d each",
-				i, counts[prefix+"submitted"], counts[prefix+"completed"], perTenant)
-		}
+	for _, p := range problems {
+		t.Error(p)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // StoreOptions configures an ArtifactStore.
 type StoreOptions struct {
 	// Dir is the spillover directory. Empty disables spilling: every
-	// artifact stays in memory (tests, selftest).
+	// artifact stays in memory.
 	Dir string
 	// MemLimit is the per-artifact in-memory threshold (default
 	// 256 KiB); larger artifacts spill to Dir when set.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,7 +10,9 @@ import (
 	"math"
 
 	rr "roborebound"
+	"roborebound/internal/core"
 	"roborebound/internal/faultinject"
+	"roborebound/internal/wire"
 )
 
 // RequestVersion is the job-request codec version. Decoding rejects
@@ -81,6 +84,13 @@ const (
 	maxJobWorkers  = 8
 	maxSweepLen    = 16
 )
+
+// chaosLimits are the protocol bounds RunChaos hands the fault
+// generator.
+var chaosLimits = func() faultinject.Limits {
+	cc := core.DefaultConfig(rr.ChaosTicksPerSecond)
+	return faultinject.Limits{TVal: cc.TVal, TAudit: cc.TAudit}
+}()
 
 // DecodeJobRequest parses and validates one job request. The decoder
 // rejects unknown fields, trailing data, oversized input, and any
@@ -223,8 +233,16 @@ func (r *JobRequest) Validate() error {
 	// Checked here so a snapshot job fails before admission, not after
 	// running the whole cell and capturing nothing. (Zero on every
 	// kind that does not take the field.)
-	if total := uint64(r.chaosDurationSec() * rr.ChaosTicksPerSecond); r.SnapshotAtTick > total {
+	total := wire.Tick(r.chaosDurationSec() * rr.ChaosTicksPerSecond)
+	if r.SnapshotAtTick > uint64(total) {
 		return fmt.Errorf("serve: snapshot_at_tick %d is beyond the %d-tick run", r.SnapshotAtTick, total)
+	}
+	// A cell too short for its profile to schedule a fault would run
+	// fault-free under a faulted label.
+	if profile := cmp.Or(r.Profile, string(k.profile)); k.takesField("profile") &&
+		profile != string(faultinject.ProfileNone) && !faultinject.Schedulable(total, chaosLimits) {
+		return fmt.Errorf("serve: duration_sec %g schedules no %s faults; a faulted cell must run longer than %g s",
+			r.chaosDurationSec(), profile, float64(2*chaosLimits.TVal+chaosLimits.TAudit)/rr.ChaosTicksPerSecond)
 	}
 	if r.Resume == nil {
 		if k.takesField("resume") {

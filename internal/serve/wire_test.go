@@ -8,13 +8,13 @@ import (
 )
 
 func validChaosRequest() *JobRequest {
-	return &JobRequest{Version: RequestVersion, Kind: KindChaos, N: 4, DurationSec: 4, Seed: 1}
+	return &JobRequest{Version: RequestVersion, Kind: KindChaos, Profile: "none", N: 4, DurationSec: 4, Seed: 1}
 }
 
 func TestDecodeJobRequestRoundTrip(t *testing.T) {
 	req := validChaosRequest()
 	req.Events = true
-	req.Controller, req.Profile = "patrol", "mixed"
+	req.Controller, req.Profile, req.DurationSec = "patrol", "mixed", 30
 	data, err := req.Encode()
 	if err != nil {
 		t.Fatalf("encode: %v", err)
@@ -71,6 +71,11 @@ func TestDecodeJobRequestRejects(t *testing.T) {
 		{"sweep shape on a cell", `{"version":1,"kind":"chaos","sizes":[100,200]}`, `kind "chaos" does not take sizes`},
 		{"perfetto on a sweep", `{"version":1,"kind":"fig6","perfetto":true}`, `kind "fig6" does not take perfetto`},
 		{"cell knob on resume", `{"version":1,"kind":"resume","n":300,"resume":{"job":"t-1","artifact":"a.rbsn"}}`, `kind "resume" does not take n`},
+		// A faulted cell of 24 s or less schedules nothing (25 s does).
+		{"inert mixed chaos", `{"version":1,"kind":"chaos","profile":"mixed","duration_sec":10}`, `duration_sec 10 schedules no mixed faults`},
+		{"inert default-profile chaos", `{"version":1,"kind":"chaos","duration_sec":24}`, `duration_sec 24 schedules no mixed faults`},
+		{"inert loss trace", `{"version":1,"kind":"trace","profile":"loss","duration_sec":4}`, `duration_sec 4 schedules no loss faults`},
+		{"inert default-profile snapshot", `{"version":1,"kind":"snapshot","duration_sec":4,"snapshot_at_tick":8}`, `duration_sec 4 schedules no mixed faults`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -82,6 +87,23 @@ func TestDecodeJobRequestRejects(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestDecodeInertBoundary pins the accepting side of the inert-cell
+// rule: the first duration that schedules a fault, and short cells
+// whose effective profile is none.
+func TestDecodeInertBoundary(t *testing.T) {
+	for _, body := range []string{
+		`{"version":1,"kind":"chaos","profile":"mixed","duration_sec":25}`,
+		`{"version":1,"kind":"snapshot","profile":"grief","duration_sec":24.25}`,
+		`{"version":1,"kind":"chaos","profile":"none","duration_sec":1}`,
+		`{"version":1,"kind":"trace","duration_sec":3}`,
+		`{"version":1,"kind":"fig7-scale","duration_sec":4}`,
+	} {
+		if _, err := DecodeJobRequest([]byte(body)); err != nil {
+			t.Errorf("%s: %v", body, err)
+		}
 	}
 }
 
@@ -105,7 +127,7 @@ func TestDecodeKindFieldMatrix(t *testing.T) {
 		"profile":          `"mixed"`,
 		"seed":             `3`,
 		"n":                `8`,
-		"duration_sec":     `5`,
+		"duration_sec":     `30`, // long enough for the default profiles to schedule faults
 		"fmax":             `2`,
 		"spacing_m":        `8`,
 		"mtu_bytes":        `512`,

@@ -13,6 +13,7 @@ package roborebound_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"testing"
@@ -93,7 +94,9 @@ type diffCell struct {
 
 // matrixCells lists the matrix: chaos cells across every controller ×
 // fault profile × seed, plus every sweep kind. Kinds that need a
-// stored snapshot are the resume chain's (chainKinds).
+// stored snapshot are the resume chain's (chainKinds). The chaos cells
+// run 30 s, past the 24 s below which a profile schedules no fault, so
+// the profile dimension is live (requireProfilesDiffer checks it).
 func matrixCells() []diffCell {
 	controllers := []string{"flocking", "patrol", "warehouse"}
 	profiles := []string{"none", "loss", "mixed"}
@@ -111,7 +114,7 @@ func matrixCells() []diffCell {
 			for _, seed := range seeds {
 				req := base(serve.KindChaos)
 				req.Controller, req.Profile, req.Seed = ctl, profile, seed
-				req.N, req.DurationSec = 4, 4
+				req.N, req.DurationSec = 4, 30
 				// One events cell per (controller, profile) pins the
 				// NDJSON artifact byte-identity too.
 				req.Events = seed == 1
@@ -148,8 +151,44 @@ var chainKinds = []string{serve.KindSnapshot, serve.KindResume, serve.KindResume
 // direct paths.
 func TestServeDifferentialMatrix(t *testing.T) {
 	h := newDiffHarness(t)
+	// chaos/<controller>/seed<S> → profile → fingerprint.
+	fingerprints := map[string]map[string]string{}
 	for _, c := range matrixCells() {
-		t.Run(c.name, func(t *testing.T) { h.runCell(t, c.req, nil) })
+		t.Run(c.name, func(t *testing.T) {
+			st, _ := h.runCell(t, c.req, nil)
+			if c.req.Kind != serve.KindChaos {
+				return
+			}
+			var doc struct {
+				Fingerprint string `json:"fingerprint"`
+			}
+			if err := json.Unmarshal(st.Result, &doc); err != nil || doc.Fingerprint == "" {
+				t.Fatalf("result has no fingerprint (%v): %s", err, st.Result)
+			}
+			key := fmt.Sprintf("chaos/%s/seed%d", c.req.Controller, c.req.Seed)
+			if fingerprints[key] == nil {
+				fingerprints[key] = map[string]string{}
+			}
+			fingerprints[key][c.req.Profile] = doc.Fingerprint
+		})
+	}
+	requireProfilesDiffer(t, fingerprints)
+}
+
+// requireProfilesDiffer fails when two cells that differ only in fault
+// profile ran the same simulation: a profile that schedules nothing
+// tests nothing. fingerprints maps each cell, named without its
+// profile, to its fingerprint per profile.
+func requireProfilesDiffer(t *testing.T, fingerprints map[string]map[string]string) {
+	t.Helper()
+	for cell, byProfile := range fingerprints {
+		seen := map[string]string{} // fingerprint → profile
+		for profile, fp := range byProfile {
+			if other, dup := seen[fp]; dup {
+				t.Errorf("%s: profiles %s and %s ran the same simulation (fingerprint %s)", cell, other, profile, fp)
+			}
+			seen[fp] = profile
+		}
 	}
 }
 
@@ -182,7 +221,7 @@ func TestServeDifferentialResumeChain(t *testing.T) {
 			snapReq := &serve.JobRequest{
 				Version: serve.RequestVersion, Kind: chainKinds[0],
 				Controller: ctl, Profile: "mixed", Seed: 7,
-				N: 4, DurationSec: 4, SnapshotAtTick: 8,
+				N: 4, DurationSec: 30, SnapshotAtTick: 64,
 			}
 			snapSt, snapOut := h.runCell(t, snapReq, nil)
 
@@ -226,7 +265,7 @@ func TestServeDifferentialClientDisconnect(t *testing.T) {
 	req := &serve.JobRequest{
 		Version: serve.RequestVersion, Kind: serve.KindChaos,
 		Controller: "flocking", Profile: "mixed", Seed: 5,
-		N: 32, DurationSec: 20, Events: true,
+		N: 32, DurationSec: 30, Events: true,
 	}
 	st, err := h.client.Submit(ctx, req)
 	if err != nil {
