@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race ci bench-all bench-gate fmt-check cover chaos-smoke snapshot-smoke perf-smoke fuzz-smoke
+.PHONY: all build vet lint test race ci bench-all bench-gate fmt-check cover chaos-smoke soak snapshot-smoke perf-smoke fuzz-smoke
 
 all: ci
 
@@ -74,6 +74,13 @@ chaos-smoke:
 	  -metrics obs-chaos-metrics.json -events obs-chaos-violations.ndjson chaos
 	$(GO) run ./cmd/roborebound -quick -progress=false \
 	  -events obs-events.ndjson -perfetto obs-trace.json -metrics obs-metrics.json trace flocking
+
+# The latch census (ROADMAP item 1): every controller x every fault
+# profile x seeds 1..256 at the chaos defaults, 5 376 cells in ~23 s on
+# two cores. Fails unless the cells that latch are exactly the census
+# rows of TestKnownFalsePositiveLatches, at their pinned tick and robot.
+soak:
+	$(GO) test -tags soak -run TestLatchCensus -count=1 -timeout 10m .
 
 # The snapshot/resume differential smoke: capture a 300-robot chaos
 # cell at its midpoint, then resume it with -verify, which re-runs the

@@ -15,12 +15,17 @@ import (
 // lowers a measured value lowers its ceiling with it; nothing raises
 // one.
 //
+//	dense   3.259 allocations and 2 975 B since a robot's metrics are
+//	        its components' own fields, registered once each, and a
+//	        snapshot renders its names into one buffer. Before that:
 //	dense   3.833 allocations and 2 994 B at PR 20: a cache miss replays
 //	        on the audit cache's chain replicas, and a round holds one
 //	        copy of its request bytes, not three (4.339 and 3 933 B at
 //	        PR 19; 8.90 at PR 14, before the control/MAC/round half
 //	        stopped allocating per step; 24.28 on PR 14's parent, before
 //	        the receive/log/audit half did).
+//	sparse  4.716 allocations and 2 080 B since metrics registered per
+//	        component. Before that:
 //	sparse  6.816 allocations and 2 125 B at PR 20 (7.250 and 2 552 B at
 //	        PR 19, 11.415 on its parent). Construction — keys, chains,
 //	        registries — is over a quarter of what is left; a cell of
@@ -30,10 +35,10 @@ import (
 // request frames owns a whole payload (DESIGN.md, "Byte ownership on
 // the data path"), and the log window's growth.
 const (
-	denseCellAllocCeiling  = 4.22
-	sparseCellAllocCeiling = 7.50
-	denseCellBytesCeiling  = 3294
-	sparseCellBytesCeiling = 2338
+	denseCellAllocCeiling  = 3.59
+	sparseCellAllocCeiling = 5.19
+	denseCellBytesCeiling  = 3273
+	sparseCellBytesCeiling = 2288
 )
 
 // TestDenseCellAllocationCeiling runs the benchmark's dense workload at

@@ -162,6 +162,31 @@ func TestSolicitRotationSurvivesInstrument(t *testing.T) {
 	}
 }
 
+// TestInstrumentCostsTwoAllocations pins what metrics cost a robot's
+// engine: its round-latency histogram (the struct and its buckets;
+// the bounds are shared) and one registration, whose slice growth
+// amortises to nothing. The tallies are the engine's own fields.
+func TestInstrumentCostsTwoAllocations(t *testing.T) {
+	const robots = 1000
+	cfg := DefaultConfig(4)
+	engines := make([]*Engine, robots+1) // AllocsPerRun warms up with one extra call
+	for i := range engines {
+		engines[i] = NewEngine(wire.RobotID(i+1), cfg, factory(), nil, nil, nil)
+	}
+	reg := obs.NewRegistry()
+	next := 0
+	got := testing.AllocsPerRun(robots, func() {
+		engines[next].Instrument(nil, reg)
+		next++
+	})
+	if got > 2 {
+		t.Errorf("instrumenting an engine makes %v allocations, want at most 2", got)
+	}
+	if n := len(reg.Snapshot()); n != (robots+1)*18 {
+		t.Errorf("snapshot holds %d samples, want 18 per engine", n)
+	}
+}
+
 // TestLateTokenAfterRoundCovered: tokens that straggle in after the
 // round already holds f_max+1 are the paper's "extra tokens cause no
 // harm" case (§3.7) — a genuine late token for the *current* round

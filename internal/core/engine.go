@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 
 	"roborebound/internal/auditlog"
@@ -53,7 +52,7 @@ type Engine struct {
 	// engine.
 	acache *AuditCache //rebound:snapshot-skip swarm-level cache, snapshotted once by the runner
 
-	stats        statsCounters
+	stats        Stats
 	trace        obs.Tracer     //rebound:snapshot-skip observer wiring, reattached at rebuild
 	roundLatency *obs.Histogram // start→covered latency in ticks; nil unless instrumented
 
@@ -81,34 +80,6 @@ type Engine struct {
 	askedNow   []wire.RobotID //rebound:snapshot-skip write-only scratch, no retained state
 	tokenIDs   []wire.RobotID //rebound:snapshot-skip write-only scratch, no retained state
 	tokens     []wire.Token   //rebound:snapshot-skip write-only scratch, no retained state
-}
-
-// statsCounters holds the live protocol tallies. They are obs
-// counters so Instrument can rebind them into a metrics registry; an
-// uninstrumented engine uses standalone counters and pays one pointer
-// indirection per increment.
-type statsCounters struct {
-	roundsStarted   *obs.Counter
-	roundsCovered   *obs.Counter
-	roundsAbandoned *obs.Counter
-	auditsRequested *obs.Counter
-	auditsServed    *obs.Counter
-	auditsRefused   *obs.Counter
-	tokensInstalled *obs.Counter
-	tokensRejected  *obs.Counter
-}
-
-func newStatsCounters(counter func(name string) *obs.Counter) statsCounters {
-	return statsCounters{
-		roundsStarted:   counter("rounds_started"),
-		roundsCovered:   counter("rounds_covered"),
-		roundsAbandoned: counter("rounds_abandoned"),
-		auditsRequested: counter("audits_requested"),
-		auditsServed:    counter("audits_served"),
-		auditsRefused:   counter("audits_refused"),
-		tokensInstalled: counter("tokens_installed"),
-		tokensRejected:  counter("tokens_rejected"),
-	}
 }
 
 type auditRound struct {
@@ -154,26 +125,40 @@ func NewEngine(id wire.RobotID, cfg Config, factory control.Factory,
 		anode:   anode,
 		log:     auditlog.New(),
 		send:    send,
-		stats:   newStatsCounters(func(string) *obs.Counter { return new(obs.Counter) }),
 	}
 }
 
+// roundLatencyBounds are the round-latency histogram's buckets, in
+// ticks, shared by every engine's histogram.
+var roundLatencyBounds = []float64{1, 2, 4, 8, 16, 32, 64}
+
 // Instrument attaches the observability layer: protocol events go to
 // tr (nil disables tracing at zero cost) and, when reg is non-nil,
-// the engine's tallies are rebound to registry counters named
-// core.robot.<id>.<stat> plus a round-latency histogram. Call before
-// the first Tick — rebinding discards any counts accumulated so far.
+// the engine registers with it once, so every registry snapshot reads
+// its tallies as core.robot.<id>.<stat> plus a round-latency
+// histogram. The tallies restart from zero: call before the first Tick.
 func (e *Engine) Instrument(tr obs.Tracer, reg *obs.Registry) {
 	e.trace = tr
 	if reg == nil {
 		return
 	}
-	prefix := fmt.Sprintf("core.robot.%d.", e.id)
-	e.stats = newStatsCounters(func(name string) *obs.Counter {
-		return reg.Counter(prefix + name)
-	})
-	e.roundLatency = reg.Histogram(prefix+"round_latency_ticks",
-		[]float64{1, 2, 4, 8, 16, 32, 64})
+	e.stats = Stats{}
+	e.roundLatency = obs.NewHistogram(roundLatencyBounds)
+	reg.Register("core.robot.", uint64(e.id), e)
+}
+
+// WriteSamples writes the engine's tallies; the registry it was
+// instrumented with calls it at every Snapshot.
+func (e *Engine) WriteSamples(w *obs.SampleWriter) {
+	w.Value("rounds_started", float64(e.stats.RoundsStarted))
+	w.Value("rounds_covered", float64(e.stats.RoundsCovered))
+	w.Value("rounds_abandoned", float64(e.stats.RoundsAbandoned))
+	w.Value("audits_requested", float64(e.stats.AuditsRequested))
+	w.Value("audits_served", float64(e.stats.AuditsServed))
+	w.Value("audits_refused", float64(e.stats.AuditsRefused))
+	w.Value("tokens_installed", float64(e.stats.TokensInstalled))
+	w.Value("tokens_rejected", float64(e.stats.TokensRejected))
+	w.Histogram("round_latency_ticks", e.roundLatency)
 }
 
 // SetPerf attaches the wall-clock phase timer (nil = disabled). Like
@@ -218,18 +203,7 @@ func (e *Engine) Controller() control.Controller { return e.ctrl }
 func (e *Engine) Log() *auditlog.Log { return e.log }
 
 // Stats returns a snapshot of the protocol counters.
-func (e *Engine) Stats() Stats {
-	return Stats{
-		RoundsStarted:   e.stats.roundsStarted.Value(),
-		RoundsCovered:   e.stats.roundsCovered.Value(),
-		RoundsAbandoned: e.stats.roundsAbandoned.Value(),
-		AuditsRequested: e.stats.auditsRequested.Value(),
-		AuditsServed:    e.stats.auditsServed.Value(),
-		AuditsRefused:   e.stats.auditsRefused.Value(),
-		TokensInstalled: e.stats.tokensInstalled.Value(),
-		TokensRejected:  e.stats.tokensRejected.Value(),
-	}
-}
+func (e *Engine) Stats() Stats { return e.stats }
 
 // CurrentRoundHash returns the checkpoint hash of the in-progress
 // audit round, if any (tests and metrics only).
@@ -349,7 +323,7 @@ func (e *Engine) startRound(now wire.Tick) {
 		return // keyless or safe mode: nothing to do
 	}
 	if e.round != nil && !e.round.covered {
-		e.stats.roundsAbandoned.Inc()
+		e.stats.RoundsAbandoned++
 		if e.trace != nil {
 			e.trace.Emit(obs.Event{Tick: now, Robot: e.id,
 				Kind: obs.EvAuditRoundAbandoned, Value: int64(len(e.round.tokens))})
@@ -398,7 +372,7 @@ func (e *Engine) startRound(now wire.Tick) {
 	}
 	e.round = round
 	e.rounds++
-	e.stats.roundsStarted.Inc()
+	e.stats.RoundsStarted++
 	if e.trace != nil {
 		e.trace.Emit(obs.Event{Tick: now, Robot: e.id,
 			Kind: obs.EvAuditRoundStart, Value: int64(len(round.segment))})
@@ -549,7 +523,7 @@ func (e *Engine) askOne(target wire.RobotID) bool {
 	if _, ok := e.send(f); !ok {
 		return false
 	}
-	e.stats.auditsRequested.Inc()
+	e.stats.AuditsRequested++
 	return true
 }
 
@@ -608,7 +582,7 @@ func (e *Engine) onAuditRequestEnc(payload []byte) perf.Phase {
 		// plane, which decodes before checking anything — a request
 		// with a malformed tail is dropped silently there, not refused.
 		if _, err := wire.DecodeAuditRequest(payload); err == nil {
-			e.stats.auditsRefused.Inc()
+			e.stats.AuditsRefused++
 		}
 		return perf.PhaseAuditServe
 	}
@@ -637,11 +611,11 @@ func (e *Engine) onAuditRequestEnc(payload []byte) perf.Phase {
 // request, so the requestor's tokens simply expire.
 func (e *Engine) onAuditRequest(a wire.AuditRequest) {
 	if a.Auditor != e.id || a.Req.Auditor != e.id || a.Req.Auditee != a.Auditee || a.Auditee == e.id {
-		e.stats.auditsRefused.Inc()
+		e.stats.AuditsRefused++
 		return
 	}
 	if !e.serveBudgetOK() {
-		e.stats.auditsRefused.Inc()
+		e.stats.AuditsRefused++
 		return
 	}
 	var v AuditVerdict
@@ -658,18 +632,18 @@ func (e *Engine) onAuditRequest(a wire.AuditRequest) {
 // a cache hit never bypasses any trusted-node check.
 func (e *Engine) finishAudit(auditee wire.RobotID, req wire.TokenRequest, v AuditVerdict) {
 	if !v.OK {
-		e.stats.auditsRefused.Inc()
+		e.stats.AuditsRefused++
 		return
 	}
 	tok, ok := e.anode.IssueToken(req, v.HCkpt)
 	if !ok {
-		e.stats.auditsRefused.Inc()
+		e.stats.AuditsRefused++
 		return
 	}
 	resp := wire.AuditResponse{Auditor: e.id, Auditee: auditee, OK: true, Tok: tok}
 	e.send(wire.Frame{Src: e.id, Dst: auditee, Flags: wire.FlagAudit, Payload: resp.Encode()})
 	e.served = append(e.served, e.now)
-	e.stats.auditsServed.Inc()
+	e.stats.AuditsServed++
 }
 
 // verifySegment runs the content checks of the auditor role: decode
@@ -733,10 +707,10 @@ func (e *Engine) onAuditResponse(resp wire.AuditResponse) {
 		return
 	}
 	if !e.anode.InstallToken(resp.Tok) {
-		e.stats.tokensRejected.Inc()
+		e.stats.TokensRejected++
 		return
 	}
-	e.stats.tokensInstalled.Inc()
+	e.stats.TokensInstalled++
 	r.tokens[resp.Tok.Auditor] = resp.Tok
 	if e.trace != nil {
 		e.trace.Emit(obs.Event{Tick: e.now, Robot: e.id, Kind: obs.EvTokenGranted,
@@ -750,7 +724,7 @@ func (e *Engine) onAuditResponse(resp wire.AuditResponse) {
 		}
 		if e.log.MarkCovered(r.hash, e.tokens) == nil {
 			r.covered = true
-			e.stats.roundsCovered.Inc()
+			e.stats.RoundsCovered++
 			e.roundLatency.Observe(float64(e.now - r.startAt))
 			if e.trace != nil {
 				e.trace.Emit(obs.Event{Tick: e.now, Robot: e.id,

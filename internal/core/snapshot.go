@@ -172,27 +172,14 @@ func (e *Engine) RestoreState(b []byte) error {
 // the snapshot wire order, which must never be reordered (version
 // bumps only).
 func (e *Engine) statValues() [8]uint64 {
-	return [8]uint64{
-		e.stats.roundsStarted.Value(),
-		e.stats.roundsCovered.Value(),
-		e.stats.roundsAbandoned.Value(),
-		e.stats.auditsRequested.Value(),
-		e.stats.auditsServed.Value(),
-		e.stats.auditsRefused.Value(),
-		e.stats.tokensInstalled.Value(),
-		e.stats.tokensRejected.Value(),
-	}
+	s := e.stats
+	return [8]uint64{s.RoundsStarted, s.RoundsCovered, s.RoundsAbandoned, s.AuditsRequested,
+		s.AuditsServed, s.AuditsRefused, s.TokensInstalled, s.TokensRejected}
 }
 
 func (e *Engine) setStatValues(v [8]uint64) {
-	e.stats.roundsStarted.Store(v[0])
-	e.stats.roundsCovered.Store(v[1])
-	e.stats.roundsAbandoned.Store(v[2])
-	e.stats.auditsRequested.Store(v[3])
-	e.stats.auditsServed.Store(v[4])
-	e.stats.auditsRefused.Store(v[5])
-	e.stats.tokensInstalled.Store(v[6])
-	e.stats.tokensRejected.Store(v[7])
+	e.stats = Stats{RoundsStarted: v[0], RoundsCovered: v[1], RoundsAbandoned: v[2], AuditsRequested: v[3],
+		AuditsServed: v[4], AuditsRefused: v[5], TokensInstalled: v[6], TokensRejected: v[7]}
 }
 
 func encodeAuditRound(w *wire.Writer, r *auditRound) {

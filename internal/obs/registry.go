@@ -5,21 +5,33 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // Registry is the single home for the harness's metrics: named
-// counters, gauges, and histograms whose Snapshot is a sorted-by-name
-// sample list, so two runs of the same (config, seed) serialize the
-// same metrics byte-for-byte.
+// counters, gauges, and histograms, plus the registered Sources —
+// component instances whose own fields are their tallies — whose
+// Snapshot is a sorted-by-name sample list, so two runs of the same
+// (config, seed) serialize the same metrics byte-for-byte.
 //
 // A nil *Registry is valid and means "metrics disabled": every
-// constructor on it returns a nil instrument, and nil instruments
-// accept updates as no-ops. Call sites therefore never need to guard.
+// constructor on it returns a nil instrument, nil instruments accept
+// updates as no-ops, and Register does nothing. Call sites therefore
+// never need to guard.
 type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
-	gaugeFuncs map[string]func() float64
+	sources    []source
+}
+
+// source is one Register call: a component instance and the name
+// prefix and ID its samples carry.
+type source struct {
+	prefix string
+	id     uint64
+	src    Source
 }
 
 // NewRegistry returns an empty registry.
@@ -28,7 +40,6 @@ func NewRegistry() *Registry {
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
-		gaugeFuncs: make(map[string]func() float64),
 	}
 }
 
@@ -52,17 +63,6 @@ func (c *Counter) Value() uint64 {
 		return 0
 	}
 	return c.v
-}
-
-// Store overwrites the count. It exists solely for snapshot restore —
-// counters are owned by the components that increment them, and on
-// resume each owner re-loads its tallies so the registry's next
-// Snapshot matches the uninterrupted run's byte-for-byte. No-op on
-// nil, like every other mutator.
-func (c *Counter) Store(v uint64) {
-	if c != nil {
-		c.v = v
-	}
 }
 
 // Gauge is a last-write-wins value. Nil-safe like Counter.
@@ -94,16 +94,19 @@ type Histogram struct {
 }
 
 // NewHistogram returns a standalone histogram (registered nowhere)
-// with the given upper bounds, sorted ascending. Registry.Histogram
+// with the given upper bounds. Ascending bounds are kept, not copied,
+// so every histogram of a kind can share one bounds slice that nobody
+// modifies; other bounds are copied and sorted. Registry.Histogram
 // uses it internally; callers that want streaming quantiles without a
 // registry — the perf plane's latency distributions — use it
 // directly. No samples are retained: quantiles come from the bucket
 // tallies via Quantile.
 func NewHistogram(bounds []float64) *Histogram {
-	b := make([]float64, len(bounds))
-	copy(b, bounds)
-	sort.Float64s(b)
-	return &Histogram{bounds: b, counts: make([]uint64, len(b)+1)}
+	if !slices.IsSorted(bounds) {
+		bounds = slices.Clone(bounds)
+		slices.Sort(bounds)
+	}
+	return &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
 }
 
 // Observe records one sample.
@@ -267,15 +270,23 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	return h
 }
 
-// RegisterGaugeFunc registers a gauge whose value is read at snapshot
-// time — used to mirror externally-owned tallies (e.g. the radio's
-// per-robot byte counters) into the registry without double-writing.
-// No-op on a nil registry.
-func (r *Registry) RegisterGaugeFunc(name string, fn func() float64) {
-	if r == nil || fn == nil {
-		return
+// Source is one component instance whose own fields are its tallies:
+// it registers once with Register, and every Snapshot reads it then,
+// so the component pays for its metrics what it pays for its fields.
+type Source interface {
+	// WriteSamples writes the instance's current tallies to w.
+	WriteSamples(w *SampleWriter)
+}
+
+// Register adds one component instance to the registry: every
+// Snapshot calls src.WriteSamples and names its samples
+// <prefix><id>.<name> (core.robot.7.rounds_started). Register each
+// instance once; the registry does not deduplicate. No-op on a nil
+// registry.
+func (r *Registry) Register(prefix string, id uint64, src Source) {
+	if r != nil {
+		r.sources = append(r.sources, source{prefix, id, src})
 	}
-	r.gaugeFuncs[name] = fn
 }
 
 // Sample is one named metric value in a snapshot.
@@ -298,61 +309,120 @@ func SamplesEqual(a, b []Sample) bool {
 // Histograms expand into `<name>.bucket.<le>`, `<name>.bucket.+inf`,
 // `<name>.count`, and `<name>.sum` samples. Nil registries snapshot
 // empty.
+//
+// The registry is walked twice: once to size, once to write. Every
+// sample name lands in one buffer that becomes one string, and the
+// samples hold substrings of it, so a snapshot makes the same handful
+// of allocations however many samples it holds.
 func (r *Registry) Snapshot() []Sample {
 	if r == nil {
 		return nil
 	}
-	names := make([]string, 0,
-		len(r.counters)+len(r.gauges)+len(r.gaugeFuncs)+len(r.histograms))
-	kinds := make(map[string]byte, cap(names))
+	// The registry's own metrics go to the writer by sorted name, so no
+	// map order reaches it.
+	named := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.histograms))
 	for name := range r.counters {
-		names = append(names, name)
-		kinds[name] = 'c'
+		named = append(named, name)
 	}
 	for name := range r.gauges {
-		names = append(names, name)
-		kinds[name] = 'g'
-	}
-	for name := range r.gaugeFuncs {
-		names = append(names, name)
-		kinds[name] = 'f'
+		named = append(named, name)
 	}
 	for name := range r.histograms {
-		names = append(names, name)
-		kinds[name] = 'h'
+		named = append(named, name)
 	}
-	sort.Strings(names)
-	size := len(names)
-	for _, h := range r.histograms {
-		size += len(h.bounds) + 2 // one name became buckets, +inf, count, sum
+	slices.Sort(named)
+	w := &SampleWriter{sizing: true, buf: make([]byte, 0, 128)}
+	r.write(w, named)
+	w.sizing, w.buf = false, make([]byte, 0, w.size)
+	w.ends, w.out = make([]int, 0, w.n), make([]Sample, 0, w.n)
+	r.write(w, named)
+	names := string(w.buf)
+	start := 0
+	for i, end := range w.ends {
+		w.out[i].Name = names[start:end]
+		start = end
 	}
-	out := make([]Sample, 0, size)
-	for _, name := range names {
-		switch kinds[name] {
-		case 'c':
-			out = append(out, Sample{name, float64(r.counters[name].Value())})
-		case 'g':
-			out = append(out, Sample{name, r.gauges[name].Value()})
-		case 'f':
-			out = append(out, Sample{name, r.gaugeFuncs[name]()})
-		case 'h':
-			h := r.histograms[name]
-			for i, b := range h.bounds {
-				out = append(out, Sample{
-					fmt.Sprintf("%s.bucket.%g", name, b),
-					float64(h.counts[i]),
-				})
-			}
-			out = append(out, Sample{name + ".bucket.+inf", float64(h.counts[len(h.bounds)])})
-			out = append(out, Sample{name + ".count", float64(h.count)})
-			out = append(out, Sample{name + ".sum", h.sum})
+	slices.SortFunc(w.out, func(a, b Sample) int { return strings.Compare(a.Name, b.Name) })
+	return w.out
+}
+
+// write passes every metric of the registry to w: the named ones, then
+// each source's.
+func (r *Registry) write(w *SampleWriter, named []string) {
+	w.src = nil
+	for _, name := range named {
+		if c := r.counters[name]; c != nil {
+			w.Value(name, float64(c.v))
+		} else if g := r.gauges[name]; g != nil {
+			w.Value(name, g.v)
+		} else {
+			w.Histogram(name, r.histograms[name])
 		}
 	}
-	// Histogram expansion appends derived names ("+inf" sorts before
-	// digits), so re-sort the flattened list to keep the contract
-	// strict: snapshots are sorted by sample name, full stop.
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	for i := range r.sources {
+		w.src = &r.sources[i]
+		w.src.src.WriteSamples(w)
+	}
+}
+
+// SampleWriter receives samples during Registry.Snapshot: a Source
+// writes its tallies to it by name, and the writer prefixes each name
+// with the source's registered prefix and ID.
+type SampleWriter struct {
+	src    *source // the source writing, nil for the registry's own metrics
+	sizing bool    // the first pass: count samples and name bytes only
+	n      int     // samples seen while sizing
+	size   int     // name bytes seen while sizing
+	buf    []byte  // sizing: one name at a time; writing: every name
+	ends   []int   // where each sample's name ends in buf
+	out    []Sample
+}
+
+// Value writes one sample.
+func (w *SampleWriter) Value(name string, v float64) {
+	w.begin(name, "")
+	w.end(v)
+}
+
+// Histogram writes h's buckets (each bound formatted as %g), overflow
+// bucket, count, and sum under name. A nil h writes nothing.
+func (w *SampleWriter) Histogram(name string, h *Histogram) {
+	if h == nil {
+		return
+	}
+	for i, b := range h.bounds {
+		w.begin(name, ".bucket.")
+		w.buf = strconv.AppendFloat(w.buf, b, 'g', -1, 64)
+		w.end(float64(h.counts[i]))
+	}
+	w.begin(name, ".bucket.+inf")
+	w.end(float64(h.counts[len(h.bounds)]))
+	w.begin(name, ".count")
+	w.end(float64(h.count))
+	w.begin(name, ".sum")
+	w.end(h.sum)
+}
+
+// begin appends a sample's name: the source's prefix and ID, then
+// name and suffix. The caller may append more before calling end.
+func (w *SampleWriter) begin(name, suffix string) {
+	if s := w.src; s != nil {
+		w.buf = append(w.buf, s.prefix...)
+		w.buf = append(strconv.AppendUint(w.buf, s.id, 10), '.')
+	}
+	w.buf = append(append(w.buf, name...), suffix...)
+}
+
+// end closes the name begun last and records its value.
+func (w *SampleWriter) end(v float64) {
+	if w.sizing {
+		w.n++
+		w.size += len(w.buf)
+		w.buf = w.buf[:0]
+		return
+	}
+	w.ends = append(w.ends, len(w.buf))
+	w.out = append(w.out, Sample{Value: v})
 }
 
 // MergeSnapshots sums samples by name across snapshots (used by the

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"sort"
 	"testing"
 )
@@ -24,7 +26,7 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	if h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil histogram should stay empty")
 	}
-	r.RegisterGaugeFunc("f", func() float64 { return 1 })
+	r.Register("f.", 1, &testSource{})
 	if snap := r.Snapshot(); snap != nil {
 		t.Fatalf("nil registry snapshot = %v, want nil", snap)
 	}
@@ -63,7 +65,7 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 		r.Counter("z.last").Add(1)
 		r.Gauge("a.first").Set(2)
 		r.Histogram("m.mid", []float64{1, 10}).Observe(3)
-		r.RegisterGaugeFunc("b.fn", func() float64 { return 4 })
+		r.Register("b.src.", 4, &testSource{tally: 4})
 		r.Counter("c.count").Add(9)
 		return r
 	}
@@ -199,5 +201,180 @@ func TestSamplesEqual(t *testing.T) {
 	}
 	if SamplesEqual([]Sample{{Name: "x", Value: 0}}, []Sample{{Name: "x", Value: math.Copysign(0, -1)}}) {
 		t.Error("+0 and -0 compared equal")
+	}
+}
+
+// testSource is a registered component: a tally, a gauge-like value,
+// and an optional histogram, read at every Snapshot.
+type testSource struct {
+	tally uint64
+	level float64
+	hist  *Histogram
+}
+
+func (s *testSource) WriteSamples(w *SampleWriter) {
+	w.Value("tally", float64(s.tally))
+	w.Value("level", s.level)
+	w.Histogram("lat", s.hist)
+}
+
+// oracleRegistry is the registry as it was before sources: one map
+// entry per metric, a closure per source value, names built with fmt,
+// and a reflective sort. Its Snapshot is the oracle for names, values
+// and order.
+type oracleRegistry struct {
+	counters   map[string]*Counter
+	gauges     map[string]*Gauge
+	histograms map[string]*Histogram
+	gaugeFuncs map[string]func() float64
+}
+
+// register mirrors Registry.Register the way components used to:
+// fmt.Sprintf for the prefix, one gauge func per value.
+func (r *oracleRegistry) register(prefix string, id uint64, s *testSource) {
+	p := fmt.Sprintf("%s%d.", prefix, id)
+	r.gaugeFuncs[p+"tally"] = func() float64 { return float64(s.tally) }
+	r.gaugeFuncs[p+"level"] = func() float64 { return s.level }
+	if s.hist != nil {
+		r.histograms[p+"lat"] = s.hist
+	}
+}
+
+func (r *oracleRegistry) Snapshot() []Sample {
+	names := make([]string, 0,
+		len(r.counters)+len(r.gauges)+len(r.gaugeFuncs)+len(r.histograms))
+	kinds := make(map[string]byte, cap(names))
+	for name := range r.counters {
+		names = append(names, name)
+		kinds[name] = 'c'
+	}
+	for name := range r.gauges {
+		names = append(names, name)
+		kinds[name] = 'g'
+	}
+	for name := range r.gaugeFuncs {
+		names = append(names, name)
+		kinds[name] = 'f'
+	}
+	for name := range r.histograms {
+		names = append(names, name)
+		kinds[name] = 'h'
+	}
+	sort.Strings(names)
+	var out []Sample
+	for _, name := range names {
+		switch kinds[name] {
+		case 'c':
+			out = append(out, Sample{name, float64(r.counters[name].Value())})
+		case 'g':
+			out = append(out, Sample{name, r.gauges[name].Value()})
+		case 'f':
+			out = append(out, Sample{name, r.gaugeFuncs[name]()})
+		case 'h':
+			h := r.histograms[name]
+			for i, b := range h.bounds {
+				out = append(out, Sample{fmt.Sprintf("%s.bucket.%g", name, b), float64(h.counts[i])})
+			}
+			out = append(out, Sample{name + ".bucket.+inf", float64(h.counts[len(h.bounds)])})
+			out = append(out, Sample{name + ".count", float64(h.count)})
+			out = append(out, Sample{name + ".sum", h.sum})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
+// TestSnapshotMatchesOracle builds random registries — named counters,
+// gauges and histograms plus sources at IDs 1..1000, so robot.10.
+// sorts before robot.2. — and holds Snapshot to the oracle's names,
+// values and order, bit for bit. Bounds include fractions, 1e300 and
+// tiny values; some histograms are empty; gauges include NaN, ±Inf and
+// -0.
+func TestSnapshotMatchesOracle(t *testing.T) {
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 0.1, 1e300, -2.5e-8}
+	boundSets := [][]float64{
+		{1, 2, 4, 8, 16, 32, 64},
+		{0.001, 0.25, 0.5, 1.5, 1e6, 1e21, 1e300},
+		{-3.75, 1e-7, 123456789, 2.5e-310},
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	value := func() float64 {
+		if rng.IntN(3) == 0 {
+			return specials[rng.IntN(len(specials))]
+		}
+		return rng.NormFloat64() * math.Pow(10, float64(rng.IntN(40)-20))
+	}
+	histogram := func() *Histogram {
+		h := NewHistogram(boundSets[rng.IntN(len(boundSets))])
+		for n := rng.IntN(3) * rng.IntN(20); n > 0; n-- {
+			h.Observe(value())
+		}
+		return h
+	}
+	for trial := 0; trial < 50; trial++ {
+		r := NewRegistry()
+		o := &oracleRegistry{map[string]*Counter{}, map[string]*Gauge{}, map[string]*Histogram{}, map[string]func() float64{}}
+		for i := rng.IntN(20); i > 0; i-- {
+			name := fmt.Sprintf("serve.tenant.t%d.submitted", rng.IntN(100))
+			r.Counter(name).Add(rng.Uint64() >> rng.IntN(64))
+			o.counters[name] = r.Counter(name)
+		}
+		for i := rng.IntN(20); i > 0; i-- {
+			name := fmt.Sprintf("serve.gauge.g%d", rng.IntN(100))
+			r.Gauge(name).Set(value())
+			o.gauges[name] = r.Gauge(name)
+		}
+		for i := rng.IntN(5); i > 0; i-- {
+			name := fmt.Sprintf("serve.hist.h%d", rng.IntN(10))
+			h := r.Histogram(name, boundSets[rng.IntN(len(boundSets))])
+			h.Observe(value())
+			o.histograms[name] = h
+		}
+		k := rng.IntN(60)
+		for j, id := range rng.Perm(1000) {
+			if j >= k && id != 1 && id != 9 { // robots 2 and 10 always
+				continue
+			}
+			for _, prefix := range []string{"core.robot.", "radio.robot."} {
+				s := &testSource{tally: rng.Uint64() >> rng.IntN(64), level: value()}
+				if prefix == "core.robot." {
+					s.hist = histogram()
+				}
+				r.Register(prefix, uint64(id+1), s)
+				o.register(prefix, uint64(id+1), s)
+			}
+		}
+		got, want := r.Snapshot(), o.Snapshot()
+		if !SamplesEqual(got, want) {
+			for i := range min(len(got), len(want)) {
+				if !SamplesEqual(got[i:i+1], want[i:i+1]) {
+					t.Fatalf("trial %d: sample %d = %v, oracle %v (%d vs %d samples)", trial, i, got[i], want[i], len(got), len(want))
+				}
+			}
+			t.Fatalf("trial %d: %d samples, oracle %d", trial, len(got), len(want))
+		}
+	}
+}
+
+// TestSnapshotAllocationsFlat pins Snapshot's cost: the same number of
+// allocations for 10 as for 1 000 instrumented robots, each with a
+// core-like source (tallies and a histogram) and a radio-like one.
+func TestSnapshotAllocationsFlat(t *testing.T) {
+	allocs := func(robots int) float64 {
+		r := NewRegistry()
+		r.Counter("serve.jobs").Inc()
+		r.Gauge("serve.depth").Set(3)
+		r.Histogram("serve.wait", []float64{1, 10}).Observe(4)
+		bounds := []float64{1, 2, 4, 8, 16, 32, 64}
+		for id := 1; id <= robots; id++ {
+			r.Register("core.robot.", uint64(id), &testSource{tally: uint64(id), hist: NewHistogram(bounds)})
+			r.Register("radio.robot.", uint64(id), &testSource{tally: 2 * uint64(id)})
+		}
+		return testing.AllocsPerRun(5, func() { r.Snapshot() })
+	}
+	small, large := allocs(10), allocs(1000)
+	t.Logf("Snapshot: %v allocations at 10 robots, %v at 1000", small, large)
+	if small != large {
+		t.Errorf("Snapshot makes %v allocations at 10 robots but %v at 1000: its cost grows with the sample count", small, large)
 	}
 }

@@ -8,7 +8,6 @@
 package radio
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -134,6 +133,18 @@ type ByteCounters struct {
 // Total returns all bytes sent plus received.
 func (b *ByteCounters) Total() uint64 { return b.TxApp + b.TxAudit + b.RxApp + b.RxAudit }
 
+// WriteSamples writes the counters; the medium's registry calls it at
+// every Snapshot (see Medium.SetObs).
+func (b *ByteCounters) WriteSamples(w *obs.SampleWriter) {
+	w.Value("tx_app_bytes", float64(b.TxApp))
+	w.Value("tx_audit_bytes", float64(b.TxAudit))
+	w.Value("rx_app_bytes", float64(b.RxApp))
+	w.Value("rx_audit_bytes", float64(b.RxAudit))
+	w.Value("tx_frames", float64(b.TxFrames))
+	w.Value("rx_frames", float64(b.RxFrames))
+	w.Value("dropped_frames", float64(b.Dropped))
+}
+
 type queuedFrame struct {
 	frame   wire.Frame
 	from    wire.RobotID // physical transmitter (≠ claimed frame.Src for spoofers)
@@ -170,7 +181,7 @@ type Medium struct {
 	deliverTick  wire.Tick // logical clock for reassembly expiry
 
 	// Observability (see SetObs). trace receives one event per frame
-	// tx/rx/drop; metrics mirrors the byte counters as gauge funcs.
+	// tx/rx/drop; metrics reads each robot's byte counters at snapshot.
 	trace   obs.Tracer //rebound:snapshot-skip observer wiring, reattached at rebuild
 	metrics *obs.Registry
 
@@ -232,46 +243,32 @@ func (m *Medium) Params() Params { return m.params }
 
 // SetObs attaches the observability layer: tr (nil = disabled)
 // receives one tick-stamped event per frame transmitted, received,
-// or dropped; reg (nil = disabled) mirrors each robot's byte
-// counters as radio.robot.<id>.* gauges read at snapshot time, so
-// the accounting is never double-written. Tracing is observation
-// only — the frame schedule, loss draws, and delivery order are
-// untouched.
+// or dropped; reg (nil = disabled) reads each robot's byte counters
+// as radio.robot.<id>.* samples at snapshot time, so the accounting
+// is never double-written. Tracing is observation only — the frame
+// schedule, loss draws, and delivery order are untouched.
 func (m *Medium) SetObs(tr obs.Tracer, reg *obs.Registry) {
 	m.trace = tr
 	m.metrics = reg
-	// Robots that already have counters (registered before SetObs)
-	// get their gauges now; later robots register on first use.
+	// Robots that already have counters (created before SetObs)
+	// register now; later robots register on first use.
 	ids := make([]wire.RobotID, 0, len(m.counters))
 	for id := range m.counters {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
-		m.registerCounterGauges(id, m.counters[id])
+		reg.Register(counterPrefix, uint64(id), m.counters[id])
 	}
 }
+
+// counterPrefix names the byte counters' samples.
+const counterPrefix = "radio.robot."
 
 // SetPerf attaches the wall-clock phase timer (nil = disabled); the
 // medium times its per-round spatial-grid rebuild with it. Like the
 // tracer, observation-only.
 func (m *Medium) SetPerf(t *perf.PhaseTimer) { m.perf = t }
-
-// registerCounterGauges mirrors one robot's byte counters into the
-// metrics registry (no-op when metrics are disabled).
-func (m *Medium) registerCounterGauges(id wire.RobotID, c *ByteCounters) {
-	if m.metrics == nil {
-		return
-	}
-	prefix := fmt.Sprintf("radio.robot.%d.", id)
-	m.metrics.RegisterGaugeFunc(prefix+"tx_app_bytes", func() float64 { return float64(c.TxApp) })
-	m.metrics.RegisterGaugeFunc(prefix+"tx_audit_bytes", func() float64 { return float64(c.TxAudit) })
-	m.metrics.RegisterGaugeFunc(prefix+"rx_app_bytes", func() float64 { return float64(c.RxApp) })
-	m.metrics.RegisterGaugeFunc(prefix+"rx_audit_bytes", func() float64 { return float64(c.RxAudit) })
-	m.metrics.RegisterGaugeFunc(prefix+"tx_frames", func() float64 { return float64(c.TxFrames) })
-	m.metrics.RegisterGaugeFunc(prefix+"rx_frames", func() float64 { return float64(c.RxFrames) })
-	m.metrics.RegisterGaugeFunc(prefix+"dropped_frames", func() float64 { return float64(c.Dropped) })
-}
 
 // Counters returns the byte counters for a robot, creating them on
 // first use.
@@ -280,7 +277,7 @@ func (m *Medium) Counters(id wire.RobotID) *ByteCounters {
 	if c == nil {
 		c = &ByteCounters{}
 		m.counters[id] = c
-		m.registerCounterGauges(id, c)
+		m.metrics.Register(counterPrefix, uint64(id), c)
 	}
 	return c
 }

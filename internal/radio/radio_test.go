@@ -2,9 +2,11 @@ package radio
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"roborebound/internal/geom"
+	"roborebound/internal/obs"
 	"roborebound/internal/wire"
 )
 
@@ -229,5 +231,35 @@ func TestMissingPositionSkipsDelivery(t *testing.T) {
 	m.Send(99, wire.Frame{Src: 99, Dst: wire.Broadcast})
 	if got := m.Deliver([]wire.RobotID{1, 99}); len(got) != 0 {
 		t.Errorf("delivered from robot with no position: %+v", got)
+	}
+}
+
+// TestCountersRegisterOnce pins what metrics cost a robot's radio: its
+// counters struct and one registration (slice and map growth amortise
+// to nothing). Robots with counters before SetObs register there; the
+// registry reads the counters at snapshot, so a later write shows.
+func TestCountersRegisterOnce(t *testing.T) {
+	m := newTestMedium(posMap{})
+	for id := wire.RobotID(1); id <= 3; id++ {
+		m.Counters(id)
+	}
+	reg := obs.NewRegistry()
+	m.SetObs(nil, reg)
+	const robots = 1000
+	next := wire.RobotID(4)
+	if got := testing.AllocsPerRun(robots, func() { m.Counters(next); next++ }); got > 2 {
+		t.Errorf("a robot's counters with metrics attached cost %v allocations, want at most 2", got)
+	}
+	m.Counters(2).TxApp = 5
+	snap := reg.Snapshot()
+	if want := int(next-1) * 7; len(snap) != want {
+		t.Fatalf("snapshot holds %d samples, want %d (7 per robot)", len(snap), want)
+	}
+	i := slices.IndexFunc(snap, func(s obs.Sample) bool { return s.Name == "radio.robot.2.tx_app_bytes" })
+	if i < 0 || snap[i].Value != 5 {
+		t.Errorf("radio.robot.2.tx_app_bytes missing or stale in %v", snap[:min(len(snap), 10)])
+	}
+	if got := testing.AllocsPerRun(10, func() { m.SetObs(nil, nil) }); got > 1 {
+		t.Errorf("SetObs makes %v allocations, want at most 1 (its ID list)", got)
 	}
 }

@@ -55,7 +55,18 @@ type tenantState struct {
 	name    string
 	queue   []*Job // FIFO
 	running int
+	// m names the tenant's metrics, serve.tenant.<name>.<metric>, built
+	// once so a job's telemetry allocates no names.
+	m tenantMetrics
 }
+
+type tenantMetrics struct {
+	submitted, rejectedOverload, drainRejected, queueDepth, running, queueWaitNs, serviceNs,
+	completed, failed, cancelled, checkpointed string
+}
+
+// nsBounds are the buckets of the scheduler's nanosecond histograms.
+var nsBounds = perf.LogNsBounds()
 
 // Scheduler is the multi-tenant job scheduler. Admission (Submit)
 // enforces the per-tenant queue bound; a fixed worker pool dispatches
@@ -107,17 +118,18 @@ func (s *Scheduler) tenantLocked(name string) *tenantState {
 	if t, ok := s.tenants[name]; ok {
 		return t
 	}
-	t := &tenantState{name: name}
+	p := "serve.tenant." + name + "."
+	t := &tenantState{name: name, m: tenantMetrics{
+		submitted: p + "submitted", rejectedOverload: p + "rejected_overload", drainRejected: p + "drain_rejected",
+		queueDepth: p + "queue_depth", running: p + "running", queueWaitNs: p + "queue_wait_ns", serviceNs: p + "service_ns",
+		completed: p + "completed", failed: p + "failed", cancelled: p + "cancelled", checkpointed: p + "checkpointed",
+	}}
 	s.tenants[name] = t
 	i := sort.SearchStrings(s.order, name)
 	s.order = append(s.order, "")
 	copy(s.order[i+1:], s.order[i:])
 	s.order[i] = name
 	return t
-}
-
-func (s *Scheduler) metric(tenant, name string) string {
-	return "serve.tenant." + tenant + "." + name
 }
 
 // Submit admits a job for tenant. It returns the job on success,
@@ -136,7 +148,7 @@ func (s *Scheduler) Submit(tenant string, req *JobRequest, body []byte) (*Job, e
 	}
 	t := s.tenantLocked(tenant)
 	if len(t.queue) >= maxQueued {
-		s.opts.Metrics.Inc(s.metric(tenant, "rejected_overload"))
+		s.opts.Metrics.Inc(t.m.rejectedOverload)
 		return nil, &OverloadError{
 			Tenant:        tenant,
 			Queued:        len(t.queue),
@@ -148,8 +160,8 @@ func (s *Scheduler) Submit(tenant string, req *JobRequest, body []byte) (*Job, e
 	j := newJob(id, tenant, req, body, now)
 	t.queue = append(t.queue, j)
 	s.jobs[id] = j
-	s.opts.Metrics.Inc(s.metric(tenant, "submitted"))
-	s.opts.Metrics.Set(s.metric(tenant, "queue_depth"), float64(len(t.queue)))
+	s.opts.Metrics.Inc(t.m.submitted)
+	s.opts.Metrics.Set(t.m.queueDepth, float64(len(t.queue)))
 	s.cond.Broadcast()
 	return j, nil
 }
@@ -196,9 +208,9 @@ func (s *Scheduler) Cancel(id string) bool {
 		for i, q := range t.queue {
 			if q == j {
 				t.queue = append(t.queue[:i], t.queue[i+1:]...)
-				s.opts.Metrics.Set(s.metric(t.name, "queue_depth"), float64(len(t.queue)))
+				s.opts.Metrics.Set(t.m.queueDepth, float64(len(t.queue)))
 				j.setState(StateCancelled, "", perf.Now())
-				s.opts.Metrics.Inc(s.metric(t.name, "cancelled"))
+				s.opts.Metrics.Inc(t.m.cancelled)
 				s.retainLocked(j)
 				break
 			}
@@ -269,10 +281,9 @@ func (s *Scheduler) next() *Job {
 			s.runningTotal++
 			now := perf.Now()
 			j.setState(StateRunning, "", now)
-			s.opts.Metrics.Set(s.metric(t.name, "queue_depth"), float64(len(t.queue)))
-			s.opts.Metrics.Set(s.metric(t.name, "running"), float64(t.running))
-			s.opts.Metrics.Observe(s.metric(t.name, "queue_wait_ns"),
-				perf.LogNsBounds(), float64(now-j.submittedNs))
+			s.opts.Metrics.Set(t.m.queueDepth, float64(len(t.queue)))
+			s.opts.Metrics.Set(t.m.running, float64(t.running))
+			s.opts.Metrics.Observe(t.m.queueWaitNs, nsBounds, float64(now-j.submittedNs))
 			return j
 		}
 		s.cond.Wait()
@@ -312,20 +323,19 @@ func (s *Scheduler) finish(j *Job, state State, errMsg string) {
 	t := s.tenants[j.Tenant]
 	t.running--
 	s.runningTotal--
-	s.opts.Metrics.Set(s.metric(t.name, "running"), float64(t.running))
+	s.opts.Metrics.Set(t.m.running, float64(t.running))
 	switch final {
 	case StateDone:
-		s.opts.Metrics.Inc(s.metric(t.name, "completed"))
+		s.opts.Metrics.Inc(t.m.completed)
 	case StateFailed:
-		s.opts.Metrics.Inc(s.metric(t.name, "failed"))
+		s.opts.Metrics.Inc(t.m.failed)
 	case StateCancelled:
-		s.opts.Metrics.Inc(s.metric(t.name, "cancelled"))
+		s.opts.Metrics.Inc(t.m.cancelled)
 	case StateCheckpointed:
-		s.opts.Metrics.Inc(s.metric(t.name, "checkpointed"))
+		s.opts.Metrics.Inc(t.m.checkpointed)
 	}
 	if serviceNs := now - j.startedNs; serviceNs > 0 && j.startedNs > 0 {
-		s.opts.Metrics.Observe(s.metric(t.name, "service_ns"),
-			perf.LogNsBounds(), float64(serviceNs))
+		s.opts.Metrics.Observe(t.m.serviceNs, nsBounds, float64(serviceNs))
 		const alpha = 0.1
 		if s.avgServiceNs == 0 {
 			s.avgServiceNs = float64(serviceNs)
@@ -359,11 +369,11 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 		t := s.tenants[name]
 		for _, j := range t.queue {
 			j.setState(StateRejected, "", now)
-			s.opts.Metrics.Inc(s.metric(t.name, "drain_rejected"))
+			s.opts.Metrics.Inc(t.m.drainRejected)
 			s.retainLocked(j)
 		}
 		t.queue = nil
-		s.opts.Metrics.Set(s.metric(t.name, "queue_depth"), 0)
+		s.opts.Metrics.Set(t.m.queueDepth, 0)
 	}
 	// Ask every running job to checkpoint. Job IDs are sorted so the
 	// map iteration cannot leak ordering into behaviour.

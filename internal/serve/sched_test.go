@@ -450,3 +450,27 @@ func TestSchedulerRetention(t *testing.T) {
 		t.Error("newest job evicted")
 	}
 }
+
+// TestSchedulerTelemetryAllocatesNothing pins the per-job telemetry of
+// a known tenant at zero allocations: its metric names are built once,
+// when the tenant first appears, and the histograms share one bounds
+// slice.
+func TestSchedulerTelemetryAllocatesNothing(t *testing.T) {
+	s := NewScheduler(SchedOptions{Workers: 1, Metrics: NewMetrics(), Run: newStubExec(false).Run})
+	defer s.Close()
+	m := s.opts.Metrics
+	got := testing.AllocsPerRun(100, func() {
+		s.mu.Lock()
+		tm := s.tenantLocked("acme").m
+		s.mu.Unlock()
+		m.Inc(tm.submitted)
+		m.Set(tm.queueDepth, 1)
+		m.Set(tm.running, 1)
+		m.Observe(tm.queueWaitNs, nsBounds, 1e6)
+		m.Inc(tm.completed)
+		m.Observe(tm.serviceNs, nsBounds, 2e6)
+	})
+	if got != 0 {
+		t.Errorf("a known tenant's per-job telemetry makes %v allocations, want 0", got)
+	}
+}

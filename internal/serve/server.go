@@ -294,16 +294,18 @@ func writeGzip(w io.Writer, data []byte) error {
 	return nil
 }
 
+// acceptsGzip reports whether the request's Accept-Encoding lists gzip
+// with a nonzero qvalue: q=0 means "not acceptable" (RFC 9110 §12.5.3).
 func acceptsGzip(r *http.Request) bool {
 	for _, enc := range r.Header.Values("Accept-Encoding") {
 		for _, tok := range strings.Split(enc, ",") {
-			// Strip any ";q=..." parameter before comparing.
-			if i := strings.IndexByte(tok, ';'); i >= 0 {
-				tok = tok[:i]
+			coding, param, _ := strings.Cut(tok, ";")
+			if strings.TrimSpace(coding) != "gzip" {
+				continue
 			}
-			if strings.TrimSpace(tok) == "gzip" {
-				return true
-			}
+			q, weighted := strings.CutPrefix(strings.TrimSpace(param), "q=")
+			v, err := strconv.ParseFloat(q, 64)
+			return !weighted || err != nil || v != 0
 		}
 	}
 	return false

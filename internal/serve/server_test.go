@@ -356,6 +356,33 @@ func TestServerGzipArtifact(t *testing.T) {
 	if len(raw) < gzipMinBytes {
 		t.Fatalf("test artifact only %d bytes; below the gzip threshold", len(raw))
 	}
+
+	// A qvalue of 0 refuses gzip, in every spelling that parses to zero
+	// (RFC 9110 §12.5.3).
+	hc := undecodingClient(t)
+	for header, wantGzip := range map[string]bool{
+		"gzip":          true,
+		"gzip;q=0.5":    true,
+		"deflate, gzip": true,
+		"gzip;q=0":      false,
+		"gzip;q=0.0":    false,
+		"gzip; q=0.000": false,
+		"deflate":       false,
+	} {
+		httpReq, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/jobs/"+st.ID+"/artifacts/events.ndjson", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		httpReq.Header.Set("Accept-Encoding", header)
+		resp, err := hc.Do(httpReq)
+		if err != nil {
+			t.Fatalf("Accept-Encoding %q: %v", header, err)
+		}
+		resp.Body.Close()
+		if got := resp.Header.Get("Content-Encoding") == "gzip"; got != wantGzip {
+			t.Errorf("Accept-Encoding %q: gzip response = %v, want %v", header, got, wantGzip)
+		}
+	}
 }
 
 // undecodingClient is an HTTP client with transparent decompression

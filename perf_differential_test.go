@@ -56,7 +56,8 @@ func runPerfCell(t *testing.T, cfg ChaosConfig) (ChaosResult, []byte) {
 
 // TestPerfPlaneObservationOnly is the headline matrix: controllers ×
 // profiles × seeds, each cell compared untimed vs fully instrumented,
-// on the plain serial path.
+// on the plain serial path. The cells run 30 s, past the 24 s below
+// which a profile schedules nothing (RequireProfilesDiffer checks it).
 func TestPerfPlaneObservationOnly(t *testing.T) {
 	controllers := []string{"flocking", "patrol", "warehouse"}
 	profiles := []faultinject.Profile{faultinject.ProfileNone, faultinject.ProfileMixed}
@@ -64,6 +65,7 @@ func TestPerfPlaneObservationOnly(t *testing.T) {
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
+	record := profileFingerprints(t)
 	for _, controller := range controllers {
 		for _, profile := range profiles {
 			for _, seed := range seeds {
@@ -71,7 +73,7 @@ func TestPerfPlaneObservationOnly(t *testing.T) {
 					Controller:  controller,
 					Profile:     profile,
 					Seed:        seed,
-					DurationSec: 15,
+					DurationSec: 30,
 					AttackAtSec: 5,
 				}
 				t.Run(fmt.Sprintf("%s/%s/seed%d", controller, profile, seed), func(t *testing.T) {
@@ -79,6 +81,7 @@ func TestPerfPlaneObservationOnly(t *testing.T) {
 					base, baseTrace := runTracedCell(t, cfg)
 					timed, timedTrace := runPerfCell(t, cfg)
 					assertCellsIdentical(t, cfg.Label()+" [perf]", base, timed, baseTrace, timedTrace)
+					record(cfg, timed.Metrics.Fingerprint)
 				})
 			}
 		}
@@ -105,13 +108,14 @@ func TestPerfPlaneObservationOnlyAccelerated(t *testing.T) {
 
 // TestPerfPlaneSnapshotsUnchanged extends the differential to the
 // snapshot surface: periodic full-state snapshots captured with and
-// without the perf plane attached must be byte-identical too.
+// without the perf plane attached must be byte-identical too. The cell
+// runs 30 s, so its mixed faults are scheduled.
 func TestPerfPlaneSnapshotsUnchanged(t *testing.T) {
 	cfg := ChaosConfig{
 		Controller:    "flocking",
 		Profile:       faultinject.ProfileMixed,
 		Seed:          5,
-		DurationSec:   12,
+		DurationSec:   30,
 		AttackAtSec:   5,
 		SnapshotEvery: 16,
 	}

@@ -24,7 +24,7 @@
 package roborebound
 
 import (
-	"sort"
+	"slices"
 
 	"roborebound/internal/attack"
 	"roborebound/internal/control"
@@ -229,7 +229,7 @@ func (s *Sim) IDs() []wire.RobotID {
 	for id := range s.robots {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 

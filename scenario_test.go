@@ -92,6 +92,10 @@ func TestSimIDsAndCorrectIDs(t *testing.T) {
 	if s.Compromised(3) == nil || s.Robot(3) == nil {
 		t.Error("compromised robot not addressable")
 	}
+	// A cell lists its IDs several times; the list is its one allocation.
+	if got := testing.AllocsPerRun(10, func() { s.IDs() }); got != 1 {
+		t.Errorf("IDs makes %v allocations, want 1", got)
+	}
 }
 
 func TestTickSecondsRoundTrip(t *testing.T) {

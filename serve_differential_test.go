@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"roborebound"
 	"roborebound/internal/serve"
 )
 
@@ -96,7 +97,7 @@ type diffCell struct {
 // fault profile × seed, plus every sweep kind. Kinds that need a
 // stored snapshot are the resume chain's (chainKinds). The chaos cells
 // run 30 s, past the 24 s below which a profile schedules no fault, so
-// the profile dimension is live (requireProfilesDiffer checks it).
+// the profile dimension is live (RequireProfilesDiffer checks it).
 func matrixCells() []diffCell {
 	controllers := []string{"flocking", "patrol", "warehouse"}
 	profiles := []string{"none", "loss", "mixed"}
@@ -172,24 +173,7 @@ func TestServeDifferentialMatrix(t *testing.T) {
 			fingerprints[key][c.req.Profile] = doc.Fingerprint
 		})
 	}
-	requireProfilesDiffer(t, fingerprints)
-}
-
-// requireProfilesDiffer fails when two cells that differ only in fault
-// profile ran the same simulation: a profile that schedules nothing
-// tests nothing. fingerprints maps each cell, named without its
-// profile, to its fingerprint per profile.
-func requireProfilesDiffer(t *testing.T, fingerprints map[string]map[string]string) {
-	t.Helper()
-	for cell, byProfile := range fingerprints {
-		seen := map[string]string{} // fingerprint → profile
-		for profile, fp := range byProfile {
-			if other, dup := seen[fp]; dup {
-				t.Errorf("%s: profiles %s and %s ran the same simulation (fingerprint %s)", cell, other, profile, fp)
-			}
-			seen[fp] = profile
-		}
-	}
+	roborebound.RequireProfilesDiffer(t, fingerprints)
 }
 
 // TestServeDifferentialCoversEveryKind fails when serve's kind table

@@ -19,9 +19,11 @@ import (
 
 // TestProtocolPlaneDifferentialMatrix runs (controller × profile ×
 // seed) cells uncached and cached. The cells include the default
-// Byzantine attacker and generated fault schedules, so the cached
-// audit path is exercised under refusals, packet loss, and Safe-Mode
-// kills — not just clean rounds.
+// Byzantine attacker and generated fault schedules — they run 30 s,
+// past the 24 s below which a profile schedules nothing, and
+// RequireProfilesDiffer checks that the profiles differ — so the
+// cached audit path is exercised under refusals, packet loss, and
+// Safe-Mode kills, not just clean rounds.
 func TestProtocolPlaneDifferentialMatrix(t *testing.T) {
 	controllers := []string{"flocking", "warehouse"}
 	profiles := []faultinject.Profile{faultinject.ProfileNone, faultinject.ProfileMixed}
@@ -29,6 +31,7 @@ func TestProtocolPlaneDifferentialMatrix(t *testing.T) {
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
+	record := profileFingerprints(t)
 	for _, controller := range controllers {
 		for _, profile := range profiles {
 			for _, seed := range seeds {
@@ -36,7 +39,7 @@ func TestProtocolPlaneDifferentialMatrix(t *testing.T) {
 					Controller:  controller,
 					Profile:     profile,
 					Seed:        seed,
-					DurationSec: 15,
+					DurationSec: 30,
 					AttackAtSec: 5,
 				}
 				t.Run(fmt.Sprintf("%s/%s/seed%d", controller, profile, seed), func(t *testing.T) {
@@ -47,6 +50,7 @@ func TestProtocolPlaneDifferentialMatrix(t *testing.T) {
 					cfg.detachAuditCache = false
 					fast, fastTrace := runTracedCell(t, cfg)
 					assertCellsIdentical(t, cfg.Label()+" [cached]", ref, fast, refTrace, fastTrace)
+					record(cfg, fast.Metrics.Fingerprint)
 				})
 			}
 		}
