@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race ci bench-all bench-gate fmt-check cover chaos-smoke soak snapshot-smoke perf-smoke fuzz-smoke
+.PHONY: all build vet lint test race race-serve ci bench-all bench-gate fmt-check cover chaos-smoke soak snapshot-smoke perf-smoke fuzz-smoke
 
 all: ci
 
@@ -30,6 +30,12 @@ test:
 # the ones that genuinely exercise concurrency.
 race:
 	$(GO) test -race ./...
+
+# The serve layer's concurrency, ten times over under the race
+# detector: the long-poll wake-up, Close ending queued jobs under open
+# streams and waits, and the pooled gzip writers.
+race-serve:
+	$(GO) test -race -count=10 -run 'Wait|Close|Events|Gzip' ./internal/serve
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

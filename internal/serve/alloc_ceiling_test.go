@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"context"
+	"net/http"
 	"runtime"
 	"testing"
 )
@@ -31,11 +33,10 @@ const (
 	tinyJobAllocsCeiling = 373
 )
 
-// TestTinyJobFixedCostCeiling runs the benchmark's serve_tiny_jobs
-// request — seed-1 {chaos, none, N=3, 1 s} — without HTTP, scheduler
-// or store and holds the whole job under the ceilings.
-func TestTinyJobFixedCostCeiling(t *testing.T) {
-	req := &JobRequest{
+// tinyJobRequest is the benchmark's serve_tiny_jobs request at seed 1:
+// {chaos, none, N=3, 1 s}.
+func tinyJobRequest() *JobRequest {
+	return &JobRequest{
 		Version:     RequestVersion,
 		Kind:        KindChaos,
 		Profile:     "none",
@@ -43,6 +44,13 @@ func TestTinyJobFixedCostCeiling(t *testing.T) {
 		N:           3,
 		DurationSec: 1,
 	}
+}
+
+// TestTinyJobFixedCostCeiling runs the benchmark's serve_tiny_jobs
+// request without HTTP, scheduler or store and holds the whole job
+// under the ceilings.
+func TestTinyJobFixedCostCeiling(t *testing.T) {
+	req := tinyJobRequest()
 	run := func() {
 		if _, err := RunJobDirect(req, nil); err != nil {
 			t.Fatalf("tiny job: %v", err)
@@ -66,5 +74,58 @@ func TestTinyJobFixedCostCeiling(t *testing.T) {
 			"find what a job pays that does not depend on what it simulates "+
 			"(go test -run TestTinyJobFixedCostCeiling -memprofile) instead of raising a ceiling",
 			bytes, allocs, tinyJobBytesCeiling, tinyJobAllocsCeiling)
+	}
+}
+
+// The most allocations a tiny job may cost served, client and server
+// together in one process: 10 % above the 687 per job measured when
+// Client.Wait became one long-polled status request (789 before, when
+// Wait drained the event stream and then asked for the status). Under
+// -race sync.Pool drops some of what it is given and the job reads
+// ~745, under the ceiling. What the served path adds to
+// TestTinyJobFixedCostCeiling's job is HTTP, the scheduler, the store
+// and gzip; like that ceiling, this one only goes down.
+const servedTinyJobAllocsCeiling = 756
+
+// TestServedTinyJobAllocationCeiling runs the benchmark's tiny request
+// the closed loop's way — Submit, Wait, fetch metrics.json — over
+// loopback HTTP on a one-connection client, and holds the allocations
+// of a whole job under the ceiling.
+func TestServedTinyJobAllocationCeiling(t *testing.T) {
+	_, ts, _ := newTestServer(t, ServerOptions{Workers: 2})
+	tr := &http.Transport{MaxConnsPerHost: 1, MaxIdleConnsPerHost: 1}
+	t.Cleanup(tr.CloseIdleConnections)
+	client := &Client{Base: ts.URL, Tenant: "bench", HTTP: &http.Client{Transport: tr}}
+	req := tinyJobRequest()
+	ctx := context.Background()
+	run := func() {
+		st, err := client.Submit(ctx, req)
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		if st, err = client.Wait(ctx, st.ID); err != nil || st.State != StateDone {
+			t.Fatalf("wait: %q, %v", st.State, err)
+		}
+		if _, err := client.Artifact(ctx, st.ID, "metrics.json"); err != nil {
+			t.Fatalf("fetch: %v", err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		run() // the connection, the pools and lazy tables are not the job's
+	}
+
+	const jobs = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < jobs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	allocs := (after.Mallocs - before.Mallocs) / jobs
+	t.Logf("served tiny job: %d allocations per job, ceiling %d", allocs, servedTinyJobAllocsCeiling)
+	if allocs > servedTinyJobAllocsCeiling {
+		t.Errorf("a served tiny job costs %d allocations, over the ceiling of %d: "+
+			"find what the served path added (go test -run TestServedTinyJobAllocationCeiling -memprofile) "+
+			"instead of raising the ceiling", allocs, servedTinyJobAllocsCeiling)
 	}
 }

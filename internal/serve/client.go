@@ -143,18 +143,15 @@ func (c *Client) Events(ctx context.Context, id string, fn func(Event)) error {
 	return sc.Err()
 }
 
-// Wait blocks on the event stream until the job reaches a terminal
-// state, then returns the final status document.
+// Wait blocks until the job reaches a terminal state and returns the
+// final status document, in one long-polled GET /v1/jobs/{id}?wait=1.
 func (c *Client) Wait(ctx context.Context, id string) (Status, error) {
-	if err := c.Events(ctx, id, nil); err != nil {
-		return Status{}, err
-	}
-	st, err := c.Status(ctx, id)
-	if err != nil {
+	var st Status
+	if err := c.getJSON(ctx, "/v1/jobs/"+id+"?wait=1", &st); err != nil {
 		return Status{}, err
 	}
 	if !st.State.Terminal() {
-		return st, fmt.Errorf("serve: event stream ended but job %s is %q", id, st.State)
+		return st, fmt.Errorf("serve: waited on job %s but it is %q: the server did not honour ?wait=1", id, st.State)
 	}
 	return st, nil
 }

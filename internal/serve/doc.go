@@ -15,7 +15,9 @@
 //     admitted — the internal/wire discipline (bounded, canonical, no
 //     trailing garbage) applied to JSON.
 //   - job.go: the job model — states, the NDJSON progress-event
-//     stream, and the status document clients poll.
+//     stream, and the status document. GET /v1/jobs/{id}?wait=1 is a
+//     long poll: it answers once the job is terminal, so a client
+//     learns the outcome in one request.
 //   - sched.go: the multi-tenant scheduler. Per-tenant FIFO queues
 //     of at most 64 jobs (overflow is backpressure: 429 + Retry-After,
 //     never unbounded growth), plain round-robin across tenants with

@@ -61,10 +61,10 @@ type ArtifactInfo struct {
 	SHA256 string `json:"sha256"`
 }
 
-// Status is the job document GET /v1/jobs/{id} returns. QueueNs and
-// RunNs are wall-clock telemetry (perf-clock durations) and are the
-// only nondeterministic fields; everything else is a pure function of
-// the request.
+// Status is the job document GET /v1/jobs/{id} returns (with ?wait=1,
+// once the job is terminal). QueueNs and RunNs are wall-clock telemetry
+// (perf-clock durations) and are the only nondeterministic fields;
+// everything else is a pure function of the request.
 type Status struct {
 	ID        string          `json:"id"`
 	Tenant    string          `json:"tenant"`
@@ -214,6 +214,14 @@ func (j *Job) EventsSince(after int) ([]Event, State, <-chan struct{}) {
 		out = append(out, j.events[after:]...)
 	}
 	return out, j.state, j.changed
+}
+
+// watch returns the current state and the channel that closes when the
+// next event lands: EventsSince for a waiter that needs no events.
+func (j *Job) watch() (State, <-chan struct{}) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state, j.changed
 }
 
 // Status snapshots the job document.

@@ -362,19 +362,9 @@ func (s *Scheduler) Draining() bool {
 // each is done, failed, cancelled, checkpointed, or rejected with its
 // original request.
 func (s *Scheduler) Drain(ctx context.Context) error {
-	now := perf.Now()
 	s.mu.Lock()
 	s.draining = true
-	for _, name := range s.order {
-		t := s.tenants[name]
-		for _, j := range t.queue {
-			j.setState(StateRejected, "", now)
-			s.opts.Metrics.Inc(t.m.drainRejected)
-			s.retainLocked(j)
-		}
-		t.queue = nil
-		s.opts.Metrics.Set(t.m.queueDepth, 0)
-	}
+	s.rejectQueuedLocked()
 	// Ask every running job to checkpoint. Job IDs are sorted so the
 	// map iteration cannot leak ordering into behaviour.
 	ids := make([]string, 0, len(s.jobs))
@@ -409,12 +399,31 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 	}
 }
 
-// Close stops the worker pool and waits for workers to exit. Running
-// jobs are cancelled. Close does not drain — call Drain first for a
-// graceful shutdown.
+// rejectQueuedLocked ends every queued job rejected, carrying its
+// resubmission handle, and empties the queues.
+func (s *Scheduler) rejectQueuedLocked() {
+	now := perf.Now()
+	for _, name := range s.order {
+		t := s.tenants[name]
+		for _, j := range t.queue {
+			j.setState(StateRejected, "", now)
+			s.opts.Metrics.Inc(t.m.drainRejected)
+			s.retainLocked(j)
+		}
+		t.queue = nil
+		s.opts.Metrics.Set(t.m.queueDepth, 0)
+	}
+}
+
+// Close stops the worker pool and waits for workers to exit. Queued
+// jobs are rejected with their resubmission handles, as Drain rejects
+// them, and running jobs are cancelled, so every job is terminal once
+// Close returns and no event stream or wait is left hanging. Close does
+// not drain — call Drain first for a graceful shutdown.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
 	s.closed = true
+	s.rejectQueuedLocked()
 	ids := make([]string, 0, len(s.jobs))
 	for id := range s.jobs {
 		ids = append(ids, id)

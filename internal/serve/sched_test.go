@@ -47,7 +47,9 @@ func (e *stubExec) Run(j *Job) (State, string) {
 			if j.Cancelled() {
 				return StateCancelled, ""
 			}
-			if j.InterruptRequested() {
+			// Not InterruptRequested: a cancel landing just after the
+			// check above would read as a drain.
+			if j.drainCheckpoint.Load() {
 				return StateCheckpointed, ""
 			}
 		}

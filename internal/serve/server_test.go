@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -327,6 +328,256 @@ func TestServerCancelMidRun(t *testing.T) {
 	}
 }
 
+// stubServer is a one-worker server whose executor is a blocking
+// stubExec, so the test decides when each job ends.
+type stubServer struct {
+	srv    *Server
+	url    string
+	client *Client
+	exec   *stubExec
+	// ctx is cancelled when the test ends, before the listener closes,
+	// so no request made with it outlives the test, even a failed one.
+	ctx context.Context
+}
+
+func newStubServer(t *testing.T) stubServer {
+	t.Helper()
+	s, err := NewServer(ServerOptions{Workers: 1})
+	if err != nil {
+		t.Fatalf("new server: %v", err)
+	}
+	s.sched.Close()
+	exec := newStubExec(true)
+	s.sched = NewScheduler(SchedOptions{Workers: 1, Metrics: s.metrics, OnEvict: s.store.DeleteJob, Run: exec.Run})
+	ts := httptest.NewServer(s.Handler())
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(func() {
+		cancel()
+		s.Close()
+		ts.Close()
+	})
+	return stubServer{srv: s, url: ts.URL, client: &Client{Base: ts.URL, Tenant: "test"}, exec: exec, ctx: ctx}
+}
+
+// goroutinesIn counts the goroutines whose stack holds a frame of fn,
+// a package-qualified function name such as "serve.awaitTerminal".
+func goroutinesIn(fn string) int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), fn+"(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+type waitOutcome struct {
+	st  Status
+	err error
+}
+
+// startWait runs Wait on its own goroutine and returns once the server
+// holds the request in its long poll.
+func (ss stubServer) startWait(t *testing.T, ctx context.Context, id string) <-chan waitOutcome {
+	t.Helper()
+	parked := goroutinesIn("serve.awaitTerminal")
+	out := make(chan waitOutcome, 1)
+	go func() {
+		st, err := ss.client.Wait(ctx, id)
+		out <- waitOutcome{st, err}
+	}()
+	waitFor(t, "the wait on "+id+" to reach the server", func() bool { return goroutinesIn("serve.awaitTerminal") > parked })
+	return out
+}
+
+// waitResult receives a started wait's outcome, failing after 10 s.
+func waitResult(t *testing.T, out <-chan waitOutcome) waitOutcome {
+	t.Helper()
+	select {
+	case o := <-out:
+		return o
+	case <-time.After(10 * time.Second):
+		t.Fatal("wait did not return")
+		return waitOutcome{}
+	}
+}
+
+func (ss stubServer) submit(t *testing.T) Status {
+	t.Helper()
+	st, err := ss.client.Submit(ss.ctx, validChaosRequest())
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	return st
+}
+
+func (ss stubServer) awaitRunning(t *testing.T, id string) {
+	t.Helper()
+	waitFor(t, id+" to run", func() bool {
+		st, err := ss.client.Status(ss.ctx, id)
+		return err == nil && st.State == StateRunning
+	})
+}
+
+// TestServerWaitLongPoll pins GET /v1/jobs/{id}?wait=1: the request is
+// answered once the job is terminal, whatever ended it, with the same
+// status document a plain GET returns; a bad wait value is a 400
+// naming it, and a client that gives up leaves nothing behind.
+func TestServerWaitLongPoll(t *testing.T) {
+	t.Run("queued to done", func(t *testing.T) {
+		ss := newStubServer(t)
+		ss.submit(t) // holds the only worker
+		queued := ss.submit(t)
+		out := ss.startWait(t, ss.ctx, queued.ID)
+		if st, err := ss.client.Status(ss.ctx, queued.ID); err != nil || st.State != StateQueued {
+			t.Fatalf("job behind a running one is %q (%v), want queued", st.State, err)
+		}
+		select {
+		case o := <-out:
+			t.Fatalf("wait returned %q before the job ran", o.st.State)
+		default:
+		}
+		close(ss.exec.release)
+		o := waitResult(t, out)
+		if o.err != nil || o.st.State != StateDone || o.st.ID != queued.ID {
+			t.Fatalf("wait = %+v, %v; want job %s done", o.st, o.err, queued.ID)
+		}
+		st, err := ss.client.Status(ss.ctx, queued.ID)
+		if err != nil || st.State != o.st.State || st.QueueNs != o.st.QueueNs || st.RunNs != o.st.RunNs {
+			t.Errorf("plain status %+v (%v) differs from the waited one %+v", st, err, o.st)
+		}
+	})
+
+	t.Run("cancel while waiting", func(t *testing.T) {
+		ss := newStubServer(t)
+		running := ss.submit(t)
+		out := ss.startWait(t, ss.ctx, running.ID)
+		if err := ss.client.Cancel(ss.ctx, running.ID); err != nil {
+			t.Fatalf("cancel: %v", err)
+		}
+		if o := waitResult(t, out); o.err != nil || o.st.State != StateCancelled {
+			t.Fatalf("wait = %q, %v; want cancelled", o.st.State, o.err)
+		}
+	})
+
+	t.Run("drain while waiting", func(t *testing.T) {
+		ss := newStubServer(t)
+		running, queued := ss.submit(t), ss.submit(t)
+		ss.awaitRunning(t, running.ID)
+		outRunning := ss.startWait(t, ss.ctx, running.ID)
+		outQueued := ss.startWait(t, ss.ctx, queued.ID)
+		if err := ss.srv.Drain(ss.ctx); err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+		for _, c := range []struct {
+			out  <-chan waitOutcome
+			want State
+		}{{outRunning, StateCheckpointed}, {outQueued, StateRejected}} {
+			o := waitResult(t, c.out)
+			if o.err != nil || o.st.State != c.want || len(o.st.Resubmit) == 0 {
+				t.Errorf("wait = %q (resubmit %d bytes), %v; want %q with a resubmission handle",
+					o.st.State, len(o.st.Resubmit), o.err, c.want)
+			}
+		}
+	})
+
+	t.Run("unknown job", func(t *testing.T) {
+		ss := newStubServer(t)
+		_, err := ss.client.Wait(ss.ctx, "test-99")
+		if se, ok := err.(*StatusError); !ok || se.Code != http.StatusNotFound {
+			t.Fatalf("wait on an unknown job: err = %v, want a 404", err)
+		}
+	})
+
+	t.Run("bad wait values", func(t *testing.T) {
+		ss := newStubServer(t)
+		job := ss.submit(t)
+		for _, v := range []string{"0", "yes"} {
+			resp, err := http.Get(ss.url + "/v1/jobs/" + job.ID + "?wait=" + v)
+			if err != nil {
+				t.Fatalf("wait=%s: %v", v, err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "wait") {
+				t.Errorf("wait=%s: %d %s, want a 400 naming wait", v, resp.StatusCode, msg)
+			}
+		}
+	})
+
+	t.Run("client gives up", func(t *testing.T) {
+		ss := newStubServer(t)
+		running := ss.submit(t)
+		handlers := goroutinesIn("serve.(*Server).handleStatus")
+		ctx, cancel := context.WithCancel(ss.ctx)
+		out := ss.startWait(t, ctx, running.ID)
+		cancel()
+		if o := waitResult(t, out); !errors.Is(o.err, context.Canceled) {
+			t.Fatalf("cancelled wait: err = %v, want context.Canceled", o.err)
+		}
+		waitFor(t, "the long-poll handler to return", func() bool {
+			return goroutinesIn("serve.(*Server).handleStatus") == handlers
+		})
+	})
+}
+
+// TestServerCloseEndsEveryJob: closing a server whose one worker is
+// busy ends the running job cancelled and every queued job rejected
+// with its resubmission handle, so an open event stream and a wait on a
+// queued job both return.
+func TestServerCloseEndsEveryJob(t *testing.T) {
+	ss := newStubServer(t)
+	running := ss.submit(t)
+	queued := []Status{ss.submit(t), ss.submit(t), ss.submit(t)}
+	ss.awaitRunning(t, running.ID)
+
+	streamers := goroutinesIn("serve.(*Server).handleEvents")
+	events := make(chan error, 1)
+	go func() { events <- ss.client.Events(ss.ctx, queued[0].ID, nil) }()
+	waitFor(t, "the event stream to open", func() bool {
+		return goroutinesIn("serve.(*Server).handleEvents") > streamers
+	})
+	wait := ss.startWait(t, ss.ctx, queued[1].ID)
+
+	ss.srv.Close()
+
+	for _, st := range append([]Status{running}, queued...) {
+		got, err := ss.client.Status(ss.ctx, st.ID)
+		if err != nil {
+			t.Fatalf("status %s: %v", st.ID, err)
+		}
+		want := StateRejected
+		if st.ID == running.ID {
+			want = StateCancelled
+		}
+		if got.State != want || (want == StateRejected && len(got.Resubmit) == 0) {
+			t.Errorf("job %s after Close: %q (resubmit %d bytes), want %q", st.ID, got.State, len(got.Resubmit), want)
+		}
+	}
+	select {
+	case err := <-events:
+		if err != nil {
+			t.Errorf("event stream: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("event stream on a queued job still open after Close")
+	}
+	if o := waitResult(t, wait); o.err != nil || o.st.State != StateRejected {
+		t.Errorf("wait on a queued job after Close = %q, %v; want rejected", o.st.State, o.err)
+	}
+}
+
 // TestServerGzipArtifact checks the conditional compression path: a
 // large artifact ships gzip-encoded to a client that accepts it, raw
 // otherwise, identical bytes either way.
@@ -413,12 +664,15 @@ func fetchGzipped(hc *http.Client, base, id, name string) ([]byte, error) {
 	return io.ReadAll(resp.Body)
 }
 
-// freshGzip compresses data the way handleArtifact did before its
-// writers were pooled: a new gzip.Writer per call.
+// freshGzip compresses data the way handleArtifact would without its
+// writer pool: a new gzip.Writer per call, at gzip.BestSpeed.
 func freshGzip(t *testing.T, data []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	gz := gzip.NewWriter(&buf)
+	gz, err := gzip.NewWriterLevel(&buf, gzip.BestSpeed)
+	if err != nil {
+		t.Fatalf("gzip writer: %v", err)
+	}
 	if _, err := gz.Write(data); err != nil {
 		t.Fatalf("gzip write: %v", err)
 	}
@@ -590,7 +844,7 @@ func TestServerEventStreamDisconnect(t *testing.T) {
 	}
 	cancelStream()
 
-	// The job is unaffected: wait on a fresh stream.
+	// The job is unaffected: it runs to done.
 	final, err := client.Wait(ctx, st.ID)
 	if err != nil {
 		t.Fatalf("wait after disconnect: %v", err)

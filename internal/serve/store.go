@@ -101,7 +101,11 @@ func (s *ArtifactStore) Put(jobID, name string, data []byte) (ArtifactInfo, erro
 }
 
 // Get returns an artifact's bytes, reading spilled blobs back from
-// disk.
+// disk. An in-memory blob is returned as stored, not copied: Put writes
+// a blob once and nothing writes it again, so the caller must treat the
+// slice as read-only (DESIGN.md, "Byte ownership on the data path").
+// Deleting or replacing the artifact leaves a slice already returned
+// intact.
 func (s *ArtifactStore) Get(jobID, name string) ([]byte, error) {
 	s.mu.Lock()
 	a, ok := s.jobs[jobID][name]
@@ -116,7 +120,7 @@ func (s *ArtifactStore) Get(jobID, name string) ([]byte, error) {
 		}
 		return data, nil
 	}
-	return append([]byte(nil), a.mem...), nil
+	return a.mem, nil
 }
 
 // List returns a job's artifact descriptors sorted by name.

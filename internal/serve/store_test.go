@@ -2,8 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -62,6 +64,70 @@ func TestArtifactStoreMemoryAndSpill(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "t-1.big.bin")); err == nil {
 		t.Error("spilled file survived DeleteJob")
+	}
+}
+
+// TestArtifactStoreGetSharesBlob (run it under -race): Get hands out
+// the stored blob itself, allocating nothing, and a blob already handed
+// out stays intact while other jobs' artifacts are put and deleted
+// around it, and after its own job is deleted.
+func TestArtifactStoreGetSharesBlob(t *testing.T) {
+	store, err := NewArtifactStore(StoreOptions{})
+	if err != nil {
+		t.Fatalf("new store: %v", err)
+	}
+	want := bytes.Repeat([]byte("metrics "), 400)
+	if _, err := store.Put("kept-1", "metrics.json", want); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { store.Get("kept-1", "metrics.json") }); allocs != 0 {
+		t.Errorf("Get of an in-memory blob makes %v allocations, want 0 (no copy)", allocs)
+	}
+
+	const readers, writers, rounds = 4, 2, 200
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				got, err := store.Get("kept-1", "metrics.json")
+				if err != nil || !bytes.Equal(got, want) {
+					t.Errorf("concurrent Get: %d bytes, %v; want the stored blob", len(got), err)
+					return
+				}
+			}
+		}()
+	}
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				id := fmt.Sprintf("churn%d-%d", g, i)
+				if _, err := store.Put(id, "events.ndjson", bytes.Repeat([]byte{byte(i)}, 256)); err != nil {
+					t.Errorf("put %s: %v", id, err)
+					return
+				}
+				store.DeleteJob(id)
+			}
+		}()
+	}
+	wg.Wait()
+
+	held, err := store.Get("kept-1", "metrics.json")
+	if err != nil {
+		t.Fatalf("get: %v", err)
+	}
+	if _, err := store.Put("kept-1", "metrics.json", []byte("replaced")); err != nil {
+		t.Fatalf("replace: %v", err)
+	}
+	store.DeleteJob("kept-1")
+	if !bytes.Equal(held, want) {
+		t.Error("a blob handed out by Get changed when its artifact was replaced and deleted")
+	}
+	if store.TotalBytes() != 0 {
+		t.Errorf("TotalBytes after every job was deleted = %d", store.TotalBytes())
 	}
 }
 
