@@ -33,9 +33,10 @@ race:
 
 # The serve layer's concurrency, ten times over under the race
 # detector: the long-poll wake-up, Close ending queued jobs under open
-# streams and waits, and the pooled gzip writers.
+# streams and waits, the pooled gzip writers, and artifact fetches on
+# both sides of the gzip threshold.
 race-serve:
-	$(GO) test -race -count=10 -run 'Wait|Close|Events|Gzip' ./internal/serve
+	$(GO) test -race -count=10 -run 'Wait|Close|Events|Gzip|Artifact' ./internal/serve
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -121,3 +122,4 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeCheckpoint -fuzztime=20s ./internal/auditlog
 	$(GO) test -run=NONE -fuzz=FuzzSnapshotDecode -fuzztime=20s ./internal/snapshot
 	$(GO) test -run=NONE -fuzz=FuzzJobRequestDecode -fuzztime=20s ./internal/serve
+	$(GO) test -run=NONE -fuzz=FuzzJSONString -fuzztime=20s ./internal/obs

@@ -363,6 +363,26 @@ func buildChaosSim(cfg ChaosConfig, cc core.Config, sched *faultinject.Schedule)
 	}
 }
 
+// chaosSchedule is a defaulted cell's fault schedule: what its profile
+// generates for its roster, length and audit timing, with the
+// deliberate attackers avoided, then ExtraFaults verbatim.
+func chaosSchedule(cfg ChaosConfig, cc core.Config) faultinject.Schedule {
+	ids := make([]wire.RobotID, cfg.N)
+	for i := range ids {
+		ids[i] = wire.RobotID(i + 1)
+	}
+	var avoid []wire.RobotID
+	for _, slot := range cfg.AttackerSlots {
+		if slot >= 0 && slot < cfg.N {
+			avoid = append(avoid, wire.RobotID(slot+1))
+		}
+	}
+	sched := faultinject.Generate(cfg.Profile, cfg.Seed, ids, wire.Tick(cfg.DurationSec*ChaosTicksPerSecond),
+		faultinject.Limits{TVal: cc.TVal, TAudit: cc.TAudit, Avoid: avoid})
+	sched.Faults = append(sched.Faults, cfg.ExtraFaults...)
+	return sched
+}
+
 // RunChaos runs one chaos cell: generate the fault schedule from
 // (config, seed), build the mission, watch every tick with the
 // invariant checker, and summarize. Identical configs produce
@@ -374,20 +394,7 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 	cc.Fmax = cfg.Fmax
 	cc.AutoServeLimit()
 	total := wire.Tick(cfg.DurationSec * tps)
-
-	ids := make([]wire.RobotID, cfg.N)
-	for i := range ids {
-		ids[i] = wire.RobotID(i + 1)
-	}
-	var avoid []wire.RobotID
-	for _, slot := range cfg.AttackerSlots {
-		if slot >= 0 && slot < cfg.N {
-			avoid = append(avoid, wire.RobotID(slot+1))
-		}
-	}
-	sched := faultinject.Generate(cfg.Profile, cfg.Seed, ids, total,
-		faultinject.Limits{TVal: cc.TVal, TAudit: cc.TAudit, Avoid: avoid})
-	sched.Faults = append(sched.Faults, cfg.ExtraFaults...)
+	sched := chaosSchedule(cfg, cc)
 
 	// The flight recorder is always on: when the checker latches a
 	// violation mid-run, the offending robot's recent protocol history

@@ -1,9 +1,11 @@
 package roborebound
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"roborebound/internal/core"
 	"roborebound/internal/faultinject"
 	"roborebound/internal/obs"
 	"roborebound/internal/wire"
@@ -305,6 +307,33 @@ func TestKnownFalsePositiveLatches(t *testing.T) {
 		t.Run(l.config().Label(), func(t *testing.T) {
 			t.Parallel()
 			l.check(t, RunChaos(l.config()).Violation)
+		})
+	}
+}
+
+// TestLatchSchedulesReplayAsExtraFaults is ROADMAP item 1's "verify
+// first": each known latch, rerun under Profile none with the schedule
+// its profile generated passed verbatim as ExtraFaults, is the same run
+// — the same fingerprint and the same violation. chaosSchedule draws
+// the schedule as RunChaos does (roster, run length, TVal/TAudit, the
+// attackers avoided), so the replay differs from the cell only in what
+// else Profile feeds: the label and a snapshot's config echo.
+func TestLatchSchedulesReplayAsExtraFaults(t *testing.T) {
+	for _, l := range knownFalsePositiveLatches {
+		t.Run(l.config().Label(), func(t *testing.T) {
+			t.Parallel()
+			cell := RunChaos(l.config())
+			replay := l.config()
+			replay.Profile = faultinject.ProfileNone
+			replay.ExtraFaults = chaosSchedule(l.config().withDefaults(), core.DefaultConfig(ChaosTicksPerSecond)).Faults
+			got := RunChaos(replay)
+			if len(replay.ExtraFaults) == 0 || !slices.Equal(got.Schedule, cell.Schedule) {
+				t.Fatalf("replayed schedule %q, the cell's %q", got.Schedule, cell.Schedule)
+			}
+			if got.Metrics.Fingerprint != cell.Metrics.Fingerprint {
+				t.Errorf("replay fingerprint %s, the cell's %s", got.Metrics.Fingerprint, cell.Metrics.Fingerprint)
+			}
+			l.check(t, got.Violation)
 		})
 	}
 }

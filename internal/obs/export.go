@@ -3,8 +3,10 @@ package obs
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // TickMapping converts simulation ticks into the microsecond
@@ -29,10 +31,70 @@ func (m TickMapping) Micros(t uint64) float64 {
 	return float64(t) * 1e6 / float64(tps)
 }
 
-// jsonString escapes s as a JSON string literal. Event details and
-// metric names are plain ASCII, so strconv.Quote's escaping rules
-// match JSON's for everything we emit.
-func jsonString(s string) string { return strconv.Quote(s) }
+// appendJSONString appends s to dst as a JSON string literal. Its
+// output equals strconv.Quote's wherever that output is valid JSON, so
+// the plain-ASCII names and details every exporter emits render byte
+// for byte as they always have. Where Quote's escapes are not JSON it
+// departs: a control byte Quote writes as \a, \v or \xXX (DEL
+// included) becomes \u00XX, each run of invalid UTF-8 becomes one
+// U+FFFD escape (the rune strings.ToValidUTF8 would put there), and a
+// rune Quote writes as \UXXXXXXXX is copied as raw UTF-8. Nothing
+// upstream keeps the input ASCII: a Detail is fmt output of arbitrary
+// arguments or a blob restored from a snapshot.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0 // s[start:i] is still to be copied as it stands
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c >= 0x20 && c < 0x7f && c != '"' && c != '\\' {
+			i++
+			continue
+		}
+		if c < utf8.RuneSelf {
+			dst = append(dst, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				dst = append(dst, '\\', c)
+			case '\b':
+				dst = append(dst, "\\b"...)
+			case '\f':
+				dst = append(dst, "\\f"...)
+			case '\n':
+				dst = append(dst, "\\n"...)
+			case '\r':
+				dst = append(dst, "\\r"...)
+			case '\t':
+				dst = append(dst, "\\t"...)
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case size == 1: // invalid UTF-8: one U+FFFD for the whole run
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, "\\ufffd"...)
+			for i++; i < len(s) && s[i] >= utf8.RuneSelf; i++ {
+				if _, size := utf8.DecodeRuneInString(s[i:]); size != 1 {
+					break
+				}
+			}
+			start = i
+			continue
+		case r < 0x10000 && !strconv.IsPrint(r):
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', hex[r>>12], hex[r>>8&0xf], hex[r>>4&0xf], hex[r&0xf])
+			start = i + size
+		}
+		i += size
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
+}
 
 // jsonFloat renders v in the shortest round-trippable form, with a
 // fixed representation for integral values so output is stable.
@@ -53,52 +115,50 @@ func appendJSONFloat(dst []byte, v float64) []byte {
 // optional fields are omitted, so the byte stream is a pure function
 // of the event sequence.
 func WriteNDJSON(w io.Writer, events []Event) error {
-	var b strings.Builder
+	var b []byte
 	for _, e := range events {
-		b.Reset()
-		b.WriteString(`{"tick":`)
-		b.WriteString(strconv.FormatUint(uint64(e.Tick), 10))
-		b.WriteString(`,"robot":`)
-		b.WriteString(strconv.FormatUint(uint64(e.Robot), 10))
-		b.WriteString(`,"kind":`)
-		b.WriteString(jsonString(e.Kind.String()))
+		b = append(b[:0], `{"tick":`...)
+		b = strconv.AppendUint(b, uint64(e.Tick), 10)
+		b = append(b, `,"robot":`...)
+		b = strconv.AppendUint(b, uint64(e.Robot), 10)
+		b = append(b, `,"kind":`...)
+		b = appendJSONString(b, e.Kind.String())
 		if e.Peer != 0 {
-			b.WriteString(`,"peer":`)
-			b.WriteString(strconv.FormatUint(uint64(e.Peer), 10))
+			b = append(b, `,"peer":`...)
+			b = strconv.AppendUint(b, uint64(e.Peer), 10)
 		}
 		if e.Cause != CauseNone {
-			b.WriteString(`,"cause":`)
-			b.WriteString(jsonString(e.Cause.String()))
+			b = append(b, `,"cause":`...)
+			b = appendJSONString(b, e.Cause.String())
 		}
 		if e.Value != 0 {
-			b.WriteString(`,"value":`)
-			b.WriteString(strconv.FormatInt(e.Value, 10))
+			b = append(b, `,"value":`...)
+			b = strconv.AppendInt(b, e.Value, 10)
 		}
 		if e.Detail != "" {
-			b.WriteString(`,"detail":`)
-			b.WriteString(jsonString(e.Detail))
+			b = append(b, `,"detail":`...)
+			b = appendJSONString(b, e.Detail)
 		}
-		b.WriteString("}\n")
-		if _, err := io.WriteString(w, b.String()); err != nil {
+		b = append(b, "}\n"...)
+		if _, err := w.Write(b); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// WriteMetricsJSON writes a snapshot as one JSON object mapping
-// metric name to value, one metric per line, preserving the
-// snapshot's (sorted) order. The document is rendered into one buffer
-// and handed to w in a single Write.
-func WriteMetricsJSON(w io.Writer, snap []Sample) error {
+// AppendMetricsJSON appends a snapshot's metrics.json rendering to dst:
+// one JSON object mapping metric name to value, one metric per line,
+// in the snapshot's (sorted) order. dst grows at most once.
+func AppendMetricsJSON(dst []byte, snap []Sample) []byte {
 	size := len("{\n}\n")
 	for _, s := range snap {
 		size += len(s.Name) + 32 // indent, quotes, ": ", a typical value, ",\n"
 	}
-	b := append(make([]byte, 0, size), "{\n"...)
+	b := append(slices.Grow(dst, size), "{\n"...)
 	for i, s := range snap {
 		b = append(b, "  "...)
-		b = strconv.AppendQuote(b, s.Name)
+		b = appendJSONString(b, s.Name)
 		b = append(b, ": "...)
 		b = appendJSONFloat(b, s.Value)
 		if i < len(snap)-1 {
@@ -106,8 +166,13 @@ func WriteMetricsJSON(w io.Writer, snap []Sample) error {
 		}
 		b = append(b, '\n')
 	}
-	b = append(b, "}\n"...)
-	_, err := w.Write(b)
+	return append(b, "}\n"...)
+}
+
+// WriteMetricsJSON writes AppendMetricsJSON's rendering of a snapshot
+// to w in a single Write.
+func WriteMetricsJSON(w io.Writer, snap []Sample) error {
+	_, err := w.Write(AppendMetricsJSON(nil, snap))
 	return err
 }
 
@@ -150,6 +215,7 @@ func WriteChromeTrace(w io.Writer, events []Event, m TickMapping) error {
 func ChromeTraceLines(events []Event, m TickMapping) []string {
 	var out []string
 	emit := func(s string) { out = append(out, s) }
+	jsonString := func(s string) string { return string(appendJSONString(nil, s)) }
 
 	// Process-name metadata, one per robot, in first-seen order (the
 	// event slice is already deterministic).

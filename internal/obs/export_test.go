@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 var exportFixture = []Event{
@@ -213,6 +214,80 @@ func TestChromeTraceLines(t *testing.T) {
 			t.Fatalf("document missing line: %s", line)
 		}
 	}
+}
+
+// jsonStringRows are strings strconv.Quote escapes outside JSON's
+// grammar (\a, \v, \xXX, \UXXXXXXXX), beside ones it renders validly.
+var jsonStringRows = []string{
+	"bell \a", "vtab \v", "\x01", "del \x7f", "bad \xff byte", "tag \U000e0001",
+	"two \xff\xfe invalid, one run", "truncated \xe2\x82", "surrogate \xed\xa0\x80",
+	"quote\" slash\\ \b\f\n\r\t", "nbsp \xc2\xa0 line-sep \xe2\x80\xa8", "non-ascii µs é 🤖", "plain",
+}
+
+// TestJSONStringIsJSON: every exporter that writes a caller's string —
+// an event detail in NDJSON and in a Chrome trace line, a metric name
+// in metrics.json — writes valid JSON that decodes to the string, with
+// each run of invalid UTF-8 read as one U+FFFD.
+func TestJSONStringIsJSON(t *testing.T) {
+	for _, s := range jsonStringRows {
+		want := strings.ToValidUTF8(s, string(utf8.RuneError))
+		ev := []Event{{Tick: 1, Robot: 1, Kind: EvInvariantViolation, Detail: s}}
+
+		var nd bytes.Buffer
+		if err := WriteNDJSON(&nd, ev); err != nil {
+			t.Fatal(err)
+		}
+		var line struct{ Detail string }
+		decodeJSON(t, "WriteNDJSON", s, nd.Bytes(), &line)
+		if line.Detail != want {
+			t.Errorf("WriteNDJSON(%q): detail decodes to %q, want %q", s, line.Detail, want)
+		}
+
+		lines := ChromeTraceLines(ev, TickMapping{TicksPerSecond: 4})
+		var inst struct{ Args struct{ Detail string } }
+		decodeJSON(t, "ChromeTraceLines", s, []byte(lines[len(lines)-1]), &inst)
+		if inst.Args.Detail != want {
+			t.Errorf("ChromeTraceLines(%q): detail decodes to %q, want %q", s, inst.Args.Detail, want)
+		}
+
+		var metrics map[string]float64
+		decodeJSON(t, "AppendMetricsJSON", s, AppendMetricsJSON(nil, []Sample{{s, 1}}), &metrics)
+		if _, ok := metrics[want]; !ok || len(metrics) != 1 {
+			t.Errorf("AppendMetricsJSON(%q): decodes to %v, want the one name %q", s, metrics, want)
+		}
+	}
+}
+
+func decodeJSON(t *testing.T, writer, s string, data []byte, v any) {
+	t.Helper()
+	if !json.Valid(data) {
+		t.Fatalf("%s(%q) is not valid JSON: %s", writer, s, data)
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		t.Fatalf("%s(%q): %v", writer, s, err)
+	}
+}
+
+// FuzzJSONString: appendJSONString's output is always valid JSON that
+// decodes to the input with invalid UTF-8 replaced, and equals
+// strconv.Quote's wherever that is valid JSON.
+func FuzzJSONString(f *testing.F) {
+	for _, s := range jsonStringRows {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got := appendJSONString(nil, s)
+		var dec string
+		if !json.Valid(got) || json.Unmarshal(got, &dec) != nil {
+			t.Fatalf("appendJSONString(%q) = %s: not a JSON string", s, got)
+		}
+		if want := strings.ToValidUTF8(s, string(utf8.RuneError)); dec != want {
+			t.Fatalf("appendJSONString(%q) decodes to %q, want %q", s, dec, want)
+		}
+		if q := strconv.Quote(s); json.Valid([]byte(q)) && string(got) != q {
+			t.Fatalf("appendJSONString(%q) = %s, but strconv.Quote's valid JSON is %s", s, got, q)
+		}
+	})
 }
 
 // countingWriter counts the Write calls it receives.

@@ -75,13 +75,46 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte) (*htt
 	return resp, nil
 }
 
+// maxPresizeBytes bounds the buffer a response's declared length may
+// allocate before its bytes arrive. A longer declaration, hostile or
+// not, is read with io.ReadAll, which grows only with what arrives.
+const maxPresizeBytes = 64 << 20
+
+// readBody reads resp's whole body and closes it. A body that declares
+// its length is read into one buffer of that size, and one that ends
+// short of it is io.ErrUnexpectedEOF. A body without a length (gzip the
+// transport decodes, or chunked) goes through io.ReadAll.
+func readBody(resp *http.Response) ([]byte, error) {
+	defer resp.Body.Close()
+	n := resp.ContentLength
+	if n < 0 || n > maxPresizeBytes {
+		return io.ReadAll(resp.Body)
+	}
+	data := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, data); err != nil {
+		if err == io.EOF { // ReadFull's word for "none of the n > 0 bytes"
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	return data, nil
+}
+
+// decodeBody reads resp's body and unmarshals it into v.
+func decodeBody(resp *http.Response, v any) error {
+	data, err := readBody(resp)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(data, v)
+}
+
 func (c *Client) getJSON(ctx context.Context, path string, v any) error {
 	resp, err := c.do(ctx, http.MethodGet, path, nil)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	return json.NewDecoder(resp.Body).Decode(v)
+	return decodeBody(resp, v)
 }
 
 // Submit posts a job and returns its accepted status document.
@@ -94,9 +127,8 @@ func (c *Client) Submit(ctx context.Context, req *JobRequest) (Status, error) {
 	if err != nil {
 		return Status{}, err
 	}
-	defer resp.Body.Close()
 	var st Status
-	err = json.NewDecoder(resp.Body).Decode(&st)
+	err = decodeBody(resp, &st)
 	return st, err
 }
 
@@ -172,8 +204,7 @@ func (c *Client) Artifact(ctx context.Context, id, name string) ([]byte, error) 
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	return io.ReadAll(resp.Body)
+	return readBody(resp)
 }
 
 // Artifacts lists a job's artifacts.
@@ -189,6 +220,5 @@ func (c *Client) MetricsJSON(ctx context.Context) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	return io.ReadAll(resp.Body)
+	return readBody(resp)
 }

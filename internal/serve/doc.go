@@ -25,9 +25,10 @@
 //     checkpoint through internal/snapshot; queued jobs are rejected
 //     carrying a resubmission handle).
 //   - store.go: the artifact store (memory up to a threshold,
-//     disk-backed spillover above it). Artifacts are delivered raw or
-//     gzip-compressed; every status and listing carries each one's
-//     SHA-256.
+//     disk-backed spillover above it). Artifacts are delivered raw, or
+//     gzip-compressed from 14 600 bytes (one initial congestion
+//     window) when the client accepts it; every status and listing
+//     carries each one's SHA-256.
 //   - exec.go: the run functions the table's rows name — one cell
 //     runner for the kinds that run a chaos cell, one per sweep.
 //     Execution is observation-only by construction — the server

@@ -287,9 +287,11 @@ func runCellJob(k *jobKind, req *JobRequest, resolve resolveFunc, hooks execHook
 		var err error
 		switch {
 		case name == metricsArtifact:
-			// The same writers the CLI uses, so the differential matrix
-			// can compare against a direct export byte-for-byte.
-			err = obs.WriteMetricsJSON(&buf, res.MetricsSnapshot)
+			// The renderer behind the CLI's WriteMetricsJSON, so the
+			// differential matrix can compare against a direct export
+			// byte-for-byte; the rendered slice is the artifact.
+			out.Artifacts = append(out.Artifacts, NamedBlob{Name: name, Data: obs.AppendMetricsJSON(nil, res.MetricsSnapshot)})
+			continue
 		case name == eventsArtifact && col != nil:
 			err = obs.WriteNDJSON(&buf, col.Events())
 		case name == perfettoArtifact && req.Perfetto:

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"compress/gzip"
 	"context"
 	"encoding/json"
@@ -26,13 +25,19 @@ const (
 	DefaultTenant = "default"
 )
 
-// gzipMinBytes is the artifact size below which gzip is not worth the
-// header overhead.
-const gzipMinBytes = 1024
+// gzipMinBytes is the smallest artifact worth compressing: one initial
+// congestion window (RFC 6928: ten 1 460-byte segments). A smaller body
+// leaves in the sender's first flight whether or not it is compressed,
+// so gzip saves it no round trip, and the client would pay flate's
+// 32 KiB window and tables per fetch to inflate it. metrics.json is
+// ~1 070 B per robot, so a cell of fewer than 14 robots sends it raw;
+// the event log of any real run still compresses.
+const gzipMinBytes = 14600
 
 // gzipWriters recycles artifact compressors: a gzip.Writer carries
-// ~1.2 MB of deflate state, which built per fetch was the largest single
-// share of a tiny job's allocated bytes. A writer goes back only after a
+// ~1.2 MB of deflate state, too much to build per fetch. Only artifacts
+// of gzipMinBytes or more compress (event logs and traces, not a tiny
+// job's metrics.json). A writer goes back only after a
 // complete, error-free stream and only once it has been Reset off the
 // ResponseWriter, so the pool retains compressor state and nothing of
 // any request. Reset restores exactly the state NewWriterLevel builds,
@@ -364,14 +369,10 @@ func acceptsGzip(r *http.Request) bool {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var buf bytes.Buffer
-	if err := obs.WriteMetricsJSON(&buf, s.metrics.Snapshot()); err != nil {
-		s.writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
+	data := obs.AppendMetricsJSON(nil, s.metrics.Snapshot())
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	w.Write(buf.Bytes())
+	w.Write(data)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -578,6 +578,77 @@ func TestServerCloseEndsEveryJob(t *testing.T) {
 	}
 }
 
+// TestServerArtifactEncodingThreshold pins where compression starts.
+// Below gzipMinBytes, one initial congestion window, an artifact is
+// written raw with an exact Content-Length even to a client that
+// accepts gzip; from it on, it is gzipped; gzip;q=0 gets raw bytes at
+// any size.
+func TestServerArtifactEncodingThreshold(t *testing.T) {
+	s, ts, client := newTestServer(t, ServerOptions{Workers: 1})
+	st, err := client.Run(context.Background(), validChaosRequest())
+	if err != nil || st.State != StateDone {
+		t.Fatalf("run: %v (state %v)", err, st.State)
+	}
+	blobs := map[int][]byte{}
+	for _, size := range []int{gzipMinBytes - 1, gzipMinBytes} {
+		blobs[size] = bytes.Repeat([]byte("roborebound "), size/12+1)[:size]
+		if _, err := s.store.Put(st.ID, fmt.Sprintf("blob-%d.bin", size), blobs[size]); err != nil {
+			t.Fatalf("put %d B: %v", size, err)
+		}
+	}
+	hc := undecodingClient(t)
+	for _, tc := range []struct {
+		size    int
+		accept  string
+		gzipped bool
+	}{
+		{gzipMinBytes - 1, "gzip", false},
+		{gzipMinBytes, "gzip", true},
+		{gzipMinBytes - 1, "gzip;q=0", false},
+		{gzipMinBytes, "gzip;q=0", false},
+	} {
+		url := fmt.Sprintf("%s/v1/jobs/%s/artifacts/blob-%d.bin", ts.URL, st.ID, tc.size)
+		req, err := http.NewRequest(http.MethodGet, url, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Accept-Encoding", tc.accept)
+		resp, err := hc.Do(req)
+		if err != nil {
+			t.Fatalf("%d B, Accept-Encoding %q: %v", tc.size, tc.accept, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%d B, Accept-Encoding %q: read: %v", tc.size, tc.accept, err)
+		}
+		if gzipped := resp.Header.Get("Content-Encoding") == "gzip"; gzipped != tc.gzipped {
+			t.Errorf("%d B, Accept-Encoding %q: gzipped = %v, want %v", tc.size, tc.accept, gzipped, tc.gzipped)
+			continue
+		}
+		if tc.gzipped {
+			zr, err := gzip.NewReader(bytes.NewReader(body))
+			if err != nil {
+				t.Fatalf("%d B: %v", tc.size, err)
+			}
+			if body, err = io.ReadAll(zr); err != nil {
+				t.Fatalf("%d B: gunzip: %v", tc.size, err)
+			}
+		} else if resp.ContentLength != int64(tc.size) {
+			t.Errorf("%d B, Accept-Encoding %q: Content-Length %d", tc.size, tc.accept, resp.ContentLength)
+		}
+		if !bytes.Equal(body, blobs[tc.size]) {
+			t.Errorf("%d B, Accept-Encoding %q: body differs from the stored artifact", tc.size, tc.accept)
+		}
+	}
+}
+
+// gzipSizedRequest is a job whose events.ndjson and perfetto.json both
+// exceed gzipMinBytes: a 30 s trace of 4 robots.
+func gzipSizedRequest(seed uint64) *JobRequest {
+	return &JobRequest{Version: RequestVersion, Kind: KindTrace, Seed: seed, N: 4, DurationSec: 30, Perfetto: true}
+}
+
 // TestServerGzipArtifact checks the conditional compression path: a
 // large artifact ships gzip-encoded to a client that accepts it, raw
 // otherwise, identical bytes either way.
@@ -585,9 +656,7 @@ func TestServerGzipArtifact(t *testing.T) {
 	_, ts, client := newTestServer(t, ServerOptions{Workers: 1})
 	ctx := context.Background()
 
-	req := validChaosRequest()
-	req.Events = true // events.ndjson is comfortably over gzipMinBytes
-	st, err := client.Run(ctx, req)
+	st, err := client.Run(ctx, gzipSizedRequest(1))
 	if err != nil || st.State != StateDone {
 		t.Fatalf("run: %v (state %v)", err, st.State)
 	}
@@ -700,9 +769,7 @@ func TestServerGzipArtifactsConcurrent(t *testing.T) {
 	}
 	var arts []artifact
 	for seed := uint64(1); seed <= 3; seed++ {
-		req := validChaosRequest()
-		req.Seed, req.Events = seed, true
-		st, err := client.Run(ctx, req)
+		st, err := client.Run(ctx, gzipSizedRequest(seed))
 		if err != nil || st.State != StateDone {
 			t.Fatalf("seed %d: run: %v (state %v)", seed, err, st.State)
 		}
@@ -770,9 +837,7 @@ func (w *brokenPipe) Write([]byte) (int, error) { return 0, errors.New("broken p
 func TestServerGzipWriteFailure(t *testing.T) {
 	s, ts, client := newTestServer(t, ServerOptions{Workers: 1})
 	ctx := context.Background()
-	req := validChaosRequest()
-	req.Events = true
-	st, err := client.Run(ctx, req)
+	st, err := client.Run(ctx, gzipSizedRequest(1))
 	if err != nil || st.State != StateDone {
 		t.Fatalf("run: %v (state %v)", err, st.State)
 	}
