@@ -93,13 +93,19 @@ soak:
 # cell at its midpoint, then resume it with -verify, which re-runs the
 # cell uninterrupted and exits nonzero unless fingerprints and metrics
 # are byte-identical. One command covers the envelope codecs, the
-# config echo, and resume at production scale.
+# config echo, and resume at production scale. The two committed
+# snapshots an older binary captured then resume the same way, so
+# cross-version resume runs through the CLI too.
 snapshot-smoke:
 	$(GO) run ./cmd/roborebound -progress=false \
 	  -controller flocking -profile mixed -n 300 -duration 20 \
 	  -o snapshot-cell.rbsn snapshot
 	$(GO) run ./cmd/roborebound -progress=false \
 	  -from snapshot-cell.rbsn -verify resume
+	$(GO) run ./cmd/roborebound -progress=false \
+	  -from testdata/parent_brute.rbsn -verify resume
+	$(GO) run ./cmd/roborebound -progress=false \
+	  -from testdata/parent_indexed.rbsn -verify resume
 
 # The performance-plane smoke: one 300-robot chaos cell run twice by
 # the perf subcommand — untimed, then with the full wall-clock plane

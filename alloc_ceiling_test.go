@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"roborebound/internal/faultinject"
+	"roborebound/internal/wire"
 )
 
 // The most heap allocations, and the most allocated bytes, per
@@ -41,20 +42,99 @@ const (
 	sparseCellBytesCeiling = 2288
 )
 
-// TestDenseCellAllocationCeiling runs the benchmark's dense workload at
-// its quick size — 36 flocking robots at 20 m pitch hearing each other
-// every tick, mixed faults, an attacker turning at 20 s of 30 — and
-// holds the whole cell, construction included, under the ceiling.
-func TestDenseCellAllocationCeiling(t *testing.T) {
-	holdCellUnderCeiling(t, "dense", denseCellAllocCeiling, denseCellBytesCeiling, ChaosConfig{
+// The most bytes the quick dense cell may keep, ratcheted the same way:
+// 10 % above the values measured when the ceilings were last set.
+//
+//	snapshot   398 088 B at tick 60 since a covered audit round holds no
+//	           request bytes and serializes none (751 432 B before). The
+//	           count is exact: the snapshot is a deterministic encoding.
+//	live heap  127 304 B at most at N=5 (the larger of the plain and
+//	           -race readings, 122 976 and 123 088–127 304), sampled after
+//	           a collection every 4 ticks, since covered rounds, the
+//	           medium's delivery buffers and the audit cache's decode
+//	           scratch let go of request payloads (150 904 and 151 128
+//	           before). N=5 is the smallest cell that reads the
+//	           difference: at N=4 a robot latches.
+const (
+	denseSnapshotBytesCeiling = 437_896
+	denseLiveHeapCeiling      = 140_034
+)
+
+// denseQuickCell is the benchmark's dense workload at its quick size —
+// flocking robots at 20 m pitch hearing each other every tick, mixed
+// faults, an attacker turning at 20 s of 30.
+func denseQuickCell(n int) ChaosConfig {
+	return ChaosConfig{
 		Controller:  "flocking",
 		Profile:     faultinject.ProfileMixed,
 		Seed:        1,
-		N:           36,
+		N:           n,
 		SpacingM:    20,
 		DurationSec: 30,
 		AttackAtSec: 20,
-	})
+	}
+}
+
+// TestDenseCellAllocationCeiling runs the quick dense cell with 36
+// robots and holds the whole cell, construction included, under the
+// ceiling.
+func TestDenseCellAllocationCeiling(t *testing.T) {
+	holdCellUnderCeiling(t, "dense", denseCellAllocCeiling, denseCellBytesCeiling, denseQuickCell(36))
+}
+
+// TestDenseCellSnapshotCeiling holds the 36-robot dense cell's
+// snapshot at tick 60, mid-run with most rounds covered, under its
+// ceiling: what a snapshot carries per robot is what a resumed run
+// still needs.
+func TestDenseCellSnapshotCeiling(t *testing.T) {
+	cfg := denseQuickCell(36)
+	cfg.SnapshotAtTicks = []wire.Tick{60}
+	res := RunChaos(cfg)
+	if res.Violation != nil || len(res.Snapshots) != 1 {
+		t.Fatalf("cell latched %v, captured %d snapshots", res.Violation, len(res.Snapshots))
+	}
+	got := len(res.Snapshots[0].Data)
+	t.Logf("dense cell (N=%d): snapshot at tick 60 is %d B, ceiling %d", cfg.N, got, denseSnapshotBytesCeiling)
+	if got > denseSnapshotBytesCeiling {
+		t.Errorf("the snapshot at tick 60 is %d B, over the ceiling of %d: find what the round, log or medium "+
+			"codec carries that a resume does not need instead of raising the ceiling", got, denseSnapshotBytesCeiling)
+	}
+}
+
+// TestDenseCellLiveHeapCeiling holds the most heap a 5-robot dense cell
+// keeps live under its ceiling. Every 4 ticks the Interrupt hook — an
+// observation-only seam between ticks — collects and reads HeapAlloc;
+// the reading is net of the heap live before the cell starts, after a
+// warm-up cell has initialised whatever the package sets up lazily.
+func TestDenseCellLiveHeapCeiling(t *testing.T) {
+	RunChaos(denseQuickCell(4))
+	var ms runtime.MemStats
+	// Two collections: the first can leave the previous test's pooled
+	// objects and finalizer-reachable garbage for the second.
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	base := ms.HeapAlloc
+	var peak uint64
+	boundaries := 0
+	cfg := denseQuickCell(5)
+	cfg.Interrupt = func() bool {
+		if boundaries++; boundaries%4 == 0 {
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			peak = max(peak, ms.HeapAlloc)
+		}
+		return false
+	}
+	if res := RunChaos(cfg); res.Violation != nil || res.Interrupted {
+		t.Fatalf("cell latched %v (interrupted: %v)", res.Violation, res.Interrupted)
+	}
+	live := int64(peak) - int64(base)
+	t.Logf("dense cell (N=%d): at most %d B live over %d tick boundaries, ceiling %d", cfg.N, live, boundaries, denseLiveHeapCeiling)
+	if live > denseLiveHeapCeiling {
+		t.Errorf("the cell keeps up to %d B live, over the ceiling of %d: find what holds bytes nothing reads again "+
+			"(DESIGN.md, \"Byte ownership on the data path\") instead of raising the ceiling", live, denseLiveHeapCeiling)
+	}
 }
 
 // TestSparseCellAllocationCeiling is the same gate on the benchmark's

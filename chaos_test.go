@@ -337,3 +337,121 @@ func TestLatchSchedulesReplayAsExtraFaults(t *testing.T) {
 		})
 	}
 }
+
+// ddmin is Zeller and Hildebrandt's delta debugging ("Simplifying and
+// Isolating Failure-Inducing Input", TSE 2002) over a fault list: it
+// returns a subset on which fails still holds and from which removing
+// any one entry makes it stop holding — 1-minimal — provided fails
+// holds on the whole list. Subsets keep the list's order.
+func ddmin(faults []faultinject.Fault, fails func([]faultinject.Fault) bool) []faultinject.Fault {
+	if fails(nil) {
+		return nil
+	}
+	n := 2
+	for len(faults) >= 2 {
+		n = min(n, len(faults))
+		var subsets, complements [][]faultinject.Fault
+		for i := 0; i < n; i++ {
+			lo, hi := i*len(faults)/n, (i+1)*len(faults)/n
+			subsets = append(subsets, faults[lo:hi])
+			complements = append(complements, append(slices.Clone(faults[:lo]), faults[hi:]...))
+		}
+		if i := slices.IndexFunc(subsets, fails); i >= 0 {
+			faults, n = subsets[i], 2
+		} else if i := slices.IndexFunc(complements, fails); i >= 0 {
+			faults, n = complements[i], max(n-1, 2)
+		} else if n < len(faults) {
+			n *= 2
+		} else {
+			return faults
+		}
+	}
+	return faults
+}
+
+// TestDDMinFindsTheOneMinimalCause: over ten entries where failing
+// needs the entries starting at ticks 3 and 7 together, ddmin returns
+// exactly those two; with a failure that needs nothing, nothing.
+func TestDDMinFindsTheOneMinimalCause(t *testing.T) {
+	var faults []faultinject.Fault
+	for i := 0; i < 10; i++ {
+		faults = append(faults, faultinject.Fault{Kind: faultinject.ClockSkew, Start: wire.Tick(i)})
+	}
+	runs := 0
+	needs := func(starts ...wire.Tick) func([]faultinject.Fault) bool {
+		return func(fs []faultinject.Fault) bool {
+			runs++
+			for _, s := range starts {
+				if !slices.ContainsFunc(fs, func(f faultinject.Fault) bool { return f.Start == s }) {
+					return false
+				}
+			}
+			return true
+		}
+	}
+	got := ddmin(faults, needs(3, 7))
+	if len(got) != 2 || got[0].Start != 3 || got[1].Start != 7 {
+		t.Errorf("ddmin kept %v, want the entries starting at 3 and 7", got)
+	}
+	t.Logf("%d predicate runs", runs)
+	if got := ddmin(faults, needs()); got != nil {
+		t.Errorf("ddmin kept %v of a failure that needs no entry", got)
+	}
+}
+
+// TestLatchSchedulesShrinkToOneMinimal is ROADMAP item 1(a)'s first
+// slice: ddmin over the generated schedule of each {patrol|warehouse,
+// skew, 218} latch, replayed as ExtraFaults under Profile none, keeping
+// a subset while it latches the same invariant at the same tick and
+// robot. The 1-minimal schedule is pinned, and checked to be 1-minimal:
+// dropping any one entry loses the latch.
+func TestLatchSchedulesShrinkToOneMinimal(t *testing.T) {
+	// The skew profile draws exactly these two entries at seed 218, so
+	// the shrink keeps the whole schedule: each skew alone leaves the
+	// victim covered, the two overlapping ones (+8 and +7 ticks, against
+	// a per-window cap of 8) do not — ROADMAP item 2's arithmetic.
+	minimal := map[string][]string{
+		"patrol": {
+			"clock-skew@[130,151) targets{2} offset=+8 drift=+5/1024",
+			"clock-skew@[138,200) targets{2} offset=+7 drift=-1/1024",
+		},
+		"warehouse": {
+			"clock-skew@[130,151) targets{3} offset=+8 drift=+5/1024",
+			"clock-skew@[138,200) targets{3} offset=+7 drift=-1/1024",
+		},
+	}
+	for _, l := range knownFalsePositiveLatches {
+		if l.profile != faultinject.ProfileSkew || l.seed != 218 {
+			continue
+		}
+		t.Run(l.config().Label(), func(t *testing.T) {
+			t.Parallel()
+			replay := l.config()
+			replay.Profile = faultinject.ProfileNone
+			latches := func(faults []faultinject.Fault) bool {
+				cfg := replay
+				cfg.ExtraFaults = faults
+				v := RunChaos(cfg).Violation
+				return v != nil && v.Invariant == "no-false-positive" && v.Tick == l.tick && v.Robot == l.robot
+			}
+			all := chaosSchedule(l.config().withDefaults(), core.DefaultConfig(ChaosTicksPerSecond)).Faults
+			if !latches(all) {
+				t.Fatal("the whole generated schedule does not latch the row's violation")
+			}
+			shrunk := ddmin(all, latches)
+			got := make([]string, len(shrunk))
+			for i := range shrunk {
+				got[i] = shrunk[i].String()
+			}
+			t.Logf("%d of %d entries: %q", len(shrunk), len(all), got)
+			if !slices.Equal(got, minimal[l.controller]) {
+				t.Errorf("1-minimal schedule %q, pinned %q", got, minimal[l.controller])
+			}
+			for i := range shrunk {
+				if latches(slices.Delete(slices.Clone(shrunk), i, i+1)) {
+					t.Errorf("still latches without entry %d (%s): not 1-minimal", i, got[i])
+				}
+			}
+		})
+	}
+}

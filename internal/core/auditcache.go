@@ -113,8 +113,9 @@ func (c *AuditCache) Store(key [32]byte, verdict AuditVerdict) {
 
 // decodeSegment parses an audit request's encoded segment for replay.
 // With a cache attached the entries land in its swarm-shared scratch
-// and are valid until the next decodeSegment on this cache; a nil cache
-// (the uncached plane) decodes into a fresh slice.
+// and are valid until releaseSegment; a nil cache (the uncached plane)
+// decodes into a fresh slice. Either way every entry's Payload aliases
+// seg, i.e. the request payload the auditor received.
 func (c *AuditCache) decodeSegment(seg []byte) ([]wire.LogEntry, error) {
 	if c == nil {
 		return wire.DecodeLogEntries(seg)
@@ -122,6 +123,19 @@ func (c *AuditCache) decodeSegment(seg []byte) ([]wire.LogEntry, error) {
 	var err error
 	c.entries, err = wire.AppendDecodeLogEntries(c.entries[:0], seg)
 	return c.entries, err
+}
+
+// releaseSegment ends the life of the entries decodeSegment returned.
+// The scratch outlives the request it was decoded from, so it is
+// cleared: a window-sized slice of payload views would otherwise keep
+// the last missed request reachable until the next miss. A no-op on a
+// nil cache, whose entries were the caller's own.
+func (c *AuditCache) releaseSegment() {
+	if c == nil {
+		return
+	}
+	clear(c.entries[:cap(c.entries)])
+	c.entries = c.entries[:0]
 }
 
 // Len returns the number of memoized verdicts.

@@ -95,12 +95,14 @@ type auditRound struct {
 	// copy of it: the log's own window while startRound runs, until the
 	// first request is built; from then on the end of reqTail; a private
 	// copy only when startRound returns with no request built (and after a
-	// restore).
+	// restore of such a round). nil once the round is covered.
 	segment []byte
 	// reqTail is the request's encoded tail (checkpoints, tokens,
 	// segment) — identical for every auditor this round. It is the tail
 	// of the first request's payload, read-only since that payload was
-	// sent (see askOne); nil until an ask has been encoded.
+	// sent (see askOne); nil until an ask has been encoded, and nil again
+	// once the round is covered: a covered round asks no one, so it lets
+	// go of the payload (onAuditResponse).
 	reqTail []byte
 
 	tokens  map[wire.RobotID]wire.Token
@@ -382,8 +384,11 @@ func (e *Engine) startRound(now wire.Tick) {
 	// rate-limited), so nothing was sent and the window is as SegmentTo
 	// left it: the round takes its own copy now, before anything can
 	// cover a checkpoint. reqTail != nil keeps meaning "an ask was
-	// encoded", in the engine and in the snapshot codec.
-	if round.reqTail == nil {
+	// encoded", in the engine and in the snapshot codec. A round covered
+	// inside its own solicit (sends that deliver synchronously) did ask,
+	// and has already let go of its bytes; the window it would copy is
+	// the one MarkCovered just compacted.
+	if round.reqTail == nil && !round.covered {
 		round.segment = append([]byte(nil), seg.Encoded...)
 	}
 }
@@ -680,12 +685,6 @@ func (e *Engine) verifySegment(a *wire.AuditRequest) bool {
 		}
 		req.Start = &start
 	}
-	// The entries land in the swarm-shared decode scratch when a cache
-	// is attached, and the replay runs on its chain replicas;
-	// replay.Verify reads the entries and retains nothing.
-	if req.Entries, err = e.acache.decodeSegment(a.Segment); err != nil {
-		return false
-	}
 	cfg := replay.Config{
 		Factory:            e.factory,
 		BatchSize:          e.cfg.BatchSize,
@@ -695,7 +694,15 @@ func (e *Engine) verifySegment(a *wire.AuditRequest) bool {
 	if e.acache != nil {
 		cfg.Chains = &e.acache.chains
 	}
-	return replay.Verify(req, cfg) == nil
+	// The entries land in the swarm-shared decode scratch when a cache
+	// is attached, and the replay runs on its chain replicas.
+	// replay.Verify reads the entries and retains nothing; the scratch
+	// lets go of them (views of the request payload) as soon as it
+	// returns, or as soon as decoding fails.
+	req.Entries, err = e.acache.decodeSegment(a.Segment)
+	ok := err == nil && replay.Verify(req, cfg) == nil
+	e.acache.releaseSegment()
+	return ok
 }
 
 // onAuditResponse is the auditee receiving a token. A compromised
@@ -724,6 +731,9 @@ func (e *Engine) onAuditResponse(resp wire.AuditResponse) {
 		}
 		if e.log.MarkCovered(r.hash, e.tokens) == nil {
 			r.covered = true
+			// A covered round never solicits again, so nothing reads its
+			// request bytes any more: the first request's payload goes.
+			r.reqTail, r.segment = nil, nil
 			e.stats.RoundsCovered++
 			e.roundLatency.Observe(float64(e.now - r.startAt))
 			if e.trace != nil {

@@ -69,7 +69,8 @@ func wantRequest(t *testing.T, rd *auditRound, f wire.Frame, segment []byte) []b
 
 // roundBlob is the snapshot encoding of an audit round written out by
 // hand, field by field in the codec's order, with the segment and the
-// request tail supplied by the caller (nil tail: no ask encoded yet).
+// request tail supplied by the caller (nil tail: no ask encoded yet;
+// nil segment and tail: a covered round, which holds neither).
 func roundBlob(rd *auditRound, segment, reqTail []byte) []byte {
 	w := wire.NewWriter(0)
 	w.Raw(rd.hash[:])
@@ -276,7 +277,9 @@ func TestRoundTailSurvivesWindowCompaction(t *testing.T) {
 // accepted (an auditor replays it against the a-node's chain, so one
 // wrong byte is a refusal), and the frames of the last round must
 // equal, afterwards, what they were when sent and what the test encodes
-// from the round's fields.
+// from the round's fields. The covered round itself holds no request
+// bytes — not the tail it sent, and not a copy of the window compacted
+// under it — and its snapshot carries none.
 func TestRoundCoveredInsideStartRound(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.Fmax = 1
@@ -329,9 +332,11 @@ func TestRoundCoveredInsideStartRound(t *testing.T) {
 				t.Fatalf("tick %d: request %d is not the encoding of the round's request", h.now, i)
 			}
 		}
-		if !within(requests[0].frame.Payload, rd.segment) || !bytes.Equal(rd.segment, segment) {
-			t.Fatalf("tick %d: the round's segment is not a stable view of its first request", h.now)
+		if rd.segment != nil || rd.reqTail != nil {
+			t.Fatalf("tick %d: the covered round still holds request bytes (segment %d B, tail %d B)",
+				h.now, len(rd.segment), len(rd.reqTail))
 		}
+		checkRoundSnapshot(t, h.engines[1], nil, nil)
 	}
 	if coveredInStartRound < 8 {
 		t.Fatalf("only %d rounds were covered inside startRound: the test exercises nothing", coveredInStartRound)
@@ -445,6 +450,108 @@ func TestRoundWithoutARequestOwnsItsSegment(t *testing.T) {
 			_, tail, _ := wire.SplitAuditRequest(r2.sent[0].Payload)
 			checkRoundSnapshot(t, r2.eng, window, tail)
 		})
+	}
+}
+
+// TestRestoredRoundHoldsOneCopy: a round that asked is restored as it
+// ran, its segment a view of the end of its tail — one copy, not two —
+// and a blob whose segment is not the end of its tail is refused. A
+// covered round written the way snapshots were before covered rounds
+// let go of their bytes (bit 4 set, segment and tail carried) restores,
+// re-encodes without them, and runs on exactly as the current encoding
+// of the same round does.
+func TestRestoredRoundHoldsOneCopy(t *testing.T) {
+	cfg := DefaultConfig(4)
+	cfg.TAudit = 0
+	r := newDataPathRobot(t, cfg, false)
+	r.fill(8 << 10)
+	r.eng.startRound(r.now)
+	rd := r.eng.round
+	seg, tail := bytes.Clone(rd.segment), bytes.Clone(rd.reqTail)
+	blob, err := r.eng.EncodeState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2 := newDataPathRobot(t, cfg, false)
+	if err := r2.eng.RestoreState(blob); err != nil {
+		t.Fatal(err)
+	}
+	rd2 := r2.eng.round
+	if !bytes.Equal(rd2.reqTail, tail) || !bytes.Equal(rd2.segment, seg) ||
+		&rd2.segment[len(rd2.segment)-1] != &rd2.reqTail[len(rd2.reqTail)-1] {
+		t.Fatal("the restored segment is not a view of the end of the restored tail")
+	}
+	if again, _ := r2.eng.EncodeState(); !bytes.Equal(again, blob) {
+		t.Fatal("the restored round re-encodes differently")
+	}
+
+	good := roundBlob(rd, seg, tail)
+	if !bytes.Contains(blob, good) {
+		t.Fatal("the engine's snapshot does not carry the hand-built round encoding")
+	}
+	flipped := bytes.Clone(seg)
+	flipped[len(flipped)-1] ^= 1
+	for name, badSeg := range map[string][]byte{
+		"differs":          flipped,
+		"not at the end":   tail[:len(seg)],
+		"longer than tail": append([]byte{0}, tail...),
+	} {
+		bad := bytes.Replace(blob, good, roundBlob(rd, badSeg, tail), 1)
+		if err := r2.eng.RestoreState(bad); err == nil {
+			t.Errorf("restore accepted a round whose segment %s", name)
+		}
+	}
+
+	// The same round, covered: the current encoding, and the older one
+	// that still carries the request bytes.
+	rd.covered = true
+	rd.segment, rd.reqTail = nil, nil
+	current, err := r.eng.EncodeState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRoundSnapshot(t, r.eng, nil, nil)
+	older := bytes.Replace(current, roundBlob(rd, nil, nil), roundBlob(rd, seg, tail), 1)
+	if len(older) != len(current)+len(seg)+4+len(tail) {
+		t.Fatalf("the older encoding is %d B, want %d more than the current %d", len(older), len(seg)+4+len(tail), len(current))
+	}
+	var resumed [2]*dataPathRobot
+	for k, b := range [][]byte{current, older} {
+		resumed[k] = newDataPathRobot(t, cfg, false)
+		if err := resumed[k].eng.RestoreState(b); err != nil {
+			t.Fatalf("restore of the %s encoding: %v", []string{"current", "older"}[k], err)
+		}
+		if rd := resumed[k].eng.round; !rd.covered || rd.segment != nil || rd.reqTail != nil {
+			t.Fatal("a restored covered round holds request bytes")
+		}
+		if again, _ := resumed[k].eng.EncodeState(); !bytes.Equal(again, current) {
+			t.Fatalf("the restored covered round (%s encoding) does not re-encode as the current one", []string{"current", "older"}[k])
+		}
+	}
+	for _, x := range resumed {
+		x.now = r.now
+		for i := 0; i < 12; i++ {
+			x.step(3)
+		}
+		for id := wire.RobotID(2); id <= 6; id++ {
+			x.an.RecvWireless(peerFrame(id, x.now))
+		}
+		x.sent = nil
+		x.eng.startRound(x.now)
+	}
+	a, b := resumed[0], resumed[1]
+	if len(a.sent) != cfg.Fmax+1 || len(a.sent) != len(b.sent) {
+		t.Fatalf("the next rounds sent %d and %d frames, want %d each", len(a.sent), len(b.sent), cfg.Fmax+1)
+	}
+	for i := range a.sent {
+		if !bytes.Equal(a.sent[i].Payload, b.sent[i].Payload) {
+			t.Errorf("frame %d of the next round differs between the two encodings' resumes", i)
+		}
+	}
+	sa, _ := a.eng.EncodeState()
+	sb, _ := b.eng.EncodeState()
+	if !bytes.Equal(sa, sb) {
+		t.Error("the two resumes' engines diverged")
 	}
 }
 

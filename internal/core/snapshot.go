@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -194,7 +195,9 @@ func encodeAuditRound(w *wire.Writer, r *auditRound) {
 	}
 	// reqTail nil-ness is load-bearing: nil means "not built yet" and
 	// the next askOne builds it; an empty non-nil tail would be used
-	// as-is and corrupt every subsequent request.
+	// as-is and corrupt every subsequent request. A covered round holds
+	// neither tail nor segment, so it is written with bit 4 clear and an
+	// empty segment blob.
 	if r.reqTail != nil {
 		flags |= 4
 	}
@@ -265,9 +268,25 @@ func decodeAuditRound(r *wire.Reader) (*auditRound, error) {
 		round.startTok = append(round.startTok, tok)
 	}
 	round.encEnd = append([]byte(nil), r.Blob()...)
-	round.segment = append([]byte(nil), r.Blob()...)
-	if flags&4 != 0 {
-		round.reqTail = append([]byte(nil), r.Blob()...)
+	segment := r.Blob()
+	if flags&4 == 0 {
+		round.segment = append([]byte(nil), segment...)
+	} else {
+		// A round that encoded a request holds one copy of its bytes:
+		// the segment is the end of the tail (see askOne), and is
+		// restored as that view.
+		tail := r.Blob()
+		if !bytes.HasSuffix(tail, segment) {
+			return nil, errors.New("core: snapshot round segment is not the end of its request tail")
+		}
+		round.reqTail = append([]byte(nil), tail...)
+		round.segment = round.reqTail[len(round.reqTail)-len(segment):]
+	}
+	if round.covered {
+		// A covered round asks no one again and holds no request bytes.
+		// Snapshots taken before covered rounds let go of them still
+		// carry the tail; it is read (and checked) above, then dropped.
+		round.segment, round.reqTail = nil, nil
 	}
 	nRoundTok := int(r.U32())
 	if r.Err() != nil {

@@ -450,7 +450,12 @@ type Delivery struct {
 // is owned by the Medium and overwritten by the next Deliver call;
 // callers that retain deliveries past the round must copy them.
 // Delivery values themselves are safe to keep — only the backing array
-// is reused.
+// is reused. The returned slice is the one Medium buffer that still
+// reaches this round's payloads: Deliver clears its walk-order copies
+// and the queue slots behind the frames still in the air before it
+// returns, so a caller that clears the slice once it has handed every
+// frame on (sim.Engine does) leaves the Medium holding only frames not
+// yet delivered.
 func (m *Medium) Deliver(ids []wire.RobotID) []Delivery {
 	if len(m.queue) == 0 {
 		return nil
@@ -529,6 +534,12 @@ func (m *Medium) Deliver(ids []wire.RobotID) []Delivery {
 	// of the unique (To, seq) keys would, in linear time and without
 	// the struct-compare traffic that used to dominate swarm rounds.
 	out = m.sortByRank(out, len(sorted))
+	// The walk-order copies and the queue slots behind the held frames
+	// are dead now; cleared, they stop keeping delivered payloads
+	// reachable until the next round overwrites them. Clearing
+	// allocates nothing.
+	clear(m.outBuf)
+	clear(m.queue[len(held):])
 	m.queue = held
 	m.deliverTick++
 	if m.params.MTUBytes > 0 && m.deliverTick%32 == 0 {

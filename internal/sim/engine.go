@@ -101,11 +101,16 @@ func (e *Engine) SetPerf(t *perf.PhaseTimer) {
 // StepOnce advances the simulation by one tick.
 func (e *Engine) StepOnce() {
 	s := e.perf.Start()
-	for _, d := range e.Medium.Deliver(e.ids) {
+	deliveries := e.Medium.Deliver(e.ids)
+	for _, d := range deliveries {
 		if a := e.byID[d.To]; a != nil {
 			a.Deliver(d.Frame)
 		}
 	}
+	// Every delivery has been consumed. The slice is the Medium's, kept
+	// for the next round; cleared, it stops holding this tick's payloads
+	// (audit requests above all) while the actors build the next ones.
+	clear(deliveries)
 	e.perf.End(perf.PhaseRadioDeliver, s)
 	s = e.perf.Start()
 	for _, a := range e.actors {

@@ -248,6 +248,40 @@ func TestSnapshotResumeAcrossAccelerators(t *testing.T) {
 	}
 }
 
+// TestParentSnapshotsRecaptureAsCurrent: the two committed snapshots
+// were captured while covered audit rounds still carried their request
+// bytes. Resumed and captured again at the same tick, each is byte for
+// byte this tree's own capture of the cell at that tick — what the
+// older encoding carried beyond it is the covered rounds' bytes the
+// decoder drops — and it is smaller by them.
+func TestParentSnapshotsRecaptureAsCurrent(t *testing.T) {
+	cfg := ChaosConfig{Controller: "flocking", Profile: faultinject.ProfileMixed, Seed: 11, N: 9, DurationSec: 30}
+	fresh := cfg
+	fresh.SnapshotAtTicks = []wire.Tick{60}
+	want := RunChaos(fresh).Snapshots[0].Data
+	for _, name := range []string{"parent_brute.rbsn", "parent_indexed.rbsn"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resumed := cfg
+		resumed.ResumeFrom = data
+		resumed.SnapshotAtTicks = []wire.Tick{60}
+		res := RunChaos(resumed)
+		if res.ResumeError != nil || len(res.Snapshots) == 0 || res.Snapshots[0].Tick != 60 {
+			t.Fatalf("%s: resume error %v, %d captures", name, res.ResumeError, len(res.Snapshots))
+		}
+		got := res.Snapshots[0].Data
+		t.Logf("%s: %d B as committed, %d B captured again", name, len(data), len(got))
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s captured again at tick 60 is not this tree's capture of the cell", name)
+		}
+		if len(got) >= len(data) {
+			t.Errorf("%s: the recapture (%d B) does not shed the covered rounds' request bytes (%d B committed)", name, len(got), len(data))
+		}
+	}
+}
+
 // TestSnapshotResumeChaosEdges aims the resume protocol at the
 // boundaries the codecs are most likely to fumble: the first and last
 // tick of a partition window, a sweep across a full audit round in
