@@ -92,9 +92,9 @@ func BenchmarkTable2_SNodeLoadModel(b *testing.B) {
 func BenchmarkFig6_Bandwidth(b *testing.B) {
 	var last Fig6Point
 	for i := 0; i < b.N; i++ {
-		points := RunFig6(Fig6Config{
+		points := RunFig6Sweep(Fig6Config{
 			N: 9, DurationSec: 20, Fmaxes: []int{3}, PeriodsSec: []float64{4},
-		})
+		}, SweepOptions{Workers: 1})
 		last = points[0]
 	}
 	b.ReportMetric(last.TxAuditBps, "auditB/s")
@@ -106,7 +106,7 @@ func BenchmarkFig6_Bandwidth(b *testing.B) {
 func BenchmarkFig7_Density(b *testing.B) {
 	var pts []Fig7Point
 	for i := 0; i < b.N; i++ {
-		pts = RunFig7Density([]int{16}, []float64{4, 64}, 15, 1)
+		pts = RunFig7DensitySweep([]int{16}, []float64{4, 64}, 15, 1, SweepOptions{Workers: 1})
 	}
 	b.ReportMetric(pts[0].BandwidthBps, "dense-B/s")
 	b.ReportMetric(pts[1].BandwidthBps, "sparse-B/s")
@@ -115,7 +115,7 @@ func BenchmarkFig7_Density(b *testing.B) {
 func BenchmarkFig7_Scale(b *testing.B) {
 	var pts []Fig7Point
 	for i := 0; i < b.N; i++ {
-		pts = RunFig7Scale([]int{16, 36}, 15, 1)
+		pts = RunFig7ScaleSweep([]int{16, 36}, 15, 1, SweepOptions{Workers: 1})
 	}
 	b.ReportMetric(pts[len(pts)-1].BandwidthBps, "B/s")
 }
@@ -213,9 +213,9 @@ func BenchmarkAblation_AuditPeriod(b *testing.B) {
 		b.Run(secName(period), func(b *testing.B) {
 			var pt Fig6Point
 			for i := 0; i < b.N; i++ {
-				pt = RunFig6(Fig6Config{
+				pt = RunFig6Sweep(Fig6Config{
 					N: 9, DurationSec: 20, Fmaxes: []int{3}, PeriodsSec: []float64{period},
-				})[0]
+				}, SweepOptions{Workers: 1})[0]
 			}
 			b.ReportMetric(pt.TxAuditBps, "auditB/s")
 			b.ReportMetric(pt.StorageBytes, "storageB")
@@ -228,9 +228,9 @@ func BenchmarkAblation_Fmax(b *testing.B) {
 		b.Run(fmaxName(fmax), func(b *testing.B) {
 			var pt Fig6Point
 			for i := 0; i < b.N; i++ {
-				pt = RunFig6(Fig6Config{
+				pt = RunFig6Sweep(Fig6Config{
 					N: 9, DurationSec: 20, Fmaxes: []int{fmax}, PeriodsSec: []float64{4},
-				})[0]
+				}, SweepOptions{Workers: 1})[0]
 			}
 			b.ReportMetric(pt.TxAuditBps, "auditB/s")
 		})

@@ -29,11 +29,6 @@ import (
 // runner pool; parallelism never changes a single byte of any cell's
 // result.
 
-// ChaosTicksPerSecond is the chaos harness's fixed tick rate. Every
-// tick↔second conversion outside RunChaos (snapshot tick bounds, the
-// Perfetto time mapping) reads it from here.
-const ChaosTicksPerSecond = 4.0
-
 // ChaosConfig describes one chaos cell. Zero values take defaults.
 type ChaosConfig struct {
 	// Controller selects the mission: "flocking" (default), "patrol",
@@ -251,8 +246,7 @@ type ChaosResult struct {
 // hooks installed and every attacker (deliberate and crash-faulted)
 // in place. It returns the sim and the deliberate attacker IDs.
 func buildChaosSim(cfg ChaosConfig, cc core.Config, sched *faultinject.Schedule) (*Sim, []wire.RobotID) {
-	const tps = ChaosTicksPerSecond
-	attackAt := wire.Tick(cfg.AttackAtSec * tps)
+	attackAt := wire.Tick(cfg.AttackAtSec * TicksPerSecond)
 	attackers := make(map[int]bool) // slot -> deliberate attacker
 	var attackerIDs []wire.RobotID
 	for _, slot := range cfg.AttackerSlots {
@@ -278,7 +272,7 @@ func buildChaosSim(cfg ChaosConfig, cc core.Config, sched *faultinject.Schedule)
 			geom.V(0, 0), geom.V(40, 0), geom.V(80, 0), geom.V(80, 40),
 			geom.V(80, 80), geom.V(40, 80), geom.V(0, 80), geom.V(0, 40),
 		}
-		params := control.DefaultPatrolParams(tps, route)
+		params := control.DefaultPatrolParams(TicksPerSecond, route)
 		params.RingGapM = 3
 		factory := control.PatrolFactory{Params: params}
 		s := NewSim(SimConfig{Seed: cfg.Seed, Core: &cc, Radio: radioParams, Faults: sched,
@@ -303,7 +297,7 @@ func buildChaosSim(cfg ChaosConfig, cc core.Config, sched *faultinject.Schedule)
 			pickups = append(pickups, geom.V(0, 6*float64(i)))
 			dropoffs = append(dropoffs, geom.V(60, 6*float64(i)))
 		}
-		params := control.DefaultWarehouseParams(tps, pickups, dropoffs)
+		params := control.DefaultWarehouseParams(TicksPerSecond, pickups, dropoffs)
 		factory := control.WarehouseFactory{Params: params}
 		s := NewSim(SimConfig{Seed: cfg.Seed, Core: &cc, Radio: radioParams, Faults: sched,
 			Trace: cfg.Trace, Metrics: cfg.Metrics, Perf: cfg.Perf})
@@ -313,7 +307,7 @@ func buildChaosSim(cfg ChaosConfig, cc core.Config, sched *faultinject.Schedule)
 			switch {
 			case attackers[i]:
 				// Park a phantom in the main aisle between lanes, so
-				// neighbors yield to it (the examples/warehouse lie).
+				// neighbors yield to it (the lie of ExampleNewSim_warehouse).
 				s.AddCompromised(id, pos, factory, true, attackAt,
 					attack.Blocker{X: 30, Y: 6*float64(i) + 3, Period: 2}, false)
 			case crashes[id] > 0:
@@ -352,7 +346,7 @@ func buildChaosSim(cfg ChaosConfig, cc core.Config, sched *faultinject.Schedule)
 			at := crashes[id]
 			fs.Compromised = append(fs.Compromised, CompromisedSpec{
 				Index:     int(id) - 1,
-				AtSeconds: float64(at) / tps,
+				AtSeconds: float64(at) / TicksPerSecond,
 				Strategy: func([]wire.RobotID, geom.Vec2) attack.Strategy {
 					return attack.Silent{}
 				},
@@ -377,7 +371,7 @@ func chaosSchedule(cfg ChaosConfig, cc core.Config) faultinject.Schedule {
 			avoid = append(avoid, wire.RobotID(slot+1))
 		}
 	}
-	sched := faultinject.Generate(cfg.Profile, cfg.Seed, ids, wire.Tick(cfg.DurationSec*ChaosTicksPerSecond),
+	sched := faultinject.Generate(cfg.Profile, cfg.Seed, ids, wire.Tick(cfg.DurationSec*TicksPerSecond),
 		faultinject.Limits{TVal: cc.TVal, TAudit: cc.TAudit, Avoid: avoid})
 	sched.Faults = append(sched.Faults, cfg.ExtraFaults...)
 	return sched
@@ -389,11 +383,10 @@ func chaosSchedule(cfg ChaosConfig, cc core.Config) faultinject.Schedule {
 // byte-identical results.
 func RunChaos(cfg ChaosConfig) ChaosResult {
 	cfg = cfg.withDefaults()
-	const tps = ChaosTicksPerSecond
-	cc := core.DefaultConfig(tps)
+	cc := core.DefaultConfig(TicksPerSecond)
 	cc.Fmax = cfg.Fmax
 	cc.AutoServeLimit()
-	total := wire.Tick(cfg.DurationSec * tps)
+	total := wire.Tick(cfg.DurationSec * TicksPerSecond)
 	sched := chaosSchedule(cfg, cc)
 
 	// The flight recorder is always on: when the checker latches a
@@ -566,17 +559,6 @@ func RunChaosMatrix(cfgs []ChaosConfig, opts SweepOptions) []ChaosResult {
 	return runner.AllOpts(opts.runnerOpts(len(cfgs), label), len(cfgs), func(i int) ChaosResult {
 		return RunChaos(cfgs[i])
 	})
-}
-
-// FirstViolation scans matrix results in order and returns the first
-// cell with a violated invariant, or (-1, nil).
-func FirstViolation(results []ChaosResult) (int, *faultinject.Violation) {
-	for i := range results {
-		if results[i].Violation != nil {
-			return i, results[i].Violation
-		}
-	}
-	return -1, nil
 }
 
 // sortedIDs is a tiny helper for deterministic map iteration.

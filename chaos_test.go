@@ -325,7 +325,7 @@ func TestLatchSchedulesReplayAsExtraFaults(t *testing.T) {
 			cell := RunChaos(l.config())
 			replay := l.config()
 			replay.Profile = faultinject.ProfileNone
-			replay.ExtraFaults = chaosSchedule(l.config().withDefaults(), core.DefaultConfig(ChaosTicksPerSecond)).Faults
+			replay.ExtraFaults = chaosSchedule(l.config().withDefaults(), core.DefaultConfig(TicksPerSecond)).Faults
 			got := RunChaos(replay)
 			if len(replay.ExtraFaults) == 0 || !slices.Equal(got.Schedule, cell.Schedule) {
 				t.Fatalf("replayed schedule %q, the cell's %q", got.Schedule, cell.Schedule)
@@ -434,7 +434,7 @@ func TestLatchSchedulesShrinkToOneMinimal(t *testing.T) {
 				v := RunChaos(cfg).Violation
 				return v != nil && v.Invariant == "no-false-positive" && v.Tick == l.tick && v.Robot == l.robot
 			}
-			all := chaosSchedule(l.config().withDefaults(), core.DefaultConfig(ChaosTicksPerSecond)).Faults
+			all := chaosSchedule(l.config().withDefaults(), core.DefaultConfig(TicksPerSecond)).Faults
 			if !latches(all) {
 				t.Fatal("the whole generated schedule does not latch the row's violation")
 			}

@@ -89,6 +89,28 @@ func writeSVG(name, doc string) {
 	fmt.Fprintf(out, "  wrote %s\n", path)
 }
 
+// cmds maps each subcommand but "all" to its implementation.
+var cmds = map[string]func(){
+	"fig2":   fig2,
+	"fig5":   fig5,
+	"fig6":   fig6,
+	"fig7":   fig7,
+	"fig8":   fig8,
+	"fig9":   fig9,
+	"table1": table1,
+	"table2": table2,
+	"chaos":  chaos,
+	"trace":  traceCmd,
+	"perf":   perfCmd,
+
+	"snapshot": snapshotCmd,
+	"resume":   resumeCmd,
+	"serve":    serveCmd,
+}
+
+// allCmds is what "all" runs, in order: every table and figure.
+var allCmds = []string{"table1", "table2", "fig5", "fig6", "fig7", "fig2", "fig8", "fig9"}
+
 func main() {
 	flag.Usage = usage
 	flag.Parse()
@@ -102,30 +124,13 @@ func main() {
 		os.Exit(2)
 	}
 	cmd := flag.Arg(0)
-	cmds := map[string]func(){
-		"fig2":   fig2,
-		"fig5":   fig5,
-		"fig6":   fig6,
-		"fig7":   fig7,
-		"fig8":   fig8,
-		"fig9":   fig9,
-		"table1": table1,
-		"table2": table2,
-		"chaos":  chaos,
-		"trace":  traceCmd,
-		"perf":   perfCmd,
-
-		"snapshot": snapshotCmd,
-		"resume":   resumeCmd,
-		"serve":    serveCmd,
-	}
 	stopProfiles, err := startProfiles()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	if cmd == "all" {
-		for _, name := range []string{"table1", "table2", "fig5", "fig6", "fig7", "fig2", "fig8", "fig9"} {
+		for _, name := range allCmds {
 			fmt.Fprintf(out, "\n================ %s ================\n", strings.ToUpper(name))
 			cmds[name]()
 		}
@@ -282,10 +287,10 @@ func fig6() {
 }
 
 func fig7() {
-	duration := 50.0
-	sizes := []int{16, 36, 64, 100}
-	spacings := []float64{4, 8, 16, 32, 64}
-	scaleSizes := []int{16, 36, 64, 100, 144, 196, 256, 324}
+	// Zero values take the paper's sizes, spacings and 50 s missions.
+	var duration float64
+	var sizes, scaleSizes []int
+	var spacings []float64
 	if *quick {
 		duration = 15
 		sizes = []int{16, 36}
@@ -379,8 +384,8 @@ func fig9() {
 	}
 	res := rr.RunAttack(cfg)
 	fmt.Fprintln(out, "Fig. 9 — same attack with RoboRebound enabled")
-	fmt.Fprintf(out, "  attacker active %.0fs–%.1fs (disabled: %v); mean final dist %.1f m; correct disabled: %v\n",
-		res.AttackActiveSec[0], res.AttackActiveSec[1], res.AttackerKilled, res.MeanFinalDist, res.CorrectDisabled)
+	fmt.Fprintf(out, "  attacker active %.0fs–%.1fs (disabled: %v); mean final dist %.1f m; crashes %d; correct disabled: %v\n",
+		res.AttackActiveSec[0], res.AttackActiveSec[1], res.AttackerKilled, res.MeanFinalDist, res.Crashes, res.CorrectDisabled)
 	printTrace("  dist-to-goal", res)
 	writeSVG("fig9a_trace_defended.svg", rr.RenderAttackTrace("Fig 9a: attack, RoboRebound enabled", res))
 	writeSVG("fig9b_final_defended.svg", rr.RenderAttackFinal("Fig 9b: final positions, defended", cfg, res))

@@ -3,8 +3,14 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
+	"go/parser"
+	"go/token"
+	"io"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -120,27 +126,156 @@ func TestCLIArguments(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			cmd := exec.Command(os.Args[0], tc.args...)
-			cmd.Env = append(os.Environ(), mainEnv+"=1")
-			var stdout, stderr bytes.Buffer
-			cmd.Stdout, cmd.Stderr = &stdout, &stderr
-			err := cmd.Run()
-			exit := 0
-			var ee *exec.ExitError
-			if errors.As(err, &ee) {
-				exit = ee.ExitCode()
-			} else if err != nil {
-				t.Fatalf("running CLI: %v", err)
-			}
+			exit, stdout, stderr := runCLI(t, tc.args...)
 			if exit != tc.wantExit {
-				t.Errorf("exit = %d, want %d\nstdout:\n%s\nstderr:\n%s", exit, tc.wantExit, &stdout, &stderr)
+				t.Errorf("exit = %d, want %d\nstdout:\n%s\nstderr:\n%s", exit, tc.wantExit, stdout, stderr)
 			}
-			if !strings.Contains(stderr.String(), tc.wantErr) {
-				t.Errorf("stderr missing %q:\n%s", tc.wantErr, &stderr)
+			if !strings.Contains(stderr, tc.wantErr) {
+				t.Errorf("stderr missing %q:\n%s", tc.wantErr, stderr)
 			}
-			if !strings.Contains(stdout.String(), tc.wantOut) {
-				t.Errorf("stdout missing %q:\n%s", tc.wantOut, &stdout)
+			if !strings.Contains(stdout, tc.wantOut) {
+				t.Errorf("stdout missing %q:\n%s", tc.wantOut, stdout)
 			}
 		})
 	}
+}
+
+// runCLI runs the CLI's main with args in a subprocess and returns its
+// exit status and output.
+func runCLI(t *testing.T, args ...string) (exit int, stdout, stderr string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), mainEnv+"=1")
+	var outBuf, errBuf bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &outBuf, &errBuf
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if errors.As(err, &ee) {
+		exit = ee.ExitCode()
+	} else if err != nil {
+		t.Fatalf("running CLI: %v", err)
+	}
+	return exit, outBuf.String(), errBuf.String()
+}
+
+// TestAllQuickSmoke runs every table and figure at reduced size through
+// main: each one's banner and header is printed, and the run exits 0.
+func TestAllQuickSmoke(t *testing.T) {
+	exit, stdout, stderr := runCLI(t, "-quick", "-progress=false", "all")
+	if exit != 0 {
+		t.Fatalf("exit = %d\nstdout:\n%s\nstderr:\n%s", exit, stdout, stderr)
+	}
+	for _, name := range allCmds {
+		if banner := "================ " + strings.ToUpper(name) + " ================"; !strings.Contains(stdout, banner) {
+			t.Errorf("output missing %q", banner)
+		}
+	}
+	for _, header := range []string{
+		"Worst-case a-node load", "Worst-case s-node load",
+		"Fig. 5a", "Fig. 5b", "Fig. 6", "Fig. 7a/7b", "Fig. 7c/7d",
+		"Fig. 2", "Fig. 8", "Fig. 9",
+	} {
+		if !strings.Contains(stdout, header) {
+			t.Errorf("output missing %q:\n%s", header, stdout)
+		}
+	}
+}
+
+// TestREADMECommands checks every command README.md tells a reader to
+// run. A `go run ./cmd/roborebound` line (with its \ continuations)
+// must parse under the CLI's flags, pass checkArgs and name a
+// subcommand; any other `go run ./<dir>` must name a main package.
+func TestREADMECommands(t *testing.T) {
+	const root = "../.."
+	readme, err := os.ReadFile(filepath.Join(root, "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(readme), "\n")
+	goRun := regexp.MustCompile("go run (\\./[^\\s`]+)")
+	cli := 0
+	for i := 0; i < len(lines); i++ {
+		at := i + 1
+		line := strings.TrimSpace(lines[i])
+		if !strings.HasPrefix(line, "go run ./cmd/roborebound ") {
+			for _, m := range goRun.FindAllStringSubmatch(line, -1) {
+				if !isMainPackage(t, filepath.Join(root, m[1])) {
+					t.Errorf("README.md:%d: %s is not a main package", at, m[1])
+				}
+			}
+			continue
+		}
+		for strings.HasSuffix(line, "\\") && i+1 < len(lines) {
+			i++
+			line = strings.TrimSuffix(line, "\\") + " " + strings.TrimSpace(lines[i])
+		}
+		if c := strings.Index(line, " #"); c >= 0 {
+			line = strings.TrimSpace(line[:c])
+		}
+		cli++
+		args := strings.Fields(line)[3:]
+		fs := cliFlags(t)
+		if err := fs.Parse(args); err != nil {
+			t.Errorf("README.md:%d: %q: %v", at, line, err)
+			continue
+		}
+		if fs.NArg() == 0 {
+			t.Errorf("README.md:%d: %q names no subcommand", at, line)
+			continue
+		}
+		if err := checkArgs(fs.Args()); err != nil {
+			t.Errorf("README.md:%d: %q: %v", at, line, err)
+		}
+		if _, ok := cmds[fs.Arg(0)]; !ok && fs.Arg(0) != "all" {
+			t.Errorf("README.md:%d: %q: unknown subcommand %q", at, line, fs.Arg(0))
+		}
+	}
+	if cli == 0 {
+		t.Fatal("README.md has no go run ./cmd/roborebound lines")
+	}
+}
+
+// cliFlags is a fresh FlagSet with the CLI's flags (the test binary's
+// own -test.* flags left out), so parsing a line leaves the real flag
+// values alone.
+func cliFlags(t *testing.T) *flag.FlagSet {
+	fs := flag.NewFlagSet("roborebound", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	flag.VisitAll(func(f *flag.Flag) {
+		if strings.HasPrefix(f.Name, "test.") {
+			return
+		}
+		switch v := f.Value.(flag.Getter).Get().(type) {
+		case bool:
+			fs.Bool(f.Name, v, f.Usage)
+		case int:
+			fs.Int(f.Name, v, f.Usage)
+		case uint64:
+			fs.Uint64(f.Name, v, f.Usage)
+		case float64:
+			fs.Float64(f.Name, v, f.Usage)
+		case string:
+			fs.String(f.Name, v, f.Usage)
+		default:
+			t.Fatalf("flag -%s: unhandled type %T", f.Name, v)
+		}
+	})
+	return fs
+}
+
+// isMainPackage reports whether dir holds a Go main package.
+func isMainPackage(t *testing.T, dir string) bool {
+	t.Helper()
+	files, _ := filepath.Glob(filepath.Join(dir, "*.go"))
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		parsed, err := parser.ParseFile(token.NewFileSet(), f, nil, parser.PackageClauseOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return parsed.Name.Name == "main"
+	}
+	return false
 }

@@ -120,7 +120,7 @@ func perfCmd() {
 	if *perfettoOut != "" {
 		writeObsFile(*perfettoOut, "merged Perfetto trace", func(w io.Writer) error {
 			return perf.WriteMergedTrace(w, perfCol.Events(),
-				obs.TickMapping{TicksPerSecond: rr.ChaosTicksPerSecond}, rec)
+				obs.TickMapping{TicksPerSecond: rr.TicksPerSecond}, rec)
 		})
 		if rec.Dropped() > 0 {
 			fmt.Fprintf(os.Stderr, "  perf: span recorder dropped %d spans (limit %d)\n",

@@ -49,7 +49,7 @@ func snapshotCellConfig() rr.ChaosConfig {
 // tick boundary (default: midpoint) to -o.
 func snapshotCmd() {
 	cfg := snapshotCellConfig()
-	total := wire.Tick(cfg.DurationSec * rr.ChaosTicksPerSecond)
+	total := wire.Tick(cfg.DurationSec * rr.TicksPerSecond)
 	at := wire.Tick(*snapAt)
 	if at == 0 {
 		at = total / 2

@@ -95,7 +95,7 @@ func traceCmd() {
 	}
 	if *perfettoOut != "" {
 		writeObsFile(*perfettoOut, "Perfetto trace", func(w io.Writer) error {
-			return obs.WriteChromeTrace(w, col.Events(), obs.TickMapping{TicksPerSecond: rr.ChaosTicksPerSecond})
+			return obs.WriteChromeTrace(w, col.Events(), obs.TickMapping{TicksPerSecond: rr.TicksPerSecond})
 		})
 	}
 	if *metricsOut != "" {

@@ -23,8 +23,9 @@ import (
 // cell builds its own World, Medium, and PRNG — so the sweeps execute
 // on the internal/runner worker pool. Results always come back in
 // input order, identical to the serial loops they replaced; pass
-// SweepOptions{Workers: 1} (or use the no-options entry points) for
-// the serial path.
+// SweepOptions{Workers: 1} for the serial path. Each experiment has
+// one entry point, and a nil list or zero duration takes the paper's
+// value.
 
 // ------------------------------------------------------- sweep runner
 
@@ -43,8 +44,7 @@ type SweepProgress struct {
 // byte-identical output in the same order.
 type SweepOptions struct {
 	// Workers bounds cell concurrency: 1 runs cells serially on the
-	// calling goroutine, 0 means GOMAXPROCS. The options-less entry
-	// points (RunFig6, RunFig7Density, …) fix Workers to 1.
+	// calling goroutine, 0 means GOMAXPROCS.
 	Workers int
 	// Progress, if non-nil, is invoked once per completed cell. Calls
 	// are serialized by the runner; under parallelism the completion
@@ -116,14 +116,8 @@ func (c Fig6Config) withDefaults() Fig6Config {
 	return c
 }
 
-// RunFig6 sweeps f_max and the audit period serially.
-func RunFig6(cfg Fig6Config) []Fig6Point {
-	return RunFig6Sweep(cfg, SweepOptions{Workers: 1})
-}
-
-// RunFig6Sweep is RunFig6 on the parallel sweep runner. Points come
-// back in the same (period-major, then f_max) order as the serial
-// sweep regardless of worker count.
+// RunFig6Sweep sweeps f_max and the audit period. Points come back in
+// (period-major, then f_max) order regardless of worker count.
 func RunFig6Sweep(cfg Fig6Config, opts SweepOptions) []Fig6Point {
 	cfg = cfg.withDefaults()
 	type cell struct {
@@ -179,14 +173,8 @@ type Fig7Point struct {
 	MeanPeers    float64 // robots within radio range at start
 }
 
-// RunFig7Density sweeps inter-robot distance at fixed flock sizes
-// (Fig. 7a/7b), serially.
-func RunFig7Density(sizes []int, spacings []float64, durationSec float64, seed uint64) []Fig7Point {
-	return RunFig7DensitySweep(sizes, spacings, durationSec, seed, SweepOptions{Workers: 1})
-}
-
-// RunFig7DensitySweep is RunFig7Density on the parallel sweep runner,
-// preserving the serial (size-major, then spacing) point order.
+// RunFig7DensitySweep sweeps inter-robot distance at fixed flock sizes
+// (Fig. 7a/7b). Points come back in (size-major, then spacing) order.
 func RunFig7DensitySweep(sizes []int, spacings []float64, durationSec float64, seed uint64, opts SweepOptions) []Fig7Point {
 	if sizes == nil {
 		sizes = []int{16, 36, 64, 100}
@@ -215,14 +203,8 @@ func RunFig7DensitySweep(sizes []int, spacings []float64, durationSec float64, s
 	})
 }
 
-// RunFig7Scale sweeps flock size at fixed 64 m spacing (Fig. 7c/7d),
-// serially.
-func RunFig7Scale(sizes []int, durationSec float64, seed uint64) []Fig7Point {
-	return RunFig7ScaleSweep(sizes, durationSec, seed, SweepOptions{Workers: 1})
-}
-
-// RunFig7ScaleSweep is RunFig7Scale on the parallel sweep runner,
-// preserving the serial point order.
+// RunFig7ScaleSweep sweeps flock size at fixed 64 m spacing (Fig.
+// 7c/7d). Points come back in the order of sizes.
 func RunFig7ScaleSweep(sizes []int, durationSec float64, seed uint64, opts SweepOptions) []Fig7Point {
 	if sizes == nil {
 		sizes = []int{16, 36, 64, 100, 144, 196, 256, 324}
@@ -275,7 +257,6 @@ type AttackRunConfig struct {
 	Z, Epsilon, C   float64 // attack parameters (150, 2, 1)
 	Seed            uint64
 	Protected       bool
-	CompromisedSlot int // grid index of the attacker
 	DisableAttack   bool
 }
 
@@ -285,11 +266,7 @@ func DefaultAttackRun() AttackRunConfig {
 		N: 25, SpacingM: 20, GoalX: 250, GoalY: 250,
 		DurationSec: 150, CompromiseAtSec: 15,
 		Z: 150, Epsilon: 2, C: 1,
-		// Slot 4 is the trailing corner of the diagonal sweep: once
-		// the attacker is disabled it parks as an invisible obstacle,
-		// and the trailing corner is the one spot the rest of the
-		// flock never crosses.
-		Seed: 3, CompromisedSlot: 4,
+		Seed: 3,
 	}
 }
 
@@ -310,11 +287,6 @@ type AttackRunResult struct {
 	MeanFinalDist   float64
 }
 
-// RunAttack executes one Fig. 8/9 run.
-func RunAttack(cfg AttackRunConfig) AttackRunResult {
-	return runAttackCell(cfg)
-}
-
 // RunAttackSweep executes independent attack runs (e.g. Fig. 8's
 // baseline and undefended variants, or a seed sweep) on the parallel
 // sweep runner, returning results in input order.
@@ -331,12 +303,17 @@ func RunAttackSweep(cfgs []AttackRunConfig, opts SweepOptions) []AttackRunResult
 		return fmt.Sprintf("attack N=%d seed=%d %s", c.N, c.Seed, mode)
 	}
 	return runner.AllOpts(opts.runnerOpts(len(cfgs), label), len(cfgs), func(i int) AttackRunResult {
-		return runAttackCell(cfgs[i])
+		return RunAttack(cfgs[i])
 	})
 }
 
-func runAttackCell(cfg AttackRunConfig) AttackRunResult {
+// RunAttack executes one Fig. 8/9 run. The attacker takes the grid's
+// row-0, last-column corner (slot 4 of the paper's 5×5 grid, slot 2 of
+// a 3×3): once disabled it parks as an invisible obstacle, and that
+// corner is the one spot the rest of the diagonal sweep never crosses.
+func RunAttack(cfg AttackRunConfig) AttackRunResult {
 	goal := geom.V(cfg.GoalX, cfg.GoalY)
+	slot := gridSide(cfg.N) - 1
 	fs := FlockScenario{
 		N:         cfg.N,
 		Spacing:   cfg.SpacingM,
@@ -347,7 +324,7 @@ func runAttackCell(cfg AttackRunConfig) AttackRunResult {
 	}
 	if !cfg.DisableAttack {
 		fs.Compromised = []CompromisedSpec{{
-			Index:        cfg.CompromisedSlot,
+			Index:        slot,
 			AtSeconds:    cfg.CompromiseAtSec,
 			Strategy:     SpoofStrategy(cfg.Z, cfg.Epsilon, cfg.C),
 			KeepProtocol: true, // the spoofer keeps flying with the flock (only its broadcasts lie)
@@ -363,7 +340,7 @@ func runAttackCell(cfg AttackRunConfig) AttackRunResult {
 		Crashes:        len(s.World.Crashes()),
 	}
 	// Downsample traces to 1 Hz for plotting.
-	step := int(s.Cfg.TicksPerSecond)
+	const step = TicksPerSecond
 	for _, id := range s.CorrectIDs() {
 		series := dt.Series[id]
 		var vals []float64
@@ -376,20 +353,13 @@ func runAttackCell(cfg AttackRunConfig) AttackRunResult {
 		}
 	}
 	for i := 0; i < len(res.DistSeries[s.CorrectIDs()[0]]); i++ {
-		res.SampleTimesSec = append(res.SampleTimesSec, float64(i*step)/s.Cfg.TicksPerSecond*float64(1))
+		res.SampleTimesSec = append(res.SampleTimesSec, float64(i*step)/TicksPerSecond)
 	}
 	res.MeanFinalDist = dt.MeanFinalDistance(s.CorrectIDs())
 	res.CorrectDisabled = s.CorrectInSafeMode()
 
 	if !cfg.DisableAttack {
-		var attackerID wire.RobotID
-		for _, id := range s.IDs() {
-			if s.Compromised(id) != nil {
-				attackerID = id
-				break
-			}
-		}
-		comp := s.Compromised(attackerID)
+		comp := s.Compromised(wire.RobotID(slot + 1))
 		// The BTI window runs from the first *actual* misbehavior (the
 		// spoofer may idle until victims come into its victim filter)
 		// to the safe-mode trigger.

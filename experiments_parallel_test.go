@@ -82,7 +82,7 @@ func TestSweepCellIsolation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	alone := RunFig7Density([]int{16}, []float64{8}, 10, 1)[0]
+	alone := RunFig7DensitySweep([]int{16}, []float64{8}, 10, 1, SweepOptions{Workers: 1})[0]
 	copies := RunFig7DensitySweep([]int{16, 16, 16, 16}, []float64{8}, 10, 1,
 		SweepOptions{Workers: 4})
 	if len(copies) != 4 {

@@ -9,10 +9,10 @@ func TestFig6Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	points := RunFig6(Fig6Config{
+	points := RunFig6Sweep(Fig6Config{
 		N: 9, DurationSec: 24, Seed: 1,
 		Fmaxes: []int{0, 1, 2}, PeriodsSec: []float64{4, 8},
-	})
+	}, SweepOptions{Workers: 1})
 	byKey := map[[2]int]Fig6Point{}
 	for _, p := range points {
 		byKey[[2]int{p.Fmax, int(p.AuditPeriodSec)}] = p
@@ -41,7 +41,7 @@ func TestFig7Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	pts := RunFig7Density([]int{16}, []float64{4, 64}, 20, 1)
+	pts := RunFig7DensitySweep([]int{16}, []float64{4, 64}, 20, 1, SweepOptions{Workers: 1})
 	dense, sparse := pts[0], pts[1]
 	if dense.MeanPeers < sparse.MeanPeers {
 		t.Errorf("denser flock should hear more peers: %+v", pts)
@@ -50,7 +50,7 @@ func TestFig7Shapes(t *testing.T) {
 		t.Errorf("denser flock should cost more bandwidth: %+v", pts)
 	}
 
-	scale := RunFig7Scale([]int{16, 36}, 20, 1)
+	scale := RunFig7ScaleSweep([]int{16, 36}, 20, 1, SweepOptions{Workers: 1})
 	// Per-robot cost grows sub-linearly with N (levels off): a 2.25×
 	// bigger flock must cost well under 2.25× per robot.
 	if ratio := scale[1].BandwidthBps / scale[0].BandwidthBps; ratio > 1.8 {
@@ -86,6 +86,12 @@ func TestFig89Shapes(t *testing.T) {
 	defended := RunAttack(protected)
 	if !defended.AttackerKilled {
 		t.Fatal("defended run did not kill the attacker")
+	}
+	// §5.2: "no correct robots were put into Safe Mode". The disabled
+	// attacker parks in the grid's row-0, last-column corner, where no
+	// correct robot flies into it.
+	if len(defended.CorrectDisabled) != 0 || defended.Crashes != 0 {
+		t.Errorf("defended run: correct robots disabled %v, crashes %d", defended.CorrectDisabled, defended.Crashes)
 	}
 	window := defended.AttackActiveSec[1] - defended.AttackActiveSec[0]
 	if window <= 0 || window > 25 {

@@ -133,24 +133,6 @@ func Load(dir string, patterns ...string) (*Result, error) {
 	return res, nil
 }
 
-// Exports lists patterns (plus -deps) in dir and returns the
-// import-path → export-data-file map, for callers that type-check
-// out-of-module sources (e.g. analysistest fixtures) against the
-// repository's packages.
-func Exports(dir string, patterns ...string) (map[string]string, error) {
-	pkgs, err := goList(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	exports := make(map[string]string)
-	for _, p := range pkgs {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
-	return exports, nil
-}
-
 // ModuleSyntax is Load without type-checking: it returns a shared
 // FileSet, the export-data map for the whole dependency closure, and
 // parsed syntax for every module package. analysistest uses it to give

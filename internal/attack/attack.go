@@ -92,9 +92,6 @@ func NewCompromised(r *robot.Robot, at wire.Tick, strat Strategy, keepProtocol b
 	return &Compromised{Robot: r, CompromiseAt: at, Strat: strat, KeepProtocol: keepProtocol}
 }
 
-// Active reports whether the compromise has taken effect.
-func (c *Compromised) Active() bool { return c.active }
-
 // FirstMisbehaviorAt returns the tick of the attacker's first
 // malicious output (frame or actuator command actually emitted) — the
 // instant the BTI clock starts (§3.10). ok is false while the attacker

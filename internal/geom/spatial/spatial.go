@@ -124,9 +124,6 @@ func (g *Grid) Grow(n int) {
 	g.spans = slices.Grow(g.spans, n)
 }
 
-// CellSize returns the current cell size.
-func (g *Grid) CellSize() float64 { return g.cell }
-
 // Len returns the number of indexed members.
 func (g *Grid) Len() int { return len(g.slots) + len(g.loose) }
 

@@ -267,7 +267,7 @@ func runCellJob(k *jobKind, req *JobRequest, resolve resolveFunc, hooks execHook
 		if k.capture {
 			at := req.SnapshotAtTick
 			if at == 0 {
-				at = uint64(req.chaosDurationSec() * rr.ChaosTicksPerSecond / 2) // midpoint
+				at = uint64(req.chaosDurationSec() * rr.TicksPerSecond / 2) // midpoint
 			}
 			cfg.SnapshotAtTicks = []wire.Tick{wire.Tick(at)}
 		}
@@ -295,7 +295,7 @@ func runCellJob(k *jobKind, req *JobRequest, resolve resolveFunc, hooks execHook
 		case name == eventsArtifact && col != nil:
 			err = obs.WriteNDJSON(&buf, col.Events())
 		case name == perfettoArtifact && req.Perfetto:
-			err = obs.WriteChromeTrace(&buf, col.Events(), obs.TickMapping{TicksPerSecond: rr.ChaosTicksPerSecond})
+			err = obs.WriteChromeTrace(&buf, col.Events(), obs.TickMapping{TicksPerSecond: rr.TicksPerSecond})
 		case name == snapshotArtifact && !res.Interrupted:
 			if len(res.Snapshots) == 0 {
 				return nil, fmt.Errorf("serve: %s job captured no snapshot", req.Kind)

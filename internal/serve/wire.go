@@ -88,7 +88,7 @@ const (
 // chaosLimits are the protocol bounds RunChaos hands the fault
 // generator.
 var chaosLimits = func() faultinject.Limits {
-	cc := core.DefaultConfig(rr.ChaosTicksPerSecond)
+	cc := core.DefaultConfig(rr.TicksPerSecond)
 	return faultinject.Limits{TVal: cc.TVal, TAudit: cc.TAudit}
 }()
 
@@ -233,7 +233,7 @@ func (r *JobRequest) Validate() error {
 	// Checked here so a snapshot job fails before admission, not after
 	// running the whole cell and capturing nothing. (Zero on every
 	// kind that does not take the field.)
-	total := wire.Tick(r.chaosDurationSec() * rr.ChaosTicksPerSecond)
+	total := wire.Tick(r.chaosDurationSec() * rr.TicksPerSecond)
 	if r.SnapshotAtTick > uint64(total) {
 		return fmt.Errorf("serve: snapshot_at_tick %d is beyond the %d-tick run", r.SnapshotAtTick, total)
 	}
@@ -242,7 +242,7 @@ func (r *JobRequest) Validate() error {
 	if profile := cmp.Or(r.Profile, string(k.profile)); k.takesField("profile") &&
 		profile != string(faultinject.ProfileNone) && !faultinject.Schedulable(total, chaosLimits) {
 		return fmt.Errorf("serve: duration_sec %g schedules no %s faults; a faulted cell must run longer than %g s",
-			r.chaosDurationSec(), profile, float64(2*chaosLimits.TVal+chaosLimits.TAudit)/rr.ChaosTicksPerSecond)
+			r.chaosDurationSec(), profile, float64(2*chaosLimits.TVal+chaosLimits.TAudit)/rr.TicksPerSecond)
 	}
 	if r.Resume == nil {
 		if k.takesField("resume") {

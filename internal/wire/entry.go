@@ -61,10 +61,6 @@ func (e *LogEntry) Encode() []byte {
 	return w.Bytes()
 }
 
-// IsSensor reports whether the entry belongs to the s-node's chain;
-// all other kinds belong to the a-node's chain.
-func (e *LogEntry) IsSensor() bool { return e.Kind == EntrySensor }
-
 func validEntryKind(k uint8) bool {
 	return k == EntrySensor || k == EntryRecv || k == EntrySend || k == EntryActuator || k == EntryMark
 }

@@ -1,25 +1,10 @@
 package roborebound
 
 import (
-	"cmp"
-	"sort"
-
 	"roborebound/internal/geom"
 	"roborebound/internal/metrics"
 	"roborebound/internal/wire"
 )
-
-// sortedKeys returns m's keys in ascending order, for deterministic
-// map iteration (the determinism analyzer forbids order-escaping map
-// ranges on replay-critical paths).
-func sortedKeys[M ~map[K]V, K cmp.Ordered, V any](m M) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
 
 // DistanceTracker samples each robot's distance to a goal every tick.
 type DistanceTracker struct {
@@ -43,15 +28,6 @@ func (s *Sim) TrackDistances(goal geom.Vec2) *DistanceTracker {
 		}
 	})
 	return dt
-}
-
-// FinalDistances returns each tracked robot's final distance.
-func (dt *DistanceTracker) FinalDistances() map[wire.RobotID]float64 {
-	out := make(map[wire.RobotID]float64, len(dt.Series))
-	for _, id := range sortedKeys(dt.Series) {
-		out[id] = dt.Series[id].Final()
-	}
-	return out
 }
 
 // MeanFinalDistance averages the final distances over the given IDs.

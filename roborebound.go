@@ -40,15 +40,22 @@ import (
 	"roborebound/internal/wire"
 )
 
+// TicksPerSecond is the rate of every facade simulation: the paper's
+// 0.25 s control period. Every tick↔second conversion outside the
+// internal packages (Sim.Tick, snapshot tick bounds, the Perfetto time
+// mapping, the serve decoder's limits) reads it from here.
+const TicksPerSecond = 4
+
+// masterKey is the MRS master key every facade robot is provisioned
+// with.
+var masterKey = []byte("roborebound-default-master-key")
+
 // SimConfig configures a simulation. Zero-valued fields default to the
 // paper's evaluation setup.
 type SimConfig struct {
 	// Seed drives every randomized choice (placement jitter, packet
 	// loss). Two runs with equal configs and seeds are bit-identical.
 	Seed uint64
-	// TicksPerSecond is the simulation rate (default 4, i.e. the
-	// paper's 0.25 s control period).
-	TicksPerSecond float64
 	// World overrides the physics (default sim.DefaultWorldConfig).
 	World *sim.WorldConfig
 	// Radio overrides the link model (default radio.DefaultParams).
@@ -56,8 +63,6 @@ type SimConfig struct {
 	// Core overrides the protocol parameters (default
 	// core.DefaultConfig, i.e. f_max=3, T_audit=4 s, T_val=10 s).
 	Core *core.Config
-	// Master is the MRS master key (a default test key if empty).
-	Master []byte
 	// Faults, when non-nil, installs the fault-injection schedule's
 	// hooks: the medium's loss model / link filter / transmit delay,
 	// and per-robot trusted-clock skew. The schedule is data — see
@@ -80,24 +85,18 @@ type SimConfig struct {
 }
 
 func (c SimConfig) withDefaults() SimConfig {
-	if c.TicksPerSecond == 0 {
-		c.TicksPerSecond = 4
-	}
 	if c.World == nil {
 		w := sim.DefaultWorldConfig()
 		c.World = &w
 	}
-	c.World.TicksPerSecond = c.TicksPerSecond
+	c.World.TicksPerSecond = TicksPerSecond
 	if c.Radio == nil {
 		r := radio.DefaultParams()
 		c.Radio = &r
 	}
 	if c.Core == nil {
-		cc := core.DefaultConfig(c.TicksPerSecond)
+		cc := core.DefaultConfig(TicksPerSecond)
 		c.Core = &cc
-	}
-	if c.Master == nil {
-		c.Master = []byte("roborebound-default-master-key")
 	}
 	return c
 }
@@ -129,7 +128,7 @@ func NewSim(cfg SimConfig) *Sim {
 		Medium:      medium,
 		robots:      make(map[wire.RobotID]*robot.Robot),
 		compromised: make(map[wire.RobotID]*attack.Compromised),
-		sealed:      trusted.SealMissionKey(cfg.Master, mission, cfg.Seed|1, 1),
+		sealed:      trusted.SealMissionKey(masterKey, mission, cfg.Seed|1, 1),
 		acache:      core.NewAuditCache(0),
 	}
 	if cfg.Perf != nil {
@@ -167,12 +166,12 @@ func (s *Sim) detachAuditCache() {
 
 // Tick converts seconds to ticks.
 func (s *Sim) Tick(seconds float64) wire.Tick {
-	return wire.Tick(seconds * s.Cfg.TicksPerSecond)
+	return wire.Tick(seconds * TicksPerSecond)
 }
 
 // Seconds converts a tick to seconds.
 func (s *Sim) Seconds(t wire.Tick) float64 {
-	return float64(t) / s.Cfg.TicksPerSecond
+	return float64(t) / TicksPerSecond
 }
 
 func (s *Sim) newRobot(id wire.RobotID, pos geom.Vec2, factory control.Factory, protected bool) *robot.Robot {
@@ -182,7 +181,7 @@ func (s *Sim) newRobot(id wire.RobotID, pos geom.Vec2, factory control.Factory, 
 		Protected:  protected,
 		Core:       *s.Cfg.Core,
 		Factory:    factory,
-		Master:     s.Cfg.Master,
+		Master:     masterKey,
 		Sealed:     s.sealed,
 		Trace:      s.Cfg.Trace,
 		Metrics:    s.Cfg.Metrics,

@@ -21,7 +21,7 @@ import (
 // origin. This is the paper's placement for both evaluation setups
 // (§5.2: "square arrangements with 4–18 robots per edge").
 func GridPositions(n int, spacing float64, origin geom.Vec2) []geom.Vec2 {
-	side := int(math.Ceil(math.Sqrt(float64(n))))
+	side := gridSide(n)
 	out := make([]geom.Vec2, 0, n)
 	for i := 0; i < n; i++ {
 		row, col := i/side, i%side
@@ -29,6 +29,9 @@ func GridPositions(n int, spacing float64, origin geom.Vec2) []geom.Vec2 {
 	}
 	return out
 }
+
+// gridSide is the row length of GridPositions' grid for n robots.
+func gridSide(n int) int { return int(math.Ceil(math.Sqrt(float64(n)))) }
 
 // CompromisedSpec marks one grid slot as compromised.
 type CompromisedSpec struct {
@@ -47,16 +50,9 @@ type CompromisedSpec struct {
 // parameters (z = 150 m, ε = 2 m, c = 1, spoofing every control
 // period, one phantom per victim).
 func SpoofStrategy(z, epsilon, c float64) func(ids []wire.RobotID, goal geom.Vec2) attack.Strategy {
-	return SpoofStrategyN(z, epsilon, c, 1)
-}
-
-// SpoofStrategyN is SpoofStrategy with a configurable number of
-// phantoms parked in front of each victim — the "smart, determined
-// adversary" escalation the paper says its attack lower-bounds.
-func SpoofStrategyN(z, epsilon, c float64, phantoms int) func(ids []wire.RobotID, goal geom.Vec2) attack.Strategy {
 	return func(ids []wire.RobotID, goal geom.Vec2) attack.Strategy {
 		return &attack.Spoof{Goal: goal, Z: z, Epsilon: epsilon, C: c,
-			IDs: ids, Period: 1, PhantomsPerVictim: phantoms,
+			IDs: ids, Period: 1, PhantomsPerVictim: 1,
 			MaxVictimDist: z + 50}
 	}
 }
@@ -78,8 +74,6 @@ type FlockScenario struct {
 	Protected bool
 	// Seed drives jitter and packet loss.
 	Seed uint64
-	// TicksPerSecond defaults to 4.
-	TicksPerSecond float64
 	// Fmax overrides f_max (default 3; pass -1 for an explicit zero).
 	// Meaningful only if Protected.
 	Fmax int
@@ -121,18 +115,14 @@ type FlockScenario struct {
 
 // Build constructs the simulation.
 func (fs FlockScenario) Build() *Sim {
-	tps := fs.TicksPerSecond
-	if tps == 0 {
-		tps = 4
-	}
-	cc := core.DefaultConfig(tps)
+	cc := core.DefaultConfig(TicksPerSecond)
 	if fs.Fmax > 0 {
 		cc.Fmax = fs.Fmax
 	} else if fs.Fmax < 0 {
 		cc.Fmax = 0
 	}
 	if fs.AuditPeriodSeconds > 0 {
-		cc.TAudit = wire.Tick(fs.AuditPeriodSeconds * tps)
+		cc.TAudit = wire.Tick(fs.AuditPeriodSeconds * TicksPerSecond)
 		cc.AuthSlack = cc.TAudit
 	}
 	cc.AutoServeLimit()
@@ -144,18 +134,17 @@ func (fs FlockScenario) Build() *Sim {
 		world.Obstacles = append(world.Obstacles, o)
 	}
 	s := NewSim(SimConfig{
-		Seed:           fs.Seed,
-		TicksPerSecond: tps,
-		Core:           &cc,
-		World:          &world,
-		Radio:          fs.Radio,
-		Faults:         fs.Faults,
-		Trace:          fs.Trace,
-		Metrics:        fs.Metrics,
-		Perf:           fs.Perf,
+		Seed:    fs.Seed,
+		Core:    &cc,
+		World:   &world,
+		Radio:   fs.Radio,
+		Faults:  fs.Faults,
+		Trace:   fs.Trace,
+		Metrics: fs.Metrics,
+		Perf:    fs.Perf,
 	})
 
-	params := flocking.DefaultParams(tps, fs.Spacing, fs.Goal)
+	params := flocking.DefaultParams(TicksPerSecond, fs.Spacing, fs.Goal)
 	if len(fs.Obstacles) > 0 {
 		params.Obstacles = fs.Obstacles
 		// Table 3 zeroes the β gains because §5's arenas have no
@@ -193,24 +182,10 @@ func (fs FlockScenario) Build() *Sim {
 		if cs, bad := compromisedAt[i]; bad {
 			strat := cs.Strategy(ids, fs.Goal)
 			s.AddCompromised(id, pos, factory, fs.Protected,
-				wire.Tick(cs.AtSeconds*tps), strat, cs.KeepProtocol)
+				wire.Tick(cs.AtSeconds*TicksPerSecond), strat, cs.KeepProtocol)
 			continue
 		}
 		s.AddRobot(id, pos, factory, fs.Protected)
 	}
 	return s
-}
-
-// FlockParams returns the flocking parameters a scenario will use
-// (for tests and reporting).
-func (fs FlockScenario) FlockParams() flocking.Params {
-	tps := fs.TicksPerSecond
-	if tps == 0 {
-		tps = 4
-	}
-	p := flocking.DefaultParams(tps, fs.Spacing, fs.Goal)
-	if fs.Tune != nil {
-		fs.Tune(&p)
-	}
-	return p
 }
