@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race race-serve ci bench-all bench-gate fmt-check cover chaos-smoke soak snapshot-smoke perf-smoke fuzz-smoke
+.PHONY: all build vet lint test race race-serve race-runner ci bench-all bench-gate fmt-check cover chaos-smoke soak snapshot-smoke perf-smoke fuzz-smoke
 
 all: ci
 
@@ -37,6 +37,12 @@ race:
 # both sides of the gzip threshold.
 race-serve:
 	$(GO) test -race -count=10 -run 'Wait|Close|Events|Gzip|Artifact' ./internal/serve
+
+# The sweep runner's worker pool, twenty times over under the race
+# detector: dispatch, per-cell panic capture with every cell still
+# running, input-order results, serialized OnDone and the meter.
+race-runner:
+	$(GO) test -race -count=20 ./internal/runner
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -6,12 +6,12 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
-	"sort"
 
 	"roborebound/internal/attack"
 	"roborebound/internal/control"
 	"roborebound/internal/core"
 	"roborebound/internal/faultinject"
+	"roborebound/internal/flocking"
 	"roborebound/internal/geom"
 	"roborebound/internal/obs"
 	"roborebound/internal/obs/perf"
@@ -57,7 +57,8 @@ type ChaosConfig struct {
 	// a-node grace window, so attackers first earn tokens honestly).
 	AttackAtSec float64
 	// ExtraFaults are appended verbatim to the generated schedule
-	// (tests use this to aim a specific fault at a specific robot).
+	// (tests use this to aim a specific fault at a specific robot). A
+	// Crash aimed at a deliberate attacker leaves it an attacker.
 	ExtraFaults []faultinject.Fault
 	// Trace, when non-nil, receives the cell's full event stream in
 	// addition to the always-on flight recorder. Leave nil for matrix
@@ -244,8 +245,10 @@ type ChaosResult struct {
 
 // buildChaosSim constructs the cell's simulation with the schedule's
 // hooks installed and every attacker (deliberate and crash-faulted)
-// in place. It returns the sim and the deliberate attacker IDs.
-func buildChaosSim(cfg ChaosConfig, cc core.Config, sched *faultinject.Schedule) (*Sim, []wire.RobotID) {
+// in place. It returns the sim, the deliberate attacker IDs, and the
+// crash-faulted robots with the tick each goes dark. A Crash fault
+// aimed at a deliberate attacker is ignored: the attacker stays one.
+func buildChaosSim(cfg ChaosConfig, cc core.Config, sched *faultinject.Schedule) (*Sim, []wire.RobotID, map[wire.RobotID]wire.Tick) {
 	attackAt := wire.Tick(cfg.AttackAtSec * TicksPerSecond)
 	attackers := make(map[int]bool) // slot -> deliberate attacker
 	var attackerIDs []wire.RobotID
@@ -256,6 +259,9 @@ func buildChaosSim(cfg ChaosConfig, cc core.Config, sched *faultinject.Schedule)
 		}
 	}
 	crashes := sched.CrashTargets()
+	for _, id := range attackerIDs {
+		delete(crashes, id)
+	}
 
 	// MTUBytes engages fragmentation by overriding the link model; nil
 	// leaves SimConfig's default (radio.DefaultParams) in place.
@@ -266,6 +272,14 @@ func buildChaosSim(cfg ChaosConfig, cc core.Config, sched *faultinject.Schedule)
 		radioParams = &p
 	}
 
+	// Each controller picks where slot i starts, the controller every
+	// robot runs, and what a deliberate attacker in slot i does.
+	var (
+		positions    []geom.Vec2
+		factory      control.Factory
+		strategy     func(slot int) attack.Strategy
+		keepProtocol bool
+	)
 	switch cfg.Controller {
 	case "patrol":
 		route := []geom.Vec2{
@@ -274,87 +288,54 @@ func buildChaosSim(cfg ChaosConfig, cc core.Config, sched *faultinject.Schedule)
 		}
 		params := control.DefaultPatrolParams(TicksPerSecond, route)
 		params.RingGapM = 3
-		factory := control.PatrolFactory{Params: params}
-		s := NewSim(SimConfig{Seed: cfg.Seed, Core: &cc, Radio: radioParams, Faults: sched,
-			Trace: cfg.Trace, Metrics: cfg.Metrics, Perf: cfg.Perf})
-		for i := 0; i < cfg.N; i++ {
-			id := wire.RobotID(i + 1)
-			pos := route[int(id)%len(route)]
-			switch {
-			case attackers[i]:
-				s.AddCompromised(id, pos, factory, true, attackAt, attack.Silent{}, false)
-			case crashes[id] > 0:
-				s.AddCompromised(id, pos, factory, true, crashes[id], attack.Silent{}, false)
-			default:
-				s.AddRobot(id, pos, factory, true)
-			}
+		factory = control.PatrolFactory{Params: params}
+		positions = make([]geom.Vec2, cfg.N)
+		for i := range positions {
+			positions[i] = route[(i+1)%len(route)]
 		}
-		return s, attackerIDs
+		strategy = func(int) attack.Strategy { return attack.Silent{} }
 
 	case "warehouse":
 		var pickups, dropoffs []geom.Vec2
-		for i := 0; i < cfg.N; i++ {
+		positions = make([]geom.Vec2, cfg.N)
+		for i := range positions {
 			pickups = append(pickups, geom.V(0, 6*float64(i)))
 			dropoffs = append(dropoffs, geom.V(60, 6*float64(i)))
+			positions[i] = pickups[i].Add(geom.V(2, 0))
 		}
-		params := control.DefaultWarehouseParams(TicksPerSecond, pickups, dropoffs)
-		factory := control.WarehouseFactory{Params: params}
-		s := NewSim(SimConfig{Seed: cfg.Seed, Core: &cc, Radio: radioParams, Faults: sched,
-			Trace: cfg.Trace, Metrics: cfg.Metrics, Perf: cfg.Perf})
-		for i := 0; i < cfg.N; i++ {
-			id := wire.RobotID(i + 1)
-			pos := pickups[i].Add(geom.V(2, 0))
-			switch {
-			case attackers[i]:
-				// Park a phantom in the main aisle between lanes, so
-				// neighbors yield to it (the lie of ExampleNewSim_warehouse).
-				s.AddCompromised(id, pos, factory, true, attackAt,
-					attack.Blocker{X: 30, Y: 6*float64(i) + 3, Period: 2}, false)
-			case crashes[id] > 0:
-				s.AddCompromised(id, pos, factory, true, crashes[id], attack.Silent{}, false)
-			default:
-				s.AddRobot(id, pos, factory, true)
-			}
+		factory = control.WarehouseFactory{Params: control.DefaultWarehouseParams(TicksPerSecond, pickups, dropoffs)}
+		// Park a phantom in the main aisle between lanes, so neighbors
+		// yield to it (the lie of ExampleNewSim_warehouse).
+		strategy = func(slot int) attack.Strategy {
+			return attack.Blocker{X: 30, Y: 6*float64(slot) + 3, Period: 2}
 		}
-		return s, attackerIDs
 
 	default: // flocking
 		goal := geom.V(220, 220)
-		fs := FlockScenario{
-			N:         cfg.N,
-			Spacing:   cfg.SpacingM,
-			Goal:      goal,
-			Protected: true,
-			Seed:      cfg.Seed,
-			Fmax:      cfg.Fmax,
-			Radio:     radioParams,
-			Faults:    sched,
-			Trace:     cfg.Trace,
-			Metrics:   cfg.Metrics,
-			Perf:      cfg.Perf,
+		factory = flocking.Factory{Params: flocking.DefaultParams(TicksPerSecond, cfg.SpacingM, goal)}
+		positions = GridPositions(cfg.N, cfg.SpacingM, geom.Zero2)
+		ids := make([]wire.RobotID, cfg.N)
+		for i := range ids {
+			ids[i] = wire.RobotID(i + 1)
 		}
-		for _, aid := range attackerIDs {
-			slot := int(aid) - 1
-			fs.Compromised = append(fs.Compromised, CompromisedSpec{
-				Index:        slot,
-				AtSeconds:    cfg.AttackAtSec,
-				Strategy:     SpoofStrategy(150, 2, 1),
-				KeepProtocol: true,
-			})
-		}
-		for _, id := range sortedIDs(crashes) {
-			at := crashes[id]
-			fs.Compromised = append(fs.Compromised, CompromisedSpec{
-				Index:     int(id) - 1,
-				AtSeconds: float64(at) / TicksPerSecond,
-				Strategy: func([]wire.RobotID, geom.Vec2) attack.Strategy {
-					return attack.Silent{}
-				},
-				KeepProtocol: false,
-			})
-		}
-		return fs.Build(), attackerIDs
+		spoof := SpoofStrategy(150, 2, 1)
+		strategy = func(int) attack.Strategy { return spoof(ids, goal) }
+		keepProtocol = true
 	}
+
+	s := NewSim(SimConfig{Seed: cfg.Seed, Core: &cc, Radio: radioParams, Faults: sched,
+		Trace: cfg.Trace, Metrics: cfg.Metrics, Perf: cfg.Perf})
+	for i, pos := range positions {
+		id := wire.RobotID(i + 1)
+		if attackers[i] {
+			s.AddCompromised(id, pos, factory, true, attackAt, strategy(i), keepProtocol)
+		} else if at, crashed := crashes[id]; crashed {
+			s.AddCompromised(id, pos, factory, true, at, attack.Silent{}, false)
+		} else {
+			s.AddRobot(id, pos, factory, true)
+		}
+	}
+	return s, attackerIDs, crashes
 }
 
 // chaosSchedule is a defaulted cell's fault schedule: what its profile
@@ -402,11 +383,10 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 		runCfg.Metrics = obs.NewRegistry()
 	}
 
-	s, attackerIDs := buildChaosSim(runCfg, cc, &sched)
+	s, attackerIDs, crashes := buildChaosSim(runCfg, cc, &sched)
 	if cfg.detachAuditCache {
 		s.detachAuditCache()
 	}
-	crashes := sched.CrashTargets()
 
 	checker := faultinject.NewChecker(cc.TVal, cc.TAudit, &sched)
 	checker.Flight = flight
@@ -426,7 +406,7 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 			}
 			if comp := s.Compromised(id); comp != nil {
 				sn.Compromised = true
-				sn.CrashFaulted = crashes[id] > 0
+				_, sn.CrashFaulted = crashes[id]
 				sn.MisbehavedAt, sn.Misbehaved = comp.FirstMisbehaviorAt()
 			}
 			if eng := r.Engine(); eng != nil {
@@ -559,14 +539,4 @@ func RunChaosMatrix(cfgs []ChaosConfig, opts SweepOptions) []ChaosResult {
 	return runner.AllOpts(opts.runnerOpts(len(cfgs), label), len(cfgs), func(i int) ChaosResult {
 		return RunChaos(cfgs[i])
 	})
-}
-
-// sortedIDs is a tiny helper for deterministic map iteration.
-func sortedIDs(m map[wire.RobotID]wire.Tick) []wire.RobotID {
-	out := make([]wire.RobotID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -455,3 +455,30 @@ func TestLatchSchedulesShrinkToOneMinimal(t *testing.T) {
 		})
 	}
 }
+
+// TestCrashFaultOnAttackerSlotIsIgnored: a Crash fault aimed at the
+// deliberate attacker's slot (Generate never schedules one, Limits.Avoid
+// excludes attackers, but ExtraFaults can) leaves the attacker as it
+// is in every controller, so the cell runs exactly as it does without
+// the fault.
+func TestCrashFaultOnAttackerSlotIsIgnored(t *testing.T) {
+	for _, ctrl := range []string{"flocking", "patrol", "warehouse"} {
+		t.Run(ctrl, func(t *testing.T) {
+			base := ChaosConfig{Controller: ctrl, Profile: faultinject.ProfileNone, Seed: 3, DurationSec: 40}
+			attacker := wire.RobotID(base.withDefaults().AttackerSlots[0] + 1)
+			crashed := base
+			crashed.ExtraFaults = []faultinject.Fault{{
+				Kind: faultinject.Crash, Start: 100, Targets: []wire.RobotID{attacker},
+			}}
+			want, got := RunChaos(base).Metrics, RunChaos(crashed).Metrics
+			if got.Fingerprint != want.Fingerprint {
+				t.Errorf("crash on attacker %d moved the fingerprint:\n  without %s\n  with    %s",
+					attacker, want.Fingerprint, got.Fingerprint)
+			}
+			if got.Attackers != 1 || got.AttackersDisabled != want.AttackersDisabled {
+				t.Errorf("attackers %d disabled %d, want 1 and %d",
+					got.Attackers, got.AttackersDisabled, want.AttackersDisabled)
+			}
+		})
+	}
+}

@@ -63,7 +63,7 @@ func (o SweepOptions) runnerOpts(n int, label func(i int) string) runner.Options
 	ro := runner.Options{Workers: o.Workers, Meter: o.Meter}
 	if o.Progress != nil {
 		done := 0 // safe: the runner serializes OnDone
-		ro.OnDone = func(i int, _ error, elapsed time.Duration) {
+		ro.OnDone = func(i int, elapsed time.Duration) {
 			done++
 			o.Progress(SweepProgress{Done: done, Total: n, Label: label(i), Elapsed: elapsed})
 		}

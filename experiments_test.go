@@ -1,6 +1,15 @@
 package roborebound
 
-import "testing"
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"slices"
+	"testing"
+
+	"roborebound/internal/wire"
+)
 
 // Shape assertions over the experiment harnesses at reduced scale —
 // the properties the paper's figures exhibit, enforced in CI.
@@ -128,5 +137,40 @@ func TestFig2Shapes(t *testing.T) {
 	// collisions rare all the same.
 	if clean.Crashes > 2 {
 		t.Errorf("clean fig2 run crashed %d times", clean.Crashes)
+	}
+}
+
+// TestFig2ObstacleRunPinned pins the bytes of the obstacle path: the
+// 25-robot Fig. 2 course, clean and attacked, where one robot of each
+// run ends inside an obstacle. Crash counts and a SHA-256 over every
+// correct robot's final position bits must not move.
+func TestFig2ObstacleRunPinned(t *testing.T) {
+	cfg := Fig2Config{N: 25, NumCompromised: 2, SpacingM: 15,
+		GoalX: 220, GoalY: 220, DurationSec: 120, Seed: 2, WithObstacles: true}
+	for _, tc := range []struct {
+		attack  bool
+		crashes int
+		hash    string
+	}{
+		{false, 1, "0c5ee1f587675ac81c223cc37f27dc08dd95fbc75935029dcfbf3d06138a115d"},
+		{true, 2, "824133289a8ee3e80fed8f0df8397b2e9c3d99eb995db54a5015cfa1ef651476"},
+	} {
+		res := RunFig2(cfg, tc.attack)
+		ids := make([]wire.RobotID, 0, len(res.FinalPositions))
+		for id := range res.FinalPositions {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
+		h := sha256.New()
+		for _, id := range ids {
+			p := res.FinalPositions[id]
+			h.Write(binary.BigEndian.AppendUint64(nil, uint64(id)))
+			h.Write(binary.BigEndian.AppendUint64(nil, math.Float64bits(p[0])))
+			h.Write(binary.BigEndian.AppendUint64(nil, math.Float64bits(p[1])))
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); res.Crashes != tc.crashes || got != tc.hash {
+			t.Errorf("attack=%v: crashes %d, positions %s; want %d, %s",
+				tc.attack, res.Crashes, got, tc.crashes, tc.hash)
+		}
 	}
 }

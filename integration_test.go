@@ -17,7 +17,6 @@ func TestProtectedFlockHealthy(t *testing.T) {
 	s := FlockScenario{
 		N:         9,
 		Spacing:   4,
-		Origin:    geom.V(0, 0),
 		Goal:      goal,
 		Protected: true,
 		Fmax:      2,

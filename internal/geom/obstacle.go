@@ -3,9 +3,9 @@ package geom
 // Obstacles are modeled as in Olfati-Saber §VII: each physical
 // obstacle induces a virtual "β-agent" — the point on the obstacle
 // boundary nearest to the robot, with a projected velocity — which the
-// controller then treats like a (purely repulsive) neighbor. Two
-// obstacle shapes cover the paper's scenarios: spheres (the obstacle
-// grid of Fig. 2) and infinite walls (arena boundaries).
+// controller then treats like a (purely repulsive) neighbor. The
+// paper's one obstacle scenario, the grid of Fig. 2 (§2.4), is made of
+// spheres.
 
 // BetaAgent is the position and velocity of the virtual agent an
 // obstacle projects for one robot, plus whether the robot is within
@@ -19,20 +19,10 @@ type BetaAgent struct {
 	OK bool
 }
 
-// Obstacle projects β-agents for robots. Implementations must be pure
-// functions of their arguments: β-agent projection happens inside the
-// deterministic controller and is replayed during audits.
-type Obstacle interface {
-	// Beta returns the β-agent induced for a robot at position x with
-	// velocity v.
-	Beta(x, v Vec2) BetaAgent
-	// Contains reports whether p is strictly inside the obstacle; the
-	// physics engine uses it for crash detection.
-	Contains(p Vec2) bool
-}
-
 // SphereObstacle is a disc of radius R centered at C (Olfati-Saber
-// Eq. 51 case 2).
+// Eq. 51 case 2). Its methods are pure functions of their arguments:
+// β-agent projection happens inside the deterministic controller and
+// is replayed during audits.
 type SphereObstacle struct {
 	C Vec2
 	R float64
@@ -63,37 +53,8 @@ func (o SphereObstacle) Beta(x, v Vec2) BetaAgent {
 	}
 }
 
-// Contains reports whether p lies strictly inside the disc.
+// Contains reports whether p lies strictly inside the disc; the
+// physics engine uses it for crash detection.
 func (o SphereObstacle) Contains(p Vec2) bool {
 	return p.DistSq(o.C) < o.R*o.R
-}
-
-// WallObstacle is an infinite hyperplane (line) with unit normal N
-// passing through point P0; the half-plane opposite N is solid
-// (Olfati-Saber Eq. 51 case 1).
-type WallObstacle struct {
-	P0 Vec2
-	N  Vec2 // must be unit length; NewWall normalizes
-}
-
-// NewWall constructs a wall through p0 whose free side is in the
-// direction of normal (which need not be pre-normalized).
-func NewWall(p0, normal Vec2) WallObstacle {
-	return WallObstacle{P0: p0, N: normal.Unit()}
-}
-
-// Beta projects the robot onto the wall: x̂ = P·x + (I−P)·P0 and
-// v̂ = P·v with P = I − N·Nᵀ.
-func (o WallObstacle) Beta(x, v Vec2) BetaAgent {
-	proj := func(z Vec2) Vec2 { return z.Sub(o.N.Scale(o.N.Dot(z))) }
-	return BetaAgent{
-		Pos: proj(x).Add(o.P0.Sub(proj(o.P0))),
-		Vel: proj(v),
-		OK:  true,
-	}
-}
-
-// Contains reports whether p is on the solid side of the wall.
-func (o WallObstacle) Contains(p Vec2) bool {
-	return p.Sub(o.P0).Dot(o.N) < 0
 }

@@ -90,35 +90,3 @@ func TestSphereBetaProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestWallBeta(t *testing.T) {
-	// Vertical wall at x = 0, free side toward +x.
-	w := NewWall(Zero2, V(1, 0))
-	ba := w.Beta(V(5, 7), V(-2, 3))
-	if !ba.OK {
-		t.Fatal("wall projection should always be defined")
-	}
-	if !ba.Pos.ApproxEqual(V(0, 7), 1e-12) {
-		t.Errorf("wall β-agent at %v, want (0,7)", ba.Pos)
-	}
-	if !ba.Vel.ApproxEqual(V(0, 3), 1e-12) {
-		t.Errorf("wall β-agent velocity %v, want (0,3)", ba.Vel)
-	}
-}
-
-func TestWallContains(t *testing.T) {
-	w := NewWall(V(0, 0), V(0, 1)) // floor at y=0, free side up
-	if !w.Contains(V(3, -1)) {
-		t.Error("below-floor point not contained")
-	}
-	if w.Contains(V(3, 1)) {
-		t.Error("above-floor point contained")
-	}
-}
-
-func TestNewWallNormalizes(t *testing.T) {
-	w := NewWall(Zero2, V(10, 0))
-	if math.Abs(w.N.Norm()-1) > 1e-12 {
-		t.Errorf("normal not normalized: %v", w.N)
-	}
-}

@@ -1,6 +1,7 @@
-// Package geom provides the 2-D vector algebra and the Olfati-Saber
+// Package geom provides the 2-D vector algebra, the Olfati-Saber
 // analytic helper functions (σ-norm, bump functions, action functions)
-// that the flocking controller and the physics engine are built on.
+// and the sphere obstacles of Fig. 2 that the flocking controller and
+// the physics engine are built on.
 //
 // Everything in this package is a pure function of its inputs; the
 // flocking controller's determinism (and therefore the soundness of

@@ -7,16 +7,15 @@ import (
 )
 
 // SweepMeter aggregates per-cell wall-clock latency and worker
-// utilization for one experiment sweep run on runner.Map. The runner
+// utilization for one experiment sweep run on runner.AllOpts. The runner
 // calls Now/CellDone from worker goroutines, so the meter is
 // mutex-guarded; a nil meter is valid and disables metering (every
 // method is nil-safe, and Now falls back to the package clock so the
 // runner can time cells unconditionally).
 //
 // Utilization is busy-time over capacity: Σ cell durations divided by
-// (wall time × workers). Cells that never ran (context cancelled
-// before dispatch) contribute nothing to either side; cells that
-// panicked still ran, so their elapsed time counts.
+// (wall time × workers). Cells that panicked still ran, so their
+// elapsed time counts.
 type SweepMeter struct {
 	clock Clock
 
@@ -48,7 +47,7 @@ func (m *SweepMeter) Now() int64 {
 }
 
 // Begin opens a wall-time window with the given worker-pool size.
-// runner.Map calls it at dispatch; multiple Map calls on one meter
+// runner.AllOpts calls it at dispatch; multiple calls on one meter
 // accumulate (wall windows sum, workers last-wins).
 func (m *SweepMeter) Begin(workers int) {
 	if m == nil {

@@ -1,16 +1,14 @@
 // Package runner executes independent simulation cells concurrently
 // on a bounded worker pool while preserving the exact semantics of a
-// serial loop: results come back in input order, a panic in any cell
-// surfaces on the caller's goroutine, and a cancelled context stops
-// dispatching new cells. The experiment sweeps (Figs. 2, 6, 7 —
-// grids of (scenario, seed) cells that share no state) are the
-// intended workload; each cell owns its own World, Medium, and PRNG,
-// so running them on N workers is observably identical to running
-// them one after another, just faster.
+// serial loop: results come back in input order and a panic in any
+// cell surfaces on the caller's goroutine. The experiment sweeps
+// (Figs. 2, 6, 7 — grids of (scenario, seed) cells that share no
+// state) are the intended workload; each cell owns its own World,
+// Medium, and PRNG, so running them on N workers is observably
+// identical to running them one after another, just faster.
 package runner
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -20,26 +18,26 @@ import (
 	"roborebound/internal/obs/perf"
 )
 
-// Options tunes one Map call.
+// Options tunes one AllOpts call.
 type Options struct {
 	// Workers bounds concurrency. 0 (or negative) means
 	// runtime.GOMAXPROCS(0); 1 forces the serial fast path, which
 	// runs every cell inline on the caller's goroutine.
 	Workers int
-	// OnDone, if non-nil, is invoked once per completed cell with its
-	// index, error (nil on success), and wall-clock duration. Calls
-	// are serialized under a mutex, so the callback may print or
+	// OnDone, if non-nil, is invoked once per completed cell (a
+	// panicked one included) with its index and wall-clock duration.
+	// Calls are serialized under a mutex, so the callback may print or
 	// accumulate without its own locking. Completion order is
 	// nondeterministic under parallelism; use the index, not the call
 	// sequence, to identify cells.
-	OnDone func(index int, err error, elapsed time.Duration)
+	OnDone func(index int, elapsed time.Duration)
 	// Meter, if non-nil, collects sweep telemetry: per-cell latency
 	// into streaming histograms plus a worker-utilization window
-	// spanning the Map call. It is also the pool's wall-clock source —
-	// every per-cell elapsed reading (including the one OnDone sees)
-	// comes from the meter's injected clock, which is how tests pin the
-	// timing math. nil reads the perf package clock directly and
-	// records nothing.
+	// spanning the AllOpts call. It is also the pool's wall-clock
+	// source — every per-cell elapsed reading (including the one
+	// OnDone sees) comes from the meter's injected clock, which is how
+	// tests pin the timing math. nil reads the perf package clock
+	// directly and records nothing.
 	Meter *perf.SweepMeter
 }
 
@@ -59,175 +57,81 @@ func (o Options) WorkerCount(n int) int {
 	return w
 }
 
-// CellError wraps an error returned by one cell, recording which one.
-type CellError struct {
-	Index int
-	Err   error
+// All runs fn for every index in [0, n) with the given worker bound
+// and returns the results in input order — results[i] is fn(i)
+// regardless of which worker ran it or when it finished.
+func All[T any](workers int, n int, fn func(i int) T) []T {
+	return AllOpts(Options{Workers: workers}, n, fn)
 }
 
-func (e *CellError) Error() string { return fmt.Sprintf("cell %d: %v", e.Index, e.Err) }
-func (e *CellError) Unwrap() error { return e.Err }
-
-// PanicError records a panic captured inside a worker. Map converts
-// worker panics into errors so one bad cell cannot crash the process
-// from an anonymous goroutine; callers that want the serial-loop
-// crash semantics re-panic (see All).
-type PanicError struct {
-	Index int
-	Value any
-	Stack []byte
-}
-
-func (e *PanicError) Error() string {
-	return fmt.Sprintf("cell %d panicked: %v", e.Index, e.Value)
-}
-
-// Map runs fn for every index in [0, n) on a bounded worker pool and
-// returns the results in input order — results[i] is fn(ctx, i)
-// regardless of which worker ran it or when it finished. The first
-// failing cell (lowest index) determines the returned error; cells
-// that already started still run to completion, but no new cells are
-// dispatched after the context is cancelled (their slots hold the
-// zero value and the error includes ctx.Err()).
-func Map[T any](ctx context.Context, n int, opts Options, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
+// AllOpts is All with full Options (progress callbacks, telemetry).
+// A panic inside a cell does not stop the others: every cell runs,
+// and then the lowest-index panic is re-raised on the caller's
+// goroutine with the panicking cell's stack, so the reported failure
+// is the one a serial `for` loop over the same cells would hit first,
+// no matter which worker finished first.
+func AllOpts[T any](opts Options, n int, fn func(i int) T) []T {
 	results := make([]T, n)
 	if n == 0 {
-		return results, ctx.Err()
+		return results
 	}
 	workers := opts.WorkerCount(n)
 	opts.Meter.Begin(workers)
 	defer opts.Meter.End()
 
-	errs := make([]error, n)
+	panics := make([]string, n)
 	var doneMu sync.Mutex
-	finish := func(i int, err error, elapsed time.Duration) {
-		errs[i] = err
-		if opts.OnDone != nil {
-			doneMu.Lock()
-			opts.OnDone(i, err, elapsed)
-			doneMu.Unlock()
-		}
-	}
 	runCell := func(i int) {
 		// Elapsed time is telemetry only (OnDone + meter histograms),
 		// never simulation state. All wall-clock reads go through the
 		// meter seam — perf.Now when no meter is attached — so the pool
 		// has no time source of its own.
 		start := opts.Meter.Now()
-		var (
-			val T
-			err error
-		)
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
-					err = &PanicError{Index: i, Value: r, Stack: debug.Stack()}
+					panics[i] = fmt.Sprintf("runner: %v\n%s", r, debug.Stack())
 				}
 			}()
-			val, err = fn(ctx, i)
+			results[i] = fn(i)
 		}()
-		results[i] = val
-		if err != nil && !isPanic(err) {
-			err = &CellError{Index: i, Err: err}
-		}
 		elapsedNs := opts.Meter.Now() - start
 		opts.Meter.CellDone(elapsedNs)
-		finish(i, err, time.Duration(elapsedNs))
+		if opts.OnDone != nil {
+			doneMu.Lock()
+			opts.OnDone(i, time.Duration(elapsedNs))
+			doneMu.Unlock()
+		}
 	}
 
 	if workers == 1 {
 		// Serial fast path: no goroutines, no channels — the parallel
 		// runner degenerates to the plain loop it replaced.
 		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				errs[i] = &CellError{Index: i, Err: ctx.Err()}
-				continue
-			}
 			runCell(i)
 		}
-		return results, firstError(errs)
-	}
-
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				runCell(i)
-			}
-		}()
-	}
-dispatch:
-	for i := 0; i < n; i++ {
-		//rebound:nondet dispatch-vs-cancel race is deliberate; results are indexed by cell, so completion order never escapes
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			for j := i; j < n; j++ {
-				errs[j] = &CellError{Index: j, Err: ctx.Err()}
-			}
-			break dispatch
+	} else {
+		jobs := make(chan int)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range jobs {
+					runCell(i)
+				}
+			}()
 		}
-	}
-	close(jobs)
-	wg.Wait()
-	return results, firstError(errs)
-}
-
-func isPanic(err error) bool {
-	_, ok := err.(*PanicError)
-	return ok
-}
-
-// firstError returns the error of the lowest-index failing cell, so
-// the reported failure is deterministic no matter which worker
-// finished first.
-func firstError(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
+		for i := 0; i < n; i++ {
+			jobs <- i
 		}
+		close(jobs)
+		wg.Wait()
 	}
-	return nil
-}
-
-// All is Map for infallible cells: it runs fn for every index with
-// the given worker bound and returns results in input order. A panic
-// inside any cell is re-raised on the caller's goroutine — exactly
-// what a serial `for` loop over the same cells would do — after all
-// in-flight cells drain.
-func All[T any](workers int, n int, fn func(i int) T) []T {
-	return AllOpts(Options{Workers: workers}, n, fn)
-}
-
-// AllOpts is All with full Options (progress callbacks etc.).
-func AllOpts[T any](opts Options, n int, fn func(i int) T) []T {
-	results, err := Map(context.Background(), n, opts, func(_ context.Context, i int) (T, error) {
-		return fn(i), nil
-	})
-	if err != nil {
-		var pe *PanicError
-		if ok := asPanic(err, &pe); ok {
-			panic(fmt.Sprintf("runner: %v\n%s", pe.Value, pe.Stack))
+	for _, p := range panics {
+		if p != "" {
+			panic(p)
 		}
-		panic(err) // unreachable: fn cannot return an error
 	}
 	return results
-}
-
-func asPanic(err error, target **PanicError) bool {
-	for err != nil {
-		if pe, ok := err.(*PanicError); ok {
-			*target = pe
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }

@@ -1,8 +1,6 @@
 package runner
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -13,18 +11,22 @@ import (
 	"roborebound/internal/obs/perf"
 )
 
+// recoverPanic runs f and returns the value it panicked with (nil if
+// it returned normally).
+func recoverPanic(f func()) (r any) {
+	defer func() { r = recover() }()
+	f()
+	return nil
+}
+
 func TestMapStableOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 100} {
-		got, err := Map(context.Background(), 50, Options{Workers: workers},
-			func(_ context.Context, i int) (int, error) {
-				// Finish later cells faster to provoke out-of-order
-				// completion; results must still land by index.
-				time.Sleep(time.Duration(50-i) * 10 * time.Microsecond)
-				return i * i, nil
-			})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
+		got := All(workers, 50, func(i int) int {
+			// Finish later cells faster to provoke out-of-order
+			// completion; results must still land by index.
+			time.Sleep(time.Duration(50-i) * 10 * time.Microsecond)
+			return i * i
+		})
 		for i, v := range got {
 			if v != i*i {
 				t.Fatalf("workers=%d: results[%d] = %d, want %d", workers, i, v, i*i)
@@ -34,17 +36,9 @@ func TestMapStableOrder(t *testing.T) {
 }
 
 func TestSerialAndParallelIdentical(t *testing.T) {
-	fn := func(_ context.Context, i int) (string, error) {
-		return fmt.Sprintf("cell-%d", i*7%13), nil
-	}
-	serial, err := Map(context.Background(), 40, Options{Workers: 1}, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := Map(context.Background(), 40, Options{Workers: 6}, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fn := func(i int) string { return fmt.Sprintf("cell-%d", i*7%13) }
+	serial := All(1, 40, fn)
+	parallel := All(6, 40, fn)
 	for i := range serial {
 		if serial[i] != parallel[i] {
 			t.Fatalf("results diverge at %d: %q vs %q", i, serial[i], parallel[i])
@@ -54,73 +48,78 @@ func TestSerialAndParallelIdentical(t *testing.T) {
 
 func TestWorkerBound(t *testing.T) {
 	var active, peak atomic.Int32
-	_, err := Map(context.Background(), 64, Options{Workers: 3},
-		func(_ context.Context, i int) (struct{}, error) {
-			n := active.Add(1)
-			for {
-				p := peak.Load()
-				if n <= p || peak.CompareAndSwap(p, n) {
-					break
-				}
+	All(3, 64, func(i int) struct{} {
+		n := active.Add(1)
+		for {
+			p := peak.Load()
+			if n <= p || peak.CompareAndSwap(p, n) {
+				break
 			}
-			time.Sleep(200 * time.Microsecond)
-			active.Add(-1)
-			return struct{}{}, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
+		}
+		time.Sleep(200 * time.Microsecond)
+		active.Add(-1)
+		return struct{}{}
+	})
 	if got := peak.Load(); got > 3 {
 		t.Errorf("observed %d concurrent cells, want ≤ 3", got)
 	}
 }
 
-func TestFirstErrorByIndexNotByTime(t *testing.T) {
-	boom := errors.New("boom")
-	_, err := Map(context.Background(), 20, Options{Workers: 8},
-		func(_ context.Context, i int) (int, error) {
-			if i == 5 || i == 15 {
-				if i == 15 {
-					return 0, boom // finishes first…
-				}
+// TestLowestIndexPanicWins: cell 15 panics first, cell 5 later; the
+// re-raised panic is cell 5's, as a serial loop would hit it, and
+// every other cell still ran.
+func TestLowestIndexPanicWins(t *testing.T) {
+	var ran [20]atomic.Bool
+	fifteenDone := make(chan struct{})
+	r := recoverPanic(func() {
+		All(8, 20, func(i int) int {
+			ran[i].Store(true)
+			switch i {
+			case 15:
+				close(fifteenDone)
+				panic("cell fifteen")
+			case 5:
+				<-fifteenDone
 				time.Sleep(2 * time.Millisecond)
-				return 0, boom // …but index 5 must win
+				panic("cell five")
 			}
-			return i, nil
+			return i
 		})
-	var ce *CellError
-	if !errors.As(err, &ce) {
-		t.Fatalf("error = %v, want *CellError", err)
+	})
+	msg := fmt.Sprint(r)
+	if !strings.Contains(msg, "cell five") || strings.Contains(msg, "cell fifteen") {
+		t.Fatalf("re-raised %q, want the lowest failing index 5", msg)
 	}
-	if ce.Index != 5 {
-		t.Errorf("reported cell %d, want lowest failing index 5", ce.Index)
-	}
-	if !errors.Is(err, boom) {
-		t.Error("cause not preserved through CellError")
+	for i := range ran {
+		if !ran[i].Load() {
+			t.Errorf("cell %d never ran", i)
+		}
 	}
 }
 
 func TestPanicCaptured(t *testing.T) {
-	results, err := Map(context.Background(), 10, Options{Workers: 4},
-		func(_ context.Context, i int) (int, error) {
+	var survivor atomic.Int64
+	r := recoverPanic(func() {
+		All(4, 10, func(i int) int {
 			if i == 3 {
 				panic("cell exploded")
 			}
-			return i, nil
+			if i == 9 {
+				survivor.Store(9)
+			}
+			return i
 		})
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("error = %v, want *PanicError", err)
+	})
+	msg := fmt.Sprint(r)
+	if !strings.Contains(msg, "cell exploded") {
+		t.Fatalf("panic value %q does not carry the cell's message", msg)
 	}
-	if pe.Index != 3 || pe.Value != "cell exploded" {
-		t.Errorf("panic error = %+v", pe)
-	}
-	if len(pe.Stack) == 0 {
-		t.Error("panic stack not captured")
+	if !strings.Contains(msg, "goroutine") {
+		t.Errorf("panic stack not captured: %q", msg)
 	}
 	// Healthy cells still completed.
-	if results[9] != 9 {
-		t.Errorf("surviving cell lost: results[9] = %d", results[9])
+	if survivor.Load() != 9 {
+		t.Error("surviving cell lost")
 	}
 }
 
@@ -142,37 +141,13 @@ func TestAllRepanicsOnCallerGoroutine(t *testing.T) {
 	})
 }
 
-func TestContextCancellationStopsDispatch(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var started atomic.Int32
-	results, err := Map(ctx, 100, Options{Workers: 2},
-		func(_ context.Context, i int) (int, error) {
-			started.Add(1)
-			if i == 3 {
-				cancel()
-			}
-			time.Sleep(100 * time.Microsecond)
-			return 1, nil
-		})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("error = %v, want context.Canceled", err)
-	}
-	if n := started.Load(); n == 100 {
-		t.Error("cancellation did not stop dispatch")
-	}
-	// Undispatched cells hold the zero value.
-	if results[99] != 0 {
-		t.Errorf("results[99] = %d, want zero value", results[99])
-	}
-}
-
 func TestOnDoneSerializedAndComplete(t *testing.T) {
 	var mu sync.Mutex
 	seen := make(map[int]time.Duration)
 	inCallback := false
-	_, err := Map(context.Background(), 30, Options{
+	AllOpts(Options{
 		Workers: 8,
-		OnDone: func(i int, err error, elapsed time.Duration) {
+		OnDone: func(i int, elapsed time.Duration) {
 			// The runner serializes OnDone; this re-entrancy check
 			// fails (under -race or by flag) if it ever overlaps.
 			mu.Lock()
@@ -184,13 +159,10 @@ func TestOnDoneSerializedAndComplete(t *testing.T) {
 			inCallback = false
 			mu.Unlock()
 		},
-	}, func(_ context.Context, i int) (int, error) {
+	}, 30, func(i int) int {
 		time.Sleep(50 * time.Microsecond)
-		return i, nil
+		return i
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(seen) != 30 {
 		t.Fatalf("OnDone fired %d times, want 30", len(seen))
 	}
@@ -220,10 +192,9 @@ func TestWorkerCountResolution(t *testing.T) {
 }
 
 func TestZeroCells(t *testing.T) {
-	got, err := Map(context.Background(), 0, Options{},
-		func(_ context.Context, i int) (int, error) { return 0, nil })
-	if err != nil || len(got) != 0 {
-		t.Fatalf("empty map: %v, %v", got, err)
+	got := AllOpts(Options{}, 0, func(i int) int { return 0 })
+	if len(got) != 0 {
+		t.Fatalf("empty sweep: %v", got)
 	}
 }
 
@@ -237,11 +208,7 @@ func meterClock(step int64) perf.Clock {
 func TestMapMeterCountsCells(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		m := perf.NewSweepMeter(meterClock(7))
-		_, err := Map(context.Background(), 10, Options{Workers: workers, Meter: m},
-			func(_ context.Context, i int) (int, error) { return i, nil })
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
+		AllOpts(Options{Workers: workers, Meter: m}, 10, func(i int) int { return i })
 		r := m.Report()
 		if r.Cells != 10 {
 			t.Fatalf("workers=%d: meter saw %d cells, want 10", workers, r.Cells)
@@ -255,49 +222,20 @@ func TestMapMeterCountsCells(t *testing.T) {
 	}
 }
 
-func TestMapMeterUnderCancellation(t *testing.T) {
-	// Cancel after the first few cells: undispatched cells must
-	// contribute nothing to the meter — the busy side only counts
-	// cells that actually ran.
-	ctx, cancel := context.WithCancel(context.Background())
-	m := perf.NewSweepMeter(meterClock(3))
-	var ran atomic.Int64
-	_, err := Map(ctx, 100, Options{Workers: 2, Meter: m},
-		func(_ context.Context, i int) (int, error) {
-			if ran.Add(1) == 4 {
-				cancel()
-			}
-			return i, nil
-		})
-	if err == nil {
-		t.Fatal("expected a cancellation error")
-	}
-	r := m.Report()
-	if int64(r.Cells) != ran.Load() {
-		t.Fatalf("meter saw %d cells, but %d ran", r.Cells, ran.Load())
-	}
-	if r.Cells >= 100 {
-		t.Fatalf("cancellation did not stop dispatch: %d cells", r.Cells)
-	}
-	if r.Utilization < 0 || r.Utilization > 1 {
-		t.Fatalf("utilization out of range: %v", r.Utilization)
-	}
-}
-
 func TestMapMeterCountsPanickedCells(t *testing.T) {
 	// A panicking cell still ran, so its elapsed time is telemetry;
-	// the panic must still surface as a PanicError.
+	// the panic must still surface on the caller.
 	m := perf.NewSweepMeter(meterClock(5))
-	_, err := Map(context.Background(), 3, Options{Workers: 1, Meter: m},
-		func(_ context.Context, i int) (int, error) {
+	r := recoverPanic(func() {
+		AllOpts(Options{Workers: 1, Meter: m}, 3, func(i int) int {
 			if i == 1 {
 				panic("boom")
 			}
-			return i, nil
+			return i
 		})
-	var pe *PanicError
-	if !errors.As(err, &pe) && !asPanic(err, &pe) {
-		t.Fatalf("panic not surfaced: %v", err)
+	})
+	if !strings.Contains(fmt.Sprint(r), "boom") {
+		t.Fatalf("panic not surfaced: %v", r)
 	}
 	if r := m.Report(); r.Cells != 3 {
 		t.Fatalf("meter saw %d cells, want 3 (panicked cell included)", r.Cells)
@@ -309,14 +247,11 @@ func TestMapMeterElapsedFeedsOnDone(t *testing.T) {
 	// clock — each cell spans exactly one step of the fake clock.
 	m := perf.NewSweepMeter(meterClock(11))
 	var elapsed []time.Duration
-	_, err := Map(context.Background(), 4, Options{
+	AllOpts(Options{
 		Workers: 1,
 		Meter:   m,
-		OnDone:  func(_ int, _ error, e time.Duration) { elapsed = append(elapsed, e) },
-	}, func(_ context.Context, i int) (int, error) { return i, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
+		OnDone:  func(_ int, e time.Duration) { elapsed = append(elapsed, e) },
+	}, 4, func(i int) int { return i })
 	if len(elapsed) != 4 {
 		t.Fatalf("OnDone ran %d times, want 4", len(elapsed))
 	}

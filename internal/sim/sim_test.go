@@ -79,7 +79,7 @@ func TestDisabledBodyBrakes(t *testing.T) {
 
 func TestObstacleCrash(t *testing.T) {
 	cfg := DefaultWorldConfig()
-	cfg.Obstacles = []geom.Obstacle{geom.SphereObstacle{C: geom.V(10, 0), R: 2}}
+	cfg.Obstacles = []geom.SphereObstacle{{C: geom.V(10, 0), R: 2}}
 	w := NewWorld(cfg)
 	b := w.AddBody(1, geom.V(7, 0))
 	b.Vel = geom.V(8, 0)

@@ -34,8 +34,8 @@ type WorldConfig struct {
 	// CrashRadius is the robot-robot collision distance; 0 disables
 	// robot-robot crash detection.
 	CrashRadius float64
-	// Obstacles are solid regions; entering one is a crash.
-	Obstacles []geom.Obstacle
+	// Obstacles are solid discs; entering one is a crash.
+	Obstacles []geom.SphereObstacle
 	// Deprecated: ignored; the grid is the only path. Kept only because
 	// benchmark/ still assigns it; removed with those assignments
 	// (ROADMAP item 2, PR A).
@@ -82,17 +82,10 @@ type World struct {
 	crashes []CrashEvent
 
 	// Spatial-index state. The body grid is rebuilt each detectCrashes
-	// (bodies move every tick); its backing arrays and queryBuf amortize
-	// to zero allocations. The sphere-obstacle grid is built once —
-	// obstacles are static.
-	grid     spatial.Grid     //rebound:snapshot-skip rebuilt from bodies every detectCrashes
-	queryBuf []spatial.Member //rebound:snapshot-skip per-tick scratch
-	pairBuf  [][2]int32       //rebound:snapshot-skip per-tick scratch
-
-	sphereObs  []geom.SphereObstacle //rebound:snapshot-skip derived from cfg.Obstacles at construction
-	otherObs   []geom.Obstacle       //rebound:snapshot-skip derived from cfg.Obstacles at construction
-	sphereGrid spatial.Grid          //rebound:snapshot-skip derived from cfg.Obstacles at construction
-	sphereMaxR float64               //rebound:snapshot-skip derived from cfg.Obstacles at construction
+	// (bodies move every tick); its backing arrays amortize to zero
+	// allocations.
+	grid    spatial.Grid //rebound:snapshot-skip rebuilt from bodies every detectCrashes
+	pairBuf [][2]int32   //rebound:snapshot-skip per-tick scratch
 
 	perf *perf.PhaseTimer //rebound:snapshot-skip observation-only wall-clock plane, reattached at rebuild
 }
@@ -103,44 +96,7 @@ func (w *World) SetPerf(t *perf.PhaseTimer) { w.perf = t }
 
 // NewWorld creates an empty world.
 func NewWorld(cfg WorldConfig) *World {
-	w := &World{cfg: cfg, index: make(map[wire.RobotID]*Body)}
-	w.buildObstacleIndex()
-	return w
-}
-
-// buildObstacleIndex splits the static obstacle set into grid-indexed
-// spheres and a linear-scan remainder (walls are infinite; degenerate
-// spheres are not worth cells). Containment is an existence test whose
-// single observable outcome is crash(b, b), so checking spheres out of
-// slice order cannot change any run's byte output.
-func (w *World) buildObstacleIndex() {
-	maxR := 0.0
-	for _, o := range w.cfg.Obstacles {
-		s, ok := o.(geom.SphereObstacle)
-		if !ok || !s.C.IsFinite() || !(s.R > 0) || math.IsInf(s.R, 0) {
-			w.otherObs = append(w.otherObs, o)
-			continue
-		}
-		w.sphereObs = append(w.sphereObs, s)
-		if s.R > maxR {
-			maxR = s.R
-		}
-	}
-	if len(w.sphereObs) == 0 {
-		return
-	}
-	// Any point inside a sphere is within maxR of its center under the
-	// very same DistSq both Contains and the grid predicate use, so a
-	// Within(pos, maxR) query over centers is a strict candidate
-	// superset; Contains then makes the exact call.
-	w.sphereMaxR = maxR
-	w.sphereGrid.Reset(2 * maxR)
-	w.sphereGrid.Grow(len(w.sphereObs))
-	for i, s := range w.sphereObs {
-		w.sphereGrid.Add(int32(i), s.C)
-	}
-	w.sphereGrid.Build()
-	w.queryBuf = make([]spatial.Member, 0, len(w.sphereObs))
+	return &World{cfg: cfg, index: make(map[wire.RobotID]*Body)}
 }
 
 // AddBody places a robot. Panics on duplicate IDs (a scenario bug).
@@ -231,31 +187,18 @@ func (w *World) detectCrashes(now wire.Tick) {
 	w.detectPairCrashes(now)
 }
 
-// detectObstacleCrashes marks bodies inside any obstacle. The sphere
-// grid reorders which obstacle is found first, never whether one is.
+// detectObstacleCrashes marks bodies inside any obstacle. Fig. 2 has
+// nine, so a linear scan is the whole index.
 func (w *World) detectObstacleCrashes(now wire.Tick) {
 	for _, b := range w.bodies {
 		if b.Crashed {
 			continue
 		}
-		hit := false
-		for _, o := range w.otherObs {
+		for _, o := range w.cfg.Obstacles {
 			if o.Contains(b.Pos) {
-				hit = true
+				w.crash(now, b, b)
 				break
 			}
-		}
-		if !hit && len(w.sphereObs) > 0 {
-			w.queryBuf = w.sphereGrid.Within(b.Pos, w.sphereMaxR, w.queryBuf)
-			for _, cand := range w.queryBuf {
-				if w.sphereObs[cand.ID].Contains(b.Pos) {
-					hit = true
-					break
-				}
-			}
-		}
-		if hit {
-			w.crash(now, b, b)
 		}
 	}
 }

@@ -70,7 +70,7 @@ func (v *viewBox) include(p geom.Vec2, pad float64) {
 // RenderSnapshot produces a standalone SVG document.
 func RenderSnapshot(s Snapshot) string {
 	vb := viewBox{x0: 1e18, y0: 1e18, x1: -1e18, y1: -1e18}
-	for _, id := range sortedIDs(s.Robots) {
+	for _, id := range idsInOrder(s.Robots) {
 		vb.include(s.Robots[id], 10)
 	}
 	if s.Goal != nil {
@@ -118,7 +118,7 @@ func RenderSnapshot(s Snapshot) string {
 			g.X-1.5*r, fy(g.Y)-1.5*r, 3*r, 3*r, -3*r, -3*r, 3*r, r/2)
 		b.WriteString("\n")
 	}
-	for _, id := range sortedIDs(s.Robots) {
+	for _, id := range idsInOrder(s.Robots) {
 		p := s.Robots[id]
 		style := markerStyle[s.Markers[id]]
 		fmt.Fprintf(&b, `<circle cx="%.1f" cy="%.1f" r="%.1f" %s><title>robot %d</title></circle>`,
@@ -141,7 +141,7 @@ func markerRadius(w, h float64) float64 {
 	return r
 }
 
-func sortedIDs(m map[wire.RobotID]geom.Vec2) []wire.RobotID {
+func idsInOrder(m map[wire.RobotID]geom.Vec2) []wire.RobotID {
 	ids := make([]wire.RobotID, 0, len(m))
 	for id := range m {
 		ids = append(ids, id)

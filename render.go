@@ -88,18 +88,12 @@ func (s *Sim) SnapshotSim(title string, goal *geom.Vec2) string {
 			markers[id] = viz.MarkerCompromised
 		}
 	}
-	var obstacles []geom.SphereObstacle
-	for _, o := range s.Cfg.World.Obstacles {
-		if so, ok := o.(geom.SphereObstacle); ok {
-			obstacles = append(obstacles, so)
-		}
-	}
 	return viz.RenderSnapshot(viz.Snapshot{
 		Title:     title,
 		Robots:    robots,
 		Markers:   markers,
 		Goal:      goal,
-		Obstacles: obstacles,
+		Obstacles: s.Cfg.World.Obstacles,
 	})
 }
 

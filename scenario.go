@@ -5,13 +5,9 @@ import (
 
 	"roborebound/internal/attack"
 	"roborebound/internal/core"
-	"roborebound/internal/faultinject"
 	"roborebound/internal/flocking"
 	"roborebound/internal/geom"
-	"roborebound/internal/obs"
-	"roborebound/internal/obs/perf"
 	"roborebound/internal/prng"
-	"roborebound/internal/radio"
 	"roborebound/internal/sim"
 	"roborebound/internal/wire"
 )
@@ -60,13 +56,12 @@ func SpoofStrategy(z, epsilon, c float64) func(ids []wire.RobotID, goal geom.Vec
 // FlockScenario describes one Olfati-Saber experiment, mirroring the
 // two setups of §5.2 and the attack runs of §5.3.
 type FlockScenario struct {
-	// N is the number of robots, laid out on a square grid.
+	// N is the number of robots, laid out on a square grid cornered
+	// at the origin.
 	N int
 	// Spacing is both the grid pitch and the desired inter-robot
 	// distance d (4 m–64 m in the paper).
 	Spacing float64
-	// Origin is the grid corner.
-	Origin geom.Vec2
 	// Goal is the destination (the paper uses (500, 500) for the cost
 	// experiments).
 	Goal geom.Vec2
@@ -91,23 +86,10 @@ type FlockScenario struct {
 	MaxSpeedMS float64
 	// Compromised marks attacker slots.
 	Compromised []CompromisedSpec
-	// Radio, when non-nil, overrides the link model threaded through
-	// to SimConfig.Radio (e.g. a small MTUBytes to engage
-	// fragmentation). nil keeps radio.DefaultParams.
-	Radio *radio.Params
-	// Faults, when non-nil, is the fault-injection schedule threaded
-	// through to SimConfig.Faults.
-	Faults *faultinject.Schedule
-	// Trace / Metrics are threaded through to SimConfig (see there).
-	Trace   obs.Tracer
-	Metrics *obs.Registry
 	// Deprecated: ignored; the grid is the only path. Kept only because
 	// benchmark/ still assigns it; removed with those assignments
 	// (ROADMAP item 2, PR A).
 	SpatialIndex bool
-	// Perf threads through to SimConfig.Perf: wall-clock phase
-	// attribution, observation-only.
-	Perf *perf.PhaseTimer
 	// Tune, if non-nil, adjusts the flocking parameters after the
 	// defaults are applied (used by ablations).
 	Tune func(*flocking.Params)
@@ -130,19 +112,8 @@ func (fs FlockScenario) Build() *Sim {
 	if fs.MaxSpeedMS > 0 {
 		world.MaxSpeed = fs.MaxSpeedMS
 	}
-	for _, o := range fs.Obstacles {
-		world.Obstacles = append(world.Obstacles, o)
-	}
-	s := NewSim(SimConfig{
-		Seed:    fs.Seed,
-		Core:    &cc,
-		World:   &world,
-		Radio:   fs.Radio,
-		Faults:  fs.Faults,
-		Trace:   fs.Trace,
-		Metrics: fs.Metrics,
-		Perf:    fs.Perf,
-	})
+	world.Obstacles = fs.Obstacles
+	s := NewSim(SimConfig{Seed: fs.Seed, Core: &cc, World: &world})
 
 	params := flocking.DefaultParams(TicksPerSecond, fs.Spacing, fs.Goal)
 	if len(fs.Obstacles) > 0 {
@@ -159,7 +130,7 @@ func (fs FlockScenario) Build() *Sim {
 	}
 	factory := flocking.Factory{Params: params}
 
-	positions := GridPositions(fs.N, fs.Spacing, fs.Origin)
+	positions := GridPositions(fs.N, fs.Spacing, geom.Zero2)
 	rng := prng.New(fs.Seed)
 	if fs.JitterM > 0 {
 		for i := range positions {
