@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race race-serve race-runner ci bench-all bench-gate fmt-check cover chaos-smoke soak snapshot-smoke perf-smoke fuzz-smoke
+.PHONY: all build vet lint test race race-serve race-runner ci bench-all bench-gate fmt-check cover chaos-smoke soak violation-dump snapshot-smoke perf-smoke fuzz-smoke
 
 all: ci
 
@@ -94,6 +94,23 @@ chaos-smoke:
 # rows of TestKnownFalsePositiveLatches, at their pinned tick and robot.
 soak:
 	$(GO) test -tags soak -run TestLatchCensus -count=1 -timeout 10m .
+
+# The chaos CLI's violation-dump path, end to end. At -seed 218 the
+# quick soak's 42 cells include exactly two known latches, patrol and
+# warehouse under skew at seed 218 (TestKnownFalsePositiveLatches), so
+# the CLI must exit nonzero and the -events file must hold exactly
+# their two {"cell": ...} markers, each followed by the offending
+# robot's events.
+violation-dump:
+	@if $(GO) run ./cmd/roborebound -quick -progress=false -seed 218 \
+	  -events obs-chaos-violations-218.ndjson chaos >/dev/null; then \
+	  echo "violation-dump: the chaos CLI exited 0 at seed 218, where two cells latch"; exit 1; fi
+	@cells=$$(grep -o '^{"cell":"[^"]*"' obs-chaos-violations-218.ndjson | cut -d'"' -f4 | tr '\n' ';'); \
+	if [ "$$cells" != "chaos patrol/skew seed=218;chaos warehouse/skew seed=218;" ]; then \
+	  echo "violation-dump: dumped cells \"$$cells\", want patrol and warehouse under skew at seed 218"; exit 1; fi
+	@awk '/^\{"cell":/ { if (m) bad = 1; m = 1; next } { if (NR == 1) bad = 1; m = 0; n++ } \
+	  END { print "violation-dump: 2 cells, " n " events"; exit bad || m }' obs-chaos-violations-218.ndjson \
+	  || { echo "violation-dump: a cell marker is not followed by events"; exit 1; }
 
 # The snapshot/resume differential smoke: capture a 300-robot chaos
 # cell at its midpoint, then resume it with -verify, which re-runs the

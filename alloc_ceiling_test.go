@@ -25,6 +25,11 @@ import (
 //	        PR 19; 8.90 at PR 14, before the control/MAC/round half
 //	        stopped allocating per step; 24.28 on PR 14's parent, before
 //	        the receive/log/audit half did).
+//	sparse  1 869 B since a cell is traced only when its caller asks:
+//	        its violation dump is rebuilt by re-run, not recorded all
+//	        along (2 073 B before). The ceiling is 10 % above this plain
+//	        reading; the -race one, 1 892 B, is under it, and 10 % above
+//	        that would still admit the 2 073 B before.
 //	sparse  4.716 allocations and 2 080 B since metrics registered per
 //	        component. Before that:
 //	sparse  6.816 allocations and 2 125 B at PR 20 (7.250 and 2 552 B at
@@ -39,7 +44,7 @@ const (
 	denseCellAllocCeiling  = 3.59
 	sparseCellAllocCeiling = 5.19
 	denseCellBytesCeiling  = 3273
-	sparseCellBytesCeiling = 2288
+	sparseCellBytesCeiling = 2056
 )
 
 // The most bytes the quick dense cell may keep, ratcheted the same way:
@@ -48,16 +53,18 @@ const (
 //	snapshot   398 088 B at tick 60 since a covered audit round holds no
 //	           request bytes and serializes none (751 432 B before). The
 //	           count is exact: the snapshot is a deterministic encoding.
-//	live heap  127 304 B at most at N=5 (the larger of the plain and
-//	           -race readings, 122 976 and 123 088–127 304), sampled after
-//	           a collection every 4 ticks, since covered rounds, the
-//	           medium's delivery buffers and the audit cache's decode
-//	           scratch let go of request payloads (150 904 and 151 128
-//	           before). N=5 is the smallest cell that reads the
+//	live heap  89 528 B at most at N=5 (the larger of the plain and
+//	           -race readings, 89 416–89 448 and 89 272–89 528), sampled
+//	           after a collection every 4 ticks, since the cell keeps no
+//	           flight recorder: its violation dump is rebuilt by re-run
+//	           (121 760–127 304 before, when covered rounds, the medium's
+//	           delivery buffers and the audit cache's decode scratch had
+//	           let go of request payloads; 150 904 and 151 128 before
+//	           that). N=5 is the smallest cell that reads the
 //	           difference: at N=4 a robot latches.
 const (
 	denseSnapshotBytesCeiling = 437_896
-	denseLiveHeapCeiling      = 140_034
+	denseLiveHeapCeiling      = 98_500
 )
 
 // denseQuickCell is the benchmark's dense workload at its quick size —

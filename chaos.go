@@ -60,11 +60,11 @@ type ChaosConfig struct {
 	// (tests use this to aim a specific fault at a specific robot). A
 	// Crash aimed at a deliberate attacker leaves it an attacker.
 	ExtraFaults []faultinject.Fault
-	// Trace, when non-nil, receives the cell's full event stream in
-	// addition to the always-on flight recorder. Leave nil for matrix
-	// sweeps: cells run on the worker pool and a shared collector
-	// would race (each cell's flight recorder is private, so matrix
-	// runs stay race-clean without it).
+	// Trace, when non-nil, receives the cell's full event stream. Leave
+	// nil for matrix sweeps: cells run on the worker pool and a shared
+	// collector would race. A violation's flight-recorder dump does not
+	// need it: when the checker latches, the cell is re-run from tick 0
+	// with a recorder attached to rebuild the dump.
 	Trace obs.Tracer
 	// Metrics, when non-nil, receives the cell's counters; otherwise
 	// the cell uses a private registry. Either way the final snapshot
@@ -130,6 +130,11 @@ type ChaosConfig struct {
 	// the snapshot echo: only the in-package protocol differential sets
 	// it, to get the uncached run it compares the cached one against.
 	detachAuditCache bool
+	// flight marks the run as a latch re-run (see explainLatch): the
+	// recorder is the run's only tracer, the checker's dump comes
+	// straight from it, and the run stops at the tick the checker
+	// latches. Unexported and absent from the snapshot echo.
+	flight *obs.FlightRecorder
 }
 
 func (c ChaosConfig) withDefaults() ChaosConfig {
@@ -370,15 +375,8 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 	total := wire.Tick(cfg.DurationSec * TicksPerSecond)
 	sched := chaosSchedule(cfg, cc)
 
-	// The flight recorder is always on: when the checker latches a
-	// violation mid-run, the offending robot's recent protocol history
-	// must already exist. It is private to this cell, so matrix sweeps
-	// stay race-clean; the ring bound keeps the overhead flat. The
-	// metrics registry is likewise per-cell unless the caller supplied
-	// one. Tracing is observation only — fingerprints are unchanged.
-	flight := obs.NewFlightRecorder(obs.DefaultFlightRing)
+	// The metrics registry is per-cell unless the caller supplied one.
 	runCfg := cfg
-	runCfg.Trace = obs.MultiTracer(cfg.Trace, flight)
 	if runCfg.Metrics == nil {
 		runCfg.Metrics = obs.NewRegistry()
 	}
@@ -389,8 +387,16 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 	}
 
 	checker := faultinject.NewChecker(cc.TVal, cc.TAudit, &sched)
-	checker.Flight = flight
-	checker.Trace = runCfg.Trace
+	checker.Trace = cfg.Trace
+	if rec := cfg.flight; rec != nil {
+		checker.Explain = func(v *faultinject.Violation) ([]obs.Event, error) {
+			return rec.Events(v.Robot), nil
+		}
+	} else {
+		checker.Explain = func(v *faultinject.Violation) ([]obs.Event, error) {
+			return explainLatch(cfg, v)
+		}
+	}
 	snaps := make([]faultinject.RobotSnapshot, 0, cfg.N)
 	roster := s.IDs() // fixed once the cell is built
 	s.Engine.Observe(func(now wire.Tick) {
@@ -471,6 +477,47 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 	m.Fingerprint = chaosFingerprint(s)
 	res.MetricsSnapshot = runCfg.Metrics.Snapshot()
 	return res
+}
+
+// fromTickZero is the cell run uninterrupted from tick 0 with
+// everything that observes, interrupts or persists it detached: the
+// run a resumed or latching cell is checked against.
+func (c ChaosConfig) fromTickZero() ChaosConfig {
+	c.ResumeFrom = nil
+	c.Trace = nil
+	c.Metrics = nil
+	c.Interrupt = nil
+	c.Perf = nil
+	c.PerfRuntime = nil
+	c.SnapshotAtTicks = nil
+	c.SnapshotEvery = 0
+	c.ViolationRewind = 0
+	return c
+}
+
+// explainLatch rebuilds the flight-recorder dump for a violation the
+// checker of cfg's run is latching. Nothing records a cell while it
+// runs: the cell is deterministic, so it is run again from tick 0 with
+// a recorder as its only tracer and everything else that observes or
+// interrupts it detached, up to the tick its own checker latches. That
+// latch must be v's invariant, tick and robot — anything else is a
+// determinism bug, returned as the error the checker writes into the
+// violation's Detail. A resumed run gets the same dump as the run it
+// continues, since the re-run starts where that run did.
+func explainLatch(cfg ChaosConfig, v *faultinject.Violation) ([]obs.Event, error) {
+	rerun := cfg.fromTickZero()
+	rerun.flight = obs.NewFlightRecorder(obs.DefaultFlightRing)
+	rerun.Trace = rerun.flight
+	w := RunChaos(rerun).Violation
+	if w == nil {
+		return nil, fmt.Errorf("the re-run from tick 0 did not latch (want %s at tick %d robot %d)",
+			v.Invariant, v.Tick, v.Robot)
+	}
+	if w.Invariant != v.Invariant || w.Tick != v.Tick || w.Robot != v.Robot {
+		return nil, fmt.Errorf("the re-run from tick 0 latched %s at tick %d robot %d",
+			w.Invariant, w.Tick, w.Robot)
+	}
+	return w.Events, nil
 }
 
 // chaosFingerprint canonically encodes every robot's final state and

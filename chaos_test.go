@@ -162,11 +162,14 @@ func TestChaosCheckerDetectsSuppressedSafeMode(t *testing.T) {
 			DriftPer1024: -1024,
 		}},
 	}
+	oracle := newLatchOracle()
+	cfg.Trace = oracle
 	r := RunChaos(cfg)
 	v := r.Violation
 	if v == nil {
 		t.Fatal("frozen-clock attacker evaded Safe Mode but no violation reported")
 	}
+	oracle.check(t, v)
 	if v.Invariant != "bti" {
 		t.Fatalf("invariant = %q, want bti (%v)", v.Invariant, v)
 	}
@@ -216,6 +219,40 @@ func TestChaosCheckerDetectsSuppressedSafeMode(t *testing.T) {
 	}
 	if !strings.Contains(msg, "flight recorder") || !strings.Contains(msg, "token-granted") {
 		t.Errorf("Error() does not render the flight dump:\n%s", msg)
+	}
+}
+
+// latchOracle is a live flight recorder, attached as a cell's Trace,
+// that freezes the offending robot's dump when the checker's violation
+// marker goes by: the dump a recorder running all along would hand the
+// checker at the latch, which the rebuilt Violation.Events must equal.
+type latchOracle struct {
+	rec    *obs.FlightRecorder
+	dump   []obs.Event
+	frozen bool
+}
+
+func newLatchOracle() *latchOracle {
+	return &latchOracle{rec: obs.NewFlightRecorder(obs.DefaultFlightRing)}
+}
+
+func (o *latchOracle) Emit(e obs.Event) {
+	if e.Kind == obs.EvInvariantViolation && !o.frozen {
+		o.dump, o.frozen = o.rec.Events(e.Robot), true
+	}
+	o.rec.Emit(e)
+}
+
+// check fails t unless v carries a non-empty dump equal to the frozen one.
+func (o *latchOracle) check(t *testing.T, v *faultinject.Violation) {
+	t.Helper()
+	switch {
+	case !o.frozen:
+		t.Error("the checker emitted no violation marker")
+	case len(v.Events) == 0:
+		t.Error("the violation carries no flight-recorder dump")
+	case !slices.Equal(v.Events, o.dump):
+		t.Errorf("the rebuilt dump (%d events) is not the live recorder's at the latch (%d events)", len(v.Events), len(o.dump))
 	}
 }
 
@@ -301,13 +338,68 @@ var knownFalsePositiveLatches = func() []knownFalsePositiveLatch {
 // TestKnownFalsePositiveLatches keeps every known latch on the books:
 // each row asserts today's latch exactly, so the PR that fixes or
 // reclassifies one has to edit its row — a latching seed is never
-// silently lost.
+// silently lost. Each row's dump, rebuilt by re-running the cell, must
+// be the one a recorder watching the run held at the latch.
 func TestKnownFalsePositiveLatches(t *testing.T) {
 	for _, l := range knownFalsePositiveLatches {
 		t.Run(l.config().Label(), func(t *testing.T) {
 			t.Parallel()
-			l.check(t, RunChaos(l.config()).Violation)
+			cfg := l.config()
+			oracle := newLatchOracle()
+			cfg.Trace = oracle
+			v := RunChaos(cfg).Violation
+			l.check(t, v)
+			if v != nil {
+				oracle.check(t, v)
+			}
 		})
+	}
+}
+
+// TestResumedLatchCarriesTheFullDump: a row's pre-violation snapshot,
+// resumed, latches with the very report the uninterrupted cell makes,
+// dump included — the dump is rebuilt from tick 0, not from what the
+// resumed run saw.
+func TestResumedLatchCarriesTheFullDump(t *testing.T) {
+	for _, l := range knownFalsePositiveLatches {
+		t.Run(l.config().Label(), func(t *testing.T) {
+			t.Parallel()
+			cfg := l.config()
+			cfg.ViolationRewind = 8
+			cell := RunChaos(cfg)
+			if cell.Violation == nil || cell.PreViolation == nil {
+				t.Fatalf("latched %v, froze a snapshot: %v", cell.Violation, cell.PreViolation != nil)
+			}
+			resumed, err := ResumeChaosSnapshot(cell.PreViolation.Data, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resumed.Violation == nil {
+				t.Fatalf("resumed from tick %d, no latch", cell.PreViolation.Tick)
+			}
+			if got, want := resumed.Violation.Error(), cell.Violation.Error(); got != want {
+				t.Errorf("resumed from tick %d, the report differs (%d events, uninterrupted %d):\n%s",
+					cell.PreViolation.Tick, len(resumed.Violation.Events), len(cell.Violation.Events), got)
+			}
+		})
+	}
+}
+
+// TestLatchRerunMismatchIsReported: a re-run whose latch is not the
+// violation being explained is a determinism bug, and explainLatch
+// says which latch it found instead of handing over a dump.
+func TestLatchRerunMismatchIsReported(t *testing.T) {
+	l := knownFalsePositiveLatches[0]
+	cfg := l.config().withDefaults()
+	wrong := &faultinject.Violation{Invariant: "no-false-positive", Tick: l.tick - 1, Robot: l.robot}
+	events, err := explainLatch(cfg, wrong)
+	if err == nil || events != nil || !strings.Contains(err.Error(), "latched no-false-positive at tick") {
+		t.Errorf("explaining a latch the re-run does not make: %d events, error %v", len(events), err)
+	}
+	quiet := ChaosConfig{Controller: "flocking", Profile: faultinject.ProfileNone, Seed: 1, DurationSec: 30}.withDefaults()
+	events, err = explainLatch(quiet, wrong)
+	if err == nil || events != nil || !strings.Contains(err.Error(), "did not latch") {
+		t.Errorf("explaining a latch in a cell that never latches: %d events, error %v", len(events), err)
 	}
 }
 

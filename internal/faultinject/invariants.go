@@ -49,9 +49,9 @@ type Violation struct {
 	// ActiveFaults renders the schedule entries active at Tick.
 	ActiveFaults []string
 	// Events is the offending robot's flight-recorder dump (its last N
-	// protocol + frame events), captured at latch time when the checker
-	// has a recorder attached. Empty for system-wide violations
-	// (Robot == wire.Broadcast) or when flight recording is off.
+	// protocol and N frame events), supplied at latch time by the
+	// checker's Explain hook. Empty for system-wide violations
+	// (Robot == wire.Broadcast) or when the checker has no hook.
 	Events []obs.Event
 }
 
@@ -98,10 +98,13 @@ type Checker struct {
 	// Schedule provides fault context for reports and the
 	// environment-quiet timer for the liveness check; optional.
 	Schedule *Schedule //rebound:snapshot-skip harness config, fixed at construction
-	// Flight, when non-nil, is dumped into the Violation at latch
-	// time: the offending robot's retained event history rides along
-	// with the report. Optional.
-	Flight *obs.FlightRecorder //rebound:snapshot-skip observer wiring, reattached at rebuild
+	// Explain, when non-nil, is asked at latch time for the offending
+	// robot's recent event history, which rides along with the report
+	// as Violation.Events. It is never asked for a system-wide
+	// violation (Robot == wire.Broadcast). An error says the history
+	// could not be had; it is appended to Violation.Detail, so the
+	// report never hides it. Optional.
+	Explain func(v *Violation) ([]obs.Event, error) //rebound:snapshot-skip observer wiring, reattached at rebuild
 	// Trace, when non-nil, receives an EvInvariantViolation event at
 	// latch time (so exported event logs mark the breach in-stream).
 	// Optional.
@@ -135,8 +138,12 @@ func (c *Checker) report(inv string, now wire.Tick, id wire.RobotID, format stri
 	if c.Schedule != nil {
 		v.ActiveFaults = c.Schedule.Describe(now)
 	}
-	if c.Flight != nil && id != wire.Broadcast {
-		v.Events = c.Flight.Events(id)
+	if c.Explain != nil && id != wire.Broadcast {
+		events, err := c.Explain(v)
+		if err != nil {
+			v.Detail += fmt.Sprintf(" [no event history: %v]", err)
+		}
+		v.Events = events
 	}
 	if c.Trace != nil {
 		c.Trace.Emit(obs.Event{Tick: now, Robot: id,

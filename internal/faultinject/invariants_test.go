@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"roborebound/internal/obs"
 	"roborebound/internal/radio"
 	"roborebound/internal/wire"
 )
@@ -208,5 +209,54 @@ func TestCheckerLatchesFirstViolation(t *testing.T) {
 	}
 	if got := c.Violation(); got != v1 || got.Tick != 10 {
 		t.Errorf("Violation() = %v", got)
+	}
+}
+
+// TestCheckerExplainHook: the hook is asked once, at the latch, with
+// the violation's invariant, tick and robot already set and before the
+// in-stream marker is emitted; its events ride along, its error lands
+// in Detail (and so in the marker), and a system-wide violation never
+// asks it.
+func TestCheckerExplainHook(t *testing.T) {
+	dump := []obs.Event{{Tick: 9, Robot: 1, Kind: obs.EvTokenGranted, Peer: 2}}
+	col := obs.NewCollector()
+	var asked []Violation
+	c := NewChecker(40, 16, nil)
+	c.Trace = col
+	c.Explain = func(v *Violation) ([]obs.Event, error) {
+		asked = append(asked, *v)
+		if col.Len() != 0 {
+			t.Error("Explain ran after the violation marker was emitted")
+		}
+		return dump, errors.New("re-run latched elsewhere")
+	}
+	bad := RobotSnapshot{ID: 1, Protected: true, InSafeMode: true}
+	c.Check(10, []RobotSnapshot{bad})
+	v := c.Check(11, []RobotSnapshot{bad})
+	if len(asked) != 1 || asked[0].Invariant != "no-false-positive" || asked[0].Tick != 10 || asked[0].Robot != 1 {
+		t.Fatalf("Explain asked %+v, want once for no-false-positive at tick 10 robot 1", asked)
+	}
+	if len(v.Events) != 1 || v.Events[0] != dump[0] {
+		t.Errorf("Events = %v, want the hook's dump", v.Events)
+	}
+	if !strings.HasSuffix(v.Detail, "[no event history: re-run latched elsewhere]") {
+		t.Errorf("Detail %q hides the hook's error", v.Detail)
+	}
+	if ev := col.Events(); len(ev) != 1 || !strings.Contains(ev[0].Detail, "re-run latched elsewhere") {
+		t.Errorf("violation marker %v lacks the hook's error", ev)
+	}
+
+	global := NewChecker(40, 16, nil)
+	global.Explain = func(*Violation) ([]obs.Event, error) {
+		t.Error("Explain asked for a system-wide violation")
+		return nil, nil
+	}
+	v = runTicks(global, 100, func(id wire.RobotID, now wire.Tick) RobotSnapshot {
+		s := healthy(id, now)
+		s.Counters.RxApp = uint64(now) * 1000
+		return s
+	})
+	if v == nil || v.Robot != wire.Broadcast || v.Events != nil {
+		t.Fatalf("got %v, want a global violation with no events", v)
 	}
 }

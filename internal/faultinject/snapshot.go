@@ -13,7 +13,7 @@ import (
 // state is the latched violation and the three per-robot cursors the
 // cross-tick invariants depend on: previous byte counters (monotony),
 // last covered-round count, and the tick it last advanced (liveness).
-// Timing parameters, the schedule, and the tracing/flight wiring are
+// Timing parameters, the schedule, and the Trace and Explain hooks are
 // rebuild state. A resumed run must carry these cursors or the
 // liveness deadline would silently restart at the snapshot tick.
 

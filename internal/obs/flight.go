@@ -36,7 +36,8 @@ func (r *ring) push(seq int, e Event) {
 
 // FlightRecorder is a Tracer that keeps each robot's last N events in
 // bounded memory — the black box the fault-injection checker dumps
-// when it latches a violation.
+// when it latches a violation. The chaos harness attaches one only to
+// the deterministic re-run of a cell whose checker latched.
 //
 // Each robot gets two independent rings: one for protocol-plane
 // events (audit rounds, tokens, Safe Mode) and one for the

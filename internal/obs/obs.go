@@ -213,32 +213,3 @@ func (c *Collector) Events() []Event { return c.events }
 
 // Len returns the number of collected events.
 func (c *Collector) Len() int { return len(c.events) }
-
-// multiTracer fans one event out to several sinks.
-type multiTracer []Tracer
-
-func (m multiTracer) Emit(e Event) {
-	for _, t := range m {
-		t.Emit(e)
-	}
-}
-
-// MultiTracer combines tracers into one; nils are skipped. It returns
-// nil when every argument is nil, so the combined tracer stays
-// "disabled" (and free) in that case.
-func MultiTracer(ts ...Tracer) Tracer {
-	var out multiTracer
-	for _, t := range ts {
-		if t != nil {
-			out = append(out, t)
-		}
-	}
-	switch len(out) {
-	case 0:
-		return nil
-	case 1:
-		return out[0]
-	default:
-		return out
-	}
-}

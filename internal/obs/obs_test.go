@@ -80,21 +80,6 @@ func TestCollectorOrder(t *testing.T) {
 	}
 }
 
-func TestMultiTracer(t *testing.T) {
-	if MultiTracer(nil, nil) != nil {
-		t.Fatal("MultiTracer of all-nil should be nil (disabled)")
-	}
-	a, b := NewCollector(), NewCollector()
-	if got := MultiTracer(nil, a); got != Tracer(a) {
-		t.Fatal("MultiTracer with one live sink should return it directly")
-	}
-	m := MultiTracer(a, nil, b)
-	m.Emit(Event{Tick: 1, Robot: 9, Kind: EvSafeModeEntered})
-	if a.Len() != 1 || b.Len() != 1 {
-		t.Fatalf("fan-out reached %d/%d sinks, want 1/1", a.Len(), b.Len())
-	}
-}
-
 func TestFlightRecorderBoundsAndOrder(t *testing.T) {
 	f := NewFlightRecorder(4)
 	// 10 protocol events for robot 1: only the last 4 survive.

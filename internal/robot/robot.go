@@ -92,7 +92,7 @@ type Robot struct {
 	inSafeMode bool
 
 	trace       obs.Tracer //rebound:snapshot-skip observer wiring, reattached at rebuild
-	validTokens int        // last ValidTokenCount seen (expiry-event polling; tracing only)
+	validTokens int        // last ValidTokenCount seen (expiry-event polling)
 }
 
 // New wires up a robot. body must already be placed in the world;
@@ -228,15 +228,14 @@ func (r *Robot) HardwareTick() {
 		return
 	}
 	r.anode.CheckTokens()
-	if r.trace == nil {
-		return
-	}
 	// Token-expiry events are observed by polling here rather than
 	// from inside the a-node: the TCB must not import obs. A drop in
 	// the fresh-token count on the hardware timer IS the expiry, on
-	// the same clock the a-node itself uses.
+	// the same clock the a-node itself uses. The count is polled traced
+	// or not: it is snapshot state, and a snapshot must not depend on
+	// whether anyone was watching.
 	n := r.anode.ValidTokenCount()
-	if n < r.validTokens {
+	if n < r.validTokens && r.trace != nil {
 		r.trace.Emit(obs.Event{Tick: r.pclock(), Robot: r.id,
 			Kind: obs.EvTokenExpired, Value: int64(n)})
 	}

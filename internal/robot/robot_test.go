@@ -1,11 +1,13 @@
 package robot
 
 import (
+	"bytes"
 	"testing"
 
 	"roborebound/internal/core"
 	"roborebound/internal/flocking"
 	"roborebound/internal/geom"
+	"roborebound/internal/obs"
 	"roborebound/internal/radio"
 	"roborebound/internal/sim"
 	"roborebound/internal/trusted"
@@ -153,5 +155,63 @@ func TestRawSendUnprotectedGoesToMedium(t *testing.T) {
 	}
 	if !r.RawActuate(wire.ActuatorCmd{AccX: 2}) || r.Body().Acc.X != 2 {
 		t.Error("raw actuate failed")
+	}
+}
+
+// auditingSwarm runs four protected robots in earshot of each other
+// for ticks, each handing its events to trace (nil = untraced), so they
+// audit each other and earn tokens.
+func auditingSwarm(trace obs.Tracer, ticks wire.Tick) []*Robot {
+	world := sim.NewWorld(sim.DefaultWorldConfig())
+	medium := radio.NewMedium(radio.DefaultParams(), world.Position, 1)
+	engine := sim.NewEngine(world, medium)
+	factory := flocking.Factory{Params: flocking.DefaultParams(4, 4, geom.V(100, 100))}
+	cc := core.DefaultConfig(4)
+	cc.Fmax = 2 // three peers can cover a round
+	cc.AutoServeLimit()
+	var robots []*Robot
+	for i := 1; i <= 4; i++ {
+		id := wire.RobotID(i)
+		r := New(Config{
+			ID:        id,
+			Protected: true,
+			Core:      cc,
+			Factory:   factory,
+			Master:    master,
+			Sealed:    sealedKey(),
+			Trace:     trace,
+		}, world.AddBody(id, geom.V(5*float64(i), 0)), medium, engine.Now)
+		engine.AddActor(r)
+		robots = append(robots, r)
+	}
+	engine.Run(ticks)
+	return robots
+}
+
+// TestSnapshotIndependentOfTracing: a robot's encoded state is the same
+// whether or not a tracer watched it. The token-count poll cursor is
+// snapshot state, so it must advance on an untraced robot too.
+func TestSnapshotIndependentOfTracing(t *testing.T) {
+	col := obs.NewCollector()
+	traced := auditingSwarm(col, 120)
+	untraced := auditingSwarm(nil, 120)
+	if col.Len() == 0 {
+		t.Fatal("the traced swarm emitted no events")
+	}
+	for i, r := range traced {
+		if r.ANode().ValidTokenCount() == 0 {
+			t.Fatalf("robot %d holds no tokens: the swarm never audited, so the test reads nothing", r.ActorID())
+		}
+		a, err := r.EncodeState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := untraced[i].EncodeState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("robot %d encodes %d B traced and %d B untraced, and they differ", r.ActorID(), len(a), len(b))
+		}
 	}
 }

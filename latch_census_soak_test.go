@@ -12,8 +12,9 @@ import (
 // profiles × seeds 1..256 at the chaos defaults, 5 376 cells — and
 // holds the set of cells that latch to exactly the census rows of
 // knownFalsePositiveLatches, each at its pinned tick and robot: a new
-// latch fails, and so does one that vanished. It takes about 23 s on
-// two cores, so it is `make soak`, not tier-1:
+// latch fails, and so does one that vanished. Every latch must carry
+// its robot's flight-recorder dump, rebuilt by re-running the cell. It
+// takes about 23 s on two cores, so it is `make soak`, not tier-1:
 //
 //	go test -tags soak -run TestLatchCensus .
 func TestLatchCensus(t *testing.T) {
@@ -46,6 +47,9 @@ func TestLatchCensus(t *testing.T) {
 			}
 			if r.Violation != nil {
 				latched++
+				if len(r.Violation.Events) == 0 {
+					t.Errorf("%s: the violation carries no flight-recorder dump", label)
+				}
 			}
 		}
 	}

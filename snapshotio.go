@@ -183,6 +183,13 @@ func (s *Sim) snapshotRun(checker *faultinject.Checker) *snapshot.Run {
 // before tick T executes, which is what makes resume-equivalence a
 // byte-identity statement.
 func runChaosTicks(s *Sim, cfg ChaosConfig, checker *faultinject.Checker, total wire.Tick, res *ChaosResult) {
+	if cfg.flight != nil {
+		// A latch re-run has what it came for once its checker latches.
+		for t := wire.Tick(0); t < total && checker.Violation() == nil; t++ {
+			s.Engine.StepOnce()
+		}
+		return
+	}
 	needSnapshots := len(cfg.SnapshotAtTicks) > 0 || cfg.SnapshotEvery > 0 ||
 		cfg.ViolationRewind > 0 || cfg.ResumeFrom != nil || cfg.Interrupt != nil
 	if !needSnapshots {
@@ -326,17 +333,12 @@ type ResumeVerdict struct {
 }
 
 // VerifyChaosResume re-runs a resumed result's cell uninterrupted from
-// tick zero (the caller's interrupt hook, collector and registry
-// detached) and compares the two: the resume-equivalence contract says
-// fingerprint and metrics snapshot match bit for bit. `resume -verify`
-// and the resume-verify job kind both stand on it.
+// tick zero (see ChaosConfig.fromTickZero) and compares the two: the
+// resume-equivalence contract says fingerprint and metrics snapshot
+// match bit for bit. `resume -verify` and the resume-verify job kind
+// both stand on it.
 func VerifyChaosResume(resumed ChaosResult) ResumeVerdict {
-	oracle := resumed.Config
-	oracle.ResumeFrom = nil
-	oracle.Interrupt = nil
-	oracle.Trace = nil
-	oracle.Metrics = nil
-	ores := RunChaos(oracle)
+	ores := RunChaos(resumed.Config.fromTickZero())
 	return ResumeVerdict{
 		OracleFingerprint: ores.Metrics.Fingerprint,
 		FingerprintMatch:  ores.Metrics.Fingerprint == resumed.Metrics.Fingerprint,
