@@ -10,12 +10,22 @@ import (
 
 // The most heap allocations, and the most allocated bytes, per
 // robot-tick two quick cells may make, construction included: 10 %
-// above the values measured when the ceilings were last set. Allocation
+// above the values measured when the ceilings were last set, 5 % for
+// the bytes since the replay machine (see below). Allocation
 // counts are deterministic for a fixed cell and the bytes repeat to
 // under 1 %, so these are machine-independent gates. A change that
 // lowers a measured value lowers its ceiling with it; nothing raises
 // one.
 //
+//	dense   2.449 allocations and 2 690 B since an auditor replays on a
+//	        machine it keeps: the replica is loaded into, not built, its
+//	        broadcasts are encoded into its own scratch, and a warm
+//	        replay allocates nothing (3.222 and 2 919 B before; 2.585 and
+//	        2 765 B under -race).
+//	sparse  3.875 allocations and 1 711 B since then (4.585 and 1 869 B
+//	        before; 4.124 and 1 769 B under -race). The byte ceilings are
+//	        5 % above these readings, not 10 %: 10 % would still admit
+//	        the readings before, and bytes repeat to well under 1 %.
 //	dense   3.259 allocations and 2 975 B since a robot's metrics are
 //	        its components' own fields, registered once each, and a
 //	        snapshot renders its names into one buffer. Before that:
@@ -41,10 +51,10 @@ import (
 // request frames owns a whole payload (DESIGN.md, "Byte ownership on
 // the data path"), and the log window's growth.
 const (
-	denseCellAllocCeiling  = 3.59
-	sparseCellAllocCeiling = 5.19
-	denseCellBytesCeiling  = 3273
-	sparseCellBytesCeiling = 2056
+	denseCellAllocCeiling  = 2.69
+	sparseCellAllocCeiling = 4.26
+	denseCellBytesCeiling  = 2824
+	sparseCellBytesCeiling = 1796
 )
 
 // The most bytes the quick dense cell may keep, ratcheted the same way:

@@ -267,11 +267,74 @@ type knownFalsePositiveLatch struct {
 	robot      wire.RobotID
 	// Zero keeps RunChaos's 60 s run and 20 s attack: a census cell.
 	durationSec, attackAtSec float64
+	// minimal is the latch's 1-minimal schedule, as Fault.String renders
+	// it: the entries of the generated schedule, in order, that replayed
+	// as ExtraFaults under Profile none make the same latch, and without
+	// any one of which it is not made (ddmin's result).
+	minimal []string
+	cause   latchCause
 }
+
+// latchCause classes a known latch by the counterfactual that explains
+// it; TestLatchCausesHoldTheirCounterfactual runs each class's.
+type latchCause string
+
+const (
+	// causeClockStep: the victim's trusted clock steps forward mid-run
+	// (a negative offset at its window's end, a positive one at its
+	// start), ageing every token it holds at once. With every skew
+	// entry of the generated schedule held from power-up to the end of
+	// the run — same offset and drift, no step — the cell is clean.
+	causeClockStep latchCause = "clock-step"
+	// causeJointLoss: overlapping loss bursts and link loss, no skew in
+	// the schedule; no entry of the minimal schedule latches on its own.
+	causeJointLoss latchCause = "joint-loss"
+	// causeHiddenLatch: with the skews held from power-up this robot is
+	// covered, but another correct robot latches — a second latch the
+	// first one hid (patrol/mixed/207: robot 4 at tick 156).
+	causeHiddenLatch latchCause = "hidden-latch"
+)
 
 func (l knownFalsePositiveLatch) config() ChaosConfig {
 	return ChaosConfig{Controller: l.controller, Profile: l.profile, Seed: l.seed,
 		DurationSec: l.durationSec, AttackAtSec: l.attackAtSec}
+}
+
+// schedule is the fault schedule the row's profile generates, drawn as
+// RunChaos draws it.
+func (l knownFalsePositiveLatch) schedule() []faultinject.Fault {
+	return chaosSchedule(l.config().withDefaults(), core.DefaultConfig(TicksPerSecond)).Faults
+}
+
+// replay runs the row's cell under Profile none with faults as its
+// whole schedule and returns the violation it latches, if any.
+func (l knownFalsePositiveLatch) replay(faults []faultinject.Fault) *faultinject.Violation {
+	cfg := l.config()
+	cfg.Profile = faultinject.ProfileNone
+	cfg.ExtraFaults = faults
+	return RunChaos(cfg).Violation
+}
+
+// is reports whether v is exactly this row's latch.
+func (l knownFalsePositiveLatch) is(v *faultinject.Violation) bool {
+	return v != nil && v.Invariant == "no-false-positive" && v.Tick == l.tick && v.Robot == l.robot
+}
+
+// minimalFaults picks the row's minimal schedule out of the generated
+// one, failing t unless every pinned entry is there, in order.
+func (l knownFalsePositiveLatch) minimalFaults(t *testing.T) []faultinject.Fault {
+	t.Helper()
+	var picked []faultinject.Fault
+	var names []string
+	for _, f := range l.schedule() {
+		if slices.Contains(l.minimal, f.String()) {
+			picked, names = append(picked, f), append(names, f.String())
+		}
+	}
+	if len(l.minimal) == 0 || !slices.Equal(names, l.minimal) {
+		t.Fatalf("the generated schedule holds %q of the pinned minimal schedule %q", names, l.minimal)
+	}
+	return picked
 }
 
 // check fails t unless v is exactly this latch.
@@ -292,9 +355,10 @@ func (l knownFalsePositiveLatch) check(t *testing.T, v *faultinject.Violation) {
 // (0.45 %) of seeds 1..256 × 21, at 17 seeds, that latch
 // no-false-positive at the chaos defaults — the census, which `make
 // soak` re-runs — and {flocking, mixed, seed 4, 30 s, attack at 5 s}.
-// Cause not yet triaged; the soak matrix's 12 seeds never reach them.
-// The rows are grouped by how many faults the census saw active at the
-// latch tick.
+// The soak matrix's 12 seeds never reach them. Each row carries its
+// 1-minimal schedule and its cause: 20 are clock steps, four are joint
+// loss, one hides another latch. The rows are grouped by how many
+// faults the census saw active at the latch tick.
 var knownFalsePositiveLatches = func() []knownFalsePositiveLatch {
 	const (
 		mixed = faultinject.ProfileMixed
@@ -303,35 +367,148 @@ var knownFalsePositiveLatches = func() []knownFalsePositiveLatch {
 	)
 	return []knownFalsePositiveLatch{
 		// No fault active at the latch tick.
-		{controller: "flocking", profile: mixed, seed: 15, tick: 158, robot: 6},
-		{controller: "patrol", profile: skew, seed: 24, tick: 206, robot: 6},
-		{controller: "warehouse", profile: skew, seed: 24, tick: 206, robot: 6},
-		{controller: "patrol", profile: mixed, seed: 131, tick: 188, robot: 1},
-		{controller: "patrol", profile: mixed, seed: 137, tick: 206, robot: 6},
-		{controller: "warehouse", profile: mixed, seed: 137, tick: 206, robot: 6},
-		{controller: "warehouse", profile: mixed, seed: 255, tick: 126, robot: 3},
+		{controller: "flocking", profile: mixed, seed: 15, tick: 158, robot: 6,
+			cause: causeClockStep, minimal: []string{
+				"clock-skew@[105,152) targets{6} offset=-16 drift=+15/1024",
+			}},
+		{controller: "patrol", profile: skew, seed: 24, tick: 206, robot: 6,
+			cause: causeClockStep, minimal: []string{
+				"clock-skew@[126,193) targets{2,6} offset=-10 drift=-14/1024",
+				"clock-skew@[186,200) targets{6} offset=-8 drift=+11/1024",
+			}},
+		{controller: "warehouse", profile: skew, seed: 24, tick: 206, robot: 6,
+			cause: causeClockStep, minimal: []string{
+				"clock-skew@[126,193) targets{3,6} offset=-10 drift=-14/1024",
+				"clock-skew@[186,200) targets{6} offset=-8 drift=+11/1024",
+			}},
+		{controller: "patrol", profile: mixed, seed: 131, tick: 188, robot: 1,
+			cause: causeClockStep, minimal: []string{
+				"clock-skew@[127,188) targets{1} offset=-14 drift=-3/1024",
+				"loss-burst@[175,187) rate=0.52",
+			}},
+		{controller: "patrol", profile: mixed, seed: 137, tick: 206, robot: 6,
+			cause: causeClockStep, minimal: []string{
+				"clock-skew@[144,200) targets{6} offset=-16 drift=-8/1024",
+				"partition@[193,200) targets{2}",
+			}},
+		{controller: "warehouse", profile: mixed, seed: 137, tick: 206, robot: 6,
+			cause: causeClockStep, minimal: []string{
+				"clock-skew@[144,200) targets{6} offset=-16 drift=-8/1024",
+				"partition@[193,200) targets{3}",
+			}},
+		{controller: "warehouse", profile: mixed, seed: 255, tick: 126, robot: 3,
+			cause: causeClockStep, minimal: []string{
+				"clock-skew@[70,116) targets{3,4} offset=-12 drift=-1/1024",
+				"withhold-audit@[96,124) targets{5}",
+			}},
 		// One fault active.
-		{controller: "flocking", profile: skew, seed: 118, tick: 137, robot: 7},
-		{controller: "patrol", profile: loss, seed: 122, tick: 125, robot: 5},
-		{controller: "flocking", profile: loss, seed: 229, tick: 90, robot: 2},
-		{controller: "patrol", profile: mixed, seed: 29, tick: 142, robot: 5},
-		{controller: "warehouse", profile: mixed, seed: 29, tick: 142, robot: 5},
-		{controller: "patrol", profile: mixed, seed: 139, tick: 169, robot: 1},
-		{controller: "warehouse", profile: mixed, seed: 139, tick: 170, robot: 2},
-		{controller: "warehouse", profile: loss, seed: 203, tick: 187, robot: 3},
-		{controller: "patrol", profile: mixed, seed: 255, tick: 122, robot: 2},
+		{controller: "flocking", profile: skew, seed: 118, tick: 137, robot: 7,
+			cause: causeClockStep, minimal: []string{
+				"clock-skew@[84,134) targets{7} offset=-16 drift=-10/1024",
+				"clock-skew@[131,184) targets{7} offset=+6 drift=+6/1024",
+			}},
+		{controller: "patrol", profile: loss, seed: 122, tick: 125, robot: 5,
+			cause: causeJointLoss, minimal: []string{
+				"loss-burst@[102,112) rate=0.37",
+				"loss-burst@[103,112) rate=0.34",
+				"loss-burst@[105,116) rate=0.45",
+				"link-loss@[119,148) targets{5} rate=0.24",
+			}},
+		{controller: "flocking", profile: loss, seed: 229, tick: 90, robot: 2,
+			cause: causeJointLoss, minimal: []string{
+				"loss-burst@[65,77) rate=0.49",
+				"loss-burst@[66,78) rate=0.39",
+				"loss-burst@[79,90) rate=0.36",
+				"link-loss@[82,100) targets{2} rate=0.18",
+			}},
+		{controller: "patrol", profile: mixed, seed: 29, tick: 142, robot: 5,
+			cause: causeClockStep, minimal: []string{
+				"clock-skew@[95,142) targets{1,5} offset=-16 drift=-7/1024",
+				"partition@[133,142) targets{5}",
+			}},
+		{controller: "warehouse", profile: mixed, seed: 29, tick: 142, robot: 5,
+			cause: causeClockStep, minimal: []string{
+				"clock-skew@[95,142) targets{2,5} offset=-16 drift=-7/1024",
+				"partition@[133,142) targets{5}",
+			}},
+		{controller: "patrol", profile: mixed, seed: 139, tick: 169, robot: 1,
+			cause: causeClockStep, minimal: []string{
+				"clock-skew@[129,147) targets{1} offset=-12 drift=-13/1024",
+				"loss-burst@[162,172) rate=0.52",
+			}},
+		{controller: "warehouse", profile: mixed, seed: 139, tick: 170, robot: 2,
+			cause: causeClockStep, minimal: []string{
+				"clock-skew@[129,147) targets{2} offset=-12 drift=-13/1024",
+				"loss-burst@[162,172) rate=0.52",
+			}},
+		{controller: "warehouse", profile: loss, seed: 203, tick: 187, robot: 3,
+			cause: causeJointLoss, minimal: []string{
+				"loss-burst@[161,169) rate=0.43",
+				"loss-burst@[168,178) rate=0.41",
+				"loss-burst@[181,193) rate=0.54",
+			}},
+		{controller: "patrol", profile: mixed, seed: 255, tick: 122, robot: 2,
+			cause: causeClockStep, minimal: []string{
+				"clock-skew@[70,116) targets{2,4} offset=-12 drift=-1/1024",
+				"withhold-audit@[96,124) targets{5}",
+			}},
 		// Two faults active.
-		{controller: "patrol", profile: skew, seed: 218, tick: 139, robot: 2},
-		{controller: "warehouse", profile: skew, seed: 218, tick: 140, robot: 3},
-		{controller: "flocking", profile: mixed, seed: 56, tick: 156, robot: 4},
-		{controller: "patrol", profile: mixed, seed: 80, tick: 93, robot: 6},
-		{controller: "patrol", profile: mixed, seed: 162, tick: 147, robot: 2},
-		{controller: "warehouse", profile: loss, seed: 198, tick: 106, robot: 2},
+		{controller: "patrol", profile: skew, seed: 218, tick: 139, robot: 2,
+			cause: causeClockStep, minimal: []string{
+				"clock-skew@[130,151) targets{2} offset=+8 drift=+5/1024",
+				"clock-skew@[138,200) targets{2} offset=+7 drift=-1/1024",
+			}},
+		{controller: "warehouse", profile: skew, seed: 218, tick: 140, robot: 3,
+			cause: causeClockStep, minimal: []string{
+				"clock-skew@[130,151) targets{3} offset=+8 drift=+5/1024",
+				"clock-skew@[138,200) targets{3} offset=+7 drift=-1/1024",
+			}},
+		{controller: "flocking", profile: mixed, seed: 56, tick: 156, robot: 4,
+			cause: causeClockStep, minimal: []string{
+				"clock-skew@[91,153) targets{2,4} offset=-8 drift=+13/1024",
+				"loss-burst@[144,155) rate=0.41",
+			}},
+		{controller: "patrol", profile: mixed, seed: 80, tick: 93, robot: 6,
+			cause: causeClockStep, minimal: []string{
+				"delay-audit@[64,120) targets{4} delay=3",
+				"clock-skew@[70,144) targets{4,6} offset=+1 drift=+2/1024",
+				"loss-burst@[81,93) rate=0.46",
+			}},
+		{controller: "patrol", profile: mixed, seed: 162, tick: 147, robot: 2,
+			cause: causeClockStep, minimal: []string{
+				"delay-audit@[104,164) targets{1} delay=6",
+				"loss-burst@[132,143) rate=0.55",
+				"clock-skew@[140,170) targets{2,6} offset=+7 drift=+0/1024",
+			}},
+		{controller: "warehouse", profile: loss, seed: 198, tick: 106, robot: 2,
+			cause: causeJointLoss, minimal: []string{
+				"loss-burst@[82,92) rate=0.42",
+				"link-loss@[89,112) targets{2,4} rate=0.23",
+				"loss-burst@[95,107) rate=0.52",
+			}},
 		// Three faults active.
-		{controller: "patrol", profile: mixed, seed: 207, tick: 151, robot: 5},
-		{controller: "warehouse", profile: mixed, seed: 207, tick: 154, robot: 5},
+		{controller: "patrol", profile: mixed, seed: 207, tick: 151, robot: 5,
+			cause: causeHiddenLatch, minimal: []string{
+				"clock-skew@[128,167) targets{5} offset=+6 drift=-6/1024",
+				"withhold-audit@[134,166) targets{2}",
+				"loss-burst@[135,146) rate=0.46",
+				"partition@[149,158) targets{5}",
+			}},
+		{controller: "warehouse", profile: mixed, seed: 207, tick: 154, robot: 5,
+			cause: causeClockStep, minimal: []string{
+				"clock-skew@[128,167) targets{5} offset=+6 drift=-6/1024",
+				"withhold-audit@[134,166) targets{3}",
+				"loss-burst@[135,146) rate=0.46",
+				"partition@[149,158) targets{5}",
+			}},
 		// Outside the census: a short run with an early attacker.
-		{controller: "flocking", profile: mixed, seed: 4, tick: 76, robot: 8, durationSec: 30, attackAtSec: 5},
+		{controller: "flocking", profile: mixed, seed: 4, tick: 76, robot: 8, durationSec: 30, attackAtSec: 5,
+			cause: causeClockStep, minimal: []string{
+				"clock-skew@[56,80) targets{2,8} offset=+4 drift=-5/1024",
+				"partition@[66,74) targets{1}",
+				"withhold-audit@[70,80) targets{6}",
+				"loss-burst@[72,80) rate=0.47",
+			}},
 	}
 }()
 
@@ -417,7 +594,7 @@ func TestLatchSchedulesReplayAsExtraFaults(t *testing.T) {
 			cell := RunChaos(l.config())
 			replay := l.config()
 			replay.Profile = faultinject.ProfileNone
-			replay.ExtraFaults = chaosSchedule(l.config().withDefaults(), core.DefaultConfig(TicksPerSecond)).Faults
+			replay.ExtraFaults = l.schedule()
 			got := RunChaos(replay)
 			if len(replay.ExtraFaults) == 0 || !slices.Equal(got.Schedule, cell.Schedule) {
 				t.Fatalf("replayed schedule %q, the cell's %q", got.Schedule, cell.Schedule)
@@ -491,58 +668,76 @@ func TestDDMinFindsTheOneMinimalCause(t *testing.T) {
 	}
 }
 
-// TestLatchSchedulesShrinkToOneMinimal is ROADMAP item 1(a)'s first
-// slice: ddmin over the generated schedule of each {patrol|warehouse,
-// skew, 218} latch, replayed as ExtraFaults under Profile none, keeping
-// a subset while it latches the same invariant at the same tick and
-// robot. The 1-minimal schedule is pinned, and checked to be 1-minimal:
-// dropping any one entry loses the latch.
+// TestLatchSchedulesShrinkToOneMinimal is ROADMAP item 1(a): each
+// row's pinned minimal schedule, picked out of the generated one and
+// replayed as ExtraFaults under Profile none, makes the row's latch,
+// and without any one of its entries it does not: it is 1-minimal.
+// That ddmin still finds exactly these schedules is `make soak`'s
+// TestLatchSchedulesDDMinToTheirMinimal (ddmin reruns a cell up to 32
+// times a row).
 func TestLatchSchedulesShrinkToOneMinimal(t *testing.T) {
-	// The skew profile draws exactly these two entries at seed 218, so
-	// the shrink keeps the whole schedule: each skew alone leaves the
-	// victim covered, the two overlapping ones (+8 and +7 ticks, against
-	// a per-window cap of 8) do not — ROADMAP item 2's arithmetic.
-	minimal := map[string][]string{
-		"patrol": {
-			"clock-skew@[130,151) targets{2} offset=+8 drift=+5/1024",
-			"clock-skew@[138,200) targets{2} offset=+7 drift=-1/1024",
-		},
-		"warehouse": {
-			"clock-skew@[130,151) targets{3} offset=+8 drift=+5/1024",
-			"clock-skew@[138,200) targets{3} offset=+7 drift=-1/1024",
-		},
-	}
 	for _, l := range knownFalsePositiveLatches {
-		if l.profile != faultinject.ProfileSkew || l.seed != 218 {
-			continue
-		}
 		t.Run(l.config().Label(), func(t *testing.T) {
 			t.Parallel()
-			replay := l.config()
-			replay.Profile = faultinject.ProfileNone
-			latches := func(faults []faultinject.Fault) bool {
-				cfg := replay
-				cfg.ExtraFaults = faults
-				v := RunChaos(cfg).Violation
-				return v != nil && v.Invariant == "no-false-positive" && v.Tick == l.tick && v.Robot == l.robot
+			minimal := l.minimalFaults(t)
+			if v := l.replay(minimal); !l.is(v) {
+				t.Fatalf("the minimal schedule latched %v, not the row's latch", v)
 			}
-			all := chaosSchedule(l.config().withDefaults(), core.DefaultConfig(TicksPerSecond)).Faults
-			if !latches(all) {
-				t.Fatal("the whole generated schedule does not latch the row's violation")
-			}
-			shrunk := ddmin(all, latches)
-			got := make([]string, len(shrunk))
-			for i := range shrunk {
-				got[i] = shrunk[i].String()
-			}
-			t.Logf("%d of %d entries: %q", len(shrunk), len(all), got)
-			if !slices.Equal(got, minimal[l.controller]) {
-				t.Errorf("1-minimal schedule %q, pinned %q", got, minimal[l.controller])
-			}
-			for i := range shrunk {
-				if latches(slices.Delete(slices.Clone(shrunk), i, i+1)) {
-					t.Errorf("still latches without entry %d (%s): not 1-minimal", i, got[i])
+			for i := range minimal {
+				if l.is(l.replay(slices.Delete(slices.Clone(minimal), i, i+1))) {
+					t.Errorf("still latches without entry %d (%s): not 1-minimal", i, l.minimal[i])
 				}
+			}
+		})
+	}
+}
+
+// TestLatchCausesHoldTheirCounterfactual is ROADMAP item 1(b): each
+// row's cause is checked by running its class's counterfactual (see
+// latchCause).
+func TestLatchCausesHoldTheirCounterfactual(t *testing.T) {
+	for _, l := range knownFalsePositiveLatches {
+		t.Run(l.config().Label(), func(t *testing.T) {
+			t.Parallel()
+			run := wire.Tick(l.config().withDefaults().DurationSec * TicksPerSecond)
+			held := l.schedule()
+			skews := 0
+			for i := range held {
+				if held[i].Kind == faultinject.ClockSkew {
+					held[i].Start, held[i].Duration = 0, run
+					skews++
+				}
+			}
+			switch l.cause {
+			case causeClockStep:
+				if v := l.replay(held); skews == 0 || v != nil {
+					t.Errorf("%d skews held from power-up: latched %v, want a clean cell", skews, v)
+				}
+			case causeHiddenLatch:
+				v := l.replay(held)
+				if skews == 0 || v == nil || v.Invariant != "no-false-positive" || v.Robot == l.robot {
+					t.Errorf("%d skews held from power-up: latched %v, want another robot's no-false-positive", skews, v)
+				} else {
+					t.Logf("held from power-up: %s", v.Error())
+				}
+			case causeJointLoss:
+				if skews != 0 {
+					t.Errorf("a joint-loss row's schedule holds %d skews", skews)
+				}
+				minimal := l.minimalFaults(t)
+				for i, f := range minimal {
+					if f.Kind != faultinject.LossBurst && f.Kind != faultinject.LinkLoss {
+						t.Errorf("minimal entry %d (%s) is not a loss", i, l.minimal[i])
+					}
+					if v := l.replay(minimal[i : i+1]); v != nil {
+						t.Errorf("minimal entry %d (%s) alone latches %v", i, l.minimal[i], v)
+					}
+				}
+				if len(minimal) < 2 {
+					t.Errorf("a joint-loss row's minimal schedule has %d entries", len(minimal))
+				}
+			default:
+				t.Errorf("cause %q is no class", l.cause)
 			}
 		})
 	}

@@ -1,7 +1,10 @@
 package control
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"roborebound/internal/geom"
@@ -82,6 +85,8 @@ type Explore struct {
 	idle     bool   // no strip left to sweep
 	covered  uint64 // bitmask of strips this robot has finished
 	peers    []explorePeer
+
+	bcast [wire.StateMsgSize]byte // Outputs.Broadcast, lent until the next call
 }
 
 var _ Controller = (*Explore)(nil)
@@ -89,6 +94,14 @@ var _ Controller = (*Explore)(nil)
 // NewExplore returns the controller in its initial state: robot id
 // starts on strip (id−1) mod Strips.
 func NewExplore(id wire.RobotID, p ExploreParams) *Explore {
+	e := new(Explore)
+	e.reset(id, p)
+	return e
+}
+
+// reset puts e in robot id's initial state, keeping only the storage of
+// its peer table.
+func (e *Explore) reset(id wire.RobotID, p ExploreParams) {
 	if p.Strips < 1 {
 		p.Strips = 1
 	}
@@ -98,7 +111,7 @@ func NewExplore(id wire.RobotID, p ExploreParams) *Explore {
 	if p.Lanes < 1 {
 		p.Lanes = 1
 	}
-	return &Explore{id: id, params: p, covering: ownStrip(id, p.Strips)}
+	*e = Explore{id: id, params: p, covering: ownStrip(id, p.Strips), peers: e.peers[:0]}
 }
 
 func ownStrip(id wire.RobotID, strips int) uint16 {
@@ -253,33 +266,33 @@ func (e *Explore) OnSensor(r wire.SensorReading) Outputs {
 		m := wire.StateMsg{Src: e.id, Time: r.Time,
 			PosX: float32(e.pos.X), PosY: float32(e.pos.Y),
 			VelX: float32(e.vel.X), VelY: float32(e.vel.Y)}
-		out.Broadcast = m.Encode()
+		out.Broadcast = m.AppendEncode(e.bcast[:0])
 	}
 	return out
 }
 
-// EncodeState produces the canonical exploration state.
-func (e *Explore) EncodeState() []byte {
-	w := wire.NewWriter(8 + 16 + 8 + 2 + 2 + 1 + 8 + 2 + len(e.peers)*10)
-	w.U64(uint64(e.time))
-	w.F64(e.pos.X)
-	w.F64(e.pos.Y)
-	w.F32(float32(e.vel.X))
-	w.F32(float32(e.vel.Y))
-	w.U16(e.covering)
-	w.U16(e.lane)
+// AppendState appends the canonical exploration state.
+func (e *Explore) AppendState(dst []byte) []byte {
+	dst = slices.Grow(dst, 8+16+8+2+2+1+8+2+len(e.peers)*10)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(e.time))
+	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(e.pos.X))
+	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(e.pos.Y))
+	dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(float32(e.vel.X)))
+	dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(float32(e.vel.Y)))
+	dst = binary.BigEndian.AppendUint16(dst, e.covering)
+	dst = binary.BigEndian.AppendUint16(dst, e.lane)
 	if e.idle {
-		w.U8(1)
+		dst = append(dst, 1)
 	} else {
-		w.U8(0)
+		dst = append(dst, 0)
 	}
-	w.U64(e.covered)
-	w.U16(uint16(len(e.peers)))
+	dst = binary.BigEndian.AppendUint64(dst, e.covered)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(e.peers)))
 	for _, p := range e.peers {
-		w.U16(uint16(p.ID))
-		w.U64(uint64(p.LastHeard))
+		dst = binary.BigEndian.AppendUint16(dst, uint16(p.ID))
+		dst = binary.BigEndian.AppendUint64(dst, uint64(p.LastHeard))
 	}
-	return w.Bytes()
+	return dst
 }
 
 func (e *Explore) restoreState(state []byte) error {
@@ -295,7 +308,7 @@ func (e *Explore) restoreState(state []byte) error {
 	if n > r.Remaining()/10 { // 10 bytes per encoded peer (U16 ID + U64 tick)
 		return fmt.Errorf("explore: peer count %d exceeds payload", n)
 	}
-	e.peers = make([]explorePeer, 0, n)
+	e.peers = slices.Grow(e.peers[:0], n)
 	prev := -1
 	for i := 0; i < n; i++ {
 		p := explorePeer{ID: wire.RobotID(r.U16()), LastHeard: wire.Tick(r.U64())}
@@ -326,9 +339,16 @@ func (f ExploreFactory) New(id wire.RobotID) Controller {
 	return NewExplore(id, f.Params)
 }
 
-// Restore implements Factory.
-func (f ExploreFactory) Restore(id wire.RobotID, state []byte) (Controller, error) {
-	e := NewExplore(id, f.Params)
+// Load implements Factory.
+func (f ExploreFactory) Load(c Controller, id wire.RobotID, state []byte) (Controller, error) {
+	e, ok := c.(*Explore)
+	if !ok {
+		e = new(Explore)
+	}
+	e.reset(id, f.Params)
+	if state == nil {
+		return e, nil
+	}
 	if err := e.restoreState(state); err != nil {
 		return nil, err
 	}

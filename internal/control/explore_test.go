@@ -161,12 +161,12 @@ func TestExploreStateRoundTrip(t *testing.T) {
 	e.OnMessage(exploreState(3, 0))
 	e.OnSensor(exploreReading(5, geom.V(25.5, 4.25), geom.V(0.5, -0.25)))
 	e.OnMessage(exploreState(1, 5))
-	state := e.EncodeState()
-	restored, err := ExploreFactory{Params: p}.Restore(2, state)
+	state := e.AppendState(nil)
+	restored, err := ExploreFactory{Params: p}.Load(nil, 2, state)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(restored.EncodeState(), state) {
+	if !bytes.Equal(restored.AppendState(nil), state) {
 		t.Fatal("state round trip not bit-exact")
 	}
 	in := exploreReading(6, geom.V(26, 4), geom.V(0.25, 0))
@@ -179,15 +179,15 @@ func TestExploreStateRoundTrip(t *testing.T) {
 func TestExploreRestoreRejectsBadState(t *testing.T) {
 	p := exploreParams()
 	f := ExploreFactory{Params: p}
-	if _, err := f.Restore(1, []byte{1, 2}); err == nil {
+	if _, err := f.Load(nil, 1, []byte{1, 2}); err == nil {
 		t.Error("truncated state accepted")
 	}
 	e := NewExplore(1, p)
-	state := e.EncodeState()
+	state := e.AppendState(nil)
 	// Corrupt the covering strip beyond Strips.
 	state[8+16+8] = 0xFF
 	state[8+16+8+1] = 0xFF
-	if _, err := f.Restore(1, state); err == nil {
+	if _, err := f.Load(nil, 1, state); err == nil {
 		t.Error("out-of-range strip accepted")
 	}
 }

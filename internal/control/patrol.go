@@ -1,7 +1,10 @@
 package control
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 
 	"roborebound/internal/geom"
 	"roborebound/internal/wire"
@@ -54,6 +57,9 @@ type Patrol struct {
 	pos  geom.Vec2
 	vel  geom.Vec2
 	wp   uint16 // active waypoint index
+
+	route []geom.Vec2             // storage of params.Waypoints when RingGapM inflates them
+	bcast [wire.StateMsgSize]byte // Outputs.Broadcast, lent until the next call
 }
 
 var _ Controller = (*Patrol)(nil)
@@ -62,24 +68,31 @@ var _ Controller = (*Patrol)(nil)
 // effective route is a pure function of (id, params), so an auditor's
 // replica reconstructs it exactly.
 func NewPatrol(id wire.RobotID, p PatrolParams) *Patrol {
-	if p.RingGapM != 0 && len(p.Waypoints) > 0 {
+	c := new(Patrol)
+	c.reset(id, p)
+	return c
+}
+
+// reset puts p in robot id's initial state, keeping only the storage of
+// its inflated route.
+func (p *Patrol) reset(id wire.RobotID, params PatrolParams) {
+	*p = Patrol{id: id, params: params, route: p.route[:0]}
+	if params.RingGapM != 0 && len(params.Waypoints) > 0 {
 		var centroid geom.Vec2
-		for _, w := range p.Waypoints {
+		for _, w := range params.Waypoints {
 			centroid = centroid.Add(w)
 		}
-		centroid = centroid.Scale(1 / float64(len(p.Waypoints)))
-		scaled := make([]geom.Vec2, len(p.Waypoints))
-		for i, w := range p.Waypoints {
+		centroid = centroid.Scale(1 / float64(len(params.Waypoints)))
+		p.route = slices.Grow(p.route, len(params.Waypoints))
+		for _, w := range params.Waypoints {
 			d := w.Sub(centroid)
-			scaled[i] = w.Add(d.Unit().Scale(float64(id) * p.RingGapM))
+			p.route = append(p.route, w.Add(d.Unit().Scale(float64(id)*params.RingGapM)))
 		}
-		p.Waypoints = scaled
+		p.params.Waypoints = p.route
 	}
-	wp := uint16(0)
-	if n := len(p.Waypoints); n > 0 {
-		wp = uint16(int(id) % n)
+	if n := len(p.params.Waypoints); n > 0 {
+		p.wp = uint16(int(id) % n)
 	}
-	return &Patrol{id: id, params: p, wp: wp}
 }
 
 // Waypoint returns the active waypoint index (tests/metrics only).
@@ -107,7 +120,7 @@ func (p *Patrol) OnSensor(r wire.SensorReading) Outputs {
 		m := wire.StateMsg{Src: p.id, Time: r.Time,
 			PosX: float32(p.pos.X), PosY: float32(p.pos.Y),
 			VelX: float32(p.vel.X), VelY: float32(p.vel.Y)}
-		out.Broadcast = m.Encode()
+		out.Broadcast = m.AppendEncode(p.bcast[:0])
 	}
 	return out
 }
@@ -116,16 +129,15 @@ func (p *Patrol) OnSensor(r wire.SensorReading) Outputs {
 // through their pre-assigned route offsets.
 func (p *Patrol) OnMessage([]byte) {}
 
-// EncodeState produces the canonical patrol state.
-func (p *Patrol) EncodeState() []byte {
-	w := wire.NewWriter(8 + 16 + 8 + 2)
-	w.U64(uint64(p.time))
-	w.F64(p.pos.X)
-	w.F64(p.pos.Y)
-	w.F32(float32(p.vel.X))
-	w.F32(float32(p.vel.Y))
-	w.U16(p.wp)
-	return w.Bytes()
+// AppendState appends the canonical patrol state.
+func (p *Patrol) AppendState(dst []byte) []byte {
+	dst = slices.Grow(dst, 8+16+8+2)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(p.time))
+	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(p.pos.X))
+	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(p.pos.Y))
+	dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(float32(p.vel.X)))
+	dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(float32(p.vel.Y)))
+	return binary.BigEndian.AppendUint16(dst, p.wp)
 }
 
 func (p *Patrol) restoreState(state []byte) error {
@@ -155,9 +167,16 @@ func (f PatrolFactory) New(id wire.RobotID) Controller {
 	return NewPatrol(id, f.Params)
 }
 
-// Restore implements Factory.
-func (f PatrolFactory) Restore(id wire.RobotID, state []byte) (Controller, error) {
-	p := NewPatrol(id, f.Params)
+// Load implements Factory.
+func (f PatrolFactory) Load(c Controller, id wire.RobotID, state []byte) (Controller, error) {
+	p, ok := c.(*Patrol)
+	if !ok {
+		p = new(Patrol)
+	}
+	p.reset(id, f.Params)
+	if state == nil {
+		return p, nil
+	}
 	if err := p.restoreState(state); err != nil {
 		return nil, err
 	}

@@ -93,12 +93,12 @@ func TestPatrolStateRoundTrip(t *testing.T) {
 	p := patrolParams()
 	c := NewPatrol(1, p)
 	c.OnSensor(patrolReading(7, geom.V(12.5, -3.25), geom.V(0.5, 0.125)))
-	state := c.EncodeState()
-	restored, err := PatrolFactory{Params: p}.Restore(1, state)
+	state := c.AppendState(nil)
+	restored, err := PatrolFactory{Params: p}.Load(nil, 1, state)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(restored.EncodeState(), state) {
+	if !bytes.Equal(restored.AppendState(nil), state) {
 		t.Error("state round trip not bit-exact")
 	}
 	in := patrolReading(8, geom.V(13, -3), geom.V(0.5, 0))
@@ -111,15 +111,15 @@ func TestPatrolStateRoundTrip(t *testing.T) {
 func TestPatrolRestoreRejectsBadState(t *testing.T) {
 	p := patrolParams()
 	f := PatrolFactory{Params: p}
-	if _, err := f.Restore(1, []byte{1, 2, 3}); err == nil {
+	if _, err := f.Load(nil, 1, []byte{1, 2, 3}); err == nil {
 		t.Error("truncated state accepted")
 	}
 	c := NewPatrol(1, p)
-	state := c.EncodeState()
+	state := c.AppendState(nil)
 	// Corrupt the waypoint index beyond the route length.
 	state[len(state)-2] = 0xFF
 	state[len(state)-1] = 0xFF
-	if _, err := f.Restore(1, state); err == nil {
+	if _, err := f.Load(nil, 1, state); err == nil {
 		t.Error("out-of-range waypoint accepted")
 	}
 }

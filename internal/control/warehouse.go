@@ -1,7 +1,10 @@
 package control
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"roborebound/internal/geom"
@@ -95,6 +98,8 @@ type Warehouse struct {
 	wp    uint8  // waypoint index on the one-way loop (see route)
 	trips uint32 // completed pickup→dropoff cycles
 	peers []warehousePeer
+
+	bcast [wire.StateMsgSize]byte // Outputs.Broadcast, lent until the next call
 }
 
 var _ Controller = (*Warehouse)(nil)
@@ -102,7 +107,15 @@ var _ Controller = (*Warehouse)(nil)
 // NewWarehouse returns the controller in its initial state (heading to
 // its pickup station).
 func NewWarehouse(id wire.RobotID, p WarehouseParams) *Warehouse {
-	return &Warehouse{id: id, params: p}
+	w := new(Warehouse)
+	w.reset(id, p)
+	return w
+}
+
+// reset puts w in robot id's initial state, keeping only the storage of
+// its peer table.
+func (w *Warehouse) reset(id wire.RobotID, p WarehouseParams) {
+	*w = Warehouse{id: id, params: p, peers: w.peers[:0]}
 }
 
 // Trips returns the number of completed delivery cycles.
@@ -223,31 +236,31 @@ func (w *Warehouse) OnSensor(r wire.SensorReading) Outputs {
 		m := wire.StateMsg{Src: w.id, Time: r.Time,
 			PosX: float32(w.pos.X), PosY: float32(w.pos.Y),
 			VelX: float32(w.vel.X), VelY: float32(w.vel.Y)}
-		out.Broadcast = m.Encode()
+		out.Broadcast = m.AppendEncode(w.bcast[:0])
 	}
 	return out
 }
 
-// EncodeState produces the canonical warehouse state.
-func (w *Warehouse) EncodeState() []byte {
-	wr := wire.NewWriter(8 + 16 + 8 + 1 + 4 + 2 + len(w.peers)*26)
-	wr.U64(uint64(w.time))
-	wr.F64(w.pos.X)
-	wr.F64(w.pos.Y)
-	wr.F32(float32(w.vel.X))
-	wr.F32(float32(w.vel.Y))
-	wr.U8(w.wp)
-	wr.U32(w.trips)
-	wr.U16(uint16(len(w.peers)))
+// AppendState appends the canonical warehouse state.
+func (w *Warehouse) AppendState(dst []byte) []byte {
+	dst = slices.Grow(dst, 8+16+8+1+4+2+len(w.peers)*26)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(w.time))
+	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(w.pos.X))
+	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(w.pos.Y))
+	dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(float32(w.vel.X)))
+	dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(float32(w.vel.Y)))
+	dst = append(dst, w.wp)
+	dst = binary.BigEndian.AppendUint32(dst, w.trips)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(w.peers)))
 	for _, p := range w.peers {
-		wr.U16(uint16(p.ID))
-		wr.U64(uint64(p.LastHeard))
-		wr.F32(p.PosX)
-		wr.F32(p.PosY)
-		wr.F32(p.VelX)
-		wr.F32(p.VelY)
+		dst = binary.BigEndian.AppendUint16(dst, uint16(p.ID))
+		dst = binary.BigEndian.AppendUint64(dst, uint64(p.LastHeard))
+		dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(p.PosX))
+		dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(p.PosY))
+		dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(p.VelX))
+		dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(p.VelY))
 	}
-	return wr.Bytes()
+	return dst
 }
 
 func (w *Warehouse) restoreState(state []byte) error {
@@ -264,7 +277,7 @@ func (w *Warehouse) restoreState(state []byte) error {
 	if n > r.Remaining()/26 { // 26 bytes per encoded peer (U16 + U64 + 4×F32)
 		return fmt.Errorf("warehouse: peer count %d exceeds payload", n)
 	}
-	w.peers = make([]warehousePeer, 0, n)
+	w.peers = slices.Grow(w.peers[:0], n)
 	prev := -1
 	for i := 0; i < n; i++ {
 		p := warehousePeer{ID: wire.RobotID(r.U16()), LastHeard: wire.Tick(r.U64()),
@@ -293,9 +306,16 @@ func (f WarehouseFactory) New(id wire.RobotID) Controller {
 	return NewWarehouse(id, f.Params)
 }
 
-// Restore implements Factory.
-func (f WarehouseFactory) Restore(id wire.RobotID, state []byte) (Controller, error) {
-	w := NewWarehouse(id, f.Params)
+// Load implements Factory.
+func (f WarehouseFactory) Load(c Controller, id wire.RobotID, state []byte) (Controller, error) {
+	w, ok := c.(*Warehouse)
+	if !ok {
+		w = new(Warehouse)
+	}
+	w.reset(id, f.Params)
+	if state == nil {
+		return w, nil
+	}
 	if err := w.restoreState(state); err != nil {
 		return nil, err
 	}

@@ -175,12 +175,12 @@ func TestWarehouseStateRoundTrip(t *testing.T) {
 	w.OnMessage(whState(2, 0, geom.V(3, 4)))
 	w.OnSensor(whReading(0, geom.V(0.5, 0), geom.Zero2)) // dock: flips leg
 	w.OnMessage(whState(3, 0, geom.V(7, 8)))
-	state := w.EncodeState()
-	restored, err := WarehouseFactory{Params: p}.Restore(1, state)
+	state := w.AppendState(nil)
+	restored, err := WarehouseFactory{Params: p}.Load(nil, 1, state)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(restored.EncodeState(), state) {
+	if !bytes.Equal(restored.AppendState(nil), state) {
 		t.Fatal("state round trip not bit-exact")
 	}
 	in := whReading(1, geom.V(5, 0), geom.V(1, 0))
@@ -192,11 +192,11 @@ func TestWarehouseStateRoundTrip(t *testing.T) {
 
 func TestWarehouseRestoreRejectsBadState(t *testing.T) {
 	f := WarehouseFactory{Params: warehouseParams()}
-	if _, err := f.Restore(1, []byte{9}); err == nil {
+	if _, err := f.Load(nil, 1, []byte{9}); err == nil {
 		t.Error("truncated state accepted")
 	}
 	w := NewWarehouse(1, warehouseParams())
-	if _, err := f.Restore(1, append(w.EncodeState(), 0xFF)); err == nil {
+	if _, err := f.Load(nil, 1, append(w.AppendState(nil), 0xFF)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
 }

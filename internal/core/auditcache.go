@@ -5,7 +5,7 @@ import (
 	"encoding/binary"
 
 	"roborebound/internal/cryptolite"
-	"roborebound/internal/trusted"
+	"roborebound/internal/replay"
 	"roborebound/internal/wire"
 )
 
@@ -44,18 +44,24 @@ type AuditCache struct {
 
 	hits, misses uint64
 
-	// entries is the decode scratch a cache miss parses its segment
-	// into (see decodeSegment). It sits here because the cache is the one
-	// object every engine of a swarm already shares and only one of them
-	// runs at a time: one window-sized slice per swarm. Per engine, the
-	// same scratch is a window-sized slice per robot that each of them
-	// keeps at its high-water mark.
-	entries []wire.LogEntry //rebound:snapshot-skip write-only scratch, no retained state
-	// chains are the two chain replicas a cache miss replays on
-	// (replay.Config.Chains), here for the same reason: one pair of
-	// hashers per swarm, repositioned by every replay before it reads
-	// them.
-	chains [2]trusted.Chain //rebound:snapshot-skip write-only scratch, no retained state
+	// miss is what a cache miss works in. It sits here because the cache
+	// is the one object every engine of a swarm already shares and only
+	// one of them runs at a time: one set per swarm.
+	miss missScratch //rebound:snapshot-skip write-only scratch, no retained state
+}
+
+// missScratch is a cache miss's working storage.
+type missScratch struct {
+	// entries is the decode scratch the miss parses its segment into
+	// (see decodeSegment): one window-sized slice per swarm. Per engine,
+	// the same scratch is a window-sized slice per robot that each of
+	// them keeps at its high-water mark.
+	entries []wire.LogEntry
+	// machine is the replay machine the miss replays on
+	// (replay.Config.Machine): one pair of chain hashers and one
+	// controller replica per swarm, repositioned by every replay before
+	// it reads them.
+	machine replay.Machine
 }
 
 // AuditVerdict is one memoized replay outcome. HCkpt is the SHA-1 of
@@ -121,8 +127,8 @@ func (c *AuditCache) decodeSegment(seg []byte) ([]wire.LogEntry, error) {
 		return wire.DecodeLogEntries(seg)
 	}
 	var err error
-	c.entries, err = wire.AppendDecodeLogEntries(c.entries[:0], seg)
-	return c.entries, err
+	c.miss.entries, err = wire.AppendDecodeLogEntries(c.miss.entries[:0], seg)
+	return c.miss.entries, err
 }
 
 // releaseSegment ends the life of the entries decodeSegment returned.
@@ -134,8 +140,8 @@ func (c *AuditCache) releaseSegment() {
 	if c == nil {
 		return
 	}
-	clear(c.entries[:cap(c.entries)])
-	c.entries = c.entries[:0]
+	clear(c.miss.entries[:cap(c.miss.entries)])
+	c.miss.entries = c.miss.entries[:0]
 }
 
 // Len returns the number of memoized verdicts.

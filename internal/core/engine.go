@@ -31,6 +31,9 @@ type Engine struct {
 	// from the node's send buffer; the engine logs exactly those bytes,
 	// and logAppend copies them before the node is called again.
 	send func(wire.Frame) ([]byte, bool) //rebound:snapshot-skip a-node wiring, reattached at rebuild
+	// checkAuth is the a-node's CheckAuthenticator, bound once: a method
+	// value bound per audit would be a heap object per cache miss.
+	checkAuth func(wire.Authenticator) bool //rebound:snapshot-skip a-node wiring, reattached at rebuild
 
 	// heardIDs lists every peer a frame has come from, ascending, and
 	// heardAt[i] the last tick heardIDs[i] was heard (see hear). Two
@@ -118,7 +121,7 @@ type auditRound struct {
 // log before calling send again.
 func NewEngine(id wire.RobotID, cfg Config, factory control.Factory,
 	snode *trusted.SNode, anode *trusted.ANode, send func(wire.Frame) ([]byte, bool)) *Engine {
-	return &Engine{
+	e := &Engine{
 		id:      id,
 		cfg:     cfg,
 		factory: factory,
@@ -128,6 +131,10 @@ func NewEngine(id wire.RobotID, cfg Config, factory control.Factory,
 		log:     auditlog.New(),
 		send:    send,
 	}
+	if anode != nil {
+		e.checkAuth = anode.CheckAuthenticator
+	}
+	return e
 }
 
 // roundLatencyBounds are the round-latency histogram's buckets, in
@@ -232,7 +239,10 @@ func (e *Engine) OnSensorReadingEnc(reading wire.SensorReading, enc []byte) {
 	e.logAppend(wire.LogEntry{Kind: wire.EntrySensor, Payload: enc})
 	out := e.ctrl.OnSensor(reading)
 	if out.Broadcast != nil {
-		f := wire.Frame{Src: e.id, Dst: wire.Broadcast, Payload: out.Broadcast}
+		// The broadcast is lent by the controller; a sent payload is
+		// never written again, so the frame carries its own copy.
+		payload := append([]byte(nil), out.Broadcast...)
+		f := wire.Frame{Src: e.id, Dst: wire.Broadcast, Payload: payload}
 		if encF, ok := e.send(f); ok {
 			e.logAppend(wire.LogEntry{Kind: wire.EntrySend, Payload: encF})
 		}
@@ -344,7 +354,7 @@ func (e *Engine) startRound(now wire.Tick) {
 		Time:  now,
 		AuthS: authS,
 		AuthA: authA,
-		State: e.ctrl.EncodeState(),
+		State: e.ctrl.AppendState(nil),
 	}
 	// The log encodes the checkpoint once, on entry; the round ships
 	// those bytes (and next round, as its start, the same ones again).
@@ -689,13 +699,13 @@ func (e *Engine) verifySegment(a *wire.AuditRequest) bool {
 		Factory:            e.factory,
 		BatchSize:          e.cfg.BatchSize,
 		AuthSlack:          e.cfg.AuthSlack,
-		CheckAuthenticator: e.anode.CheckAuthenticator,
+		CheckAuthenticator: e.checkAuth,
 	}
 	if e.acache != nil {
-		cfg.Chains = &e.acache.chains
+		cfg.Machine = &e.acache.miss.machine
 	}
 	// The entries land in the swarm-shared decode scratch when a cache
-	// is attached, and the replay runs on its chain replicas.
+	// is attached, and the replay runs on its machine.
 	// replay.Verify reads the entries and retains nothing; the scratch
 	// lets go of them (views of the request payload) as soon as it
 	// returns, or as soon as decoding fails.

@@ -151,10 +151,10 @@ func TestCacheMissReleasesItsScratch(t *testing.T) {
 	if _, misses := cache.HitsMisses(); misses != 1 || auditor.Stats().AuditsServed != 1 {
 		t.Fatalf("%d misses, %d served: want the request replayed and served once", misses, auditor.Stats().AuditsServed)
 	}
-	if cap(cache.entries) == 0 {
+	if cap(cache.miss.entries) == 0 {
 		t.Fatal("the miss decoded nothing into the scratch")
 	}
-	for k, en := range cache.entries[:cap(cache.entries)] {
+	for k, en := range cache.miss.entries[:cap(cache.miss.entries)] {
 		if en.Payload != nil {
 			t.Fatalf("scratch entry %d still views the request", k)
 		}
@@ -178,12 +178,61 @@ func TestReleaseSegmentClearsAFailedDecode(t *testing.T) {
 		t.Fatal("a segment ending in an unknown entry kind decoded")
 	}
 	c.releaseSegment()
-	if cap(c.entries) < 8 {
-		t.Fatalf("the failed decode left %d entries of capacity, want the 8 it wrote", cap(c.entries))
+	if cap(c.miss.entries) < 8 {
+		t.Fatalf("the failed decode left %d entries of capacity, want the 8 it wrote", cap(c.miss.entries))
 	}
-	for k, en := range c.entries[:cap(c.entries)] {
+	for k, en := range c.miss.entries[:cap(c.miss.entries)] {
 		if en.Payload != nil {
 			t.Fatalf("scratch entry %d still views the failed segment", k)
 		}
+	}
+}
+
+// TestReplayMachineKeepsNoRequest: an auditor with a fresh cache serves
+// a request from a covered checkpoint: a miss, accepted by a replay on
+// the cache's machine, which keeps the replica of the auditee and its
+// replayed end state. Nothing in the machine, the engine or the cache
+// reaches the request's payload afterwards: not the segment, and not
+// the start checkpoint whose state the replica was loaded from.
+func TestReplayMachineKeepsNoRequest(t *testing.T) {
+	cfg := DefaultConfig(4)
+	cfg.Fmax = 1
+	h := newHarness(t, cfg, 1, 2, 3)
+	shared := NewAuditCache(0)
+	for _, e := range h.engines {
+		e.SetAuditCache(shared)
+	}
+	var held wire.Frame
+	h.onSend = func(f wire.Frame) bool {
+		if held.Payload != nil || f.Src != 1 || wire.PayloadKind(f.Payload) != wire.KindAuditRequest {
+			return false
+		}
+		if a, err := wire.DecodeAuditRequest(f.Payload); err == nil && !a.FromBoot {
+			held = f
+			return true // the test delivers it
+		}
+		return false
+	}
+	for i := 0; i < 400 && held.Payload == nil; i++ {
+		h.tick()
+	}
+	if held.Payload == nil {
+		t.Fatal("robot 1 sent no request from a covered checkpoint")
+	}
+	h.onSend = nil
+	payload := weak.Make(&held.Payload[0])
+	h.engines[1].round = nil // the sender's round let go, as a covered one does
+
+	cache := NewAuditCache(0)
+	auditor := h.engines[held.Dst]
+	auditor.SetAuditCache(cache)
+	served := auditor.Stats().AuditsServed
+	h.anodes[held.Dst].RecvWireless(held)
+	held = wire.Frame{}
+	if _, misses := cache.HitsMisses(); misses != 1 || auditor.Stats().AuditsServed != served+1 {
+		t.Fatalf("%d misses, %d served: want the request replayed and served once", misses, auditor.Stats().AuditsServed-served)
+	}
+	if !collected(payload) {
+		t.Error("the served request is still reachable")
 	}
 }

@@ -55,7 +55,7 @@ func (e *Engine) EncodeState() ([]byte, error) {
 		w.U64(count)
 		w.F64(sum)
 	}
-	w.Blob(e.ctrl.EncodeState())
+	w.Blob(e.ctrl.AppendState(nil))
 	logState, err := e.log.EncodeState()
 	if err != nil {
 		return nil, err
@@ -66,7 +66,7 @@ func (e *Engine) EncodeState() ([]byte, error) {
 
 // RestoreState applies a blob from EncodeState onto a freshly rebuilt
 // engine (same config, factory, and instrumentation as the snapshotted
-// one). The controller is reconstructed through the factory's Restore,
+// one). The controller is reconstructed through the factory's Load,
 // the audit log through its own codec.
 func (e *Engine) RestoreState(b []byte) error {
 	r := wire.NewReader(b)
@@ -139,7 +139,7 @@ func (e *Engine) RestoreState(b []byte) error {
 	} else if hasHist > 1 {
 		return errors.New("core: snapshot histogram flag out of range")
 	}
-	ctrlState := append([]byte(nil), r.Blob()...)
+	ctrlState := r.Blob() // Load keeps no reference to it
 	logState := r.Blob()
 	if r.Err() != nil {
 		return r.Err()
@@ -147,7 +147,7 @@ func (e *Engine) RestoreState(b []byte) error {
 	if err := r.Done(); err != nil {
 		return err
 	}
-	ctrl, err := e.factory.Restore(e.id, ctrlState)
+	ctrl, err := e.factory.Load(nil, e.id, ctrlState)
 	if err != nil {
 		return fmt.Errorf("core: restore controller: %w", err)
 	}

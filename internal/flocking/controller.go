@@ -1,7 +1,10 @@
 package flocking
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"roborebound/internal/control"
@@ -30,13 +33,23 @@ type Controller struct {
 	pos       geom.Vec2 // own position (float64, from the s-node)
 	vel       geom.Vec2
 	neighbors []Neighbor // sorted by ID, unique
+
+	bcast [wire.StateMsgSize]byte // Outputs.Broadcast, lent until the next call
 }
 
 var _ control.Controller = (*Controller)(nil)
 
 // New returns a controller in its canonical initial state.
 func New(id wire.RobotID, p Params) *Controller {
-	return &Controller{id: id, params: p}
+	c := new(Controller)
+	c.reset(id, p)
+	return c
+}
+
+// reset puts c in robot id's initial state, keeping only the storage of
+// its neighbor table.
+func (c *Controller) reset(id wire.RobotID, p Params) {
+	*c = Controller{id: id, params: p, neighbors: c.neighbors[:0]}
 }
 
 // OnMessage ingests a state broadcast from a peer. Messages that do
@@ -85,7 +98,7 @@ func (c *Controller) OnSensor(r wire.SensorReading) control.Outputs {
 			PosX: float32(c.pos.X), PosY: float32(c.pos.Y),
 			VelX: float32(c.vel.X), VelY: float32(c.vel.Y),
 		}
-		out.Broadcast = msg.Encode()
+		out.Broadcast = msg.AppendEncode(c.bcast[:0])
 	}
 	return out
 }
@@ -178,26 +191,26 @@ func (c *Controller) Neighbors() []Neighbor {
 	return append([]Neighbor(nil), c.neighbors...)
 }
 
-// EncodeState produces the canonical checkpoint state (§5.2: time,
+// AppendState appends the canonical checkpoint state (§5.2: time,
 // pose, neighbor count, and per-neighbor ID, last-heard time, and
 // pose).
-func (c *Controller) EncodeState() []byte {
-	w := wire.NewWriter(8 + 16 + 8 + 2 + len(c.neighbors)*26)
-	w.U64(uint64(c.time))
-	w.F64(c.pos.X)
-	w.F64(c.pos.Y)
-	w.F32(float32(c.vel.X))
-	w.F32(float32(c.vel.Y))
-	w.U16(uint16(len(c.neighbors)))
+func (c *Controller) AppendState(dst []byte) []byte {
+	dst = slices.Grow(dst, 8+16+8+2+len(c.neighbors)*26)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(c.time))
+	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(c.pos.X))
+	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(c.pos.Y))
+	dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(float32(c.vel.X)))
+	dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(float32(c.vel.Y)))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(c.neighbors)))
 	for _, n := range c.neighbors {
-		w.U16(uint16(n.ID))
-		w.U64(uint64(n.LastHeard))
-		w.F32(n.PosX)
-		w.F32(n.PosY)
-		w.F32(n.VelX)
-		w.F32(n.VelY)
+		dst = binary.BigEndian.AppendUint16(dst, uint16(n.ID))
+		dst = binary.BigEndian.AppendUint64(dst, uint64(n.LastHeard))
+		dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(n.PosX))
+		dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(n.PosY))
+		dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(n.VelX))
+		dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(n.VelY))
 	}
-	return w.Bytes()
+	return dst
 }
 
 func (c *Controller) restoreState(state []byte) error {
@@ -209,7 +222,7 @@ func (c *Controller) restoreState(state []byte) error {
 	if n > r.Remaining()/26 { // 26 bytes per encoded neighbor (U16 + U64 + 4×F32)
 		return fmt.Errorf("flocking: neighbor count %d exceeds payload", n)
 	}
-	c.neighbors = make([]Neighbor, 0, n)
+	c.neighbors = slices.Grow(c.neighbors[:0], n)
 	prev := -1
 	for i := 0; i < n; i++ {
 		nbr := Neighbor{
@@ -242,11 +255,18 @@ func (f Factory) New(id wire.RobotID) control.Controller {
 	return New(id, f.Params)
 }
 
-// Restore implements control.Factory.
-func (f Factory) Restore(id wire.RobotID, state []byte) (control.Controller, error) {
-	c := New(id, f.Params)
-	if err := c.restoreState(state); err != nil {
+// Load implements control.Factory.
+func (f Factory) Load(c control.Controller, id wire.RobotID, state []byte) (control.Controller, error) {
+	fc, ok := c.(*Controller)
+	if !ok {
+		fc = new(Controller)
+	}
+	fc.reset(id, f.Params)
+	if state == nil {
+		return fc, nil
+	}
+	if err := fc.restoreState(state); err != nil {
 		return nil, err
 	}
-	return c, nil
+	return fc, nil
 }

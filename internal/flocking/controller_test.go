@@ -288,12 +288,12 @@ func TestStateRoundTripExact(t *testing.T) {
 	for _, id := range []wire.RobotID{4, 2, 9} {
 		c.OnMessage(stateMsg(id, 0, geom.V(float64(id), 1), geom.V(0.25, 0)))
 	}
-	state := c.EncodeState()
-	restored, err := Factory{Params: p}.Restore(1, state)
+	state := c.AppendState(nil)
+	restored, err := Factory{Params: p}.Load(nil, 1, state)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(restored.EncodeState(), state) {
+	if !bytes.Equal(restored.AppendState(nil), state) {
 		t.Fatal("state round trip not bit-exact")
 	}
 
@@ -316,7 +316,7 @@ func TestRestoreRejectsNonCanonicalState(t *testing.T) {
 	c.OnSensor(reading(0, geom.Zero2, geom.Zero2))
 	c.OnMessage(stateMsg(2, 0, geom.V(1, 0), geom.Zero2))
 	c.OnMessage(stateMsg(3, 0, geom.V(2, 0), geom.Zero2))
-	state := c.EncodeState()
+	state := c.AppendState(nil)
 
 	// Swap the two neighbor records (26 bytes each, after the 38-byte
 	// header): a forged, non-canonical checkpoint must be rejected,
@@ -326,14 +326,14 @@ func TestRestoreRejectsNonCanonicalState(t *testing.T) {
 	swapped := append([]byte(nil), state...)
 	copy(swapped[header:header+26], state[header+26:header+52])
 	copy(swapped[header+26:header+52], state[header:header+26])
-	if _, err := (Factory{Params: p}).Restore(1, swapped); err == nil {
+	if _, err := (Factory{Params: p}).Load(nil, 1, swapped); err == nil {
 		t.Error("non-canonical neighbor order accepted")
 	}
 
-	if _, err := (Factory{Params: p}).Restore(1, state[:10]); err == nil {
+	if _, err := (Factory{Params: p}).Load(nil, 1, state[:10]); err == nil {
 		t.Error("truncated state accepted")
 	}
-	if _, err := (Factory{Params: p}).Restore(1, append(state, 0)); err == nil {
+	if _, err := (Factory{Params: p}).Load(nil, 1, append(state, 0)); err == nil {
 		t.Error("oversized state accepted")
 	}
 }
@@ -346,7 +346,7 @@ func TestDeterministicAcrossInstances(t *testing.T) {
 			c.OnMessage(stateMsg(2, tk, geom.V(float64(tk)*0.1, 3), geom.V(0.5, 0)))
 			c.OnSensor(reading(tk, geom.V(float64(tk)*0.05, 0), geom.V(0.2, 0)))
 		}
-		return c.EncodeState()
+		return c.AppendState(nil)
 	}
 	if !bytes.Equal(run(), run()) {
 		t.Error("two identical runs produced different state")

@@ -46,12 +46,24 @@ type Config struct {
 	// CheckAuthenticator verifies an authenticator MAC on the
 	// auditor's own trusted hardware.
 	CheckAuthenticator func(wire.Authenticator) bool
-	// Chains, when set, are the two chain replicas (s-node, a-node)
-	// Verify replays on, repositioned at the segment's start whatever
-	// state the last replay left them in; an auditor that verifies
-	// segment after segment keeps one pair and its hashers. Nil
-	// allocates a pair per call.
-	Chains *[2]trusted.Chain
+	// Machine, when set, is the machine Verify replays on; an auditor
+	// that verifies segment after segment keeps one. Nil replays on a
+	// fresh machine per call.
+	Machine *Machine
+}
+
+// Machine is what a replay runs on: the two chain replicas (s-node,
+// a-node), the auditee's controller replica, and the buffer the
+// replayed end state is encoded into. Verify repositions all of it at
+// the segment's start, whatever the last replay — for any auditee,
+// accepted or rejected part-way — left in it, so once its buffers have
+// grown to a segment's needs a replay allocates nothing. It keeps no
+// reference to a request: the replica copies what it reads, and the
+// chains hold hashes. The zero value is ready to use.
+type Machine struct {
+	chains [2]trusted.Chain
+	ctrl   control.Controller
+	state  []byte
 }
 
 // Failure describes why a replay was rejected. It implements error;
@@ -109,28 +121,30 @@ func Verify(req Request, cfg Config) error {
 	}
 
 	// --- controller replica and chain replicas -----------------------
-	var ctrl control.Controller
-	chains := cfg.Chains
-	if chains == nil {
-		chains = new([2]trusted.Chain)
+	m := cfg.Machine
+	if m == nil {
+		m = new(Machine)
 	}
-	sChain, aChain := &chains[0], &chains[1]
+	sChain, aChain := &m.chains[0], &m.chains[1]
+	var startState []byte // nil: the initial state
 	if req.FromBoot {
-		ctrl = cfg.Factory.New(req.Auditee)
 		sChain.ResetAt(cryptolite.ChainHash{}, cfg.BatchSize)
 		aChain.ResetAt(cryptolite.ChainHash{}, cfg.BatchSize)
 	} else {
 		if req.Start == nil {
 			return fail("checkpoint", -1, "no start checkpoint and not from boot")
 		}
-		var err error
-		ctrl, err = cfg.Factory.Restore(req.Auditee, req.Start.State)
-		if err != nil {
-			return fail("checkpoint", -1, "start state rejected: %v", err)
+		if startState = req.Start.State; startState == nil {
+			return fail("checkpoint", -1, "start checkpoint carries no state")
 		}
 		sChain.ResetAt(req.Start.AuthS.Top, cfg.BatchSize)
 		aChain.ResetAt(req.Start.AuthA.Top, cfg.BatchSize)
 	}
+	ctrl, err := cfg.Factory.Load(m.ctrl, req.Auditee, startState)
+	if err != nil {
+		return fail("checkpoint", -1, "start state rejected: %v", err)
+	}
+	m.ctrl = ctrl
 
 	// --- replay -------------------------------------------------------
 	// wantSend and wantCmd hold the encodings of outputs the controller
@@ -213,15 +227,23 @@ func Verify(req Request, cfg Config) error {
 
 	// --- final state and chain tops -----------------------------------
 	if sTop := sChain.Flush(); sTop != req.End.AuthS.Top {
-		return fail("chain", -1, "s-node chain mismatch: replayed %x, attested %x", sTop[:4], req.End.AuthS.Top[:4])
+		return chainMismatch("s-node", sTop, req.End.AuthS.Top)
 	}
 	if aTop := aChain.Flush(); aTop != req.End.AuthA.Top {
-		return fail("chain", -1, "a-node chain mismatch: replayed %x, attested %x", aTop[:4], req.End.AuthA.Top[:4])
+		return chainMismatch("a-node", aTop, req.End.AuthA.Top)
 	}
-	if got := ctrl.EncodeState(); !bytes.Equal(got, req.End.State) {
+	m.state = ctrl.AppendState(m.state[:0])
+	if !bytes.Equal(m.state, req.End.State) {
 		return fail("state", -1, "end checkpoint state diverges from replayed state")
 	}
 	return nil
+}
+
+// chainMismatch reports a replayed chain top that is not the attested
+// one. The tops are its own copies: slicing req's for the message would
+// move every request Verify reads to the heap.
+func chainMismatch(node string, replayed, attested cryptolite.ChainHash) error {
+	return fail("chain", -1, "%s chain mismatch: replayed %x, attested %x", node, replayed[:4], attested[:4])
 }
 
 // TokensCoverStart validates the tokens presented for the start

@@ -33,11 +33,15 @@ func sealed() trusted.SealedMissionKey {
 	return trusted.SealMissionKey(master, mission, 42, 1)
 }
 
-func newLiveRobot(t *testing.T, id wire.RobotID) *liveRobot {
+func newLiveRobot(t testing.TB, id wire.RobotID) *liveRobot {
 	t.Helper()
-	r := &liveRobot{id: id}
-	r.factory = flocking.Factory{Params: flocking.DefaultParams(4, 4, geom.V(100, 100))}
-	r.ctrl = r.factory.New(id)
+	return newLiveRobotWith(t, id, flocking.Factory{Params: flocking.DefaultParams(4, 4, geom.V(100, 100))})
+}
+
+func newLiveRobotWith(t testing.TB, id wire.RobotID, f control.Factory) *liveRobot {
+	t.Helper()
+	r := &liveRobot{id: id, factory: f}
+	r.ctrl = f.New(id)
 	clock := func() wire.Tick { return r.now }
 	r.snode = trusted.NewSNode(trusted.DefaultBatchSize, clock)
 	cfg := trusted.DefaultANodeConfig(4)
@@ -92,7 +96,7 @@ func (r *liveRobot) recv(f wire.Frame) {
 func (r *liveRobot) checkpoint() auditlog.Checkpoint {
 	authS, _ := r.snode.MakeAuthenticator()
 	authA, _ := r.anode.MakeAuthenticator()
-	return auditlog.Checkpoint{Time: r.now, AuthS: authS, AuthA: authA, State: r.ctrl.EncodeState()}
+	return auditlog.Checkpoint{Time: r.now, AuthS: authS, AuthA: authA, State: r.ctrl.AppendState(nil)}
 }
 
 func peerState(src wire.RobotID, t wire.Tick, pos geom.Vec2) wire.Frame {
@@ -129,23 +133,24 @@ func buildSegment(t *testing.T) (Request, Config, *liveRobot) {
 	return req, cfg, r
 }
 
-// sharedChains is the one pair of replica chains every test in this
-// package replays on, in whatever state the test before left it — a
-// rejected segment stops mid-batch — the way an auditor's engine reuses
-// AuditCache's pair across the requests it serves.
-var sharedChains [2]trusted.Chain
+// sharedMachine is the one replay machine every test in this package
+// replays on, in whatever state the test before left it — a rejected
+// segment stops mid-batch, with the replica part-way through it — the
+// way an auditor's engine reuses AuditCache's machine across the
+// requests it serves.
+var sharedMachine Machine
 
-// verifyBoth runs Verify twice, on chains it allocates itself
-// (Config.Chains nil) and on sharedChains, and requires the same
+// verifyBoth runs Verify twice, on a machine it allocates itself
+// (Config.Machine nil) and on sharedMachine, and requires the same
 // verdict, down to the failure's stage, entry and message.
 func verifyBoth(t *testing.T, req Request, cfg Config) error {
 	t.Helper()
-	cfg.Chains = nil
+	cfg.Machine = nil
 	own := Verify(req, cfg)
-	cfg.Chains = &sharedChains
+	cfg.Machine = &sharedMachine
 	shared := Verify(req, cfg)
 	if (own == nil) != (shared == nil) || (own != nil && own.Error() != shared.Error()) {
-		t.Fatalf("Verify on its own chains returned %v, on reused chains %v", own, shared)
+		t.Fatalf("Verify on its own machine returned %v, on a reused one %v", own, shared)
 	}
 	return own
 }
@@ -157,8 +162,9 @@ func verifyBoth(t *testing.T, req Request, cfg Config) error {
 // and reach the verdict it reaches on fresh chains.
 func TestVerifyReusedChainsAfterMidBatchFailure(t *testing.T) {
 	req, cfg, _ := buildSegment(t)
-	var chains [2]trusted.Chain
-	cfg.Chains = &chains
+	var m Machine
+	cfg.Machine = &m
+	chains := &m.chains
 
 	bad := req
 	bad.Entries = append([]wire.LogEntry(nil), req.Entries...)

@@ -265,7 +265,9 @@ func (r *Robot) Tick(now wire.Tick) {
 	}
 	out := r.ctrl.OnSensor(r.reading(now))
 	if out.Broadcast != nil {
-		r.medium.Send(r.id, wire.Frame{Src: r.id, Dst: wire.Broadcast, Payload: out.Broadcast})
+		// Lent by the controller: the frame sent carries its own copy.
+		payload := append([]byte(nil), out.Broadcast...)
+		r.medium.Send(r.id, wire.Frame{Src: r.id, Dst: wire.Broadcast, Payload: payload})
 	}
 	if out.HasCmd {
 		r.body.Acc = geom.V(out.Cmd.AccX, out.Cmd.AccY)

@@ -25,7 +25,7 @@ func (r *Robot) EncodeState() ([]byte, error) {
 	w.U64(uint64(r.safeModeAt))
 	w.U32(uint32(r.validTokens))
 	if !r.cfg.Protected {
-		w.Blob(r.ctrl.EncodeState())
+		w.Blob(r.ctrl.AppendState(nil))
 		return w.Bytes(), nil
 	}
 	sn, err := r.snode.EncodeState()
@@ -64,10 +64,11 @@ func (r *Robot) RestoreState(b []byte) error {
 		return errors.New("robot: snapshot safe-mode flag out of range")
 	}
 	if !r.cfg.Protected {
-		ctrl, err := r.cfg.Factory.Restore(r.id, rd.Blob())
+		state := rd.Blob()
 		if rd.Err() != nil {
 			return rd.Err()
 		}
+		ctrl, err := r.cfg.Factory.Load(nil, r.id, state)
 		if err != nil {
 			return err
 		}

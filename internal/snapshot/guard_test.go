@@ -80,12 +80,18 @@ var guardLeafTypes = map[string]bool{
 // outside the analyzer's codec surface: sim.Engine is snapshotted by
 // the runner orchestration (not a struct codec the analyzer can root
 // at), prng.Source's codec lives behind MarshalState-style methods,
-// and radio.Delivery is only reachable through a skipped scratch
-// buffer. Everything else is pinned by snapshotstate.Surfaces.
+// radio.Delivery is only reachable through a skipped scratch buffer,
+// and so are core.missScratch and the replay.Machine inside it: a cache
+// miss's working storage, which every replay repositions before it
+// reads it, so no state passes from one miss to the next (replay's
+// TestMachineReuseMatchesAFreshLoad). Everything else is pinned by
+// snapshotstate.Surfaces.
 var guardManualFields = map[string][]string{
-	"sim.Engine":     {"World", "Medium", "actors", "ids", "byID", "now", "observers", "perf"},
-	"radio.Delivery": {"To", "Frame", "seq", "rank"},
-	"prng.Source":    {"s"},
+	"sim.Engine":       {"World", "Medium", "actors", "ids", "byID", "now", "observers", "perf"},
+	"radio.Delivery":   {"To", "Frame", "seq", "rank"},
+	"prng.Source":      {"s"},
+	"core.missScratch": {"entries", "machine"},
+	"replay.Machine":   {"chains", "ctrl", "state"},
 }
 
 const guardPkgPrefix = "roborebound/internal/"

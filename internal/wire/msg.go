@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"roborebound/internal/cryptolite"
 )
@@ -115,15 +116,20 @@ type StateMsg struct {
 
 // Encode serializes the state message (always StateMsgSize bytes).
 func (m *StateMsg) Encode() []byte {
-	w := NewWriter(StateMsgSize)
-	w.U8(KindState)
-	w.U16(uint16(m.Src))
-	w.U64(uint64(m.Time))
-	w.F32(m.PosX)
-	w.F32(m.PosY)
-	w.F32(m.VelX)
-	w.F32(m.VelY)
-	return w.Bytes()
+	return m.AppendEncode(make([]byte, 0, StateMsgSize))
+}
+
+// AppendEncode appends the message's encoding to dst and returns the
+// extended slice: a controller encodes its broadcast into a buffer it
+// owns, so a replayed broadcast tick costs no allocation.
+func (m *StateMsg) AppendEncode(dst []byte) []byte {
+	dst = append(dst, KindState)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(m.Src))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(m.Time))
+	dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(m.PosX))
+	dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(m.PosY))
+	dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(m.VelX))
+	return binary.BigEndian.AppendUint32(dst, math.Float32bits(m.VelY))
 }
 
 // DecodeStateMsg parses a state message.

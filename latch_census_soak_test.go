@@ -3,6 +3,7 @@
 package roborebound
 
 import (
+	"slices"
 	"testing"
 
 	"roborebound/internal/faultinject"
@@ -54,4 +55,28 @@ func TestLatchCensus(t *testing.T) {
 		}
 	}
 	t.Logf("%d of %d cells latched", latched, 3*len(faultinject.Profiles())*seeds)
+}
+
+// TestLatchSchedulesDDMinToTheirMinimal: ddmin over each row's
+// generated schedule, replayed as ExtraFaults under Profile none and
+// keeping a subset while it makes the row's latch, ends at the row's
+// pinned minimal schedule. Tier-1 checks that schedule's replay and
+// 1-minimality (TestLatchSchedulesShrinkToOneMinimal); this re-derives
+// it, at up to 32 cell runs a row:
+//
+//	go test -tags soak -run TestLatchSchedulesDDMinToTheirMinimal .
+func TestLatchSchedulesDDMinToTheirMinimal(t *testing.T) {
+	for _, l := range knownFalsePositiveLatches {
+		t.Run(l.config().Label(), func(t *testing.T) {
+			t.Parallel()
+			shrunk := ddmin(l.schedule(), func(faults []faultinject.Fault) bool { return l.is(l.replay(faults)) })
+			got := make([]string, len(shrunk))
+			for i := range shrunk {
+				got[i] = shrunk[i].String()
+			}
+			if !slices.Equal(got, l.minimal) {
+				t.Errorf("ddmin kept %q, pinned %q", got, l.minimal)
+			}
+		})
+	}
 }

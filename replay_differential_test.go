@@ -49,7 +49,7 @@ func collectSegments(t *testing.T, s *Sim) map[wire.RobotID]replayCell {
 			Time:  authS.T,
 			AuthS: authS,
 			AuthA: authA,
-			State: r.Controller().EncodeState(),
+			State: r.Controller().AppendState(nil),
 		}
 		log := r.Engine().Log()
 		log.AddCheckpoint(cp)
