@@ -85,35 +85,30 @@ type ChaosConfig struct {
 	MTUBytes int
 	// SnapshotAtTicks captures a full-state snapshot at each listed
 	// tick boundary (state as of BEFORE that tick runs; the run's
-	// final tick count is a legal boundary too). Results land in
+	// final tick count is a legal boundary too, and ticks before a
+	// resume point are never reached). Results land in
 	// ChaosResult.Snapshots. Capturing is observation only: a run with
-	// snapshots enabled is byte-identical to one without.
+	// snapshots enabled is byte-identical to one without. A resumable
+	// state from shortly before a violation at tick L is a capture at
+	// L−8.
 	SnapshotAtTicks []wire.Tick
-	// SnapshotEvery additionally captures every N ticks (N, 2N, ...,
-	// offset from the resume point when resuming). 0 disables.
-	SnapshotEvery wire.Tick
 	// ResumeFrom, when non-nil, resumes the run from these snapshot
 	// bytes instead of tick 0. The config must match the snapshot's
 	// origin cell (observability wiring excepted);
 	// mismatches land in ChaosResult.ResumeError.
 	ResumeFrom []byte
-	// ViolationRewind keeps a small ring of periodic snapshots (every
-	// N ticks) and, when the checker latches a violation, freezes it so
-	// ChaosResult.PreViolation holds a snapshot from ~N ticks before
-	// the breach — a resumable forensic starting point. 0 disables.
-	ViolationRewind wire.Tick
-	// Interrupt, when non-nil, is polled at every tick boundary. When
-	// it first returns true (before the run's final tick) the run stops
-	// at that boundary: the boundary state is captured into
-	// ChaosResult.Checkpoint, Interrupted is set, and the remaining
-	// ticks never execute. This is the serving layer's graceful-drain
-	// and cancellation seam — a checkpointed job's snapshot resumes via
-	// ResumeFrom into a byte-identical continuation of the original
-	// run. A hook that never fires is observation-only: the run is
-	// byte-identical to one with Interrupt nil. The hook is called
-	// between ticks on the run's own goroutine, so it may read state
-	// set by other goroutines (an atomic drain flag) without racing
-	// the simulation.
+	// Interrupt, when non-nil, is polled at every tick boundary before
+	// the run's final tick (never at the final boundary itself). When
+	// it first returns true the run stops at that boundary: the
+	// boundary state is captured into ChaosResult.Checkpoint,
+	// Interrupted is set, and the remaining ticks never execute. This
+	// is the serving layer's graceful-drain and cancellation seam — a
+	// checkpointed job's snapshot resumes via ResumeFrom into a
+	// byte-identical continuation of the original run. A hook that
+	// never fires is observation-only: the run is byte-identical to
+	// one with Interrupt nil. The hook is called between ticks on the
+	// run's own goroutine, so it may read state set by other
+	// goroutines (an atomic drain flag) without racing the simulation.
 	Interrupt func() bool
 	// Perf, when non-nil, attributes the cell's wall-clock time to the
 	// tick-pipeline phases (see SimConfig.Perf). Observation-only: the
@@ -225,27 +220,19 @@ type ChaosResult struct {
 	// MetricsSnapshot is the cell's final registry snapshot (sorted by
 	// name): per-robot protocol counters and radio byte accounting.
 	MetricsSnapshot []obs.Sample
-	// Snapshots holds the captures requested via SnapshotAtTicks /
-	// SnapshotEvery, in capture order.
+	// Snapshots holds the captures requested via SnapshotAtTicks, in
+	// capture order.
 	Snapshots []ChaosSnapshot
 	// Interrupted reports that ChaosConfig.Interrupt stopped the run
 	// before its final tick; Checkpoint holds the snapshot captured at
-	// the stopping boundary (nil only if the capture itself failed —
-	// see SnapshotError). An interrupted result's Metrics describe the
-	// partial run.
+	// the stopping boundary, and is non-nil exactly when Interrupted
+	// is set. An interrupted result's Metrics describe the partial run.
 	Interrupted bool
 	Checkpoint  *ChaosSnapshot
-	// PreViolation is the frozen rewind-ring snapshot (see
-	// ChaosConfig.ViolationRewind); nil when no violation latched or
-	// rewinding was off.
-	PreViolation *ChaosSnapshot
 	// ResumeError reports a failed ResumeFrom (corrupt bytes, config
 	// mismatch). The run did not execute; every other result field is
 	// meaningless.
 	ResumeError error
-	// SnapshotError reports the first failed capture, if any. The run
-	// itself completed normally.
-	SnapshotError error
 }
 
 // buildChaosSim constructs the cell's simulation with the schedule's
@@ -490,8 +477,6 @@ func (c ChaosConfig) fromTickZero() ChaosConfig {
 	c.Perf = nil
 	c.PerfRuntime = nil
 	c.SnapshotAtTicks = nil
-	c.SnapshotEvery = 0
-	c.ViolationRewind = 0
 	return c
 }
 

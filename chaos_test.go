@@ -533,30 +533,30 @@ func TestKnownFalsePositiveLatches(t *testing.T) {
 	}
 }
 
-// TestResumedLatchCarriesTheFullDump: a row's pre-violation snapshot,
-// resumed, latches with the very report the uninterrupted cell makes,
-// dump included — the dump is rebuilt from tick 0, not from what the
-// resumed run saw.
+// TestResumedLatchCarriesTheFullDump: a row's cell captured 8 ticks
+// before its latch, resumed, latches with the very report the
+// uninterrupted cell makes, dump included — the dump is rebuilt from
+// tick 0, not from what the resumed run saw.
 func TestResumedLatchCarriesTheFullDump(t *testing.T) {
 	for _, l := range knownFalsePositiveLatches {
 		t.Run(l.config().Label(), func(t *testing.T) {
 			t.Parallel()
 			cfg := l.config()
-			cfg.ViolationRewind = 8
+			cfg.SnapshotAtTicks = []wire.Tick{l.tick - 8}
 			cell := RunChaos(cfg)
-			if cell.Violation == nil || cell.PreViolation == nil {
-				t.Fatalf("latched %v, froze a snapshot: %v", cell.Violation, cell.PreViolation != nil)
+			if cell.Violation == nil || len(cell.Snapshots) != 1 {
+				t.Fatalf("latched %v, %d captures", cell.Violation, len(cell.Snapshots))
 			}
-			resumed, err := ResumeChaosSnapshot(cell.PreViolation.Data, nil)
+			resumed, err := ResumeChaosSnapshot(cell.Snapshots[0].Data, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if resumed.Violation == nil {
-				t.Fatalf("resumed from tick %d, no latch", cell.PreViolation.Tick)
+				t.Fatalf("resumed from tick %d, no latch", l.tick-8)
 			}
 			if got, want := resumed.Violation.Error(), cell.Violation.Error(); got != want {
 				t.Errorf("resumed from tick %d, the report differs (%d events, uninterrupted %d):\n%s",
-					cell.PreViolation.Tick, len(resumed.Violation.Events), len(cell.Violation.Events), got)
+					l.tick-8, len(resumed.Violation.Events), len(cell.Violation.Events), got)
 			}
 		})
 	}

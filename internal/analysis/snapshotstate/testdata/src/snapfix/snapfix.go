@@ -35,7 +35,7 @@ type loose struct {
 	whatever int
 }
 
-func (b *Box) EncodeState() ([]byte, error) {
+func (b *Box) EncodeState() []byte {
 	w := wire.NewWriter(64)
 	w.U64(uint64(b.now))
 	w.U32(uint32(len(b.items)))
@@ -43,7 +43,7 @@ func (b *Box) EncodeState() ([]byte, error) {
 		encodeItem(w, &b.items[i])
 	}
 	w.U32(uint32(len(b.lookup)))
-	return w.Bytes(), nil
+	return w.Bytes()
 }
 
 // encodeItem is in the codec's call closure: its references count as

@@ -25,7 +25,7 @@ type queued struct {
 	readyAt wire.Tick
 }
 
-func (m *medium) EncodeState() ([]byte, error) {
+func (m *medium) EncodeState() []byte {
 	w := wire.NewWriter(64)
 	w.U32(uint32(len(m.queue)))
 	for _, q := range m.queue {
@@ -33,7 +33,7 @@ func (m *medium) EncodeState() ([]byte, error) {
 		w.U64(uint64(q.readyAt))
 	}
 	w.U64(m.seq)
-	return w.Bytes(), nil
+	return w.Bytes()
 }
 
 func (m *medium) RestoreState(b []byte) error {

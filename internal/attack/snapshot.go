@@ -17,7 +17,7 @@ import (
 
 // EncodeState serializes the compromised wrapper plus the wrapped
 // robot as an opaque blob.
-func (c *Compromised) EncodeState() ([]byte, error) {
+func (c *Compromised) EncodeState() []byte {
 	w := wire.NewWriter(256)
 	var flags uint8
 	if c.active {
@@ -32,12 +32,8 @@ func (c *Compromised) EncodeState() ([]byte, error) {
 	for _, f := range c.captured {
 		w.Blob(f.Encode())
 	}
-	inner, err := c.Robot.EncodeState()
-	if err != nil {
-		return nil, err
-	}
-	w.Blob(inner)
-	return w.Bytes(), nil
+	w.Blob(c.Robot.EncodeState())
+	return w.Bytes()
 }
 
 // RestoreState applies a blob from EncodeState onto a structurally

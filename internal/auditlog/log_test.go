@@ -527,10 +527,7 @@ func TestSnapshotBytesWithPendingCheckpoints(t *testing.T) {
 	w.U32(1) // truncations
 	want := w.Bytes()
 
-	got, err := l.EncodeState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := l.EncodeState()
 	if !bytes.Equal(got, want) {
 		t.Fatalf("snapshot bytes moved:\n got %x\nwant %x", got, want)
 	}
@@ -538,10 +535,7 @@ func TestSnapshotBytesWithPendingCheckpoints(t *testing.T) {
 	if err := restored.RestoreState(want); err != nil {
 		t.Fatal(err)
 	}
-	again, err := restored.EncodeState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	again := restored.EncodeState()
 	if !bytes.Equal(again, want) {
 		t.Errorf("restore → snapshot is not the identity:\n got %x\nwant %x", again, want)
 	}

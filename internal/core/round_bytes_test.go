@@ -125,10 +125,7 @@ func checkRoundSnapshot(t *testing.T, e *Engine, segment, reqTail []byte) {
 	if !bytes.Equal(w.Bytes(), want) {
 		t.Errorf("the round's snapshot encoding differs from the hand-built one (%d vs %d bytes)", w.Len(), len(want))
 	}
-	blob, err := e.EncodeState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := e.EncodeState()
 	if !bytes.Contains(blob, want) {
 		t.Error("the engine's snapshot does not carry the hand-built round encoding")
 	}
@@ -405,10 +402,7 @@ func TestRoundWithoutARequestOwnsItsSegment(t *testing.T) {
 				t.Fatalf("round sent %d frames, tail built: %v; want neither", len(r.sent), rd.reqTail != nil)
 			}
 			checkRoundSnapshot(t, r.eng, window, nil)
-			blob, err := r.eng.EncodeState()
-			if err != nil {
-				t.Fatal(err)
-			}
+			blob := r.eng.EncodeState()
 
 			// The copy is the round's: the log moving on does not reach it.
 			r.fill(r.eng.Log().StorageBytes() + 8<<10)
@@ -468,10 +462,7 @@ func TestRestoredRoundHoldsOneCopy(t *testing.T) {
 	r.eng.startRound(r.now)
 	rd := r.eng.round
 	seg, tail := bytes.Clone(rd.segment), bytes.Clone(rd.reqTail)
-	blob, err := r.eng.EncodeState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := r.eng.EncodeState()
 	r2 := newDataPathRobot(t, cfg, false)
 	if err := r2.eng.RestoreState(blob); err != nil {
 		t.Fatal(err)
@@ -481,7 +472,7 @@ func TestRestoredRoundHoldsOneCopy(t *testing.T) {
 		&rd2.segment[len(rd2.segment)-1] != &rd2.reqTail[len(rd2.reqTail)-1] {
 		t.Fatal("the restored segment is not a view of the end of the restored tail")
 	}
-	if again, _ := r2.eng.EncodeState(); !bytes.Equal(again, blob) {
+	if again := r2.eng.EncodeState(); !bytes.Equal(again, blob) {
 		t.Fatal("the restored round re-encodes differently")
 	}
 
@@ -506,10 +497,7 @@ func TestRestoredRoundHoldsOneCopy(t *testing.T) {
 	// that still carries the request bytes.
 	rd.covered = true
 	rd.segment, rd.reqTail = nil, nil
-	current, err := r.eng.EncodeState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	current := r.eng.EncodeState()
 	checkRoundSnapshot(t, r.eng, nil, nil)
 	older := bytes.Replace(current, roundBlob(rd, nil, nil), roundBlob(rd, seg, tail), 1)
 	if len(older) != len(current)+len(seg)+4+len(tail) {
@@ -524,7 +512,7 @@ func TestRestoredRoundHoldsOneCopy(t *testing.T) {
 		if rd := resumed[k].eng.round; !rd.covered || rd.segment != nil || rd.reqTail != nil {
 			t.Fatal("a restored covered round holds request bytes")
 		}
-		if again, _ := resumed[k].eng.EncodeState(); !bytes.Equal(again, current) {
+		if again := resumed[k].eng.EncodeState(); !bytes.Equal(again, current) {
 			t.Fatalf("the restored covered round (%s encoding) does not re-encode as the current one", []string{"current", "older"}[k])
 		}
 	}
@@ -548,8 +536,8 @@ func TestRestoredRoundHoldsOneCopy(t *testing.T) {
 			t.Errorf("frame %d of the next round differs between the two encodings' resumes", i)
 		}
 	}
-	sa, _ := a.eng.EncodeState()
-	sb, _ := b.eng.EncodeState()
+	sa := a.eng.EncodeState()
+	sb := b.eng.EncodeState()
 	if !bytes.Equal(sa, sb) {
 		t.Error("the two resumes' engines diverged")
 	}
@@ -607,10 +595,7 @@ func TestHeardSetMatchesMapModel(t *testing.T) {
 				t.Fatalf("trial %d tick %d: candidates %v, the map model gives %v", trial, tick, got, want)
 			}
 		}
-		blob, err := e.EncodeState()
-		if err != nil {
-			t.Fatal(err)
-		}
+		blob := e.EncodeState()
 		w := wire.NewWriter(0)
 		w.U32(uint32(len(e.heardIDs)))
 		for _, id := range e.heardIDs {
@@ -624,7 +609,7 @@ func TestHeardSetMatchesMapModel(t *testing.T) {
 		if err := r2.eng.RestoreState(blob); err != nil {
 			t.Fatalf("trial %d: restore: %v", trial, err)
 		}
-		if again, _ := r2.eng.EncodeState(); !bytes.Equal(again, blob) {
+		if again := r2.eng.EncodeState(); !bytes.Equal(again, blob) {
 			t.Fatalf("trial %d: restored engine re-encodes differently", trial)
 		}
 		// Entry k sits at 4+10k: swap the first two IDs, then repeat the

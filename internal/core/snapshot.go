@@ -21,7 +21,7 @@ import (
 // not per engine.
 
 // EncodeState serializes the engine's dynamic state as an opaque blob.
-func (e *Engine) EncodeState() ([]byte, error) {
+func (e *Engine) EncodeState() []byte {
 	w := wire.NewWriter(256)
 	w.U32(uint32(len(e.heardIDs)))
 	for i, id := range e.heardIDs {
@@ -56,12 +56,8 @@ func (e *Engine) EncodeState() ([]byte, error) {
 		w.F64(sum)
 	}
 	w.Blob(e.ctrl.AppendState(nil))
-	logState, err := e.log.EncodeState()
-	if err != nil {
-		return nil, err
-	}
-	w.Blob(logState)
-	return w.Bytes(), nil
+	w.Blob(e.log.EncodeState())
+	return w.Bytes()
 }
 
 // RestoreState applies a blob from EncodeState onto a freshly rebuilt
@@ -340,7 +336,7 @@ func decodeAuditRound(r *wire.Reader) (*auditRound, error) {
 // fingerprint/trace/metrics surfaces directly, but they do steer
 // trusted MAC-op tallies and replay work, so the cache is part of the
 // byte-identity contract like everything else.
-func (c *AuditCache) EncodeState() ([]byte, error) {
+func (c *AuditCache) EncodeState() []byte {
 	w := wire.NewWriter(16 + len(c.fifo)*(32+1+20))
 	w.U32(uint32(c.cap))
 	w.U32(uint32(c.next))
@@ -357,7 +353,7 @@ func (c *AuditCache) EncodeState() ([]byte, error) {
 	}
 	w.U64(c.hits)
 	w.U64(c.misses)
-	return w.Bytes(), nil
+	return w.Bytes()
 }
 
 // RestoreState replaces the cache contents with a blob from

@@ -60,15 +60,15 @@ func (s *SHA1Stream) Write(p []byte) {
 // entries into the identical digest. The bytes are the stdlib digest's
 // own binary marshaling (stable: it is part of Go's encoding
 // compatibility surface) and are treated as opaque by callers.
-func (s *SHA1Stream) MarshalState() ([]byte, error) {
+func (s *SHA1Stream) MarshalState() []byte {
 	if s.h == nil {
 		s.h = sha1.New()
 	}
-	m, ok := s.h.(interface{ MarshalBinary() ([]byte, error) })
-	if !ok {
-		return nil, errors.New("cryptolite: sha1 digest does not support state marshaling")
-	}
-	return m.MarshalBinary()
+	// Package hash documents that the standard library's digests
+	// implement encoding.BinaryMarshaler, and sha1's marshaling always
+	// returns a nil error: there is no failure to report.
+	b, _ := s.h.(interface{ MarshalBinary() ([]byte, error) }).MarshalBinary()
+	return b
 }
 
 // UnmarshalState restores a digest previously captured by

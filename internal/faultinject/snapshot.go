@@ -18,7 +18,7 @@ import (
 // liveness deadline would silently restart at the snapshot tick.
 
 // EncodeState serializes the checker as an opaque blob.
-func (c *Checker) EncodeState() ([]byte, error) {
+func (c *Checker) EncodeState() []byte {
 	w := wire.NewWriter(256)
 	if c.violation != nil {
 		w.U8(1)
@@ -56,7 +56,7 @@ func (c *Checker) EncodeState() ([]byte, error) {
 		w.U64(c.lastCov[id])
 		w.U64(uint64(c.lastAdv[id]))
 	}
-	return w.Bytes(), nil
+	return w.Bytes()
 }
 
 // RestoreState applies a blob from EncodeState onto a rebuilt checker

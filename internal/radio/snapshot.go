@@ -21,7 +21,7 @@ import (
 // stamps after a resume.
 
 // EncodeState serializes the medium as an opaque blob.
-func (m *Medium) EncodeState() ([]byte, error) {
+func (m *Medium) EncodeState() []byte {
 	w := wire.NewWriter(256)
 	w.U32(uint32(len(m.queue)))
 	for i := range m.queue {
@@ -77,7 +77,7 @@ func (m *Medium) EncodeState() ([]byte, error) {
 	for _, s := range m.rng.State() {
 		w.U64(s)
 	}
-	return w.Bytes(), nil
+	return w.Bytes()
 }
 
 // RestoreState applies a blob from EncodeState onto a structurally

@@ -15,7 +15,7 @@ import (
 // metrics, medium) is rebuild state.
 
 // EncodeState serializes the robot's dynamic state as an opaque blob.
-func (r *Robot) EncodeState() ([]byte, error) {
+func (r *Robot) EncodeState() []byte {
 	w := wire.NewWriter(256)
 	if r.inSafeMode {
 		w.U8(1)
@@ -26,24 +26,12 @@ func (r *Robot) EncodeState() ([]byte, error) {
 	w.U32(uint32(r.validTokens))
 	if !r.cfg.Protected {
 		w.Blob(r.ctrl.AppendState(nil))
-		return w.Bytes(), nil
+		return w.Bytes()
 	}
-	sn, err := r.snode.EncodeState()
-	if err != nil {
-		return nil, err
-	}
-	an, err := r.anode.EncodeState()
-	if err != nil {
-		return nil, err
-	}
-	en, err := r.engine.EncodeState()
-	if err != nil {
-		return nil, err
-	}
-	w.Blob(sn)
-	w.Blob(an)
-	w.Blob(en)
-	return w.Bytes(), nil
+	w.Blob(r.snode.EncodeState())
+	w.Blob(r.anode.EncodeState())
+	w.Blob(r.engine.EncodeState())
+	return w.Bytes()
 }
 
 // RestoreState applies a blob from EncodeState onto a structurally

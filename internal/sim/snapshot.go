@@ -17,7 +17,7 @@ import (
 // from.
 
 // EncodeState serializes the world's dynamic state as an opaque blob.
-func (w *World) EncodeState() ([]byte, error) {
+func (w *World) EncodeState() []byte {
 	ww := wire.NewWriter(64 + 46*len(w.bodies))
 	ww.U32(uint32(len(w.bodies)))
 	for _, b := range w.bodies {
@@ -43,7 +43,7 @@ func (w *World) EncodeState() ([]byte, error) {
 		ww.U16(uint16(c.A))
 		ww.U16(uint16(c.B))
 	}
-	return ww.Bytes(), nil
+	return ww.Bytes()
 }
 
 // RestoreState applies a blob from EncodeState onto a structurally

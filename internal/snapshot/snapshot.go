@@ -95,71 +95,44 @@ type RobotBlob struct {
 // Capture serializes the run's complete dynamic state. configEcho is
 // stored verbatim in the envelope (pass nil when resuming in-process).
 // Capture is legal only at a tick boundary: the engine must be between
-// StepOnce calls, which also guarantees the medium is unstaged.
-func Capture(run *Run, configEcho []byte) ([]byte, error) {
+// StepOnce calls, which also guarantees the medium is unstaged. Every
+// codec it calls is total, so capture cannot fail.
+func Capture(run *Run, configEcho []byte) []byte {
 	w := wire.NewWriter(4096)
 	w.Raw(magic[:])
 	w.U16(Version)
 	w.Blob(configEcho)
 	w.U64(uint64(run.Engine.Now()))
-
-	ws, err := run.World.EncodeState()
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: world: %w", err)
-	}
-	w.Blob(ws)
-	ms, err := run.Medium.EncodeState()
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: medium: %w", err)
-	}
-	w.Blob(ms)
-
+	w.Blob(run.World.EncodeState())
+	w.Blob(run.Medium.EncodeState())
 	if run.Cache != nil {
-		cs, err := run.Cache.EncodeState()
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: audit cache: %w", err)
-		}
 		w.U8(1)
-		w.Blob(cs)
+		w.Blob(run.Cache.EncodeState())
 	} else {
 		w.U8(0)
 	}
 	if run.Checker != nil {
-		ks, err := run.Checker.EncodeState()
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: checker: %w", err)
-		}
 		w.U8(1)
-		w.Blob(ks)
+		w.Blob(run.Checker.EncodeState())
 	} else {
 		w.U8(0)
 	}
 
 	w.U32(uint32(len(run.Robots)))
-	prev := -1
 	for _, e := range run.Robots {
-		if int(e.ID) <= prev {
-			return nil, errors.New("snapshot: run roster not in ascending ID order")
-		}
-		prev = int(e.ID)
 		w.U16(uint16(e.ID))
-		var state []byte
 		if e.Comp != nil {
 			w.U8(kindCompromised)
-			state, err = e.Comp.EncodeState()
+			w.Blob(e.Comp.EncodeState())
 		} else {
 			w.U8(kindPlain)
-			state, err = e.Rob.EncodeState()
+			w.Blob(e.Rob.EncodeState())
 		}
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: robot %d: %w", e.ID, err)
-		}
-		w.Blob(state)
 	}
 
 	body := w.Bytes()
 	sum := sha256.Sum256(body)
-	return append(body, sum[:]...), nil
+	return append(body, sum[:]...)
 }
 
 // Decode parses and validates an envelope without touching any live
@@ -260,17 +233,6 @@ func cloneBlob(r *wire.Reader) []byte {
 	return append([]byte(nil), b...)
 }
 
-// ConfigEcho extracts just the config-echo blob — the CLI resume path
-// reads it to rebuild the run before a full Apply. The envelope's
-// integrity hash is verified first.
-func ConfigEcho(b []byte) ([]byte, error) {
-	s, err := Decode(b)
-	if err != nil {
-		return nil, err
-	}
-	return s.ConfigEcho, nil
-}
-
 // Apply restores a decoded snapshot onto a structurally identical
 // rebuilt run (same config and seed, freshly built, zero ticks run).
 // On error the run is unspecified and must be discarded — partial
@@ -324,13 +286,4 @@ func Apply(run *Run, s *Snapshot) error {
 	}
 	run.Engine.RestoreNow(s.Tick)
 	return nil
-}
-
-// Restore is Decode followed by Apply.
-func Restore(run *Run, b []byte) error {
-	s, err := Decode(b)
-	if err != nil {
-		return err
-	}
-	return Apply(run, s)
 }

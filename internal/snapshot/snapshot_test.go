@@ -71,10 +71,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	a := buildTestRun()
 	stepChecked(a, 20)
 	echo := []byte("test-config-echo")
-	snapA, err := Capture(a, echo)
-	if err != nil {
-		t.Fatalf("capture: %v", err)
-	}
+	snapA := Capture(a, echo)
 
 	dec, err := Decode(snapA)
 	if err != nil {
@@ -99,10 +96,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	if b.Engine.Now() != 20 {
 		t.Fatalf("restored engine clock = %d, want 20", b.Engine.Now())
 	}
-	snapB, err := Capture(b, echo)
-	if err != nil {
-		t.Fatalf("re-capture: %v", err)
-	}
+	snapB := Capture(b, echo)
 	if !bytes.Equal(snapA, snapB) {
 		t.Fatalf("re-captured snapshot differs from the original (%d vs %d bytes)", len(snapB), len(snapA))
 	}
@@ -116,14 +110,8 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 			t.Fatalf("robot %d diverged after resume: %+v vs %+v", e.ID, ba, bb)
 		}
 	}
-	finalA, err := Capture(a, echo)
-	if err != nil {
-		t.Fatalf("final capture a: %v", err)
-	}
-	finalB, err := Capture(b, echo)
-	if err != nil {
-		t.Fatalf("final capture b: %v", err)
-	}
+	finalA := Capture(a, echo)
+	finalB := Capture(b, echo)
 	if !bytes.Equal(finalA, finalB) {
 		t.Fatal("resumed run's final state differs from the uninterrupted run")
 	}
@@ -132,10 +120,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 func TestDecodeRejectsCorruption(t *testing.T) {
 	run := buildTestRun()
 	stepChecked(run, 10)
-	valid, err := Capture(run, []byte("echo"))
-	if err != nil {
-		t.Fatalf("capture: %v", err)
-	}
+	valid := Capture(run, []byte("echo"))
 	if _, err := Decode(valid); err != nil {
 		t.Fatalf("valid snapshot rejected: %v", err)
 	}
@@ -173,7 +158,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 	// Version 1 carried a chain-implementation byte and a reference-plane
 	// echo byte that no longer exist; it is refused, not migrated.
-	_, err = Decode(tamper(func(b []byte) { b[4], b[5] = 0, 1 }))
+	_, err := Decode(tamper(func(b []byte) { b[4], b[5] = 0, 1 }))
 	if err == nil || !strings.Contains(err.Error(), "snapshot: version 1 not supported") {
 		t.Fatalf("version-1 envelope: got %v, want version 1 not supported", err)
 	}
@@ -187,10 +172,7 @@ func shaSum(b []byte) []byte {
 func TestApplyRejectsMismatchedRun(t *testing.T) {
 	run := buildTestRun()
 	stepChecked(run, 10)
-	snap, err := Capture(run, nil)
-	if err != nil {
-		t.Fatalf("capture: %v", err)
-	}
+	snap := Capture(run, nil)
 	dec, err := Decode(snap)
 	if err != nil {
 		t.Fatalf("decode: %v", err)

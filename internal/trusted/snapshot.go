@@ -28,17 +28,12 @@ import (
 
 // encodeState appends the chain's dynamic state: the top hash, the
 // pending count and, mid-batch, the running SHA-1 digest.
-func (c *Chain) encodeState(w *wire.Writer) error {
+func (c *Chain) encodeState(w *wire.Writer) {
 	w.Raw(c.top[:])
 	w.U32(uint32(c.pending))
 	if c.pending > 0 {
-		st, err := c.h.MarshalState()
-		if err != nil {
-			return err
-		}
-		w.Blob(st)
+		w.Blob(c.h.MarshalState())
 	}
-	return nil
 }
 
 func (c *Chain) restoreState(r *wire.Reader) error {
@@ -65,7 +60,7 @@ func (c *Chain) restoreState(r *wire.Reader) error {
 // robot ID, clock, and node kind are provisioning/rebuild state and
 // are not serialized; the key presence flag lets a restore reproduce a
 // zeroed key (Safe Mode) without ever seeing key bytes.
-func (n *nodeBase) encodeState(w *wire.Writer) error {
+func (n *nodeBase) encodeState(w *wire.Writer) {
 	if n.mac != nil {
 		w.U8(1)
 	} else {
@@ -74,7 +69,7 @@ func (n *nodeBase) encodeState(w *wire.Writer) error {
 	w.U64(n.keySeq)
 	w.U64(n.macOps)
 	w.U64(n.hashedBytes)
-	return n.chain.encodeState(w)
+	n.chain.encodeState(w)
 }
 
 func (n *nodeBase) restoreState(r *wire.Reader) error {
@@ -101,12 +96,10 @@ func (n *nodeBase) restoreState(r *wire.Reader) error {
 }
 
 // EncodeState serializes the s-node's dynamic state as an opaque blob.
-func (s *SNode) EncodeState() ([]byte, error) {
+func (s *SNode) EncodeState() []byte {
 	w := wire.NewWriter(64)
-	if err := s.nodeBase.encodeState(w); err != nil {
-		return nil, err
-	}
-	return w.Bytes(), nil
+	s.nodeBase.encodeState(w)
+	return w.Bytes()
 }
 
 // RestoreState applies a blob from EncodeState onto a structurally
@@ -124,11 +117,9 @@ func (s *SNode) RestoreState(b []byte) error {
 // level, Safe-Mode latch, and the grace deadline. The token map is
 // held, and so written, in ascending auditor-ID order: the encoding is
 // canonical.
-func (a *ANode) EncodeState() ([]byte, error) {
+func (a *ANode) EncodeState() []byte {
 	w := wire.NewWriter(128)
-	if err := a.nodeBase.encodeState(w); err != nil {
-		return nil, err
-	}
+	a.nodeBase.encodeState(w)
 	w.U32(uint32(len(a.tkIDs)))
 	for i, id := range a.tkIDs {
 		w.U16(uint16(id))
@@ -142,7 +133,7 @@ func (a *ANode) EncodeState() ([]byte, error) {
 		w.U8(0)
 	}
 	w.U64(uint64(a.graceUntil))
-	return w.Bytes(), nil
+	return w.Bytes()
 }
 
 // RestoreState applies a blob from EncodeState onto a structurally

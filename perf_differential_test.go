@@ -16,6 +16,7 @@ import (
 
 	"roborebound/internal/faultinject"
 	"roborebound/internal/obs/perf"
+	"roborebound/internal/wire"
 )
 
 // runPerfCell runs one cell with the full perf plane attached and
@@ -107,17 +108,17 @@ func TestPerfPlaneObservationOnlyAccelerated(t *testing.T) {
 }
 
 // TestPerfPlaneSnapshotsUnchanged extends the differential to the
-// snapshot surface: periodic full-state snapshots captured with and
-// without the perf plane attached must be byte-identical too. The cell
-// runs 30 s, so its mixed faults are scheduled.
+// snapshot surface: full-state snapshots captured every 16 ticks with
+// and without the perf plane attached must be byte-identical too. The
+// cell runs 30 s, so its mixed faults are scheduled.
 func TestPerfPlaneSnapshotsUnchanged(t *testing.T) {
 	cfg := ChaosConfig{
-		Controller:    "flocking",
-		Profile:       faultinject.ProfileMixed,
-		Seed:          5,
-		DurationSec:   30,
-		AttackAtSec:   5,
-		SnapshotEvery: 16,
+		Controller:      "flocking",
+		Profile:         faultinject.ProfileMixed,
+		Seed:            5,
+		DurationSec:     30,
+		AttackAtSec:     5,
+		SnapshotAtTicks: []wire.Tick{16, 32, 48, 64, 80, 96, 112},
 	}
 	base := RunChaos(cfg)
 
@@ -130,10 +131,7 @@ func TestPerfPlaneSnapshotsUnchanged(t *testing.T) {
 	if timer.PipelineTotalNs() == 0 {
 		t.Fatal("perf timer recorded nothing")
 	}
-	if base.SnapshotError != nil || timed.SnapshotError != nil {
-		t.Fatalf("snapshot errors: base=%v timed=%v", base.SnapshotError, timed.SnapshotError)
-	}
-	if len(base.Snapshots) == 0 || len(base.Snapshots) != len(timed.Snapshots) {
+	if len(base.Snapshots) != len(cfg.SnapshotAtTicks) || len(base.Snapshots) != len(timed.Snapshots) {
 		t.Fatalf("snapshot counts: base=%d timed=%d", len(base.Snapshots), len(timed.Snapshots))
 	}
 	for i := range base.Snapshots {

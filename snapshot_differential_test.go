@@ -2,9 +2,13 @@ package roborebound
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"roborebound/internal/faultinject"
@@ -83,8 +87,8 @@ func checkSnapshotCell(t *testing.T, cfg ChaosConfig, snapTicks []wire.Tick) {
 	cfgU := cfg
 	cfgU.Trace = colU
 	U := RunChaos(cfgU)
-	if U.ResumeError != nil || U.SnapshotError != nil {
-		t.Fatalf("%s: baseline run failed: %v %v", label, U.ResumeError, U.SnapshotError)
+	if U.ResumeError != nil {
+		t.Fatalf("%s: baseline run failed: %v", label, U.ResumeError)
 	}
 
 	colS := obs.NewCollector()
@@ -92,9 +96,6 @@ func checkSnapshotCell(t *testing.T, cfg ChaosConfig, snapTicks []wire.Tick) {
 	cfgS.Trace = colS
 	cfgS.SnapshotAtTicks = snapTicks
 	S := RunChaos(cfgS)
-	if S.SnapshotError != nil {
-		t.Fatalf("%s: capture failed: %v", label, S.SnapshotError)
-	}
 	if S.Metrics.Fingerprint != U.Metrics.Fingerprint {
 		t.Fatalf("%s: enabling snapshots changed the run's fingerprint — capture is not observation-only", label)
 	}
@@ -128,9 +129,6 @@ func checkSnapshotCell(t *testing.T, cfg ChaosConfig, snapTicks []wire.Tick) {
 		R := RunChaos(cfgR)
 		if R.ResumeError != nil {
 			t.Fatalf("%s: resume from tick %d failed: %v", label, snap.Tick, R.ResumeError)
-		}
-		if R.SnapshotError != nil {
-			t.Fatalf("%s: re-capture at tick %d failed: %v", label, snap.Tick, R.SnapshotError)
 		}
 		if len(R.Snapshots) != 1 || !bytes.Equal(R.Snapshots[0].Data, snap.Data) {
 			t.Errorf("%s: re-capture at resume tick %d is not byte-identical to the original snapshot", label, snap.Tick)
@@ -331,13 +329,13 @@ func TestSnapshotResumeChaosEdges(t *testing.T) {
 	})
 }
 
-// TestSnapshotViolationRewind forces a BTI violation (the frozen-clock
-// attacker from the chaos suite) with the rewind ring on, and asserts
-// the frozen pre-violation snapshot is both from before the latch and
-// resumable — and that resuming it walks straight back into the same
-// violation. That is the forensic contract: hand the snapshot to a
+// TestSnapshotBeforeALatchResumesIntoIt forces a BTI violation (the
+// frozen-clock attacker from the chaos suite), captures the cell 8
+// ticks before the latch, and resumes the capture: it must walk
+// straight back into the same violation and end on the same
+// fingerprint. That is the forensic contract: hand the snapshot to a
 // debugger and the crash is a few ticks away, every time.
-func TestSnapshotViolationRewind(t *testing.T) {
+func TestSnapshotBeforeALatchResumesIntoIt(t *testing.T) {
 	attackerID := wire.RobotID(3)
 	cfg := ChaosConfig{
 		Controller: "flocking",
@@ -350,39 +348,50 @@ func TestSnapshotViolationRewind(t *testing.T) {
 			Targets:      []wire.RobotID{attackerID},
 			DriftPer1024: -1024,
 		}},
-		ViolationRewind: 8,
 	}
-	r := RunChaos(cfg)
-	if r.Violation == nil {
+	v := RunChaos(cfg).Violation
+	if v == nil {
 		t.Fatal("frozen-clock cell produced no violation")
 	}
-	if r.PreViolation == nil {
-		t.Fatal("violation latched but no pre-violation snapshot was frozen")
+	cfg.SnapshotAtTicks = []wire.Tick{v.Tick - 8}
+	r := RunChaos(cfg)
+	if len(r.Snapshots) != 1 {
+		t.Fatalf("%d captures, want 1", len(r.Snapshots))
 	}
-	if r.PreViolation.Tick >= r.Violation.Tick {
-		t.Fatalf("pre-violation snapshot at tick %d is not before the violation at tick %d",
-			r.PreViolation.Tick, r.Violation.Tick)
-	}
+	sameViolationCore(t, "capture-before-latch", v, r.Violation)
 
-	resumed, err := ResumeChaosSnapshot(r.PreViolation.Data, nil)
+	resumed, err := ResumeChaosSnapshot(r.Snapshots[0].Data, nil)
 	if err != nil {
-		t.Fatalf("pre-violation snapshot did not resume: %v", err)
+		t.Fatalf("pre-latch snapshot did not resume: %v", err)
 	}
-	sameViolationCore(t, "rewind-resume", r.Violation, resumed.Violation)
+	sameViolationCore(t, "resume-into-latch", r.Violation, resumed.Violation)
 	if resumed.Metrics.Fingerprint != r.Metrics.Fingerprint {
 		t.Error("resumed forensic run diverged from the original")
 	}
+}
 
-	// A run with no violation must freeze nothing.
-	clean := RunChaos(ChaosConfig{
-		Controller: "flocking", Profile: faultinject.ProfileNone,
-		Seed: 1, DurationSec: 30, ViolationRewind: 8,
-	})
-	if clean.Violation != nil {
-		t.Fatalf("control cell unexpectedly violated: %v", clean.Violation)
+// TestResumeRefusesAnEchoThatDisagreesWithItsRoster: a snapshot's
+// config echo sizes the cell a resume builds, so an echo whose robot
+// count is not its roster's is refused before anything is built. (At
+// 2^32−1 robots the cell's schedule alone asked for 8 GiB; at 70 000
+// the uint16 robot IDs wrapped.)
+func TestResumeRefusesAnEchoThatDisagreesWithItsRoster(t *testing.T) {
+	cfg := ChaosConfig{Profile: faultinject.ProfileNone, Seed: 3, DurationSec: 10, SnapshotAtTicks: []wire.Tick{20}}
+	data := RunChaos(cfg).Snapshots[0].Data
+	body := data[:len(data)-sha256.Size]
+	echo := encodeChaosEcho(cfg.withDefaults())
+	if cfg.withDefaults().N != 9 || !bytes.Contains(body, echo) {
+		t.Fatal("the capture does not carry a 9-robot echo")
 	}
-	if clean.PreViolation != nil {
-		t.Error("no violation latched but a pre-violation snapshot was reported")
+	for _, n := range []int{math.MaxUint32, 70000, 10} {
+		bad := cfg.withDefaults()
+		bad.N = n
+		forged := bytes.Replace(body, echo, encodeChaosEcho(bad), 1)
+		sum := sha256.Sum256(forged)
+		_, err := ResumeChaosSnapshot(append(forged, sum[:]...), nil)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("asks for %d robots, its roster holds 9", n)) {
+			t.Errorf("echo N=%d on a 9-robot roster: got %v, want both counts named", n, err)
+		}
 	}
 }
 
@@ -398,8 +407,8 @@ func TestSnapshotResumeRejectsMismatchedConfig(t *testing.T) {
 		SnapshotAtTicks: []wire.Tick{40},
 	}
 	r := RunChaos(cfg)
-	if r.SnapshotError != nil || len(r.Snapshots) != 1 {
-		t.Fatalf("capture failed: %v (%d snapshots)", r.SnapshotError, len(r.Snapshots))
+	if len(r.Snapshots) != 1 {
+		t.Fatalf("%d snapshots, want 1", len(r.Snapshots))
 	}
 	snap := r.Snapshots[0].Data
 
@@ -437,4 +446,89 @@ func TestSnapshotResumeRejectsMismatchedConfig(t *testing.T) {
 	if res.Metrics.Fingerprint != r.Metrics.Fingerprint {
 		t.Error("ResumeChaosSnapshot diverged from the original run")
 	}
+}
+
+// TestChaosTickLoopBoundaries pins the tick loop's boundary contract:
+// Interrupt is polled once at each boundary start..total−1 and never at
+// total (a caller stamping ticks from the hook relies on that), on a
+// fresh run and on a resumed one; a capture at total lands; capture
+// ticks before a resume point are never reached; and an interrupt at t
+// checkpoints t, resuming to the uninterrupted fingerprint.
+func TestChaosTickLoopBoundaries(t *testing.T) {
+	cfg := ChaosConfig{Profile: faultinject.ProfileNone, Seed: 3, DurationSec: 10}
+	total := wire.Tick(cfg.DurationSec * TicksPerSecond)
+	whole := cfg
+	whole.SnapshotAtTicks = []wire.Tick{20, total}
+	U := RunChaos(whole)
+	if len(U.Snapshots) != 2 || U.Snapshots[1].Tick != total {
+		t.Fatalf("asked for captures at 20 and %d, got %d", total, len(U.Snapshots))
+	}
+
+	// interruptAt stops the run at its k-th poll (never, for k = 0) and
+	// counts the polls.
+	interruptAt := func(c ChaosConfig, k int) (ChaosResult, int) {
+		polls := 0
+		c.Interrupt = func() bool { polls++; return polls == k }
+		return RunChaos(c), polls
+	}
+	for _, start := range []wire.Tick{0, 20} {
+		c := cfg
+		if start > 0 {
+			c.ResumeFrom = U.Snapshots[0].Data
+		}
+		span := int(total - start)
+		if res, polls := interruptAt(c, 0); polls != span || res.Interrupted ||
+			res.Metrics.Fingerprint != U.Metrics.Fingerprint {
+			t.Errorf("from %d: %d polls (want %d), interrupted %v, fingerprint match %v",
+				start, polls, span, res.Interrupted, res.Metrics.Fingerprint == U.Metrics.Fingerprint)
+		}
+		for _, k := range []int{1, span / 2, span} {
+			res, _ := interruptAt(c, k)
+			at := start + wire.Tick(k-1)
+			if !res.Interrupted || res.Checkpoint == nil || res.Checkpoint.Tick != at {
+				t.Fatalf("from %d, poll %d: interrupted %v, want a checkpoint at tick %d",
+					start, k, res.Interrupted, at)
+			}
+			resumed, err := ResumeChaosSnapshot(res.Checkpoint.Data, nil)
+			if err != nil || resumed.Metrics.Fingerprint != U.Metrics.Fingerprint {
+				t.Errorf("checkpoint at %d resumes to %s (err %v), want %s",
+					at, resumed.Metrics.Fingerprint, err, U.Metrics.Fingerprint)
+			}
+		}
+	}
+
+	resumed := cfg
+	resumed.ResumeFrom = U.Snapshots[0].Data
+	resumed.SnapshotAtTicks = []wire.Tick{10, 19, 20, 30, total}
+	var got []wire.Tick
+	for _, s := range RunChaos(resumed).Snapshots {
+		got = append(got, s.Tick)
+	}
+	if want := []wire.Tick{20, 30, total}; !reflect.DeepEqual(got, want) {
+		t.Errorf("resumed at 20, captures at %v, want %v", got, want)
+	}
+}
+
+// FuzzChaosEcho: decoding a snapshot's config echo never panics, and
+// an echo it accepts re-encodes to the same bytes.
+func FuzzChaosEcho(f *testing.F) {
+	for _, cfg := range []ChaosConfig{
+		{},
+		{Controller: "patrol", Profile: faultinject.ProfileLoss, Seed: 4, DurationSec: 30, MTUBytes: 96},
+		{Profile: faultinject.ProfileNone, ExtraFaults: []faultinject.Fault{{
+			Kind: faultinject.ClockSkew, Start: 56, Duration: 24, Targets: []wire.RobotID{2, 8},
+			OffsetTicks: 4, DriftPer1024: -5,
+		}}},
+	} {
+		f.Add(encodeChaosEcho(cfg.withDefaults()))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		cfg, err := decodeChaosEcho(b)
+		if err != nil {
+			return
+		}
+		if again := encodeChaosEcho(cfg); !bytes.Equal(again, b) {
+			t.Fatalf("accepted echo re-encodes differently:\n in  %x\n out %x", b, again)
+		}
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"roborebound/internal/faultinject"
 	"roborebound/internal/obs"
@@ -13,10 +14,9 @@ import (
 )
 
 // This file wires internal/snapshot into the chaos facade: the
-// config-echo codec (so a snapshot file alone can rebuild its cell),
-// the snapshot-aware tick loop RunChaos delegates to, and the
-// violation-rewind ring that keeps a snapshot from shortly before a
-// latched invariant breach.
+// config-echo codec (so a snapshot file alone can rebuild its cell)
+// and the tick loop RunChaos delegates to, which captures, resumes and
+// checkpoints at tick boundaries.
 
 // ChaosSnapshot is one snapshot captured during a chaos run. Data is
 // a self-contained internal/snapshot envelope: it embeds the cell
@@ -109,14 +109,14 @@ func decodeChaosEcho(b []byte) (ChaosConfig, error) {
 	if err := r.Done(); err != nil {
 		return cfg, err
 	}
-	if !cfg.DurationValid() {
+	if !cfg.durationValid() {
 		return cfg, errors.New("roborebound: snapshot echo duration not finite")
 	}
 	return cfg, nil
 }
 
-// DurationValid guards the float fields a hostile echo could poison.
-func (c ChaosConfig) DurationValid() bool {
+// durationValid guards the float fields a hostile echo could poison.
+func (c ChaosConfig) durationValid() bool {
 	return !math.IsNaN(c.DurationSec) && !math.IsInf(c.DurationSec, 0) &&
 		c.DurationSec >= 0 && c.DurationSec < 1e9 &&
 		!math.IsNaN(c.AttackAtSec) && !math.IsInf(c.AttackAtSec, 0) &&
@@ -176,29 +176,33 @@ func (s *Sim) snapshotRun(checker *faultinject.Checker) *snapshot.Run {
 	return run
 }
 
-// runChaosTicks is RunChaos's tick loop: resume (optional), step,
-// capture requested snapshots, and maintain the violation-rewind
-// ring. Snapshots are captured at tick boundaries only — at tick T
-// the captured state is exactly what the uninterrupted run holds
-// before tick T executes, which is what makes resume-equivalence a
-// byte-identity statement.
+// runChaosTicks is RunChaos's one tick loop. It starts at tick 0, or
+// at the tick of the ResumeFrom snapshot it applies first, and at each
+// boundary t, in order:
+//   - captures a snapshot if SnapshotAtTicks lists t;
+//   - returns at total, and on a latch re-run once the checker has
+//     latched;
+//   - checkpoints t and returns if Interrupt fires;
+//   - otherwise runs tick t.
+//
+// A snapshot at t holds exactly the state the uninterrupted run holds
+// before tick t executes, which is what makes resume-equivalence a
+// byte-identity statement. The snapshot view of the sim and the config
+// echo are built on first use, so a run that neither captures nor
+// resumes never builds them.
 func runChaosTicks(s *Sim, cfg ChaosConfig, checker *faultinject.Checker, total wire.Tick, res *ChaosResult) {
-	if cfg.flight != nil {
-		// A latch re-run has what it came for once its checker latches.
-		for t := wire.Tick(0); t < total && checker.Violation() == nil; t++ {
-			s.Engine.StepOnce()
+	var (
+		run  *snapshot.Run
+		echo []byte
+	)
+	build := func() { run, echo = s.snapshotRun(checker), encodeChaosEcho(cfg) }
+	capture := func(t wire.Tick) ChaosSnapshot {
+		if run == nil {
+			build()
 		}
-		return
-	}
-	needSnapshots := len(cfg.SnapshotAtTicks) > 0 || cfg.SnapshotEvery > 0 ||
-		cfg.ViolationRewind > 0 || cfg.ResumeFrom != nil || cfg.Interrupt != nil
-	if !needSnapshots {
-		s.Engine.Run(total)
-		return
+		return ChaosSnapshot{Tick: t, Data: snapshot.Capture(run, echo)}
 	}
 
-	run := s.snapshotRun(checker)
-	echo := encodeChaosEcho(cfg)
 	start := wire.Tick(0)
 	if cfg.ResumeFrom != nil {
 		snap, err := snapshot.Decode(cfg.ResumeFrom)
@@ -206,6 +210,7 @@ func runChaosTicks(s *Sim, cfg ChaosConfig, checker *faultinject.Checker, total 
 			res.ResumeError = err
 			return
 		}
+		build()
 		if !bytes.Equal(snap.ConfigEcho, echo) {
 			res.ResumeError = errors.New("roborebound: snapshot was taken under a different cell config (the config must match)")
 			return
@@ -221,81 +226,19 @@ func runChaosTicks(s *Sim, cfg ChaosConfig, checker *faultinject.Checker, total 
 		start = snap.Tick
 	}
 
-	wantAt := make(map[wire.Tick]bool, len(cfg.SnapshotAtTicks))
-	for _, t := range cfg.SnapshotAtTicks {
-		wantAt[t] = true
-	}
-	capture := func(t wire.Tick) ([]byte, bool) {
-		data, err := snapshot.Capture(run, echo)
-		if err != nil {
-			if res.SnapshotError == nil {
-				res.SnapshotError = fmt.Errorf("roborebound: snapshot at tick %d: %w", t, err)
-			}
-			return nil, false
+	for t := start; ; t++ {
+		if slices.Contains(cfg.SnapshotAtTicks, t) {
+			res.Snapshots = append(res.Snapshots, capture(t))
 		}
-		return data, true
-	}
-
-	// The rewind ring holds the two most recent periodic captures;
-	// when the checker latches, the ring freezes so a pre-violation
-	// state survives to the report.
-	var ring [2]ChaosSnapshot
-	ringN := 0
-	frozen := false
-
-	for t := start; t <= total; t++ {
-		if wantAt[t] || (cfg.SnapshotEvery > 0 && t > start && (t-start)%cfg.SnapshotEvery == 0) {
-			if data, ok := capture(t); ok {
-				res.Snapshots = append(res.Snapshots, ChaosSnapshot{Tick: t, Data: data})
-			}
-		}
-		if cfg.ViolationRewind > 0 && !frozen && (t-start)%cfg.ViolationRewind == 0 {
-			if data, ok := capture(t); ok {
-				ring[ringN%2] = ChaosSnapshot{Tick: t, Data: data}
-				ringN++
-			}
-		}
-		if cfg.Interrupt != nil && t < total && cfg.Interrupt() {
-			// Stop at this boundary: the captured state is exactly what
-			// ResumeFrom needs to continue the run byte-identically. A
-			// hook that fires only after the final tick is a no-op.
-			if data, ok := capture(t); ok {
-				res.Checkpoint = &ChaosSnapshot{Tick: t, Data: data}
-			}
-			res.Interrupted = true
+		if t == total || cfg.flight != nil && checker.Violation() != nil {
 			return
 		}
-		if t == total {
-			break
+		if cfg.Interrupt != nil && cfg.Interrupt() {
+			cp := capture(t)
+			res.Interrupted, res.Checkpoint = true, &cp
+			return
 		}
 		s.Engine.StepOnce()
-		if cfg.ViolationRewind > 0 && !frozen && checker.Violation() != nil {
-			frozen = true
-		}
-	}
-
-	if frozen && ringN > 0 {
-		v := checker.Violation()
-		// Prefer the newest retained capture at least ViolationRewind
-		// ticks before the latch; fall back to the oldest retained one
-		// (the violation came too fast for a full rewind distance).
-		held := ring[:min(ringN, 2)]
-		best := -1
-		oldest := 0
-		for i := range held {
-			if held[i].Tick < held[oldest].Tick {
-				oldest = i
-			}
-			if held[i].Tick+cfg.ViolationRewind <= v.Tick &&
-				(best < 0 || held[i].Tick > held[best].Tick) {
-				best = i
-			}
-		}
-		pick := held[oldest]
-		if best >= 0 {
-			pick = held[best]
-		}
-		res.PreViolation = &ChaosSnapshot{Tick: pick.Tick, Data: pick.Data}
 	}
 }
 
@@ -305,23 +248,26 @@ func runChaosTicks(s *Sim, cfg ChaosConfig, checker *faultinject.Checker, total 
 // config before the run starts — neither affects the bytes. This is
 // the CLI `resume` entry point.
 func ResumeChaosSnapshot(data []byte, opts func(*ChaosConfig)) (ChaosResult, error) {
-	echo, err := snapshot.ConfigEcho(data)
+	snap, err := snapshot.Decode(data)
 	if err != nil {
 		return ChaosResult{}, err
 	}
-	cfg, err := decodeChaosEcho(echo)
+	cfg, err := decodeChaosEcho(snap.ConfigEcho)
 	if err != nil {
 		return ChaosResult{}, err
+	}
+	// The echo sizes the cell about to be built: one that disagrees
+	// with the roster it is to be applied to is refused first.
+	if cfg.N != len(snap.Robots) {
+		return ChaosResult{}, fmt.Errorf("roborebound: snapshot config echo asks for %d robots, its roster holds %d",
+			cfg.N, len(snap.Robots))
 	}
 	cfg.ResumeFrom = data
 	if opts != nil {
 		opts(&cfg)
 	}
 	res := RunChaos(cfg)
-	if res.ResumeError != nil {
-		return res, res.ResumeError
-	}
-	return res, nil
+	return res, res.ResumeError
 }
 
 // ResumeVerdict is VerifyChaosResume's comparison of a resumed run
