@@ -33,10 +33,10 @@ race:
 
 # The serve layer's concurrency, ten times over under the race
 # detector: the long-poll wake-up, Close ending queued jobs under open
-# streams and waits, the pooled gzip writers, and artifact fetches on
-# both sides of the gzip threshold.
+# waits, the pooled gzip writers, and artifact fetches on both sides of
+# the gzip threshold.
 race-serve:
-	$(GO) test -race -count=10 -run 'Wait|Close|Events|Gzip|Artifact' ./internal/serve
+	$(GO) test -race -count=10 -run 'Wait|Close|Gzip|Artifact' ./internal/serve
 
 # The sweep runner's worker pool, twenty times over under the race
 # detector: dispatch, per-cell panic capture with every cell still
@@ -155,4 +155,5 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzSnapshotDecode -fuzztime=20s ./internal/snapshot
 	$(GO) test -run=NONE -fuzz=FuzzChaosEcho -fuzztime=20s .
 	$(GO) test -run=NONE -fuzz=FuzzJobRequestDecode -fuzztime=20s ./internal/serve
+	$(GO) test -run=NONE -fuzz=FuzzAcceptedCellJob -fuzztime=20s ./internal/serve
 	$(GO) test -run=NONE -fuzz=FuzzJSONString -fuzztime=20s ./internal/obs

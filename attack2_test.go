@@ -158,10 +158,9 @@ func TestReplayAttackDetected(t *testing.T) {
 // must still keep every correct robot alive (retry/solicitation loops
 // absorb the losses).
 func TestLossyNetworkRobust(t *testing.T) {
-	rp := radio.DefaultParams()
-	rp.LossRate = 0.10
 	cc := coreCfgWith(4, 2)
-	s := NewSim(SimConfig{Seed: 31, Radio: &rp, Core: &cc})
+	s := NewSim(SimConfig{Seed: 31, Core: &cc})
+	s.Medium.SetLossModel(radio.UniformLoss{Rate: 0.10})
 	factory := flockFactory(4, geom.V(120, 120))
 	for i, pos := range GridPositions(9, 4, geom.Zero2) {
 		s.AddRobot(wire.RobotID(i+1), pos, factory, true)
@@ -190,10 +189,9 @@ func TestLossyNetworkRobust(t *testing.T) {
 // in. This is the designed behavior for a robot that cannot prove
 // itself, not a bug.
 func TestHeavyLossEventuallyFatal(t *testing.T) {
-	rp := radio.DefaultParams()
-	rp.LossRate = 0.95
 	cc := coreCfgWith(4, 2)
-	s := NewSim(SimConfig{Seed: 32, Radio: &rp, Core: &cc})
+	s := NewSim(SimConfig{Seed: 32, Core: &cc})
+	s.Medium.SetLossModel(radio.UniformLoss{Rate: 0.95})
 	factory := flockFactory(4, geom.V(120, 120))
 	for i, pos := range GridPositions(4, 4, geom.Zero2) {
 		s.AddRobot(wire.RobotID(i+1), pos, factory, true)

@@ -81,7 +81,9 @@ type ChaosConfig struct {
 	SpacingM float64
 	// MTUBytes, when positive, caps the encoded size of one on-air
 	// frame, engaging the radio's fragmentation/reassembly path (loss
-	// is then drawn per fragment). 0 keeps the default link model.
+	// is then drawn per fragment). 0 keeps the default link model. A
+	// positive value below faultinject.MinMTUBytes panics: the
+	// schedule's audit-response faults could not see their frames.
 	MTUBytes int
 	// SnapshotAtTicks captures a full-state snapshot at each listed
 	// tick boundary (state as of BEFORE that tick runs; the run's
@@ -355,6 +357,10 @@ func chaosSchedule(cfg ChaosConfig, cc core.Config) faultinject.Schedule {
 // invariant checker, and summarize. Identical configs produce
 // byte-identical results.
 func RunChaos(cfg ChaosConfig) ChaosResult {
+	if cfg.MTUBytes > 0 && cfg.MTUBytes < faultinject.MinMTUBytes {
+		panic(fmt.Sprintf("roborebound: chaos MTU %d is below %d, the smallest that carries an audit response unfragmented",
+			cfg.MTUBytes, faultinject.MinMTUBytes))
+	}
 	cfg = cfg.withDefaults()
 	cc := core.DefaultConfig(TicksPerSecond)
 	cc.Fmax = cfg.Fmax

@@ -198,7 +198,7 @@ subcommands:
   serve    simulation-as-a-service: listen on -addr and expose every
            facade as submitted jobs behind a round-robin multi-tenant
            scheduler (bounded queues, 429+Retry-After backpressure,
-           NDJSON progress streams, raw/gzip artifacts); SIGTERM
+           long-polled job status, raw/gzip artifacts); SIGTERM
            drains gracefully — running jobs finish or checkpoint,
            queued jobs are rejected with resubmission handles
   all      every figure and table above

@@ -17,7 +17,7 @@ import (
 // The serve subcommand: simulation-as-a-service. A long-running HTTP
 // server exposes every facade (chaos, trace, the figure sweeps,
 // snapshot/resume) as submitted jobs behind a round-robin multi-tenant
-// scheduler with bounded queues, NDJSON progress streams, and an
+// scheduler with bounded queues, a long-polled job status, and an
 // artifact store. See DESIGN.md "Serving layer" for the endpoint and
 // tenancy contract.
 

@@ -41,63 +41,83 @@ func TestSharedAuditCacheServesSwarm(t *testing.T) {
 	}
 }
 
+// newAuditor builds an engine outside any harness, at tick 0 with
+// zeroed Stats, so two of them fed the same frames are comparable.
+// keyed loads the mission key.
+func newAuditor(t *testing.T, cfg Config, id wire.RobotID, keyed bool) *Engine {
+	t.Helper()
+	clock := func() wire.Tick { return 0 }
+	sn := trusted.NewSNode(cfg.BatchSize, clock)
+	var eng *Engine
+	an := trusted.NewANode(cfg.ANodeConfig(), clock, func(wire.Frame) {},
+		func(f wire.Frame, enc []byte) { eng.OnFrameEnc(f, enc) }, nil, nil)
+	sn.LoadMasterKey(master, id)
+	an.LoadMasterKey(master, id)
+	if keyed && (!sn.LoadMissionKey(sealedKey()) || !an.LoadMissionKey(sealedKey())) {
+		t.Fatal("mission key rejected")
+	}
+	eng = NewEngine(id, cfg, factory(), sn, an, an.SendWirelessEnc)
+	return eng
+}
+
 // TestCachedRefusalAccountingMatchesUncached pins the property the
-// differential layer depends on: the cached path and the uncached path
-// increment auditsRefused for exactly the same inputs, including
-// requests whose tail does not decode (silently dropped on both — the
-// uncached path never reaches its identity checks for those).
+// differential layer depends on: the one serve path counts the same
+// Stats with a cache attached and without, for malformed, misaddressed,
+// self-addressed and over-budget requests alike. A request whose tail
+// does not decode is dropped, not refused, even when its head would be
+// refused; only a request that reaches the replay leaves a verdict in
+// the cache.
 func TestCachedRefusalAccountingMatchesUncached(t *testing.T) {
+	const self = 1
 	cfg := DefaultConfig(4)
 	cfg.Fmax = 1
-	h := newHarness(t, cfg, 1, 2, 3)
-	h.run(40)
+	cfg.ServeLimit = 1
 
-	cached := h.engines[1]
-	cached.SetAuditCache(NewAuditCache(8))
-	uncached := h.engines[2]
-
-	misaddressed := wire.AuditRequest{Auditee: 3, Auditor: 9,
-		Req: wire.TokenRequest{Auditee: 3, Auditor: 9, T: 7}}
-	// wellFormed decodes but fails the serve checks downstream
-	// (bogus MAC): refused on both paths.
-	wellFormed := func(auditor wire.RobotID) []byte {
-		a := misaddressed
-		a.Auditor = auditor
-		a.Req.Auditor = auditor
-		return a.Encode()
+	request := func(auditee, auditor wire.RobotID) []byte {
+		return (&wire.AuditRequest{Auditee: auditee, Auditor: auditor,
+			Req: wire.TokenRequest{Auditee: auditee, Auditor: auditor, T: 7}}).Encode()
 	}
 	// truncate chops the last byte: the head still splits, the full
-	// decode fails. Dropped silently on both paths.
+	// decode fails.
 	truncate := func(b []byte) []byte { return b[:len(b)-1] }
+	spendBudget := func(e *Engine) { e.served = append(e.served, e.now) }
 
-	type tc struct {
+	for _, c := range []struct {
 		name        string
-		payloadFor  func(self wire.RobotID) []byte
+		payload     []byte
+		setup       func(*Engine)
 		wantRefused uint64
-	}
-	cases := []tc{
-		{"well-formed wrong auditor", func(wire.RobotID) []byte { return misaddressed.Encode() }, 1},
-		{"well-formed bad MAC", func(self wire.RobotID) []byte { return wellFormed(self) }, 1},
-		{"truncated tail wrong auditor", func(wire.RobotID) []byte { return truncate(misaddressed.Encode()) }, 0},
-		{"truncated tail right auditor", func(self wire.RobotID) []byte { return truncate(wellFormed(self)) }, 0},
-	}
-	for _, c := range cases {
+		wantStored  int
+	}{
+		{name: "head does not split", payload: []byte{wire.KindAuditRequest, 0}},
+		{name: "tail does not decode", payload: truncate(request(3, self))},
+		{name: "misaddressed", payload: request(3, 9), wantRefused: 1},
+		{name: "misaddressed, tail does not decode", payload: truncate(request(3, 9))},
+		{name: "self-addressed", payload: request(self, self), wantRefused: 1},
+		{name: "over budget", payload: request(3, self), setup: spendBudget, wantRefused: 1},
+		{name: "over budget, tail does not decode", payload: truncate(request(3, self)), setup: spendBudget},
+		// Decodes and passes every auditor-local check, then fails the
+		// replay (no checkpoint): refused on both, memoized on one.
+		{name: "replayed and rejected", payload: request(3, self), wantRefused: 1, wantStored: 1},
+	} {
+		cached, uncached := newAuditor(t, cfg, self, true), newAuditor(t, cfg, self, true)
+		cache := NewAuditCache(8)
+		cached.SetAuditCache(cache)
 		for _, eng := range []*Engine{cached, uncached} {
-			before := eng.Stats().AuditsRefused
-			eng.OnFrame(wire.Frame{Src: 3, Dst: eng.id, Flags: wire.FlagAudit,
-				Payload: c.payloadFor(eng.id)})
-			got := eng.Stats().AuditsRefused - before
-			if got != c.wantRefused {
-				t.Errorf("%s (cache=%v): refused %d, want %d",
-					c.name, eng.acache != nil, got, c.wantRefused)
+			if c.setup != nil {
+				c.setup(eng)
 			}
+			eng.OnFrame(wire.Frame{Src: 3, Dst: self, Flags: wire.FlagAudit, Payload: c.payload})
 		}
-	}
-	// Only the fully-decoded request reached the replay and memoized
-	// its (negative) verdict; identity-refused and malformed requests
-	// must leave no trace.
-	if n := cached.acache.Len(); n != 1 {
-		t.Errorf("cache holds %d entries, want 1 (the bad-MAC verdict only)", n)
+		if got, want := cached.Stats(), uncached.Stats(); got != want {
+			t.Errorf("%s: cached Stats %+v, uncached %+v", c.name, got, want)
+		}
+		if got := uncached.Stats().AuditsRefused; got != c.wantRefused {
+			t.Errorf("%s: refused %d, want %d", c.name, got, c.wantRefused)
+		}
+		if n := cache.Len(); n != c.wantStored {
+			t.Errorf("%s: cache holds %d verdicts, want %d", c.name, n, c.wantStored)
+		}
 	}
 }
 
@@ -105,16 +125,7 @@ func TestCachedRefusalAccountingMatchesUncached(t *testing.T) {
 // key-dependent garbage; the engine must bypass the shared cache
 // entirely rather than poison it (or trust it).
 func TestKeylessAuditorNeverTouchesCache(t *testing.T) {
-	cfg := DefaultConfig(4)
-	clock := func() wire.Tick { return 0 }
-	sn := trusted.NewSNode(cfg.BatchSize, clock)
-	var eng *Engine
-	an := trusted.NewANode(cfg.ANodeConfig(), clock, func(wire.Frame) {},
-		func(f wire.Frame, enc []byte) { eng.OnFrameEnc(f, enc) }, nil, nil)
-	sn.LoadMasterKey(master, 1)
-	an.LoadMasterKey(master, 1)
-	// No mission key: HasKey() is false.
-	eng = NewEngine(1, cfg, factory(), sn, an, an.SendWirelessEnc)
+	eng := newAuditor(t, DefaultConfig(4), 1, false) // no mission key: HasKey() is false
 	cache := NewAuditCache(8)
 	eng.SetAuditCache(cache)
 

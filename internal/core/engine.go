@@ -277,7 +277,7 @@ func (e *Engine) OnFrameEnc(f wire.Frame, enc []byte) {
 	switch wire.PayloadKind(f.Payload) {
 	case wire.KindAuditRequest:
 		ps := e.perf.Start()
-		e.perf.End(e.onAuditRequestEnc(f.Payload), ps)
+		e.perf.End(e.onAuditRequest(f.Payload), ps)
 	case wire.KindAuditResponse:
 		if resp, err := wire.DecodeAuditResponse(f.Payload); err == nil {
 			e.onAuditResponse(resp)
@@ -560,7 +560,7 @@ func (e *Engine) serveBudgetOK() bool {
 	return len(e.served) < e.cfg.ServeLimit
 }
 
-// onAuditRequestEnc is the auditor role's entry point (§3.7), fed the
+// onAuditRequest is the auditor role's one entry point (§3.7), fed the
 // raw request payload. The expensive part — decode, token cover,
 // deterministic replay — has an auditor-independent outcome, so when a
 // shared AuditCache is attached the verdict (and the checkpoint hash
@@ -571,78 +571,60 @@ func (e *Engine) serveBudgetOK() bool {
 // IssueToken's own MAC verification of the per-auditor token request,
 // token minting) runs on every request, hit or miss.
 //
-// The cache is consulted only while this a-node holds the mission key:
-// a keyless auditor's verifySegment rejects everything (its MAC checks
+// With no cache attached, or while this a-node lacks the mission key,
+// the lookup and the store are skipped and every request is replayed.
+// A keyless auditor's verifySegment rejects everything (its MAC checks
 // all fail), and those key-dependent verdicts must not poison a cache
-// shared with keyed robots.
+// shared with keyed robots. Any failure is a silent ignore, as in the
+// paper: no correct auditor will accept a bad request, so the
+// requestor's tokens simply expire.
 //
 // The returned perf phase attributes the serve's wall-clock cost:
-// audit-cache-hit / audit-cache-miss once the cache is consulted,
-// audit-serve for the uncached path and anything refused or dropped
-// before the lookup. The caller (OnFrameEnc) times the span.
-func (e *Engine) onAuditRequestEnc(payload []byte) perf.Phase {
-	if e.acache == nil || !e.anode.HasKey() {
-		if a, err := wire.DecodeAuditRequest(payload); err == nil {
-			e.onAuditRequest(a)
-		}
-		return perf.PhaseAuditServe
-	}
+// audit-cache-hit for a cached verdict, audit-cache-miss for a replay,
+// audit-serve for a request refused or dropped before a verdict. The
+// caller (OnFrameEnc) times the span.
+func (e *Engine) onAuditRequest(payload []byte) perf.Phase {
 	head, tail, err := wire.SplitAuditRequest(payload)
 	if err != nil {
 		return perf.PhaseAuditServe
 	}
 	if head.Auditor != e.id || head.Req.Auditor != e.id ||
 		head.Req.Auditee != head.Auditee || head.Auditee == e.id || !e.serveBudgetOK() {
-		// Refusal accounting must stay byte-identical to the uncached
-		// plane, which decodes before checking anything — a request
-		// with a malformed tail is dropped silently there, not refused.
+		// A request whose tail does not decode is dropped, not refused.
 		if _, err := wire.DecodeAuditRequest(payload); err == nil {
 			e.stats.AuditsRefused++
 		}
 		return perf.PhaseAuditServe
 	}
-	key := auditKey(head.Auditee, head.Req.T, tail)
-	v, hit := e.acache.Lookup(key)
-	if !hit {
-		a, err := wire.DecodeAuditRequest(payload)
-		if err != nil {
-			return perf.PhaseAuditCacheMiss
+	cache := e.acache
+	if !e.anode.HasKey() {
+		cache = nil
+	}
+	var key [32]byte
+	if cache != nil {
+		key = auditKey(head.Auditee, head.Req.T, tail)
+		if v, hit := cache.Lookup(key); hit {
+			e.finishAudit(head.Auditee, head.Req, v)
+			return perf.PhaseAuditCacheHit
 		}
-		v.OK = e.verifySegment(&a)
-		if v.OK {
-			v.HCkpt = cryptolite.SHA1Sum(a.EndCheckpoint)
-		}
-		e.acache.Store(key, v)
-		e.finishAudit(head.Auditee, head.Req, v)
-		return perf.PhaseAuditCacheMiss
 	}
-	e.finishAudit(head.Auditee, head.Req, v)
-	return perf.PhaseAuditCacheHit
-}
-
-// onAuditRequest is the uncached (no cache attached, or keyless) auditor
-// path: every request is fully decoded and replayed. Any failure is a
-// silent ignore, as in the paper: no correct auditor will accept a bad
-// request, so the requestor's tokens simply expire.
-func (e *Engine) onAuditRequest(a wire.AuditRequest) {
-	if a.Auditor != e.id || a.Req.Auditor != e.id || a.Req.Auditee != a.Auditee || a.Auditee == e.id {
-		e.stats.AuditsRefused++
-		return
+	a, err := wire.DecodeAuditRequest(payload)
+	if err != nil {
+		return perf.PhaseAuditServe
 	}
-	if !e.serveBudgetOK() {
-		e.stats.AuditsRefused++
-		return
-	}
-	var v AuditVerdict
-	v.OK = e.verifySegment(&a)
+	v := AuditVerdict{OK: e.verifySegment(&a)}
 	if v.OK {
 		v.HCkpt = cryptolite.SHA1Sum(a.EndCheckpoint)
 	}
-	e.finishAudit(a.Auditee, a.Req, v)
+	if cache != nil {
+		cache.Store(key, v)
+	}
+	e.finishAudit(head.Auditee, head.Req, v)
+	return perf.PhaseAuditCacheMiss
 }
 
-// finishAudit is the auditor-local epilogue shared by the cached and
-// uncached serve paths: mint and send the token on a positive verdict.
+// finishAudit is the auditor-local epilogue of a hit and a replay alike:
+// mint and send the token on a positive verdict.
 // IssueToken re-verifies the per-auditor request MAC on the a-node, so
 // a cache hit never bypasses any trusted-node check.
 func (e *Engine) finishAudit(auditee wire.RobotID, req wire.TokenRequest, v AuditVerdict) {

@@ -27,6 +27,7 @@ package faultinject
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -159,11 +160,9 @@ func (f *Fault) String() string {
 	return b.String()
 }
 
-// Schedule is an ordered set of fault entries plus the base loss rate
-// the medium would have without any faults.
+// Schedule is an ordered set of fault entries.
 type Schedule struct {
-	Faults   []Fault
-	BaseLoss float64
+	Faults []Fault
 }
 
 // ActiveAt returns the indices of faults active at tick now.
@@ -246,18 +245,21 @@ func (s *Schedule) EnvDisturbedAt(now wire.Tick) (wire.Tick, bool) {
 // tick, so fault windows align exactly with engine time (the medium's
 // own delivery counter can lag on idle rounds).
 
-// LossModel builds the radio loss model for this schedule: the base
-// rate plus any active LossBurst/LinkLoss contributions, capped at 1.
-// Returns nil when the schedule has no loss faults and no base rate
-// (leave the medium's default in place).
-func (s *Schedule) LossModel(clock func() wire.Tick) radio.LossModel {
-	any := s.BaseLoss > 0
+// has reports whether any entry is of one of kinds.
+func (s *Schedule) has(kinds ...Kind) bool {
 	for i := range s.Faults {
-		if s.Faults[i].Kind == LossBurst || s.Faults[i].Kind == LinkLoss {
-			any = true
+		if slices.Contains(kinds, s.Faults[i].Kind) {
+			return true
 		}
 	}
-	if !any {
+	return false
+}
+
+// LossModel builds the radio loss model for this schedule: the active
+// LossBurst/LinkLoss contributions, capped at 1. Returns nil when the
+// schedule has no loss faults (the medium stays loss-free).
+func (s *Schedule) LossModel(clock func() wire.Tick) radio.LossModel {
+	if !s.has(LossBurst, LinkLoss) {
 		return nil
 	}
 	return &scheduleLoss{s: s, clock: clock}
@@ -271,12 +273,10 @@ type scheduleLoss struct {
 // Drop implements radio.LossModel. Overlapping faults compose by
 // independent-survival: P(drop) = 1 − ∏(1 − rateᵢ), evaluated with a
 // single draw so the RNG stream stays one-draw-per-candidate. The
-// drop region is the low tail (draw < P), matching radio.UniformLoss,
-// so a schedule with no active loss fault reproduces the base-rate
-// byte stream of an unfaulted run exactly.
+// drop region is the low tail (draw < P), matching radio.UniformLoss.
 func (l *scheduleLoss) Drop(from, to wire.RobotID, draw float64) bool {
 	now := l.clock()
-	keep := 1 - l.s.BaseLoss
+	keep := 1.0
 	for i := range l.s.Faults {
 		f := &l.s.Faults[i]
 		if !f.ActiveAt(now) {
@@ -294,9 +294,16 @@ func (l *scheduleLoss) Drop(from, to wire.RobotID, draw float64) bool {
 	return draw < 1-keep
 }
 
+// MinMTUBytes is the smallest nonzero radio MTU a faulted cell may run
+// at: an audit response frame (header plus wire.AuditResponseSize, 53
+// bytes) then travels unfragmented, so WithholdAudit and DelayAudit see
+// its kind. Below it they would do nothing.
+const MinMTUBytes = wire.FrameHeaderSize + wire.AuditResponseSize
+
 // isAuditResponse reports whether f carries an (unfragmented)
-// audit/token response. Fragments hide the payload kind; chaos runs
-// use MTUBytes=0, so this is exact there.
+// audit/token response. Fragments hide the payload kind; at an MTU of
+// 0 or at least MinMTUBytes a response is never fragmented, so this is
+// exact there.
 func isAuditResponse(f wire.Frame) bool {
 	return f.IsAudit() && f.Flags&wire.FlagFragment == 0 &&
 		wire.PayloadKind(f.Payload) == wire.KindAuditResponse
@@ -305,13 +312,7 @@ func isAuditResponse(f wire.Frame) bool {
 // LinkFilter builds the radio link filter implementing Partition and
 // WithholdAudit faults. Returns nil when the schedule has neither.
 func (s *Schedule) LinkFilter(clock func() wire.Tick) radio.LinkFilter {
-	any := false
-	for i := range s.Faults {
-		if s.Faults[i].Kind == Partition || s.Faults[i].Kind == WithholdAudit {
-			any = true
-		}
-	}
-	if !any {
+	if !s.has(Partition, WithholdAudit) {
 		return nil
 	}
 	return func(from, to wire.RobotID, f wire.Frame) bool {
@@ -339,13 +340,7 @@ func (s *Schedule) LinkFilter(clock func() wire.Tick) radio.LinkFilter {
 // TxDelay builds the radio transmit-delay hook implementing
 // DelayAudit faults. Returns nil when the schedule has none.
 func (s *Schedule) TxDelay(clock func() wire.Tick) radio.TxDelay {
-	any := false
-	for i := range s.Faults {
-		if s.Faults[i].Kind == DelayAudit {
-			any = true
-		}
-	}
-	if !any {
+	if !s.has(DelayAudit) {
 		return nil
 	}
 	return func(from wire.RobotID, f wire.Frame) wire.Tick {

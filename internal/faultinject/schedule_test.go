@@ -128,7 +128,6 @@ func TestFaultActiveAtAndString(t *testing.T) {
 func TestLossModelComposes(t *testing.T) {
 	now := wire.Tick(0)
 	s := &Schedule{
-		BaseLoss: 0.1,
 		Faults: []Fault{
 			{Kind: LossBurst, Start: 10, Duration: 10, Rate: 0.5},
 			{Kind: LinkLoss, Start: 10, Duration: 10, Rate: 0.5, Targets: []wire.RobotID{2}},
@@ -138,18 +137,18 @@ func TestLossModelComposes(t *testing.T) {
 	if lm == nil {
 		t.Fatal("schedule with loss faults returned nil LossModel")
 	}
-	// Outside the window only the base rate applies (drop iff
-	// draw < P, the same tail as radio.UniformLoss).
-	if !lm.Drop(1, 3, 0.05) || lm.Drop(1, 3, 0.15) {
-		t.Error("base rate not applied outside fault windows")
+	// Outside the window nothing drops, not even the smallest draw.
+	if lm.Drop(1, 3, 0) || lm.Drop(1, 2, 0) {
+		t.Error("loss applied outside fault windows")
 	}
 	now = 10
-	// Burst only on a link not touching robot 2: P = 1-0.9*0.5 = 0.55.
-	if !lm.Drop(1, 3, 0.54) || lm.Drop(1, 3, 0.56) {
-		t.Error("burst composition wrong on untargeted link")
+	// Burst only on a link not touching robot 2: P = 0.5 (drop iff
+	// draw < P, the same tail as radio.UniformLoss).
+	if !lm.Drop(1, 3, 0.49) || lm.Drop(1, 3, 0.5) {
+		t.Error("burst wrong on untargeted link")
 	}
-	// Burst + link loss on a link touching robot 2: P = 1-0.9*0.25 = 0.775.
-	if !lm.Drop(1, 2, 0.77) || lm.Drop(1, 2, 0.78) {
+	// Burst + link loss on a link touching robot 2: P = 1-0.5*0.5 = 0.75.
+	if !lm.Drop(1, 2, 0.74) || lm.Drop(1, 2, 0.76) {
 		t.Error("burst+link composition wrong on targeted link")
 	}
 	if (&Schedule{}).LossModel(func() wire.Tick { return 0 }) != nil {

@@ -65,7 +65,8 @@ const (
 	// Peer = physical transmitter, Value = encoded bytes.
 	EvFrameRx
 	// EvFrameDropped: a deliverable frame was lost; Cause says why.
-	// Peer = physical transmitter, Value = encoded bytes.
+	// Peer = physical transmitter, Value = encoded bytes. An oversize
+	// frame is refused at its transmitter, so there Robot = Peer.
 	EvFrameDropped
 	// EvCheckpointFlush: the c-node log recorded a chain-flush mark
 	// (auditlog.EntryMark) ahead of a checkpoint.
@@ -116,6 +117,9 @@ const (
 	// CauseLinkFilter: a link filter (partition, withheld response)
 	// blocked the candidate.
 	CauseLinkFilter
+	// CauseOversize: the frame needs more fragments at the radio MTU
+	// than a fragment header can number, so the medium refused it.
+	CauseOversize
 )
 
 // String returns the stable name used by the exporters.
@@ -125,6 +129,8 @@ func (c DropCause) String() string {
 		return "loss"
 	case CauseLinkFilter:
 		return "link-filter"
+	case CauseOversize:
+		return "oversize"
 	default:
 		return "none"
 	}

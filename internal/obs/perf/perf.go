@@ -65,9 +65,9 @@ const (
 
 	// Nested attributions inside the stages above.
 	PhaseSpatialBuild   // uniform-grid rebuilds (radio Deliver + world crash detection)
-	PhaseAuditServe     // core: one audit request served on the uncached path (or refused pre-verdict)
+	PhaseAuditServe     // core: one audit request refused or dropped before a verdict
 	PhaseAuditCacheHit  // core: cached serve — verdict reused, replay skipped
-	PhaseAuditCacheMiss // core: cache-missed serve — full replay + store
+	PhaseAuditCacheMiss // core: replayed serve — full replay (+ store when a cache is attached)
 	PhaseChainAppend    // core: audit-log appends (chain-window maintenance); sampled via EndSampled
 
 	NumPhases // array bound, not a phase

@@ -16,6 +16,18 @@ import (
 // total (1).
 const FragHeaderSize = 4
 
+// maxFragments is the most fragments one frame can travel in: a
+// fragment header numbers them in one byte.
+const maxFragments = 255
+
+// oversize reports whether a frame of size encoded bytes needs more
+// than maxFragments fragments at mtu. An MTU too small to carry the
+// headers is FragmentFrame's error, not an oversize frame.
+func oversize(size, mtu int) bool {
+	chunk := mtu - wire.FrameHeaderSize - FragHeaderSize
+	return size > mtu && chunk > 0 && (size+chunk-1)/chunk > maxFragments
+}
+
 // FragmentFrame splits a frame whose *encoding* exceeds mtu into
 // fragments, each itself a frame whose payload is
 // FragHeader ‖ chunk-of-original-encoding. Frames that already fit are
@@ -31,8 +43,8 @@ func FragmentFrame(f wire.Frame, mtu int, msgID uint16) []wire.Frame {
 		panic(fmt.Sprintf("radio: MTU %d cannot carry fragment headers", mtu))
 	}
 	total := (len(enc) + chunk - 1) / chunk
-	if total > 255 {
-		panic(fmt.Sprintf("radio: frame of %d bytes needs %d fragments (max 255)", len(enc), total))
+	if total > maxFragments {
+		panic(fmt.Sprintf("radio: frame of %d bytes needs %d fragments (max %d)", len(enc), total, maxFragments))
 	}
 	frags := make([]wire.Frame, 0, total)
 	for i := 0; i < total; i++ {

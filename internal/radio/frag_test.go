@@ -220,8 +220,8 @@ func TestMediumMTULossDropsWholeFrame(t *testing.T) {
 	pos := posMap{1: geom.V(0, 0), 2: geom.V(10, 0)}
 	p := DefaultParams()
 	p.MTUBytes = 66
-	p.LossRate = 0.3
 	m := NewMedium(p, pos.fn, 7)
+	m.SetLossModel(UniformLoss{Rate: 0.3})
 	delivered := 0
 	const trials = 100
 	for i := 0; i < trials; i++ {

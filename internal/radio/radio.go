@@ -34,11 +34,6 @@ type Params struct {
 	TxPowerDBm float64
 	// RxSensitivityDBm is the weakest decodable signal.
 	RxSensitivityDBm float64
-	// LossRate is an optional uniform packet-loss probability applied
-	// per (frame, receiver) pair; 0 disables. It is shorthand for
-	// installing UniformLoss{LossRate} as the medium's LossModel; a
-	// model installed with SetLossModel takes precedence.
-	LossRate float64
 	// MTUBytes caps the encoded size of one on-air frame; larger
 	// frames are fragmented and reassembled (Appendix B: the RFM69's
 	// 66-byte FIFO). 0 disables fragmentation. Loss applies per
@@ -99,7 +94,7 @@ type LossModel interface {
 }
 
 // UniformLoss drops every candidate independently with probability
-// Rate — the model Params.LossRate is shorthand for.
+// Rate.
 type UniformLoss struct{ Rate float64 }
 
 // Drop implements LossModel.
@@ -127,7 +122,7 @@ type ByteCounters struct {
 	RxApp, RxAudit uint64
 	TxFrames       uint64
 	RxFrames       uint64
-	Dropped        uint64 // frames lost to the loss model or blocked by a link filter
+	Dropped        uint64 // frames lost to the loss model, blocked by a link filter, or refused as oversize
 }
 
 // Total returns all bytes sent plus received.
@@ -170,8 +165,7 @@ type Medium struct {
 	senders map[wire.RobotID]*senderState
 
 	// Optional fault hooks (see SetLossModel / SetLinkFilter /
-	// SetTxDelay). loss defaults to UniformLoss when Params.LossRate
-	// is set; filter and delay default to nil (inactive).
+	// SetTxDelay), all nil (inactive) until installed.
 	loss   LossModel  //rebound:snapshot-skip fault-hook wiring, reattached at rebuild
 	filter LinkFilter //rebound:snapshot-skip fault-hook wiring, reattached at rebuild
 	delay  TxDelay    //rebound:snapshot-skip fault-hook wiring, reattached at rebuild
@@ -208,10 +202,10 @@ type Medium struct {
 	countBuf  []int32         //rebound:snapshot-skip per-round scratch
 }
 
-// NewMedium creates a medium. seed drives only the optional loss
-// model; with LossRate 0 the medium is loss-free and the seed inert.
+// NewMedium creates a loss-free medium. seed drives only a loss model
+// installed later with SetLossModel; without one the seed is inert.
 func NewMedium(params Params, pos Position, seed uint64) *Medium {
-	m := &Medium{
+	return &Medium{
 		params:       params,
 		pos:          pos,
 		rng:          prng.New(seed),
@@ -219,17 +213,13 @@ func NewMedium(params Params, pos Position, seed uint64) *Medium {
 		senders:      make(map[wire.RobotID]*senderState),
 		reassemblers: make(map[wire.RobotID]*Reassembler),
 	}
-	if params.LossRate > 0 {
-		m.loss = UniformLoss{Rate: params.LossRate}
-	}
-	return m
 }
 
-// SetLossModel replaces the loss model. nil disables loss entirely,
-// including the Params.LossRate shorthand. A non-nil model consumes
-// one RNG draw per candidate (frame, receiver) pair even when it
-// never drops, so swapping models changes which draws later frames
-// see — determinism is per (params, seed, model), not across models.
+// SetLossModel replaces the loss model; nil disables loss. A non-nil
+// model consumes one RNG draw per candidate (frame, receiver) pair even
+// when it never drops, so swapping models changes which draws later
+// frames see — determinism is per (params, seed, model), not across
+// models.
 func (m *Medium) SetLossModel(l LossModel) { m.loss = l }
 
 // SetLinkFilter installs a delivery filter (nil disables).
@@ -302,9 +292,19 @@ func (m *Medium) sender(id wire.RobotID) *senderState {
 // fragmenting it first when it exceeds the radio MTU. The physical
 // transmitter is recorded separately from the frame's claimed source:
 // radios can spoof header fields but not their own antenna position.
+//
+// A frame that needs more fragments than a fragment header can number
+// is refused like a lost one: counted in the transmitter's Dropped,
+// traced as an oversize drop, never enqueued. Only an audit request
+// grows that large (every other payload is capped at
+// wire.MaxLoggedPayload), and the protocol's retry loop absorbs it.
 func (m *Medium) Send(from wire.RobotID, f wire.Frame) {
 	c, s := m.Counters(from), m.sender(from)
 	if m.params.MTUBytes > 0 {
+		if size := f.EncodedSize(); oversize(size, m.params.MTUBytes) {
+			m.drop(c, from, from, obs.CauseOversize, size)
+			return
+		}
 		msgID := s.nextMsgID
 		s.nextMsgID++
 		for _, fr := range FragmentFrame(f, m.params.MTUBytes, msgID) {
@@ -363,6 +363,16 @@ func (m *Medium) counterAt(rank int32, id wire.RobotID) *ByteCounters {
 	return c
 }
 
+// drop counts a frame of size bytes that robot lost, sent by the
+// physical transmitter peer, in robot's counters c and traces it.
+func (m *Medium) drop(c *ByteCounters, robot, peer wire.RobotID, cause obs.DropCause, size int) {
+	c.Dropped++
+	if m.trace != nil {
+		m.trace.Emit(obs.Event{Tick: m.deliverTick, Robot: robot,
+			Kind: obs.EvFrameDropped, Peer: peer, Cause: cause, Value: int64(size)})
+	}
+}
+
 // deliverTo runs the per-candidate delivery pipeline for one queued
 // frame and one potential receiver at position dst: power check, link
 // filter, loss draw, byte accounting, reassembly. rank is the
@@ -375,21 +385,11 @@ func (m *Medium) deliverTo(q queuedFrame, rank int32, id wire.RobotID, src, dst 
 		return out
 	}
 	if m.filter != nil && m.filter(q.from, id, q.frame) {
-		m.counterAt(rank, id).Dropped++
-		if m.trace != nil {
-			m.trace.Emit(obs.Event{Tick: m.deliverTick, Robot: id,
-				Kind: obs.EvFrameDropped, Peer: q.from,
-				Cause: obs.CauseLinkFilter, Value: int64(q.size)})
-		}
+		m.drop(m.counterAt(rank, id), id, q.from, obs.CauseLinkFilter, q.size)
 		return out
 	}
 	if m.loss != nil && m.loss.Drop(q.from, id, m.rng.Float64()) {
-		m.counterAt(rank, id).Dropped++
-		if m.trace != nil {
-			m.trace.Emit(obs.Event{Tick: m.deliverTick, Robot: id,
-				Kind: obs.EvFrameDropped, Peer: q.from,
-				Cause: obs.CauseLoss, Value: int64(q.size)})
-		}
+		m.drop(m.counterAt(rank, id), id, q.from, obs.CauseLoss, q.size)
 		return out
 	}
 	c := m.counterAt(rank, id)

@@ -179,9 +179,8 @@ func TestByteAccounting(t *testing.T) {
 
 func TestLossModel(t *testing.T) {
 	pos := posMap{1: geom.V(0, 0), 2: geom.V(10, 0)}
-	p := DefaultParams()
-	p.LossRate = 0.5
-	m := NewMedium(p, pos.fn, 42)
+	m := NewMedium(DefaultParams(), pos.fn, 42)
+	m.SetLossModel(UniformLoss{Rate: 0.5})
 	delivered := 0
 	const n = 1000
 	for i := 0; i < n; i++ {
@@ -195,7 +194,8 @@ func TestLossModel(t *testing.T) {
 		t.Errorf("dropped counter %d, want %d", m.Counters(2).Dropped, n-delivered)
 	}
 	// Loss is deterministic per seed.
-	m2 := NewMedium(p, pos.fn, 42)
+	m2 := NewMedium(DefaultParams(), pos.fn, 42)
+	m2.SetLossModel(UniformLoss{Rate: 0.5})
 	delivered2 := 0
 	for i := 0; i < n; i++ {
 		m2.Send(1, wire.Frame{Src: 1, Dst: wire.Broadcast, Payload: []byte("x")})

@@ -118,7 +118,6 @@ func TestDeliverIndexedMatchesBruteRandom(t *testing.T) {
 		t.Run(fmt.Sprintf("mtu=%d", mtu), func(t *testing.T) {
 			rng := prng.New(0xD1FF + uint64(mtu))
 			params := DefaultParams()
-			params.LossRate = 0.25
 			params.MTUBytes = mtu
 
 			const n = 40
@@ -156,6 +155,7 @@ func TestDeliverIndexedMatchesBruteRandom(t *testing.T) {
 				return wire.Tick(int(from)+len(f.Payload)) % 3
 			}
 			for _, m := range []*Medium{brute, indexed} {
+				m.SetLossModel(UniformLoss{Rate: 0.25})
 				m.SetLinkFilter(filter)
 				m.SetTxDelay(delay)
 			}
@@ -300,7 +300,6 @@ func TestDeliverDegenerateRange(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			params := DefaultParams()
-			params.LossRate = 0.3
 			tc.tune(&params)
 			if r := params.RangeM(); !tc.isRange(r) {
 				t.Fatalf("RangeM = %v: the case does not build the range it names", r)
@@ -312,6 +311,9 @@ func TestDeliverDegenerateRange(t *testing.T) {
 			ids := []wire.RobotID{7, 3, 1, 6, 2, 5, 4, 8} // unsorted; 8 has no position
 			brute := NewMedium(params, pos.lookup, 5)
 			indexed := NewMedium(params, pos.lookup, 5)
+			for _, m := range []*Medium{brute, indexed} {
+				m.SetLossModel(UniformLoss{Rate: 0.3})
+			}
 			delivered := 0
 			for round := 0; round < 6; round++ {
 				for _, from := range []wire.RobotID{1, 6, 4} { // finite, NaN, finite
@@ -372,12 +374,9 @@ func TestDeliverSteadyStateAllocations(t *testing.T) {
 	payload := make([]byte, 48)
 	for _, hooked := range []bool{false, true} {
 		t.Run(fmt.Sprintf("hooks=%v", hooked), func(t *testing.T) {
-			params := DefaultParams()
+			m := NewMedium(DefaultParams(), pos.fn, 3)
 			if hooked {
-				params.LossRate = 0.2
-			}
-			m := NewMedium(params, pos.fn, 3)
-			if hooked {
+				m.SetLossModel(UniformLoss{Rate: 0.2})
 				m.SetLinkFilter(func(from, to wire.RobotID, _ wire.Frame) bool { return (from+to)%7 == 0 })
 				m.SetTxDelay(func(from wire.RobotID, _ wire.Frame) wire.Tick { return wire.Tick(from % 3) })
 				m.SetObs(obs.NewFlightRecorder(0), obs.NewRegistry())

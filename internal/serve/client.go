@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -147,32 +146,6 @@ func (c *Client) Cancel(ctx context.Context, id string) error {
 	}
 	resp.Body.Close()
 	return nil
-}
-
-// Events streams the job's NDJSON progress events, invoking fn per
-// event until the stream ends (terminal state) or ctx cancels.
-func (c *Client) Events(ctx context.Context, id string, fn func(Event)) error {
-	resp, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/events", nil)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(nil, 1<<20) // starts at bufio's 4 KiB and grows to the line limit
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var e Event
-		if err := json.Unmarshal(line, &e); err != nil {
-			return fmt.Errorf("serve: malformed event line: %w", err)
-		}
-		if fn != nil {
-			fn(e)
-		}
-	}
-	return sc.Err()
 }
 
 // Wait blocks until the job reaches a terminal state and returns the

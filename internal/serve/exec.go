@@ -40,8 +40,8 @@ type JobOutput struct {
 // The zero value (direct path) runs to completion with no progress
 // reporting.
 type execHooks struct {
-	// progress receives per-cell sweep completion events.
-	progress func(Event)
+	// progress receives the sweep's progress as each cell finishes.
+	progress func(rr.SweepProgress)
 	// interrupt is polled at chaos tick boundaries (drain checkpoint
 	// or cancel).
 	interrupt func() bool
@@ -54,7 +54,7 @@ type resolveFunc func(ResumeRef) ([]byte, error)
 // artifacts, and return the terminal state.
 func (e *Executor) Run(j *Job) (State, string) {
 	hooks := execHooks{
-		progress:  func(ev Event) { j.Publish(ev) },
+		progress:  j.setProgress,
 		interrupt: j.InterruptRequested,
 	}
 	out, err := runJob(j.Req, e.resolve, hooks)
@@ -103,25 +103,13 @@ func RunJobDirect(req *JobRequest, resolve resolveFunc) (*JobOutput, error) {
 	return runJob(req, resolve, execHooks{})
 }
 
-// jobWorkers defaults intra-job sweep parallelism to 1: serial cells
-// make the progress-event sequence (and thus the NDJSON stream) a
-// deterministic function of the request.
+// jobWorkers defaults intra-job sweep parallelism to 1: the server's
+// pool already runs jobs side by side, so one sweep's cells need not.
 func jobWorkers(req *JobRequest) int {
 	if req.Workers <= 0 {
 		return 1
 	}
 	return req.Workers
-}
-
-// sweepProgress adapts a facade progress callback to the job event
-// stream. Elapsed is wall clock and deliberately dropped.
-func sweepProgress(hooks execHooks) func(rr.SweepProgress) {
-	if hooks.progress == nil {
-		return nil
-	}
-	return func(p rr.SweepProgress) {
-		hooks.progress(Event{Label: p.Label, Done: p.Done, Total: p.Total})
-	}
 }
 
 // chaosCell builds the ChaosConfig a chaos-family request describes.
@@ -359,7 +347,7 @@ func runFig6Job(_ *jobKind, req *JobRequest, _ resolveFunc, hooks execHooks) (*J
 		cfg.DurationSec = 20 // a served job defaults shorter than the paper's 50 s
 	}
 	points := rr.RunFig6Sweep(cfg, rr.SweepOptions{
-		Workers: jobWorkers(req), Progress: sweepProgress(hooks),
+		Workers: jobWorkers(req), Progress: hooks.progress,
 	})
 	return sweepOutput(req.Kind, points)
 }
@@ -369,7 +357,7 @@ func runFig7Job(_ *jobKind, req *JobRequest, _ resolveFunc, hooks execHooks) (*J
 	if dur == 0 {
 		dur = 15 // served default: a smoke-sized sweep, not the paper's 50 s
 	}
-	opts := rr.SweepOptions{Workers: jobWorkers(req), Progress: sweepProgress(hooks)}
+	opts := rr.SweepOptions{Workers: jobWorkers(req), Progress: hooks.progress}
 	var points []rr.Fig7Point
 	if req.Kind == KindFig7Density {
 		sizes := req.Sizes

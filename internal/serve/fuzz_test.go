@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"testing"
+
+	"roborebound/internal/faultinject"
 )
 
 // requestCorpus is the seed set for FuzzJobRequestDecode: structurally
@@ -83,6 +85,53 @@ func FuzzJobRequestDecode(f *testing.F) {
 		}
 		if !bytes.Equal(first, second) {
 			t.Fatalf("encoding is not a fixed point:\n%s\n%s", first, second)
+		}
+	})
+}
+
+// FuzzAcceptedCellJob: any chaos, trace or snapshot request that
+// Validate accepts runs through RunJobDirect without panicking or
+// failing. Cells stay small (n <= 12, duration_sec a multiple of a
+// quarter second up to 5) so each execution is a few milliseconds; Validate's own rules — a faulted
+// cell too short to schedule a fault, snapshot_at_tick beyond the run,
+// an MTU below the audit-response floor — are what the fuzzer probes.
+func FuzzAcceptedCellJob(f *testing.F) {
+	kinds := []string{KindChaos, KindTrace, KindSnapshot}
+	controllers := []string{"", "flocking", "patrol", "warehouse"}
+	profiles := []string{""}
+	for _, p := range faultinject.Profiles() {
+		profiles = append(profiles, string(p))
+	}
+	// kind, controller, profile, seed, n, duration in quarter seconds
+	// less one, fmax, spacing_m, mtu_bytes, snapshot_at_tick, events,
+	// perfetto. Profile 1 is none.
+	for _, mtu := range []uint16{11, 12, 52, 53, 66} {
+		f.Add(uint8(0), uint8(0), uint8(1), uint64(3), uint8(0), uint8(19), uint8(0), 0.0, mtu, uint64(0), false, false)
+	}
+	f.Add(uint8(1), uint8(2), uint8(0), uint64(7), uint8(3), uint8(11), uint8(1), 0.0, uint16(0), uint64(0), false, true)
+	f.Add(uint8(2), uint8(3), uint8(1), uint64(7), uint8(4), uint8(15), uint8(0), 0.0, uint16(96), uint64(16), false, false)
+	f.Fuzz(func(t *testing.T, kind, controller, profile uint8, seed uint64, n, quarters,
+		fmax uint8, spacingM float64, mtu uint16, snapshotAt uint64, events, perfetto bool) {
+		req := &JobRequest{
+			Version:        RequestVersion,
+			Kind:           kinds[int(kind)%len(kinds)],
+			Controller:     controllers[int(controller)%len(controllers)],
+			Profile:        profiles[int(profile)%len(profiles)],
+			Seed:           seed,
+			N:              int(n % 13),
+			DurationSec:    float64(quarters%20+1) / 4,
+			Fmax:           int(fmax),
+			SpacingM:       spacingM,
+			MTUBytes:       int(mtu),
+			SnapshotAtTick: snapshotAt,
+			Events:         events,
+			Perfetto:       perfetto,
+		}
+		if req.Validate() != nil {
+			return
+		}
+		if _, err := RunJobDirect(req, nil); err != nil {
+			t.Fatalf("accepted request %+v failed: %v", req, err)
 		}
 	})
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"sync"
 	"sync/atomic"
+
+	rr "roborebound"
 )
 
 // State is a job's lifecycle stage.
@@ -40,18 +42,13 @@ func (s State) Terminal() bool {
 	return false
 }
 
-// Event is one line of a job's NDJSON progress stream. Events carry
-// no wall-clock timestamps: a job's event sequence is deterministic
-// given its request (progress cells complete in input order because
-// intra-job sweeps run Workers=1 by default), which keeps the stream
-// inside the differential contract.
-type Event struct {
-	Seq    int    `json:"seq"`
-	State  State  `json:"state,omitempty"`
-	Label  string `json:"label,omitempty"`
-	Done   int    `json:"done,omitempty"`
-	Total  int    `json:"total,omitempty"`
-	Detail string `json:"detail,omitempty"`
+// Progress is how far a sweep job has got: Done of Total cells have
+// finished, the last of them Label. It is a pure function of the
+// request and of how many cells have finished.
+type Progress struct {
+	Done  int    `json:"done"`
+	Total int    `json:"total"`
+	Label string `json:"label,omitempty"`
 }
 
 // ArtifactInfo describes one stored artifact in a status document.
@@ -80,12 +77,14 @@ type Status struct {
 	// request referencing the checkpoint artifact for a checkpointed
 	// one.
 	Resubmit json.RawMessage `json:"resubmit,omitempty"`
+	// Progress is set on a sweep job once its first cell finishes; a
+	// chaos-cell job has none.
+	Progress *Progress `json:"progress,omitempty"`
 }
 
 // Job is one submitted unit of work. The scheduler owns state
 // transitions; the executor fills result and artifacts; the HTTP
-// layer reads snapshots via Status() and streams events via
-// EventsSince().
+// layer reads snapshots via Status() and waits on terminal.
 type Job struct {
 	ID     string
 	Tenant string
@@ -105,52 +104,42 @@ type Job struct {
 	errMsg    string
 	result    []byte
 	artifacts []ArtifactInfo
-	events    []Event
-	// changed is closed and replaced on every event append — a
-	// broadcast that wakes all streaming readers.
-	changed chan struct{}
+	progress  *Progress
+	// terminal is closed once, when the job reaches a terminal state —
+	// a broadcast that wakes every long poll.
+	terminal chan struct{}
 
 	submittedNs, startedNs, doneNs int64
 }
 
 func newJob(id, tenant string, req *JobRequest, body []byte, now int64) *Job {
-	j := &Job{
+	return &Job{
 		ID:          id,
 		Tenant:      tenant,
 		Req:         req,
 		reqBody:     body,
 		state:       StateQueued,
-		changed:     make(chan struct{}),
+		terminal:    make(chan struct{}),
 		submittedNs: now,
 	}
-	j.appendEventLocked(Event{State: StateQueued})
-	return j
 }
 
-// appendEventLocked assigns the next sequence number, appends, and
-// wakes streamers. Callers hold j.mu or have exclusive access (the
-// constructor).
-func (j *Job) appendEventLocked(e Event) {
-	e.Seq = len(j.events) + 1
-	j.events = append(j.events, e)
-	close(j.changed)
-	j.changed = make(chan struct{})
-}
-
-// Publish appends a progress event (used by executors for per-cell
-// sweep progress).
-func (j *Job) Publish(e Event) {
+// setProgress records a sweep's progress; Elapsed is wall clock and
+// dropped. Each call stores a new Progress and none is written after,
+// so Status shares the pointer. A terminal job keeps the progress it
+// ended with.
+func (j *Job) setProgress(p rr.SweepProgress) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return
+	if !j.state.Terminal() {
+		j.progress = &Progress{Done: p.Done, Total: p.Total, Label: p.Label}
 	}
-	j.appendEventLocked(e)
 }
 
-// setState transitions the job and emits the matching event. Terminal
-// states are sticky: once terminal, further transitions are ignored
-// (a cancel racing a completion keeps whichever landed first).
+// setState transitions the job and closes terminal on the transition
+// that ends it. Terminal states are sticky: once terminal, further
+// transitions are ignored (a cancel racing a completion keeps
+// whichever landed first).
 func (j *Job) setState(s State, errMsg string, now int64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -164,8 +153,8 @@ func (j *Job) setState(s State, errMsg string, now int64) {
 		j.startedNs = now
 	case StateDone, StateFailed, StateCancelled, StateCheckpointed, StateRejected:
 		j.doneNs = now
+		close(j.terminal)
 	}
-	j.appendEventLocked(Event{State: s, Detail: errMsg})
 }
 
 // State returns the current state.
@@ -203,27 +192,6 @@ func (j *Job) cancel() { j.cancelled.Store(true) }
 // opposed to a drain checkpoint request.
 func (j *Job) Cancelled() bool { return j.cancelled.Load() }
 
-// EventsSince returns the events with Seq > after, the current state,
-// and a channel that closes when the next event lands. The channel
-// lets a streamer wait without polling.
-func (j *Job) EventsSince(after int) ([]Event, State, <-chan struct{}) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	var out []Event
-	if after < len(j.events) {
-		out = append(out, j.events[after:]...)
-	}
-	return out, j.state, j.changed
-}
-
-// watch returns the current state and the channel that closes when the
-// next event lands: EventsSince for a waiter that needs no events.
-func (j *Job) watch() (State, <-chan struct{}) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state, j.changed
-}
-
 // Status snapshots the job document.
 func (j *Job) Status() Status {
 	j.mu.Lock()
@@ -241,6 +209,7 @@ func (j *Job) Status() Status {
 	if j.doneNs > j.startedNs && j.startedNs > 0 {
 		st.RunNs = j.doneNs - j.startedNs
 	}
+	st.Progress = j.progress
 	st.Artifacts = append(st.Artifacts, j.artifacts...)
 	if len(j.result) > 0 {
 		st.Result = append(json.RawMessage(nil), j.result...)

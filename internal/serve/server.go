@@ -92,7 +92,6 @@ func NewServer(opts ServerOptions) (*Server, error) {
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/artifacts", s.handleArtifactList)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/artifacts/{name}", s.handleArtifact)
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
@@ -219,19 +218,14 @@ func waitParam(r *http.Request) (bool, error) {
 }
 
 // awaitTerminal blocks until j is terminal (true) or ctx is done
-// (false), waking on each event the job appends.
+// (false).
 func awaitTerminal(ctx context.Context, j *Job) bool {
-	for {
-		state, changed := j.watch()
-		if state.Terminal() {
-			return true
-		}
-		//rebound:nondet a long poll races client disconnect by design; the status it writes is read after the job is terminal
-		select {
-		case <-changed:
-		case <-ctx.Done():
-			return false
-		}
+	//rebound:nondet a long poll races client disconnect by design; the status it writes is read after the job is terminal
+	select {
+	case <-j.terminal:
+		return true
+	case <-ctx.Done():
+		return false
 	}
 }
 
@@ -245,52 +239,6 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		ID        string `json:"id"`
 		Cancelled bool   `json:"cancelled"`
 	}{id, true})
-}
-
-// handleEvents streams the job's progress events as NDJSON over
-// chunked HTTP, one JSON object per line, until the job reaches a
-// terminal state or the client disconnects. Each event is flushed as
-// it lands, so a client sees sweep progress live.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.job(w, r)
-	if !ok {
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	after := 0
-	for {
-		events, state, changed := j.EventsSince(after)
-		for _, e := range events {
-			data, err := json.Marshal(e)
-			if err != nil {
-				return
-			}
-			if _, err := w.Write(append(data, '\n')); err != nil {
-				return // client went away; the job keeps running
-			}
-		}
-		after += len(events)
-		if flusher != nil {
-			flusher.Flush()
-		}
-		if state.Terminal() {
-			// The terminal transition appends its event under the same
-			// lock, so once we observe a terminal state with no new
-			// events, the stream is complete.
-			if more, _, _ := j.EventsSince(after); len(more) == 0 {
-				return
-			}
-			continue
-		}
-		//rebound:nondet stream pacing races client disconnect by design; events themselves are deterministic per job
-		select {
-		case <-changed:
-		case <-r.Context().Done():
-			return
-		}
-	}
 }
 
 func (s *Server) handleArtifactList(w http.ResponseWriter, r *http.Request) {

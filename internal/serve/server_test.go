@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"compress/gzip"
 	"context"
@@ -19,6 +18,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	rr "roborebound"
 )
 
 func newTestServer(t *testing.T, opts ServerOptions) (*Server, *httptest.Server, *Client) {
@@ -182,7 +183,6 @@ func TestServerNotFound(t *testing.T) {
 	_, ts, _ := newTestServer(t, ServerOptions{Workers: 1})
 	for _, path := range []string{
 		"/v1/jobs/nope",
-		"/v1/jobs/nope/events",
 		"/v1/jobs/nope/artifacts",
 		"/v1/jobs/nope/artifacts/metrics.json",
 	} {
@@ -534,20 +534,13 @@ func TestServerWaitLongPoll(t *testing.T) {
 
 // TestServerCloseEndsEveryJob: closing a server whose one worker is
 // busy ends the running job cancelled and every queued job rejected
-// with its resubmission handle, so an open event stream and a wait on a
-// queued job both return.
+// with its resubmission handle, so a wait on a queued job returns.
 func TestServerCloseEndsEveryJob(t *testing.T) {
 	ss := newStubServer(t)
 	running := ss.submit(t)
 	queued := []Status{ss.submit(t), ss.submit(t), ss.submit(t)}
 	ss.awaitRunning(t, running.ID)
 
-	streamers := goroutinesIn("serve.(*Server).handleEvents")
-	events := make(chan error, 1)
-	go func() { events <- ss.client.Events(ss.ctx, queued[0].ID, nil) }()
-	waitFor(t, "the event stream to open", func() bool {
-		return goroutinesIn("serve.(*Server).handleEvents") > streamers
-	})
 	wait := ss.startWait(t, ss.ctx, queued[1].ID)
 
 	ss.srv.Close()
@@ -564,14 +557,6 @@ func TestServerCloseEndsEveryJob(t *testing.T) {
 		if got.State != want || (want == StateRejected && len(got.Resubmit) == 0) {
 			t.Errorf("job %s after Close: %q (resubmit %d bytes), want %q", st.ID, got.State, len(got.Resubmit), want)
 		}
-	}
-	select {
-	case err := <-events:
-		if err != nil {
-			t.Errorf("event stream: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Error("event stream on a queued job still open after Close")
 	}
 	if o := waitResult(t, wait); o.err != nil || o.st.State != StateRejected {
 		t.Errorf("wait on a queued job after Close = %q, %v; want rejected", o.st.State, o.err)
@@ -879,58 +864,6 @@ func TestServerGzipWriteFailure(t *testing.T) {
 	}
 }
 
-// TestServerEventStreamDisconnect: a client abandoning the NDJSON
-// stream mid-job must not disturb the job — it runs to completion and
-// a fresh stream replays every event from the start.
-func TestServerEventStreamDisconnect(t *testing.T) {
-	_, _, client := newTestServer(t, ServerOptions{Workers: 1})
-	ctx := context.Background()
-
-	req := validChaosRequest()
-	req.DurationSec = 20
-	st, err := client.Submit(ctx, req)
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-
-	// Open the stream, take the first event, then hang up.
-	streamCtx, cancelStream := context.WithCancel(ctx)
-	got := make(chan Event, 1)
-	go client.Events(streamCtx, st.ID, func(e Event) {
-		select {
-		case got <- e:
-		default:
-		}
-	})
-	select {
-	case <-got:
-	case <-time.After(10 * time.Second):
-		t.Fatal("no event arrived before disconnect")
-	}
-	cancelStream()
-
-	// The job is unaffected: it runs to done.
-	final, err := client.Wait(ctx, st.ID)
-	if err != nil {
-		t.Fatalf("wait after disconnect: %v", err)
-	}
-	if final.State != StateDone {
-		t.Fatalf("state after disconnect = %q (error %q), want done", final.State, final.Error)
-	}
-
-	// A replayed stream starts from seq 1 and ends terminal.
-	var events []Event
-	if err := client.Events(ctx, st.ID, func(e Event) { events = append(events, e) }); err != nil {
-		t.Fatalf("replay events: %v", err)
-	}
-	if len(events) < 2 || events[0].Seq != 1 || events[0].State != StateQueued {
-		t.Fatalf("replayed stream malformed: %+v", events)
-	}
-	if last := events[len(events)-1]; last.State != StateDone {
-		t.Fatalf("replayed stream ends %q, want done", last.State)
-	}
-}
-
 // TestServerTenantsAndMetrics: a tenant's occupancy and tallies are
 // served as serve.tenant.<t>.* samples on /v1/metrics.
 func TestServerTenantsAndMetrics(t *testing.T) {
@@ -1029,33 +962,54 @@ func TestServerConcurrentTenantSessions(t *testing.T) {
 	}
 }
 
-// TestClientEventsLineLimit: the event scanner starts at bufio's
-// default buffer and grows on demand, so the line limit is still 1 MiB
-// — a line just under it parses, one over it is bufio.ErrTooLong.
-func TestClientEventsLineLimit(t *testing.T) {
-	const frame = `{"seq":1,"label":""}` + "\n"
-	line := func(size int) string { // one event line of exactly size bytes, newline included
-		return `{"seq":1,"label":"` + strings.Repeat("x", size-len(frame)) + `"}` + "\n"
-	}
-	const under, over = 1<<20 - 1, 1<<20 + 2
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		size := under
-		if strings.Contains(r.URL.Path, "/over/") {
-			size = over
-		}
-		io.WriteString(w, `{"seq":0,"state":"running"}`+"\n"+line(size))
-	}))
-	defer ts.Close()
-	client := &Client{Base: ts.URL}
+// TestServerStatusProgress: a sweep job's terminal status reports
+// every cell finished, the last one labelled; a chaos-cell job's
+// status carries no progress at all.
+func TestServerStatusProgress(t *testing.T) {
+	_, _, client := newTestServer(t, ServerOptions{Workers: 1})
+	ctx := context.Background()
 
-	var got []Event
-	if err := client.Events(context.Background(), "under", func(e Event) { got = append(got, e) }); err != nil {
-		t.Fatalf("a %d-byte event line: %v", under, err)
+	sizes := []int{4, 6}
+	st, err := client.Run(ctx, &JobRequest{Version: RequestVersion, Kind: KindFig7Scale, Sizes: sizes, DurationSec: 4, Seed: 1})
+	if err != nil || st.State != StateDone {
+		t.Fatalf("fig7-scale run: %v (state %v, error %q)", err, st.State, st.Error)
 	}
-	if len(got) != 2 || got[1].Seq != 1 || len(got[1].Label) != under-len(frame) {
-		t.Fatalf("got %d events, want the short one and the long one intact", len(got))
+	want := Progress{Done: len(sizes), Total: len(sizes), Label: "fig7 N=6 spacing=64m"}
+	if st.Progress == nil || *st.Progress != want {
+		t.Errorf("fig7-scale progress = %+v, want %+v", st.Progress, want)
 	}
-	if err := client.Events(context.Background(), "over", nil); !errors.Is(err, bufio.ErrTooLong) {
-		t.Fatalf("a %d-byte event line: err = %v, want bufio.ErrTooLong", over, err)
+
+	st, err = client.Run(ctx, validChaosRequest())
+	if err != nil || st.State != StateDone {
+		t.Fatalf("chaos run: %v (state %v)", err, st.State)
+	}
+	if st.Progress != nil {
+		t.Errorf("chaos job reports progress %+v, want none", *st.Progress)
+	}
+}
+
+// TestJobProgressSurvivesTerminal: progress set while a job runs shows
+// in its status and stays as it was once the job is terminal; a late
+// update cannot move it.
+func TestJobProgressSurvivesTerminal(t *testing.T) {
+	j := newJob("t-1", "t", validChaosRequest(), nil, 1)
+	if j.Status().Progress != nil {
+		t.Fatal("a fresh job reports progress")
+	}
+	j.setState(StateRunning, "", 2)
+	want := Progress{Done: 1, Total: 2, Label: "cell 1"}
+	j.setProgress(rr.SweepProgress{Done: 1, Total: 2, Label: "cell 1", Elapsed: time.Second})
+	if got := j.Status().Progress; got == nil || *got != want {
+		t.Fatalf("running job progress = %+v, want %+v", got, want)
+	}
+	j.setState(StateDone, "", 3)
+	j.setProgress(rr.SweepProgress{Done: 2, Total: 2, Label: "late"})
+	if got := j.Status().Progress; got == nil || *got != want {
+		t.Errorf("terminal job progress = %+v, want %+v", got, want)
+	}
+	select {
+	case <-j.terminal:
+	default:
+		t.Error("terminal channel still open after the job ended")
 	}
 }

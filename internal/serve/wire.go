@@ -195,6 +195,10 @@ func (r *JobRequest) Validate() error {
 	if err := boundedInt("mtu_bytes", r.MTUBytes, 0, maxMTUBytes); err != nil {
 		return err
 	}
+	if r.MTUBytes > 0 && r.MTUBytes < faultinject.MinMTUBytes {
+		return fmt.Errorf("serve: mtu_bytes %d is below %d, the smallest MTU that carries an audit response unfragmented (0 disables fragmentation)",
+			r.MTUBytes, faultinject.MinMTUBytes)
+	}
 	if err := boundedInt("workers", r.Workers, 0, maxJobWorkers); err != nil {
 		return err
 	}

@@ -76,6 +76,10 @@ func TestDecodeJobRequestRejects(t *testing.T) {
 		{"inert default-profile chaos", `{"version":1,"kind":"chaos","duration_sec":24}`, `duration_sec 24 schedules no mixed faults`},
 		{"inert loss trace", `{"version":1,"kind":"trace","profile":"loss","duration_sec":4}`, `duration_sec 4 schedules no loss faults`},
 		{"inert default-profile snapshot", `{"version":1,"kind":"snapshot","duration_sec":4,"snapshot_at_tick":8}`, `duration_sec 4 schedules no mixed faults`},
+		// Below 53 bytes an audit response fragments and the schedule's
+		// audit faults cannot see it; at 11 no fragment header fits.
+		{"mtu carries no fragment header", `{"version":1,"kind":"chaos","profile":"none","mtu_bytes":11}`, "mtu_bytes 11 is below 53, the smallest MTU that carries an audit response unfragmented"},
+		{"mtu one below the floor", `{"version":1,"kind":"trace","mtu_bytes":52}`, "mtu_bytes 52 is below 53"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -91,8 +95,8 @@ func TestDecodeJobRequestRejects(t *testing.T) {
 }
 
 // TestDecodeInertBoundary pins the accepting side of the inert-cell
-// rule: the first duration that schedules a fault, and short cells
-// whose effective profile is none.
+// rule — the first duration that schedules a fault, and short cells
+// whose effective profile is none — and of the MTU floor.
 func TestDecodeInertBoundary(t *testing.T) {
 	for _, body := range []string{
 		`{"version":1,"kind":"chaos","profile":"mixed","duration_sec":25}`,
@@ -100,6 +104,7 @@ func TestDecodeInertBoundary(t *testing.T) {
 		`{"version":1,"kind":"chaos","profile":"none","duration_sec":1}`,
 		`{"version":1,"kind":"trace","duration_sec":3}`,
 		`{"version":1,"kind":"fig7-scale","duration_sec":4}`,
+		`{"version":1,"kind":"trace","duration_sec":3,"mtu_bytes":53}`,
 	} {
 		if _, err := DecodeJobRequest([]byte(body)); err != nil {
 			t.Errorf("%s: %v", body, err)

@@ -23,9 +23,8 @@ import (
 func buildTestRun() *Run {
 	wcfg := sim.DefaultWorldConfig()
 	world := sim.NewWorld(wcfg)
-	params := radio.DefaultParams()
-	params.LossRate = 0.05
-	medium := radio.NewMedium(params, world.Position, 42)
+	medium := radio.NewMedium(radio.DefaultParams(), world.Position, 42)
+	medium.SetLossModel(radio.UniformLoss{Rate: 0.05})
 	engine := sim.NewEngine(world, medium)
 
 	route := []geom.Vec2{geom.V(0, 0), geom.V(30, 0), geom.V(30, 30), geom.V(0, 30)}

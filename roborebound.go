@@ -138,7 +138,6 @@ func NewSim(cfg SimConfig) *Sim {
 		medium.SetObs(cfg.Trace, cfg.Metrics)
 	}
 	if f := cfg.Faults; f != nil {
-		f.BaseLoss = cfg.Radio.LossRate
 		if lm := f.LossModel(s.Engine.Now); lm != nil {
 			medium.SetLossModel(lm)
 		}

@@ -2,7 +2,7 @@
 // kind, submitted over real HTTP to a roborebound serve instance, must
 // produce byte-identical result documents and artifacts to the same
 // request executed directly through the facade path (RunJobDirect).
-// The server adds scheduling, streaming, storage, and transport — none
+// The server adds scheduling, long polling, storage, and transport — none
 // of which may perturb a single result byte.
 //
 // This file is package roborebound_test (not roborebound) because
@@ -14,8 +14,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -240,8 +243,8 @@ func TestServeDifferentialResumeChain(t *testing.T) {
 }
 
 // TestServeDifferentialClientDisconnect is the matrix's disconnect
-// cell: a client that vanishes mid-stream must not perturb the job —
-// its eventual result stays byte-identical to the direct run.
+// cell: a client that abandons its long poll mid-job must not perturb
+// the job — its eventual result stays byte-identical to the direct run.
 func TestServeDifferentialClientDisconnect(t *testing.T) {
 	h := newDiffHarness(t)
 	ctx := context.Background()
@@ -249,28 +252,31 @@ func TestServeDifferentialClientDisconnect(t *testing.T) {
 	req := &serve.JobRequest{
 		Version: serve.RequestVersion, Kind: serve.KindChaos,
 		Controller: "flocking", Profile: "mixed", Seed: 5,
-		N: 32, DurationSec: 30, Events: true,
+		N: 32, DurationSec: 60, Events: true,
 	}
 	st, err := h.client.Submit(ctx, req)
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-
-	// Open the event stream, take the first event, hang up mid-job.
-	streamCtx, cancelStream := context.WithCancel(ctx)
-	first := make(chan struct{}, 1)
-	go h.client.Events(streamCtx, st.ID, func(serve.Event) {
-		select {
-		case first <- struct{}{}:
-		default:
-		}
+	pollUntil(t, "the job to run", func() bool {
+		cur, err := h.client.Status(ctx, st.ID)
+		return err == nil && cur.State == serve.StateRunning
 	})
-	select {
-	case <-first:
-	case <-time.After(10 * time.Second):
-		t.Fatal("no event before disconnect")
+
+	// Park a ?wait=1 long poll on the running job, then hang up.
+	const poll = "serve.awaitTerminal("
+	parked := goroutinesIn(poll)
+	waitCtx, cancelWait := context.WithCancel(ctx)
+	abandoned := make(chan error, 1)
+	go func() {
+		_, err := h.client.Wait(waitCtx, st.ID)
+		abandoned <- err
+	}()
+	pollUntil(t, "the long poll to reach the server", func() bool { return goroutinesIn(poll) > parked })
+	cancelWait()
+	if err := <-abandoned; !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoned wait: err = %v, want context.Canceled", err)
 	}
-	cancelStream()
 
 	final, err := h.client.Wait(ctx, st.ID)
 	if err != nil {
@@ -294,6 +300,29 @@ func TestServeDifferentialClientDisconnect(t *testing.T) {
 		}
 		if !bytes.Equal(got, blob.Data) {
 			t.Errorf("disconnect cell artifact %s diverges from direct run", blob.Name)
+		}
+	}
+}
+
+// goroutinesIn counts the goroutines whose stack holds a frame of fn,
+// a package-qualified function name followed by "(".
+func goroutinesIn(fn string) int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), fn)
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// pollUntil polls cond until it holds, failing the test after 10 s.
+func pollUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
 		}
 	}
 }

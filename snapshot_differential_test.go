@@ -509,6 +509,23 @@ func TestChaosTickLoopBoundaries(t *testing.T) {
 	}
 }
 
+// TestChaosEchoMTUFloor: an echo naming an MTU RunChaos would refuse
+// does not decode, so a hostile snapshot cannot reach that panic.
+func TestChaosEchoMTUFloor(t *testing.T) {
+	for _, c := range []struct {
+		mtu int
+		ok  bool
+	}{{0, true}, {11, false}, {faultinject.MinMTUBytes - 1, false}, {faultinject.MinMTUBytes, true}, {66, true}} {
+		echo := encodeChaosEcho(ChaosConfig{Profile: faultinject.ProfileNone, MTUBytes: c.mtu}.withDefaults())
+		cfg, err := decodeChaosEcho(echo)
+		if ok := err == nil; ok != c.ok {
+			t.Errorf("echo with MTU %d: err = %v, want accepted %v", c.mtu, err, c.ok)
+		} else if ok && cfg.MTUBytes != c.mtu {
+			t.Errorf("echo with MTU %d decodes to MTU %d", c.mtu, cfg.MTUBytes)
+		}
+	}
+}
+
 // FuzzChaosEcho: decoding a snapshot's config echo never panics, and
 // an echo it accepts re-encodes to the same bytes.
 func FuzzChaosEcho(f *testing.F) {

@@ -95,6 +95,9 @@ func decodeChaosEcho(b []byte) (ChaosConfig, error) {
 	if r.Err() != nil {
 		return cfg, r.Err()
 	}
+	if cfg.MTUBytes > 0 && cfg.MTUBytes < faultinject.MinMTUBytes {
+		return cfg, fmt.Errorf("roborebound: snapshot echo MTU %d is below %d", cfg.MTUBytes, faultinject.MinMTUBytes)
+	}
 	// Each encoded fault is at least 49 bytes.
 	if nFaults > r.Remaining()/49 {
 		return cfg, errors.New("roborebound: snapshot echo fault count exceeds payload")
