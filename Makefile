@@ -33,10 +33,11 @@ race:
 
 # The serve layer's concurrency, ten times over under the race
 # detector: the long-poll wake-up, Close ending queued jobs under open
-# waits, the pooled gzip writers, and artifact fetches on both sides of
-# the gzip threshold.
+# waits, the pooled gzip writers, artifact fetches on both sides of
+# the gzip threshold, and the tallies the scheduler keeps under its
+# lock and /v1/metrics reads under it.
 race-serve:
-	$(GO) test -race -count=10 -run 'Wait|Close|Gzip|Artifact' ./internal/serve
+	$(GO) test -race -count=10 -run 'Wait|Close|Gzip|Artifact|Metrics|Tenant|Telemetry' ./internal/serve
 
 # The sweep runner's worker pool, twenty times over under the race
 # detector: dispatch, per-cell panic capture with every cell still

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"slices"
 
 	"roborebound/internal/attack"
 	"roborebound/internal/control"
@@ -28,6 +29,10 @@ import (
 // deterministic metrics. RunChaosMatrix sweeps cells across the
 // runner pool; parallelism never changes a single byte of any cell's
 // result.
+
+// Controllers lists the chaos cell's missions, in the order the chaos
+// soak runs them.
+func Controllers() []string { return []string{"flocking", "patrol", "warehouse"} }
 
 // ChaosConfig describes one chaos cell. Zero values take defaults.
 type ChaosConfig struct {
@@ -132,6 +137,19 @@ type ChaosConfig struct {
 	// straight from it, and the run stops at the tick the checker
 	// latches. Unexported and absent from the snapshot echo.
 	flight *obs.FlightRecorder
+}
+
+// unknownName names a defaulted cell's controller or profile when it is
+// not one the cell can run, so a misspelling never runs some other
+// cell under its label. Nil when both are known.
+func (c ChaosConfig) unknownName() error {
+	if !slices.Contains(Controllers(), c.Controller) {
+		return fmt.Errorf("roborebound: unknown chaos controller %q (want one of %v)", c.Controller, Controllers())
+	}
+	if !slices.Contains(faultinject.Profiles(), c.Profile) {
+		return fmt.Errorf("roborebound: unknown fault profile %q (want one of %v)", c.Profile, faultinject.Profiles())
+	}
+	return nil
 }
 
 func (c ChaosConfig) withDefaults() ChaosConfig {
@@ -304,7 +322,7 @@ func buildChaosSim(cfg ChaosConfig, cc core.Config, sched *faultinject.Schedule)
 			return attack.Blocker{X: 30, Y: 6*float64(slot) + 3, Period: 2}
 		}
 
-	default: // flocking
+	case "flocking":
 		goal := geom.V(220, 220)
 		factory = flocking.Factory{Params: flocking.DefaultParams(TicksPerSecond, cfg.SpacingM, goal)}
 		positions = GridPositions(cfg.N, cfg.SpacingM, geom.Zero2)
@@ -355,13 +373,18 @@ func chaosSchedule(cfg ChaosConfig, cc core.Config) faultinject.Schedule {
 // RunChaos runs one chaos cell: generate the fault schedule from
 // (config, seed), build the mission, watch every tick with the
 // invariant checker, and summarize. Identical configs produce
-// byte-identical results.
+// byte-identical results. RunChaos panics on a controller outside
+// Controllers, a profile outside faultinject.Profiles, or an MTU below
+// faultinject.MinMTUBytes.
 func RunChaos(cfg ChaosConfig) ChaosResult {
 	if cfg.MTUBytes > 0 && cfg.MTUBytes < faultinject.MinMTUBytes {
 		panic(fmt.Sprintf("roborebound: chaos MTU %d is below %d, the smallest that carries an audit response unfragmented",
 			cfg.MTUBytes, faultinject.MinMTUBytes))
 	}
 	cfg = cfg.withDefaults()
+	if err := cfg.unknownName(); err != nil {
+		panic(err.Error())
+	}
 	cc := core.DefaultConfig(TicksPerSecond)
 	cc.Fmax = cfg.Fmax
 	cc.AutoServeLimit()
@@ -383,7 +406,7 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 	checker.Trace = cfg.Trace
 	if rec := cfg.flight; rec != nil {
 		checker.Explain = func(v *faultinject.Violation) ([]obs.Event, error) {
-			return rec.Events(v.Robot), nil
+			return rec.Events(), nil
 		}
 	} else {
 		checker.Explain = func(v *faultinject.Violation) ([]obs.Event, error) {
@@ -497,7 +520,7 @@ func (c ChaosConfig) fromTickZero() ChaosConfig {
 // continues, since the re-run starts where that run did.
 func explainLatch(cfg ChaosConfig, v *faultinject.Violation) ([]obs.Event, error) {
 	rerun := cfg.fromTickZero()
-	rerun.flight = obs.NewFlightRecorder(obs.DefaultFlightRing)
+	rerun.flight = obs.NewFlightRecorder(v.Robot)
 	rerun.Trace = rerun.flight
 	w := RunChaos(rerun).Violation
 	if w == nil {

@@ -162,7 +162,7 @@ func TestChaosCheckerDetectsSuppressedSafeMode(t *testing.T) {
 			DriftPer1024: -1024,
 		}},
 	}
-	oracle := newLatchOracle()
+	oracle := newLatchOracle(attackerID)
 	cfg.Trace = oracle
 	r := RunChaos(cfg)
 	v := r.Violation
@@ -222,23 +222,24 @@ func TestChaosCheckerDetectsSuppressedSafeMode(t *testing.T) {
 	}
 }
 
-// latchOracle is a live flight recorder, attached as a cell's Trace,
-// that freezes the offending robot's dump when the checker's violation
-// marker goes by: the dump a recorder running all along would hand the
-// checker at the latch, which the rebuilt Violation.Events must equal.
+// latchOracle is a live flight recorder on the robot a cell is known
+// to latch, attached as the cell's Trace, that freezes its dump when
+// the checker's violation marker goes by: the dump a recorder running
+// all along would hand the checker at the latch, which the rebuilt
+// Violation.Events must equal.
 type latchOracle struct {
 	rec    *obs.FlightRecorder
 	dump   []obs.Event
 	frozen bool
 }
 
-func newLatchOracle() *latchOracle {
-	return &latchOracle{rec: obs.NewFlightRecorder(obs.DefaultFlightRing)}
+func newLatchOracle(robot wire.RobotID) *latchOracle {
+	return &latchOracle{rec: obs.NewFlightRecorder(robot)}
 }
 
 func (o *latchOracle) Emit(e obs.Event) {
 	if e.Kind == obs.EvInvariantViolation && !o.frozen {
-		o.dump, o.frozen = o.rec.Events(e.Robot), true
+		o.dump, o.frozen = o.rec.Events(), true
 	}
 	o.rec.Emit(e)
 }
@@ -522,7 +523,7 @@ func TestKnownFalsePositiveLatches(t *testing.T) {
 		t.Run(l.config().Label(), func(t *testing.T) {
 			t.Parallel()
 			cfg := l.config()
-			oracle := newLatchOracle()
+			oracle := newLatchOracle(l.robot)
 			cfg.Trace = oracle
 			v := RunChaos(cfg).Violation
 			l.check(t, v)

@@ -15,6 +15,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	rr "roborebound"
@@ -153,16 +154,29 @@ func main() {
 // checkArgs rejects arguments after the subcommand. The flag package
 // stops parsing at the first positional, so a trailing "-n 300" would
 // otherwise be ignored and the default cell run in its place. Only
-// trace takes a positional: its scenario.
+// trace takes a positional: its scenario. It also rejects a chaos cell
+// the subcommand would run under a controller or profile RunChaos does
+// not know.
 func checkArgs(args []string) error {
 	rest := args[1:]
 	if args[0] == "trace" && len(rest) > 0 && !strings.HasPrefix(rest[0], "-") {
+		if !slices.Contains(rr.Controllers(), rest[0]) {
+			return fmt.Errorf("unknown trace scenario %q (want one of %v)", rest[0], rr.Controllers())
+		}
 		rest = rest[1:]
 	}
-	if len(rest) == 0 {
-		return nil
+	if len(rest) > 0 {
+		return fmt.Errorf("unexpected argument %q after %q: flags go before the subcommand", rest[0], args[0])
 	}
-	return fmt.Errorf("unexpected argument %q after %q: flags go before the subcommand", rest[0], args[0])
+	if args[0] == "snapshot" || args[0] == "perf" {
+		if !slices.Contains(rr.Controllers(), *snapController) {
+			return fmt.Errorf("unknown -controller %q (want one of %v)", *snapController, rr.Controllers())
+		}
+		if !slices.Contains(faultinject.Profiles(), faultinject.Profile(*snapProfile)) {
+			return fmt.Errorf("unknown -profile %q (want one of %v)", *snapProfile, faultinject.Profiles())
+		}
+	}
+	return nil
 }
 
 func usage() {
@@ -427,7 +441,7 @@ var chaosFailed bool
 // nonzero if any cell violates an invariant or leaves an attacker
 // undisabled, so CI can gate on it directly.
 func chaos() {
-	controllers := []string{"flocking", "patrol", "warehouse"}
+	controllers := rr.Controllers()
 	profiles := faultinject.Profiles()
 	nseeds := uint64(10)
 	if *quick {

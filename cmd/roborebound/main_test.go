@@ -120,6 +120,10 @@ func TestCLIArguments(t *testing.T) {
 		{"removed scale subcommand", []string{"scale"}, 2, `unknown subcommand "scale"`, ""},
 		{"removed -spatial flag", []string{"-spatial", "chaos"}, 2, "flag provided but not defined: -spatial", ""},
 		{"removed -selftest flag", []string{"-selftest", "serve"}, 2, "flag provided but not defined: -selftest", ""},
+		{"misspelled trace scenario", []string{"-quick", "trace", "patroll"}, 2, `unknown trace scenario "patroll"`, ""},
+		{"misspelled snapshot controller", []string{"-controller", "flockin", "-duration", "30", "-o", os.DevNull, "snapshot"}, 2, `unknown -controller "flockin"`, ""},
+		{"misspelled snapshot profile", []string{"-profile", "mixd", "-duration", "30", "-o", os.DevNull, "snapshot"}, 2, `unknown -profile "mixd"`, ""},
+		{"misspelled perf profile", []string{"-quick", "-profile", "mixd", "perf"}, 2, `unknown -profile "mixd"`, ""},
 		{"plain subcommand", []string{"table1"}, 0, "", ""},
 		{"trace keeps its scenario", []string{"-quick", "trace", "patrol"}, 0, "", "trace patrol"},
 	}

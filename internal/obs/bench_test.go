@@ -37,41 +37,20 @@ func BenchmarkEmitCollector(b *testing.B) {
 }
 
 func BenchmarkEmitFlightRecorder(b *testing.B) {
-	f := NewFlightRecorder(DefaultFlightRing)
+	f := NewFlightRecorder(benchEvent(0).Robot)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Emit(f, benchEvent(i))
 	}
 }
 
-func BenchmarkCounterAdd(b *testing.B) {
-	r := NewRegistry()
-	c := r.Counter("bench")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-}
-
-func BenchmarkCounterAddNil(b *testing.B) {
-	var c *Counter
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-}
-
 func BenchmarkRegistrySnapshot(b *testing.B) {
 	r := NewRegistry()
 	for i := 0; i < 64; i++ {
-		r.Counter(benchName(i)).Add(uint64(i))
+		r.Register("core.robot.", uint64(i), &testSource{tally: uint64(i)})
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = r.Snapshot()
 	}
-}
-
-func benchName(i int) string {
-	return "core.robot." + string(rune('a'+i%26)) + ".rounds"
 }

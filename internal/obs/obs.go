@@ -1,5 +1,5 @@
 // Package obs is the deterministic observability layer: a typed
-// protocol-event tracer, a bounded per-robot flight recorder, and a
+// protocol-event tracer, a bounded one-robot flight recorder, and a
 // metrics registry with deterministic snapshots.
 //
 // RoboRebound's value proposition is accountability — a robot must be
@@ -146,7 +146,7 @@ type Event struct {
 	// medium's delivery clock for frame events. Never wall time.
 	Tick wire.Tick
 	// Robot is the robot the event belongs to (the flight recorder
-	// rings by this). wire.Broadcast marks system-wide events.
+	// keeps only its robot's). wire.Broadcast marks system-wide events.
 	Robot wire.RobotID
 	// Kind is the event type.
 	Kind EventKind

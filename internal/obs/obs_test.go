@@ -81,34 +81,36 @@ func TestCollectorOrder(t *testing.T) {
 }
 
 func TestFlightRecorderBoundsAndOrder(t *testing.T) {
-	f := NewFlightRecorder(4)
-	// 10 protocol events for robot 1: only the last 4 survive.
-	for i := 0; i < 10; i++ {
+	f := NewFlightRecorder(1)
+	// 100 protocol events for robot 1, interleaved with robot 2's:
+	// only robot 1's last 64 survive.
+	for i := 0; i < 100; i++ {
 		f.Emit(Event{Tick: wire.Tick(i), Robot: 1, Kind: EvTokenGranted, Value: int64(i)})
+		f.Emit(Event{Tick: wire.Tick(i), Robot: 2, Kind: EvTokenGranted, Value: -1})
 	}
-	got := f.Events(1)
-	if len(got) != 4 {
-		t.Fatalf("retained %d events, want 4", len(got))
+	got := f.Events()
+	if len(got) != flightRing {
+		t.Fatalf("retained %d events, want %d", len(got), flightRing)
 	}
 	for i, e := range got {
-		if want := int64(6 + i); e.Value != want {
-			t.Fatalf("event %d value = %d, want %d (last-N, in order)", i, e.Value, want)
+		if want := int64(100 - flightRing + i); e.Robot != 1 || e.Value != want {
+			t.Fatalf("event %d = robot %d value %d, want robot 1 value %d (its last 64, in order)", i, e.Robot, e.Value, want)
 		}
 	}
-	if d := f.Dropped(1); d != 6 {
-		t.Fatalf("Dropped = %d, want 6", d)
+	if NewFlightRecorder(3).Events() != nil {
+		t.Fatal("a recorder whose robot never emitted should dump nil")
 	}
 }
 
 func TestFlightRecorderPlaneIsolation(t *testing.T) {
-	f := NewFlightRecorder(2)
+	f := NewFlightRecorder(5)
 	// Protocol history first, then a flood of frame events.
 	f.Emit(Event{Tick: 1, Robot: 5, Kind: EvSafeModeEntered})
 	f.Emit(Event{Tick: 2, Robot: 5, Kind: EvTokenExpired})
-	for i := 0; i < 50; i++ {
+	for i := 0; i < 200; i++ {
 		f.Emit(Event{Tick: wire.Tick(10 + i), Robot: 5, Kind: EvFrameRx})
 	}
-	got := f.Events(5)
+	got := f.Events()
 	var protocol []Event
 	for _, e := range got {
 		if !e.Kind.FramePlane() {
@@ -118,29 +120,12 @@ func TestFlightRecorderPlaneIsolation(t *testing.T) {
 	if len(protocol) != 2 || protocol[0].Kind != EvSafeModeEntered || protocol[1].Kind != EvTokenExpired {
 		t.Fatalf("frame flood evicted protocol history: %v", protocol)
 	}
+	if len(got) != 2+flightRing {
+		t.Fatalf("retained %d events, want the 2 protocol events and the last %d frames", len(got), flightRing)
+	}
 	// Merged dump is in emission order: protocol events precede the
 	// surviving frame events.
-	if got[0].Kind != EvSafeModeEntered || got[1].Kind != EvTokenExpired {
-		t.Fatalf("merged dump out of order: %v", got[:2])
-	}
-}
-
-func TestFlightRecorderRobots(t *testing.T) {
-	f := NewFlightRecorder(0) // default size
-	for _, id := range []wire.RobotID{9, 2, 5, 2} {
-		f.Emit(Event{Tick: 1, Robot: id, Kind: EvFrameTx})
-	}
-	ids := f.Robots()
-	want := []wire.RobotID{2, 5, 9}
-	if len(ids) != len(want) {
-		t.Fatalf("Robots = %v, want %v", ids, want)
-	}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("Robots = %v, want %v", ids, want)
-		}
-	}
-	if f.Events(42) != nil {
-		t.Fatal("unknown robot should dump nil")
+	if got[0].Kind != EvSafeModeEntered || got[1].Kind != EvTokenExpired || got[2].Tick != 10+200-flightRing {
+		t.Fatalf("merged dump out of order: %v", got[:3])
 	}
 }

@@ -9,83 +9,34 @@ import (
 	"strings"
 )
 
-// Registry is the single home for the harness's metrics: named
-// counters, gauges, and histograms, plus the registered Sources —
-// component instances whose own fields are their tallies — whose
-// Snapshot is a sorted-by-name sample list, so two runs of the same
-// (config, seed) serialize the same metrics byte-for-byte.
+// Registry is the single home for the harness's metrics: registered
+// Sources — component instances whose own fields are their tallies —
+// whose Snapshot is a sorted-by-name sample list, so two runs of the
+// same (config, seed) serialize the same metrics byte-for-byte.
 //
-// A nil *Registry is valid and means "metrics disabled": every
-// constructor on it returns a nil instrument, nil instruments accept
-// updates as no-ops, and Register does nothing. Call sites therefore
-// never need to guard.
+// A nil *Registry is valid and means "metrics disabled": Register does
+// nothing and Snapshot is empty. Call sites therefore never need to
+// guard.
 type Registry struct {
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
-	sources    []source
+	sources []source
 }
 
-// source is one Register call: a component instance and the name
-// prefix and ID its samples carry.
+// source is one Register or RegisterPrefix call: a component instance
+// and the name prefix (and, if numbered, the ID) its samples carry.
 type source struct {
-	prefix string
-	id     uint64
-	src    Source
+	prefix   string
+	id       uint64
+	numbered bool
+	src      Source
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		histograms: make(map[string]*Histogram),
-	}
-}
-
-// Counter is a monotonically increasing tally. The zero of a nil
-// *Counter is usable: Add/Inc on nil are no-ops and Value is 0.
-type Counter struct{ v uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Add adds delta.
-func (c *Counter) Add(delta uint64) {
-	if c != nil {
-		c.v += delta
-	}
-}
-
-// Value returns the current count (0 on nil).
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
-// Gauge is a last-write-wins value. Nil-safe like Counter.
-type Gauge struct{ v float64 }
-
-// Set records the current value.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.v = v
-	}
-}
-
-// Value returns the last set value (0 on nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 // Histogram tallies observations into fixed buckets (upper-bound
 // inclusive, with an implicit +Inf overflow bucket) and tracks count
-// and sum. Nil-safe like Counter.
+// and sum. A nil *Histogram is usable: Observe is a no-op and every
+// reading is 0.
 type Histogram struct {
 	bounds []float64
 	counts []uint64 // len(bounds)+1; last is overflow
@@ -96,11 +47,11 @@ type Histogram struct {
 // NewHistogram returns a standalone histogram (registered nowhere)
 // with the given upper bounds. Ascending bounds are kept, not copied,
 // so every histogram of a kind can share one bounds slice that nobody
-// modifies; other bounds are copied and sorted. Registry.Histogram
-// uses it internally; callers that want streaming quantiles without a
-// registry — the perf plane's latency distributions — use it
-// directly. No samples are retained: quantiles come from the bucket
-// tallies via Quantile.
+// modifies; other bounds are copied and sorted. A Source writes its
+// histograms with SampleWriter.Histogram; callers that want streaming
+// quantiles without a registry — the perf plane's latency
+// distributions — use one directly. No samples are retained: quantiles
+// come from the bucket tallies via Quantile.
 func NewHistogram(bounds []float64) *Histogram {
 	if !slices.IsSorted(bounds) {
 		bounds = slices.Clone(bounds)
@@ -227,49 +178,6 @@ func (h *Histogram) SetState(counts []uint64, count uint64, sum float64) error {
 	return nil
 }
 
-// Counter returns (registering if needed) the named counter. On a nil
-// registry it returns nil, which is a valid no-op counter.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	c := r.counters[name]
-	if c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns (registering if needed) the named gauge; nil on a nil
-// registry.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// Histogram returns (registering if needed) the named histogram with
-// the given ascending upper bounds; nil on a nil registry. Bounds are
-// fixed at first registration.
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	h := r.histograms[name]
-	if h == nil {
-		h = NewHistogram(bounds)
-		r.histograms[name] = h
-	}
-	return h
-}
-
 // Source is one component instance whose own fields are its tallies:
 // it registers once with Register, and every Snapshot reads it then,
 // so the component pays for its metrics what it pays for its fields.
@@ -285,7 +193,15 @@ type Source interface {
 // registry.
 func (r *Registry) Register(prefix string, id uint64, src Source) {
 	if r != nil {
-		r.sources = append(r.sources, source{prefix, id, src})
+		r.sources = append(r.sources, source{prefix: prefix, id: id, numbered: true, src: src})
+	}
+}
+
+// RegisterPrefix is Register for an instance that has no ID: its
+// samples are named <prefix><name> (serve.tenant.acme.submitted).
+func (r *Registry) RegisterPrefix(prefix string, src Source) {
+	if r != nil {
+		r.sources = append(r.sources, source{prefix: prefix, src: src})
 	}
 }
 
@@ -318,24 +234,11 @@ func (r *Registry) Snapshot() []Sample {
 	if r == nil {
 		return nil
 	}
-	// The registry's own metrics go to the writer by sorted name, so no
-	// map order reaches it.
-	named := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.histograms))
-	for name := range r.counters {
-		named = append(named, name)
-	}
-	for name := range r.gauges {
-		named = append(named, name)
-	}
-	for name := range r.histograms {
-		named = append(named, name)
-	}
-	slices.Sort(named)
 	w := &SampleWriter{sizing: true, buf: make([]byte, 0, 128)}
-	r.write(w, named)
+	r.write(w)
 	w.sizing, w.buf = false, make([]byte, 0, w.size)
 	w.ends, w.out = make([]int, 0, w.n), make([]Sample, 0, w.n)
-	r.write(w, named)
+	r.write(w)
 	names := string(w.buf)
 	start := 0
 	for i, end := range w.ends {
@@ -346,19 +249,8 @@ func (r *Registry) Snapshot() []Sample {
 	return w.out
 }
 
-// write passes every metric of the registry to w: the named ones, then
-// each source's.
-func (r *Registry) write(w *SampleWriter, named []string) {
-	w.src = nil
-	for _, name := range named {
-		if c := r.counters[name]; c != nil {
-			w.Value(name, float64(c.v))
-		} else if g := r.gauges[name]; g != nil {
-			w.Value(name, g.v)
-		} else {
-			w.Histogram(name, r.histograms[name])
-		}
-	}
+// write passes every source's samples to w.
+func (r *Registry) write(w *SampleWriter) {
 	for i := range r.sources {
 		w.src = &r.sources[i]
 		w.src.src.WriteSamples(w)
@@ -369,7 +261,7 @@ func (r *Registry) write(w *SampleWriter, named []string) {
 // writes its tallies to it by name, and the writer prefixes each name
 // with the source's registered prefix and ID.
 type SampleWriter struct {
-	src    *source // the source writing, nil for the registry's own metrics
+	src    *source // the source writing
 	sizing bool    // the first pass: count samples and name bytes only
 	n      int     // samples seen while sizing
 	size   int     // name bytes seen while sizing
@@ -406,9 +298,9 @@ func (w *SampleWriter) Histogram(name string, h *Histogram) {
 // begin appends a sample's name: the source's prefix and ID, then
 // name and suffix. The caller may append more before calling end.
 func (w *SampleWriter) begin(name, suffix string) {
-	if s := w.src; s != nil {
-		w.buf = append(w.buf, s.prefix...)
-		w.buf = append(strconv.AppendUint(w.buf, s.id, 10), '.')
+	w.buf = append(w.buf, w.src.prefix...)
+	if w.src.numbered {
+		w.buf = append(strconv.AppendUint(w.buf, w.src.id, 10), '.')
 	}
 	w.buf = append(append(w.buf, name...), suffix...)
 }

@@ -11,51 +11,38 @@ import (
 
 func TestNilRegistryIsNoOp(t *testing.T) {
 	var r *Registry
-	c := r.Counter("x")
-	c.Inc()
-	c.Add(5)
-	if c.Value() != 0 {
-		t.Fatal("nil counter should stay 0")
-	}
-	g := r.Gauge("y")
-	g.Set(3)
-	if g.Value() != 0 {
-		t.Fatal("nil gauge should stay 0")
-	}
-	h := r.Histogram("z", []float64{1, 2})
+	var h *Histogram
 	h.Observe(1.5)
 	if h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil histogram should stay empty")
 	}
 	r.Register("f.", 1, &testSource{})
+	r.RegisterPrefix("g.", &testSource{})
 	if snap := r.Snapshot(); snap != nil {
 		t.Fatalf("nil registry snapshot = %v, want nil", snap)
 	}
 }
 
+// sourceFunc is a Source whose samples a test writes inline.
+type sourceFunc func(w *SampleWriter)
+
+func (f sourceFunc) WriteSamples(w *SampleWriter) { f(w) }
+
 func TestRegistryInstruments(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("rounds")
-	c.Inc()
-	c.Add(2)
-	if c.Value() != 3 {
-		t.Fatalf("counter = %d, want 3", c.Value())
-	}
-	if r.Counter("rounds") != c {
-		t.Fatal("same name should return same counter")
-	}
-	g := r.Gauge("depth")
-	g.Set(4)
-	g.Set(7)
-	if g.Value() != 7 {
-		t.Fatalf("gauge = %v, want 7 (last write wins)", g.Value())
-	}
-	h := r.Histogram("lat", []float64{10, 100})
+	h := NewHistogram([]float64{10, 100})
 	for _, v := range []float64{5, 10, 50, 500} {
 		h.Observe(v)
 	}
 	if h.Count() != 4 || h.Sum() != 565 {
 		t.Fatalf("histogram count=%d sum=%v, want 4/565", h.Count(), h.Sum())
+	}
+	// A numbered source's samples carry its ID; a prefixed one's none.
+	r := NewRegistry()
+	r.Register("core.robot.", 7, sourceFunc(func(w *SampleWriter) { w.Value("rounds", 3) }))
+	r.RegisterPrefix("serve.http.", sourceFunc(func(w *SampleWriter) { w.Value("requests", 2) }))
+	want := []Sample{{"core.robot.7.rounds", 3}, {"serve.http.requests", 2}}
+	if got := r.Snapshot(); !SamplesEqual(got, want) {
+		t.Fatalf("snapshot = %v, want %v", got, want)
 	}
 }
 
@@ -63,11 +50,10 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 	build := func() *Registry {
 		r := NewRegistry()
 		// Register in scrambled order; snapshot must still sort.
-		r.Counter("z.last").Add(1)
-		r.Gauge("a.first").Set(2)
-		r.Histogram("m.mid", []float64{1, 10}).Observe(3)
+		r.RegisterPrefix("z.last.", &testSource{tally: 1})
 		r.Register("b.src.", 4, &testSource{tally: 4})
-		r.Counter("c.count").Add(9)
+		r.RegisterPrefix("a.first.", &testSource{level: 2, hist: NewHistogram([]float64{1, 10})})
+		r.Register("b.src.", 10, &testSource{tally: 9})
 		return r
 	}
 	snap := build().Snapshot()
@@ -75,20 +61,15 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 		t.Fatalf("snapshot not sorted: %v", snap)
 	}
 	// Two registries built identically snapshot identically.
-	other := build().Snapshot()
-	if len(snap) != len(other) {
-		t.Fatalf("snapshot lengths differ: %d vs %d", len(snap), len(other))
-	}
-	for i := range snap {
-		if snap[i] != other[i] {
-			t.Fatalf("sample %d differs: %v vs %v", i, snap[i], other[i])
-		}
+	if other := build().Snapshot(); !SamplesEqual(snap, other) {
+		t.Fatalf("identical registries snapshot differently:\n%v\n%v", snap, other)
 	}
 }
 
 func TestSnapshotHistogramExpansion(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("lat", []float64{10, 100})
+	h := NewHistogram([]float64{10, 100})
+	r.RegisterPrefix("", sourceFunc(func(w *SampleWriter) { w.Histogram("lat", h) }))
 	for _, v := range []float64{5, 10, 50, 500} {
 		h.Observe(v)
 	}
@@ -224,16 +205,18 @@ func (s *testSource) WriteSamples(w *SampleWriter) {
 // and a reflective sort. Its Snapshot is the oracle for names, values
 // and order.
 type oracleRegistry struct {
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
 	gaugeFuncs map[string]func() float64
 }
 
-// register mirrors Registry.Register the way components used to:
-// fmt.Sprintf for the prefix, one gauge func per value.
-func (r *oracleRegistry) register(prefix string, id uint64, s *testSource) {
-	p := fmt.Sprintf("%s%d.", prefix, id)
+// register mirrors Registry.Register and RegisterPrefix (id < 0) the
+// way components used to: fmt.Sprintf for the prefix, one gauge func
+// per value.
+func (r *oracleRegistry) register(prefix string, id int, s *testSource) {
+	p := prefix
+	if id >= 0 {
+		p = fmt.Sprintf("%s%d.", prefix, id)
+	}
 	r.gaugeFuncs[p+"tally"] = func() float64 { return float64(s.tally) }
 	r.gaugeFuncs[p+"level"] = func() float64 { return s.level }
 	if s.hist != nil {
@@ -242,55 +225,38 @@ func (r *oracleRegistry) register(prefix string, id uint64, s *testSource) {
 }
 
 func (r *oracleRegistry) Snapshot() []Sample {
-	names := make([]string, 0,
-		len(r.counters)+len(r.gauges)+len(r.gaugeFuncs)+len(r.histograms))
-	kinds := make(map[string]byte, cap(names))
-	for name := range r.counters {
-		names = append(names, name)
-		kinds[name] = 'c'
-	}
-	for name := range r.gauges {
-		names = append(names, name)
-		kinds[name] = 'g'
-	}
+	names := make([]string, 0, len(r.gaugeFuncs)+len(r.histograms))
 	for name := range r.gaugeFuncs {
 		names = append(names, name)
-		kinds[name] = 'f'
 	}
 	for name := range r.histograms {
 		names = append(names, name)
-		kinds[name] = 'h'
 	}
 	sort.Strings(names)
 	var out []Sample
 	for _, name := range names {
-		switch kinds[name] {
-		case 'c':
-			out = append(out, Sample{name, float64(r.counters[name].Value())})
-		case 'g':
-			out = append(out, Sample{name, r.gauges[name].Value()})
-		case 'f':
+		h := r.histograms[name]
+		if h == nil {
 			out = append(out, Sample{name, r.gaugeFuncs[name]()})
-		case 'h':
-			h := r.histograms[name]
-			for i, b := range h.bounds {
-				out = append(out, Sample{fmt.Sprintf("%s.bucket.%g", name, b), float64(h.counts[i])})
-			}
-			out = append(out, Sample{name + ".bucket.+inf", float64(h.counts[len(h.bounds)])})
-			out = append(out, Sample{name + ".count", float64(h.count)})
-			out = append(out, Sample{name + ".sum", h.sum})
+			continue
 		}
+		for i, b := range h.bounds {
+			out = append(out, Sample{fmt.Sprintf("%s.bucket.%g", name, b), float64(h.counts[i])})
+		}
+		out = append(out, Sample{name + ".bucket.+inf", float64(h.counts[len(h.bounds)])})
+		out = append(out, Sample{name + ".count", float64(h.count)})
+		out = append(out, Sample{name + ".sum", h.sum})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
-// TestSnapshotMatchesOracle builds random registries — named counters,
-// gauges and histograms plus sources at IDs 1..1000, so robot.10.
-// sorts before robot.2. — and holds Snapshot to the oracle's names,
-// values and order, bit for bit. Bounds include fractions, 1e300 and
-// tiny values; some histograms are empty; gauges include NaN, ±Inf and
-// -0.
+// TestSnapshotMatchesOracle builds random registries — prefixed
+// sources for up to 20 tenants plus numbered ones at IDs 1..1000, so
+// robot.10. sorts before robot.2. — and holds Snapshot to the oracle's
+// names, values and order, bit for bit. Bounds include fractions, 1e300
+// and tiny values; some histograms are empty; values include NaN, ±Inf
+// and -0.
 func TestSnapshotMatchesOracle(t *testing.T) {
 	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 0.1, 1e300, -2.5e-8}
 	boundSets := [][]float64{
@@ -312,24 +278,21 @@ func TestSnapshotMatchesOracle(t *testing.T) {
 		}
 		return h
 	}
+	source := func(hist bool) *testSource {
+		s := &testSource{tally: rng.Uint64() >> rng.IntN(64), level: value()}
+		if hist {
+			s.hist = histogram()
+		}
+		return s
+	}
 	for trial := 0; trial < 50; trial++ {
 		r := NewRegistry()
-		o := &oracleRegistry{map[string]*Counter{}, map[string]*Gauge{}, map[string]*Histogram{}, map[string]func() float64{}}
-		for i := rng.IntN(20); i > 0; i-- {
-			name := fmt.Sprintf("serve.tenant.t%d.submitted", rng.IntN(100))
-			r.Counter(name).Add(rng.Uint64() >> rng.IntN(64))
-			o.counters[name] = r.Counter(name)
-		}
-		for i := rng.IntN(20); i > 0; i-- {
-			name := fmt.Sprintf("serve.gauge.g%d", rng.IntN(100))
-			r.Gauge(name).Set(value())
-			o.gauges[name] = r.Gauge(name)
-		}
-		for i := rng.IntN(5); i > 0; i-- {
-			name := fmt.Sprintf("serve.hist.h%d", rng.IntN(10))
-			h := r.Histogram(name, boundSets[rng.IntN(len(boundSets))])
-			h.Observe(value())
-			o.histograms[name] = h
+		o := &oracleRegistry{map[string]*Histogram{}, map[string]func() float64{}}
+		for _, tenant := range rng.Perm(100)[:rng.IntN(20)] {
+			prefix := fmt.Sprintf("serve.tenant.t%d.", tenant)
+			s := source(rng.IntN(2) == 0)
+			r.RegisterPrefix(prefix, s)
+			o.register(prefix, -1, s)
 		}
 		k := rng.IntN(60)
 		for j, id := range rng.Perm(1000) {
@@ -337,12 +300,9 @@ func TestSnapshotMatchesOracle(t *testing.T) {
 				continue
 			}
 			for _, prefix := range []string{"core.robot.", "radio.robot."} {
-				s := &testSource{tally: rng.Uint64() >> rng.IntN(64), level: value()}
-				if prefix == "core.robot." {
-					s.hist = histogram()
-				}
+				s := source(prefix == "core.robot.")
 				r.Register(prefix, uint64(id+1), s)
-				o.register(prefix, uint64(id+1), s)
+				o.register(prefix, id+1, s)
 			}
 		}
 		got, want := r.Snapshot(), o.Snapshot()
@@ -368,9 +328,7 @@ func TestSnapshotAllocationsFlat(t *testing.T) {
 	runtime.GC()
 	allocs := func(robots int) float64 {
 		r := NewRegistry()
-		r.Counter("serve.jobs").Inc()
-		r.Gauge("serve.depth").Set(3)
-		r.Histogram("serve.wait", []float64{1, 10}).Observe(4)
+		r.RegisterPrefix("serve.tenant.acme.", &testSource{tally: 1, level: 3, hist: NewHistogram([]float64{1, 10})})
 		bounds := []float64{1, 2, 4, 8, 16, 32, 64}
 		for id := 1; id <= robots; id++ {
 			r.Register("core.robot.", uint64(id), &testSource{tally: uint64(id), hist: NewHistogram(bounds)})

@@ -379,7 +379,7 @@ func TestDeliverSteadyStateAllocations(t *testing.T) {
 				m.SetLossModel(UniformLoss{Rate: 0.2})
 				m.SetLinkFilter(func(from, to wire.RobotID, _ wire.Frame) bool { return (from+to)%7 == 0 })
 				m.SetTxDelay(func(from wire.RobotID, _ wire.Frame) wire.Tick { return wire.Tick(from % 3) })
-				m.SetObs(obs.NewFlightRecorder(0), obs.NewRegistry())
+				m.SetObs(obs.NewFlightRecorder(ids[0]), obs.NewRegistry())
 			}
 			delivered := 0
 			round := func() {

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 
+	"roborebound/internal/obs"
 	"roborebound/internal/obs/perf"
 )
 
@@ -23,8 +24,6 @@ const (
 type SchedOptions struct {
 	// Workers is the dispatch pool size (default 2).
 	Workers int
-	// Metrics receives scheduler telemetry; nil disables it.
-	Metrics *Metrics
 	// OnEvict, when set, is told each evicted job's ID so the artifact
 	// store can drop its blobs.
 	OnEvict func(jobID string)
@@ -49,24 +48,36 @@ func (e *OverloadError) Error() string {
 		e.Tenant, e.Queued, e.RetryAfterSec)
 }
 
-// tenantState is one tenant's scheduler-side state. All fields are
-// guarded by Scheduler.mu.
+// tenantState is one tenant's scheduler-side state and tallies. All
+// fields are guarded by Scheduler.mu. It is the tenant's obs.Source,
+// registered as serve.tenant.<name>. when the tenant first submits.
 type tenantState struct {
 	name    string
 	queue   []*Job // FIFO
 	running int
-	// m names the tenant's metrics, serve.tenant.<name>.<metric>, built
-	// once so a job's telemetry allocates no names.
-	m tenantMetrics
-}
 
-type tenantMetrics struct {
-	submitted, rejectedOverload, drainRejected, queueDepth, running, queueWaitNs, serviceNs,
-	completed, failed, cancelled, checkpointed string
+	submitted, rejectedOverload, drainRejected uint64
+	completed, failed, cancelled, checkpointed uint64
+	queueWaitNs, serviceNs                     *obs.Histogram // on nsBounds
 }
 
 // nsBounds are the buckets of the scheduler's nanosecond histograms.
 var nsBounds = perf.LogNsBounds()
+
+// WriteSamples implements obs.Source. The caller holds Scheduler.mu.
+func (t *tenantState) WriteSamples(w *obs.SampleWriter) {
+	w.Value("queue_depth", float64(len(t.queue)))
+	w.Value("running", float64(t.running))
+	w.Value("submitted", float64(t.submitted))
+	w.Value("rejected_overload", float64(t.rejectedOverload))
+	w.Value("drain_rejected", float64(t.drainRejected))
+	w.Value("completed", float64(t.completed))
+	w.Value("failed", float64(t.failed))
+	w.Value("cancelled", float64(t.cancelled))
+	w.Value("checkpointed", float64(t.checkpointed))
+	w.Histogram("queue_wait_ns", t.queueWaitNs)
+	w.Histogram("service_ns", t.serviceNs)
+}
 
 // Scheduler is the multi-tenant job scheduler. Admission (Submit)
 // enforces the per-tenant queue bound; a fixed worker pool dispatches
@@ -77,6 +88,9 @@ type Scheduler struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	tenants map[string]*tenantState
+	// metrics holds every tenant's tallies, and whatever else the
+	// server registers; snapshot it only under mu.
+	metrics *obs.Registry
 	// order keeps tenant names sorted so every map-derived iteration
 	// below is deterministic given the same state.
 	order []string
@@ -104,6 +118,7 @@ func NewScheduler(opts SchedOptions) *Scheduler {
 	s := &Scheduler{
 		opts:    opts,
 		tenants: make(map[string]*tenantState),
+		metrics: obs.NewRegistry(),
 		jobs:    make(map[string]*Job),
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -118,13 +133,9 @@ func (s *Scheduler) tenantLocked(name string) *tenantState {
 	if t, ok := s.tenants[name]; ok {
 		return t
 	}
-	p := "serve.tenant." + name + "."
-	t := &tenantState{name: name, m: tenantMetrics{
-		submitted: p + "submitted", rejectedOverload: p + "rejected_overload", drainRejected: p + "drain_rejected",
-		queueDepth: p + "queue_depth", running: p + "running", queueWaitNs: p + "queue_wait_ns", serviceNs: p + "service_ns",
-		completed: p + "completed", failed: p + "failed", cancelled: p + "cancelled", checkpointed: p + "checkpointed",
-	}}
+	t := &tenantState{name: name, queueWaitNs: obs.NewHistogram(nsBounds), serviceNs: obs.NewHistogram(nsBounds)}
 	s.tenants[name] = t
+	s.metrics.RegisterPrefix("serve.tenant."+name+".", t)
 	i := sort.SearchStrings(s.order, name)
 	s.order = append(s.order, "")
 	copy(s.order[i+1:], s.order[i:])
@@ -148,7 +159,7 @@ func (s *Scheduler) Submit(tenant string, req *JobRequest, body []byte) (*Job, e
 	}
 	t := s.tenantLocked(tenant)
 	if len(t.queue) >= maxQueued {
-		s.opts.Metrics.Inc(t.m.rejectedOverload)
+		t.rejectedOverload++
 		return nil, &OverloadError{
 			Tenant:        tenant,
 			Queued:        len(t.queue),
@@ -160,8 +171,7 @@ func (s *Scheduler) Submit(tenant string, req *JobRequest, body []byte) (*Job, e
 	j := newJob(id, tenant, req, body, now)
 	t.queue = append(t.queue, j)
 	s.jobs[id] = j
-	s.opts.Metrics.Inc(t.m.submitted)
-	s.opts.Metrics.Set(t.m.queueDepth, float64(len(t.queue)))
+	t.submitted++
 	s.cond.Broadcast()
 	return j, nil
 }
@@ -208,9 +218,8 @@ func (s *Scheduler) Cancel(id string) bool {
 		for i, q := range t.queue {
 			if q == j {
 				t.queue = append(t.queue[:i], t.queue[i+1:]...)
-				s.opts.Metrics.Set(t.m.queueDepth, float64(len(t.queue)))
 				j.setState(StateCancelled, "", perf.Now())
-				s.opts.Metrics.Inc(t.m.cancelled)
+				t.cancelled++
 				s.retainLocked(j)
 				break
 			}
@@ -281,9 +290,7 @@ func (s *Scheduler) next() *Job {
 			s.runningTotal++
 			now := perf.Now()
 			j.setState(StateRunning, "", now)
-			s.opts.Metrics.Set(t.m.queueDepth, float64(len(t.queue)))
-			s.opts.Metrics.Set(t.m.running, float64(t.running))
-			s.opts.Metrics.Observe(t.m.queueWaitNs, nsBounds, float64(now-j.submittedNs))
+			t.queueWaitNs.Observe(float64(now - j.submittedNs))
 			return j
 		}
 		s.cond.Wait()
@@ -310,32 +317,31 @@ func (s *Scheduler) pickLocked() *Job {
 	return nil
 }
 
-// finish records a worker's terminal transition and telemetry.
+// finish records a worker's terminal transition and its tallies under
+// one hold of s.mu, so whoever the transition wakes reads the tallies
+// too.
 func (s *Scheduler) finish(j *Job, state State, errMsg string) {
 	now := perf.Now()
-	j.setState(state, errMsg, now)
-	// The job may have gone terminal earlier (queued-cancel race); read
-	// back what actually stuck.
-	final := j.State()
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	j.setState(state, errMsg, now)
 	t := s.tenants[j.Tenant]
 	t.running--
 	s.runningTotal--
-	s.opts.Metrics.Set(t.m.running, float64(t.running))
-	switch final {
+	// The job may have gone terminal earlier (queued-cancel race); read
+	// back what actually stuck.
+	switch j.State() {
 	case StateDone:
-		s.opts.Metrics.Inc(t.m.completed)
+		t.completed++
 	case StateFailed:
-		s.opts.Metrics.Inc(t.m.failed)
+		t.failed++
 	case StateCancelled:
-		s.opts.Metrics.Inc(t.m.cancelled)
+		t.cancelled++
 	case StateCheckpointed:
-		s.opts.Metrics.Inc(t.m.checkpointed)
+		t.checkpointed++
 	}
 	if serviceNs := now - j.startedNs; serviceNs > 0 && j.startedNs > 0 {
-		s.opts.Metrics.Observe(t.m.serviceNs, nsBounds, float64(serviceNs))
+		t.serviceNs.Observe(float64(serviceNs))
 		const alpha = 0.1
 		if s.avgServiceNs == 0 {
 			s.avgServiceNs = float64(serviceNs)
@@ -407,19 +413,18 @@ func (s *Scheduler) rejectQueuedLocked() {
 		t := s.tenants[name]
 		for _, j := range t.queue {
 			j.setState(StateRejected, "", now)
-			s.opts.Metrics.Inc(t.m.drainRejected)
+			t.drainRejected++
 			s.retainLocked(j)
 		}
 		t.queue = nil
-		s.opts.Metrics.Set(t.m.queueDepth, 0)
 	}
 }
 
 // Close stops the worker pool and waits for workers to exit. Queued
 // jobs are rejected with their resubmission handles, as Drain rejects
 // them, and running jobs are cancelled, so every job is terminal once
-// Close returns and no event stream or wait is left hanging. Close does
-// not drain — call Drain first for a graceful shutdown.
+// Close returns and no long poll is left hanging. Close does not drain
+// — call Drain first for a graceful shutdown.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
 	s.closed = true

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"roborebound/internal/obs"
 )
@@ -65,10 +66,22 @@ type ServerOptions struct {
 // wiring the request codec, the round-robin scheduler, the executors,
 // and the artifact store together.
 type Server struct {
-	sched   *Scheduler
-	store   *ArtifactStore
-	metrics *Metrics
-	mux     *http.ServeMux
+	sched *Scheduler
+	store *ArtifactStore
+	http  httpTallies
+	mux   *http.ServeMux
+}
+
+// httpTallies counts what the HTTP layer sees, across every handler
+// goroutine. It is the server's obs.Source, serve.http.*.
+type httpTallies struct {
+	requests, errors atomic.Uint64
+}
+
+// WriteSamples implements obs.Source.
+func (h *httpTallies) WriteSamples(w *obs.SampleWriter) {
+	w.Value("requests", float64(h.requests.Load()))
+	w.Value("errors", float64(h.errors.Load()))
 }
 
 // NewServer builds a server and starts its scheduler pool. Callers
@@ -79,15 +92,14 @@ func NewServer(opts ServerOptions) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	metrics := NewMetrics()
 	exec := &Executor{Store: store}
-	s := &Server{store: store, metrics: metrics}
+	s := &Server{store: store}
 	s.sched = NewScheduler(SchedOptions{
 		Workers: opts.Workers,
-		Metrics: metrics,
 		OnEvict: store.DeleteJob,
 		Run:     exec.Run,
 	})
+	s.sched.metrics.RegisterPrefix("serve.http.", &s.http)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
@@ -103,7 +115,7 @@ func NewServer(opts ServerOptions) (*Server, error) {
 func (s *Server) Handler() http.Handler { return http.HandlerFunc(s.serveHTTP) }
 
 func (s *Server) serveHTTP(w http.ResponseWriter, r *http.Request) {
-	s.metrics.Inc("serve.http.requests")
+	s.http.requests.Add(1)
 	s.mux.ServeHTTP(w, r)
 }
 
@@ -113,8 +125,14 @@ func (s *Server) Drain(ctx context.Context) error { return s.sched.Drain(ctx) }
 // Close stops the scheduler pool.
 func (s *Server) Close() { s.sched.Close() }
 
-// MetricsSnapshot snapshots the server's telemetry registry.
-func (s *Server) MetricsSnapshot() []obs.Sample { return s.metrics.Snapshot() }
+// MetricsSnapshot snapshots the server's tallies — every tenant's and
+// the HTTP layer's — under one hold of the scheduler's lock, so the
+// samples are consistent with each other.
+func (s *Server) MetricsSnapshot() []obs.Sample {
+	s.sched.mu.Lock()
+	defer s.sched.mu.Unlock()
+	return s.sched.metrics.Snapshot()
+}
 
 type errorDoc struct {
 	Error string `json:"error"`
@@ -132,7 +150,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 func (s *Server) writeError(w http.ResponseWriter, code int, msg string) {
-	s.metrics.Inc("serve.http.errors")
+	s.http.errors.Add(1)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	data, _ := json.Marshal(errorDoc{Error: msg})
@@ -273,7 +291,7 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		if err := writeGzip(w, data); err != nil {
 			// The status line is gone, so the failure (in practice the
 			// client hanging up mid-body) can only be counted.
-			s.metrics.Inc("serve.http.errors")
+			s.http.errors.Add(1)
 		}
 		return
 	}
@@ -317,7 +335,7 @@ func acceptsGzip(r *http.Request) bool {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	data := obs.AppendMetricsJSON(nil, s.metrics.Snapshot())
+	data := obs.AppendMetricsJSON(nil, s.MetricsSnapshot())
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write(data)

@@ -13,6 +13,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -348,7 +350,8 @@ func newStubServer(t *testing.T) stubServer {
 	}
 	s.sched.Close()
 	exec := newStubExec(true)
-	s.sched = NewScheduler(SchedOptions{Workers: 1, Metrics: s.metrics, OnEvict: s.store.DeleteJob, Run: exec.Run})
+	s.sched = NewScheduler(SchedOptions{Workers: 1, OnEvict: s.store.DeleteJob, Run: exec.Run})
+	s.sched.metrics.RegisterPrefix("serve.http.", &s.http)
 	ts := httptest.NewServer(s.Handler())
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(func() {
@@ -865,7 +868,9 @@ func TestServerGzipWriteFailure(t *testing.T) {
 }
 
 // TestServerTenantsAndMetrics: a tenant's occupancy and tallies are
-// served as serve.tenant.<t>.* samples on /v1/metrics.
+// served as serve.tenant.<t>.* samples on /v1/metrics, zeros included,
+// and a job's tallies land before its waiter wakes: one read after the
+// wait sees them.
 func TestServerTenantsAndMetrics(t *testing.T) {
 	_, _, client := newTestServer(t, ServerOptions{Workers: 1})
 	ctx := context.Background()
@@ -873,36 +878,48 @@ func TestServerTenantsAndMetrics(t *testing.T) {
 	if _, err := client.Run(ctx, validChaosRequest()); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-
-	// The worker records a job's telemetry just after the terminal
-	// transition that ends the client's wait, so give it a moment.
-	var data []byte
-	var err error
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		if data, err = client.MetricsJSON(ctx); err != nil {
-			t.Fatalf("metrics: %v", err)
-		}
-		if strings.Contains(string(data), "serve.tenant.test.service_ns") || time.Now().After(deadline) {
-			break
-		}
+	data, err := client.MetricsJSON(ctx)
+	if err != nil {
+		t.Fatalf("metrics: %v", err)
 	}
-	var doc map[string]any
+	var doc map[string]float64
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatalf("metrics not JSON: %v", err)
 	}
-	body := string(data)
-	for _, want := range []string{
-		"serve.tenant.test.submitted",
-		"serve.tenant.test.completed",
-		"serve.tenant.test.queue_depth",
-		"serve.tenant.test.running",
-		"serve.tenant.test.queue_wait_ns",
-		"serve.tenant.test.service_ns",
-		"serve.http.requests",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("metrics export missing %q", want)
+	const prefix = "serve.tenant.test."
+	var names []string
+	buckets := 0
+	for name := range doc {
+		switch rest, ok := strings.CutPrefix(name, prefix); {
+		case !ok:
+		case strings.Contains(rest, ".bucket."):
+			buckets++
+		default:
+			names = append(names, rest)
 		}
+	}
+	sort.Strings(names)
+	want := []string{
+		"cancelled", "checkpointed", "completed", "drain_rejected", "failed",
+		"queue_depth", "queue_wait_ns.count", "queue_wait_ns.sum",
+		"rejected_overload", "running", "service_ns.count", "service_ns.sum", "submitted",
+	}
+	if !slices.Equal(names, want) {
+		t.Errorf("tenant samples = %v, want %v", names, want)
+	}
+	if want := 2 * (len(nsBounds) + 1); buckets != want {
+		t.Errorf("tenant histogram buckets = %d, want %d", buckets, want)
+	}
+	for name, v := range map[string]float64{
+		"submitted": 1, "completed": 1, "failed": 0, "queue_depth": 0, "running": 0,
+		"queue_wait_ns.count": 1, "service_ns.count": 1,
+	} {
+		if doc[prefix+name] != v {
+			t.Errorf("%s%s = %v, want %v", prefix, name, doc[prefix+name], v)
+		}
+	}
+	if doc["serve.http.requests"] < 3 { // submit, wait, this read
+		t.Errorf("serve.http.requests = %v, want at least 3", doc["serve.http.requests"])
 	}
 }
 
@@ -933,32 +950,21 @@ func TestServerConcurrentTenantSessions(t *testing.T) {
 		}
 	}
 
-	// The last job's finish lands just after its client's wait ends, so
-	// poll until every tenant's gauges read idle and its tallies add up.
-	var problems []string
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		counts := map[string]float64{}
-		for _, s := range srv.MetricsSnapshot() {
-			counts[s.Name] = s.Value
-		}
-		problems = problems[:0]
-		for i := 0; i < tenants; i++ {
-			prefix := fmt.Sprintf("serve.tenant.load-%d.", i)
-			if counts[prefix+"queue_depth"] != 0 || counts[prefix+"running"] != 0 {
-				problems = append(problems, fmt.Sprintf("tenant load-%d still holds work: queue_depth %v, running %v",
-					i, counts[prefix+"queue_depth"], counts[prefix+"running"]))
-			}
-			if counts[prefix+"submitted"] != perTenant || counts[prefix+"completed"] != perTenant {
-				problems = append(problems, fmt.Sprintf("tenant load-%d: submitted %v, completed %v, want %d each",
-					i, counts[prefix+"submitted"], counts[prefix+"completed"], perTenant))
-			}
-		}
-		if len(problems) == 0 || time.Now().After(deadline) {
-			break
-		}
+	// Every job's tallies landed before its client's wait ended.
+	counts := map[string]float64{}
+	for _, s := range srv.MetricsSnapshot() {
+		counts[s.Name] = s.Value
 	}
-	for _, p := range problems {
-		t.Error(p)
+	for i := 0; i < tenants; i++ {
+		prefix := fmt.Sprintf("serve.tenant.load-%d.", i)
+		if counts[prefix+"queue_depth"] != 0 || counts[prefix+"running"] != 0 {
+			t.Errorf("tenant load-%d still holds work: queue_depth %v, running %v",
+				i, counts[prefix+"queue_depth"], counts[prefix+"running"])
+		}
+		if counts[prefix+"submitted"] != perTenant || counts[prefix+"completed"] != perTenant {
+			t.Errorf("tenant load-%d: submitted %v, completed %v, want %d each",
+				i, counts[prefix+"submitted"], counts[prefix+"completed"], perTenant)
+		}
 	}
 }
 

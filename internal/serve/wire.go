@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	rr "roborebound"
 	"roborebound/internal/core"
@@ -127,20 +128,6 @@ func (r *JobRequest) Encode() ([]byte, error) {
 	return json.Marshal(r)
 }
 
-// knownProfile reports whether p names a fault profile the generator
-// understands ("" means the kind's default).
-func knownProfile(p string) bool {
-	if p == "" {
-		return true
-	}
-	for _, k := range faultinject.Profiles() {
-		if string(k) == p {
-			return true
-		}
-	}
-	return false
-}
-
 func boundedFloat(name string, v, lo, hi float64) error {
 	if math.IsNaN(v) || math.IsInf(v, 0) || v < lo || v > hi {
 		return fmt.Errorf("serve: %s %g out of range [%g, %g]", name, v, lo, hi)
@@ -172,12 +159,11 @@ func (r *JobRequest) Validate() error {
 	if name := k.untakenField(r); name != "" {
 		return fmt.Errorf("serve: kind %q does not take %s", r.Kind, name)
 	}
-	switch r.Controller {
-	case "", "flocking", "patrol", "warehouse":
-	default:
+	// "" is the kind's default controller or profile.
+	if r.Controller != "" && !slices.Contains(rr.Controllers(), r.Controller) {
 		return fmt.Errorf("serve: unknown controller %q", r.Controller)
 	}
-	if !knownProfile(r.Profile) {
+	if r.Profile != "" && !slices.Contains(faultinject.Profiles(), faultinject.Profile(r.Profile)) {
 		return fmt.Errorf("serve: unknown fault profile %q", r.Profile)
 	}
 	if err := boundedInt("n", r.N, 0, maxN); err != nil {

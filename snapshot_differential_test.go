@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -523,6 +524,41 @@ func TestChaosEchoMTUFloor(t *testing.T) {
 		} else if ok && cfg.MTUBytes != c.mtu {
 			t.Errorf("echo with MTU %d decodes to MTU %d", c.mtu, cfg.MTUBytes)
 		}
+	}
+}
+
+// TestChaosEchoNames: an echo naming a controller or profile the cell
+// does not know does not decode, and RunChaos panics on one naming it,
+// so a misspelling never runs some other cell under its label.
+func TestChaosEchoNames(t *testing.T) {
+	for _, c := range []struct {
+		controller string
+		profile    faultinject.Profile
+		bad        string // the name an unknown cell must be refused for; "" for a known cell
+	}{
+		{"patrol", faultinject.ProfileLoss, ""},
+		{"flockin", faultinject.ProfileNone, "flockin"},
+		{"warehouse", "mixd", "mixd"},
+	} {
+		cfg := ChaosConfig{Controller: c.controller, Profile: c.profile}.withDefaults()
+		_, err := decodeChaosEcho(encodeChaosEcho(cfg))
+		if c.bad == "" {
+			if err != nil {
+				t.Errorf("echo of %s/%s refused: %v", c.controller, c.profile, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(c.bad)) {
+			t.Errorf("echo of %s/%s: err = %v, want a refusal naming %q", c.controller, c.profile, err, c.bad)
+		}
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, strconv.Quote(c.bad)) {
+					t.Errorf("RunChaos(%s/%s): recovered %q, want a panic naming %q", c.controller, c.profile, msg, c.bad)
+				}
+			}()
+			RunChaos(cfg)
+		}()
 	}
 }
 

@@ -115,7 +115,7 @@ func decodeChaosEcho(b []byte) (ChaosConfig, error) {
 	if !cfg.durationValid() {
 		return cfg, errors.New("roborebound: snapshot echo duration not finite")
 	}
-	return cfg, nil
+	return cfg, cfg.unknownName()
 }
 
 // durationValid guards the float fields a hostile echo could poison.
