@@ -15,10 +15,10 @@ func wireFrame(payload []byte) wire.Frame {
 
 func decodeFrame(b []byte) (wire.Frame, error) { return wire.DecodeFrame(b) }
 
-func chainAll(entries [][]byte, batchSize int) {
+func chainAll(payloads [][]byte, batchSize int) {
 	c := trusted.NewChain(batchSize)
-	for _, e := range entries {
-		c.Append(e)
+	for _, p := range payloads {
+		c.AppendEntry(wire.EntrySensor, p)
 	}
 	c.Flush()
 }

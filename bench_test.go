@@ -196,13 +196,13 @@ func BenchmarkSweep_Parallel(b *testing.B) { benchFig7Sweep(b, 0) } // GOMAXPROC
 func BenchmarkAblation_BatchSize(b *testing.B) {
 	for _, size := range []int{1, 10, 50} {
 		b.Run(sizeName(size), func(b *testing.B) {
-			entries := make([][]byte, 100)
-			for i := range entries {
-				entries[i] = make([]byte, 34) // sensor-entry sized
+			payloads := make([][]byte, 100)
+			for i := range payloads {
+				payloads[i] = make([]byte, 32) // a sensor reading
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				chainAll(entries, size)
+				chainAll(payloads, size)
 			}
 		})
 	}
@@ -241,10 +241,10 @@ func BenchmarkAblation_Fmax(b *testing.B) {
 //
 // The observability layer's cost at full-simulation scale: the same
 // chaos cell with the nil-guarded emit sites compiled in but no
-// tracer attached (the shipping default) vs fully instrumented
-// (collector + registry on top of the always-on flight recorder).
-// The pair quantifies what `-events`/`-metrics` cost and pins that
-// the disabled path stays cheap.
+// tracer attached (the shipping default) vs an event collector
+// attached. Both keep the cell's own metrics registry. The pair
+// quantifies what `-events` costs and pins that the disabled path
+// stays cheap.
 
 func benchChaosCell(b *testing.B, traced bool) {
 	b.ReportAllocs()
@@ -257,7 +257,6 @@ func benchChaosCell(b *testing.B, traced bool) {
 		}
 		if traced {
 			cfg.Trace = obs.NewCollector()
-			cfg.Metrics = obs.NewRegistry()
 		}
 		RunChaos(cfg)
 	}

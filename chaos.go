@@ -71,11 +71,6 @@ type ChaosConfig struct {
 	// need it: when the checker latches, the cell is re-run from tick 0
 	// with a recorder attached to rebuild the dump.
 	Trace obs.Tracer
-	// Metrics, when non-nil, receives the cell's counters; otherwise
-	// the cell uses a private registry. Either way the final snapshot
-	// lands in ChaosResult.MetricsSnapshot. Same matrix caveat as
-	// Trace.
-	Metrics *obs.Registry
 	// Deprecated: ignored; the grid is the only path. Kept only because
 	// benchmark/ still assigns it; removed with those assignments
 	// (ROADMAP item 2, PR A).
@@ -139,15 +134,47 @@ type ChaosConfig struct {
 	flight *obs.FlightRecorder
 }
 
-// unknownName names a defaulted cell's controller or profile when it is
-// not one the cell can run, so a misspelling never runs some other
-// cell under its label. Nil when both are known.
-func (c ChaosConfig) unknownName() error {
-	if !slices.Contains(Controllers(), c.Controller) {
-		return fmt.Errorf("roborebound: unknown chaos controller %q (want one of %v)", c.Controller, Controllers())
+// A ChaosConfigError is a ChaosConfig field no cell can run with.
+type ChaosConfigError struct {
+	Field   string // the ChaosConfig field, e.g. "DurationSec"
+	Value   any
+	Problem string // e.g. "unknown", "negative"
+	Want    string // what the field accepts
+}
+
+func (e *ChaosConfigError) Error() string {
+	return fmt.Sprintf("roborebound: %s chaos %s %#v (want %s)", e.Problem, e.Field, e.Value, e.Want)
+}
+
+// Check returns a *ChaosConfigError naming the first field cell c
+// cannot run with, or nil: a controller outside Controllers or a
+// profile outside faultinject.Profiles (so a misspelling never runs
+// some other cell under its label), a negative robot count, a duration
+// that is negative, not finite or 1e9 s or more, an attack time or
+// spacing that is not finite, or an MTU below faultinject.MinMTUBytes
+// (the schedule's audit-response faults could not see their frames).
+// A zero value takes its default, so it passes.
+func (c ChaosConfig) Check() error {
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	bad := func(field string, v any, problem, want string) error {
+		return &ChaosConfigError{Field: field, Value: v, Problem: problem, Want: want}
 	}
-	if !slices.Contains(faultinject.Profiles(), c.Profile) {
-		return fmt.Errorf("roborebound: unknown fault profile %q (want one of %v)", c.Profile, faultinject.Profiles())
+	switch {
+	case c.Controller != "" && !slices.Contains(Controllers(), c.Controller):
+		return bad("Controller", c.Controller, "unknown", fmt.Sprint("one of ", Controllers()))
+	case c.Profile != "" && !slices.Contains(faultinject.Profiles(), c.Profile):
+		return bad("Profile", c.Profile, "unknown", fmt.Sprint("one of ", faultinject.Profiles()))
+	case c.N < 0:
+		return bad("N", c.N, "negative", "a count ≥ 0 (0 takes the controller's default)")
+	case !(c.DurationSec >= 0 && c.DurationSec < 1e9):
+		return bad("DurationSec", c.DurationSec, "out-of-range", "seconds in [0, 1e9) (0 takes the default, 60)")
+	case !finite(c.AttackAtSec):
+		return bad("AttackAtSec", c.AttackAtSec, "non-finite", "seconds")
+	case !finite(c.SpacingM):
+		return bad("SpacingM", c.SpacingM, "non-finite", "meters")
+	case c.MTUBytes > 0 && c.MTUBytes < faultinject.MinMTUBytes:
+		return bad("MTUBytes", c.MTUBytes, "too-small", fmt.Sprintf(
+			"0 or at least %d, the smallest that carries an audit response unfragmented", faultinject.MinMTUBytes))
 	}
 	return nil
 }
@@ -260,7 +287,7 @@ type ChaosResult struct {
 // in place. It returns the sim, the deliberate attacker IDs, and the
 // crash-faulted robots with the tick each goes dark. A Crash fault
 // aimed at a deliberate attacker is ignored: the attacker stays one.
-func buildChaosSim(cfg ChaosConfig, cc core.Config, sched *faultinject.Schedule) (*Sim, []wire.RobotID, map[wire.RobotID]wire.Tick) {
+func buildChaosSim(cfg ChaosConfig, cc core.Config, sched *faultinject.Schedule, reg *obs.Registry) (*Sim, []wire.RobotID, map[wire.RobotID]wire.Tick) {
 	attackAt := wire.Tick(cfg.AttackAtSec * TicksPerSecond)
 	attackers := make(map[int]bool) // slot -> deliberate attacker
 	var attackerIDs []wire.RobotID
@@ -336,7 +363,7 @@ func buildChaosSim(cfg ChaosConfig, cc core.Config, sched *faultinject.Schedule)
 	}
 
 	s := NewSim(SimConfig{Seed: cfg.Seed, Core: &cc, Radio: radioParams, Faults: sched,
-		Trace: cfg.Trace, Metrics: cfg.Metrics, Perf: cfg.Perf})
+		Trace: cfg.Trace, Metrics: reg, Perf: cfg.Perf})
 	for i, pos := range positions {
 		id := wire.RobotID(i + 1)
 		if attackers[i] {
@@ -373,31 +400,21 @@ func chaosSchedule(cfg ChaosConfig, cc core.Config) faultinject.Schedule {
 // RunChaos runs one chaos cell: generate the fault schedule from
 // (config, seed), build the mission, watch every tick with the
 // invariant checker, and summarize. Identical configs produce
-// byte-identical results. RunChaos panics on a controller outside
-// Controllers, a profile outside faultinject.Profiles, or an MTU below
-// faultinject.MinMTUBytes.
+// byte-identical results. RunChaos panics with Check's error on a
+// cell Check refuses.
 func RunChaos(cfg ChaosConfig) ChaosResult {
-	if cfg.MTUBytes > 0 && cfg.MTUBytes < faultinject.MinMTUBytes {
-		panic(fmt.Sprintf("roborebound: chaos MTU %d is below %d, the smallest that carries an audit response unfragmented",
-			cfg.MTUBytes, faultinject.MinMTUBytes))
-	}
-	cfg = cfg.withDefaults()
-	if err := cfg.unknownName(); err != nil {
+	if err := cfg.Check(); err != nil {
 		panic(err.Error())
 	}
+	cfg = cfg.withDefaults()
 	cc := core.DefaultConfig(TicksPerSecond)
 	cc.Fmax = cfg.Fmax
 	cc.AutoServeLimit()
 	total := wire.Tick(cfg.DurationSec * TicksPerSecond)
 	sched := chaosSchedule(cfg, cc)
 
-	// The metrics registry is per-cell unless the caller supplied one.
-	runCfg := cfg
-	if runCfg.Metrics == nil {
-		runCfg.Metrics = obs.NewRegistry()
-	}
-
-	s, attackerIDs, crashes := buildChaosSim(runCfg, cc, &sched)
+	reg := obs.NewRegistry()
+	s, attackerIDs, crashes := buildChaosSim(cfg, cc, &sched, reg)
 	if cfg.detachAuditCache {
 		s.detachAuditCache()
 	}
@@ -491,7 +508,7 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 		m.DroppedFrames += c.Dropped
 	}
 	m.Fingerprint = chaosFingerprint(s)
-	res.MetricsSnapshot = runCfg.Metrics.Snapshot()
+	res.MetricsSnapshot = reg.Snapshot()
 	return res
 }
 
@@ -501,7 +518,6 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 func (c ChaosConfig) fromTickZero() ChaosConfig {
 	c.ResumeFrom = nil
 	c.Trace = nil
-	c.Metrics = nil
 	c.Interrupt = nil
 	c.Perf = nil
 	c.PerfRuntime = nil

@@ -1,6 +1,7 @@
 package roborebound
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -23,6 +24,28 @@ func chaosSoakSeeds(t *testing.T) []uint64 {
 		return []uint64{1, 2, 3}
 	}
 	return []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
+}
+
+// TestRunChaosRefusesBadCells: RunChaos refuses a cell with a negative
+// robot count or duration by panicking with Check's error, which names
+// the field and its value, before it builds anything.
+func TestRunChaosRefusesBadCells(t *testing.T) {
+	for _, c := range []struct {
+		cfg  ChaosConfig
+		want string
+	}{
+		{ChaosConfig{N: -1, DurationSec: 20}, "negative chaos N -1"},
+		{ChaosConfig{DurationSec: -1}, "out-of-range chaos DurationSec -1"},
+	} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, c.want) {
+					t.Errorf("RunChaos(N %d, DurationSec %g): recovered %q, want a panic containing %q", c.cfg.N, c.cfg.DurationSec, msg, c.want)
+				}
+			}()
+			RunChaos(c.cfg)
+		}()
+	}
 }
 
 // TestChaosSoakMatrix is the cross-seed soak: every controller x every

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -155,8 +156,7 @@ func main() {
 // stops parsing at the first positional, so a trailing "-n 300" would
 // otherwise be ignored and the default cell run in its place. Only
 // trace takes a positional: its scenario. It also rejects a chaos cell
-// the subcommand would run under a controller or profile RunChaos does
-// not know.
+// RunChaos would refuse, naming the flag and its value.
 func checkArgs(args []string) error {
 	rest := args[1:]
 	if args[0] == "trace" && len(rest) > 0 && !strings.HasPrefix(rest[0], "-") {
@@ -168,13 +168,10 @@ func checkArgs(args []string) error {
 	if len(rest) > 0 {
 		return fmt.Errorf("unexpected argument %q after %q: flags go before the subcommand", rest[0], args[0])
 	}
-	if args[0] == "snapshot" || args[0] == "perf" {
-		if !slices.Contains(rr.Controllers(), *snapController) {
-			return fmt.Errorf("unknown -controller %q (want one of %v)", *snapController, rr.Controllers())
-		}
-		if !slices.Contains(faultinject.Profiles(), faultinject.Profile(*snapProfile)) {
-			return fmt.Errorf("unknown -profile %q (want one of %v)", *snapProfile, faultinject.Profiles())
-		}
+	var bad *rr.ChaosConfigError
+	if (args[0] == "snapshot" || args[0] == "perf") && errors.As(snapshotCellConfig().Check(), &bad) {
+		flags := map[string]string{"Controller": "-controller", "Profile": "-profile", "N": "-n", "DurationSec": "-duration"}
+		return fmt.Errorf("%s %s %#v (want %s)", bad.Problem, flags[bad.Field], bad.Value, bad.Want)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"flag"
 	"go/parser"
@@ -13,7 +14,11 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 )
+
+// cliDeadline bounds one runCLI subprocess.
+const cliDeadline = 2 * time.Minute
 
 // mainEnv, when set, makes the test binary act as the roborebound CLI
 // itself, so TestCLIArguments can observe main's flag parsing and exit
@@ -124,6 +129,10 @@ func TestCLIArguments(t *testing.T) {
 		{"misspelled snapshot controller", []string{"-controller", "flockin", "-duration", "30", "-o", os.DevNull, "snapshot"}, 2, `unknown -controller "flockin"`, ""},
 		{"misspelled snapshot profile", []string{"-profile", "mixd", "-duration", "30", "-o", os.DevNull, "snapshot"}, 2, `unknown -profile "mixd"`, ""},
 		{"misspelled perf profile", []string{"-quick", "-profile", "mixd", "perf"}, 2, `unknown -profile "mixd"`, ""},
+		{"negative snapshot -n", []string{"-n", "-5", "-duration", "20", "-o", os.DevNull, "snapshot"}, 2, "negative -n -5", ""},
+		{"negative perf -n", []string{"-quick", "-n", "-3", "perf"}, 2, "negative -n -3", ""},
+		{"negative snapshot -duration", []string{"-duration", "-10", "-o", os.DevNull, "snapshot"}, 2, "out-of-range -duration -10", ""},
+		{"NaN snapshot -duration", []string{"-duration", "NaN", "-o", os.DevNull, "snapshot"}, 2, "out-of-range -duration NaN", ""},
 		{"plain subcommand", []string{"table1"}, 0, "", ""},
 		{"trace keeps its scenario", []string{"-quick", "trace", "patrol"}, 0, "", "trace patrol"},
 	}
@@ -145,14 +154,20 @@ func TestCLIArguments(t *testing.T) {
 }
 
 // runCLI runs the CLI's main with args in a subprocess and returns its
-// exit status and output.
+// exit status and output. A CLI still running after cliDeadline is
+// killed and fails the test by its arguments.
 func runCLI(t *testing.T, args ...string) (exit int, stdout, stderr string) {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
+	ctx, cancel := context.WithTimeout(context.Background(), cliDeadline)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], args...)
 	cmd.Env = append(os.Environ(), mainEnv+"=1")
 	var outBuf, errBuf bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &outBuf, &errBuf
 	err := cmd.Run()
+	if ctx.Err() != nil {
+		t.Fatalf("roborebound %q did not exit within %v", args, cliDeadline)
+	}
 	var ee *exec.ExitError
 	if errors.As(err, &ee) {
 		exit = ee.ExitCode()

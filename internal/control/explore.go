@@ -3,7 +3,6 @@ package control
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -36,12 +35,7 @@ type ExploreParams struct {
 	Strips int
 	// Lanes is the number of lawnmower lanes per strip.
 	Lanes int
-	// ArriveRadius, KP, KD, AccelCap: PD waypoint steering.
-	ArriveRadius float64
-	KP, KD       float64
-	AccelCap     float64
-	// BroadcastPeriod is the state-broadcast interval in ticks.
-	BroadcastPeriod wire.Tick
+	Steering
 	// PeerTimeout is how long an owner may be silent before its strip
 	// counts as orphaned, in ticks. It must comfortably exceed the
 	// broadcast period and the defense's T_val (a robot being audited
@@ -55,17 +49,15 @@ type ExploreParams struct {
 func DefaultExploreParams(ticksPerSecond float64, x0, y0, x1, y1 float64, strips int) ExploreParams {
 	return ExploreParams{
 		X0: x0, Y0: y0, X1: x1, Y1: y1,
-		Strips:          strips,
-		Lanes:           4,
-		ArriveRadius:    2,
-		KP:              0.08,
-		KD:              0.6,
-		AccelCap:        5,
-		BroadcastPeriod: wire.Tick(1.5 * ticksPerSecond),
-		PeerTimeout:     wire.Tick(15 * ticksPerSecond),
+		Strips:      strips,
+		Lanes:       4,
+		Steering:    waypointSteering(ticksPerSecond),
+		PeerTimeout: wire.Tick(15 * ticksPerSecond),
 	}
 }
 
+// explorePeer is all an explorer keeps of a peer: when it was last
+// heard. It needs no pose, so it does not use Peers.
 type explorePeer struct {
 	ID        wire.RobotID
 	LastHeard wire.Tick
@@ -73,20 +65,13 @@ type explorePeer struct {
 
 // Explore is the per-robot exploration state machine.
 type Explore struct {
-	id     wire.RobotID
-	params ExploreParams
-
-	time wire.Tick
-	pos  geom.Vec2
-	vel  geom.Vec2
-
+	Self
+	params   ExploreParams
 	covering uint16 // strip currently being swept
 	lane     uint16 // waypoint index within the strip route
 	idle     bool   // no strip left to sweep
 	covered  uint64 // bitmask of strips this robot has finished
 	peers    []explorePeer
-
-	bcast [wire.StateMsgSize]byte // Outputs.Broadcast, lent until the next call
 }
 
 var _ Controller = (*Explore)(nil)
@@ -111,7 +96,7 @@ func (e *Explore) reset(id wire.RobotID, p ExploreParams) {
 	if p.Lanes < 1 {
 		p.Lanes = 1
 	}
-	*e = Explore{id: id, params: p, covering: ownStrip(id, p.Strips), peers: e.peers[:0]}
+	*e = Explore{Self: Self{ID: id}, params: p, covering: ownStrip(id, p.Strips), peers: e.peers[:0]}
 }
 
 func ownStrip(id wire.RobotID, strips int) uint16 {
@@ -150,17 +135,17 @@ func (e *Explore) waypointsPerStrip() uint16 { return uint16(e.params.Lanes * 2)
 // OnMessage records peer liveness from any parseable state broadcast.
 func (e *Explore) OnMessage(payload []byte) {
 	m, err := wire.DecodeStateMsg(payload)
-	if err != nil || m.Src == e.id {
+	if err != nil || m.Src == e.ID {
 		return
 	}
 	i := sort.Search(len(e.peers), func(i int) bool { return e.peers[i].ID >= m.Src })
 	if i < len(e.peers) && e.peers[i].ID == m.Src {
-		e.peers[i].LastHeard = e.time
+		e.peers[i].LastHeard = e.Time
 		return
 	}
 	e.peers = append(e.peers, explorePeer{})
 	copy(e.peers[i+1:], e.peers[i:])
-	e.peers[i] = explorePeer{ID: m.Src, LastHeard: e.time}
+	e.peers[i] = explorePeer{ID: m.Src, LastHeard: e.Time}
 }
 
 // liveRank returns this robot's rank among currently-live robots (its
@@ -168,11 +153,11 @@ func (e *Explore) OnMessage(payload []byte) {
 // live count. Liveness of a peer means heard within PeerTimeout.
 func (e *Explore) liveRank() (rank, count int) {
 	for _, p := range e.peers {
-		if p.LastHeard+e.params.PeerTimeout <= e.time {
+		if p.LastHeard+e.params.PeerTimeout <= e.Time {
 			continue
 		}
 		count++
-		if p.ID < e.id {
+		if p.ID < e.ID {
 			rank++
 		}
 	}
@@ -196,7 +181,7 @@ func (e *Explore) orphanedStrip() (uint16, bool) {
 		if e.covered&(1<<uint(s)) != 0 {
 			continue
 		}
-		if uint16(s) == ownStrip(e.id, e.params.Strips) {
+		if uint16(s) == ownStrip(e.ID, e.params.Strips) {
 			continue // own strip handled by the normal sweep
 		}
 		ownerAlive := false
@@ -204,7 +189,7 @@ func (e *Explore) orphanedStrip() (uint16, bool) {
 			if ownStrip(p.ID, e.params.Strips) != uint16(s) {
 				continue
 			}
-			if p.LastHeard+e.params.PeerTimeout > e.time {
+			if p.LastHeard+e.params.PeerTimeout > e.Time {
 				ownerAlive = true
 				break
 			}
@@ -222,10 +207,7 @@ func (e *Explore) orphanedStrip() (uint16, bool) {
 
 // OnSensor advances the sweep.
 func (e *Explore) OnSensor(r wire.SensorReading) Outputs {
-	e.time = r.Time
-	e.pos = geom.V(r.PosX, r.PosY)
-	e.vel = geom.V(float64(r.VelX), float64(r.VelY))
-
+	e.Sense(r)
 	if e.idle {
 		// Re-check for newly orphaned strips.
 		if s, ok := e.orphanedStrip(); ok {
@@ -236,7 +218,7 @@ func (e *Explore) OnSensor(r wire.SensorReading) Outputs {
 	var u geom.Vec2
 	if !e.idle {
 		target := e.waypoint(e.covering, e.lane)
-		if e.pos.Dist(target) <= e.params.ArriveRadius {
+		if e.Pos.Dist(target) <= e.params.ArriveRadius {
 			e.lane++
 			if e.lane >= e.waypointsPerStrip() {
 				e.covered |= 1 << uint(e.covering)
@@ -251,35 +233,20 @@ func (e *Explore) OnSensor(r wire.SensorReading) Outputs {
 			}
 		}
 		if !e.idle {
-			u = target.Sub(e.pos).Scale(e.params.KP).
-				Add(e.vel.Neg().Scale(e.params.KD)).
-				ClampAxes(e.params.AccelCap)
+			u = e.Steer(target, e.params.Steering)
 		}
 	}
 	if e.idle {
 		// Brake to a stop while idle.
-		u = e.vel.Neg().Scale(e.params.KD).ClampAxes(e.params.AccelCap)
+		u = e.Vel.Neg().Scale(e.params.KD).ClampAxes(e.params.AccelCap)
 	}
-
-	out := Outputs{Cmd: wire.ActuatorCmd{Time: r.Time, AccX: u.X, AccY: u.Y}, HasCmd: true}
-	if per := e.params.BroadcastPeriod; per > 0 && r.Time%per == wire.Tick(e.id)%per {
-		m := wire.StateMsg{Src: e.id, Time: r.Time,
-			PosX: float32(e.pos.X), PosY: float32(e.pos.Y),
-			VelX: float32(e.vel.X), VelY: float32(e.vel.Y)}
-		out.Broadcast = m.AppendEncode(e.bcast[:0])
-	}
-	return out
+	return e.Act(u, e.params.BroadcastPeriod)
 }
 
 // AppendState appends the canonical exploration state.
 func (e *Explore) AppendState(dst []byte) []byte {
-	dst = slices.Grow(dst, 8+16+8+2+2+1+8+2+len(e.peers)*10)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(e.time))
-	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(e.pos.X))
-	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(e.pos.Y))
-	dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(float32(e.vel.X)))
-	dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(float32(e.vel.Y)))
-	dst = binary.BigEndian.AppendUint16(dst, e.covering)
+	dst = slices.Grow(dst, SelfSize+2+2+1+8+2+len(e.peers)*10)
+	dst = binary.BigEndian.AppendUint16(e.AppendSelf(dst), e.covering)
 	dst = binary.BigEndian.AppendUint16(dst, e.lane)
 	if e.idle {
 		dst = append(dst, 1)
@@ -297,9 +264,7 @@ func (e *Explore) AppendState(dst []byte) []byte {
 
 func (e *Explore) restoreState(state []byte) error {
 	r := wire.NewReader(state)
-	e.time = wire.Tick(r.U64())
-	e.pos = geom.V(r.F64(), r.F64())
-	e.vel = geom.V(float64(r.F32()), float64(r.F32()))
+	e.ReadSelf(r)
 	e.covering = r.U16()
 	e.lane = r.U16()
 	e.idle = r.U8() == 1

@@ -28,10 +28,10 @@ func TestEveryControlStepCarriesACommand(t *testing.T) {
 		ctrl Controller
 	}{
 		{"patrol", NewPatrol(1, patrolParams())},
-		{"patrol, empty route", NewPatrol(1, PatrolParams{AccelCap: 5})},
+		{"patrol, empty route", NewPatrol(1, PatrolParams{Steering: Steering{AccelCap: 5}})},
 		{"warehouse", NewWarehouse(1, warehouseParams())},
 		{"warehouse, yielding", yielding},
-		{"warehouse, no stations", NewWarehouse(1, WarehouseParams{ArriveRadius: 1, KP: 0.1, KD: 0.5, AccelCap: 5})},
+		{"warehouse, no stations", NewWarehouse(1, WarehouseParams{Steering: Steering{ArriveRadius: 1, KP: 0.1, KD: 0.5, AccelCap: 5}})},
 		{"explore, sweeping", NewExplore(1, exploreParams())},
 		{"explore, idle", idle},
 	} {

@@ -3,7 +3,6 @@ package control
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
 
 	"roborebound/internal/geom"
@@ -18,14 +17,7 @@ import (
 type PatrolParams struct {
 	// Waypoints is the closed patrol route, visited in order.
 	Waypoints []geom.Vec2
-	// ArriveRadius is how close counts as "reached" (meters).
-	ArriveRadius float64
-	// KP and KD are the PD gains steering toward the active waypoint.
-	KP, KD float64
-	// AccelCap is the per-axis acceleration saturation.
-	AccelCap float64
-	// BroadcastPeriod is the state-broadcast interval in ticks.
-	BroadcastPeriod wire.Tick
+	Steering
 	// RingGapM inflates each robot's route outward from the route
 	// centroid by id × RingGapM meters, giving every robot its own
 	// concentric ring (defense in depth, and no shared track for a
@@ -36,30 +28,23 @@ type PatrolParams struct {
 // DefaultPatrolParams returns a usable patrol configuration for the
 // given route.
 func DefaultPatrolParams(ticksPerSecond float64, waypoints []geom.Vec2) PatrolParams {
-	return PatrolParams{
-		Waypoints:       waypoints,
-		ArriveRadius:    2.0,
-		KP:              0.08,
-		KD:              0.6,
-		AccelCap:        5.0,
-		BroadcastPeriod: wire.Tick(1.5 * ticksPerSecond),
-	}
+	return PatrolParams{Waypoints: waypoints, Steering: waypointSteering(ticksPerSecond)}
+}
+
+// waypointSteering is the steering patrol and exploration share.
+func waypointSteering(ticksPerSecond float64) Steering {
+	return Steering{ArriveRadius: 2, KP: 0.08, KD: 0.6, AccelCap: 5,
+		BroadcastPeriod: wire.Tick(1.5 * ticksPerSecond)}
 }
 
 // Patrol is a deterministic PD waypoint-following controller. Each
 // robot starts at the waypoint index equal to its ID modulo the route
 // length, so a team spreads out along the perimeter.
 type Patrol struct {
-	id     wire.RobotID
+	Self
 	params PatrolParams
-
-	time wire.Tick
-	pos  geom.Vec2
-	vel  geom.Vec2
-	wp   uint16 // active waypoint index
-
-	route []geom.Vec2             // storage of params.Waypoints when RingGapM inflates them
-	bcast [wire.StateMsgSize]byte // Outputs.Broadcast, lent until the next call
+	wp     uint16      // active waypoint index
+	route  []geom.Vec2 // storage of params.Waypoints when RingGapM inflates them
 }
 
 var _ Controller = (*Patrol)(nil)
@@ -76,7 +61,7 @@ func NewPatrol(id wire.RobotID, p PatrolParams) *Patrol {
 // reset puts p in robot id's initial state, keeping only the storage of
 // its inflated route.
 func (p *Patrol) reset(id wire.RobotID, params PatrolParams) {
-	*p = Patrol{id: id, params: params, route: p.route[:0]}
+	*p = Patrol{Self: Self{ID: id}, params: params, route: p.route[:0]}
 	if params.RingGapM != 0 && len(params.Waypoints) > 0 {
 		var centroid geom.Vec2
 		for _, w := range params.Waypoints {
@@ -100,29 +85,17 @@ func (p *Patrol) Waypoint() int { return int(p.wp) }
 
 // OnSensor advances the PD loop toward the active waypoint.
 func (p *Patrol) OnSensor(r wire.SensorReading) Outputs {
-	p.time = r.Time
-	p.pos = geom.V(r.PosX, r.PosY)
-	p.vel = geom.V(float64(r.VelX), float64(r.VelY))
-
+	p.Sense(r)
 	var u geom.Vec2
 	if n := len(p.params.Waypoints); n > 0 {
 		target := p.params.Waypoints[p.wp]
-		if p.pos.Dist(target) <= p.params.ArriveRadius {
+		if p.Pos.Dist(target) <= p.params.ArriveRadius {
 			p.wp = uint16((int(p.wp) + 1) % n)
 			target = p.params.Waypoints[p.wp]
 		}
-		u = target.Sub(p.pos).Scale(p.params.KP).
-			Add(p.vel.Neg().Scale(p.params.KD)).
-			ClampAxes(p.params.AccelCap)
+		u = p.Steer(target, p.params.Steering)
 	}
-	out := Outputs{Cmd: wire.ActuatorCmd{Time: r.Time, AccX: u.X, AccY: u.Y}, HasCmd: true}
-	if per := p.params.BroadcastPeriod; per > 0 && r.Time%per == wire.Tick(p.id)%per {
-		m := wire.StateMsg{Src: p.id, Time: r.Time,
-			PosX: float32(p.pos.X), PosY: float32(p.pos.Y),
-			VelX: float32(p.vel.X), VelY: float32(p.vel.Y)}
-		out.Broadcast = m.AppendEncode(p.bcast[:0])
-	}
-	return out
+	return p.Act(u, p.params.BroadcastPeriod)
 }
 
 // OnMessage ignores peer traffic: patrol robots coordinate only
@@ -131,20 +104,13 @@ func (p *Patrol) OnMessage([]byte) {}
 
 // AppendState appends the canonical patrol state.
 func (p *Patrol) AppendState(dst []byte) []byte {
-	dst = slices.Grow(dst, 8+16+8+2)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(p.time))
-	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(p.pos.X))
-	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(p.pos.Y))
-	dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(float32(p.vel.X)))
-	dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(float32(p.vel.Y)))
-	return binary.BigEndian.AppendUint16(dst, p.wp)
+	dst = slices.Grow(dst, SelfSize+2)
+	return binary.BigEndian.AppendUint16(p.AppendSelf(dst), p.wp)
 }
 
 func (p *Patrol) restoreState(state []byte) error {
 	r := wire.NewReader(state)
-	p.time = wire.Tick(r.U64())
-	p.pos = geom.V(r.F64(), r.F64())
-	p.vel = geom.V(float64(r.F32()), float64(r.F32()))
+	p.ReadSelf(r)
 	p.wp = r.U16()
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("patrol state: %w", err)

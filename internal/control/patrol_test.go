@@ -65,7 +65,7 @@ func TestPatrolDamping(t *testing.T) {
 }
 
 func TestPatrolEmptyRoute(t *testing.T) {
-	c := NewPatrol(1, PatrolParams{AccelCap: 5})
+	c := NewPatrol(1, PatrolParams{Steering: Steering{AccelCap: 5}})
 	out := c.OnSensor(patrolReading(0, geom.V(3, 4), geom.V(1, 1)))
 	if !out.HasCmd || out.Cmd.AccX != 0 || out.Cmd.AccY != 0 {
 		t.Errorf("empty route should command zero accel: %+v", out.Cmd)

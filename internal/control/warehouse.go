@@ -3,9 +3,7 @@ package control
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
-	"sort"
 
 	"roborebound/internal/geom"
 	"roborebound/internal/wire"
@@ -37,8 +35,8 @@ type WarehouseParams struct {
 	// Pickups and Dropoffs are station locations; robot id uses
 	// Pickups[(id−1) mod len] and Dropoffs[(id−1) mod len].
 	Pickups, Dropoffs []geom.Vec2
-	// ArriveRadius is how close counts as docked (meters).
-	ArriveRadius float64
+	// Steering's ArriveRadius is how close counts as docked.
+	Steering
 	// YieldRadius is the give-way zone around higher-priority robots.
 	// It must exceed the worst-case stopping distance (v²/2a plus the
 	// staleness drift of a broadcast position) or shuttles coast
@@ -49,57 +47,37 @@ type WarehouseParams struct {
 	// LaneWidth of our heading line. Without it, parallel traffic on
 	// adjacent lanes triggers spurious stops.
 	LaneWidth float64
-	// StaleAfter drops neighbor entries older than this many ticks (a
-	// vanished robot must not block an aisle forever).
+	// StaleAfter is how many ticks a peer's entry forces a yield after
+	// it was heard: an older entry stays in the table, but the yield
+	// rule ignores it (a vanished robot must not block an aisle
+	// forever).
 	StaleAfter wire.Tick
 	// LaneOffset displaces the return lane from the outbound lane.
 	LaneOffset float64
-	// KP, KD, AccelCap: PD steering.
-	KP, KD   float64
-	AccelCap float64
-	// BroadcastPeriod is the state-broadcast interval in ticks.
-	BroadcastPeriod wire.Tick
 }
 
 // DefaultWarehouseParams returns a workable configuration for the
 // given station lists.
 func DefaultWarehouseParams(ticksPerSecond float64, pickups, dropoffs []geom.Vec2) WarehouseParams {
 	return WarehouseParams{
-		Pickups:         pickups,
-		Dropoffs:        dropoffs,
-		ArriveRadius:    1.5,
-		YieldRadius:     15,
-		LaneWidth:       2,
-		LaneOffset:      4,
-		StaleAfter:      wire.Tick(6 * ticksPerSecond),
-		KP:              0.1,
-		KD:              0.7,
-		AccelCap:        5,
-		BroadcastPeriod: wire.Tick(1.5 * ticksPerSecond),
+		Pickups:  pickups,
+		Dropoffs: dropoffs,
+		Steering: Steering{ArriveRadius: 1.5, KP: 0.1, KD: 0.7, AccelCap: 5,
+			BroadcastPeriod: wire.Tick(1.5 * ticksPerSecond)},
+		YieldRadius: 15,
+		LaneWidth:   2,
+		LaneOffset:  4,
+		StaleAfter:  wire.Tick(6 * ticksPerSecond),
 	}
-}
-
-type warehousePeer struct {
-	ID         wire.RobotID
-	LastHeard  wire.Tick
-	PosX, PosY float32
-	VelX, VelY float32
 }
 
 // Warehouse is the shuttle controller.
 type Warehouse struct {
-	id     wire.RobotID
+	Self
 	params WarehouseParams
-
-	time wire.Tick
-	pos  geom.Vec2
-	vel  geom.Vec2
-
-	wp    uint8  // waypoint index on the one-way loop (see route)
-	trips uint32 // completed pickup→dropoff cycles
-	peers []warehousePeer
-
-	bcast [wire.StateMsgSize]byte // Outputs.Broadcast, lent until the next call
+	wp     uint8  // waypoint index on the one-way loop (see route)
+	trips  uint32 // completed pickup→dropoff cycles
+	peers  Peers
 }
 
 var _ Controller = (*Warehouse)(nil)
@@ -115,7 +93,7 @@ func NewWarehouse(id wire.RobotID, p WarehouseParams) *Warehouse {
 // reset puts w in robot id's initial state, keeping only the storage of
 // its peer table.
 func (w *Warehouse) reset(id wire.RobotID, p WarehouseParams) {
-	*w = Warehouse{id: id, params: p, peers: w.peers[:0]}
+	*w = Warehouse{Self: Self{ID: id}, params: p, peers: w.peers[:0]}
 }
 
 // Trips returns the number of completed delivery cycles.
@@ -126,8 +104,8 @@ func (w *Warehouse) Trips() int { return int(w.trips) }
 // pickup dock, index 1 the dropoff dock.
 func (w *Warehouse) route() [4]geom.Vec2 {
 	idx := 0
-	if w.id > 0 && len(w.params.Pickups) > 0 {
-		idx = int(w.id-1) % len(w.params.Pickups)
+	if w.ID > 0 && len(w.params.Pickups) > 0 {
+		idx = int(w.ID-1) % len(w.params.Pickups)
 	}
 	var pickup, dropoff geom.Vec2
 	if len(w.params.Pickups) > 0 {
@@ -150,19 +128,19 @@ func (w *Warehouse) Target() geom.Vec2 {
 func (w *Warehouse) Yielding() bool { return w.yielding() }
 
 func (w *Warehouse) yielding() bool {
-	heading := w.Target().Sub(w.pos)
+	heading := w.Target().Sub(w.Pos)
 	if heading.NormSq() == 0 {
 		return false
 	}
 	dir := heading.Unit()
 	for _, p := range w.peers {
-		if p.ID >= w.id { // only lower IDs have priority over us
+		if p.ID >= w.ID { // only lower IDs have priority over us
 			continue
 		}
-		if p.LastHeard+w.params.StaleAfter <= w.time {
+		if p.LastHeard+w.params.StaleAfter <= w.Time {
 			continue
 		}
-		to := geom.V(float64(p.PosX), float64(p.PosY)).Sub(w.pos)
+		to := geom.V(float64(p.PosX), float64(p.PosY)).Sub(w.Pos)
 		if to.Norm() > w.params.YieldRadius {
 			continue
 		}
@@ -189,31 +167,13 @@ func (w *Warehouse) yielding() bool {
 }
 
 // OnMessage ingests a peer state broadcast.
-func (w *Warehouse) OnMessage(payload []byte) {
-	m, err := wire.DecodeStateMsg(payload)
-	if err != nil || m.Src == w.id {
-		return
-	}
-	entry := warehousePeer{ID: m.Src, LastHeard: w.time,
-		PosX: m.PosX, PosY: m.PosY, VelX: m.VelX, VelY: m.VelY}
-	i := sort.Search(len(w.peers), func(i int) bool { return w.peers[i].ID >= m.Src })
-	if i < len(w.peers) && w.peers[i].ID == m.Src {
-		w.peers[i] = entry
-		return
-	}
-	w.peers = append(w.peers, warehousePeer{})
-	copy(w.peers[i+1:], w.peers[i:])
-	w.peers[i] = entry
-}
+func (w *Warehouse) OnMessage(payload []byte) { w.peers.Hear(payload, w.ID, w.Time) }
 
 // OnSensor advances the shuttle loop.
 func (w *Warehouse) OnSensor(r wire.SensorReading) Outputs {
-	w.time = r.Time
-	w.pos = geom.V(r.PosX, r.PosY)
-	w.vel = geom.V(float64(r.VelX), float64(r.VelY))
-
+	w.Sense(r)
 	target := w.Target()
-	if w.pos.Dist(target) <= w.params.ArriveRadius {
+	if w.Pos.Dist(target) <= w.params.ArriveRadius {
 		if w.wp == 1 {
 			w.trips++ // docked at the dropoff: delivery complete
 		}
@@ -224,69 +184,31 @@ func (w *Warehouse) OnSensor(r wire.SensorReading) Outputs {
 	var u geom.Vec2
 	if w.yielding() {
 		// Give way: brake hard, hold position.
-		u = w.vel.Neg().Scale(w.params.KD * 2).ClampAxes(w.params.AccelCap)
+		u = w.Vel.Neg().Scale(w.params.KD * 2).ClampAxes(w.params.AccelCap)
 	} else {
-		u = target.Sub(w.pos).Scale(w.params.KP).
-			Add(w.vel.Neg().Scale(w.params.KD)).
-			ClampAxes(w.params.AccelCap)
+		u = w.Steer(target, w.params.Steering)
 	}
-
-	out := Outputs{Cmd: wire.ActuatorCmd{Time: r.Time, AccX: u.X, AccY: u.Y}, HasCmd: true}
-	if per := w.params.BroadcastPeriod; per > 0 && r.Time%per == wire.Tick(w.id)%per {
-		m := wire.StateMsg{Src: w.id, Time: r.Time,
-			PosX: float32(w.pos.X), PosY: float32(w.pos.Y),
-			VelX: float32(w.vel.X), VelY: float32(w.vel.Y)}
-		out.Broadcast = m.AppendEncode(w.bcast[:0])
-	}
-	return out
+	return w.Act(u, w.params.BroadcastPeriod)
 }
 
 // AppendState appends the canonical warehouse state.
 func (w *Warehouse) AppendState(dst []byte) []byte {
-	dst = slices.Grow(dst, 8+16+8+1+4+2+len(w.peers)*26)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(w.time))
-	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(w.pos.X))
-	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(w.pos.Y))
-	dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(float32(w.vel.X)))
-	dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(float32(w.vel.Y)))
-	dst = append(dst, w.wp)
+	dst = slices.Grow(dst, SelfSize+1+4+2+len(w.peers)*PeerSize)
+	dst = append(w.AppendSelf(dst), w.wp)
 	dst = binary.BigEndian.AppendUint32(dst, w.trips)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(w.peers)))
-	for _, p := range w.peers {
-		dst = binary.BigEndian.AppendUint16(dst, uint16(p.ID))
-		dst = binary.BigEndian.AppendUint64(dst, uint64(p.LastHeard))
-		dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(p.PosX))
-		dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(p.PosY))
-		dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(p.VelX))
-		dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(p.VelY))
-	}
-	return dst
+	return w.peers.AppendPeers(dst)
 }
 
 func (w *Warehouse) restoreState(state []byte) error {
 	r := wire.NewReader(state)
-	w.time = wire.Tick(r.U64())
-	w.pos = geom.V(r.F64(), r.F64())
-	w.vel = geom.V(float64(r.F32()), float64(r.F32()))
+	w.ReadSelf(r)
 	w.wp = r.U8()
 	w.trips = r.U32()
 	if w.wp > 3 {
 		return fmt.Errorf("warehouse state: waypoint %d out of range", w.wp)
 	}
-	n := int(r.U16())
-	if n > r.Remaining()/26 { // 26 bytes per encoded peer (U16 + U64 + 4×F32)
-		return fmt.Errorf("warehouse: peer count %d exceeds payload", n)
-	}
-	w.peers = slices.Grow(w.peers[:0], n)
-	prev := -1
-	for i := 0; i < n; i++ {
-		p := warehousePeer{ID: wire.RobotID(r.U16()), LastHeard: wire.Tick(r.U64()),
-			PosX: r.F32(), PosY: r.F32(), VelX: r.F32(), VelY: r.F32()}
-		if int(p.ID) <= prev {
-			return fmt.Errorf("warehouse: non-canonical peer order in state")
-		}
-		prev = int(p.ID)
-		w.peers = append(w.peers, p)
+	if err := w.peers.ReadPeers(r); err != nil {
+		return fmt.Errorf("warehouse state: %w", err)
 	}
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("warehouse state: %w", err)

@@ -202,7 +202,7 @@ func TestWarehouseRestoreRejectsBadState(t *testing.T) {
 }
 
 func TestWarehouseEmptyStations(t *testing.T) {
-	w := NewWarehouse(1, WarehouseParams{ArriveRadius: 1, KP: 0.1, KD: 0.5, AccelCap: 5})
+	w := NewWarehouse(1, WarehouseParams{Steering: Steering{ArriveRadius: 1, KP: 0.1, KD: 0.5, AccelCap: 5}})
 	out := w.OnSensor(whReading(0, geom.V(3, 3), geom.Zero2))
 	if !out.HasCmd {
 		t.Fatal("no command")

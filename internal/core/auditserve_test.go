@@ -107,7 +107,7 @@ func TestCachedRefusalAccountingMatchesUncached(t *testing.T) {
 			if c.setup != nil {
 				c.setup(eng)
 			}
-			eng.OnFrame(wire.Frame{Src: 3, Dst: self, Flags: wire.FlagAudit, Payload: c.payload})
+			eng.OnFrameEnc(wire.Frame{Src: 3, Dst: self, Flags: wire.FlagAudit, Payload: c.payload}, nil)
 		}
 		if got, want := cached.Stats(), uncached.Stats(); got != want {
 			t.Errorf("%s: cached Stats %+v, uncached %+v", c.name, got, want)
@@ -131,7 +131,7 @@ func TestKeylessAuditorNeverTouchesCache(t *testing.T) {
 
 	a := wire.AuditRequest{Auditee: 2, Auditor: 1,
 		Req: wire.TokenRequest{Auditee: 2, Auditor: 1, T: 5}}
-	eng.OnFrame(wire.Frame{Src: 2, Dst: 1, Flags: wire.FlagAudit, Payload: a.Encode()})
+	eng.OnFrameEnc(wire.Frame{Src: 2, Dst: 1, Flags: wire.FlagAudit, Payload: a.Encode()}, nil)
 	if hits, misses := cache.HitsMisses(); hits != 0 || misses != 0 {
 		t.Errorf("keyless auditor consulted the cache: hits=%d misses=%d", hits, misses)
 	}
@@ -225,8 +225,8 @@ func TestLateTokenAfterRoundCovered(t *testing.T) {
 	// Replay of an already-installed current-round token: installs
 	// (InstallToken keeps the max timestamp, so it is a no-op there)
 	// but must not cover the round twice.
-	eng.OnFrame(wire.Frame{Src: tok.Auditor, Dst: 1, Flags: wire.FlagAudit,
-		Payload: (&wire.AuditResponse{Auditor: tok.Auditor, Auditee: 1, OK: true, Tok: tok}).Encode()})
+	eng.OnFrameEnc(wire.Frame{Src: tok.Auditor, Dst: 1, Flags: wire.FlagAudit,
+		Payload: (&wire.AuditResponse{Auditor: tok.Auditor, Auditee: 1, OK: true, Tok: tok}).Encode()}, nil)
 	if got := eng.Stats().RoundsCovered; got != covered {
 		t.Errorf("late token re-covered the round: %d -> %d", covered, got)
 	}
@@ -238,8 +238,8 @@ func TestLateTokenAfterRoundCovered(t *testing.T) {
 	// replay from an earlier round) must be ignored entirely.
 	stale := tok
 	stale.HCkpt[0] ^= 1
-	eng.OnFrame(wire.Frame{Src: stale.Auditor, Dst: 1, Flags: wire.FlagAudit,
-		Payload: (&wire.AuditResponse{Auditor: stale.Auditor, Auditee: 1, OK: true, Tok: stale}).Encode()})
+	eng.OnFrameEnc(wire.Frame{Src: stale.Auditor, Dst: 1, Flags: wire.FlagAudit,
+		Payload: (&wire.AuditResponse{Auditor: stale.Auditor, Auditee: 1, OK: true, Tok: stale}).Encode()}, nil)
 	if got := eng.Stats().TokensInstalled; got != installed+1 {
 		t.Error("stale-round token installed")
 	}

@@ -15,7 +15,7 @@ import (
 
 // Engine is one robot's protocol engine. It is single-goroutine by
 // construction: the simulation (or a real c-node's event loop) calls
-// OnSensorReading, OnFrame, and Tick in a fixed order.
+// OnSensorReadingEnc, OnFrameEnc, and Tick in a fixed order.
 type Engine struct {
 	id      wire.RobotID
 	cfg     Config //rebound:snapshot-skip immutable config, supplied at rebuild
@@ -223,18 +223,13 @@ func (e *Engine) CurrentRoundHash() (cryptolite.ChainHash, bool) {
 	return e.round.hash, true
 }
 
-// OnSensorReading drives one control step: the reading has already
-// passed through (and been chained by) the s-node. The engine logs it,
-// steps the controller, and routes the outputs through the a-node,
-// logging exactly what the a-node forwards.
-func (e *Engine) OnSensorReading(reading wire.SensorReading) {
-	e.OnSensorReadingEnc(reading, reading.Encode())
-}
-
-// OnSensorReadingEnc is OnSensorReading with the reading's encoding
-// already in hand — the s-node chained those exact bytes (see
-// SNode.PollSensorsEnc). enc is borrowed: it is copied into the log
-// here and never read after the call returns.
+// OnSensorReadingEnc drives one control step: the reading has already
+// passed through (and been chained by) the s-node, and enc is the
+// encoding the s-node chained (see SNode.PollSensorsEnc). The engine
+// logs it, steps the controller, and routes the outputs through the
+// a-node, logging exactly what the a-node forwards. enc is borrowed:
+// it is copied into the log here and never read after the call
+// returns.
 func (e *Engine) OnSensorReadingEnc(reading wire.SensorReading, enc []byte) {
 	e.logAppend(wire.LogEntry{Kind: wire.EntrySensor, Payload: enc})
 	out := e.ctrl.OnSensor(reading)
@@ -254,22 +249,16 @@ func (e *Engine) OnSensorReadingEnc(reading wire.SensorReading, enc []byte) {
 	}
 }
 
-// OnFrame handles a frame the a-node forwarded up. Application frames
-// are logged and fed to the controller; audit-flagged frames drive the
-// audit protocol and are never logged (§3.4).
-func (e *Engine) OnFrame(f wire.Frame) { e.OnFrameEnc(f, nil) }
-
-// OnFrameEnc is OnFrame with the frame encoding the a-node's chain
-// witnessed (nil for audit frames, or when the caller has no encoding
-// — the engine then encodes once itself). enc is borrowed from the
-// a-node's receive buffer for the duration of the call: it is copied
-// into the log here and never read after the call returns.
+// OnFrameEnc handles a frame the a-node forwarded up. Application
+// frames are logged and fed to the controller; audit-flagged frames
+// drive the audit protocol and are never logged (§3.4). enc is the
+// frame encoding the a-node's chain witnessed (nil for audit frames),
+// borrowed from the a-node's receive buffer for the duration of the
+// call: it is copied into the log here and never read after the call
+// returns.
 func (e *Engine) OnFrameEnc(f wire.Frame, enc []byte) {
 	e.hear(f.Src)
 	if !f.IsAudit() {
-		if enc == nil {
-			enc = f.Encode()
-		}
 		e.logAppend(wire.LogEntry{Kind: wire.EntryRecv, Payload: enc})
 		e.ctrl.OnMessage(f.Payload)
 		return

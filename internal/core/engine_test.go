@@ -93,8 +93,8 @@ func (h *harness) tick() {
 	}
 	for id, eng := range h.engines {
 		reading := wire.SensorReading{Time: h.now, PosX: float64(id), PosY: float64(id)}
-		if fwd, ok := h.snodes[id].PollSensors(reading); ok {
-			eng.OnSensorReading(fwd)
+		if fwd, enc, ok := h.snodes[id].PollSensorsEnc(reading); ok {
+			eng.OnSensorReadingEnc(fwd, enc)
 		}
 		eng.Tick(h.now)
 		h.anodes[id].CheckTokens()
@@ -197,7 +197,8 @@ func TestSolicitExhaustedCandidatesNoDuplicateAsk(t *testing.T) {
 
 	// Make peer 2 a candidate (app traffic marks it heard).
 	state := wire.StateMsg{Src: 2, Time: 0}
-	eng.OnFrame(wire.Frame{Src: 2, Dst: wire.Broadcast, Payload: state.Encode()})
+	app := wire.Frame{Src: 2, Dst: wire.Broadcast, Payload: state.Encode()}
+	eng.OnFrameEnc(app, app.Encode())
 
 	// Trigger exactly one audit round (tick ≡ id mod TAudit), whose
 	// startRound performs one solicit pass.
@@ -241,13 +242,13 @@ func TestMalformedAuditTrafficIgnored(t *testing.T) {
 	eng := h.engines[1]
 	before := eng.Stats()
 	// Garbage of every protocol kind, plus misaddressed requests.
-	eng.OnFrame(wire.Frame{Src: 2, Dst: 1, Flags: wire.FlagAudit, Payload: []byte{wire.KindAuditRequest, 0xFF}})
-	eng.OnFrame(wire.Frame{Src: 2, Dst: 1, Flags: wire.FlagAudit, Payload: []byte{wire.KindAuditResponse}})
-	eng.OnFrame(wire.Frame{Src: 2, Dst: 1, Flags: wire.FlagAudit, Payload: nil})
+	eng.OnFrameEnc(wire.Frame{Src: 2, Dst: 1, Flags: wire.FlagAudit, Payload: []byte{wire.KindAuditRequest, 0xFF}}, nil)
+	eng.OnFrameEnc(wire.Frame{Src: 2, Dst: 1, Flags: wire.FlagAudit, Payload: []byte{wire.KindAuditResponse}}, nil)
+	eng.OnFrameEnc(wire.Frame{Src: 2, Dst: 1, Flags: wire.FlagAudit, Payload: nil}, nil)
 	junk := wire.AuditRequest{Auditee: 2, Auditor: 9 /* not us */}
-	eng.OnFrame(wire.Frame{Src: 2, Dst: 1, Flags: wire.FlagAudit, Payload: junk.Encode()})
+	eng.OnFrameEnc(wire.Frame{Src: 2, Dst: 1, Flags: wire.FlagAudit, Payload: junk.Encode()}, nil)
 	selfReq := wire.AuditRequest{Auditee: 1, Auditor: 1, Req: wire.TokenRequest{Auditee: 1, Auditor: 1}}
-	eng.OnFrame(wire.Frame{Src: 1, Dst: 1, Flags: wire.FlagAudit, Payload: selfReq.Encode()})
+	eng.OnFrameEnc(wire.Frame{Src: 1, Dst: 1, Flags: wire.FlagAudit, Payload: selfReq.Encode()}, nil)
 	after := eng.Stats()
 	if after.AuditsServed != before.AuditsServed {
 		t.Error("junk audit traffic earned a token")
@@ -277,7 +278,7 @@ func TestAuditeeRejectsBogusTokens(t *testing.T) {
 	}
 	bogus := wire.AuditResponse{Auditor: 99, Auditee: 1, OK: true,
 		Tok: wire.Token{Auditor: 99, Auditee: 1, T: h.now, HCkpt: hash}}
-	eng.OnFrame(wire.Frame{Src: 99, Dst: 1, Flags: wire.FlagAudit, Payload: bogus.Encode()})
+	eng.OnFrameEnc(wire.Frame{Src: 99, Dst: 1, Flags: wire.FlagAudit, Payload: bogus.Encode()}, nil)
 
 	after := eng.Stats()
 	if after.TokensInstalled != before.TokensInstalled {
@@ -293,7 +294,7 @@ func TestAuditeeRejectsBogusTokens(t *testing.T) {
 	// A token for a stale/unknown checkpoint is silently dropped.
 	stale := wire.AuditResponse{Auditor: 2, Auditee: 1, OK: true,
 		Tok: wire.Token{Auditor: 2, Auditee: 1, T: h.now}}
-	eng.OnFrame(wire.Frame{Src: 2, Dst: 1, Flags: wire.FlagAudit, Payload: stale.Encode()})
+	eng.OnFrameEnc(wire.Frame{Src: 2, Dst: 1, Flags: wire.FlagAudit, Payload: stale.Encode()}, nil)
 	if h.anodes[1].ValidTokenCount() != tokensBefore {
 		t.Error("stale-checkpoint token installed")
 	}

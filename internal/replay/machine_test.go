@@ -2,6 +2,8 @@ package replay
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"testing"
 
@@ -276,4 +278,73 @@ func scriptEntries(b []byte) []wire.LogEntry {
 		}
 	}
 	return out
+}
+
+// TestControllerBytes pins every controller's audit contract, the
+// bytes an auditor's replay compares. Robot 3 of each factory in
+// controllerFactories drives itself through a scripted mission, its
+// own commands integrated into its next reading, one reading per tick
+// (so on and off its broadcast ticks). It hears robots 1, 2 and 4,
+// some of them receding ahead of it, robot 1 parked in its lane for a
+// while, robots 1 and 2 falling silent part-way (so an explorer adopts
+// their strips, then idles); and a peer claiming its own ID, and a
+// garbage payload. The digest covers every Outputs
+// (command and broadcast bytes) and the state every 200 ticks and at
+// the end. The digests were taken on amd64; architectures that fuse
+// x*y+z compute other commands (ROADMAP item 5).
+func TestControllerBytes(t *testing.T) {
+	want := map[string]string{
+		"flocking":  "5e6aab492d428fa4fc78eb9a2722d7d06da374efacf2ccc296470efdc4b32f28",
+		"patrol":    "12875e7ffbb206ea67d16f702d386f658b0a2102cf91f7c7d1eec85216f1039e",
+		"warehouse": "beeda19c2585b4dd960f190ab8c80ec09bdb356ddfb41d9ea436f012a86057e7",
+		"explore":   "f035d4d58901b3031d088233821584d37822a3502d39cb695b3df82c2ab6f813",
+	}
+	for _, c := range controllerFactories {
+		t.Run(c.name, func(t *testing.T) {
+			const id = 3
+			ctrl := c.f.New(id)
+			h := sha256.New()
+			var buf []byte
+			pos, vel := geom.V(2, 18), geom.V(0.5, 0)
+			for now := wire.Tick(0); now < 6000; now++ {
+				var msg []byte
+				switch src := []wire.RobotID{1, 2, 4}[now/5%3]; {
+				case now%5 == 0 && (src == 4 || now < 400):
+					k := now / 5 % 4
+					off := []geom.Vec2{geom.V(5, 0), geom.V(0, 5), geom.V(8, 0), geom.V(3, 3)}[k]
+					v := []geom.Vec2{geom.V(0.5, -0.25), geom.V(0, 1), geom.V(1.5, 0), geom.V(-1, 0.5)}[k]
+					if now >= 100 && now < 160 && src == 1 {
+						off, v = geom.V(6, 0), geom.Zero2 // parked just ahead, in the lane
+					}
+					m := wire.StateMsg{Src: src, Time: now, PosX: float32(pos.X + off.X), PosY: float32(pos.Y + off.Y),
+						VelX: float32(v.X), VelY: float32(v.Y)}
+					msg = m.Encode()
+				case now == 37:
+					m := wire.StateMsg{Src: id, Time: now, PosX: float32(pos.X), PosY: float32(pos.Y)}
+					msg = m.Encode()
+				case now == 41:
+					msg = []byte{0xDE, 0xAD, 0xBE, 0xEF}
+				}
+				if msg != nil {
+					ctrl.OnMessage(msg)
+				}
+				o := ctrl.OnSensor(wire.SensorReading{Time: now,
+					PosX: pos.X, PosY: pos.Y, VelX: float32(vel.X), VelY: float32(vel.Y)})
+				buf = append(buf[:0], byte(len(o.Broadcast)))
+				buf = append(buf, o.Broadcast...)
+				if o.HasCmd {
+					buf = o.Cmd.AppendEncode(buf)
+				}
+				if now%200 == 199 {
+					buf = ctrl.AppendState(buf)
+				}
+				h.Write(buf)
+				vel = vel.Add(geom.V(o.Cmd.AccX, o.Cmd.AccY).Scale(0.25))
+				pos = pos.Add(vel.Scale(0.25))
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != want[c.name] {
+				t.Errorf("digest %s, want %s", got, want[c.name])
+			}
+		})
+	}
 }

@@ -63,7 +63,7 @@ func newLiveRobotWith(t testing.TB, id wire.RobotID, f control.Factory) *liveRob
 func (r *liveRobot) step(pos, vel geom.Vec2) {
 	reading := wire.SensorReading{Time: r.now,
 		PosX: pos.X, PosY: pos.Y, VelX: float32(vel.X), VelY: float32(vel.Y)}
-	fwd, ok := r.snode.PollSensors(reading)
+	fwd, _, ok := r.snode.PollSensorsEnc(reading)
 	if !ok {
 		panic("keyless s-node")
 	}
@@ -71,12 +71,12 @@ func (r *liveRobot) step(pos, vel geom.Vec2) {
 	out := r.ctrl.OnSensor(fwd)
 	if out.Broadcast != nil {
 		f := wire.Frame{Src: r.id, Dst: wire.Broadcast, Payload: out.Broadcast}
-		if r.anode.SendWireless(f) {
+		if _, ok := r.anode.SendWirelessEnc(f); ok {
 			r.entries = append(r.entries, wire.LogEntry{Kind: wire.EntrySend, Payload: f.Encode()})
 		}
 	}
 	if out.HasCmd {
-		if r.anode.ActuatorCmd(out.Cmd) {
+		if _, ok := r.anode.ActuatorCmdEnc(out.Cmd); ok {
 			r.entries = append(r.entries, wire.LogEntry{Kind: wire.EntryActuator, Payload: out.Cmd.Encode()})
 		}
 	}
@@ -443,7 +443,7 @@ func TestStalePrefixAttackWithoutFreshness(t *testing.T) {
 	staleEnd := r.checkpoint()
 	staleEntries := append([]wire.LogEntry(nil), r.entries...)
 	// ...then misbehaves: unlogged traffic the a-node chains.
-	r.anode.SendWireless(wire.Frame{Src: 1, Dst: wire.Broadcast, Payload: []byte("spoof!")})
+	r.anode.SendWirelessEnc(wire.Frame{Src: 1, Dst: wire.Broadcast, Payload: []byte("spoof!")})
 	r.now += 40 // time passes; the robot keeps misbehaving
 
 	verifier := newLiveRobot(t, 9)

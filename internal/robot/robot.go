@@ -189,7 +189,8 @@ func (r *Robot) Deliver(f wire.Frame) {
 // compromised c-node's transmit path.
 func (r *Robot) RawSend(f wire.Frame) bool {
 	if r.cfg.Protected {
-		return r.anode.SendWireless(f)
+		_, ok := r.anode.SendWirelessEnc(f)
+		return ok
 	}
 	r.medium.Send(r.id, f)
 	return true
@@ -199,7 +200,8 @@ func (r *Robot) RawSend(f wire.Frame) bool {
 // c-node, through the a-node when protected.
 func (r *Robot) RawActuate(cmd wire.ActuatorCmd) bool {
 	if r.cfg.Protected {
-		return r.anode.ActuatorCmd(cmd)
+		_, ok := r.anode.ActuatorCmdEnc(cmd)
+		return ok
 	}
 	if r.body.Crashed {
 		return false

@@ -203,18 +203,11 @@ func (a *ANode) RecvWireless(f wire.Frame) {
 	}
 }
 
-// SendWireless forwards a frame from the c-node to the radio,
-// committing it to the chain unless audit-flagged. Returns whether the
-// frame was forwarded.
-func (a *ANode) SendWireless(f wire.Frame) bool {
-	_, ok := a.SendWirelessEnc(f)
-	return ok
-}
-
-// SendWirelessEnc is SendWireless returning, additionally, the frame
-// encoding the a-node committed to its chain (nil for audit frames,
-// which are never chained) — the c-node must log exactly the bytes the
-// chain witnessed. The bytes live in the node's send buffer and are
+// SendWirelessEnc forwards a frame from the c-node to the radio,
+// committing it to the chain unless audit-flagged, and reports whether
+// it was forwarded. It returns the frame encoding the chain witnessed
+// (nil for audit frames, which are never chained): the c-node must log
+// exactly those bytes. The bytes live in the node's send buffer and are
 // lent until the next SendWirelessEnc or ActuatorCmdEnc on this node
 // overwrites them; a c-node that keeps them copies them.
 func (a *ANode) SendWirelessEnc(f wire.Frame) ([]byte, bool) {
@@ -235,18 +228,12 @@ func (a *ANode) SendWirelessEnc(f wire.Frame) ([]byte, bool) {
 	return a.txEnc, true
 }
 
-// ActuatorCmd forwards an actuator command and commits it to the
-// chain. Returns whether the command reached the motors — false once
-// in Safe Mode or before the mission key is installed.
-func (a *ANode) ActuatorCmd(cmd wire.ActuatorCmd) bool {
-	_, ok := a.ActuatorCmdEnc(cmd)
-	return ok
-}
-
-// ActuatorCmdEnc is ActuatorCmd returning the command encoding the
-// chain witnessed, for the c-node's log. It shares SendWirelessEnc's
-// buffer and borrow rule: the bytes are lent until the next
-// SendWirelessEnc or ActuatorCmdEnc on this node.
+// ActuatorCmdEnc forwards an actuator command and commits it to the
+// chain. It reports whether the command reached the motors (false once
+// in Safe Mode or before the mission key is installed) and returns the
+// encoding the chain witnessed, for the c-node's log. It shares
+// SendWirelessEnc's buffer and borrow rule: the bytes are lent until
+// the next SendWirelessEnc or ActuatorCmdEnc on this node.
 func (a *ANode) ActuatorCmdEnc(cmd wire.ActuatorCmd) ([]byte, bool) {
 	if !a.HasKey() {
 		return nil, false

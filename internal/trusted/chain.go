@@ -75,21 +75,14 @@ func (c *Chain) ResetAt(top cryptolite.ChainHash, batchSize int) {
 // out).
 func (c *Chain) Fresh() *Chain { return NewChain(c.batchSize) }
 
-// Append adds one entry; when the pending count reaches the batch size
-// the chain advances. The entry is hashed immediately and nothing is
-// retained, so callers may reuse their buffers.
-func (c *Chain) Append(entry []byte) {
-	c.beginEntry(len(entry), 4)
-	c.h.Write(entry)
-	c.endEntry()
-}
-
-// AppendEntry appends the log entry (kind, payload) without
-// materializing its wire encoding: the 2-byte entry header goes into
-// the hash in one write with the length prefix it sits behind in
-// scratch, the payload bytes in a second. The hashed bytes are exactly
-// wire.LogEntry{kind, payload}.Encode() —
-// TestChainAppendEntryMatchesEncode pins this — so nodes can commit an
+// AppendEntry appends the log entry (kind, payload); when the pending
+// count reaches the batch size the chain advances. The entry is hashed
+// immediately and nothing is retained, so callers may reuse their
+// buffers. Its wire encoding is never materialized: the 2-byte entry
+// header goes into the hash in one write with the length prefix it
+// sits behind in scratch, the payload bytes in a second. The hashed
+// bytes are exactly wire.LogEntry{kind, payload}.Encode() —
+// TestChainStreamingMatchesBuffered pins this — so nodes can commit an
 // entry and hand the (separately produced) encoding to the c-node
 // without an extra encode on the trusted side.
 func (c *Chain) AppendEntry(kind uint8, payload []byte) {
@@ -97,7 +90,7 @@ func (c *Chain) AppendEntry(kind uint8, payload []byte) {
 		panic("trusted: log entry payload exceeds 255 bytes")
 	}
 	c.scratch[4], c.scratch[5] = kind, uint8(len(payload))
-	c.beginEntry(2+len(payload), 6)
+	c.beginEntry(2 + len(payload))
 	c.h.Write(payload)
 	c.endEntry()
 }
@@ -105,16 +98,15 @@ func (c *Chain) AppendEntry(kind uint8, payload []byte) {
 // beginEntry restarts the hasher at the current top when this is the
 // batch's first entry, then writes the entry's length prefix (entry
 // boundaries must be unambiguous inside the hash input — see
-// cryptolite.ChainExtend) and, with it, whatever the caller has laid
-// out behind it: the first n bytes of scratch, n = 4 for the prefix
-// alone.
-func (c *Chain) beginEntry(size, n int) {
+// cryptolite.ChainExtend) and, with it, the entry header the caller
+// laid out behind it in scratch.
+func (c *Chain) beginEntry(size int) {
 	if c.pending == 0 {
 		c.h.Reset()
 		c.h.Write(c.top[:])
 	}
 	binary.BigEndian.PutUint32(c.scratch[0:4], uint32(size))
-	c.h.Write(c.scratch[:n])
+	c.h.Write(c.scratch[:])
 }
 
 func (c *Chain) endEntry() {

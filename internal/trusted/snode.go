@@ -20,19 +20,13 @@ func NewSNode(batchSize int, clock Clock) *SNode {
 	return &SNode{nodeBase: newNodeBase(wire.NodeS, batchSize, clock)}
 }
 
-// PollSensors commits a sensor reading to the chain and returns it for
-// forwarding to the c-node. ok is false when no mission key is
-// installed yet (the reading is then withheld, as in Algorithm 3).
-func (s *SNode) PollSensors(reading wire.SensorReading) (wire.SensorReading, bool) {
-	fwd, _, ok := s.PollSensorsEnc(reading)
-	return fwd, ok
-}
-
-// PollSensorsEnc is PollSensors returning, additionally, the payload
-// encoding the s-node committed to its chain — the c-node must log the
-// exact bytes the chain witnessed or its audits fail. The bytes live in
-// the node's own buffer and are lent until the next PollSensorsEnc
-// overwrites them; a c-node that keeps them copies them.
+// PollSensorsEnc commits a sensor reading to the chain and returns it
+// for forwarding to the c-node, with the payload encoding the chain
+// witnessed: the c-node must log exactly those bytes or its audits
+// fail. ok is false when no mission key is installed yet (the reading
+// is then withheld, as in Algorithm 3). The bytes live in the node's
+// own buffer and are lent until the next PollSensorsEnc overwrites
+// them; a c-node that keeps them copies them.
 func (s *SNode) PollSensorsEnc(reading wire.SensorReading) (wire.SensorReading, []byte, bool) {
 	if !s.HasKey() {
 		return wire.SensorReading{}, nil, false

@@ -101,13 +101,13 @@ func TestKeylessNodesInert(t *testing.T) {
 	clock := func() wire.Tick { return now }
 	s := NewSNode(1, func() wire.Tick { return 0 })
 	a := NewANode(DefaultANodeConfig(4), clock, nil, nil, nil, nil)
-	if _, ok := s.PollSensors(wire.SensorReading{}); ok {
+	if _, _, ok := s.PollSensorsEnc(wire.SensorReading{}); ok {
 		t.Error("keyless s-node forwarded sensors")
 	}
-	if a.ActuatorCmd(wire.ActuatorCmd{}) {
+	if _, ok := a.ActuatorCmdEnc(wire.ActuatorCmd{}); ok {
 		t.Error("keyless a-node forwarded actuator command")
 	}
-	if a.SendWireless(wire.Frame{}) {
+	if _, ok := a.SendWirelessEnc(wire.Frame{}); ok {
 		t.Error("keyless a-node forwarded frame")
 	}
 	if _, ok := a.MakeTokenRequest(2); ok {
@@ -121,7 +121,7 @@ func TestKeylessNodesInert(t *testing.T) {
 func TestAuthenticatorRoundTrip(t *testing.T) {
 	now := wire.Tick(0)
 	s, a := provisioned(t, 3, &now)
-	s.PollSensors(wire.SensorReading{Time: 1, PosX: 2})
+	s.PollSensorsEnc(wire.SensorReading{Time: 1, PosX: 2})
 	auth, ok := s.MakeAuthenticator()
 	if !ok {
 		t.Fatal("no authenticator")
@@ -153,12 +153,12 @@ func TestAuthenticatorRoundTrip(t *testing.T) {
 func TestChainBatching(t *testing.T) {
 	c := NewChain(3)
 	top0 := c.Top()
-	c.Append([]byte("a"))
-	c.Append([]byte("b"))
+	c.AppendEntry(wire.EntrySensor, []byte("a"))
+	c.AppendEntry(wire.EntrySensor, []byte("b"))
 	if c.Top() != top0 || c.Pending() != 2 {
 		t.Error("chain flushed before batch full")
 	}
-	c.Append([]byte("c"))
+	c.AppendEntry(wire.EntrySensor, []byte("c"))
 	if c.Top() == top0 || c.Pending() != 0 {
 		t.Error("chain did not flush at batch size")
 	}
@@ -178,16 +178,16 @@ func TestChainReplicaMatchesNode(t *testing.T) {
 		{Src: 1, Dst: wire.Broadcast, Payload: []byte("s2")},
 	}
 	a.RecvWireless(frames[0])
-	a.SendWireless(frames[1])
-	a.ActuatorCmd(wire.ActuatorCmd{Time: 9, AccX: 1})
+	a.SendWirelessEnc(frames[1])
+	a.ActuatorCmdEnc(wire.ActuatorCmd{Time: 9, AccX: 1})
 	auth, _ := a.MakeAuthenticator()
 
 	// An auditor reconstructing the chain from the log entries must
 	// land on exactly the attested top.
 	rep := NewChain(DefaultBatchSize)
-	rep.Append((&wire.LogEntry{Kind: wire.EntryRecv, Payload: frames[0].Encode()}).Encode())
-	rep.Append((&wire.LogEntry{Kind: wire.EntrySend, Payload: frames[1].Encode()}).Encode())
-	rep.Append((&wire.LogEntry{Kind: wire.EntryActuator, Payload: (&wire.ActuatorCmd{Time: 9, AccX: 1}).Encode()}).Encode())
+	rep.AppendEntry(wire.EntryRecv, frames[0].Encode())
+	rep.AppendEntry(wire.EntrySend, frames[1].Encode())
+	rep.AppendEntry(wire.EntryActuator, (&wire.ActuatorCmd{Time: 9, AccX: 1}).Encode())
 	if rep.Flush() != auth.Top {
 		t.Error("replica top diverges from a-node authenticator")
 	}
@@ -197,7 +197,7 @@ func TestAuditTrafficNotChained(t *testing.T) {
 	now := wire.Tick(0)
 	_, a := provisioned(t, 1, &now)
 	before, _ := a.MakeAuthenticator()
-	a.SendWireless(wire.Frame{Src: 1, Dst: 2, Flags: wire.FlagAudit, Payload: []byte("audit")})
+	a.SendWirelessEnc(wire.Frame{Src: 1, Dst: 2, Flags: wire.FlagAudit, Payload: []byte("audit")})
 	a.RecvWireless(wire.Frame{Src: 2, Dst: 1, Flags: wire.FlagAudit, Payload: []byte("audit")})
 	after, _ := a.MakeAuthenticator()
 	if before.Top != after.Top {
@@ -209,7 +209,7 @@ func TestOversizedNonAuditFrameRefused(t *testing.T) {
 	now := wire.Tick(0)
 	_, a := provisioned(t, 1, &now)
 	big := wire.Frame{Src: 1, Dst: 2, Payload: make([]byte, wire.MaxLoggedPayload+1)}
-	if a.SendWireless(big) {
+	if _, ok := a.SendWirelessEnc(big); ok {
 		t.Error("unloggable frame forwarded")
 	}
 	delivered := false
@@ -220,7 +220,7 @@ func TestOversizedNonAuditFrameRefused(t *testing.T) {
 	}
 	// Audit-flagged frames of the same size are fine.
 	big.Flags = wire.FlagAudit
-	if !a.SendWireless(big) {
+	if _, ok := a.SendWirelessEnc(big); !ok {
 		t.Error("audit frame refused")
 	}
 }
@@ -378,10 +378,10 @@ func TestCheckTokensTriggersSafeMode(t *testing.T) {
 	if a.HasKey() {
 		t.Error("key not zeroed on safe mode")
 	}
-	if a.ActuatorCmd(wire.ActuatorCmd{}) {
+	if _, ok := a.ActuatorCmdEnc(wire.ActuatorCmd{}); ok {
 		t.Error("actuator command forwarded in safe mode")
 	}
-	if a.SendWireless(wire.Frame{}) {
+	if _, ok := a.SendWirelessEnc(wire.Frame{}); ok {
 		t.Error("radio TX forwarded in safe mode")
 	}
 }
@@ -495,15 +495,15 @@ func TestSafeModeStopsForwardingHooks(t *testing.T) {
 		nil)
 	a.LoadMasterKey(testMaster, 1)
 	a.LoadMissionKey(testSealed(1))
-	a.SendWireless(wire.Frame{Payload: []byte("x")})
-	a.ActuatorCmd(wire.ActuatorCmd{})
+	a.SendWirelessEnc(wire.Frame{Payload: []byte("x")})
+	a.ActuatorCmdEnc(wire.ActuatorCmd{})
 	if sentToNIC != 1 || sentToMotor != 1 {
 		t.Fatalf("hooks not invoked: nic=%d motor=%d", sentToNIC, sentToMotor)
 	}
 	now = 1000
 	a.CheckTokens() // past grace, no tokens → safe mode
-	a.SendWireless(wire.Frame{Payload: []byte("x")})
-	a.ActuatorCmd(wire.ActuatorCmd{})
+	a.SendWirelessEnc(wire.Frame{Payload: []byte("x")})
+	a.ActuatorCmdEnc(wire.ActuatorCmd{})
 	if sentToNIC != 1 || sentToMotor != 1 {
 		t.Error("hooks invoked in safe mode")
 	}
@@ -523,7 +523,7 @@ func TestMultiMissionKeyRotation(t *testing.T) {
 	if !a.LoadMissionKey(m1) {
 		t.Fatal("mission 1 key rejected")
 	}
-	a.ActuatorCmd(wire.ActuatorCmd{Time: 1})
+	a.ActuatorCmdEnc(wire.ActuatorCmd{Time: 1})
 	oldAuth, ok := a.MakeAuthenticator()
 	if !ok {
 		t.Fatal("no mission-1 authenticator")
@@ -542,7 +542,7 @@ func TestMultiMissionKeyRotation(t *testing.T) {
 	if a.HasKey() {
 		t.Fatal("mission key survived the power cycle")
 	}
-	if a.ActuatorCmd(wire.ActuatorCmd{}) {
+	if _, ok := a.ActuatorCmdEnc(wire.ActuatorCmd{}); ok {
 		t.Fatal("keyless a-node actuated after power cycle")
 	}
 	// Replaying mission 1's sealed key must fail: flash keySeq persists.
@@ -619,7 +619,7 @@ func TestTrustedCountersAdvance(t *testing.T) {
 	now := wire.Tick(0)
 	s, a := provisioned(t, 1, &now)
 	m0, h0 := a.MACOps(), a.HashedBytes()
-	a.ActuatorCmd(wire.ActuatorCmd{Time: 1})
+	a.ActuatorCmdEnc(wire.ActuatorCmd{Time: 1})
 	if a.HashedBytes() <= h0 {
 		t.Error("hashed-bytes counter stuck")
 	}
@@ -627,7 +627,7 @@ func TestTrustedCountersAdvance(t *testing.T) {
 	if a.MACOps() <= m0 {
 		t.Error("MAC-ops counter stuck")
 	}
-	s.PollSensors(wire.SensorReading{})
+	s.PollSensorsEnc(wire.SensorReading{})
 	if s.HashedBytes() == 0 {
 		t.Error("s-node hashed-bytes counter stuck")
 	}

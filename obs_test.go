@@ -13,14 +13,12 @@ import (
 func traceChaosCell(t *testing.T, seed uint64) (events, metrics []byte, fingerprint string) {
 	t.Helper()
 	col := obs.NewCollector()
-	reg := obs.NewRegistry()
 	res := RunChaos(ChaosConfig{
 		Controller:  "flocking",
 		Profile:     faultinject.ProfileMixed,
 		Seed:        seed,
 		DurationSec: 30,
 		Trace:       col,
-		Metrics:     reg,
 	})
 	var evBuf, mBuf bytes.Buffer
 	if err := obs.WriteNDJSON(&evBuf, col.Events()); err != nil {

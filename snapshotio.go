@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 
 	"roborebound/internal/faultinject"
@@ -95,9 +94,6 @@ func decodeChaosEcho(b []byte) (ChaosConfig, error) {
 	if r.Err() != nil {
 		return cfg, r.Err()
 	}
-	if cfg.MTUBytes > 0 && cfg.MTUBytes < faultinject.MinMTUBytes {
-		return cfg, fmt.Errorf("roborebound: snapshot echo MTU %d is below %d", cfg.MTUBytes, faultinject.MinMTUBytes)
-	}
 	// Each encoded fault is at least 49 bytes.
 	if nFaults > r.Remaining()/49 {
 		return cfg, errors.New("roborebound: snapshot echo fault count exceeds payload")
@@ -112,18 +108,7 @@ func decodeChaosEcho(b []byte) (ChaosConfig, error) {
 	if err := r.Done(); err != nil {
 		return cfg, err
 	}
-	if !cfg.durationValid() {
-		return cfg, errors.New("roborebound: snapshot echo duration not finite")
-	}
-	return cfg, cfg.unknownName()
-}
-
-// durationValid guards the float fields a hostile echo could poison.
-func (c ChaosConfig) durationValid() bool {
-	return !math.IsNaN(c.DurationSec) && !math.IsInf(c.DurationSec, 0) &&
-		c.DurationSec >= 0 && c.DurationSec < 1e9 &&
-		!math.IsNaN(c.AttackAtSec) && !math.IsInf(c.AttackAtSec, 0) &&
-		!math.IsNaN(c.SpacingM) && !math.IsInf(c.SpacingM, 0)
+	return cfg, cfg.Check()
 }
 
 func encodeFault(w *wire.Writer, f *faultinject.Fault) {
