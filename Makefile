@@ -121,10 +121,12 @@ violation-dump:
 # are byte-identical. One command covers the envelope codecs, the
 # config echo, and resume at production scale. The two committed
 # snapshots an older binary captured then resume the same way, so
-# cross-version resume runs through the CLI too.
+# cross-version resume runs through the CLI too. The cell runs 30 s, the
+# dense benchmark cell's length: a mixed cell of 24 s or less schedules
+# no fault, and the CLI refuses one.
 snapshot-smoke:
 	$(GO) run ./cmd/roborebound -progress=false \
-	  -controller flocking -profile mixed -n 300 -duration 20 \
+	  -controller flocking -profile mixed -n 300 -duration 30 \
 	  -o snapshot-cell.rbsn snapshot
 	$(GO) run ./cmd/roborebound -progress=false \
 	  -from snapshot-cell.rbsn -verify resume
@@ -139,10 +141,10 @@ snapshot-smoke:
 # phase-attributed timing table and runtime telemetry, and exiting
 # nonzero unless the two runs are byte-identical (fingerprint and
 # metrics snapshot). Every perf report doubles as an observation-only
-# proof at production scale.
+# proof at production scale, on the snapshot smoke's 30 s faulted cell.
 perf-smoke:
 	$(GO) run ./cmd/roborebound -progress=false \
-	  -controller flocking -profile mixed -n 300 -duration 20 perf
+	  -controller flocking -profile mixed -n 300 -duration 30 perf
 
 # Short fuzz pass over each fuzz target (seed corpora always run as
 # part of `make test`; this explores beyond them).

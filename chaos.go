@@ -12,7 +12,6 @@ import (
 	"roborebound/internal/control"
 	"roborebound/internal/core"
 	"roborebound/internal/faultinject"
-	"roborebound/internal/flocking"
 	"roborebound/internal/geom"
 	"roborebound/internal/obs"
 	"roborebound/internal/obs/perf"
@@ -147,15 +146,11 @@ func (e *ChaosConfigError) Error() string {
 }
 
 // Check returns a *ChaosConfigError naming the first field cell c
-// cannot run with, or nil: a controller outside Controllers or a
-// profile outside faultinject.Profiles (so a misspelling never runs
-// some other cell under its label), a negative robot count, a duration
-// that is negative, not finite or 1e9 s or more, an attack time or
-// spacing that is not finite, or an MTU below faultinject.MinMTUBytes
-// (the schedule's audit-response faults could not see their frames).
-// A zero value takes its default, so it passes.
+// cannot run with, or nil; a misspelled controller or profile is one,
+// so it never runs some other cell under its label. A zero value takes
+// its default, so it passes. Check is what RunChaos runs: it does not
+// ask Schedulable.
 func (c ChaosConfig) Check() error {
-	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 	bad := func(field string, v any, problem, want string) error {
 		return &ChaosConfigError{Field: field, Value: v, Problem: problem, Want: want}
 	}
@@ -168,9 +163,11 @@ func (c ChaosConfig) Check() error {
 		return bad("N", c.N, "negative", "a count ≥ 0 (0 takes the controller's default)")
 	case !(c.DurationSec >= 0 && c.DurationSec < 1e9):
 		return bad("DurationSec", c.DurationSec, "out-of-range", "seconds in [0, 1e9) (0 takes the default, 60)")
-	case !finite(c.AttackAtSec):
-		return bad("AttackAtSec", c.AttackAtSec, "non-finite", "seconds")
-	case !finite(c.SpacingM):
+	case c.Fmax < 0:
+		return bad("Fmax", c.Fmax, "negative", "a count ≥ 0 (0 takes the default, 2)")
+	case !(c.AttackAtSec >= 0 && c.AttackAtSec < 1e9):
+		return bad("AttackAtSec", c.AttackAtSec, "out-of-range", "seconds in [0, 1e9) (0 takes the default, 20)")
+	case math.IsNaN(c.SpacingM) || math.IsInf(c.SpacingM, 0):
 		return bad("SpacingM", c.SpacingM, "non-finite", "meters")
 	case c.MTUBytes > 0 && c.MTUBytes < faultinject.MinMTUBytes:
 		return bad("MTUBytes", c.MTUBytes, "too-small", fmt.Sprintf(
@@ -179,7 +176,55 @@ func (c ChaosConfig) Check() error {
 	return nil
 }
 
+// Ticks is the cell's run length in ticks, its duration defaulted.
+func (c ChaosConfig) Ticks() wire.Tick {
+	return wire.Tick(c.withScalarDefaults().DurationSec * TicksPerSecond)
+}
+
+// Schedulable reports whether the cell's profile places a fault in its
+// run, which Generate does only in one longer than 2·T_val + T_audit
+// (24 s); a ProfileNone cell asks for none, so it always is. RunChaos
+// runs an unschedulable cell fault-free; serve and the CLI's snapshot
+// and perf refuse one, so it never runs under a faulted label.
+func (c ChaosConfig) Schedulable() bool {
+	c = c.withScalarDefaults()
+	return c.Profile == faultinject.ProfileNone || faultinject.Schedulable(c.Ticks(), c.limits(nil))
+}
+
+// coreConfig is the protocol configuration a defaulted cell runs.
+func (c ChaosConfig) coreConfig() core.Config {
+	cc := core.DefaultConfig(TicksPerSecond)
+	cc.Fmax = c.Fmax
+	cc.AutoServeLimit()
+	return cc
+}
+
+// limits are the bounds a defaulted cell's faults are generated under:
+// its audit timing, with the robots in avoid spared.
+func (c ChaosConfig) limits(avoid []wire.RobotID) faultinject.Limits {
+	cc := c.coreConfig()
+	return faultinject.Limits{TVal: cc.TVal, TAudit: cc.TAudit, Avoid: avoid}
+}
+
+// withDefaults fills every zero field with its default.
 func (c ChaosConfig) withDefaults() ChaosConfig {
+	c = c.withScalarDefaults()
+	if c.AttackerSlots == nil {
+		slot := 2
+		if c.Controller == "warehouse" {
+			slot = 0 // lowest ID: everyone yields to it, maximum blast radius
+		}
+		if slot >= c.N {
+			slot = 0
+		}
+		c.AttackerSlots = []int{slot}
+	}
+	return c
+}
+
+// withScalarDefaults is withDefaults but for the attacker slots, the
+// one default that allocates, so Ticks and Schedulable allocate nothing.
+func (c ChaosConfig) withScalarDefaults() ChaosConfig {
 	if c.Controller == "" {
 		c.Controller = "flocking"
 	}
@@ -201,16 +246,6 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 	}
 	if c.Controller == "patrol" && c.N > 8 {
 		c.N = 8
-	}
-	if c.AttackerSlots == nil {
-		slot := 2
-		if c.Controller == "warehouse" {
-			slot = 0 // lowest ID: everyone yields to it, maximum blast radius
-		}
-		if slot >= c.N {
-			slot = 0
-		}
-		c.AttackerSlots = []int{slot}
 	}
 	if c.AttackAtSec == 0 {
 		c.AttackAtSec = 20
@@ -244,7 +279,6 @@ type ChaosMetrics struct {
 	// protocol halts, so its a-node kill switch firing is the designed
 	// outcome, not a false positive.
 	CorrectDisabled []wire.RobotID
-	SafeMode        []SafeModeEvent
 	RoundsCovered   uint64 // summed over correct robots
 	TxBytes         uint64
 	RxBytes         uint64
@@ -282,26 +316,24 @@ type ChaosResult struct {
 	ResumeError error
 }
 
-// buildChaosSim constructs the cell's simulation with the schedule's
-// hooks installed and every attacker (deliberate and crash-faulted)
-// in place. It returns the sim, the deliberate attacker IDs, and the
-// crash-faulted robots with the tick each goes dark. A Crash fault
-// aimed at a deliberate attacker is ignored: the attacker stays one.
-func buildChaosSim(cfg ChaosConfig, cc core.Config, sched *faultinject.Schedule, reg *obs.Registry) (*Sim, []wire.RobotID, map[wire.RobotID]wire.Tick) {
-	attackAt := wire.Tick(cfg.AttackAtSec * TicksPerSecond)
-	attackers := make(map[int]bool) // slot -> deliberate attacker
-	var attackerIDs []wire.RobotID
-	for _, slot := range cfg.AttackerSlots {
-		if slot >= 0 && slot < cfg.N && !attackers[slot] {
-			attackers[slot] = true
-			attackerIDs = append(attackerIDs, wire.RobotID(slot+1))
+// deliberateAttackers is the set the schedule avoids and placement
+// compromises: a defaulted cell's attacker slots that lie in roster
+// ids, each once in AttackerSlots order, and their robots.
+func (c ChaosConfig) deliberateAttackers(ids []wire.RobotID) (slots []int, robots []wire.RobotID) {
+	for _, slot := range c.AttackerSlots {
+		if slot >= 0 && slot < len(ids) && !slices.Contains(slots, slot) {
+			slots = append(slots, slot)
+			robots = append(robots, ids[slot])
 		}
 	}
-	crashes := sched.CrashTargets()
-	for _, id := range attackerIDs {
-		delete(crashes, id)
-	}
+	return slots, robots
+}
 
+// buildChaosSim constructs the cell's simulation over roster ids with
+// the schedule's hooks installed, the deliberate attackers in slots and
+// the crashed robots silent from their ticks.
+func buildChaosSim(cfg ChaosConfig, cc core.Config, sched *faultinject.Schedule, reg *obs.Registry,
+	ids []wire.RobotID, slots []int, crashes map[wire.RobotID]wire.Tick) *Sim {
 	// MTUBytes engages fragmentation by overriding the link model; nil
 	// leaves SimConfig's default (radio.DefaultParams) in place.
 	var radioParams *radio.Params
@@ -314,10 +346,10 @@ func buildChaosSim(cfg ChaosConfig, cc core.Config, sched *faultinject.Schedule,
 	// Each controller picks where slot i starts, the controller every
 	// robot runs, and what a deliberate attacker in slot i does.
 	var (
-		positions    []geom.Vec2
-		factory      control.Factory
-		strategy     func(slot int) attack.Strategy
-		keepProtocol bool
+		positions []geom.Vec2
+		factory   control.Factory
+		goal      geom.Vec2
+		attacker  func(slot int) CompromisedSpec
 	)
 	switch cfg.Controller {
 	case "patrol":
@@ -332,7 +364,9 @@ func buildChaosSim(cfg ChaosConfig, cc core.Config, sched *faultinject.Schedule,
 		for i := range positions {
 			positions[i] = route[(i+1)%len(route)]
 		}
-		strategy = func(int) attack.Strategy { return attack.Silent{} }
+		attacker = func(int) CompromisedSpec {
+			return CompromisedSpec{Strategy: func([]wire.RobotID, geom.Vec2) attack.Strategy { return attack.Silent{} }}
+		}
 
 	case "warehouse":
 		var pickups, dropoffs []geom.Vec2
@@ -345,54 +379,36 @@ func buildChaosSim(cfg ChaosConfig, cc core.Config, sched *faultinject.Schedule,
 		factory = control.WarehouseFactory{Params: control.DefaultWarehouseParams(TicksPerSecond, pickups, dropoffs)}
 		// Park a phantom in the main aisle between lanes, so neighbors
 		// yield to it (the lie of ExampleNewSim_warehouse).
-		strategy = func(slot int) attack.Strategy {
-			return attack.Blocker{X: 30, Y: 6*float64(slot) + 3, Period: 2}
+		attacker = func(slot int) CompromisedSpec {
+			return CompromisedSpec{Strategy: func([]wire.RobotID, geom.Vec2) attack.Strategy {
+				return attack.Blocker{X: 30, Y: 6*float64(slot) + 3, Period: 2}
+			}}
 		}
 
 	case "flocking":
-		goal := geom.V(220, 220)
-		factory = flocking.Factory{Params: flocking.DefaultParams(TicksPerSecond, cfg.SpacingM, goal)}
-		positions = GridPositions(cfg.N, cfg.SpacingM, geom.Zero2)
-		ids := make([]wire.RobotID, cfg.N)
-		for i := range ids {
-			ids[i] = wire.RobotID(i + 1)
+		goal = geom.V(220, 220)
+		positions, factory = FlockScenario{N: cfg.N, Spacing: cfg.SpacingM, Goal: goal}.layout()
+		attacker = func(int) CompromisedSpec {
+			return CompromisedSpec{Strategy: SpoofStrategy(150, 2, 1), KeepProtocol: true}
 		}
-		spoof := SpoofStrategy(150, 2, 1)
-		strategy = func(int) attack.Strategy { return spoof(ids, goal) }
-		keepProtocol = true
 	}
 
+	specs := make([]CompromisedSpec, len(slots))
+	for i, slot := range slots {
+		specs[i] = attacker(slot)
+		specs[i].Index, specs[i].AtSeconds = slot, cfg.AttackAtSec
+	}
 	s := NewSim(SimConfig{Seed: cfg.Seed, Core: &cc, Radio: radioParams, Faults: sched,
 		Trace: cfg.Trace, Metrics: reg, Perf: cfg.Perf})
-	for i, pos := range positions {
-		id := wire.RobotID(i + 1)
-		if attackers[i] {
-			s.AddCompromised(id, pos, factory, true, attackAt, strategy(i), keepProtocol)
-		} else if at, crashed := crashes[id]; crashed {
-			s.AddCompromised(id, pos, factory, true, at, attack.Silent{}, false)
-		} else {
-			s.AddRobot(id, pos, factory, true)
-		}
-	}
-	return s, attackerIDs, crashes
+	s.populate(ids, positions, factory, true, goal, specs, crashes)
+	return s
 }
 
 // chaosSchedule is a defaulted cell's fault schedule: what its profile
-// generates for its roster, length and audit timing, with the
+// generates for roster ids over its length and audit timing, with the
 // deliberate attackers avoided, then ExtraFaults verbatim.
-func chaosSchedule(cfg ChaosConfig, cc core.Config) faultinject.Schedule {
-	ids := make([]wire.RobotID, cfg.N)
-	for i := range ids {
-		ids[i] = wire.RobotID(i + 1)
-	}
-	var avoid []wire.RobotID
-	for _, slot := range cfg.AttackerSlots {
-		if slot >= 0 && slot < cfg.N {
-			avoid = append(avoid, wire.RobotID(slot+1))
-		}
-	}
-	sched := faultinject.Generate(cfg.Profile, cfg.Seed, ids, wire.Tick(cfg.DurationSec*TicksPerSecond),
-		faultinject.Limits{TVal: cc.TVal, TAudit: cc.TAudit, Avoid: avoid})
+func chaosSchedule(cfg ChaosConfig, ids, attackers []wire.RobotID) faultinject.Schedule {
+	sched := faultinject.Generate(cfg.Profile, cfg.Seed, ids, cfg.Ticks(), cfg.limits(attackers))
 	sched.Faults = append(sched.Faults, cfg.ExtraFaults...)
 	return sched
 }
@@ -407,14 +423,19 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 		panic(err.Error())
 	}
 	cfg = cfg.withDefaults()
-	cc := core.DefaultConfig(TicksPerSecond)
-	cc.Fmax = cfg.Fmax
-	cc.AutoServeLimit()
-	total := wire.Tick(cfg.DurationSec * TicksPerSecond)
-	sched := chaosSchedule(cfg, cc)
+	cc := cfg.coreConfig()
+	ids := roster(cfg.N)
+	slots, attackers := cfg.deliberateAttackers(ids)
+	sched := chaosSchedule(cfg, ids, attackers)
+	// A Crash fault aimed at a deliberate attacker is ignored: the
+	// attacker stays one.
+	crashes := sched.CrashTargets()
+	for _, id := range attackers {
+		delete(crashes, id)
+	}
 
 	reg := obs.NewRegistry()
-	s, attackerIDs, crashes := buildChaosSim(cfg, cc, &sched, reg)
+	s := buildChaosSim(cfg, cc, &sched, reg, ids, slots, crashes)
 	if cfg.detachAuditCache {
 		s.detachAuditCache()
 	}
@@ -431,10 +452,9 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 		}
 	}
 	snaps := make([]faultinject.RobotSnapshot, 0, cfg.N)
-	roster := s.IDs() // fixed once the cell is built
 	s.Engine.Observe(func(now wire.Tick) {
 		snaps = snaps[:0]
-		for _, id := range roster {
+		for _, id := range ids {
 			r := s.Robot(id)
 			sn := faultinject.RobotSnapshot{
 				ID:          id,
@@ -473,15 +493,15 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 		Config:   cfg,
 		Schedule: sched.Strings(),
 	}
-	runChaosTicks(s, cfg, checker, total, &res)
+	runChaosTicks(s, cfg, checker, &res)
 	if res.ResumeError != nil {
 		return res
 	}
 	res.Violation = checker.Violation()
 	m := &res.Metrics
 	m.Robots = cfg.N
-	m.Attackers = len(attackerIDs)
-	for _, id := range attackerIDs {
+	m.Attackers = len(attackers)
+	for _, id := range attackers {
 		comp := s.Compromised(id)
 		if comp.InSafeMode() {
 			m.AttackersDisabled++
@@ -490,22 +510,19 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 			}
 		}
 	}
-	for _, id := range s.CorrectInSafeMode() {
-		if !s.Robot(id).Body().Crashed {
-			m.CorrectDisabled = append(m.CorrectDisabled, id)
-		}
-	}
-	m.SafeMode = s.SafeModeEvents()
-	for _, id := range s.CorrectIDs() {
-		if eng := s.Robot(id).Engine(); eng != nil {
-			m.RoundsCovered += uint64(eng.Stats().RoundsCovered)
-		}
-	}
-	for _, id := range s.IDs() {
+	for _, id := range ids {
 		c := s.Medium.Counters(id)
 		m.TxBytes += c.TxApp + c.TxAudit
 		m.RxBytes += c.RxApp + c.RxAudit
 		m.DroppedFrames += c.Dropped
+		if r := s.Robot(id); s.Compromised(id) == nil {
+			if r.InSafeMode() && !r.Body().Crashed {
+				m.CorrectDisabled = append(m.CorrectDisabled, id)
+			}
+			if eng := r.Engine(); eng != nil {
+				m.RoundsCovered += uint64(eng.Stats().RoundsCovered)
+			}
+		}
 	}
 	m.Fingerprint = chaosFingerprint(s)
 	res.MetricsSnapshot = reg.Snapshot()

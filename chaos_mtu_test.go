@@ -59,3 +59,44 @@ func TestChaosOversizeAuditRequestIsDropped(t *testing.T) {
 		t.Errorf("%d frames dropped in all, fewer than the %d oversize refusals", res.Metrics.DroppedFrames, drops)
 	}
 }
+
+// TestFragmentOutageThreshold pins where link loss on one robot becomes
+// an audit outage. The protocol's outage budget is T_val − T_audit =
+// 24 ticks: a robot whose audits all fail for that long runs out of
+// valid tokens. At the RFM69's 66-byte MTU an audit request spans tens
+// of fragments, and one lost fragment loses it, so 10 % loss on robot
+// 4 for 24 ticks is already an outage and Safe-Modes it, a correct
+// robot. 25 % for 20 ticks stays inside the budget, and unfragmented
+// frames survive 25 % for 30 ticks. Each cell is the default cell with
+// no generated faults and one LinkLoss from tick 100.
+func TestFragmentOutageThreshold(t *testing.T) {
+	for _, c := range []struct {
+		mtu     int
+		ticks   wire.Tick
+		rate    float64
+		latches bool // no-false-positive on robot 4 at tick 100 + T_val − T_audit
+	}{
+		{66, 20, 0.25, false},
+		{66, 24, 0.10, true},
+		{0, 30, 0.25, false},
+	} {
+		for _, ctrl := range Controllers() {
+			cell := ChaosConfig{Controller: ctrl, Profile: faultinject.ProfileNone, Seed: 1, MTUBytes: c.mtu,
+				ExtraFaults: []faultinject.Fault{{Kind: faultinject.LinkLoss, Start: 100, Duration: c.ticks,
+					Targets: []wire.RobotID{4}, Rate: c.rate}}}
+			v := RunChaos(cell).Violation
+			if !c.latches {
+				if v != nil {
+					t.Errorf("%s, %d ticks at %g: %s at tick %d robot %d, want no violation",
+						cell.Label(), c.ticks, c.rate, v.Invariant, v.Tick, v.Robot)
+				}
+				continue
+			}
+			if want := wire.Tick(100 + chaosTVal - chaosTAudit); v == nil ||
+				v.Invariant != "no-false-positive" || v.Tick != want || v.Robot != 4 {
+				t.Errorf("%s, %d ticks at %g: violation %v, want no-false-positive at tick %d robot 4",
+					cell.Label(), c.ticks, c.rate, v, want)
+			}
+		}
+	}
+}

@@ -2,11 +2,11 @@ package roborebound
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
 
-	"roborebound/internal/core"
 	"roborebound/internal/faultinject"
 	"roborebound/internal/obs"
 	"roborebound/internal/wire"
@@ -36,11 +36,18 @@ func TestRunChaosRefusesBadCells(t *testing.T) {
 	}{
 		{ChaosConfig{N: -1, DurationSec: 20}, "negative chaos N -1"},
 		{ChaosConfig{DurationSec: -1}, "out-of-range chaos DurationSec -1"},
+		// Go leaves a negative float-to-tick conversion to the platform;
+		// on amd64 the attacker never turned.
+		{ChaosConfig{AttackAtSec: -5, DurationSec: 30, Profile: faultinject.ProfileNone}, "out-of-range chaos AttackAtSec -5"},
+		{ChaosConfig{AttackAtSec: 1e9, DurationSec: 30}, "out-of-range chaos AttackAtSec 1e+09"},
+		{ChaosConfig{AttackAtSec: math.NaN(), DurationSec: 30}, "out-of-range chaos AttackAtSec NaN"},
+		// f_max −1 needs no fresh token, so no robot could be Safe-Moded.
+		{ChaosConfig{Fmax: -1, DurationSec: 30}, "negative chaos Fmax -1"},
 	} {
 		func() {
 			defer func() {
 				if msg := fmt.Sprint(recover()); !strings.Contains(msg, c.want) {
-					t.Errorf("RunChaos(N %d, DurationSec %g): recovered %q, want a panic containing %q", c.cfg.N, c.cfg.DurationSec, msg, c.want)
+					t.Errorf("RunChaos: recovered %q, want a panic containing %q", msg, c.want)
 				}
 			}()
 			RunChaos(c.cfg)
@@ -327,7 +334,10 @@ func (l knownFalsePositiveLatch) config() ChaosConfig {
 // schedule is the fault schedule the row's profile generates, drawn as
 // RunChaos draws it.
 func (l knownFalsePositiveLatch) schedule() []faultinject.Fault {
-	return chaosSchedule(l.config().withDefaults(), core.DefaultConfig(TicksPerSecond)).Faults
+	cfg := l.config().withDefaults()
+	ids := roster(cfg.N)
+	_, attackers := cfg.deliberateAttackers(ids)
+	return chaosSchedule(cfg, ids, attackers).Faults
 }
 
 // replay runs the row's cell under Profile none with faults as its

@@ -155,8 +155,9 @@ func main() {
 // checkArgs rejects arguments after the subcommand. The flag package
 // stops parsing at the first positional, so a trailing "-n 300" would
 // otherwise be ignored and the default cell run in its place. Only
-// trace takes a positional: its scenario. It also rejects a chaos cell
-// RunChaos would refuse, naming the flag and its value.
+// trace takes a positional: its scenario. It also rejects a snapshot or
+// perf cell RunChaos would refuse, or one too short to schedule a fault
+// (it would run fault-free under a faulted label), naming the flag.
 func checkArgs(args []string) error {
 	rest := args[1:]
 	if args[0] == "trace" && len(rest) > 0 && !strings.HasPrefix(rest[0], "-") {
@@ -168,10 +169,17 @@ func checkArgs(args []string) error {
 	if len(rest) > 0 {
 		return fmt.Errorf("unexpected argument %q after %q: flags go before the subcommand", rest[0], args[0])
 	}
+	if args[0] != "snapshot" && args[0] != "perf" {
+		return nil
+	}
+	cell := cellConfig(args[0])
 	var bad *rr.ChaosConfigError
-	if (args[0] == "snapshot" || args[0] == "perf") && errors.As(snapshotCellConfig().Check(), &bad) {
+	if errors.As(cell.Check(), &bad) {
 		flags := map[string]string{"Controller": "-controller", "Profile": "-profile", "N": "-n", "DurationSec": "-duration"}
 		return fmt.Errorf("%s %s %#v (want %s)", bad.Problem, flags[bad.Field], bad.Value, bad.Want)
+	}
+	if !cell.Schedulable() {
+		return fmt.Errorf("-duration %g schedules no %s faults: the run is too short", cell.DurationSec, *snapProfile)
 	}
 	return nil
 }

@@ -133,6 +133,12 @@ func TestCLIArguments(t *testing.T) {
 		{"negative perf -n", []string{"-quick", "-n", "-3", "perf"}, 2, "negative -n -3", ""},
 		{"negative snapshot -duration", []string{"-duration", "-10", "-o", os.DevNull, "snapshot"}, 2, "out-of-range -duration -10", ""},
 		{"NaN snapshot -duration", []string{"-duration", "NaN", "-o", os.DevNull, "snapshot"}, 2, "out-of-range -duration NaN", ""},
+		// -duration 0 is the 60 s default run, as RunChaos runs it.
+		{"snapshot default duration", []string{"-progress=false", "-duration", "0", "-o", os.DevNull, "snapshot"}, 0, "", "captured tick 120 of 240"},
+		{"snapshot -at in default duration", []string{"-progress=false", "-duration", "0", "-at", "100", "-o", os.DevNull, "snapshot"}, 0, "", "captured tick 100 of 240"},
+		// A faulted cell of 24 s or less schedules no fault.
+		{"unschedulable snapshot", []string{"-profile", "mixed", "-duration", "10", "-o", os.DevNull, "snapshot"}, 2, "-duration 10 schedules no mixed faults", ""},
+		{"unschedulable quick perf", []string{"-quick", "-duration", "12", "perf"}, 2, "-duration 12 schedules no mixed faults", ""},
 		{"plain subcommand", []string{"table1"}, 0, "", ""},
 		{"trace keeps its scenario", []string{"-quick", "trace", "patrol"}, 0, "", "trace patrol"},
 	}

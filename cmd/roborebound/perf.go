@@ -27,10 +27,7 @@ var perfJSONOut = flag.String("json", "",
 var perfFailed bool
 
 func perfCmd() {
-	cfg := snapshotCellConfig() // shares -controller/-profile/-n/-duration/-seed
-	if *quick && cfg.DurationSec == 60 {
-		cfg.DurationSec = 20 // shrink only the default; explicit -duration wins
-	}
+	cfg := cellConfig("perf")
 
 	// Collectors are attached to both runs only when the merged trace
 	// is requested: the NDJSON byte comparison then extends the

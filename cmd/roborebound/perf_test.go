@@ -14,7 +14,7 @@ func capturePerf(t *testing.T, perfetto, jsonOut string, f func()) string {
 	t.Helper()
 	oldCtrl, oldProf, oldDur := *snapController, *snapProfile, *snapDuration
 	oldPerfetto, oldJSON := *perfettoOut, *perfJSONOut
-	*snapController, *snapProfile, *snapDuration = "flocking", "mixed", 12
+	*snapController, *snapProfile, *snapDuration = "flocking", "mixed", 30
 	*perfettoOut, *perfJSONOut = perfetto, jsonOut
 	defer func() {
 		*snapController, *snapProfile, *snapDuration = oldCtrl, oldProf, oldDur

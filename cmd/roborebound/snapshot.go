@@ -35,21 +35,27 @@ var (
 // snapshotFailed mirrors chaosFailed for the snapshot/resume pair.
 var snapshotFailed bool
 
-func snapshotCellConfig() rr.ChaosConfig {
-	return rr.ChaosConfig{
+// cellConfig is the chaos cell subcommand cmd (snapshot or perf) runs;
+// perf -quick shrinks a run of the default length to 30 s.
+func cellConfig(cmd string) rr.ChaosConfig {
+	cfg := rr.ChaosConfig{
 		Controller:  *snapController,
 		Profile:     faultinject.Profile(*snapProfile),
 		Seed:        *seed,
 		N:           *snapN,
 		DurationSec: *snapDuration,
 	}
+	if cmd == "perf" && *quick && cfg.Ticks() == (rr.ChaosConfig{}).Ticks() {
+		cfg.DurationSec = 30
+	}
+	return cfg
 }
 
 // snapshotCmd runs one chaos cell and writes its state at the chosen
 // tick boundary (default: midpoint) to -o.
 func snapshotCmd() {
-	cfg := snapshotCellConfig()
-	total := wire.Tick(cfg.DurationSec * rr.TicksPerSecond)
+	cfg := cellConfig("snapshot")
+	total := cfg.Ticks()
 	at := wire.Tick(*snapAt)
 	if at == 0 {
 		at = total / 2

@@ -55,7 +55,7 @@ func traceCmd() {
 	if flag.NArg() > 1 {
 		scenario = flag.Arg(1)
 	}
-	durSec := 60.0
+	var durSec float64 // 0: the cell's default length
 	if *quick {
 		// Long enough to cover the default attack onset (20s) plus the
 		// BTI bound, so even a quick trace shows the Safe-Mode kill.
@@ -75,7 +75,7 @@ func traceCmd() {
 		byKind[e.Kind]++
 	}
 	fmt.Fprintf(out, "trace %s seed=%d: %d events over %.0fs\n",
-		scenario, *seed, col.Len(), durSec)
+		scenario, *seed, col.Len(), res.Config.DurationSec)
 	// Walk kinds in declaration order; past the last defined kind the
 	// name falls back to the numeric "kind-N" form.
 	for k := obs.EventKind(1); !strings.HasPrefix(k.String(), "kind-"); k++ {

@@ -185,21 +185,15 @@ func RunFig7DensitySweep(sizes []int, spacings []float64, durationSec float64, s
 	if durationSec == 0 {
 		durationSec = 50
 	}
-	type cell struct {
-		n       int
-		spacing float64
-	}
-	var cells []cell
-	for _, n := range sizes {
-		for _, spacing := range spacings {
-			cells = append(cells, cell{n: n, spacing: spacing})
-		}
-	}
+	cells := len(sizes) * len(spacings)
+	cell := func(i int) (int, float64) { return sizes[i/len(spacings)], spacings[i%len(spacings)] }
 	label := func(i int) string {
-		return fmt.Sprintf("fig7 N=%d spacing=%gm", cells[i].n, cells[i].spacing)
+		n, spacing := cell(i)
+		return fmt.Sprintf("fig7 N=%d spacing=%gm", n, spacing)
 	}
-	return runner.AllOpts(opts.runnerOpts(len(cells), label), len(cells), func(i int) Fig7Point {
-		return runFig7Cell(cells[i].n, cells[i].spacing, durationSec, seed)
+	return runner.AllOpts(opts.runnerOpts(cells, label), cells, func(i int) Fig7Point {
+		n, spacing := cell(i)
+		return runFig7Cell(n, spacing, durationSec, seed)
 	})
 }
 
@@ -209,15 +203,7 @@ func RunFig7ScaleSweep(sizes []int, durationSec float64, seed uint64, opts Sweep
 	if sizes == nil {
 		sizes = []int{16, 36, 64, 100, 144, 196, 256, 324}
 	}
-	if durationSec == 0 {
-		durationSec = 50
-	}
-	label := func(i int) string {
-		return fmt.Sprintf("fig7 N=%d spacing=64m", sizes[i])
-	}
-	return runner.AllOpts(opts.runnerOpts(len(sizes), label), len(sizes), func(i int) Fig7Point {
-		return runFig7Cell(sizes[i], 64, durationSec, seed)
-	})
+	return RunFig7DensitySweep(sizes, []float64{64}, durationSec, seed, opts)
 }
 
 func runFig7Cell(n int, spacing, durationSec float64, seed uint64) Fig7Point {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 
@@ -112,12 +113,13 @@ func jobWorkers(req *JobRequest) int {
 	return req.Workers
 }
 
-// chaosCell builds the ChaosConfig a chaos-family request describes.
-// Zero-valued knobs keep the facade's defaults.
-func chaosCell(req *JobRequest) rr.ChaosConfig {
+// chaosCell builds the ChaosConfig a request of kind k describes: an
+// unnamed profile is the kind's, and other zero-valued knobs keep the
+// facade's defaults.
+func chaosCell(req *JobRequest, k *jobKind) rr.ChaosConfig {
 	return rr.ChaosConfig{
 		Controller:  req.Controller,
-		Profile:     faultinject.Profile(req.Profile),
+		Profile:     cmp.Or(faultinject.Profile(req.Profile), k.profile),
 		Seed:        req.Seed,
 		N:           req.N,
 		DurationSec: req.DurationSec,
@@ -174,15 +176,6 @@ func viewOfChaos(kind string, res *rr.ChaosResult, traceEvents int) chaosView {
 		v.SnapshotTicks = append(v.SnapshotTicks, uint64(s.Tick))
 	}
 	return v
-}
-
-// chaosDurationSec is the run length a chaos-family request gets: its
-// own, or RunChaos's 60 s default.
-func (r *JobRequest) chaosDurationSec() float64 {
-	if r.DurationSec == 0 {
-		return 60
-	}
-	return r.DurationSec
 }
 
 func marshalResult(v any) ([]byte, error) {
@@ -244,16 +237,13 @@ func runCellJob(k *jobKind, req *JobRequest, resolve resolveFunc, hooks execHook
 			return nil, err
 		}
 	} else {
-		cfg := chaosCell(req)
-		if cfg.Profile == "" {
-			cfg.Profile = k.profile
-		}
+		cfg := chaosCell(req, k)
 		if k.capture {
-			at := req.SnapshotAtTick
+			at := wire.Tick(req.SnapshotAtTick)
 			if at == 0 {
-				at = uint64(req.chaosDurationSec() * rr.TicksPerSecond / 2) // midpoint
+				at = cfg.Ticks() / 2 // midpoint
 			}
-			cfg.SnapshotAtTicks = []wire.Tick{wire.Tick(at)}
+			cfg.SnapshotAtTicks = []wire.Tick{at}
 		}
 		attach(&cfg)
 		res = rr.RunChaos(cfg)
@@ -357,24 +347,19 @@ func runFig7Job(_ *jobKind, req *JobRequest, _ resolveFunc, hooks execHooks) (*J
 	if dur == 0 {
 		dur = 15 // served default: a smoke-sized sweep, not the paper's 50 s
 	}
-	opts := rr.SweepOptions{Workers: jobWorkers(req), Progress: hooks.progress}
-	var points []rr.Fig7Point
-	if req.Kind == KindFig7Density {
-		sizes := req.Sizes
-		if len(sizes) == 0 {
-			sizes = []int{16, 36}
-		}
-		spacings := req.Spacings
-		if len(spacings) == 0 {
-			spacings = []float64{4, 64}
-		}
-		points = rr.RunFig7DensitySweep(sizes, spacings, dur, req.Seed, opts)
-	} else {
-		sizes := req.Sizes
-		if len(sizes) == 0 {
-			sizes = []int{16, 36, 64}
-		}
-		points = rr.RunFig7ScaleSweep(sizes, dur, req.Seed, opts)
+	// Served defaults are smoke-sized; a scale sweep is a density sweep
+	// at 64 m.
+	sizes, spacings := []int{16, 36}, []float64{4, 64}
+	if req.Kind == KindFig7Scale {
+		sizes, spacings = []int{16, 36, 64}, []float64{64}
 	}
+	if len(req.Sizes) > 0 {
+		sizes = req.Sizes
+	}
+	if len(req.Spacings) > 0 {
+		spacings = req.Spacings
+	}
+	points := rr.RunFig7DensitySweep(sizes, spacings, dur, req.Seed,
+		rr.SweepOptions{Workers: jobWorkers(req), Progress: hooks.progress})
 	return sweepOutput(req.Kind, points)
 }

@@ -39,8 +39,7 @@ type jobKind struct {
 	// one is skipped when the run has nothing for it (no collector, no
 	// perfetto flag, a drain interrupt before the capture tick).
 	artifacts []string
-	// profile replaces an unnamed fault profile, and is what Validate
-	// holds an unnamed profile to.
+	// profile replaces an unnamed fault profile (see chaosCell).
 	profile faultinject.Profile
 	traced  bool // collect protocol events whether or not the request asks
 	capture bool // capture a snapshot at snapshot_at_tick
@@ -138,6 +137,14 @@ var requestFields = func() []requestField {
 	}
 	return fields
 }()
+
+// jsonName is the JSON name of the JobRequest field called goName ("" if
+// there is none).
+func jsonName(goName string) string {
+	f, _ := reflect.TypeFor[JobRequest]().FieldByName(goName)
+	name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+	return name
+}
 
 // untakenField returns the JSON name of a field the request sets but
 // the kind does not take ("" when there is none). Set means what

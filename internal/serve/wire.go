@@ -2,18 +2,13 @@ package serve
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"slices"
 
 	rr "roborebound"
-	"roborebound/internal/core"
-	"roborebound/internal/faultinject"
-	"roborebound/internal/wire"
 )
 
 // RequestVersion is the job-request codec version. Decoding rejects
@@ -86,13 +81,6 @@ const (
 	maxSweepLen    = 16
 )
 
-// chaosLimits are the protocol bounds RunChaos hands the fault
-// generator.
-var chaosLimits = func() faultinject.Limits {
-	cc := core.DefaultConfig(rr.TicksPerSecond)
-	return faultinject.Limits{TVal: cc.TVal, TAudit: cc.TAudit}
-}()
-
 // DecodeJobRequest parses and validates one job request. The decoder
 // rejects unknown fields, trailing data, oversized input, and any
 // out-of-bounds knob; it returns an error for every malformed input
@@ -159,34 +147,26 @@ func (r *JobRequest) Validate() error {
 	if name := k.untakenField(r); name != "" {
 		return fmt.Errorf("serve: kind %q does not take %s", r.Kind, name)
 	}
-	// "" is the kind's default controller or profile.
-	if r.Controller != "" && !slices.Contains(rr.Controllers(), r.Controller) {
-		return fmt.Errorf("serve: unknown controller %q", r.Controller)
+	// The cell's own rules are RunChaos's, named here by JSON field.
+	cell := chaosCell(r, k)
+	if err := cell.Check(); err != nil {
+		var bad *rr.ChaosConfigError
+		if errors.As(err, &bad) {
+			return fmt.Errorf("serve: %s %s %#v (want %s)", bad.Problem, jsonName(bad.Field), bad.Value, bad.Want)
+		}
+		return fmt.Errorf("serve: %w", err)
 	}
-	if r.Profile != "" && !slices.Contains(faultinject.Profiles(), faultinject.Profile(r.Profile)) {
-		return fmt.Errorf("serve: unknown fault profile %q", r.Profile)
-	}
-	if err := boundedInt("n", r.N, 0, maxN); err != nil {
-		return err
-	}
-	if err := boundedFloat("duration_sec", r.DurationSec, 0, maxDurationSec); err != nil {
-		return err
-	}
-	if err := boundedInt("fmax", r.Fmax, 0, maxFmax); err != nil {
-		return err
-	}
-	if err := boundedFloat("spacing_m", r.SpacingM, 0, maxSpacingM); err != nil {
-		return err
-	}
-	if err := boundedInt("mtu_bytes", r.MTUBytes, 0, maxMTUBytes); err != nil {
-		return err
-	}
-	if r.MTUBytes > 0 && r.MTUBytes < faultinject.MinMTUBytes {
-		return fmt.Errorf("serve: mtu_bytes %d is below %d, the smallest MTU that carries an audit response unfragmented (0 disables fragmentation)",
-			r.MTUBytes, faultinject.MinMTUBytes)
-	}
-	if err := boundedInt("workers", r.Workers, 0, maxJobWorkers); err != nil {
-		return err
+	for _, err := range []error{
+		boundedInt("n", r.N, 0, maxN),
+		boundedFloat("duration_sec", r.DurationSec, 0, maxDurationSec),
+		boundedInt("fmax", r.Fmax, 0, maxFmax),
+		boundedFloat("spacing_m", r.SpacingM, 0, maxSpacingM),
+		boundedInt("mtu_bytes", r.MTUBytes, 0, maxMTUBytes),
+		boundedInt("workers", r.Workers, 0, maxJobWorkers),
+	} {
+		if err != nil {
+			return err
+		}
 	}
 	if len(r.Sizes) > maxSweepLen {
 		return fmt.Errorf("serve: %d sizes exceeds limit %d", len(r.Sizes), maxSweepLen)
@@ -223,16 +203,13 @@ func (r *JobRequest) Validate() error {
 	// Checked here so a snapshot job fails before admission, not after
 	// running the whole cell and capturing nothing. (Zero on every
 	// kind that does not take the field.)
-	total := wire.Tick(r.chaosDurationSec() * rr.TicksPerSecond)
-	if r.SnapshotAtTick > uint64(total) {
+	if total := cell.Ticks(); r.SnapshotAtTick > uint64(total) {
 		return fmt.Errorf("serve: snapshot_at_tick %d is beyond the %d-tick run", r.SnapshotAtTick, total)
 	}
 	// A cell too short for its profile to schedule a fault would run
 	// fault-free under a faulted label.
-	if profile := cmp.Or(r.Profile, string(k.profile)); k.takesField("profile") &&
-		profile != string(faultinject.ProfileNone) && !faultinject.Schedulable(total, chaosLimits) {
-		return fmt.Errorf("serve: duration_sec %g schedules no %s faults; a faulted cell must run longer than %g s",
-			r.chaosDurationSec(), profile, float64(2*chaosLimits.TVal+chaosLimits.TAudit)/rr.TicksPerSecond)
+	if k.takesField("profile") && !cell.Schedulable() {
+		return fmt.Errorf("serve: duration_sec %g schedules no %s faults: the run is too short", r.DurationSec, cell.Profile)
 	}
 	if r.Resume == nil {
 		if k.takesField("resume") {

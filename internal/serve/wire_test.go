@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -53,7 +54,7 @@ func TestDecodeJobRequestRejects(t *testing.T) {
 		{"unknown controller", `{"version":1,"kind":"chaos","controller":"tank"}`, "controller"},
 		{"unknown profile", `{"version":1,"kind":"chaos","profile":"sharks"}`, "profile"},
 		{"n too big", `{"version":1,"kind":"chaos","n":100000}`, "out of range"},
-		{"n negative", `{"version":1,"kind":"chaos","n":-1}`, "out of range"},
+		{"n negative", `{"version":1,"kind":"chaos","n":-1}`, "negative n -1"},
 		{"duration too long", `{"version":1,"kind":"chaos","duration_sec":100000}`, "out of range"},
 		{"duration nan", `{"version":1,"kind":"chaos","duration_sec":1e999}`, "decode"},
 		{"workers over cap", `{"version":1,"kind":"fig6","workers":99}`, "out of range"},
@@ -78,8 +79,8 @@ func TestDecodeJobRequestRejects(t *testing.T) {
 		{"inert default-profile snapshot", `{"version":1,"kind":"snapshot","duration_sec":4,"snapshot_at_tick":8}`, `duration_sec 4 schedules no mixed faults`},
 		// Below 53 bytes an audit response fragments and the schedule's
 		// audit faults cannot see it; at 11 no fragment header fits.
-		{"mtu carries no fragment header", `{"version":1,"kind":"chaos","profile":"none","mtu_bytes":11}`, "mtu_bytes 11 is below 53, the smallest MTU that carries an audit response unfragmented"},
-		{"mtu one below the floor", `{"version":1,"kind":"trace","mtu_bytes":52}`, "mtu_bytes 52 is below 53"},
+		{"mtu carries no fragment header", `{"version":1,"kind":"chaos","profile":"none","mtu_bytes":11}`, "too-small mtu_bytes 11 (want 0 or at least 53, the smallest that carries an audit response unfragmented)"},
+		{"mtu one below the floor", `{"version":1,"kind":"trace","mtu_bytes":52}`, "too-small mtu_bytes 52 (want 0 or at least 53"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -91,6 +92,54 @@ func TestDecodeJobRequestRejects(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestValidateNamesCheckRulesByJSONField: every rule ChaosConfig.Check
+// holds a cell to that a request can break is refused by Validate with
+// the field's JSON name, as the CLI names it by flag. A Check rule on a
+// field the request calls by another name fails here.
+func TestValidateNamesCheckRulesByJSONField(t *testing.T) {
+	for _, c := range []struct {
+		json string
+		set  func(*JobRequest)
+	}{
+		{"controller", func(r *JobRequest) { r.Controller = "tank" }},
+		{"profile", func(r *JobRequest) { r.Profile = "sharks" }},
+		{"n", func(r *JobRequest) { r.N = -1 }},
+		{"duration_sec", func(r *JobRequest) { r.DurationSec = -1 }},
+		{"fmax", func(r *JobRequest) { r.Fmax = -1 }},
+		{"spacing_m", func(r *JobRequest) { r.SpacingM = math.NaN() }},
+		{"mtu_bytes", func(r *JobRequest) { r.MTUBytes = 52 }},
+	} {
+		req := validChaosRequest()
+		c.set(req)
+		err := req.Validate()
+		if err == nil {
+			t.Errorf("%s: Validate accepted %+v", c.json, *req)
+			continue
+		}
+		if msg := err.Error(); !strings.HasPrefix(msg, "serve: ") || !strings.Contains(msg, " "+c.json+" ") {
+			t.Errorf("%s: error %q does not name the field by its JSON name", c.json, msg)
+		}
+	}
+}
+
+// TestValidateAllocatesNothing: validating an accepted request, which
+// the server does for every job, allocates nothing.
+func TestValidateAllocatesNothing(t *testing.T) {
+	for _, req := range []*JobRequest{
+		validChaosRequest(),
+		{Version: RequestVersion, Kind: KindChaos, Controller: "patrol", Profile: "mixed", N: 16, DurationSec: 30},
+		{Version: RequestVersion, Kind: KindSnapshot, DurationSec: 30, SnapshotAtTick: 4},
+		{Version: RequestVersion, Kind: KindFig7Scale, Sizes: []int{4}, DurationSec: 4},
+	} {
+		if err := req.Validate(); err != nil {
+			t.Fatalf("%+v: %v", *req, err)
+		}
+		if n := testing.AllocsPerRun(20, func() { _ = req.Validate() }); n != 0 {
+			t.Errorf("Validate(%s) allocates %v times, want 0", req.Kind, n)
+		}
 	}
 }
 

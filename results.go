@@ -163,13 +163,9 @@ func (s *Sim) SafeModeEvents() []SafeModeEvent {
 // the false-positive condition the paper reports never occurred in its
 // experiments ("no correct robots were put into Safe Mode", §5.2).
 func (s *Sim) CorrectInSafeMode() []wire.RobotID {
-	compromisedSet := make(map[wire.RobotID]bool)
-	for id := range s.compromised {
-		compromisedSet[id] = true
-	}
 	var out []wire.RobotID
 	for _, ev := range s.SafeModeEvents() {
-		if !compromisedSet[ev.ID] {
+		if s.compromised[ev.ID] == nil {
 			out = append(out, ev.ID)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"roborebound/internal/attack"
+	"roborebound/internal/control"
 	"roborebound/internal/core"
 	"roborebound/internal/flocking"
 	"roborebound/internal/geom"
@@ -114,7 +115,14 @@ func (fs FlockScenario) Build() *Sim {
 	}
 	world.Obstacles = fs.Obstacles
 	s := NewSim(SimConfig{Seed: fs.Seed, Core: &cc, World: &world})
+	positions, factory := fs.layout()
+	s.populate(roster(fs.N), positions, factory, fs.Protected, fs.Goal, fs.Compromised, nil)
+	return s
+}
 
+// layout is where the flock's slots start, the grid jittered by up to
+// JitterM per axis, and the flocking controller every robot runs.
+func (fs FlockScenario) layout() ([]geom.Vec2, control.Factory) {
 	params := flocking.DefaultParams(TicksPerSecond, fs.Spacing, fs.Goal)
 	if len(fs.Obstacles) > 0 {
 		params.Obstacles = fs.Obstacles
@@ -128,35 +136,46 @@ func (fs FlockScenario) Build() *Sim {
 	if fs.Tune != nil {
 		fs.Tune(&params)
 	}
-	factory := flocking.Factory{Params: params}
 
 	positions := GridPositions(fs.N, fs.Spacing, geom.Zero2)
-	rng := prng.New(fs.Seed)
 	if fs.JitterM > 0 {
+		rng := prng.New(fs.Seed)
 		for i := range positions {
 			positions[i] = positions[i].Add(geom.V(
 				rng.Range(-fs.JitterM, fs.JitterM),
 				rng.Range(-fs.JitterM, fs.JitterM)))
 		}
 	}
+	return positions, flocking.Factory{Params: params}
+}
 
-	compromisedAt := make(map[int]CompromisedSpec)
-	for _, cs := range fs.Compromised {
-		compromisedAt[cs.Index] = cs
-	}
-	ids := make([]wire.RobotID, fs.N)
+// roster is the robot IDs of an n-robot cell: slot i holds robot i+1.
+func roster(n int) []wire.RobotID {
+	ids := make([]wire.RobotID, n)
 	for i := range ids {
 		ids[i] = wire.RobotID(i + 1)
 	}
-	for i, pos := range positions {
-		id := ids[i]
-		if cs, bad := compromisedAt[i]; bad {
-			strat := cs.Strategy(ids, fs.Goal)
-			s.AddCompromised(id, pos, factory, fs.Protected,
-				wire.Tick(cs.AtSeconds*TicksPerSecond), strat, cs.KeepProtocol)
-			continue
-		}
-		s.AddRobot(id, pos, factory, fs.Protected)
+	return ids
+}
+
+// populate adds robot ids[i] at positions[i], in roster order, all
+// running factory. A slot a spec names (the last, if several do) turns
+// Byzantine as the spec says; else a robot crashes names goes silent at
+// its tick; every other robot is correct.
+func (s *Sim) populate(ids []wire.RobotID, positions []geom.Vec2, factory control.Factory, protected bool,
+	goal geom.Vec2, specs []CompromisedSpec, crashes map[wire.RobotID]wire.Tick) {
+	bySlot := make(map[int]CompromisedSpec, len(specs))
+	for _, cs := range specs {
+		bySlot[cs.Index] = cs
 	}
-	return s
+	for i, id := range ids {
+		if cs, bad := bySlot[i]; bad {
+			s.AddCompromised(id, positions[i], factory, protected,
+				wire.Tick(cs.AtSeconds*TicksPerSecond), cs.Strategy(ids, goal), cs.KeepProtocol)
+		} else if at, crashed := crashes[id]; crashed {
+			s.AddCompromised(id, positions[i], factory, protected, at, attack.Silent{}, false)
+		} else {
+			s.AddRobot(id, positions[i], factory, protected)
+		}
+	}
 }

@@ -527,6 +527,21 @@ func TestChaosEchoMTUFloor(t *testing.T) {
 	}
 }
 
+// TestChaosEchoAttackTime: an echo carrying an attack time Check
+// refuses does not decode, so a snapshot cannot carry one into resume.
+func TestChaosEchoAttackTime(t *testing.T) {
+	for _, c := range []struct {
+		at float64
+		ok bool
+	}{{20, true}, {0.25, true}, {-5, false}, {math.Inf(1), false}, {1e9, false}} {
+		cfg := ChaosConfig{Profile: faultinject.ProfileNone}.withDefaults()
+		cfg.AttackAtSec = c.at
+		if _, err := decodeChaosEcho(encodeChaosEcho(cfg)); (err == nil) != c.ok {
+			t.Errorf("echo with AttackAtSec %g: err = %v, want accepted %v", c.at, err, c.ok)
+		}
+	}
+}
+
 // TestChaosEchoNames: an echo naming a controller or profile the cell
 // does not know does not decode, and RunChaos panics on one naming it,
 // so a misspelling never runs some other cell under its label.

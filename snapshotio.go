@@ -178,7 +178,8 @@ func (s *Sim) snapshotRun(checker *faultinject.Checker) *snapshot.Run {
 // byte-identity statement. The snapshot view of the sim and the config
 // echo are built on first use, so a run that neither captures nor
 // resumes never builds them.
-func runChaosTicks(s *Sim, cfg ChaosConfig, checker *faultinject.Checker, total wire.Tick, res *ChaosResult) {
+func runChaosTicks(s *Sim, cfg ChaosConfig, checker *faultinject.Checker, res *ChaosResult) {
+	total := cfg.Ticks()
 	var (
 		run  *snapshot.Run
 		echo []byte
