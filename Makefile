@@ -157,6 +157,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzReplayMachineReuse -fuzztime=20s ./internal/replay
 	$(GO) test -run=NONE -fuzz=FuzzSnapshotDecode -fuzztime=20s ./internal/snapshot
 	$(GO) test -run=NONE -fuzz=FuzzChaosEcho -fuzztime=20s .
+	$(GO) test -run=NONE -fuzz=FuzzSnapshotApply -fuzztime=20s .
 	$(GO) test -run=NONE -fuzz=FuzzJobRequestDecode -fuzztime=20s ./internal/serve
 	$(GO) test -run=NONE -fuzz=FuzzAcceptedCellJob -fuzztime=20s ./internal/serve
 	$(GO) test -run=NONE -fuzz=FuzzJSONString -fuzztime=20s ./internal/obs

@@ -161,6 +161,9 @@ func (c ChaosConfig) Check() error {
 		return bad("Profile", c.Profile, "unknown", fmt.Sprint("one of ", faultinject.Profiles()))
 	case c.N < 0:
 		return bad("N", c.N, "negative", "a count ≥ 0 (0 takes the controller's default)")
+	case c.N >= int(wire.Broadcast):
+		return bad("N", c.N, "too-large", fmt.Sprintf(
+			"at most %d, one robot ID below the broadcast address for each", int(wire.Broadcast)-1))
 	case !(c.DurationSec >= 0 && c.DurationSec < 1e9):
 		return bad("DurationSec", c.DurationSec, "out-of-range", "seconds in [0, 1e9) (0 takes the default, 60)")
 	case c.Fmax < 0:

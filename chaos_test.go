@@ -55,6 +55,21 @@ func TestRunChaosRefusesBadCells(t *testing.T) {
 	}
 }
 
+// TestCheckRefusesARosterBeyondTheIDSpace: robot i+1 of a roster needs
+// an ID below wire.Broadcast, so Check refuses N past 65534 — before
+// anything is built — and accepts 65534.
+func TestCheckRefusesARosterBeyondTheIDSpace(t *testing.T) {
+	for _, n := range []int{65535, 65537} {
+		want := fmt.Sprintf("too-large chaos N %d", n)
+		if err := (ChaosConfig{N: n}).Check(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Check(N: %d) = %v, want an error containing %q", n, err, want)
+		}
+	}
+	if err := (ChaosConfig{N: 65534}).Check(); err != nil {
+		t.Errorf("Check(N: 65534) = %v, want nil", err)
+	}
+}
+
 // TestChaosSoakMatrix is the cross-seed soak: every controller x every
 // fault profile x >=10 seeds, asserting the paper's guarantees hold in
 // every cell — no correct robot ever Safe-Modes (no false positives,

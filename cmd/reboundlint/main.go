@@ -12,9 +12,9 @@
 //	clockdomain      engine-clock and trusted-clock wire.Tick values
 //	                 never mix (the PR 2 bug class)
 //	snapshotstate    every field reachable from a snapshot codec is
-//	                 serialized or justified //rebound:snapshot-skip,
-//	                 and decoder counts are bounded before allocation
-//	                 (the PR 7 resume-divergence bug class)
+//	                 serialized or justified //rebound:snapshot-skip
+//	                 (the resume-divergence bug class), and a decoder
+//	                 sizes allocations only with wire.Reader.Count
 //
 // On top of the selected analyzers, every run audits the //rebound:
 // annotations themselves: a suppression hatch that suppresses nothing
@@ -32,9 +32,9 @@
 // .github/reboundlint-problem-matcher.json turns into GitHub code
 // annotations. Each analyzer documents an annotation escape hatch
 // (//rebound:wallclock, //rebound:nondet, //rebound:tcb-exempt,
-// //rebound:clockmix, //rebound:snapshot-skip, //rebound:bounded) that
-// requires a justification; see DESIGN.md "Static analysis &
-// determinism contracts".
+// //rebound:clockmix, //rebound:snapshot-skip) that requires a
+// justification; see DESIGN.md "Static analysis & determinism
+// contracts".
 package main
 
 import (

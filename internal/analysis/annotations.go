@@ -48,10 +48,6 @@ const (
 	// analyzer requires every field of a codec struct to be referenced
 	// by the codec pair or carry this directive with a justification.
 	DirSnapshotSkip = "snapshot-skip"
-	// DirBounded silences snapshotstate findings about a decoder count
-	// used as an allocation size without a visible bound against the
-	// remaining payload (for counts bounded by other means).
-	DirBounded = "bounded"
 )
 
 // KnownDirectives is the set of every directive name the suite
@@ -61,7 +57,7 @@ const (
 var KnownDirectives = map[string]bool{
 	DirWallclock: true, DirNondet: true, DirTCBExempt: true,
 	DirClockMix: true, DirClock: true,
-	DirSnapshotSkip: true, DirBounded: true,
+	DirSnapshotSkip: true,
 }
 
 // SuppressionOwner maps each suppression (escape-hatch) directive to
@@ -76,7 +72,6 @@ var SuppressionOwner = map[string]string{
 	DirTCBExempt:    "trustedboundary",
 	DirClockMix:     "clockdomain",
 	DirSnapshotSkip: "snapshotstate",
-	DirBounded:      "snapshotstate",
 }
 
 const directivePrefix = "//rebound:"

@@ -30,21 +30,18 @@
 //     but it is exactly the approximation that catches the dodged-
 //     field bug class.
 //
-//   - Decoder count bounds: a count read from a wire.Reader (U16/U32/
-//     U64, possibly through conversions) that is used as an allocation
-//     size in make() must first appear in some comparison — the
-//     internal/wire discipline of bounding counts against
-//     r.Remaining() before allocating, checked instead of trusted. A
-//     hostile snapshot blob otherwise turns a four-byte count into a
-//     multi-gigabyte allocation. Suppress counts bounded by other
-//     means with //rebound:bounded <why>. (U8 counts are exempt: 255
-//     of anything is not an allocation attack.)
+//   - Decoder counts: a U16/U32/U64 read from a wire.Reader (possibly
+//     through conversions, directly or through a variable) that sizes
+//     a make() is a finding. wire.Reader.Count, which bounds a count by
+//     the bytes left, is the one sanctioned source of an allocation
+//     size; a hostile snapshot blob otherwise turns a four-byte count
+//     into a multi-gigabyte allocation. The rule has no hatch. (U8
+//     counts are exempt: 255 of anything is not an allocation attack.)
 package snapshotstate
 
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 
@@ -57,7 +54,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "snapshotstate",
 	Doc: "require every field of a snapshotted struct to be referenced by its " +
 		"EncodeState/RestoreState codec (or be annotated rebuild/scratch state), " +
-		"and every decoder count to be bounded before allocation",
+		"and every decoder allocation to be sized through wire.Reader.Count",
 	Run: run,
 }
 
@@ -414,7 +411,7 @@ func checkDecoderBounds(pass *analysis.Pass) {
 }
 
 func checkFuncBounds(pass *analysis.Pass, fd *ast.FuncDecl) {
-	// Pass 1: variables assigned from a reader count read.
+	// Variables assigned from a reader count read.
 	counts := make(map[types.Object]bool)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
@@ -432,45 +429,8 @@ func checkFuncBounds(pass *analysis.Pass, fd *ast.FuncDecl) {
 		}
 		return true
 	})
-	if len(counts) == 0 {
-		return
-	}
 
-	// Pass 2: counts compared inside an if condition are bounded. Loop
-	// conditions (for i < n) deliberately do not count — iterating n
-	// times is exactly what an unchecked count lets an attacker do.
-	bounded := make(map[types.Object]bool)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		ifs, ok := n.(*ast.IfStmt)
-		if !ok {
-			return true
-		}
-		ast.Inspect(ifs.Cond, func(m ast.Node) bool {
-			be, ok := m.(*ast.BinaryExpr)
-			if !ok {
-				return true
-			}
-			switch be.Op {
-			case token.LSS, token.GTR, token.LEQ, token.GEQ, token.EQL, token.NEQ:
-			default:
-				return true
-			}
-			for _, side := range []ast.Expr{be.X, be.Y} {
-				ast.Inspect(side, func(m ast.Node) bool {
-					if id, ok := m.(*ast.Ident); ok {
-						if obj := identObj(pass, id); obj != nil && counts[obj] {
-							bounded[obj] = true
-						}
-					}
-					return true
-				})
-			}
-			return true
-		})
-		return true
-	})
-
-	// Pass 3: unbounded counts used as make() sizes.
+	// make() sizes that hold such a read or such a variable.
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok || len(call.Args) < 2 {
@@ -484,26 +444,29 @@ func checkFuncBounds(pass *analysis.Pass, fd *ast.FuncDecl) {
 			return true
 		}
 		for _, arg := range call.Args[1:] {
-			var offender types.Object
+			var offender string
 			ast.Inspect(arg, func(m ast.Node) bool {
-				if id, ok := m.(*ast.Ident); ok && offender == nil {
-					if obj := identObj(pass, id); obj != nil && counts[obj] && !bounded[obj] {
-						offender = obj
+				if offender != "" {
+					return false
+				}
+				switch m := m.(type) {
+				case *ast.Ident:
+					if obj := identObj(pass, m); obj != nil && counts[obj] {
+						offender = m.Name
+					}
+				case ast.Expr:
+					if isCountRead(pass, m) {
+						offender = types.ExprString(m)
 					}
 				}
-				return true
+				return offender == ""
 			})
-			if offender == nil {
-				continue
-			}
-			if pass.Suppressed(call.Pos(), analysis.DirBounded) {
+			if offender != "" {
+				pass.Reportf(call.Pos(),
+					"decoder count %s sizes an allocation: read it with r.Count(recordSize), "+
+						"which bounds it by the bytes left", offender)
 				return true
 			}
-			pass.Reportf(call.Pos(),
-				"decoder count %s is used as an allocation size without a bound against the "+
-					"remaining payload: check it (e.g. n > r.Remaining()/entrySize) before "+
-					"allocating, or annotate //rebound:bounded <why>", offender.Name())
-			return true
 		}
 		return true
 	})

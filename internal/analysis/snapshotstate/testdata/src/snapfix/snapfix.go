@@ -56,38 +56,27 @@ func encodeItem(w *wire.Writer, it *item) {
 func (b *Box) RestoreState(data []byte) error {
 	r := wire.NewReader(data)
 	b.now = wire.Tick(r.U64())
-	n := int(r.U32())
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if n > r.Remaining()/10 {
-		return errors.New("snapfix: item count exceeds payload")
-	}
-	b.items = make([]item, 0, n) // bounded above: clean
+	n := r.Count(10)
+	b.items = make([]item, 0, n) // sized through Count: clean
 	for i := 0; i < n; i++ {
 		b.items = append(b.items, item{id: wire.RobotID(r.U16()), val: r.U64()})
 	}
 	nl := int(r.U32())
-	if r.Err() != nil {
-		return r.Err()
+	if nl > r.Remaining()/10 {
+		return errors.New("snapfix: lookup count exceeds payload")
 	}
-	b.lookup = make(map[wire.RobotID]uint64, nl) // want `count nl is used as an allocation size without a bound`
+	b.lookup = make(map[wire.RobotID]uint64, nl) // want `decoder count nl sizes an allocation`
 	for i := 0; i < nl; i++ {
 		b.lookup[wire.RobotID(r.U16())] = r.U64()
 	}
 	return r.Done()
 }
 
-// decodeSide is not part of any codec pair, but decoder count bounds
-// apply to every reader client in the package.
+// decodeSide is not part of any codec pair, but the count rule applies
+// to every reader client in the package, to reads used in place too.
 func decodeSide(r *wire.Reader) ([]uint64, []byte) {
-	n := int(r.U32())
-	//rebound:bounded counts come from a trusted in-process encoder here
-	out := make([]uint64, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, r.U64())
-	}
-	small := int(r.U8()) // U8 counts cannot exceed 255: exempt
+	out := make([]uint64, 0, int(r.U16())) // want `decoder count int\(r.U16\(\)\) sizes an allocation`
+	small := int(r.U8())                   // U8 counts cannot exceed 255: exempt
 	pad := make([]byte, small)
 	return out, pad
 }

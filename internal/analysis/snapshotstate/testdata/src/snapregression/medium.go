@@ -6,11 +6,7 @@
 // cursor restarted at zero. The analyzer must catch it at lint time.
 package snapregression
 
-import (
-	"errors"
-
-	"roborebound/internal/wire"
-)
+import "roborebound/internal/wire"
 
 type medium struct {
 	queue []queued
@@ -38,19 +34,12 @@ func (m *medium) EncodeState() []byte {
 
 func (m *medium) RestoreState(b []byte) error {
 	r := wire.NewReader(b)
-	n := int(r.U32())
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if n > r.Remaining()/10 {
-		return errors.New("snapregression: queue count exceeds payload")
-	}
-	queue := make([]queued, 0, n)
-	for i := 0; i < n; i++ {
-		queue = append(queue, queued{
+	queue := make([]queued, r.Count(10))
+	for i := range queue {
+		queue[i] = queued{
 			from:    wire.RobotID(r.U16()),
 			readyAt: wire.Tick(r.U64()),
-		})
+		}
 	}
 	m.seq = r.U64()
 	if err := r.Done(); err != nil {

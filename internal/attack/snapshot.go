@@ -41,36 +41,19 @@ func (c *Compromised) EncodeState() []byte {
 // config, and KeepProtocol).
 func (c *Compromised) RestoreState(b []byte) error {
 	r := wire.NewReader(b)
-	flags := r.U8()
+	flags := r.Flags(3)
 	firstMis := wire.Tick(r.U64())
-	nCap := int(r.U32())
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if flags > 3 {
-		return errors.New("attack: snapshot compromise flags out of range")
-	}
+	nCap := r.Count(4)
 	if nCap > maxCaptured {
-		return errors.New("attack: snapshot capture buffer exceeds ring bound")
-	}
-	if nCap > r.Remaining()/4 {
-		return errors.New("attack: snapshot capture count exceeds payload")
+		r.Fail(errors.New("attack: snapshot capture buffer exceeds ring bound"))
 	}
 	captured := make([]wire.Frame, 0, nCap)
 	for i := 0; i < nCap; i++ {
 		f, err := wire.DecodeFrame(r.Blob())
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if err != nil {
-			return err
-		}
+		r.Fail(err)
 		captured = append(captured, f)
 	}
 	inner := r.Blob()
-	if r.Err() != nil {
-		return r.Err()
-	}
 	if err := r.Done(); err != nil {
 		return err
 	}

@@ -18,20 +18,14 @@ import (
 // EncodeState serializes the log as an opaque blob.
 func (l *Log) EncodeState() []byte {
 	w := wire.NewWriter(64 + len(l.encoded))
-	if l.fromBoot {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
+	w.Bool(l.fromBoot)
+	w.Bool(l.start != nil)
 	if l.start != nil {
-		w.U8(1)
 		w.Blob(l.startEnc)
 		w.U32(uint32(len(l.start.Tokens)))
 		for i := range l.start.Tokens {
 			w.Raw(l.start.Tokens[i].Encode())
 		}
-	} else {
-		w.U8(0)
 	}
 	w.Blob(l.encoded)
 	w.U32(uint32(len(l.pending)))
@@ -48,75 +42,35 @@ func (l *Log) EncodeState() []byte {
 // (callers discard the whole run on restore failure).
 func (l *Log) RestoreState(b []byte) error {
 	r := wire.NewReader(b)
-	fromBoot := r.U8()
-	hasStart := r.U8()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if fromBoot > 1 || hasStart > 1 || (fromBoot == 1) == (hasStart == 1) {
-		return errors.New("auditlog: snapshot fromBoot/start flags inconsistent")
+	fromBoot := r.Bool()
+	if r.Bool() == fromBoot {
+		r.Fail(errors.New("auditlog: snapshot fromBoot/start flags inconsistent"))
 	}
 	var start *CoveredCheckpoint
-	if hasStart == 1 {
+	if !fromBoot {
 		cp, err := DecodeCheckpoint(r.Blob())
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if err != nil {
-			return err
-		}
-		nTok := int(r.U32())
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if nTok > r.Remaining()/wire.TokenSize {
-			return errors.New("auditlog: snapshot start token count exceeds payload")
-		}
-		tokens := make([]wire.Token, 0, nTok)
-		for i := 0; i < nTok; i++ {
+		r.Fail(err)
+		start = &CoveredCheckpoint{CP: cp, Tokens: make([]wire.Token, r.Count(wire.TokenSize))}
+		for i := range start.Tokens {
 			tok, err := wire.DecodeToken(r.Raw(wire.TokenSize))
-			if r.Err() != nil {
-				return r.Err()
-			}
-			if err != nil {
-				return err
-			}
-			tokens = append(tokens, tok)
+			r.Fail(err)
+			start.Tokens[i] = tok
 		}
-		start = &CoveredCheckpoint{CP: cp, Tokens: tokens}
 	}
-	encoded := r.Blob()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	entries, err := wire.DecodeLogEntries(encoded)
-	if err != nil {
-		return err
-	}
-	nPending := int(r.U32())
-	if r.Err() != nil {
-		return r.Err()
-	}
+	entries, err := wire.DecodeLogEntries(r.Blob())
+	r.Fail(err)
 	// Each pending record is at least 8 bytes (two length/count words).
-	if nPending > r.Remaining()/8 {
-		return errors.New("auditlog: snapshot pending count exceeds payload")
-	}
-	pending := make([]pendingCheckpoint, 0, nPending)
+	pending := make([]pendingCheckpoint, r.Count(8))
 	prevIndex := 0
-	for i := 0; i < nPending; i++ {
+	for i := range pending {
 		cp, err := DecodeCheckpoint(r.Blob())
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if err != nil {
-			return err
-		}
+		r.Fail(err)
 		index := int(r.U32())
 		if index < prevIndex || index > len(entries) {
-			return errors.New("auditlog: snapshot pending checkpoint index out of range")
+			r.Fail(errors.New("auditlog: snapshot pending checkpoint index out of range"))
 		}
 		prevIndex = index
-		pending = append(pending, newPending(cp, index))
+		pending[i] = newPending(cp, index)
 	}
 	truncations := int(r.U32())
 	if err := r.Done(); err != nil {
@@ -124,7 +78,7 @@ func (l *Log) RestoreState(b []byte) error {
 	}
 	// Rebuild through Append so the window, its offsets and the byte
 	// accounting are regenerated by the same code the live path uses.
-	l.fromBoot = fromBoot == 1
+	l.fromBoot = fromBoot
 	l.start = start
 	l.startEnc = nil
 	if start != nil {

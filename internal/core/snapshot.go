@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 
 	"roborebound/internal/wire"
 )
@@ -34,19 +33,15 @@ func (e *Engine) EncodeState() []byte {
 	for _, t := range e.served {
 		w.U64(uint64(t))
 	}
-	if e.round == nil {
-		w.U8(0)
-	} else {
-		w.U8(1)
+	w.Bool(e.round != nil)
+	if e.round != nil {
 		encodeAuditRound(w, e.round)
 	}
 	for _, c := range e.statValues() {
 		w.U64(c)
 	}
-	if e.roundLatency == nil {
-		w.U8(0)
-	} else {
-		w.U8(1)
+	w.Bool(e.roundLatency != nil)
+	if e.roundLatency != nil {
 		counts, count, sum := e.roundLatency.State()
 		w.U32(uint32(len(counts)))
 		for _, c := range counts {
@@ -66,80 +61,42 @@ func (e *Engine) EncodeState() []byte {
 // the audit log through its own codec.
 func (e *Engine) RestoreState(b []byte) error {
 	r := wire.NewReader(b)
-	nHeard := int(r.U32())
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if nHeard > r.Remaining()/10 {
-		return errors.New("core: snapshot heard count exceeds payload")
-	}
-	heardIDs, heardAt := make([]wire.RobotID, 0, nHeard), make([]wire.Tick, 0, nHeard)
-	for i := 0; i < nHeard; i++ {
-		id := wire.RobotID(r.U16())
-		if i > 0 && id <= heardIDs[i-1] {
-			return errors.New("core: snapshot heard set not in canonical order")
-		}
-		heardIDs, heardAt = append(heardIDs, id), append(heardAt, wire.Tick(r.U64()))
+	n := r.Count(10)
+	heardIDs, heardAt := make([]wire.RobotID, 0, n), make([]wire.Tick, 0, n)
+	prev := -1
+	for i := 0; i < n; i++ {
+		heardIDs, heardAt = append(heardIDs, r.NextID(&prev)), append(heardAt, wire.Tick(r.U64()))
 	}
 	now := wire.Tick(r.U64())
 	rounds := int(r.U32())
-	nServed := int(r.U32())
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if nServed > r.Remaining()/8 {
-		return errors.New("core: snapshot served count exceeds payload")
-	}
-	served := make([]wire.Tick, 0, nServed)
-	for i := 0; i < nServed; i++ {
-		served = append(served, wire.Tick(r.U64()))
+	served := make([]wire.Tick, r.Count(8))
+	for i := range served {
+		served[i] = wire.Tick(r.U64())
 	}
 	var round *auditRound
-	if hasRound := r.U8(); r.Err() == nil && hasRound == 1 {
-		var err error
-		round, err = decodeAuditRound(r)
-		if err != nil {
-			return err
-		}
-	} else if r.Err() == nil && hasRound > 1 {
-		return errors.New("core: snapshot round flag out of range")
+	if r.Bool() {
+		round = decodeAuditRound(r)
 	}
 	var stats [8]uint64
 	for i := range stats {
 		stats[i] = r.U64()
 	}
-	hasHist := r.U8()
-	if r.Err() != nil {
-		return r.Err()
+	hasHist := r.Bool()
+	if hasHist && e.roundLatency == nil {
+		r.Fail(errors.New("core: snapshot has a round-latency histogram but the rebuilt engine is uninstrumented"))
 	}
 	var histCounts []uint64
 	var histCount uint64
 	var histSum float64
-	if hasHist == 1 {
-		if e.roundLatency == nil {
-			return errors.New("core: snapshot has a round-latency histogram but the rebuilt engine is uninstrumented")
-		}
-		nBuckets := int(r.U32())
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if nBuckets > r.Remaining()/8 {
-			return errors.New("core: snapshot histogram bucket count exceeds payload")
-		}
-		histCounts = make([]uint64, nBuckets)
+	if hasHist {
+		histCounts = make([]uint64, r.Count(8))
 		for i := range histCounts {
 			histCounts[i] = r.U64()
 		}
-		histCount = r.U64()
-		histSum = r.F64()
-	} else if hasHist > 1 {
-		return errors.New("core: snapshot histogram flag out of range")
+		histCount, histSum = r.U64(), r.F64()
 	}
 	ctrlState := r.Blob() // Load keeps no reference to it
 	logState := r.Blob()
-	if r.Err() != nil {
-		return r.Err()
-	}
 	if err := r.Done(); err != nil {
 		return err
 	}
@@ -150,7 +107,7 @@ func (e *Engine) RestoreState(b []byte) error {
 	if err := e.log.RestoreState(logState); err != nil {
 		return err
 	}
-	if hasHist == 1 {
+	if hasHist {
 		if err := e.roundLatency.SetState(histCounts, histCount, histSum); err != nil {
 			return err
 		}
@@ -215,11 +172,7 @@ func encodeAuditRound(w *wire.Writer, r *auditRound) {
 		w.U16(uint16(id))
 		w.Raw(tok.Encode())
 	}
-	askIDs := make([]wire.RobotID, 0, len(r.asked))
-	for id := range r.asked {
-		askIDs = append(askIDs, id)
-	}
-	sort.Slice(askIDs, func(i, j int) bool { return askIDs[i] < askIDs[j] })
+	askIDs := wire.SortedIDs(r.asked)
 	w.U32(uint32(len(askIDs)))
 	for _, id := range askIDs {
 		w.U16(uint16(id))
@@ -227,40 +180,22 @@ func encodeAuditRound(w *wire.Writer, r *auditRound) {
 	w.U64(uint64(r.lastAsk))
 }
 
-func decodeAuditRound(r *wire.Reader) (*auditRound, error) {
+func decodeAuditRound(r *wire.Reader) *auditRound {
 	round := &auditRound{
 		tokens: make(map[wire.RobotID]wire.Token),
 		asked:  make(map[wire.RobotID]bool),
 	}
 	copy(round.hash[:], r.Raw(len(round.hash)))
 	round.startAt = wire.Tick(r.U64())
-	flags := r.U8()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if flags > 7 {
-		return nil, errors.New("core: snapshot round flags out of range")
-	}
+	flags := r.Flags(7)
 	round.covered = flags&1 != 0
 	round.fromBoot = flags&2 != 0
 	if enc := r.Blob(); len(enc) > 0 {
 		round.encStart = append([]byte(nil), enc...)
 	}
-	nTok := int(r.U32())
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if nTok > r.Remaining()/wire.TokenSize {
-		return nil, errors.New("core: snapshot start token count exceeds payload")
-	}
-	for i := 0; i < nTok; i++ {
+	for i, n := 0, r.Count(wire.TokenSize); i < n; i++ {
 		tok, err := wire.DecodeToken(r.Raw(wire.TokenSize))
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		if err != nil {
-			return nil, err
-		}
+		r.Fail(err)
 		round.startTok = append(round.startTok, tok)
 	}
 	round.encEnd = append([]byte(nil), r.Blob()...)
@@ -273,7 +208,8 @@ func decodeAuditRound(r *wire.Reader) (*auditRound, error) {
 		// restored as that view.
 		tail := r.Blob()
 		if !bytes.HasSuffix(tail, segment) {
-			return nil, errors.New("core: snapshot round segment is not the end of its request tail")
+			r.Fail(errors.New("core: snapshot round segment is not the end of its request tail"))
+			return round
 		}
 		round.reqTail = append([]byte(nil), tail...)
 		round.segment = round.reqTail[len(round.reqTail)-len(segment):]
@@ -284,50 +220,19 @@ func decodeAuditRound(r *wire.Reader) (*auditRound, error) {
 		// carry the tail; it is read (and checked) above, then dropped.
 		round.segment, round.reqTail = nil, nil
 	}
-	nRoundTok := int(r.U32())
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if nRoundTok > r.Remaining()/(2+wire.TokenSize) {
-		return nil, errors.New("core: snapshot round token count exceeds payload")
-	}
 	prev := -1
-	for i := 0; i < nRoundTok; i++ {
-		id := wire.RobotID(r.U16())
+	for i, n := 0, r.Count(2+wire.TokenSize); i < n; i++ {
+		id := r.NextID(&prev)
 		tok, err := wire.DecodeToken(r.Raw(wire.TokenSize))
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		if err != nil {
-			return nil, err
-		}
-		if int(id) <= prev {
-			return nil, errors.New("core: snapshot round tokens not in canonical order")
-		}
-		prev = int(id)
+		r.Fail(err)
 		round.tokens[id] = tok
 	}
-	nAsked := int(r.U32())
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if nAsked > r.Remaining()/2 {
-		return nil, errors.New("core: snapshot asked count exceeds payload")
-	}
 	prev = -1
-	for i := 0; i < nAsked; i++ {
-		id := wire.RobotID(r.U16())
-		if int(id) <= prev {
-			return nil, errors.New("core: snapshot asked set not in canonical order")
-		}
-		prev = int(id)
-		round.asked[id] = true
+	for i, n := 0, r.Count(2); i < n; i++ {
+		round.asked[r.NextID(&prev)] = true
 	}
 	round.lastAsk = wire.Tick(r.U64())
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	return round, nil
+	return round
 }
 
 // EncodeState serializes the verdict cache in FIFO order, preserving
@@ -344,11 +249,7 @@ func (c *AuditCache) EncodeState() []byte {
 	for _, key := range c.fifo {
 		w.Raw(key[:])
 		v := c.m[key]
-		if v.OK {
-			w.U8(1)
-		} else {
-			w.U8(0)
-		}
+		w.Bool(v.OK)
 		w.Raw(v.HCkpt[:])
 	}
 	w.U64(c.hits)
@@ -360,45 +261,29 @@ func (c *AuditCache) EncodeState() []byte {
 // EncodeState. The capacity must match the rebuilt cache's.
 func (c *AuditCache) RestoreState(b []byte) error {
 	r := wire.NewReader(b)
-	capacity := int(r.U32())
+	if capacity := int(r.U32()); capacity != c.cap {
+		r.Fail(fmt.Errorf("core: snapshot audit cache capacity %d, rebuilt cache has %d", capacity, c.cap))
+	}
 	next := int(r.U32())
-	n := int(r.U32())
-	if r.Err() != nil {
-		return r.Err()
+	n := r.Count(32 + 1 + 20)
+	if n > c.cap {
+		r.Fail(errors.New("core: snapshot audit cache count out of range"))
 	}
-	if capacity != c.cap {
-		return fmt.Errorf("core: snapshot audit cache capacity %d, rebuilt cache has %d", capacity, c.cap)
+	if next < 0 || (n < c.cap && next != 0) || (n == c.cap && next >= c.cap && c.cap > 0) {
+		r.Fail(errors.New("core: snapshot audit cache cursor out of range"))
 	}
-	const entrySize = 32 + 1 + 20
-	if n > r.Remaining()/entrySize || n > capacity {
-		return errors.New("core: snapshot audit cache count out of range")
-	}
-	if next < 0 || (n < capacity && next != 0) || (n == capacity && next >= capacity && capacity > 0) {
-		return errors.New("core: snapshot audit cache cursor out of range")
-	}
-	fifo := make([][32]byte, 0, n)
+	fifo := make([][32]byte, n)
 	m := make(map[[32]byte]AuditVerdict, n)
-	for i := 0; i < n; i++ {
-		var key [32]byte
+	for i, key := range fifo {
 		copy(key[:], r.Raw(32))
-		ok := r.U8()
-		var v AuditVerdict
+		v := AuditVerdict{OK: r.Bool()}
 		copy(v.HCkpt[:], r.Raw(20))
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if ok > 1 {
-			return errors.New("core: snapshot audit cache verdict flag out of range")
-		}
-		v.OK = ok == 1
 		if _, dup := m[key]; dup {
-			return errors.New("core: snapshot audit cache has duplicate keys")
+			r.Fail(errors.New("core: snapshot audit cache has duplicate keys"))
 		}
-		fifo = append(fifo, key)
-		m[key] = v
+		fifo[i], m[key] = key, v
 	}
-	hits := r.U64()
-	misses := r.U64()
+	hits, misses := r.U64(), r.U64()
 	if err := r.Done(); err != nil {
 		return err
 	}

@@ -1,9 +1,6 @@
 package faultinject
 
 import (
-	"errors"
-	"sort"
-
 	"roborebound/internal/obs"
 	"roborebound/internal/radio"
 	"roborebound/internal/wire"
@@ -20,18 +17,12 @@ import (
 // EncodeState serializes the checker as an opaque blob.
 func (c *Checker) EncodeState() []byte {
 	w := wire.NewWriter(256)
+	w.Bool(c.violation != nil)
 	if c.violation != nil {
-		w.U8(1)
 		encodeViolation(w, c.violation)
-	} else {
-		w.U8(0)
 	}
 
-	ids := make([]wire.RobotID, 0, len(c.prev))
-	for id := range c.prev {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := wire.SortedIDs(c.prev)
 	w.U32(uint32(len(ids)))
 	for _, id := range ids {
 		p := c.prev[id]
@@ -45,11 +36,7 @@ func (c *Checker) EncodeState() []byte {
 		w.U64(p.Dropped)
 	}
 
-	ids = ids[:0]
-	for id := range c.lastCov {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids = wire.SortedIDs(c.lastCov)
 	w.U32(uint32(len(ids)))
 	for _, id := range ids {
 		w.U16(uint16(id))
@@ -63,65 +50,31 @@ func (c *Checker) EncodeState() []byte {
 // with the same timing parameters and schedule.
 func (c *Checker) RestoreState(b []byte) error {
 	r := wire.NewReader(b)
-	hasViol := r.U8()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if hasViol > 1 {
-		return errors.New("faultinject: snapshot violation flag out of range")
-	}
 	var viol *Violation
-	if hasViol == 1 {
-		v, err := decodeViolation(r)
-		if err != nil {
-			return err
-		}
-		viol = v
+	if r.Bool() {
+		viol = decodeViolation(r)
 	}
 
-	nPrev := int(r.U32())
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if nPrev > r.Remaining()/(2+7*8) {
-		return errors.New("faultinject: snapshot counter cursor count exceeds payload")
-	}
-	prev := make(map[wire.RobotID]radio.ByteCounters, nPrev)
+	n := r.Count(2 + 7*8)
+	prev := make(map[wire.RobotID]radio.ByteCounters, n)
 	last := -1
-	for i := 0; i < nPrev; i++ {
-		id := wire.RobotID(r.U16())
-		p := radio.ByteCounters{
+	for i := 0; i < n; i++ {
+		id := r.NextID(&last)
+		prev[id] = radio.ByteCounters{
 			TxApp: r.U64(), TxAudit: r.U64(),
 			RxApp: r.U64(), RxAudit: r.U64(),
 			TxFrames: r.U64(), RxFrames: r.U64(), Dropped: r.U64(),
 		}
-		if int(id) <= last {
-			return errors.New("faultinject: snapshot counter cursors not in canonical order")
-		}
-		last = int(id)
-		prev[id] = p
 	}
 
-	nCov := int(r.U32())
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if nCov > r.Remaining()/(2+16) {
-		return errors.New("faultinject: snapshot liveness cursor count exceeds payload")
-	}
-	lastCov := make(map[wire.RobotID]uint64, nCov)
-	lastAdv := make(map[wire.RobotID]wire.Tick, nCov)
+	n = r.Count(2 + 16)
+	lastCov := make(map[wire.RobotID]uint64, n)
+	lastAdv := make(map[wire.RobotID]wire.Tick, n)
 	last = -1
-	for i := 0; i < nCov; i++ {
-		id := wire.RobotID(r.U16())
-		cov := r.U64()
-		adv := wire.Tick(r.U64())
-		if int(id) <= last {
-			return errors.New("faultinject: snapshot liveness cursors not in canonical order")
-		}
-		last = int(id)
-		lastCov[id] = cov
-		lastAdv[id] = adv
+	for i := 0; i < n; i++ {
+		id := r.NextID(&last)
+		lastCov[id] = r.U64()
+		lastAdv[id] = wire.Tick(r.U64())
 	}
 	if err := r.Done(); err != nil {
 		return err
@@ -148,42 +101,21 @@ func encodeViolation(w *wire.Writer, v *Violation) {
 	}
 }
 
-func decodeViolation(r *wire.Reader) (*Violation, error) {
+func decodeViolation(r *wire.Reader) *Violation {
 	v := &Violation{
 		Invariant: string(r.Blob()),
 		Tick:      wire.Tick(r.U64()),
 		Robot:     wire.RobotID(r.U16()),
 		Detail:    string(r.Blob()),
 	}
-	nFaults := int(r.U32())
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if nFaults > r.Remaining()/4 {
-		return nil, errors.New("faultinject: snapshot active-fault count exceeds payload")
-	}
-	for i := 0; i < nFaults; i++ {
+	for i, n := 0, r.Count(4); i < n; i++ {
 		v.ActiveFaults = append(v.ActiveFaults, string(r.Blob()))
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-	}
-	nEvents := int(r.U32())
-	if r.Err() != nil {
-		return nil, r.Err()
 	}
 	// Each event record is at least 25 bytes.
-	if nEvents > r.Remaining()/25 {
-		return nil, errors.New("faultinject: snapshot event count exceeds payload")
+	for i, n := 0, r.Count(25); i < n; i++ {
+		v.Events = append(v.Events, decodeEvent(r))
 	}
-	for i := 0; i < nEvents; i++ {
-		e, err := decodeEvent(r)
-		if err != nil {
-			return nil, err
-		}
-		v.Events = append(v.Events, e)
-	}
-	return v, r.Err()
+	return v
 }
 
 func encodeEvent(w *wire.Writer, e obs.Event) {
@@ -196,15 +128,14 @@ func encodeEvent(w *wire.Writer, e obs.Event) {
 	w.Blob([]byte(e.Detail))
 }
 
-func decodeEvent(r *wire.Reader) (obs.Event, error) {
-	e := obs.Event{
-		Tick:  wire.Tick(r.U64()),
-		Robot: wire.RobotID(r.U16()),
-		Kind:  obs.EventKind(r.U8()),
-		Peer:  wire.RobotID(r.U16()),
-		Cause: obs.DropCause(r.U8()),
-		Value: int64(r.U64()),
+func decodeEvent(r *wire.Reader) obs.Event {
+	return obs.Event{
+		Tick:   wire.Tick(r.U64()),
+		Robot:  wire.RobotID(r.U16()),
+		Kind:   obs.EventKind(r.U8()),
+		Peer:   wire.RobotID(r.U16()),
+		Cause:  obs.DropCause(r.U8()),
+		Value:  int64(r.U64()),
+		Detail: string(r.Blob()),
 	}
-	e.Detail = string(r.Blob())
-	return e, r.Err()
 }

@@ -33,11 +33,7 @@ func (m *Medium) EncodeState() []byte {
 	}
 	w.U64(m.seq)
 
-	ids := make([]wire.RobotID, 0, len(m.counters))
-	for id := range m.counters {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := wire.SortedIDs(m.counters)
 	w.U32(uint32(len(ids)))
 	for _, id := range ids {
 		c := m.counters[id]
@@ -51,22 +47,14 @@ func (m *Medium) EncodeState() []byte {
 		w.U64(c.Dropped)
 	}
 
-	ids = ids[:0]
-	for id := range m.senders {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids = wire.SortedIDs(m.senders)
 	w.U32(uint32(len(ids)))
 	for _, id := range ids {
 		w.U16(uint16(id))
 		w.U16(m.senders[id].nextMsgID)
 	}
 
-	ids = ids[:0]
-	for id := range m.reassemblers {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids = wire.SortedIDs(m.reassemblers)
 	w.U32(uint32(len(ids)))
 	for _, id := range ids {
 		w.U16(uint16(id))
@@ -86,114 +74,55 @@ func (m *Medium) EncodeState() []byte {
 // register exactly as the live path registers them.
 func (m *Medium) RestoreState(b []byte) error {
 	r := wire.NewReader(b)
-	nQueue := int(r.U32())
-	if r.Err() != nil {
-		return r.Err()
-	}
 	// Each queued frame is at least 4+FrameHeaderSize+18 bytes encoded.
-	if nQueue > r.Remaining()/(4+wire.FrameHeaderSize+18) {
-		return errors.New("radio: snapshot queue count exceeds payload")
-	}
-	queue := make([]queuedFrame, 0, nQueue)
-	prevSeq := int64(-1)
-	for i := 0; i < nQueue; i++ {
+	queue := make([]queuedFrame, r.Count(4+wire.FrameHeaderSize+18))
+	for i := range queue {
 		frame, err := wire.DecodeFrame(r.Blob())
-		if r.Err() != nil {
-			return r.Err()
+		r.Fail(err)
+		q := queuedFrame{
+			frame: frame, from: wire.RobotID(r.U16()), seq: r.U64(),
+			size: frame.EncodedSize(), readyAt: wire.Tick(r.U64()),
 		}
-		if err != nil {
-			return err
+		if i > 0 && q.seq <= queue[i-1].seq {
+			r.Fail(errors.New("radio: snapshot queue not ascending in transmit sequence"))
 		}
-		from := wire.RobotID(r.U16())
-		seq := r.U64()
-		readyAt := wire.Tick(r.U64())
-		if int64(seq) <= prevSeq {
-			return errors.New("radio: snapshot queue not ascending in transmit sequence")
-		}
-		prevSeq = int64(seq)
-		queue = append(queue, queuedFrame{
-			frame: frame, from: from, seq: seq,
-			size: frame.EncodedSize(), readyAt: readyAt,
-		})
+		queue[i] = q
 	}
 	seq := r.U64()
-	if prevSeq >= 0 && uint64(prevSeq) >= seq {
-		return errors.New("radio: snapshot sequence counter behind queued frames")
+	if len(queue) > 0 && queue[len(queue)-1].seq >= seq {
+		r.Fail(errors.New("radio: snapshot sequence counter behind queued frames"))
 	}
 
-	nCtr := int(r.U32())
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if nCtr > r.Remaining()/(2+7*8) {
-		return errors.New("radio: snapshot counter count exceeds payload")
-	}
 	type ctrEntry struct {
 		id wire.RobotID
 		c  ByteCounters
 	}
-	ctrs := make([]ctrEntry, 0, nCtr)
+	ctrs := make([]ctrEntry, r.Count(2+7*8))
 	prev := -1
-	for i := 0; i < nCtr; i++ {
-		id := wire.RobotID(r.U16())
-		c := ByteCounters{
+	for i := range ctrs {
+		ctrs[i] = ctrEntry{r.NextID(&prev), ByteCounters{
 			TxApp: r.U64(), TxAudit: r.U64(),
 			RxApp: r.U64(), RxAudit: r.U64(),
 			TxFrames: r.U64(), RxFrames: r.U64(), Dropped: r.U64(),
-		}
-		if int(id) <= prev {
-			return errors.New("radio: snapshot counters not in canonical order")
-		}
-		prev = int(id)
-		ctrs = append(ctrs, ctrEntry{id, c})
+		}}
 	}
 
-	nSend := int(r.U32())
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if nSend > r.Remaining()/4 {
-		return errors.New("radio: snapshot sender count exceeds payload")
-	}
 	type sendEntry struct {
 		id        wire.RobotID
 		nextMsgID uint16
 	}
-	sends := make([]sendEntry, 0, nSend)
+	sends := make([]sendEntry, r.Count(4))
 	prev = -1
-	for i := 0; i < nSend; i++ {
-		id := wire.RobotID(r.U16())
-		next := r.U16()
-		if int(id) <= prev {
-			return errors.New("radio: snapshot senders not in canonical order")
-		}
-		prev = int(id)
-		sends = append(sends, sendEntry{id, next})
+	for i := range sends {
+		sends[i] = sendEntry{r.NextID(&prev), r.U16()}
 	}
 
-	nReasm := int(r.U32())
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if nReasm > r.Remaining()/(2+12) {
-		return errors.New("radio: snapshot reassembler count exceeds payload")
-	}
-	reassemblers := make(map[wire.RobotID]*Reassembler, nReasm)
+	n := r.Count(2 + 12)
+	reassemblers := make(map[wire.RobotID]*Reassembler, n)
 	prev = -1
-	for i := 0; i < nReasm; i++ {
-		id := wire.RobotID(r.U16())
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if int(id) <= prev {
-			return errors.New("radio: snapshot reassemblers not in canonical order")
-		}
-		prev = int(id)
-		reasm, err := decodeReassembler(r)
-		if err != nil {
-			return err
-		}
-		reassemblers[id] = reasm
+	for i := 0; i < n; i++ {
+		id := r.NextID(&prev)
+		reassemblers[id] = decodeReassembler(r)
 	}
 
 	deliverTick := wire.Tick(r.U64())
@@ -244,65 +173,39 @@ func (re *Reassembler) encodeState(w *wire.Writer) {
 		w.U8(uint8(buf.total))
 		w.U64(uint64(buf.lastSeen))
 		for _, c := range buf.chunks {
-			if c == nil {
-				w.U8(0)
-				continue
+			w.Bool(c != nil)
+			if c != nil {
+				w.Blob(c)
 			}
-			w.U8(1)
-			w.Blob(c)
 		}
 	}
 }
 
-func decodeReassembler(r *wire.Reader) (*Reassembler, error) {
-	timeout := wire.Tick(r.U64())
-	n := int(r.U32())
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
+func decodeReassembler(r *wire.Reader) *Reassembler {
+	re := NewReassembler(wire.Tick(r.U64()))
+	var prev fragKey
 	// Each buffer record is at least 14 bytes.
-	if n > r.Remaining()/14 {
-		return nil, errors.New("radio: snapshot reassembly buffer count exceeds payload")
-	}
-	re := NewReassembler(timeout)
-	prevFrom, prevMsg := -1, -1
-	for i := 0; i < n; i++ {
-		from := wire.RobotID(r.U16())
-		msgID := r.U16()
+	for i, n := 0, r.Count(14); i < n; i++ {
+		k := fragKey{from: wire.RobotID(r.U16()), msgID: r.U16()}
 		total := int(r.U8())
-		lastSeen := wire.Tick(r.U64())
-		if r.Err() != nil {
-			return nil, r.Err()
+		buf := &fragBuf{total: total, chunks: make([][]byte, total), lastSeen: wire.Tick(r.U64())}
+		if i > 0 && (k.from < prev.from || k.from == prev.from && k.msgID <= prev.msgID) {
+			r.Fail(errors.New("radio: snapshot reassembly buffers not in canonical order"))
 		}
-		if int(from) < prevFrom || (int(from) == prevFrom && int(msgID) <= prevMsg) {
-			return nil, errors.New("radio: snapshot reassembly buffers not in canonical order")
-		}
-		prevFrom, prevMsg = int(from), int(msgID)
+		prev = k
 		if total == 0 {
-			return nil, errors.New("radio: snapshot reassembly buffer with zero fragments")
+			r.Fail(errors.New("radio: snapshot reassembly buffer with zero fragments"))
 		}
-		buf := &fragBuf{total: total, chunks: make([][]byte, total), lastSeen: lastSeen}
-		for j := 0; j < total; j++ {
-			present := r.U8()
-			if r.Err() != nil {
-				return nil, r.Err()
-			}
-			switch present {
-			case 0:
-			case 1:
+		for j := range buf.chunks {
+			if r.Bool() {
 				buf.chunks[j] = append([]byte{}, r.Blob()...)
-				if r.Err() != nil {
-					return nil, r.Err()
-				}
 				buf.received++
-			default:
-				return nil, errors.New("radio: snapshot chunk presence flag out of range")
 			}
 		}
 		if buf.received == 0 || buf.received >= total {
-			return nil, errors.New("radio: snapshot reassembly buffer not incomplete")
+			r.Fail(errors.New("radio: snapshot reassembly buffer not incomplete"))
 		}
-		re.bufs[fragKey{from: from, msgID: msgID}] = buf
+		re.bufs[k] = buf
 	}
-	return re, nil
+	return re
 }

@@ -1,10 +1,6 @@
 package robot
 
-import (
-	"errors"
-
-	"roborebound/internal/wire"
-)
+import "roborebound/internal/wire"
 
 // Snapshot codec for one robot. The robot's own dynamic state is the
 // Safe-Mode bookkeeping and the token-count poll cursor; everything
@@ -17,11 +13,7 @@ import (
 // EncodeState serializes the robot's dynamic state as an opaque blob.
 func (r *Robot) EncodeState() []byte {
 	w := wire.NewWriter(256)
-	if r.inSafeMode {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
+	w.Bool(r.inSafeMode)
 	w.U64(uint64(r.safeModeAt))
 	w.U32(uint32(r.validTokens))
 	if !r.cfg.Protected {
@@ -42,52 +34,37 @@ func (r *Robot) EncodeState() []byte {
 // restore.
 func (r *Robot) RestoreState(b []byte) error {
 	rd := wire.NewReader(b)
-	inSafeMode := rd.U8()
+	inSafeMode := rd.Bool()
 	safeModeAt := wire.Tick(rd.U64())
 	validTokens := rd.U32()
-	if rd.Err() != nil {
-		return rd.Err()
-	}
-	if inSafeMode > 1 {
-		return errors.New("robot: snapshot safe-mode flag out of range")
-	}
-	if !r.cfg.Protected {
-		state := rd.Blob()
-		if rd.Err() != nil {
-			return rd.Err()
-		}
-		ctrl, err := r.cfg.Factory.Load(nil, r.id, state)
-		if err != nil {
-			return err
-		}
-		if err := rd.Done(); err != nil {
-			return err
-		}
-		r.ctrl = ctrl
-		r.inSafeMode = inSafeMode == 1
-		r.safeModeAt = safeModeAt
-		r.validTokens = int(validTokens)
-		return nil
-	}
-	sn := rd.Blob()
-	an := rd.Blob()
-	en := rd.Blob()
-	if rd.Err() != nil {
-		return rd.Err()
+	// An unprotected robot carries its controller's state; a protected
+	// one its s-node's, a-node's and engine's.
+	state := rd.Blob()
+	var an, en []byte
+	if r.cfg.Protected {
+		an, en = rd.Blob(), rd.Blob()
 	}
 	if err := rd.Done(); err != nil {
 		return err
 	}
-	if err := r.snode.RestoreState(sn); err != nil {
-		return err
+	if !r.cfg.Protected {
+		ctrl, err := r.cfg.Factory.Load(nil, r.id, state)
+		if err != nil {
+			return err
+		}
+		r.ctrl = ctrl
+	} else {
+		if err := r.snode.RestoreState(state); err != nil {
+			return err
+		}
+		if err := r.anode.RestoreState(an); err != nil {
+			return err
+		}
+		if err := r.engine.RestoreState(en); err != nil {
+			return err
+		}
 	}
-	if err := r.anode.RestoreState(an); err != nil {
-		return err
-	}
-	if err := r.engine.RestoreState(en); err != nil {
-		return err
-	}
-	r.inSafeMode = inSafeMode == 1
+	r.inSafeMode = inSafeMode
 	r.safeModeAt = safeModeAt
 	r.validTokens = int(validTokens)
 	return nil

@@ -53,7 +53,7 @@ func TestDecodeJobRequestRejects(t *testing.T) {
 		{"unknown kind", `{"version":1,"kind":"mine-bitcoin"}`, "kind"},
 		{"unknown controller", `{"version":1,"kind":"chaos","controller":"tank"}`, "controller"},
 		{"unknown profile", `{"version":1,"kind":"chaos","profile":"sharks"}`, "profile"},
-		{"n too big", `{"version":1,"kind":"chaos","n":100000}`, "out of range"},
+		{"n too big", `{"version":1,"kind":"chaos","n":100000}`, "too-large n 100000"},
 		{"n negative", `{"version":1,"kind":"chaos","n":-1}`, "negative n -1"},
 		{"duration too long", `{"version":1,"kind":"chaos","duration_sec":100000}`, "out of range"},
 		{"duration nan", `{"version":1,"kind":"chaos","duration_sec":1e999}`, "decode"},
@@ -107,6 +107,7 @@ func TestValidateNamesCheckRulesByJSONField(t *testing.T) {
 		{"controller", func(r *JobRequest) { r.Controller = "tank" }},
 		{"profile", func(r *JobRequest) { r.Profile = "sharks" }},
 		{"n", func(r *JobRequest) { r.N = -1 }},
+		{"n", func(r *JobRequest) { r.N = 65535 }},
 		{"duration_sec", func(r *JobRequest) { r.DurationSec = -1 }},
 		{"fmax", func(r *JobRequest) { r.Fmax = -1 }},
 		{"spacing_m", func(r *JobRequest) { r.SpacingM = math.NaN() }},

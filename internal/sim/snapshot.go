@@ -50,72 +50,35 @@ func (w *World) EncodeState() []byte {
 // identical rebuilt world (same config, same AddBody calls).
 func (w *World) RestoreState(b []byte) error {
 	r := wire.NewReader(b)
-	n := int(r.U32())
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if n != len(w.bodies) {
-		return fmt.Errorf("sim: snapshot has %d bodies, rebuilt world has %d", n, len(w.bodies))
+	if n := r.U32(); n != uint32(len(w.bodies)) {
+		r.Fail(fmt.Errorf("sim: snapshot has %d bodies, rebuilt world has %d", n, len(w.bodies)))
 	}
 	// Decode into a scratch copy first so a malformed tail cannot leave
 	// the world half-restored.
-	type bodyState struct {
-		pos, vel, acc geom.Vec2
-		disabled      bool
-		crashed       bool
-	}
-	states := make([]bodyState, n)
-	for i := 0; i < n; i++ {
+	states := make([]Body, len(w.bodies))
+	for i, body := range w.bodies {
 		id := wire.RobotID(r.U16())
-		if r.Err() != nil {
-			return r.Err()
+		if id != body.ID {
+			r.Fail(fmt.Errorf("sim: snapshot body %d has ID %d, rebuilt world has %d", i, id, body.ID))
 		}
-		if id != w.bodies[i].ID {
-			return fmt.Errorf("sim: snapshot body %d has ID %d, rebuilt world has %d", i, id, w.bodies[i].ID)
-		}
-		s := &states[i]
-		s.pos = geom.Vec2{X: r.F64(), Y: r.F64()}
-		s.vel = geom.Vec2{X: r.F64(), Y: r.F64()}
-		s.acc = geom.Vec2{X: r.F64(), Y: r.F64()}
-		flags := r.U8()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if flags > 3 {
-			return errors.New("sim: snapshot body flags out of range")
-		}
-		s.disabled = flags&1 != 0
-		s.crashed = flags&2 != 0
+		pos := geom.Vec2{X: r.F64(), Y: r.F64()}
+		vel := geom.Vec2{X: r.F64(), Y: r.F64()}
+		acc := geom.Vec2{X: r.F64(), Y: r.F64()}
+		flags := r.Flags(3)
+		states[i] = Body{ID: id, Pos: pos, Vel: vel, Acc: acc, Disabled: flags&1 != 0, Crashed: flags&2 != 0}
 	}
-	nCrash := int(r.U32())
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if nCrash > r.Remaining()/12 {
-		return errors.New("sim: snapshot crash count exceeds payload")
-	}
-	crashes := make([]CrashEvent, 0, nCrash)
-	prev := int64(-1)
-	for i := 0; i < nCrash; i++ {
-		c := CrashEvent{
-			Time: wire.Tick(r.U64()),
-			A:    wire.RobotID(r.U16()),
-			B:    wire.RobotID(r.U16()),
+	crashes := make([]CrashEvent, r.Count(12))
+	for i := range crashes {
+		crashes[i] = CrashEvent{Time: wire.Tick(r.U64()), A: wire.RobotID(r.U16()), B: wire.RobotID(r.U16())}
+		if i > 0 && crashes[i].Time < crashes[i-1].Time {
+			r.Fail(errors.New("sim: snapshot crash log not in chronological order"))
 		}
-		if int64(c.Time) < prev {
-			return errors.New("sim: snapshot crash log not in chronological order")
-		}
-		prev = int64(c.Time)
-		crashes = append(crashes, c)
 	}
 	if err := r.Done(); err != nil {
 		return err
 	}
 	for i, b := range w.bodies {
-		s := &states[i]
-		b.Pos, b.Vel, b.Acc = s.pos, s.vel, s.acc
-		b.Disabled = s.disabled
-		b.Crashed = s.crashed
+		*b = states[i]
 	}
 	w.crashes = crashes
 	return nil

@@ -39,12 +39,6 @@ const Version = 2
 // magic brands the first four bytes of every snapshot file.
 var magic = [4]byte{'R', 'B', 'S', 'N'}
 
-// Robot kinds in the roster section.
-const (
-	kindPlain       = 0
-	kindCompromised = 1
-)
-
 // RobotEntry pairs a robot with its attack wrapper (nil for correct
 // robots).
 type RobotEntry struct {
@@ -105,27 +99,22 @@ func Capture(run *Run, configEcho []byte) []byte {
 	w.U64(uint64(run.Engine.Now()))
 	w.Blob(run.World.EncodeState())
 	w.Blob(run.Medium.EncodeState())
+	w.Bool(run.Cache != nil)
 	if run.Cache != nil {
-		w.U8(1)
 		w.Blob(run.Cache.EncodeState())
-	} else {
-		w.U8(0)
 	}
+	w.Bool(run.Checker != nil)
 	if run.Checker != nil {
-		w.U8(1)
 		w.Blob(run.Checker.EncodeState())
-	} else {
-		w.U8(0)
 	}
 
 	w.U32(uint32(len(run.Robots)))
 	for _, e := range run.Robots {
 		w.U16(uint16(e.ID))
+		w.Bool(e.Comp != nil)
 		if e.Comp != nil {
-			w.U8(kindCompromised)
 			w.Blob(e.Comp.EncodeState())
 		} else {
-			w.U8(kindPlain)
 			w.Blob(e.Rob.EncodeState())
 		}
 	}
@@ -149,73 +138,28 @@ func Decode(b []byte) (*Snapshot, error) {
 		return nil, errors.New("snapshot: integrity hash mismatch (corrupted or truncated)")
 	}
 	r := wire.NewReader(body)
-	var m [4]byte
-	copy(m[:], r.Raw(4))
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if m != magic {
-		return nil, errors.New("snapshot: bad magic (not a snapshot file)")
+	if !bytes.Equal(r.Raw(len(magic)), magic[:]) {
+		r.Fail(errors.New("snapshot: bad magic (not a snapshot file)"))
 	}
 	if v := r.U16(); v != Version {
-		return nil, fmt.Errorf("snapshot: version %d not supported (this build reads version %d)", v, Version)
+		r.Fail(fmt.Errorf("snapshot: version %d not supported (this build reads version %d)", v, Version))
 	}
 	s := &Snapshot{}
 	s.ConfigEcho = cloneBlob(r)
 	s.Tick = wire.Tick(r.U64())
 	s.World = cloneBlob(r)
 	s.Medium = cloneBlob(r)
-	hasCache := r.U8()
-	if r.Err() != nil {
-		return nil, r.Err()
+	if r.Bool() {
+		s.Cache = append([]byte{}, r.Blob()...)
 	}
-	if hasCache > 1 {
-		return nil, errors.New("snapshot: cache presence flag out of range")
-	}
-	if hasCache == 1 {
-		s.Cache = cloneBlob(r)
-		if s.Cache == nil {
-			s.Cache = []byte{}
-		}
-	}
-	hasChecker := r.U8()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if hasChecker > 1 {
-		return nil, errors.New("snapshot: checker presence flag out of range")
-	}
-	if hasChecker == 1 {
-		s.Checker = cloneBlob(r)
-		if s.Checker == nil {
-			s.Checker = []byte{}
-		}
-	}
-	nRobots := int(r.U32())
-	if r.Err() != nil {
-		return nil, r.Err()
+	if r.Bool() {
+		s.Checker = append([]byte{}, r.Blob()...)
 	}
 	// Each roster record is at least 7 bytes (id + kind + length word).
-	if nRobots > r.Remaining()/7 {
-		return nil, errors.New("snapshot: roster count exceeds payload")
-	}
-	s.Robots = make([]RobotBlob, 0, nRobots)
+	s.Robots = make([]RobotBlob, r.Count(7))
 	prev := -1
-	for i := 0; i < nRobots; i++ {
-		id := wire.RobotID(r.U16())
-		kind := r.U8()
-		state := cloneBlob(r)
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		if int(id) <= prev {
-			return nil, errors.New("snapshot: roster not in ascending ID order")
-		}
-		prev = int(id)
-		if kind != kindPlain && kind != kindCompromised {
-			return nil, fmt.Errorf("snapshot: robot %d has unknown kind %d", id, kind)
-		}
-		s.Robots = append(s.Robots, RobotBlob{ID: id, Compromised: kind == kindCompromised, State: state})
+	for i := range s.Robots {
+		s.Robots[i] = RobotBlob{ID: r.NextID(&prev), Compromised: r.Bool(), State: cloneBlob(r)}
 	}
 	if err := r.Done(); err != nil {
 		return nil, err

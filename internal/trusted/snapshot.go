@@ -2,7 +2,6 @@ package trusted
 
 import (
 	"errors"
-	"fmt"
 
 	"roborebound/internal/cryptolite"
 	"roborebound/internal/wire"
@@ -36,24 +35,17 @@ func (c *Chain) encodeState(w *wire.Writer) {
 	}
 }
 
-func (c *Chain) restoreState(r *wire.Reader) error {
-	top := r.Raw(cryptolite.SHA1Size)
-	pending := int(r.U32())
-	if r.Err() != nil {
-		return r.Err()
+func (c *Chain) restoreState(r *wire.Reader) {
+	copy(c.top[:], r.Raw(cryptolite.SHA1Size))
+	pending := r.U32()
+	if pending > uint32(c.batchSize) {
+		r.Fail(errors.New("trusted: snapshot chain pending count out of range"))
+		return
 	}
-	copy(c.top[:], top)
-	if pending < 0 || pending >= c.batchSize+1 {
-		return errors.New("trusted: snapshot chain pending count out of range")
-	}
-	c.pending = pending
+	c.pending = int(pending)
 	if pending > 0 {
-		if err := c.h.UnmarshalState(r.Blob()); err != nil {
-			return err
-		}
-		return r.Err()
+		r.Fail(c.h.UnmarshalState(r.Blob()))
 	}
-	return nil
 }
 
 // encodeState appends the node-base dynamic state. The master key,
@@ -61,38 +53,23 @@ func (c *Chain) restoreState(r *wire.Reader) error {
 // are not serialized; the key presence flag lets a restore reproduce a
 // zeroed key (Safe Mode) without ever seeing key bytes.
 func (n *nodeBase) encodeState(w *wire.Writer) {
-	if n.mac != nil {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
+	w.Bool(n.mac != nil)
 	w.U64(n.keySeq)
 	w.U64(n.macOps)
 	w.U64(n.hashedBytes)
 	n.chain.encodeState(w)
 }
 
-func (n *nodeBase) restoreState(r *wire.Reader) error {
-	hasKey := r.U8()
-	keySeq := r.U64()
-	macOps := r.U64()
-	hashedBytes := r.U64()
-	if r.Err() != nil {
-		return r.Err()
+func (n *nodeBase) restoreState(r *wire.Reader) {
+	hasKey := r.Bool()
+	n.keySeq, n.macOps, n.hashedBytes = r.U64(), r.U64(), r.U64()
+	if hasKey && n.mac == nil {
+		r.Fail(errors.New("trusted: snapshot expects an installed mission key but the rebuilt node is keyless"))
 	}
-	if hasKey > 1 {
-		return errors.New("trusted: snapshot key-presence flag out of range")
-	}
-	if hasKey == 1 && n.mac == nil {
-		return errors.New("trusted: snapshot expects an installed mission key but the rebuilt node is keyless")
-	}
-	if hasKey == 0 {
+	if !hasKey {
 		n.zeroKey()
 	}
-	n.keySeq = keySeq
-	n.macOps = macOps
-	n.hashedBytes = hashedBytes
-	return n.chain.restoreState(r)
+	n.chain.restoreState(r)
 }
 
 // EncodeState serializes the s-node's dynamic state as an opaque blob.
@@ -106,9 +83,7 @@ func (s *SNode) EncodeState() []byte {
 // identical rebuilt s-node. Malformed or mismatched bytes error.
 func (s *SNode) RestoreState(b []byte) error {
 	r := wire.NewReader(b)
-	if err := s.nodeBase.restoreState(r); err != nil {
-		return err
-	}
+	s.nodeBase.restoreState(r)
 	return r.Done()
 }
 
@@ -127,11 +102,7 @@ func (a *ANode) EncodeState() []byte {
 	}
 	w.F64(a.bktLvl)
 	w.U64(uint64(a.lastBktUpdate))
-	if a.safeMode {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
+	w.Bool(a.safeMode)
 	w.U64(uint64(a.graceUntil))
 	return w.Bytes()
 }
@@ -143,46 +114,27 @@ func (a *ANode) EncodeState() []byte {
 // transition was already emitted before the snapshot was taken).
 func (a *ANode) RestoreState(b []byte) error {
 	r := wire.NewReader(b)
-	if err := a.nodeBase.restoreState(r); err != nil {
-		return err
-	}
-	n := int(r.U32())
-	if r.Err() != nil {
-		return r.Err()
-	}
-	// Each entry is 10 bytes; the bound keeps a hostile count from
-	// forcing a huge allocation before the reader runs dry.
-	if n > r.Remaining()/10 {
-		return errors.New("trusted: snapshot token map count exceeds payload")
-	}
+	a.nodeBase.restoreState(r)
+	n := r.Count(10)
 	tkIDs, tkAt := make([]wire.RobotID, 0, n), make([]wire.Tick, 0, n)
 	prev := -1
 	for i := 0; i < n; i++ {
-		id := wire.RobotID(r.U16())
-		t := wire.Tick(r.U64())
-		if int(id) <= prev {
-			return errors.New("trusted: snapshot token map not in canonical order")
-		}
-		prev = int(id)
-		tkIDs, tkAt = append(tkIDs, id), append(tkAt, t)
+		tkIDs, tkAt = append(tkIDs, r.NextID(&prev)), append(tkAt, wire.Tick(r.U64()))
 	}
 	bktLvl := r.F64()
 	lastBkt := wire.Tick(r.U64())
-	safeMode := r.U8()
+	safeMode := r.Bool()
 	graceUntil := wire.Tick(r.U64())
 	if err := r.Done(); err != nil {
 		return err
 	}
-	if safeMode > 1 {
-		return fmt.Errorf("trusted: snapshot safe-mode flag %d out of range", safeMode)
-	}
-	if safeMode == 1 && a.mac != nil {
+	if safeMode && a.mac != nil {
 		return errors.New("trusted: snapshot has Safe Mode latched but a mission key installed")
 	}
 	a.tkIDs, a.tkAt = tkIDs, tkAt
 	a.bktLvl = bktLvl
 	a.lastBktUpdate = lastBkt
-	a.safeMode = safeMode == 1
+	a.safeMode = safeMode
 	a.graceUntil = graceUntil
 	return nil
 }

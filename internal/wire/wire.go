@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"sort"
 )
 
 // ErrTruncated is returned when a decode runs out of bytes.
@@ -22,6 +23,17 @@ var ErrTruncated = errors.New("wire: truncated message")
 
 // ErrBadKind is returned when a decode sees an unexpected message kind.
 var ErrBadKind = errors.New("wire: unexpected message kind")
+
+// ErrCount is returned when a record count is larger than the bytes
+// left could hold.
+var ErrCount = errors.New("wire: count exceeds payload")
+
+// ErrFlags is returned when a flag byte has a bit its field does not
+// define.
+var ErrFlags = errors.New("wire: flag byte out of range")
+
+// ErrOrder is returned when robot IDs that must ascend do not.
+var ErrOrder = errors.New("wire: robot IDs not in ascending order")
 
 // Writer serializes primitives into a growing buffer.
 type Writer struct {
@@ -63,6 +75,15 @@ func (w *Writer) F32(v float32) { w.U32(math.Float32bits(v)) }
 // F64 appends a float64 (IEEE-754 bits, big-endian).
 func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 
+// Bool appends a byte, 1 for true and 0 for false.
+func (w *Writer) Bool(v bool) {
+	if v {
+		w.U8(1)
+	} else {
+		w.U8(0)
+	}
+}
+
 // Raw appends bytes verbatim (no length prefix).
 func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
 
@@ -73,7 +94,12 @@ func (w *Writer) Blob(b []byte) {
 }
 
 // Reader deserializes primitives from a buffer, accumulating the first
-// error so call sites can decode a whole struct and check once.
+// error so call sites can decode a whole struct and check once: after
+// a failure every read returns zero. Besides the primitives it owns
+// the three rules a decoder of hostile bytes needs — Count bounds a
+// record count by the bytes left, Flags and Bool refuse undefined bits,
+// and NextID refuses IDs out of order — so a decoder reads its fields
+// straight through and checks Done once.
 type Reader struct {
 	buf []byte
 	off int
@@ -85,6 +111,14 @@ func NewReader(b []byte) *Reader { return &Reader{buf: b} }
 
 // Err returns the first decode error, or nil.
 func (r *Reader) Err() error { return r.err }
+
+// Fail records err as the reader's error unless an earlier one is
+// already recorded; a nil err is ignored.
+func (r *Reader) Fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+}
 
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }
@@ -171,4 +205,54 @@ func (r *Reader) Blob() []byte {
 		return nil
 	}
 	return r.take(n)
+}
+
+// Count reads a 32-bit record count for records of at least size
+// bytes. A count the bytes left cannot hold fails the reader with
+// ErrCount and reads as 0, so a hostile count cannot size an
+// allocation.
+func (r *Reader) Count(size int) int {
+	n := uint64(r.U32())
+	if n*uint64(size) > uint64(r.Remaining()) {
+		r.Fail(ErrCount)
+		return 0
+	}
+	return int(n)
+}
+
+// Flags reads a flag byte; a bit outside mask fails the reader with
+// ErrFlags and reads as 0.
+func (r *Reader) Flags(mask uint8) uint8 {
+	f := r.U8()
+	if f&^mask != 0 {
+		r.Fail(ErrFlags)
+		return 0
+	}
+	return f
+}
+
+// Bool reads a byte that must be 0 or 1.
+func (r *Reader) Bool() bool { return r.Flags(1) == 1 }
+
+// NextID reads a robot ID that must be above *prev, the previous ID
+// read (start it at -1), and advances *prev. An ID at or below it
+// fails the reader with ErrOrder.
+func (r *Reader) NextID(prev *int) RobotID {
+	id := RobotID(r.U16())
+	if int(id) <= *prev {
+		r.Fail(ErrOrder)
+	}
+	*prev = int(id)
+	return id
+}
+
+// SortedIDs returns m's keys in ascending order, the order every
+// ID-keyed map is written in.
+func SortedIDs[V any](m map[RobotID]V) []RobotID {
+	ids := make([]RobotID, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
 }

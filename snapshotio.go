@@ -67,8 +67,8 @@ func encodeChaosEcho(cfg ChaosConfig) []byte {
 func decodeChaosEcho(b []byte) (ChaosConfig, error) {
 	var cfg ChaosConfig
 	r := wire.NewReader(b)
-	if v := r.U8(); r.Err() == nil && v != chaosEchoVersion {
-		return cfg, fmt.Errorf("roborebound: snapshot config echo version %d not supported", v)
+	if v := r.U8(); v != chaosEchoVersion {
+		r.Fail(fmt.Errorf("roborebound: snapshot config echo version %d not supported", v))
 	}
 	cfg.Controller = string(r.Blob())
 	cfg.Profile = faultinject.Profile(r.Blob())
@@ -76,34 +76,16 @@ func decodeChaosEcho(b []byte) (ChaosConfig, error) {
 	cfg.N = int(r.U32())
 	cfg.DurationSec = r.F64()
 	cfg.Fmax = int(r.U32())
-	nSlots := int(r.U32())
-	if r.Err() != nil {
-		return cfg, r.Err()
-	}
-	if nSlots > r.Remaining()/4 {
-		return cfg, errors.New("roborebound: snapshot echo attacker-slot count exceeds payload")
-	}
-	cfg.AttackerSlots = make([]int, 0, nSlots)
-	for i := 0; i < nSlots; i++ {
-		cfg.AttackerSlots = append(cfg.AttackerSlots, int(int32(r.U32())))
+	cfg.AttackerSlots = make([]int, r.Count(4))
+	for i := range cfg.AttackerSlots {
+		cfg.AttackerSlots[i] = int(int32(r.U32()))
 	}
 	cfg.AttackAtSec = r.F64()
 	cfg.SpacingM = r.F64()
 	cfg.MTUBytes = int(r.U32())
-	nFaults := int(r.U32())
-	if r.Err() != nil {
-		return cfg, r.Err()
-	}
 	// Each encoded fault is at least 49 bytes.
-	if nFaults > r.Remaining()/49 {
-		return cfg, errors.New("roborebound: snapshot echo fault count exceeds payload")
-	}
-	for i := 0; i < nFaults; i++ {
-		f, err := decodeFault(r)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.ExtraFaults = append(cfg.ExtraFaults, f)
+	for i, n := 0, r.Count(49); i < n; i++ {
+		cfg.ExtraFaults = append(cfg.ExtraFaults, decodeFault(r))
 	}
 	if err := r.Done(); err != nil {
 		return cfg, err
@@ -125,26 +107,16 @@ func encodeFault(w *wire.Writer, f *faultinject.Fault) {
 	w.U64(uint64(f.DelayTicks))
 }
 
-func decodeFault(r *wire.Reader) (faultinject.Fault, error) {
-	var f faultinject.Fault
-	f.Kind = faultinject.Kind(r.U8())
-	f.Start = wire.Tick(r.U64())
-	f.Duration = wire.Tick(r.U64())
-	n := int(r.U32())
-	if r.Err() != nil {
-		return f, r.Err()
-	}
-	if n > r.Remaining()/2 {
-		return f, errors.New("roborebound: snapshot echo fault target count exceeds payload")
-	}
-	for i := 0; i < n; i++ {
+func decodeFault(r *wire.Reader) faultinject.Fault {
+	f := faultinject.Fault{Kind: faultinject.Kind(r.U8()), Start: wire.Tick(r.U64()), Duration: wire.Tick(r.U64())}
+	for i, n := 0, r.Count(2); i < n; i++ {
 		f.Targets = append(f.Targets, wire.RobotID(r.U16()))
 	}
 	f.Rate = r.F64()
 	f.OffsetTicks = int64(r.U64())
 	f.DriftPer1024 = int64(r.U64())
 	f.DelayTicks = wire.Tick(r.U64())
-	return f, r.Err()
+	return f
 }
 
 // snapshotRun assembles the snapshot layer's view of this simulation.
@@ -242,14 +214,16 @@ func ResumeChaosSnapshot(data []byte, opts func(*ChaosConfig)) (ChaosResult, err
 		return ChaosResult{}, err
 	}
 	cfg, err := decodeChaosEcho(snap.ConfigEcho)
-	if err != nil {
-		return ChaosResult{}, err
-	}
 	// The echo sizes the cell about to be built: one that disagrees
-	// with the roster it is to be applied to is refused first.
-	if cfg.N != len(snap.Robots) {
+	// with the roster it is to be applied to is refused first, also
+	// when Check refuses its cell too.
+	var bad *ChaosConfigError
+	if (err == nil || errors.As(err, &bad)) && cfg.N != len(snap.Robots) {
 		return ChaosResult{}, fmt.Errorf("roborebound: snapshot config echo asks for %d robots, its roster holds %d",
 			cfg.N, len(snap.Robots))
+	}
+	if err != nil {
+		return ChaosResult{}, err
 	}
 	cfg.ResumeFrom = data
 	if opts != nil {
