@@ -94,9 +94,11 @@ chaos-smoke:
 # two cores. Fails unless the cells that latch are exactly the census
 # rows of TestKnownFalsePositiveLatches, at their pinned tick and robot,
 # or unless ddmin over each row's generated schedule ends at the row's
-# pinned minimal schedule (~3 s).
+# pinned minimal schedule (~3 s). It also runs the paper-scale Figs. 6
+# and 7 (40 cells) and the defended Fig. 9 over 128 runs, every one
+# under the invariant checker, and fails on any latch (~20 s).
 soak:
-	$(GO) test -tags soak -run 'TestLatchCensus|TestLatchSchedulesDDMinToTheirMinimal' -count=1 -timeout 10m .
+	$(GO) test -tags soak -run 'TestLatchCensus|TestLatchSchedulesDDMinToTheirMinimal|TestPaperFiguresUnderTheChecker|TestFig9DisableLatency' -count=1 -timeout 10m .
 
 # The chaos CLI's violation-dump path, end to end. At -seed 218 the
 # quick soak's 42 cells include exactly two known latches, patrol and

@@ -443,42 +443,17 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 		s.detachAuditCache()
 	}
 
-	checker := faultinject.NewChecker(cc.TVal, cc.TAudit, &sched)
-	checker.Trace = cfg.Trace
+	// populate installed the cell's checker; a chaos cell also explains
+	// a latch with the offending robot's flight-recorder dump.
 	if rec := cfg.flight; rec != nil {
-		checker.Explain = func(v *faultinject.Violation) ([]obs.Event, error) {
+		s.checker.Explain = func(v *faultinject.Violation) ([]obs.Event, error) {
 			return rec.Events(), nil
 		}
 	} else {
-		checker.Explain = func(v *faultinject.Violation) ([]obs.Event, error) {
+		s.checker.Explain = func(v *faultinject.Violation) ([]obs.Event, error) {
 			return explainLatch(cfg, v)
 		}
 	}
-	snaps := make([]faultinject.RobotSnapshot, 0, cfg.N)
-	s.Engine.Observe(func(now wire.Tick) {
-		snaps = snaps[:0]
-		for _, id := range ids {
-			r := s.Robot(id)
-			sn := faultinject.RobotSnapshot{
-				ID:          id,
-				Protected:   true,
-				InSafeMode:  r.InSafeMode(),
-				PhysCrashed: r.Body().Crashed,
-				Counters:    *s.Medium.Counters(id),
-			}
-			if comp := s.Compromised(id); comp != nil {
-				sn.Compromised = true
-				_, sn.CrashFaulted = crashes[id]
-				sn.MisbehavedAt, sn.Misbehaved = comp.FirstMisbehaviorAt()
-			}
-			if eng := r.Engine(); eng != nil {
-				sn.RoundsCovered = uint64(eng.Stats().RoundsCovered)
-				sn.LogAccounting = eng.Log().AccountingError()
-			}
-			snaps = append(snaps, sn)
-		}
-		checker.Check(now, snaps)
-	})
 	if rt := cfg.PerfRuntime; rt != nil {
 		// Runtime telemetry rides the engine's observer hook at the
 		// sampler's own cadence. Sampling reads process state only —
@@ -496,11 +471,11 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 		Config:   cfg,
 		Schedule: sched.Strings(),
 	}
-	runChaosTicks(s, cfg, checker, &res)
+	runChaosTicks(s, cfg, &res)
 	if res.ResumeError != nil {
 		return res
 	}
-	res.Violation = checker.Violation()
+	res.Violation = s.checker.Violation()
 	m := &res.Metrics
 	m.Robots = cfg.N
 	m.Attackers = len(attackers)

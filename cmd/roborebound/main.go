@@ -478,9 +478,6 @@ func chaos() {
 		} else if r.Metrics.AttackersDisabled < r.Metrics.Attackers {
 			verdict = "FAIL: attacker not disabled"
 			bad++
-		} else if len(r.Metrics.CorrectDisabled) > 0 {
-			verdict = fmt.Sprintf("FAIL: correct robots disabled %v", r.Metrics.CorrectDisabled)
-			bad++
 		}
 		lat := ""
 		for i, l := range r.Metrics.DisableLatencyTicks {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"roborebound/internal/attack"
-	"roborebound/internal/flocking"
 	"roborebound/internal/geom"
 	"roborebound/internal/metrics"
 	"roborebound/internal/obs/perf"
@@ -149,6 +148,7 @@ func RunFig6Sweep(cfg Fig6Config, opts SweepOptions) []Fig6Point {
 			Seed:               cfg.Seed,
 		}.Build()
 		simu.RunSeconds(cfg.DurationSec)
+		simu.mustHold()
 		bw := simu.MeanBandwidth()
 		return Fig6Point{
 			Fmax:           c.fmax,
@@ -221,6 +221,7 @@ func runFig7Cell(n int, spacing, durationSec float64, seed uint64) Fig7Point {
 		peers = append(peers, float64(len(s.Medium.NeighborsOf(id, ids))))
 	}
 	s.RunSeconds(durationSec)
+	s.mustHold()
 	bw := s.MeanBandwidth()
 	return Fig7Point{
 		N:            n,
@@ -319,6 +320,7 @@ func RunAttack(cfg AttackRunConfig) AttackRunResult {
 	s := fs.Build()
 	dt := s.TrackDistances(goal)
 	s.RunSeconds(cfg.DurationSec)
+	s.mustHold()
 
 	res := AttackRunResult{
 		DistSeries:     make(map[wire.RobotID][]float64),
@@ -373,13 +375,12 @@ type Fig2Config struct {
 	GoalX, GoalY   float64
 	DurationSec    float64
 	Seed           uint64
-	WithObstacles  bool
 }
 
 // DefaultFig2 returns the §2.4 setup scaled to this simulator.
 func DefaultFig2() Fig2Config {
 	return Fig2Config{N: 125, NumCompromised: 10, SpacingM: 15,
-		GoalX: 450, GoalY: 450, DurationSec: 300, Seed: 2, WithObstacles: true}
+		GoalX: 450, GoalY: 450, DurationSec: 300, Seed: 2}
 }
 
 // Fig2Result summarizes one Fig. 2 panel.
@@ -397,31 +398,20 @@ type Fig2Result struct {
 func RunFig2(cfg Fig2Config, withAttack bool) Fig2Result {
 	goal := geom.V(cfg.GoalX, cfg.GoalY)
 	fs := FlockScenario{
-		N:          cfg.N,
-		Spacing:    cfg.SpacingM,
-		Goal:       goal,
-		Seed:       cfg.Seed,
-		JitterM:    1,
-		MaxSpeedMS: 4,
-		// Table 3's α gains (0.005/0.05) cannot resist the goal
-		// spring's squeeze at obstacle chokepoints — the lattice gets
-		// crushed and robots collide. The obstacle scenario stiffens
-		// the lattice; EXPERIMENTS.md records the deviation.
-		Tune: func(p *flocking.Params) {
-			p.C1Alpha = 0.3
-			p.C2Alpha = 0.4
-		},
+		N:       cfg.N,
+		Spacing: cfg.SpacingM,
+		Goal:    goal,
+		Seed:    cfg.Seed,
+		JitterM: 1,
 	}
-	if cfg.WithObstacles {
-		// A grid of obstacles on the flock's way to the destination,
-		// as in Fig. 2's snapshots (centered a bit past the midpoint).
-		base := goal.Scale(0.55).Sub(geom.V(60, 60))
-		for i := 0; i < 3; i++ {
-			for j := 0; j < 3; j++ {
-				fs.Obstacles = append(fs.Obstacles, geom.SphereObstacle{
-					C: base.Add(geom.V(float64(i)*60, float64(j)*60)), R: 10,
-				})
-			}
+	// A grid of obstacles on the flock's way to the destination, as in
+	// Fig. 2's snapshots (centered a bit past the midpoint).
+	base := goal.Scale(0.55).Sub(geom.V(60, 60))
+	for i := 0; i < 3; i++ {
+		for j := 0; j < 3; j++ {
+			fs.Obstacles = append(fs.Obstacles, geom.SphereObstacle{
+				C: base.Add(geom.V(float64(i)*60, float64(j)*60)), R: 10,
+			})
 		}
 	}
 	if withAttack {

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"roborebound/internal/wire"
@@ -44,6 +45,20 @@ func TestFig6Shapes(t *testing.T) {
 	if s4 > 1.2 {
 		t.Errorf("storage should be ≈flat in f_max, ratio %.2f", s4)
 	}
+}
+
+// TestFigureViolationPanics: a protected figure run whose invariant
+// checker latches fails. Two robots cannot find f_max+1 = 4 auditors,
+// so both lose their tokens and enter Safe Mode, and the Fig. 6 cell
+// panics with the checker's verdict, which the sweep runner re-raises.
+func TestFigureViolationPanics(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "invariant no-false-positive violated") {
+			t.Errorf("recovered %q, want the checker's no-false-positive verdict", msg)
+		}
+	}()
+	RunFig6Sweep(Fig6Config{N: 2, DurationSec: 20, Fmaxes: []int{3}, PeriodsSec: []float64{4}}, SweepOptions{Workers: 1})
 }
 
 func TestFig7Shapes(t *testing.T) {
@@ -122,7 +137,7 @@ func TestFig2Shapes(t *testing.T) {
 		t.Skip("simulation sweep")
 	}
 	cfg := Fig2Config{N: 25, NumCompromised: 2, SpacingM: 15,
-		GoalX: 220, GoalY: 220, DurationSec: 120, Seed: 2, WithObstacles: true}
+		GoalX: 220, GoalY: 220, DurationSec: 120, Seed: 2}
 	clean := RunFig2(cfg, false)
 	attacked := RunFig2(cfg, true)
 	if clean.CorrectRobots != 25 || attacked.CorrectRobots != 23 {
@@ -146,7 +161,7 @@ func TestFig2Shapes(t *testing.T) {
 // correct robot's final position bits must not move.
 func TestFig2ObstacleRunPinned(t *testing.T) {
 	cfg := Fig2Config{N: 25, NumCompromised: 2, SpacingM: 15,
-		GoalX: 220, GoalY: 220, DurationSec: 120, Seed: 2, WithObstacles: true}
+		GoalX: 220, GoalY: 220, DurationSec: 120, Seed: 2}
 	for _, tc := range []struct {
 		attack  bool
 		crashes int

@@ -54,6 +54,27 @@ func TestProtectedFlockHealthy(t *testing.T) {
 	t.Logf("mean final distance: %.1f m (start ≈ %.1f m)", mean, start)
 }
 
+// TestCrashedRobotIsNotAFalsePositive: robot 1 starts inside an
+// obstacle and crashes at tick 0. Its protocol halts, so its a-node
+// fires later; CorrectInSafeMode, like the invariant checker, does not
+// count that as a correct robot disabled.
+func TestCrashedRobotIsNotAFalsePositive(t *testing.T) {
+	s := FlockScenario{
+		N: 9, Spacing: 4, Goal: geom.V(120, 120), Protected: true, Fmax: 2, Seed: 1,
+		Obstacles: []geom.SphereObstacle{{C: geom.V(0, 0), R: 1}},
+	}.Build()
+	s.RunSeconds(30)
+	if r := s.Robot(1); !r.Body().Crashed || !r.InSafeMode() {
+		t.Fatalf("robot 1: crashed %v, in Safe Mode %v; want both", r.Body().Crashed, r.InSafeMode())
+	}
+	if bad := s.CorrectInSafeMode(); len(bad) != 0 {
+		t.Errorf("correct robots in safe mode: %v", bad)
+	}
+	if v := s.checker.Violation(); v != nil {
+		t.Errorf("checker latched: %v", v)
+	}
+}
+
 // TestUnprotectedBaselineRuns checks the baseline path: same mission,
 // no RoboRebound. No trusted nodes, no audit traffic.
 func TestUnprotectedBaselineRuns(t *testing.T) {
@@ -65,16 +86,17 @@ func TestUnprotectedBaselineRuns(t *testing.T) {
 		Seed:    7,
 	}.Build()
 	s.RunSeconds(30)
-	for _, row := range s.BandwidthReport() {
-		if row.TxAudit != 0 || row.RxAudit != 0 {
-			t.Errorf("baseline robot %d carried audit traffic: %+v", row.ID, row)
+	for _, id := range s.IDs() {
+		c := s.Medium.Counters(id)
+		if c.TxAudit != 0 || c.RxAudit != 0 {
+			t.Errorf("baseline robot %d carried audit traffic: %+v", id, *c)
 		}
-		if row.TxApp == 0 {
-			t.Errorf("baseline robot %d sent nothing", row.ID)
+		if c.TxApp == 0 {
+			t.Errorf("baseline robot %d sent nothing", id)
 		}
-	}
-	if len(s.StorageReport()) != 0 {
-		t.Error("baseline robots should have no audit-log storage")
+		if s.Robot(id).Engine() != nil {
+			t.Errorf("baseline robot %d runs a protocol engine, so it keeps an audit log", id)
+		}
 	}
 }
 

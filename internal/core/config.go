@@ -61,14 +61,17 @@ type Config struct {
 // requests per audit round over roughly as many candidate auditors as
 // the robot has peers, so expected serves per T_val window are
 // ≈ (f_max+1)·T_val/T_audit. At the paper's defaults this lands at 20,
-// matching its 6·f_max = 18 assumption. Call after changing Fmax,
-// TVal, or TAudit.
+// matching its 6·f_max = 18 assumption. The budget rounds up, so a
+// period that does not divide 2(f_max+1)·T_val keeps its headroom: at
+// T_audit = 8 s, f_max = 0 gets 3 serves (2 starve a 9-robot flock and
+// Safe-Mode correct robots). Call after changing Fmax, TVal, or TAudit.
 func (c *Config) AutoServeLimit() {
 	if c.TAudit == 0 {
 		c.ServeLimit = 0
 		return
 	}
-	c.ServeLimit = 2 * (c.Fmax + 1) * int(c.TVal) / int(c.TAudit)
+	audit := int(c.TAudit)
+	c.ServeLimit = (2*(c.Fmax+1)*int(c.TVal) + audit - 1) / audit
 }
 
 // DefaultConfig returns the paper-matched protocol parameters at the

@@ -381,3 +381,30 @@ func TestServeLimitDisabled(t *testing.T) {
 		}
 	}
 }
+
+// TestAutoServeLimit pins the derived serve budget, 2(f_max+1)·T_val /
+// T_audit rounded up, at T_val = 10 s and 4 ticks per second. The
+// 8-second rows are the ones where the division is inexact.
+func TestAutoServeLimit(t *testing.T) {
+	for _, tc := range []struct {
+		fmax        int
+		auditPeriod wire.Tick
+		want        int
+	}{
+		{3, 16, 20}, // the paper's defaults
+		{0, 16, 5},
+		{1, 8, 20},
+		{0, 32, 3},
+		{1, 32, 5},
+		{2, 32, 8},
+		{3, 32, 10},
+		{1, 0, 0}, // no audits, no budget
+	} {
+		cfg := DefaultConfig(4)
+		cfg.Fmax, cfg.TAudit = tc.fmax, tc.auditPeriod
+		cfg.AutoServeLimit()
+		if cfg.ServeLimit != tc.want {
+			t.Errorf("f_max %d, T_audit %d ticks: ServeLimit %d, want %d", tc.fmax, tc.auditPeriod, cfg.ServeLimit, tc.want)
+		}
+	}
+}

@@ -994,6 +994,22 @@ func TestServerStatusProgress(t *testing.T) {
 	}
 }
 
+// TestServerFigureViolationFails: a figure job whose invariant
+// checker latches ends failed, with the checker's verdict as its
+// error. Two robots cannot find f_max+1 = 4 auditors, so both enter
+// Safe Mode.
+func TestServerFigureViolationFails(t *testing.T) {
+	_, _, client := newTestServer(t, ServerOptions{Workers: 1})
+	st, err := client.Run(context.Background(), &JobRequest{Version: RequestVersion, Kind: KindFig6,
+		N: 2, Fmaxes: []int{3}, PeriodsSec: []float64{4}, Seed: 1})
+	if err != nil {
+		t.Fatalf("fig6 run: %v", err)
+	}
+	if st.State != StateFailed || !strings.Contains(st.Error, "invariant no-false-positive violated") {
+		t.Errorf("state %q, error %q; want failed with the checker's verdict", st.State, st.Error)
+	}
+}
+
 // TestJobProgressSurvivesTerminal: progress set while a job runs shows
 // in its status and stays as it was once the job is terminal; a late
 // update cannot move it.

@@ -33,8 +33,9 @@ func TestRenderAttackPanels(t *testing.T) {
 }
 
 func TestRenderFig2Panel(t *testing.T) {
+	// At (220, 220) Fig. 2's obstacle grid sits clear of the start grid.
 	cfg := Fig2Config{N: 9, NumCompromised: 1, SpacingM: 10,
-		GoalX: 100, GoalY: 100, DurationSec: 20, Seed: 1}
+		GoalX: 220, GoalY: 220, DurationSec: 20, Seed: 1}
 	res := RunFig2(cfg, true)
 	svg := RenderFig2Final("fig2", cfg, res, nil)
 	if !strings.Contains(svg, "<svg") {

@@ -41,101 +41,51 @@ func (dt *DistanceTracker) MeanFinalDistance(ids []wire.RobotID) float64 {
 	return metrics.Mean(vs)
 }
 
-// BandwidthRow is one robot's traffic summary in bytes/second.
+// BandwidthRow is a traffic summary in bytes/second (what Fig. 6a and
+// Fig. 7a/7c plot).
 type BandwidthRow struct {
-	ID                     wire.RobotID
-	TxApp, TxAudit         float64
-	RxApp, RxAudit         float64
-	TxGoodput, TotalPerSec float64
+	TxApp, TxAudit float64
+	RxApp, RxAudit float64
+	TxGoodput      float64
 }
 
-// BandwidthReport summarizes per-robot traffic over the elapsed
-// simulation time (this is what Fig. 6a and Fig. 7a/7c plot).
-func (s *Sim) BandwidthReport() []BandwidthRow {
+// MeanBandwidth averages each correct robot's traffic over the elapsed
+// simulation time.
+func (s *Sim) MeanBandwidth() BandwidthRow {
+	ids := s.CorrectIDs()
+	if len(ids) == 0 {
+		return BandwidthRow{}
+	}
 	elapsed := s.Seconds(s.Engine.Now())
 	if elapsed == 0 {
 		elapsed = 1
 	}
-	var rows []BandwidthRow
-	for _, id := range s.IDs() {
-		c := s.Medium.Counters(id)
-		row := BandwidthRow{
-			ID:      id,
-			TxApp:   float64(c.TxApp) / elapsed,
-			TxAudit: float64(c.TxAudit) / elapsed,
-			RxApp:   float64(c.RxApp) / elapsed,
-			RxAudit: float64(c.RxAudit) / elapsed,
-		}
-		row.TxGoodput = row.TxApp + row.TxAudit
-		row.TotalPerSec = row.TxGoodput + row.RxApp + row.RxAudit
-		rows = append(rows, row)
-	}
-	return rows
-}
-
-// MeanBandwidth averages the report over correct robots.
-func (s *Sim) MeanBandwidth() BandwidthRow {
-	rows := s.BandwidthReport()
-	correct := make(map[wire.RobotID]bool)
-	for _, id := range s.CorrectIDs() {
-		correct[id] = true
-	}
 	var sum BandwidthRow
-	n := 0
-	for _, r := range rows {
-		if !correct[r.ID] {
-			continue
-		}
-		sum.TxApp += r.TxApp
-		sum.TxAudit += r.TxAudit
-		sum.RxApp += r.RxApp
-		sum.RxAudit += r.RxAudit
-		sum.TxGoodput += r.TxGoodput
-		sum.TotalPerSec += r.TotalPerSec
-		n++
+	for _, id := range ids {
+		c := s.Medium.Counters(id)
+		txApp, txAudit := float64(c.TxApp)/elapsed, float64(c.TxAudit)/elapsed
+		sum.TxApp += txApp
+		sum.TxAudit += txAudit
+		sum.RxApp += float64(c.RxApp) / elapsed
+		sum.RxAudit += float64(c.RxAudit) / elapsed
+		sum.TxGoodput += txApp + txAudit
 	}
-	if n == 0 {
-		return BandwidthRow{}
-	}
-	inv := 1 / float64(n)
+	inv := 1 / float64(len(ids))
 	sum.TxApp *= inv
 	sum.TxAudit *= inv
 	sum.RxApp *= inv
 	sum.RxAudit *= inv
 	sum.TxGoodput *= inv
-	sum.TotalPerSec *= inv
 	return sum
 }
 
-// StorageRow is one robot's c-node storage footprint.
-type StorageRow struct {
-	ID    wire.RobotID
-	Bytes int
-}
-
-// StorageReport returns each protected robot's current log+checkpoint
-// storage (Fig. 6b, Fig. 7b/7d).
-func (s *Sim) StorageReport() []StorageRow {
-	var rows []StorageRow
-	for _, id := range s.IDs() {
-		r := s.robots[id]
-		if eng := r.Engine(); eng != nil {
-			rows = append(rows, StorageRow{ID: id, Bytes: eng.Log().StorageBytes()})
-		}
-	}
-	return rows
-}
-
-// MeanStorage averages storage over correct protected robots.
+// MeanStorage averages the current log+checkpoint storage of correct
+// protected robots (Fig. 6b, Fig. 7b/7d).
 func (s *Sim) MeanStorage() float64 {
-	correct := make(map[wire.RobotID]bool)
-	for _, id := range s.CorrectIDs() {
-		correct[id] = true
-	}
 	var vs []float64
-	for _, row := range s.StorageReport() {
-		if correct[row.ID] {
-			vs = append(vs, float64(row.Bytes))
+	for _, id := range s.CorrectIDs() {
+		if eng := s.robots[id].Engine(); eng != nil {
+			vs = append(vs, float64(eng.Log().StorageBytes()))
 		}
 	}
 	return metrics.Mean(vs)
@@ -161,11 +111,14 @@ func (s *Sim) SafeModeEvents() []SafeModeEvent {
 
 // CorrectInSafeMode reports whether any *correct* robot was disabled —
 // the false-positive condition the paper reports never occurred in its
-// experiments ("no correct robots were put into Safe Mode", §5.2).
+// experiments ("no correct robots were put into Safe Mode", §5.2). A
+// robot that physically crashed is excluded, as the invariant checker
+// and ChaosMetrics.CorrectDisabled exclude it: its protocol halts, so
+// its a-node kill switch firing is the designed outcome.
 func (s *Sim) CorrectInSafeMode() []wire.RobotID {
 	var out []wire.RobotID
 	for _, ev := range s.SafeModeEvents() {
-		if s.compromised[ev.ID] == nil {
+		if s.compromised[ev.ID] == nil && !s.robots[ev.ID].Body().Crashed {
 			out = append(out, ev.ID)
 		}
 	}

@@ -112,6 +112,9 @@ type Sim struct {
 	compromised map[wire.RobotID]*attack.Compromised
 	sealed      trusted.SealedMissionKey
 	acache      *core.AuditCache
+	// checker watches a protected populated flock every tick (see
+	// populate); nil for every other sim.
+	checker *faultinject.Checker
 }
 
 // NewSim builds an empty simulation; add robots, then Run.

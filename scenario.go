@@ -6,6 +6,7 @@ import (
 	"roborebound/internal/attack"
 	"roborebound/internal/control"
 	"roborebound/internal/core"
+	"roborebound/internal/faultinject"
 	"roborebound/internal/flocking"
 	"roborebound/internal/geom"
 	"roborebound/internal/prng"
@@ -79,21 +80,15 @@ type FlockScenario struct {
 	// per axis (breaks grid symmetry, as real placement would).
 	JitterM float64
 	// Obstacles adds mission obstacles (Fig. 2's grid). When non-empty
-	// the controller's obstacle gains are enabled.
+	// the controller's obstacle gains are enabled, its lattice is
+	// stiffened and robot speed is capped at 4 m/s (see layout).
 	Obstacles []geom.SphereObstacle
-	// MaxSpeedMS caps robot speed (0 = the 8 m/s default). Obstacle
-	// scenarios need it low enough that the r′ = κ²d/2 sensing range
-	// leaves braking distance: at 5 m/s² a robot stops in v²/10 m.
-	MaxSpeedMS float64
 	// Compromised marks attacker slots.
 	Compromised []CompromisedSpec
 	// Deprecated: ignored; the grid is the only path. Kept only because
 	// benchmark/ still assigns it; removed with those assignments
 	// (ROADMAP item 2, PR A).
 	SpatialIndex bool
-	// Tune, if non-nil, adjusts the flocking parameters after the
-	// defaults are applied (used by ablations).
-	Tune func(*flocking.Params)
 }
 
 // Build constructs the simulation.
@@ -110,8 +105,10 @@ func (fs FlockScenario) Build() *Sim {
 	}
 	cc.AutoServeLimit()
 	world := sim.DefaultWorldConfig()
-	if fs.MaxSpeedMS > 0 {
-		world.MaxSpeed = fs.MaxSpeedMS
+	if len(fs.Obstacles) > 0 {
+		// The r′ = κ²d/2 sensing range must leave braking distance: at
+		// 5 m/s² a robot stops in v²/10 m.
+		world.MaxSpeed = 4
 	}
 	world.Obstacles = fs.Obstacles
 	s := NewSim(SimConfig{Seed: fs.Seed, Core: &cc, World: &world})
@@ -132,9 +129,12 @@ func (fs FlockScenario) layout() ([]geom.Vec2, control.Factory) {
 		// plow straight in.
 		params.C1Beta = 2.0
 		params.C2Beta = 1.0
-	}
-	if fs.Tune != nil {
-		fs.Tune(&params)
+		// Table 3's α gains (0.005/0.05) cannot resist the goal
+		// spring's squeeze at obstacle chokepoints: the lattice gets
+		// crushed and robots collide. EXPERIMENTS.md records the
+		// deviation.
+		params.C1Alpha = 0.3
+		params.C2Alpha = 0.4
 	}
 
 	positions := GridPositions(fs.N, fs.Spacing, geom.Zero2)
@@ -161,7 +161,9 @@ func roster(n int) []wire.RobotID {
 // populate adds robot ids[i] at positions[i], in roster order, all
 // running factory. A slot a spec names (the last, if several do) turns
 // Byzantine as the spec says; else a robot crashes names goes silent at
-// its tick; every other robot is correct.
+// its tick; every other robot is correct. A protected flock ends up
+// watched every tick by the invariant checker, built from the sim's
+// own timing, fault schedule and trace.
 func (s *Sim) populate(ids []wire.RobotID, positions []geom.Vec2, factory control.Factory, protected bool,
 	goal geom.Vec2, specs []CompromisedSpec, crashes map[wire.RobotID]wire.Tick) {
 	bySlot := make(map[int]CompromisedSpec, len(specs))
@@ -177,5 +179,47 @@ func (s *Sim) populate(ids []wire.RobotID, positions []geom.Vec2, factory contro
 		} else {
 			s.AddRobot(id, positions[i], factory, protected)
 		}
+	}
+	if !protected {
+		return
+	}
+	s.checker = faultinject.NewChecker(s.Cfg.Core.TVal, s.Cfg.Core.TAudit, s.Cfg.Faults)
+	s.checker.Trace = s.Cfg.Trace
+	snaps := make([]faultinject.RobotSnapshot, 0, len(ids))
+	s.Engine.Observe(func(now wire.Tick) {
+		snaps = snaps[:0]
+		for _, id := range ids {
+			r := s.Robot(id)
+			sn := faultinject.RobotSnapshot{
+				ID:          id,
+				Protected:   true,
+				InSafeMode:  r.InSafeMode(),
+				PhysCrashed: r.Body().Crashed,
+				Counters:    *s.Medium.Counters(id),
+			}
+			if comp := s.Compromised(id); comp != nil {
+				sn.Compromised = true
+				_, sn.CrashFaulted = crashes[id]
+				sn.MisbehavedAt, sn.Misbehaved = comp.FirstMisbehaviorAt()
+			}
+			if eng := r.Engine(); eng != nil {
+				sn.RoundsCovered = uint64(eng.Stats().RoundsCovered)
+				sn.LogAccounting = eng.Log().AccountingError()
+			}
+			snaps = append(snaps, sn)
+		}
+		s.checker.Check(now, snaps)
+	})
+}
+
+// mustHold panics with the checker's violation once it has latched:
+// a figure run that breaks one of the paper's guarantees fails, as a
+// chaos cell Check refuses does. An unprotected sim has no checker.
+func (s *Sim) mustHold() {
+	if s.checker == nil {
+		return
+	}
+	if v := s.checker.Violation(); v != nil {
+		panic(v.Error())
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"roborebound/internal/geom"
+	"roborebound/internal/wire"
 )
 
 func TestGridPositions(t *testing.T) {
@@ -108,13 +109,19 @@ func TestTickSecondsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMaxSpeedOverride(t *testing.T) {
-	fs := FlockScenario{N: 4, Spacing: 4, MaxSpeedMS: 3}
-	s := fs.Build()
-	s.RunSeconds(30)
-	for _, b := range s.World.Bodies() {
-		if b.Vel.Norm() > 3+1e-9 {
-			t.Errorf("robot %d exceeds speed cap: %v", b.ID, b.Vel.Norm())
+// TestObstacleScenarioSpeedCap: a scenario with obstacles caps robot
+// speed at 4 m/s, every tick, and the flock does reach the cap.
+func TestObstacleScenarioSpeedCap(t *testing.T) {
+	s := FlockScenario{N: 4, Spacing: 4, Goal: geom.V(500, 500),
+		Obstacles: []geom.SphereObstacle{{C: geom.V(100, 0), R: 5}}}.Build()
+	fastest := 0.0
+	s.Engine.Observe(func(wire.Tick) {
+		for _, b := range s.World.Bodies() {
+			fastest = max(fastest, b.Vel.Norm())
 		}
+	})
+	s.RunSeconds(30)
+	if fastest > 4+1e-9 || fastest < 3.9 {
+		t.Errorf("fastest robot moved at %v m/s, want the 4 m/s cap", fastest)
 	}
 }

@@ -120,13 +120,13 @@ func decodeFault(r *wire.Reader) faultinject.Fault {
 }
 
 // snapshotRun assembles the snapshot layer's view of this simulation.
-func (s *Sim) snapshotRun(checker *faultinject.Checker) *snapshot.Run {
+func (s *Sim) snapshotRun() *snapshot.Run {
 	run := &snapshot.Run{
 		Engine:  s.Engine,
 		World:   s.World,
 		Medium:  s.Medium,
 		Cache:   s.acache,
-		Checker: checker,
+		Checker: s.checker,
 	}
 	for _, id := range s.IDs() {
 		run.Robots = append(run.Robots, snapshot.RobotEntry{
@@ -150,13 +150,13 @@ func (s *Sim) snapshotRun(checker *faultinject.Checker) *snapshot.Run {
 // byte-identity statement. The snapshot view of the sim and the config
 // echo are built on first use, so a run that neither captures nor
 // resumes never builds them.
-func runChaosTicks(s *Sim, cfg ChaosConfig, checker *faultinject.Checker, res *ChaosResult) {
+func runChaosTicks(s *Sim, cfg ChaosConfig, res *ChaosResult) {
 	total := cfg.Ticks()
 	var (
 		run  *snapshot.Run
 		echo []byte
 	)
-	build := func() { run, echo = s.snapshotRun(checker), encodeChaosEcho(cfg) }
+	build := func() { run, echo = s.snapshotRun(), encodeChaosEcho(cfg) }
 	capture := func(t wire.Tick) ChaosSnapshot {
 		if run == nil {
 			build()
@@ -191,7 +191,7 @@ func runChaosTicks(s *Sim, cfg ChaosConfig, checker *faultinject.Checker, res *C
 		if slices.Contains(cfg.SnapshotAtTicks, t) {
 			res.Snapshots = append(res.Snapshots, capture(t))
 		}
-		if t == total || cfg.flight != nil && checker.Violation() != nil {
+		if t == total || cfg.flight != nil && s.checker.Violation() != nil {
 			return
 		}
 		if cfg.Interrupt != nil && cfg.Interrupt() {
