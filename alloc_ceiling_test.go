@@ -9,14 +9,25 @@ import (
 )
 
 // The most heap allocations, and the most allocated bytes, per
-// robot-tick two quick cells may make, construction included: 10 %
-// above the values measured when the ceilings were last set, 5 % for
-// the bytes since the replay machine (see below). Allocation
-// counts are deterministic for a fixed cell and the bytes repeat to
-// under 1 %, so these are machine-independent gates. A change that
-// lowers a measured value lowers its ceiling with it; nothing raises
-// one.
+// robot-tick two quick cells and one pass of the correctness matrix may
+// make, construction included: 10 % above the values measured when the
+// ceilings were last set, 5 % for the bytes since the replay machine
+// (see below). Allocation counts are deterministic for a fixed cell and
+// the bytes repeat to under 1 %, so these are machine-independent gates.
+// A change that lowers a measured value lowers its ceiling with it;
+// nothing raises one.
 //
+//	matrix  1.082 allocations and 604 B since an audit round allocates
+//	        only its frames: the engine keeps one round whose token and
+//	        ask sets are slices, the log rewrites its covered start in
+//	        place, the checkpoint state is encoded once, the auditor
+//	        decodes into a request it keeps, and an attacker builds its
+//	        strategy's view once (1.910 and 702 B before; 1.114 and 608 B
+//	        under -race).
+//	dense   1.875 allocations and 2 553 B since then (2.445 and 2 690 B
+//	        before; 1.968 and 2 574 B under -race).
+//	sparse  3.434 allocations and 1 656 B since then (3.871 and 1 712 B
+//	        before; 3.673 and 1 699 B under -race).
 //	dense   2.449 allocations and 2 690 B since an auditor replays on a
 //	        machine it keeps: the replica is loaded into, not built, its
 //	        broadcasts are encoded into its own scratch, and a warm
@@ -51,10 +62,12 @@ import (
 // request frames owns a whole payload (DESIGN.md, "Byte ownership on
 // the data path"), and the log window's growth.
 const (
-	denseCellAllocCeiling  = 2.69
-	sparseCellAllocCeiling = 4.26
-	denseCellBytesCeiling  = 2824
-	sparseCellBytesCeiling = 1796
+	denseCellAllocCeiling  = 2.06
+	sparseCellAllocCeiling = 3.78
+	matrixCellAllocCeiling = 1.19
+	denseCellBytesCeiling  = 2681
+	sparseCellBytesCeiling = 1739
+	matrixCellBytesCeiling = 634
 )
 
 // The most bytes the quick dense cell may keep, ratcheted the same way:
@@ -170,24 +183,39 @@ func TestSparseCellAllocationCeiling(t *testing.T) {
 	})
 }
 
-func holdCellUnderCeiling(t *testing.T, name string, ceiling, bytesCeiling float64, cfg ChaosConfig) {
-	const ticksPerSecond = 4
-	robotTicks := float64(cfg.N) * cfg.DurationSec * ticksPerSecond
+// TestMatrixCellsAllocationCeiling runs the paper's correctness matrix
+// at seed 1 — three controllers under seven fault profiles, 21 cells at
+// the chaos plane's default sizes (9 flocking robots, 6 patrol or
+// warehouse, 60 s) — and holds the whole pass, construction included,
+// under the ceilings. Its cells run a few robots for many ticks, so an
+// audit round's bookkeeping and an attacker's per-tick context would
+// show here first.
+func TestMatrixCellsAllocationCeiling(t *testing.T) {
+	holdCellUnderCeiling(t, "matrix", matrixCellAllocCeiling, matrixCellBytesCeiling,
+		ChaosMatrix([]string{"flocking", "patrol", "warehouse"}, faultinject.Profiles(), []uint64{1}, ChaosConfig{})...)
+}
+
+func holdCellUnderCeiling(t *testing.T, name string, ceiling, bytesCeiling float64, cfgs ...ChaosConfig) {
+	var robotTicks float64
+	for _, cfg := range cfgs {
+		robotTicks += float64(cfg.withScalarDefaults().N) * float64(cfg.Ticks())
+	}
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	res := RunChaos(cfg)
-	runtime.ReadMemStats(&after)
-	if res.Violation != nil {
-		t.Fatalf("cell latched %v", res.Violation)
+	for _, cfg := range cfgs {
+		if res := RunChaos(cfg); res.Violation != nil {
+			t.Fatalf("cell %s latched %v", cfg.Label(), res.Violation)
+		}
 	}
+	runtime.ReadMemStats(&after)
 	got := float64(after.Mallocs-before.Mallocs) / robotTicks
 	gotBytes := float64(after.TotalAlloc-before.TotalAlloc) / robotTicks
-	t.Logf("%s cell (N=%d): %.3f allocations and %.0f B per robot-tick, ceilings %.2f and %.0f",
-		name, cfg.N, got, gotBytes, ceiling, bytesCeiling)
+	t.Logf("%s: %d cells, %.0f robot-ticks, %.3f allocations and %.0f B per robot-tick, ceilings %.2f and %.0f",
+		name, len(cfgs), robotTicks, got, gotBytes, ceiling, bytesCeiling)
 	if got > ceiling || gotBytes > bytesCeiling {
-		t.Errorf("%s cell makes %.2f allocations of %.0f B per robot-tick, over the ceilings of %.2f and %.0f: "+
-			"find what allocates (go test -run 'Test.*CellAllocationCeiling' -memprofile) instead of raising a ceiling",
+		t.Errorf("%s cells make %.2f allocations of %.0f B per robot-tick, over the ceilings of %.2f and %.0f: "+
+			"find what allocates (go test -run 'Test.*AllocationCeiling' -memprofile) instead of raising a ceiling",
 			name, got, gotBytes, ceiling, bytesCeiling)
 	}
 }

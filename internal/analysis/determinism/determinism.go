@@ -27,7 +27,7 @@
 //     body is provably order-insensitive — pure accumulation
 //     (x++, x += e), delete of the ranged key, building another map
 //     keyed by the range key, or collecting into a slice that the same
-//     function later sorts (the core.sortedTokenIDs pattern).
+//     function later sorts (the wire.SortedIDs pattern).
 //     Everything else needs a sort or a //rebound:nondet <why>.
 //   - select with more than one ready case: the runtime chooses
 //     pseudorandomly, so any multi-case select on a replay path is a

@@ -68,6 +68,13 @@ type Compromised struct {
 	misbehaved       bool
 
 	captured []wire.Frame // ring buffer of overheard application frames
+
+	// ctx is the strategy's view, kept from tick to tick: Tick rewrites
+	// its clock, pose and capture ring, and SendFrame/Actuate, bound on
+	// first use, read ctx.Now. Its Neighbors is neighbors, the
+	// attacker's own copy of its controller's table.
+	ctx       Ctx                 //rebound:snapshot-skip per-tick scratch, rewritten before every Act
+	neighbors []flocking.Neighbor //rebound:snapshot-skip per-tick scratch, rewritten before every Act
 }
 
 // maxCaptured bounds the eavesdropping buffer.
@@ -126,23 +133,23 @@ func (c *Compromised) Tick(now wire.Tick) {
 		// the robot stops broadcasting and requesting audits.
 		c.noteMisbehavior(now)
 	}
-	ctx := &Ctx{
-		Now: now,
-		ID:  c.ActorID(),
-		Pos: c.Body().Pos,
-		Vel: c.Body().Vel,
-		SendFrame: func(f wire.Frame) bool {
-			c.noteMisbehavior(now)
+	ctx := &c.ctx
+	if ctx.SendFrame == nil {
+		ctx.SendFrame = func(f wire.Frame) bool {
+			c.noteMisbehavior(ctx.Now)
 			return c.RawSend(f)
-		},
-		Actuate: func(ax, ay float64) bool {
-			c.noteMisbehavior(now)
-			return c.RawActuate(wire.ActuatorCmd{Time: now, AccX: ax, AccY: ay})
-		},
+		}
+		ctx.Actuate = func(ax, ay float64) bool {
+			c.noteMisbehavior(ctx.Now)
+			return c.RawActuate(wire.ActuatorCmd{Time: ctx.Now, AccX: ax, AccY: ay})
+		}
 	}
+	ctx.Now, ctx.ID, ctx.Pos, ctx.Vel = now, c.ActorID(), c.Body().Pos, c.Body().Vel
 	ctx.Captured = c.captured
 	if fc, ok := c.Controller().(*flocking.Controller); ok {
-		ctx.Neighbors = fc.Neighbors()
+		// A copy: a strategy may write into its view of the table.
+		c.neighbors = fc.AppendNeighbors(c.neighbors[:0])
+		ctx.Neighbors = c.neighbors
 	}
 	c.Strat.Act(ctx)
 }

@@ -1,10 +1,16 @@
 package attack
 
 import (
+	"slices"
 	"testing"
 
+	"roborebound/internal/core"
 	"roborebound/internal/flocking"
 	"roborebound/internal/geom"
+	"roborebound/internal/radio"
+	"roborebound/internal/robot"
+	"roborebound/internal/sim"
+	"roborebound/internal/trusted"
 	"roborebound/internal/wire"
 )
 
@@ -186,4 +192,62 @@ func TestStrategyNames(t *testing.T) {
 
 func flockingNeighbor(n neighborSpec) flocking.Neighbor {
 	return flocking.Neighbor{ID: n.id, PosX: n.x, PosY: n.y}
+}
+
+// scribbler records the neighbor view it is handed, then writes over
+// it and grows it.
+type scribbler struct{ seen [][]flocking.Neighbor }
+
+func (*scribbler) Name() string { return "scribbler" }
+
+func (s *scribbler) Act(ctx *Ctx) {
+	s.seen = append(s.seen, append([]flocking.Neighbor(nil), ctx.Neighbors...))
+	for i := range ctx.Neighbors {
+		ctx.Neighbors[i].ID += 100
+		ctx.Neighbors[i].PosX = -1
+	}
+	ctx.Neighbors = append(ctx.Neighbors, flocking.Neighbor{ID: 99})
+}
+
+// TestStrategyWritesStayInItsView: a compromised flocking robot hands
+// its strategy a view of the controller's neighbor table in storage the
+// attacker keeps from tick to tick. A strategy that writes into that
+// view leaves the table the controller steers by unchanged, and the
+// next tick's view is the table again, not the strategy's writes.
+func TestStrategyWritesStayInItsView(t *testing.T) {
+	world := sim.NewWorld(sim.DefaultWorldConfig())
+	medium := radio.NewMedium(radio.DefaultParams(), world.Position, 1)
+	engine := sim.NewEngine(world, medium)
+	master := []byte("attack-test-master")
+	var mission [trusted.MissionKeySize]byte
+	r := robot.New(robot.Config{
+		ID:        1,
+		Protected: true,
+		Core:      core.DefaultConfig(4),
+		Factory:   flocking.Factory{Params: flocking.DefaultParams(4, 4, geom.V(100, 100))},
+		Master:    master,
+		Sealed:    trusted.SealMissionKey(master, mission, 3, 1),
+	}, world.AddBody(1, geom.V(0, 0)), medium, engine.Now)
+	s := &scribbler{}
+	c := NewCompromised(r, 0, s, true)
+	fc := c.Controller().(*flocking.Controller)
+	for tick := wire.Tick(0); tick < 4; tick++ {
+		for id := wire.RobotID(2); id <= 4; id++ {
+			m := wire.StateMsg{Src: id, Time: tick, PosX: float32(id), PosY: 1}
+			c.Deliver(wire.Frame{Src: id, Dst: wire.Broadcast, Payload: m.Encode()})
+		}
+		c.Tick(tick)
+		table := fc.AppendNeighbors(nil)
+		if len(table) != 3 {
+			t.Fatalf("tick %d: the controller's table has %d neighbors, want 3", tick, len(table))
+		}
+		for _, n := range table {
+			if n.ID < 2 || n.ID > 4 || n.PosX != float32(n.ID) {
+				t.Fatalf("tick %d: the strategy's writes reached the controller's table: %+v", tick, n)
+			}
+		}
+		if seen := s.seen[len(s.seen)-1]; !slices.Equal(seen, table) {
+			t.Fatalf("tick %d: the strategy was handed %+v, not the table %+v", tick, seen, table)
+		}
+	}
 }

@@ -21,6 +21,7 @@ type CoveredCheckpoint struct {
 // as its end checkpoint, the next round as its start, and a snapshot
 // writes them, so a checkpoint is encoded once in its life. enc is
 // written once and then only read — holders share it without copying.
+// cp.State is the tail of enc, not the caller's bytes.
 type pendingCheckpoint struct {
 	cp    Checkpoint
 	enc   []byte
@@ -30,6 +31,7 @@ type pendingCheckpoint struct {
 
 func newPending(cp Checkpoint, index int) pendingCheckpoint {
 	enc := cp.Encode()
+	cp.State = enc[len(enc)-len(cp.State):]
 	return pendingCheckpoint{cp: cp, enc: enc, hash: cryptolite.SHA1Sum(enc), index: index}
 }
 
@@ -77,7 +79,9 @@ func (l *Log) Append(e wire.LogEntry) {
 // AddCheckpoint records a checkpoint at the current log position and
 // returns its hash, the handle SegmentTo and MarkCovered take. The
 // caller (the protocol engine) creates one per audit round, right
-// before requesting audits.
+// before requesting audits. cp.State is borrowed: the log keeps it
+// inside the checkpoint's own encoding, so the caller may write the
+// bytes again once AddCheckpoint returns.
 func (l *Log) AddCheckpoint(cp Checkpoint) cryptolite.ChainHash {
 	p := newPending(cp, len(l.offsets))
 	l.pending = append(l.pending, p)
@@ -99,8 +103,8 @@ func (l *Log) offsetAt(i int) int {
 
 // MarkCovered installs the tokens covering the checkpoint with the
 // given hash and truncates: entries before that checkpoint and all
-// earlier checkpoints are discarded. This is what keeps c-node storage
-// constant (§3.6, §5.2). The window is compacted in place — a log in
+// earlier checkpoints are discarded; tokens is copied. This is what
+// keeps c-node storage constant (§3.6, §5.2). The window is compacted in place — a log in
 // steady state reuses the same storage round after round — so segments
 // handed out earlier are invalidated (see SegmentTo).
 func (l *Log) MarkCovered(hash cryptolite.ChainHash, tokens []wire.Token) error {
@@ -124,7 +128,13 @@ func (l *Log) MarkCovered(hash cryptolite.ChainHash, tokens []wire.Token) error 
 		n := copy(l.pending, tail)
 		clear(l.pending[n:])
 		l.pending = l.pending[:n]
-		l.start = &CoveredCheckpoint{CP: p.cp, Tokens: append([]wire.Token(nil), tokens...)}
+		// The log's one covered start is rewritten in place; a caller
+		// that keeps its tokens past the next MarkCovered copies them.
+		if l.start == nil {
+			l.start = new(CoveredCheckpoint)
+		}
+		l.start.CP = p.cp
+		l.start.Tokens = append(l.start.Tokens[:0], tokens...)
 		l.startEnc = p.enc
 		l.fromBoot = false
 		l.truncations++
@@ -150,8 +160,9 @@ type Segment struct {
 }
 
 // SegmentTo builds the segment ending at the pending checkpoint with
-// the given hash. The returned encoding aliases the log's storage and
-// is valid until the next MarkCovered; the caller copies what it keeps.
+// the given hash. The returned encoding and Start alias the log's
+// storage and are valid until the next MarkCovered; the caller copies
+// what it keeps.
 func (l *Log) SegmentTo(hash cryptolite.ChainHash) (Segment, error) {
 	for _, p := range l.pending {
 		if p.hash != hash {

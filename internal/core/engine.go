@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 
 	"roborebound/internal/auditlog"
@@ -75,14 +76,15 @@ type Engine struct {
 	//rebound:snapshot-skip perf sampling phase, observation-only
 	appendSeq uint64
 
-	// Round scratch: solicit's candidate list and this-pass list, and
-	// the token list onAuditResponse hands to MarkCovered (which copies
-	// it). Each is rebuilt from empty by the call that uses it and read
-	// by nothing after that call returns.
-	candidates []wire.RobotID //rebound:snapshot-skip write-only scratch, no retained state
-	askedNow   []wire.RobotID //rebound:snapshot-skip write-only scratch, no retained state
-	tokenIDs   []wire.RobotID //rebound:snapshot-skip write-only scratch, no retained state
-	tokens     []wire.Token   //rebound:snapshot-skip write-only scratch, no retained state
+	// Round scratch: solicit's candidate list, the controller state
+	// startRound checkpoints (the log keeps it inside the checkpoint's
+	// encoding, see AddCheckpoint), and the auditor's decoded request.
+	// Each is rebuilt from empty by the call that uses it and read by
+	// nothing after that call returns; request holds no view of a
+	// payload once onAuditRequest returns.
+	candidates []wire.RobotID    //rebound:snapshot-skip write-only scratch, no retained state
+	state      []byte            //rebound:snapshot-skip write-only scratch, no retained state
+	request    wire.AuditRequest //rebound:snapshot-skip write-only scratch, no retained state
 }
 
 type auditRound struct {
@@ -92,6 +94,9 @@ type auditRound struct {
 	fromBoot bool
 
 	encStart []byte
+	// startTok is the round's own copy of the tokens covering its start:
+	// the log rewrites its covered start in place at the next
+	// MarkCovered, and a snapshot of this round still carries them.
 	startTok []wire.Token
 	encEnd   []byte
 	// segment is the round's encoded log segment. The round holds one
@@ -108,9 +113,39 @@ type auditRound struct {
 	// go of the payload (onAuditResponse).
 	reqTail []byte
 
-	tokens  map[wire.RobotID]wire.Token
-	asked   map[wire.RobotID]bool
+	// tokens holds one installed token per auditor, ascending by
+	// Auditor (a repeat auditor's replaces its first); asked lists every
+	// auditor asked this round, ascending. The engine keeps one round
+	// and resets it in place each startRound, so both keep their storage.
+	tokens  []wire.Token
+	asked   []wire.RobotID
 	lastAsk wire.Tick //rebound:clock trusted
+}
+
+// tokenAt returns the position of auditor id's token in r.tokens, or
+// the position it would take, and whether it is there.
+func (r *auditRound) tokenAt(id wire.RobotID) (int, bool) {
+	return slices.BinarySearchFunc(r.tokens, id, func(t wire.Token, id wire.RobotID) int {
+		return cmp.Compare(t.Auditor, id)
+	})
+}
+
+// addToken files tok under its auditor.
+func (r *auditRound) addToken(tok wire.Token) {
+	if i, found := r.tokenAt(tok.Auditor); found {
+		r.tokens[i] = tok
+	} else {
+		r.tokens = slices.Insert(r.tokens, i, tok)
+	}
+}
+
+// markAsked adds id to r.asked and reports whether it was new.
+func (r *auditRound) markAsked(id wire.RobotID) bool {
+	i, found := slices.BinarySearch(r.asked, id)
+	if !found {
+		r.asked = slices.Insert(r.asked, i, id)
+	}
+	return !found
 }
 
 // NewEngine constructs the protocol engine for one robot. The caller
@@ -339,11 +374,12 @@ func (e *Engine) startRound(now wire.Tick) {
 	if e.trace != nil {
 		e.trace.Emit(obs.Event{Tick: now, Robot: e.id, Kind: obs.EvCheckpointFlush})
 	}
+	e.state = e.ctrl.AppendState(e.state[:0])
 	cp := auditlog.Checkpoint{
 		Time:  now,
 		AuthS: authS,
 		AuthA: authA,
-		State: e.ctrl.AppendState(nil),
+		State: e.state,
 	}
 	// The log encodes the checkpoint once, on entry; the round ships
 	// those bytes (and next round, as its start, the same ones again).
@@ -358,20 +394,28 @@ func (e *Engine) startRound(now wire.Tick) {
 	// it), and MarkCovered is reached only from onAuditResponse, i.e. from
 	// the c-node hook, i.e. from a send — and nothing between SegmentTo
 	// and askOne's first Encode sends.
-	round := &auditRound{
+	round := e.round
+	if round == nil {
+		round = &auditRound{
+			tokens: make([]wire.Token, 0, e.cfg.Fmax+1),
+			asked:  make([]wire.RobotID, 0, e.cfg.Fmax+1),
+		}
+		e.round = round
+	}
+	*round = auditRound{
 		hash:     seg.EndHash,
 		startAt:  now,
 		fromBoot: seg.FromBoot,
 		encEnd:   seg.EndEnc,
 		segment:  seg.Encoded,
-		tokens:   make(map[wire.RobotID]wire.Token),
-		asked:    make(map[wire.RobotID]bool),
+		startTok: round.startTok[:0],
+		tokens:   round.tokens[:0],
+		asked:    round.asked[:0],
 	}
 	if seg.Start != nil {
 		round.encStart = seg.StartEnc
-		round.startTok = seg.Start.Tokens
+		round.startTok = append(round.startTok, seg.Start.Tokens...)
 	}
-	e.round = round
 	e.rounds++
 	e.stats.RoundsStarted++
 	if e.trace != nil {
@@ -433,47 +477,42 @@ func (e *Engine) solicit(now wire.Tick) {
 	// re-converge the flock on the same auditors.
 	if n := len(candidates); n > 1 {
 		off := (e.rounds*(1+e.cfg.Fmax) + int(e.id)*7) % n
-		// Rotated without a second list: repeat the first off IDs after
-		// the last and take the n-long window that starts at off.
-		e.candidates = append(candidates, candidates[:off]...)
-		candidates = e.candidates[off : off+n]
+		// Rotated left by off in place: reversing both parts and then
+		// the whole puts candidates[off:] ahead of candidates[:off].
+		slices.Reverse(candidates[:off])
+		slices.Reverse(candidates[off:])
+		slices.Reverse(candidates)
 	}
 	sent := 0
-	// askedNow lists this pass's targets: a handful, and read only when
-	// the candidates run out, so a scanned slice beats a map per engine.
-	e.askedNow = e.askedNow[:0]
+	// earlier lists, in order, the candidates an earlier pass asked,
+	// written over the front of candidates as the loop passes them.
+	earlier := candidates[:0]
 	for _, target := range candidates {
 		if sent >= need {
 			break
 		}
-		if r.asked[target] {
+		if !r.markAsked(target) {
+			earlier = append(earlier, target)
 			continue
 		}
 		if e.askOne(target) {
 			sent++
 		}
-		r.asked[target] = true
-		e.askedNow = append(e.askedNow, target)
 	}
-	// Candidates exhausted: allow re-asking peers that have not
-	// produced a token yet (they may have been briefly out of range) —
-	// but never a peer already asked earlier in this same pass, which
-	// would duplicate the request within one tick and double-count
+	// Candidates exhausted: allow re-asking peers an earlier pass asked
+	// that have not produced a token yet (they may have been briefly out
+	// of range) — but never a peer asked in this same pass, which would
+	// duplicate the request within one tick and double-count
 	// AuditsRequested.
-	if sent < need {
-		for _, target := range candidates {
-			if sent >= need {
-				break
-			}
-			if slices.Contains(e.askedNow, target) {
-				continue
-			}
-			if _, got := r.tokens[target]; got {
-				continue
-			}
-			if e.askOne(target) {
-				sent++
-			}
+	for _, target := range earlier {
+		if sent >= need {
+			break
+		}
+		if _, got := r.tokenAt(target); got {
+			continue
+		}
+		if e.askOne(target) {
+			sent++
 		}
 	}
 	r.lastAsk = now
@@ -580,9 +619,10 @@ func (e *Engine) onAuditRequest(payload []byte) perf.Phase {
 	if head.Auditor != e.id || head.Req.Auditor != e.id ||
 		head.Req.Auditee != head.Auditee || head.Auditee == e.id || !e.serveBudgetOK() {
 		// A request whose tail does not decode is dropped, not refused.
-		if _, err := wire.DecodeAuditRequest(payload); err == nil {
+		if e.request.Decode(payload) == nil {
 			e.stats.AuditsRefused++
 		}
+		e.releaseRequest()
 		return perf.PhaseAuditServe
 	}
 	cache := e.acache
@@ -597,19 +637,26 @@ func (e *Engine) onAuditRequest(payload []byte) perf.Phase {
 			return perf.PhaseAuditCacheHit
 		}
 	}
-	a, err := wire.DecodeAuditRequest(payload)
-	if err != nil {
-		return perf.PhaseAuditServe
+	a := &e.request
+	if err := a.Decode(payload); err != nil {
+		return perf.PhaseAuditServe // a failed decode holds no view of payload
 	}
-	v := AuditVerdict{OK: e.verifySegment(&a)}
+	v := AuditVerdict{OK: e.verifySegment(a)}
 	if v.OK {
 		v.HCkpt = cryptolite.SHA1Sum(a.EndCheckpoint)
 	}
+	e.releaseRequest()
 	if cache != nil {
 		cache.Store(key, v)
 	}
 	e.finishAudit(head.Auditee, head.Req, v)
 	return perf.PhaseAuditCacheMiss
+}
+
+// releaseRequest drops the request scratch's views of the payload it
+// was decoded from, keeping its token storage for the next request.
+func (e *Engine) releaseRequest() {
+	e.request = wire.AuditRequest{StartTokens: e.request.StartTokens[:0]}
 }
 
 // finishAudit is the auditor-local epilogue of a hit and a replay alike:
@@ -699,18 +746,13 @@ func (e *Engine) onAuditResponse(resp wire.AuditResponse) {
 		return
 	}
 	e.stats.TokensInstalled++
-	r.tokens[resp.Tok.Auditor] = resp.Tok
+	r.addToken(resp.Tok)
 	if e.trace != nil {
 		e.trace.Emit(obs.Event{Tick: e.now, Robot: e.id, Kind: obs.EvTokenGranted,
 			Peer: resp.Tok.Auditor, Value: int64(len(r.tokens))})
 	}
 	if !r.covered && len(r.tokens) >= e.cfg.Fmax+1 {
-		e.tokenIDs = sortedTokenIDs(e.tokenIDs[:0], r.tokens)
-		e.tokens = e.tokens[:0]
-		for _, id := range e.tokenIDs {
-			e.tokens = append(e.tokens, r.tokens[id])
-		}
-		if e.log.MarkCovered(r.hash, e.tokens) == nil {
+		if e.log.MarkCovered(r.hash, r.tokens) == nil {
 			r.covered = true
 			// A covered round never solicits again, so nothing reads its
 			// request bytes any more: the first request's payload goes.
@@ -723,13 +765,4 @@ func (e *Engine) onAuditResponse(resp wire.AuditResponse) {
 			}
 		}
 	}
-}
-
-// sortedTokenIDs appends m's keys to dst in ascending order.
-func sortedTokenIDs(dst []wire.RobotID, m map[wire.RobotID]wire.Token) []wire.RobotID {
-	for id := range m {
-		dst = append(dst, id)
-	}
-	slices.Sort(dst)
-	return dst
 }

@@ -236,3 +236,58 @@ func TestReplayMachineKeepsNoRequest(t *testing.T) {
 		t.Error("the served request is still reachable")
 	}
 }
+
+// TestRefusedRequestLeavesNoView: an auditor whose serve budget is
+// spent decodes a request whole before refusing it (one whose tail
+// does not decode is dropped, not refused), into the request scratch it
+// keeps. Once onAuditRequest returns the scratch holds no view of the
+// payload — only its start-token storage, for the next request — and
+// the refused request is collectable.
+func TestRefusedRequestLeavesNoView(t *testing.T) {
+	cfg := DefaultConfig(4)
+	cfg.TAudit = 0
+	r := newDataPathRobot(t, cfg, false)
+	r.fill(4 << 10)
+	// Cover a first round, so the next one's requests carry start tokens.
+	r.eng.startRound(r.now)
+	covering := []wire.Token{{Auditor: 2, Auditee: 1}, {Auditor: 3, Auditee: 1}}
+	if err := r.eng.log.MarkCovered(r.eng.round.hash, covering); err != nil {
+		t.Fatal(err)
+	}
+	r.fill(8 << 10)
+	r.sent = nil
+	r.eng.startRound(r.now)
+	if len(r.sent) == 0 {
+		t.Fatal("the round sent nothing")
+	}
+	f := r.sent[len(r.sent)-1]
+	if a, err := wire.DecodeAuditRequest(f.Payload); err != nil || len(a.StartTokens) != len(covering) {
+		t.Fatalf("the request does not carry the %d covering tokens (err %v)", len(covering), err)
+	}
+	payload := weak.Make(&f.Payload[0])
+	r.sent = nil
+	r.eng.round = nil // the sender's round let go, as a covered one does
+
+	h := newHarness(t, cfg, f.Dst)
+	auditor := h.engines[f.Dst]
+	h.now = r.now
+	auditor.now = r.now
+	for len(auditor.served) < cfg.ServeLimit {
+		auditor.served = append(auditor.served, r.now)
+	}
+	h.anodes[f.Dst].RecvWireless(f)
+	f = wire.Frame{}
+	if st := auditor.Stats(); st.AuditsRefused != 1 || st.AuditsServed != 0 {
+		t.Fatalf("%d refused, %d served: want the request decoded and refused", st.AuditsRefused, st.AuditsServed)
+	}
+	a := auditor.request
+	if a.StartCheckpoint != nil || a.EndCheckpoint != nil || a.Segment != nil || len(a.StartTokens) != 0 {
+		t.Fatal("the auditor's request scratch still views the refused request")
+	}
+	if cap(a.StartTokens) < len(covering) {
+		t.Error("the refused decode did not keep its start-token storage")
+	}
+	if !collected(payload) {
+		t.Error("the refused request is still reachable")
+	}
+}

@@ -67,11 +67,50 @@ func wantRequest(t *testing.T, rd *auditRound, f wire.Frame, segment []byte) []b
 	return want.Encode()
 }
 
+// roundModel is the map model of a round's two sets: the token each
+// auditor's response installed, keyed by auditor, and every auditor
+// asked.
+type roundModel struct {
+	tokens map[wire.RobotID]wire.Token
+	asked  map[wire.RobotID]bool
+}
+
+func newRoundModel() roundModel {
+	return roundModel{tokens: make(map[wire.RobotID]wire.Token), asked: make(map[wire.RobotID]bool)}
+}
+
+// modelOf is rd's sets as the maps they model.
+func modelOf(rd *auditRound) roundModel {
+	m := newRoundModel()
+	for _, tok := range rd.tokens {
+		m.tokens[tok.Auditor] = tok
+	}
+	for _, id := range rd.asked {
+		m.asked[id] = true
+	}
+	return m
+}
+
+// sortedTokens is m's tokens in ascending key order.
+func (m roundModel) sortedTokens() []wire.Token {
+	var out []wire.Token
+	for _, id := range wire.SortedIDs(m.tokens) {
+		out = append(out, m.tokens[id])
+	}
+	return out
+}
+
 // roundBlob is the snapshot encoding of an audit round written out by
 // hand, field by field in the codec's order, with the segment and the
 // request tail supplied by the caller (nil tail: no ask encoded yet;
 // nil segment and tail: a covered round, which holds neither).
 func roundBlob(rd *auditRound, segment, reqTail []byte) []byte {
+	return modelRoundBlob(rd, segment, reqTail, modelOf(rd))
+}
+
+// modelRoundBlob is roundBlob with the round's sets taken from m: each
+// token written under its key, keys and asks ascending.
+func modelRoundBlob(rd *auditRound, segment, reqTail []byte, m roundModel) []byte {
 	w := wire.NewWriter(0)
 	w.Raw(rd.hash[:])
 	w.U64(uint64(rd.startAt))
@@ -96,19 +135,14 @@ func roundBlob(rd *auditRound, segment, reqTail []byte) []byte {
 	if reqTail != nil {
 		w.Blob(reqTail)
 	}
-	w.U32(uint32(len(rd.tokens)))
-	for _, id := range sortedTokenIDs(nil, rd.tokens) {
-		tok := rd.tokens[id]
+	w.U32(uint32(len(m.tokens)))
+	for _, id := range wire.SortedIDs(m.tokens) {
+		tok := m.tokens[id]
 		w.U16(uint16(id))
 		w.Raw(tok.Encode())
 	}
-	asked := make([]wire.RobotID, 0, len(rd.asked))
-	for id := range rd.asked {
-		asked = append(asked, id)
-	}
-	slices.Sort(asked)
-	w.U32(uint32(len(asked)))
-	for _, id := range asked {
+	w.U32(uint32(len(m.asked)))
+	for _, id := range wire.SortedIDs(m.asked) {
 		w.U16(uint16(id))
 	}
 	w.U64(uint64(rd.lastAsk))
@@ -623,5 +657,190 @@ func TestHeardSetMatchesMapModel(t *testing.T) {
 				t.Fatalf("trial %d: restore accepted a heard set with %s IDs", trial, name)
 			}
 		}
+	}
+}
+
+// TestRestoreRefusesAMisfiledRoundToken: onAuditResponse files each
+// token under its own auditor's ID and only if it binds the round's
+// checkpoint. A snapshot round whose token is filed under another ID
+// would, after a resume, count that auditor twice toward f_max+1 — the
+// robot could cover a checkpoint with tokens from f_max auditors or
+// fewer — and one binding another checkpoint could never have been
+// stored. Restore refuses both, and a round whose tokens are filed
+// right restores and re-encodes to its bytes.
+func TestRestoreRefusesAMisfiledRoundToken(t *testing.T) {
+	cfg := DefaultConfig(4)
+	cfg.TAudit = 0
+	r := newDataPathRobot(t, cfg, false)
+	r.fill(1 << 10)
+	r.eng.startRound(r.now)
+	rd := r.eng.round
+	blob := r.eng.EncodeState()
+	good := roundBlob(rd, rd.segment, rd.reqTail)
+	if !bytes.Contains(blob, good) {
+		t.Fatal("the engine's snapshot does not carry the hand-built round encoding")
+	}
+	tok := func(auditor wire.RobotID, hash [20]byte) wire.Token {
+		return wire.Token{Auditor: auditor, Auditee: 1, T: r.now, HCkpt: hash}
+	}
+	other := rd.hash
+	other[0] ^= 1
+	asked := modelOf(rd).asked
+	with := func(tokens map[wire.RobotID]wire.Token) []byte {
+		return bytes.Replace(blob, good, modelRoundBlob(rd, rd.segment, rd.reqTail, roundModel{tokens, asked}), 1)
+	}
+	r2 := newDataPathRobot(t, cfg, false)
+	for name, tokens := range map[string]map[wire.RobotID]wire.Token{
+		"filed under another auditor":               {5: tok(7, rd.hash)},
+		"filed under its auditor and under another": {5: tok(7, rd.hash), 7: tok(7, rd.hash)},
+		"bound to another checkpoint":               {7: tok(7, other)},
+	} {
+		if err := r2.eng.RestoreState(with(tokens)); err == nil {
+			t.Errorf("restore accepted a round with a token %s", name)
+		}
+	}
+	filed := with(map[wire.RobotID]wire.Token{5: tok(5, rd.hash), 7: tok(7, rd.hash)})
+	if err := r2.eng.RestoreState(filed); err != nil {
+		t.Fatalf("restore refused a round whose tokens are filed under their auditors: %v", err)
+	}
+	if again := r2.eng.EncodeState(); !bytes.Equal(again, filed) {
+		t.Error("the restored round re-encodes differently")
+	}
+}
+
+// sameTokenStorage reports whether a and b share their first element.
+func sameTokenStorage(a, b []wire.Token) bool {
+	return cap(a) > 0 && cap(b) > 0 && &a[:1][0] == &b[:1][0]
+}
+
+// TestRoundSetsMatchMapModel holds an audit round's two sets — the
+// installed tokens, one per auditor ascending, and the auditors asked,
+// ascending — to the maps they replaced, over many rounds on the one
+// round the engine keeps. Robot 1 is audited among six peers with
+// f_max 2; a quarter of its requests and of the responses to it are
+// lost, so it retries and re-asks, and the responses that arrive come
+// out of order, some twice and some a tick or a round late. After every
+// delivery the round holds the model's sets and encodes as the model
+// does; a round starts with none of its predecessor's tokens or asks,
+// and with the tokens that covered the last covered round as its start
+// tokens, in storage shared neither with the log nor with its own
+// tokens.
+func TestRoundSetsMatchMapModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	cfg := DefaultConfig(4)
+	cfg.Fmax = 2
+	cfg.BucketCapacity = 1 << 20 // no ask is rate-limited: each is a frame the model sees
+	h := newHarness(t, cfg, 1, 2, 3, 4, 5, 6, 7)
+	e := h.engines[1]
+
+	var (
+		model    = newRoundModel()
+		started  uint64       // the RoundsStarted the model is of
+		startTok []wire.Token // the model round's start tokens
+		logStart []wire.Token // the tokens the last covered round was covered with
+		round    *auditRound  // the engine's one round
+		held     []wire.Frame // responses to robot 1 not yet delivered
+		sends    uint64       // requests robot 1 sent
+		covered  int
+	)
+	// sync starts the model's next round when the engine has started one.
+	sync := func() {
+		if e.stats.RoundsStarted == started {
+			return
+		}
+		started = e.stats.RoundsStarted
+		rd := e.round
+		if round != nil && rd != round {
+			t.Fatalf("round %d is a new object, not the engine's round reset", started)
+		}
+		round = rd
+		model, startTok = newRoundModel(), logStart
+		if len(rd.tokens) != 0 {
+			t.Fatalf("round %d starts with %d tokens", started, len(rd.tokens))
+		}
+		if start := e.log.Start(); sameTokenStorage(rd.startTok, rd.tokens) ||
+			(start != nil && sameTokenStorage(rd.startTok, start.Tokens)) {
+			t.Fatalf("round %d's start tokens share storage with its tokens or the log's", started)
+		}
+	}
+	check := func(when string) {
+		t.Helper()
+		rd := e.round
+		if rd == nil {
+			return
+		}
+		if got, want := rd.tokens, model.sortedTokens(); !slices.Equal(got, want) {
+			t.Fatalf("%s, round %d: %d tokens, the map model has %d (or they differ)", when, started, len(got), len(want))
+		}
+		if got, want := rd.asked, wire.SortedIDs(model.asked); !slices.Equal(got, want) {
+			t.Fatalf("%s, round %d: asked %v, the map model has %v", when, started, got, want)
+		}
+		if !slices.Equal(rd.startTok, startTok) {
+			t.Fatalf("%s, round %d: start tokens are not those that covered the last covered round", when, started)
+		}
+		w := wire.NewWriter(0)
+		encodeAuditRound(w, rd)
+		if !bytes.Equal(w.Bytes(), modelRoundBlob(rd, rd.segment, rd.reqTail, model)) {
+			t.Fatalf("%s, round %d: the round encodes differently from the map model", when, started)
+		}
+	}
+	h.onSend = func(f wire.Frame) bool {
+		switch kind := wire.PayloadKind(f.Payload); {
+		case f.IsAudit() && f.Src == 1 && kind == wire.KindAuditRequest:
+			sync()
+			sends++
+			model.asked[f.Dst] = true
+			return rng.Intn(4) == 0 // lost
+		case f.IsAudit() && f.Dst == 1 && kind == wire.KindAuditResponse:
+			if rng.Intn(4) > 0 {
+				held = append(held, f)
+			}
+			return true
+		}
+		return false
+	}
+	deliver := func(f wire.Frame) {
+		resp, err := wire.DecodeAuditResponse(f.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		installed, wasCovered := e.stats.TokensInstalled, e.round.covered
+		h.anodes[1].RecvWireless(f)
+		if e.stats.TokensInstalled != installed {
+			model.tokens[resp.Tok.Auditor] = resp.Tok
+		}
+		if rd := e.round; !wasCovered && rd.covered {
+			covered++
+			logStart = slices.Clone(rd.tokens)
+			if !slices.Equal(e.log.Start().Tokens, logStart) || sameTokenStorage(e.log.Start().Tokens, rd.tokens) {
+				t.Fatalf("round %d: the log's covered start does not hold its own copy of the covering tokens", started)
+			}
+		}
+		check("after a response")
+	}
+	for tick := 0; tick < 480; tick++ {
+		h.tick()
+		sync()
+		check("after a tick")
+		rng.Shuffle(len(held), func(i, j int) { held[i], held[j] = held[j], held[i] })
+		var later []wire.Frame
+		for _, f := range held {
+			switch rng.Intn(6) {
+			case 0:
+				later = append(later, f)
+				continue
+			case 1:
+				deliver(f)
+			}
+			deliver(f)
+		}
+		held = later
+	}
+	if e.stats.AuditsRequested != sends {
+		t.Fatalf("robot 1 requested %d audits but sent %d requests: the asked model missed some", e.stats.AuditsRequested, sends)
+	}
+	t.Logf("%d rounds, %d covered, %d tokens installed, %d requests", started, covered, e.stats.TokensInstalled, sends)
+	if started < 20 || covered < 10 {
+		t.Fatalf("%d rounds started and %d covered: the test exercises too little", started, covered)
 	}
 }

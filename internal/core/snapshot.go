@@ -165,26 +165,20 @@ func encodeAuditRound(w *wire.Writer, r *auditRound) {
 	if r.reqTail != nil {
 		w.Blob(r.reqTail)
 	}
-	tokIDs := sortedTokenIDs(nil, r.tokens)
-	w.U32(uint32(len(tokIDs)))
-	for _, id := range tokIDs {
-		tok := r.tokens[id]
-		w.U16(uint16(id))
-		w.Raw(tok.Encode())
+	w.U32(uint32(len(r.tokens)))
+	for i := range r.tokens {
+		w.U16(uint16(r.tokens[i].Auditor))
+		w.Raw(r.tokens[i].Encode())
 	}
-	askIDs := wire.SortedIDs(r.asked)
-	w.U32(uint32(len(askIDs)))
-	for _, id := range askIDs {
+	w.U32(uint32(len(r.asked)))
+	for _, id := range r.asked {
 		w.U16(uint16(id))
 	}
 	w.U64(uint64(r.lastAsk))
 }
 
 func decodeAuditRound(r *wire.Reader) *auditRound {
-	round := &auditRound{
-		tokens: make(map[wire.RobotID]wire.Token),
-		asked:  make(map[wire.RobotID]bool),
-	}
+	round := new(auditRound)
 	copy(round.hash[:], r.Raw(len(round.hash)))
 	round.startAt = wire.Tick(r.U64())
 	flags := r.Flags(7)
@@ -220,16 +214,25 @@ func decodeAuditRound(r *wire.Reader) *auditRound {
 		// carry the tail; it is read (and checked) above, then dropped.
 		round.segment, round.reqTail = nil, nil
 	}
+	// Each token is filed under its auditor's ID and binds the round's
+	// checkpoint: onAuditResponse stores no other kind, and one filed
+	// under another ID would count its auditor twice toward f_max+1.
 	prev := -1
 	for i, n := 0, r.Count(2+wire.TokenSize); i < n; i++ {
 		id := r.NextID(&prev)
 		tok, err := wire.DecodeToken(r.Raw(wire.TokenSize))
 		r.Fail(err)
-		round.tokens[id] = tok
+		switch {
+		case tok.Auditor != id:
+			r.Fail(fmt.Errorf("core: snapshot round files auditor %d's token under %d", tok.Auditor, id))
+		case tok.HCkpt != round.hash:
+			r.Fail(fmt.Errorf("core: snapshot round token from auditor %d binds another checkpoint", id))
+		}
+		round.tokens = append(round.tokens, tok)
 	}
 	prev = -1
 	for i, n := 0, r.Count(2); i < n; i++ {
-		round.asked[r.NextID(&prev)] = true
+		round.asked = append(round.asked, r.NextID(&prev))
 	}
 	round.lastAsk = wire.Tick(r.U64())
 	return round

@@ -117,9 +117,10 @@ func (c *Controller) controlVector() geom.Vec2 {
 	return u.ClampAxes(p.AccelCap)
 }
 
-// Neighbors returns a copy of the neighbor table (tests/metrics only).
-func (c *Controller) Neighbors() []Neighbor {
-	return append([]Neighbor(nil), c.neighbors...)
+// AppendNeighbors appends a copy of the neighbor table to dst and
+// returns the extended slice.
+func (c *Controller) AppendNeighbors(dst []Neighbor) []Neighbor {
+	return append(dst, c.neighbors...)
 }
 
 // AppendState appends the canonical checkpoint state (§5.2: time,

@@ -227,7 +227,7 @@ func TestOwnEchoIgnored(t *testing.T) {
 	c := New(5, testParams())
 	c.OnSensor(reading(0, geom.Zero2, geom.Zero2))
 	c.OnMessage(stateMsg(5, 0, geom.V(1, 1), geom.Zero2))
-	if len(c.Neighbors()) != 0 {
+	if len(c.AppendNeighbors(nil)) != 0 {
 		t.Error("own broadcast echo recorded as neighbor")
 	}
 }
@@ -236,7 +236,7 @@ func TestMalformedMessageIgnored(t *testing.T) {
 	c := New(1, testParams())
 	c.OnMessage([]byte{0xde, 0xad})
 	c.OnMessage(nil)
-	if len(c.Neighbors()) != 0 {
+	if len(c.AppendNeighbors(nil)) != 0 {
 		t.Error("malformed message created a neighbor")
 	}
 }
@@ -246,7 +246,7 @@ func TestNeighborUpdateInPlace(t *testing.T) {
 	c.OnSensor(reading(0, geom.Zero2, geom.Zero2))
 	c.OnMessage(stateMsg(2, 0, geom.V(1, 0), geom.Zero2))
 	c.OnMessage(stateMsg(2, 0, geom.V(2, 0), geom.Zero2))
-	nbrs := c.Neighbors()
+	nbrs := c.AppendNeighbors(nil)
 	if len(nbrs) != 1 || nbrs[0].PosX != 2 {
 		t.Errorf("neighbor update failed: %+v", nbrs)
 	}
@@ -258,7 +258,7 @@ func TestNeighborsSortedByID(t *testing.T) {
 	for _, id := range []wire.RobotID{9, 3, 7, 2, 8} {
 		c.OnMessage(stateMsg(id, 0, geom.V(1, 1), geom.Zero2))
 	}
-	nbrs := c.Neighbors()
+	nbrs := c.AppendNeighbors(nil)
 	for i := 1; i < len(nbrs); i++ {
 		if nbrs[i-1].ID >= nbrs[i].ID {
 			t.Fatalf("neighbors not sorted: %+v", nbrs)
@@ -272,11 +272,11 @@ func TestNeighborExpiry(t *testing.T) {
 	c.OnSensor(reading(0, geom.Zero2, geom.Zero2))
 	c.OnMessage(stateMsg(2, 0, geom.V(1, 0), geom.Zero2))
 	c.OnSensor(reading(17, geom.Zero2, geom.Zero2))
-	if len(c.Neighbors()) != 1 {
+	if len(c.AppendNeighbors(nil)) != 1 {
 		t.Fatal("neighbor expired too early")
 	}
 	c.OnSensor(reading(18, geom.Zero2, geom.Zero2))
-	if len(c.Neighbors()) != 0 {
+	if len(c.AppendNeighbors(nil)) != 0 {
 		t.Error("stale neighbor not expired")
 	}
 }

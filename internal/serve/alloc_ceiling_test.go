@@ -14,7 +14,9 @@ import (
 // by re-run when the checker latches (67 550 and 74 060 before; 68 728
 // once metrics.json became the rendered slice itself, 71 928 once a
 // robot's metrics became one registration per component). Allocations:
-// 338 once metrics.json became the rendered slice itself rather than a
+// 305 once an audit round allocated only its frames and an engine kept
+// its round, its checkpoint state and its decoded request (309 before),
+// after 338 once metrics.json became the rendered slice itself rather than a
 // copy out of a bytes.Buffer, after 339 once a robot's metrics became
 // one registration per component and a snapshot one buffer, and the
 // scheduler's metric names were built once per tenant (75 584 B and 553
@@ -30,11 +32,11 @@ import (
 // GC cycle empties encoding/json's and fmt's pools), so this is a
 // machine-independent gate like the root package's cell ceilings.
 // Under -race sync.Pool drops a quarter of what it is given and the job
-// reads ~340 allocations, under the ceiling. A change that lowers the
+// reads 329–331 allocations, under the ceiling. A change that lowers the
 // measured values lowers the ceilings with them; nothing raises them.
 const (
 	tinyJobBytesCeiling  = 60_200
-	tinyJobAllocsCeiling = 372
+	tinyJobAllocsCeiling = 336
 )
 
 // tinyJobRequest is the benchmark's serve_tiny_jobs request at seed 1:
@@ -82,12 +84,13 @@ func TestTinyJobFixedCostCeiling(t *testing.T) {
 }
 
 // The most a tiny job may cost served, client and server together in
-// one process. Allocations: 10 % above the 663 per job measured once
-// artifacts under one initial congestion window went raw and the
-// client read bodies at their declared length (687 when Client.Wait
-// became one long-polled status request, 789 before). Under -race
-// sync.Pool drops some of what it is given and the job reads ~710,
-// under the ceiling. Bytes: 10 % above 84 247 without -race and above
+// one process. Allocations: 10 % above the 619 per job measured once an
+// audit round allocated only its frames (624 before; 663 once artifacts
+// under one initial congestion window went raw and the client read
+// bodies at their declared length, 687 when Client.Wait became one
+// long-polled status request, 789 before). Under -race sync.Pool drops
+// some of what it is given and the job reads 670–673, under the
+// ceiling. Bytes: 10 % above 84 247 without -race and above
 // 117 635 with it, once a chaos cell stopped recording a flight dump
 // nobody reads (103 034 and 128 869–140 027 before; 104 091 and
 // 129 393 before that; 162 663 when metrics.json was gzipped and
@@ -99,7 +102,7 @@ func TestTinyJobFixedCostCeiling(t *testing.T) {
 const (
 	servedTinyJobBytesCeiling     = 92_700
 	servedTinyJobRaceBytesCeiling = 129_400
-	servedTinyJobAllocsCeiling    = 730
+	servedTinyJobAllocsCeiling    = 681
 )
 
 // TestServedTinyJobAllocationCeiling runs the benchmark's tiny request

@@ -84,14 +84,18 @@ var guardLeafTypes = map[string]bool{
 // and so are core.missScratch and the replay.Machine inside it: a cache
 // miss's working storage, which every replay repositions before it
 // reads it, so no state passes from one miss to the next (replay's
-// TestMachineReuseMatchesAFreshLoad). Everything else is pinned by
-// snapshotstate.Surfaces.
+// TestMachineReuseMatchesAFreshLoad). attack.Ctx is reachable only
+// through a compromised robot's skipped strategy view, which Tick
+// rewrites from the robot before every Act: its clock, pose, capture
+// ring and neighbor copy, and the two hooks bound to the robot once.
+// Everything else is pinned by snapshotstate.Surfaces.
 var guardManualFields = map[string][]string{
 	"sim.Engine":       {"World", "Medium", "actors", "ids", "byID", "now", "observers", "perf"},
 	"radio.Delivery":   {"To", "Frame", "seq", "rank"},
 	"prng.Source":      {"s"},
 	"core.missScratch": {"entries", "machine"},
 	"replay.Machine":   {"chains", "ctrl", "state"},
+	"attack.Ctx":       {"Now", "ID", "Pos", "Vel", "Neighbors", "SendFrame", "Actuate", "Captured"},
 }
 
 const guardPkgPrefix = "roborebound/internal/"

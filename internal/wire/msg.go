@@ -434,29 +434,42 @@ func SplitAuditRequest(b []byte) (AuditRequestHead, []byte, error) {
 
 // DecodeAuditRequest parses an encoded audit request.
 func DecodeAuditRequest(b []byte) (AuditRequest, error) {
+	var a AuditRequest
+	if err := a.Decode(b); err != nil {
+		return AuditRequest{}, err
+	}
+	return a, nil
+}
+
+// Decode parses an encoded audit request into a, reusing a's
+// StartTokens storage; the byte fields are views of b. On an error a
+// is left as a fresh zero request (StartTokens empty, its storage
+// kept), so a reused request never carries a field of an earlier one.
+func (a *AuditRequest) Decode(b []byte) error {
+	*a = AuditRequest{StartTokens: a.StartTokens[:0]}
 	r := NewReader(b)
 	if k := r.U8(); r.Err() == nil && k != KindAuditRequest {
-		return AuditRequest{}, ErrBadKind
+		return ErrBadKind
 	}
-	var a AuditRequest
 	a.Auditee = RobotID(r.U16())
 	a.Auditor = RobotID(r.U16())
 	a.Req = decodeTokenRequestBody(r)
 	a.FromBoot = r.U8() == 1
 	a.StartCheckpoint = r.Blob()
 	n := int(r.U8())
-	if n > 0 {
-		a.StartTokens = make([]Token, n)
-		for i := 0; i < n; i++ {
-			a.StartTokens[i] = decodeToken(r)
-		}
+	if cap(a.StartTokens) < n {
+		a.StartTokens = make([]Token, 0, n)
+	}
+	for i := 0; i < n; i++ {
+		a.StartTokens = append(a.StartTokens, decodeToken(r))
 	}
 	a.EndCheckpoint = r.Blob()
 	a.Segment = r.Blob()
 	if err := r.Done(); err != nil {
-		return AuditRequest{}, fmt.Errorf("audit request: %w", err)
+		*a = AuditRequest{StartTokens: a.StartTokens[:0]}
+		return fmt.Errorf("audit request: %w", err)
 	}
-	return a, nil
+	return nil
 }
 
 // AuditResponse is the auditor's reply: a token on success. On failure
