@@ -332,11 +332,33 @@ func (c ChaosConfig) deliberateAttackers(ids []wire.RobotID) (slots []int, robot
 	return slots, robots
 }
 
-// buildChaosSim constructs the cell's simulation over roster ids with
-// the schedule's hooks installed, the deliberate attackers in slots and
-// the crashed robots silent from their ticks.
-func buildChaosSim(cfg ChaosConfig, cc core.Config, sched *faultinject.Schedule, reg *obs.Registry,
-	ids []wire.RobotID, slots []int, crashes map[wire.RobotID]wire.Tick) *Sim {
+// chaosCell is a defaulted cell as built: its roster, its deliberate
+// attackers, the fault schedule its sim runs under, the registry its
+// metrics go to, and the sim.
+type chaosCell struct {
+	ids, attackers []wire.RobotID
+	sched          *faultinject.Schedule
+	reg            *obs.Registry
+	sim            *Sim
+}
+
+// buildChaosCell builds defaulted cfg's cell: the roster, the fault
+// schedule its profile generates, and the simulation with the
+// schedule's hooks installed, the deliberate attackers in their slots
+// and the crashed robots silent from their ticks.
+func buildChaosCell(cfg ChaosConfig) chaosCell {
+	cc := cfg.coreConfig()
+	ids := roster(cfg.N)
+	slots, attackers := cfg.deliberateAttackers(ids)
+	sched := chaosSchedule(cfg, ids, attackers)
+	// A Crash fault aimed at a deliberate attacker is ignored: the
+	// attacker stays one.
+	crashes := sched.CrashTargets()
+	for _, id := range attackers {
+		delete(crashes, id)
+	}
+	reg := obs.NewRegistry()
+
 	// MTUBytes engages fragmentation by overriding the link model; nil
 	// leaves SimConfig's default (radio.DefaultParams) in place.
 	var radioParams *radio.Params
@@ -401,10 +423,10 @@ func buildChaosSim(cfg ChaosConfig, cc core.Config, sched *faultinject.Schedule,
 		specs[i] = attacker(slot)
 		specs[i].Index, specs[i].AtSeconds = slot, cfg.AttackAtSec
 	}
-	s := NewSim(SimConfig{Seed: cfg.Seed, Core: &cc, Radio: radioParams, Faults: sched,
+	s := NewSim(SimConfig{Seed: cfg.Seed, Core: &cc, Radio: radioParams, Faults: &sched,
 		Trace: cfg.Trace, Metrics: reg, Perf: cfg.Perf})
 	s.populate(ids, positions, factory, true, goal, specs, crashes)
-	return s
+	return chaosCell{ids: ids, attackers: attackers, sched: &sched, reg: reg, sim: s}
 }
 
 // chaosSchedule is a defaulted cell's fault schedule: what its profile
@@ -426,19 +448,8 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 		panic(err.Error())
 	}
 	cfg = cfg.withDefaults()
-	cc := cfg.coreConfig()
-	ids := roster(cfg.N)
-	slots, attackers := cfg.deliberateAttackers(ids)
-	sched := chaosSchedule(cfg, ids, attackers)
-	// A Crash fault aimed at a deliberate attacker is ignored: the
-	// attacker stays one.
-	crashes := sched.CrashTargets()
-	for _, id := range attackers {
-		delete(crashes, id)
-	}
-
-	reg := obs.NewRegistry()
-	s := buildChaosSim(cfg, cc, &sched, reg, ids, slots, crashes)
+	cell := buildChaosCell(cfg)
+	s, ids, attackers := cell.sim, cell.ids, cell.attackers
 	if cfg.detachAuditCache {
 		s.detachAuditCache()
 	}
@@ -469,7 +480,7 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 
 	res := ChaosResult{
 		Config:   cfg,
-		Schedule: sched.Strings(),
+		Schedule: cell.sched.Strings(),
 	}
 	runChaosTicks(s, cfg, &res)
 	if res.ResumeError != nil {
@@ -503,7 +514,7 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 		}
 	}
 	m.Fingerprint = chaosFingerprint(s)
-	res.MetricsSnapshot = reg.Snapshot()
+	res.MetricsSnapshot = cell.reg.Snapshot()
 	return res
 }
 

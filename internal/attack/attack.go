@@ -41,7 +41,14 @@ type Ctx struct {
 	// Captured holds recently overheard application frames (newest
 	// last) — raw material for replay attacks.
 	Captured []wire.Frame
+
+	slab wire.Slab // what Payload carves from
 }
+
+// Payload returns an empty payload with room for exactly n bytes, for a
+// strategy to encode one frame's payload into. It is the frame's to
+// keep: a sent payload is never written again (see wire.Slab).
+func (c *Ctx) Payload(n int) []byte { return c.slab.Payload(n) }
 
 // Strategy is a compromised c-node's behavior.
 type Strategy interface {
@@ -68,11 +75,16 @@ type Compromised struct {
 	misbehaved       bool
 
 	captured []wire.Frame // ring buffer of overheard application frames
+	// capture carves the ring's copies of what it overhears: a copy pins
+	// only chunks of other copies, where a frame as heard would pin its
+	// sender's slab chunk for as long as the ring keeps it.
+	capture wire.Slab //rebound:snapshot-skip payload storage; what it carved belongs to the ring's frames
 
 	// ctx is the strategy's view, kept from tick to tick: Tick rewrites
 	// its clock, pose and capture ring, and SendFrame/Actuate, bound on
 	// first use, read ctx.Now. Its Neighbors is neighbors, the
-	// attacker's own copy of its controller's table.
+	// attacker's own copy of its controller's table; its slab carves the
+	// strategy's payloads.
 	ctx       Ctx                 //rebound:snapshot-skip per-tick scratch, rewritten before every Act
 	neighbors []flocking.Neighbor //rebound:snapshot-skip per-tick scratch, rewritten before every Act
 }
@@ -89,7 +101,9 @@ func (c *Compromised) Deliver(f wire.Frame) {
 			copy(c.captured, c.captured[1:])
 			c.captured = c.captured[:maxCaptured-1]
 		}
-		c.captured = append(c.captured, f)
+		kept := f
+		kept.Payload = append(c.capture.Payload(len(f.Payload)), f.Payload...)
+		c.captured = append(c.captured, kept)
 	}
 	c.Robot.Deliver(f)
 }

@@ -251,3 +251,29 @@ func TestStrategyWritesStayInItsView(t *testing.T) {
 		}
 	}
 }
+
+// TestStrategyActAllocatesOnlyItsPayloads: a warm Act of each strategy
+// that forges state messages makes no allocation of its own — Spoof
+// writes its claimed IDs into scratch it keeps, and every strategy
+// encodes into payloads carved from its context's slab. A slab chunk
+// holds 9 state messages, and no Act here sends more than 8, so the
+// chunks average under one allocation per call; any per-call
+// allocation (a claim slice, an encode buffer of its own) reads at
+// least one.
+func TestStrategyActAllocatesOnlyItsPayloads(t *testing.T) {
+	victims := []neighborSpec{{1, 90, 100}, {2, 400, 400}, {3, 60, 20}, {4, 300, 90}}
+	multi := spoof()
+	multi.PhantomsPerVictim = 2
+	for _, s := range []Strategy{spoof(), multi, Blocker{X: 4, Y: 4}, Equivocate{Spread: 5}} {
+		ctx, _ := ctxWith(victims)
+		sent := 0
+		ctx.SendFrame = func(f wire.Frame) bool { sent += len(f.Payload); return true }
+		s.Act(ctx)
+		if sent == 0 {
+			t.Fatalf("%s sent nothing; the test measures nothing", s.Name())
+		}
+		if allocs := testing.AllocsPerRun(100, func() { s.Act(ctx) }); allocs != 0 {
+			t.Errorf("a warm %s Act allocates %.2f times, want 0", s.Name(), allocs)
+		}
+	}
+}

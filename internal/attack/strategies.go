@@ -54,6 +54,8 @@ type Spoof struct {
 	// emit identical claim sets and just multiply channel load.
 	VictimMod     int
 	VictimResidue int
+
+	claims []wire.RobotID // claimIDs' result, rewritten per victim
 }
 
 // Name implements Strategy.
@@ -96,7 +98,7 @@ func (s *Spoof) Act(ctx *Ctx) {
 				PosX: float32(spoofPos.X), PosY: float32(spoofPos.Y),
 				VelX: float32(spoofVel.X), VelY: float32(spoofVel.Y),
 			}
-			ctx.SendFrame(wire.Frame{Src: src, Dst: wire.Broadcast, Payload: m.Encode()})
+			ctx.SendFrame(wire.Frame{Src: src, Dst: wire.Broadcast, Payload: m.AppendEncode(ctx.Payload(wire.StateMsgSize))})
 		}
 	}
 }
@@ -106,6 +108,7 @@ func (s *Spoof) Act(ctx *Ctx) {
 // victim (a robot ignores messages claiming its own ID) and the
 // attacker. Stability of the assignment means phantoms aimed at
 // different victims never overwrite each other's neighbor entries.
+// The result is s's scratch, valid until the next call.
 func (s *Spoof) claimIDs(victim, self wire.RobotID, k int) []wire.RobotID {
 	if len(s.IDs) == 0 {
 		return nil
@@ -117,13 +120,14 @@ func (s *Spoof) claimIDs(victim, self wire.RobotID, k int) []wire.RobotID {
 			break
 		}
 	}
-	out := make([]wire.RobotID, 0, k)
+	out := s.claims[:0]
 	for off := 1; off <= len(s.IDs) && len(out) < k; off++ {
 		id := s.IDs[(start+off)%len(s.IDs)]
 		if id != victim && id != self {
 			out = append(out, id)
 		}
 	}
+	s.claims = out
 	return out
 }
 

@@ -39,7 +39,7 @@ func (e Equivocate) Act(ctx *Ctx) {
 			PosX: float32(liePos.X), PosY: float32(liePos.Y),
 			VelX: float32(sign * 2), VelY: 0,
 		}
-		ctx.SendFrame(wire.Frame{Src: ctx.ID, Dst: victim.ID, Payload: m.Encode()})
+		ctx.SendFrame(wire.Frame{Src: ctx.ID, Dst: victim.ID, Payload: m.AppendEncode(ctx.Payload(wire.StateMsgSize))})
 	}
 }
 
@@ -112,5 +112,5 @@ func (b Blocker) Act(ctx *Ctx) {
 		Time: ctx.Now,
 		PosX: float32(b.X), PosY: float32(b.Y),
 	}
-	ctx.SendFrame(wire.Frame{Src: ctx.ID, Dst: wire.Broadcast, Payload: m.Encode()})
+	ctx.SendFrame(wire.Frame{Src: ctx.ID, Dst: wire.Broadcast, Payload: m.AppendEncode(ctx.Payload(wire.StateMsgSize))})
 }

@@ -85,6 +85,10 @@ type Engine struct {
 	candidates []wire.RobotID    //rebound:snapshot-skip write-only scratch, no retained state
 	state      []byte            //rebound:snapshot-skip write-only scratch, no retained state
 	request    wire.AuditRequest //rebound:snapshot-skip write-only scratch, no retained state
+
+	// slab carves the small payloads the engine sends: its broadcast
+	// copies and audit responses.
+	slab wire.Slab //rebound:snapshot-skip payload storage; what it carved belongs to the frames sent
 }
 
 type auditRound struct {
@@ -271,7 +275,7 @@ func (e *Engine) OnSensorReadingEnc(reading wire.SensorReading, enc []byte) {
 	if out.Broadcast != nil {
 		// The broadcast is lent by the controller; a sent payload is
 		// never written again, so the frame carries its own copy.
-		payload := append([]byte(nil), out.Broadcast...)
+		payload := append(e.slab.Payload(len(out.Broadcast)), out.Broadcast...)
 		f := wire.Frame{Src: e.id, Dst: wire.Broadcast, Payload: payload}
 		if encF, ok := e.send(f); ok {
 			e.logAppend(wire.LogEntry{Kind: wire.EntrySend, Payload: encF})
@@ -674,7 +678,7 @@ func (e *Engine) finishAudit(auditee wire.RobotID, req wire.TokenRequest, v Audi
 		return
 	}
 	resp := wire.AuditResponse{Auditor: e.id, Auditee: auditee, OK: true, Tok: tok}
-	e.send(wire.Frame{Src: e.id, Dst: auditee, Flags: wire.FlagAudit, Payload: resp.Encode()})
+	e.send(wire.Frame{Src: e.id, Dst: auditee, Flags: wire.FlagAudit, Payload: resp.AppendEncode(e.slab.Payload(wire.AuditResponseSize))})
 	e.served = append(e.served, e.now)
 	e.stats.AuditsServed++
 }

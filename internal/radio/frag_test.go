@@ -3,6 +3,7 @@ package radio
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -20,7 +21,7 @@ func bigFrame(n int) wire.Frame {
 
 func TestFragmentSmallFrameUntouched(t *testing.T) {
 	f := bigFrame(30)
-	frags := FragmentFrame(f, 66, 1)
+	frags := fragmentFrame(f, 66, 1)
 	if len(frags) != 1 || frags[0].Flags&wire.FlagFragment != 0 {
 		t.Fatalf("small frame should pass through: %d fragments", len(frags))
 	}
@@ -28,7 +29,7 @@ func TestFragmentSmallFrameUntouched(t *testing.T) {
 
 func TestFragmentAndReassemble(t *testing.T) {
 	f := bigFrame(500)
-	frags := FragmentFrame(f, 66, 7)
+	frags := fragmentFrame(f, 66, 7)
 	if len(frags) < 8 {
 		t.Fatalf("expected many fragments, got %d", len(frags))
 	}
@@ -72,7 +73,7 @@ func TestFragmentAndReassemble(t *testing.T) {
 
 func TestReassembleOutOfOrder(t *testing.T) {
 	f := bigFrame(300)
-	frags := FragmentFrame(f, 66, 3)
+	frags := fragmentFrame(f, 66, 3)
 	r := NewReassembler(0)
 	// Deliver in reverse.
 	var got wire.Frame
@@ -90,8 +91,8 @@ func TestReassembleOutOfOrder(t *testing.T) {
 func TestReassembleInterleavedSenders(t *testing.T) {
 	fa, fb := bigFrame(200), bigFrame(200)
 	fb.Payload[0] = 0xEE
-	fragsA := FragmentFrame(fa, 66, 9)
-	fragsB := FragmentFrame(fb, 66, 9) // same msgID, different transmitter
+	fragsA := fragmentFrame(fa, 66, 9)
+	fragsB := fragmentFrame(fb, 66, 9) // same msgID, different transmitter
 	r := NewReassembler(0)
 	completed := 0
 	for i := range fragsA {
@@ -112,7 +113,7 @@ func TestReassembleInterleavedSenders(t *testing.T) {
 
 func TestReassembleDuplicateFragments(t *testing.T) {
 	f := bigFrame(150)
-	frags := FragmentFrame(f, 66, 4)
+	frags := fragmentFrame(f, 66, 4)
 	r := NewReassembler(0)
 	r.Add(1, frags[0], 0)
 	r.Add(1, frags[0], 0) // duplicate must not complete or corrupt
@@ -129,7 +130,7 @@ func TestReassembleDuplicateFragments(t *testing.T) {
 
 func TestReassembleExpiry(t *testing.T) {
 	f := bigFrame(300)
-	frags := FragmentFrame(f, 66, 5)
+	frags := fragmentFrame(f, 66, 5)
 	r := NewReassembler(10)
 	r.Add(1, frags[0], 0)
 	if r.Pending() != 1 {
@@ -173,7 +174,7 @@ func TestFragmentRoundTripProperty(t *testing.T) {
 		}
 		mtu := 20 + int(mtuRaw)%200 // 20..219
 		orig := wire.Frame{Src: 3, Dst: 9, Flags: flags &^ wire.FlagFragment, Payload: payload}
-		frags := FragmentFrame(orig, mtu, 42)
+		frags := fragmentFrame(orig, mtu, 42)
 		r := NewReassembler(0)
 		for i, fr := range frags {
 			got, ok := r.Add(3, fr, 0)
@@ -239,7 +240,7 @@ func TestMediumMTULossDropsWholeFrame(t *testing.T) {
 // any mismatch. It returns the fragment count.
 func roundTrip(t *testing.T, orig wire.Frame, mtu int) int {
 	t.Helper()
-	frags := FragmentFrame(orig, mtu, 7)
+	frags := fragmentFrame(orig, mtu, 7)
 	if len(frags) > 1 {
 		for i, fr := range frags {
 			if enc := fr.Encode(); len(enc) > mtu {
@@ -273,7 +274,7 @@ func roundTrip(t *testing.T, orig wire.Frame, mtu int) int {
 // 12 (a single payload byte per fragment) upward — with encoding
 // lengths that sit exactly on, one under, and one over a multiple of
 // the chunk size, checking the fragment-count arithmetic and the
-// round trip at every edge. The off-by-ones FragmentFrame could get
+// round trip at every edge. The off-by-ones the fragmenter could get
 // wrong (ceil division, last-chunk clamp, the exact-fit case) all
 // live in this corner.
 func TestFragmentBoundaryMTUs(t *testing.T) {
@@ -308,7 +309,7 @@ func TestFragmentBoundaryMTUs(t *testing.T) {
 func TestFragmentExactFitUnchanged(t *testing.T) {
 	orig := bigFrame(50)
 	encLen := len(orig.Encode())
-	frags := FragmentFrame(orig, encLen, 1)
+	frags := fragmentFrame(orig, encLen, 1)
 	if len(frags) != 1 || frags[0].Flags&wire.FlagFragment != 0 ||
 		!bytes.Equal(frags[0].Payload, orig.Payload) {
 		t.Fatalf("exact-fit frame not returned unchanged: %d frags, flags %x",
@@ -335,15 +336,106 @@ func TestFragmentPanics(t *testing.T) {
 	big := bigFrame(100)
 	for _, mtu := range []int{1, 5, wire.FrameHeaderSize + FragHeaderSize} {
 		mtu := mtu
-		mustPanic(fmt.Sprintf("mtu=%d", mtu), func() { FragmentFrame(big, mtu, 1) })
+		mustPanic(fmt.Sprintf("mtu=%d", mtu), func() { fragmentFrame(big, mtu, 1) })
 	}
 	// chunk = 1 caps the encoding at 255 bytes; one more must refuse
 	// rather than truncate.
 	huge := bigFrame(255 - wire.FrameHeaderSize + 1)
-	mustPanic("256 fragments", func() { FragmentFrame(huge, wire.FrameHeaderSize+FragHeaderSize+1, 1) })
+	mustPanic("256 fragments", func() { fragmentFrame(huge, wire.FrameHeaderSize+FragHeaderSize+1, 1) })
 	for _, mtu := range []int{0, -3} {
-		if frags := FragmentFrame(big, mtu, 1); len(frags) != 1 || !bytes.Equal(frags[0].Payload, big.Payload) {
+		if frags := fragmentFrame(big, mtu, 1); len(frags) != 1 || !bytes.Equal(frags[0].Payload, big.Payload) {
 			t.Errorf("mtu=%d: want the frame back unchanged", mtu)
+		}
+	}
+}
+
+// TestReassembledFramesOwnTheirBytes completes frames in order (decoded
+// in place), in reverse (decoded from a copy), and after an expiry and
+// a restart, all on one reassembler, and checks at the end that every
+// frame it returned still holds the bytes it was returned with: a
+// recycled buffer never writes into a frame handed out.
+func TestReassembledFramesOwnTheirBytes(t *testing.T) {
+	r := NewReassembler(4)
+	var kept []wire.Frame
+	var clones [][]byte
+	keep := func(f wire.Frame, ok bool) {
+		if ok {
+			kept, clones = append(kept, f), append(clones, bytes.Clone(f.Payload))
+		}
+	}
+	for i := 0; i < 40; i++ {
+		orig := bigFrame(100 + i)
+		orig.Payload[0] = byte(i)
+		frags := fragmentFrame(orig, 66, uint16(i))
+		if i%2 == 1 {
+			slices.Reverse(frags)
+		}
+		if i%5 == 0 {
+			// A stray fragment that expires, and one whose total
+			// disagrees with the frame's, restarting its buffer.
+			r.Add(9, frags[0], wire.Tick(i))
+			r.Expire(wire.Tick(i) + 4)
+			bad := bytes.Clone(frags[1].Payload)
+			bad[3]++
+			r.Add(1, wire.Frame{Src: 1, Dst: 5, Flags: wire.FlagFragment, Payload: bad}, wire.Tick(i))
+		}
+		for _, fr := range frags {
+			keep(r.Add(1, fr, wire.Tick(i)))
+		}
+	}
+	if len(kept) != 40 {
+		t.Fatalf("%d of 40 frames completed", len(kept))
+	}
+	for i, f := range kept {
+		if !bytes.Equal(f.Payload, clones[i]) || f.Payload[0] != byte(i) {
+			t.Fatalf("frame %d changed after it was returned", i)
+		}
+	}
+}
+
+// TestReassemblyAllocatesOneBufferPerFrame: once its spares are warm, a
+// reassembler completes a frame whose fragments arrive in order with
+// one allocation, the buffer the returned frame keeps.
+func TestReassemblyAllocatesOneBufferPerFrame(t *testing.T) {
+	frags := fragmentFrame(bigFrame(2000), 66, 1)
+	r := NewReassembler(0)
+	run := func() {
+		for _, fr := range frags {
+			r.Add(1, fr, 0)
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(20, run); allocs != 1 {
+		t.Fatalf("reassembling a %d-fragment frame allocates %.0f times, want 1", len(frags), allocs)
+	}
+}
+
+// TestStrayFragmentReservesLittle bounds what one fragment that starts
+// a frame reserves until the frame completes or expires: its own chunk
+// when it is not fragment 0, and no more than its frame's fragments
+// could carry when it is fragment 0 with a header claiming the longest
+// payload there is. A sender can flag any small frame as a fragment, so
+// this is what each receiver holds per (sender, msgID) it makes up.
+func TestStrayFragmentReservesLittle(t *testing.T) {
+	chunk := make([]byte, 55)
+	header := wire.Frame{Src: 1, Dst: 5, Payload: make([]byte, 0xFFFF)}
+	copy(chunk, header.AppendEncode(nil)[:wire.FrameHeaderSize])
+	for _, tc := range []struct {
+		idx, total, most int
+	}{
+		{idx: 3, total: maxFragments, most: 2 * len(chunk)},
+		{idx: 0, total: 2, most: 2 * len(chunk)},
+		{idx: 0, total: maxFragments, most: maxFragments * len(chunk)},
+	} {
+		r := NewReassembler(4)
+		payload := append([]byte{0, 7, byte(tc.idx), byte(tc.total)}, chunk...)
+		if _, done := r.Add(1, wire.Frame{Src: 1, Dst: 5, Flags: wire.FlagFragment, Payload: payload}, 0); done || r.Pending() != 1 {
+			t.Fatalf("fragment %d of %d: done %v, pending %d", tc.idx, tc.total, done, r.Pending())
+		}
+		b := r.bufs[fragKey{from: 1, msgID: 7}]
+		if cap(b.data) > tc.most || cap(b.spans) != tc.total {
+			t.Errorf("fragment %d of %d reserves %d data bytes (want at most %d) and %d spans (want %d)",
+				tc.idx, tc.total, cap(b.data), tc.most, cap(b.spans), tc.total)
 		}
 	}
 }

@@ -189,7 +189,8 @@ type Medium struct {
 	gridBuf []spatial.Member //rebound:snapshot-skip per-round scratch
 
 	// Deliver-round scratch, reused across rounds:
-	// sortedBuf holds the deduped ascending roster; ctrBuf caches each
+	// sortedBuf holds the deduped ascending roster (and, once the round
+	// is done with it, expireReassemblers' ID order); ctrBuf caches each
 	// receiver's counters by roster rank (one map lookup per robot per
 	// round instead of one per delivery); outBuf collects deliveries in
 	// walk order and resultBuf receives them in sorted order (resultBuf
@@ -298,21 +299,33 @@ func (m *Medium) sender(id wire.RobotID) *senderState {
 // traced as an oversize drop, never enqueued. Only an audit request
 // grows that large (every other payload is capped at
 // wire.MaxLoggedPayload), and the protocol's retry loop absorbs it.
+//
+// A frame that fits the MTU is enqueued as it is. One that does not is
+// cut into fragments whose payloads share one exact-size buffer, so a
+// fragmented send costs one allocation (pinned by
+// TestSendSteadyStateAllocations).
 func (m *Medium) Send(from wire.RobotID, f wire.Frame) {
 	c, s := m.Counters(from), m.sender(from)
-	if m.params.MTUBytes > 0 {
-		if size := f.EncodedSize(); oversize(size, m.params.MTUBytes) {
-			m.drop(c, from, from, obs.CauseOversize, size)
-			return
-		}
-		msgID := s.nextMsgID
-		s.nextMsgID++
-		for _, fr := range FragmentFrame(f, m.params.MTUBytes, msgID) {
-			m.enqueue(c, from, fr)
-		}
+	mtu := m.params.MTUBytes
+	if mtu <= 0 {
+		m.enqueue(c, from, f)
 		return
 	}
-	m.enqueue(c, from, f)
+	size := f.EncodedSize()
+	if oversize(size, mtu) {
+		m.drop(c, from, from, obs.CauseOversize, size)
+		return
+	}
+	msgID := s.nextMsgID
+	s.nextMsgID++
+	if size <= mtu {
+		m.enqueue(c, from, f)
+		return
+	}
+	cut := newFragmenter(f, mtu, msgID)
+	for range cut.total {
+		m.enqueue(c, from, cut.next())
+	}
 }
 
 // enqueue accounts for and queues one on-air frame. Sizes come from
@@ -550,16 +563,18 @@ func (m *Medium) Deliver(ids []wire.RobotID) []Delivery {
 
 // expireReassemblers sweeps stale fragment buffers, in ID order: each
 // reassembler is independent today, but replay determinism must not
-// hinge on that staying true.
+// hinge on that staying true. It runs at the end of a Deliver round,
+// once the round's roster is dead, and sorts the IDs in its buffer.
 func (m *Medium) expireReassemblers() {
-	ids := make([]wire.RobotID, 0, len(m.reassemblers))
+	ids := m.sortedBuf[:0]
 	for id := range m.reassemblers {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
 		m.reassemblers[id].Expire(m.deliverTick)
 	}
+	m.sortedBuf = ids
 }
 
 // sortByRank stable counting sorts one round's deliveries by receiver

@@ -150,9 +150,10 @@ func (m *Medium) RestoreState(b []byte) error {
 }
 
 // encodeState appends the reassembler's buffers in canonical
-// (transmitter, msgID) order. Nil chunk slots (fragments not yet
-// received) are encoded as presence bits so sparse buffers round-trip
-// exactly.
+// (transmitter, msgID) order. Each fragment index is encoded as a
+// presence bit, then its chunk when present, so sparse buffers
+// round-trip exactly; a restored buffer holds its chunks in index
+// order, whatever order they first arrived in.
 func (re *Reassembler) encodeState(w *wire.Writer) {
 	w.U64(uint64(re.Timeout))
 	keys := make([]fragKey, 0, len(re.bufs))
@@ -172,10 +173,10 @@ func (re *Reassembler) encodeState(w *wire.Writer) {
 		w.U16(k.msgID)
 		w.U8(uint8(buf.total))
 		w.U64(uint64(buf.lastSeen))
-		for _, c := range buf.chunks {
-			w.Bool(c != nil)
-			if c != nil {
-				w.Blob(c)
+		for i, sp := range buf.spans {
+			w.Bool(sp.ok)
+			if sp.ok {
+				w.Blob(buf.chunk(i))
 			}
 		}
 	}
@@ -188,7 +189,7 @@ func decodeReassembler(r *wire.Reader) *Reassembler {
 	for i, n := 0, r.Count(14); i < n; i++ {
 		k := fragKey{from: wire.RobotID(r.U16()), msgID: r.U16()}
 		total := int(r.U8())
-		buf := &fragBuf{total: total, chunks: make([][]byte, total), lastSeen: wire.Tick(r.U64())}
+		buf := &fragBuf{total: total, spans: make([]fragSpan, total), lastSeen: wire.Tick(r.U64())}
 		if i > 0 && (k.from < prev.from || k.from == prev.from && k.msgID <= prev.msgID) {
 			r.Fail(errors.New("radio: snapshot reassembly buffers not in canonical order"))
 		}
@@ -196,10 +197,9 @@ func decodeReassembler(r *wire.Reader) *Reassembler {
 		if total == 0 {
 			r.Fail(errors.New("radio: snapshot reassembly buffer with zero fragments"))
 		}
-		for j := range buf.chunks {
+		for j := range buf.spans {
 			if r.Bool() {
-				buf.chunks[j] = append([]byte{}, r.Blob()...)
-				buf.received++
+				buf.add(j, r.Blob())
 			}
 		}
 		if buf.received == 0 || buf.received >= total {

@@ -338,6 +338,8 @@ func TestDeliverDegenerateRange(t *testing.T) {
 // (Frame.EncodedSize) instead of encoding every frame, so 1000
 // unfragmented Sends plus the drain allocate nothing once the queue has
 // grown; the old Encode-to-measure path costs ≥1 allocation per Send.
+// At an MTU, a frame that fits allocates nothing and a fragmented one
+// allocates once, however many fragments it is cut into.
 func TestSendSteadyStateAllocations(t *testing.T) {
 	pos := func(wire.RobotID) (geom.Vec2, bool) { return geom.V(0, 0), true }
 	m := NewMedium(DefaultParams(), pos, 1)
@@ -354,6 +356,32 @@ func TestSendSteadyStateAllocations(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("1000 Sends + drain allocate %.0f times, want 0 (is Send encoding frames again?)", allocs)
+	}
+
+	// At the RFM69's 66-byte MTU a frame that fits is enqueued as it is,
+	// and a fragmented one costs the one buffer its fragments share.
+	p := DefaultParams()
+	p.MTUBytes = 66
+	m = NewMedium(p, pos, 1)
+	fits := wire.Frame{Src: 1, Dst: wire.Broadcast, Payload: make([]byte, 66-wire.FrameHeaderSize)}
+	big := wire.Frame{Src: 1, Dst: 2, Flags: wire.FlagAudit, Payload: make([]byte, 2000)}
+	for i := 0; i < 64; i++ { // grow the queue and the encode scratch
+		m.Send(1, fits)
+		m.Send(1, big)
+	}
+	m.Deliver(nil)
+	for _, c := range []struct {
+		name string
+		f    wire.Frame
+		want float64
+	}{{"a frame that fits", fits, 0}, {"a fragmented frame", big, 1}} {
+		allocs := testing.AllocsPerRun(100, func() {
+			m.Send(1, c.f)
+			m.Deliver(nil)
+		})
+		if allocs != c.want {
+			t.Errorf("at MTU 66, sending %s allocates %.0f times, want %.0f", c.name, allocs, c.want)
+		}
 	}
 }
 

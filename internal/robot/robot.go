@@ -85,8 +85,9 @@ type Robot struct {
 	//rebound:snapshot-skip clock wiring, reattached at rebuild
 	pclock func() wire.Tick //rebound:clock trusted
 
-	// Unprotected path.
+	// Unprotected path. slab carves its broadcasts' payloads.
 	ctrl control.Controller
+	slab wire.Slab //rebound:snapshot-skip payload storage; what it carved belongs to the frames sent
 
 	safeModeAt wire.Tick //rebound:clock engine
 	inSafeMode bool
@@ -268,7 +269,7 @@ func (r *Robot) Tick(now wire.Tick) {
 	out := r.ctrl.OnSensor(r.reading(now))
 	if out.Broadcast != nil {
 		// Lent by the controller: the frame sent carries its own copy.
-		payload := append([]byte(nil), out.Broadcast...)
+		payload := append(r.slab.Payload(len(out.Broadcast)), out.Broadcast...)
 		r.medium.Send(r.id, wire.Frame{Src: r.id, Dst: wire.Broadcast, Payload: payload})
 	}
 	if out.HasCmd {

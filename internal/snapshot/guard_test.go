@@ -87,7 +87,9 @@ var guardLeafTypes = map[string]bool{
 // TestMachineReuseMatchesAFreshLoad). attack.Ctx is reachable only
 // through a compromised robot's skipped strategy view, which Tick
 // rewrites from the robot before every Act: its clock, pose, capture
-// ring and neighbor copy, and the two hooks bound to the robot once.
+// ring and neighbor copy, and the two hooks bound to the robot once;
+// its slab only carves payloads, each of which belongs to the frame it
+// is sent in.
 // Everything else is pinned by snapshotstate.Surfaces.
 var guardManualFields = map[string][]string{
 	"sim.Engine":       {"World", "Medium", "actors", "ids", "byID", "now", "observers", "perf"},
@@ -95,7 +97,7 @@ var guardManualFields = map[string][]string{
 	"prng.Source":      {"s"},
 	"core.missScratch": {"entries", "machine"},
 	"replay.Machine":   {"chains", "ctrl", "state"},
-	"attack.Ctx":       {"Now", "ID", "Pos", "Vel", "Neighbors", "SendFrame", "Actuate", "Captured"},
+	"attack.Ctx":       {"Now", "ID", "Pos", "Vel", "Neighbors", "SendFrame", "Actuate", "Captured", "slab"},
 }
 
 const guardPkgPrefix = "roborebound/internal/"

@@ -298,17 +298,17 @@ const TokenSize = 2 + 2 + 8 + cryptolite.SHA1Size + cryptolite.TagSize
 
 // Encode serializes the token.
 func (t *Token) Encode() []byte {
-	w := NewWriter(TokenSize)
-	t.encodeTo(w)
-	return w.Bytes()
+	return t.appendTo(make([]byte, 0, TokenSize))
 }
 
-func (t *Token) encodeTo(w *Writer) {
-	w.U16(uint16(t.Auditor))
-	w.U16(uint16(t.Auditee))
-	w.U64(uint64(t.T))
-	w.Raw(t.HCkpt[:])
-	w.Raw(t.Mac[:])
+func (t *Token) encodeTo(w *Writer) { w.buf = t.appendTo(w.buf) }
+
+func (t *Token) appendTo(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint16(dst, uint16(t.Auditor))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(t.Auditee))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(t.T))
+	dst = append(dst, t.HCkpt[:]...)
+	return append(dst, t.Mac[:]...)
 }
 
 func decodeToken(r *Reader) Token {
@@ -489,17 +489,21 @@ const AuditResponseSize = 1 + 2 + 2 + 1 + TokenSize
 
 // Encode serializes the audit response.
 func (a *AuditResponse) Encode() []byte {
-	w := NewWriter(AuditResponseSize)
-	w.U8(KindAuditResponse)
-	w.U16(uint16(a.Auditor))
-	w.U16(uint16(a.Auditee))
+	return a.AppendEncode(make([]byte, 0, AuditResponseSize))
+}
+
+// AppendEncode appends the response's encoding to dst and returns the
+// extended slice, so an auditor encodes its reply into a payload carved
+// from its send slab (see Slab).
+func (a *AuditResponse) AppendEncode(dst []byte) []byte {
+	dst = append(dst, KindAuditResponse)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(a.Auditor))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(a.Auditee))
+	ok := uint8(0)
 	if a.OK {
-		w.U8(1)
-	} else {
-		w.U8(0)
+		ok = 1
 	}
-	a.Tok.encodeTo(w)
-	return w.Bytes()
+	return a.Tok.appendTo(append(dst, ok))
 }
 
 // DecodeAuditResponse parses an encoded audit response.
