@@ -114,23 +114,14 @@ type ChaosConfig struct {
 	// Perf, when non-nil, attributes the cell's wall-clock time to the
 	// tick-pipeline phases (see SimConfig.Perf). Observation-only: the
 	// fingerprint, traces, and metrics are byte-identical with it on or
-	// off. Same matrix caveat as Trace — the timer is shared state, so
-	// leave nil for matrix sweeps unless one timer per cell.
+	// off. Unlike Trace, one timer may be shared by cells running
+	// concurrently: its tallies are atomic, and it sums their phases.
 	Perf *perf.PhaseTimer
 	// PerfRuntime, when non-nil, samples runtime/metrics (heap, GC,
 	// goroutines) every PerfRuntime.Every() ticks during the run.
-	// Observation-only, same caveats as Perf.
+	// Observation-only like Perf, but a sampler is not safe for
+	// concurrent use: give each concurrently running cell its own.
 	PerfRuntime *perf.RuntimeSampler
-	// detachAuditCache runs the cell with the swarm-shared verdict cache
-	// detached (see Sim.detachAuditCache). Unexported and absent from
-	// the snapshot echo: only the in-package protocol differential sets
-	// it, to get the uncached run it compares the cached one against.
-	detachAuditCache bool
-	// flight marks the run as a latch re-run (see explainLatch): the
-	// recorder is the run's only tracer, the checker's dump comes
-	// straight from it, and the run stops at the tick the checker
-	// latches. Unexported and absent from the snapshot echo.
-	flight *obs.FlightRecorder
 }
 
 // A ChaosConfigError is a ChaosConfig field no cell can run with.
@@ -448,22 +439,17 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 		panic(err.Error())
 	}
 	cfg = cfg.withDefaults()
-	cell := buildChaosCell(cfg)
-	s, ids, attackers := cell.sim, cell.ids, cell.attackers
-	if cfg.detachAuditCache {
-		s.detachAuditCache()
-	}
+	return buildChaosCell(cfg).run(cfg)
+}
 
+// run runs the cell defaulted cfg built to its end, an interrupt, or
+// a failed resume, and summarizes it.
+func (cell chaosCell) run(cfg ChaosConfig) ChaosResult {
+	s, ids, attackers := cell.sim, cell.ids, cell.attackers
 	// populate installed the cell's checker; a chaos cell also explains
 	// a latch with the offending robot's flight-recorder dump.
-	if rec := cfg.flight; rec != nil {
-		s.checker.Explain = func(v *faultinject.Violation) ([]obs.Event, error) {
-			return rec.Events(), nil
-		}
-	} else {
-		s.checker.Explain = func(v *faultinject.Violation) ([]obs.Event, error) {
-			return explainLatch(cfg, v)
-		}
+	s.checker.Explain = func(v *faultinject.Violation) ([]obs.Event, error) {
+		return explainLatch(cfg, v)
 	}
 	if rt := cfg.PerfRuntime; rt != nil {
 		// Runtime telemetry rides the engine's observer hook at the
@@ -532,19 +518,27 @@ func (c ChaosConfig) fromTickZero() ChaosConfig {
 }
 
 // explainLatch rebuilds the flight-recorder dump for a violation the
-// checker of cfg's run is latching. Nothing records a cell while it
-// runs: the cell is deterministic, so it is run again from tick 0 with
-// a recorder as its only tracer and everything else that observes or
-// interrupts it detached, up to the tick its own checker latches. That
-// latch must be v's invariant, tick and robot — anything else is a
-// determinism bug, returned as the error the checker writes into the
-// violation's Detail. A resumed run gets the same dump as the run it
-// continues, since the re-run starts where that run did.
+// checker of defaulted cfg's run is latching. Nothing records a cell
+// while it runs: the cell is deterministic, so it is built again from
+// tick 0 with a recorder as its only tracer and everything else that
+// observes or interrupts it detached, and stepped up to the tick its
+// own checker latches. That latch must be v's invariant, tick and
+// robot — anything else is a determinism bug, returned as the error
+// the checker writes into the violation's Detail. A resumed run gets
+// the same dump as the run it continues, since the re-run starts where
+// that run did.
 func explainLatch(cfg ChaosConfig, v *faultinject.Violation) ([]obs.Event, error) {
 	rerun := cfg.fromTickZero()
-	rerun.flight = obs.NewFlightRecorder(v.Robot)
-	rerun.Trace = rerun.flight
-	w := RunChaos(rerun).Violation
+	rec := obs.NewFlightRecorder(v.Robot)
+	rerun.Trace = rec
+	s := buildChaosCell(rerun).sim
+	s.checker.Explain = func(*faultinject.Violation) ([]obs.Event, error) {
+		return rec.Events(), nil
+	}
+	for total := rerun.Ticks(); s.checker.Violation() == nil && s.Engine.Now() < total; {
+		s.Engine.StepOnce()
+	}
+	w := s.checker.Violation()
 	if w == nil {
 		return nil, fmt.Errorf("the re-run from tick 0 did not latch (want %s at tick %d robot %d)",
 			v.Invariant, v.Tick, v.Robot)

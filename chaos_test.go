@@ -1,14 +1,17 @@
 package roborebound
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"roborebound/internal/faultinject"
 	"roborebound/internal/obs"
+	"roborebound/internal/obs/perf"
 	"roborebound/internal/wire"
 )
 
@@ -52,6 +55,59 @@ func TestRunChaosRefusesBadCells(t *testing.T) {
 			}()
 			RunChaos(c.cfg)
 		}()
+	}
+}
+
+// TestChaosConfigFieldsAreCellOrRun: every ChaosConfig field either
+// says what the cell is — a sample value changes the snapshot's config
+// echo — or how it is run — fromTickZero clears it — and never both.
+// The split guards the type until it becomes two (ROADMAP item 6).
+func TestChaosConfigFieldsAreCellOrRun(t *testing.T) {
+	samples := map[string]any{
+		"Controller":      "patrol",
+		"Profile":         faultinject.ProfileLoss,
+		"Seed":            uint64(7),
+		"N":               5,
+		"DurationSec":     30.0,
+		"Fmax":            3,
+		"AttackerSlots":   []int{1},
+		"AttackAtSec":     10.0,
+		"ExtraFaults":     []faultinject.Fault{{Kind: faultinject.LinkLoss, Start: 8, Duration: 4, Rate: 0.5}},
+		"SpacingM":        30.0,
+		"MTUBytes":        96,
+		"Trace":           obs.NewCollector(),
+		"SnapshotAtTicks": []wire.Tick{4},
+		"ResumeFrom":      []byte{1},
+		"Interrupt":       func() bool { return false },
+		"Perf":            perf.NewPhaseTimer(nil),
+		"PerfRuntime":     perf.NewRuntimeSampler(0),
+	}
+	base := ChaosConfig{}.withDefaults()
+	typ := reflect.TypeFor[ChaosConfig]()
+	for i := range typ.NumField() {
+		f := typ.Field(i)
+		if f.Name == "SpatialIndex" { // the deprecated shim: neither
+			continue
+		}
+		sample, ok := samples[f.Name]
+		if !f.IsExported() || !ok {
+			t.Errorf("%s: no sample value; say whether it is a cell or a run field", f.Name)
+			continue
+		}
+		delete(samples, f.Name)
+		c := base
+		reflect.ValueOf(&c).Elem().Field(i).Set(reflect.ValueOf(sample))
+		if err := c.Check(); err != nil {
+			t.Errorf("%s: the sample is not a valid cell: %v", f.Name, err)
+		}
+		cell := !bytes.Equal(encodeChaosEcho(c), encodeChaosEcho(base))
+		run := reflect.ValueOf(c.fromTickZero()).Field(i).IsZero()
+		if cell == run {
+			t.Errorf("%s: changes the config echo: %v; cleared by fromTickZero: %v (want exactly one)", f.Name, cell, run)
+		}
+	}
+	for name := range samples {
+		t.Errorf("%s: a sample for no ChaosConfig field", name)
 	}
 }
 

@@ -91,8 +91,9 @@ func writeSVG(name, doc string) {
 	fmt.Fprintf(out, "  wrote %s\n", path)
 }
 
-// cmds maps each subcommand but "all" to its implementation.
-var cmds = map[string]func(){
+// cmds maps each subcommand but "all" to its implementation, which
+// returns the process's exit status.
+var cmds = map[string]func() int{
 	"fig2":   fig2,
 	"fig5":   fig5,
 	"fig6":   fig6,
@@ -116,40 +117,49 @@ var allCmds = []string{"table1", "table2", "fig5", "fig6", "fig7", "fig2", "fig8
 func main() {
 	flag.Usage = usage
 	flag.Parse()
-	if flag.NArg() < 1 {
+	os.Exit(run(flag.Args()))
+}
+
+// run runs the subcommand args name and returns the exit status: 2 for
+// bad arguments, else the subcommand's. Profiles started for it are
+// flushed before run returns, whatever the status.
+func run(args []string) int {
+	if len(args) < 1 {
 		usage()
-		os.Exit(2)
+		return 2
 	}
-	if err := checkArgs(flag.Args()); err != nil {
+	if err := checkArgs(args); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		usage()
-		os.Exit(2)
+		return 2
 	}
-	cmd := flag.Arg(0)
+	f, ok := cmds[args[0]]
+	if args[0] == "all" {
+		f, ok = all, true
+	}
+	if !ok {
+		fmt.Fprintf(os.Stderr, "unknown subcommand %q\n", args[0])
+		usage()
+		return 2
+	}
 	stopProfiles, err := startProfiles()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
-	if cmd == "all" {
-		for _, name := range allCmds {
-			fmt.Fprintf(out, "\n================ %s ================\n", strings.ToUpper(name))
-			cmds[name]()
-		}
-		stopProfiles()
-		return
+	defer stopProfiles()
+	return f()
+}
+
+// all runs every table and figure in allCmds order; it fails if one
+// does.
+func all() int {
+	exit := 0
+	for _, name := range allCmds {
+		fmt.Fprintf(out, "\n================ %s ================\n", strings.ToUpper(name))
+		exit = max(exit, cmds[name]())
 	}
-	f, ok := cmds[cmd]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown subcommand %q\n", cmd)
-		usage()
-		os.Exit(2)
-	}
-	f()
-	stopProfiles()
-	if chaosFailed || snapshotFailed || perfFailed || serveFailed {
-		os.Exit(1)
-	}
+	return exit
 }
 
 // checkArgs rejects arguments after the subcommand. The flag package
@@ -226,20 +236,22 @@ flags:`)
 	flag.PrintDefaults()
 }
 
-func table1() {
+func table1() int {
 	costs := rr.MeasuredCostModel()
 	fmt.Fprintf(out, "Worst-case a-node load (T_audit=4s, T_state=1.5s, T_ctl=0.25s, f_max=3, 10 peers)\n")
 	fmt.Fprintf(out, "cost model: MAC=%.1fms  hash=%.1fms  io=%.0f/%.0fms (host-measured crypto × PIC scale %g)\n\n",
 		costs.MACMs, costs.HashMs, costs.IOSmallMs, costs.IOLargeMs, rr.PICSlowdown)
 	printLoad(rr.Table1(rr.PaperRateConfig(), costs))
 	fmt.Fprintf(out, "\npaper reports a total of 17.28%% with its measured PIC costs\n")
+	return 0
 }
 
-func table2() {
+func table2() int {
 	costs := rr.MeasuredCostModel()
 	fmt.Fprintf(out, "Worst-case s-node load (same configuration)\n\n")
 	printLoad(rr.Table2(rr.PaperRateConfig(), costs))
 	fmt.Fprintf(out, "\npaper reports a total of 5.99%%\n")
+	return 0
 }
 
 func printLoad(rows []rr.LoadRow) {
@@ -253,7 +265,7 @@ func printLoad(rows []rr.LoadRow) {
 	}
 }
 
-func fig5() {
+func fig5() int {
 	iters := 5000
 	if *quick {
 		iters = 500
@@ -280,9 +292,10 @@ func fig5() {
 	}
 	fmt.Fprintln(out, "\npaper anchors: SHA-1(270B) ≈ 1 ms, MAC(≤40B) ≈ 10–12 ms on the PIC;")
 	fmt.Fprintln(out, "32B ≈ 0.3–0.4 ms, 512B ≈ 3–3.5 ms, 2kB ≈ 11–16 ms I/O")
+	return 0
 }
 
-func fig6() {
+func fig6() int {
 	cfg := rr.Fig6Config{Seed: *seed}
 	if *quick {
 		cfg.N = 9
@@ -303,9 +316,10 @@ func fig6() {
 	}
 	fmt.Fprintln(out, "\nexpected shape: audit bandwidth grows with f_max+1, ≈flat in audit period;")
 	fmt.Fprintln(out, "storage flat in f_max, linear in audit period; log ≈0.8 kB/s")
+	return 0
 }
 
-func fig7() {
+func fig7() int {
 	// Zero values take the paper's sizes, spacings and 50 s missions.
 	var duration float64
 	var sizes, scaleSizes []int
@@ -337,9 +351,10 @@ func fig7() {
 	}
 	fmt.Fprintln(out, "\nexpected shape: costs fall as density falls, then level off; per-robot")
 	fmt.Fprintln(out, "cost ≈constant in N with a small edge-effect rise")
+	return 0
 }
 
-func fig2() {
+func fig2() int {
 	cfg := rr.DefaultFig2()
 	cfg.Seed = *seed
 	if *quick {
@@ -359,9 +374,10 @@ func fig2() {
 	writeSVG("fig2a_noattack.svg", rr.RenderFig2Final("Fig 2a: no attack", cfg, clean, nil))
 	writeSVG("fig2b_attack.svg", rr.RenderFig2Final("Fig 2b: 10 masqueraders", cfg, attacked, nil))
 	fmt.Fprintln(out, "\nexpected shape: the attacked flock is held far from the destination")
+	return 0
 }
 
-func fig8() {
+func fig8() int {
 	cfg := rr.DefaultAttackRun()
 	cfg.Seed = *seed
 	if *quick {
@@ -391,9 +407,10 @@ func fig8() {
 	printTrace("        dist-to-goal", attacked)
 	writeSVG("fig8d_trace_attack.svg", rr.RenderAttackTrace("Fig 8d: attack, defense off", attacked))
 	writeSVG("fig8e_final_attack.svg", rr.RenderAttackFinal("Fig 8e: final positions, attack, defense off", cfg, attacked))
+	return 0
 }
 
-func fig9() {
+func fig9() int {
 	cfg := rr.DefaultAttackRun()
 	cfg.Seed = *seed
 	cfg.Protected = true
@@ -410,6 +427,7 @@ func fig9() {
 	writeSVG("fig9b_final_defended.svg", rr.RenderAttackFinal("Fig 9b: final positions, defended", cfg, res))
 	fmt.Fprintln(out, "\nexpected shape: the attack window collapses to ≲T_val and the flock")
 	fmt.Fprintln(out, "reaches roughly the no-attack final state")
+	return 0
 }
 
 func printTrace(label string, res rr.AttackRunResult) {
@@ -436,16 +454,12 @@ func printTrace(label string, res rr.AttackRunResult) {
 	fmt.Fprintln(out)
 }
 
-// chaosFailed makes the chaos subcommand's verdict visible to main
-// without plumbing return values through the cmds map.
-var chaosFailed bool
-
 // chaos runs the cross-seed fault-injection soak: every mission
 // controller x every fault profile x a block of seeds, each cell
 // watched tick-by-tick by the invariant checker. The process exits
 // nonzero if any cell violates an invariant or leaves an attacker
 // undisabled, so CI can gate on it directly.
-func chaos() {
+func chaos() int {
 	controllers := rr.Controllers()
 	profiles := faultinject.Profiles()
 	nseeds := uint64(10)
@@ -490,12 +504,14 @@ func chaos() {
 			r.Config.Controller, r.Config.Profile,
 			r.Metrics.Attackers, r.Metrics.AttackersDisabled, lat, r.Config.Seed, verdict)
 	}
-	chaosObsExports(results)
+	if !chaosObsExports(results) {
+		return 1
+	}
 	if bad > 0 {
 		fmt.Fprintf(out, "\nchaos: %d/%d cells FAILED\n", bad, len(results))
-		chaosFailed = true
-		return
+		return 1
 	}
 	fmt.Fprintf(out, "\nchaos: all %d cells ok — no false positives, every attacker Safe-Moded within the BTI bound\n",
 		len(results))
+	return 0
 }

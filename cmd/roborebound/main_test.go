@@ -34,22 +34,22 @@ func TestMain(m *testing.M) {
 }
 
 // capture redirects report output to a buffer, runs the subcommand,
-// and restores stdout routing and the flags the subcommand reads.
-func capture(t *testing.T, quickRun bool, f func()) string {
+// restores stdout routing and the flags the subcommand reads, and
+// returns the output and the subcommand's exit status.
+func capture(t *testing.T, quickRun bool, f func() int) (string, int) {
 	t.Helper()
 	var buf bytes.Buffer
 	oldOut, oldQuick, oldProgress := out, *quick, *progress
 	out, *quick, *progress = &buf, quickRun, false
 	defer func() {
 		out, *quick, *progress = oldOut, oldQuick, oldProgress
-		chaosFailed = false
 	}()
-	f()
-	return buf.String()
+	exit := f()
+	return buf.String(), exit
 }
 
 func TestTable1Smoke(t *testing.T) {
-	got := capture(t, false, table1)
+	got, _ := capture(t, false, table1)
 	for _, want := range []string{"a-node load", "Primitive", "Total", "%"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("table1 output missing %q:\n%s", want, got)
@@ -58,7 +58,7 @@ func TestTable1Smoke(t *testing.T) {
 }
 
 func TestTable2Smoke(t *testing.T) {
-	got := capture(t, false, table2)
+	got, _ := capture(t, false, table2)
 	for _, want := range []string{"s-node load", "Total"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("table2 output missing %q:\n%s", want, got)
@@ -67,7 +67,7 @@ func TestTable2Smoke(t *testing.T) {
 }
 
 func TestFig6QuickSmoke(t *testing.T) {
-	got := capture(t, true, fig6)
+	got, _ := capture(t, true, fig6)
 	for _, want := range []string{"Fig. 6", "f_max", "storage"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("fig6 output missing %q:\n%s", want, got)
@@ -81,9 +81,9 @@ func TestFig6QuickSmoke(t *testing.T) {
 }
 
 func TestChaosQuickSmoke(t *testing.T) {
-	got := capture(t, true, chaos)
-	if chaosFailed {
-		t.Fatalf("quick chaos soak failed:\n%s", got)
+	got, exit := capture(t, true, chaos)
+	if exit != 0 {
+		t.Fatalf("quick chaos soak exited %d:\n%s", exit, got)
 	}
 	for _, want := range []string{"Chaos soak", "controller", "verdict", "all", "cells ok"} {
 		if !strings.Contains(got, want) {
@@ -157,6 +157,21 @@ func TestCLIArguments(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCLIFlushesProfilesOnFailure: a subcommand that fails (here the
+// trace's -events file cannot be created) exits 1 with its CPU and
+// heap profiles written, not truncated.
+func TestCLIFlushesProfilesOnFailure(t *testing.T) {
+	dir := t.TempDir()
+	cpuOut, memOut := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	exit, stdout, stderr := runCLI(t, "-cpuprofile", cpuOut, "-memprofile", memOut,
+		"-events", filepath.Join(dir, "missing", "x.ndjson"), "-quick", "trace", "flocking")
+	if exit != 1 || !strings.Contains(stderr, "NDJSON event log:") {
+		t.Errorf("exit = %d, want 1 with the export error\nstdout:\n%s\nstderr:\n%s", exit, stdout, stderr)
+	}
+	readNonEmpty(t, cpuOut, "CPU profile")
+	readNonEmpty(t, memOut, "heap profile")
 }
 
 // runCLI runs the CLI's main with args in a subprocess and returns its

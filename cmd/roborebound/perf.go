@@ -23,10 +23,7 @@ import (
 var perfJSONOut = flag.String("json", "",
 	"write the perf phase report (and runtime telemetry) as JSON to this file (perf subcommand)")
 
-// perfFailed mirrors chaosFailed for the perf subcommand.
-var perfFailed bool
-
-func perfCmd() {
+func perfCmd() int {
 	cfg := cellConfig("perf")
 
 	// Collectors are attached to both runs only when the merged trace
@@ -63,17 +60,18 @@ func perfCmd() {
 
 	// Observation-only differential: the timed run must be
 	// byte-identical to the untimed one.
+	exit := 0
 	switch {
 	case baseline.Metrics.Fingerprint != timed.Metrics.Fingerprint:
 		fmt.Fprintf(out, "  differential: FAIL — timed fingerprint differs from the untimed run\n    %s\n    %s\n",
 			timed.Metrics.Fingerprint, baseline.Metrics.Fingerprint)
-		perfFailed = true
+		exit = 1
 	case !obs.SamplesEqual(baseline.MetricsSnapshot, timed.MetricsSnapshot):
 		fmt.Fprintf(out, "  differential: FAIL — metrics snapshot differs with the perf plane attached\n")
-		perfFailed = true
+		exit = 1
 	case baseCol != nil && !sameNDJSON(baseCol, perfCol):
 		fmt.Fprintf(out, "  differential: FAIL — NDJSON trace differs with the perf plane attached\n")
-		perfFailed = true
+		exit = 1
 	default:
 		fmt.Fprintf(out, "  differential: ok — timed run byte-identical to untimed (fingerprint %s)\n",
 			timed.Metrics.Fingerprint)
@@ -82,8 +80,7 @@ func perfCmd() {
 	reports := timer.Report()
 	if len(reports) == 0 {
 		fmt.Fprintf(out, "  no phases recorded\n")
-		perfFailed = true
-		return
+		return 1
 	}
 	pipeline := timer.PipelineTotalNs()
 	fmt.Fprintf(out, "\n  %-18s %10s %12s %7s %10s %10s %10s\n",
@@ -115,20 +112,23 @@ func perfCmd() {
 	}
 
 	if *perfettoOut != "" {
-		writeObsFile(*perfettoOut, "merged Perfetto trace", func(w io.Writer) error {
+		if !writeObsFile(*perfettoOut, "merged Perfetto trace", func(w io.Writer) error {
 			return perf.WriteMergedTrace(w, perfCol.Events(),
 				obs.TickMapping{TicksPerSecond: rr.TicksPerSecond}, rec)
-		})
+		}) {
+			return 1
+		}
 		if rec.Dropped() > 0 {
 			fmt.Fprintf(os.Stderr, "  perf: span recorder dropped %d spans (limit %d)\n",
 				rec.Dropped(), perf.DefaultSpanLimit)
 		}
 	}
-	if *perfJSONOut != "" {
-		writeObsFile(*perfJSONOut, "perf phase report JSON", func(w io.Writer) error {
-			return perf.WritePhaseJSON(w, timer, rt)
-		})
+	if *perfJSONOut != "" && !writeObsFile(*perfJSONOut, "perf phase report JSON", func(w io.Writer) error {
+		return perf.WritePhaseJSON(w, timer, rt)
+	}) {
+		return 1
 	}
+	return exit
 }
 
 // sameNDJSON compares two collectors' serialized event streams byte

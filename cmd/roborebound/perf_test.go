@@ -10,7 +10,7 @@ import (
 
 // capturePerf runs the perf subcommand with its flags pinned to a
 // short chaos cell, restoring everything after.
-func capturePerf(t *testing.T, perfetto, jsonOut string, f func()) string {
+func capturePerf(t *testing.T, perfetto, jsonOut string, f func() int) (string, int) {
 	t.Helper()
 	oldCtrl, oldProf, oldDur := *snapController, *snapProfile, *snapDuration
 	oldPerfetto, oldJSON := *perfettoOut, *perfJSONOut
@@ -19,15 +19,14 @@ func capturePerf(t *testing.T, perfetto, jsonOut string, f func()) string {
 	defer func() {
 		*snapController, *snapProfile, *snapDuration = oldCtrl, oldProf, oldDur
 		*perfettoOut, *perfJSONOut = oldPerfetto, oldJSON
-		perfFailed = false
 	}()
 	return capture(t, false, f)
 }
 
 func TestPerfCLISmoke(t *testing.T) {
-	got := capturePerf(t, "", "", perfCmd)
-	if perfFailed {
-		t.Fatalf("perf subcommand failed:\n%s", got)
+	got, exit := capturePerf(t, "", "", perfCmd)
+	if exit != 0 {
+		t.Fatalf("perf subcommand exited %d:\n%s", exit, got)
 	}
 	for _, want := range []string{
 		"Perf —", "differential: ok", "byte-identical",
@@ -51,9 +50,9 @@ func TestPerfCLIExports(t *testing.T) {
 	dir := t.TempDir()
 	trace := filepath.Join(dir, "merged.json")
 	report := filepath.Join(dir, "perf.json")
-	got := capturePerf(t, trace, report, perfCmd)
-	if perfFailed {
-		t.Fatalf("perf subcommand failed:\n%s", got)
+	got, exit := capturePerf(t, trace, report, perfCmd)
+	if exit != 0 {
+		t.Fatalf("perf subcommand exited %d:\n%s", exit, got)
 	}
 	if !strings.Contains(got, "differential: ok") {
 		t.Errorf("perf output missing differential verdict:\n%s", got)

@@ -32,29 +32,24 @@ var (
 		"serve: seconds to wait for running jobs to finish or checkpoint on SIGTERM/SIGINT")
 )
 
-// serveFailed mirrors chaosFailed for the serve subcommand.
-var serveFailed bool
-
 // serveCmd runs the long-lived server until SIGTERM/SIGINT, then
 // drains gracefully: queued jobs are rejected with resubmission
 // handles, running jobs finish or checkpoint at a tick boundary.
-func serveCmd() {
+func serveCmd() int {
 	srv, err := serve.NewServer(serve.ServerOptions{
 		Workers:  *serveWorkers,
 		SpillDir: *serveSpillDir,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-		serveFailed = true
-		return
+		return 1
 	}
 	defer srv.Close()
 
 	ln, err := net.Listen("tcp", *serveAddr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-		serveFailed = true
-		return
+		return 1
 	}
 	hs := &http.Server{Handler: srv.Handler()}
 	go hs.Serve(ln)
@@ -68,11 +63,13 @@ func serveCmd() {
 	ctx, cancel := context.WithTimeout(context.Background(),
 		time.Duration(*serveDrainSec*float64(time.Second)))
 	defer cancel()
+	exit := 0
 	if err := srv.Drain(ctx); err != nil {
 		fmt.Fprintf(os.Stderr, "serve: drain: %v\n", err)
-		serveFailed = true
+		exit = 1
 	} else {
 		fmt.Fprintln(out, "serve: drained — all running jobs finished or checkpointed")
 	}
 	hs.Shutdown(context.Background())
+	return exit
 }

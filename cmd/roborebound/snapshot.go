@@ -32,9 +32,6 @@ var (
 		"after resuming, re-run the cell uninterrupted and compare fingerprints and metrics (exit nonzero on divergence)")
 )
 
-// snapshotFailed mirrors chaosFailed for the snapshot/resume pair.
-var snapshotFailed bool
-
 // cellConfig is the chaos cell subcommand cmd (snapshot or perf) runs;
 // perf -quick shrinks a run of the default length to 30 s.
 func cellConfig(cmd string) rr.ChaosConfig {
@@ -53,7 +50,7 @@ func cellConfig(cmd string) rr.ChaosConfig {
 
 // snapshotCmd runs one chaos cell and writes its state at the chosen
 // tick boundary (default: midpoint) to -o.
-func snapshotCmd() {
+func snapshotCmd() int {
 	cfg := cellConfig("snapshot")
 	total := cfg.Ticks()
 	at := wire.Tick(*snapAt)
@@ -62,55 +59,52 @@ func snapshotCmd() {
 	}
 	if at > total {
 		fmt.Fprintf(os.Stderr, "snapshot: -at %d is beyond the %d-tick run\n", at, total)
-		snapshotFailed = true
-		return
+		return 1
 	}
 	cfg.SnapshotAtTicks = []wire.Tick{at}
 	res := rr.RunChaos(cfg)
 	snap := res.Snapshots[0] // a capture at a tick ≤ total always lands
 	if err := os.WriteFile(*snapOut, snap.Data, 0o644); err != nil {
 		fmt.Fprintf(os.Stderr, "snapshot: %v\n", err)
-		snapshotFailed = true
-		return
+		return 1
 	}
 	fmt.Fprintf(out, "Snapshot — %s\n", cfg.Label())
 	fmt.Fprintf(out, "  captured tick %d of %d (%d bytes) -> %s\n", snap.Tick, total, len(snap.Data), *snapOut)
 	fmt.Fprintf(out, "  full-run fingerprint %s\n", res.Metrics.Fingerprint)
 	printChaosVerdict(res)
+	return 0
 }
 
 // resumeCmd rebuilds the cell from -from and runs it to completion.
-func resumeCmd() {
+func resumeCmd() int {
 	data, err := os.ReadFile(*snapFrom)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "resume: %v\n", err)
-		snapshotFailed = true
-		return
+		return 1
 	}
 	res, err := rr.ResumeChaosSnapshot(data, nil)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "resume: %v\n", err)
-		snapshotFailed = true
-		return
+		return 1
 	}
 	fmt.Fprintf(out, "Resume — %s (from %s)\n", res.Config.Label(), *snapFrom)
 	fmt.Fprintf(out, "  fingerprint %s\n", res.Metrics.Fingerprint)
 	printChaosVerdict(res)
 
 	if !*snapVerify {
-		return
+		return 0
 	}
 	switch v := rr.VerifyChaosResume(res); {
 	case !v.FingerprintMatch:
 		fmt.Fprintf(out, "  verify: FAIL — resumed fingerprint differs from the uninterrupted run\n    %s\n    %s\n",
 			res.Metrics.Fingerprint, v.OracleFingerprint)
-		snapshotFailed = true
+		return 1
 	case !v.MetricsMatch:
 		fmt.Fprintf(out, "  verify: FAIL — metrics snapshot differs after resume\n")
-		snapshotFailed = true
-	default:
-		fmt.Fprintf(out, "  verify: ok — resumed run is byte-identical to the uninterrupted run\n")
+		return 1
 	}
+	fmt.Fprintf(out, "  verify: ok — resumed run is byte-identical to the uninterrupted run\n")
+	return 0
 }
 
 func printChaosVerdict(res rr.ChaosResult) {

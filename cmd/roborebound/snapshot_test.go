@@ -10,7 +10,7 @@ import (
 // captureSnap runs a snapshot/resume subcommand with the pair's flags
 // pinned to a short chaos cell and a temp file, restoring everything
 // after.
-func captureSnap(t *testing.T, file string, verify bool, f func()) string {
+func captureSnap(t *testing.T, file string, verify bool, f func() int) (string, int) {
 	t.Helper()
 	oldCtrl, oldProf, oldDur := *snapController, *snapProfile, *snapDuration
 	oldAt, oldOut, oldFrom, oldVerify := *snapAt, *snapOut, *snapFrom, *snapVerify
@@ -19,7 +19,6 @@ func captureSnap(t *testing.T, file string, verify bool, f func()) string {
 	defer func() {
 		*snapController, *snapProfile, *snapDuration = oldCtrl, oldProf, oldDur
 		*snapAt, *snapOut, *snapFrom, *snapVerify = oldAt, oldOut, oldFrom, oldVerify
-		snapshotFailed = false
 	}()
 	return capture(t, false, f)
 }
@@ -27,9 +26,9 @@ func captureSnap(t *testing.T, file string, verify bool, f func()) string {
 func TestSnapshotResumeCLI(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "cell.rbsn")
 
-	got := captureSnap(t, file, false, snapshotCmd)
-	if snapshotFailed {
-		t.Fatalf("snapshot subcommand failed:\n%s", got)
+	got, exit := captureSnap(t, file, false, snapshotCmd)
+	if exit != 0 {
+		t.Fatalf("snapshot subcommand exited %d:\n%s", exit, got)
 	}
 	for _, want := range []string{"Snapshot", "captured tick 60 of 120", "fingerprint", "verdict: ok"} {
 		if !strings.Contains(got, want) {
@@ -40,9 +39,9 @@ func TestSnapshotResumeCLI(t *testing.T) {
 		t.Fatalf("snapshot file not written: %v", err)
 	}
 
-	got = captureSnap(t, file, true, resumeCmd)
-	if snapshotFailed {
-		t.Fatalf("resume -verify failed:\n%s", got)
+	got, exit = captureSnap(t, file, true, resumeCmd)
+	if exit != 0 {
+		t.Fatalf("resume -verify exited %d:\n%s", exit, got)
 	}
 	for _, want := range []string{"Resume", "chaos patrol/loss seed=1", "verify: ok", "byte-identical"} {
 		if !strings.Contains(got, want) {
@@ -53,9 +52,9 @@ func TestSnapshotResumeCLI(t *testing.T) {
 
 func TestResumeCLIRejectsCorruptFile(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "cell.rbsn")
-	got := captureSnap(t, file, false, snapshotCmd)
-	if snapshotFailed {
-		t.Fatalf("snapshot subcommand failed:\n%s", got)
+	got, exit := captureSnap(t, file, false, snapshotCmd)
+	if exit != 0 {
+		t.Fatalf("snapshot subcommand exited %d:\n%s", exit, got)
 	}
 	data, err := os.ReadFile(file)
 	if err != nil {
@@ -65,10 +64,7 @@ func TestResumeCLIRejectsCorruptFile(t *testing.T) {
 	if err := os.WriteFile(file, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	captureSnap(t, file, false, func() {
-		resumeCmd()
-		if !snapshotFailed {
-			t.Error("resume accepted a corrupted snapshot file")
-		}
-	})
+	if _, exit := captureSnap(t, file, false, resumeCmd); exit == 0 {
+		t.Error("resume accepted a corrupted snapshot file")
+	}
 }

@@ -25,23 +25,23 @@ var (
 )
 
 // writeObsFile writes one exporter output, reporting the path on the
-// main output stream so tests (and users) see what was produced.
-func writeObsFile(path, what string, write func(io.Writer) error) {
+// main output stream so tests (and users) see what was produced. It
+// reports a failure on stderr and returns false.
+func writeObsFile(path, what string, write func(io.Writer) error) bool {
 	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", what, err)
-		os.Exit(1)
-	}
-	if err := write(f); err == nil {
-		err = f.Close()
-	} else {
-		f.Close()
+	if err == nil {
+		if err = write(f); err == nil {
+			err = f.Close()
+		} else {
+			f.Close()
+		}
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", what, err)
-		os.Exit(1)
+		return false
 	}
 	fmt.Fprintf(out, "  wrote %s (%s)\n", path, what)
+	return true
 }
 
 // traceCmd runs one fully-instrumented scenario and exports its event
@@ -50,7 +50,7 @@ func writeObsFile(path, what string, write func(io.Writer) error) {
 // for that controller — including its default attacker, so the trace
 // shows the full protocol story: audit rounds, token grants, the
 // attack, token expiry, and the Safe-Mode kill.
-func traceCmd() {
+func traceCmd() int {
 	scenario := "flocking"
 	if flag.NArg() > 1 {
 		scenario = flag.Arg(1)
@@ -83,44 +83,49 @@ func traceCmd() {
 			fmt.Fprintf(out, "  %-24s %6d\n", k.String(), byKind[k])
 		}
 	}
+	exit := 0
 	if v := res.Violation; v != nil {
 		fmt.Fprintf(out, "  violation: %s\n", v.Error())
-		chaosFailed = true
+		exit = 1
 	}
 
-	if *eventsOut != "" {
-		writeObsFile(*eventsOut, "NDJSON event log", func(w io.Writer) error {
-			return obs.WriteNDJSON(w, col.Events())
-		})
+	if *eventsOut != "" && !writeObsFile(*eventsOut, "NDJSON event log", func(w io.Writer) error {
+		return obs.WriteNDJSON(w, col.Events())
+	}) {
+		return 1
 	}
-	if *perfettoOut != "" {
-		writeObsFile(*perfettoOut, "Perfetto trace", func(w io.Writer) error {
-			return obs.WriteChromeTrace(w, col.Events(), obs.TickMapping{TicksPerSecond: rr.TicksPerSecond})
-		})
+	if *perfettoOut != "" && !writeObsFile(*perfettoOut, "Perfetto trace", func(w io.Writer) error {
+		return obs.WriteChromeTrace(w, col.Events(), obs.TickMapping{TicksPerSecond: rr.TicksPerSecond})
+	}) {
+		return 1
 	}
-	if *metricsOut != "" {
-		writeObsFile(*metricsOut, "metrics snapshot", func(w io.Writer) error {
-			return obs.WriteMetricsJSON(w, res.MetricsSnapshot)
-		})
+	if *metricsOut != "" && !writeObsFile(*metricsOut, "metrics snapshot", func(w io.Writer) error {
+		return obs.WriteMetricsJSON(w, res.MetricsSnapshot)
+	}) {
+		return 1
 	}
+	return exit
 }
 
 // chaosObsExports writes the chaos soak's -metrics / -events outputs:
 // the per-cell snapshots summed into one registry view, and every
 // violating cell's flight-recorder dump (each prefixed with a
-// {"cell": ...} marker line, keeping the file valid NDJSON).
-func chaosObsExports(results []rr.ChaosResult) {
+// {"cell": ...} marker line, keeping the file valid NDJSON). It
+// returns false once a write fails.
+func chaosObsExports(results []rr.ChaosResult) bool {
 	if *metricsOut != "" {
 		snaps := make([][]obs.Sample, len(results))
 		for i := range results {
 			snaps[i] = results[i].MetricsSnapshot
 		}
-		writeObsFile(*metricsOut, "metrics snapshot (summed over cells)", func(w io.Writer) error {
+		if !writeObsFile(*metricsOut, "metrics snapshot (summed over cells)", func(w io.Writer) error {
 			return obs.WriteMetricsJSON(w, obs.MergeSnapshots(snaps...))
-		})
+		}) {
+			return false
+		}
 	}
 	if *eventsOut != "" {
-		writeObsFile(*eventsOut, "flight-recorder dumps", func(w io.Writer) error {
+		return writeObsFile(*eventsOut, "flight-recorder dumps", func(w io.Writer) error {
 			for _, r := range results {
 				if r.Violation == nil || len(r.Violation.Events) == 0 {
 					continue
@@ -136,4 +141,5 @@ func chaosObsExports(results []rr.ChaosResult) {
 			return nil
 		})
 	}
+	return true
 }

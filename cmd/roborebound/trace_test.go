@@ -48,7 +48,10 @@ func TestTraceQuickSmoke(t *testing.T) {
 	setFlag(t, perfettoOut, pf)
 	setFlag(t, metricsOut, mx)
 
-	got := capture(t, true, traceCmd)
+	got, exit := capture(t, true, traceCmd)
+	if exit != 0 {
+		t.Fatalf("trace exited %d:\n%s", exit, got)
+	}
 	for _, want := range []string{
 		"trace flocking", "audit-round-start", "token-granted",
 		"safe-mode-entered", "frame-rx", "wrote",
@@ -72,7 +75,9 @@ func TestTraceQuickSmoke(t *testing.T) {
 		t.Errorf("metrics snapshot lacks engine/radio metrics: %.200s", metrics1)
 	}
 
-	capture(t, true, traceCmd)
+	if _, exit := capture(t, true, traceCmd); exit != 0 {
+		t.Fatalf("second trace exited %d", exit)
+	}
 	events2 := readNonEmpty(t, ev, "NDJSON event log (2nd run)")
 	metrics2 := readNonEmpty(t, mx, "metrics snapshot (2nd run)")
 	if !bytes.Equal(events1, events2) {
@@ -112,7 +117,12 @@ func TestChaosObsExports(t *testing.T) {
 			},
 		},
 	}
-	got := capture(t, true, func() { chaosObsExports(results) })
+	got, _ := capture(t, true, func() int {
+		if !chaosObsExports(results) {
+			t.Error("chaosObsExports reported a failed write")
+		}
+		return 0
+	})
 	if !strings.Contains(got, "wrote") {
 		t.Errorf("export wrote nothing:\n%s", got)
 	}

@@ -94,11 +94,18 @@ func runTracedCell(t *testing.T, cfg ChaosConfig) (ChaosResult, []byte) {
 	col := obs.NewCollector()
 	cfg.Trace = col
 	res := RunChaos(cfg)
+	return res, traceNDJSON(t, cfg.Label(), col)
+}
+
+// traceNDJSON is the NDJSON serialization of the events col collected
+// in the cell named label.
+func traceNDJSON(t *testing.T, label string, col *obs.Collector) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := obs.WriteNDJSON(&buf, col.Events()); err != nil {
-		t.Fatalf("%s: serializing trace: %v", cfg.Label(), err)
+		t.Fatalf("%s: serializing trace: %v", label, err)
 	}
-	return res, buf.Bytes()
+	return buf.Bytes()
 }
 
 // assertMatchesBruteRecord runs one traced cell and compares it with

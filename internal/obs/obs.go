@@ -21,8 +21,8 @@
 //     simulation state, so an instrumented run and an uninstrumented
 //     run of the same (config, seed) are byte-identical;
 //   - the disabled path is free: all emit sites guard on a nil
-//     tracer, and Emit on a nil Tracer performs zero allocations
-//     (pinned by TestEmitDisabledZeroAlloc).
+//     tracer, so an untraced run allocates nothing to emit (pinned by
+//     the radio's steady-state allocation tests).
 package obs
 
 import (
@@ -187,18 +187,9 @@ func (e Event) String() string {
 // state, or instrumented runs would diverge from clean ones.
 //
 // A nil Tracer means "disabled"; every emit site in the repo guards
-// on nil (or calls Emit, which does), making the disabled path
-// zero-cost and allocation-free.
+// on nil, making the disabled path zero-cost and allocation-free.
 type Tracer interface {
 	Emit(Event)
-}
-
-// Emit forwards e to t if tracing is enabled. It is the nil-safe
-// helper for call sites that don't want to guard themselves.
-func Emit(t Tracer, e Event) {
-	if t != nil {
-		t.Emit(e)
-	}
 }
 
 // Collector is a Tracer that retains every event in emission order —

@@ -36,30 +36,6 @@ func TestEventString(t *testing.T) {
 	}
 }
 
-func TestEmitNilTracer(t *testing.T) {
-	// Must not panic.
-	Emit(nil, Event{Tick: 1, Robot: 2, Kind: EvFrameTx})
-}
-
-// TestEmitDisabledZeroAlloc pins the tentpole's "zero-alloc when
-// disabled" contract: constructing an event and offering it to a nil
-// tracer must not allocate.
-func TestEmitDisabledZeroAlloc(t *testing.T) {
-	var tr Tracer
-	allocs := testing.AllocsPerRun(1000, func() {
-		Emit(tr, Event{
-			Tick:  99,
-			Robot: 7,
-			Kind:  EvFrameRx,
-			Peer:  3,
-			Value: 128,
-		})
-	})
-	if allocs != 0 {
-		t.Fatalf("disabled-tracer emit allocates %v times per op, want 0", allocs)
-	}
-}
-
 func TestCollectorOrder(t *testing.T) {
 	c := NewCollector()
 	in := []Event{
@@ -68,7 +44,7 @@ func TestCollectorOrder(t *testing.T) {
 		{Tick: 4, Robot: 1, Kind: EvAuditRoundComplete, Value: 1},
 	}
 	for _, e := range in {
-		Emit(c, e)
+		c.Emit(e)
 	}
 	if c.Len() != len(in) {
 		t.Fatalf("Len = %d, want %d", c.Len(), len(in))

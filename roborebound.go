@@ -154,18 +154,6 @@ func NewSim(cfg SimConfig) *Sim {
 	return s
 }
 
-// detachAuditCache leaves every engine replaying each audit request it
-// serves: the oracle the protocol differential compares the shared
-// cache against. Nothing outside this package's tests reaches it.
-func (s *Sim) detachAuditCache() {
-	s.acache = nil
-	for _, id := range s.IDs() {
-		if eng := s.robots[id].Engine(); eng != nil {
-			eng.SetAuditCache(nil)
-		}
-	}
-}
-
 // Tick converts seconds to ticks.
 func (s *Sim) Tick(seconds float64) wire.Tick {
 	return wire.Tick(seconds * TicksPerSecond)

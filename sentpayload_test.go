@@ -9,13 +9,14 @@ import (
 
 // TestSentPayloadsStayPut holds every sender to the rule that a sent
 // payload is never written again (DESIGN.md, "Byte ownership on the
-// data path"). It runs the quick dense cell, attacker included, built
-// by RunChaos's own builder, with a transmit hook that clones every frame
-// the medium enqueues — small payloads carved from the robots' slabs,
-// request payloads, and at a 66-byte MTU the fragments cut from one
-// buffer — and checks at the end of the run that each payload still
-// holds the bytes it was sent with. The cell's fingerprint must be
-// RunChaos's: the hook observes the run without changing it.
+// data path"). It builds and runs the quick dense cell, attacker
+// included, by RunChaos's own steps, with a transmit hook that clones
+// every frame the medium enqueues — small payloads carved from the
+// robots' slabs, request payloads, and at a 66-byte MTU the fragments
+// cut from one buffer — and checks at the end of the run that each
+// payload still holds the bytes it was sent with. The cell's
+// fingerprint must be RunChaos's: the hook observes the run without
+// changing it.
 func TestSentPayloadsStayPut(t *testing.T) {
 	for _, mtu := range []int{0, 66} {
 		cfg := denseQuickCell(36)
@@ -42,8 +43,7 @@ func TestSentPayloadsStayPut(t *testing.T) {
 			}
 			return delay(from, f)
 		})
-		var res ChaosResult
-		runChaosTicks(s, cfg, &res)
+		res := cell.run(cfg)
 
 		if small == 0 || mtu > 0 && fragments == 0 {
 			t.Fatalf("MTU %d: %d small payloads and %d fragments sent; the run exercises nothing", mtu, small, fragments)
@@ -54,7 +54,7 @@ func TestSentPayloadsStayPut(t *testing.T) {
 					mtu, i, len(sent), sent[i], clones[i])
 			}
 		}
-		if got, want := chaosFingerprint(s), RunChaos(cfg).Metrics.Fingerprint; got != want {
+		if got, want := res.Metrics.Fingerprint, RunChaos(cfg).Metrics.Fingerprint; got != want {
 			t.Errorf("MTU %d: the hooked run's fingerprint %x is not RunChaos's %x", mtu, got, want)
 		}
 		t.Logf("MTU %d: %d payloads unchanged (%d small, %d fragments)", mtu, len(sent), small, fragments)

@@ -140,8 +140,7 @@ func (s *Sim) snapshotRun() *snapshot.Run {
 // at the tick of the ResumeFrom snapshot it applies first, and at each
 // boundary t, in order:
 //   - captures a snapshot if SnapshotAtTicks lists t;
-//   - returns at total, and on a latch re-run once the checker has
-//     latched;
+//   - returns at total;
 //   - checkpoints t and returns if Interrupt fires;
 //   - otherwise runs tick t.
 //
@@ -191,7 +190,7 @@ func runChaosTicks(s *Sim, cfg ChaosConfig, res *ChaosResult) {
 		if slices.Contains(cfg.SnapshotAtTicks, t) {
 			res.Snapshots = append(res.Snapshots, capture(t))
 		}
-		if t == total || cfg.flight != nil && s.checker.Violation() != nil {
+		if t == total {
 			return
 		}
 		if cfg.Interrupt != nil && cfg.Interrupt() {

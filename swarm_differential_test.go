@@ -12,9 +12,11 @@ package roborebound
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"roborebound/internal/faultinject"
+	"roborebound/internal/obs"
 )
 
 // TestProtocolPlaneDifferentialMatrix runs (controller × profile ×
@@ -44,11 +46,8 @@ func TestProtocolPlaneDifferentialMatrix(t *testing.T) {
 				}
 				t.Run(fmt.Sprintf("%s/%s/seed%d", controller, profile, seed), func(t *testing.T) {
 					t.Parallel()
-					cfg.detachAuditCache = true
-					ref, refTrace := runTracedCell(t, cfg)
-
-					cfg.detachAuditCache = false
-					fast, fastTrace := runTracedCell(t, cfg)
+					ref, refTrace := runCacheCell(t, cfg, false)
+					fast, fastTrace := runCacheCell(t, cfg, true)
 					assertCellsIdentical(t, cfg.Label()+" [cached]", ref, fast, refTrace, fastTrace)
 					record(cfg, fast.Metrics.Fingerprint)
 				})
@@ -64,16 +63,59 @@ func TestProtocolPlaneDifferentialSwarmCell(t *testing.T) {
 		t.Skip("swarm cell is slow")
 	}
 	cfg := ChaosConfig{
-		Controller:       "flocking",
-		Profile:          faultinject.ProfileNone,
-		Seed:             7,
-		N:                60,
-		DurationSec:      12,
-		SpacingM:         40,
-		detachAuditCache: true,
+		Controller:  "flocking",
+		Profile:     faultinject.ProfileNone,
+		Seed:        7,
+		N:           60,
+		DurationSec: 12,
+		SpacingM:    40,
 	}
-	ref, refTrace := runTracedCell(t, cfg)
-	cfg.detachAuditCache = false
-	fast, fastTrace := runTracedCell(t, cfg)
+	ref, refTrace := runCacheCell(t, cfg, false)
+	fast, fastTrace := runCacheCell(t, cfg, true)
 	assertCellsIdentical(t, cfg.Label()+" [cached]", ref, fast, refTrace, fastTrace)
+}
+
+// runCacheCell runs cfg's cell traced, built and run by RunChaos's own
+// steps, with the swarm-shared audit cache detached unless cached. The
+// differential must not pass vacuously: the uncached cell may hold a
+// cache nowhere, and the cached cell's shared cache must have hits.
+func runCacheCell(t *testing.T, cfg ChaosConfig, cached bool) (ChaosResult, []byte) {
+	t.Helper()
+	col := obs.NewCollector()
+	cfg.Trace = col
+	cfg = cfg.withDefaults()
+	cell := buildChaosCell(cfg)
+	s := cell.sim
+	if !cached {
+		s.detachAuditCache()
+	}
+	res := cell.run(cfg)
+	if cached {
+		if hits, misses := s.acache.HitsMisses(); hits == 0 {
+			t.Errorf("%s: the shared audit cache recorded no hits (%d misses); the differential compares nothing", cfg.Label(), misses)
+		}
+	} else {
+		if s.acache != nil {
+			t.Errorf("%s: the uncached cell keeps a shared audit cache", cfg.Label())
+		}
+		for _, id := range s.IDs() {
+			if eng := s.Robot(id).Engine(); eng != nil && !reflect.ValueOf(eng).Elem().FieldByName("acache").IsNil() {
+				t.Errorf("%s: robot %d's engine keeps an audit cache in the uncached cell", cfg.Label(), id)
+			}
+		}
+	}
+	return res, traceNDJSON(t, cfg.Label(), col)
+}
+
+// detachAuditCache leaves every engine replaying each audit request it
+// serves: the oracle the protocol differential compares the shared
+// cache against. An engine with no cache is a state the code supports
+// anyway (keyless auditors, the benchmark drills).
+func (s *Sim) detachAuditCache() {
+	s.acache = nil
+	for _, id := range s.IDs() {
+		if eng := s.robots[id].Engine(); eng != nil {
+			eng.SetAuditCache(nil)
+		}
+	}
 }
