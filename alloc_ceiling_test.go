@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"roborebound/internal/faultinject"
+	"roborebound/internal/geom"
+	"roborebound/internal/obs"
 	"roborebound/internal/wire"
 )
 
@@ -18,6 +20,19 @@ import (
 // these are machine-independent gates. A change that lowers a measured
 // value lowers its ceiling with it; nothing raises one.
 //
+//	sparse  2.570 allocations and 1 625 B since a protected robot is
+//	        built in six allocations, not 28: its Robot, trusted pair
+//	        and engine share one block, keys, chains, log and histogram
+//	        are held by value, and the a-node's hooks are the robot
+//	        itself (3.227 and 1 664 B before; 2.810 and 1 667 B under
+//	        -race).
+//	dense   1.170 allocations and 2 549 B since then (1.347 and 2 559 B
+//	        before; 1.257 and 2 567 B under -race).
+//	matrix  0.702 allocations and 604 B since then (0.791 and 609 B
+//	        before; 0.734 and 607 B under -race). 5 % above 604 B is the
+//	        byte ceiling already.
+//	fragmented 1.087 allocations and 1 515 B since then (1.176 and
+//	        1 520 B before; 1.114 and 1 518 B under -race).
 //	matrix  0.791 allocations and 610 B since each sender carves its
 //	        small payloads from a slab of its own and a fragmented frame
 //	        is cut into one buffer (1.082 and 604 B before; 0.825 and
@@ -70,22 +85,26 @@ import (
 //	        component. Before that:
 //	sparse  6.816 allocations and 2 125 B at PR 20 (7.250 and 2 552 B at
 //	        PR 19, 11.415 on its parent). Construction — keys, chains,
-//	        registries — is over a quarter of what is left; a cell of
-//	        this shape spreads it over 32 ticks only.
+//	        registries — was over a quarter of what was left then; a
+//	        cell of this shape spreads it over 32 ticks only. Building a
+//	        protected robot is now held on its own, by
+//	        TestProtectedRobotBuildAllocations.
 //
 // What is left of the bytes is what is sent: each of a round's f_max+1
 // request frames owns a whole payload (DESIGN.md, "Byte ownership on
 // the data path"), and the log window's growth. The small payloads sent
 // share chunks, so their bytes now cost a fraction of an allocation.
+// What is left of a sparse robot's construction is six allocations over
+// its 32 ticks, ~0.19 per robot-tick.
 const (
-	denseCellAllocCeiling      = 1.48
-	sparseCellAllocCeiling     = 3.55
-	matrixCellAllocCeiling     = 0.87
-	fragmentedCellAllocCeiling = 1.29
-	denseCellBytesCeiling      = 2681
-	sparseCellBytesCeiling     = 1739
+	denseCellAllocCeiling      = 1.29
+	sparseCellAllocCeiling     = 2.83
+	matrixCellAllocCeiling     = 0.77
+	fragmentedCellAllocCeiling = 1.20
+	denseCellBytesCeiling      = 2676
+	sparseCellBytesCeiling     = 1706
 	matrixCellBytesCeiling     = 634
-	fragmentedCellBytesCeiling = 1672
+	fragmentedCellBytesCeiling = 1667
 )
 
 // The most bytes the quick dense cell may keep, ratcheted the same way:
@@ -271,5 +290,41 @@ func holdCellUnderCeiling(t *testing.T, name string, ceiling, bytesCeiling float
 		t.Errorf("%s cells make %.2f allocations of %.0f B per robot-tick, over the ceilings of %.2f and %.0f: "+
 			"find what allocates (go test -run 'Test.*AllocationCeiling' -memprofile) instead of raising a ceiling",
 			name, got, gotBytes, ceiling, bytesCeiling)
+	}
+}
+
+// protectedRobotBuildCeiling is the most heap allocations building one
+// protected robot through Sim.AddRobot may make in a faulted,
+// instrumented cell: the robot's own block (the Robot, its s-node,
+// a-node and protocol engine), its physics body, its controller, its
+// skewed trusted clock and the two a-node methods the engine binds.
+// It read 28 before the block: the Robot, nodes, engine, log and
+// histogram on their own, four hook closures, four LightMACs (two of
+// them master-key MACs dropped at once), two chains, two master-key
+// copies, three method values and a two-object skewed clock.
+const protectedRobotBuildCeiling = 6
+
+// TestProtectedRobotBuildAllocations holds building a protected robot
+// under protectedRobotBuildCeiling. The cell is faulted (every robot's
+// trusted clock is skewed, so each gets a clock of its own) and
+// registers metrics, as a chaos cell does. Each run adds a robot with a
+// new ID; the sim's robot map and actor list grow by doubling, which
+// the average truncates away.
+func TestProtectedRobotBuildAllocations(t *testing.T) {
+	sched := faultinject.Schedule{Faults: []faultinject.Fault{
+		{Kind: faultinject.ClockSkew, Start: 0, Duration: 100, OffsetTicks: 2},
+	}}
+	s := NewSim(SimConfig{Seed: 1, Faults: &sched, Metrics: obs.NewRegistry()})
+	_, factory := FlockScenario{N: 1, Spacing: 20, Goal: geom.V(100, 100)}.layout()
+	id := wire.RobotID(0)
+	got := testing.AllocsPerRun(200, func() {
+		id++
+		s.AddRobot(id, geom.V(float64(id), 0), factory, true)
+	})
+	t.Logf("building a protected robot: %.0f allocations, ceiling %d", got, protectedRobotBuildCeiling)
+	if got > protectedRobotBuildCeiling {
+		t.Errorf("building a protected robot makes %.0f allocations, over the ceiling of %d: "+
+			"find what robot.New allocates beside its block (-memprofile) instead of raising the ceiling",
+			got, protectedRobotBuildCeiling)
 	}
 }

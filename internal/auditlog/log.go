@@ -46,10 +46,12 @@ func newPending(cp Checkpoint, index int) pendingCheckpoint {
 // Append copies the entry's bytes onto its end, MarkCovered compacts it
 // in place, so a warmed log allocates nothing; nobody on the c-node
 // reads a logged payload back, so no decoded copy is kept.
+//
+// The zero Log is an empty log starting at boot, so a holder can keep
+// one by value.
 type Log struct {
-	fromBoot bool
-	start    *CoveredCheckpoint // nil ⇔ fromBoot
-	startEnc []byte             // start.CP's encoding, nil ⇔ fromBoot
+	start    *CoveredCheckpoint // nil ⇔ the window starts at boot
+	startEnc []byte             // start.CP's encoding, nil ⇔ from boot
 	pending  []pendingCheckpoint
 
 	// encoded is the concatenation of the retained entries' encodings;
@@ -64,9 +66,7 @@ type Log struct {
 }
 
 // New returns an empty log starting at boot.
-func New() *Log {
-	return &Log{fromBoot: true}
-}
+func New() *Log { return new(Log) }
 
 // Append records one input/output entry. The payload is copied into
 // the window, so the caller's bytes may be borrowed scratch.
@@ -136,7 +136,6 @@ func (l *Log) MarkCovered(hash cryptolite.ChainHash, tokens []wire.Token) error 
 		l.start.CP = p.cp
 		l.start.Tokens = append(l.start.Tokens[:0], tokens...)
 		l.startEnc = p.enc
-		l.fromBoot = false
 		l.truncations++
 		return nil
 	}
@@ -169,7 +168,7 @@ func (l *Log) SegmentTo(hash cryptolite.ChainHash) (Segment, error) {
 			continue
 		}
 		return Segment{
-			FromBoot: l.fromBoot,
+			FromBoot: l.start == nil,
 			Start:    l.start,
 			End:      p.cp,
 			EndHash:  p.hash,
@@ -191,7 +190,7 @@ func (l *Log) LatestCheckpoint() (cryptolite.ChainHash, bool) {
 }
 
 // FromBoot reports whether the retained window starts at power-up.
-func (l *Log) FromBoot() bool { return l.fromBoot }
+func (l *Log) FromBoot() bool { return l.start == nil }
 
 // Start returns the covered start checkpoint, or nil if from boot.
 func (l *Log) Start() *CoveredCheckpoint { return l.start }

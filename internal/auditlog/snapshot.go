@@ -18,7 +18,7 @@ import (
 // EncodeState serializes the log as an opaque blob.
 func (l *Log) EncodeState() []byte {
 	w := wire.NewWriter(64 + len(l.encoded))
-	w.Bool(l.fromBoot)
+	w.Bool(l.start == nil)
 	w.Bool(l.start != nil)
 	if l.start != nil {
 		w.Blob(l.startEnc)
@@ -78,7 +78,6 @@ func (l *Log) RestoreState(b []byte) error {
 	}
 	// Rebuild through Append so the window, its offsets and the byte
 	// accounting are regenerated by the same code the live path uses.
-	l.fromBoot = fromBoot
 	l.start = start
 	l.startEnc = nil
 	if start != nil {

@@ -25,7 +25,7 @@ type Engine struct {
 
 	snode *trusted.SNode //rebound:snapshot-skip trusted node carries its own codec, wired at rebuild
 	anode *trusted.ANode //rebound:snapshot-skip trusted node carries its own codec, wired at rebuild
-	log   *auditlog.Log
+	log   auditlog.Log
 
 	// send is the a-node's SendWirelessEnc: it returns the frame
 	// encoding the a-node's chain witnessed (nil for audit frames), lent
@@ -56,9 +56,14 @@ type Engine struct {
 	// engine.
 	acache *AuditCache //rebound:snapshot-skip swarm-level cache, snapshotted once by the runner
 
-	stats        Stats
-	trace        obs.Tracer     //rebound:snapshot-skip observer wiring, reattached at rebuild
-	roundLatency *obs.Histogram // start→covered latency in ticks; nil unless instrumented
+	stats Stats
+	trace obs.Tracer //rebound:snapshot-skip observer wiring, reattached at rebuild
+	// roundLatency is the start→covered latency in ticks: &latency once
+	// instrumented, nil before. latency tallies into latencyCounts, so
+	// the engine holds its histogram whole.
+	roundLatency  *obs.Histogram
+	latency       obs.Histogram                       //rebound:snapshot-skip roundLatency's storage, carried through it
+	latencyCounts [len(roundLatencyBounds) + 1]uint64 //rebound:snapshot-skip roundLatency's storage, carried through it
 
 	// perf attributes wall-clock time to the engine's protocol phases:
 	// audit serves (split cache-hit/miss on the cached plane) and
@@ -152,33 +157,40 @@ func (r *auditRound) markAsked(id wire.RobotID) bool {
 	return !found
 }
 
-// NewEngine constructs the protocol engine for one robot. The caller
-// provisions the trusted nodes (master + mission keys) separately.
-// send is the a-node's SendWirelessEnc (or an equivalent hook that
-// returns the chained frame encoding, nil for audit frames); the
-// engine treats the returned bytes as borrowed and copies them into its
-// log before calling send again.
+// NewEngine constructs the protocol engine for one robot (see Init).
 func NewEngine(id wire.RobotID, cfg Config, factory control.Factory,
 	snode *trusted.SNode, anode *trusted.ANode, send func(wire.Frame) ([]byte, bool)) *Engine {
-	e := &Engine{
+	e := new(Engine)
+	e.Init(id, cfg, factory, snode, anode, send)
+	return e
+}
+
+// Init sets e up in place as the protocol engine for one robot, with
+// an empty log and a fresh controller. The caller provisions the
+// trusted nodes (master + mission keys) separately. send is the
+// a-node's SendWirelessEnc (or an equivalent hook that returns the
+// chained frame encoding, nil for audit frames); the engine treats the
+// returned bytes as borrowed and copies them into its log before
+// calling send again.
+func (e *Engine) Init(id wire.RobotID, cfg Config, factory control.Factory,
+	snode *trusted.SNode, anode *trusted.ANode, send func(wire.Frame) ([]byte, bool)) {
+	*e = Engine{
 		id:      id,
 		cfg:     cfg,
 		factory: factory,
 		ctrl:    factory.New(id),
 		snode:   snode,
 		anode:   anode,
-		log:     auditlog.New(),
 		send:    send,
 	}
 	if anode != nil {
 		e.checkAuth = anode.CheckAuthenticator
 	}
-	return e
 }
 
 // roundLatencyBounds are the round-latency histogram's buckets, in
 // ticks, shared by every engine's histogram.
-var roundLatencyBounds = []float64{1, 2, 4, 8, 16, 32, 64}
+var roundLatencyBounds = [...]float64{1, 2, 4, 8, 16, 32, 64}
 
 // Instrument attaches the observability layer: protocol events go to
 // tr (nil disables tracing at zero cost) and, when reg is non-nil,
@@ -191,7 +203,8 @@ func (e *Engine) Instrument(tr obs.Tracer, reg *obs.Registry) {
 		return
 	}
 	e.stats = Stats{}
-	e.roundLatency = obs.NewHistogram(roundLatencyBounds)
+	e.latency.Init(roundLatencyBounds[:], e.latencyCounts[:])
+	e.roundLatency = &e.latency
 	reg.Register("core.robot.", uint64(e.id), e)
 }
 
@@ -248,7 +261,7 @@ func (e *Engine) SetAuditCache(c *AuditCache) { e.acache = c }
 func (e *Engine) Controller() control.Controller { return e.ctrl }
 
 // Log exposes the audit log for storage accounting.
-func (e *Engine) Log() *auditlog.Log { return e.log }
+func (e *Engine) Log() *auditlog.Log { return &e.log }
 
 // Stats returns a snapshot of the protocol counters.
 func (e *Engine) Stats() Stats { return e.stats }

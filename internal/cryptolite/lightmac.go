@@ -27,7 +27,8 @@ const (
 )
 
 // LightMAC holds the two expanded cipher keys, by value: a keyed node
-// is one object, and both schedules are expanded in place.
+// holds its LightMAC as a field, and both schedules are expanded in
+// place. The zero value holds no key.
 type LightMAC struct {
 	k1, k2 Present
 }
@@ -41,23 +42,31 @@ func NewLightMAC(k1, k2 [PresentKeySize]byte) *LightMAC {
 	return m
 }
 
-// NewLightMACFromSecret derives the two PRESENT keys from arbitrary
-// key material via SHA-1 (domain-separated), mirroring how the mission
-// key — delivered as a single secret by LOADMISSIONKEY — keys every
-// MAC on the trusted nodes.
+// NewLightMACFromSecret returns a LightMAC keyed by Rekey(secret).
 func NewLightMACFromSecret(secret []byte) *LightMAC {
+	m := new(LightMAC)
+	m.Rekey(secret)
+	return m
+}
+
+// Rekey expands into m, in place, the two PRESENT keys derived from
+// arbitrary key material via SHA-1 (domain-separated), mirroring how
+// the mission key — delivered as a single secret by LOADMISSIONKEY —
+// keys every MAC on the trusted nodes.
+func (m *LightMAC) Rekey(secret []byte) {
 	// secret ‖ tag is built once; only the tag byte differs between the
 	// two derivations. Secrets here are a mission key or a prefixed
 	// master key; a longer one spills to the heap and still works.
 	var buf [96]byte
 	in := append(append(buf[:0], secret...), 0x01)
-	var k1, k2 [PresentKeySize]byte
+	var k [PresentKeySize]byte
 	h := SHA1(in)
-	copy(k1[:], h[:PresentKeySize])
+	copy(k[:], h[:PresentKeySize])
+	m.k1.expand(k)
 	in[len(secret)] = 0x02
 	h = SHA1(in)
-	copy(k2[:], h[:PresentKeySize])
-	return NewLightMAC(k1, k2)
+	copy(k[:], h[:PresentKeySize])
+	m.k2.expand(k)
 }
 
 // MAC computes the 64-bit tag over msg.

@@ -142,7 +142,8 @@ func TestNewLightMACFromSecretDomainSeparation(t *testing.T) {
 // The derivation is K1 = SHA1(secret ‖ 0x01)[:10], K2 = SHA1(secret ‖
 // 0x02)[:10], whatever the secret's length — including the lengths at
 // which secret ‖ tag outgrows the stack buffer it is built in — and a
-// keyed instance is a single object with both schedules inside.
+// keyed instance is a single object with both schedules inside, which
+// Rekey fills in place without allocating.
 func TestNewLightMACFromSecretDerivation(t *testing.T) {
 	msg := []byte("a message longer than one chunk")
 	for _, n := range []int{0, 1, SHA1Size, 94, 95, 96, 97, 300} {
@@ -167,6 +168,13 @@ func TestNewLightMACFromSecretDerivation(t *testing.T) {
 	secret := make([]byte, SHA1Size)
 	if allocs := testing.AllocsPerRun(50, func() { sinkMAC = NewLightMACFromSecret(secret) }); allocs != 1 {
 		t.Errorf("keying from a mission-key-sized secret allocates %v objects, want 1 (the LightMAC)", allocs)
+	}
+	var m LightMAC
+	if allocs := testing.AllocsPerRun(50, func() { m.Rekey(secret) }); allocs != 0 {
+		t.Errorf("rekeying in place from a mission-key-sized secret allocates %v objects, want 0", allocs)
+	}
+	if m != *NewLightMACFromSecret(secret) {
+		t.Error("Rekey and NewLightMACFromSecret expand different schedules from one secret")
 	}
 }
 

@@ -351,25 +351,20 @@ func (s *Schedule) TxDelay(clock func() wire.Tick) radio.TxDelay {
 // when no ClockSkew fault ever targets id (use the engine clock
 // directly). The returned clock clamps at 0 — wire.Tick is unsigned
 // and a skewed clock before mission start reads as "still tick 0".
+// Like the medium's hooks it scans the schedule at each reading, so a
+// robot's clock is one closure and nothing else.
 func (s *Schedule) Clock(id wire.RobotID, base func() wire.Tick) func() wire.Tick {
-	var mine []int
-	for i := range s.Faults {
-		if s.Faults[i].Kind == ClockSkew && s.Faults[i].TargetsRobot(id) {
-			mine = append(mine, i)
-		}
-	}
-	if len(mine) == 0 {
+	if !slices.ContainsFunc(s.Faults, func(f Fault) bool { return f.skews(id) }) {
 		return nil
 	}
 	return func() wire.Tick {
 		now := base()
 		off := int64(0)
-		for _, i := range mine {
+		for i := range s.Faults {
 			f := &s.Faults[i]
-			if !f.ActiveAt(now) {
-				continue
+			if f.skews(id) && f.ActiveAt(now) {
+				off += f.OffsetTicks + f.DriftPer1024*int64(now-f.Start)/1024
 			}
-			off += f.OffsetTicks + f.DriftPer1024*int64(now-f.Start)/1024
 		}
 		skewed := int64(now) + off
 		if skewed < 0 {
@@ -378,6 +373,9 @@ func (s *Schedule) Clock(id wire.RobotID, base func() wire.Tick) func() wire.Tic
 		return wire.Tick(skewed)
 	}
 }
+
+// skews reports whether f skews robot id's trusted clock.
+func (f *Fault) skews(id wire.RobotID) bool { return f.Kind == ClockSkew && f.TargetsRobot(id) }
 
 // --- Deterministic generation ----------------------------------------
 

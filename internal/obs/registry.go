@@ -53,11 +53,23 @@ type Histogram struct {
 // distributions — use one directly. No samples are retained: quantiles
 // come from the bucket tallies via Quantile.
 func NewHistogram(bounds []float64) *Histogram {
+	h := new(Histogram)
+	h.Init(bounds, make([]uint64, len(bounds)+1))
+	return h
+}
+
+// Init sets h up in place as an empty histogram over bounds, taken as
+// NewHistogram takes them, that tallies into counts: storage the
+// caller owns, len(bounds)+1 long. A holder that keeps a fixed array
+// beside the histogram holds it whole, with nothing else to allocate.
+func (h *Histogram) Init(bounds []float64, counts []uint64) {
 	if !slices.IsSorted(bounds) {
 		bounds = slices.Clone(bounds)
 		slices.Sort(bounds)
 	}
-	return &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
+	counts = counts[:len(bounds)+1]
+	clear(counts)
+	*h = Histogram{bounds: bounds, counts: counts}
 }
 
 // Observe records one sample.

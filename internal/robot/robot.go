@@ -96,16 +96,30 @@ type Robot struct {
 	validTokens int        // last ValidTokenCount seen (expiry-event polling)
 }
 
+// protected is a protected robot's own state in one allocation: the
+// Robot, its trusted s-node and a-node, and its protocol engine. The
+// Robot's node and engine pointers point into it.
+type protected struct {
+	Robot
+	snode  trusted.SNode
+	anode  trusted.ANode
+	engine core.Engine
+}
+
 // New wires up a robot. body must already be placed in the world;
 // clock must report the engine's current tick.
 //
 //rebound:clock clock=engine
 func New(cfg Config, body *sim.Body, medium *radio.Medium, clock func() wire.Tick) *Robot {
-	r := &Robot{id: cfg.ID, cfg: cfg, body: body, medium: medium, clock: clock, trace: cfg.Trace}
 	if !cfg.Protected {
+		r := &Robot{id: cfg.ID, cfg: cfg, body: body, medium: medium, clock: clock, trace: cfg.Trace}
 		r.ctrl = cfg.Factory.New(cfg.ID)
 		return r
 	}
+	b := new(protected)
+	r := &b.Robot
+	*r = Robot{id: cfg.ID, cfg: cfg, body: body, medium: medium, clock: clock, trace: cfg.Trace,
+		snode: &b.snode, anode: &b.anode, engine: &b.engine}
 
 	//rebound:clockmix zero-skew default: with no injected TrustedClock the robot's local timer IS the engine tick
 	r.pclock = clock
@@ -113,30 +127,39 @@ func New(cfg Config, body *sim.Body, medium *radio.Medium, clock func() wire.Tic
 		r.pclock = cfg.TrustedClock
 	}
 	tclock := trusted.Clock(r.pclock)
-	r.snode = trusted.NewSNode(cfg.Core.BatchSize, tclock)
-	r.anode = trusted.NewANode(cfg.Core.ANodeConfig(), tclock,
-		func(f wire.Frame) { medium.Send(cfg.ID, f) },
-		func(f wire.Frame, enc []byte) { r.engine.OnFrameEnc(f, enc) },
-		func(cmd wire.ActuatorCmd) { r.body.Acc = geom.V(cmd.AccX, cmd.AccY) },
-		func() {
-			r.body.Disabled = true
-			r.inSafeMode = true
-			r.safeModeAt = clock()
-			if r.trace != nil {
-				r.trace.Emit(obs.Event{Tick: r.safeModeAt, Robot: r.id,
-					Kind: obs.EvSafeModeEntered})
-			}
-		},
-	)
+	r.snode.Init(cfg.Core.BatchSize, tclock)
+	r.anode.Init(cfg.Core.ANodeConfig(), tclock, (*hardware)(r))
 	r.snode.LoadMasterKey(cfg.Master, cfg.ID)
 	r.anode.LoadMasterKey(cfg.Master, cfg.ID)
 	r.snode.LoadMissionKey(cfg.Sealed)
 	r.anode.LoadMissionKey(cfg.Sealed)
-	r.engine = core.NewEngine(cfg.ID, cfg.Core, cfg.Factory, r.snode, r.anode, r.anode.SendWirelessEnc)
+	r.engine.Init(cfg.ID, cfg.Core, cfg.Factory, r.snode, r.anode, r.anode.SendWirelessEnc)
 	r.engine.SetAuditCache(cfg.AuditCache)
 	r.engine.Instrument(cfg.Trace, cfg.Metrics)
 	r.engine.SetPerf(cfg.Perf)
 	return r
+}
+
+// hardware is a protected robot as its a-node sees it: the radio, the
+// c-node, the motors and the kill switch the node is wired to (Fig. 3,
+// trusted.Wiring). It is the Robot itself under another method set, so
+// wiring the node costs nothing, and no Robot method reaches the
+// hardware around the node.
+type hardware Robot
+
+func (h *hardware) ToNIC(f wire.Frame) { h.medium.Send(h.id, f) }
+
+func (h *hardware) ToCNode(f wire.Frame, enc []byte) { h.engine.OnFrameEnc(f, enc) }
+
+func (h *hardware) ToActuator(cmd wire.ActuatorCmd) { h.body.Acc = geom.V(cmd.AccX, cmd.AccY) }
+
+func (h *hardware) SafeMode() {
+	h.body.Disabled = true
+	h.inSafeMode = true
+	h.safeModeAt = h.clock()
+	if h.trace != nil {
+		h.trace.Emit(obs.Event{Tick: h.safeModeAt, Robot: h.id, Kind: obs.EvSafeModeEntered})
+	}
 }
 
 // ActorID implements sim.Actor.

@@ -64,11 +64,8 @@ type ANode struct {
 
 	safeMode   bool
 	graceUntil wire.Tick // token checks start TVal after mission start
-	onSafeMode func()    //rebound:snapshot-skip kill-switch wiring, reattached at rebuild
 
-	toNIC      func(wire.Frame)         //rebound:snapshot-skip hardware wiring, reattached at rebuild
-	toCNode    func(wire.Frame, []byte) //rebound:snapshot-skip hardware wiring, reattached at rebuild
-	toActuator func(wire.ActuatorCmd)   //rebound:snapshot-skip hardware wiring, reattached at rebuild
+	wiring Wiring //rebound:snapshot-skip hardware wiring, reattached at rebuild
 
 	// rxEnc and txEnc back the encodings the node lends to the c-node:
 	// received frames in one, sent frames and actuator commands in the
@@ -80,26 +77,72 @@ type ANode struct {
 	txEnc []byte //rebound:snapshot-skip write-only scratch, no retained state
 }
 
-// NewANode constructs an a-node. The three forwarding hooks model the
-// wiring of Fig. 3 (c-node ↔ radio, c-node ↔ motors); nil hooks drop.
-// The c-node hook also receives the received frame's encoding as the
-// chain commits it (nil for unchained audit frames), on loan for the
-// duration of the call — see RecvWireless. onSafeMode is the
-// kill-switch callback; it fires at most once.
+// Wiring is what an a-node is wired to (Fig. 3): the radio, the
+// c-node, the motors and the kill switch. The a-node calls it; nothing
+// reaches the hardware around the node.
+type Wiring interface {
+	// ToNIC transmits a frame the node forwarded from the c-node.
+	ToNIC(f wire.Frame)
+	// ToCNode hands a received frame up to the c-node, with the
+	// encoding the chain commits (nil for unchained audit frames), on
+	// loan for the duration of the call — see RecvWireless.
+	ToCNode(f wire.Frame, enc []byte)
+	// ToActuator drives the motors.
+	ToActuator(cmd wire.ActuatorCmd)
+	// SafeMode fires the kill switch, at most once per power-up.
+	SafeMode()
+}
+
+// NewANode constructs an a-node wired to four hooks: c-node ↔ radio,
+// c-node ↔ motors, and the kill switch (see Wiring); nil hooks drop.
+// It is Init with the hooks as the node's Wiring.
 func NewANode(cfg ANodeConfig, clock Clock,
 	toNIC func(wire.Frame), toCNode func(wire.Frame, []byte), toActuator func(wire.ActuatorCmd),
 	onSafeMode func()) *ANode {
+	a := new(ANode)
+	a.Init(cfg, clock, &hooks{toNIC, toCNode, toActuator, onSafeMode})
+	return a
+}
+
+// Init sets a up in place as a fresh, unprovisioned a-node enforcing
+// cfg on its own local timer, wired to w (which must not be nil).
+func (a *ANode) Init(cfg ANodeConfig, clock Clock, w Wiring) {
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = DefaultBatchSize
 	}
-	return &ANode{
-		nodeBase:   newNodeBase(wire.NodeA, cfg.BatchSize, clock),
-		cfg:        cfg,
-		bktLvl:     cfg.BucketCapacity,
-		toNIC:      toNIC,
-		toCNode:    toCNode,
-		toActuator: toActuator,
-		onSafeMode: onSafeMode,
+	*a = ANode{cfg: cfg, bktLvl: cfg.BucketCapacity, wiring: w}
+	a.nodeBase.init(wire.NodeA, cfg.BatchSize, clock)
+}
+
+// hooks is NewANode's Wiring: four funcs, any of which may be nil.
+type hooks struct {
+	toNIC      func(wire.Frame)
+	toCNode    func(wire.Frame, []byte)
+	toActuator func(wire.ActuatorCmd)
+	onSafeMode func()
+}
+
+func (h *hooks) ToNIC(f wire.Frame) {
+	if h.toNIC != nil {
+		h.toNIC(f)
+	}
+}
+
+func (h *hooks) ToCNode(f wire.Frame, enc []byte) {
+	if h.toCNode != nil {
+		h.toCNode(f, enc)
+	}
+}
+
+func (h *hooks) ToActuator(cmd wire.ActuatorCmd) {
+	if h.toActuator != nil {
+		h.toActuator(cmd)
+	}
+}
+
+func (h *hooks) SafeMode() {
+	if h.onSafeMode != nil {
+		h.onSafeMode()
 	}
 }
 
@@ -142,9 +185,7 @@ func (a *ANode) invokeSafeMode() {
 	}
 	a.safeMode = true
 	a.zeroKey()
-	if a.onSafeMode != nil {
-		a.onSafeMode()
-	}
+	a.wiring.SafeMode()
 }
 
 // CheckTokens runs periodically (Algorithm 4): count installed tokens
@@ -195,9 +236,7 @@ func (a *ANode) RecvWireless(f wire.Frame) {
 		a.rxEnc = f.AppendEncode(a.rxEnc[:0])
 		enc = a.rxEnc
 	}
-	if a.toCNode != nil {
-		a.toCNode(f, enc)
-	}
+	a.wiring.ToCNode(f, enc)
 	if enc != nil {
 		a.appendToChain(wire.EntryRecv, enc)
 	}
@@ -217,9 +256,7 @@ func (a *ANode) SendWirelessEnc(f wire.Frame) ([]byte, bool) {
 	if !f.IsAudit() && len(f.Payload) > wire.MaxLoggedPayload {
 		return nil, false
 	}
-	if a.toNIC != nil {
-		a.toNIC(f)
-	}
+	a.wiring.ToNIC(f)
 	if f.IsAudit() {
 		return nil, true
 	}
@@ -238,9 +275,7 @@ func (a *ANode) ActuatorCmdEnc(cmd wire.ActuatorCmd) ([]byte, bool) {
 	if !a.HasKey() {
 		return nil, false
 	}
-	if a.toActuator != nil {
-		a.toActuator(cmd)
-	}
+	a.wiring.ToActuator(cmd)
 	a.txEnc = cmd.AppendEncode(a.txEnc[:0])
 	a.appendToChain(wire.EntryActuator, a.txEnc)
 	return a.txEnc, true

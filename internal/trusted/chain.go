@@ -70,11 +70,6 @@ func (c *Chain) ResetAt(top cryptolite.ChainHash, batchSize int) {
 	c.top, c.batchSize, c.pending = top, batchSize, 0
 }
 
-// Fresh returns an empty chain at h₀ with the same batch size, for
-// power-cycle modeling (RAM state is lost, the hardware is not swapped
-// out).
-func (c *Chain) Fresh() *Chain { return NewChain(c.batchSize) }
-
 // AppendEntry appends the log entry (kind, payload); when the pending
 // count reaches the batch size the chain advances. The entry is hashed
 // immediately and nothing is retained, so callers may reuse their

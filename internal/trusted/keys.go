@@ -8,7 +8,13 @@
 //
 // The package follows Algorithms 2–4 of the paper. Functions the
 // c-node can invoke are exported methods; everything else is private,
-// mirroring the ROM/RAM split on the real MCUs.
+// mirroring the ROM/RAM split on the real MCUs. Node state is
+// fixed-size, as on an MCU with no heap: keys, key schedules and the
+// hash chain are held by value, the a-node's wiring is one interface
+// value, and a host can embed both nodes in a larger object and set
+// them up in place with Init. What still grows is bounded by the
+// mission, not by time: the token map (one slot per auditor) and the
+// buffers that lend encodings to the c-node.
 package trusted
 
 import (
@@ -31,15 +37,17 @@ const (
 // MissionKeySize is the size of the (blinded) mission key in bytes.
 const MissionKeySize = cryptolite.SHA1Size
 
-// masterKeyStack is how many master-key bytes the two derivations
-// below hold in a local array; a longer key still works, its input
-// just spills to the heap.
+// masterKeyStack is how many master-key bytes a node holds inline and
+// the two derivations below in a local array; a longer key still
+// works, its copy and its derivation inputs just spill to the heap.
 const masterKeyStack = 64
 
-// masterMAC derives the LightMAC instance keyed by the master key.
-func masterMAC(master []byte) *cryptolite.LightMAC {
+// masterMAC derives the LightMAC keyed by the master key, by value: a
+// caller keeps it on its stack for the one MAC it needs.
+func masterMAC(master []byte) (m cryptolite.LightMAC) {
 	var buf [len("master:") + masterKeyStack]byte
-	return cryptolite.NewLightMACFromSecret(append(append(buf[:0], "master:"...), master...))
+	m.Rekey(append(append(buf[:0], "master:"...), master...))
+	return m
 }
 
 // blindPad computes H(r ‖ masterKey), the pad that blinds the mission
@@ -85,11 +93,12 @@ func SealMissionKey(master []byte, mission [MissionKeySize]byte, r, seq uint64) 
 		blinded[i] = mission[i] ^ pad[i]
 	}
 	in := mkeyMACInput(blinded, r, seq)
+	mm := masterMAC(master)
 	return SealedMissionKey{
 		Blinded: blinded,
 		R:       r,
 		Seq:     seq,
-		Mac:     masterMAC(master).MAC(in[:]),
+		Mac:     mm.MAC(in[:]),
 	}
 }
 

@@ -77,7 +77,8 @@ func TestMACInputLayouts(t *testing.T) {
 			}
 			msg := []byte("probe")
 			want := cryptolite.NewLightMACFromSecret(append([]byte("master:"), master...)).MAC(msg)
-			if got := masterMAC(master).MAC(msg); got != want {
+			mm := masterMAC(master)
+			if got := mm.MAC(msg); got != want {
 				t.Errorf("masterMAC(%d-byte master) tags %x, want %x", n, got, want)
 			}
 		}

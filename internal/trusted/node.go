@@ -9,17 +9,26 @@ import (
 
 // nodeBase is the state and functions shared by s-nodes and a-nodes
 // (Algorithm 2): the one-time master key, the per-mission key, and the
-// batched hash chain.
+// batched hash chain. Like the MCU's RAM and flash it is fixed-size:
+// keys and chain are held by value, so a node is one object.
 type nodeBase struct {
 	kind  uint8        //rebound:snapshot-skip construction identity, not run state
 	robID wire.RobotID //rebound:snapshot-skip construction identity, not run state
-	// master is nil until LOADMASTERKEY; write-once ("flash").
-	master []byte //rebound:snapshot-skip key material, re-injected at rebuild
-	keySeq uint64
+	// The master key is write-once ("flash"): burned is set by the
+	// first LOADMASTERKEY, whatever the key's length, and master views
+	// the key's copy in masterBuf — or on the heap, for a key longer
+	// than masterKeyStack.
+	burned    bool                 //rebound:snapshot-skip key material, re-injected at rebuild
+	master    []byte               //rebound:snapshot-skip key material, re-injected at rebuild
+	masterBuf [masterKeyStack]byte //rebound:snapshot-skip key material, re-injected at rebuild
+	keySeq    uint64
 
-	clock Clock                //rebound:snapshot-skip clock wiring, reattached at rebuild
-	mac   *cryptolite.LightMAC // nil ⇔ key = 0 in the paper
-	chain *Chain
+	clock Clock //rebound:snapshot-skip clock wiring, reattached at rebuild
+	// keyed is false ⇔ key = 0 in the paper; mac is then the zero
+	// value, its schedules wiped.
+	keyed bool
+	mac   cryptolite.LightMAC
+	chain Chain
 
 	// macOps counts MAC computations and hashedBytes counts bytes fed
 	// through the hash, for the Table 1/2 load accounting. Counters are
@@ -28,18 +37,21 @@ type nodeBase struct {
 	hashedBytes uint64
 }
 
-func newNodeBase(kind uint8, batchSize int, clock Clock) nodeBase {
-	return nodeBase{kind: kind, chain: NewChain(batchSize), clock: clock}
+// init sets n up as a fresh, unprovisioned node of the given kind.
+func (n *nodeBase) init(kind uint8, batchSize int, clock Clock) {
+	*n = nodeBase{kind: kind, clock: clock}
+	n.chain.ResetAt(cryptolite.ZeroChain, batchSize)
 }
 
 // LoadMasterKey sets the master key and robot ID; it is one-time
 // programmable — subsequent calls are silently ignored, exactly as in
 // Algorithm 2 (the "flash var" can only be burned once).
 func (n *nodeBase) LoadMasterKey(master []byte, id wire.RobotID) {
-	if n.master != nil {
+	if n.burned {
 		return
 	}
-	n.master = append([]byte(nil), master...)
+	n.burned = true
+	n.master = append(n.masterBuf[:0], master...)
 	n.robID = id
 }
 
@@ -49,14 +61,14 @@ func (n *nodeBase) LoadMasterKey(master []byte, id wire.RobotID) {
 // power-ups), and unblinds the key with H(r ‖ masterKey). Returns
 // whether the key was accepted.
 func (n *nodeBase) LoadMissionKey(sealed SealedMissionKey) bool {
-	if n.master == nil {
+	if !n.burned {
 		return false
 	}
 	if sealed.Seq <= n.keySeq {
 		return false
 	}
 	in := mkeyMACInput(sealed.Blinded, sealed.R, sealed.Seq)
-	if !masterMAC(n.master).Verify(in[:], sealed.Mac) {
+	if mm := masterMAC(n.master); !mm.Verify(in[:], sealed.Mac) {
 		return false
 	}
 	pad := blindPad(n.master, sealed.R)
@@ -65,29 +77,33 @@ func (n *nodeBase) LoadMissionKey(sealed SealedMissionKey) bool {
 		secret[i] = sealed.Blinded[i] ^ pad[i]
 	}
 	n.keySeq = sealed.Seq
-	n.mac = cryptolite.NewLightMACFromSecret(secret[:])
+	n.mac.Rekey(secret[:])
+	n.keyed = true
 	return true
 }
 
 // HasKey reports whether a mission key is installed (key ≠ 0).
-func (n *nodeBase) HasKey() bool { return n.mac != nil }
+func (n *nodeBase) HasKey() bool { return n.keyed }
 
 // powerCycle models removing and restoring power: RAM state (mission
 // key, chain buffer and top) is lost; flash state (master key, robot
 // ID, key sequence) persists — which is exactly what makes replaying a
 // previous mission's sealed key useless (§3.3). The chain restarts at
-// h₀.
+// h₀, in place: the hardware is not swapped out.
 func (n *nodeBase) powerCycle() {
-	n.mac = nil
-	n.chain = n.chain.Fresh()
+	n.zeroKey()
+	n.chain.ResetAt(cryptolite.ZeroChain, n.chain.batchSize)
 }
 
 // ID returns the robot ID burned at provisioning time.
 func (n *nodeBase) ID() wire.RobotID { return n.robID }
 
-// zeroKey drops the mission key; every guarded function then returns
-// early ("key ← 0" in CHECKTOKENS).
-func (n *nodeBase) zeroKey() { n.mac = nil }
+// zeroKey drops the mission key and wipes its expanded schedules;
+// every guarded function then returns early ("key ← 0" in CHECKTOKENS).
+func (n *nodeBase) zeroKey() {
+	n.keyed = false
+	n.mac = cryptolite.LightMAC{}
+}
 
 // appendToChain commits one log entry. The chain streams the header
 // and payload directly into its hasher, so committing never encodes
@@ -121,7 +137,7 @@ func authMACInput(kind uint8, t wire.Tick, top cryptolite.ChainHash, id wire.Rob
 // wire.Authenticator). Returns ok=false when no mission key is
 // installed.
 func (n *nodeBase) MakeAuthenticator() (wire.Authenticator, bool) {
-	if n.mac == nil {
+	if !n.keyed {
 		return wire.Authenticator{}, false
 	}
 	top := n.chain.Flush()
@@ -142,7 +158,7 @@ func (n *nodeBase) MakeAuthenticator() (wire.Authenticator, bool) {
 // replay (§3.7) — the check runs on the auditor's own trusted node, so
 // the key never leaves trusted hardware.
 func (n *nodeBase) CheckAuthenticator(a wire.Authenticator) bool {
-	if n.mac == nil {
+	if !n.keyed {
 		return false
 	}
 	n.macOps++

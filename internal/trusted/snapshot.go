@@ -53,7 +53,7 @@ func (c *Chain) restoreState(r *wire.Reader) {
 // are not serialized; the key presence flag lets a restore reproduce a
 // zeroed key (Safe Mode) without ever seeing key bytes.
 func (n *nodeBase) encodeState(w *wire.Writer) {
-	w.Bool(n.mac != nil)
+	w.Bool(n.keyed)
 	w.U64(n.keySeq)
 	w.U64(n.macOps)
 	w.U64(n.hashedBytes)
@@ -63,7 +63,7 @@ func (n *nodeBase) encodeState(w *wire.Writer) {
 func (n *nodeBase) restoreState(r *wire.Reader) {
 	hasKey := r.Bool()
 	n.keySeq, n.macOps, n.hashedBytes = r.U64(), r.U64(), r.U64()
-	if hasKey && n.mac == nil {
+	if hasKey && !n.keyed {
 		r.Fail(errors.New("trusted: snapshot expects an installed mission key but the rebuilt node is keyless"))
 	}
 	if !hasKey {
@@ -128,7 +128,7 @@ func (a *ANode) RestoreState(b []byte) error {
 	if err := r.Done(); err != nil {
 		return err
 	}
-	if safeMode && a.mac != nil {
+	if safeMode && a.keyed {
 		return errors.New("trusted: snapshot has Safe Mode latched but a mission key installed")
 	}
 	a.tkIDs, a.tkAt = tkIDs, tkAt

@@ -13,11 +13,21 @@ type SNode struct {
 	enc []byte //rebound:snapshot-skip write-only scratch, no retained state
 }
 
-// NewSNode constructs an s-node with the given chain batch size. The
-// clock is the s-node's own local timer (§3.2: every trusted MCU has
-// one); it shares the robot's power-up instant with the a-node's.
+// NewSNode constructs an s-node with the given chain batch size (see
+// Init).
 func NewSNode(batchSize int, clock Clock) *SNode {
-	return &SNode{nodeBase: newNodeBase(wire.NodeS, batchSize, clock)}
+	s := new(SNode)
+	s.Init(batchSize, clock)
+	return s
+}
+
+// Init sets s up in place as a fresh, unprovisioned s-node with the
+// given chain batch size. The clock is the s-node's own local timer
+// (§3.2: every trusted MCU has one); it shares the robot's power-up
+// instant with the a-node's.
+func (s *SNode) Init(batchSize int, clock Clock) {
+	*s = SNode{}
+	s.nodeBase.init(wire.NodeS, batchSize, clock)
 }
 
 // PollSensorsEnc commits a sensor reading to the chain and returns it

@@ -35,16 +35,39 @@ func provisioned(t *testing.T, id wire.RobotID, now *wire.Tick) (*SNode, *ANode)
 	return s, a
 }
 
-func TestMasterKeyWriteOnce(t *testing.T) {
-	s := NewSNode(1, func() wire.Tick { return 0 })
-	s.LoadMasterKey(testMaster, 7)
-	s.LoadMasterKey([]byte("attacker-key"), 9)
-	if s.ID() != 7 {
-		t.Error("robot ID overwritten")
+// TestMasterKeyIsBurnedOnce: the master key is burned by the first
+// LOADMASTERKEY whatever its length — empty, as long as the node holds
+// inline, one byte longer (its copy spills to the heap), or the usual
+// — and under each a sealed mission key round-trips: it loads, and the
+// node's mission MAC is the one the owner keyed.
+func TestMasterKeyIsBurnedOnce(t *testing.T) {
+	long := func(n int) []byte {
+		k := make([]byte, n)
+		for i := range k {
+			k[i] = byte(7*i + 1)
+		}
+		return k
 	}
-	// The original master key must still govern mission-key loads.
-	if !s.nodeBase.LoadMissionKey(testSealed(1)) {
-		t.Error("mission key sealed under original master rejected")
+	var mission [MissionKeySize]byte
+	copy(mission[:], "mission-secret-20byte")
+	want := cryptolite.NewLightMACFromSecret(mission[:])
+	for _, master := range [][]byte{{}, long(masterKeyStack), long(masterKeyStack + 1), testMaster} {
+		s := NewSNode(1, func() wire.Tick { return 0 })
+		s.LoadMasterKey(master, 1)
+		s.LoadMasterKey([]byte("attacker-key"), 2)
+		if s.ID() != 1 {
+			t.Errorf("%d-byte master: a second LoadMasterKey overwrote the robot ID", len(master))
+		}
+		if s.nodeBase.LoadMissionKey(SealMissionKey([]byte("attacker-key"), mission, 5, 1)) {
+			t.Errorf("%d-byte master: a second LoadMasterKey overwrote the key", len(master))
+		}
+		if !s.nodeBase.LoadMissionKey(SealMissionKey(master, mission, 5, 1)) {
+			t.Errorf("%d-byte master: mission key sealed under it rejected", len(master))
+			continue
+		}
+		if s.mac != *want {
+			t.Errorf("%d-byte master: the loaded mission MAC is not the one the owner keyed", len(master))
+		}
 	}
 }
 
@@ -205,23 +228,61 @@ func TestAuditTrafficNotChained(t *testing.T) {
 	}
 }
 
+// wired is a Wiring that counts the frames an a-node hands the radio
+// and the c-node.
+type wired struct{ nic, cnode int }
+
+func (w *wired) ToNIC(wire.Frame)            { w.nic++ }
+func (w *wired) ToCNode(wire.Frame, []byte)  { w.cnode++ }
+func (w *wired) ToActuator(wire.ActuatorCmd) {}
+func (w *wired) SafeMode()                   {}
+
 func TestOversizedNonAuditFrameRefused(t *testing.T) {
-	now := wire.Tick(0)
-	_, a := provisioned(t, 1, &now)
+	var w wired
+	a := new(ANode)
+	a.Init(DefaultANodeConfig(4), func() wire.Tick { return 0 }, &w)
+	a.LoadMasterKey(testMaster, 1)
+	if !a.LoadMissionKey(testSealed(1)) {
+		t.Fatal("mission key rejected")
+	}
 	big := wire.Frame{Src: 1, Dst: 2, Payload: make([]byte, wire.MaxLoggedPayload+1)}
-	if _, ok := a.SendWirelessEnc(big); ok {
+	if _, ok := a.SendWirelessEnc(big); ok || w.nic != 0 {
 		t.Error("unloggable frame forwarded")
 	}
-	delivered := false
-	a.toCNode = func(wire.Frame, []byte) { delivered = true }
 	a.RecvWireless(big)
-	if delivered {
+	if w.cnode != 0 {
 		t.Error("unloggable frame delivered to c-node")
 	}
 	// Audit-flagged frames of the same size are fine.
 	big.Flags = wire.FlagAudit
-	if _, ok := a.SendWirelessEnc(big); !ok {
+	if _, ok := a.SendWirelessEnc(big); !ok || w.nic != 1 {
 		t.Error("audit frame refused")
+	}
+	a.RecvWireless(big)
+	if w.cnode != 1 {
+		t.Error("audit frame not delivered to c-node")
+	}
+}
+
+// TestNilHooksDrop: an a-node built by NewANode with every hook nil
+// forwards nothing and survives everything that would call a hook —
+// send, receive, actuate and Safe Mode. The benchmark's drills wire
+// their a-nodes this way.
+func TestNilHooksDrop(t *testing.T) {
+	now := wire.Tick(0)
+	_, a := provisioned(t, 1, &now)
+	if _, ok := a.SendWirelessEnc(wire.Frame{Src: 1, Dst: wire.Broadcast, Payload: []byte("x")}); !ok {
+		t.Error("send refused")
+	}
+	a.RecvWireless(wire.Frame{Src: 2, Dst: wire.Broadcast, Payload: []byte("y")})
+	a.RecvWireless(wire.Frame{Src: 2, Dst: 1, Flags: wire.FlagAudit, Payload: []byte("audit")})
+	if _, ok := a.ActuatorCmdEnc(wire.ActuatorCmd{AccX: 1}); !ok {
+		t.Error("actuator command refused")
+	}
+	now = 1000
+	a.CheckTokens() // past grace, no tokens → Safe Mode
+	if !a.InSafeMode() {
+		t.Error("no Safe Mode past grace with no tokens")
 	}
 }
 
@@ -580,6 +641,51 @@ func TestMultiMissionKeyRotation(t *testing.T) {
 	}
 	if !a.InstallToken(tok) {
 		t.Error("mission-2 token rejected")
+	}
+}
+
+// TestPowerCycleResetsInPlace: a power cycle allocates nothing — the
+// chain restarts at h₀ in the storage it had — and wipes the mission
+// key's schedules, as Safe Mode does. Re-keyed, the node commits
+// exactly as a fresh one does.
+func TestPowerCycleResetsInPlace(t *testing.T) {
+	now := wire.Tick(0)
+	s, a := provisioned(t, 1, &now)
+	for i := range 3 {
+		s.PollSensorsEnc(wire.SensorReading{Time: wire.Tick(i)})
+		a.ActuatorCmdEnc(wire.ActuatorCmd{Time: wire.Tick(i)})
+	}
+	if allocs := testing.AllocsPerRun(10, func() { s.PowerCycle(); a.PowerCycle() }); allocs != 0 {
+		t.Errorf("a power cycle allocates %v objects, want 0", allocs)
+	}
+	for _, n := range []*nodeBase{&s.nodeBase, &a.nodeBase} {
+		if n.chain.Top() != cryptolite.ZeroChain || n.chain.Pending() != 0 {
+			t.Errorf("node kind %d: the chain did not restart empty at h₀", n.kind)
+		}
+		if n.mac != (cryptolite.LightMAC{}) {
+			t.Errorf("node kind %d: the mission key's schedules survived the power cycle", n.kind)
+		}
+	}
+
+	if !a.LoadMissionKey(testSealed(2)) {
+		t.Fatal("re-keying after the power cycle failed")
+	}
+	fresh := NewANode(DefaultANodeConfig(4), func() wire.Tick { return now }, nil, nil, nil, nil)
+	fresh.LoadMasterKey(testMaster, 1)
+	fresh.LoadMissionKey(testSealed(2))
+	for _, n := range []*ANode{a, fresh} {
+		n.ActuatorCmdEnc(wire.ActuatorCmd{Time: 9})
+	}
+	got, _ := a.MakeAuthenticator()
+	want, _ := fresh.MakeAuthenticator()
+	if got != want {
+		t.Error("a power-cycled, re-keyed a-node authenticates differently from a fresh one")
+	}
+
+	now = 1000
+	a.CheckTokens() // past grace, no tokens → Safe Mode
+	if !a.InSafeMode() || a.mac != (cryptolite.LightMAC{}) {
+		t.Error("Safe Mode left the mission key's schedules in place")
 	}
 }
 

@@ -108,6 +108,8 @@ type Sim struct {
 	World  *sim.World
 	Medium *radio.Medium
 
+	// now is Engine.Now, bound once for every robot's clock.
+	now         func() wire.Tick //rebound:clock engine
 	robots      map[wire.RobotID]*robot.Robot
 	compromised map[wire.RobotID]*attack.Compromised
 	sealed      trusted.SealedMissionKey
@@ -134,6 +136,7 @@ func NewSim(cfg SimConfig) *Sim {
 		sealed:      trusted.SealMissionKey(masterKey, mission, cfg.Seed|1, 1),
 		acache:      core.NewAuditCache(0),
 	}
+	s.now = s.Engine.Now
 	if cfg.Perf != nil {
 		s.Engine.SetPerf(cfg.Perf) // fans out to world + medium
 	}
@@ -141,13 +144,13 @@ func NewSim(cfg SimConfig) *Sim {
 		medium.SetObs(cfg.Trace, cfg.Metrics)
 	}
 	if f := cfg.Faults; f != nil {
-		if lm := f.LossModel(s.Engine.Now); lm != nil {
+		if lm := f.LossModel(s.now); lm != nil {
 			medium.SetLossModel(lm)
 		}
-		if lf := f.LinkFilter(s.Engine.Now); lf != nil {
+		if lf := f.LinkFilter(s.now); lf != nil {
 			medium.SetLinkFilter(lf)
 		}
-		if td := f.TxDelay(s.Engine.Now); td != nil {
+		if td := f.TxDelay(s.now); td != nil {
 			medium.SetTxDelay(td)
 		}
 	}
@@ -179,9 +182,9 @@ func (s *Sim) newRobot(id wire.RobotID, pos geom.Vec2, factory control.Factory, 
 		Perf:       s.Cfg.Perf,
 	}
 	if s.Cfg.Faults != nil {
-		rcfg.TrustedClock = s.Cfg.Faults.Clock(id, s.Engine.Now)
+		rcfg.TrustedClock = s.Cfg.Faults.Clock(id, s.now)
 	}
-	r := robot.New(rcfg, body, s.Medium, s.Engine.Now)
+	r := robot.New(rcfg, body, s.Medium, s.now)
 	s.robots[id] = r
 	return r
 }
