@@ -27,12 +27,16 @@ type pendingCheckpoint struct {
 	enc   []byte
 	hash  cryptolite.ChainHash
 	index int // number of log entries recorded before this checkpoint
+	// pos is the byte length of those entries' encoding: the window's
+	// prefix a segment to this checkpoint ships. Derived from index on
+	// restore, so the snapshot does not carry it.
+	pos int
 }
 
-func newPending(cp Checkpoint, index int) pendingCheckpoint {
+func newPending(cp Checkpoint, index, pos int) pendingCheckpoint {
 	enc := cp.Encode()
 	cp.State = enc[len(enc)-len(cp.State):]
-	return pendingCheckpoint{cp: cp, enc: enc, hash: cryptolite.SHA1Sum(enc), index: index}
+	return pendingCheckpoint{cp: cp, enc: enc, hash: cryptolite.SHA1Sum(enc), index: index, pos: pos}
 }
 
 // Log is the c-node's retained window of its tamper-evident log. It
@@ -54,11 +58,12 @@ type Log struct {
 	startEnc []byte             // start.CP's encoding, nil ⇔ from boot
 	pending  []pendingCheckpoint
 
-	// encoded is the concatenation of the retained entries' encodings;
-	// offsets[i] is the byte position of entry i within it, so any
-	// checkpoint-aligned prefix is a slice, not an encode.
+	// encoded is the concatenation of the retained entries' encodings
+	// and entries their number. Each pending checkpoint records where it
+	// falls in both, so any checkpoint-aligned prefix is a slice, not an
+	// encode, and the window keeps no per-entry bookkeeping.
 	encoded []byte
-	offsets []int
+	entries int
 
 	entryBytes int
 	// truncations counts MarkCovered-driven discards, for tests.
@@ -71,7 +76,7 @@ func New() *Log { return new(Log) }
 // Append records one input/output entry. The payload is copied into
 // the window, so the caller's bytes may be borrowed scratch.
 func (l *Log) Append(e wire.LogEntry) {
-	l.offsets = append(l.offsets, len(l.encoded))
+	l.entries++
 	l.encoded = wire.AppendLogEntry(l.encoded, &e)
 	l.entryBytes += e.EncodedSize()
 }
@@ -83,7 +88,7 @@ func (l *Log) Append(e wire.LogEntry) {
 // inside the checkpoint's own encoding, so the caller may write the
 // bytes again once AddCheckpoint returns.
 func (l *Log) AddCheckpoint(cp Checkpoint) cryptolite.ChainHash {
-	p := newPending(cp, len(l.offsets))
+	p := newPending(cp, l.entries, len(l.encoded))
 	l.pending = append(l.pending, p)
 	return p.hash
 }
@@ -91,15 +96,6 @@ func (l *Log) AddCheckpoint(cp Checkpoint) cryptolite.ChainHash {
 // ErrUnknownCheckpoint is returned when a hash matches no retained
 // checkpoint.
 var ErrUnknownCheckpoint = errors.New("auditlog: unknown checkpoint")
-
-// offsetAt returns the byte position of entry i within the encoded
-// window (i == EntryCount() addresses its end).
-func (l *Log) offsetAt(i int) int {
-	if i < len(l.offsets) {
-		return l.offsets[i]
-	}
-	return len(l.encoded)
-}
 
 // MarkCovered installs the tokens covering the checkpoint with the
 // given hash and truncates: entries before that checkpoint and all
@@ -112,17 +108,13 @@ func (l *Log) MarkCovered(hash cryptolite.ChainHash, tokens []wire.Token) error 
 		if p.hash != hash {
 			continue
 		}
-		cut := l.offsetAt(p.index)
-		l.encoded = l.encoded[:copy(l.encoded, l.encoded[cut:])]
-		kept := l.offsets[p.index:]
-		for j, o := range kept {
-			l.offsets[j] = o - cut
-		}
-		l.offsets = l.offsets[:len(kept)]
+		l.encoded = l.encoded[:copy(l.encoded, l.encoded[p.pos:])]
+		l.entries -= p.index
 		l.entryBytes = len(l.encoded)
 		tail := l.pending[i+1:]
 		for j := range tail {
 			tail[j].index -= p.index
+			tail[j].pos -= p.pos
 		}
 		// Clear the vacated records: they hold checkpoint state blobs.
 		n := copy(l.pending, tail)
@@ -174,7 +166,7 @@ func (l *Log) SegmentTo(hash cryptolite.ChainHash) (Segment, error) {
 			EndHash:  p.hash,
 			StartEnc: l.startEnc,
 			EndEnc:   p.enc,
-			Encoded:  l.encoded[:l.offsetAt(p.index)],
+			Encoded:  l.encoded[:p.pos],
 		}, nil
 	}
 	return Segment{}, ErrUnknownCheckpoint
@@ -196,7 +188,7 @@ func (l *Log) FromBoot() bool { return l.start == nil }
 func (l *Log) Start() *CoveredCheckpoint { return l.start }
 
 // EntryCount returns the number of retained entries.
-func (l *Log) EntryCount() int { return len(l.offsets) }
+func (l *Log) EntryCount() int { return l.entries }
 
 // PendingCheckpoints returns the number of uncovered checkpoints.
 func (l *Log) PendingCheckpoints() int { return len(l.pending) }
@@ -204,25 +196,38 @@ func (l *Log) PendingCheckpoints() int { return len(l.pending) }
 // Truncations returns how many times the log has been truncated.
 func (l *Log) Truncations() int { return l.truncations }
 
-// AccountingError cross-checks the incrementally maintained byte
+// AccountingError cross-checks the incrementally maintained
 // accounting against a full recount: it re-parses the window's entry
-// headers (kind ‖ len) from the first byte and requires every entry to
-// start where offsets says, the last one to end where the window does,
-// and entryBytes to equal that end. A nil return means log growth
-// matches the sum of entry sizes; a non-nil error describes the
+// headers (kind ‖ len) from the first byte and requires every kind to
+// be a known log entry kind, the parse to end exactly where the window
+// does, entryBytes to equal that end, the parsed count to equal the
+// entry count, and every pending checkpoint's (index, position) to
+// fall on an entry boundary of the parse. A nil return means log
+// growth matches the sum of entry sizes; a non-nil error describes the
 // mismatch. The fault-injection invariant checker calls this every
-// tick — Append and MarkCovered mutate entryBytes, the window, and its
-// offsets incrementally, and this is the conservation check that keeps
-// them honest.
+// tick — Append and MarkCovered mutate entryBytes, the window, the
+// count and the checkpoints' positions incrementally, and this is the
+// conservation check that keeps them honest.
 func (l *Log) AccountingError() error {
-	n, count := 0, 0
-	for n < len(l.encoded) {
-		if count < len(l.offsets) && l.offsets[count] != n {
-			return fmt.Errorf("auditlog: entry %d recorded at offset %d, expected %d", count, l.offsets[count], n)
+	n, count, next := 0, 0, 0
+	for {
+		// The pending checkpoints are in log order: check those recorded
+		// at this entry boundary.
+		for ; next < len(l.pending) && l.pending[next].index == count; next++ {
+			if p := l.pending[next].pos; p != n {
+				return fmt.Errorf("auditlog: checkpoint %d after %d entries recorded at offset %d, expected %d",
+					next, count, p, n)
+			}
+		}
+		if n >= len(l.encoded) {
+			break
 		}
 		if len(l.encoded)-n < 2 {
 			return fmt.Errorf("auditlog: entry %d at offset %d has a truncated header (window holds %d bytes)",
 				count, n, len(l.encoded))
+		}
+		if !wire.ValidEntryKind(l.encoded[n]) {
+			return fmt.Errorf("auditlog: entry %d at offset %d has unknown kind 0x%02x", count, n, l.encoded[n])
 		}
 		n += 2 + int(l.encoded[n+1])
 		count++
@@ -235,8 +240,12 @@ func (l *Log) AccountingError() error {
 		return fmt.Errorf("auditlog: entryBytes=%d but %d retained entries parse to %d bytes",
 			l.entryBytes, count, n)
 	}
-	if len(l.offsets) != count {
-		return fmt.Errorf("auditlog: %d offsets for %d entries", len(l.offsets), count)
+	if l.entries != count {
+		return fmt.Errorf("auditlog: entry count %d for %d parsed entries", l.entries, count)
+	}
+	if next != len(l.pending) {
+		return fmt.Errorf("auditlog: checkpoint %d recorded after %d entries, not on the parse of %d",
+			next, l.pending[next].index, count)
 	}
 	return nil
 }

@@ -267,19 +267,22 @@ func TestSegmentEntriesExcludePostCheckpoint(t *testing.T) {
 // start at the covered checkpoint, segment extraction matches what was
 // appended since, and storage is the sum of its parts. The test keeps
 // its own model of the retained entries; the log holds only their
-// encoding, compacted in place on every cover.
+// encoding, compacted in place on every cover. A snapshot round trip
+// mid-sequence must restore a log whose every segment still matches
+// the model.
 func TestLogRandomizedInvariants(t *testing.T) {
 	type op struct {
-		Kind byte // 0..3: append, checkpoint, cover-latest, segment-latest
+		Kind byte // 0..5: append, checkpoint, cover-latest, segment-latest, snapshot round trip, cover-earliest
 	}
 	f := func(ops []op, seedByte byte) bool {
 		l := New()
 		var hashes []cryptolite.ChainHash
+		var ats []int             // len(model) at each pending checkpoint
 		var model []wire.LogEntry // entries the log should retain
 		latestAt := 0             // len(model) at the latest pending checkpoint
 		covered := 0
 		for i, o := range ops {
-			switch o.Kind % 4 {
+			switch o.Kind % 6 {
 			case 0:
 				l.Append(entry(i))
 				model = append(model, entry(i))
@@ -287,6 +290,7 @@ func TestLogRandomizedInvariants(t *testing.T) {
 				cp := ckpt(wire.Tick(i), string(rune('a'+i%26)))
 				l.AddCheckpoint(cp)
 				hashes = append(hashes, cp.Hash())
+				ats = append(ats, len(model))
 				latestAt = len(model)
 			case 2:
 				if len(hashes) > 0 {
@@ -294,7 +298,7 @@ func TestLogRandomizedInvariants(t *testing.T) {
 						return false
 					}
 					covered++
-					hashes = hashes[:0]
+					hashes, ats = hashes[:0], ats[:0]
 					model = model[latestAt:]
 				}
 			case 3:
@@ -306,10 +310,38 @@ func TestLogRandomizedInvariants(t *testing.T) {
 					// Entries after the latest checkpoint are excluded,
 					// and the window is the retained entries' encoding,
 					// byte for byte (AccountingError checks only its
-					// sizes and offsets).
+					// headers, sizes and positions).
 					if !bytes.Equal(seg.Encoded, wire.EncodeLogEntries(model[:latestAt])) {
 						return false
 					}
+				}
+			case 4:
+				restored := New()
+				if err := restored.RestoreState(l.EncodeState()); err != nil {
+					return false
+				}
+				l = restored
+				for j, h := range hashes {
+					seg, err := l.SegmentTo(h)
+					if err != nil || !bytes.Equal(seg.Encoded, wire.EncodeLogEntries(model[:ats[j]])) {
+						return false
+					}
+				}
+			case 5:
+				// Covering the earliest pending checkpoint keeps the later
+				// ones, which now sit that many entries nearer the start.
+				if len(hashes) > 0 {
+					if err := l.MarkCovered(hashes[0], nil); err != nil {
+						return false
+					}
+					covered++
+					cut := ats[0]
+					model = model[cut:]
+					hashes, ats = hashes[1:], ats[1:]
+					for j := range ats {
+						ats[j] -= cut
+					}
+					latestAt -= cut
 				}
 			}
 			if l.EntryCount() != len(model) || l.AccountingError() != nil {
@@ -362,6 +394,16 @@ func TestAppendDoesNotAllocateOnWarmedWindow(t *testing.T) {
 	}
 }
 
+// entryStarts parses the window's entry headers and returns where each
+// entry starts.
+func entryStarts(l *Log) []int {
+	var starts []int
+	for n := 0; n < len(l.encoded); n += 2 + int(l.encoded[n+1]) {
+		starts = append(starts, n)
+	}
+	return starts
+}
+
 // TestAccountingErrorLatches corrupts each piece of the incrementally
 // maintained accounting in turn. AccountingError re-parses the window
 // from its first byte, so every one of them must be reported — it is
@@ -380,7 +422,13 @@ func TestAccountingErrorLatches(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 4; i++ {
+			if i == 2 {
+				l.AddCheckpoint(ckpt(2, "pending"))
+			}
 			l.Append(wire.LogEntry{Kind: wire.EntrySensor, Payload: make([]byte, 2*i)})
+		}
+		if l.PendingCheckpoints() != 1 {
+			t.Fatalf("%d pending checkpoints, want 1", l.PendingCheckpoints())
 		}
 		if err := l.AccountingError(); err != nil {
 			t.Fatalf("clean log reported: %v", err)
@@ -391,11 +439,12 @@ func TestAccountingErrorLatches(t *testing.T) {
 		name    string
 		corrupt func(l *Log)
 	}{
-		{"shifted offset", func(l *Log) { l.offsets[2]++ }},
-		{"shifted first offset", func(l *Log) { l.offsets[0] = 1 }},
+		{"entry count one over", func(l *Log) { l.entries++ }},
+		{"entry count one under", func(l *Log) { l.entries-- }},
 		{"truncated final header", func(l *Log) {
 			// Cut the window one byte into the last entry's header.
-			l.encoded = l.encoded[:l.offsets[len(l.offsets)-1]+1]
+			starts := entryStarts(l)
+			l.encoded = l.encoded[:starts[len(starts)-1]+1]
 			l.entryBytes = len(l.encoded)
 		}},
 		{"truncated final payload", func(l *Log) {
@@ -403,11 +452,13 @@ func TestAccountingErrorLatches(t *testing.T) {
 			l.encoded = l.encoded[:len(l.encoded)-1]
 			l.entryBytes = len(l.encoded)
 		}},
-		{"extra offset", func(l *Log) { l.offsets = append(l.offsets, len(l.encoded)) }},
-		{"missing offset", func(l *Log) { l.offsets = l.offsets[:len(l.offsets)-1] }},
+		{"checkpoint position one over", func(l *Log) { l.pending[0].pos++ }},
+		{"checkpoint index one over", func(l *Log) { l.pending[0].index++ }},
+		{"checkpoint index past the window", func(l *Log) { l.pending[0].index = l.entries + 1 }},
 		{"entryBytes one over", func(l *Log) { l.entryBytes++ }},
 		{"entryBytes one under", func(l *Log) { l.entryBytes-- }},
-		{"length byte rewritten", func(l *Log) { l.encoded[l.offsets[1]+1]++ }},
+		{"length byte rewritten", func(l *Log) { l.encoded[entryStarts(l)[1]+1]++ }},
+		{"unknown kind byte", func(l *Log) { l.encoded[entryStarts(l)[2]] = 0 }},
 	} {
 		l := build()
 		c.corrupt(l)

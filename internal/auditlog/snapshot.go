@@ -8,11 +8,12 @@ import (
 
 // Snapshot codec. The log's dynamic state is the retained entry
 // window, the covered start (or from-boot flag), the pending
-// checkpoints, and the truncation tally. The window's entry offsets and
-// byte tally and each checkpoint's retained encoding and hash are
-// derived state and are rebuilt on restore rather than serialized — the
-// window is parsed and re-appended entry by entry, so the same Append
-// path regenerates them and the restore stays honest against
+// checkpoints (each with the number of entries before it), and the
+// truncation tally. The window's entry count and byte tally and each
+// checkpoint's byte position, retained encoding and hash are derived
+// state and are rebuilt on restore rather than serialized — the window
+// is parsed and re-appended entry by entry, so the same Append path
+// regenerates them and the restore stays honest against
 // AccountingError.
 
 // EncodeState serializes the log as an opaque blob.
@@ -70,14 +71,15 @@ func (l *Log) RestoreState(b []byte) error {
 			r.Fail(errors.New("auditlog: snapshot pending checkpoint index out of range"))
 		}
 		prevIndex = index
-		pending[i] = newPending(cp, index)
+		pending[i] = newPending(cp, index, 0) // pos is set by the rebuild below
 	}
 	truncations := int(r.U32())
 	if err := r.Done(); err != nil {
 		return err
 	}
-	// Rebuild through Append so the window, its offsets and the byte
-	// accounting are regenerated by the same code the live path uses.
+	// Rebuild through Append so the window, its entry count and the byte
+	// accounting are regenerated by the same code the live path uses;
+	// each checkpoint takes the window's length once its entries are in.
 	l.start = start
 	l.startEnc = nil
 	if start != nil {
@@ -85,11 +87,17 @@ func (l *Log) RestoreState(b []byte) error {
 	}
 	l.pending = pending
 	l.encoded = nil
-	l.offsets = nil
+	l.entries = 0
 	l.entryBytes = 0
 	l.truncations = truncations
-	for i := range entries {
-		l.Append(entries[i])
+	next := 0
+	for i := 0; i <= len(entries); i++ {
+		for ; next < len(pending) && pending[next].index == i; next++ {
+			pending[next].pos = len(l.encoded)
+		}
+		if i < len(entries) {
+			l.Append(entries[i])
+		}
 	}
 	return l.AccountingError()
 }

@@ -250,6 +250,43 @@ func TestLateTokenAfterRoundCovered(t *testing.T) {
 	}
 }
 
+// TestServeWindowSizedOnce: served is sized to ServeLimit at a robot's
+// first serve and never reallocated after it. serveBudgetOK keeps at
+// most ServeLimit timestamps, so a robot that fills its budget appends
+// into the storage its first serve made. A limit below the flock's
+// demand (see TestServeLimitCapsAudits) makes every robot fill it.
+func TestServeWindowSizedOnce(t *testing.T) {
+	cfg := DefaultConfig(4)
+	cfg.Fmax = 1
+	cfg.ServeLimit = 3
+	h := newHarness(t, cfg, 1, 2, 3)
+	first := make(map[wire.RobotID]*wire.Tick)
+	filled := 0
+	for i := 0; i < 200; i++ {
+		h.tick()
+		for id, e := range h.engines {
+			if cap(e.served) == 0 {
+				continue
+			}
+			if cap(e.served) < cfg.ServeLimit {
+				t.Fatalf("tick %d: robot %d's serve window holds %d, want room for %d", h.now, id, cap(e.served), cfg.ServeLimit)
+			}
+			at := &e.served[:1][0]
+			if first[id] == nil {
+				first[id] = at
+			} else if first[id] != at {
+				t.Fatalf("tick %d: robot %d's serve window was reallocated", h.now, id)
+			}
+			if len(e.served) == cfg.ServeLimit {
+				filled++
+			}
+		}
+	}
+	if len(first) != len(h.engines) || filled == 0 {
+		t.Fatalf("%d of %d robots served, budget filled %d times: the test served too little", len(first), len(h.engines), filled)
+	}
+}
+
 // TestServeBudgetWindowBoundary pins the §5.1 window edge: a served
 // audit at tick t counts against the budget while now < t+TVal and
 // falls out at exactly now == t+TVal.

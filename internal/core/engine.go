@@ -27,13 +27,16 @@ type Engine struct {
 	anode *trusted.ANode //rebound:snapshot-skip trusted node carries its own codec, wired at rebuild
 	log   auditlog.Log
 
-	// send is the a-node's SendWirelessEnc: it returns the frame
-	// encoding the a-node's chain witnessed (nil for audit frames), lent
-	// from the node's send buffer; the engine logs exactly those bytes,
-	// and logAppend copies them before the node is called again.
-	send func(wire.Frame) ([]byte, bool) //rebound:snapshot-skip a-node wiring, reattached at rebuild
+	// send is the a-node (see Sender): it returns the frame encoding the
+	// a-node's chain witnessed (nil for audit frames), lent from the
+	// node's send buffer; the engine logs exactly those bytes, and
+	// logAppend copies them before the node is called again.
+	send Sender //rebound:snapshot-skip a-node wiring, reattached at rebuild
 	// checkAuth is the a-node's CheckAuthenticator, bound once: a method
-	// value bound per audit would be a heap object per cache miss.
+	// value bound per audit would be a heap object per cache miss. It is
+	// a func because replay.Config.CheckAuthenticator is one, a field the
+	// benchmark's drills also set; it waits for that field to become an
+	// interface the a-node satisfies (ROADMAP item 1).
 	checkAuth func(wire.Authenticator) bool //rebound:snapshot-skip a-node wiring, reattached at rebuild
 
 	// heardIDs lists every peer a frame has come from, ascending, and
@@ -48,8 +51,10 @@ type Engine struct {
 	now       wire.Tick //rebound:clock trusted
 
 	round  *auditRound
-	rounds int         // audit rounds started; drives auditor rotation (see solicit)
-	served []wire.Tick // timestamps of recently served audits (ServeLimit window)
+	rounds int // audit rounds started; drives auditor rotation (see solicit)
+	// served holds the timestamps of recently served audits (the
+	// ServeLimit window), sized to ServeLimit at the first serve.
+	served []wire.Tick
 
 	// acache is the swarm-shared replay-verdict cache; nil replays
 	// every request. Snapshotted once at the swarm level, not per
@@ -81,12 +86,12 @@ type Engine struct {
 	//rebound:snapshot-skip perf sampling phase, observation-only
 	appendSeq uint64
 
-	// Round scratch: solicit's candidate list, the controller state
-	// startRound checkpoints (the log keeps it inside the checkpoint's
-	// encoding, see AddCheckpoint), and the auditor's decoded request.
-	// Each is rebuilt from empty by the call that uses it and read by
-	// nothing after that call returns; request holds no view of a
-	// payload once onAuditRequest returns.
+	// Round scratch: solicit's candidate list (sized to the heard set's
+	// capacity), the controller state startRound checkpoints (the log
+	// keeps it inside the checkpoint's encoding, see AddCheckpoint), and
+	// the auditor's decoded request. Each is rebuilt from empty by the
+	// call that uses it and read by nothing after that call returns;
+	// request holds no view of a payload once onAuditRequest returns.
 	candidates []wire.RobotID    //rebound:snapshot-skip write-only scratch, no retained state
 	state      []byte            //rebound:snapshot-skip write-only scratch, no retained state
 	request    wire.AuditRequest //rebound:snapshot-skip write-only scratch, no retained state
@@ -157,23 +162,36 @@ func (r *auditRound) markAsked(id wire.RobotID) bool {
 	return !found
 }
 
-// NewEngine constructs the protocol engine for one robot (see Init).
+// Sender is what the engine transmits through: the a-node, whose
+// SendWirelessEnc forwards a frame to the radio and returns the
+// encoding its chain committed (nil for audit frames). *trusted.ANode
+// is one.
+type Sender interface {
+	SendWirelessEnc(f wire.Frame) ([]byte, bool)
+}
+
+// sendFunc is NewEngine's Sender: a hook with SendWirelessEnc's shape.
+type sendFunc func(wire.Frame) ([]byte, bool)
+
+func (f sendFunc) SendWirelessEnc(fr wire.Frame) ([]byte, bool) { return f(fr) }
+
+// NewEngine constructs the protocol engine for one robot (see Init),
+// sending through the hook send.
 func NewEngine(id wire.RobotID, cfg Config, factory control.Factory,
 	snode *trusted.SNode, anode *trusted.ANode, send func(wire.Frame) ([]byte, bool)) *Engine {
 	e := new(Engine)
-	e.Init(id, cfg, factory, snode, anode, send)
+	e.Init(id, cfg, factory, snode, anode, sendFunc(send))
 	return e
 }
 
 // Init sets e up in place as the protocol engine for one robot, with
 // an empty log and a fresh controller. The caller provisions the
-// trusted nodes (master + mission keys) separately. send is the
-// a-node's SendWirelessEnc (or an equivalent hook that returns the
-// chained frame encoding, nil for audit frames); the engine treats the
-// returned bytes as borrowed and copies them into its log before
-// calling send again.
+// trusted nodes (master + mission keys) separately. send is the a-node
+// (or an equivalent Sender that returns the chained frame encoding,
+// nil for audit frames); the engine treats the returned bytes as
+// borrowed and copies them into its log before sending again.
 func (e *Engine) Init(id wire.RobotID, cfg Config, factory control.Factory,
-	snode *trusted.SNode, anode *trusted.ANode, send func(wire.Frame) ([]byte, bool)) {
+	snode *trusted.SNode, anode *trusted.ANode, send Sender) {
 	*e = Engine{
 		id:      id,
 		cfg:     cfg,
@@ -290,7 +308,7 @@ func (e *Engine) OnSensorReadingEnc(reading wire.SensorReading, enc []byte) {
 		// never written again, so the frame carries its own copy.
 		payload := append(e.slab.Payload(len(out.Broadcast)), out.Broadcast...)
 		f := wire.Frame{Src: e.id, Dst: wire.Broadcast, Payload: payload}
-		if encF, ok := e.send(f); ok {
+		if encF, ok := e.send.SendWirelessEnc(f); ok {
 			e.logAppend(wire.LogEntry{Kind: wire.EntrySend, Payload: encF})
 		}
 	}
@@ -458,6 +476,9 @@ func (e *Engine) startRound(now wire.Tick) {
 // but a wrong candidate merely wastes one request and the retry loop
 // moves on. It lives in engine scratch, valid until the next call.
 func (e *Engine) auditorCandidates() []wire.RobotID {
+	if cap(e.candidates) < cap(e.heardIDs) {
+		e.candidates = make([]wire.RobotID, 0, cap(e.heardIDs))
+	}
 	ids := e.candidates[:0]
 	for i, id := range e.heardIDs {
 		if id == e.id || id == wire.Broadcast {
@@ -580,7 +601,7 @@ func (e *Engine) askOne(target wire.RobotID) bool {
 		payload = msg.EncodeWithTail(r.reqTail)
 	}
 	f := wire.Frame{Src: e.id, Dst: target, Flags: wire.FlagAudit, Payload: payload}
-	if _, ok := e.send(f); !ok {
+	if _, ok := e.send.SendWirelessEnc(f); !ok {
 		return false
 	}
 	e.stats.AuditsRequested++
@@ -691,7 +712,11 @@ func (e *Engine) finishAudit(auditee wire.RobotID, req wire.TokenRequest, v Audi
 		return
 	}
 	resp := wire.AuditResponse{Auditor: e.id, Auditee: auditee, OK: true, Tok: tok}
-	e.send(wire.Frame{Src: e.id, Dst: auditee, Flags: wire.FlagAudit, Payload: resp.AppendEncode(e.slab.Payload(wire.AuditResponseSize))})
+	e.send.SendWirelessEnc(wire.Frame{Src: e.id, Dst: auditee, Flags: wire.FlagAudit, Payload: resp.AppendEncode(e.slab.Payload(wire.AuditResponseSize))})
+	if cap(e.served) < e.cfg.ServeLimit {
+		// serveBudgetOK keeps at most ServeLimit timestamps.
+		e.served = slices.Grow(e.served, e.cfg.ServeLimit-len(e.served))
+	}
 	e.served = append(e.served, e.now)
 	e.stats.AuditsServed++
 }

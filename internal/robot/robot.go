@@ -133,7 +133,7 @@ func New(cfg Config, body *sim.Body, medium *radio.Medium, clock func() wire.Tic
 	r.anode.LoadMasterKey(cfg.Master, cfg.ID)
 	r.snode.LoadMissionKey(cfg.Sealed)
 	r.anode.LoadMissionKey(cfg.Sealed)
-	r.engine.Init(cfg.ID, cfg.Core, cfg.Factory, r.snode, r.anode, r.anode.SendWirelessEnc)
+	r.engine.Init(cfg.ID, cfg.Core, cfg.Factory, r.snode, r.anode, r.anode)
 	r.engine.SetAuditCache(cfg.AuditCache)
 	r.engine.Instrument(cfg.Trace, cfg.Metrics)
 	r.engine.SetPerf(cfg.Perf)

@@ -72,9 +72,12 @@ type ANode struct {
 	// other. They are separate because the c-node hook runs between a
 	// receive's encode and its chain append, and whatever the (possibly
 	// compromised) c-node sends from inside that hook must not rewrite
-	// the bytes the chain is about to commit.
-	rxEnc []byte //rebound:snapshot-skip write-only scratch, no retained state
-	txEnc []byte //rebound:snapshot-skip write-only scratch, no retained state
+	// the bytes the chain is about to commit. Each holds the largest
+	// entry the chain commits, since a frame whose encoding would not fit
+	// one is refused (an actuator command is smaller), and is an array,
+	// not a slice into one, so a node copied by value aliases nothing.
+	rxEnc [wire.MaxLoggedPayload]byte //rebound:snapshot-skip write-only scratch, no retained state
+	txEnc [wire.MaxLoggedPayload]byte //rebound:snapshot-skip write-only scratch, no retained state
 }
 
 // Wiring is what an a-node is wired to (Fig. 3): the radio, the
@@ -228,13 +231,12 @@ func (a *ANode) RecvWireless(f wire.Frame) {
 	if !a.HasKey() {
 		return
 	}
-	if !f.IsAudit() && len(f.Payload) > wire.MaxLoggedPayload {
+	if !f.IsAudit() && len(f.Payload) > wire.MaxChainedPayload {
 		return // unloggable frame: refuse to deliver rather than skip the chain
 	}
 	var enc []byte
 	if !f.IsAudit() {
-		a.rxEnc = f.AppendEncode(a.rxEnc[:0])
-		enc = a.rxEnc
+		enc = f.AppendEncode(a.rxEnc[:0])
 	}
 	a.wiring.ToCNode(f, enc)
 	if enc != nil {
@@ -253,16 +255,16 @@ func (a *ANode) SendWirelessEnc(f wire.Frame) ([]byte, bool) {
 	if !a.HasKey() {
 		return nil, false
 	}
-	if !f.IsAudit() && len(f.Payload) > wire.MaxLoggedPayload {
+	if !f.IsAudit() && len(f.Payload) > wire.MaxChainedPayload {
 		return nil, false
 	}
 	a.wiring.ToNIC(f)
 	if f.IsAudit() {
 		return nil, true
 	}
-	a.txEnc = f.AppendEncode(a.txEnc[:0])
-	a.appendToChain(wire.EntrySend, a.txEnc)
-	return a.txEnc, true
+	enc := f.AppendEncode(a.txEnc[:0])
+	a.appendToChain(wire.EntrySend, enc)
+	return enc, true
 }
 
 // ActuatorCmdEnc forwards an actuator command and commits it to the
@@ -276,9 +278,9 @@ func (a *ANode) ActuatorCmdEnc(cmd wire.ActuatorCmd) ([]byte, bool) {
 		return nil, false
 	}
 	a.wiring.ToActuator(cmd)
-	a.txEnc = cmd.AppendEncode(a.txEnc[:0])
-	a.appendToChain(wire.EntryActuator, a.txEnc)
-	return a.txEnc, true
+	enc := cmd.AppendEncode(a.txEnc[:0])
+	a.appendToChain(wire.EntryActuator, enc)
+	return enc, true
 }
 
 const (

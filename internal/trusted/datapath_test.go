@@ -2,6 +2,7 @@ package trusted
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"roborebound/internal/wire"
@@ -63,6 +64,57 @@ func TestDataPathDoesNotAllocate(t *testing.T) {
 	}
 	if sent == 0 || driven == 0 || !bytes.Equal(logged, in.Encode()) {
 		t.Fatalf("hooks not exercised: sent=%d driven=%d logged=%x", sent, driven, logged)
+	}
+}
+
+// TestFirstLendDoesNotAllocate: the nodes lend from arrays they hold,
+// so the first reading, reception, send and actuator command after Init
+// allocate nothing either — no buffer grows from empty. AllocsPerRun
+// warms up with one call first, so these first calls are counted with
+// runtime.MemStats around them. The frames carry the largest payload a
+// chained frame may, whose encoding fills the buffers. Each chain's
+// stdlib digest is made at its first use, once per node rather than per
+// lend, so the test makes both before it counts.
+func TestFirstLendDoesNotAllocate(t *testing.T) {
+	var now wire.Tick
+	clock := func() wire.Tick { return now }
+	var pair struct {
+		s SNode
+		a ANode
+	}
+	w := new(wired)
+	pair.s.Init(DefaultBatchSize, clock)
+	pair.a.Init(DefaultANodeConfig(4), clock, w)
+	pair.s.LoadMasterKey(testMaster, 1)
+	pair.a.LoadMasterKey(testMaster, 1)
+	if !pair.s.LoadMissionKey(testSealed(1)) || !pair.a.LoadMissionKey(testSealed(1)) {
+		t.Fatal("mission key rejected")
+	}
+	in := wire.Frame{Src: 2, Dst: wire.Broadcast, Payload: bytes.Repeat([]byte{2}, wire.MaxChainedPayload)}
+	out := wire.Frame{Src: 1, Dst: wire.Broadcast, Payload: bytes.Repeat([]byte{1}, wire.MaxChainedPayload)}
+	reading := wire.SensorReading{Time: 5, PosX: 1, PosY: 2, VelX: 3, VelY: 4}
+	cmd := wire.ActuatorCmd{Time: 5, AccX: 0.5, AccY: -0.5}
+
+	pair.s.chain.h.Reset()
+	pair.a.chain.h.Reset()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, sensed, okS := pair.s.PollSensorsEnc(reading)
+	pair.a.RecvWireless(in)
+	sent, okT := pair.a.SendWirelessEnc(out)
+	sentLen := len(sent)
+	driven, okA := pair.a.ActuatorCmdEnc(cmd)
+	runtime.ReadMemStats(&after)
+
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("the first lends after Init made %d allocations, want 0", n)
+	}
+	if !okS || !okT || !okA || w.cnode != 1 || w.nic != 1 {
+		t.Fatalf("a call was refused: sensed=%v sent=%v driven=%v cnode=%d nic=%d", okS, okT, okA, w.cnode, w.nic)
+	}
+	if !bytes.Equal(sensed, reading.Encode()) || sentLen != wire.MaxLoggedPayload ||
+		!bytes.Equal(driven, cmd.Encode()) {
+		t.Errorf("lent encodings wrong: sensed %x, sent %d B, driven %x", sensed, sentLen, driven)
 	}
 }
 

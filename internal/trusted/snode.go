@@ -10,7 +10,9 @@ import "roborebound/internal/wire"
 type SNode struct {
 	nodeBase
 	// enc backs the reading encoding lent to the c-node (PollSensorsEnc).
-	enc []byte //rebound:snapshot-skip write-only scratch, no retained state
+	// It is an array, not a slice into one, so a node copied by value
+	// aliases nothing.
+	enc [wire.SensorReadingSize]byte //rebound:snapshot-skip write-only scratch, no retained state
 }
 
 // NewSNode constructs an s-node with the given chain batch size (see
@@ -41,9 +43,9 @@ func (s *SNode) PollSensorsEnc(reading wire.SensorReading) (wire.SensorReading, 
 	if !s.HasKey() {
 		return wire.SensorReading{}, nil, false
 	}
-	s.enc = reading.AppendEncode(s.enc[:0])
-	s.appendToChain(wire.EntrySensor, s.enc)
-	return reading, s.enc, true
+	enc := reading.AppendEncode(s.enc[:0])
+	s.appendToChain(wire.EntrySensor, enc)
+	return reading, enc, true
 }
 
 // PowerCycle models a power cycle (see nodeBase.powerCycle).

@@ -237,6 +237,10 @@ func (w *wired) ToCNode(wire.Frame, []byte)  { w.cnode++ }
 func (w *wired) ToActuator(wire.ActuatorCmd) {}
 func (w *wired) SafeMode()                   {}
 
+// TestOversizedNonAuditFrameRefused: a non-audit frame whose encoding
+// would not fit one log entry is refused on both paths. The frame here
+// is the smallest such, one byte over MaxChainedPayload; a frame that
+// size used to pass the check and panic in the chain.
 func TestOversizedNonAuditFrameRefused(t *testing.T) {
 	var w wired
 	a := new(ANode)
@@ -245,7 +249,7 @@ func TestOversizedNonAuditFrameRefused(t *testing.T) {
 	if !a.LoadMissionKey(testSealed(1)) {
 		t.Fatal("mission key rejected")
 	}
-	big := wire.Frame{Src: 1, Dst: 2, Payload: make([]byte, wire.MaxLoggedPayload+1)}
+	big := wire.Frame{Src: 1, Dst: 2, Payload: make([]byte, wire.MaxChainedPayload+1)}
 	if _, ok := a.SendWirelessEnc(big); ok || w.nic != 0 {
 		t.Error("unloggable frame forwarded")
 	}

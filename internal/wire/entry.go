@@ -61,7 +61,8 @@ func (e *LogEntry) Encode() []byte {
 	return w.Bytes()
 }
 
-func validEntryKind(k uint8) bool {
+// ValidEntryKind reports whether k is one of the Entry* kinds.
+func ValidEntryKind(k uint8) bool {
 	return k == EntrySensor || k == EntryRecv || k == EntrySend || k == EntryActuator || k == EntryMark
 }
 
@@ -85,7 +86,7 @@ func AppendDecodeLogEntries(dst []LogEntry, b []byte) ([]LogEntry, error) {
 		if err := r.Err(); err != nil {
 			return dst[:base], fmt.Errorf("log entry %d: %w", len(dst)-base, err)
 		}
-		if !validEntryKind(kind) {
+		if !ValidEntryKind(kind) {
 			return dst[:base], fmt.Errorf("log entry %d: unknown kind 0x%02x", len(dst)-base, kind)
 		}
 		dst = append(dst, LogEntry{Kind: kind, Payload: payload})

@@ -47,6 +47,12 @@ const (
 // FrameHeaderSize is the encoded size of a frame header.
 const FrameHeaderSize = 7
 
+// MaxChainedPayload is the largest payload a chained (non-audit) frame
+// may carry: the frame's whole encoding is the log entry the trusted
+// chain and the c-node's log commit, and an entry carries at most
+// MaxLoggedPayload bytes.
+const MaxChainedPayload = MaxLoggedPayload - FrameHeaderSize
+
 // Frame is the radio-level envelope. Src is *claimed*, not
 // authenticated: commodity radios do not authenticate link-layer
 // addresses, and RoboRebound's security argument never relies on it.
