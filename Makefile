@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race race-serve race-runner ci bench-all bench-gate fmt-check cover chaos-smoke soak violation-dump snapshot-smoke perf-smoke fuzz-smoke
+.PHONY: all build vet lint test race race-serve race-runner ci bench-all bench-gate fmt-check cover chaos-smoke soak violation-dump snapshot-smoke perf-smoke fuzz-smoke alloc-profile
 
 all: ci
 
@@ -69,6 +69,22 @@ bench-all:
 bench-gate:
 	$(GO) test -run '^$$' -bench BenchmarkPerf_Sim_Overhead -benchtime 6x -timeout 30m . \
 	  | awk '{ print; for (i = 2; i <= NF; i++) if ($$i == "overhead_pct") { seen = 1; if ($$(i-1) > 3) bad = 1 } } END { exit !seen || bad }'
+
+# Where the quick sparse and dense cells allocate: the top sites by
+# objects allocated, construction included, from a profile that records
+# every allocation (-memprofilerate 1) of the cells the allocation
+# ceilings hold (TestSparseCellAllocationCeiling and
+# TestDenseCellAllocationCeiling). The test binary and the profiles go
+# to a temporary directory that is removed afterwards. A few seconds.
+alloc-profile:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) test -c -o "$$dir/rb.test" . && \
+	for cell in Sparse Dense; do \
+	  echo "== quick $$cell cell: top allocation sites by objects"; \
+	  "$$dir/rb.test" -test.run "^Test$${cell}CellAllocationCeiling\$$" -test.count 1 \
+	    -test.memprofile "$$dir/$$cell.out" -test.memprofilerate 1 >/dev/null || exit 1; \
+	  $(GO) tool pprof -sample_index=alloc_objects -top -nodecount 25 "$$dir/rb.test" "$$dir/$$cell.out" || exit 1; \
+	done
 
 # Coverage over every package, with a per-function summary and an HTML
 # report CI uploads as an artifact.

@@ -30,6 +30,10 @@ type Checkpoint struct {
 	State []byte             // controller-specific encoded state
 }
 
+// checkpointHeadSize is the size of a checkpoint's encoding in front
+// of its state: time, the two authenticators and the state's length.
+const checkpointHeadSize = 8 + 2*wire.AuthenticatorSize + 4
+
 // Encode serializes the checkpoint. The encoding is canonical: Hash is
 // defined over these bytes, and tokens bind to that hash.
 func (c *Checkpoint) Encode() []byte {
@@ -72,5 +76,5 @@ func (c *Checkpoint) Hash() cryptolite.ChainHash {
 
 // EncodedSize returns the checkpoint's storage footprint in bytes.
 func (c *Checkpoint) EncodedSize() int {
-	return 8 + 2*wire.AuthenticatorSize + 4 + len(c.State)
+	return checkpointHeadSize + len(c.State)
 }

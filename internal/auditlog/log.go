@@ -1,6 +1,7 @@
 package auditlog
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -33,9 +34,10 @@ type pendingCheckpoint struct {
 	pos int
 }
 
-func newPending(cp Checkpoint, index, pos int) pendingCheckpoint {
-	enc := cp.Encode()
-	cp.State = enc[len(enc)-len(cp.State):]
+// newPending files cp with enc, its encoding: cp.State becomes the
+// encoding's tail.
+func newPending(cp Checkpoint, enc []byte, index, pos int) pendingCheckpoint {
+	cp.State = enc[checkpointHeadSize:]
 	return pendingCheckpoint{cp: cp, enc: enc, hash: cryptolite.SHA1Sum(enc), index: index, pos: pos}
 }
 
@@ -57,6 +59,17 @@ type Log struct {
 	start    *CoveredCheckpoint // nil ⇔ the window starts at boot
 	startEnc []byte             // start.CP's encoding, nil ⇔ from boot
 	pending  []pendingCheckpoint
+
+	// spare is the covered start MarkCovered last superseded: the
+	// storage AddCheckpoint encodes the next checkpoint into, so a log
+	// whose rounds are covered encodes its checkpoints where the ones
+	// before them were. Nothing reads its bytes once it is the spare
+	// (see AddCheckpoint).
+	spare []byte //rebound:snapshot-skip storage for the next checkpoint's encoding, no retained state
+	// head holds a checkpoint's fixed fields when there is no spare to
+	// encode into: the state appender then allocates the encoding once,
+	// at its whole size, rather than growing one the header started.
+	head [checkpointHeadSize]byte //rebound:snapshot-skip write-only scratch, no retained state
 
 	// encoded is the concatenation of the retained entries' encodings
 	// and entries their number. Each pending checkpoint records where it
@@ -81,14 +94,46 @@ func (l *Log) Append(e wire.LogEntry) {
 	l.entryBytes += e.EncodedSize()
 }
 
-// AddCheckpoint records a checkpoint at the current log position and
-// returns its hash, the handle SegmentTo and MarkCovered take. The
-// caller (the protocol engine) creates one per audit round, right
-// before requesting audits. cp.State is borrowed: the log keeps it
-// inside the checkpoint's own encoding, so the caller may write the
-// bytes again once AddCheckpoint returns.
-func (l *Log) AddCheckpoint(cp Checkpoint) cryptolite.ChainHash {
-	p := newPending(cp, l.entries, len(l.encoded))
+// StateAppender appends a checkpoint's controller state to dst and
+// returns the extended slice; control.Controller is one.
+type StateAppender interface {
+	AppendState(dst []byte) []byte
+}
+
+// AddCheckpoint records a checkpoint at the current log position —
+// taken at t, with the trusted nodes' authenticators authS and authA
+// and the state state appends — and returns its hash, the handle
+// SegmentTo and MarkCovered take. The caller (the protocol engine)
+// creates one per audit round, right before requesting audits.
+//
+// The state is appended straight into the checkpoint's encoding, and
+// its length written in front of it afterwards. The encoding starts in
+// the spare when there is one and in head otherwise; when the state
+// does not fit, the appender moves it once to storage that does (every
+// controller grows its buffer with one slices.Grow, so to the
+// allocator's size class). A covered checkpoint's encoding becomes the
+// spare of the round after next.
+//
+// Overwriting the spare is safe because nothing reads it any more: it
+// was the covered start until the last MarkCovered, and the only
+// holder of those bytes is the engine's round that MarkCovered covered
+// (its start checkpoint), which a covered round never sends again and
+// the next round, started by the caller right after this returns,
+// replaces.
+func (l *Log) AddCheckpoint(t wire.Tick, authS, authA wire.Authenticator, state StateAppender) cryptolite.ChainHash {
+	cp := Checkpoint{Time: t, AuthS: authS, AuthA: authA}
+	enc := l.spare[:0]
+	if enc == nil {
+		enc = l.head[:0]
+	}
+	l.spare = nil
+	enc = cp.AppendEncode(enc)
+	enc = state.AppendState(enc)
+	if &enc[0] == &l.head[0] {
+		enc = append([]byte(nil), enc...) // no state: the header is the whole checkpoint
+	}
+	binary.BigEndian.PutUint32(enc[checkpointHeadSize-4:], uint32(len(enc)-checkpointHeadSize))
+	p := newPending(cp, enc, l.entries, len(l.encoded))
 	l.pending = append(l.pending, p)
 	return p.hash
 }
@@ -127,7 +172,9 @@ func (l *Log) MarkCovered(hash cryptolite.ChainHash, tokens []wire.Token) error 
 		}
 		l.start.CP = p.cp
 		l.start.Tokens = append(l.start.Tokens[:0], tokens...)
-		l.startEnc = p.enc
+		// The superseded start's encoding is where the next checkpoint
+		// is encoded (see AddCheckpoint).
+		l.spare, l.startEnc = l.startEnc, p.enc
 		l.truncations++
 		return nil
 	}

@@ -2,6 +2,7 @@ package auditlog
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -21,6 +22,16 @@ func segEntries(t testing.TB, seg Segment) []wire.LogEntry {
 		t.Fatalf("segment does not decode: %v", err)
 	}
 	return entries
+}
+
+// stateBytes is a StateAppender whose state is its own bytes.
+type stateBytes []byte
+
+func (s stateBytes) AppendState(dst []byte) []byte { return append(dst, s...) }
+
+// add records cp at the log's current position.
+func add(l *Log, cp Checkpoint) cryptolite.ChainHash {
+	return l.AddCheckpoint(cp.Time, cp.AuthS, cp.AuthA, stateBytes(cp.State))
 }
 
 func ckpt(t wire.Tick, state string) Checkpoint {
@@ -97,7 +108,7 @@ func TestSegmentFromBoot(t *testing.T) {
 	l.Append(entry(0))
 	l.Append(entry(1))
 	cp := ckpt(10, "s1")
-	l.AddCheckpoint(cp)
+	add(l, cp)
 	l.Append(entry(2)) // after the checkpoint: not in the segment
 
 	seg, err := l.SegmentTo(cp.Hash())
@@ -119,11 +130,11 @@ func TestMarkCoveredTruncates(t *testing.T) {
 	l := New()
 	l.Append(entry(0))
 	cp1 := ckpt(10, "s1")
-	l.AddCheckpoint(cp1)
+	add(l, cp1)
 	l.Append(entry(1))
 	l.Append(entry(2))
 	cp2 := ckpt(20, "s2")
-	l.AddCheckpoint(cp2)
+	add(l, cp2)
 	l.Append(entry(3))
 
 	tokens := []wire.Token{{Auditor: 2, Auditee: 1, HCkpt: cp1.Hash()}}
@@ -175,10 +186,10 @@ func TestMarkCoveredSkipsIntermediate(t *testing.T) {
 	l := New()
 	l.Append(entry(0))
 	cp1 := ckpt(10, "s1")
-	l.AddCheckpoint(cp1)
+	add(l, cp1)
 	l.Append(entry(1))
 	cp2 := ckpt(20, "s2")
-	l.AddCheckpoint(cp2)
+	add(l, cp2)
 	l.Append(entry(2))
 
 	if err := l.MarkCovered(cp2.Hash(), nil); err != nil {
@@ -207,7 +218,7 @@ func TestStorageBoundedUnderSteadyState(t *testing.T) {
 			l.Append(entry(i))
 		}
 		cp := ckpt(wire.Tick(round), "state")
-		l.AddCheckpoint(cp)
+		add(l, cp)
 		if have {
 			if err := l.MarkCovered(lastHash, make([]wire.Token, 4)); err != nil {
 				t.Fatal(err)
@@ -238,7 +249,7 @@ func TestStorageGrowsWithoutCoverage(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			l.Append(entry(i))
 		}
-		l.AddCheckpoint(ckpt(wire.Tick(round), "state"))
+		add(l, ckpt(wire.Tick(round), "state"))
 	}
 	if l.StorageBytes() <= base {
 		t.Error("storage should grow without token coverage")
@@ -251,7 +262,7 @@ func TestStorageGrowsWithoutCoverage(t *testing.T) {
 func TestSegmentEntriesExcludePostCheckpoint(t *testing.T) {
 	l := New()
 	cp := ckpt(5, "s")
-	l.AddCheckpoint(cp) // checkpoint with zero prior entries
+	add(l, cp) // checkpoint with zero prior entries
 	l.Append(entry(9))
 	seg, err := l.SegmentTo(cp.Hash())
 	if err != nil {
@@ -281,14 +292,18 @@ func TestLogRandomizedInvariants(t *testing.T) {
 		var model []wire.LogEntry // entries the log should retain
 		latestAt := 0             // len(model) at the latest pending checkpoint
 		covered := 0
+		var startHash cryptolite.ChainHash // the covered start's, once there is one
 		for i, o := range ops {
 			switch o.Kind % 6 {
 			case 0:
 				l.Append(entry(i))
 				model = append(model, entry(i))
 			case 1:
-				cp := ckpt(wire.Tick(i), string(rune('a'+i%26)))
-				l.AddCheckpoint(cp)
+				// States of 0 to 8 bytes, so a checkpoint sometimes fits
+				// the spare and sometimes does not, and sometimes has no
+				// state at all.
+				cp := ckpt(wire.Tick(i), strings.Repeat(string(rune('a'+i%26)), i%9))
+				add(l, cp)
 				hashes = append(hashes, cp.Hash())
 				ats = append(ats, len(model))
 				latestAt = len(model)
@@ -298,6 +313,7 @@ func TestLogRandomizedInvariants(t *testing.T) {
 						return false
 					}
 					covered++
+					startHash = hashes[len(hashes)-1]
 					hashes, ats = hashes[:0], ats[:0]
 					model = model[latestAt:]
 				}
@@ -335,6 +351,7 @@ func TestLogRandomizedInvariants(t *testing.T) {
 						return false
 					}
 					covered++
+					startHash = hashes[0]
 					cut := ats[0]
 					model = model[cut:]
 					hashes, ats = hashes[1:], ats[1:]
@@ -345,6 +362,9 @@ func TestLogRandomizedInvariants(t *testing.T) {
 				}
 			}
 			if l.EntryCount() != len(model) || l.AccountingError() != nil {
+				return false
+			}
+			if !encodingsIntact(l, hashes, startHash) {
 				return false
 			}
 		}
@@ -361,6 +381,28 @@ func TestLogRandomizedInvariants(t *testing.T) {
 	}
 }
 
+// encodingsIntact reports whether every checkpoint encoding the log
+// holds still hashes to the hash it was recorded under — the pending
+// ones to hashes, in order, and the covered start's to startHash — and
+// whether each checkpoint's state is still the tail of its encoding.
+// An encoding written into storage something else still reads (the
+// spare while it is a pending checkpoint or the start, or the header
+// scratch) fails here at the next checkpoint.
+func encodingsIntact(l *Log, hashes []cryptolite.ChainHash, startHash cryptolite.ChainHash) bool {
+	if len(l.pending) != len(hashes) {
+		return false
+	}
+	for i, p := range l.pending {
+		if p.hash != hashes[i] || cryptolite.SHA1Sum(p.enc) != p.hash || p.cp.Hash() != p.hash {
+			return false
+		}
+	}
+	if l.start == nil {
+		return l.startEnc == nil
+	}
+	return cryptolite.SHA1Sum(l.startEnc) == startHash && l.start.CP.Hash() == startHash
+}
+
 // TestAppendDoesNotAllocateOnWarmedWindow pins the steady state the
 // in-place compaction buys: once a round has grown the window, covering
 // it keeps the storage, and the next round's appends reuse it.
@@ -373,7 +415,7 @@ func TestAppendDoesNotAllocateOnWarmedWindow(t *testing.T) {
 		l.Append(e)
 	}
 	cp := ckpt(1, "warm")
-	l.AddCheckpoint(cp)
+	add(l, cp)
 	if err := l.MarkCovered(cp.Hash(), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -416,14 +458,14 @@ func TestAccountingErrorLatches(t *testing.T) {
 			l.Append(wire.LogEntry{Kind: wire.EntryRecv, Payload: make([]byte, 3+i)})
 		}
 		cp := ckpt(1, "s")
-		l.AddCheckpoint(cp)
+		add(l, cp)
 		l.Append(entry(9))
 		if err := l.MarkCovered(cp.Hash(), nil); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 4; i++ {
 			if i == 2 {
-				l.AddCheckpoint(ckpt(2, "pending"))
+				add(l, ckpt(2, "pending"))
 			}
 			l.Append(wire.LogEntry{Kind: wire.EntrySensor, Payload: make([]byte, 2*i)})
 		}
@@ -496,7 +538,7 @@ func TestCheckpointEncodedOnceAndRetained(t *testing.T) {
 	cp1.AuthS.Top[3], cp1.AuthA.Mac[7], cp2.AuthA.ID = 0xAB, 0xCD, wire.Broadcast
 	l := New()
 	l.Append(entry(1))
-	h1 := l.AddCheckpoint(cp1)
+	h1 := add(l, cp1)
 	if h1 != cp1.Hash() {
 		t.Errorf("AddCheckpoint returned %x, want the checkpoint's hash %x", h1, cp1.Hash())
 	}
@@ -520,7 +562,7 @@ func TestCheckpointEncodedOnceAndRetained(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Append(entry(2))
-	seg2, err := l.SegmentTo(l.AddCheckpoint(cp2))
+	seg2, err := l.SegmentTo(add(l, cp2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,15 +590,15 @@ func TestSnapshotBytesWithPendingCheckpoints(t *testing.T) {
 	tok := wire.Token{Auditor: 3, Auditee: 1, T: 4, HCkpt: start.Hash()}
 	l := New()
 	l.Append(entry(0))
-	l.AddCheckpoint(start)
+	add(l, start)
 	l.Append(entry(1)) // logged after the checkpoint: survives the cover
 	if err := l.MarkCovered(start.Hash(), []wire.Token{tok}); err != nil {
 		t.Fatal(err)
 	}
 	l.Append(entry(2))
-	l.AddCheckpoint(p1)
+	add(l, p1)
 	l.Append(entry(3))
-	l.AddCheckpoint(p2)
+	add(l, p2)
 
 	w := wire.NewWriter(0)
 	w.U8(0) // not from boot

@@ -71,7 +71,7 @@ func (l *Log) RestoreState(b []byte) error {
 			r.Fail(errors.New("auditlog: snapshot pending checkpoint index out of range"))
 		}
 		prevIndex = index
-		pending[i] = newPending(cp, index, 0) // pos is set by the rebuild below
+		pending[i] = newPending(cp, cp.Encode(), index, 0) // pos is set by the rebuild below
 	}
 	truncations := int(r.U32())
 	if err := r.Done(); err != nil {

@@ -205,6 +205,11 @@ func (ps *Peers) Hear(payload []byte, self wire.RobotID, now wire.Tick) {
 		t[i] = p
 		return
 	}
+	if cap(t) == 0 {
+		// A tiny job's robots hear two or three peers; a table that
+		// outgrows four doubles from there.
+		t = make(Peers, 0, 4)
+	}
 	t = append(t, Peer{})
 	copy(t[i+1:], t[i:])
 	t[i] = p

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"roborebound/internal/auditlog"
 	"roborebound/internal/control"
 	"roborebound/internal/trusted"
 	"roborebound/internal/wire"
@@ -99,9 +98,7 @@ func TestBorrowedEncodingsLogLikeFreshOnes(t *testing.T) {
 		if !okS || !okA {
 			t.Fatal("keyless nodes")
 		}
-		cp := auditlog.Checkpoint{Time: r.now, AuthS: authS, AuthA: authA, State: r.eng.Controller().AppendState(nil)}
-		r.eng.Log().AddCheckpoint(cp)
-		seg, err := r.eng.Log().SegmentTo(cp.Hash())
+		seg, err := r.eng.Log().SegmentTo(r.eng.Log().AddCheckpoint(r.now, authS, authA, r.eng.Controller()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,8 +218,8 @@ func TestHearAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(100, hearAll); n != 0 {
 		t.Errorf("hearing a stable 20-peer set allocates %v per pass, want 0", n)
 	}
-	if len(r.eng.heardIDs) != 20 {
-		t.Fatalf("heard set holds %d peers, want 20", len(r.eng.heardIDs))
+	if len(r.eng.heard) != 20 {
+		t.Fatalf("heard set holds %d peers, want 20", len(r.eng.heard))
 	}
 }
 
@@ -303,7 +300,7 @@ func TestSolicitAsksInRotatedOrderFromScratch(t *testing.T) {
 		{2, 3, 4, 5, 6},
 	} {
 		r.now += 8 // refills the a-node's request bucket
-		r.eng.heardIDs, r.eng.heardAt = nil, nil
+		r.eng.heard = nil
 		r.eng.now = r.now
 		for _, id := range peers {
 			r.eng.hear(id)

@@ -39,21 +39,21 @@ type Engine struct {
 	// interface the a-node satisfies (ROADMAP item 1).
 	checkAuth func(wire.Authenticator) bool //rebound:snapshot-skip a-node wiring, reattached at rebuild
 
-	// heardIDs lists every peer a frame has come from, ascending, and
-	// heardAt[i] the last tick heardIDs[i] was heard (see hear). Two
-	// slices rather than a map: one is written per received frame, and
+	// heard lists every peer a frame has come from, ascending by ID,
+	// each with the last tick it was heard (see hear). One slice of
+	// records rather than a map: one is written per received frame, and
 	// the medium delivers a tick's frames in ascending sender order, so
 	// the slot after the last one written (heardHint) is almost always
 	// the one wanted.
-	heardIDs  []wire.RobotID
-	heardAt   []wire.Tick
+	heard     []heardPeer
 	heardHint int       //rebound:snapshot-skip lookup accelerator, every value finds the same slot
 	now       wire.Tick //rebound:clock trusted
 
 	round  *auditRound
 	rounds int // audit rounds started; drives auditor rotation (see solicit)
 	// served holds the timestamps of recently served audits (the
-	// ServeLimit window), sized to ServeLimit at the first serve.
+	// ServeLimit window), sized to ServeLimit at the first serve; with
+	// no limit it stays empty.
 	served []wire.Tick
 
 	// acache is the swarm-shared replay-verdict cache; nil replays
@@ -87,18 +87,23 @@ type Engine struct {
 	appendSeq uint64
 
 	// Round scratch: solicit's candidate list (sized to the heard set's
-	// capacity), the controller state startRound checkpoints (the log
-	// keeps it inside the checkpoint's encoding, see AddCheckpoint), and
-	// the auditor's decoded request. Each is rebuilt from empty by the
-	// call that uses it and read by nothing after that call returns;
-	// request holds no view of a payload once onAuditRequest returns.
+	// capacity) and the auditor's decoded request. Each is rebuilt from
+	// empty by the call that uses it and read by nothing after that call
+	// returns; request holds no view of a payload once onAuditRequest
+	// returns.
 	candidates []wire.RobotID    //rebound:snapshot-skip write-only scratch, no retained state
-	state      []byte            //rebound:snapshot-skip write-only scratch, no retained state
 	request    wire.AuditRequest //rebound:snapshot-skip write-only scratch, no retained state
 
 	// slab carves the small payloads the engine sends: its broadcast
 	// copies and audit responses.
 	slab wire.Slab //rebound:snapshot-skip payload storage; what it carved belongs to the frames sent
+}
+
+// heardPeer is one entry of the heard set: a peer and the last tick a
+// frame came from it.
+type heardPeer struct {
+	id wire.RobotID
+	at wire.Tick
 }
 
 type auditRound struct {
@@ -347,19 +352,27 @@ func (e *Engine) OnFrameEnc(f wire.Frame, enc []byte) {
 // hear records that src was heard at the current tick.
 func (e *Engine) hear(src wire.RobotID) {
 	i := e.heardHint + 1
-	if i >= len(e.heardIDs) || e.heardIDs[i] != src {
-		var found bool
-		if i, found = slices.BinarySearch(e.heardIDs, src); !found {
-			if cap(e.heardIDs) == 0 {
-				// Room for a sparse cell's handful of neighbours in one
-				// allocation each; a dense cell's set grows from here.
-				e.heardIDs, e.heardAt = slices.Grow(e.heardIDs, 8), slices.Grow(e.heardAt, 8)
+	if i >= len(e.heard) || e.heard[i].id != src {
+		// A binary search for src's slot, by hand: slices.BinarySearchFunc
+		// calls its comparison through a func value, twice as slow here.
+		lo, hi := 0, len(e.heard)
+		for lo < hi {
+			if m := int(uint(lo+hi) >> 1); e.heard[m].id < src {
+				lo = m + 1
+			} else {
+				hi = m
 			}
-			e.heardIDs = slices.Insert(e.heardIDs, i, src)
-			e.heardAt = slices.Insert(e.heardAt, i, 0)
+		}
+		if i = lo; i == len(e.heard) || e.heard[i].id != src {
+			if cap(e.heard) == 0 {
+				// Room for a sparse cell's handful of neighbours in one
+				// allocation; a dense cell's set grows from here.
+				e.heard = make([]heardPeer, 0, 8)
+			}
+			e.heard = slices.Insert(e.heard, i, heardPeer{id: src})
 		}
 	}
-	e.heardAt[i] = e.now
+	e.heard[i].at = e.now
 	e.heardHint = i
 }
 
@@ -409,16 +422,14 @@ func (e *Engine) startRound(now wire.Tick) {
 	if e.trace != nil {
 		e.trace.Emit(obs.Event{Tick: now, Robot: e.id, Kind: obs.EvCheckpointFlush})
 	}
-	e.state = e.ctrl.AppendState(e.state[:0])
-	cp := auditlog.Checkpoint{
-		Time:  now,
-		AuthS: authS,
-		AuthA: authA,
-		State: e.state,
-	}
-	// The log encodes the checkpoint once, on entry; the round ships
+	// The log encodes the checkpoint once, on entry, with the
+	// controller's state appended straight into it; the round ships
 	// those bytes (and next round, as its start, the same ones again).
-	seg, err := e.log.SegmentTo(e.log.AddCheckpoint(cp))
+	// The encoding may reuse the storage of the start the last cover
+	// superseded, which is this round's encStart if that cover was of the
+	// current round: nothing reads it between the cover and here, and the
+	// round is reset below before anything can.
+	seg, err := e.log.SegmentTo(e.log.AddCheckpoint(now, authS, authA, e.ctrl))
 	if err != nil {
 		return // unreachable: we just added the checkpoint
 	}
@@ -431,9 +442,15 @@ func (e *Engine) startRound(now wire.Tick) {
 	// and askOne's first Encode sends.
 	round := e.round
 	if round == nil {
+		// A round's tokens and the tokens covering its start are f_max+1
+		// each: one allocation holds both, each capped at its half so
+		// neither grows into the other.
+		n := e.cfg.Fmax + 1
+		toks := make([]wire.Token, 0, 2*n)
 		round = &auditRound{
-			tokens: make([]wire.Token, 0, e.cfg.Fmax+1),
-			asked:  make([]wire.RobotID, 0, e.cfg.Fmax+1),
+			tokens:   toks[:0:n],
+			startTok: toks[n:n],
+			asked:    make([]wire.RobotID, 0, n),
 		}
 		e.round = round
 	}
@@ -476,16 +493,16 @@ func (e *Engine) startRound(now wire.Tick) {
 // but a wrong candidate merely wastes one request and the retry loop
 // moves on. It lives in engine scratch, valid until the next call.
 func (e *Engine) auditorCandidates() []wire.RobotID {
-	if cap(e.candidates) < cap(e.heardIDs) {
-		e.candidates = make([]wire.RobotID, 0, cap(e.heardIDs))
+	if cap(e.candidates) < cap(e.heard) {
+		e.candidates = make([]wire.RobotID, 0, cap(e.heard))
 	}
 	ids := e.candidates[:0]
-	for i, id := range e.heardIDs {
-		if id == e.id || id == wire.Broadcast {
+	for _, p := range e.heard {
+		if p.id == e.id || p.id == wire.Broadcast {
 			continue
 		}
-		if e.heardAt[i]+e.cfg.HeardWindow > e.now {
-			ids = append(ids, id)
+		if p.at+e.cfg.HeardWindow > e.now {
+			ids = append(ids, p.id)
 		}
 	}
 	e.candidates = ids
@@ -713,12 +730,15 @@ func (e *Engine) finishAudit(auditee wire.RobotID, req wire.TokenRequest, v Audi
 	}
 	resp := wire.AuditResponse{Auditor: e.id, Auditee: auditee, OK: true, Tok: tok}
 	e.send.SendWirelessEnc(wire.Frame{Src: e.id, Dst: auditee, Flags: wire.FlagAudit, Payload: resp.AppendEncode(e.slab.Payload(wire.AuditResponseSize))})
+	e.stats.AuditsServed++
+	if e.cfg.ServeLimit <= 0 {
+		return // unlimited: nothing reads the window, so nothing is kept
+	}
 	if cap(e.served) < e.cfg.ServeLimit {
 		// serveBudgetOK keeps at most ServeLimit timestamps.
 		e.served = slices.Grow(e.served, e.cfg.ServeLimit-len(e.served))
 	}
 	e.served = append(e.served, e.now)
-	e.stats.AuditsServed++
 }
 
 // verifySegment runs the content checks of the auditor role: decode

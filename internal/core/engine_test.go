@@ -382,6 +382,28 @@ func TestServeLimitDisabled(t *testing.T) {
 	}
 }
 
+// TestUnlimitedServeKeepsNoWindow: with ServeLimit <= 0 nothing reads
+// the serve window, so an engine records no serve in it; nothing would
+// prune the timestamps either, so the window would grow for the whole
+// run and the snapshot would carry all of it.
+func TestUnlimitedServeKeepsNoWindow(t *testing.T) {
+	cfg := DefaultConfig(4)
+	cfg.Fmax = 1
+	cfg.ServeLimit = 0
+	h := newHarness(t, cfg, 1, 2, 3)
+	h.run(800)
+	served := uint64(0)
+	for id, e := range h.engines {
+		served += e.Stats().AuditsServed
+		if len(e.served) != 0 || cap(e.served) != 0 {
+			t.Errorf("robot %d keeps %d serve timestamps (room for %d) with serving unlimited", id, len(e.served), cap(e.served))
+		}
+	}
+	if served == 0 {
+		t.Fatal("no audit was served: the test checks nothing")
+	}
+}
+
 // TestAutoServeLimit pins the derived serve budget, 2(f_max+1)·T_val /
 // T_audit rounded up, at T_val = 10 s and 4 ticks per second. The
 // 8-second rows are the ones where the division is inexact.

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"unsafe"
 
+	"roborebound/internal/cryptolite"
+	"roborebound/internal/trusted"
 	"roborebound/internal/wire"
 )
 
@@ -382,6 +384,64 @@ func TestRoundCoveredInsideStartRound(t *testing.T) {
 	}
 }
 
+// TestCoveredRoundSnapshotBeforeTheSpareIsReused: covering the current
+// round makes the start it was built on the log's spare, so that start
+// is the covered round's encStart until the next startRound, whose
+// AddCheckpoint encodes into the spare right before it resets the
+// round. A snapshot taken in between must carry that start intact: it
+// still hashes to what the tokens covering it bind, and an engine
+// restored from the snapshot re-encodes the same bytes. The next round's
+// checkpoint must then land in that storage at least once, or the test
+// has not seen the spare reused.
+func TestCoveredRoundSnapshotBeforeTheSpareIsReused(t *testing.T) {
+	cfg := DefaultConfig(4)
+	cfg.Fmax = 1
+	h := newHarness(t, cfg, 1, 2, 3)
+	e := h.engines[1]
+	checked, reused := 0, 0
+	var spare *byte // the last covered round's start, while nothing has started since
+	for i := 0; i < 400 && (checked < 4 || reused == 0); i++ {
+		covered, started := e.Stats().RoundsCovered, e.Stats().RoundsStarted
+		h.tick()
+		rd := e.round
+		if e.Stats().RoundsStarted != started {
+			if spare != nil && &rd.encEnd[0] == spare {
+				reused++
+			}
+			spare = nil
+		}
+		if e.Stats().RoundsCovered == covered || !rd.covered || rd.fromBoot {
+			continue
+		}
+		checked++
+		spare = &rd.encStart[0]
+		startHash := cryptolite.SHA1Sum(rd.encStart)
+		if len(rd.startTok) != cfg.Fmax+1 {
+			t.Fatalf("tick %d: the round's start is covered by %d tokens, want %d", h.now, len(rd.startTok), cfg.Fmax+1)
+		}
+		for _, tok := range rd.startTok {
+			if tok.HCkpt != startHash {
+				t.Fatalf("tick %d: the covered round's start no longer hashes to what auditor %d's token binds", h.now, tok.Auditor)
+			}
+		}
+		blob := e.EncodeState()
+		r := NewEngine(1, cfg, factory(), h.snodes[1], h.anodes[1], h.anodes[1].SendWirelessEnc)
+		if err := r.RestoreState(blob); err != nil {
+			t.Fatalf("tick %d: restore: %v", h.now, err)
+		}
+		if again := r.EncodeState(); !bytes.Equal(again, blob) {
+			t.Fatalf("tick %d: the restored engine re-encodes differently", h.now)
+		}
+		if !bytes.Equal(r.round.encStart, rd.encStart) {
+			t.Fatalf("tick %d: the restored round's start differs", h.now)
+		}
+	}
+	if checked < 4 || reused == 0 {
+		t.Fatalf("%d rounds of robot 1 were covered from a covered start and %d next checkpoints reused the start's storage: "+
+			"the test checks too little", checked, reused)
+	}
+}
+
 // TestRoundWithoutARequestOwnsItsSegment: a round that starts with no
 // candidate in earshot, or with every ask refused by the a-node's rate
 // limiter, has encoded no request, so it takes the one copy of the
@@ -577,8 +637,8 @@ func TestRestoredRoundHoldsOneCopy(t *testing.T) {
 	}
 }
 
-// TestHeardSetMatchesMapModel holds the engine's heard set — two
-// parallel slices ascending by ID, written through a last-slot hint —
+// TestHeardSetMatchesMapModel holds the engine's heard set — one slice
+// of records ascending by ID, written through a last-slot hint —
 // to the map it replaced, over frames arriving the way the medium
 // delivers them (ascending sender order, tick after tick, with
 // newcomers and absentees) and in random order: the same set, the same
@@ -613,13 +673,14 @@ func TestHeardSetMatchesMapModel(t *testing.T) {
 				ids = append(ids, id)
 			}
 			slices.Sort(ids)
-			if !slices.Equal(e.heardIDs, ids) {
-				t.Fatalf("trial %d tick %d: heard IDs %v, the map model has %v", trial, tick, e.heardIDs, ids)
+			if len(e.heard) != len(ids) {
+				t.Fatalf("trial %d tick %d: heard set holds %d peers, the map model %d", trial, tick, len(e.heard), len(ids))
 			}
 			var want []wire.RobotID
 			for i, id := range ids {
-				if e.heardAt[i] != model[id] {
-					t.Fatalf("trial %d tick %d: robot %d last heard at %d, the map model says %d", trial, tick, id, e.heardAt[i], model[id])
+				if got := e.heard[i]; got.id != id || got.at != model[id] {
+					t.Fatalf("trial %d tick %d: heard entry %d is robot %d at %d, the map model has robot %d at %d",
+						trial, tick, i, got.id, got.at, id, model[id])
 				}
 				if id != e.id && id != wire.Broadcast && model[id]+cfg.HeardWindow > tick {
 					want = append(want, id)
@@ -631,10 +692,10 @@ func TestHeardSetMatchesMapModel(t *testing.T) {
 		}
 		blob := e.EncodeState()
 		w := wire.NewWriter(0)
-		w.U32(uint32(len(e.heardIDs)))
-		for _, id := range e.heardIDs {
-			w.U16(uint16(id))
-			w.U64(uint64(model[id]))
+		w.U32(uint32(len(e.heard)))
+		for _, p := range e.heard {
+			w.U16(uint16(p.id))
+			w.U64(uint64(model[p.id]))
 		}
 		if !bytes.HasPrefix(blob, w.Bytes()) {
 			t.Fatalf("trial %d: snapshot does not open with the map model's canonical heard set", trial)
@@ -656,6 +717,70 @@ func TestHeardSetMatchesMapModel(t *testing.T) {
 			if err := r2.eng.RestoreState(bad); err == nil {
 				t.Fatalf("trial %d: restore accepted a heard set with %s IDs", trial, name)
 			}
+		}
+	}
+}
+
+// TestInstalledTokensMatchMapModel holds the a-node's token map — one
+// slice of records ascending by auditor, written by InstallToken — to
+// the map Algorithm 4 describes, tkMap[auditor] ← max(tkMap[auditor],
+// t), over tokens minted by real auditors at random auditee times,
+// stale ones included: the same fresh-token count at random clock
+// readings, and the map model's canonical encoding (count, then
+// (auditor, t) ascending) in the a-node's snapshot, right before its
+// bucket, Safe-Mode and grace fields.
+func TestInstalledTokensMatchMapModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	cfg := DefaultConfig(4)
+	cfg.TAudit = 0
+	auditors := make(map[wire.RobotID]*trusted.ANode)
+	for id := wire.RobotID(2); id < 14; id++ {
+		an := trusted.NewANode(cfg.ANodeConfig(), func() wire.Tick { return 0 }, nil, nil, nil, nil)
+		an.LoadMasterKey(master, id)
+		if !an.LoadMissionKey(sealedKey()) {
+			t.Fatal("mission key rejected")
+		}
+		auditors[id] = an
+	}
+	// Bucket level, bucket time, Safe-Mode flag and grace deadline.
+	const afterMap = 8 + 8 + 1 + 8
+	for trial := 0; trial < 20; trial++ {
+		r := newDataPathRobot(t, cfg, false)
+		model := make(map[wire.RobotID]wire.Tick)
+		for op := 0; op < 60; op++ {
+			id := wire.RobotID(2 + rng.Intn(12))
+			r.now = wire.Tick(rng.Intn(200))
+			req, ok := r.an.MakeTokenRequest(id)
+			if !ok {
+				continue // rate-limited: nothing is installed
+			}
+			tok, ok := auditors[id].IssueToken(req, cryptolite.ChainHash{byte(op)})
+			if !ok || !r.an.InstallToken(tok) {
+				t.Fatalf("trial %d op %d: auditor %d's token for t=%d was refused", trial, op, id, req.T)
+			}
+			if old, seen := model[id]; !seen || req.T > old {
+				model[id] = req.T
+			}
+			r.now = wire.Tick(rng.Intn(260))
+			want := 0
+			for _, at := range model {
+				if at+cfg.TVal > r.now {
+					want++
+				}
+			}
+			if got := r.an.ValidTokenCount(); got != want {
+				t.Fatalf("trial %d op %d: %d fresh tokens at t=%d, the map model has %d", trial, op, got, r.now, want)
+			}
+		}
+		w := wire.NewWriter(0)
+		w.U32(uint32(len(model)))
+		for _, id := range wire.SortedIDs(model) {
+			w.U16(uint16(id))
+			w.U64(uint64(model[id]))
+		}
+		blob := r.an.EncodeState()
+		if end := len(blob) - afterMap; end < w.Len() || !bytes.Equal(blob[end-w.Len():end], w.Bytes()) {
+			t.Fatalf("trial %d: the a-node's snapshot does not carry the map model's canonical token map", trial)
 		}
 	}
 }

@@ -22,10 +22,10 @@ import (
 // EncodeState serializes the engine's dynamic state as an opaque blob.
 func (e *Engine) EncodeState() []byte {
 	w := wire.NewWriter(256)
-	w.U32(uint32(len(e.heardIDs)))
-	for i, id := range e.heardIDs {
-		w.U16(uint16(id))
-		w.U64(uint64(e.heardAt[i]))
+	w.U32(uint32(len(e.heard)))
+	for _, p := range e.heard {
+		w.U16(uint16(p.id))
+		w.U64(uint64(p.at))
 	}
 	w.U64(uint64(e.now))
 	w.U32(uint32(e.rounds))
@@ -62,10 +62,10 @@ func (e *Engine) EncodeState() []byte {
 func (e *Engine) RestoreState(b []byte) error {
 	r := wire.NewReader(b)
 	n := r.Count(10)
-	heardIDs, heardAt := make([]wire.RobotID, 0, n), make([]wire.Tick, 0, n)
+	heard := make([]heardPeer, n)
 	prev := -1
-	for i := 0; i < n; i++ {
-		heardIDs, heardAt = append(heardIDs, r.NextID(&prev)), append(heardAt, wire.Tick(r.U64()))
+	for i := range heard {
+		heard[i] = heardPeer{id: r.NextID(&prev), at: wire.Tick(r.U64())}
 	}
 	now := wire.Tick(r.U64())
 	rounds := int(r.U32())
@@ -112,7 +112,7 @@ func (e *Engine) RestoreState(b []byte) error {
 			return err
 		}
 	}
-	e.heardIDs, e.heardAt = heardIDs, heardAt
+	e.heard = heard
 	e.now = now
 	e.rounds = rounds
 	e.served = served

@@ -159,6 +159,9 @@ type Medium struct {
 	queue    []queuedFrame
 	seq      uint64
 	counters map[wire.RobotID]*ByteCounters
+	// ctrChunk is where Counters carves new robots' counters from (see
+	// there).
+	ctrChunk []ByteCounters
 
 	// Per-sender transmit state, behind a pointer so the steady-state
 	// Send path reads the map but never writes it.
@@ -266,7 +269,14 @@ func (m *Medium) SetPerf(t *perf.PhaseTimer) { m.perf = t }
 func (m *Medium) Counters(id wire.RobotID) *ByteCounters {
 	c := m.counters[id]
 	if c == nil {
-		c = &ByteCounters{}
+		// Counters are carved from chunks that double up to 64 robots'
+		// worth and are never regrown, so a robot's counters keep their
+		// address and a swarm's cost a handful of allocations.
+		if len(m.ctrChunk) == cap(m.ctrChunk) {
+			m.ctrChunk = make([]ByteCounters, 0, min(max(2*cap(m.ctrChunk), 4), 64))
+		}
+		m.ctrChunk = m.ctrChunk[:len(m.ctrChunk)+1]
+		c = &m.ctrChunk[len(m.ctrChunk)-1]
 		m.counters[id] = c
 		m.metrics.Register(counterPrefix, uint64(id), c)
 	}

@@ -78,6 +78,8 @@ type World struct {
 	cfg    WorldConfig            //rebound:snapshot-skip immutable config, supplied at rebuild
 	bodies []*Body                // sorted by ID
 	index  map[wire.RobotID]*Body //rebound:snapshot-skip rebuilt from bodies on restore
+	// chunk is where AddBody carves new bodies from (see there).
+	chunk []Body //rebound:snapshot-skip body storage, the bodies are snapshotted through bodies
 
 	crashes []CrashEvent
 
@@ -104,7 +106,14 @@ func (w *World) AddBody(id wire.RobotID, pos geom.Vec2) *Body {
 	if _, dup := w.index[id]; dup {
 		panic("sim: duplicate body ID")
 	}
-	b := &Body{ID: id, Pos: pos}
+	// Bodies are carved from chunks that double up to 64 bodies and are
+	// never regrown, so a body keeps its address (robots and the index
+	// hold it) and a swarm's bodies cost a handful of allocations.
+	if len(w.chunk) == cap(w.chunk) {
+		w.chunk = make([]Body, 0, min(max(2*cap(w.chunk), 4), 64))
+	}
+	w.chunk = append(w.chunk, Body{ID: id, Pos: pos})
+	b := &w.chunk[len(w.chunk)-1]
 	w.index[id] = b
 	i := sort.Search(len(w.bodies), func(i int) bool { return w.bodies[i].ID >= id })
 	w.bodies = append(w.bodies, nil)

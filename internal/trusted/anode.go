@@ -51,13 +51,12 @@ type ANode struct {
 	nodeBase
 	cfg ANodeConfig //rebound:snapshot-skip immutable config, supplied at rebuild
 
-	// The token map (Algorithm 4's tkMap): tkIDs holds the auditors a
-	// token is installed from, ascending, and tkAt[i] the newest
-	// timestamp installed from tkIDs[i]. Two slices rather than a map
+	// The token map (Algorithm 4's tkMap): one record per auditor a
+	// token is installed from, ascending by auditor, each with the
+	// newest timestamp installed from it. A slice rather than a map
 	// because CheckTokens reads every timestamp on every tick of every
 	// robot and a token lands a few times per round.
-	tkIDs []wire.RobotID
-	tkAt  []wire.Tick
+	tk []tokenStamp
 
 	bktLvl        float64
 	lastBktUpdate wire.Tick
@@ -78,6 +77,13 @@ type ANode struct {
 	// not a slice into one, so a node copied by value aliases nothing.
 	rxEnc [wire.MaxLoggedPayload]byte //rebound:snapshot-skip write-only scratch, no retained state
 	txEnc [wire.MaxLoggedPayload]byte //rebound:snapshot-skip write-only scratch, no retained state
+}
+
+// tokenStamp is one entry of the token map: an auditor and the newest
+// timestamp of a token installed from it.
+type tokenStamp struct {
+	auditor wire.RobotID
+	t       wire.Tick
 }
 
 // Wiring is what an a-node is wired to (Fig. 3): the radio, the
@@ -175,7 +181,7 @@ func (a *ANode) InSafeMode() bool { return a.safeMode }
 // covers it).
 func (a *ANode) PowerCycle() {
 	a.powerCycle()
-	a.tkIDs, a.tkAt = a.tkIDs[:0], a.tkAt[:0]
+	a.tk = a.tk[:0]
 	a.bktLvl = a.cfg.BucketCapacity
 	a.lastBktUpdate = 0
 	a.safeMode = false
@@ -212,8 +218,8 @@ func (a *ANode) CheckTokens() {
 // freshTokens counts the installed tokens younger than TVal at now.
 func (a *ANode) freshTokens(now wire.Tick) int {
 	n := 0
-	for _, t := range a.tkAt {
-		if t+a.cfg.TVal > now {
+	for _, s := range a.tk {
+		if s.t+a.cfg.TVal > now {
 			n++
 		}
 	}
@@ -420,24 +426,23 @@ func (a *ANode) InstallToken(tok wire.Token) bool {
 // audited by, and a token lands a few times per round.
 func (a *ANode) stampToken(auditor wire.RobotID, t wire.Tick) {
 	i := 0
-	for i < len(a.tkIDs) && a.tkIDs[i] < auditor {
+	for i < len(a.tk) && a.tk[i].auditor < auditor {
 		i++
 	}
-	if i < len(a.tkIDs) && a.tkIDs[i] == auditor {
-		if t > a.tkAt[i] {
-			a.tkAt[i] = t
+	if i < len(a.tk) && a.tk[i].auditor == auditor {
+		if t > a.tk[i].t {
+			a.tk[i].t = t
 		}
 		return
 	}
-	if cap(a.tkIDs) == 0 {
+	if cap(a.tk) == 0 {
 		// Room for a round's f_max+1 auditors and as many again in one
-		// allocation each.
-		a.tkIDs, a.tkAt = make([]wire.RobotID, 0, 8), make([]wire.Tick, 0, 8)
+		// allocation.
+		a.tk = make([]tokenStamp, 0, 8)
 	}
-	a.tkIDs, a.tkAt = append(a.tkIDs, 0), append(a.tkAt, 0)
-	copy(a.tkIDs[i+1:], a.tkIDs[i:])
-	copy(a.tkAt[i+1:], a.tkAt[i:])
-	a.tkIDs[i], a.tkAt[i] = auditor, t
+	a.tk = append(a.tk, tokenStamp{})
+	copy(a.tk[i+1:], a.tk[i:])
+	a.tk[i] = tokenStamp{auditor: auditor, t: t}
 }
 
 // ValidTokenCount returns how many installed tokens are currently

@@ -95,10 +95,10 @@ func (s *SNode) RestoreState(b []byte) error {
 func (a *ANode) EncodeState() []byte {
 	w := wire.NewWriter(128)
 	a.nodeBase.encodeState(w)
-	w.U32(uint32(len(a.tkIDs)))
-	for i, id := range a.tkIDs {
-		w.U16(uint16(id))
-		w.U64(uint64(a.tkAt[i]))
+	w.U32(uint32(len(a.tk)))
+	for _, s := range a.tk {
+		w.U16(uint16(s.auditor))
+		w.U64(uint64(s.t))
 	}
 	w.F64(a.bktLvl)
 	w.U64(uint64(a.lastBktUpdate))
@@ -116,10 +116,10 @@ func (a *ANode) RestoreState(b []byte) error {
 	r := wire.NewReader(b)
 	a.nodeBase.restoreState(r)
 	n := r.Count(10)
-	tkIDs, tkAt := make([]wire.RobotID, 0, n), make([]wire.Tick, 0, n)
+	tk := make([]tokenStamp, n)
 	prev := -1
-	for i := 0; i < n; i++ {
-		tkIDs, tkAt = append(tkIDs, r.NextID(&prev)), append(tkAt, wire.Tick(r.U64()))
+	for i := range tk {
+		tk[i] = tokenStamp{auditor: r.NextID(&prev), t: wire.Tick(r.U64())}
 	}
 	bktLvl := r.F64()
 	lastBkt := wire.Tick(r.U64())
@@ -131,7 +131,7 @@ func (a *ANode) RestoreState(b []byte) error {
 	if safeMode && a.keyed {
 		return errors.New("trusted: snapshot has Safe Mode latched but a mission key installed")
 	}
-	a.tkIDs, a.tkAt = tkIDs, tkAt
+	a.tk = tk
 	a.bktLvl = bktLvl
 	a.lastBktUpdate = lastBkt
 	a.safeMode = safeMode

@@ -101,8 +101,8 @@ func TestTokenFreshnessExactBoundary(t *testing.T) {
 	}
 }
 
-// TestTokenMapMatchesMapModel holds the a-node's token map — two
-// parallel slices, ascending by auditor — to the map it replaced,
+// TestTokenMapMatchesMapModel holds the a-node's token map — one slice
+// of records, ascending by auditor — to the map it replaced,
 // tkMap[auditor] ← max(tkMap[auditor], t), over random install
 // sequences: same fresh-token count at any clock reading, the same
 // canonical snapshot bytes (count, then (auditor, t) ascending), a

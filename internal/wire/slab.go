@@ -9,14 +9,14 @@ package wire
 // carving changes nothing for its readers; it lets N small payloads
 // cost one allocation instead of N.
 //
-// Chunks start at slabFirstChunk bytes and double up to slabMaxChunk,
-// so a sender that sends little pays for little. A payload over
-// slabMaxCarve bytes gets an allocation of its own. A chunk stays
-// reachable while any payload carved from it is, so the cap bounds what
-// one live payload can hold on to. The zero Slab is ready to use; each
-// sender keeps its own. A Slab must not be copied after first use (the
-// copy would carve the same bytes again), and it is not safe for
-// concurrent use.
+// Chunks are slabChunk bytes each, the first one too, so a busy sender
+// pays one allocation per chunk and none for chunks on the way to that
+// size. A payload over slabMaxCarve bytes gets an allocation of its
+// own. A chunk stays reachable while any payload carved from it is, so
+// its size bounds what one live payload can hold on to. The zero Slab
+// is ready to use; each sender keeps its own. A Slab must not be copied
+// after first use (the copy would carve the same bytes again), and it
+// is not safe for concurrent use.
 type Slab struct {
 	// chunk is the current chunk: carved up to its length, free from
 	// there to its capacity.
@@ -24,9 +24,8 @@ type Slab struct {
 }
 
 const (
-	slabFirstChunk = 32
-	slabMaxChunk   = 256
-	slabMaxCarve   = slabMaxChunk / 4
+	slabChunk    = 256
+	slabMaxCarve = slabChunk / 4
 )
 
 // Payload returns a zero-length slice with capacity exactly n, for the
@@ -38,11 +37,7 @@ func (s *Slab) Payload(n int) []byte {
 	}
 	used := len(s.chunk)
 	if cap(s.chunk)-used < n {
-		size := min(max(2*cap(s.chunk), slabFirstChunk), slabMaxChunk)
-		for size < n {
-			size *= 2
-		}
-		s.chunk, used = make([]byte, 0, size), 0
+		s.chunk, used = make([]byte, 0, slabChunk), 0
 	}
 	s.chunk = s.chunk[:used+n]
 	return s.chunk[used : used : used+n]

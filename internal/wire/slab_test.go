@@ -87,44 +87,29 @@ func TestSlabCarvesSmallPayloadsFromFewAllocations(t *testing.T) {
 	}
 }
 
-// TestSlabChunksGrowToTheCap: chunk sizes double from the first size to
-// the cap and stay there, so a sender that sends one payload holds a
-// small chunk and a busy sender's chunk holds at most slabMaxChunk; a
-// fresh slab asked for the largest carved payload first sizes its
-// first chunk to hold it.
-func TestSlabChunksGrowToTheCap(t *testing.T) {
+// TestSlabChunksAreFixedSize: every chunk the slab cuts, its first
+// included, is slabChunk bytes, so a busy sender's chunk holds at most
+// that much and a payload up to slabMaxCarve bytes always fits a fresh
+// one.
+func TestSlabChunksAreFixedSize(t *testing.T) {
 	var s Slab
-	var sizes []int
+	chunks := 0
 	for i := 0; i < 200; i++ {
 		before := unsafe.SliceData(s.chunk)
-		s.Payload(StateMsgSize)
+		s.Payload([]int{StateMsgSize, slabMaxCarve, 1}[i%3])
 		if unsafe.SliceData(s.chunk) != before {
-			sizes = append(sizes, cap(s.chunk))
+			chunks++
+			if cap(s.chunk) != slabChunk {
+				t.Fatalf("chunk %d is %d B, want %d", chunks, cap(s.chunk), slabChunk)
+			}
 		}
 	}
-	var want []int
-	for size := slabFirstChunk; size <= slabMaxChunk; size *= 2 {
-		want = append(want, size)
-	}
-	if len(sizes) < len(want)+1 {
-		t.Fatalf("only %d chunks for 200 payloads", len(sizes))
-	}
-	for i, w := range want {
-		if sizes[i] != w {
-			t.Fatalf("chunk %d is %d B, want %d (sizes %v)", i, sizes[i], w, sizes)
-		}
-	}
-	for _, got := range sizes[len(want):] {
-		if got != slabMaxChunk {
-			t.Fatalf("a chunk past the cap is %d B (sizes %v)", got, sizes)
-		}
+	if chunks < 2 {
+		t.Fatalf("only %d chunks for 200 payloads", chunks)
 	}
 
 	var fresh Slab
 	if p := append(fresh.Payload(slabMaxCarve), make([]byte, slabMaxCarve)...); cap(p) != slabMaxCarve {
 		t.Fatalf("the largest carved payload has cap %d, want %d", cap(p), slabMaxCarve)
-	}
-	if cap(fresh.chunk) < slabMaxCarve {
-		t.Fatalf("a first chunk of %d B carved a %d B payload", cap(fresh.chunk), slabMaxCarve)
 	}
 }

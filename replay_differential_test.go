@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"testing"
 
-	"roborebound/internal/auditlog"
 	"roborebound/internal/core"
 	"roborebound/internal/flocking"
 	"roborebound/internal/geom"
@@ -45,15 +44,8 @@ func collectSegments(t *testing.T, s *Sim) map[wire.RobotID]replayCell {
 		if !okS || !okA {
 			t.Fatalf("robot %d: trusted nodes keyless at mission end", id)
 		}
-		cp := auditlog.Checkpoint{
-			Time:  authS.T,
-			AuthS: authS,
-			AuthA: authA,
-			State: r.Controller().AppendState(nil),
-		}
 		log := r.Engine().Log()
-		log.AddCheckpoint(cp)
-		seg, err := log.SegmentTo(cp.Hash())
+		seg, err := log.SegmentTo(log.AddCheckpoint(authS.T, authS, authA, r.Controller()))
 		if err != nil {
 			t.Fatalf("robot %d: %v", id, err)
 		}
