@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race race-serve race-runner ci bench-all bench-gate fmt-check cover chaos-smoke soak violation-dump snapshot-smoke perf-smoke fuzz-smoke alloc-profile
+.PHONY: all build vet lint test race race-serve race-runner ci bench-all bench-gate fmt-check cover chaos-smoke soak violation-dump snapshot-smoke perf-smoke fuzz-smoke alloc-profile history
 
 all: ci
 
@@ -51,9 +51,17 @@ fmt-check:
 
 ci: fmt-check lint build test race
 
-# Performance numbers live in one ledger: `go run ./benchmark` (see
+# Performance numbers come from one benchmark: `go run ./benchmark` (see
 # benchmark/README.md) runs the four named workloads and compares
-# commits. The Go benchmarks below are drills and gates, not a ledger.
+# commits, and BENCH_history.ndjson keeps what each PR measured with it.
+# The Go benchmarks below are drills and gates, not a ledger.
+
+# The benchmark's history: checks BENCH_history.ndjson (PR order, names
+# BENCHMARK.json defines, ratios and never absolutes for time rows, a
+# verdict heading in EXPERIMENTS.md for every PR) and prints each
+# workload's allocations per robot-tick, PR by PR.
+history:
+	$(GO) test -run '^TestBenchHistory$$' -count=1 -v .
 
 # Every benchmark in the module at full benchtime (minutes).
 bench-all:

@@ -5,7 +5,7 @@ package roborebound
 // (`make bench-all`). The brute-force loops these were once paired
 // against are test oracles now (internal/radio and internal/sim
 // spatial_test.go); the last paired reading is EXPERIMENTS.md
-// "Spatial index verdict".
+// "PR 24".
 
 import (
 	"fmt"

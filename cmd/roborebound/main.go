@@ -420,8 +420,8 @@ func fig9() int {
 	}
 	res := rr.RunAttack(cfg)
 	fmt.Fprintln(out, "Fig. 9 — same attack with RoboRebound enabled")
-	fmt.Fprintf(out, "  attacker active %.0fs–%.1fs (disabled: %v); mean final dist %.1f m; crashes %d; correct disabled: %v\n",
-		res.AttackActiveSec[0], res.AttackActiveSec[1], res.AttackerKilled, res.MeanFinalDist, res.Crashes, res.CorrectDisabled)
+	fmt.Fprintf(out, "  attacker active %.0fs–%.1fs (disabled: %v); mean final dist %.1f m; crashes %d\n",
+		res.AttackActiveSec[0], res.AttackActiveSec[1], res.AttackerKilled, res.MeanFinalDist, res.Crashes)
 	printTrace("  dist-to-goal", res)
 	writeSVG("fig9a_trace_defended.svg", rr.RenderAttackTrace("Fig 9a: attack, RoboRebound enabled", res))
 	writeSVG("fig9b_final_defended.svg", rr.RenderAttackFinal("Fig 9b: final positions, defended", cfg, res))

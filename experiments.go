@@ -269,7 +269,6 @@ type AttackRunResult struct {
 	// never disabled). Zero-width when no attack ran.
 	AttackActiveSec [2]float64
 	AttackerKilled  bool
-	CorrectDisabled []wire.RobotID
 	Crashes         int
 	MeanFinalDist   float64
 }
@@ -344,7 +343,6 @@ func RunAttack(cfg AttackRunConfig) AttackRunResult {
 		res.SampleTimesSec = append(res.SampleTimesSec, float64(i*step)/TicksPerSecond)
 	}
 	res.MeanFinalDist = dt.MeanFinalDistance(s.CorrectIDs())
-	res.CorrectDisabled = s.CorrectInSafeMode()
 
 	if !cfg.DisableAttack {
 		comp := s.Compromised(wire.RobotID(slot + 1))

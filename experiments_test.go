@@ -51,14 +51,33 @@ func TestFig6Shapes(t *testing.T) {
 // checker latches fails. Two robots cannot find f_max+1 = 4 auditors,
 // so both lose their tokens and enter Safe Mode, and the Fig. 6 cell
 // panics with the checker's verdict, which the sweep runner re-raises.
+// A four-robot Fig. 9 run at f_max 3 has three peers, one short of a
+// quorum, so a correct robot is Safe-Moded and RunAttack panics: a
+// figure run never reports a disabled correct robot, it fails.
 func TestFigureViolationPanics(t *testing.T) {
-	defer func() {
-		msg, _ := recover().(string)
-		if !strings.Contains(msg, "invariant no-false-positive violated") {
-			t.Errorf("recovered %q, want the checker's no-false-positive verdict", msg)
-		}
-	}()
-	RunFig6Sweep(Fig6Config{N: 2, DurationSec: 20, Fmaxes: []int{3}, PeriodsSec: []float64{4}}, SweepOptions{Workers: 1})
+	attack := DefaultAttackRun()
+	attack.N = 4
+	attack.Protected = true
+	attack.DurationSec = 30
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"fig6", func() {
+			RunFig6Sweep(Fig6Config{N: 2, DurationSec: 20, Fmaxes: []int{3}, PeriodsSec: []float64{4}}, SweepOptions{Workers: 1})
+		}},
+		{"fig9", func() { RunAttack(attack) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "invariant no-false-positive violated") {
+					t.Errorf("recovered %q, want the checker's no-false-positive verdict", msg)
+				}
+			}()
+			tc.run()
+		})
+	}
 }
 
 func TestFig7Shapes(t *testing.T) {
@@ -96,7 +115,7 @@ func TestFig89Shapes(t *testing.T) {
 	if clean.AttackActiveSec != [2]float64{} {
 		t.Error("no-attack run reports an attack window")
 	}
-	if len(clean.CorrectDisabled) != 0 || clean.Crashes != 0 {
+	if clean.Crashes != 0 {
 		t.Errorf("clean run not clean: %+v", clean)
 	}
 
@@ -111,11 +130,12 @@ func TestFig89Shapes(t *testing.T) {
 	if !defended.AttackerKilled {
 		t.Fatal("defended run did not kill the attacker")
 	}
-	// §5.2: "no correct robots were put into Safe Mode". The disabled
+	// §5.2's "no correct robots were put into Safe Mode" is the
+	// checker's, which RunAttack would have panicked on. The disabled
 	// attacker parks in the grid's row-0, last-column corner, where no
 	// correct robot flies into it.
-	if len(defended.CorrectDisabled) != 0 || defended.Crashes != 0 {
-		t.Errorf("defended run: correct robots disabled %v, crashes %d", defended.CorrectDisabled, defended.Crashes)
+	if defended.Crashes != 0 {
+		t.Errorf("defended run: crashes %d", defended.Crashes)
 	}
 	window := defended.AttackActiveSec[1] - defended.AttackActiveSec[0]
 	if window <= 0 || window > 25 {

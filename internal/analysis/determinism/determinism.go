@@ -331,14 +331,14 @@ func (c *bodyChecker) singleAssignOK(lhs, rhs ast.Expr) bool {
 		if lhs.Name == "_" {
 			return true
 		}
-		obj := identObj(c.pass, lhs)
+		obj := c.pass.TypesInfo.ObjectOf(lhs)
 		// Writes to loop-local variables die with the iteration.
 		return obj != nil && c.declaredInLoop(obj)
 	case *ast.IndexExpr:
 		// m2[k] = v keyed by the range key: map keys are distinct, so
 		// write order is invisible.
 		if idx, ok := lhs.Index.(*ast.Ident); ok {
-			if obj := identObj(c.pass, idx); obj != nil && c.rangeKeys[obj] {
+			if obj := c.pass.TypesInfo.ObjectOf(idx); obj != nil && c.rangeKeys[obj] {
 				if _, isMap := c.pass.TypesInfo.Types[lhs.X].Type.Underlying().(*types.Map); isMap {
 					return c.callFree(lhs.X)
 				}
@@ -432,19 +432,12 @@ func rangeVarObjs(pass *analysis.Pass, rs *ast.RangeStmt) map[types.Object]bool 
 	out := make(map[types.Object]bool)
 	for _, e := range []ast.Expr{rs.Key, rs.Value} {
 		if ident, ok := e.(*ast.Ident); ok {
-			if obj := identObj(pass, ident); obj != nil {
+			if obj := pass.TypesInfo.ObjectOf(ident); obj != nil {
 				out[obj] = true
 			}
 		}
 	}
 	return out
-}
-
-func identObj(pass *analysis.Pass, ident *ast.Ident) types.Object {
-	if obj := pass.TypesInfo.Defs[ident]; obj != nil {
-		return obj
-	}
-	return pass.TypesInfo.Uses[ident]
 }
 
 // rootObj resolves e to the object of its base identifier: x, x.f,
@@ -453,7 +446,7 @@ func rootObj(pass *analysis.Pass, e ast.Expr) types.Object {
 	for {
 		switch x := e.(type) {
 		case *ast.Ident:
-			return identObj(pass, x)
+			return pass.TypesInfo.ObjectOf(x)
 		case *ast.SelectorExpr:
 			e = x.X
 		case *ast.IndexExpr:

@@ -423,7 +423,7 @@ func checkFuncBounds(pass *analysis.Pass, fd *ast.FuncDecl) {
 			if !ok || !isCountRead(pass, as.Rhs[i]) {
 				continue
 			}
-			if obj := identObj(pass, id); obj != nil {
+			if obj := pass.TypesInfo.ObjectOf(id); obj != nil {
 				counts[obj] = true
 			}
 		}
@@ -451,7 +451,7 @@ func checkFuncBounds(pass *analysis.Pass, fd *ast.FuncDecl) {
 				}
 				switch m := m.(type) {
 				case *ast.Ident:
-					if obj := identObj(pass, m); obj != nil && counts[obj] {
+					if obj := pass.TypesInfo.ObjectOf(m); obj != nil && counts[obj] {
 						offender = m.Name
 					}
 				case ast.Expr:
@@ -494,13 +494,6 @@ func isCountRead(pass *analysis.Pass, e ast.Expr) bool {
 		tv, ok := pass.TypesInfo.Types[sel.X]
 		return ok && isWireReader(tv.Type)
 	}
-}
-
-func identObj(pass *analysis.Pass, id *ast.Ident) types.Object {
-	if obj := pass.TypesInfo.Defs[id]; obj != nil {
-		return obj
-	}
-	return pass.TypesInfo.Uses[id]
 }
 
 // --- exported surface, for the runtime guard cross-check ---

@@ -96,9 +96,10 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// jsonFloat renders v in the shortest round-trippable form, with a
-// fixed representation for integral values so output is stable.
-func jsonFloat(v float64) string {
+// JSONFloat renders v in the shortest round-trippable form, with a
+// fixed representation for integral values so output is stable. The
+// perf plane's exports use it too, so both planes print a number alike.
+func JSONFloat(v float64) string {
 	var buf [32]byte
 	return string(appendJSONFloat(buf[:0], v))
 }
@@ -247,7 +248,7 @@ func ChromeTraceLines(events []Event, m TickMapping) []string {
 			start, ok := openRound[id]
 			if !ok {
 				emit(fmt.Sprintf(`{"ph":"i","name":%s,"pid":%d,"tid":%d,"ts":%s,"s":"t","args":{"value":%d}}`,
-					jsonString(e.Kind.String()), id, tid, jsonFloat(ts), e.Value))
+					jsonString(e.Kind.String()), id, tid, JSONFloat(ts), e.Value))
 				continue
 			}
 			delete(openRound, id)
@@ -261,7 +262,7 @@ func ChromeTraceLines(events []Event, m TickMapping) []string {
 				dur = 0 // non-monotonic event slice; see ChromeTraceLines
 			}
 			emit(fmt.Sprintf(`{"ph":"X","name":%s,"pid":%d,"tid":1,"ts":%s,"dur":%s,"args":{"segment_bytes":%d,"tokens":%d}}`,
-				jsonString(name), id, jsonFloat(startTS), jsonFloat(dur), start.Value, e.Value))
+				jsonString(name), id, JSONFloat(startTS), JSONFloat(dur), start.Value, e.Value))
 		default:
 			args := fmt.Sprintf(`{"value":%d`, e.Value)
 			if e.Peer != 0 {
@@ -275,7 +276,7 @@ func ChromeTraceLines(events []Event, m TickMapping) []string {
 			}
 			args += "}"
 			emit(fmt.Sprintf(`{"ph":"i","name":%s,"pid":%d,"tid":%d,"ts":%s,"s":"t","args":%s}`,
-				jsonString(e.Kind.String()), id, tid, jsonFloat(ts), args))
+				jsonString(e.Kind.String()), id, tid, JSONFloat(ts), args))
 		}
 	}
 
@@ -285,7 +286,7 @@ func ChromeTraceLines(events []Event, m TickMapping) []string {
 		id := uint16(e.Robot)
 		if open, ok := openRound[id]; ok && open == e {
 			emit(fmt.Sprintf(`{"ph":"i","name":"audit-round (open)","pid":%d,"tid":1,"ts":%s,"s":"t","args":{"segment_bytes":%d}}`,
-				id, jsonFloat(m.Micros(uint64(open.Tick))), open.Value))
+				id, JSONFloat(m.Micros(uint64(open.Tick))), open.Value))
 			delete(openRound, id)
 		}
 	}

@@ -3,7 +3,6 @@ package perf
 import (
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 
 	"roborebound/internal/obs"
@@ -13,17 +12,6 @@ import (
 // wall-clock pipeline track in a merged export. Robot processes use
 // their uint16 IDs, so any value above 65535 cannot collide.
 const WallClockPID = 1 << 20
-
-// jsonFloat renders v like the obs exporters do: integral values as
-// integers, everything else shortest-round-trip. NaN/Inf cannot occur
-// — span math is integer nanoseconds and TickMapping.Micros is
-// documented finite.
-func jsonFloat(v float64) string {
-	if v == float64(int64(v)) {
-		return strconv.FormatInt(int64(v), 10)
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
 
 // WriteMergedTrace writes one Chrome trace-event document combining
 // the tick-domain robot tracks (identical to obs.WriteChromeTrace)
@@ -37,7 +25,10 @@ func jsonFloat(v float64) string {
 // scales; either way Perfetto renders them side by side, which is the
 // point — where simulated activity clusters versus where hardware
 // time goes. A nil recorder (or one with no spans) degrades to the
-// tick-domain document plus the empty wall-clock process.
+// tick-domain document plus the empty wall-clock process. Numbers go
+// through obs.JSONFloat, which has no JSON form for NaN or Inf; none
+// reaches it, since span math is integer nanoseconds and
+// TickMapping.Micros is documented finite.
 func WriteMergedTrace(w io.Writer, events []obs.Event, m obs.TickMapping, rec *SpanRecorder) error {
 	var b strings.Builder
 	b.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`)
@@ -78,7 +69,7 @@ func WriteMergedTrace(w io.Writer, events []obs.Event, m obs.TickMapping, rec *S
 		}
 		emit(fmt.Sprintf(`{"ph":"X","name":%q,"pid":%d,"tid":%d,"ts":%s,"dur":%s}`,
 			s.Phase.String(), WallClockPID, int(s.Phase)+1,
-			jsonFloat(float64(s.StartNs)/1e3), jsonFloat(float64(dur)/1e3)))
+			obs.JSONFloat(float64(s.StartNs)/1e3), obs.JSONFloat(float64(dur)/1e3)))
 	}
 
 	b.WriteString("\n]}\n")
@@ -101,7 +92,7 @@ func WritePhaseJSON(w io.Writer, t *PhaseTimer, rt *RuntimeSampler) error {
 		fmt.Fprintf(&b, "\n    {\"phase\": %q, \"nested\": %v, \"count\": %d, \"total_ns\": %d, "+
 			"\"mean_ns\": %s, \"p50_ns\": %s, \"p95_ns\": %s, \"p99_ns\": %s}",
 			p.Name, p.Nested, p.Count, p.TotalNs,
-			jsonFloat(p.MeanNs), jsonFloat(p.P50Ns), jsonFloat(p.P95Ns), jsonFloat(p.P99Ns))
+			obs.JSONFloat(p.MeanNs), obs.JSONFloat(p.P50Ns), obs.JSONFloat(p.P95Ns), obs.JSONFloat(p.P99Ns))
 	}
 	b.WriteString("\n  ]")
 	if rt != nil {
@@ -111,7 +102,7 @@ func WritePhaseJSON(w io.Writer, t *PhaseTimer, rt *RuntimeSampler) error {
 			"\"gc_pause_p50_ns\": %s, \"gc_pause_p95_ns\": %s, \"gc_pause_p99_ns\": %s}",
 			r.Samples, r.HeapLiveBytes, r.HeapLiveMax,
 			r.Goroutines, r.GoroutinesMax, r.GCCycles,
-			jsonFloat(r.GCPauseP50Ns), jsonFloat(r.GCPauseP95Ns), jsonFloat(r.GCPauseP99Ns))
+			obs.JSONFloat(r.GCPauseP50Ns), obs.JSONFloat(r.GCPauseP95Ns), obs.JSONFloat(r.GCPauseP99Ns))
 	}
 	b.WriteString("\n}\n")
 	_, err := io.WriteString(w, b.String())

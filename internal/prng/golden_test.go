@@ -9,7 +9,9 @@ import "testing"
 // actually rely on. If any of these fail, the algorithm changed and
 // every recorded experiment output is invalidated: bump the
 // algorithm's version notice in the package comment and regenerate
-// EXPERIMENTS.md rather than updating the constants casually.
+// EXPERIMENTS.md's paper-vs-measured tables (BENCH_history.ndjson's
+// allocation rows then no longer compare with new readings) rather than
+// updating the constants casually.
 //
 // seed 0 doubles as a cross-reference against the canonical
 // xoshiro256** + SplitMix64 reference implementation.

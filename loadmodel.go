@@ -19,7 +19,8 @@ import (
 // the PIC's 32-bit datapath and flash wait states. The two anchors the
 // paper reports — SHA-1 of a 270 B batch ≈ 1 ms, a MAC over ≤40 B ≈
 // 10–12 ms — land within ~2× under this scaling, which is as good as
-// cross-ISA extrapolation gets; EXPERIMENTS.md records the residuals.
+// cross-ISA extrapolation gets; EXPERIMENTS.md, "Fig. 5a", records the
+// residuals.
 const PICSlowdown = 2000.0
 
 // LatencyDist summarizes a per-operation latency distribution in host

@@ -131,8 +131,8 @@ func (fs FlockScenario) layout() ([]geom.Vec2, control.Factory) {
 		params.C2Beta = 1.0
 		// Table 3's α gains (0.005/0.05) cannot resist the goal
 		// spring's squeeze at obstacle chokepoints: the lattice gets
-		// crushed and robots collide. EXPERIMENTS.md records the
-		// deviation.
+		// crushed and robots collide. EXPERIMENTS.md, "Deviations from
+		// the paper", records the deviation.
 		params.C1Alpha = 0.3
 		params.C2Alpha = 0.4
 	}
