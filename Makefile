@@ -16,8 +16,15 @@ vet:
 # any violation; legitimate exceptions carry a justified //rebound:
 # annotation, and a hatch that no longer suppresses anything is itself
 # a violation (the annotation audit keeps the exception list honest).
+#
+# The cryptolite package also has to build and vet where it has no SHA-1
+# kernel: arm64 (64-bit, the stdlib digest in assembly) and 386 (32-bit).
+# On amd64, go vet's asmdecl check holds the kernel's assembly frames to
+# their Go declarations.
 lint: vet
 	$(GO) run ./cmd/reboundlint ./...
+	GOARCH=arm64 $(GO) vet ./internal/cryptolite
+	GOARCH=386 $(GO) vet ./internal/cryptolite
 
 # -shuffle=on randomizes test (and subtest) execution order each run,
 # flushing out order-dependent tests; the chosen seed is printed so a
@@ -187,3 +194,4 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzJobRequestDecode -fuzztime=20s ./internal/serve
 	$(GO) test -run=NONE -fuzz=FuzzAcceptedCellJob -fuzztime=20s ./internal/serve
 	$(GO) test -run=NONE -fuzz=FuzzJSONString -fuzztime=20s ./internal/obs
+	$(GO) test -run=NONE -fuzz=FuzzSHA1Stream -fuzztime=20s ./internal/cryptolite

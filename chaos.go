@@ -308,6 +308,10 @@ type ChaosResult struct {
 	// mismatch). The run did not execute; every other result field is
 	// meaningless.
 	ResumeError error
+	// SHA1Compressions is the number of SHA-1 compressions the cell's
+	// chains and checkpoint hashes ran: observation-only, counted from
+	// the build or the resume, and in no differential.
+	SHA1Compressions uint64
 }
 
 // deliberateAttackers is the set the schedule avoids and placement
@@ -501,6 +505,7 @@ func (cell chaosCell) run(cfg ChaosConfig) ChaosResult {
 	}
 	m.Fingerprint = chaosFingerprint(s)
 	res.MetricsSnapshot = cell.reg.Snapshot()
+	res.SHA1Compressions = s.sha1Compressions()
 	return res
 }
 

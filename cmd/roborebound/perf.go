@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	rr "roborebound"
+	"roborebound/internal/cryptolite"
 	"roborebound/internal/obs"
 	"roborebound/internal/obs/perf"
 )
@@ -99,6 +101,7 @@ func perfCmd() int {
 			r.P50Ns/1e3, r.P95Ns/1e3, r.P99Ns/1e3)
 	}
 	fmt.Fprintf(out, "  pipeline total %.2f ms over the whole run\n", float64(pipeline)/1e6)
+	printSHA1Cost(timed, pipeline)
 
 	rtr := rt.Report()
 	if rtr.Samples > 0 {
@@ -129,6 +132,56 @@ func perfCmd() int {
 		return 1
 	}
 	return exit
+}
+
+// printSHA1Cost prints the run's SHA-1 work: compressions per
+// robot-tick, counted where the bytes are hashed, times the ns one
+// compression takes on the path this process runs, calibrated here.
+func printSHA1Cost(res rr.ChaosResult, pipelineNs uint64) {
+	robotTicks := float64(res.Config.N) * float64(res.Config.Ticks())
+	ns := sha1CompressionNs()
+	path := "crypto/sha1"
+	if cryptolite.SHA1UsesSHANI() {
+		path = "the SHA-NI kernel"
+	}
+	totalNs := float64(res.SHA1Compressions) * ns
+	fmt.Fprintf(out, "\n  SHA-1: %d compressions, %.1f per robot-tick, x %.1f ns on %s = %.2f µs per robot-tick",
+		res.SHA1Compressions, float64(res.SHA1Compressions)/robotTicks, ns, path, totalNs/robotTicks/1e3)
+	if pipelineNs > 0 {
+		fmt.Fprintf(out, ", %.1f%% of the pipeline", 100*totalNs/float64(pipelineNs))
+	}
+	fmt.Fprintln(out)
+}
+
+// sha1CompressionNs times SHA1Stream the way a trusted chain drives
+// it — a flush of ten entries, each a 6-byte length prefix and header
+// then a 34-byte payload, behind the 20-byte top: 420 bytes, seven
+// compressions, like a dense cell's mean flush — and returns the median
+// of nine rounds' ns per compression.
+func sha1CompressionNs() float64 {
+	const rounds, reps, entries = 9, 3000, 10
+	var top [20]byte
+	var head [6]byte
+	var payload [34]byte
+	flushLen := uint64(len(top) + entries*(len(head)+len(payload)))
+	blocks := float64(reps * cryptolite.SHA1Blocks(flushLen))
+	var s cryptolite.SHA1Stream
+	var ns [rounds]float64
+	for i := range ns {
+		start := perf.Now()
+		for range reps {
+			s.Reset()
+			s.Write(top[:])
+			for range entries {
+				s.Write(head[:])
+				s.Write(payload[:])
+			}
+			s.Sum()
+		}
+		ns[i] = float64(perf.Now()-start) / blocks
+	}
+	slices.Sort(ns[:])
+	return ns[rounds/2]
 }
 
 // sameNDJSON compares two collectors' serialized event streams byte

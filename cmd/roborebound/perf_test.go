@@ -33,6 +33,7 @@ func TestPerfCLISmoke(t *testing.T) {
 		"phase", "pipe%", "p50 µs", "p99 µs",
 		"radio-deliver", "actor-tick", "pipeline total",
 		"runtime:", "samples", "goroutines",
+		"SHA-1:", "compressions", "per robot-tick",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("perf output missing %q:\n%s", want, got)
@@ -40,6 +41,9 @@ func TestPerfCLISmoke(t *testing.T) {
 	}
 	if strings.Contains(got, "FAIL") {
 		t.Errorf("perf output reports failures:\n%s", got)
+	}
+	if strings.Contains(got, "SHA-1: 0 compressions") {
+		t.Errorf("perf counted no SHA-1 compressions:\n%s", got)
 	}
 }
 

@@ -81,6 +81,9 @@ type Log struct {
 	entryBytes int
 	// truncations counts MarkCovered-driven discards, for tests.
 	truncations int
+	// compressions counts the SHA-1 compressions of the checkpoint
+	// hashes AddCheckpoint took. Observation-only: nothing reads it.
+	compressions uint64 //rebound:snapshot-skip observation-only count, not run state
 }
 
 // New returns an empty log starting at boot.
@@ -135,6 +138,7 @@ func (l *Log) AddCheckpoint(t wire.Tick, authS, authA wire.Authenticator, state 
 	binary.BigEndian.PutUint32(enc[checkpointHeadSize-4:], uint32(len(enc)-checkpointHeadSize))
 	p := newPending(cp, enc, l.entries, len(l.encoded))
 	l.pending = append(l.pending, p)
+	l.compressions += cryptolite.SHA1Blocks(uint64(len(enc)))
 	return p.hash
 }
 
@@ -242,6 +246,10 @@ func (l *Log) PendingCheckpoints() int { return len(l.pending) }
 
 // Truncations returns how many times the log has been truncated.
 func (l *Log) Truncations() int { return l.truncations }
+
+// SHA1Compressions returns the number of SHA-1 compressions the log's
+// checkpoint hashes have run since it was built or restored.
+func (l *Log) SHA1Compressions() uint64 { return l.compressions }
 
 // AccountingError cross-checks the incrementally maintained
 // accounting against a full recount: it re-parses the window's entry

@@ -153,6 +153,16 @@ func (c *AuditCache) Len() int { return len(c.m) }
 // identical).
 func (c *AuditCache) HitsMisses() (hits, misses uint64) { return c.hits, c.misses }
 
+// SHA1Compressions returns the number of SHA-1 compressions the misses'
+// replica chains have run. A nil cache replays on a fresh machine per
+// miss, whose count is not kept.
+func (c *AuditCache) SHA1Compressions() uint64 {
+	if c == nil {
+		return 0
+	}
+	return c.miss.machine.SHA1Compressions()
+}
+
 // auditKey hashes the verdict-relevant content of an audit request:
 // the auditee, the request tick, and the request's raw tail bytes
 // (FromBoot flag, checkpoints, start tokens, segment — see

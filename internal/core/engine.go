@@ -85,6 +85,11 @@ type Engine struct {
 	//
 	//rebound:snapshot-skip perf sampling phase, observation-only
 	appendSeq uint64
+	// compressions counts the SHA-1 compressions of the checkpoint
+	// hashes the auditor role takes (verifySegment, onAuditRequest).
+	//
+	//rebound:snapshot-skip observation-only count, not run state
+	compressions uint64
 
 	// Round scratch: solicit's candidate list (sized to the heard set's
 	// capacity) and the auditor's decoded request. Each is rebuilt from
@@ -285,6 +290,18 @@ func (e *Engine) Controller() control.Controller { return e.ctrl }
 
 // Log exposes the audit log for storage accounting.
 func (e *Engine) Log() *auditlog.Log { return &e.log }
+
+// SHA1Compressions returns the number of SHA-1 compressions the
+// engine's checkpoint hashes have run, its log's included, since it was
+// built or resumed. The chains are the trusted nodes' and the replay
+// machine's, counted there.
+func (e *Engine) SHA1Compressions() uint64 { return e.compressions + e.log.SHA1Compressions() }
+
+// checkpointHash is SHA1Sum, counted.
+func (e *Engine) checkpointHash(enc []byte) cryptolite.ChainHash {
+	e.compressions += cryptolite.SHA1Blocks(uint64(len(enc)))
+	return cryptolite.SHA1Sum(enc)
+}
 
 // Stats returns a snapshot of the protocol counters.
 func (e *Engine) Stats() Stats { return e.stats }
@@ -698,7 +715,7 @@ func (e *Engine) onAuditRequest(payload []byte) perf.Phase {
 	}
 	v := AuditVerdict{OK: e.verifySegment(a)}
 	if v.OK {
-		v.HCkpt = cryptolite.SHA1Sum(a.EndCheckpoint)
+		v.HCkpt = e.checkpointHash(a.EndCheckpoint)
 	}
 	e.releaseRequest()
 	if cache != nil {
@@ -749,9 +766,9 @@ func (e *Engine) finishAudit(auditee wire.RobotID, req wire.TokenRequest, v Audi
 // rebuilt from the request, and every MAC involved uses the
 // swarm-shared mission key) — which is what makes it cacheable.
 //
-// The checkpoint hashes here and at the call sites run on the stdlib
-// digest (SHA1Sum): this is the untrusted c-node hashing kilobytes, not
-// a trusted MCU.
+// The checkpoint hashes here and at the call sites run on SHA1Sum, the
+// host's SHA-1 (the SHA-NI kernel where the CPU has it): this is the
+// untrusted c-node hashing kilobytes, not a trusted MCU.
 func (e *Engine) verifySegment(a *wire.AuditRequest) bool {
 	end, err := auditlog.DecodeCheckpoint(a.EndCheckpoint)
 	if err != nil {
@@ -768,7 +785,7 @@ func (e *Engine) verifySegment(a *wire.AuditRequest) bool {
 		if err != nil {
 			return false
 		}
-		startHash := cryptolite.SHA1Sum(a.StartCheckpoint)
+		startHash := e.checkpointHash(a.StartCheckpoint)
 		if err := replay.TokensCoverStart(a.Auditee, startHash, a.StartTokens,
 			e.cfg.Fmax, e.anode.VerifyToken); err != nil {
 			return false

@@ -66,6 +66,12 @@ type Machine struct {
 	state  []byte
 }
 
+// SHA1Compressions returns the number of SHA-1 compressions the
+// machine's chain replicas have run over all its replays.
+func (m *Machine) SHA1Compressions() uint64 {
+	return m.chains[0].Compressions() + m.chains[1].Compressions()
+}
+
 // Failure describes why a replay was rejected. It implements error;
 // auditors don't act on the detail (the paper's auditor silently
 // ignores bad requests) but tests and operators do.

@@ -18,17 +18,17 @@ import (
 
 // Config describes one robot.
 type Config struct {
-	ID wire.RobotID //rebound:snapshot-skip construction identity, not run state
+	ID wire.RobotID
 	// Protected selects RoboRebound; false gives the unprotected
 	// baseline (controller wired straight to sensors/actuators/radio).
 	Protected bool
 	// Core holds the protocol parameters (used when Protected).
-	Core core.Config //rebound:snapshot-skip immutable config, supplied at rebuild
+	Core core.Config
 	// Factory builds the mission controller.
 	Factory control.Factory
 	// Master is the MRS master key; Sealed the mission key bundle.
-	Master []byte                   //rebound:snapshot-skip key material, re-injected at rebuild
-	Sealed trusted.SealedMissionKey //rebound:snapshot-skip key material, re-injected at rebuild
+	Master []byte
+	Sealed trusted.SealedMissionKey
 	// TrustedClock, when non-nil, replaces the engine clock as the
 	// robot's local time source: the trusted pair's timestamps and
 	// token-freshness timers AND the c-node's protocol scheduling (the
@@ -40,8 +40,6 @@ type Config struct {
 	// bookkeeping stay on the engine clock, so skew is observable the
 	// way the paper's analysis assumes: only through the robot's own
 	// protocol behavior.
-	//
-	//rebound:snapshot-skip clock wiring, reattached at rebuild
 	TrustedClock func() wire.Tick //rebound:clock trusted
 	// Trace receives the robot's protocol events (nil = disabled).
 	// The trusted nodes never see it — the TCB import surface stays
@@ -49,27 +47,28 @@ type Config struct {
 	// expiry) are observed from this layer: Safe Mode via the a-node's
 	// kill-switch callback, expiry by polling ValidTokenCount on the
 	// hardware timer.
-	Trace obs.Tracer //rebound:snapshot-skip observer wiring, reattached at rebuild
+	Trace obs.Tracer
 	// Metrics, when non-nil, rebinds the engine's protocol tallies to
 	// registry counters (see core.Engine.Instrument).
-	Metrics *obs.Registry //rebound:snapshot-skip observer wiring, reattached at rebuild
+	Metrics *obs.Registry
 	// AuditCache, when non-nil, is the swarm-shared replay-verdict
 	// cache (see core.AuditCache). The facade passes one cache to every
 	// robot of a sim.
-	AuditCache *core.AuditCache //rebound:snapshot-skip swarm-level cache, snapshotted once by the runner
+	AuditCache *core.AuditCache
 	// Perf, when non-nil, attributes the protocol engine's wall-clock
 	// cost (audit serves, chain appends) to the shared phase timer.
 	// Observation-only, like Trace; the trusted nodes never see it
 	// either — the TCB import surface stays stdlib-only, so the c-node
 	// engine times its calls into the trusted layer from outside.
-	Perf *perf.PhaseTimer //rebound:snapshot-skip observation-only wall-clock plane, reattached at rebuild
+	Perf *perf.PhaseTimer
 }
 
 // Robot is a sim.Actor. All robots — protected, unprotected, and the
 // attack package's compromised variants — are built on this type.
 type Robot struct {
-	id  wire.RobotID
-	cfg Config
+	id wire.RobotID
+	// factory rebuilds an unprotected robot's controller on restore.
+	factory control.Factory
 	//rebound:snapshot-skip owned by sim.World, snapshotted there
 	body *sim.Body
 	//rebound:snapshot-skip shared medium, snapshotted once by the runner
@@ -77,8 +76,9 @@ type Robot struct {
 	//rebound:snapshot-skip clock wiring, reattached at rebuild
 	clock func() wire.Tick //rebound:clock engine
 
-	// Protected path. pclock is the local protocol clock — the
-	// trusted clock when one is injected, the engine clock otherwise.
+	// Protected path, nil on an unprotected robot. pclock is the local
+	// protocol clock — the trusted clock when one is injected, the engine
+	// clock otherwise.
 	snode  *trusted.SNode
 	anode  *trusted.ANode
 	engine *core.Engine
@@ -112,13 +112,13 @@ type protected struct {
 //rebound:clock clock=engine
 func New(cfg Config, body *sim.Body, medium *radio.Medium, clock func() wire.Tick) *Robot {
 	if !cfg.Protected {
-		r := &Robot{id: cfg.ID, cfg: cfg, body: body, medium: medium, clock: clock, trace: cfg.Trace}
+		r := &Robot{id: cfg.ID, factory: cfg.Factory, body: body, medium: medium, clock: clock, trace: cfg.Trace}
 		r.ctrl = cfg.Factory.New(cfg.ID)
 		return r
 	}
 	b := new(protected)
 	r := &b.Robot
-	*r = Robot{id: cfg.ID, cfg: cfg, body: body, medium: medium, clock: clock, trace: cfg.Trace,
+	*r = Robot{id: cfg.ID, factory: cfg.Factory, body: body, medium: medium, clock: clock, trace: cfg.Trace,
 		snode: &b.snode, anode: &b.anode, engine: &b.engine}
 
 	//rebound:clockmix zero-skew default: with no injected TrustedClock the robot's local timer IS the engine tick
@@ -177,6 +177,16 @@ func (r *Robot) SNode() *trusted.SNode { return r.snode }
 // Engine returns the protocol engine (nil when unprotected).
 func (r *Robot) Engine() *core.Engine { return r.engine }
 
+// SHA1Compressions returns the number of SHA-1 compressions the
+// robot's trusted chains and its engine's checkpoint hashes have run;
+// zero on an unprotected robot. Observation-only.
+func (r *Robot) SHA1Compressions() uint64 {
+	if r.engine == nil {
+		return 0
+	}
+	return r.snode.SHA1Compressions() + r.anode.SHA1Compressions() + r.engine.SHA1Compressions()
+}
+
 // InSafeMode reports whether the a-node has fired the kill switch.
 func (r *Robot) InSafeMode() bool { return r.inSafeMode }
 
@@ -197,7 +207,7 @@ func (r *Robot) Controller() control.Controller {
 // Deliver implements sim.Actor: frames enter through the a-node on
 // protected robots, straight into the controller otherwise.
 func (r *Robot) Deliver(f wire.Frame) {
-	if r.cfg.Protected {
+	if r.engine != nil {
 		r.anode.RecvWireless(f)
 		return
 	}
@@ -212,7 +222,7 @@ func (r *Robot) Deliver(f wire.Frame) {
 // straight to the radio. The attack package uses this as the
 // compromised c-node's transmit path.
 func (r *Robot) RawSend(f wire.Frame) bool {
-	if r.cfg.Protected {
+	if r.engine != nil {
 		_, ok := r.anode.SendWirelessEnc(f)
 		return ok
 	}
@@ -223,7 +233,7 @@ func (r *Robot) RawSend(f wire.Frame) bool {
 // RawActuate commands an acceleration on behalf of this robot's
 // c-node, through the a-node when protected.
 func (r *Robot) RawActuate(cmd wire.ActuatorCmd) bool {
-	if r.cfg.Protected {
+	if r.engine != nil {
 		_, ok := r.anode.ActuatorCmdEnc(cmd)
 		return ok
 	}
@@ -277,7 +287,7 @@ func (r *Robot) Tick(now wire.Tick) {
 	if r.body.Crashed {
 		return
 	}
-	if r.cfg.Protected {
+	if r.engine != nil {
 		// The protocol runs on the robot's local (trusted) clock: the
 		// c-node reads time from the trusted hardware, so sensor
 		// timestamps, round scheduling, checkpoints, and token

@@ -16,7 +16,7 @@ func (r *Robot) EncodeState() []byte {
 	w.Bool(r.inSafeMode)
 	w.U64(uint64(r.safeModeAt))
 	w.U32(uint32(r.validTokens))
-	if !r.cfg.Protected {
+	if r.engine == nil {
 		w.Blob(r.ctrl.AppendState(nil))
 		return w.Bytes()
 	}
@@ -41,14 +41,14 @@ func (r *Robot) RestoreState(b []byte) error {
 	// one its s-node's, a-node's and engine's.
 	state := rd.Blob()
 	var an, en []byte
-	if r.cfg.Protected {
+	if r.engine != nil {
 		an, en = rd.Blob(), rd.Blob()
 	}
 	if err := rd.Done(); err != nil {
 		return err
 	}
-	if !r.cfg.Protected {
-		ctrl, err := r.cfg.Factory.Load(nil, r.id, state)
+	if r.engine == nil {
+		ctrl, err := r.factory.Load(nil, r.id, state)
 		if err != nil {
 			return err
 		}

@@ -27,18 +27,22 @@ const DefaultBatchSize = 10
 // TestChainStreamingMatchesBuffered holds the two together at every
 // flush boundary.
 type Chain struct {
-	top       cryptolite.ChainHash
+	top cryptolite.ChainHash
+	// scratch backs the per-entry length prefix and header writes.
+	// Stack arrays would escape through the stream's hash.Hash fallback
+	// and heap-allocate on every append; a field on the (already
+	// heap-resident) chain does not.
+	scratch   [6]byte //rebound:snapshot-skip write-only scratch, no retained state
 	batchSize int
 
 	// The running hasher holds top ‖ entries-so-far whenever
 	// pending > 0.
 	h       cryptolite.SHA1Stream
 	pending int
-	// scratch backs the per-entry length prefix and header writes.
-	// Stack arrays would escape through the hash.Hash interface call
-	// and heap-allocate on every append; a field on the (already
-	// heap-resident) chain does not.
-	scratch [6]byte //rebound:snapshot-skip write-only scratch, no retained state
+
+	// compressions counts the SHA-1 compressions the chain's flushes
+	// ran. Observation-only: the protocol never reads it.
+	compressions uint64 //rebound:snapshot-skip observation-only count, not run state
 }
 
 // NewChain returns a chain starting at h₀ = 0 with the given
@@ -128,7 +132,12 @@ func (c *Chain) Top() cryptolite.ChainHash { return c.top }
 // Pending returns the number of unflushed entries.
 func (c *Chain) Pending() int { return c.pending }
 
+// Compressions returns the number of SHA-1 compressions the chain has
+// run: each flush hashes a message of c.h.Len() bytes.
+func (c *Chain) Compressions() uint64 { return c.compressions }
+
 func (c *Chain) flushStream() {
 	c.top = c.h.Sum()
+	c.compressions += cryptolite.SHA1Blocks(c.h.Len())
 	c.pending = 0
 }

@@ -30,6 +30,9 @@ type batchChain struct {
 	top   cryptolite.ChainHash
 	batch int
 	buf   [][]byte
+	// compressions counts the SHA-1 blocks of each flushed message:
+	// the top, then each entry behind its 4-byte length.
+	compressions uint64
 }
 
 func (c *batchChain) Append(entry []byte) {
@@ -46,6 +49,11 @@ func (c *batchChain) AppendEntry(kind uint8, payload []byte) {
 func (c *batchChain) Flush() cryptolite.ChainHash {
 	if len(c.buf) > 0 {
 		c.top = cryptolite.ChainExtend(c.top, c.buf)
+		n := len(c.top)
+		for _, e := range c.buf {
+			n += 4 + len(e)
+		}
+		c.compressions += cryptolite.SHA1Blocks(uint64(n))
 		c.buf = c.buf[:0]
 	}
 	return c.top
@@ -55,7 +63,7 @@ func (c *batchChain) Flush() cryptolite.ChainHash {
 // batch sizes, entry mixes, interleaved flushes and mid-batch
 // repositioning, the streaming chain's top must equal the batch
 // model's, which hashes each entry's wire encoding, at every
-// observation point.
+// observation point, and so must its count of SHA-1 compressions.
 func TestChainStreamingMatchesBuffered(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, batch := range []int{1, 2, 3, 7, 16} {
@@ -69,7 +77,7 @@ func TestChainStreamingMatchesBuffered(t *testing.T) {
 				rng.Read(top[:])
 				batch = 1 + rng.Intn(16)
 				fast.ResetAt(top, batch)
-				ref = &batchChain{top: top, batch: batch}
+				ref = &batchChain{top: top, batch: batch, compressions: ref.compressions}
 			}
 			switch rng.Intn(3) {
 			case 0:
@@ -89,6 +97,10 @@ func TestChainStreamingMatchesBuffered(t *testing.T) {
 			}
 			if fast.Top() != ref.top {
 				t.Fatalf("batch=%d step=%d: tops diverge", batch, step)
+			}
+			if fast.Compressions() != ref.compressions {
+				t.Fatalf("batch=%d step=%d: %d compressions, the batch model counts %d",
+					batch, step, fast.Compressions(), ref.compressions)
 			}
 		}
 		if fast.Flush() != ref.Flush() {

@@ -72,9 +72,9 @@ func TestDataPathDoesNotAllocate(t *testing.T) {
 // allocate nothing either — no buffer grows from empty. AllocsPerRun
 // warms up with one call first, so these first calls are counted with
 // runtime.MemStats around them. The frames carry the largest payload a
-// chained frame may, whose encoding fills the buffers. Each chain's
-// stdlib digest is made at its first use, once per node rather than per
-// lend, so the test makes both before it counts.
+// chained frame may, whose encoding fills the buffers. On a CPU without
+// SHA-NI each chain's stdlib digest is made at its first use, once per
+// node rather than per lend, so the test makes both before it counts.
 func TestFirstLendDoesNotAllocate(t *testing.T) {
 	var now wire.Tick
 	clock := func() wire.Tick { return now }

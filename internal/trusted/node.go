@@ -172,3 +172,8 @@ func (n *nodeBase) MACOps() uint64 { return n.macOps }
 
 // HashedBytes returns the total bytes appended to the hash chain.
 func (n *nodeBase) HashedBytes() uint64 { return n.hashedBytes }
+
+// SHA1Compressions returns the number of SHA-1 compressions the node's
+// chain has run since the node was built. Observation-only, and not in
+// snapshots: a resumed node counts from its resume.
+func (n *nodeBase) SHA1Compressions() uint64 { return n.chain.Compressions() }

@@ -236,6 +236,19 @@ func (s *Sim) CorrectIDs() []wire.RobotID {
 	return ids
 }
 
+// sha1Compressions returns the number of SHA-1 compressions the run
+// has hashed: every robot's trusted chains and checkpoint hashes, and
+// the audit cache's replica chains. It is observation-only and counts
+// from the build or the resume, so it is in no snapshot, fingerprint or
+// registry.
+func (s *Sim) sha1Compressions() uint64 {
+	n := s.acache.SHA1Compressions()
+	for _, id := range s.IDs() {
+		n += s.robots[id].SHA1Compressions()
+	}
+	return n
+}
+
 // RunSeconds advances the simulation.
 func (s *Sim) RunSeconds(seconds float64) {
 	s.Engine.Run(s.Tick(seconds))
