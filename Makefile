@@ -17,12 +17,15 @@ vet:
 # annotation, and a hatch that no longer suppresses anything is itself
 # a violation (the annotation audit keeps the exception list honest).
 #
-# The cryptolite package also has to build and vet where it has no SHA-1
-# kernel: arm64 (64-bit, the stdlib digest in assembly) and 386 (32-bit).
-# On amd64, go vet's asmdecl check holds the kernel's assembly frames to
-# their Go declarations.
+# The whole module also has to build where cryptolite has no SHA-1
+# kernel: arm64 (64-bit, the stdlib digest in assembly) and 386
+# (32-bit), and cryptolite has to vet there too. On amd64, go vet's
+# asmdecl check holds the kernel's assembly frames to their Go
+# declarations.
 lint: vet
 	$(GO) run ./cmd/reboundlint ./...
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=386 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/cryptolite
 	GOARCH=386 $(GO) vet ./internal/cryptolite
 

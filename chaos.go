@@ -64,12 +64,6 @@ type ChaosConfig struct {
 	// (tests use this to aim a specific fault at a specific robot). A
 	// Crash aimed at a deliberate attacker leaves it an attacker.
 	ExtraFaults []faultinject.Fault
-	// Trace, when non-nil, receives the cell's full event stream. Leave
-	// nil for matrix sweeps: cells run on the worker pool and a shared
-	// collector would race. A violation's flight-recorder dump does not
-	// need it: when the checker latches, the cell is re-run from tick 0
-	// with a recorder attached to rebuild the dump.
-	Trace obs.Tracer
 	// Deprecated: ignored; the grid is the only path. Kept only because
 	// benchmark/ still assigns it; removed with those assignments
 	// (ROADMAP item 2, PR A).
@@ -84,6 +78,20 @@ type ChaosConfig struct {
 	// positive value below faultinject.MinMTUBytes panics: the
 	// schedule's audit-response faults could not see their frames.
 	MTUBytes int
+	ChaosRun // how the cell is run, not what it is
+}
+
+// ChaosRun is the wiring one run of a chaos cell carries. None of it
+// changes a byte the cell computes (an interrupted run's checkpoint
+// resumes to where the uninterrupted run ends), so none of it reaches
+// the snapshot's config echo or a result's Config.
+type ChaosRun struct {
+	// Trace, when non-nil, receives the cell's full event stream. Leave
+	// nil for matrix sweeps: cells run on the worker pool and a shared
+	// collector would race. A violation's flight-recorder dump does not
+	// need it: when the checker latches, the cell is re-run from tick 0
+	// with a recorder attached to rebuild the dump.
+	Trace obs.Tracer
 	// SnapshotAtTicks captures a full-state snapshot at each listed
 	// tick boundary (state as of BEFORE that tick runs; the run's
 	// final tick count is a legal boundary too, and ticks before a
@@ -94,9 +102,9 @@ type ChaosConfig struct {
 	// L−8.
 	SnapshotAtTicks []wire.Tick
 	// ResumeFrom, when non-nil, resumes the run from these snapshot
-	// bytes instead of tick 0. The config must match the snapshot's
-	// origin cell (observability wiring excepted);
-	// mismatches land in ChaosResult.ResumeError.
+	// bytes instead of tick 0. The cell — the config less its
+	// ChaosRun — must match the snapshot's origin cell; mismatches
+	// land in ChaosResult.ResumeError.
 	ResumeFrom []byte
 	// Interrupt, when non-nil, is polled at every tick boundary before
 	// the run's final tick (never at the final boundary itself). When
@@ -285,6 +293,7 @@ type ChaosMetrics struct {
 
 // ChaosResult is one cell's full outcome.
 type ChaosResult struct {
+	// Config is the defaulted cell that ran; its ChaosRun is zero.
 	Config   ChaosConfig
 	Schedule []string // rendered fault entries, in schedule order
 	// Violation is the first invariant breach, or nil when every
@@ -472,6 +481,7 @@ func (cell chaosCell) run(cfg ChaosConfig) ChaosResult {
 		Config:   cfg,
 		Schedule: cell.sched.Strings(),
 	}
+	res.Config.ChaosRun = ChaosRun{} // a result records the cell, not its wiring
 	runChaosTicks(s, cfg, &res)
 	if res.ResumeError != nil {
 		return res
@@ -509,33 +519,19 @@ func (cell chaosCell) run(cfg ChaosConfig) ChaosResult {
 	return res
 }
 
-// fromTickZero is the cell run uninterrupted from tick 0 with
-// everything that observes, interrupts or persists it detached: the
-// run a resumed or latching cell is checked against.
-func (c ChaosConfig) fromTickZero() ChaosConfig {
-	c.ResumeFrom = nil
-	c.Trace = nil
-	c.Interrupt = nil
-	c.Perf = nil
-	c.PerfRuntime = nil
-	c.SnapshotAtTicks = nil
-	return c
-}
-
 // explainLatch rebuilds the flight-recorder dump for a violation the
 // checker of defaulted cfg's run is latching. Nothing records a cell
 // while it runs: the cell is deterministic, so it is built again from
-// tick 0 with a recorder as its only tracer and everything else that
-// observes or interrupts it detached, and stepped up to the tick its
-// own checker latches. That latch must be v's invariant, tick and
-// robot — anything else is a determinism bug, returned as the error
-// the checker writes into the violation's Detail. A resumed run gets
-// the same dump as the run it continues, since the re-run starts where
-// that run did.
+// tick 0 with a ChaosRun that holds only a recorder, and stepped up to
+// the tick its own checker latches. That latch must be v's invariant,
+// tick and robot — anything else is a determinism bug, returned as the
+// error the checker writes into the violation's Detail. A resumed run
+// gets the same dump as the run it continues, since the re-run starts
+// where that run did.
 func explainLatch(cfg ChaosConfig, v *faultinject.Violation) ([]obs.Event, error) {
-	rerun := cfg.fromTickZero()
 	rec := obs.NewFlightRecorder(v.Robot)
-	rerun.Trace = rec
+	rerun := cfg
+	rerun.ChaosRun = ChaosRun{Trace: rec}
 	s := buildChaosCell(rerun).sim
 	s.checker.Explain = func(*faultinject.Violation) ([]obs.Event, error) {
 		return rec.Events(), nil

@@ -51,7 +51,7 @@ func (n *oversizeDrops) Emit(e obs.Event) {
 // like a lost frame and the cell runs to its end.
 func TestChaosOversizeAuditRequestIsDropped(t *testing.T) {
 	var drops oversizeDrops
-	res := RunChaos(ChaosConfig{Controller: "flocking", Seed: 1, N: 64, DurationSec: 30, MTUBytes: 66, Trace: &drops})
+	res := RunChaos(ChaosConfig{Controller: "flocking", Seed: 1, N: 64, DurationSec: 30, MTUBytes: 66, ChaosRun: ChaosRun{Trace: &drops}})
 	if drops == 0 {
 		t.Fatal("no frame was refused as oversize; the cell does not exercise the refusal")
 	}

@@ -58,10 +58,11 @@ func TestRunChaosRefusesBadCells(t *testing.T) {
 	}
 }
 
-// TestChaosConfigFieldsAreCellOrRun: every ChaosConfig field either
-// says what the cell is — a sample value changes the snapshot's config
-// echo — or how it is run — fromTickZero clears it — and never both.
-// The split guards the type until it becomes two (ROADMAP item 6).
+// TestChaosConfigFieldsAreCellOrRun: the cell/run split is a type.
+// Every direct ChaosConfig field says what the cell is — a sample
+// value changes the snapshot's config echo — and every field of the
+// embedded ChaosRun says how it is run, so no sample of one changes
+// the echo.
 func TestChaosConfigFieldsAreCellOrRun(t *testing.T) {
 	samples := map[string]any{
 		"Controller":      "patrol",
@@ -83,29 +84,35 @@ func TestChaosConfigFieldsAreCellOrRun(t *testing.T) {
 		"PerfRuntime":     perf.NewRuntimeSampler(0),
 	}
 	base := ChaosConfig{}.withDefaults()
-	typ := reflect.TypeFor[ChaosConfig]()
-	for i := range typ.NumField() {
-		f := typ.Field(i)
-		if f.Name == "SpatialIndex" { // the deprecated shim: neither
-			continue
-		}
-		sample, ok := samples[f.Name]
-		if !f.IsExported() || !ok {
-			t.Errorf("%s: no sample value; say whether it is a cell or a run field", f.Name)
-			continue
-		}
-		delete(samples, f.Name)
-		c := base
-		reflect.ValueOf(&c).Elem().Field(i).Set(reflect.ValueOf(sample))
-		if err := c.Check(); err != nil {
-			t.Errorf("%s: the sample is not a valid cell: %v", f.Name, err)
-		}
-		cell := !bytes.Equal(encodeChaosEcho(c), encodeChaosEcho(base))
-		run := reflect.ValueOf(c.fromTickZero()).Field(i).IsZero()
-		if cell == run {
-			t.Errorf("%s: changes the config echo: %v; cleared by fromTickZero: %v (want exactly one)", f.Name, cell, run)
+	// check sets each field of the struct that fields selects within a
+	// ChaosConfig to its sample and asks whether the echo moved.
+	check := func(fields func(*ChaosConfig) reflect.Value, wantCell bool) {
+		typ := fields(&base).Type()
+		for i := range typ.NumField() {
+			f := typ.Field(i)
+			// The deprecated shim is neither; the embedded run is walked
+			// on its own.
+			if f.Name == "SpatialIndex" || f.Anonymous {
+				continue
+			}
+			sample, ok := samples[f.Name]
+			if !f.IsExported() || !ok {
+				t.Errorf("%s.%s: no sample value", typ.Name(), f.Name)
+				continue
+			}
+			delete(samples, f.Name)
+			c := base
+			fields(&c).Field(i).Set(reflect.ValueOf(sample))
+			if err := c.Check(); err != nil {
+				t.Errorf("%s: the sample is not a valid cell: %v", f.Name, err)
+			}
+			if cell := !bytes.Equal(encodeChaosEcho(c), encodeChaosEcho(base)); cell != wantCell {
+				t.Errorf("%s.%s: changes the config echo: %v, want %v", typ.Name(), f.Name, cell, wantCell)
+			}
 		}
 	}
+	check(func(c *ChaosConfig) reflect.Value { return reflect.ValueOf(c).Elem() }, true)
+	check(func(c *ChaosConfig) reflect.Value { return reflect.ValueOf(&c.ChaosRun).Elem() }, false)
 	for name := range samples {
 		t.Errorf("%s: a sample for no ChaosConfig field", name)
 	}
@@ -652,7 +659,7 @@ func TestResumedLatchCarriesTheFullDump(t *testing.T) {
 			if cell.Violation == nil || len(cell.Snapshots) != 1 {
 				t.Fatalf("latched %v, %d captures", cell.Violation, len(cell.Snapshots))
 			}
-			resumed, err := ResumeChaosSnapshot(cell.Snapshots[0].Data, nil)
+			resumed, err := ResumeChaosSnapshot(cell.Snapshots[0].Data, ChaosRun{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -37,11 +37,15 @@ func perfCmd() int {
 		perfCol = obs.NewCollector()
 	}
 
+	// SHA-1 calibration rounds before, between and after the runs: their
+	// spread shows how far the host drifted while the cell ran.
+	calib := sha1CompressionNs(nil)
 	baseCfg := cfg
 	if baseCol != nil {
-		baseCfg.Trace = baseCol
+		baseCfg.ChaosRun = rr.ChaosRun{Trace: baseCol}
 	}
 	baseline := rr.RunChaos(baseCfg)
+	calib = sha1CompressionNs(calib)
 
 	timer := perf.NewPhaseTimer(nil)
 	var rec *perf.SpanRecorder
@@ -51,12 +55,12 @@ func perfCmd() int {
 	}
 	rt := perf.NewRuntimeSampler(0)
 	perfCfg := cfg
-	perfCfg.Perf = timer
-	perfCfg.PerfRuntime = rt
+	perfCfg.ChaosRun = rr.ChaosRun{Perf: timer, PerfRuntime: rt}
 	if perfCol != nil {
 		perfCfg.Trace = perfCol
 	}
 	timed := rr.RunChaos(perfCfg)
+	calib = sha1CompressionNs(calib)
 
 	fmt.Fprintf(out, "Perf — %s\n", cfg.Label())
 
@@ -101,7 +105,7 @@ func perfCmd() int {
 			r.P50Ns/1e3, r.P95Ns/1e3, r.P99Ns/1e3)
 	}
 	fmt.Fprintf(out, "  pipeline total %.2f ms over the whole run\n", float64(pipeline)/1e6)
-	printSHA1Cost(timed, pipeline)
+	printSHA1Cost(timed, pipeline, calib)
 
 	rtr := rt.Report()
 	if rtr.Samples > 0 {
@@ -135,18 +139,21 @@ func perfCmd() int {
 }
 
 // printSHA1Cost prints the run's SHA-1 work: compressions per
-// robot-tick, counted where the bytes are hashed, times the ns one
-// compression takes on the path this process runs, calibrated here.
-func printSHA1Cost(res rr.ChaosResult, pipelineNs uint64) {
+// robot-tick, counted where the bytes are hashed, times the median ns
+// one compression took in the calibration rounds on the path this
+// process runs, with the rounds' min–max beside it.
+func printSHA1Cost(res rr.ChaosResult, pipelineNs uint64, calib []float64) {
 	robotTicks := float64(res.Config.N) * float64(res.Config.Ticks())
-	ns := sha1CompressionNs()
+	slices.Sort(calib)
+	ns := calib[len(calib)/2]
 	path := "crypto/sha1"
 	if cryptolite.SHA1UsesSHANI() {
 		path = "the SHA-NI kernel"
 	}
 	totalNs := float64(res.SHA1Compressions) * ns
-	fmt.Fprintf(out, "\n  SHA-1: %d compressions, %.1f per robot-tick, x %.1f ns on %s = %.2f µs per robot-tick",
-		res.SHA1Compressions, float64(res.SHA1Compressions)/robotTicks, ns, path, totalNs/robotTicks/1e3)
+	fmt.Fprintf(out, "\n  SHA-1: %d compressions, %.1f per robot-tick, x %.1f ns (%d rounds %.1f–%.1f) on %s = %.2f µs per robot-tick",
+		res.SHA1Compressions, float64(res.SHA1Compressions)/robotTicks, ns, len(calib), calib[0], calib[len(calib)-1],
+		path, totalNs/robotTicks/1e3)
 	if pipelineNs > 0 {
 		fmt.Fprintf(out, ", %.1f%% of the pipeline", 100*totalNs/float64(pipelineNs))
 	}
@@ -156,18 +163,17 @@ func printSHA1Cost(res rr.ChaosResult, pipelineNs uint64) {
 // sha1CompressionNs times SHA1Stream the way a trusted chain drives
 // it — a flush of ten entries, each a 6-byte length prefix and header
 // then a 34-byte payload, behind the 20-byte top: 420 bytes, seven
-// compressions, like a dense cell's mean flush — and returns the median
-// of nine rounds' ns per compression.
-func sha1CompressionNs() float64 {
-	const rounds, reps, entries = 9, 3000, 10
+// compressions, like a dense cell's mean flush — and appends three
+// rounds' ns per compression to ns.
+func sha1CompressionNs(ns []float64) []float64 {
+	const rounds, reps, entries = 3, 3000, 10
 	var top [20]byte
 	var head [6]byte
 	var payload [34]byte
 	flushLen := uint64(len(top) + entries*(len(head)+len(payload)))
 	blocks := float64(reps * cryptolite.SHA1Blocks(flushLen))
 	var s cryptolite.SHA1Stream
-	var ns [rounds]float64
-	for i := range ns {
+	for range rounds {
 		start := perf.Now()
 		for range reps {
 			s.Reset()
@@ -178,10 +184,9 @@ func sha1CompressionNs() float64 {
 			}
 			s.Sum()
 		}
-		ns[i] = float64(perf.Now()-start) / blocks
+		ns = append(ns, float64(perf.Now()-start)/blocks)
 	}
-	slices.Sort(ns[:])
-	return ns[rounds/2]
+	return ns
 }
 
 // sameNDJSON compares two collectors' serialized event streams byte

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -44,6 +46,19 @@ func TestPerfCLISmoke(t *testing.T) {
 	}
 	if strings.Contains(got, "SHA-1: 0 compressions") {
 		t.Errorf("perf counted no SHA-1 compressions:\n%s", got)
+	}
+	// The calibration's nine rounds, spread over the command, print as
+	// their median with their min–max.
+	m := regexp.MustCompile(`x ([0-9.]+) ns \(9 rounds ([0-9.]+)–([0-9.]+)\) on `).FindStringSubmatch(got)
+	if m == nil {
+		t.Fatalf("perf's SHA-1 line carries no calibration spread:\n%s", got)
+	}
+	var ns [3]float64
+	for i := range ns {
+		ns[i], _ = strconv.ParseFloat(m[i+1], 64)
+	}
+	if median, lo, hi := ns[0], ns[1], ns[2]; !(0 < lo && lo <= median && median <= hi) {
+		t.Errorf("SHA-1 calibration median %v outside its spread %v–%v", median, lo, hi)
 	}
 }
 

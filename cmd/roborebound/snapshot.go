@@ -61,7 +61,7 @@ func snapshotCmd() int {
 		fmt.Fprintf(os.Stderr, "snapshot: -at %d is beyond the %d-tick run\n", at, total)
 		return 1
 	}
-	cfg.SnapshotAtTicks = []wire.Tick{at}
+	cfg.ChaosRun = rr.ChaosRun{SnapshotAtTicks: []wire.Tick{at}}
 	res := rr.RunChaos(cfg)
 	snap := res.Snapshots[0] // a capture at a tick ≤ total always lands
 	if err := os.WriteFile(*snapOut, snap.Data, 0o644); err != nil {
@@ -82,7 +82,7 @@ func resumeCmd() int {
 		fmt.Fprintf(os.Stderr, "resume: %v\n", err)
 		return 1
 	}
-	res, err := rr.ResumeChaosSnapshot(data, nil)
+	res, err := rr.ResumeChaosSnapshot(data, rr.ChaosRun{})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "resume: %v\n", err)
 		return 1

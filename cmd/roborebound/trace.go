@@ -67,7 +67,7 @@ func traceCmd() int {
 		Profile:     faultinject.ProfileNone,
 		Seed:        *seed,
 		DurationSec: durSec,
-		Trace:       col,
+		ChaosRun:    rr.ChaosRun{Trace: col},
 	})
 
 	byKind := make(map[obs.EventKind]int)

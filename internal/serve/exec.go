@@ -212,15 +212,11 @@ type resumeVerifyView struct {
 // from the request's knobs, or rebuilt from the resume handle's
 // snapshot — and renders the kind's artifacts and result document.
 func runCellJob(k *jobKind, req *JobRequest, resolve resolveFunc, hooks execHooks) (*JobOutput, error) {
+	run := rr.ChaosRun{Interrupt: hooks.interrupt}
 	var col *obs.Collector
 	if k.traced || req.Events {
 		col = obs.NewCollector()
-	}
-	attach := func(cfg *rr.ChaosConfig) {
-		cfg.Interrupt = hooks.interrupt
-		if col != nil {
-			cfg.Trace = col
-		}
+		run.Trace = col
 	}
 
 	var res rr.ChaosResult
@@ -232,7 +228,7 @@ func runCellJob(k *jobKind, req *JobRequest, resolve resolveFunc, hooks execHook
 		if err != nil {
 			return nil, fmt.Errorf("serve: resolve resume handle: %w", err)
 		}
-		res, err = rr.ResumeChaosSnapshot(data, attach)
+		res, err = rr.ResumeChaosSnapshot(data, run)
 		if err != nil {
 			return nil, err
 		}
@@ -243,9 +239,9 @@ func runCellJob(k *jobKind, req *JobRequest, resolve resolveFunc, hooks execHook
 			if at == 0 {
 				at = cfg.Ticks() / 2 // midpoint
 			}
-			cfg.SnapshotAtTicks = []wire.Tick{at}
+			run.SnapshotAtTicks = []wire.Tick{at}
 		}
-		attach(&cfg)
+		cfg.ChaosRun = run
 		res = rr.RunChaos(cfg)
 	}
 	out := &JobOutput{}

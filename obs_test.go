@@ -18,7 +18,7 @@ func traceChaosCell(t *testing.T, seed uint64) (events, metrics []byte, fingerpr
 		Profile:     faultinject.ProfileMixed,
 		Seed:        seed,
 		DurationSec: 30,
-		Trace:       col,
+		ChaosRun:    ChaosRun{Trace: col},
 	})
 	var evBuf, mBuf bytes.Buffer
 	if err := obs.WriteNDJSON(&evBuf, col.Events()); err != nil {

@@ -113,12 +113,12 @@ func TestPerfPlaneObservationOnlyAccelerated(t *testing.T) {
 // cell runs 30 s, so its mixed faults are scheduled.
 func TestPerfPlaneSnapshotsUnchanged(t *testing.T) {
 	cfg := ChaosConfig{
-		Controller:      "flocking",
-		Profile:         faultinject.ProfileMixed,
-		Seed:            5,
-		DurationSec:     30,
-		AttackAtSec:     5,
-		SnapshotAtTicks: []wire.Tick{16, 32, 48, 64, 80, 96, 112},
+		Controller:  "flocking",
+		Profile:     faultinject.ProfileMixed,
+		Seed:        5,
+		DurationSec: 30,
+		AttackAtSec: 5,
+		ChaosRun:    ChaosRun{SnapshotAtTicks: []wire.Tick{16, 32, 48, 64, 80, 96, 112}},
 	}
 	base := RunChaos(cfg)
 

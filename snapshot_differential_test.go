@@ -14,6 +14,7 @@ import (
 
 	"roborebound/internal/faultinject"
 	"roborebound/internal/obs"
+	"roborebound/internal/obs/perf"
 	"roborebound/internal/wire"
 )
 
@@ -231,7 +232,7 @@ func TestSnapshotResumeAcrossAccelerators(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resumed, err := ResumeChaosSnapshot(data, nil)
+		resumed, err := ResumeChaosSnapshot(data, ChaosRun{})
 		if err != nil {
 			t.Fatalf("%s: resume rejected: %v", name, err)
 		}
@@ -361,7 +362,7 @@ func TestSnapshotBeforeALatchResumesIntoIt(t *testing.T) {
 	}
 	sameViolationCore(t, "capture-before-latch", v, r.Violation)
 
-	resumed, err := ResumeChaosSnapshot(r.Snapshots[0].Data, nil)
+	resumed, err := ResumeChaosSnapshot(r.Snapshots[0].Data, ChaosRun{})
 	if err != nil {
 		t.Fatalf("pre-latch snapshot did not resume: %v", err)
 	}
@@ -377,7 +378,7 @@ func TestSnapshotBeforeALatchResumesIntoIt(t *testing.T) {
 // 2^32−1 robots the cell's schedule alone asked for 8 GiB; at 70 000
 // the uint16 robot IDs wrapped.)
 func TestResumeRefusesAnEchoThatDisagreesWithItsRoster(t *testing.T) {
-	cfg := ChaosConfig{Profile: faultinject.ProfileNone, Seed: 3, DurationSec: 10, SnapshotAtTicks: []wire.Tick{20}}
+	cfg := ChaosConfig{Profile: faultinject.ProfileNone, Seed: 3, DurationSec: 10, ChaosRun: ChaosRun{SnapshotAtTicks: []wire.Tick{20}}}
 	data := RunChaos(cfg).Snapshots[0].Data
 	body := data[:len(data)-sha256.Size]
 	echo := encodeChaosEcho(cfg.withDefaults())
@@ -389,7 +390,7 @@ func TestResumeRefusesAnEchoThatDisagreesWithItsRoster(t *testing.T) {
 		bad.N = n
 		forged := bytes.Replace(body, echo, encodeChaosEcho(bad), 1)
 		sum := sha256.Sum256(forged)
-		_, err := ResumeChaosSnapshot(append(forged, sum[:]...), nil)
+		_, err := ResumeChaosSnapshot(append(forged, sum[:]...), ChaosRun{})
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("asks for %d robots, its roster holds 9", n)) {
 			t.Errorf("echo N=%d on a 9-robot roster: got %v, want both counts named", n, err)
 		}
@@ -401,11 +402,11 @@ func TestResumeRefusesAnEchoThatDisagreesWithItsRoster(t *testing.T) {
 // match byte-for-byte.
 func TestSnapshotResumeRejectsMismatchedConfig(t *testing.T) {
 	cfg := ChaosConfig{
-		Controller:      "patrol",
-		Profile:         faultinject.ProfileLoss,
-		Seed:            21,
-		DurationSec:     30,
-		SnapshotAtTicks: []wire.Tick{40},
+		Controller:  "patrol",
+		Profile:     faultinject.ProfileLoss,
+		Seed:        21,
+		DurationSec: 30,
+		ChaosRun:    ChaosRun{SnapshotAtTicks: []wire.Tick{40}},
 	}
 	r := RunChaos(cfg)
 	if len(r.Snapshots) != 1 {
@@ -435,12 +436,12 @@ func TestSnapshotResumeRejectsMismatchedConfig(t *testing.T) {
 	// Corrupt bytes are rejected before any run state is touched.
 	mut := append([]byte(nil), snap...)
 	mut[len(mut)/2] ^= 0x01
-	if _, err := ResumeChaosSnapshot(mut, nil); err == nil {
+	if _, err := ResumeChaosSnapshot(mut, ChaosRun{}); err == nil {
 		t.Error("corrupt snapshot accepted by ResumeChaosSnapshot")
 	}
 
 	// And the happy path round-trips through the embedded echo alone.
-	res, err := ResumeChaosSnapshot(snap, nil)
+	res, err := ResumeChaosSnapshot(snap, ChaosRun{})
 	if err != nil {
 		t.Fatalf("ResumeChaosSnapshot: %v", err)
 	}
@@ -490,7 +491,7 @@ func TestChaosTickLoopBoundaries(t *testing.T) {
 				t.Fatalf("from %d, poll %d: interrupted %v, want a checkpoint at tick %d",
 					start, k, res.Interrupted, at)
 			}
-			resumed, err := ResumeChaosSnapshot(res.Checkpoint.Data, nil)
+			resumed, err := ResumeChaosSnapshot(res.Checkpoint.Data, ChaosRun{})
 			if err != nil || resumed.Metrics.Fingerprint != U.Metrics.Fingerprint {
 				t.Errorf("checkpoint at %d resumes to %s (err %v), want %s",
 					at, resumed.Metrics.Fingerprint, err, U.Metrics.Fingerprint)
@@ -507,6 +508,71 @@ func TestChaosTickLoopBoundaries(t *testing.T) {
 	}
 	if want := []wire.Tick{20, 30, total}; !reflect.DeepEqual(got, want) {
 		t.Errorf("resumed at 20, captures at %v, want %v", got, want)
+	}
+}
+
+// TestResultsRecordTheCellOnly: a result's Config is the cell that
+// ran with a zero ChaosRun, whatever wiring the run carried — a run
+// interrupted mid-way, its resume, and a resume that failed — so a
+// result pins no collector, timer or interrupt closure, and
+// VerifyChaosResume re-runs it as it stands: a run interrupted and
+// then resumed with a tracer and an interrupt hook attached still
+// matches the cell run uninterrupted.
+func TestResultsRecordTheCellOnly(t *testing.T) {
+	cfg := ChaosConfig{Profile: faultinject.ProfileMixed, Seed: 2, DurationSec: 30}
+	// wiring attaches everything a run can carry; its interrupt fires at
+	// poll k (never, for k = 0).
+	wiring := func(k int) ChaosRun {
+		polls := 0
+		return ChaosRun{
+			Trace:           obs.NewCollector(),
+			SnapshotAtTicks: []wire.Tick{30},
+			Interrupt:       func() bool { polls++; return polls == k },
+			Perf:            perf.NewPhaseTimer(nil),
+			PerfRuntime:     perf.NewRuntimeSampler(0),
+		}
+	}
+	cellOnly := func(what string, res ChaosResult) {
+		t.Helper()
+		run := reflect.ValueOf(res.Config.ChaosRun)
+		for i := range run.NumField() {
+			if !run.Field(i).IsZero() {
+				t.Errorf("%s: the result's Config keeps its %s", what, run.Type().Field(i).Name)
+			}
+		}
+	}
+
+	whole := RunChaos(cfg)
+	cellOnly("an unwired run", whole)
+	head := cfg
+	head.ChaosRun = wiring(40)
+	first := RunChaos(head)
+	cellOnly("an interrupted run", first)
+	if !first.Interrupted || len(first.Snapshots) != 1 {
+		t.Fatalf("interrupted %v with %d captures, want a checkpoint and the capture at 30",
+			first.Interrupted, len(first.Snapshots))
+	}
+	resumed, err := ResumeChaosSnapshot(first.Checkpoint.Data, wiring(0))
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	cellOnly("a resumed run", resumed)
+	if resumed.Metrics.Fingerprint != whole.Metrics.Fingerprint {
+		t.Errorf("the resumed run's fingerprint %s, want the uninterrupted %s",
+			resumed.Metrics.Fingerprint, whole.Metrics.Fingerprint)
+	}
+	if v := VerifyChaosResume(resumed); !v.FingerprintMatch || !v.MetricsMatch {
+		t.Errorf("VerifyChaosResume: fingerprint match %v, metrics match %v, want both",
+			v.FingerprintMatch, v.MetricsMatch)
+	}
+
+	bad := cfg
+	bad.ChaosRun = wiring(0)
+	bad.ResumeFrom = []byte{1}
+	if res := RunChaos(bad); res.ResumeError == nil {
+		t.Error("a one-byte ResumeFrom resumed")
+	} else {
+		cellOnly("a failed resume", res)
 	}
 }
 

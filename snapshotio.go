@@ -32,12 +32,11 @@ type ChaosSnapshot struct {
 // envelopes. Bump together with any field change below.
 const chaosEchoVersion = 2
 
-// encodeChaosEcho canonically encodes the protocol-relevant fields of
-// a (defaulted) ChaosConfig — everything that shapes the byte
-// evolution of the run. Observability wiring is deliberately excluded:
-// it is proven byte-invisible by the differential suites, so a
-// snapshot taken with one collector attached legally resumes under
-// another, or none.
+// encodeChaosEcho canonically encodes the cell of a (defaulted)
+// ChaosConfig — everything that shapes the byte evolution of the run.
+// Its ChaosRun is not encoded: the differential suites prove the
+// wiring byte-invisible, so a snapshot taken with one collector
+// attached legally resumes under another, or none.
 func encodeChaosEcho(cfg ChaosConfig) []byte {
 	w := wire.NewWriter(256)
 	w.U8(chaosEchoVersion)
@@ -62,8 +61,7 @@ func encodeChaosEcho(cfg ChaosConfig) []byte {
 }
 
 // decodeChaosEcho rebuilds the cell config from a snapshot's echo
-// blob. The returned config has zero-valued observability fields;
-// callers may set those freely before resuming.
+// blob. The returned config's ChaosRun is zero.
 func decodeChaosEcho(b []byte) (ChaosConfig, error) {
 	var cfg ChaosConfig
 	r := wire.NewReader(b)
@@ -203,11 +201,11 @@ func runChaosTicks(s *Sim, cfg ChaosConfig, res *ChaosResult) {
 }
 
 // ResumeChaosSnapshot rebuilds a chaos cell from a snapshot's embedded
-// config echo and resumes it to completion. The opts callback may
-// attach observability wiring and an interrupt hook to the rebuilt
-// config before the run starts — neither affects the bytes. This is
-// the CLI `resume` entry point.
-func ResumeChaosSnapshot(data []byte, opts func(*ChaosConfig)) (ChaosResult, error) {
+// config echo and resumes it to completion under run's wiring: a
+// tracer, perf plane, captures or an interrupt hook, none of which
+// affects the bytes. run.ResumeFrom is replaced by data. This is the
+// CLI `resume` entry point.
+func ResumeChaosSnapshot(data []byte, run ChaosRun) (ChaosResult, error) {
 	snap, err := snapshot.Decode(data)
 	if err != nil {
 		return ChaosResult{}, err
@@ -224,10 +222,8 @@ func ResumeChaosSnapshot(data []byte, opts func(*ChaosConfig)) (ChaosResult, err
 	if err != nil {
 		return ChaosResult{}, err
 	}
+	cfg.ChaosRun = run
 	cfg.ResumeFrom = data
-	if opts != nil {
-		opts(&cfg)
-	}
 	res := RunChaos(cfg)
 	return res, res.ResumeError
 }
@@ -241,12 +237,12 @@ type ResumeVerdict struct {
 }
 
 // VerifyChaosResume re-runs a resumed result's cell uninterrupted from
-// tick zero (see ChaosConfig.fromTickZero) and compares the two: the
-// resume-equivalence contract says fingerprint and metrics snapshot
-// match bit for bit. `resume -verify` and the resume-verify job kind
-// both stand on it.
+// tick zero — a result's Config is the cell with no wiring — and
+// compares the two: the resume-equivalence contract says fingerprint
+// and metrics snapshot match bit for bit. `resume -verify` and the
+// resume-verify job kind both stand on it.
 func VerifyChaosResume(resumed ChaosResult) ResumeVerdict {
-	ores := RunChaos(resumed.Config.fromTickZero())
+	ores := RunChaos(resumed.Config)
 	return ResumeVerdict{
 		OracleFingerprint: ores.Metrics.Fingerprint,
 		FingerprintMatch:  ores.Metrics.Fingerprint == resumed.Metrics.Fingerprint,
