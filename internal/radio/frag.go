@@ -146,9 +146,15 @@ func (b *fragBuf) encoding() (enc []byte, inPlace bool) {
 	return b.data, true
 }
 
+// reassemblyTimeout is how many delivery rounds of silence discard an
+// incomplete buffer (a lost fragment must not pin memory forever). It
+// is generous: a frame's fragments all arrive in the same delivery
+// round, so a handful of rounds is plenty.
+const reassemblyTimeout wire.Tick = 16
+
 // Reassembler rebuilds frames from fragments, keyed by (physical
-// transmitter, msgID). Incomplete buffers are discarded after Timeout
-// ticks of silence (a lost fragment must not pin memory forever).
+// transmitter, msgID). Incomplete buffers are discarded after
+// reassemblyTimeout rounds of silence.
 //
 // Each in-flight frame copies its chunks into one buffer. When fragment
 // 0 arrives first, the buffer is made at once the size its frame header
@@ -162,15 +168,14 @@ func (b *fragBuf) encoding() (enc []byte, inPlace bool) {
 // frame's span table, and its buffer unless the returned frame took it,
 // are kept for the next frame.
 type Reassembler struct {
-	Timeout wire.Tick
-	bufs    map[fragKey]*fragBuf
+	bufs map[fragKey]*fragBuf
 
 	spare []*fragBuf //rebound:snapshot-skip recycled buffers of frames no longer in flight
 }
 
-// NewReassembler creates a reassembler; timeout 0 means never expire.
-func NewReassembler(timeout wire.Tick) *Reassembler {
-	return &Reassembler{Timeout: timeout, bufs: make(map[fragKey]*fragBuf)}
+// NewReassembler creates a reassembler.
+func NewReassembler() *Reassembler {
+	return &Reassembler{bufs: make(map[fragKey]*fragBuf)}
 }
 
 // Pending returns the number of incomplete frames buffered.
@@ -257,15 +262,12 @@ func (r *Reassembler) Add(from wire.RobotID, f wire.Frame, now wire.Tick) (wire.
 	return orig, true
 }
 
-// Expire drops incomplete buffers not touched within Timeout. They are
-// not kept as spares: the map's order would decide which spare the next
-// frame gets, and with it the run's allocation count.
+// Expire drops incomplete buffers not touched within reassemblyTimeout.
+// They are not kept as spares: the map's order would decide which spare
+// the next frame gets, and with it the run's allocation count.
 func (r *Reassembler) Expire(now wire.Tick) {
-	if r.Timeout == 0 {
-		return
-	}
 	for key, buf := range r.bufs {
-		if buf.lastSeen+r.Timeout <= now {
+		if buf.lastSeen+reassemblyTimeout <= now {
 			delete(r.bufs, key)
 		}
 	}

@@ -47,7 +47,7 @@ func TestFragmentAndReassemble(t *testing.T) {
 			t.Fatalf("fragment %d lost addressing", i)
 		}
 	}
-	r := NewReassembler(0)
+	r := NewReassembler()
 	var got wire.Frame
 	done := false
 	for i, fr := range frags {
@@ -74,7 +74,7 @@ func TestFragmentAndReassemble(t *testing.T) {
 func TestReassembleOutOfOrder(t *testing.T) {
 	f := bigFrame(300)
 	frags := fragmentFrame(f, 66, 3)
-	r := NewReassembler(0)
+	r := NewReassembler()
 	// Deliver in reverse.
 	var got wire.Frame
 	done := false
@@ -93,7 +93,7 @@ func TestReassembleInterleavedSenders(t *testing.T) {
 	fb.Payload[0] = 0xEE
 	fragsA := fragmentFrame(fa, 66, 9)
 	fragsB := fragmentFrame(fb, 66, 9) // same msgID, different transmitter
-	r := NewReassembler(0)
+	r := NewReassembler()
 	completed := 0
 	for i := range fragsA {
 		if _, ok := r.Add(1, fragsA[i], 0); ok {
@@ -114,7 +114,7 @@ func TestReassembleInterleavedSenders(t *testing.T) {
 func TestReassembleDuplicateFragments(t *testing.T) {
 	f := bigFrame(150)
 	frags := fragmentFrame(f, 66, 4)
-	r := NewReassembler(0)
+	r := NewReassembler()
 	r.Add(1, frags[0], 0)
 	r.Add(1, frags[0], 0) // duplicate must not complete or corrupt
 	done := false
@@ -131,25 +131,29 @@ func TestReassembleDuplicateFragments(t *testing.T) {
 func TestReassembleExpiry(t *testing.T) {
 	f := bigFrame(300)
 	frags := fragmentFrame(f, 66, 5)
-	r := NewReassembler(10)
+	r := NewReassembler()
 	r.Add(1, frags[0], 0)
 	if r.Pending() != 1 {
 		t.Fatal("no pending buffer")
 	}
-	r.Expire(10)
+	r.Expire(reassemblyTimeout - 1)
+	if r.Pending() != 1 {
+		t.Error("buffer expired before the timeout")
+	}
+	r.Expire(reassemblyTimeout)
 	if r.Pending() != 0 {
 		t.Error("stale buffer not expired")
 	}
 	// Remaining fragments now never complete.
 	for _, fr := range frags[1:] {
-		if _, ok := r.Add(1, fr, 11); ok {
+		if _, ok := r.Add(1, fr, reassemblyTimeout+1); ok {
 			t.Error("completed from a partial set")
 		}
 	}
 }
 
 func TestReassemblerRejectsJunk(t *testing.T) {
-	r := NewReassembler(0)
+	r := NewReassembler()
 	junk := wire.Frame{Src: 1, Flags: wire.FlagFragment, Payload: []byte{1, 2}}
 	if _, ok := r.Add(1, junk, 0); ok {
 		t.Error("short fragment accepted")
@@ -175,7 +179,7 @@ func TestFragmentRoundTripProperty(t *testing.T) {
 		mtu := 20 + int(mtuRaw)%200 // 20..219
 		orig := wire.Frame{Src: 3, Dst: 9, Flags: flags &^ wire.FlagFragment, Payload: payload}
 		frags := fragmentFrame(orig, mtu, 42)
-		r := NewReassembler(0)
+		r := NewReassembler()
 		for i, fr := range frags {
 			got, ok := r.Add(3, fr, 0)
 			if ok {
@@ -251,7 +255,7 @@ func roundTrip(t *testing.T, orig wire.Frame, mtu int) int {
 			}
 		}
 	}
-	r := NewReassembler(0)
+	r := NewReassembler()
 	for i, fr := range frags {
 		got, ok := r.Add(orig.Src, fr, 0)
 		if !ok {
@@ -355,7 +359,7 @@ func TestFragmentPanics(t *testing.T) {
 // frame it returned still holds the bytes it was returned with: a
 // recycled buffer never writes into a frame handed out.
 func TestReassembledFramesOwnTheirBytes(t *testing.T) {
-	r := NewReassembler(4)
+	r := NewReassembler()
 	var kept []wire.Frame
 	var clones [][]byte
 	keep := func(f wire.Frame, ok bool) {
@@ -374,7 +378,7 @@ func TestReassembledFramesOwnTheirBytes(t *testing.T) {
 			// A stray fragment that expires, and one whose total
 			// disagrees with the frame's, restarting its buffer.
 			r.Add(9, frags[0], wire.Tick(i))
-			r.Expire(wire.Tick(i) + 4)
+			r.Expire(wire.Tick(i) + reassemblyTimeout)
 			bad := bytes.Clone(frags[1].Payload)
 			bad[3]++
 			r.Add(1, wire.Frame{Src: 1, Dst: 5, Flags: wire.FlagFragment, Payload: bad}, wire.Tick(i))
@@ -398,7 +402,7 @@ func TestReassembledFramesOwnTheirBytes(t *testing.T) {
 // one allocation, the buffer the returned frame keeps.
 func TestReassemblyAllocatesOneBufferPerFrame(t *testing.T) {
 	frags := fragmentFrame(bigFrame(2000), 66, 1)
-	r := NewReassembler(0)
+	r := NewReassembler()
 	run := func() {
 		for _, fr := range frags {
 			r.Add(1, fr, 0)
@@ -427,7 +431,7 @@ func TestStrayFragmentReservesLittle(t *testing.T) {
 		{idx: 0, total: 2, most: 2 * len(chunk)},
 		{idx: 0, total: maxFragments, most: maxFragments * len(chunk)},
 	} {
-		r := NewReassembler(4)
+		r := NewReassembler()
 		payload := append([]byte{0, 7, byte(tc.idx), byte(tc.total)}, chunk...)
 		if _, done := r.Add(1, wire.Frame{Src: 1, Dst: 5, Flags: wire.FlagFragment, Payload: payload}, 0); done || r.Pending() != 1 {
 			t.Fatalf("fragment %d of %d: done %v, pending %d", tc.idx, tc.total, done, r.Pending())

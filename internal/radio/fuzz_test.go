@@ -67,7 +67,7 @@ func FuzzFragmentRoundTrip(f *testing.F) {
 				t.Fatalf("fragment encodes to %d bytes > mtu %d", len(enc), mtu)
 			}
 		}
-		r := NewReassembler(0)
+		r := NewReassembler()
 		var got wire.Frame
 		done := false
 		for _, fr := range frags {
@@ -115,7 +115,7 @@ func FuzzReassembler(f *testing.F) {
 	f.Add(inOrder, uint8(12))
 	f.Add(reversed, uint8(12))
 	f.Fuzz(func(t *testing.T, data []byte, step uint8) {
-		r, oracle := NewReassembler(8), newOracleReassembler(8)
+		r, oracle := NewReassembler(), newOracleReassembler()
 		var kept []wire.Frame
 		var clones [][]byte
 		senders := 0

@@ -68,8 +68,7 @@ func oracleFragmentFrame(f wire.Frame, mtu int, msgID uint16) []wire.Frame {
 // oracleReassembler copies each fragment's chunk on its own and
 // concatenates the chunks into a growing buffer on completion.
 type oracleReassembler struct {
-	timeout wire.Tick
-	bufs    map[fragKey]*oracleFragBuf
+	bufs map[fragKey]*oracleFragBuf
 }
 
 type oracleFragBuf struct {
@@ -79,8 +78,8 @@ type oracleFragBuf struct {
 	lastSeen wire.Tick
 }
 
-func newOracleReassembler(timeout wire.Tick) *oracleReassembler {
-	return &oracleReassembler{timeout: timeout, bufs: make(map[fragKey]*oracleFragBuf)}
+func newOracleReassembler() *oracleReassembler {
+	return &oracleReassembler{bufs: make(map[fragKey]*oracleFragBuf)}
 }
 
 func (r *oracleReassembler) Pending() int { return len(r.bufs) }
@@ -127,11 +126,8 @@ func (r *oracleReassembler) Add(from wire.RobotID, f wire.Frame, now wire.Tick) 
 }
 
 func (r *oracleReassembler) Expire(now wire.Tick) {
-	if r.timeout == 0 {
-		return
-	}
 	for key, buf := range r.bufs {
-		if buf.lastSeen+r.timeout <= now {
+		if buf.lastSeen+reassemblyTimeout <= now {
 			delete(r.bufs, key)
 		}
 	}

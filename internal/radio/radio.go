@@ -156,16 +156,12 @@ type Medium struct {
 	pos    Position //rebound:snapshot-skip position callback wiring, reattached at rebuild
 	rng    *prng.Source
 
-	queue    []queuedFrame
-	seq      uint64
-	counters map[wire.RobotID]*ByteCounters
-	// ctrChunk is where Counters carves new robots' counters from (see
-	// there).
-	ctrChunk []ByteCounters
-
-	// Per-sender transmit state, behind a pointer so the steady-state
-	// Send path reads the map but never writes it.
-	senders map[wire.RobotID]*senderState
+	queue []queuedFrame
+	seq   uint64
+	// stations holds each robot's radio state (see station), carved
+	// from chunk.
+	stations map[wire.RobotID]*station
+	chunk    []station
 
 	// Optional fault hooks (see SetLossModel / SetLinkFilter /
 	// SetTxDelay), all nil (inactive) until installed.
@@ -173,9 +169,7 @@ type Medium struct {
 	filter LinkFilter //rebound:snapshot-skip fault-hook wiring, reattached at rebuild
 	delay  TxDelay    //rebound:snapshot-skip fault-hook wiring, reattached at rebuild
 
-	// Fragmentation state (only used when params.MTUBytes > 0).
-	reassemblers map[wire.RobotID]*Reassembler
-	deliverTick  wire.Tick // logical clock for reassembly expiry
+	deliverTick wire.Tick // logical clock for reassembly expiry
 
 	// Observability (see SetObs). trace receives one event per frame
 	// tx/rx/drop; metrics reads each robot's byte counters at snapshot.
@@ -194,28 +188,26 @@ type Medium struct {
 	// Deliver-round scratch, reused across rounds:
 	// sortedBuf holds the deduped ascending roster (and, once the round
 	// is done with it, expireReassemblers' ID order); ctrBuf caches each
-	// receiver's counters by roster rank (one map lookup per robot per
+	// receiver's station by roster rank (one map lookup per robot per
 	// round instead of one per delivery); outBuf collects deliveries in
 	// walk order and resultBuf receives them in sorted order (resultBuf
 	// backs Deliver's return value — see the ownership note there);
 	// countBuf is the counting sort's per-rank histogram.
-	sortedBuf []wire.RobotID  //rebound:snapshot-skip per-round scratch
-	ctrBuf    []*ByteCounters //rebound:snapshot-skip per-round scratch
-	outBuf    []Delivery      //rebound:snapshot-skip per-round scratch
-	resultBuf []Delivery      //rebound:snapshot-skip per-round scratch
-	countBuf  []int32         //rebound:snapshot-skip per-round scratch
+	sortedBuf []wire.RobotID //rebound:snapshot-skip per-round scratch
+	ctrBuf    []*station     //rebound:snapshot-skip per-round scratch
+	outBuf    []Delivery     //rebound:snapshot-skip per-round scratch
+	resultBuf []Delivery     //rebound:snapshot-skip per-round scratch
+	countBuf  []int32        //rebound:snapshot-skip per-round scratch
 }
 
 // NewMedium creates a loss-free medium. seed drives only a loss model
 // installed later with SetLossModel; without one the seed is inert.
 func NewMedium(params Params, pos Position, seed uint64) *Medium {
 	return &Medium{
-		params:       params,
-		pos:          pos,
-		rng:          prng.New(seed),
-		counters:     make(map[wire.RobotID]*ByteCounters),
-		senders:      make(map[wire.RobotID]*senderState),
-		reassemblers: make(map[wire.RobotID]*Reassembler),
+		params:   params,
+		pos:      pos,
+		rng:      prng.New(seed),
+		stations: make(map[wire.RobotID]*station),
 	}
 }
 
@@ -246,13 +238,13 @@ func (m *Medium) SetObs(tr obs.Tracer, reg *obs.Registry) {
 	m.metrics = reg
 	// Robots that already have counters (created before SetObs)
 	// register now; later robots register on first use.
-	ids := make([]wire.RobotID, 0, len(m.counters))
-	for id := range m.counters {
+	ids := make([]wire.RobotID, 0, len(m.stations))
+	for id := range m.stations {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
 	for _, id := range ids {
-		reg.Register(counterPrefix, uint64(id), m.counters[id])
+		reg.Register(counterPrefix, uint64(id), &m.stations[id].ByteCounters)
 	}
 }
 
@@ -264,40 +256,39 @@ const counterPrefix = "radio.robot."
 // tracer, observation-only.
 func (m *Medium) SetPerf(t *perf.PhaseTimer) { m.perf = t }
 
+// station is one robot's radio state: its byte counters, the message
+// ID of its next fragmented frame, whether it has sent (a robot gets
+// counters without sending: every receiver does, and so does every
+// robot whose Counters are read), and its reassembler, made when it
+// first receives at a positive MTU.
+type station struct {
+	ByteCounters
+	nextMsgID uint16
+	sent      bool
+	reasm     *Reassembler
+}
+
+// station returns a robot's station, creating it on first use.
+// Stations are carved from chunks that double up to 64 robots' worth
+// and are never regrown, so a station keeps its address and a swarm's
+// cost a handful of allocations.
+func (m *Medium) station(id wire.RobotID) *station {
+	st := m.stations[id]
+	if st == nil {
+		if len(m.chunk) == cap(m.chunk) {
+			m.chunk = make([]station, 0, min(max(2*cap(m.chunk), 4), 64))
+		}
+		m.chunk = m.chunk[:len(m.chunk)+1]
+		st = &m.chunk[len(m.chunk)-1]
+		m.stations[id] = st
+		m.metrics.Register(counterPrefix, uint64(id), &st.ByteCounters)
+	}
+	return st
+}
+
 // Counters returns the byte counters for a robot, creating them on
 // first use.
-func (m *Medium) Counters(id wire.RobotID) *ByteCounters {
-	c := m.counters[id]
-	if c == nil {
-		// Counters are carved from chunks that double up to 64 robots'
-		// worth and are never regrown, so a robot's counters keep their
-		// address and a swarm's cost a handful of allocations.
-		if len(m.ctrChunk) == cap(m.ctrChunk) {
-			m.ctrChunk = make([]ByteCounters, 0, min(max(2*cap(m.ctrChunk), 4), 64))
-		}
-		m.ctrChunk = m.ctrChunk[:len(m.ctrChunk)+1]
-		c = &m.ctrChunk[len(m.ctrChunk)-1]
-		m.counters[id] = c
-		m.metrics.Register(counterPrefix, uint64(id), c)
-	}
-	return c
-}
-
-// senderState is one transmitter's radio-side state: its fragment
-// message-ID counter.
-type senderState struct {
-	nextMsgID uint16
-}
-
-// sender returns the per-sender state, creating it on first use.
-func (m *Medium) sender(id wire.RobotID) *senderState {
-	s := m.senders[id]
-	if s == nil {
-		s = &senderState{}
-		m.senders[id] = s
-	}
-	return s
-}
+func (m *Medium) Counters(id wire.RobotID) *ByteCounters { return &m.station(id).ByteCounters }
 
 // Send enqueues a frame transmitted by `from` for delivery next tick,
 // fragmenting it first when it exceeds the radio MTU. The physical
@@ -315,7 +306,9 @@ func (m *Medium) sender(id wire.RobotID) *senderState {
 // fragmented send costs one allocation (pinned by
 // TestSendSteadyStateAllocations).
 func (m *Medium) Send(from wire.RobotID, f wire.Frame) {
-	c, s := m.Counters(from), m.sender(from)
+	st := m.station(from)
+	st.sent = true
+	c := &st.ByteCounters
 	mtu := m.params.MTUBytes
 	if mtu <= 0 {
 		m.enqueue(c, from, f)
@@ -326,8 +319,8 @@ func (m *Medium) Send(from wire.RobotID, f wire.Frame) {
 		m.drop(c, from, from, obs.CauseOversize, size)
 		return
 	}
-	msgID := s.nextMsgID
-	s.nextMsgID++
+	msgID := st.nextMsgID
+	st.nextMsgID++
 	if size <= mtu {
 		m.enqueue(c, from, f)
 		return
@@ -373,17 +366,17 @@ func (m *Medium) enqueue(c *ByteCounters, from wire.RobotID, fr wire.Frame) {
 // rejected exactly as a scan of every robot would reject them.
 const rangeSlack = 1e-6
 
-// counterAt returns the receiver's byte counters via the per-round
-// rank cache, creating them through Counters on first touch — so
-// counter (and gauge) creation order stays exactly the order the
-// delivery pipeline first touches each robot.
-func (m *Medium) counterAt(rank int32, id wire.RobotID) *ByteCounters {
-	if c := m.ctrBuf[rank]; c != nil {
-		return c
+// stationAt returns the receiver's station via the per-round rank
+// cache, creating it on first touch — so station (and gauge) creation
+// order stays exactly the order the delivery pipeline first touches
+// each robot.
+func (m *Medium) stationAt(rank int32, id wire.RobotID) *station {
+	if st := m.ctrBuf[rank]; st != nil {
+		return st
 	}
-	c := m.Counters(id)
-	m.ctrBuf[rank] = c
-	return c
+	st := m.station(id)
+	m.ctrBuf[rank] = st
+	return st
 }
 
 // drop counts a frame of size bytes that robot lost, sent by the
@@ -408,19 +401,19 @@ func (m *Medium) deliverTo(q queuedFrame, rank int32, id wire.RobotID, src, dst 
 		return out
 	}
 	if m.filter != nil && m.filter(q.from, id, q.frame) {
-		m.drop(m.counterAt(rank, id), id, q.from, obs.CauseLinkFilter, q.size)
+		m.drop(&m.stationAt(rank, id).ByteCounters, id, q.from, obs.CauseLinkFilter, q.size)
 		return out
 	}
 	if m.loss != nil && m.loss.Drop(q.from, id, m.rng.Float64()) {
-		m.drop(m.counterAt(rank, id), id, q.from, obs.CauseLoss, q.size)
+		m.drop(&m.stationAt(rank, id).ByteCounters, id, q.from, obs.CauseLoss, q.size)
 		return out
 	}
-	c := m.counterAt(rank, id)
-	c.RxFrames++
+	st := m.stationAt(rank, id)
+	st.RxFrames++
 	if q.frame.IsAudit() {
-		c.RxAudit += uint64(q.size)
+		st.RxAudit += uint64(q.size)
 	} else {
-		c.RxApp += uint64(q.size)
+		st.RxApp += uint64(q.size)
 	}
 	if m.trace != nil {
 		m.trace.Emit(obs.Event{Tick: m.deliverTick, Robot: id,
@@ -428,30 +421,27 @@ func (m *Medium) deliverTo(q queuedFrame, rank int32, id wire.RobotID, src, dst 
 	}
 	frame := q.frame
 	if m.params.MTUBytes > 0 {
-		reasm := m.reassemblers[id]
-		if reasm == nil {
-			// Generous expiry: fragments of one frame all arrive in
-			// the same delivery round, so a handful of rounds is
-			// plenty.
-			reasm = NewReassembler(16)
-			m.reassemblers[id] = reasm
+		if st.reasm == nil {
+			st.reasm = NewReassembler()
 		}
-		complete, ok := reasm.Add(q.from, frame, m.deliverTick)
+		complete, ok := st.reasm.Add(q.from, frame, m.deliverTick)
 		if !ok {
 			return out // waiting for more fragments (or junk)
 		}
 		frame = complete
 	}
-	return append(out, Delivery{To: id, Frame: frame, seq: q.seq, rank: rank})
+	return append(out, Delivery{To: id, Frame: frame, Rank: rank, seq: q.seq})
 }
 
 // Delivery is one frame arriving at one robot.
 type Delivery struct {
 	To    wire.RobotID
 	Frame wire.Frame
+	// Rank is the receiver's index in the ascending, deduplicated
+	// roster Deliver was given (and the counting sort's key).
+	Rank int32
 
-	seq  uint64 // transmit sequence, for the (receiver, queue-order) sort
-	rank int32  // receiver's index in the round's roster (counting-sort key)
+	seq uint64 // transmit sequence, for the (receiver, queue-order) sort
 }
 
 // Deliver computes which robots receive each queued frame and clears
@@ -488,7 +478,7 @@ func (m *Medium) Deliver(ids []wire.RobotID) []Delivery {
 	sorted = slices.Compact(sorted)
 	m.sortedBuf = sorted
 	if cap(m.ctrBuf) < len(sorted) {
-		m.ctrBuf = make([]*ByteCounters, len(sorted))
+		m.ctrBuf = make([]*station, len(sorted))
 	}
 	m.ctrBuf = m.ctrBuf[:len(sorted)]
 	clear(m.ctrBuf)
@@ -571,18 +561,21 @@ func (m *Medium) Deliver(ids []wire.RobotID) []Delivery {
 	return out
 }
 
-// expireReassemblers sweeps stale fragment buffers, in ID order: each
-// reassembler is independent today, but replay determinism must not
-// hinge on that staying true. It runs at the end of a Deliver round,
-// once the round's roster is dead, and sorts the IDs in its buffer.
+// expireReassemblers sweeps stale fragment buffers of the stations
+// that have a reassembler, in ID order: each reassembler is
+// independent today, but replay determinism must not hinge on that
+// staying true. It runs at the end of a Deliver round, once the round's
+// roster is dead, and sorts the IDs in its buffer.
 func (m *Medium) expireReassemblers() {
 	ids := m.sortedBuf[:0]
-	for id := range m.reassemblers {
-		ids = append(ids, id)
+	for id, st := range m.stations {
+		if st.reasm != nil {
+			ids = append(ids, id)
+		}
 	}
 	slices.Sort(ids)
 	for _, id := range ids {
-		m.reassemblers[id].Expire(m.deliverTick)
+		m.stations[id].reasm.Expire(m.deliverTick)
 	}
 	m.sortedBuf = ids
 }
@@ -590,7 +583,7 @@ func (m *Medium) expireReassemblers() {
 // sortByRank stable counting sorts one round's deliveries by receiver
 // roster rank into m.resultBuf and returns it (nil when empty, like
 // the walk's nil result before this sort existed). nRanks is the
-// roster length; every Delivery.rank is in [0, nRanks).
+// roster length; every Delivery.Rank is in [0, nRanks).
 func (m *Medium) sortByRank(out []Delivery, nRanks int) []Delivery {
 	if len(out) == 0 {
 		return nil
@@ -601,7 +594,7 @@ func (m *Medium) sortByRank(out []Delivery, nRanks int) []Delivery {
 	counts := m.countBuf[:nRanks]
 	clear(counts)
 	for i := range out {
-		counts[out[i].rank]++
+		counts[out[i].Rank]++
 	}
 	var sum int32
 	for r := range counts {
@@ -613,8 +606,8 @@ func (m *Medium) sortByRank(out []Delivery, nRanks int) []Delivery {
 	m.resultBuf = slices.Grow(m.resultBuf[:0], len(out))
 	res := m.resultBuf[:len(out)]
 	for _, d := range out {
-		res[counts[d.rank]] = d
-		counts[d.rank]++
+		res[counts[d.Rank]] = d
+		counts[d.Rank]++
 	}
 	return res
 }

@@ -1,18 +1,22 @@
 package radio
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 	"sort"
 
 	"roborebound/internal/wire"
 )
 
 // Snapshot codec for the wireless medium. Dynamic state is the
-// in-flight queue, the transmit sequence counter, per-robot byte
-// counters, per-sender fragment msgID counters, reassembly buffers,
-// the delivery-round clock, and the loss-model RNG stream. Parameters,
-// position callback, fault hooks, observability, and all per-round
-// scratch come from rebuilding the run.
+// in-flight queue, the transmit sequence counter, the stations, the
+// delivery-round clock, and the loss-model RNG stream. The stations
+// are written as three sections in ID order: byte counters for every
+// station, the fragment msgID counter of every station that has sent,
+// and the reassembly buffers of every station that has a reassembler.
+// Parameters, position callback, fault hooks, observability, and all
+// per-round scratch come from rebuilding the run.
 //
 // deliverTick is serialized explicitly rather than derived from the
 // engine clock: Deliver early-returns without advancing it when the
@@ -33,32 +37,41 @@ func (m *Medium) EncodeState() []byte {
 	}
 	w.U64(m.seq)
 
-	ids := wire.SortedIDs(m.counters)
+	ids := wire.SortedIDs(m.stations)
 	w.U32(uint32(len(ids)))
+	senders, reassemblers := 0, 0
 	for _, id := range ids {
-		c := m.counters[id]
+		st := m.stations[id]
 		w.U16(uint16(id))
-		w.U64(c.TxApp)
-		w.U64(c.TxAudit)
-		w.U64(c.RxApp)
-		w.U64(c.RxAudit)
-		w.U64(c.TxFrames)
-		w.U64(c.RxFrames)
-		w.U64(c.Dropped)
+		w.U64(st.TxApp)
+		w.U64(st.TxAudit)
+		w.U64(st.RxApp)
+		w.U64(st.RxAudit)
+		w.U64(st.TxFrames)
+		w.U64(st.RxFrames)
+		w.U64(st.Dropped)
+		if st.sent {
+			senders++
+		}
+		if st.reasm != nil {
+			reassemblers++
+		}
 	}
 
-	ids = wire.SortedIDs(m.senders)
-	w.U32(uint32(len(ids)))
+	w.U32(uint32(senders))
 	for _, id := range ids {
-		w.U16(uint16(id))
-		w.U16(m.senders[id].nextMsgID)
+		if st := m.stations[id]; st.sent {
+			w.U16(uint16(id))
+			w.U16(st.nextMsgID)
+		}
 	}
 
-	ids = wire.SortedIDs(m.reassemblers)
-	w.U32(uint32(len(ids)))
+	w.U32(uint32(reassemblers))
 	for _, id := range ids {
-		w.U16(uint16(id))
-		m.reassemblers[id].encodeState(w)
+		if st := m.stations[id]; st.reasm != nil {
+			w.U16(uint16(id))
+			st.reasm.encodeState(w)
+		}
 	}
 
 	w.U64(uint64(m.deliverTick))
@@ -70,7 +83,7 @@ func (m *Medium) EncodeState() []byte {
 
 // RestoreState applies a blob from EncodeState onto a structurally
 // identical rebuilt medium (same params, hooks, and observability).
-// Byte counters are created through Counters so their metrics gauges
+// Stations are created through station so their metrics gauges
 // register exactly as the live path registers them.
 func (m *Medium) RestoreState(b []byte) error {
 	r := wire.NewReader(b)
@@ -93,36 +106,43 @@ func (m *Medium) RestoreState(b []byte) error {
 		r.Fail(errors.New("radio: snapshot sequence counter behind queued frames"))
 	}
 
-	type ctrEntry struct {
+	type stationEntry struct {
 		id wire.RobotID
-		c  ByteCounters
+		st station
 	}
-	ctrs := make([]ctrEntry, r.Count(2+7*8))
+	entries := make([]stationEntry, r.Count(2+7*8))
 	prev := -1
-	for i := range ctrs {
-		ctrs[i] = ctrEntry{r.NextID(&prev), ByteCounters{
+	for i := range entries {
+		entries[i] = stationEntry{id: r.NextID(&prev), st: station{ByteCounters: ByteCounters{
 			TxApp: r.U64(), TxAudit: r.U64(),
 			RxApp: r.U64(), RxAudit: r.U64(),
 			TxFrames: r.U64(), RxFrames: r.U64(), Dropped: r.U64(),
-		}}
+		}}}
+	}
+	// A sender or reassembler entry belongs to a station the counters
+	// section lists: Send and delivery create a station's counters
+	// first, so a valid snapshot has them, and a station made here
+	// would register byte counters no run had.
+	entry := func(id wire.RobotID) *station {
+		i, ok := slices.BinarySearchFunc(entries, id, func(e stationEntry, id wire.RobotID) int {
+			return cmp.Compare(e.id, id)
+		})
+		if !ok {
+			r.Fail(errors.New("radio: snapshot station state for a robot without counters"))
+			return &station{}
+		}
+		return &entries[i].st
 	}
 
-	type sendEntry struct {
-		id        wire.RobotID
-		nextMsgID uint16
-	}
-	sends := make([]sendEntry, r.Count(4))
 	prev = -1
-	for i := range sends {
-		sends[i] = sendEntry{r.NextID(&prev), r.U16()}
+	for i, n := 0, r.Count(4); i < n; i++ {
+		st := entry(r.NextID(&prev))
+		st.nextMsgID, st.sent = r.U16(), true
 	}
 
-	n := r.Count(2 + 12)
-	reassemblers := make(map[wire.RobotID]*Reassembler, n)
 	prev = -1
-	for i := 0; i < n; i++ {
-		id := r.NextID(&prev)
-		reassemblers[id] = decodeReassembler(r)
+	for i, n := 0, r.Count(2+12); i < n; i++ {
+		entry(r.NextID(&prev)).reasm = decodeReassembler(r)
 	}
 
 	deliverTick := wire.Tick(r.U64())
@@ -138,13 +158,9 @@ func (m *Medium) RestoreState(b []byte) error {
 	}
 	m.queue = queue
 	m.seq = seq
-	for _, e := range ctrs {
-		*m.Counters(e.id) = e.c
+	for _, e := range entries {
+		*m.station(e.id) = e.st
 	}
-	for _, e := range sends {
-		m.sender(e.id).nextMsgID = e.nextMsgID
-	}
-	m.reassemblers = reassemblers
 	m.deliverTick = deliverTick
 	return nil
 }
@@ -155,7 +171,7 @@ func (m *Medium) RestoreState(b []byte) error {
 // round-trip exactly; a restored buffer holds its chunks in index
 // order, whatever order they first arrived in.
 func (re *Reassembler) encodeState(w *wire.Writer) {
-	w.U64(uint64(re.Timeout))
+	w.U64(uint64(reassemblyTimeout))
 	keys := make([]fragKey, 0, len(re.bufs))
 	for k := range re.bufs {
 		keys = append(keys, k)
@@ -183,7 +199,10 @@ func (re *Reassembler) encodeState(w *wire.Writer) {
 }
 
 func decodeReassembler(r *wire.Reader) *Reassembler {
-	re := NewReassembler(wire.Tick(r.U64()))
+	if wire.Tick(r.U64()) != reassemblyTimeout {
+		r.Fail(errors.New("radio: snapshot reassembly timeout is not the medium's"))
+	}
+	re := NewReassembler()
 	var prev fragKey
 	// Each buffer record is at least 14 bytes.
 	for i, n := 0, r.Count(14); i < n; i++ {

@@ -35,7 +35,7 @@ func bruteDeliver(m *Medium, ids []wire.RobotID) []Delivery {
 	slices.Sort(sorted)
 	sorted = slices.Compact(sorted)
 	m.sortedBuf = sorted
-	m.ctrBuf = make([]*ByteCounters, len(sorted))
+	m.ctrBuf = make([]*station, len(sorted))
 
 	out := m.outBuf[:0]
 	held := m.queue[:0]
@@ -387,7 +387,7 @@ func TestSendSteadyStateAllocations(t *testing.T) {
 
 // TestDeliverSteadyStateAllocations pins the delivery round at zero
 // allocations once its scratch has grown: Deliver, and through it
-// deliverTo, counterAt and sortByRank, on a 40-robot lattice where
+// deliverTo, stationAt and sortByRank, on a 40-robot lattice where
 // every frame has in-range receivers. The second run turns on every
 // hook the pipeline branches on — loss draws, a link filter, transmit
 // delays holding frames across rounds, a tracer, a metrics registry,

@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"sort"
+	"slices"
 
 	"roborebound/internal/obs/perf"
 	"roborebound/internal/radio"
@@ -37,10 +37,9 @@ type Engine struct {
 	World  *World
 	Medium *radio.Medium
 
-	actors []Actor // sorted by ID
-	ids    []wire.RobotID
-	byID   map[wire.RobotID]Actor
-	now    wire.Tick //rebound:clock engine
+	actors []Actor        // sorted by ID
+	ids    []wire.RobotID // actors' IDs, ascending and unique
+	now    wire.Tick      //rebound:clock engine
 
 	observers []func(now wire.Tick)
 
@@ -52,25 +51,18 @@ type Engine struct {
 
 // NewEngine wires a world and a medium together.
 func NewEngine(world *World, medium *radio.Medium) *Engine {
-	return &Engine{World: world, Medium: medium, byID: make(map[wire.RobotID]Actor)}
+	return &Engine{World: world, Medium: medium}
 }
 
 // AddActor registers an actor. Panics on duplicate IDs.
 func (e *Engine) AddActor(a Actor) {
 	id := a.ActorID()
-	for _, existing := range e.ids {
-		if existing == id {
-			panic("sim: duplicate actor ID")
-		}
+	i, dup := slices.BinarySearch(e.ids, id)
+	if dup {
+		panic("sim: duplicate actor ID")
 	}
-	i := sort.Search(len(e.actors), func(i int) bool { return e.actors[i].ActorID() >= id })
-	e.actors = append(e.actors, nil)
-	copy(e.actors[i+1:], e.actors[i:])
-	e.actors[i] = a
-	e.ids = append(e.ids, 0)
-	copy(e.ids[i+1:], e.ids[i:])
-	e.ids[i] = id
-	e.byID[id] = a
+	e.actors = slices.Insert(e.actors, i, a)
+	e.ids = slices.Insert(e.ids, i, id)
 }
 
 // Observe registers a per-tick callback, invoked after physics.
@@ -101,11 +93,11 @@ func (e *Engine) SetPerf(t *perf.PhaseTimer) {
 // StepOnce advances the simulation by one tick.
 func (e *Engine) StepOnce() {
 	s := e.perf.Start()
+	// e.ids is ascending and unique, so a delivery's rank in it is its
+	// receiver's index in e.actors.
 	deliveries := e.Medium.Deliver(e.ids)
 	for _, d := range deliveries {
-		if a := e.byID[d.To]; a != nil {
-			a.Deliver(d.Frame)
-		}
+		e.actors[d.Rank].Deliver(d.Frame)
 	}
 	// Every delivery has been consumed. The slice is the Medium's, kept
 	// for the next round; cleared, it stops holding this tick's payloads

@@ -92,8 +92,8 @@ var guardLeafTypes = map[string]bool{
 // is sent in.
 // Everything else is pinned by snapshotstate.Surfaces.
 var guardManualFields = map[string][]string{
-	"sim.Engine":       {"World", "Medium", "actors", "ids", "byID", "now", "observers", "perf"},
-	"radio.Delivery":   {"To", "Frame", "seq", "rank"},
+	"sim.Engine":       {"World", "Medium", "actors", "ids", "now", "observers", "perf"},
+	"radio.Delivery":   {"To", "Frame", "Rank", "seq"},
 	"prng.Source":      {"s"},
 	"core.missScratch": {"entries", "machine"},
 	"replay.Machine":   {"chains", "ctrl", "state"},

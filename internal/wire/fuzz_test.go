@@ -13,7 +13,7 @@ func FuzzDecoders(f *testing.F) {
 	f.Add([]byte{})
 	f.Add((&StateMsg{Src: 3, Time: 9}).Encode())
 	f.Add((&Token{Auditor: 1, Auditee: 2}).Encode())
-	f.Add((&TokenRequest{Auditee: 1, Auditor: 2}).Encode())
+	f.Add((&AuditRequest{Auditee: 1, Auditor: 2, Req: TokenRequest{Auditee: 1, Auditor: 2, T: 7}}).Encode())
 	f.Add((&Authenticator{NodeKind: NodeS}).Encode())
 	f.Add((&AuditResponse{OK: true}).Encode())
 	big := AuditRequest{Auditee: 1, Auditor: 2, FromBoot: true,
@@ -34,7 +34,6 @@ func FuzzDecoders(f *testing.F) {
 		// the expected outcome for junk.
 		DecodeStateMsg(data)
 		DecodeToken(data)
-		DecodeTokenRequest(data)
 		DecodeAuthenticator(data)
 		DecodeAuditResponse(data)
 		DecodeFrame(data)

@@ -24,7 +24,6 @@ type Tick uint64
 // Message kinds.
 const (
 	KindState         uint8 = 1 // flocking state broadcast
-	KindTokenRequest  uint8 = 2 // a-node-signed audit solicitation
 	KindAuditRequest  uint8 = 3 // log segment + checkpoint + tokens
 	KindAuditResponse uint8 = 4 // token grant or refusal
 )
@@ -246,16 +245,9 @@ type TokenRequest struct {
 	Mac     cryptolite.Tag
 }
 
-// TokenRequestMsgSize is the encoded size of a token request message.
-const TokenRequestMsgSize = 1 + 2 + 2 + 8 + cryptolite.TagSize
-
-// Encode serializes the token request as a standalone message.
-func (t *TokenRequest) Encode() []byte {
-	w := NewWriter(TokenRequestMsgSize)
-	w.U8(KindTokenRequest)
-	t.encodeTo(w)
-	return w.Bytes()
-}
+// tokenRequestSize is the encoded size of a token request, which
+// travels only inside an audit request's head.
+const tokenRequestSize = 2 + 2 + 8 + cryptolite.TagSize
 
 func (t *TokenRequest) encodeTo(w *Writer) {
 	w.U16(uint16(t.Auditee))
@@ -271,19 +263,6 @@ func decodeTokenRequestBody(r *Reader) TokenRequest {
 	t.T = Tick(r.U64())
 	copy(t.Mac[:], r.Raw(cryptolite.TagSize))
 	return t
-}
-
-// DecodeTokenRequest parses a standalone token request message.
-func DecodeTokenRequest(b []byte) (TokenRequest, error) {
-	r := NewReader(b)
-	if k := r.U8(); r.Err() == nil && k != KindTokenRequest {
-		return TokenRequest{}, ErrBadKind
-	}
-	t := decodeTokenRequestBody(r)
-	if err := r.Done(); err != nil {
-		return TokenRequest{}, fmt.Errorf("token request: %w", err)
-	}
-	return t, nil
 }
 
 // Token certifies a successful audit: (s, d, t, h_ckpt, mac) where s
@@ -384,7 +363,7 @@ func (a *AuditRequest) Encode() []byte {
 
 // auditRequestHeadSize is the per-auditor prefix of an encoded audit
 // request: kind, auditee, auditor, and the token-request body.
-const auditRequestHeadSize = 1 + 2 + 2 + (TokenRequestMsgSize - 1)
+const auditRequestHeadSize = 1 + 2 + 2 + tokenRequestSize
 
 // EncodeWithTail serializes the request given its round-invariant
 // tail — everything from the FromBoot flag on, as SplitAuditRequest

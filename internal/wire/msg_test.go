@@ -76,17 +76,6 @@ func TestTokenRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTokenRequestRoundTrip(t *testing.T) {
-	f := func(tee, tor uint16, tm uint64, mac [8]byte) bool {
-		req := TokenRequest{Auditee: RobotID(tee), Auditor: RobotID(tor), T: Tick(tm), Mac: cryptolite.Tag(mac)}
-		got, err := DecodeTokenRequest(req.Encode())
-		return err == nil && got == req
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestAuthenticatorRoundTrip(t *testing.T) {
 	f := func(kind uint8, tm uint64, top [20]byte, id uint16, mac [8]byte) bool {
 		a := Authenticator{NodeKind: kind, T: Tick(tm), Top: cryptolite.ChainHash(top), ID: RobotID(id), Mac: cryptolite.Tag(mac)}
@@ -201,7 +190,6 @@ func TestDecodersNeverPanic(t *testing.T) {
 	f := func(b []byte) bool {
 		DecodeStateMsg(b)
 		DecodeToken(b)
-		DecodeTokenRequest(b)
 		DecodeAuthenticator(b)
 		DecodeFrame(b)
 		DecodeAuditRequest(b)

@@ -56,7 +56,9 @@ type SimConfig struct {
 	// Seed drives every randomized choice (placement jitter, packet
 	// loss). Two runs with equal configs and seeds are bit-identical.
 	Seed uint64
-	// World overrides the physics (default sim.DefaultWorldConfig).
+	// World overrides the physics (default sim.DefaultWorldConfig). Its
+	// TicksPerSecond is ignored: the facade always runs at
+	// TicksPerSecond, and NewSim leaves the caller's struct unchanged.
 	World *sim.WorldConfig
 	// Radio overrides the link model (default radio.DefaultParams).
 	Radio *radio.Params
@@ -85,11 +87,12 @@ type SimConfig struct {
 }
 
 func (c SimConfig) withDefaults() SimConfig {
-	if c.World == nil {
-		w := sim.DefaultWorldConfig()
-		c.World = &w
+	w := sim.DefaultWorldConfig()
+	if c.World != nil {
+		w = *c.World
 	}
-	c.World.TicksPerSecond = TicksPerSecond
+	w.TicksPerSecond = TicksPerSecond
+	c.World = &w
 	if c.Radio == nil {
 		r := radio.DefaultParams()
 		c.Radio = &r
@@ -215,15 +218,9 @@ func (s *Sim) Robot(id wire.RobotID) *robot.Robot { return s.robots[id] }
 // Compromised returns the attack wrapper for id, or nil.
 func (s *Sim) Compromised(id wire.RobotID) *attack.Compromised { return s.compromised[id] }
 
-// IDs returns all robot IDs in ascending order.
-func (s *Sim) IDs() []wire.RobotID {
-	ids := make([]wire.RobotID, 0, len(s.robots))
-	for id := range s.robots {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	return ids
-}
+// IDs returns all robot IDs in ascending order: the engine's roster,
+// since every robot is an actor.
+func (s *Sim) IDs() []wire.RobotID { return slices.Clone(s.Engine.IDs()) }
 
 // CorrectIDs returns the IDs of robots that are not compromised.
 func (s *Sim) CorrectIDs() []wire.RobotID {

@@ -2,9 +2,11 @@ package roborebound
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"roborebound/internal/geom"
+	"roborebound/internal/sim"
 	"roborebound/internal/wire"
 )
 
@@ -106,6 +108,22 @@ func TestTickSecondsRoundTrip(t *testing.T) {
 	}
 	if s.Seconds(10) != 2.5 {
 		t.Errorf("Seconds(10) = %v", s.Seconds(10))
+	}
+}
+
+// TestNewSimLeavesTheCallersWorldConfig: the facade runs at
+// TicksPerSecond whatever rate the caller's WorldConfig names, and it
+// forces that rate on its own copy, not through the caller's pointer.
+func TestNewSimLeavesTheCallersWorldConfig(t *testing.T) {
+	world := sim.DefaultWorldConfig()
+	world.TicksPerSecond = 10
+	want := world
+	s := NewSim(SimConfig{World: &world})
+	if !reflect.DeepEqual(world, want) {
+		t.Errorf("NewSim changed the caller's WorldConfig: %+v, was %+v", world, want)
+	}
+	if got := s.Cfg.World.TicksPerSecond; got != TicksPerSecond {
+		t.Errorf("the sim runs at %v ticks/s, want %v", got, TicksPerSecond)
 	}
 }
 
