@@ -158,7 +158,7 @@ func TestReplayAttackDetected(t *testing.T) {
 // must still keep every correct robot alive (retry/solicitation loops
 // absorb the losses).
 func TestLossyNetworkRobust(t *testing.T) {
-	cc := coreCfgWith(4, 2)
+	cc := coreCfgWith(2)
 	s := NewSim(SimConfig{Seed: 31, Core: &cc})
 	s.Medium.SetLossModel(radio.UniformLoss{Rate: 0.10})
 	factory := flockFactory(4, geom.V(120, 120))
@@ -189,7 +189,7 @@ func TestLossyNetworkRobust(t *testing.T) {
 // in. This is the designed behavior for a robot that cannot prove
 // itself, not a bug.
 func TestHeavyLossEventuallyFatal(t *testing.T) {
-	cc := coreCfgWith(4, 2)
+	cc := coreCfgWith(2)
 	s := NewSim(SimConfig{Seed: 32, Core: &cc})
 	s.Medium.SetLossModel(radio.UniformLoss{Rate: 0.95})
 	factory := flockFactory(4, geom.V(120, 120))
@@ -210,7 +210,7 @@ func TestHeavyLossEventuallyFatal(t *testing.T) {
 func TestFragmentedRadioEndToEnd(t *testing.T) {
 	rp := radio.DefaultParams()
 	rp.MTUBytes = 66
-	cc := coreCfgWith(4, 2)
+	cc := coreCfgWith(2)
 	s := NewSim(SimConfig{Seed: 41, Radio: &rp, Core: &cc})
 	factory := flockFactory(4, geom.V(120, 120))
 	for i, pos := range GridPositions(9, 4, geom.Zero2) {

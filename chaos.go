@@ -386,7 +386,7 @@ func buildChaosCell(cfg ChaosConfig) chaosCell {
 			geom.V(0, 0), geom.V(40, 0), geom.V(80, 0), geom.V(80, 40),
 			geom.V(80, 80), geom.V(40, 80), geom.V(0, 80), geom.V(0, 40),
 		}
-		params := control.DefaultPatrolParams(TicksPerSecond, route)
+		params := control.DefaultPatrolParams(route)
 		params.RingGapM = 3
 		factory = control.PatrolFactory{Params: params}
 		positions = make([]geom.Vec2, cfg.N)
@@ -405,7 +405,7 @@ func buildChaosCell(cfg ChaosConfig) chaosCell {
 			dropoffs = append(dropoffs, geom.V(60, 6*float64(i)))
 			positions[i] = pickups[i].Add(geom.V(2, 0))
 		}
-		factory = control.WarehouseFactory{Params: control.DefaultWarehouseParams(TicksPerSecond, pickups, dropoffs)}
+		factory = control.WarehouseFactory{Params: control.DefaultWarehouseParams(pickups, dropoffs)}
 		// Park a phantom in the main aisle between lanes, so neighbors
 		// yield to it (the lie of ExampleNewSim_warehouse).
 		attacker = func(slot int) CompromisedSpec {

@@ -120,8 +120,7 @@ func perfCmd() int {
 
 	if *perfettoOut != "" {
 		if !writeObsFile(*perfettoOut, "merged Perfetto trace", func(w io.Writer) error {
-			return perf.WriteMergedTrace(w, perfCol.Events(),
-				obs.TickMapping{TicksPerSecond: rr.TicksPerSecond}, rec)
+			return perf.WriteMergedTrace(w, perfCol.Events(), rec)
 		}) {
 			return 1
 		}

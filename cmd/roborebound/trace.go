@@ -95,7 +95,7 @@ func traceCmd() int {
 		return 1
 	}
 	if *perfettoOut != "" && !writeObsFile(*perfettoOut, "Perfetto trace", func(w io.Writer) error {
-		return obs.WriteChromeTrace(w, col.Events(), obs.TickMapping{TicksPerSecond: rr.TicksPerSecond})
+		return obs.WriteChromeTrace(w, col.Events())
 	}) {
 		return 1
 	}

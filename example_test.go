@@ -114,7 +114,7 @@ func ExampleNewSim_patrol() {
 		geom.V(0, 0), geom.V(40, 0), geom.V(80, 0), geom.V(80, 40),
 		geom.V(80, 80), geom.V(40, 80), geom.V(0, 80), geom.V(0, 40),
 	}
-	params := control.DefaultPatrolParams(rr.TicksPerSecond, route)
+	params := control.DefaultPatrolParams(route)
 	params.RingGapM = 3
 	factory := control.PatrolFactory{Params: params}
 
@@ -146,7 +146,7 @@ func ExampleNewSim_patrol() {
 // deterministically adopts the orphaned strip and the survey
 // completes.
 func ExampleNewSim_explore() {
-	factory := control.ExploreFactory{Params: control.DefaultExploreParams(rr.TicksPerSecond, 0, 0, 80, 40, 4)}
+	factory := control.ExploreFactory{Params: control.DefaultExploreParams(0, 0, 80, 40, 4)}
 	cc := core.DefaultConfig(rr.TicksPerSecond)
 	cc.Fmax = 1 // each robot needs 2 fresh tokens
 	sim := rr.NewSim(rr.SimConfig{Seed: 12, Core: &cc})
@@ -191,7 +191,7 @@ func ExampleNewSim_warehouse() {
 		pickups = append(pickups, geom.V(0, 6*float64(i)))
 		dropoffs = append(dropoffs, geom.V(60, 6*float64(i)))
 	}
-	factory := control.WarehouseFactory{Params: control.DefaultWarehouseParams(rr.TicksPerSecond, pickups, dropoffs)}
+	factory := control.WarehouseFactory{Params: control.DefaultWarehouseParams(pickups, dropoffs)}
 
 	for _, protected := range []bool{false, true} {
 		cc := core.DefaultConfig(rr.TicksPerSecond)

@@ -222,6 +222,23 @@ func TestBenchHistory(t *testing.T) {
 	}
 }
 
+// experimentsBudget caps EXPERIMENTS.md: the numbers live in
+// BENCH_history.ndjson, so the file keeps paper-vs-measured and one
+// short verdict paragraph per PR.
+const experimentsBudget = 60_000
+
+// TestExperimentsUnderBudget fails once EXPERIMENTS.md outgrows its
+// budget; the fix is to fold old verdicts, not to raise the budget.
+func TestExperimentsUnderBudget(t *testing.T) {
+	info, err := os.Stat("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := info.Size(); n > experimentsBudget {
+		t.Errorf("EXPERIMENTS.md is %d bytes, over its %d-byte budget", n, experimentsBudget)
+	}
+}
+
 // TestBenchHistoryRefusesBrokenLines: each way a line can break the
 // contract is caught, on lines derived from a valid one.
 func TestBenchHistoryRefusesBrokenLines(t *testing.T) {

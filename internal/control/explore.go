@@ -46,13 +46,13 @@ type ExploreParams struct {
 
 // DefaultExploreParams surveys the given rectangle with one strip per
 // expected robot.
-func DefaultExploreParams(ticksPerSecond float64, x0, y0, x1, y1 float64, strips int) ExploreParams {
+func DefaultExploreParams(x0, y0, x1, y1 float64, strips int) ExploreParams {
 	return ExploreParams{
 		X0: x0, Y0: y0, X1: x1, Y1: y1,
 		Strips:      strips,
 		Lanes:       4,
-		Steering:    waypointSteering(ticksPerSecond),
-		PeerTimeout: wire.Tick(15 * ticksPerSecond),
+		Steering:    waypointSteering(),
+		PeerTimeout: 15 * wire.TicksPerSecond,
 	}
 }
 

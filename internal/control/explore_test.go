@@ -9,7 +9,7 @@ import (
 )
 
 func exploreParams() ExploreParams {
-	return DefaultExploreParams(4, 0, 0, 80, 40, 4)
+	return DefaultExploreParams(0, 0, 80, 40, 4)
 }
 
 func exploreReading(t wire.Tick, pos, vel geom.Vec2) wire.SensorReading {

@@ -27,14 +27,14 @@ type PatrolParams struct {
 
 // DefaultPatrolParams returns a usable patrol configuration for the
 // given route.
-func DefaultPatrolParams(ticksPerSecond float64, waypoints []geom.Vec2) PatrolParams {
-	return PatrolParams{Waypoints: waypoints, Steering: waypointSteering(ticksPerSecond)}
+func DefaultPatrolParams(waypoints []geom.Vec2) PatrolParams {
+	return PatrolParams{Waypoints: waypoints, Steering: waypointSteering()}
 }
 
 // waypointSteering is the steering patrol and exploration share.
-func waypointSteering(ticksPerSecond float64) Steering {
+func waypointSteering() Steering {
 	return Steering{ArriveRadius: 2, KP: 0.08, KD: 0.6, AccelCap: 5,
-		BroadcastPeriod: wire.Tick(1.5 * ticksPerSecond)}
+		BroadcastPeriod: 1.5 * wire.TicksPerSecond}
 }
 
 // Patrol is a deterministic PD waypoint-following controller. Each

@@ -9,7 +9,7 @@ import (
 )
 
 func patrolParams() PatrolParams {
-	return DefaultPatrolParams(4, []geom.Vec2{
+	return DefaultPatrolParams([]geom.Vec2{
 		geom.V(0, 0), geom.V(50, 0), geom.V(50, 50), geom.V(0, 50),
 	})
 }

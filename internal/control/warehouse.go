@@ -58,16 +58,16 @@ type WarehouseParams struct {
 
 // DefaultWarehouseParams returns a workable configuration for the
 // given station lists.
-func DefaultWarehouseParams(ticksPerSecond float64, pickups, dropoffs []geom.Vec2) WarehouseParams {
+func DefaultWarehouseParams(pickups, dropoffs []geom.Vec2) WarehouseParams {
 	return WarehouseParams{
 		Pickups:  pickups,
 		Dropoffs: dropoffs,
 		Steering: Steering{ArriveRadius: 1.5, KP: 0.1, KD: 0.7, AccelCap: 5,
-			BroadcastPeriod: wire.Tick(1.5 * ticksPerSecond)},
+			BroadcastPeriod: 1.5 * wire.TicksPerSecond},
 		YieldRadius: 15,
 		LaneWidth:   2,
 		LaneOffset:  4,
-		StaleAfter:  wire.Tick(6 * ticksPerSecond),
+		StaleAfter:  6 * wire.TicksPerSecond,
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 func warehouseParams() WarehouseParams {
-	return DefaultWarehouseParams(4,
+	return DefaultWarehouseParams(
 		[]geom.Vec2{geom.V(0, 0), geom.V(0, 20)},   // pickups
 		[]geom.Vec2{geom.V(50, 0), geom.V(50, 20)}, // dropoffs
 	)

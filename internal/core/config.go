@@ -20,6 +20,14 @@ import (
 	"roborebound/internal/wire"
 )
 
+// retryDelay is how long the auditee waits for responses before
+// soliciting additional auditors (the paper waits 50 ms past its
+// expected round trip; here the radio round trip is 2 ticks, so it
+// waits 3 — retrying earlier only duplicates every request and roughly
+// doubles audit bandwidth). It is a count of radio ticks, not a time
+// scaled by the tick rate.
+const retryDelay wire.Tick = 3
+
 // Config collects the protocol parameters. Defaults mirror the
 // paper's evaluation setup (§5.1–5.2).
 type Config struct {
@@ -34,12 +42,6 @@ type Config struct {
 	// relative to the token request; it must cover the auditee's
 	// retry window within one round.
 	AuthSlack wire.Tick
-	// RetryDelay is how long the auditee waits for responses before
-	// soliciting additional auditors (the paper waits 50 ms past its
-	// expected round trip; here the radio round trip is 2 ticks, so
-	// the default waits 3 — retrying earlier only duplicates every
-	// request and roughly doubles audit bandwidth).
-	RetryDelay wire.Tick
 	// HeardWindow is how long a peer stays an auditor candidate after
 	// we last heard any frame from it.
 	HeardWindow wire.Tick
@@ -82,7 +84,6 @@ func DefaultConfig(ticksPerSecond float64) Config {
 		TAudit:         wire.Tick(4 * ticksPerSecond),
 		TVal:           wire.Tick(10 * ticksPerSecond),
 		AuthSlack:      wire.Tick(4 * ticksPerSecond),
-		RetryDelay:     3,
 		HeardWindow:    wire.Tick(6 * ticksPerSecond),
 		BatchSize:      trusted.DefaultBatchSize,
 		BucketCapacity: 16,

@@ -410,7 +410,7 @@ func (e *Engine) Tick(now wire.Tick) {
 		e.startRound(now)
 	}
 	if e.round != nil && !e.round.covered &&
-		now >= e.round.lastAsk+e.cfg.RetryDelay &&
+		now >= e.round.lastAsk+retryDelay &&
 		len(e.round.tokens) <= e.cfg.Fmax {
 		e.solicit(now)
 	}

@@ -227,7 +227,7 @@ func TestSolicitExhaustedCandidatesNoDuplicateAsk(t *testing.T) {
 	// A *later* pass may legitimately re-ask the still-tokenless peer
 	// (it may have been briefly out of range) — the dedupe is
 	// per-pass, not per-round.
-	h.now += cfg.RetryDelay
+	h.now += retryDelay
 	eng.Tick(h.now)
 	if got := eng.Stats().AuditsRequested; got != 2 {
 		t.Errorf("AuditsRequested = %d after retry pass, want 2", got)

@@ -99,7 +99,7 @@ func TestUncoveredRoundKeepsItsRequest(t *testing.T) {
 	}
 	tail := bytes.Clone(rd.reqTail)
 
-	r.now += cfg.RetryDelay
+	r.now += retryDelay
 	r.eng.now = r.now
 	for id := wire.RobotID(2); id <= 6; id++ {
 		r.an.RecvWireless(peerFrame(id, r.now))

@@ -281,7 +281,7 @@ func TestRoundTailSurvivesWindowCompaction(t *testing.T) {
 		t.Fatalf("%d entries retained after the cover, want the 1000 appended since", got)
 	}
 	r.sent = nil
-	r.now += cfg.RetryDelay
+	r.now += retryDelay
 	r.eng.Tick(r.now)
 	if len(r.sent) == 0 {
 		t.Fatal("the uncovered round did not retry")
@@ -517,7 +517,7 @@ func TestRoundWithoutARequestOwnsItsSegment(t *testing.T) {
 			if rd2.reqTail != nil || !bytes.Equal(rd2.segment, window) {
 				t.Fatal("restored round: tail built, or segment differs")
 			}
-			r2.now = rd2.lastAsk + cfg.RetryDelay
+			r2.now = rd2.lastAsk + retryDelay
 			r2.eng.now = r2.now
 			for id := wire.RobotID(2); id <= 6; id++ {
 				r2.an.RecvWireless(peerFrame(id, r2.now))

@@ -406,7 +406,8 @@ func Profiles() []Profile {
 }
 
 // Limits carries the protocol timing bounds Generate sizes its fault
-// windows by: tokens live TVal; rounds recur every TAudit.
+// windows by: tokens live TVal; rounds recur every TAudit. Both must be
+// set; a chaos cell takes them from its core.Config.
 type Limits struct {
 	TVal   wire.Tick
 	TAudit wire.Tick
@@ -416,24 +417,12 @@ type Limits struct {
 	Avoid []wire.RobotID
 }
 
-// withDefaults fills zero bounds with the 4 ticks/s protocol defaults.
-func (l Limits) withDefaults() Limits {
-	if l.TVal == 0 {
-		l.TVal = 40
-	}
-	if l.TAudit == 0 {
-		l.TAudit = 16
-	}
-	return l
-}
-
 // Schedulable reports whether Generate can place any fault in a run of
 // total ticks. Faults start after the a-node grace window (the first
 // TVal) plus one audit round and end TVal before the run does, so a run
 // no longer than 2·TVal + TAudit gets an empty schedule whatever its
 // profile.
 func Schedulable(total wire.Tick, lim Limits) bool {
-	lim = lim.withDefaults()
 	return total > 2*lim.TVal+lim.TAudit
 }
 
@@ -478,7 +467,6 @@ func pickTargets(rng *prng.Source, ids []wire.RobotID, lim Limits, n int) []wire
 func Generate(profile Profile, seed uint64, ids []wire.RobotID, total wire.Tick, lim Limits) Schedule {
 	rng := prng.New(seed ^ 0xFA017)
 	var s Schedule
-	lim = lim.withDefaults()
 	// Faults start after the a-node grace window (first TVal) plus one
 	// audit round, and end before the run does, so every window is
 	// followed by quiet time in which the checker can observe recovery.

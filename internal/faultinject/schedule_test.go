@@ -79,10 +79,10 @@ func TestGenerateProfileShapes(t *testing.T) {
 
 // TestSchedulableIsGeneratesBound holds Schedulable to Generate: around
 // the 2·TVal + TAudit edge, every faulting profile generates a fault
-// exactly when Schedulable says it can, for explicit and default limits.
+// exactly when Schedulable says it can.
 func TestSchedulableIsGeneratesBound(t *testing.T) {
-	for _, lim := range []Limits{{}, {TVal: 40, TAudit: 16}, {TVal: 20, TAudit: 8}} {
-		edge := 2*lim.withDefaults().TVal + lim.withDefaults().TAudit
+	for _, lim := range []Limits{{TVal: 40, TAudit: 16}, {TVal: 20, TAudit: 8}} {
+		edge := 2*lim.TVal + lim.TAudit
 		for total := edge - 2; total <= edge+2; total++ {
 			want := total > edge
 			if got := Schedulable(total, lim); got != want {

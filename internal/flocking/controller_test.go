@@ -57,9 +57,6 @@ func TestTable3Defaults(t *testing.T) {
 			t.Errorf("%s = %v, want %v (Table 3)", c.name, c.got, c.want)
 		}
 	}
-	if p.ControlPeriod != 1 { // 0.25 s at 4 ticks/s
-		t.Errorf("control period = %d ticks, want 1", p.ControlPeriod)
-	}
 	if p.BroadcastPeriod != 6 { // 1.5 s at 4 ticks/s
 		t.Errorf("broadcast period = %d ticks, want 6", p.BroadcastPeriod)
 	}

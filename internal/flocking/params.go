@@ -48,11 +48,6 @@ type Params struct {
 	// AccelCap is the per-axis acceleration saturation (5 m/s², §4).
 	AccelCap float64
 
-	// TicksPerSecond converts engine ticks to seconds.
-	TicksPerSecond float64
-	// ControlPeriod is the interval between control steps, in ticks
-	// (0.25 s in the paper — every sensor poll).
-	ControlPeriod wire.Tick
 	// BroadcastPeriod is the interval between state broadcasts, in
 	// ticks (1.5 s in the paper).
 	BroadcastPeriod wire.Tick
@@ -62,9 +57,10 @@ type Params struct {
 	NeighborTimeout wire.Tick
 }
 
-// DefaultParams returns the Table 3 values with the paper's timing
-// setup (0.25 s control period, 1.5 s broadcast period) at the given
-// tick rate, for a flock with desired spacing d and a goal.
+// DefaultParams returns the Table 3 values with the paper's 1.5 s
+// broadcast period at the given tick rate, for a flock with desired
+// spacing d and a goal. The controller steps on every sensor poll, so
+// its control period is one tick.
 func DefaultParams(ticksPerSecond float64, d float64, goal geom.Vec2) Params {
 	return Params{
 		D:               d,
@@ -82,8 +78,6 @@ func DefaultParams(ticksPerSecond float64, d float64, goal geom.Vec2) Params {
 		C2Gamma:         -0.060,
 		Goal:            goal,
 		AccelCap:        5.0,
-		TicksPerSecond:  ticksPerSecond,
-		ControlPeriod:   tick(0.25, ticksPerSecond),
 		BroadcastPeriod: tick(1.5, ticksPerSecond),
 		NeighborTimeout: tick(4.5, ticksPerSecond),
 	}

@@ -7,28 +7,15 @@ import (
 	"strconv"
 	"strings"
 	"unicode/utf8"
+
+	"roborebound/internal/wire"
 )
 
-// TickMapping converts simulation ticks into the microsecond
-// timestamps Chrome trace viewers expect. It is pure arithmetic on
-// the configured tick rate: tick t maps to t * 1e6 / TicksPerSecond
-// µs, so the mapping is deterministic and involves no wall clock.
-type TickMapping struct {
-	TicksPerSecond int
-}
-
-// Micros returns tick t's timestamp in microseconds. A zero or
-// negative TicksPerSecond clamps to 1 tick/s — a degenerate but
-// finite mapping — so an unconfigured TickMapping can never divide by
-// zero and inject NaN/Inf timestamps into an exported trace (the
-// merged two-track Perfetto export composes these timestamps with
-// wall-clock spans, where one NaN corrupts the whole document).
-func (m TickMapping) Micros(t uint64) float64 {
-	tps := m.TicksPerSecond
-	if tps <= 0 {
-		tps = 1
-	}
-	return float64(t) * 1e6 / float64(tps)
+// micros converts tick t into the microsecond timestamp Chrome trace
+// viewers expect: t * 1e6 / wire.TicksPerSecond, pure arithmetic with
+// no wall clock, and always finite.
+func micros(t wire.Tick) float64 {
+	return float64(t) * 1e6 / wire.TicksPerSecond
 }
 
 // appendJSONString appends s to dst as a JSON string literal. Its
@@ -185,11 +172,12 @@ func WriteMetricsJSON(w io.Writer, snap []Sample) error {
 // within it, thread 1 carries the protocol plane and thread 2 the
 // radio plane. Audit rounds become complete ("X") slices from
 // EvAuditRoundStart to the matching Complete/Abandoned; every other
-// event is an instant ("i"). Timestamps come from the TickMapping.
-func WriteChromeTrace(w io.Writer, events []Event, m TickMapping) error {
+// event is an instant ("i"). Timestamps are simulated time at
+// wire.TicksPerSecond.
+func WriteChromeTrace(w io.Writer, events []Event) error {
 	var b strings.Builder
 	b.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`)
-	for i, line := range ChromeTraceLines(events, m) {
+	for i, line := range ChromeTraceLines(events) {
 		if i > 0 {
 			b.WriteByte(',')
 		}
@@ -212,8 +200,8 @@ func WriteChromeTrace(w io.Writer, events []Event, m TickMapping) error {
 // an earlier tick than its start (a hand-built or corrupted event
 // slice) would yield a negative slice duration, which trace viewers
 // reject; such durations clamp to 0. Timestamps themselves are always
-// finite (see TickMapping.Micros).
-func ChromeTraceLines(events []Event, m TickMapping) []string {
+// finite (see micros).
+func ChromeTraceLines(events []Event) []string {
 	var out []string
 	emit := func(s string) { out = append(out, s) }
 	jsonString := func(s string) string { return string(appendJSONString(nil, s)) }
@@ -240,7 +228,7 @@ func ChromeTraceLines(events []Event, m TickMapping) []string {
 		if e.Kind.FramePlane() {
 			tid = 2
 		}
-		ts := m.Micros(uint64(e.Tick))
+		ts := micros(e.Tick)
 		switch e.Kind {
 		case EvAuditRoundStart:
 			openRound[id] = e
@@ -252,7 +240,7 @@ func ChromeTraceLines(events []Event, m TickMapping) []string {
 				continue
 			}
 			delete(openRound, id)
-			startTS := m.Micros(uint64(start.Tick))
+			startTS := micros(start.Tick)
 			name := "audit-round"
 			if e.Kind == EvAuditRoundAbandoned {
 				name = "audit-round (abandoned)"
@@ -286,7 +274,7 @@ func ChromeTraceLines(events []Event, m TickMapping) []string {
 		id := uint16(e.Robot)
 		if open, ok := openRound[id]; ok && open == e {
 			emit(fmt.Sprintf(`{"ph":"i","name":"audit-round (open)","pid":%d,"tid":1,"ts":%s,"s":"t","args":{"segment_bytes":%d}}`,
-				id, JSONFloat(m.Micros(uint64(open.Tick))), open.Value))
+				id, JSONFloat(micros(open.Tick)), open.Value))
 			delete(openRound, id)
 		}
 	}

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"unicode/utf8"
+
+	"roborebound/internal/wire"
 )
 
 var exportFixture = []Event{
@@ -58,26 +60,24 @@ func TestWriteNDJSON(t *testing.T) {
 }
 
 func TestTickMapping(t *testing.T) {
-	m := TickMapping{TicksPerSecond: 4}
-	if got := m.Micros(0); got != 0 {
-		t.Fatalf("Micros(0) = %v", got)
-	}
-	if got := m.Micros(4); got != 1e6 {
-		t.Fatalf("Micros(4) = %v, want 1e6 (one second of ticks)", got)
-	}
-	if got := m.Micros(1); got != 250000 {
-		t.Fatalf("Micros(1) = %v, want 250000", got)
-	}
-	// Zero tick rate degrades to 1 tick = 1 second rather than NaN.
-	z := TickMapping{}
-	if got := z.Micros(2); got != 2e6 {
-		t.Fatalf("zero-rate Micros(2) = %v, want 2e6", got)
+	for _, c := range []struct {
+		tick wire.Tick
+		want float64
+	}{
+		{0, 0},
+		{1, 250000},
+		{4, 1e6}, // one second of ticks
+		{9, 2.25e6},
+	} {
+		if got := micros(c.tick); got != c.want {
+			t.Errorf("micros(%d) = %v, want %v", c.tick, got, c.want)
+		}
 	}
 }
 
 func TestWriteChromeTrace(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, exportFixture, TickMapping{TicksPerSecond: 4}); err != nil {
+	if err := WriteChromeTrace(&buf, exportFixture); err != nil {
 		t.Fatal(err)
 	}
 	if !json.Valid(buf.Bytes()) {
@@ -117,7 +117,7 @@ func TestWriteChromeTrace(t *testing.T) {
 func TestWriteChromeTraceOpenRound(t *testing.T) {
 	events := []Event{{Tick: 2, Robot: 1, Kind: EvAuditRoundStart, Value: 100}}
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, events, TickMapping{TicksPerSecond: 4}); err != nil {
+	if err := WriteChromeTrace(&buf, events); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "audit-round (open)") {
@@ -151,14 +151,6 @@ func TestWriteMetricsJSON(t *testing.T) {
 	}
 }
 
-func TestTickMappingNegativeRate(t *testing.T) {
-	// Negative rates clamp like zero: 1 tick = 1 second, never NaN/Inf.
-	m := TickMapping{TicksPerSecond: -3}
-	if got := m.Micros(2); got != 2e6 {
-		t.Fatalf("negative-rate Micros(2) = %v, want 2e6", got)
-	}
-}
-
 func TestWriteChromeTraceNonMonotonicRound(t *testing.T) {
 	// A round-complete event stamped BEFORE its start (possible with a
 	// skewed trusted clock: events are emitted on the robot's local
@@ -169,7 +161,7 @@ func TestWriteChromeTraceNonMonotonicRound(t *testing.T) {
 		{Tick: 6, Robot: 1, Kind: EvAuditRoundComplete, Value: 7},
 	}
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, events, TickMapping{TicksPerSecond: 4}); err != nil {
+	if err := WriteChromeTrace(&buf, events); err != nil {
 		t.Fatal(err)
 	}
 	if !json.Valid(buf.Bytes()) {
@@ -198,12 +190,12 @@ func TestWriteChromeTraceNonMonotonicRound(t *testing.T) {
 func TestChromeTraceLines(t *testing.T) {
 	// The exported per-event form (used by the merged perf trace) must
 	// agree with WriteChromeTrace's document body line for line.
-	lines := ChromeTraceLines(exportFixture, TickMapping{TicksPerSecond: 4})
+	lines := ChromeTraceLines(exportFixture)
 	if len(lines) == 0 {
 		t.Fatal("no lines")
 	}
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, exportFixture, TickMapping{TicksPerSecond: 4}); err != nil {
+	if err := WriteChromeTrace(&buf, exportFixture); err != nil {
 		t.Fatal(err)
 	}
 	for _, line := range lines {
@@ -243,7 +235,7 @@ func TestJSONStringIsJSON(t *testing.T) {
 			t.Errorf("WriteNDJSON(%q): detail decodes to %q, want %q", s, line.Detail, want)
 		}
 
-		lines := ChromeTraceLines(ev, TickMapping{TicksPerSecond: 4})
+		lines := ChromeTraceLines(ev)
 		var inst struct{ Args struct{ Detail string } }
 		decodeJSON(t, "ChromeTraceLines", s, []byte(lines[len(lines)-1]), &inst)
 		if inst.Args.Detail != want {

@@ -19,7 +19,7 @@ const WallClockPID = 1 << 20
 // one synthetic process, one thread per phase, complete ("X") slices.
 //
 // The two tracks share a µs axis but not a timebase: tick-domain
-// timestamps are simulated time from tick 0 (TickMapping), wall-clock
+// timestamps are simulated time from tick 0, wall-clock
 // timestamps are measured time from the timer's clock origin. At the
 // chaos plane's real-time tick mapping the tracks land on comparable
 // scales; either way Perfetto renders them side by side, which is the
@@ -27,9 +27,9 @@ const WallClockPID = 1 << 20
 // time goes. A nil recorder (or one with no spans) degrades to the
 // tick-domain document plus the empty wall-clock process. Numbers go
 // through obs.JSONFloat, which has no JSON form for NaN or Inf; none
-// reaches it, since span math is integer nanoseconds and
-// TickMapping.Micros is documented finite.
-func WriteMergedTrace(w io.Writer, events []obs.Event, m obs.TickMapping, rec *SpanRecorder) error {
+// reaches it, since span math is integer nanoseconds and tick
+// timestamps are finite.
+func WriteMergedTrace(w io.Writer, events []obs.Event, rec *SpanRecorder) error {
 	var b strings.Builder
 	b.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`)
 	first := true
@@ -41,7 +41,7 @@ func WriteMergedTrace(w io.Writer, events []obs.Event, m obs.TickMapping, rec *S
 		b.WriteString("\n")
 		b.WriteString(s)
 	}
-	for _, line := range obs.ChromeTraceLines(events, m) {
+	for _, line := range obs.ChromeTraceLines(events) {
 		emit(line)
 	}
 

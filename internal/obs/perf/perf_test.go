@@ -359,7 +359,7 @@ func TestWriteMergedTrace(t *testing.T) {
 	rec.record(PhasePhysics, 2000, 250)
 
 	var buf bytes.Buffer
-	if err := WriteMergedTrace(&buf, events, obs.TickMapping{TicksPerSecond: 4}, rec); err != nil {
+	if err := WriteMergedTrace(&buf, events, rec); err != nil {
 		t.Fatal(err)
 	}
 	if !json.Valid(buf.Bytes()) {
@@ -396,7 +396,7 @@ func TestWriteMergedTrace(t *testing.T) {
 	// Nil recorder degrades to the tick-domain track plus the empty
 	// wall-clock process — still valid JSON.
 	buf.Reset()
-	if err := WriteMergedTrace(&buf, events, obs.TickMapping{TicksPerSecond: 4}, nil); err != nil {
+	if err := WriteMergedTrace(&buf, events, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !json.Valid(buf.Bytes()) {

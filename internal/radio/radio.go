@@ -430,7 +430,7 @@ func (m *Medium) deliverTo(q queuedFrame, rank int32, id wire.RobotID, src, dst 
 		}
 		frame = complete
 	}
-	return append(out, Delivery{To: id, Frame: frame, Rank: rank, seq: q.seq})
+	return append(out, Delivery{To: id, Frame: frame, Rank: rank})
 }
 
 // Delivery is one frame arriving at one robot.
@@ -440,8 +440,6 @@ type Delivery struct {
 	// Rank is the receiver's index in the ascending, deduplicated
 	// roster Deliver was given (and the counting sort's key).
 	Rank int32
-
-	seq uint64 // transmit sequence, for the (receiver, queue-order) sort
 }
 
 // Deliver computes which robots receive each queued frame and clears

@@ -87,7 +87,7 @@ func deliveriesEqual(t *testing.T, round int, brute, indexed []Delivery) {
 	}
 	for i := range brute {
 		a, b := brute[i], indexed[i]
-		if a.To != b.To || a.seq != b.seq || a.Frame.Src != b.Frame.Src ||
+		if a.To != b.To || a.Frame.Src != b.Frame.Src ||
 			a.Frame.Dst != b.Frame.Dst || a.Frame.Flags != b.Frame.Flags ||
 			string(a.Frame.Payload) != string(b.Frame.Payload) {
 			t.Fatalf("round %d: delivery %d diverges: brute %+v, indexed %+v", round, i, a, b)

@@ -23,7 +23,7 @@ var controllerFactories = func() []struct {
 	f    control.Factory
 } {
 	route := []geom.Vec2{geom.V(0, 0), geom.V(40, 0), geom.V(40, 40), geom.V(0, 40)}
-	patrol := control.DefaultPatrolParams(4, route)
+	patrol := control.DefaultPatrolParams(route)
 	patrol.RingGapM = 3
 	pickups := []geom.Vec2{geom.V(0, 0), geom.V(0, 10), geom.V(0, 20)}
 	dropoffs := []geom.Vec2{geom.V(50, 0), geom.V(50, 10), geom.V(50, 20)}
@@ -33,8 +33,8 @@ var controllerFactories = func() []struct {
 	}{
 		{"flocking", flocking.Factory{Params: flocking.DefaultParams(4, 4, geom.V(100, 100))}},
 		{"patrol", control.PatrolFactory{Params: patrol}},
-		{"warehouse", control.WarehouseFactory{Params: control.DefaultWarehouseParams(4, pickups, dropoffs)}},
-		{"explore", control.ExploreFactory{Params: control.DefaultExploreParams(4, 0, 0, 80, 80, 4)}},
+		{"warehouse", control.WarehouseFactory{Params: control.DefaultWarehouseParams(pickups, dropoffs)}},
+		{"explore", control.ExploreFactory{Params: control.DefaultExploreParams(0, 0, 80, 80, 4)}},
 	}
 }()
 

@@ -27,6 +27,20 @@ type liveRobot struct {
 
 var master = []byte("replay-test-master")
 
+// testANodeConfig is core.DefaultConfig(wire.TicksPerSecond).ANodeConfig(),
+// restated because core imports this package: f_max = 3, T_val = 10 s,
+// and a bucket of 16 refilling 4 requests/s.
+func testANodeConfig() trusted.ANodeConfig {
+	return trusted.ANodeConfig{
+		Fmax:           3,
+		TVal:           10 * wire.TicksPerSecond,
+		BatchSize:      trusted.DefaultBatchSize,
+		BucketCapacity: 16,
+		Rho:            4.0 / wire.TicksPerSecond,
+		MinPerToken:    1,
+	}
+}
+
 func sealed() trusted.SealedMissionKey {
 	var mission [trusted.MissionKeySize]byte
 	copy(mission[:], "replay-mission")
@@ -44,8 +58,7 @@ func newLiveRobotWith(t testing.TB, id wire.RobotID, f control.Factory) *liveRob
 	r.ctrl = f.New(id)
 	clock := func() wire.Tick { return r.now }
 	r.snode = trusted.NewSNode(trusted.DefaultBatchSize, clock)
-	cfg := trusted.DefaultANodeConfig(4)
-	r.anode = trusted.NewANode(cfg, clock, nil, nil, nil, nil)
+	r.anode = trusted.NewANode(testANodeConfig(), clock, nil, nil, nil, nil)
 	for _, n := range []interface {
 		LoadMasterKey([]byte, wire.RobotID)
 		LoadMissionKey(trusted.SealedMissionKey) bool

@@ -262,7 +262,7 @@ func runCellJob(k *jobKind, req *JobRequest, resolve resolveFunc, hooks execHook
 		case name == eventsArtifact && col != nil:
 			err = obs.WriteNDJSON(&buf, col.Events())
 		case name == perfettoArtifact && req.Perfetto:
-			err = obs.WriteChromeTrace(&buf, col.Events(), obs.TickMapping{TicksPerSecond: rr.TicksPerSecond})
+			err = obs.WriteChromeTrace(&buf, col.Events())
 		case name == snapshotArtifact && !res.Interrupted:
 			// Validate keeps snapshot_at_tick within the run, and a run
 			// that reaches its end has captured every tick it was asked for.

@@ -42,10 +42,11 @@ type WorldConfig struct {
 	SpatialIndex bool
 }
 
-// DefaultWorldConfig returns the paper-matched physics at 4 ticks/s.
+// DefaultWorldConfig returns the paper-matched physics at
+// wire.TicksPerSecond.
 func DefaultWorldConfig() WorldConfig {
 	return WorldConfig{
-		TicksPerSecond: 4,
+		TicksPerSecond: wire.TicksPerSecond,
 		AccelCap:       5,
 		MaxSpeed:       8,
 		BrakeDecel:     2.5,

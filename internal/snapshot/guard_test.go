@@ -93,7 +93,7 @@ var guardLeafTypes = map[string]bool{
 // Everything else is pinned by snapshotstate.Surfaces.
 var guardManualFields = map[string][]string{
 	"sim.Engine":       {"World", "Medium", "actors", "ids", "now", "observers", "perf"},
-	"radio.Delivery":   {"To", "Frame", "Rank", "seq"},
+	"radio.Delivery":   {"To", "Frame", "Rank"},
 	"prng.Source":      {"s"},
 	"core.missScratch": {"entries", "machine"},
 	"replay.Machine":   {"chains", "ctrl", "state"},

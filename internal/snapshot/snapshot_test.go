@@ -28,7 +28,7 @@ func buildTestRun() *Run {
 	engine := sim.NewEngine(world, medium)
 
 	route := []geom.Vec2{geom.V(0, 0), geom.V(30, 0), geom.V(30, 30), geom.V(0, 30)}
-	factory := control.PatrolFactory{Params: control.DefaultPatrolParams(wcfg.TicksPerSecond, route)}
+	factory := control.PatrolFactory{Params: control.DefaultPatrolParams(route)}
 
 	run := &Run{
 		Engine:  engine,

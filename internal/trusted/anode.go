@@ -27,21 +27,6 @@ type ANodeConfig struct {
 	MinPerToken    float64
 }
 
-// DefaultANodeConfig mirrors the paper's evaluation setup: f_max = 3,
-// T_val a little over two audit periods (audits every 4 s must land
-// before the previous round's tokens expire), and a bucket generous
-// enough for 2·(f_max+1) requests per audit period in bursts.
-func DefaultANodeConfig(ticksPerSecond float64) ANodeConfig {
-	return ANodeConfig{
-		Fmax:           3,
-		TVal:           wire.Tick(10 * ticksPerSecond), // 10 s
-		BatchSize:      DefaultBatchSize,
-		BucketCapacity: 16,
-		Rho:            4 / ticksPerSecond, // refills 4 requests/s
-		MinPerToken:    1,
-	}
-}
-
 // ANode is the actuator node (Algorithm 4). It interposes on the
 // radio and the actuators: every frame the c-node sends or receives
 // and every actuator command passes through it and is committed to its
@@ -114,11 +99,9 @@ func NewANode(cfg ANodeConfig, clock Clock,
 }
 
 // Init sets a up in place as a fresh, unprovisioned a-node enforcing
-// cfg on its own local timer, wired to w (which must not be nil).
+// cfg on its own local timer, wired to w (which must not be nil). A
+// BatchSize below 1 means 1, as on the s-node.
 func (a *ANode) Init(cfg ANodeConfig, clock Clock, w Wiring) {
-	if cfg.BatchSize == 0 {
-		cfg.BatchSize = DefaultBatchSize
-	}
 	*a = ANode{cfg: cfg, bktLvl: cfg.BucketCapacity, wiring: w}
 	a.nodeBase.init(wire.NodeA, cfg.BatchSize, clock)
 }

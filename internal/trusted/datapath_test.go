@@ -23,7 +23,7 @@ func TestDataPathDoesNotAllocate(t *testing.T) {
 	s := NewSNode(DefaultBatchSize, clock)
 	logged := make([]byte, 0, 512) // the c-node's copy, as auditlog.Log.Append makes it
 	var sent, driven int
-	a := NewANode(DefaultANodeConfig(4), clock,
+	a := NewANode(testANodeConfig(), clock,
 		func(wire.Frame) { sent++ },
 		func(_ wire.Frame, enc []byte) { logged = append(logged[:0], enc...) },
 		func(wire.ActuatorCmd) { driven++ },
@@ -84,7 +84,7 @@ func TestFirstLendDoesNotAllocate(t *testing.T) {
 	}
 	w := new(wired)
 	pair.s.Init(DefaultBatchSize, clock)
-	pair.a.Init(DefaultANodeConfig(4), clock, w)
+	pair.a.Init(testANodeConfig(), clock, w)
 	pair.s.LoadMasterKey(testMaster, 1)
 	pair.a.LoadMasterKey(testMaster, 1)
 	if !pair.s.LoadMissionKey(testSealed(1)) || !pair.a.LoadMissionKey(testSealed(1)) {
@@ -130,7 +130,7 @@ func TestRecvEncodingSurvivesHookSends(t *testing.T) {
 	cmd := wire.ActuatorCmd{Time: 9, AccX: 1, AccY: 2}
 	var a *ANode
 	var lent []byte
-	a = NewANode(DefaultANodeConfig(4), func() wire.Tick { return now }, nil,
+	a = NewANode(testANodeConfig(), func() wire.Tick { return now }, nil,
 		func(_ wire.Frame, enc []byte) {
 			a.SendWirelessEnc(out)
 			a.ActuatorCmdEnc(cmd)

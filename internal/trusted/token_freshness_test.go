@@ -71,7 +71,7 @@ func TestInstallTokenReplayCannotDowngrade(t *testing.T) {
 func TestTokenFreshnessExactBoundary(t *testing.T) {
 	now := wire.Tick(0)
 	clock := func() wire.Tick { return now }
-	cfg := DefaultANodeConfig(4)
+	cfg := testANodeConfig()
 	cfg.Fmax = 0 // one fresh token keeps the robot alive
 	a := NewANode(cfg, clock, nil, nil, nil, nil)
 	a.LoadMasterKey(testMaster, 2)

@@ -9,6 +9,21 @@ import (
 
 var testMaster = []byte("mrs-master-key-material")
 
+// testANodeConfig is core.DefaultConfig(wire.TicksPerSecond).ANodeConfig(),
+// the paper's evaluation setup, restated because core imports this
+// package: f_max = 3, T_val = 10 s, and a bucket of 16 refilling 4
+// requests/s.
+func testANodeConfig() ANodeConfig {
+	return ANodeConfig{
+		Fmax:           3,
+		TVal:           10 * wire.TicksPerSecond,
+		BatchSize:      DefaultBatchSize,
+		BucketCapacity: 16,
+		Rho:            4.0 / wire.TicksPerSecond,
+		MinPerToken:    1,
+	}
+}
+
 func testSealed(seq uint64) SealedMissionKey {
 	// A diligent owner mints a fresh mission secret per mission; the
 	// multi-mission test depends on that (reusing the secret would let
@@ -25,7 +40,7 @@ func provisioned(t *testing.T, id wire.RobotID, now *wire.Tick) (*SNode, *ANode)
 	t.Helper()
 	clock := func() wire.Tick { return *now }
 	s := NewSNode(DefaultBatchSize, clock)
-	a := NewANode(DefaultANodeConfig(4), clock, nil, nil, nil, nil)
+	a := NewANode(testANodeConfig(), clock, nil, nil, nil, nil)
 	s.LoadMasterKey(testMaster, id)
 	a.LoadMasterKey(testMaster, id)
 	sealed := testSealed(1)
@@ -123,7 +138,7 @@ func TestKeylessNodesInert(t *testing.T) {
 	now := wire.Tick(0)
 	clock := func() wire.Tick { return now }
 	s := NewSNode(1, func() wire.Tick { return 0 })
-	a := NewANode(DefaultANodeConfig(4), clock, nil, nil, nil, nil)
+	a := NewANode(testANodeConfig(), clock, nil, nil, nil, nil)
 	if _, _, ok := s.PollSensorsEnc(wire.SensorReading{}); ok {
 		t.Error("keyless s-node forwarded sensors")
 	}
@@ -170,6 +185,46 @@ func TestAuthenticatorRoundTrip(t *testing.T) {
 	forged.NodeKind = wire.NodeA
 	if a.CheckAuthenticator(forged) {
 		t.Error("cross-chain (s-as-a) authenticator accepted")
+	}
+}
+
+// TestZeroBatchSizeMeansOne: both trusted nodes read a batch size of
+// 0 as 1, as an auditor's replica chain does, so one chained append
+// flushes each chain to the top it reaches at batch size 1.
+func TestZeroBatchSizeMeansOne(t *testing.T) {
+	reading := wire.SensorReading{Time: 5, PosX: 1, PosY: 2, VelX: 3, VelY: 4}
+	cmd := wire.ActuatorCmd{Time: 5, AccX: 0.5, AccY: -0.5}
+	nodes := func(batchSize int) (s, a *nodeBase) {
+		t.Helper()
+		clock := func() wire.Tick { return 5 }
+		cfg := testANodeConfig()
+		cfg.BatchSize = batchSize
+		sn, an := NewSNode(batchSize, clock), NewANode(cfg, clock, nil, nil, nil, nil)
+		sn.LoadMasterKey(testMaster, 1)
+		an.LoadMasterKey(testMaster, 1)
+		if !sn.LoadMissionKey(testSealed(1)) || !an.LoadMissionKey(testSealed(1)) {
+			t.Fatal("mission key rejected")
+		}
+		if _, _, ok := sn.PollSensorsEnc(reading); !ok {
+			t.Fatal("s-node withheld the reading")
+		}
+		if _, ok := an.ActuatorCmdEnc(cmd); !ok {
+			t.Fatal("a-node refused the command")
+		}
+		return &sn.nodeBase, &an.nodeBase
+	}
+	s0, a0 := nodes(0)
+	s1, a1 := nodes(1)
+	for _, c := range []struct {
+		name      string
+		zero, one *nodeBase
+	}{{"s-node", s0, s1}, {"a-node", a0, a1}} {
+		if p := c.zero.chain.Pending(); p != 0 {
+			t.Errorf("%s at batch size 0: %d entries pending after one append, want 0", c.name, p)
+		}
+		if c.zero.chain.Top() != c.one.chain.Top() || c.zero.chain.Top() == cryptolite.ZeroChain {
+			t.Errorf("%s at batch size 0: top %x, want batch size 1's %x", c.name, c.zero.chain.Top(), c.one.chain.Top())
+		}
 	}
 }
 
@@ -244,7 +299,7 @@ func (w *wired) SafeMode()                   {}
 func TestOversizedNonAuditFrameRefused(t *testing.T) {
 	var w wired
 	a := new(ANode)
-	a.Init(DefaultANodeConfig(4), func() wire.Tick { return 0 }, &w)
+	a.Init(testANodeConfig(), func() wire.Tick { return 0 }, &w)
 	a.LoadMasterKey(testMaster, 1)
 	if !a.LoadMissionKey(testSealed(1)) {
 		t.Fatal("mission key rejected")
@@ -379,7 +434,7 @@ func TestTokenForgeryRejected(t *testing.T) {
 
 func TestLeakyBucket(t *testing.T) {
 	now := wire.Tick(0)
-	cfg := DefaultANodeConfig(4)
+	cfg := testANodeConfig()
 	cfg.BucketCapacity = 3
 	cfg.Rho = 0.25 // one request per 4 ticks
 	clock := func() wire.Tick { return now }
@@ -420,7 +475,7 @@ func TestLeakyBucket(t *testing.T) {
 
 func TestCheckTokensTriggersSafeMode(t *testing.T) {
 	now := wire.Tick(0)
-	cfg := DefaultANodeConfig(4) // TVal = 40 ticks
+	cfg := testANodeConfig() // TVal = 40 ticks
 	clock := func() wire.Tick { return now }
 	fired := false
 	a := NewANode(cfg, clock, nil, nil, nil, func() { fired = true })
@@ -453,7 +508,7 @@ func TestCheckTokensTriggersSafeMode(t *testing.T) {
 
 func TestCheckTokensFreshness(t *testing.T) {
 	now := wire.Tick(0)
-	cfg := DefaultANodeConfig(4)
+	cfg := testANodeConfig()
 	cfg.Fmax = 1 // needs 2 fresh tokens
 	clock := func() wire.Tick { return now }
 	auditee := NewANode(cfg, clock, nil, nil, nil, nil)
@@ -520,7 +575,7 @@ func TestCheckTokensFreshness(t *testing.T) {
 
 func TestTokensFromSameAuditorCountOnce(t *testing.T) {
 	now := wire.Tick(0)
-	cfg := DefaultANodeConfig(4)
+	cfg := testANodeConfig()
 	cfg.Fmax = 1
 	clock := func() wire.Tick { return now }
 	auditee := NewANode(cfg, clock, nil, nil, nil, nil)
@@ -552,7 +607,7 @@ func TestSafeModeStopsForwardingHooks(t *testing.T) {
 	now := wire.Tick(0)
 	clock := func() wire.Tick { return now }
 	var sentToNIC, sentToMotor int
-	cfg := DefaultANodeConfig(4)
+	cfg := testANodeConfig()
 	a := NewANode(cfg, clock,
 		func(wire.Frame) { sentToNIC++ },
 		nil,
@@ -580,7 +635,7 @@ func TestSafeModeStopsForwardingHooks(t *testing.T) {
 func TestMultiMissionKeyRotation(t *testing.T) {
 	now := wire.Tick(0)
 	clock := func() wire.Tick { return now }
-	a := NewANode(DefaultANodeConfig(4), clock, nil, nil, nil, nil)
+	a := NewANode(testANodeConfig(), clock, nil, nil, nil, nil)
 	a.LoadMasterKey(testMaster, 1)
 
 	// Mission 1.
@@ -593,7 +648,7 @@ func TestMultiMissionKeyRotation(t *testing.T) {
 	if !ok {
 		t.Fatal("no mission-1 authenticator")
 	}
-	peer := NewANode(DefaultANodeConfig(4), clock, nil, nil, nil, nil)
+	peer := NewANode(testANodeConfig(), clock, nil, nil, nil, nil)
 	peer.LoadMasterKey(testMaster, 2)
 	peer.LoadMissionKey(m1)
 	oldReq, _ := a.MakeTokenRequest(2)
@@ -674,7 +729,7 @@ func TestPowerCycleResetsInPlace(t *testing.T) {
 	if !a.LoadMissionKey(testSealed(2)) {
 		t.Fatal("re-keying after the power cycle failed")
 	}
-	fresh := NewANode(DefaultANodeConfig(4), func() wire.Tick { return now }, nil, nil, nil, nil)
+	fresh := NewANode(testANodeConfig(), func() wire.Tick { return now }, nil, nil, nil, nil)
 	fresh.LoadMasterKey(testMaster, 1)
 	fresh.LoadMissionKey(testSealed(2))
 	for _, n := range []*ANode{a, fresh} {
@@ -700,7 +755,7 @@ func TestPowerCycleClearsSafeMode(t *testing.T) {
 	now := wire.Tick(0)
 	clock := func() wire.Tick { return now }
 	fired := 0
-	a := NewANode(DefaultANodeConfig(4), clock, nil, nil, nil, func() { fired++ })
+	a := NewANode(testANodeConfig(), clock, nil, nil, nil, func() { fired++ })
 	a.LoadMasterKey(testMaster, 1)
 	a.LoadMissionKey(testSealed(1))
 	now = 1000

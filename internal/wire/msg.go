@@ -21,6 +21,10 @@ const Broadcast RobotID = 0xFFFF
 // synchronization is assumed (§3.5).
 type Tick uint64
 
+// TicksPerSecond is the engine's tick rate: the paper's 0.25 s control
+// period (§4). Every tick↔second conversion reads it.
+const TicksPerSecond = 4
+
 // Message kinds.
 const (
 	KindState         uint8 = 1 // flocking state broadcast

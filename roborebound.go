@@ -41,10 +41,8 @@ import (
 )
 
 // TicksPerSecond is the rate of every facade simulation: the paper's
-// 0.25 s control period. Every tick↔second conversion outside the
-// internal packages (Sim.Tick, snapshot tick bounds, the Perfetto time
-// mapping, the serve decoder's limits) reads it from here.
-const TicksPerSecond = 4
+// 0.25 s control period (wire.TicksPerSecond).
+const TicksPerSecond = wire.TicksPerSecond
 
 // masterKey is the MRS master key every facade robot is provisioned
 // with.

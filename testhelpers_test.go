@@ -14,10 +14,10 @@ import (
 
 // Shared helpers for the root-package test files.
 
-// coreCfgWith returns the default protocol config at the given tick
-// rate with an explicit f_max.
-func coreCfgWith(ticksPerSecond float64, fmax int) core.Config {
-	cc := core.DefaultConfig(ticksPerSecond)
+// coreCfgWith returns the default protocol config with an explicit
+// f_max.
+func coreCfgWith(fmax int) core.Config {
+	cc := core.DefaultConfig(TicksPerSecond)
 	cc.Fmax = fmax
 	return cc
 }
